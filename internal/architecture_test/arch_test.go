@@ -5,7 +5,9 @@
 // services (ingest, sched, serve) on top — only stays true if someone
 // checks; this test walks every .go file with go/parser (ImportsOnly)
 // and fails, naming the violating file, when an import crosses a
-// boundary downward-only layering forbids.
+// boundary downward-only layering forbids — or when a package that
+// must reach the filesystem only through internal/seglog imports the
+// standard library's way around it.
 package architecture_test
 
 import (
@@ -47,7 +49,7 @@ var rules = []rule{
 		Name: "foundation-below-execution",
 		Why:  "byte-level foundations must stay reusable outside the engine",
 		From: []string{"frame", "kvenc", "substrate", "bytestore", "hashfam",
-			"frequent", "sim", "metrics", "model", "cost"},
+			"frequent", "sim", "metrics", "model", "cost", "seglog"},
 		Deny: []string{"engine", "realexec", "sched", "serve", "ingest", "jobstore"},
 	},
 	{
@@ -83,11 +85,32 @@ var exclusives = []onlyImporters{
 		Guarded: "jobstore",
 		Allowed: []string{"sched"},
 	},
+	{
+		Name:    "seglog-only-under-durable-services",
+		Why:     "the segmented log is the durability layer of the WAL and the job store, not a general file API",
+		Guarded: "seglog",
+		Allowed: []string{"ingest", "jobstore"},
+	},
 }
 
-// fileImports maps a repo-relative .go file to its repro/internal
-// imports, with each import reduced to its package basename.
+// stdlibBans reuse the rule shape with Deny holding standard-library
+// import paths, and bind only non-test files: crash harnesses copy and
+// truncate files.
+var stdlibBans = []rule{
+	{
+		Name: "durable-io-only-via-seglog",
+		Why:  "every file the services write goes through internal/seglog, the one place a fault-injecting filesystem has to wrap",
+		From: []string{"ingest", "jobstore"},
+		Deny: []string{"os", "path/filepath", "io/ioutil", "syscall"},
+	},
+}
+
+// fileImports maps a repo-relative .go file to the full paths of
+// everything it imports, standard library included.
 type fileImports map[string][]string
+
+// internal is the import path of internal package pkg.
+func internal(pkg string) string { return modulePrefix + pkg }
 
 // violations applies the rule tables to a parsed file set and returns
 // one message per offense, each naming the violating file. Pure
@@ -118,7 +141,17 @@ func violations(files fileImports) []string {
 	sort.Strings(paths)
 	for _, path := range paths {
 		from := pkgOf(path)
-		for _, imp := range files[path] {
+		for _, full := range files[path] {
+			imp, isInternal := strings.CutPrefix(full, modulePrefix)
+			if !isInternal {
+				for _, b := range stdlibBans {
+					if inSet(b.From, from) && inSet(b.Deny, full) && !strings.HasSuffix(path, "_test.go") {
+						out = append(out, fmt.Sprintf("%s: rule %q: non-test files of %s must not import %q (%s)",
+							path, b.Name, from, full, b.Why))
+					}
+				}
+				continue
+			}
 			for _, r := range rules {
 				if inSet(r.From, from) && inSet(r.Deny, imp) {
 					out = append(out, fmt.Sprintf("%s: rule %q: package %s must not import %s%s (%s)",
@@ -137,7 +170,7 @@ func violations(files fileImports) []string {
 }
 
 // parseTree walks the repository for .go files (skipping testdata and
-// vendor) and records each file's repro/internal imports.
+// vendor) and records each file's imports.
 func parseTree(t *testing.T, root string) fileImports {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -170,9 +203,7 @@ func parseTree(t *testing.T, root string) fileImports {
 			if err != nil {
 				return fmt.Errorf("%s: bad import %s: %w", rel, spec.Path.Value, err)
 			}
-			if strings.HasPrefix(val, modulePrefix) {
-				imps = append(imps, strings.TrimPrefix(val, modulePrefix))
-			}
+			imps = append(imps, val)
 		}
 		files[filepath.ToSlash(rel)] = imps
 		return nil
@@ -237,6 +268,13 @@ func TestRulesCoverKnownPackages(t *testing.T) {
 			}
 		}
 	}
+	for _, b := range stdlibBans {
+		for _, pkg := range b.From {
+			if !exists(pkg) {
+				t.Errorf("rule %q names nonexistent package internal/%s", b.Name, pkg)
+			}
+		}
+	}
 }
 
 // TestPlantedViolationsAreCaught is the self-check: a checker that
@@ -248,11 +286,15 @@ func TestPlantedViolationsAreCaught(t *testing.T) {
 		file string
 		imp  string
 	}{
-		{"foundation imports engine", "internal/frame/bad.go", "engine"},
-		{"core imports realexec", "internal/core/bad.go", "realexec"},
-		{"engine imports sched", "internal/engine/bad.go", "sched"},
-		{"serve imports jobstore", "internal/serve/bad.go", "jobstore"},
-		{"ingest imports serve", "internal/ingest/bad.go", "serve"},
+		{"foundation imports engine", "internal/frame/bad.go", internal("engine")},
+		{"core imports realexec", "internal/core/bad.go", internal("realexec")},
+		{"engine imports sched", "internal/engine/bad.go", internal("sched")},
+		{"serve imports jobstore", "internal/serve/bad.go", internal("jobstore")},
+		{"ingest imports serve", "internal/ingest/bad.go", internal("serve")},
+		{"seglog imports ingest", "internal/seglog/bad.go", internal("ingest")},
+		{"sched imports seglog", "internal/sched/bad.go", internal("seglog")},
+		{"ingest imports os", "internal/ingest/bad.go", "os"},
+		{"jobstore imports path/filepath", "internal/jobstore/bad.go", "path/filepath"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -269,10 +311,12 @@ func TestPlantedViolationsAreCaught(t *testing.T) {
 
 	// And a legal tree yields no findings.
 	legal := fileImports{
-		"internal/sched/store.go":  {"jobstore", "engine"},
-		"internal/serve/jobs.go":   {"sched", "ingest"},
-		"internal/engine/job.go":   {"core", "sim", "frame"},
-		"internal/jobstore/log.go": {"frame"},
+		"internal/sched/store.go":         {internal("jobstore"), internal("engine")},
+		"internal/serve/jobs.go":          {internal("sched"), internal("ingest"), "os"},
+		"internal/engine/job.go":          {internal("core"), internal("sim"), internal("frame")},
+		"internal/jobstore/log.go":        {internal("frame"), internal("seglog"), "fmt"},
+		"internal/jobstore/crash_test.go": {"os", "path/filepath"},
+		"internal/seglog/seglog.go":       {internal("frame"), "os", "path/filepath"},
 	}
 	if got := violations(legal); len(got) != 0 {
 		t.Fatalf("legal tree flagged: %v", got)

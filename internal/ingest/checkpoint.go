@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"repro/internal/core"
 	"repro/internal/frame"
@@ -52,9 +50,9 @@ func encodeCheckpoint(ck *checkpoint) []byte {
 	return append(out, core.FramedImage(ck.Img)...)
 }
 
-// decodeCheckpoint parses a checkpoint file body. Callers classify the
-// file with frame.ScanTail first (two clean frames spanning the file);
-// this decodes them.
+// decodeCheckpoint parses a checkpoint file body. seglog.Recover
+// classifies the file with frame.ScanTail first (two clean frames
+// spanning the file); this decodes them.
 func decodeCheckpoint(b []byte) (*checkpoint, error) {
 	hdr, n, err := frame.Next(b)
 	if err != nil {
@@ -82,128 +80,4 @@ func decodeCheckpoint(b []byte) (*checkpoint, error) {
 	}
 	ck.Img = img
 	return ck, nil
-}
-
-// writeCheckpoint persists ck as ckpt-<Seq>.ck in dir, fsyncing the
-// file and the directory. Returns the file size for metrics.
-func writeCheckpoint(dir string, ck *checkpoint, fail *Failpoints) (int64, error) {
-	data := encodeCheckpoint(ck)
-	if fail != nil && fail.TornCheckpoint != nil {
-		if n := fail.TornCheckpoint(ck.Seq); n >= 0 {
-			if n > len(data) {
-				n = len(data)
-			}
-			os.WriteFile(filepath.Join(dir, ckptName(ck.Seq)), data[:n], 0o644)
-			return 0, fmt.Errorf("torn checkpoint at batch %d: %w", ck.Seq, ErrCrash)
-		}
-	}
-	path := filepath.Join(dir, ckptName(ck.Seq))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return 0, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
-		return 0, err
-	}
-	if err := syncDir(dir); err != nil {
-		return 0, err
-	}
-	return int64(len(data)), nil
-}
-
-// loadCheckpoint reads and validates one checkpoint file. The bool
-// distinguishes a structurally damaged file (torn/corrupt — fall back
-// to an older checkpoint) from an I/O error worth surfacing.
-func loadCheckpoint(path string) (ck *checkpoint, damaged frame.ScanReason, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, frame.ScanClean, err
-	}
-	res := frame.ScanTail(data, nil)
-	if res.Reason != frame.ScanClean || res.Frames != 2 || res.Good != int64(len(data)) {
-		reason := res.Reason
-		if reason == frame.ScanClean {
-			// Clean frames but the wrong shape (extra frame, trailing
-			// garbage that happens to parse): treat as corruption.
-			reason = frame.ScanCorrupt
-		}
-		return nil, reason, nil
-	}
-	ck, err = decodeCheckpoint(data)
-	if err != nil {
-		return nil, frame.ScanCorrupt, nil
-	}
-	return ck, frame.ScanClean, nil
-}
-
-// loadCheckpointChain finds the newest checkpoint in dir that loads
-// whole, walking backward past torn or corrupt ones (counted for
-// metrics). Returns (nil, ...) when no usable checkpoint exists —
-// recovery then replays the WAL from the beginning.
-func loadCheckpointChain(dir string) (ck *checkpoint, discardedTorn, discardedCorrupt int64, err error) {
-	seqs, err := listCheckpoints(dir)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	for i := len(seqs) - 1; i >= 0; i-- {
-		c, reason, err := loadCheckpoint(filepath.Join(dir, ckptName(seqs[i])))
-		if err != nil {
-			return nil, discardedTorn, discardedCorrupt, err
-		}
-		if c != nil {
-			if c.Seq != seqs[i] {
-				return nil, discardedTorn, discardedCorrupt,
-					fmt.Errorf("%w: %s claims seq %d", ErrBadCheckpoint, ckptName(seqs[i]), c.Seq)
-			}
-			return c, discardedTorn, discardedCorrupt, nil
-		}
-		if reason == frame.ScanTorn {
-			discardedTorn++
-		} else {
-			discardedCorrupt++
-		}
-	}
-	return nil, discardedTorn, discardedCorrupt, nil
-}
-
-// pruneCheckpoints keeps the newest `retain` checkpoints and deletes
-// older checkpoint files plus WAL segments wholly covered by every
-// retained checkpoint (index below the oldest retained checkpoint's
-// segment — that segment itself is always kept, since replay may start
-// mid-file inside it). Best-effort: deletion failures are ignored; the
-// files are garbage, not state.
-func pruneCheckpoints(dir string, retain int, retainedSegs []int64) {
-	seqs, err := listCheckpoints(dir)
-	if err != nil || len(seqs) <= retain {
-		return
-	}
-	for _, seq := range seqs[:len(seqs)-retain] {
-		os.Remove(filepath.Join(dir, ckptName(seq)))
-	}
-	if len(retainedSegs) == 0 {
-		return
-	}
-	minSeg := retainedSegs[0]
-	for _, s := range retainedSegs[1:] {
-		if s < minSeg {
-			minSeg = s
-		}
-	}
-	segs, err := listSegments(dir)
-	if err != nil {
-		return
-	}
-	for _, idx := range segs {
-		if idx < minSeg {
-			os.Remove(filepath.Join(dir, segName(idx)))
-		}
-	}
 }

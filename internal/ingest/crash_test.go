@@ -73,7 +73,7 @@ func newSourceRun(t *testing.T, query string, n, per int) *sourceRun {
 	s.Abort()
 
 	for _, idx := range src.segs {
-		st, err := os.Stat(filepath.Join(src.dir, segName(idx)))
+		st, err := os.Stat(filepath.Join(src.dir, layout.SegName(idx)))
 		if err != nil || st.Size() != src.segSize[idx] {
 			t.Fatalf("segment %d: simulated %d bytes, on disk %v (%v) — layout model drifted",
 				idx, src.segSize[idx], st, err)
@@ -109,11 +109,11 @@ func (src *sourceRun) buildCrashDir(cut int64, dropCkpts int) string {
 			if cut-g < n {
 				n = cut - g
 			}
-			data, err := os.ReadFile(filepath.Join(src.dir, segName(idx)))
+			data, err := os.ReadFile(filepath.Join(src.dir, layout.SegName(idx)))
 			if err != nil {
 				src.t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(dir, segName(idx)), data[:n], 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, layout.SegName(idx)), data[:n], 0o644); err != nil {
 				src.t.Fatal(err)
 			}
 		}
@@ -130,11 +130,11 @@ func (src *sourceRun) buildCrashDir(cut int64, dropCkpts int) string {
 	}
 	included = included[:len(included)-dropCkpts]
 	for _, s := range included {
-		data, err := os.ReadFile(filepath.Join(src.dir, ckptName(s)))
+		data, err := os.ReadFile(filepath.Join(src.dir, layout.ImgName(s)))
 		if err != nil {
 			src.t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, ckptName(s)), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, layout.ImgName(s)), data, 0o644); err != nil {
 			src.t.Fatal(err)
 		}
 	}
@@ -254,7 +254,7 @@ func TestSealedBoundaryRecovery(t *testing.T) {
 	for _, idx := range src.segs[:len(src.segs)-1] { // sealed ones only
 		g += src.segSize[idx]
 		boundary := g
-		t.Run(fmt.Sprintf("after-%s", segName(idx)), func(t *testing.T) {
+		t.Run(fmt.Sprintf("after-%s", layout.SegName(idx)), func(t *testing.T) {
 			dir := src.buildCrashDir(boundary, 0)
 			s, err := Open(testCfg(t, dir, src.query))
 			if err != nil {
@@ -454,7 +454,7 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	src := newSourceRun(t, "clickcount", n, per)
 	dir := src.buildCrashDir(src.total, 0)
 	newest := src.ckptSeqs[len(src.ckptSeqs)-1]
-	path := filepath.Join(dir, ckptName(newest))
+	path := filepath.Join(dir, layout.ImgName(newest))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -483,7 +483,7 @@ func TestCorruptSealedSegmentRefusesStart(t *testing.T) {
 	const n, per = 90, 5
 	src := newSourceRun(t, "clickcount", n, per)
 	dir := src.buildCrashDir(src.total, len(src.ckptSeqs)) // no checkpoints: full replay
-	path := filepath.Join(dir, segName(src.segs[0]))
+	path := filepath.Join(dir, layout.SegName(src.segs[0]))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -497,7 +497,7 @@ func TestCorruptSealedSegmentRefusesStart(t *testing.T) {
 	if !errors.As(err, &segErr) {
 		t.Fatalf("corrupt sealed segment: %v", err)
 	}
-	if segErr.Reason != frame.ScanCorrupt || segErr.Segment != segName(src.segs[0]) {
+	if segErr.Reason != frame.ScanCorrupt || segErr.Segment != layout.SegName(src.segs[0]) {
 		t.Fatalf("wrong diagnosis: %+v", segErr)
 	}
 }

@@ -226,13 +226,17 @@ func TestCheckpointRetention(t *testing.T) {
 	}
 	ingestRange(t, s, 1, n, per)
 	waitFoldedAndCkpts(t, s, n, int64(n/int(cfg.CheckpointEvery)))
-	cks, _ := listCheckpoints(dir)
+	cks, _ := layout.Images(dir)
 	if len(cks) != 2 {
 		t.Fatalf("retained %d checkpoints, want 2: %v", len(cks), cks)
 	}
-	segs, _ := listSegments(dir)
-	oldest, _, err := loadCheckpoint(filepath.Join(dir, ckptName(cks[0])))
-	if err != nil || oldest == nil {
+	segs, _ := layout.Segments(dir)
+	data, err := os.ReadFile(filepath.Join(dir, layout.ImgName(cks[0])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldest, err := decodeCheckpoint(data)
+	if err != nil {
 		t.Fatalf("oldest retained checkpoint unreadable: %v", err)
 	}
 	for _, idx := range segs {
@@ -290,7 +294,7 @@ func TestMetricsSnapshot(t *testing.T) {
 	if !m.Draining {
 		t.Fatal("drained service not marked draining")
 	}
-	if st, err := os.Stat(filepath.Join(s.cfg.Dir, segName(1))); err != nil || st.Size() == 0 {
+	if st, err := os.Stat(filepath.Join(s.cfg.Dir, layout.SegName(1))); err != nil || st.Size() == 0 {
 		t.Fatalf("segment 1 missing after run: %v", err)
 	}
 }

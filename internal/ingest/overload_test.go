@@ -143,13 +143,13 @@ func TestOverloadRecoversAfterStall(t *testing.T) {
 // countWALBatches scans every segment and counts complete frames.
 func countWALBatches(t testing.TB, dir string) int64 {
 	t.Helper()
-	segs, err := listSegments(dir)
+	segs, err := layout.Segments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var frames int64
 	for _, idx := range segs {
-		data, err := os.ReadFile(fmt.Sprintf("%s/%s", dir, segName(idx)))
+		data, err := os.ReadFile(fmt.Sprintf("%s/%s", dir, layout.SegName(idx)))
 		if err != nil {
 			t.Fatal(err)
 		}

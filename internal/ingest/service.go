@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/frame"
 	"repro/internal/mr"
+	"repro/internal/seglog"
 )
 
 // Sentinel errors surfaced to the HTTP layer.
@@ -105,9 +103,6 @@ type RecoveryInfo struct {
 	CheckpointsDiscardedCorrupt int64 `json:"checkpoints_discarded_corrupt"`
 }
 
-// ckptRef remembers a durable checkpoint's identity for retention.
-type ckptRef struct{ seq, seg int64 }
-
 // pending is one acknowledged batch waiting to be folded.
 type pending struct {
 	seq      int64
@@ -124,7 +119,8 @@ type Ingester struct {
 	folder *folder
 
 	mu       sync.Mutex // serializes WAL appends + seq assignment + lifecycle
-	w        *wal
+	w        *seglog.Log
+	buf      []byte // batch payload scratch
 	nextSeq  int64
 	draining bool
 	closed   bool  // queue closed
@@ -143,7 +139,6 @@ type Ingester struct {
 	// read by Drain after foldDone closes.
 	lastSeg, lastOff int64
 	lastCkptSeq      int64
-	ckptMeta         []ckptRef
 
 	m metrics
 
@@ -170,9 +165,6 @@ func Open(cfg Config) (*Ingester, error) {
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, err
-	}
 	f, err := newFolder(cfg.QueryName, cfg.NewQuery, cfg.ScanEvery)
 	if err != nil {
 		return nil, err
@@ -183,116 +175,49 @@ func Open(cfg Config) (*Ingester, error) {
 		queue:    make(chan pending, cfg.QueueDepth),
 		foldDone: make(chan struct{}),
 	}
-
-	ck, torn, corrupt, err := loadCheckpointChain(cfg.Dir)
-	if err != nil {
-		return nil, err
-	}
-	s.Recovery.CheckpointsDiscardedTorn = torn
-	s.Recovery.CheckpointsDiscardedCorrupt = corrupt
-	startSeg, startOff := int64(1), int64(0)
-	if ck != nil {
-		if err := f.restore(ck); err != nil {
-			return nil, err
-		}
-		startSeg, startOff = ck.Seg, ck.Off
-		s.Recovery.RestoredSeq = ck.Seq
-		s.Recovery.RestoredSeg = ck.Seg
-		s.Recovery.RestoredOff = ck.Off
-		s.lastCkptSeq = ck.Seq
-		s.ckptMeta = append(s.ckptMeta, ckptRef{ck.Seq, ck.Seg})
-	}
-
-	segs, err := listSegments(cfg.Dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(segs) == 0 {
-		if ck != nil {
-			return nil, fmt.Errorf("ingest: checkpoint %d references segment %s but the WAL is empty", ck.Seq, segName(ck.Seg))
-		}
-	} else if ck == nil {
-		startSeg = segs[0]
-	}
-
-	expected := f.foldedBatches + 1
-	lastSeg, lastEnd := startSeg, startOff
-	sawStart := len(segs) == 0 // vacuously fine on a fresh directory
-	prev := int64(-1)
-	for _, idx := range segs {
-		if idx < startSeg {
-			if st, err := os.Stat(filepath.Join(cfg.Dir, segName(idx))); err == nil {
-				s.Recovery.SkippedSegmentBytes += st.Size()
-			}
-			continue
-		}
-		if idx == startSeg {
-			sawStart = true
-		} else if prev >= 0 && idx != prev+1 {
-			return nil, fmt.Errorf("ingest: WAL gap: segment %s follows %s", segName(idx), segName(prev))
-		}
-		prev = idx
-
-		off0 := int64(0)
-		if idx == startSeg {
-			off0 = startOff
-		}
-		path := filepath.Join(cfg.Dir, segName(idx))
-		data, err := readSuffix(path, off0)
-		if err != nil {
-			return nil, err
-		}
-		s.Recovery.RecoveryReadBytes += int64(len(data))
-		var replayErr error
-		res := frame.ScanTail(data, func(p []byte) {
-			if replayErr != nil {
-				return
-			}
-			seq, recs, err := decodeBatch(p)
+	var replayedRecords int64
+	w, info, err := seglog.Recover(&layout, seglog.Options{
+		Dir: cfg.Dir, SealBytes: cfg.SealBytes, Retain: cfg.RetainCheckpoints, Fail: cfg.Fail.logFail(),
+	}, seglog.Replay{
+		Image: func(data []byte) (seglog.ImageRef, func() error, error) {
+			ck, err := decodeCheckpoint(data)
 			if err != nil {
-				replayErr = fmt.Errorf("%w (segment %s)", err, segName(idx))
-				return
+				return seglog.ImageRef{}, nil, err
 			}
-			if seq != expected {
-				replayErr = fmt.Errorf("ingest: WAL replay expected batch %d, found %d in %s", expected, seq, segName(idx))
-				return
-			}
-			f.fold(seq, recs)
-			s.Recovery.ReplayedBatches++
-			s.Recovery.ReplayedRecords += int64(len(recs))
-			expected++
-		})
-		if replayErr != nil {
-			return nil, replayErr
-		}
-		last := idx == segs[len(segs)-1]
-		switch {
-		case res.Reason == frame.ScanClean:
-		case last && res.Reason == frame.ScanTorn:
-			if err := os.Truncate(path, off0+res.Good); err != nil {
-				return nil, err
-			}
-			s.Recovery.TornTailsTruncated++
-		default:
-			return nil, &SegmentError{Segment: segName(idx), Offset: off0 + res.Good, Reason: res.Reason}
-		}
-		lastSeg, lastEnd = idx, off0+res.Good
-	}
-	if !sawStart {
-		return nil, fmt.Errorf("ingest: checkpoint %d references missing segment %s", s.Recovery.RestoredSeq, segName(startSeg))
-	}
-
-	w, err := openWALAt(cfg.Dir, lastSeg, lastEnd, cfg.SealBytes, cfg.Fail)
+			return seglog.ImageRef{ID: ck.Seq, Seg: ck.Seg, Off: ck.Off}, func() error { return f.restore(ck) }, nil
+		},
+		Record: func(p []byte) (int64, func(), error) {
+			seq, recs, err := decodeBatch(p)
+			return seq, func() {
+				f.fold(seq, recs)
+				replayedRecords += int64(len(recs))
+			}, err
+		},
+	})
 	if err != nil {
 		return nil, err
+	}
+	s.Recovery = RecoveryInfo{
+		RestoredSeq:                 info.Image.ID,
+		RestoredSeg:                 info.Image.Seg,
+		RestoredOff:                 info.Image.Off,
+		ReplayedBatches:             info.Replayed,
+		ReplayedRecords:             replayedRecords,
+		RecoveryReadBytes:           info.ReadBytes,
+		SkippedSegmentBytes:         info.SkippedBytes,
+		TornTailsTruncated:          info.TornTails,
+		CheckpointsDiscardedTorn:    info.ImagesTorn,
+		CheckpointsDiscardedCorrupt: info.ImagesCorrupt,
 	}
 	s.w = w
-	s.nextSeq = expected
-	s.lastSeg, s.lastOff = lastSeg, lastEnd
-	s.ackedBatches.Store(expected - 1)
+	s.nextSeq = info.NextID
+	at := w.Stats()
+	s.lastSeg, s.lastOff = at.Seg, at.Off
+	s.lastCkptSeq = info.Image.ID
+	s.ackedBatches.Store(info.NextID - 1)
 	s.ackedRecords.Store(f.foldedRecords)
-	s.m.foldedBatches.Store(s.Recovery.ReplayedBatches)
-	s.m.foldedRecords.Store(s.Recovery.ReplayedRecords)
+	s.m.foldedBatches.Store(info.Replayed)
+	s.m.foldedRecords.Store(replayedRecords)
 
 	go s.foldLoop()
 	return s, nil
@@ -343,7 +268,8 @@ func (s *Ingester) Ingest(records [][]byte) (int64, error) {
 		return 0, ErrOverloaded
 	}
 	seq := s.nextSeq
-	seg, off, err := s.w.append(seq, records)
+	s.buf = appendBatch(s.buf[:0], seq, records)
+	seg, off, err := s.w.Append(seq, s.buf)
 	if err != nil {
 		s.inflight.Add(-size)
 		s.wedgeLocked(err)
@@ -394,22 +320,13 @@ func (s *Ingester) foldLoop() {
 func (s *Ingester) writeCkpt(seg, off int64) error {
 	ck := s.folder.snapshot()
 	ck.Seg, ck.Off = seg, off
-	n, err := writeCheckpoint(s.cfg.Dir, ck, s.cfg.Fail)
-	if err != nil {
+	data := encodeCheckpoint(ck)
+	if err := s.w.WriteImage(seglog.ImageRef{ID: ck.Seq, Seg: seg, Off: off}, data); err != nil {
 		return err
 	}
 	s.m.checkpoints.Add(1)
-	s.m.checkpointBytes.Add(n)
+	s.m.checkpointBytes.Add(int64(len(data)))
 	s.lastCkptSeq = ck.Seq
-	s.ckptMeta = append(s.ckptMeta, ckptRef{ck.Seq, ck.Seg})
-	if len(s.ckptMeta) > s.cfg.RetainCheckpoints {
-		s.ckptMeta = s.ckptMeta[len(s.ckptMeta)-s.cfg.RetainCheckpoints:]
-	}
-	segs := make([]int64, len(s.ckptMeta))
-	for i, r := range s.ckptMeta {
-		segs[i] = r.seg
-	}
-	pruneCheckpoints(s.cfg.Dir, s.cfg.RetainCheckpoints, segs)
 	return nil
 }
 
@@ -449,11 +366,11 @@ func (s *Ingester) Drain(ctx context.Context) error {
 			return err
 		}
 	}
-	if err := s.w.seal(); err != nil {
+	if err := s.w.Seal(); err != nil {
 		s.wedgeLocked(err)
 		return err
 	}
-	if err := s.w.close(); err != nil {
+	if err := s.w.Close(); err != nil {
 		s.wedgeLocked(err)
 		return err
 	}
@@ -473,7 +390,7 @@ func (s *Ingester) Abort() {
 		s.closed = true
 		close(s.queue)
 	}
-	s.w.abort()
+	s.w.Abort()
 	s.mu.Unlock()
 	<-s.foldDone
 }
@@ -560,11 +477,12 @@ func (s *Ingester) Metrics() MetricsSnapshot {
 	}
 	s.mu.Lock()
 	if s.w != nil {
-		snap.WALSegment = s.w.seg
-		snap.WALOffset = s.w.off
-		snap.WALSeals = s.w.seals
-		snap.WALSyncs = s.w.syncs
-		snap.WALAppendedBytes = s.w.appendedBytes
+		st := s.w.Stats()
+		snap.WALSegment = st.Seg
+		snap.WALOffset = st.Off
+		snap.WALSeals = st.Seals
+		snap.WALSyncs = st.Syncs
+		snap.WALAppendedBytes = st.AppendedBytes
 	}
 	snap.Draining = s.draining
 	if s.failErr != nil {

@@ -16,22 +16,14 @@
 // growing memory.
 package ingest
 
-import (
-	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-
-	"repro/internal/frame"
-)
+import "repro/internal/seglog"
 
 // ErrCrash is returned by injected failpoints to simulate the process
 // dying at that exact point (fsync that never happened, seal cut
 // short, checkpoint half-written). The service wedges itself when it
 // surfaces; the crash harness then reopens the directory like a fresh
 // process would.
-var ErrCrash = errors.New("ingest: injected crash")
+var ErrCrash = seglog.ErrCrash
 
 // Failpoints are test hooks for crash and overload injection. All are
 // optional; a nil Failpoints (or field) is a no-op.
@@ -55,222 +47,30 @@ type Failpoints struct {
 	FoldDelay func(seq int64)
 }
 
-const (
-	segGlob  = "wal-*.seg"
-	ckptGlob = "ckpt-*.ck"
-)
-
-func segName(idx int64) string  { return fmt.Sprintf("wal-%08d.seg", idx) }
-func ckptName(seq int64) string { return fmt.Sprintf("ckpt-%016d.ck", seq) }
-
-// parseIndexed extracts the decimal index out of "prefix-<idx>.ext".
-func parseIndexed(name, prefix, ext string) (int64, bool) {
-	if len(name) <= len(prefix)+len(ext) ||
-		name[:len(prefix)] != prefix || name[len(name)-len(ext):] != ext {
-		return 0, false
-	}
-	var idx int64
-	for _, c := range name[len(prefix) : len(name)-len(ext)] {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		idx = idx*10 + int64(c-'0')
-	}
-	return idx, true
-}
-
-// listIndexed returns the sorted indexes of dir entries matching
-// prefix-<idx>.ext.
-func listIndexed(dir, prefix, ext string) ([]int64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var idxs []int64
-	for _, e := range entries {
-		if idx, ok := parseIndexed(e.Name(), prefix, ext); ok {
-			idxs = append(idxs, idx)
-		}
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	return idxs, nil
-}
-
-func listSegments(dir string) ([]int64, error)    { return listIndexed(dir, "wal-", ".seg") }
-func listCheckpoints(dir string) ([]int64, error) { return listIndexed(dir, "ckpt-", ".ck") }
-
-// wal is the open write-ahead log: an append-only file per segment,
-// one CRC32C frame per batch, fsynced before the batch is
-// acknowledged. When the open segment reaches sealBytes it is sealed
-// (synced and closed) and the next segment opened. Single-writer: the
-// Ingester serializes appends under its mutex.
-type wal struct {
-	dir       string
-	sealBytes int64
-	fail      *Failpoints
-
-	f   *os.File
-	seg int64 // open segment index
-	off int64 // bytes in the open segment
-
-	buf  []byte // batch payload scratch
-	fbuf []byte // framed scratch
-
-	seals, syncs, appends, appendedBytes int64
-}
-
-// openWALAt opens segment seg for appending at offset off (creating
-// it if absent) — recovery hands the last segment's verified end, a
-// fresh directory hands (1, 0).
-func openWALAt(dir string, seg, off, sealBytes int64, fail *Failpoints) (*wal, error) {
-	f, err := os.OpenFile(filepath.Join(dir, segName(seg)), os.O_WRONLY|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := f.Seek(off, 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &wal{dir: dir, sealBytes: sealBytes, fail: fail, f: f, seg: seg, off: off}, nil
-}
-
-// append frames one batch, writes and fsyncs it, and returns the WAL
-// position just past the batch (its segment and end offset) — the
-// position a checkpoint taken after folding this batch records. The
-// segment rolls after the append, so the returned position always
-// refers to the batch's own segment.
-func (w *wal) append(seq int64, records [][]byte) (endSeg, endOff int64, err error) {
-	w.buf = appendBatch(w.buf[:0], seq, records)
-	w.fbuf = frame.Append(w.fbuf[:0], w.buf)
-	if fp := w.fail; fp != nil && fp.TornAppend != nil {
-		if n := fp.TornAppend(seq); n >= 0 {
-			if n > len(w.fbuf) {
-				n = len(w.fbuf)
-			}
-			w.f.Write(w.fbuf[:n])
-			w.f.Sync()
-			return 0, 0, fmt.Errorf("torn append of batch %d: %w", seq, ErrCrash)
-		}
-	}
-	if _, err := w.f.Write(w.fbuf); err != nil {
-		return 0, 0, err
-	}
-	if fp := w.fail; fp != nil && fp.BeforeAppendSync != nil {
-		if err := fp.BeforeAppendSync(seq); err != nil {
-			return 0, 0, err
-		}
-	}
-	if err := w.f.Sync(); err != nil {
-		return 0, 0, err
-	}
-	w.syncs++
-	w.appends++
-	w.appendedBytes += int64(len(w.fbuf))
-	w.off += int64(len(w.fbuf))
-	endSeg, endOff = w.seg, w.off
-	if w.off >= w.sealBytes {
-		if err := w.seal(); err != nil {
-			return endSeg, endOff, err
-		}
-	}
-	return endSeg, endOff, nil
-}
-
-// seal syncs and closes the open segment and opens the next one.
-// Sealed segments are immutable: recovery treats any damage in them
-// as corruption, never as a trimmable torn tail.
-func (w *wal) seal() error {
-	if fp := w.fail; fp != nil && fp.BeforeSeal != nil {
-		if err := fp.BeforeSeal(w.seg); err != nil {
-			return err
-		}
-	}
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	if err := w.f.Close(); err != nil {
-		return err
-	}
-	w.seals++
-	w.seg++
-	w.off = 0
-	f, err := os.OpenFile(filepath.Join(w.dir, segName(w.seg)), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	w.f = f
-	return syncDir(w.dir)
-}
-
-// close flushes and closes the open segment (the drain path; the
-// segment stays appendable on the next boot).
-func (w *wal) close() error {
-	if w.f == nil {
+// logFail hands the WAL's share of the hooks to the log layer.
+func (fp *Failpoints) logFail() *seglog.Failpoints {
+	if fp == nil {
 		return nil
 	}
-	err := w.f.Sync()
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
-	}
-	w.f = nil
-	return err
-}
-
-// abort closes the segment file without syncing — the crash-test
-// stand-in for the process dying.
-func (w *wal) abort() {
-	if w.f != nil {
-		w.f.Close()
-		w.f = nil
+	return &seglog.Failpoints{
+		TornAppend: fp.TornAppend,
+		BeforeSync: fp.BeforeAppendSync,
+		BeforeSeal: fp.BeforeSeal,
+		TornImage:  fp.TornCheckpoint,
 	}
 }
 
-// syncDir fsyncs a directory so renames/creates within it are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// readSuffix reads path from offset off to EOF — the only WAL bytes
-// recovery touches for the segment holding the newest checkpoint, so
-// RecoveryReadBytes covers exactly the post-checkpoint suffix.
-func readSuffix(path string, off int64) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if off >= st.Size() {
-		return nil, nil
-	}
-	buf := make([]byte, st.Size()-off)
-	if _, err := f.ReadAt(buf, off); err != nil {
-		return nil, err
-	}
-	return buf, nil
+// layout is the WAL directory's shape in internal/seglog's terms:
+// sealed segments wal-%08d.seg of one frame per batch, checkpoints
+// ckpt-%016d.ck of exactly two frames (header, core.FramedImage).
+var layout = seglog.Layout{
+	Name:      "ingest: WAL",
+	SegPrefix: "wal-", SegExt: ".seg",
+	ImgPrefix: "ckpt-", ImgExt: ".ck",
+	ImgFrames: 2,
 }
 
 // SegmentError reports a damaged WAL segment that recovery refuses to
 // repair silently: corruption anywhere, or a torn tail somewhere other
 // than the final (still-writable) segment.
-type SegmentError struct {
-	Segment string
-	Offset  int64
-	Reason  frame.ScanReason
-}
-
-// Error implements error.
-func (e *SegmentError) Error() string {
-	return fmt.Sprintf("ingest: WAL segment %s damaged at offset %d (%s): acknowledged data cannot be reconstructed", e.Segment, e.Offset, e.Reason)
-}
+type SegmentError = seglog.SegmentError

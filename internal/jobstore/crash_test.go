@@ -160,18 +160,18 @@ func TestCrashPointSweep(t *testing.T) {
 	}
 	s.Abort()
 
-	segs, err := listSegments(crashDir)
+	segs, err := layout.Segments(crashDir)
 	if err != nil || len(segs) < 2 {
 		t.Fatalf("want several segments for a meaningful sweep, have %v (%v)", segs, err)
 	}
-	snaps, err := listSnapshots(crashDir)
+	snaps, err := layout.Images(crashDir)
 	if err != nil || len(snaps) == 0 {
 		t.Fatalf("want mid-run snapshots, have %v (%v)", snaps, err)
 	}
 	newestSnap := snaps[len(snaps)-1]
 
 	finalSeg := segs[len(segs)-1]
-	finalPath := segName(finalSeg)
+	finalPath := layout.SegName(finalSeg)
 	orig, err := os.ReadFile(filepath.Join(crashDir, finalPath))
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestCrashPointSweep(t *testing.T) {
 		// A seal can leave the final segment empty; every commit then
 		// lives in prior segments and survives any cut of this file.
 		bounds = []int64{0}
-		prior, err := os.ReadFile(filepath.Join(crashDir, segName(segs[len(segs)-2])))
+		prior, err := os.ReadFile(filepath.Join(crashDir, layout.SegName(segs[len(segs)-2])))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +305,7 @@ func TestCrashPointSweepSnapshotLoss(t *testing.T) {
 	}
 	s.Abort()
 
-	snaps, err := listSnapshots(crashDir)
+	snaps, err := layout.Images(crashDir)
 	if err != nil || len(snaps) < 2 {
 		t.Fatalf("want >=2 retained snapshots, have %v (%v)", snaps, err)
 	}
@@ -322,7 +322,7 @@ func TestCrashPointSweepSnapshotLoss(t *testing.T) {
 
 	dir2 := t.TempDir()
 	copyDir(t, crashDir, dir2)
-	if err := os.Remove(filepath.Join(dir2, snapName(snaps[len(snaps)-1]))); err != nil {
+	if err := os.Remove(filepath.Join(dir2, layout.ImgName(snaps[len(snaps)-1]))); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(Config{Dir: dir2, CompactEvery: -1})

@@ -1,11 +1,10 @@
 // Package jobstore is the embedded durable store behind the job
 // scheduler (internal/sched): a bolt-style bucket/key/value store
-// whose persistence layer reuses the service WAL discipline proven in
-// internal/ingest — CRC32C-framed append-log segments (one frame per
+// persisted through internal/seglog, the segmented log it shares with
+// the ingest WAL — CRC32C-framed append-log segments (one frame per
 // committed transaction, fsynced before the commit returns), periodic
-// compacted snapshots of the full bucket state, and recovery through
-// frame.ScanTail, the one audited tail scanner shared with the WAL and
-// checkpoint repair paths.
+// compacted snapshots of the full bucket state as the log's images,
+// and seglog.Recover's newest-good-image + suffix-replay recovery.
 //
 // Durability contract: when Update returns nil, the transaction's
 // frame is fsynced in the open log segment and survives kill -9.
@@ -25,9 +24,10 @@ package jobstore
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
+
+	"repro/internal/seglog"
 )
 
 // Sentinel errors.
@@ -120,7 +120,8 @@ type Store struct {
 	cfg Config
 
 	mu      sync.Mutex
-	log     *logWriter
+	log     *seglog.Log
+	buf     []byte // commit payload scratch
 	buckets map[string]*bucket
 	names   []string // bucket creation order
 	nextTx  int64
@@ -128,7 +129,7 @@ type Store struct {
 	closed  bool
 	failErr error // wedged: every later Update refuses
 
-	snapMeta []snapRef // retained snapshot identities, oldest first
+	snapshots, snapshotBytes int64
 
 	// Recovery reports what Open did; immutable afterwards.
 	Recovery RecoveryInfo
@@ -141,9 +142,6 @@ type Store struct {
 // else.
 func Open(cfg Config) (*Store, error) {
 	if err := cfg.withDefaults(); err != nil {
-		return nil, err
-	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
 	s := &Store{cfg: cfg, buckets: make(map[string]*bucket)}
@@ -290,7 +288,8 @@ func (s *Store) Update(fn func(tx *Tx) error) error {
 		return ferr
 	}
 	txid := s.nextTx
-	if err := s.log.commit(txid, tx.ops); err != nil {
+	s.buf = appendCommit(s.buf[:0], txid, tx.ops)
+	if _, _, err := s.log.Append(txid, s.buf); err != nil {
 		s.wedge(err)
 		return err
 	}
@@ -355,16 +354,16 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	if s.failErr != nil {
-		s.log.abort()
+		s.log.Abort()
 		return s.failErr
 	}
 	if s.cfg.CompactEvery > 0 && s.commits > 0 {
 		if err := s.compactLocked(); err != nil {
-			s.log.abort()
+			s.log.Abort()
 			return err
 		}
 	}
-	return s.log.close()
+	return s.log.Close()
 }
 
 // Abort simulates the process dying in place (tests): the log file is
@@ -377,7 +376,7 @@ func (s *Store) Abort() {
 		return
 	}
 	s.closed = true
-	s.log.abort()
+	s.log.Abort()
 }
 
 // Dump returns the full store contents as bucket → key → value, plus
@@ -428,18 +427,19 @@ func (s *Store) Metrics() Metrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := Metrics{
-		Buckets:  len(s.buckets),
-		Commits:  s.commits,
-		NextTx:   s.nextTx,
-		Recovery: s.Recovery,
+		Buckets:       len(s.buckets),
+		Commits:       s.commits,
+		NextTx:        s.nextTx,
+		Snapshots:     s.snapshots,
+		SnapshotBytes: s.snapshotBytes,
+		Recovery:      s.Recovery,
 	}
 	if s.log != nil {
-		m.LogSegment = s.log.seg
-		m.LogOffset = s.log.off
-		m.LogSyncs = s.log.syncs
-		m.LogAppendedBytes = s.log.appendedBytes
-		m.Snapshots = s.log.snapshots
-		m.SnapshotBytes = s.log.snapshotBytes
+		st := s.log.Stats()
+		m.LogSegment = st.Seg
+		m.LogOffset = st.Off
+		m.LogSyncs = st.Syncs
+		m.LogAppendedBytes = st.AppendedBytes
 	}
 	if s.failErr != nil {
 		m.Wedged = s.failErr.Error()

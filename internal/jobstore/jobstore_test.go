@@ -232,11 +232,11 @@ func TestCompactionPrunesLogAndSnapshots(t *testing.T) {
 	}
 	s.Abort()
 
-	snaps, _ := listSnapshots(dir)
+	snaps, _ := layout.Images(dir)
 	if len(snaps) > cfg.RetainSnapshots {
 		t.Fatalf("%d snapshots on disk, want <= %d", len(snaps), cfg.RetainSnapshots)
 	}
-	segs, _ := listSegments(dir)
+	segs, _ := layout.Segments(dir)
 	if segs[0] == 1 {
 		t.Fatal("segment 1 never pruned despite snapshots subsuming it")
 	}
@@ -366,12 +366,12 @@ func TestSealedSegmentDamageRefusesToOpen(t *testing.T) {
 		put(t, s, "jobs", fmt.Sprintf("j%02d", i), "some-value-padding")
 	}
 	s.Abort()
-	segs, err := listSegments(dir)
+	segs, err := layout.Segments(dir)
 	if err != nil || len(segs) < 2 {
 		t.Fatalf("want >=2 segments, have %v (%v)", segs, err)
 	}
 	// Flip one byte in the middle of the first (sealed) segment.
-	path := filepath.Join(dir, segName(segs[0]))
+	path := filepath.Join(dir, layout.SegName(segs[0]))
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -385,8 +385,8 @@ func TestSealedSegmentDamageRefusesToOpen(t *testing.T) {
 	if !errors.As(err, &segErr) {
 		t.Fatalf("open over sealed-segment damage: %v, want *SegmentError", err)
 	}
-	if segErr.Segment != segName(segs[0]) {
-		t.Fatalf("SegmentError names %s, want %s", segErr.Segment, segName(segs[0]))
+	if segErr.Segment != layout.SegName(segs[0]) {
+		t.Fatalf("SegmentError names %s, want %s", segErr.Segment, layout.SegName(segs[0]))
 	}
 }
 

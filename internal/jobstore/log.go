@@ -4,17 +4,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 
-	"repro/internal/frame"
+	"repro/internal/seglog"
 )
 
 // ErrCrash is returned by injected failpoints to simulate the process
 // dying at that exact point. The store wedges itself when it surfaces;
 // the crash harness then reopens the directory like a fresh process.
-var ErrCrash = errors.New("jobstore: injected crash")
+var ErrCrash = seglog.ErrCrash
 
 // ErrBadCommit reports a log frame whose CRC verified but whose
 // payload does not decode — a software bug or damage beyond CRC32C's
@@ -37,51 +34,26 @@ type Failpoints struct {
 	TornSnapshot func(txid int64) int
 }
 
-const (
-	segPrefix  = "log-"
-	segExt     = ".seg"
-	snapPrefix = "snap-"
-	snapExt    = ".sn"
-)
-
-func segName(idx int64) string   { return fmt.Sprintf("log-%08d.seg", idx) }
-func snapName(txid int64) string { return fmt.Sprintf("snap-%016d.sn", txid) }
-
-// parseIndexed extracts the decimal index out of "prefix<idx>ext".
-func parseIndexed(name, prefix, ext string) (int64, bool) {
-	if len(name) <= len(prefix)+len(ext) ||
-		name[:len(prefix)] != prefix || name[len(name)-len(ext):] != ext {
-		return 0, false
+// logFail hands the hooks to the log layer under its names.
+func (fp *Failpoints) logFail() *seglog.Failpoints {
+	if fp == nil {
+		return nil
 	}
-	var idx int64
-	for _, c := range name[len(prefix) : len(name)-len(ext)] {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		idx = idx*10 + int64(c-'0')
+	return &seglog.Failpoints{
+		TornAppend: fp.TornCommit,
+		BeforeSync: fp.BeforeCommitSync,
+		TornImage:  fp.TornSnapshot,
 	}
-	return idx, true
 }
 
-// listIndexed returns the sorted indexes of dir entries matching
-// prefix<idx>ext.
-func listIndexed(dir, prefix, ext string) ([]int64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var idxs []int64
-	for _, e := range entries {
-		if idx, ok := parseIndexed(e.Name(), prefix, ext); ok {
-			idxs = append(idxs, idx)
-		}
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	return idxs, nil
+// layout is the store directory's shape in internal/seglog's terms:
+// sealed segments log-%08d.seg of one frame per committed transaction,
+// snapshots snap-%016d.sn of a header frame plus one frame per bucket.
+var layout = seglog.Layout{
+	Name:      "jobstore: log",
+	SegPrefix: "log-", SegExt: ".seg",
+	ImgPrefix: "snap-", ImgExt: ".sn",
 }
-
-func listSegments(dir string) ([]int64, error)  { return listIndexed(dir, segPrefix, segExt) }
-func listSnapshots(dir string) ([]int64, error) { return listIndexed(dir, snapPrefix, snapExt) }
 
 // Op kinds inside a commit payload.
 const (
@@ -216,168 +188,7 @@ func (s *Store) apply(o op) {
 	}
 }
 
-// logWriter is the open append log: an append-only file per segment,
-// one CRC32C frame per committed transaction, fsynced before the
-// commit is acknowledged. Single-writer under the Store mutex.
-type logWriter struct {
-	dir       string
-	sealBytes int64
-	fail      *Failpoints
-
-	f   *os.File
-	seg int64 // open segment index
-	off int64 // bytes in the open segment
-
-	buf  []byte // commit payload scratch
-	fbuf []byte // framed scratch
-
-	seals, syncs, appendedBytes int64
-	snapshots, snapshotBytes    int64
-}
-
-// openLogAt opens segment seg for appending at offset off (creating it
-// if absent) — recovery hands the last segment's verified end, a fresh
-// directory hands (1, 0).
-func openLogAt(dir string, seg, off, sealBytes int64, fail *Failpoints) (*logWriter, error) {
-	f, err := os.OpenFile(filepath.Join(dir, segName(seg)), os.O_WRONLY|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := f.Seek(off, 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &logWriter{dir: dir, sealBytes: sealBytes, fail: fail, f: f, seg: seg, off: off}, nil
-}
-
-// commit frames one transaction, writes and fsyncs it — the
-// acknowledgment point — and rolls the segment when it crosses the
-// seal size.
-func (w *logWriter) commit(txid int64, ops []op) error {
-	w.buf = appendCommit(w.buf[:0], txid, ops)
-	w.fbuf = frame.Append(w.fbuf[:0], w.buf)
-	if fp := w.fail; fp != nil && fp.TornCommit != nil {
-		if n := fp.TornCommit(txid); n >= 0 {
-			if n > len(w.fbuf) {
-				n = len(w.fbuf)
-			}
-			w.f.Write(w.fbuf[:n])
-			w.f.Sync()
-			return fmt.Errorf("torn commit of tx %d: %w", txid, ErrCrash)
-		}
-	}
-	if _, err := w.f.Write(w.fbuf); err != nil {
-		return err
-	}
-	if fp := w.fail; fp != nil && fp.BeforeCommitSync != nil {
-		if err := fp.BeforeCommitSync(txid); err != nil {
-			return err
-		}
-	}
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	w.syncs++
-	w.appendedBytes += int64(len(w.fbuf))
-	w.off += int64(len(w.fbuf))
-	if w.off >= w.sealBytes {
-		if err := w.seal(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// seal syncs and closes the open segment and opens the next one.
-// Sealed segments are immutable: recovery treats any damage in them as
-// corruption, never as a trimmable torn tail.
-func (w *logWriter) seal() error {
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	if err := w.f.Close(); err != nil {
-		return err
-	}
-	w.seals++
-	w.seg++
-	w.off = 0
-	f, err := os.OpenFile(filepath.Join(w.dir, segName(w.seg)), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	w.f = f
-	return syncDir(w.dir)
-}
-
-// close flushes and closes the open segment (the clean-shutdown path;
-// the segment stays appendable on the next boot).
-func (w *logWriter) close() error {
-	if w.f == nil {
-		return nil
-	}
-	err := w.f.Sync()
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
-	}
-	w.f = nil
-	return err
-}
-
-// abort closes the segment file without syncing — the crash-test
-// stand-in for the process dying.
-func (w *logWriter) abort() {
-	if w != nil && w.f != nil {
-		w.f.Close()
-		w.f = nil
-	}
-}
-
-// syncDir fsyncs a directory so renames/creates within it are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// readSuffix reads path from offset off to EOF — the only log bytes
-// recovery touches for the segment holding the newest snapshot, so
-// RecoveryReadBytes covers exactly the post-snapshot suffix.
-func readSuffix(path string, off int64) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if off >= st.Size() {
-		return nil, nil
-	}
-	buf := make([]byte, st.Size()-off)
-	if _, err := f.ReadAt(buf, off); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 // SegmentError reports a damaged log segment recovery refuses to
 // repair silently: corruption anywhere, or a torn tail somewhere other
 // than the final (still-writable) segment.
-type SegmentError struct {
-	Segment string
-	Offset  int64
-	Reason  frame.ScanReason
-}
-
-// Error implements error.
-func (e *SegmentError) Error() string {
-	return fmt.Sprintf("jobstore: log segment %s damaged at offset %d (%s): acknowledged commits cannot be reconstructed", e.Segment, e.Offset, e.Reason)
-}
+type SegmentError = seglog.SegmentError

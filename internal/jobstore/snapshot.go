@@ -4,10 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"repro/internal/frame"
+	"repro/internal/seglog"
 )
 
 // snapshotVersion guards the snapshot layout; bump on change.
@@ -17,9 +16,6 @@ const snapshotVersion = 1
 // whose contents do not decode — damage beyond what a chain fallback
 // should paper over.
 var ErrBadSnapshot = errors.New("jobstore: malformed snapshot")
-
-// snapRef remembers a durable snapshot's identity for retention.
-type snapRef struct{ txid, seg int64 }
 
 // snapshot is one compacted image of the full bucket state plus the
 // log position (segment, end offset) just past the last transaction
@@ -181,246 +177,55 @@ func (s *Store) restoreSnapshot(sn *snapshot) {
 	}
 }
 
-// writeSnapshot persists the snapshot file, fsyncing file and
-// directory. Returns the file size for metrics.
-func writeSnapshot(dir string, data []byte, txid int64, fail *Failpoints) (int64, error) {
-	if fail != nil && fail.TornSnapshot != nil {
-		if n := fail.TornSnapshot(txid); n >= 0 {
-			if n > len(data) {
-				n = len(data)
-			}
-			os.WriteFile(filepath.Join(dir, snapName(txid)), data[:n], 0o644)
-			return 0, fmt.Errorf("torn snapshot at tx %d: %w", txid, ErrCrash)
-		}
-	}
-	path := filepath.Join(dir, snapName(txid))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return 0, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
-		return 0, err
-	}
-	if err := syncDir(dir); err != nil {
-		return 0, err
-	}
-	return int64(len(data)), nil
-}
-
-// loadSnapshot reads and validates one snapshot file. A nil snapshot
-// with a non-Clean reason means structural damage (fall back to an
-// older snapshot); an error means I/O trouble worth surfacing.
-func loadSnapshot(path string) (*snapshot, frame.ScanReason, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, frame.ScanClean, err
-	}
-	res := frame.ScanTail(data, nil)
-	if res.Reason != frame.ScanClean || res.Good != int64(len(data)) || res.Frames < 1 {
-		reason := res.Reason
-		if reason == frame.ScanClean {
-			reason = frame.ScanCorrupt
-		}
-		return nil, reason, nil
-	}
-	sn, err := decodeSnapshot(data)
-	if err != nil {
-		return nil, frame.ScanCorrupt, nil
-	}
-	return sn, frame.ScanClean, nil
-}
-
-// compactLocked writes a snapshot at the current log position and
-// prunes snapshots and segments it subsumes. Callers hold s.mu.
+// compactLocked writes a snapshot at the current log position; the
+// log layer prunes the snapshots and segments it subsumes. Callers
+// hold s.mu.
 func (s *Store) compactLocked() error {
-	txid := s.nextTx - 1
-	data := s.encodeSnapshot(txid, s.log.seg, s.log.off)
-	n, err := writeSnapshot(s.cfg.Dir, data, txid, s.cfg.Fail)
-	if err != nil {
+	txid, at := s.nextTx-1, s.log.Stats()
+	data := s.encodeSnapshot(txid, at.Seg, at.Off)
+	if err := s.log.WriteImage(seglog.ImageRef{ID: txid, Seg: at.Seg, Off: at.Off}, data); err != nil {
 		return err
 	}
-	s.log.snapshots++
-	s.log.snapshotBytes += n
+	s.snapshots++
+	s.snapshotBytes += int64(len(data))
 	s.commits = 0
-	s.snapMeta = append(s.snapMeta, snapRef{txid, s.log.seg})
-	if len(s.snapMeta) > s.cfg.RetainSnapshots {
-		s.snapMeta = s.snapMeta[len(s.snapMeta)-s.cfg.RetainSnapshots:]
-	}
-	pruneSnapshots(s.cfg.Dir, s.cfg.RetainSnapshots, s.snapMeta)
 	return nil
-}
-
-// pruneSnapshots keeps the newest `retain` snapshots and deletes older
-// snapshot files plus log segments wholly covered by every retained
-// snapshot (index below the oldest retained snapshot's segment — that
-// segment itself is always kept, since replay may start mid-file
-// inside it). Best-effort: deletion failures are ignored; the files
-// are garbage, not state.
-func pruneSnapshots(dir string, retain int, retained []snapRef) {
-	txids, err := listSnapshots(dir)
-	if err != nil || len(txids) <= retain {
-		return
-	}
-	for _, txid := range txids[:len(txids)-retain] {
-		os.Remove(filepath.Join(dir, snapName(txid)))
-	}
-	if len(retained) == 0 {
-		return
-	}
-	minSeg := retained[0].seg
-	for _, r := range retained[1:] {
-		if r.seg < minSeg {
-			minSeg = r.seg
-		}
-	}
-	segs, err := listSegments(dir)
-	if err != nil {
-		return
-	}
-	for _, idx := range segs {
-		if idx < minSeg {
-			os.Remove(filepath.Join(dir, segName(idx)))
-		}
-	}
-}
-
-// loadSnapshotChain finds the newest snapshot in dir that loads whole,
-// walking backward past torn or corrupt ones (counted for metrics).
-// Returns nil when no usable snapshot exists — recovery then replays
-// the log from the beginning.
-func loadSnapshotChain(dir string) (sn *snapshot, discarded int64, err error) {
-	txids, err := listSnapshots(dir)
-	if err != nil {
-		return nil, 0, err
-	}
-	for i := len(txids) - 1; i >= 0; i-- {
-		c, _, err := loadSnapshot(filepath.Join(dir, snapName(txids[i])))
-		if err != nil {
-			return nil, discarded, err
-		}
-		if c != nil {
-			if c.Txid != txids[i] {
-				return nil, discarded,
-					fmt.Errorf("%w: %s claims tx %d", ErrBadSnapshot, snapName(txids[i]), c.Txid)
-			}
-			return c, discarded, nil
-		}
-		discarded++
-	}
-	return nil, discarded, nil
 }
 
 // recover restores the newest good snapshot and replays the log suffix
 // behind it, asserting transaction-id contiguity; see Open.
 func (s *Store) recover() error {
-	dir := s.cfg.Dir
-	sn, discarded, err := loadSnapshotChain(dir)
-	if err != nil {
-		return err
-	}
-	s.Recovery.SnapshotsDiscarded = discarded
-	startSeg, startOff := int64(1), int64(0)
-	expected := int64(1)
-	if sn != nil {
-		s.restoreSnapshot(sn)
-		startSeg, startOff = sn.Seg, sn.Off
-		expected = sn.Txid + 1
-		s.Recovery.RestoredTx = sn.Txid
-		s.snapMeta = append(s.snapMeta, snapRef{sn.Txid, sn.Seg})
-	}
-
-	segs, err := listSegments(dir)
-	if err != nil {
-		return err
-	}
-	if len(segs) == 0 {
-		if sn != nil {
-			return fmt.Errorf("jobstore: snapshot %d references segment %s but the log is empty", sn.Txid, segName(sn.Seg))
-		}
-	} else if sn == nil {
-		startSeg = segs[0]
-	}
-
-	lastSeg, lastEnd := startSeg, startOff
-	sawStart := len(segs) == 0 // vacuously fine on a fresh directory
-	prev := int64(-1)
-	for _, idx := range segs {
-		if idx < startSeg {
-			if st, err := os.Stat(filepath.Join(dir, segName(idx))); err == nil {
-				s.Recovery.SkippedSegBytes += st.Size()
-			}
-			continue
-		}
-		if idx == startSeg {
-			sawStart = true
-		} else if prev >= 0 && idx != prev+1 {
-			return fmt.Errorf("jobstore: log gap: segment %s follows %s", segName(idx), segName(prev))
-		}
-		prev = idx
-
-		off0 := int64(0)
-		if idx == startSeg {
-			off0 = startOff
-		}
-		path := filepath.Join(dir, segName(idx))
-		data, err := readSuffix(path, off0)
-		if err != nil {
-			return err
-		}
-		s.Recovery.RecoveryReadBytes += int64(len(data))
-		var replayErr error
-		res := frame.ScanTail(data, func(p []byte) {
-			if replayErr != nil {
-				return
-			}
-			txid, ops, err := decodeCommit(p)
+	log, info, err := seglog.Recover(&layout, seglog.Options{
+		Dir: s.cfg.Dir, SealBytes: s.cfg.SealBytes, Retain: s.cfg.RetainSnapshots, Fail: s.cfg.Fail.logFail(),
+	}, seglog.Replay{
+		Image: func(data []byte) (seglog.ImageRef, func() error, error) {
+			sn, err := decodeSnapshot(data)
 			if err != nil {
-				replayErr = fmt.Errorf("%w (segment %s)", err, segName(idx))
-				return
+				return seglog.ImageRef{}, nil, err
 			}
-			if txid != expected {
-				replayErr = fmt.Errorf("jobstore: log replay expected tx %d, found %d in %s", expected, txid, segName(idx))
-				return
-			}
-			for _, o := range ops {
-				s.apply(o)
-			}
-			s.Recovery.ReplayedTx++
-			expected++
-		})
-		if replayErr != nil {
-			return replayErr
-		}
-		last := idx == segs[len(segs)-1]
-		switch {
-		case res.Reason == frame.ScanClean:
-		case last && res.Reason == frame.ScanTorn:
-			if err := os.Truncate(path, off0+res.Good); err != nil {
-				return err
-			}
-			s.Recovery.TornTailsTruncated++
-		default:
-			return &SegmentError{Segment: segName(idx), Offset: off0 + res.Good, Reason: res.Reason}
-		}
-		lastSeg, lastEnd = idx, off0+res.Good
-	}
-	if !sawStart {
-		return fmt.Errorf("jobstore: snapshot %d references missing segment %s", s.Recovery.RestoredTx, segName(startSeg))
-	}
-
-	w, err := openLogAt(dir, lastSeg, lastEnd, s.cfg.SealBytes, s.cfg.Fail)
+			return seglog.ImageRef{ID: sn.Txid, Seg: sn.Seg, Off: sn.Off}, func() error { s.restoreSnapshot(sn); return nil }, nil
+		},
+		Record: func(p []byte) (int64, func(), error) {
+			txid, ops, err := decodeCommit(p)
+			return txid, func() {
+				for _, o := range ops {
+					s.apply(o)
+				}
+			}, err
+		},
+	})
 	if err != nil {
 		return err
 	}
-	s.log = w
-	s.nextTx = expected
+	s.Recovery = RecoveryInfo{
+		RestoredTx:         info.Image.ID,
+		ReplayedTx:         info.Replayed,
+		RecoveryReadBytes:  info.ReadBytes,
+		SkippedSegBytes:    info.SkippedBytes,
+		TornTailsTruncated: info.TornTails,
+		SnapshotsDiscarded: info.ImagesTorn + info.ImagesCorrupt,
+	}
+	s.log = log
+	s.nextTx = info.NextID
 	return nil
 }
