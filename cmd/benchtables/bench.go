@@ -18,6 +18,7 @@ import (
 	"repro/internal/hashfam"
 	"repro/internal/ingest"
 	"repro/internal/kvenc"
+	"repro/internal/sim"
 )
 
 // The -bench-json mode measures the data-plane kernels and one
@@ -245,6 +246,24 @@ func runBenchJSON(path, baseline string) error {
 				sink += hashFn.Sum64(hashKey)
 			}
 			_ = sink
+		}},
+		{"kernel/SimEventLoop", 0, func(b *testing.B) {
+			// One op is one DES event: 64 processes holding for unequal
+			// times, so each event is a heap pop, a coroutine switch in
+			// and out, and a heap push. ns/op and allocs/op are per event.
+			k := sim.NewKernel()
+			for i := 0; i < 64; i++ {
+				d := time.Duration(i%17+1) * time.Microsecond
+				k.Spawn("holder", func(p *sim.Proc) {
+					for n := i; n < b.N; n += 64 {
+						p.Hold(d)
+					}
+				})
+			}
+			b.ResetTimer()
+			if err := k.Run(); err != nil {
+				b.Fatal(err)
+			}
 		}},
 		{"job/IngestThroughput", ingestBatchBytes, func(b *testing.B) {
 			// The durable ingest path of onepassd: batch encode, CRC32C

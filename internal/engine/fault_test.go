@@ -2,6 +2,7 @@ package engine
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -426,4 +427,42 @@ func TestFaultPlanValidation(t *testing.T) {
 			t.Errorf("%s: spec accepted, want rejection", tc.name)
 		}
 	}
+}
+
+// TestRunLeavesNoGoroutines: every simulated process is a coroutine
+// with a goroutine behind it, and a job spawns thousands; when Run
+// returns — finished, killed daemons, processes aborted by a node
+// crash — all of them and the compute pool's workers must be gone.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	m := testModel()
+	input := testClicks(t, 192<<10, 12<<10)
+	base := runtime.NumGoroutine()
+	settle := func(name string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines after Run, %d before", name, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	var mf time.Duration
+	for _, pl := range []Platform{SortMerge, HOP, MRHash, INCHash, DINCHash} {
+		spec := clickCountSpec(m, input, pl)
+		spec.Cluster.Parallelism = 4
+		mf = runJob(t, spec).MapFinishTime
+		settle(pl.String())
+	}
+	spec := clickCountSpec(m, input, DINCHash)
+	spec.Cluster.Parallelism = 4
+	spec.Faults = FaultPlan{
+		KillNodes:         map[int]time.Duration{2: mf / 2},
+		HeartbeatInterval: mf / 100,
+		HeartbeatTimeout:  mf / 25,
+	}
+	if rep := runJob(t, spec); rep.NodesLost != 1 {
+		t.Fatalf("NodesLost = %d, want 1", rep.NodesLost)
+	}
+	settle("dinc-hash under KillNodes")
 }

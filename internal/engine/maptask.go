@@ -117,6 +117,7 @@ type recMark struct {
 // the process goroutine, where the per-task total is deterministic).
 func (j *job) mapSegment(segment []byte, wm mr.Watermarker, out *segMapResult) {
 	quarantine := j.spec.SkipBadRecords > 0
+	emit := out.emit // one emitter per segment, not one closure per record
 	for len(segment) > 0 {
 		nl := bytes.IndexByte(segment, '\n')
 		var line []byte
@@ -130,24 +131,27 @@ func (j *job) mapSegment(segment []byte, wm mr.Watermarker, out *segMapResult) {
 		}
 		out.records++
 		if quarantine {
-			j.quarantineRecord(line, wm, out)
+			j.quarantineRecord(line, wm, out, emit)
 		} else {
-			j.mapRecord(line, wm, out)
+			j.mapRecord(line, wm, out, emit)
 		}
 	}
 }
 
-// mapRecord feeds one input record through the map function, appending
-// its emissions and (for watermarked queries) its record mark.
-func (j *job) mapRecord(line []byte, wm mr.Watermarker, out *segMapResult) {
-	var emitted int32
-	j.spec.Query.Map(line, func(k, v []byte) {
-		out.pairs = kvenc.AppendPair(out.pairs, k, v)
-		emitted++
-	})
-	out.pairsN += int64(emitted)
+// emit appends one Map emission to the segment's output.
+func (out *segMapResult) emit(k, v []byte) {
+	out.pairs = kvenc.AppendPair(out.pairs, k, v)
+	out.pairsN++
+}
+
+// mapRecord feeds one input record through the map function (emit is
+// out.emit), appending its emissions and, for watermarked queries, its
+// record mark.
+func (j *job) mapRecord(line []byte, wm mr.Watermarker, out *segMapResult, emit func(k, v []byte)) {
+	before := out.pairsN
+	j.spec.Query.Map(line, emit)
 	if wm != nil {
-		out.marks = append(out.marks, recMark{ts: wm.RecordTime(line), pairs: emitted})
+		out.marks = append(out.marks, recMark{ts: wm.RecordTime(line), pairs: int32(out.pairsN - before)})
 	}
 }
 
@@ -155,16 +159,16 @@ func (j *job) mapRecord(line []byte, wm mr.Watermarker, out *segMapResult) {
 // (Hadoop's skip mode): a record whose Map (or RecordTime) panics is
 // rolled back — emissions truncated, no watermark mark — and counted,
 // so the replayed stream is exactly as if the record never existed.
-func (j *job) quarantineRecord(line []byte, wm mr.Watermarker, out *segMapResult) {
-	pairs, marks := len(out.pairs), len(out.marks)
+func (j *job) quarantineRecord(line []byte, wm mr.Watermarker, out *segMapResult, emit func(k, v []byte)) {
+	pairs, pairsN, marks := len(out.pairs), out.pairsN, len(out.marks)
 	defer func() {
 		if r := recover(); r != nil {
-			out.pairs = out.pairs[:pairs]
+			out.pairs, out.pairsN = out.pairs[:pairs], pairsN
 			out.marks = out.marks[:marks]
 			out.quarantined++
 		}
 	}()
-	j.mapRecord(line, wm, out)
+	j.mapRecord(line, wm, out, emit)
 }
 
 // runMapAttempt executes one attempt; fail=true makes it abort after

@@ -440,15 +440,14 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 			} else {
 				rs.everFetched[outputTask(o)] = true
 			}
-			var records int64
 			switch {
 			case smr != nil:
 				for _, seg := range segs {
-					records += int64(kvenc.Count(seg))
 					smr.Consume(seg)
 				}
 				n.chargeCPU(p, model.CPUOps(model.CPUParseByte, size), &ledger)
 			default:
+				var records int64
 				for _, seg := range segs {
 					it := kvenc.NewIterator(seg)
 					for {
@@ -727,17 +726,16 @@ func (j *job) runReduceLegacy(p *sim.Proc, ridx int, n *node) {
 				j.diskFetches++
 				o.node.store.ReadAt(p, o.file, o.partOff[ridx], size, storage.ShuffleRead)
 			}
-			var records int64
 			switch {
 			case smr != nil:
 				for _, seg := range segs {
-					records += int64(kvenc.Count(seg))
 					smr.Consume(seg)
 				}
 				// Merge CPU is charged by the reducer at spill time;
 				// reception itself is a copy.
 				n.chargeCPU(p, model.CPUOps(model.CPUParseByte, size), &j.reduceCPU)
 			default:
+				var records int64
 				for _, seg := range segs {
 					it := kvenc.NewIterator(seg)
 					for {

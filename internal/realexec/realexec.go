@@ -941,15 +941,14 @@ func (r *run) feedUnit(rt *core.Runtime, red *reducers, u *unit, ridx int) {
 	segs := u.parts[ridx]
 	size := u.partBytes[ridx]
 	model := r.model
-	var records int64
 	switch {
 	case red.smr != nil:
 		for _, seg := range segs {
-			records += int64(kvenc.Count(seg))
 			red.smr.Consume(seg)
 		}
 		rt.ChargeCPU(model.CPUOps(model.CPUParseByte, size))
 	default:
+		var records int64
 		for _, seg := range segs {
 			it := kvenc.NewIterator(seg)
 			for {

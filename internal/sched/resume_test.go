@@ -1,11 +1,14 @@
 package sched
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/kvenc"
+	"repro/internal/mr"
 )
 
 // engineSpec is a small-but-real job: ~200 KB physical input over 16
@@ -156,5 +159,51 @@ func TestInterruptedRunResumesFromCheckpoints(t *testing.T) {
 	if resumed.RecoveryReadBytes >= bare.RecoveryReadBytes {
 		t.Fatalf("RecoveryReadBytes = %d with checkpoints, %d full replay: resume saved nothing",
 			resumed.RecoveryReadBytes, bare.RecoveryReadBytes)
+	}
+}
+
+// panicReduce is clickcount with a reduce function that panics.
+type panicReduce struct{ mr.Query }
+
+func (panicReduce) Reduce([]byte, kvenc.ValueIter, mr.OutputWriter) { panic("bad group") }
+
+// panicExec runs the spec on the DES with that query.
+type panicExec struct{}
+
+func (panicExec) Run(_ context.Context, spec JobSpec, _ *ResumeInfo) (*engine.Report, error) {
+	job, newQuery, err := BuildJob(spec)
+	if err != nil {
+		return nil, err
+	}
+	job.Query = panicReduce{newQuery()}
+	return engine.Run(job)
+}
+
+// TestReducePanicFailsTheRun: a query that panics inside a simulated
+// process must end its run failed, with the process named — not take
+// the scheduler's process (onepassd) down — and leave the scheduler
+// serving the next job.
+func TestReducePanicFailsTheRun(t *testing.T) {
+	s, err := Open(Config{Dir: t.TempDir(), Exec: panicExec{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 2; i++ {
+		spec := engineSpec("acme")
+		spec.Platform = "sm"
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, s, j.ID, StateFailed)
+		runs, err := s.Runs(j.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const want = "engine: clickcount on 1-pass-sm: sim: proc reduce001 panicked: bad group"
+		if len(runs) != 1 || runs[0].State != StateFailed || runs[0].Error != want {
+			t.Fatalf("run record %+v, want failed with %q", runs[0], want)
+		}
 	}
 }

@@ -4,8 +4,8 @@
 // The reproduction executes the paper's cluster experiments (10 nodes ×
 // 4 cores, map/reduce slots, per-node disks and NICs) on a single
 // machine: every map/shuffle/merge/reduce operation processes real data,
-// but time is virtual. Processes (Proc) are goroutines scheduled one at
-// a time by the Kernel in strict (time, sequence) order, so simulations
+// but time is virtual. Processes (Proc) are coroutines resumed one at a
+// time by the Kernel in strict (time, sequence) order, so simulations
 // are bit-for-bit deterministic. Resources model slots, CPU cores, disk
 // arms, and NICs with FIFO queueing and utilization accounting, which
 // the metrics package samples to reproduce the paper's CPU-utilization
@@ -13,14 +13,14 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
 	"sort"
 	"time"
 )
 
 // killSentinel is panicked inside a parked process when the kernel
-// shuts down, unwinding the goroutine cleanly.
+// shuts down, unwinding the coroutine cleanly.
 type killSentinel struct{}
 
 // event is a scheduled resumption of a process.
@@ -30,23 +30,59 @@ type event struct {
 	p   *Proc
 }
 
+func (e event) before(o event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
+}
+
+// eventHeap is a binary min-heap on (at, seq). seq is unique, so the
+// pop order is a total order independent of the heap's layout.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(e event) {
+	s := append(*h, e)
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	s[i] = e
+	*h = s
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+func (h *eventHeap) pop() event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	e := s[n]
+	s[n] = event{} // drop the *Proc reference
+	s = s[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s[c+1].before(s[c]) {
+			c++
+		}
+		if !s[c].before(e) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	if n > 0 {
+		s[i] = e
+	}
+	*h = s
+	return top
 }
 
 // Kernel is a discrete-event simulation driver. Create with NewKernel,
@@ -56,9 +92,7 @@ type Kernel struct {
 	now     int64
 	seq     uint64
 	events  eventHeap
-	parked  chan *Proc
 	live    int // non-daemon procs not yet finished
-	blocked map[*Proc]string
 	allPr   []*Proc
 	started bool
 	err     error
@@ -66,12 +100,7 @@ type Kernel struct {
 }
 
 // NewKernel returns an empty kernel at virtual time zero.
-func NewKernel() *Kernel {
-	return &Kernel{
-		parked:  make(chan *Proc),
-		blocked: make(map[*Proc]string),
-	}
-}
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Now returns the current virtual time in nanoseconds since the start
 // of the simulation.
@@ -81,15 +110,19 @@ func (k *Kernel) Now() int64 { return k.now }
 func (k *Kernel) NowDur() time.Duration { return time.Duration(k.now) }
 
 // Proc is a simulated process. All its methods must be called from the
-// process's own goroutine (the function passed to Spawn).
+// process's own coroutine (the function passed to Spawn).
 type Proc struct {
 	k      *Kernel
 	name   string
 	daemon bool
 	done   bool
-	killed bool
-	resume chan struct{}
-	forks  []*Future // outstanding Fork futures, drained by Join
+	// why and on say what the process is parked in, for the deadlock
+	// report: "hold", or "acquire "/"wait " and the resource/cond name.
+	why, on string
+	next    func() (struct{}, bool) // kernel → process switch
+	yield   func(struct{}) bool     // process → kernel switch; false = killed
+	stop    func()                  // kill: a parked process's yield returns false
+	forks   []*Future               // outstanding Fork futures, drained by Join
 }
 
 // Name returns the process name given at Spawn.
@@ -115,47 +148,39 @@ func (k *Kernel) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 }
 
 func (k *Kernel) spawn(name string, daemon bool, fn func(p *Proc)) *Proc {
-	// resume has capacity 1 so shutdown can hand a kill token to a
-	// goroutine that has not yet reached its first <-p.resume.
-	p := &Proc{k: k, name: name, daemon: daemon, resume: make(chan struct{}, 1)}
+	p := &Proc{k: k, name: name, daemon: daemon}
 	if !daemon {
 		k.live++
 	}
 	k.allPr = append(k.allPr, p)
 	k.schedule(k.now, p)
-	go func() {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killSentinel); ok {
-					return // clean shutdown
-				}
-				panic(r)
+			p.done = true
+			r := recover()
+			if _, kill := r.(killSentinel); r != nil && !kill && k.err == nil {
+				k.err = fmt.Errorf("sim: proc %s panicked: %v", p.name, r)
 			}
 		}()
-		<-p.resume // wait for first scheduling
-		if p.killed {
-			panic(killSentinel{})
-		}
 		fn(p)
-		p.done = true
-		k.parked <- p
-	}()
+	})
 	return p
 }
 
 // schedule enqueues a resumption of p at time at.
 func (k *Kernel) schedule(at int64, p *Proc) {
 	k.seq++
-	heap.Push(&k.events, event{at: at, seq: k.seq, p: p})
+	k.events.push(event{at: at, seq: k.seq, p: p})
 }
 
-// park transfers control from the running process back to the kernel.
-// The process resumes when the kernel next schedules it.
-func (p *Proc) park(why string) {
-	p.k.blocked[p] = why
-	p.k.parked <- p
-	<-p.resume
-	if p.killed {
+// park switches from the running process back to the kernel. The
+// process resumes when the kernel next schedules it. Once the kernel
+// is shutting down every park — also one made by a deferred call
+// during the unwind — raises killSentinel instead of switching.
+func (p *Proc) park(why, on string) {
+	p.why, p.on = why, on
+	if !p.yield(struct{}{}) {
 		panic(killSentinel{})
 	}
 }
@@ -166,7 +191,7 @@ func (p *Proc) Hold(d time.Duration) {
 		panic(fmt.Sprintf("sim: %s Hold(%v) negative", p.name, d))
 	}
 	p.k.schedule(p.k.now+int64(d), p)
-	p.park("hold")
+	p.park("hold", "")
 }
 
 // Yield reschedules the process at the current time, letting other
@@ -175,52 +200,50 @@ func (p *Proc) Yield() { p.Hold(0) }
 
 // Run executes the simulation until all non-daemon processes finish.
 // It returns an error if the simulation deadlocks (live processes
-// remain but no events are pending).
+// remain but no events are pending) or a process panics; either way
+// every remaining process is killed before it returns.
 func (k *Kernel) Run() error {
 	if k.started {
 		return fmt.Errorf("sim: kernel reused")
 	}
 	k.started = true
-	for k.live > 0 {
-		if k.events.Len() == 0 {
+	for k.live > 0 && k.err == nil {
+		if len(k.events) == 0 {
 			k.err = k.deadlockError()
 			break
 		}
-		e := heap.Pop(&k.events).(event)
+		e := k.events.pop()
 		if e.at < k.now {
 			panic("sim: time went backwards")
 		}
 		k.now = e.at
-		if e.p.done {
+		p := e.p
+		if p.done {
 			continue // stale event for a finished process
 		}
-		delete(k.blocked, e.p)
-		e.p.resume <- struct{}{}
-		q := <-k.parked
-		if q.done {
-			delete(k.blocked, q)
-			if !q.daemon {
-				k.live--
-			}
+		p.next()
+		if p.done && !p.daemon {
+			k.live--
 		}
 	}
 	k.shutdown()
 	return k.err
 }
 
-// deadlockError reports which processes are blocked and why.
+// deadlockError reports which processes are blocked and why. It is
+// called with no event pending, so every unfinished process is parked.
 func (k *Kernel) deadlockError() error {
 	var names []string
-	for p, why := range k.blocked {
+	for _, p := range k.allPr {
 		if !p.done {
-			names = append(names, p.name+"("+why+")")
+			names = append(names, p.name+"("+p.why+p.on+")")
 		}
 	}
 	sort.Strings(names)
 	return fmt.Errorf("sim: deadlock at t=%v with %d blocked procs: %v", k.NowDur(), len(names), names)
 }
 
-// shutdown kills every remaining parked process so its goroutine exits.
+// shutdown kills every remaining process so its coroutine exits.
 func (k *Kernel) shutdown() {
 	// Drain the compute pool first: a killed proc may hold Futures for
 	// closures still queued or running, and its unwinding defers (Join)
@@ -228,19 +251,15 @@ func (k *Kernel) shutdown() {
 	if k.workers != nil {
 		k.workers.quiesce()
 	}
-	for _, p := range k.allPr {
-		if p.done {
-			continue
+	// By index: an unwinding defer may Spawn, and that process must be
+	// stopped too.
+	for i := 0; i < len(k.allPr); i++ {
+		if p := k.allPr[i]; !p.done {
+			// A process that never ran is done without running; a parked
+			// one sees its yield return false and unwinds (see park).
+			p.done = true
+			p.stop()
 		}
-		p.killed = true
-		p.done = true
-		// resume is buffered (capacity 1), so this send succeeds even
-		// for a goroutine that has not yet reached its first
-		// <-p.resume: the token waits in the buffer, the goroutine
-		// picks it up, observes killed, and unwinds. It does not
-		// report back through k.parked because the kill panic bypasses
-		// the normal completion path, so nothing to drain.
-		p.resume <- struct{}{}
 	}
 	if k.workers != nil {
 		k.workers.close()

@@ -18,7 +18,8 @@ type Resource struct {
 	name     string
 	capacity int64
 	inUse    int64
-	waiters  []*waiter
+	waiters  []waiter // FIFO queue: waiters[head:] are waiting
+	head     int
 
 	lastChange   int64 // virtual time of the last inUse/queue change
 	busyIntegral int64 // ∫ inUse dt, in unit·nanoseconds
@@ -48,14 +49,14 @@ func (r *Resource) Capacity() int64 { return r.capacity }
 func (r *Resource) InUse() int64 { return r.inUse }
 
 // QueueLen returns the number of processes waiting to acquire.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return len(r.waiters) - r.head }
 
 // advance accumulates the time integrals up to the current instant.
 func (r *Resource) advance() {
 	dt := r.k.now - r.lastChange
 	if dt > 0 {
 		r.busyIntegral += r.inUse * dt
-		r.qIntegral += int64(len(r.waiters)) * dt
+		r.qIntegral += int64(r.QueueLen()) * dt
 	}
 	r.lastChange = r.k.now
 }
@@ -79,14 +80,20 @@ func (p *Proc) Acquire(r *Resource, n int64) {
 	if n <= 0 || n > r.capacity {
 		panic(fmt.Sprintf("sim: %s acquires %d of %s (capacity %d)", p.name, n, r.name, r.capacity))
 	}
-	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
-		r.advance()
+	r.advance()
+	if r.QueueLen() == 0 && r.inUse+n <= r.capacity {
 		r.inUse += n
 		return
 	}
-	r.advance()
-	r.waiters = append(r.waiters, &waiter{p: p, n: n})
-	p.park("acquire " + r.name)
+	// Slide the queue down when append would otherwise grow the slice
+	// and at least half of it is already-granted prefix, so a queue that
+	// never empties still reuses its storage (amortised O(1)).
+	if r.head > 0 && len(r.waiters) == cap(r.waiters) && r.head >= len(r.waiters)/2 {
+		r.waiters = r.waiters[:copy(r.waiters, r.waiters[r.head:])]
+		r.head = 0
+	}
+	r.waiters = append(r.waiters, waiter{p: p, n: n})
+	p.park("acquire ", r.name)
 }
 
 // Release returns n units and wakes any waiters that now fit, in FIFO
@@ -97,15 +104,16 @@ func (p *Proc) Release(r *Resource, n int64) {
 	if r.inUse < 0 {
 		panic(fmt.Sprintf("sim: %s over-released %s", p.name, r.name))
 	}
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
+	for r.head < len(r.waiters) {
+		w := r.waiters[r.head]
 		if r.inUse+w.n > r.capacity {
-			break
+			return
 		}
 		r.inUse += w.n
-		r.waiters = r.waiters[1:]
+		r.head++
 		r.k.schedule(r.k.now, w.p)
 	}
+	r.waiters, r.head = r.waiters[:0], 0
 }
 
 // Use acquires n units, holds them for d, and releases them. It is the
@@ -134,7 +142,7 @@ func NewCond(k *Kernel, name string) *Cond {
 // Wait parks the process until the next Broadcast.
 func (p *Proc) Wait(c *Cond) {
 	c.waiters = append(c.waiters, p)
-	p.park("wait " + c.name)
+	p.park("wait ", c.name)
 }
 
 // WaitFor parks the process until pred() is true, re-checking after

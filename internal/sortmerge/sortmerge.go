@@ -234,13 +234,12 @@ type Reducer struct {
 
 	tree     *merge.Tree
 	bufRuns  [][]byte
+	bufRecs  []int64 // per buffered run, its record count (no combiner only)
 	bufBytes int64
 
 	prepared  bool
 	finalRuns [][]byte
 	treeRuns  int // leading finalRuns entries that are recycled buffers
-
-	received int64
 
 	dropRunBug bool // planted MutationSpillDropRun (test-only, env-gated)
 }
@@ -271,8 +270,10 @@ func (r *Reducer) Consume(run []byte) {
 	if len(run) == 0 {
 		return
 	}
-	r.received += int64(kvenc.Count(run))
 	r.bufRuns = append(r.bufRuns, run)
+	if r.comb == nil { // the combiner path counts as it merges
+		r.bufRecs = append(r.bufRecs, int64(kvenc.Count(run)))
+	}
 	r.bufBytes += int64(len(run))
 	if r.bufBytes*3 >= r.cfg.Buffer*2 {
 		r.spillBuffer()
@@ -314,7 +315,9 @@ func (r *Reducer) spillBuffer() {
 		if err != nil {
 			panic(fmt.Errorf("sortmerge: corrupt shuffled run in %s: %w", r.cfg.Prefix, err))
 		}
-		records = int64(kvenc.Count(run))
+		for _, n := range r.bufRecs[:len(spillRuns)] {
+			records += n
+		}
 	}
 	r.rt.ChargeOps(r.rt.Model.CPUMergeRecord, records)
 	r.tree.AddRun(r.rt.P, run) // AddRun writes (copies) the run to disk
@@ -322,6 +325,7 @@ func (r *Reducer) spillBuffer() {
 	// The buffered runs are shuffle segments shared with the engine's
 	// map-output table — drop the references, never recycle them.
 	r.bufRuns = r.bufRuns[:0]
+	r.bufRecs = r.bufRecs[:0]
 	r.bufBytes = 0
 }
 
