@@ -87,7 +87,7 @@ func main() {
 	}
 	stopProf = stop
 
-	scale, err := parseScale(*scaleFlag)
+	scale, err := onepass.ParseScale(*scaleFlag)
 	if err != nil {
 		fatal(err)
 	}
@@ -107,7 +107,7 @@ func main() {
 		).F
 	}
 
-	platform, err := parsePlatform(*platFlag)
+	platform, err := onepass.ParsePlatform(*platFlag)
 	if err != nil {
 		fatal(err)
 	}
@@ -117,29 +117,17 @@ func main() {
 		users = int(2.2 * float64(int64(cluster.R*cluster.Nodes)*cluster.ReduceBuffer) / float64(*stateFlag+50))
 	}
 
-	plan, err := resolveQuery(*queryFlag, *stateFlag, users, *dataFlag, *chunkFlag, *seedFlag, m)
+	plan, err := onepass.ResolveQuery(*queryFlag, onepass.QuerySizing{
+		StateBytes: *stateFlag, Users: users,
+		DataBytes: *dataFlag, ChunkBytes: *chunkFlag, Seed: *seedFlag,
+	}, m)
 	if err != nil {
 		fatal(err)
 	}
-	newQuery, hints, input := plan.NewQuery, plan.Hints, plan.Input
 
 	combMode, err := onepass.ParseNodeCombineMode(*combFlag)
 	if err != nil {
 		fatal(err)
-	}
-
-	if input == nil {
-		input = onepass.SyntheticClickStream(onepass.ClickStreamSpec{
-			PhysBytes: m.ScaleBytes(int64(*dataFlag)),
-			ChunkPhys: m.ScaleBytes(int64(*chunkFlag)),
-			Seed:      *seedFlag,
-			Users:     users,
-			UserSkew:  1.2,
-			URLs:      20_000,
-			URLSkew:   1.3,
-			Duration:  24 * time.Hour,
-			Jitter:    2 * time.Second,
-		})
 	}
 
 	faults, err := parseFaults(*killFlag, *slowFlag, *failFlag, *specFlag)
@@ -155,10 +143,10 @@ func main() {
 	}
 
 	job := onepass.Job{
-		Input:           input,
+		Input:           plan.Input,
 		Platform:        platform,
 		Cluster:         cluster,
-		Hints:           hints,
+		Hints:           plan.Hints,
 		ScanEvery:       4096,
 		Seed:            *seedFlag,
 		Faults:          faults,
@@ -170,14 +158,14 @@ func main() {
 	var rep *onepass.Report
 	switch *backendFlag {
 	case "sim":
-		job.Query = newQuery()
+		job.Query = plan.NewQuery()
 		rep, err = onepass.Run(job)
 	case "real":
 		workers := *workersFlag
 		if workers == 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
-		rep, err = onepass.RunReal(job, newQuery, workers)
+		rep, err = onepass.RunReal(job, plan.NewQuery, workers)
 	default:
 		err = fmt.Errorf("unknown backend %q (want sim or real)", *backendFlag)
 	}
@@ -303,61 +291,6 @@ func printReport(rep *onepass.Report) {
 	fmt.Print(b.String())
 }
 
-// queryPlan is the resolved -query choice: the factory (the real
-// backend needs a fresh instance per task, the simulation calls it
-// once), its workload hints, and — for document queries — a non-click
-// input. A nil Input means the default synthetic click stream.
-type queryPlan struct {
-	NewQuery func() onepass.Query
-	Hints    onepass.Hints
-	Input    onepass.Input
-}
-
-// resolveQuery maps a query name to its factory, hints, and input.
-func resolveQuery(name string, state, users int, data, chunk float64, seed int64, m onepass.CostModel) (queryPlan, error) {
-	p := queryPlan{Hints: onepass.Hints{Km: 1, DistinctKeys: int64(users)}}
-	switch name {
-	case "sessionization":
-		p.NewQuery = func() onepass.Query {
-			return onepass.Sessionization(5*time.Minute, state, 5*time.Second)
-		}
-		p.Hints.Km = 1.15
-	case "clickcount":
-		p.NewQuery = onepass.ClickCount
-		p.Hints.Km = 0.01
-	case "frequsers":
-		p.NewQuery = func() onepass.Query { return onepass.FrequentUsers(50) }
-		p.Hints.Km = 0.01
-	case "pagefreq":
-		p.NewQuery = onepass.PageFrequency
-		p.Hints.Km = 0.01
-		p.Hints.DistinctKeys = 20_000
-	case "trigram":
-		p.NewQuery = func() onepass.Query { return onepass.TrigramCount(1000) }
-		p.Hints.Km = 3
-		p.Hints.DistinctKeys = 12_000_000
-		p.Input = onepass.SyntheticDocCorpus(onepass.DocCorpusSpec{
-			PhysBytes: m.ScaleBytes(int64(data)),
-			ChunkPhys: m.ScaleBytes(int64(chunk)),
-			Seed:      seed,
-			Vocab:     5_000,
-			WordSkew:  1.6,
-			WordV:     4,
-			DocWords:  12,
-		})
-	default:
-		return p, fmt.Errorf("unknown query %q (want sessionization|clickcount|frequsers|pagefreq|trigram)", name)
-	}
-	// Kr (reduce output:input ratio) feeds the node-combine auto gate:
-	// the count-style outputs here are ~24-byte rows, one per distinct
-	// key, so Kr ≈ 24·K / D. Sessionization never combines (no combine
-	// function), so the estimate is harmless there.
-	if p.Hints.Kr == 0 && p.Hints.DistinctKeys > 0 {
-		p.Hints.Kr = 24 * float64(p.Hints.DistinctKeys) / data
-	}
-	return p, nil
-}
-
 // parseFaults assembles the fault plan from the command-line flags.
 func parseFaults(kill, slow, fail string, speculate bool) (onepass.FaultPlan, error) {
 	f := onepass.FaultPlan{Speculate: speculate}
@@ -439,38 +372,6 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func parsePlatform(s string) (onepass.Platform, error) {
-	switch strings.ToLower(s) {
-	case "sm", "sortmerge", "1-pass-sm":
-		return onepass.SortMerge, nil
-	case "hop":
-		return onepass.HOP, nil
-	case "mr-hash", "mrhash":
-		return onepass.MRHash, nil
-	case "inc-hash", "inchash":
-		return onepass.INCHash, nil
-	case "dinc-hash", "dinchash":
-		return onepass.DINCHash, nil
-	}
-	return 0, fmt.Errorf("unknown platform %q", s)
-}
-
-func parseScale(s string) (float64, error) {
-	if num, den, ok := strings.Cut(s, "/"); ok {
-		n, err1 := strconv.ParseFloat(strings.TrimSpace(num), 64)
-		d, err2 := strconv.ParseFloat(strings.TrimSpace(den), 64)
-		if err1 != nil || err2 != nil || d == 0 {
-			return 0, fmt.Errorf("bad scale %q", s)
-		}
-		return n / d, nil
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad scale %q", s)
-	}
-	return v, nil
 }
 
 // stopProf finishes profiling; fatal flushes any open profile so a

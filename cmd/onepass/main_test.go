@@ -4,70 +4,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"repro"
 )
-
-func TestParseScale(t *testing.T) {
-	cases := []struct {
-		in   string
-		want float64
-		ok   bool
-	}{
-		{"1/512", 1.0 / 512, true},
-		{"1/4096", 1.0 / 4096, true},
-		{" 1 / 2 ", 0.5, true},
-		{"0.25", 0.25, true},
-		{"1", 1, true},
-		{"1/0", 0, false},
-		{"a/b", 0, false},
-		{"", 0, false},
-		{"half", 0, false},
-	}
-	for _, tc := range cases {
-		got, err := parseScale(tc.in)
-		if tc.ok != (err == nil) {
-			t.Errorf("parseScale(%q) err = %v, want ok=%v", tc.in, err, tc.ok)
-			continue
-		}
-		if tc.ok && got != tc.want {
-			t.Errorf("parseScale(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-}
-
-func TestParsePlatform(t *testing.T) {
-	cases := []struct {
-		in   string
-		want onepass.Platform
-	}{
-		{"sm", onepass.SortMerge},
-		{"SortMerge", onepass.SortMerge},
-		{"1-pass-sm", onepass.SortMerge},
-		{"hop", onepass.HOP},
-		{"mr-hash", onepass.MRHash},
-		{"mrhash", onepass.MRHash},
-		{"inc-hash", onepass.INCHash},
-		{"INC-HASH", onepass.INCHash},
-		{"dinc-hash", onepass.DINCHash},
-		{"dinchash", onepass.DINCHash},
-	}
-	for _, tc := range cases {
-		got, err := parsePlatform(tc.in)
-		if err != nil {
-			t.Errorf("parsePlatform(%q): %v", tc.in, err)
-			continue
-		}
-		if got != tc.want {
-			t.Errorf("parsePlatform(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-	for _, bad := range []string{"", "hadoop", "sm2"} {
-		if _, err := parsePlatform(bad); err == nil {
-			t.Errorf("parsePlatform(%q) accepted an unknown platform", bad)
-		}
-	}
-}
 
 func TestSplitList(t *testing.T) {
 	cases := []struct {
@@ -133,56 +70,5 @@ func TestParseFaults(t *testing.T) {
 		if _, err := parseFaults(tc.kill, tc.slow, tc.fail, false); err == nil {
 			t.Errorf("parseFaults(%q, %q, %q) accepted bad input", tc.kill, tc.slow, tc.fail)
 		}
-	}
-}
-
-func TestResolveQuery(t *testing.T) {
-	m := onepass.DefaultModel(1.0 / 4096)
-	const users = 10_000
-
-	for _, name := range []string{"sessionization", "clickcount", "frequsers", "pagefreq", "trigram"} {
-		t.Run(name, func(t *testing.T) {
-			p, err := resolveQuery(name, 512, users, 64e9, 64e6, 42, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p.NewQuery == nil {
-				t.Fatal("nil query factory")
-			}
-			q := p.NewQuery()
-			if got := q.Name(); got != name {
-				t.Errorf("factory built query %q, want %q", got, name)
-			}
-			if p.Hints.Km <= 0 {
-				t.Errorf("Hints.Km = %v, want > 0", p.Hints.Km)
-			}
-			if p.Hints.DistinctKeys <= 0 {
-				t.Errorf("Hints.DistinctKeys = %v, want > 0", p.Hints.DistinctKeys)
-			}
-			if p.Hints.Kr <= 0 {
-				t.Errorf("Hints.Kr = %v, want the 24·K/D estimate", p.Hints.Kr)
-			}
-			if name == "trigram" {
-				if p.Input == nil {
-					t.Error("trigram must carry a document-corpus input")
-				}
-			} else if p.Input != nil {
-				t.Error("click queries must leave Input nil (default click stream)")
-			}
-		})
-	}
-
-	// The factory must build independent instances: the real backend
-	// hands one to each task, so shared scratch state would race.
-	p, err := resolveQuery("sessionization", 512, users, 64e9, 64e6, 42, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := p.NewQuery(), p.NewQuery(); a == b {
-		t.Error("NewQuery returned the same instance twice")
-	}
-
-	if _, err := resolveQuery("wordcount", 512, users, 64e9, 64e6, 42, m); err == nil {
-		t.Error("unknown query accepted")
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	pathpkg "path"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -105,6 +106,28 @@ var stdlibBans = []rule{
 	},
 }
 
+// nonTestRules bind only non-test files: test code may reach below the
+// layer it tests (fixtures, oracles).
+var nonTestRules = []rule{
+	{
+		Name: "realexec-only-drives-task-bodies",
+		Why:  "the wall-clock backend schedules the shared task bodies (engine/task_*.go); it must not own a collector, a record loop or a checkpoint codec again",
+		From: []string{"realexec"},
+		Deny: []string{"sortmerge", "kvenc", "frame", "bytestore", "merge"},
+	},
+}
+
+// fileRules are nonTestRules whose From holds path patterns
+// (path.Match against the repo-relative file) instead of packages.
+var fileRules = []rule{
+	{
+		Name: "task-bodies-substrate-neutral",
+		Why:  "what a task attempt computes is shared by both backends, so it cannot depend on the simulation kernel or its gauges",
+		From: []string{"internal/engine/task_*.go"},
+		Deny: []string{"sim", "metrics"},
+	},
+}
+
 // fileImports maps a repo-relative .go file to the full paths of
 // everything it imports, standard library included.
 type fileImports map[string][]string
@@ -158,6 +181,20 @@ func violations(files fileImports) []string {
 						path, r.Name, from, modulePrefix, imp, r.Why))
 				}
 			}
+			if !strings.HasSuffix(path, "_test.go") {
+				for _, r := range nonTestRules {
+					if inSet(r.From, from) && inSet(r.Deny, imp) {
+						out = append(out, fmt.Sprintf("%s: rule %q: non-test files of %s must not import %s%s (%s)",
+							path, r.Name, from, modulePrefix, imp, r.Why))
+					}
+				}
+				for _, r := range fileRules {
+					if matchesAny(r.From, path) && inSet(r.Deny, imp) {
+						out = append(out, fmt.Sprintf("%s: rule %q: files matching %v must not import %s%s (%s)",
+							path, r.Name, r.From, modulePrefix, imp, r.Why))
+					}
+				}
+			}
 			for _, x := range exclusives {
 				if imp == x.Guarded && from != x.Guarded && !inSet(x.Allowed, from) {
 					out = append(out, fmt.Sprintf("%s: rule %q: only %v may import %s%s (%s)",
@@ -167,6 +204,17 @@ func violations(files fileImports) []string {
 		}
 	}
 	return out
+}
+
+// matchesAny reports whether the slash-separated file path matches one
+// of the path.Match patterns.
+func matchesAny(patterns []string, file string) bool {
+	for _, pat := range patterns {
+		if ok, _ := pathpkg.Match(pat, filepath.ToSlash(file)); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // parseTree walks the repository for .go files (skipping testdata and
@@ -275,6 +323,25 @@ func TestRulesCoverKnownPackages(t *testing.T) {
 			}
 		}
 	}
+	for _, r := range nonTestRules {
+		for _, pkg := range append(append([]string{}, r.From...), r.Deny...) {
+			if !exists(pkg) {
+				t.Errorf("rule %q names nonexistent package internal/%s", r.Name, pkg)
+			}
+		}
+	}
+	for _, r := range fileRules {
+		for _, pat := range r.From {
+			if m, err := filepath.Glob(filepath.Join(root, filepath.FromSlash(pat))); err != nil || len(m) == 0 {
+				t.Errorf("rule %q: pattern %s matches no file (%v)", r.Name, pat, err)
+			}
+		}
+		for _, pkg := range r.Deny {
+			if !exists(pkg) {
+				t.Errorf("rule %q names nonexistent package internal/%s", r.Name, pkg)
+			}
+		}
+	}
 }
 
 // TestPlantedViolationsAreCaught is the self-check: a checker that
@@ -295,6 +362,10 @@ func TestPlantedViolationsAreCaught(t *testing.T) {
 		{"sched imports seglog", "internal/sched/bad.go", internal("seglog")},
 		{"ingest imports os", "internal/ingest/bad.go", "os"},
 		{"jobstore imports path/filepath", "internal/jobstore/bad.go", "path/filepath"},
+		{"realexec imports kvenc", "internal/realexec/bad.go", internal("kvenc")},
+		{"realexec imports sortmerge", "internal/realexec/bad.go", internal("sortmerge")},
+		{"task body imports sim", "internal/engine/task_bad.go", internal("sim")},
+		{"task body imports metrics", "internal/engine/task_map.go", internal("metrics")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -317,6 +388,11 @@ func TestPlantedViolationsAreCaught(t *testing.T) {
 		"internal/jobstore/log.go":        {internal("frame"), internal("seglog"), "fmt"},
 		"internal/jobstore/crash_test.go": {"os", "path/filepath"},
 		"internal/seglog/seglog.go":       {internal("frame"), "os", "path/filepath"},
+		"internal/realexec/realexec.go":   {internal("engine"), internal("core"), internal("storage")},
+		"internal/realexec/fault_test.go": {internal("kvenc"), internal("frame")},
+		"internal/engine/task_reduce.go":  {internal("core"), internal("sortmerge"), internal("frame")},
+		"internal/engine/maptask.go":      {internal("sim"), internal("metrics")},
+		"internal/engine/task_test.go":    {internal("sim")},
 	}
 	if got := violations(legal); len(got) != 0 {
 		t.Fatalf("legal tree flagged: %v", got)

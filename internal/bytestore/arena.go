@@ -15,10 +15,7 @@
 // implemented separately in internal/frequent.
 package bytestore
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // arena is an append-only byte allocator. Offset 0 is reserved as the
 // nil reference, so the first byte is wasted intentionally.
@@ -48,15 +45,6 @@ func (a *arena) bytes(off int32, n int) []byte {
 
 // size returns the total bytes allocated.
 func (a *arena) size() int64 { return int64(len(a.buf)) }
-
-// putUvarint appends v as a uvarint and returns its offset and length.
-func (a *arena) putUvarint(v uint64) (int32, int) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	off := a.alloc(n)
-	copy(a.buf[off:], tmp[:n])
-	return off, n
-}
 
 // Bitmap is a fixed-size bit set backed by a byte slice.
 type Bitmap struct {

@@ -91,12 +91,6 @@ func (t *Table) find(key []byte) (int32, int, bool) {
 	}
 }
 
-// Has reports whether key is present.
-func (t *Table) Has(key []byte) bool {
-	_, _, ok := t.find(key)
-	return ok
-}
-
 // wouldFit reports whether inserting an entry of the given extra size
 // keeps the table within budget (including a possible rehash).
 func (t *Table) wouldFit(extra int64) bool {

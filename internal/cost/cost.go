@@ -14,7 +14,10 @@
 package cost
 
 import (
+	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -91,6 +94,24 @@ type Model struct {
 	CPUCombine     time.Duration // combine/state-update function, per record
 	CPUReduceRec   time.Duration // user reduce function, per input record
 	CPUOutputByte  time.Duration // serializing job output, per byte
+}
+
+// ParseScale parses a scale factor's command-line and job-spec
+// spelling: a fraction ("1/4096") or a bare float.
+func ParseScale(s string) (float64, error) {
+	if num, den, ok := strings.Cut(s, "/"); ok {
+		n, err1 := strconv.ParseFloat(strings.TrimSpace(num), 64)
+		d, err2 := strconv.ParseFloat(strings.TrimSpace(den), 64)
+		if err1 != nil || err2 != nil || d == 0 {
+			return 0, fmt.Errorf("bad scale %q", s)
+		}
+		return n / d, nil
+	}
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad scale %q", s)
+	}
+	return v, nil
 }
 
 // Default returns the calibrated model at the given scale.

@@ -96,3 +96,31 @@ func TestNetTime(t *testing.T) {
 		t.Fatalf("NetTime = %v", got)
 	}
 }
+
+func TestParseScale(t *testing.T) {
+	cases := []struct {
+		in   string
+		want float64
+		ok   bool
+	}{
+		{"1/512", 1.0 / 512, true},
+		{"1/4096", 1.0 / 4096, true},
+		{" 1 / 2 ", 0.5, true},
+		{"0.25", 0.25, true},
+		{"1", 1, true},
+		{"1/0", 0, false},
+		{"a/b", 0, false},
+		{"", 0, false},
+		{"half", 0, false},
+	}
+	for _, tc := range cases {
+		got, err := ParseScale(tc.in)
+		if tc.ok != (err == nil) {
+			t.Errorf("ParseScale(%q) err = %v, want ok=%v", tc.in, err, tc.ok)
+			continue
+		}
+		if tc.ok && got != tc.want {
+			t.Errorf("ParseScale(%q) = %v, want %v", tc.in, got, tc.want)
+		}
+	}
+}

@@ -184,3 +184,36 @@ func TestBackendCapabilitySplit(t *testing.T) {
 		t.Errorf("SimUnsupported = %q, want the shuffle-error diagnosis", msg)
 	}
 }
+
+func TestParsePlatform(t *testing.T) {
+	cases := []struct {
+		in   string
+		want Platform
+	}{
+		{"sm", SortMerge},
+		{"SortMerge", SortMerge},
+		{"1-pass-sm", SortMerge},
+		{"hop", HOP},
+		{"mr-hash", MRHash},
+		{"mrhash", MRHash},
+		{"inc-hash", INCHash},
+		{"INC-HASH", INCHash},
+		{"dinc-hash", DINCHash},
+		{"dinchash", DINCHash},
+	}
+	for _, tc := range cases {
+		got, err := ParsePlatform(tc.in)
+		if err != nil {
+			t.Errorf("ParsePlatform(%q): %v", tc.in, err)
+			continue
+		}
+		if got != tc.want {
+			t.Errorf("ParsePlatform(%q) = %v, want %v", tc.in, got, tc.want)
+		}
+	}
+	for _, bad := range []string{"", "hadoop", "sm2"} {
+		if _, err := ParsePlatform(bad); err == nil {
+			t.Errorf("ParsePlatform(%q) accepted an unknown platform", bad)
+		}
+	}
+}

@@ -14,15 +14,21 @@
 // (internal/cost). The data paths themselves are written against the
 // substrate interfaces (internal/substrate) and are shared with the
 // wall-clock backend (internal/realexec), which runs the same code on
-// real goroutines; JobSpec, Report, and the platform constants here
-// are common to both. Fault injection and checkpointed recovery run on
-// both substrates, each with the trigger primitives its clock supports
-// (see SimUnsupported and RealUnsupported for the split); only the
-// virtual-time schedule (progress curves, timelines) and disk-damage
-// injection remain simulation-only.
+// real goroutines; JobSpec, Report, the platform constants and the
+// task bodies (task_map.go, task_reduce.go: what one map or reduce
+// attempt computes and charges, free of internal/sim) are common to
+// both, and maptask.go / reducetask.go here are only the simulation's
+// driver over those bodies. Fault injection and checkpointed recovery
+// run on both substrates, each with the trigger primitives its clock
+// supports (see SimUnsupported and RealUnsupported for the split); only
+// the virtual-time schedule (progress curves, timelines) and
+// disk-damage injection remain simulation-only.
 package engine
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"time"
 
 	"repro/internal/cost"
@@ -60,6 +66,24 @@ func (pl Platform) String() string {
 		return "dinc-hash"
 	}
 	return "platform?"
+}
+
+// ParsePlatform parses a platform's command-line and job-spec
+// spelling (case-insensitive, with and without the hyphen).
+func ParsePlatform(s string) (Platform, error) {
+	switch strings.ToLower(s) {
+	case "sm", "sortmerge", "1-pass-sm":
+		return SortMerge, nil
+	case "hop":
+		return HOP, nil
+	case "mr-hash", "mrhash":
+		return MRHash, nil
+	case "inc-hash", "inchash":
+		return INCHash, nil
+	case "dinc-hash", "dinchash":
+		return DINCHash, nil
+	}
+	return 0, fmt.Errorf("unknown platform %q", s)
 }
 
 // Incremental reports whether the platform applies init() map-side and
@@ -643,6 +667,26 @@ func (f *FaultPlan) any() bool {
 func (f *FaultPlan) risky() bool {
 	return len(f.KillNodes) > 0 || len(f.KillAtMapProgress) > 0 ||
 		len(f.ReduceFailures) > 0
+}
+
+// failPoint is the plan's FailPoint with its default-to-1 guard.
+func (f *FaultPlan) failPoint() float64 {
+	if f.FailPoint <= 0 || f.FailPoint > 1 {
+		return 1
+	}
+	return f.FailPoint
+}
+
+// MapFailAt is the byte offset through a chunk of chunkLen bytes at
+// which an injected map failure kills the attempt.
+func (f *FaultPlan) MapFailAt(chunkLen int) int64 {
+	return int64(f.failPoint() * float64(chunkLen))
+}
+
+// ReduceFailAfter is the number of consumed shuffle inputs, out of
+// total, after which an injected reduce failure kills the attempt.
+func (f *FaultPlan) ReduceFailAfter(total int) int {
+	return max(1, int(math.Ceil(f.failPoint()*float64(total))))
 }
 
 // SimUnsupported names the first fault feature in the spec that only

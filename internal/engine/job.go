@@ -38,8 +38,7 @@ type job struct {
 	memFetches       int64
 	diskFetches      int64
 	fnRecords        int64
-	outRecords       int64
-	outBytes         int64
+	out              OutTotals // committed reduce output; the progress sampler reads it mid-run
 	mapInputRecords  int64
 	mapOutputRecords int64
 	mapCPU           int64 // virtual ns across all map tasks
@@ -71,8 +70,7 @@ type job struct {
 	ckptCorrupt  int64 // bit-flipped checkpoint images detected at restore
 	ckptSeq      int64 // per-job checkpoint injection sequence
 
-	outputs [][2]string
-	spans   []Span
+	spans []Span
 }
 
 // Span is one task's lifetime on the cluster (the §5 "profiler"
@@ -270,5 +268,5 @@ func (j *job) TaskGauge(ph metrics.Phase) int { return j.gauges.Get(ph) }
 
 // Counts implements metrics.Probe.
 func (j *job) Counts() (int, int64, int64, int64) {
-	return j.mapsDone, j.fetchesDone, j.fnRecords, j.outRecords
+	return j.mapsDone, j.fetchesDone, j.fnRecords, j.out.Records
 }

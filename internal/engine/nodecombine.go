@@ -114,12 +114,7 @@ func newCombinePlan(j *job, assign dfs.Assignment) *combinePlan {
 // deposit parks one finished map task output at its node's combiner.
 // The node's last deposit spawns the node fold.
 func (pl *combinePlan) deposit(chunk int, n *node, parts [][][]byte, records int64) {
-	d := &ncDeposit{chunk: chunk, parts: parts, records: records}
-	for _, segs := range parts {
-		for _, s := range segs {
-			d.bytes += int64(len(s))
-		}
-	}
+	d := &ncDeposit{chunk: chunk, parts: parts, records: records, bytes: PartsBytes(parts)}
 	nn := pl.byNode[n.idx]
 	nn.deposits = append(nn.deposits, d)
 	pl.groupOf[n.idx].deposited += d.bytes
@@ -153,7 +148,7 @@ func (pl *combinePlan) foldNode(p *sim.Proc, nn *ncNode) {
 	nn.deposits = nil
 	parts, inPairs, outPairs := nc.Finish()
 	j.ncInRecords += inPairs
-	nn.run = &ncRun{parts: parts, outPairs: outPairs, bytes: runBytes(parts)}
+	nn.run = &ncRun{parts: parts, outPairs: outPairs, bytes: PartsBytes(parts)}
 	j.mapCPU += ledger
 
 	g := pl.groupOf[nn.node.idx]
@@ -195,7 +190,7 @@ func (pl *combinePlan) foldGroup(p *sim.Proc, g *ncGroup) {
 	}
 	parts, _, outPairs := nc.Finish()
 	j.mapCPU += ledger
-	pl.publishRun(p, g, agg, &ncRun{parts: parts, outPairs: outPairs, bytes: runBytes(parts)})
+	pl.publishRun(p, g, agg, &ncRun{parts: parts, outPairs: outPairs, bytes: PartsBytes(parts)})
 }
 
 // publishRun enters the group's merged run into the shuffle as one
@@ -232,17 +227,6 @@ func (j *job) newNodeCombiner(p *sim.Proc, n *node, ledger *int64) *core.NodeCom
 func foldCPU(j *job, pairs int64) time.Duration {
 	m := j.spec.Cluster.Model
 	return m.CPUOps(m.CPUHashInsert+m.CPUCombine, pairs)
-}
-
-// runBytes sizes a run's encoded segments.
-func runBytes(parts [][][]byte) int64 {
-	var b int64
-	for _, segs := range parts {
-		for _, s := range segs {
-			b += int64(len(s))
-		}
-	}
-	return b
 }
 
 // sortInts is a tiny insertion sort (task lists are short and nearly

@@ -165,14 +165,14 @@ func (j *job) report(s *metrics.Sampler) *Report {
 		TornWritesRepaired:    j.tornRepaired,
 		QuarantinedRecords:    j.quarantined,
 
-		OutputRecords:    j.outRecords,
+		OutputRecords:    j.out.Records,
 		MapInputRecords:  j.mapInputRecords,
 		MapOutputRecords: j.mapOutputRecords,
 		ApproxKeys:       j.approxKeys,
 		SnapshotRecords:  j.snapshotRecords,
 
 		Samples: s.Samples(),
-		Outputs: j.outputs,
+		Outputs: j.out.Rows,
 		Spans:   j.spans,
 	}
 	var shuffleTotal int64
@@ -197,7 +197,7 @@ func (j *job) report(s *metrics.Sampler) *Report {
 		MapTasks:  j.totalMaps,
 		Fetches:   j.fetchesDone,
 		FnRecords: j.fnRecords,
-		OutRecs:   j.outRecords,
+		OutRecs:   j.out.Records,
 	})
 	return r
 }

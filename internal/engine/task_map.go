@@ -1,0 +1,395 @@
+package engine
+
+import (
+	"bytes"
+	"fmt"
+	"time"
+
+	"repro/internal/bytestore"
+	"repro/internal/core"
+	"repro/internal/kvenc"
+	"repro/internal/mr"
+	"repro/internal/sortmerge"
+	"repro/internal/storage"
+	"repro/internal/substrate"
+)
+
+// This file and task_reduce.go hold what one task attempt computes,
+// written once against *core.Runtime. The DES (maptask.go,
+// reducetask.go) and the wall-clock backend (internal/realexec) are
+// drivers: they decide which attempt runs where, what it fetches next
+// and how charged time passes, and call into the bodies here — so both
+// substrates issue the same charges in the same order by construction.
+
+// MapCollector abstracts the map-output components: sort-merge's Map
+// Output Buffer, the Hash-based Map Output, and HOP's spill pusher.
+type MapCollector interface {
+	Add(key, val []byte)
+	Finish() (parts [][][]byte, mapped, emitted int64)
+}
+
+// MapBody is the work of one map attempt over one chunk: the platform
+// collector, the per-record map loop, and the CPU price of each read
+// segment. The driver owns the chunk bytes, the input-read charge and
+// when each segment is mapped; MapSegment is pure so it may run ahead
+// of Replay on a compute pool.
+type MapBody struct {
+	// Quarantined counts bad records skipped so far under the
+	// quarantine budget (replayed segments only).
+	Quarantined int64
+
+	spec    *JobSpec
+	rt      *core.Runtime
+	q       mr.Query
+	wm      mr.Watermarker
+	chunk   int
+	coll    MapCollector
+	perPair time.Duration // collector CPU per emitted pair, beyond sort CPU charged at spill time
+}
+
+// NewMapBody builds the attempt's collector for the spec's platform. q
+// is the query instance the attempt maps with. On HOP every eager
+// spill is handed to push (seq 1, 2, …) instead of accumulating; push
+// is unused on the other platforms.
+func NewMapBody(spec *JobSpec, rt *core.Runtime, q mr.Query, chunk, attempt int,
+	push func(name string, seq int, parts [][][]byte, emitted int64)) *MapBody {
+	cfg := &spec.Cluster
+	b := &MapBody{spec: spec, rt: rt, q: q, chunk: chunk}
+	b.wm, _ = q.(mr.Watermarker)
+	numReducers := cfg.R * cfg.Nodes
+	switch spec.Platform {
+	case SortMerge:
+		// Sorting CPU is charged inside the collector at spill time.
+		b.coll = sortmerge.NewMapCollector(rt, q, sortmerge.MapCollectorConfig{
+			Prefix:      fmt.Sprintf("m%06d.a%d", chunk, attempt),
+			Partitions:  numReducers,
+			Buffer:      cfg.MapBuffer,
+			MergeFactor: cfg.MergeFactor,
+			ReadSegment: cfg.ReadSegment,
+		})
+	case HOP:
+		h := &hopCollector{rt: rt, chunk: chunk, parts: numReducers, buffer: cfg.MapBuffer,
+			h1: rt.Fam.Fn(1), push: push}
+		h.comb, _ = q.(mr.Combiner)
+		b.coll = h
+	default:
+		hc := core.NewHashMapCollector(rt, q, numReducers, cfg.MapBuffer, spec.Platform.Incremental())
+		b.coll = hc
+		// Per emitted pair, not per input record: the collector touches
+		// its table once per Add call. Charging per record billed a
+		// combine for records that emitted nothing and missed the table
+		// work of multi-emission records.
+		b.perPair = cfg.Model.CPUHashInsert
+		if hc.Combining() {
+			b.perPair += cfg.Model.CPUCombine
+		}
+	}
+	return b
+}
+
+// Segments splits the chunk into read segments of the cluster's
+// ReadSegment size, each extended to the next record boundary — one
+// input I/O request plus one CPU burst apiece.
+func (b *MapBody) Segments(data []byte) [][]byte {
+	seg := b.spec.Cluster.ReadSegment
+	if seg <= 0 || seg > int64(len(data)) {
+		seg = int64(len(data))
+	}
+	segs := make([][]byte, 0, int64(len(data))/max(seg, 1)+1)
+	for len(data) > 0 {
+		end := int(seg)
+		if end >= len(data) {
+			end = len(data)
+		} else if nl := bytes.IndexByte(data[end:], '\n'); nl >= 0 {
+			end += nl + 1
+		} else {
+			end = len(data)
+		}
+		segs = append(segs, data[:end])
+		data = data[end:]
+	}
+	return segs
+}
+
+// SegMapResult is one segment's map output: the emitted pairs in
+// emission order plus, for watermarked queries, per-record marks so
+// the replay can observe event times at exactly the points a serial
+// record loop would.
+type SegMapResult struct {
+	pairs       []byte    // kvenc stream of Map emissions, in order (pooled)
+	marks       []recMark // one per input record (watermarked queries only)
+	bytes       int64     // segment length
+	records     int64
+	pairsN      int64 // emitted pairs in the segment
+	quarantined int64 // bad records skipped under the quarantine budget
+}
+
+// recMark locates one input record's contribution in a SegMapResult.
+type recMark struct {
+	ts    int64 // mr.Watermarker.RecordTime of the record
+	pairs int32 // emissions by this record
+}
+
+// Release hands the result's pooled emission buffer back. Replay does
+// it for replayed segments; drivers call it for segments mapped ahead
+// and then abandoned. Safe to call twice.
+func (out *SegMapResult) Release() {
+	bytestore.Put(out.pairs)
+	*out = SegMapResult{}
+}
+
+// emit appends one Map emission to the segment's output.
+func (out *SegMapResult) emit(k, v []byte) {
+	out.pairs = kvenc.AppendPair(out.pairs, k, v)
+	out.pairsN++
+}
+
+// MapSegment applies the map function to every record of one segment,
+// accumulating emissions into out. It is pure: it reads only the
+// segment (and the query, whose Map must be receiver-pure) and writes
+// only out, so it is safe to run on a compute pool. With a quarantine
+// budget set, a record whose Map panics is rolled back and counted
+// instead of failing the job (the budget is enforced in Replay, where
+// the per-task total is deterministic).
+func (b *MapBody) MapSegment(segment []byte, out *SegMapResult) {
+	// Recycled emission buffer, handed back after the replay; sized to
+	// the segment as map output is usually comparable.
+	out.pairs = bytestore.Get(len(segment))
+	out.bytes = int64(len(segment))
+	if b.wm != nil {
+		out.marks = make([]recMark, 0, bytes.Count(segment, []byte{'\n'})+1)
+	}
+	quarantine := b.spec.SkipBadRecords > 0
+	emit := out.emit // one emitter per segment, not one closure per record
+	for len(segment) > 0 {
+		nl := bytes.IndexByte(segment, '\n')
+		var line []byte
+		if nl < 0 {
+			line, segment = segment, nil
+		} else {
+			line, segment = segment[:nl], segment[nl+1:]
+		}
+		if len(line) == 0 {
+			continue
+		}
+		out.records++
+		if quarantine {
+			b.quarantineRecord(line, out, emit)
+		} else {
+			b.mapRecord(line, out, emit)
+		}
+	}
+}
+
+// mapRecord feeds one input record through the map function (emit is
+// out.emit), appending its emissions and, for watermarked queries, its
+// record mark.
+func (b *MapBody) mapRecord(line []byte, out *SegMapResult, emit func(k, v []byte)) {
+	before := out.pairsN
+	b.q.Map(line, emit)
+	if b.wm != nil {
+		out.marks = append(out.marks, recMark{ts: b.wm.RecordTime(line), pairs: int32(out.pairsN - before)})
+	}
+}
+
+// quarantineRecord is mapRecord under the bad-record quarantine
+// (Hadoop's skip mode): a record whose Map (or RecordTime) panics is
+// rolled back — emissions truncated, no mark — and counted, so the
+// replayed stream is exactly as if the record never existed.
+func (b *MapBody) quarantineRecord(line []byte, out *SegMapResult, emit func(k, v []byte)) {
+	pairs, pairsN, marks := len(out.pairs), out.pairsN, len(out.marks)
+	defer func() {
+		if r := recover(); r != nil {
+			out.pairs, out.pairsN = out.pairs[:pairs], pairsN
+			out.marks = out.marks[:marks]
+			out.quarantined++
+		}
+	}()
+	b.mapRecord(line, out, emit)
+}
+
+// Replay feeds one mapped segment into the collector in record order,
+// calling observe with each record's event time just before its
+// emissions (watermarked queries only), then charges the segment's CPU
+// burst — parsing, the map function and the collector's per-pair work
+// — and releases the segment. Segments must be replayed in chunk
+// order.
+func (b *MapBody) Replay(seg *SegMapResult, observe func(ts int64)) {
+	b.Quarantined += seg.quarantined
+	if q := b.spec.SkipBadRecords; q > 0 && b.Quarantined > q {
+		// Budget blown: too many poison records in one task means the
+		// input (or the query) is broken, not unlucky — fail the job
+		// loudly rather than silently dropping data.
+		panic(fmt.Errorf("engine: map task %d quarantined %d records, over the %d budget", b.chunk, b.Quarantined, q))
+	}
+	it := kvenc.NewIterator(seg.pairs)
+	if b.wm == nil {
+		for {
+			k, v, more := it.Next()
+			if !more {
+				break
+			}
+			b.coll.Add(k, v)
+		}
+	} else {
+		for _, m := range seg.marks {
+			observe(m.ts)
+			for e := int32(0); e < m.pairs; e++ {
+				k, v, _ := it.Next()
+				b.coll.Add(k, v)
+			}
+		}
+	}
+	if err := it.Err(); err != nil {
+		// pairs never left memory, so this is an engine bug, not disk
+		// damage — fail loudly.
+		panic(fmt.Errorf("engine: corrupt segment replay in map task %d: %w", b.chunk, err))
+	}
+	model := b.rt.Model
+	cpu := model.CPUOps(model.CPUParseByte, seg.bytes) + model.CPUOps(model.CPUMapRecord, seg.records)
+	if b.perPair > 0 {
+		cpu += model.CPUOps(b.perPair, seg.pairsN)
+	}
+	b.rt.ChargeCPU(cpu)
+	seg.Release() // the replay copied every pair into the collector
+}
+
+// Finish completes the collector: the task's per-partition output
+// segments (nil on HOP, which pushed everything) and its pair counts.
+func (b *MapBody) Finish() (parts [][][]byte, mapped, emitted int64) {
+	return b.coll.Finish()
+}
+
+// WriteMapOutput writes a map output's per-partition segments to the
+// store as one file (U3, for fault tolerance): one write request, one
+// checksum frame per partition region, so a shuffle read verifies
+// exactly the partition it fetches. It returns the file and each
+// partition's size and offset in it.
+func WriteMapOutput(p substrate.Proc, st *storage.Store, name string, parts [][][]byte) (f *storage.File, partBytes, partOff []int64) {
+	partBytes = make([]int64, len(parts))
+	partOff = make([]int64, len(parts))
+	all := bytestore.Get(int(PartsBytes(parts)))
+	for pi, segs := range parts {
+		partOff[pi] = int64(len(all))
+		for _, s := range segs {
+			all = append(all, s...)
+			partBytes[pi] += int64(len(s))
+		}
+	}
+	f = st.Create(name, storage.MapOutput)
+	if len(all) > 0 {
+		st.AppendFrames(p, f, all, storage.MapOutput, partBytes)
+	}
+	bytestore.Put(all) // AppendFrames copied the bytes into the file
+	return f, partBytes, partOff
+}
+
+// PartsBytes sizes a partitioned run's encoded segments.
+func PartsBytes(parts [][][]byte) int64 {
+	var b int64
+	for _, segs := range parts {
+		for _, s := range segs {
+			b += int64(len(s))
+		}
+	}
+	return b
+}
+
+// hopCollector implements MapReduce Online-style pipelining (§2.2):
+// map output is pushed to reducers eagerly, one sorted spill at a
+// time, and no map-side multi-pass merge happens — the merge work is
+// redistributed to the reducers, which is exactly the paper's
+// characterization of HOP.
+type hopCollector struct {
+	rt     *core.Runtime
+	chunk  int
+	parts  int
+	buffer int64
+	comb   mr.Combiner
+	h1     interface {
+		Bucket(key []byte, n int) int
+	}
+	push func(name string, seq int, parts [][][]byte, emitted int64)
+
+	buf     []byte
+	pk      []byte // partition-prefix scratch, reused across Add calls
+	spills  int
+	mapped  int64
+	emitted int64
+}
+
+// Add implements MapCollector. The partition-prefixed key is built in
+// a reused scratch buffer (AppendPair copies it into the collect
+// buffer immediately).
+func (h *hopCollector) Add(key, val []byte) {
+	h.mapped++
+	part := h.h1.Bucket(key, h.parts)
+	h.pk = append(h.pk[:0], byte(part>>8), byte(part))
+	h.pk = append(h.pk, key...)
+	h.buf = kvenc.AppendPair(h.buf, h.pk, val)
+	if int64(len(h.buf)) >= h.buffer {
+		h.spill()
+	}
+}
+
+// spill sorts the buffer, applies the combiner, and pushes the spill
+// immediately as its own shuffle unit.
+func (h *hopCollector) spill() {
+	if len(h.buf) == 0 {
+		return
+	}
+	model := h.rt.Model
+	sorted, n := h.rt.SortStreamTo(bytestore.Get(len(h.buf)), h.buf)
+	h.rt.ChargeCPU(model.CPUSort(int64(n)))
+	h.buf = h.buf[:0] // collect buffer is recycled in place
+	if h.comb != nil {
+		out := bytestore.Get(len(sorted))
+		var records int64
+		if err := kvenc.MergeGroupsChecked([][]byte{sorted}, func(pk []byte, vals kvenc.ValueIter) bool {
+			grp := &kvenc.CountingIter{Inner: vals}
+			h.comb.Combine(pk[2:], grp, func(v []byte) {
+				out = kvenc.AppendPair(out, pk, v)
+			})
+			records += grp.N
+			return true
+		}); err != nil {
+			panic(fmt.Errorf("engine: corrupt hop spill in map task %d: %w", h.chunk, err))
+		}
+		h.rt.ChargeOps(model.CPUCombine, records)
+		bytestore.Put(sorted)
+		sorted = out
+	}
+	// Split the sorted compound run into per-partition segments.
+	parts := make([][][]byte, h.parts)
+	segs := make([][]byte, h.parts)
+	it := kvenc.NewIterator(sorted)
+	var emitted int64
+	for {
+		pk, v, ok := it.Next()
+		if !ok {
+			break
+		}
+		part := int(pk[0])<<8 | int(pk[1])
+		segs[part] = kvenc.AppendPair(segs[part], pk[2:], v)
+		emitted++
+	}
+	if err := it.Err(); err != nil {
+		panic(fmt.Errorf("engine: corrupt hop spill in map task %d: %w", h.chunk, err))
+	}
+	bytestore.Put(sorted) // per-partition segments copied out above
+	for pi, s := range segs {
+		if len(s) > 0 {
+			parts[pi] = [][]byte{s}
+		}
+	}
+	h.emitted += emitted
+	h.spills++
+	h.push(fmt.Sprintf("map%06d.push%d", h.chunk, h.spills), h.spills, parts, emitted)
+}
+
+// Finish implements MapCollector: HOP publishes incrementally, so the
+// last buffered spill is pushed and no aggregate output remains.
+func (h *hopCollector) Finish() ([][][]byte, int64, int64) {
+	h.spill()
+	return nil, h.mapped, h.emitted
+}

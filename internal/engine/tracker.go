@@ -24,35 +24,6 @@ type mapTaskState struct {
 	reexecs  int   // re-executions after output loss
 }
 
-// ckptImage is one committed reducer checkpoint: the serialized,
-// CRC32C-framed platform state image, the consumed-set at the instant
-// it was taken, and the byte accounting needed for delta writes and
-// restore reads. The image travels as a framed blob — exactly what
-// fault injection damages (bit flips at write time, torn tails at node
-// death) and what restore verifies. prev chains to the previous good
-// image (one level kept) so a damaged latest falls back instead of
-// forcing a full replay.
-type ckptImage struct {
-	framed     []byte // frame.Append(nil, core.MarshalImage(img))
-	torn       bool   // tail truncated by a torn-write injection
-	consumed   []bool
-	consumedN  int
-	stateBytes int64   // table/sketch + consumed-set bytes (rewritten each time)
-	bucketLens []int64 // cumulative per-bucket bytes (delta vs. previous image)
-	bucketSum  int64   // Σ bucketLens (all read back on restore)
-	prev       *ckptImage
-
-	// Output staged by the attempt up to this checkpoint (cumulative
-	// since the task started). Staged output becomes externally visible
-	// only through the checkpoint chain the task finally restores from
-	// and completes on — like a transactional sink, a restore to an
-	// older image discards everything staged after it, because the
-	// replayed suffix will emit it again.
-	outRecords int64
-	outBytes   int64
-	outRows    [][2]string
-}
-
 // reduceState is the tracker's view of one reduce task.
 type reduceState struct {
 	ridx     int
@@ -71,7 +42,7 @@ type reduceState struct {
 	// (Report.ShuffleRefetchBytes).
 	everFetched []bool
 
-	ckpt *ckptImage // latest committed checkpoint (nil: restart from scratch)
+	ckpt *Checkpoint // latest committed checkpoint (nil: restart from scratch)
 }
 
 // tracker is the JobTracker's failure-handling half: a heartbeat-driven
@@ -204,7 +175,7 @@ func (t *tracker) needed(task int) bool {
 			continue
 		}
 		if rs.node != nil && rs.node.dead(now) {
-			if rs.ckpt == nil || !rs.ckpt.consumed[task] {
+			if rs.ckpt == nil || !rs.ckpt.Consumed[task] {
 				return true
 			}
 			continue

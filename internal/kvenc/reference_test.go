@@ -3,11 +3,12 @@ package kvenc
 import (
 	"bytes"
 	"container/heap"
+	"sort"
 )
 
 // heapMerger is the original container/heap k-way merger, kept as the
 // reference implementation the loser-tree Merger is differentially
-// tested against (merge_test.go holds the two to identical output and
+// tested against (differential_test.go holds the two to identical output and
 // identical tie order on every input shape). Same contract as Merger:
 // a corrupt run stops contributing at its first invalid pair, the
 // merge continues over the remaining runs, and Err reports the damage.
@@ -87,4 +88,20 @@ func (m *heapMerger) Next() (key, val []byte, ok bool) {
 		}
 	}
 	return key, val, true
+}
+
+// sortStreamStable is the original comparison-based implementation
+// (sort.SliceStable over the span array), kept as the reference the
+// radix kernel is differentially tested against.
+func sortStreamStable(data []byte) ([]byte, int) {
+	var spans []span
+	spans = scanSpans(data, spans)
+	sort.SliceStable(spans, func(i, j int) bool {
+		return bytes.Compare(data[spans[i].keyOff:spans[i].keyEnd], data[spans[j].keyOff:spans[j].keyEnd]) < 0
+	})
+	out := make([]byte, 0, len(data))
+	for _, s := range spans {
+		out = append(out, data[s.off:s.end]...)
+	}
+	return out, len(spans)
 }

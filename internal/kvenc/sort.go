@@ -2,7 +2,6 @@ package kvenc
 
 import (
 	"bytes"
-	"sort"
 	"sync"
 )
 
@@ -12,9 +11,10 @@ import (
 // stable MSD radix sort over the key bytes. Pairs are described by a
 // span array (byte ranges into the stream); the counting passes
 // scatter spans stably, so the result is bytewise identical to the
-// stable comparison sort it replaced — sortStreamStable stays below
-// as the reference implementation, and the differential tests in
-// sort_test.go hold the two to the same output on every input shape.
+// stable comparison sort it replaced — sortStreamStable stays in
+// reference_test.go as the reference implementation, and the
+// differential tests hold the two to the same output on every input
+// shape.
 
 // span locates one pair inside a stream: the key's byte range and the
 // whole pair's byte range. Offsets are ints so streams larger than
@@ -169,20 +169,4 @@ func keySuffix(data []byte, s span, depth int) []byte {
 		d = s.keyEnd
 	}
 	return data[d:s.keyEnd]
-}
-
-// sortStreamStable is the original comparison-based implementation
-// (sort.SliceStable over the span array), kept as the reference the
-// radix kernel is differentially tested against.
-func sortStreamStable(data []byte) ([]byte, int) {
-	var spans []span
-	spans = scanSpans(data, spans)
-	sort.SliceStable(spans, func(i, j int) bool {
-		return bytes.Compare(data[spans[i].keyOff:spans[i].keyEnd], data[spans[j].keyOff:spans[j].keyEnd]) < 0
-	})
-	out := make([]byte, 0, len(data))
-	for _, s := range spans {
-		out = append(out, data[s.off:s.end]...)
-	}
-	return out, len(spans)
 }

@@ -1,0 +1,83 @@
+package queries
+
+import (
+	"fmt"
+	"strings"
+	"time"
+
+	"repro/internal/cost"
+	"repro/internal/dfs"
+	"repro/internal/mr"
+	"repro/internal/workload"
+)
+
+// Names lists the catalogue's queries, in the order tools print them.
+var Names = []string{"sessionization", "clickcount", "frequsers", "pagefreq", "trigram"}
+
+// Sizing is what a catalogue query needs to know about the run it is
+// resolved for.
+type Sizing struct {
+	StateBytes int     // sessionization's per-user state buffer
+	Users      int     // distinct users in the click stream
+	DataBytes  float64 // logical input size
+	ChunkBytes float64 // logical chunk size
+	Seed       int64
+}
+
+// Plan is a resolved catalogue entry: the query factory (the real
+// backend needs a fresh instance per task, the simulation calls it
+// once), the workload hints, and the synthetic input the query reads.
+type Plan struct {
+	NewQuery func() mr.Query
+	Hints    mr.Hints
+	Input    dfs.Input
+}
+
+// Resolve maps a query name to its plan under cost model m. Every tool
+// that runs a named query builds it here, so the same name, sizing and
+// seed mean the same job everywhere.
+func Resolve(name string, z Sizing, m cost.Model) (Plan, error) {
+	p := Plan{Hints: mr.Hints{Km: 1, DistinctKeys: int64(z.Users)}}
+	phys, chunk := m.ScaleBytes(int64(z.DataBytes)), m.ScaleBytes(int64(z.ChunkBytes))
+	switch name {
+	case "sessionization":
+		p.NewQuery = func() mr.Query {
+			return NewSessionization(5*time.Minute, z.StateBytes, 5*time.Second)
+		}
+		p.Hints.Km = 1.15
+	case "clickcount":
+		p.NewQuery = NewClickCount
+		p.Hints.Km = 0.01
+	case "frequsers":
+		p.NewQuery = func() mr.Query { return NewFrequentUsers(50) }
+		p.Hints.Km = 0.01
+	case "pagefreq":
+		p.NewQuery = NewPageFrequency
+		p.Hints.Km = 0.01
+		p.Hints.DistinctKeys = 20_000
+	case "trigram":
+		p.NewQuery = func() mr.Query { return NewTrigramCount(1000) }
+		p.Hints.Km = 3
+		p.Hints.DistinctKeys = 12_000_000
+		// A small, sharply skewed vocabulary: enough repeated trigrams
+		// to clear the threshold at test scales.
+		doc := workload.DefaultDocSpec(phys, chunk, z.Seed)
+		doc.Vocab, doc.WordSkew, doc.WordV = 5_000, 1.6, 4
+		p.Input = workload.NewDocCorpus(doc)
+	default:
+		return p, fmt.Errorf("unknown query %q (want %s)", name, strings.Join(Names, "|"))
+	}
+	// Kr (reduce output:input ratio) feeds the node-combine auto gate:
+	// the count-style outputs here are ~24-byte rows, one per distinct
+	// key, so Kr ≈ 24·K / D. Sessionization never combines (no combine
+	// function), so the estimate is harmless there.
+	if p.Hints.DistinctKeys > 0 {
+		p.Hints.Kr = 24 * float64(p.Hints.DistinctKeys) / z.DataBytes
+	}
+	if p.Input == nil {
+		click := workload.DefaultClickSpec(phys, chunk, z.Seed)
+		click.Users = z.Users
+		p.Input = workload.NewClickStream(click)
+	}
+	return p, nil
+}

@@ -36,9 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/frame"
 	"repro/internal/mr"
 	"repro/internal/storage"
 	"repro/internal/substrate"
@@ -55,14 +53,6 @@ const (
 	// much real delay per task, capped so chaos suites stay fast.
 	slowTaskDelay    = 200 * time.Microsecond
 	slowTaskDelayCap = 5 * time.Millisecond
-
-	// consumedBitBytes mirrors the engine: serialized size of one
-	// shuffle-unit entry in a checkpoint's consumed-set image.
-	consumedBitBytes = 1
-
-	// maxReduceAttempts bounds one reduce task's restart ladder, like
-	// the engine's cap.
-	maxReduceAttempts = 40
 
 	// maxShuffleTries bounds consecutive injected transient errors on
 	// one fetch; with ShuffleErrorRate < 1 this is unreachable in
@@ -170,22 +160,6 @@ func (f *faults) shuffleErr(ridx int, u *unit, attempt, try int) bool {
 		return false
 	}
 	return storage.Roll(rate, f.seed, int64(ridx), int64(u.chunk), int64(u.seq), int64(attempt), int64(try))
-}
-
-// failPoint is the spec's FailPoint with the DES's default-to-1 guard.
-func (f *faults) failPoint() float64 {
-	fp := f.spec.Faults.FailPoint
-	if fp <= 0 || fp > 1 {
-		fp = 1
-	}
-	return fp
-}
-
-// provisionalOutput reports whether reduce output must buffer until
-// the attempt completes: any plan that can kill an attempt after it
-// emitted.
-func (f *faults) provisionalOutput() bool {
-	return len(f.spec.Faults.ReduceFailures) > 0 || len(f.spec.Faults.KillAtMapProgress) > 0
 }
 
 // mapChain is one map task's full attempt history under fault
@@ -318,27 +292,11 @@ func (r *run) transientRetries(ridx int, u *unit, attempt int) {
 	}
 }
 
-// rckpt is one wall-clock checkpoint: the CRC32C-framed state image
-// plus the consumed-set and staged-output bookkeeping, mirroring the
-// engine's ckptImage. The image is logically replicated off-node;
-// with no disk-damage injection on this backend only the newest level
-// is kept.
-type rckpt struct {
-	framed     []byte
-	consumed   []bool
-	consumedN  int
-	stateBytes int64 // table/sketch + consumed-set bytes
-	bucketSum  int64
-	bucketLens []int64
-
-	outRecords int64
-	outBytes   int64
-	outRows    [][2]string
-}
-
-// rtask is one reduce task's cross-attempt recovery state.
+// rtask is one reduce task's cross-attempt recovery state. The
+// checkpoint is logically replicated off-node; with no disk-damage
+// injection on this backend only the newest image is kept.
 type rtask struct {
-	ckpt        *rckpt
+	ckpt        *engine.Checkpoint
 	everFetched []bool
 }
 
@@ -359,8 +317,8 @@ func (r *run) runReduceChain(ridx, node int) *reduceChain {
 	failures := r.spec.Faults.ReduceFailures[ridx]
 	live := 0
 	for attempt := 0; ; attempt++ {
-		if attempt >= maxReduceAttempts {
-			ch.err = fmt.Errorf("realexec: reduce task %d exceeded %d attempts", ridx, maxReduceAttempts)
+		if attempt >= engine.MaxReduceAttempts {
+			ch.err = fmt.Errorf("realexec: reduce task %d exceeded %d attempts", ridx, engine.MaxReduceAttempts)
 			return ch
 		}
 		if attempt > 0 {
@@ -412,46 +370,31 @@ func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool
 	if wm, ok := q.(mr.Watermarker); ok && r.hasWM {
 		wm.AdvanceWatermark(r.globalWM)
 	}
-	cfg := &r.spec.Cluster
-	out := &outputWriter{p: p, st: st, res: res, flushAt: cfg.Page,
-		collect: r.spec.CollectOutput, provisional: r.flt.provisionalOutput()}
-	red := r.buildReducers(rt, q, out, fmt.Sprintf("r%03d.a%d", ridx, attempt))
+	sink := func(physBytes int64) { st.ChargeOutputWrite(p, physBytes) }
+	// Output is provisional under any plan that can kill an attempt
+	// after it emitted (the DES's rule).
+	f := &r.spec.Faults
+	out := engine.NewOutputWriter(r.spec, len(f.ReduceFailures) > 0 || len(f.KillAtMapProgress) > 0, &res.out, sink)
+	red := engine.NewTaskReducer(r.spec, rt, q, out, fmt.Sprintf("r%03d.a%d", ridx, attempt), r.inputBytesEst)
 
-	// Resume from the newest checkpoint: read the replicated image
-	// back (table/sketch + consumed-set + all bucket bytes), rebuild
-	// the reducer, and replay only the unconsumed suffix.
+	// Resume from the newest checkpoint and replay only the unconsumed
+	// suffix.
 	consumed := make([]bool, len(r.units))
 	consumedN := 0
-	if ck := task.ckpt; ck != nil && red.incremental() {
-		payload, err := frame.Decode(ck.framed)
+	if ck := task.ckpt; ck != nil {
+		img, err := ck.Decode()
 		if err != nil {
-			panic(fmt.Errorf("checkpoint frame for reduce task %d failed verification: %w", ridx, err))
+			panic(fmt.Errorf("checkpoint for reduce task %d failed verification: %w", ridx, err))
 		}
-		img, err := core.UnmarshalImage(payload)
-		if err != nil {
-			panic(fmt.Errorf("checkpoint image for reduce task %d failed to decode: %w", ridx, err))
-		}
-		st.ChargeCheckpointRead(p, ck.stateBytes+ck.bucketSum)
-		if red.inch != nil {
-			red.inch.Restore(img)
-		} else {
-			red.dinch.Restore(img)
-		}
-		out.restoreFrom(ck)
-		copy(consumed, ck.consumed)
-		consumedN = ck.consumedN
+		red.Restore(ck, img)
+		copy(consumed, ck.Consumed)
+		consumedN = ck.ConsumedN
 	}
 
-	failN := len(r.units)
-	if inject {
-		failN = int(math.Ceil(r.flt.failPoint() * float64(len(r.units))))
-		if failN < 1 {
-			failN = 1
-		}
-	}
+	failN := f.ReduceFailAfter(len(r.units))
 	failOut := func() *reduceResult {
 		res.failed = true
-		out.discard()
+		out.Discard()
 		res.span = engine.Span{
 			Name: fmt.Sprintf("reduce%03d.a%d", ridx, attempt), Kind: "reduce-failed", Node: node,
 			Start: time.Duration(taskStart), End: time.Duration(p.Now()),
@@ -470,7 +413,6 @@ func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool
 	// order as the clean path — reducers wait for lost units (never
 	// skip), so consumption order, and with it every answer, is
 	// preserved.
-	nextSnap := r.spec.SnapshotEvery
 	for ui, u := range r.units {
 		if consumed[ui] {
 			continue
@@ -490,7 +432,7 @@ func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool
 			} else {
 				task.everFetched[ui] = true
 			}
-			r.feedUnit(rt, red, u, ridx)
+			red.Feed(u.parts[ridx], size, u.chunk)
 		}
 		r.fetchesDone.Add(1)
 		consumed[ui] = true
@@ -499,81 +441,21 @@ func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool
 		if inject && consumedN >= failN {
 			return failOut()
 		}
-		if red.incremental() && ckptEvery > 0 && res.ledger-lastCkpt >= ckptEvery {
-			r.takeCheckpoint(p, st, task, red, out, consumed, consumedN)
+		if red.Incremental() && ckptEvery > 0 && res.ledger-lastCkpt >= ckptEvery {
+			task.ckpt = red.TakeCheckpoint(task.ckpt, consumed, consumedN)
+			r.checkpoints.Add(1)
 			lastCkpt = res.ledger
 		}
-
-		if red.smr != nil && r.spec.SnapshotEvery > 0 {
-			for nextSnap < 1 {
-				snap := &snapshotWriter{r: r, p: p, st: st}
-				red.smr.Snapshot(snap)
-				snap.flush()
-				nextSnap += r.spec.SnapshotEvery
-			}
-		}
-		if red.smr != nil && red.smr.Tree().NeedsMerge() {
-			for red.smr.Tree().NeedsMerge() {
-				red.smr.Tree().MergeOnce(p, red.smr.Charger())
-			}
-		}
+		r.afterFeed(red, sink)
 	}
 
-	r.finishReducer(red, out, res)
-	out.commit()
-	out.flush()
+	red.PrepareFinal()
+	res.approxKeys = red.Finish()
+	out.Commit()
+	out.Flush()
 	res.span = engine.Span{
 		Name: fmt.Sprintf("reduce%03d.a%d", ridx, attempt), Kind: "reduce", Node: node,
 		Start: time.Duration(taskStart), End: time.Duration(p.Now()),
 	}
 	return res
-}
-
-// takeCheckpoint snapshots the incremental reducer's state together
-// with the consumed-set, serializes it into a CRC32C-framed image,
-// charges the checkpoint write (full state + consumed-set plus only
-// the bucket bytes appended since the previous checkpoint), and
-// stages the attempt's provisional output — the engine's
-// takeCheckpoint on the wall substrate.
-func (r *run) takeCheckpoint(p substrate.Proc, st *storage.Store, task *rtask, red *reducers, out *outputWriter, consumed []bool, consumedN int) {
-	var img *core.StateImage
-	if red.inch != nil {
-		img = red.inch.Snapshot()
-	} else {
-		img = red.dinch.Snapshot()
-	}
-	payload := core.MarshalImage(img)
-	ck := &rckpt{
-		framed:     frame.Append(nil, payload),
-		consumed:   append([]bool(nil), consumed...),
-		consumedN:  consumedN,
-		// The consumed-set image covers one bit per map task, matching
-		// the engine's per-task consumed array — under node combining
-		// there are fewer shuffle units than tasks, but a checkpoint
-		// still records which tasks' output is folded into the state.
-		stateBytes: img.StateBytes() + int64(r.totalMaps)*consumedBitBytes,
-		bucketLens: img.BucketLens(),
-	}
-	write := ck.stateBytes
-	var prev []int64
-	if task.ckpt != nil {
-		prev = task.ckpt.bucketLens
-	}
-	for i, l := range ck.bucketLens {
-		ck.bucketSum += l
-		var pl int64
-		if i < len(prev) {
-			pl = prev[i]
-		}
-		if l > pl {
-			write += l - pl
-		}
-	}
-	st.ChargeCheckpointWrite(p, write)
-	if st.Checksums {
-		st.NoteOverhead(storage.Checkpoint, frame.Overhead(len(payload)))
-	}
-	task.ckpt = ck
-	r.checkpoints.Add(1)
-	out.stageInto(ck)
 }

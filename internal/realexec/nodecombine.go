@@ -162,7 +162,7 @@ func (rc *rcombine) foldGroup(g *rcGroup, mapRes []*mapResult) (res *rcResult) {
 		for _, chunk := range g.chunks[mi] {
 			parts := mapRes[chunk].parts
 			mapRes[chunk].parts = nil
-			res.deposited += partsBytes(parts)
+			res.deposited += engine.PartsBytes(parts)
 			pairs := nc.Absorb(parts)
 			rt.ChargeCPU(m.CPUOps(m.CPUHashInsert+m.CPUCombine, pairs))
 		}
@@ -209,15 +209,4 @@ func (rc *rcombine) foldGroup(g *rcGroup, mapRes []*mapResult) (res *rcResult) {
 func (r *run) newNodeCombiner(rt *core.Runtime) *core.NodeCombiner {
 	return core.NewNodeCombiner(rt, r.newQ(), r.numReducers, r.spec.Cluster.MapBuffer,
 		r.spec.Platform.Incremental(), r.spec.Platform == engine.SortMerge)
-}
-
-// partsBytes sizes a map output's encoded segments.
-func partsBytes(parts [][][]byte) int64 {
-	var b int64
-	for _, segs := range parts {
-		for _, s := range segs {
-			b += int64(len(s))
-		}
-	}
-	return b
 }

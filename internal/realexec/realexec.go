@@ -1,11 +1,13 @@
 // Package realexec runs MapReduce jobs on the wall-clock substrate:
 // real goroutines, real time, and an M3R-style in-memory shuffle.
 //
-// It executes the same platform components (internal/core,
-// internal/sortmerge) against the same JobSpec as the DES engine
-// (internal/engine), producing an engine.Report whose answer fields —
-// output records and collected rows, map/reduce record counts, byte
-// counters, virtual CPU ledgers — are bit-for-bit identical to the
+// It is a driver over the task bodies it shares with the DES engine
+// (engine.MapBody and engine.TaskReducer, internal/engine/task_*.go):
+// this package decides which attempt runs where, what it consumes next
+// and how failures chain; what an attempt computes and charges is the
+// shared body's. The engine.Report it produces therefore has answer
+// fields — output records and collected rows, map/reduce record counts,
+// byte counters, virtual CPU ledgers — bit-for-bit identical to the
 // engine's clean-run path and deterministic for any worker count.
 // Wall-clock fields (RunningTime, MapFinishTime, WallTime, Spans) are
 // measured, not simulated, and vary run to run.
@@ -33,22 +35,18 @@
 package realexec
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bytestore"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/dfs"
 	"repro/internal/engine"
 	"repro/internal/hashfam"
-	"repro/internal/kvenc"
 	"repro/internal/mr"
-	"repro/internal/sortmerge"
 	"repro/internal/storage"
 	"repro/internal/substrate"
 )
@@ -69,12 +67,6 @@ type Spec struct {
 	// Answers and all deterministic Report fields are identical for any
 	// value; only wall-clock time changes.
 	Workers int
-}
-
-// collector mirrors the engine's map-output abstraction.
-type collector interface {
-	Add(key, val []byte)
-	Finish() (parts [][][]byte, mapped, emitted int64)
 }
 
 // unit is one published piece of map output, cached in memory — the
@@ -393,11 +385,10 @@ type mapResult struct {
 	err                          error
 }
 
-// runMapAttempt executes one map task attempt: read the chunk in
-// segments (charging input I/O and CPU exactly as the engine does),
-// feed records through a fresh query instance into the platform
-// collector, write the map output for U3 accounting parity, and cache
-// it as a shuffle unit. Clean runs call it once per chunk with
+// runMapAttempt executes one map task attempt: a fresh query instance
+// and an engine.MapBody over the chunk, each read segment mapped and
+// replayed inline, the map output written for U3 accounting parity and
+// cached as a shuffle unit. Clean runs call it once per chunk with
 // attempt 0 and no injection; faulted runs drive it from attempt
 // chains (fault.go). When inject is set the attempt dies at the
 // spec's FailPoint through the chunk; when claim is non-nil the
@@ -416,79 +407,35 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic
 	res.store = st
 	rt := r.newRuntime(p, st, &res.ledger)
 	q := r.newQ()
-	wm, _ := q.(mr.Watermarker)
-	cfg := &r.spec.Cluster
-	model := r.model
-
-	var coll collector
-	var hop *wallHopCollector
-	switch r.spec.Platform {
-	case engine.SortMerge:
-		coll = sortmerge.NewMapCollector(rt, q, sortmerge.MapCollectorConfig{
-			Prefix:      fmt.Sprintf("m%06d.a%d", chunk, attempt),
-			Partitions:  r.numReducers,
-			Buffer:      cfg.MapBuffer,
-			MergeFactor: cfg.MergeFactor,
-			ReadSegment: cfg.ReadSegment,
+	hop := r.spec.Platform == engine.HOP
+	body := engine.NewMapBody(r.spec, rt, q, chunk, attempt,
+		func(name string, seq int, parts [][][]byte, _ int64) {
+			// HOP: each eager spill is its own shuffle unit.
+			res.units = append(res.units, r.publish(p, st, name, chunk, seq, parts))
 		})
-	case engine.HOP:
-		hop = newWallHOPCollector(r, rt, res, chunk, q)
-		coll = hop
-	default:
-		coll = core.NewHashMapCollector(rt, q, r.numReducers, cfg.MapBuffer,
-			r.spec.Platform.Incremental())
-	}
-	hashCombining := false
-	if hashColl, ok := coll.(*core.HashMapCollector); ok {
-		hashCombining = hashColl.Combining()
+	// The barrier resolves the global watermark from every task's
+	// maximum event time.
+	observe := func(ts int64) {
+		if !res.hasTS || ts > res.maxTS {
+			res.maxTS, res.hasTS = ts, true
+		}
 	}
 
 	data := r.spec.Input.ChunkBytes(chunk)
-	seg := cfg.ReadSegment
-	if seg <= 0 || seg > int64(len(data)) {
-		seg = int64(len(data))
-	}
 	failAt := int64(-1)
 	if inject {
-		failAt = int64(r.flt.failPoint() * float64(len(data)))
+		failAt = r.spec.Faults.MapFailAt(len(data))
 	}
-	t := &mapTask{run: r, res: res, q: q, wm: wm, coll: coll}
-	t.scratch = bytestore.Get(int(seg))
-	for off := int64(0); off < int64(len(data)); {
-		end := off + seg
-		if end >= int64(len(data)) {
-			end = int64(len(data))
-		} else if nl := bytes.IndexByte(data[end:], '\n'); nl >= 0 {
-			// Extend to the next record boundary, as the engine does.
-			end += int64(nl) + 1
-		} else {
-			end = int64(len(data))
-		}
-		st.ChargeInputRead(p, end-off)
-		pairsBefore := t.pairs
-		records := t.segment(data[off:end])
-		if qb := r.spec.SkipBadRecords; qb > 0 && res.quarantined > qb {
-			panic(fmt.Errorf("map task %d quarantined %d records, over the %d budget",
-				chunk, res.quarantined, qb))
-		}
-		cpu := model.CPUOps(model.CPUParseByte, end-off) +
-			model.CPUOps(model.CPUMapRecord, records)
-		switch {
-		case r.spec.Platform == engine.SortMerge || r.spec.Platform == engine.HOP:
-			// Sorting CPU is charged inside the collector at spill time.
-		case hashCombining:
-			// Per emitted pair, not per input record: the collector
-			// touches its table once per Add call (the engine's rule).
-			cpu += model.CPUOps(model.CPUHashInsert+model.CPUCombine, t.pairs-pairsBefore)
-		default:
-			cpu += model.CPUOps(model.CPUHashInsert, t.pairs-pairsBefore)
-		}
-		rt.ChargeCPU(cpu)
-		off = end
+	var end int64
+	for _, seg := range body.Segments(data) {
+		st.ChargeInputRead(p, int64(len(seg)))
+		var out engine.SegMapResult
+		body.MapSegment(seg, &out)
+		body.Replay(&out, observe)
+		end += int64(len(seg))
 		if failAt >= 0 && end >= failAt {
 			// Injected attempt death at the same byte offset the DES
 			// uses: all work done so far is discarded and wasted.
-			bytestore.Put(t.scratch)
 			res.failed = true
 			res.span = engine.Span{
 				Name: fmt.Sprintf("map%06d#%d", chunk, attempt), Kind: "map-failed", Node: node,
@@ -497,10 +444,9 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic
 			return res
 		}
 	}
-	bytestore.Put(t.scratch)
 
-	parts, mapped, emitted := coll.Finish()
-	res.mapped, res.emitted = mapped, emitted
+	parts, mapped, emitted := body.Finish()
+	res.mapped, res.emitted, res.quarantined = mapped, emitted, body.Quarantined
 	if r.flt != nil {
 		r.flt.slowSleep(node)
 	}
@@ -514,7 +460,7 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic
 		}
 		return res
 	}
-	if hop == nil {
+	if !hop {
 		if r.comb != nil && r.comb.elig[chunk] {
 			// Node-combine: the output parks for the barrier fold instead
 			// of publishing; no U3 write happens here — the merged run is
@@ -532,212 +478,12 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic
 	return res
 }
 
-// mapTask is the per-record state of one running map task.
-type mapTask struct {
-	run     *run
-	res     *mapResult
-	q       mr.Query
-	wm      mr.Watermarker
-	coll    collector
-	scratch []byte
-	pairs   int64 // collector Add calls (emitted pairs) so far
-}
-
-// segment feeds every record of one read segment through the map
-// function, returning the record count.
-func (t *mapTask) segment(segment []byte) (records int64) {
-	quarantine := t.run.spec.SkipBadRecords > 0
-	for len(segment) > 0 {
-		nl := bytes.IndexByte(segment, '\n')
-		var line []byte
-		if nl < 0 {
-			line, segment = segment, nil
-		} else {
-			line, segment = segment[:nl], segment[nl+1:]
-		}
-		if len(line) == 0 {
-			continue
-		}
-		records++
-		if quarantine {
-			t.quarantineRecord(line)
-		} else {
-			t.record(line)
-		}
-	}
-	return records
-}
-
-// record runs one input record: emissions buffer in scratch and commit
-// to the collector only after Map (and RecordTime) succeed, so a
-// quarantined record leaves no trace — the same rollback contract as
-// the engine's segment replay.
-func (t *mapTask) record(line []byte) {
-	t.scratch = t.scratch[:0]
-	t.q.Map(line, func(k, v []byte) {
-		t.scratch = kvenc.AppendPair(t.scratch, k, v)
-	})
-	var ts int64
-	if t.wm != nil {
-		ts = t.wm.RecordTime(line)
-	}
-	it := kvenc.NewIterator(t.scratch)
-	for {
-		k, v, more := it.Next()
-		if !more {
-			break
-		}
-		t.coll.Add(k, v)
-		t.pairs++
-	}
-	if err := it.Err(); err != nil {
-		// The pairs never left memory: a broken stream is a bug.
-		panic(fmt.Errorf("corrupt record replay: %w", err))
-	}
-	if t.wm != nil && (!t.res.hasTS || ts > t.res.maxTS) {
-		t.res.maxTS, t.res.hasTS = ts, true
-	}
-}
-
-// quarantineRecord is record under the bad-record quarantine: a panic
-// from Map or RecordTime skips and counts the record.
-func (t *mapTask) quarantineRecord(line []byte) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			t.res.quarantined++
-		}
-	}()
-	t.record(line)
-}
-
 // publish writes the per-partition segments to the task's store (U3,
-// kept for accounting parity with the engine even though the shuffle
+// kept for accounting parity with the DES even though the shuffle
 // never reads it back) and returns the in-memory shuffle unit.
 func (r *run) publish(p substrate.Proc, st *storage.Store, name string, chunk, seq int, parts [][][]byte) *unit {
-	u := &unit{chunk: chunk, seq: seq, parts: parts, partBytes: make([]int64, len(parts))}
-	var total int
-	for _, segs := range parts {
-		for _, s := range segs {
-			total += len(s)
-		}
-	}
-	all := bytestore.Get(total)
-	for pi, segs := range parts {
-		for _, s := range segs {
-			all = append(all, s...)
-			u.partBytes[pi] += int64(len(s))
-		}
-	}
-	f := st.Create(name, storage.MapOutput)
-	if len(all) > 0 {
-		// One write request, one checksum frame per partition region,
-		// like the engine's publishMapOutput.
-		st.AppendFrames(p, f, all, storage.MapOutput, u.partBytes)
-	}
-	bytestore.Put(all)
-	return u
-}
-
-// wallHopCollector is the engine's hopCollector on the wall substrate:
-// map output is pushed eagerly, one sorted (optionally combined) spill
-// at a time, each spill becoming its own shuffle unit.
-type wallHopCollector struct {
-	r     *run
-	rt    *core.Runtime
-	res   *mapResult
-	chunk int
-	comb  mr.Combiner
-	h1    interface {
-		Bucket(key []byte, n int) int
-	}
-
-	buf     []byte
-	pk      []byte
-	spills  int
-	mapped  int64
-	emitted int64
-}
-
-func newWallHOPCollector(r *run, rt *core.Runtime, res *mapResult, chunk int, q mr.Query) *wallHopCollector {
-	h := &wallHopCollector{r: r, rt: rt, res: res, chunk: chunk, h1: rt.Fam.Fn(1)}
-	if c, ok := q.(mr.Combiner); ok {
-		h.comb = c
-	}
-	return h
-}
-
-// Add implements collector.
-func (h *wallHopCollector) Add(key, val []byte) {
-	h.mapped++
-	part := h.h1.Bucket(key, h.r.numReducers)
-	h.pk = append(h.pk[:0], byte(part>>8), byte(part))
-	h.pk = append(h.pk, key...)
-	h.buf = kvenc.AppendPair(h.buf, h.pk, val)
-	if int64(len(h.buf)) >= h.r.spec.Cluster.MapBuffer {
-		h.push()
-	}
-}
-
-// push sorts the buffer, applies the combiner, and publishes the spill
-// as its own shuffle unit.
-func (h *wallHopCollector) push() {
-	if len(h.buf) == 0 {
-		return
-	}
-	model := h.rt.Model
-	sorted, n := h.rt.SortStreamTo(bytestore.Get(len(h.buf)), h.buf)
-	h.rt.ChargeCPU(model.CPUSort(int64(n)))
-	h.buf = h.buf[:0]
-	if h.comb != nil {
-		out := bytestore.Get(len(sorted))
-		var records int64
-		if err := kvenc.MergeGroupsChecked([][]byte{sorted}, func(pk []byte, vals kvenc.ValueIter) bool {
-			grp := &kvenc.CountingIter{Inner: vals}
-			h.comb.Combine(pk[2:], grp, func(v []byte) {
-				out = kvenc.AppendPair(out, pk, v)
-			})
-			records += grp.N
-			return true
-		}); err != nil {
-			panic(fmt.Errorf("corrupt hop spill in map task %d: %w", h.chunk, err))
-		}
-		h.rt.ChargeOps(model.CPUCombine, records)
-		bytestore.Put(sorted)
-		sorted = out
-	}
-	parts := make([][][]byte, h.r.numReducers)
-	segs := make([][]byte, h.r.numReducers)
-	it := kvenc.NewIterator(sorted)
-	var emitted int64
-	for {
-		pk, v, ok := it.Next()
-		if !ok {
-			break
-		}
-		part := int(pk[0])<<8 | int(pk[1])
-		segs[part] = kvenc.AppendPair(segs[part], pk[2:], v)
-		emitted++
-	}
-	if err := it.Err(); err != nil {
-		panic(fmt.Errorf("corrupt hop spill in map task %d: %w", h.chunk, err))
-	}
-	bytestore.Put(sorted)
-	for pi, s := range segs {
-		if len(s) > 0 {
-			parts[pi] = [][]byte{s}
-		}
-	}
-	h.emitted += emitted
-	h.spills++
-	h.res.units = append(h.res.units, h.r.publish(h.rt.P, h.res.store,
-		fmt.Sprintf("map%06d.push%d", h.chunk, h.spills), h.chunk, h.spills, parts))
-}
-
-// Finish implements collector: HOP publishes incrementally, so only
-// the last buffered spill remains.
-func (h *wallHopCollector) Finish() ([][][]byte, int64, int64) {
-	h.push()
-	return nil, h.mapped, h.emitted
+	_, partBytes, _ := engine.WriteMapOutput(p, st, name, parts)
+	return &unit{chunk: chunk, seq: seq, parts: parts, partBytes: partBytes}
 }
 
 // reduceResult is one reduce attempt's outcome.
@@ -745,253 +491,11 @@ type reduceResult struct {
 	store  *storage.Store
 	ledger int64
 
-	outRecords int64
-	outBytes   int64
+	out        engine.OutTotals
 	approxKeys int64
-	outputs    [][2]string
 	failed     bool // injected failure: provisional output discarded, task restarts
 	span       engine.Span
 	err        error
-}
-
-// outputWriter is the wall-clock reduce output sink: it counts records
-// and charges ReduceOutput writes in Page-sized batches, like the
-// engine's write-behind queue.
-//
-// Under fault plans that can kill a reduce attempt after it has
-// emitted (injected reduce failures, node kills), the writer is
-// provisional: emissions buffer in the attempt until commit, so a
-// failed attempt's output vanishes without trace, and checkpoints
-// stage the buffered prefix so a restart does not re-emit it — the
-// same contract as the engine's provisional reduceOutput.
-type outputWriter struct {
-	p           substrate.Proc
-	st          *storage.Store
-	res         *reduceResult
-	flushAt     int64
-	collect     bool
-	pending     int64
-	provisional bool
-
-	urecords int64
-	ubytes   int64
-	staged   int64 // provisional bytes already charged by a checkpoint
-	urows    [][2]string
-}
-
-// Emit implements mr.OutputWriter.
-func (w *outputWriter) Emit(key, value []byte) {
-	sz := int64(len(key) + len(value) + 2)
-	if w.provisional {
-		w.urecords++
-		w.ubytes += sz
-		if w.collect {
-			w.urows = append(w.urows, [2]string{string(key), string(value)})
-		}
-		return
-	}
-	w.res.outRecords++
-	w.res.outBytes += sz
-	if w.collect {
-		w.res.outputs = append(w.res.outputs, [2]string{string(key), string(value)})
-	}
-	w.pending += sz
-	if w.pending >= w.flushAt {
-		w.flush()
-	}
-}
-
-func (w *outputWriter) flush() {
-	if w.pending > 0 {
-		w.st.ChargeOutputWrite(w.p, w.pending)
-		w.pending = 0
-	}
-}
-
-// commit folds the provisional buffer into the attempt's result at
-// successful completion; bytes a checkpoint already staged are not
-// re-charged.
-func (w *outputWriter) commit() {
-	if !w.provisional {
-		return
-	}
-	w.res.outRecords += w.urecords
-	w.res.outBytes += w.ubytes
-	w.res.outputs = append(w.res.outputs, w.urows...)
-	w.pending += w.ubytes - w.staged
-	w.urecords, w.ubytes, w.staged, w.urows = 0, 0, 0, nil
-}
-
-// stageInto persists the provisional prefix with a checkpoint: the
-// delta since the last stage is charged now, and the checkpoint
-// snapshots the buffered rows (capacity-clipped so later emissions
-// cannot alias into the snapshot).
-func (w *outputWriter) stageInto(ck *rckpt) {
-	if !w.provisional {
-		return
-	}
-	if delta := w.ubytes - w.staged; delta > 0 {
-		w.st.ChargeOutputWrite(w.p, delta)
-	}
-	w.staged = w.ubytes
-	w.urows = w.urows[:len(w.urows):len(w.urows)]
-	ck.outRecords, ck.outBytes, ck.outRows = w.urecords, w.ubytes, w.urows
-}
-
-// restoreFrom preloads the provisional buffer from a checkpoint at
-// restart: the staged prefix is already on disk, so only post-restore
-// emissions will be charged.
-func (w *outputWriter) restoreFrom(ck *rckpt) {
-	if !w.provisional {
-		return
-	}
-	w.urecords, w.ubytes, w.staged = ck.outRecords, ck.outBytes, ck.outBytes
-	w.urows = ck.outRows
-}
-
-// discard drops the provisional buffer when an attempt fails.
-func (w *outputWriter) discard() {
-	w.urecords, w.ubytes, w.staged, w.urows = 0, 0, 0, nil
-	w.pending = 0
-}
-
-// snapshotWriter sinks approximate HOP snapshot output: records count
-// separately from the final answers, bytes are written back like
-// reduce output.
-type snapshotWriter struct {
-	r       *run
-	p       substrate.Proc
-	st      *storage.Store
-	pending int64
-}
-
-// Emit implements mr.OutputWriter.
-func (w *snapshotWriter) Emit(key, value []byte) {
-	w.r.snapshotRecords.Add(1)
-	w.pending += int64(len(key) + len(value) + 2)
-}
-
-func (w *snapshotWriter) flush() {
-	if w.pending > 0 {
-		w.st.ChargeOutputWrite(w.p, w.pending)
-		w.pending = 0
-	}
-}
-
-// reducers bundles the platform reducer one attempt drives; exactly
-// one field is non-nil.
-type reducers struct {
-	smr   *sortmerge.Reducer
-	mrh   *core.MRHashReducer
-	inch  *core.INCHashReducer
-	dinch *core.DINCHashReducer
-}
-
-func (red *reducers) incremental() bool { return red.inch != nil || red.dinch != nil }
-
-// buildReducers constructs the platform reducer for one attempt with
-// the same configuration on every attempt (only the store prefix
-// varies), so replayed attempts recompute identically.
-func (r *run) buildReducers(rt *core.Runtime, q mr.Query, out *outputWriter, prefix string) *reducers {
-	cfg := &r.spec.Cluster
-	red := &reducers{}
-	switch r.spec.Platform {
-	case engine.SortMerge, engine.HOP:
-		red.smr = sortmerge.NewReducer(rt, q, sortmerge.ReducerConfig{
-			Prefix:      prefix,
-			Buffer:      cfg.ReduceBuffer,
-			MergeFactor: cfg.MergeFactor,
-			ReadSegment: cfg.ReadSegment,
-		})
-	case engine.MRHash:
-		red.mrh = core.NewMRHashReducer(rt, q, core.MRHashConfig{
-			Prefix:        prefix,
-			MemBudget:     cfg.ReduceBuffer,
-			Page:          cfg.Page,
-			ReadSegment:   cfg.ReadSegment,
-			ExpectedBytes: r.expectedReducerBytes(),
-		})
-	case engine.INCHash:
-		red.inch = core.NewINCHashReducer(rt, q, core.INCHashConfig{
-			Prefix:             prefix,
-			MemBudget:          cfg.ReduceBuffer,
-			Page:               cfg.Page,
-			ReadSegment:        cfg.ReadSegment,
-			ExpectedStateBytes: r.expectedReducerStateBytes(),
-		}, out)
-	case engine.DINCHash:
-		red.dinch = core.NewDINCHashReducer(rt, q, core.DINCHashConfig{
-			Prefix:               prefix,
-			MemBudget:            cfg.ReduceBuffer,
-			Page:                 cfg.Page,
-			ReadSegment:          cfg.ReadSegment,
-			ExpectedDistinctKeys: r.spec.Hints.DistinctKeys / int64(r.numReducers),
-			KeyBytes:             16,
-			CoverageThreshold:    r.spec.CoverageThreshold,
-			ScanEvery:            r.spec.ScanEvery,
-		}, out)
-	}
-	return red
-}
-
-// feedUnit drives one cached unit's partition for ridx into the
-// platform reducer, charging consume CPU. Callers skip it for empty
-// partitions.
-func (r *run) feedUnit(rt *core.Runtime, red *reducers, u *unit, ridx int) {
-	segs := u.parts[ridx]
-	size := u.partBytes[ridx]
-	model := r.model
-	switch {
-	case red.smr != nil:
-		for _, seg := range segs {
-			red.smr.Consume(seg)
-		}
-		rt.ChargeCPU(model.CPUOps(model.CPUParseByte, size))
-	default:
-		var records int64
-		for _, seg := range segs {
-			it := kvenc.NewIterator(seg)
-			for {
-				k, v, more := it.Next()
-				if !more {
-					break
-				}
-				records++
-				switch {
-				case red.mrh != nil:
-					red.mrh.Consume(k, v)
-				case red.inch != nil:
-					red.inch.Consume(k, v)
-				default:
-					red.dinch.Consume(k, v)
-				}
-			}
-			if err := it.Err(); err != nil {
-				panic(fmt.Errorf("corrupt shuffle segment from map task %d: %w", u.chunk, err))
-			}
-		}
-		per := model.CPUHashInsert
-		if r.spec.Platform.Incremental() {
-			per += model.CPUCombine
-		}
-		rt.ChargeCPU(model.CPUOps(per, records))
-	}
-}
-
-// finish runs the platform's finalization into out.
-func (r *run) finishReducer(red *reducers, out *outputWriter, res *reduceResult) {
-	switch {
-	case red.smr != nil:
-		red.smr.PrepareFinal()
-		red.smr.Finish(out)
-	case red.mrh != nil:
-		red.mrh.Finish(out)
-	case red.inch != nil:
-		red.inch.Finish()
-	default:
-		red.dinch.Finish()
-		res.approxKeys = red.dinch.ApproxKeys()
-	}
 }
 
 // runReduceTask executes one clean reduce task: consume every cached
@@ -1016,39 +520,26 @@ func (r *run) runReduceTask(ridx, node int) (res *reduceResult) {
 	if wm, ok := q.(mr.Watermarker); ok && r.hasWM {
 		wm.AdvanceWatermark(r.globalWM)
 	}
-	cfg := &r.spec.Cluster
-	out := &outputWriter{p: p, st: st, res: res, flushAt: cfg.Page, collect: r.spec.CollectOutput}
-	red := r.buildReducers(rt, q, out, fmt.Sprintf("r%03d", ridx))
+	sink := func(physBytes int64) { st.ChargeOutputWrite(p, physBytes) }
+	out := engine.NewOutputWriter(r.spec, false, &res.out, sink)
+	red := engine.NewTaskReducer(r.spec, rt, q, out, fmt.Sprintf("r%03d", ridx), r.inputBytesEst)
 
 	// Shuffle loop over the cached units. Every fetch is served from
 	// memory; the map barrier pins the progress fraction at 1, so HOP
 	// snapshots all fire after the first consumed unit — deterministic
 	// for any worker count.
-	nextSnap := r.spec.SnapshotEvery
 	for _, u := range r.units {
-		if u.partBytes[ridx] > 0 {
+		if size := u.partBytes[ridx]; size > 0 {
 			r.memFetches.Add(1)
-			r.feedUnit(rt, red, u, ridx)
+			red.Feed(u.parts[ridx], size, u.chunk)
 		}
 		r.fetchesDone.Add(1)
-
-		if red.smr != nil && r.spec.SnapshotEvery > 0 {
-			for nextSnap < 1 {
-				snap := &snapshotWriter{r: r, p: p, st: st}
-				red.smr.Snapshot(snap)
-				snap.flush()
-				nextSnap += r.spec.SnapshotEvery
-			}
-		}
-		if red.smr != nil && red.smr.Tree().NeedsMerge() {
-			for red.smr.Tree().NeedsMerge() {
-				red.smr.Tree().MergeOnce(p, red.smr.Charger())
-			}
-		}
+		r.afterFeed(red, sink)
 	}
 
-	r.finishReducer(red, out, res)
-	out.flush()
+	red.PrepareFinal()
+	res.approxKeys = red.Finish()
+	out.Flush()
 	res.span = engine.Span{
 		Name: fmt.Sprintf("reduce%03d", ridx), Kind: "reduce", Node: node,
 		Start: time.Duration(taskStart), End: time.Duration(p.Now()),
@@ -1056,18 +547,18 @@ func (r *run) runReduceTask(ridx, node int) (res *reduceResult) {
 	return res
 }
 
-// expectedReducerBytes estimates |D_r| from the input size and Km.
-func (r *run) expectedReducerBytes() int64 {
-	return int64(float64(r.inputBytesEst) * r.spec.Hints.Km / float64(r.numReducers))
-}
-
-// expectedReducerStateBytes estimates Δ at one reducer.
-func (r *run) expectedReducerStateBytes() int64 {
-	stateSize := int64(64)
-	if inc, ok := r.spec.Query.(mr.Incremental); ok {
-		stateSize = int64(inc.StateSize() + 24)
+// afterFeed runs what follows every consumed unit on both reduce
+// paths: due HOP snapshots (the barrier pins map progress at 1) and
+// sort-merge's multi-pass merge trigger.
+func (r *run) afterFeed(red *engine.TaskReducer, sink func(physBytes int64)) {
+	for red.SnapshotDue(1) {
+		var records int64
+		red.Snapshot(&engine.SnapshotWriter{Sink: sink, Records: &records})
+		r.snapshotRecords.Add(records)
 	}
-	return r.spec.Hints.DistinctKeys * stateSize / int64(r.numReducers)
+	if red.MergeDue() {
+		red.Merge()
+	}
 }
 
 // report assembles the engine.Report. All answer-stable fields are sums
@@ -1140,11 +631,11 @@ func (r *run) report(mapDone, mapExtra []*mapResult, redDone, redExtra []*reduce
 	for _, rres := range redDone {
 		c.Add(rres.store.Counters())
 		reduceCPU += rres.ledger
-		rep.OutputRecords += rres.outRecords
+		rep.OutputRecords += rres.out.Records
 		rep.ApproxKeys += rres.approxKeys
 		rep.IORetries += rres.store.IORetries()
 		rep.CorruptFramesDetected += rres.store.CorruptFramesDetected()
-		rep.Outputs = append(rep.Outputs, rres.outputs...)
+		rep.Outputs = append(rep.Outputs, rres.out.Rows...)
 		rep.Spans = append(rep.Spans, rres.span)
 	}
 	for _, rres := range redExtra {

@@ -9,9 +9,7 @@ package reference
 
 import (
 	"bytes"
-	"fmt"
 	"sort"
-	"strconv"
 
 	"repro/internal/dfs"
 	"repro/internal/mr"
@@ -113,22 +111,6 @@ func RunWithWatermarks(q mr.Query, input dfs.Input) ([]Output, int64) {
 		w.AdvanceWatermark(wm)
 	}
 	return Run(q, input), wm
-}
-
-// Sums aggregates integer output values per key — the canonical
-// comparison for queries with update semantics (windowed counts emit
-// supplements for late records): per-key sums are exact on every
-// platform even when emit boundaries differ.
-func Sums(outs []Output) (map[string]int64, error) {
-	sums := make(map[string]int64, len(outs))
-	for _, o := range outs {
-		n, err := strconv.ParseInt(o.Value, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("reference: non-integer value %q for key %q", o.Value, o.Key)
-		}
-		sums[o.Key] += n
-	}
-	return sums, nil
 }
 
 // Keys returns the distinct output keys, sorted.

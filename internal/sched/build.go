@@ -7,12 +7,10 @@ import (
 	"time"
 
 	"repro/internal/cost"
-	"repro/internal/dfs"
 	"repro/internal/engine"
 	"repro/internal/mr"
 	"repro/internal/queries"
 	"repro/internal/realexec"
-	"repro/internal/workload"
 )
 
 // Executor runs one job to completion. resume is non-nil when the run
@@ -32,15 +30,16 @@ type ResumeInfo struct {
 }
 
 // BuildJob translates a normalized, validated JobSpec into the engine
-// job plus the query factory the real backend needs. It mirrors
-// cmd/onepass's construction so a scheduled run and a direct CLI run
-// of the same spec produce bit-identical answer-stable Reports.
+// job plus the query factory the real backend needs. The query, hints
+// and input come from the same catalogue cmd/onepass resolves through
+// (queries.Resolve), so a scheduled run and a direct CLI run of the
+// same spec produce bit-identical answer-stable Reports.
 func BuildJob(s JobSpec) (engine.JobSpec, func() mr.Query, error) {
-	scale, err := ParseScale(s.Scale)
+	scale, err := cost.ParseScale(s.Scale)
 	if err != nil {
 		return engine.JobSpec{}, nil, err
 	}
-	platform, err := ParsePlatform(s.Platform)
+	platform, err := engine.ParsePlatform(s.Platform)
 	if err != nil {
 		return engine.JobSpec{}, nil, err
 	}
@@ -59,55 +58,26 @@ func BuildJob(s JobSpec) (engine.JobSpec, func() mr.Query, error) {
 	}
 	cluster.Parallelism = s.Workers
 
-	hints := mr.Hints{Km: 1, DistinctKeys: int64(s.Users)}
-	var newQuery func() mr.Query
-	var input dfs.Input
-	switch s.Query {
-	case "sessionization":
-		newQuery = func() mr.Query {
-			return queries.NewSessionization(5*time.Minute, s.StateBytes, 5*time.Second)
-		}
-		hints.Km = 1.15
-	case "clickcount":
-		newQuery = queries.NewClickCount
-		hints.Km = 0.01
-	case "frequsers":
-		newQuery = func() mr.Query { return queries.NewFrequentUsers(50) }
-		hints.Km = 0.01
-	case "pagefreq":
-		newQuery = queries.NewPageFrequency
-		hints.Km = 0.01
-		hints.DistinctKeys = 20_000
-	case "trigram":
-		newQuery = func() mr.Query { return queries.NewTrigramCount(1000) }
-		hints.Km = 3
-		hints.DistinctKeys = 12_000_000
-		doc := workload.DefaultDocSpec(m.ScaleBytes(int64(s.DataBytes)), m.ScaleBytes(int64(s.ChunkBytes)), s.Seed)
-		input = workload.NewDocCorpus(doc)
-	default:
-		return engine.JobSpec{}, nil, fmt.Errorf("unknown query %q", s.Query)
-	}
-	if hints.Kr == 0 && hints.DistinctKeys > 0 {
-		hints.Kr = 24 * float64(hints.DistinctKeys) / s.DataBytes
-	}
-	if input == nil {
-		click := workload.DefaultClickSpec(m.ScaleBytes(int64(s.DataBytes)), m.ScaleBytes(int64(s.ChunkBytes)), s.Seed)
-		click.Users = s.Users
-		input = workload.NewClickStream(click)
+	plan, err := queries.Resolve(s.Query, queries.Sizing{
+		StateBytes: s.StateBytes, Users: s.Users,
+		DataBytes: s.DataBytes, ChunkBytes: s.ChunkBytes, Seed: s.Seed,
+	}, m)
+	if err != nil {
+		return engine.JobSpec{}, nil, err
 	}
 
 	job := engine.JobSpec{
-		Input:           input,
+		Input:           plan.Input,
 		Platform:        platform,
 		Cluster:         cluster,
-		Hints:           hints,
+		Hints:           plan.Hints,
 		ScanEvery:       4096,
 		Seed:            s.Seed,
 		CheckpointEvery: time.Duration(s.CheckpointEvery),
 		NodeCombine:     combMode,
 		AggFanIn:        s.AggFanIn,
 	}
-	return job, newQuery, nil
+	return job, plan.NewQuery, nil
 }
 
 // EngineExecutor executes jobs on the platform engine, honoring

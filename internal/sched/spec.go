@@ -11,11 +11,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/cost"
 	"repro/internal/engine"
+	"repro/internal/queries"
 )
 
 // Duration marshals as a human-readable duration string ("2m30s") and
@@ -102,14 +103,6 @@ type JobSpec struct {
 	Cron string `json:"cron,omitempty"`
 }
 
-// Known spec vocabularies.
-var (
-	// Queries lists the standard query names Validate accepts.
-	Queries = []string{"sessionization", "clickcount", "frequsers", "pagefreq", "trigram"}
-	// Platforms lists the platform names Validate accepts.
-	Platforms = []string{"sm", "hop", "mr-hash", "inc-hash", "dinc-hash"}
-)
-
 // Normalize fills defaulted fields in place.
 func (s *JobSpec) Normalize() {
 	if s.Platform == "" {
@@ -149,16 +142,16 @@ func (s *JobSpec) Validate() error {
 	if s.Org == "" {
 		return errors.New("spec: org is required")
 	}
-	if !contains(Queries, s.Query) {
-		return fmt.Errorf("spec: unknown query %q (want one of %s)", s.Query, strings.Join(Queries, "|"))
+	if !contains(queries.Names, s.Query) {
+		return fmt.Errorf("spec: unknown query %q (want one of %s)", s.Query, strings.Join(queries.Names, "|"))
 	}
-	if _, err := ParsePlatform(s.Platform); err != nil {
+	if _, err := engine.ParsePlatform(s.Platform); err != nil {
 		return fmt.Errorf("spec: %w", err)
 	}
 	if s.Backend != "sim" && s.Backend != "real" {
 		return fmt.Errorf("spec: unknown backend %q (want sim or real)", s.Backend)
 	}
-	if _, err := ParseScale(s.Scale); err != nil {
+	if _, err := cost.ParseScale(s.Scale); err != nil {
 		return fmt.Errorf("spec: %w", err)
 	}
 	if s.DataBytes <= 0 || s.ChunkBytes <= 0 {
@@ -188,40 +181,6 @@ func contains(set []string, v string) bool {
 		}
 	}
 	return false
-}
-
-// ParsePlatform maps a platform name to the engine constant.
-func ParsePlatform(s string) (engine.Platform, error) {
-	switch strings.ToLower(s) {
-	case "sm", "sortmerge", "1-pass-sm":
-		return engine.SortMerge, nil
-	case "hop":
-		return engine.HOP, nil
-	case "mr-hash", "mrhash":
-		return engine.MRHash, nil
-	case "inc-hash", "inchash":
-		return engine.INCHash, nil
-	case "dinc-hash", "dinchash":
-		return engine.DINCHash, nil
-	}
-	return 0, fmt.Errorf("unknown platform %q", s)
-}
-
-// ParseScale parses "1/4096" or a bare float.
-func ParseScale(s string) (float64, error) {
-	if num, den, ok := strings.Cut(s, "/"); ok {
-		n, err1 := strconv.ParseFloat(strings.TrimSpace(num), 64)
-		d, err2 := strconv.ParseFloat(strings.TrimSpace(den), 64)
-		if err1 != nil || err2 != nil || d == 0 {
-			return 0, fmt.Errorf("bad scale %q", s)
-		}
-		return n / d, nil
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad scale %q", s)
-	}
-	return v, nil
 }
 
 // Job and run lifecycle states.

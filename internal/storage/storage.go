@@ -87,16 +87,6 @@ func (c *Counters) Add(o *Counters) {
 	}
 }
 
-// TotalOverheadBytes returns the checksum-framing bytes across all
-// classes.
-func (c *Counters) TotalOverheadBytes() int64 {
-	var t int64
-	for i := 0; i < int(NumIOClasses); i++ {
-		t += c.OverheadBytes[i]
-	}
-	return t
-}
-
 // TotalBytes returns all bytes read plus written (the model's U, plus
 // shuffle reads).
 func (c *Counters) TotalBytes() int64 {

@@ -135,6 +135,13 @@ func ParseNodeCombineMode(s string) (NodeCombineMode, error) {
 	return engine.ParseNodeCombineMode(s)
 }
 
+// ParsePlatform parses the -platform flag spelling
+// (sm|hop|mr-hash|inc-hash|dinc-hash, and aliases).
+func ParsePlatform(s string) (Platform, error) { return engine.ParsePlatform(s) }
+
+// ParseScale parses the -scale flag spelling ("1/4096" or a float).
+func ParseScale(s string) (float64, error) { return cost.ParseScale(s) }
+
 // ModelNodeCombineThreshold is the predicted shuffle-saving fraction
 // above which NodeCombineAuto enables the stage.
 const ModelNodeCombineThreshold = model.NodeCombineThreshold
@@ -211,6 +218,21 @@ func DefaultModel(scale float64) CostModel { return cost.Default(scale) }
 // given cost model: 10 nodes × 4 cores, 4 map + 4 reduce slots, R=4,
 // 140MB map buffers, 500MB reduce buffers.
 func PaperCluster(m CostModel) Cluster { return engine.PaperCluster(m) }
+
+// The named-query catalogue (see internal/queries): what the CLI, the
+// scheduler and the daemon all resolve a query name through.
+type (
+	// QuerySizing is the run a catalogue query is resolved for.
+	QuerySizing = queries.Sizing
+	// QueryPlan is a resolved entry: factory, hints and input.
+	QueryPlan = queries.Plan
+)
+
+// ResolveQuery looks a query up in the catalogue by name
+// (sessionization|clickcount|frequsers|pagefreq|trigram).
+func ResolveQuery(name string, z QuerySizing, m CostModel) (QueryPlan, error) {
+	return queries.Resolve(name, z, m)
+}
 
 // SyntheticClickStream builds the WorldCup-like click stream input.
 func SyntheticClickStream(spec ClickStreamSpec) *workload.ClickStream {
