@@ -471,7 +471,8 @@ func TestHashMapCollectorRaw(t *testing.T) {
 		for i := 0; i < 1000; i++ {
 			c.Add([]byte(fmt.Sprintf("key%04d", i%100)), []byte("v"))
 		}
-		parts, mapped, emitted := c.Finish()
+		out, mapped, emitted := c.Finish()
+		parts := out.Segs
 		if mapped != 1000 || emitted != 1000 {
 			t.Fatalf("mapped=%d emitted=%d", mapped, emitted)
 		}
@@ -519,7 +520,8 @@ func TestHashMapCollectorCombining(t *testing.T) {
 		for i := 0; i < 9000; i++ {
 			c.Add([]byte(fmt.Sprintf("key%02d", i%30)), []byte("1"))
 		}
-		parts, mapped, emitted := c.Finish()
+		out, mapped, emitted := c.Finish()
+		parts := out.Segs
 		if mapped != 9000 {
 			t.Fatalf("mapped=%d", mapped)
 		}
@@ -559,7 +561,8 @@ func TestHashMapCollectorOverflowSegments(t *testing.T) {
 		for i := 0; i < 3000; i++ {
 			c.Add([]byte(fmt.Sprintf("key%06d", i)), []byte("payload-payload"))
 		}
-		parts, _, emitted := c.Finish()
+		out, _, emitted := c.Finish()
+		parts := out.Segs
 		if emitted != 3000 {
 			t.Fatalf("emitted=%d", emitted)
 		}

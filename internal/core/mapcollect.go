@@ -245,13 +245,13 @@ func (c *HashMapCollector) appendSegments(segs [][]byte) {
 
 // Finish flushes remaining state and returns the per-partition
 // segments plus the record counts (collected, emitted).
-func (c *HashMapCollector) Finish() (parts [][][]byte, mapped, emitted int64) {
+func (c *HashMapCollector) Finish() (out MapParts, mapped, emitted int64) {
 	if c.inc != nil || c.comb != nil {
 		c.flushTable()
 	} else {
 		c.flushRaw()
 	}
-	return c.parts, c.mapped, c.outRecs
+	return MapParts{Segs: c.parts}, c.mapped, c.outRecs
 }
 
 // sliceIter adapts [][]byte to kvenc.ValueIter.

@@ -36,7 +36,7 @@ type NodeCombiner struct {
 	table    *bytestore.Table
 	inPairs  int64
 	outPairs int64
-	parts    [][][]byte // finished segments per partition
+	out      MapParts // finished segments per partition, with their pair counts
 
 	pk []byte // partition-prefix scratch
 }
@@ -57,7 +57,7 @@ func NewNodeCombiner(rt *Runtime, q mr.Query, r int, budget int64, incremental, 
 		r:      r,
 		budget: budget,
 		sorted: sorted,
-		parts:  make([][][]byte, r),
+		out:    MapParts{Segs: make([][][]byte, r), Recs: make([][]int64, r)},
 	}
 	inc, isInc := q.(mr.Incremental)
 	comb, isComb := q.(mr.Combiner)
@@ -175,11 +175,11 @@ func (nc *NodeCombiner) flushTable() {
 			})
 		}
 		if nc.sorted && len(seg) > 0 {
-			seg, _ = nc.rt.SortStreamTo(nil, seg)
+			seg, _ = nc.rt.SortStream(seg)
 		}
 		segs[part], counts[part] = seg, n
 	}
-	// In sorted mode encode runs serially so SortStreamTo can shard
+	// In sorted mode encode runs serially so SortStream can shard
 	// each partition's sort onto the pool itself (no nested fan-out).
 	if nc.rt.P != nil && !nc.sorted {
 		nc.rt.P.ParallelFor(nc.r, encode)
@@ -190,7 +190,8 @@ func (nc *NodeCombiner) flushTable() {
 	}
 	for part, seg := range segs {
 		if len(seg) > 0 {
-			nc.parts[part] = append(nc.parts[part], seg)
+			nc.out.Segs[part] = append(nc.out.Segs[part], seg)
+			nc.out.Recs[part] = append(nc.out.Recs[part], counts[part])
 		}
 		if nc.sorted {
 			nc.rt.ChargeCPU(nc.rt.Model.CPUSort(counts[part]))
@@ -202,7 +203,7 @@ func (nc *NodeCombiner) flushTable() {
 
 // Finish flushes remaining table state and returns the merged run:
 // per-partition segments plus the absorbed and emitted pair counts.
-func (nc *NodeCombiner) Finish() (parts [][][]byte, inPairs, outPairs int64) {
+func (nc *NodeCombiner) Finish() (out MapParts, inPairs, outPairs int64) {
 	nc.flushTable()
-	return nc.parts, nc.inPairs, nc.outPairs
+	return nc.out, nc.inPairs, nc.outPairs
 }

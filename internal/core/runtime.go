@@ -50,6 +50,20 @@ type Runtime struct {
 	FnRecords func(n int64)
 }
 
+// MapParts is one unit of partitioned map output: what a map-side
+// collector finishes with and a shuffle unit carries to the reducers.
+type MapParts struct {
+	Segs [][][]byte // each partition's encoded segments
+	// Recs is each segment's pair count, parallel to Segs: sort-merge
+	// reducers price their merges from it instead of re-scanning. Nil
+	// from the hash collectors, whose reducers count as they insert.
+	Recs [][]int64
+	// Backing, when non-nil, is the one exact-size allocation the
+	// segments are adjacent ranges of, in partition order: the map
+	// output file adopts it instead of gathering a copy.
+	Backing []byte
+}
+
 // parallelSortMin is the stream size below which sharding a sort onto
 // the compute pool costs more than it saves.
 const parallelSortMin = 64 << 10
@@ -62,23 +76,16 @@ const parallelSortMin = 64 << 10
 // is charged by the caller exactly as for the serial sort: the charge
 // depends on the pair count, not on how the real work was scheduled.
 func (rt *Runtime) SortStream(data []byte) ([]byte, int) {
-	return rt.SortStreamTo(nil, data)
-}
-
-// SortStreamTo is SortStream appending the sorted stream to dst
-// (which may be a recycled buffer from bytestore.Get). Shard scratch
-// buffers are recycled internally.
-func (rt *Runtime) SortStreamTo(dst, data []byte) ([]byte, int) {
 	w := 1
 	if rt.P != nil {
 		w = rt.P.Workers()
 	}
 	if w <= 1 || len(data) < parallelSortMin {
-		return kvenc.SortStreamTo(dst, data)
+		return kvenc.SortStream(data)
 	}
 	pieces := kvenc.SplitStream(data, w)
 	if len(pieces) <= 1 {
-		return kvenc.SortStreamTo(dst, data)
+		return kvenc.SortStream(data)
 	}
 	sorted := make([][]byte, len(pieces))
 	counts := make([]int, len(pieces))
@@ -89,7 +96,7 @@ func (rt *Runtime) SortStreamTo(dst, data []byte) ([]byte, int) {
 	for _, c := range counts {
 		n += c
 	}
-	merged, err := kvenc.MergeStreamTo(dst, sorted)
+	merged, err := kvenc.MergeStreamChecked(sorted)
 	if err != nil {
 		// The shards were just produced in memory by SortStream; a
 		// corrupt shard is a bug, never a recoverable disk fault.

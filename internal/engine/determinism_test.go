@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -63,6 +65,115 @@ func TestParallelismDoesNotChangeReports(t *testing.T) {
 			if !reflect.DeepEqual(serial1, par) {
 				t.Fatalf("%v: Workers=%d report differs from serial run: %s", pl, w, ReportDiff(serial1, par))
 			}
+		}
+	}
+}
+
+// TestOffloadedPathsAcrossWorkerCounts is the worker-count differential
+// for the kernels that run offloaded beside their own charge: the
+// map-side sort → combine → split (also HOP's pushed spills, and the
+// external sort when C·Km > B_m), the reducer's shuffle-buffer merge
+// (with and without a combiner) and the multi-pass merge. Reports and
+// outputs must be DeepEqual for Parallelism 1 vs. 2, 4 and 8, also when
+// a node dies inside an offloaded charge (the merge and sort constants
+// are inflated so those charges dominate virtual time, and the kill
+// instants sweep the shuffle) and when reduce attempts are failed and
+// restarted; afterwards no goroutine is left behind. Run under -race,
+// this is also what shows the offloaded closures share nothing with
+// their charges.
+func TestOffloadedPathsAcrossWorkerCounts(t *testing.T) {
+	m := testModel()
+	m.CPUSortCmp *= 20
+	m.CPUMergeRecord *= 50
+	m.CPUCombine *= 20
+	input := testClicks(t, 192<<10, 12<<10)
+	base := runtime.NumGoroutine()
+	type variant struct {
+		name   string
+		pl     Platform
+		combo  bool // clickcount (combiner) instead of sessionization
+		mapBuf int64
+		faults func(clean *Report) FaultPlan
+	}
+	kill := func(at float64) func(*Report) FaultPlan {
+		return func(clean *Report) FaultPlan {
+			mf := clean.MapFinishTime
+			return FaultPlan{
+				KillNodes:         map[int]time.Duration{1: mf/2 + time.Duration(at*float64(clean.RunningTime-mf/2))},
+				HeartbeatInterval: mf / 100,
+				HeartbeatTimeout:  mf / 25,
+			}
+		}
+	}
+	variants := []variant{
+		{name: "sm/sessionization", pl: SortMerge},
+		{name: "sm/clickcount", pl: SortMerge, combo: true},
+		{name: "sm/sessionization/external-sort", pl: SortMerge, mapBuf: 4 << 10},
+		{name: "hop/sessionization", pl: HOP, mapBuf: 4 << 10},
+		{name: "hop/clickcount", pl: HOP, combo: true, mapBuf: 4 << 10},
+		{name: "sm/clickcount/reduce-failures", pl: SortMerge, combo: true,
+			faults: func(*Report) FaultPlan { return FaultPlan{ReduceFailures: map[int]int{0: 1, 3: 2}} }},
+	}
+	for _, at := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
+		variants = append(variants,
+			variant{name: fmt.Sprintf("sm/sessionization/kill@%.1f", at), pl: SortMerge, faults: kill(at)},
+			variant{name: fmt.Sprintf("sm/clickcount/kill@%.1f", at), pl: SortMerge, combo: true, faults: kill(at)})
+	}
+	lost := 0
+	for _, v := range variants {
+		spec := func(workers int) JobSpec {
+			c := testCluster(m)
+			c.ReduceBuffer = 16 << 10 // force reduce-side spills …
+			if v.combo {
+				c.ReduceBuffer = 1 << 10 // (map-side combining leaves little to shuffle)
+			}
+			c.MergeFactor = 3 // … and multi-pass merges of them
+			c.Page = 1 << 10
+			c.Parallelism = workers
+			if v.mapBuf > 0 {
+				c.MapBuffer = v.mapBuf
+			}
+			s := JobSpec{Input: input, Platform: v.pl, Cluster: c, Seed: 7}
+			if v.combo {
+				s.Query, s.Hints = queries.NewClickCount(), mr.Hints{Km: 0.1, DistinctKeys: 400}
+			} else {
+				s.Query = queries.NewSessionization(5*time.Minute, 512, 5*time.Second)
+				s.Hints = mr.Hints{Km: 1, DistinctKeys: 400}
+			}
+			return s
+		}
+		var plan FaultPlan
+		if v.faults != nil {
+			plan = v.faults(runJob(t, spec(1)))
+		}
+		run := func(workers int) *Report {
+			s := spec(workers)
+			s.Faults = plan
+			rep := runJob(t, s)
+			rep.Workers, rep.WallTime = 0, 0
+			return rep
+		}
+		serial := run(1)
+		if len(serial.Outputs) == 0 {
+			t.Fatalf("%s: no outputs collected", v.name)
+		}
+		if serial.ReduceSpillBytes == 0 {
+			t.Fatalf("%s: test setup: the reducers never spilled", v.name)
+		}
+		kinds := spanKinds(serial)
+		lost += kinds["map-lost"] + kinds["reduce-lost"]
+		for _, w := range []int{2, 4, 8} {
+			if par := run(w); !reflect.DeepEqual(serial, par) {
+				t.Fatalf("%s: Parallelism=%d report differs from serial run: %s", v.name, w, ReportDiff(serial, par))
+			}
+		}
+	}
+	if lost == 0 {
+		t.Fatal("test setup: no kill instant aborted an attempt mid-flight")
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the runs, %d before", runtime.NumGoroutine(), base)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/mr"
 	"repro/internal/sim"
@@ -152,8 +153,8 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 
 	hop := j.spec.Platform == HOP
 	body := NewMapBody(&j.spec, j.newRuntime(p, n, &ledger), j.spec.Query, chunk, attempt,
-		func(name string, _ int, parts [][][]byte, emitted int64) {
-			j.publishMapOutput(p, n, name, -1, nil, parts, emitted)
+		func(name string, _ int, out core.MapParts) {
+			j.publishMapOutput(p, n, name, -1, nil, out)
 		})
 	var observe func(ts int64)
 	if wm, ok := j.spec.Query.(mr.Watermarker); ok {
@@ -225,7 +226,7 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 		if j.mapsDone == j.totalMaps {
 			j.mapFinish = p.Now()
 		}
-		j.combine.deposit(chunk, n, parts, emitted)
+		j.combine.deposit(chunk, n, parts.Segs)
 		return mapDone, p.Now() - start
 	}
 	if !hop {
@@ -234,7 +235,7 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 			// backup cannot double-publish.
 			tr.mstates[chunk].done = true
 		}
-		o := j.publishMapOutput(p, n, fmt.Sprintf("map%06d.a%d.out", chunk, attempt), chunk, nil, parts, emitted)
+		o := j.publishMapOutput(p, n, fmt.Sprintf("map%06d.a%d.out", chunk, attempt), chunk, nil, parts)
 		if tr := j.tracker; tr != nil {
 			ms := tr.mstates[chunk]
 			if n.declaredDead {
@@ -269,8 +270,8 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 // shuffle service. task is the map task index (-1 for HOP spill
 // pushes, which are never re-executed, and for node-combined runs,
 // which instead carry the covered task set in tasks).
-func (j *job) publishMapOutput(p substrate.Proc, n *node, name string, task int, tasks []int, parts [][][]byte, records int64) *mapOutput {
-	o := &mapOutput{node: n, task: task, tasks: tasks, parts: parts, records: records}
+func (j *job) publishMapOutput(p substrate.Proc, n *node, name string, task int, tasks []int, parts core.MapParts) *mapOutput {
+	o := &mapOutput{node: n, task: task, tasks: tasks, parts: parts}
 	o.file, o.partBytes, o.partOff = WriteMapOutput(p, n.store, name, parts)
 	for _, b := range o.partBytes {
 		j.shuffleByNode[n.idx] += b

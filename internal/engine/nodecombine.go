@@ -28,16 +28,15 @@ import (
 // ncDeposit is one map task's finished output parked at its node's
 // combiner instead of entering the shuffle.
 type ncDeposit struct {
-	chunk   int
-	parts   [][][]byte
-	records int64
-	bytes   int64 // physical encoded bytes across all partitions
+	chunk int
+	parts [][][]byte // the output's segments; the fold counts pairs itself
+	bytes int64      // physical encoded bytes across all partitions
 }
 
 // ncRun is one folded run (tier 1: a node's deposits; tier 2: a
 // group's node runs) awaiting aggregation or publication.
 type ncRun struct {
-	parts    [][][]byte
+	parts    core.MapParts
 	outPairs int64
 	bytes    int64
 }
@@ -113,8 +112,8 @@ func newCombinePlan(j *job, assign dfs.Assignment) *combinePlan {
 
 // deposit parks one finished map task output at its node's combiner.
 // The node's last deposit spawns the node fold.
-func (pl *combinePlan) deposit(chunk int, n *node, parts [][][]byte, records int64) {
-	d := &ncDeposit{chunk: chunk, parts: parts, records: records, bytes: PartsBytes(parts)}
+func (pl *combinePlan) deposit(chunk int, n *node, parts [][][]byte) {
+	d := &ncDeposit{chunk: chunk, parts: parts, bytes: PartsBytes(parts)}
 	nn := pl.byNode[n.idx]
 	nn.deposits = append(nn.deposits, d)
 	pl.groupOf[n.idx].deposited += d.bytes
@@ -148,7 +147,7 @@ func (pl *combinePlan) foldNode(p *sim.Proc, nn *ncNode) {
 	nn.deposits = nil
 	parts, inPairs, outPairs := nc.Finish()
 	j.ncInRecords += inPairs
-	nn.run = &ncRun{parts: parts, outPairs: outPairs, bytes: PartsBytes(parts)}
+	nn.run = &ncRun{parts: parts, outPairs: outPairs, bytes: PartsBytes(parts.Segs)}
 	j.mapCPU += ledger
 
 	g := pl.groupOf[nn.node.idx]
@@ -184,13 +183,13 @@ func (pl *combinePlan) foldGroup(p *sim.Proc, g *ncGroup) {
 		if nn.node != agg && nn.run.bytes > 0 {
 			p.Use(agg.nic, 1, m.NetTime(nn.run.bytes))
 		}
-		pairs := nc.Absorb(nn.run.parts)
+		pairs := nc.Absorb(nn.run.parts.Segs)
 		agg.chargeCPU(p, foldCPU(j, pairs), &ledger)
 		nn.run = nil
 	}
 	parts, _, outPairs := nc.Finish()
 	j.mapCPU += ledger
-	pl.publishRun(p, g, agg, &ncRun{parts: parts, outPairs: outPairs, bytes: PartsBytes(parts)})
+	pl.publishRun(p, g, agg, &ncRun{parts: parts, outPairs: outPairs, bytes: PartsBytes(parts.Segs)})
 }
 
 // publishRun enters the group's merged run into the shuffle as one
@@ -199,7 +198,7 @@ func (pl *combinePlan) foldGroup(p *sim.Proc, g *ncGroup) {
 // no reducer can conclude the stream ended before the run appeared).
 func (pl *combinePlan) publishRun(p *sim.Proc, g *ncGroup, n *node, run *ncRun) {
 	j := pl.j
-	o := j.publishMapOutput(p, n, fmt.Sprintf("ncomb.g%03d.out", g.idx), -1, g.tasks, run.parts, run.outPairs)
+	o := j.publishMapOutput(p, n, fmt.Sprintf("ncomb.g%03d.out", g.idx), -1, g.tasks, run.parts)
 	j.ncOutRecords += run.outPairs
 	var published int64
 	for _, b := range o.partBytes {

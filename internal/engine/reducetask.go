@@ -242,7 +242,7 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 			} else {
 				rs.everFetched[outputTask(o)] = true
 			}
-			red.Feed(o.parts[ridx], size, o.task)
+			red.Feed(o.parts, ridx, size, o.task)
 		}
 		if o.tasks != nil {
 			for _, task := range o.tasks {
@@ -384,7 +384,7 @@ func (j *job) runReduceLegacy(p *sim.Proc, ridx int, n *node) {
 				j.diskFetches++
 				o.node.store.ReadAt(p, o.file, o.partOff[ridx], size, storage.ShuffleRead)
 			}
-			red.Feed(o.parts[ridx], size, o.task)
+			red.Feed(o.parts, ridx, size, o.task)
 		}
 		j.fetchesDone++
 		j.shuffle.release(o)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -9,17 +10,14 @@ import (
 // completed map task (sort-merge, hash), or one pushed spill (HOP
 // pipelining, where mappers publish eagerly at spill granularity).
 type mapOutput struct {
-	id   int
 	node *node
 
-	parts     [][][]byte // per partition: list of encoded segments
+	parts     core.MapParts // per partition: encoded segments and their pair counts
 	partBytes []int64
 	partOff   []int64 // byte offset of each partition in file
 	file      *storage.File
 
-	records  int64 // pairs across all partitions
 	inMemory bool
-	fetches  int
 	refs     int // partitions not yet fetched by all reducers
 
 	// task is the map task index this output came from (-1 for HOP
@@ -62,7 +60,6 @@ func newShuffleService(k *sim.Kernel, mappers, reducers int) *shuffleService {
 
 // publish makes a map output unit available to reducers.
 func (s *shuffleService) publish(o *mapOutput) {
-	o.id = len(s.outputs)
 	o.refs = s.reducers
 	s.outputs = append(s.outputs, o)
 	s.cond.Broadcast()
@@ -100,7 +97,7 @@ func (s *shuffleService) release(o *mapOutput) {
 			o.node.store.Delete(o.file)
 			o.file = nil
 		}
-		o.parts = nil
+		o.parts = core.MapParts{}
 	}
 }
 

@@ -22,10 +22,11 @@ import (
 // substrates issue the same charges in the same order by construction.
 
 // MapCollector abstracts the map-output components: sort-merge's Map
-// Output Buffer, the Hash-based Map Output, and HOP's spill pusher.
+// Output Buffer (which on HOP pushes its spills) and the Hash-based Map
+// Output.
 type MapCollector interface {
 	Add(key, val []byte)
-	Finish() (parts [][][]byte, mapped, emitted int64)
+	Finish() (out core.MapParts, mapped, emitted int64)
 }
 
 // MapBody is the work of one map attempt over one chunk: the platform
@@ -52,26 +53,31 @@ type MapBody struct {
 // spill is handed to push (seq 1, 2, …) instead of accumulating; push
 // is unused on the other platforms.
 func NewMapBody(spec *JobSpec, rt *core.Runtime, q mr.Query, chunk, attempt int,
-	push func(name string, seq int, parts [][][]byte, emitted int64)) *MapBody {
+	push func(name string, seq int, out core.MapParts)) *MapBody {
 	cfg := &spec.Cluster
 	b := &MapBody{spec: spec, rt: rt, q: q, chunk: chunk}
 	b.wm, _ = q.(mr.Watermarker)
 	numReducers := cfg.R * cfg.Nodes
 	switch spec.Platform {
-	case SortMerge:
+	case SortMerge, HOP:
 		// Sorting CPU is charged inside the collector at spill time.
-		b.coll = sortmerge.NewMapCollector(rt, q, sortmerge.MapCollectorConfig{
+		mc := sortmerge.MapCollectorConfig{
 			Prefix:      fmt.Sprintf("m%06d.a%d", chunk, attempt),
 			Partitions:  numReducers,
 			Buffer:      cfg.MapBuffer,
 			MergeFactor: cfg.MergeFactor,
 			ReadSegment: cfg.ReadSegment,
-		})
-	case HOP:
-		h := &hopCollector{rt: rt, chunk: chunk, parts: numReducers, buffer: cfg.MapBuffer,
-			h1: rt.Fam.Fn(1), push: push}
-		h.comb, _ = q.(mr.Combiner)
-		b.coll = h
+		}
+		if spec.Platform == HOP {
+			// MapReduce Online-style pipelining: each spill is pushed to
+			// the reducers eagerly, as its own shuffle unit.
+			seq := 0
+			mc.Push = func(out core.MapParts) {
+				seq++
+				push(fmt.Sprintf("map%06d.push%d", chunk, seq), seq, out)
+			}
+		}
+		b.coll = sortmerge.NewMapCollector(rt, q, mc)
 	default:
 		hc := core.NewHashMapCollector(rt, q, numReducers, cfg.MapBuffer, spec.Platform.Incremental())
 		b.coll = hc
@@ -255,32 +261,42 @@ func (b *MapBody) Replay(seg *SegMapResult, observe func(ts int64)) {
 }
 
 // Finish completes the collector: the task's per-partition output
-// segments (nil on HOP, which pushed everything) and its pair counts.
-func (b *MapBody) Finish() (parts [][][]byte, mapped, emitted int64) {
+// segments (none on HOP, which pushed everything) and its pair counts.
+func (b *MapBody) Finish() (out core.MapParts, mapped, emitted int64) {
 	return b.coll.Finish()
 }
 
 // WriteMapOutput writes a map output's per-partition segments to the
 // store as one file (U3, for fault tolerance): one write request, one
 // checksum frame per partition region, so a shuffle read verifies
-// exactly the partition it fetches. It returns the file and each
-// partition's size and offset in it.
-func WriteMapOutput(p substrate.Proc, st *storage.Store, name string, parts [][][]byte) (f *storage.File, partBytes, partOff []int64) {
-	partBytes = make([]int64, len(parts))
-	partOff = make([]int64, len(parts))
-	all := bytestore.Get(int(PartsBytes(parts)))
-	for pi, segs := range parts {
-		partOff[pi] = int64(len(all))
+// exactly the partition it fetches. The file adopts the output's
+// backing buffer — the segments stay readable views of it — or, for a
+// producer without one, a buffer the segments are gathered into here.
+// It returns the file and each partition's size and offset in it.
+func WriteMapOutput(p substrate.Proc, st *storage.Store, name string, out core.MapParts) (f *storage.File, partBytes, partOff []int64) {
+	partBytes = make([]int64, len(out.Segs))
+	partOff = make([]int64, len(out.Segs))
+	var total int64
+	for pi, segs := range out.Segs {
+		partOff[pi] = total
 		for _, s := range segs {
-			all = append(all, s...)
 			partBytes[pi] += int64(len(s))
+		}
+		total += partBytes[pi]
+	}
+	all := out.Backing
+	if all == nil {
+		all = make([]byte, 0, total)
+		for _, segs := range out.Segs {
+			for _, s := range segs {
+				all = append(all, s...)
+			}
 		}
 	}
 	f = st.Create(name, storage.MapOutput)
 	if len(all) > 0 {
-		st.AppendFrames(p, f, all, storage.MapOutput, partBytes)
+		st.AppendOwned(p, f, all, storage.MapOutput, partBytes)
 	}
-	bytestore.Put(all) // AppendFrames copied the bytes into the file
 	return f, partBytes, partOff
 }
 
@@ -293,103 +309,4 @@ func PartsBytes(parts [][][]byte) int64 {
 		}
 	}
 	return b
-}
-
-// hopCollector implements MapReduce Online-style pipelining (§2.2):
-// map output is pushed to reducers eagerly, one sorted spill at a
-// time, and no map-side multi-pass merge happens — the merge work is
-// redistributed to the reducers, which is exactly the paper's
-// characterization of HOP.
-type hopCollector struct {
-	rt     *core.Runtime
-	chunk  int
-	parts  int
-	buffer int64
-	comb   mr.Combiner
-	h1     interface {
-		Bucket(key []byte, n int) int
-	}
-	push func(name string, seq int, parts [][][]byte, emitted int64)
-
-	buf     []byte
-	pk      []byte // partition-prefix scratch, reused across Add calls
-	spills  int
-	mapped  int64
-	emitted int64
-}
-
-// Add implements MapCollector. The partition-prefixed key is built in
-// a reused scratch buffer (AppendPair copies it into the collect
-// buffer immediately).
-func (h *hopCollector) Add(key, val []byte) {
-	h.mapped++
-	part := h.h1.Bucket(key, h.parts)
-	h.pk = append(h.pk[:0], byte(part>>8), byte(part))
-	h.pk = append(h.pk, key...)
-	h.buf = kvenc.AppendPair(h.buf, h.pk, val)
-	if int64(len(h.buf)) >= h.buffer {
-		h.spill()
-	}
-}
-
-// spill sorts the buffer, applies the combiner, and pushes the spill
-// immediately as its own shuffle unit.
-func (h *hopCollector) spill() {
-	if len(h.buf) == 0 {
-		return
-	}
-	model := h.rt.Model
-	sorted, n := h.rt.SortStreamTo(bytestore.Get(len(h.buf)), h.buf)
-	h.rt.ChargeCPU(model.CPUSort(int64(n)))
-	h.buf = h.buf[:0] // collect buffer is recycled in place
-	if h.comb != nil {
-		out := bytestore.Get(len(sorted))
-		var records int64
-		if err := kvenc.MergeGroupsChecked([][]byte{sorted}, func(pk []byte, vals kvenc.ValueIter) bool {
-			grp := &kvenc.CountingIter{Inner: vals}
-			h.comb.Combine(pk[2:], grp, func(v []byte) {
-				out = kvenc.AppendPair(out, pk, v)
-			})
-			records += grp.N
-			return true
-		}); err != nil {
-			panic(fmt.Errorf("engine: corrupt hop spill in map task %d: %w", h.chunk, err))
-		}
-		h.rt.ChargeOps(model.CPUCombine, records)
-		bytestore.Put(sorted)
-		sorted = out
-	}
-	// Split the sorted compound run into per-partition segments.
-	parts := make([][][]byte, h.parts)
-	segs := make([][]byte, h.parts)
-	it := kvenc.NewIterator(sorted)
-	var emitted int64
-	for {
-		pk, v, ok := it.Next()
-		if !ok {
-			break
-		}
-		part := int(pk[0])<<8 | int(pk[1])
-		segs[part] = kvenc.AppendPair(segs[part], pk[2:], v)
-		emitted++
-	}
-	if err := it.Err(); err != nil {
-		panic(fmt.Errorf("engine: corrupt hop spill in map task %d: %w", h.chunk, err))
-	}
-	bytestore.Put(sorted) // per-partition segments copied out above
-	for pi, s := range segs {
-		if len(s) > 0 {
-			parts[pi] = [][]byte{s}
-		}
-	}
-	h.emitted += emitted
-	h.spills++
-	h.push(fmt.Sprintf("map%06d.push%d", h.chunk, h.spills), h.spills, parts, emitted)
-}
-
-// Finish implements MapCollector: HOP publishes incrementally, so the
-// last buffered spill is pushed and no aggregate output remains.
-func (h *hopCollector) Finish() ([][][]byte, int64, int64) {
-	h.spill()
-	return nil, h.mapped, h.emitted
 }

@@ -277,13 +277,16 @@ func NewTaskReducer(spec *JobSpec, rt *core.Runtime, q mr.Query, out *OutputWrit
 // key→state tables (INC-/DINC-hash).
 func (t *TaskReducer) Incremental() bool { return t.inch != nil || t.dinch != nil }
 
-// Feed drives one fetched partition (segs, size bytes in all, from map
-// task `task`) into the reducer and charges the consume CPU.
-func (t *TaskReducer) Feed(segs [][]byte, size int64, task int) {
+// Feed drives one fetched partition (part of out, size bytes in all,
+// from map task `task`) into the reducer and charges the consume CPU.
+// Sort-merge prices its merges from the pair counts the producer
+// carried with the segments; the hash reducers count as they insert.
+func (t *TaskReducer) Feed(out core.MapParts, part int, size int64, task int) {
 	model := t.rt.Model
+	segs := out.Segs[part]
 	if t.smr != nil {
-		for _, seg := range segs {
-			t.smr.Consume(seg)
+		for i, seg := range segs {
+			t.smr.Consume(seg, out.Recs[part][i])
 		}
 		// Merge CPU is charged by the reducer at spill time; reception
 		// itself is a copy.
@@ -341,14 +344,10 @@ func (t *TaskReducer) Snapshot(w *SnapshotWriter) {
 
 // MergeDue reports whether sort-merge's background multi-pass merge
 // trigger has fired.
-func (t *TaskReducer) MergeDue() bool { return t.smr != nil && t.smr.Tree().NeedsMerge() }
+func (t *TaskReducer) MergeDue() bool { return t.smr != nil && t.smr.MergeDue() }
 
 // Merge drives the multi-pass merge until the trigger clears.
-func (t *TaskReducer) Merge() {
-	for t.smr.Tree().NeedsMerge() {
-		t.smr.Tree().MergeOnce(t.rt.P, t.smr.Charger())
-	}
-}
+func (t *TaskReducer) Merge() { t.smr.Merge() }
 
 // PrepareFinal completes sort-merge's remaining multi-pass merge once
 // all map output has arrived (blocking I/O); a no-op on the hash

@@ -147,7 +147,7 @@ func TestTakeCheckpointPricesBucketDeltas(t *testing.T) {
 			k := []byte(fmt.Sprintf("user%05d", i))
 			seg = kvenc.AppendPair(seg, k, inc.Init(k, []byte("1")))
 		}
-		red.Feed([][]byte{seg}, int64(len(seg)), 0)
+		red.Feed(core.MapParts{Segs: [][][]byte{{seg}}}, 0, int64(len(seg)), 0)
 	}
 	ckptCounters := func() (written, read, overhead int64) {
 		c := rt.Store.Counters()
@@ -306,9 +306,9 @@ func mapChunk(t *testing.T, spec *JobSpec, mapAhead bool) (pushed []string, part
 	q := queries.NewClickCount()
 	var hopParts [][][]byte
 	body := NewMapBody(spec, bodyRuntime(spec, &ledger), q, 7, 2,
-		func(name string, seq int, p [][][]byte, emitted int64) {
+		func(name string, seq int, p core.MapParts) {
 			pushed = append(pushed, fmt.Sprintf("%s#%d", name, seq))
-			hopParts = append(hopParts, p...)
+			hopParts = append(hopParts, p.Segs...)
 		})
 	segs := body.Segments(spec.Input.ChunkBytes(0))
 	outs := make([]SegMapResult, len(segs))
@@ -323,7 +323,8 @@ func mapChunk(t *testing.T, spec *JobSpec, mapAhead bool) (pushed []string, part
 		}
 		body.Replay(&outs[i], nil)
 	}
-	parts, mapped, emitted := body.Finish()
+	out, mapped, emitted := body.Finish()
+	parts = out.Segs
 	if spec.Platform == HOP {
 		parts = hopParts
 	}

@@ -23,7 +23,7 @@ func init() {
 func runNodeCombine(c Config) (*Result, error) {
 	c = c.withDefaults()
 	const data = 32e9
-	const rowBytes = 24 // logical bytes per reduced (user, count) row
+	const rowBytes = 24             // logical bytes per reduced (user, count) row
 	sized := float64(c.sized(data)) // hints must describe the data actually run
 	cl := onePassSM(c, data)
 	// Tight reduce memory: the unreduced shuffle must exceed it, the

@@ -88,7 +88,7 @@ func TestScanTailBitFlip(t *testing.T) {
 	payloads := scanPayloads()
 	stream, bounds := buildStream(payloads)
 	frameStart, frameEnd := bounds[1], bounds[2] // the 300-byte frame
-	hdrLen := int64(1 + 2)                      // magic + 2-byte uvarint(300)
+	hdrLen := int64(1 + 2)                       // magic + 2-byte uvarint(300)
 	for off := frameStart; off < frameEnd; off++ {
 		for bit := 0; bit < 8; bit++ {
 			bad := append([]byte(nil), stream...)

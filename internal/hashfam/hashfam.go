@@ -70,20 +70,36 @@ func mulHigh(a, b uint64) uint64 {
 }
 
 // Family is a seeded, indexable family of independent hash functions.
-// Fn(i) is deterministic in (seed, i).
+// Fn(i) is deterministic in (seed, i). A Family is immutable after
+// NewFamily and safe to share across goroutines.
 type Family struct {
 	seed int64
+	// fns memoizes the first functions: every component asks for h1–h3
+	// once per task or table rebuild, and deriving one seeds a PRNG
+	// (a 607-word loop) each time.
+	fns [8]Func
 }
 
 // NewFamily returns the family identified by seed.
 func NewFamily(seed int64) *Family {
-	return &Family{seed: seed}
+	fam := &Family{seed: seed}
+	for i := range fam.fns {
+		fam.fns[i] = fam.derive(i)
+	}
+	return fam
 }
 
 // Fn returns the i-th function of the family (i ≥ 0). The functions
 // for distinct i are generated from disjoint PRNG streams and are
 // independent for the purposes of recursive partitioning.
 func (fam *Family) Fn(i int) Func {
+	if uint(i) < uint(len(fam.fns)) {
+		return fam.fns[i]
+	}
+	return fam.derive(i)
+}
+
+func (fam *Family) derive(i int) Func {
 	rng := rand.New(rand.NewSource(fam.seed ^ int64(i+1)*0x5851f42d4c957f2d))
 	return Func{
 		a0: uint64(rng.Int63())<<1 | 1, // odd

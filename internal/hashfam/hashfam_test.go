@@ -182,3 +182,41 @@ func BenchmarkBucket_16B(b *testing.B) {
 		_ = f.Bucket(key, 40)
 	}
 }
+
+// TestFnPinned pins Fn(0..5) for two seeds to the constants the
+// per-call derivation produced before functions were memoized per
+// Family (generated at commit 4c7735d): partitioning, and so every
+// golden, depends on these bits.
+func TestFnPinned(t *testing.T) {
+	want := map[int64][6]Func{
+		1: {
+			{0xb8268b8f40cf40bb, 0x82e11371e41ef0f1, 0x24d8e557e91ec29c},
+			{0xd4f2d9e23a657dc1, 0xd0f9f1eb7706615, 0x347431de639842da},
+			{0xf176512ce917b3d7, 0x9de53650a35228d9, 0x2a0543cc6463f2d5},
+			{0x43f1d97a94bb0ba9, 0xdbd0aed1a89b22eb, 0x5765669d9044eae0},
+			{0x2bcad643bfc237e3, 0xda2601a98a6feefd, 0x3061a8d48de6c402},
+			{0x7d1650b2f4248fb5, 0xf804cba0db4e2951, 0x37c761b70097dba9},
+		},
+		0x0fa57 ^ 42: {
+			{0x6523076db4031d25, 0x2f59ba629e50fa03, 0x729ea427f561992e},
+			{0xd5a9828cdc4883d, 0x73cf17b3c9f0d9cb, 0x57af228d87319bd2},
+			{0x51cad77661dfabd1, 0x3dfa3494ef3e5ad3, 0x3f6fef5c145d8ef0},
+			{0xa8f0dabbf8968f1f, 0xdcb187a0aa6d73e9, 0x61648e278ba1ab7},
+			{0xc8d2ab7dc5fd35c5, 0x69cfd6a80e7aff5b, 0x3b4617ea462d28a9},
+			{0x82b210e56b0cbdb5, 0x62cdc70d120b8e21, 0x693587453d06196d},
+		},
+	}
+	for seed, fns := range want {
+		fam := NewFamily(seed)
+		for i, w := range fns {
+			if got := fam.Fn(i); got != w {
+				t.Errorf("seed %#x: Fn(%d) = %#x, want %#x", seed, i, got, w)
+			}
+		}
+		// Past the memoized prefix the function is derived on demand,
+		// by the same rule.
+		if i := len(fam.fns) + 3; fam.Fn(i) != fam.derive(i) || fam.Fn(i) == fam.Fn(i+1) {
+			t.Errorf("seed %#x: Fn(%d) past the memo is not derive(%d)", seed, i, i)
+		}
+	}
+}

@@ -35,13 +35,13 @@ func BenchmarkTreeMerge(b *testing.B) {
 		tree := NewTree(st, storage.ReduceSpill, "r0", factor, 0)
 		k.Spawn("reducer", func(p *sim.Proc) {
 			for _, run := range runs {
-				tree.AddRun(p, run)
+				addRun(tree, p, run)
 				for tree.NeedsMerge() {
 					tree.MergeOnce(p, nil)
 				}
 			}
 			tree.Complete(p, nil)
-			kvenc.MergeStream(tree.FinalRuns(p))
+			kvenc.MergeStream(finalRuns(tree, p))
 		})
 		if err := k.Run(); err != nil {
 			b.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/storage"
-	"repro/internal/substrate"
 )
 
 // mergeRef is a pure-arithmetic mirror of the Tree's greedy policy,
@@ -71,7 +70,7 @@ type passCharger struct {
 	records int64
 }
 
-func (c *passCharger) ChargeMerge(_ substrate.Proc, n int64) {
+func (c *passCharger) ChargeMerge(n int64) {
 	c.passes++
 	c.records += n
 }
@@ -101,14 +100,14 @@ func TestMergePolicyMatchesSizeModel(t *testing.T) {
 			for i := 0; i < n; i++ {
 				run := makeRun(rng, b)
 				totalInitial += int64(len(run))
-				tree.AddRun(p, run)
+				addRun(tree, p, run)
 				ref.add(int64(len(run)))
 				for tree.NeedsMerge() {
-					tree.MergeOnce(p, ch)
+					tree.MergeOnce(p, ch.ChargeMerge)
 					ref.mergeOnce()
 				}
 			}
-			tree.Complete(p, ch)
+			tree.Complete(p, ch.ChargeMerge)
 			for ref.needsMerge() {
 				ref.mergeOnce()
 			}
@@ -167,10 +166,10 @@ func TestMergePreservesBytesExactly(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			run := makeRun(rng, 2500)
 			in += int64(len(run))
-			tree.AddRun(p, run)
+			addRun(tree, p, run)
 		}
 		tree.MergeOnce(p, nil)
-		out := kvenc.MergeStream(tree.FinalRuns(p))
+		out := kvenc.MergeStream(finalRuns(tree, p))
 		if int64(len(out)) != in {
 			t.Errorf("merged %d bytes from %d input bytes", len(out), in)
 		}

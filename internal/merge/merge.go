@@ -20,30 +20,30 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/bytestore"
 	"repro/internal/kvenc"
-	"repro/internal/substrate"
 	"repro/internal/storage"
+	"repro/internal/substrate"
 )
 
-// CPUCharger charges virtual CPU time for merge work. It is
-// implemented by the engine (per-node CPU resource + cost model);
-// tests may pass nil for free CPU.
-type CPUCharger interface {
-	// ChargeMerge accounts for moving physRecords records through one
-	// merge pass (read, compare, write).
-	ChargeMerge(p substrate.Proc, physRecords int64)
+// diskRun is one on-disk sorted run and the pairs it holds (merge CPU
+// is charged per pair, from counts carried with the runs rather than
+// re-scans of their bytes).
+type diskRun struct {
+	file *storage.File
+	recs int64
 }
 
 // Tree is the set of on-disk sorted runs of one task, with the
-// multi-pass merge policy.
+// multi-pass merge policy. Files own their bytes: a run handed to
+// AddRun becomes its file's buffer, and reads lend views of it that
+// stay valid after the file is deleted.
 type Tree struct {
 	store  *storage.Store
 	class  storage.IOClass
 	prefix string
 	f      int
 	seg    int64 // read segment size for merge reads (physical bytes)
-	files  []*storage.File
+	files  []diskRun
 	seq    int
 
 	spilledBytes int64 // physical bytes ever written (initial + merged)
@@ -70,17 +70,24 @@ func (t *Tree) SpilledBytes() int64 { return t.spilledBytes }
 // MergedBytes returns physical bytes written by merge passes only.
 func (t *Tree) MergedBytes() int64 { return t.mergedBytes }
 
-// AddRun writes a sorted run to a new spill file. The caller must
-// drive NeedsMerge/MergeOnce (directly or via a background process).
-func (t *Tree) AddRun(p substrate.Proc, run []byte) {
-	if len(run) == 0 {
-		return
+// AddRun writes a sorted run of recs pairs to a new spill file, which
+// takes the buffer over (storage.AppendOwned: pass an exact-size
+// allocation and do not write to it again). The caller must drive
+// NeedsMerge/MergeOnce (directly or via a background process).
+func (t *Tree) AddRun(p substrate.Proc, run []byte, recs int64) {
+	if len(run) > 0 {
+		r := t.write(p, "spill", run, recs) // parks: read t.files only after it
+		t.files = append(t.files, r)
 	}
+}
+
+// write stores run as the next file in the tree's name sequence.
+func (t *Tree) write(p substrate.Proc, kind string, run []byte, recs int64) diskRun {
 	t.seq++
-	f := t.store.Create(fmt.Sprintf("%s.spill%d", t.prefix, t.seq), t.class)
-	t.store.Append(p, f, run, t.class)
+	f := t.store.Create(fmt.Sprintf("%s.%s%d", t.prefix, kind, t.seq), t.class)
+	t.store.AppendOwned(p, f, run, t.class, nil)
 	t.spilledBytes += int64(len(run))
-	t.files = append(t.files, f)
+	return diskRun{f, recs}
 }
 
 // NeedsMerge reports whether the background-merge trigger has fired
@@ -88,62 +95,53 @@ func (t *Tree) AddRun(p substrate.Proc, run []byte) {
 func (t *Tree) NeedsMerge() bool { return len(t.files) >= 2*t.f-1 }
 
 // MergeOnce merges the smallest F files into a new on-disk file,
-// charging reads, CPU, and the write. It returns false if fewer than
-// F files exist (nothing merged).
-func (t *Tree) MergeOnce(p substrate.Proc, cpu CPUCharger) bool {
+// charging reads, CPU, and the write. charge bills the virtual CPU of
+// moving that many records through one pass (read, compare, write);
+// nil means free CPU. It returns false if fewer than F files exist
+// (nothing merged).
+func (t *Tree) MergeOnce(p substrate.Proc, charge func(records int64)) bool {
 	if len(t.files) < t.f {
 		return false
 	}
 	// Pick the F smallest files; ties resolved by age (stable sort on
 	// a copy keeps t.files in creation order).
-	byClass := append([]*storage.File(nil), t.files...)
-	sort.SliceStable(byClass, func(i, j int) bool { return byClass[i].Size() < byClass[j].Size() })
-	victims := byClass[:t.f]
+	bySize := append([]diskRun(nil), t.files...)
+	sort.SliceStable(bySize, func(i, j int) bool { return bySize[i].file.Size() < bySize[j].file.Size() })
+	victims := bySize[:t.f]
 	isVictim := make(map[*storage.File]bool, t.f)
-	for _, v := range victims {
-		isVictim[v] = true
-	}
 
 	runs := make([][]byte, 0, t.f)
 	var records int64
-	var total int
 	for _, v := range victims {
-		data := t.store.ReadAll(p, v, t.seg, t.class)
-		// Copy (into a recycled buffer): the file is deleted below and
-		// its backing array freed.
-		runs = append(runs, append(bytestore.Get(len(data)), data...))
-		total += len(data)
+		isVictim[v.file] = true
+		// A borrowed view: it outlives the Delete below.
+		runs = append(runs, t.store.ReadAll(p, v.file, t.seg, t.class))
+		records += v.recs
 	}
-	merged, err := kvenc.MergeStreamTo(bytestore.Get(total), runs)
+	// The pass itself is pure and its price is known from the inputs'
+	// counts, so it runs beside its own charge.
+	var merged []byte
+	var err error
+	p.Offload(func() { merged, err = kvenc.MergeStreamChecked(runs) }, func() {
+		if charge != nil {
+			charge(records)
+		}
+	})
 	if err != nil {
 		// The frame layer (when on) catches disk corruption before the
 		// bytes reach here; a corrupt run past that point is a bug, not
 		// a recoverable fault — fail loudly, never truncate silently.
 		panic(fmt.Errorf("merge: %s file in %s.* is corrupt: %w", t.class, t.prefix, err))
 	}
-	records = int64(kvenc.Count(merged))
-	if cpu != nil {
-		cpu.ChargeMerge(p, records)
-	}
 
-	t.seq++
-	out := t.store.Create(fmt.Sprintf("%s.merge%d", t.prefix, t.seq), t.class)
-	t.store.Append(p, out, merged, t.class)
-	t.spilledBytes += int64(len(merged))
+	out := t.write(p, "merge", merged, records)
 	t.mergedBytes += int64(len(merged))
-	// Append copied merged into the file; nothing aliases the scratch
-	// buffers anymore.
-	for _, r := range runs {
-		bytestore.Put(r)
-	}
-	bytestore.Put(merged)
-
 	kept := t.files[:0]
-	for _, f := range t.files {
-		if isVictim[f] {
-			t.store.Delete(f)
+	for _, r := range t.files {
+		if isVictim[r.file] {
+			t.store.Delete(r.file)
 		} else {
-			kept = append(kept, f)
+			kept = append(kept, r)
 		}
 	}
 	t.files = append(kept, out)
@@ -153,40 +151,37 @@ func (t *Tree) MergeOnce(p substrate.Proc, cpu CPUCharger) bool {
 // Complete runs merges until the on-disk file count drops below the
 // 2F−1 threshold ("complete the multi-pass merge"). Called after all
 // runs have been added.
-func (t *Tree) Complete(p substrate.Proc, cpu CPUCharger) {
+func (t *Tree) Complete(p substrate.Proc, charge func(records int64)) {
 	for t.NeedsMerge() {
-		if !t.MergeOnce(p, cpu) {
+		if !t.MergeOnce(p, charge) {
 			return
 		}
 	}
 }
 
-// FinalRuns reads every remaining file (charging I/O) and returns
-// their contents for the final streaming merge. The files are then
-// deleted: their bytes have been consumed. The returned runs are
-// recycled buffers: the caller may bytestore.Put each one once the
-// final merge has drained it (optional — unreturned buffers just fall
-// to the GC).
-func (t *Tree) FinalRuns(p substrate.Proc) [][]byte {
-	runs := make([][]byte, 0, len(t.files))
-	for _, f := range t.files {
-		data := t.store.ReadAll(p, f, t.seg, t.class)
-		runs = append(runs, append(bytestore.Get(len(data)), data...))
-		t.store.Delete(f)
+// FinalRuns reads every remaining file (charging I/O) and lends their
+// contents — recs pairs in all — for the final streaming merge. The
+// files are then deleted: their bytes have been consumed, and the lent
+// views are all that keeps them alive.
+func (t *Tree) FinalRuns(p substrate.Proc) (runs [][]byte, recs int64) {
+	runs = make([][]byte, 0, len(t.files))
+	for _, r := range t.files {
+		runs = append(runs, t.store.ReadAll(p, r.file, t.seg, t.class))
+		recs += r.recs
+		t.store.Delete(r.file)
 	}
 	t.files = nil
-	return runs
+	return runs, recs
 }
 
 // PeekRuns reads every current file (charging I/O) without consuming
 // it: the snapshot path of MapReduce Online re-merges the same on-disk
 // runs repeatedly, which is exactly the overhead the paper calls out
-// in §3.3(4).
+// in §3.3(4). The runs are read-only views.
 func (t *Tree) PeekRuns(p substrate.Proc) [][]byte {
 	runs := make([][]byte, 0, len(t.files))
-	for _, f := range t.files {
-		data := t.store.ReadAll(p, f, t.seg, t.class)
-		runs = append(runs, append([]byte(nil), data...))
+	for _, r := range t.files {
+		runs = append(runs, t.store.ReadAll(p, r.file, t.seg, t.class))
 	}
 	return runs
 }

@@ -1,6 +1,7 @@
 package merge
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/storage"
-	"repro/internal/substrate"
 )
 
 // makeRun builds a sorted run of roughly want bytes.
@@ -37,13 +37,13 @@ func runTree(t *testing.T, n, b, f int) (*Tree, []byte) {
 	k.Spawn("reducer", func(p *sim.Proc) {
 		rng := rand.New(rand.NewSource(42))
 		for i := 0; i < n; i++ {
-			tree.AddRun(p, makeRun(rng, b))
+			addRun(tree, p, makeRun(rng, b))
 			for tree.NeedsMerge() {
 				tree.MergeOnce(p, nil)
 			}
 		}
 		tree.Complete(p, nil)
-		out = kvenc.MergeStream(tree.FinalRuns(p))
+		out = kvenc.MergeStream(finalRuns(tree, p))
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -95,13 +95,13 @@ func TestRecordCountPreserved(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			run := makeRun(rng, 5000)
 			want += kvenc.Count(run)
-			tree.AddRun(p, run)
+			addRun(tree, p, run)
 			for tree.NeedsMerge() {
 				tree.MergeOnce(p, nil)
 			}
 		}
 		tree.Complete(p, nil)
-		got = kvenc.Count(kvenc.MergeStream(tree.FinalRuns(p)))
+		got = kvenc.Count(kvenc.MergeStream(finalRuns(tree, p)))
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestEmptyRunIgnored(t *testing.T) {
 	st := storage.NewStore(k, 0, cost.Default(1))
 	tree := NewTree(st, storage.ReduceSpill, "r0", 4, 0)
 	k.Spawn("r", func(p *sim.Proc) {
-		tree.AddRun(p, nil)
+		addRun(tree, p, nil)
 		if tree.Files() != 0 {
 			t.Error("empty run created a file")
 		}
@@ -175,13 +175,13 @@ func TestIOChargedToReduceSpillClass(t *testing.T) {
 	k.Spawn("r", func(p *sim.Proc) {
 		rng := rand.New(rand.NewSource(3))
 		for i := 0; i < 10; i++ {
-			tree.AddRun(p, makeRun(rng, 3000))
+			addRun(tree, p, makeRun(rng, 3000))
 			for tree.NeedsMerge() {
 				tree.MergeOnce(p, nil)
 			}
 		}
 		tree.Complete(p, nil)
-		tree.FinalRuns(p)
+		finalRuns(tree, p)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -201,7 +201,7 @@ func TestIOChargedToReduceSpillClass(t *testing.T) {
 
 type countingCharger struct{ records int64 }
 
-func (c *countingCharger) ChargeMerge(_ substrate.Proc, n int64) { c.records += n }
+func (c *countingCharger) ChargeMerge(n int64) { c.records += n }
 
 func TestCPUChargerInvoked(t *testing.T) {
 	k := sim.NewKernel()
@@ -211,13 +211,13 @@ func TestCPUChargerInvoked(t *testing.T) {
 	k.Spawn("r", func(p *sim.Proc) {
 		rng := rand.New(rand.NewSource(5))
 		for i := 0; i < 12; i++ {
-			tree.AddRun(p, makeRun(rng, 3000))
+			addRun(tree, p, makeRun(rng, 3000))
 			for tree.NeedsMerge() {
-				tree.MergeOnce(p, ch)
+				tree.MergeOnce(p, ch.ChargeMerge)
 			}
 		}
-		tree.Complete(p, ch)
-		tree.FinalRuns(p)
+		tree.Complete(p, ch.ChargeMerge)
+		finalRuns(tree, p)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func TestPeekRunsNonDestructive(t *testing.T) {
 	k.Spawn("r", func(p *sim.Proc) {
 		rng := rand.New(rand.NewSource(8))
 		for i := 0; i < 5; i++ {
-			tree.AddRun(p, makeRun(rng, 2000))
+			addRun(tree, p, makeRun(rng, 2000))
 		}
 		before := tree.Files()
 		peek := kvenc.MergeStream(tree.PeekRuns(p))
@@ -254,7 +254,7 @@ func TestPeekRunsNonDestructive(t *testing.T) {
 		}
 		// A second peek and the final consumption see the same data.
 		peek2 := kvenc.MergeStream(tree.PeekRuns(p))
-		final := kvenc.MergeStream(tree.FinalRuns(p))
+		final := kvenc.MergeStream(finalRuns(tree, p))
 		if string(peek) != string(peek2) || string(peek) != string(final) {
 			t.Error("peek/final disagree")
 		}
@@ -273,7 +273,7 @@ func TestPeekChargesReads(t *testing.T) {
 	tree := NewTree(st, storage.ReduceSpill, "r0", 4, 0)
 	k.Spawn("r", func(p *sim.Proc) {
 		rng := rand.New(rand.NewSource(9))
-		tree.AddRun(p, makeRun(rng, 2000))
+		addRun(tree, p, makeRun(rng, 2000))
 		before := st.Counters().ReadBytes[storage.ReduceSpill]
 		tree.PeekRuns(p)
 		if st.Counters().ReadBytes[storage.ReduceSpill] <= before {
@@ -282,5 +282,61 @@ func TestPeekChargesReads(t *testing.T) {
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// addRun hands run over with the pair count its producer would carry.
+func addRun(t *Tree, p *sim.Proc, run []byte) { t.AddRun(p, run, int64(kvenc.Count(run))) }
+
+func finalRuns(t *Tree, p *sim.Proc) [][]byte {
+	runs, _ := t.FinalRuns(p)
+	return runs
+}
+
+// TestRunsCarryTheirCounts: merge CPU is charged from the pair counts
+// handed over with the runs — each pass the sum of its inputs', which
+// is what a re-scan of the merged file would find — for any pool size;
+// the run itself is adopted by its file, not copied, and stays
+// readable through a lent view after the file is merged away.
+func TestRunsCarryTheirCounts(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		k := sim.NewKernel()
+		k.SetWorkers(workers)
+		st := storage.NewStore(k, 0, cost.Default(1))
+		tree := NewTree(st, storage.ReduceSpill, "r0", 3, 0)
+		k.Spawn("r", func(p *sim.Proc) {
+			rng := rand.New(rand.NewSource(5))
+			first := makeRun(rng, 3000)
+			want := bytes.Clone(first)
+			added := int64(kvenc.Count(first))
+			addRun(tree, p, first)
+			lent := tree.PeekRuns(p)[0]
+			if &lent[0] != &first[0] {
+				t.Fatal("AddRun copied the run it was handed")
+			}
+			for i := 1; i < 12; i++ {
+				run := makeRun(rng, 3000)
+				added += int64(kvenc.Count(run))
+				addRun(tree, p, run)
+				for tree.NeedsMerge() {
+					var charged int64
+					tree.MergeOnce(p, func(n int64) { charged = n })
+					runs := tree.PeekRuns(p)
+					if got := int64(kvenc.Count(runs[len(runs)-1])); got != charged {
+						t.Fatalf("workers=%d: pass charged for %d records, merged file holds %d", workers, charged, got)
+					}
+				}
+			}
+			runs, recs := tree.FinalRuns(p)
+			if got := int64(kvenc.Count(kvenc.MergeStream(runs))); recs != added || got != added {
+				t.Fatalf("workers=%d: FinalRuns reports %d pairs, holds %d, %d were added", workers, recs, got, added)
+			}
+			if !bytes.Equal(lent, want) {
+				t.Fatal("a lent view changed after its file was merged and deleted")
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

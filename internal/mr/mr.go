@@ -29,7 +29,8 @@ type Query interface {
 // Combiner is implemented by queries whose reduce function is
 // commutative and associative enough to admit partial aggregation: the
 // combine function is applied after the map function and inside
-// reducers when their buffers fill (§2.2).
+// reducers when their buffers fill (§2.2). Like Map it must not touch
+// the receiver: the DES runs it on compute-pool goroutines.
 type Combiner interface {
 	// Combine folds a list of values for one key into fewer values.
 	Combine(key []byte, values kvenc.ValueIter, emit func(value []byte))

@@ -432,7 +432,7 @@ func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool
 			} else {
 				task.everFetched[ui] = true
 			}
-			red.Feed(u.parts[ridx], size, u.chunk)
+			red.Feed(u.parts, ridx, size, u.chunk)
 		}
 		r.fetchesDone.Add(1)
 		consumed[ui] = true

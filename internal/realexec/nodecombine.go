@@ -154,7 +154,7 @@ func (rc *rcombine) foldGroup(g *rcGroup, mapRes []*mapResult) (res *rcResult) {
 	m := r.model
 
 	// Tier 1: per member node, ascending chunk order.
-	runs := make([][][][]byte, len(g.members))
+	runs := make([]core.MapParts, len(g.members))
 	runPairs := make([]int64, len(g.members))
 	for mi, node := range g.members {
 		tstart := p.Now()
@@ -183,9 +183,9 @@ func (rc *rcombine) foldGroup(g *rcGroup, mapRes []*mapResult) (res *rcResult) {
 		tstart := p.Now()
 		nc := r.newNodeCombiner(rt)
 		for mi := range g.members {
-			pairs := nc.Absorb(runs[mi])
+			pairs := nc.Absorb(runs[mi].Segs)
 			rt.ChargeCPU(m.CPUOps(m.CPUHashInsert+m.CPUCombine, pairs))
-			runs[mi] = nil
+			runs[mi] = core.MapParts{}
 		}
 		final, _, finalPairs = nc.Finish()
 		res.spans = append(res.spans, engine.Span{

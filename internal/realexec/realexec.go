@@ -81,7 +81,7 @@ type Spec struct {
 // the fault-free fetch path stays branch-free.
 type unit struct {
 	chunk, seq int
-	parts      [][][]byte
+	parts      core.MapParts
 	partBytes  []int64
 
 	ready chan struct{} // non-nil only for lost units awaiting re-execution
@@ -255,7 +255,7 @@ func Run(s Spec) (*engine.Report, error) {
 			i, u := i, u
 			node := r.flt.survivor(mapRes[u.chunk].node)
 			attempt := 1 + r.spec.Faults.MapFailures[u.chunk]
-			u.parts, u.partBytes = nil, nil
+			u.parts, u.partBytes = core.MapParts{}, nil
 			u.ready = make(chan struct{})
 			reexecWG.Add(1)
 			go func() {
@@ -372,8 +372,9 @@ type mapResult struct {
 	units  []*unit
 	ledger int64
 
-	// parts holds the finished output of a combine-eligible task: it
-	// deposits here for the barrier fold instead of publishing a unit.
+	// parts holds the finished output (its segments) of a
+	// combine-eligible task: it deposits here for the barrier fold
+	// instead of publishing a unit.
 	parts [][][]byte
 
 	mapped, emitted, quarantined int64
@@ -409,7 +410,7 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic
 	q := r.newQ()
 	hop := r.spec.Platform == engine.HOP
 	body := engine.NewMapBody(r.spec, rt, q, chunk, attempt,
-		func(name string, seq int, parts [][][]byte, _ int64) {
+		func(name string, seq int, parts core.MapParts) {
 			// HOP: each eager spill is its own shuffle unit.
 			res.units = append(res.units, r.publish(p, st, name, chunk, seq, parts))
 		})
@@ -465,7 +466,7 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic
 			// Node-combine: the output parks for the barrier fold instead
 			// of publishing; no U3 write happens here — the merged run is
 			// the only MapOutput-class write, exactly as on the engine.
-			res.parts = parts
+			res.parts = parts.Segs
 		} else {
 			res.units = append(res.units,
 				r.publish(p, st, fmt.Sprintf("map%06d.a%d.out", chunk, attempt), chunk, 0, parts))
@@ -481,7 +482,7 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic
 // publish writes the per-partition segments to the task's store (U3,
 // kept for accounting parity with the DES even though the shuffle
 // never reads it back) and returns the in-memory shuffle unit.
-func (r *run) publish(p substrate.Proc, st *storage.Store, name string, chunk, seq int, parts [][][]byte) *unit {
+func (r *run) publish(p substrate.Proc, st *storage.Store, name string, chunk, seq int, parts core.MapParts) *unit {
 	_, partBytes, _ := engine.WriteMapOutput(p, st, name, parts)
 	return &unit{chunk: chunk, seq: seq, parts: parts, partBytes: partBytes}
 }
@@ -531,7 +532,7 @@ func (r *run) runReduceTask(ridx, node int) (res *reduceResult) {
 	for _, u := range r.units {
 		if size := u.partBytes[ridx]; size > 0 {
 			r.memFetches.Add(1)
-			red.Feed(u.parts[ridx], size, u.chunk)
+			red.Feed(u.parts, ridx, size, u.chunk)
 		}
 		r.fetchesDone.Add(1)
 		r.afterFeed(red, sink)

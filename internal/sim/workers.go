@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -37,7 +38,8 @@ type Workers struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queue   []*Future
+	queue   []*Future // pending futures are queue[head:]; popped slots are nil
+	head    int
 	started bool
 	closed  bool
 
@@ -54,9 +56,6 @@ func newWorkers(n int) *Workers {
 	w.cond = sync.NewCond(&w.mu)
 	return w
 }
-
-// Size returns the number of pool workers.
-func (w *Workers) Size() int { return w.n }
 
 // submit enqueues a future for execution on the pool.
 func (w *Workers) submit(f *Future) {
@@ -84,15 +83,20 @@ func (w *Workers) submit(f *Future) {
 func (w *Workers) work() {
 	for {
 		w.mu.Lock()
-		for len(w.queue) == 0 && !w.closed {
+		for w.head == len(w.queue) && !w.closed {
 			w.cond.Wait()
 		}
-		if len(w.queue) == 0 && w.closed {
+		if w.head == len(w.queue) {
 			w.mu.Unlock()
 			return
 		}
-		f := w.queue[0]
-		w.queue = w.queue[1:]
+		// Clear the popped slot (a finished future pins its closure and
+		// what that captured); rewind once drained to reuse the storage.
+		f := w.queue[w.head]
+		w.queue[w.head] = nil
+		if w.head++; w.head == len(w.queue) {
+			w.queue, w.head = w.queue[:0], 0
+		}
 		w.mu.Unlock()
 		f.run()
 		w.inFlight.Done()
@@ -118,7 +122,7 @@ type Future struct {
 	fn       func()
 	done     chan struct{}
 	panicked interface{}
-	waited   bool
+	p        *Proc // the process whose forks list holds it (nil: none)
 }
 
 // run executes the closure, capturing a panic instead of letting it
@@ -139,7 +143,14 @@ func (f *Future) run() {
 // Wait must be called from the process that forked the future.
 func (f *Future) Wait() {
 	<-f.done
-	f.waited = true
+	if p := f.p; p != nil {
+		// Nothing left for Join: drop it, so a process that forks and
+		// waits in a loop does not pin every closure until it ends.
+		f.p = nil
+		if i := slices.Index(p.forks, f); i >= 0 {
+			p.forks = slices.Delete(p.forks, i, i+1) // zeroes the vacated tail slot
+		}
+	}
 	if r := f.panicked; r != nil {
 		f.panicked = nil
 		panic(fmt.Sprintf("sim: forked closure panicked: %v", r))
@@ -194,10 +205,27 @@ func (p *Proc) Fork(fn func()) *Future {
 	if p.k.workers == nil {
 		f.run()
 	} else {
+		f.p = p
 		p.forks = append(p.forks, f)
 		p.k.workers.submit(f)
 	}
 	return f
+}
+
+// Offload runs the pure compute fn on the worker pool while charge —
+// which parks this process in virtual time, so the kernel serves other
+// processes meanwhile — runs here. It is legal wherever charge depends
+// only on sizes known before fn runs: the charges, their order and so
+// every virtual time are those of `fn(); charge()`, which is what runs
+// when there is no pool. fn obeys the Fork purity contract and must not
+// use the process (a ParallelFor from a pool goroutine would race on it
+// and can starve the pool). Offload waits for fn on every exit path:
+// when charge panics (node abort, kill) the unwinding attempt must not
+// hand back buffers fn still writes; nothing stays listed in p.forks.
+func (p *Proc) Offload(fn, charge func()) {
+	f := p.Fork(fn)
+	defer f.Wait() // drops f from p.forks; re-raises a panic of fn, over one of charge
+	charge()
 }
 
 // Join waits for every outstanding Fork of this process, re-raising the
@@ -205,12 +233,8 @@ func (p *Proc) Fork(fn func()) *Future {
 // outstanding; tasks with conditional early exits should `defer
 // p.Join()` so no future outlives its attempt.
 func (p *Proc) Join() {
-	forks := p.forks
-	p.forks = nil
-	for _, f := range forks {
-		if !f.waited {
-			f.Wait()
-		}
+	for len(p.forks) > 0 {
+		p.forks[0].Wait() // drops it from the list, also when it re-panics
 	}
 }
 
@@ -229,15 +253,17 @@ func (p *Proc) ParallelFor(n int, fn func(i int)) {
 		}
 		return
 	}
+	// Every future is waited below, on every path, so none is listed
+	// for Join.
 	futs := make([]*Future, n)
 	for i := 0; i < n; i++ {
 		i := i
-		futs[i] = p.Fork(func() { fn(i) })
+		futs[i] = &Future{fn: func() { fn(i) }, done: make(chan struct{})}
+		p.k.workers.submit(futs[i])
 	}
 	var firstPanic interface{}
 	for _, f := range futs {
 		<-f.done
-		f.waited = true
 		if f.panicked != nil && firstPanic == nil {
 			firstPanic = f.panicked
 			f.panicked = nil

@@ -235,3 +235,118 @@ func TestSetWorkersAfterRunPanics(t *testing.T) {
 	}()
 	k.SetWorkers(4)
 }
+
+// TestOffloadOverlapsItsCharge pins Offload's contract: the virtual
+// times are those of `fn(); charge()` for any pool size, and with a
+// pool fn really runs while the process is parked in charge (fn blocks
+// until a second process, which can only run during that park, says
+// so).
+func TestOffloadOverlapsItsCharge(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		k := NewKernel()
+		k.SetWorkers(workers)
+		other := make(chan struct{})
+		var got, end int64
+		k.Spawn("offloader", func(p *Proc) {
+			p.Offload(func() {
+				if workers > 1 {
+					<-other // closed by "other" while this process is parked
+				}
+				got = 42
+			}, func() { p.Hold(3 * time.Second) })
+			end = p.Now()
+		})
+		k.Spawn("other", func(p *Proc) {
+			p.Hold(time.Second)
+			close(other)
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got != 42 || end != int64(3*time.Second) {
+			t.Fatalf("workers=%d: result %d at t=%v, want 42 at 3s", workers, got, time.Duration(end))
+		}
+	}
+}
+
+// TestOffloadWaitsOnPanic: when charge panics while fn is still
+// running, Offload returns — by re-raising the panic — only after fn
+// has finished, so an unwinding attempt never hands back buffers a
+// closure still writes into.
+func TestOffloadWaitsOnPanic(t *testing.T) {
+	k := NewKernel()
+	k.SetWorkers(2)
+	release := make(chan struct{})
+	var fnDone atomic.Bool
+	var recovered interface{}
+	var doneAtRecover bool
+	k.Spawn("attempt", func(p *Proc) {
+		defer func() {
+			recovered = recover()
+			doneAtRecover = fnDone.Load()
+			if len(p.forks) != 0 {
+				t.Errorf("%d futures still listed after Offload", len(p.forks))
+			}
+		}()
+		p.Offload(func() {
+			<-release
+			time.Sleep(10 * time.Millisecond) // still "writing" after charge has panicked
+			fnDone.Store(true)
+		}, func() {
+			close(release)
+			panic("node aborted")
+		})
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if recovered != "node aborted" {
+		t.Fatalf("recovered %v, want charge's panic", recovered)
+	}
+	if !doneAtRecover {
+		t.Fatal("Offload unwound while fn was still running")
+	}
+}
+
+// TestFinishedFuturesAreNotRetained: a long-lived process that forks
+// and waits (or offloads) in a loop must not accumulate futures — each
+// pins its closure and whatever that captured — in its forks list or
+// in the pool's queue storage.
+func TestFinishedFuturesAreNotRetained(t *testing.T) {
+	k := NewKernel()
+	k.SetWorkers(3)
+	k.Spawn("looper", func(p *Proc) {
+		buf := make([]byte, 1<<10)
+		for i := 0; i < 10_000; i++ {
+			if i%2 == 0 {
+				p.Fork(func() { buf[0]++ }).Wait()
+			} else {
+				p.Offload(func() { buf[1]++ }, func() {})
+			}
+			if n := len(p.forks); n != 0 {
+				t.Fatalf("iteration %d: %d futures listed after their wait", i, n)
+			}
+		}
+		// A future forked and left for Join is still drained by it.
+		left := p.Fork(func() {})
+		p.Fork(func() {}).Wait()
+		if len(p.forks) != 1 || p.forks[0] != left {
+			t.Fatalf("forks = %v, want only the unwaited future", p.forks)
+		}
+		p.Join()
+		if len(p.forks) != 0 {
+			t.Fatalf("%d futures listed after Join", len(p.forks))
+		}
+		w := p.k.workers
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		for i, f := range w.queue[:cap(w.queue)] {
+			if f != nil {
+				t.Fatalf("queue slot %d of %d still holds a finished future", i, cap(w.queue))
+			}
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -19,38 +19,36 @@
 package sortmerge
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
 	"repro/internal/bytestore"
 	"repro/internal/core"
+	"repro/internal/hashfam"
 	"repro/internal/kvenc"
 	"repro/internal/merge"
 	"repro/internal/mr"
 	"repro/internal/storage"
-	"repro/internal/substrate"
 )
 
-// appendPrefixKey appends the 2-byte big-endian partition id followed
-// by the key, so one sort orders by (partition, key), as Hadoop does.
-// Appending into a per-collector scratch buffer keeps the per-record
-// collect path allocation-free (the encoded pair is copied into the
-// collect buffer immediately, so reusing the scratch is safe).
-func appendPrefixKey(dst []byte, part int, key []byte) []byte {
-	dst = append(dst, byte(part>>8), byte(part))
-	return append(dst, key...)
-}
-
-func splitPrefixed(pk []byte) (part int, key []byte) {
-	return int(binary.BigEndian.Uint16(pk)), pk[2:]
-}
-
-// charger adapts a task runtime to merge.CPUCharger.
-type charger struct{ rt *core.Runtime }
-
-// ChargeMerge implements merge.CPUCharger: one pass over physRecords.
-func (c charger) ChargeMerge(_ substrate.Proc, physRecords int64) {
-	c.rt.ChargeOps(c.rt.Model.CPUMergeRecord, physRecords)
+// combineRuns is the pure merge + combine kernel of both sides: it
+// merges sorted runs and applies the combine function to each group
+// (keys minus their first skip bytes), into a pooled buffer of n pairs.
+// The function runs on the compute pool, so like Map it must be
+// receiver-pure.
+func combineRuns(comb mr.Combiner, runs [][]byte, skip, size int, owner string) (out []byte, n int64) {
+	out = bytestore.Get(size)
+	if err := kvenc.MergeGroupsChecked(runs, func(key []byte, vals kvenc.ValueIter) bool {
+		comb.Combine(key[skip:], vals, func(v []byte) {
+			out = kvenc.AppendPair(out, key, v)
+			n++
+		})
+		return true
+	}); err != nil {
+		panic(fmt.Errorf("sortmerge: corrupt run in %s combine: %w", owner, err))
+	}
+	return out, n
 }
 
 // MapCollectorConfig sizes the map-side collector.
@@ -60,18 +58,26 @@ type MapCollectorConfig struct {
 	Buffer      int64  // B_m physical bytes
 	MergeFactor int    // F
 	ReadSegment int64
+
+	// Push, when set, makes the collector MapReduce Online's (HOP,
+	// §2.2): a full buffer is sorted, combined, split and pushed as its
+	// own shuffle unit instead of being externally sorted — the merge
+	// work moves to the reducers — and Finish pushes the rest and
+	// returns no output.
+	Push func(out core.MapParts)
 }
 
-// MapCollector is the sort-merge Map Output Buffer component.
+// MapCollector is the sort-merge Map Output Buffer component. Its
+// sort, combine and split are pure kernels priced by the buffered pair
+// count, so they run offloaded beside their own CPU charge
+// (substrate.Proc.Offload).
 type MapCollector struct {
-	rt  *core.Runtime
-	cfg MapCollectorConfig
-	h1  interface {
-		Bucket(key []byte, n int) int
-	}
+	rt   *core.Runtime
+	cfg  MapCollectorConfig
+	h1   hashfam.Func
 	comb mr.Combiner
 
-	buf     []byte
+	buf     []byte // pooled collect buffer, handed back by Finish
 	bufRecs int64
 	pk      []byte // prefixKey scratch, reused across Add calls
 	tree    *merge.Tree
@@ -83,18 +89,21 @@ type MapCollector struct {
 // NewMapCollector creates the collector. If q implements mr.Combiner,
 // the combine function is applied to each sorted spill.
 func NewMapCollector(rt *core.Runtime, q mr.Query, cfg MapCollectorConfig) *MapCollector {
-	c := &MapCollector{rt: rt, cfg: cfg, h1: rt.Fam.Fn(1)}
-	if comb, ok := q.(mr.Combiner); ok {
-		c.comb = comb
-	}
+	// The pooled collect buffer starts at B_m, capped at 1 MiB; past
+	// that it grows by appending.
+	c := &MapCollector{rt: rt, cfg: cfg, h1: rt.Fam.Fn(1), buf: bytestore.Get(int(min(cfg.Buffer, 1<<20)))}
+	c.comb, _ = q.(mr.Combiner)
 	return c
 }
 
 // Add collects one map output pair.
 func (c *MapCollector) Add(key, val []byte) {
 	c.mapped++
+	// Keys collect under a 2-byte big-endian partition id, so one sort
+	// orders by (partition, key), as Hadoop does. The scratch keeps the
+	// per-record path allocation-free (AppendPair copies it at once).
 	part := c.h1.Bucket(key, c.cfg.Partitions)
-	c.pk = appendPrefixKey(c.pk[:0], part, key)
+	c.pk = append(append(c.pk[:0], byte(part>>8), byte(part)), key...)
 	c.buf = kvenc.AppendPair(c.buf, c.pk, val)
 	c.bufRecs++
 	if int64(len(c.buf)) >= c.cfg.Buffer {
@@ -102,118 +111,131 @@ func (c *MapCollector) Add(key, val []byte) {
 	}
 }
 
-// sortBuffer sorts (and combines) the current buffer into a run,
-// built in a recycled buffer the caller hands back with bytestore.Put
-// once the run's bytes are copied out or consumed. The sort runs
-// sharded on the kernel's compute pool (bytewise identical to a
-// serial sort); the virtual CPU charge is unchanged.
-func (c *MapCollector) sortBuffer() []byte {
-	sorted, n := c.rt.SortStreamTo(bytestore.Get(len(c.buf)), c.buf)
-	c.rt.ChargeCPU(c.rt.Model.CPUSort(int64(n)))
-	if c.comb != nil {
-		combined := c.combineRun(sorted)
-		bytestore.Put(sorted)
-		sorted = combined
-	}
-	c.buf = c.buf[:0] // collect buffer is recycled in place
-	c.bufRecs = 0
-	return sorted
+// sortBuffer empties the collect buffer through fn(run, n) — its pairs
+// sorted and combined, n of them, in a pooled buffer — on the compute
+// pool, beside the sort and combine charges: functions of the buffered
+// pair count (the combine function is handed every pair), known before
+// the sort runs. The closure calls the serial kvenc sort — never
+// rt.SortStream, whose fan-out belongs to the process.
+func (c *MapCollector) sortBuffer(fn func(run []byte, n int64)) {
+	c.rt.P.Offload(func() {
+		run, _ := kvenc.SortStreamTo(bytestore.Get(len(c.buf)), c.buf)
+		n := c.bufRecs
+		if c.comb != nil {
+			sorted := run
+			run, n = combineRuns(c.comb, [][]byte{sorted}, 2, len(sorted), c.cfg.Prefix)
+			bytestore.Put(sorted)
+		}
+		fn(run, n)
+		bytestore.Put(run)
+	}, func() {
+		c.rt.ChargeCPU(c.rt.Model.CPUSort(c.bufRecs))
+		if c.comb != nil {
+			c.rt.ChargeOps(c.rt.Model.CPUCombine, c.bufRecs)
+		}
+	})
+	c.buf, c.bufRecs = c.buf[:0], 0 // collect buffer is recycled in place
 }
 
-// combineRun applies the combine function to each (partition, key)
-// group of a sorted run, producing a recycled buffer.
-func (c *MapCollector) combineRun(run []byte) []byte {
-	out := bytestore.Get(len(run))
-	var records int64
-	if err := kvenc.MergeGroupsChecked([][]byte{run}, func(pk []byte, vals kvenc.ValueIter) bool {
-		_, key := splitPrefixed(pk)
-		grp := &kvenc.CountingIter{Inner: vals}
-		c.comb.Combine(key, grp, func(v []byte) {
-			out = kvenc.AppendPair(out, pk, v)
-		})
-		records += grp.N
-		return true
-	}); err != nil {
-		panic(fmt.Errorf("sortmerge: corrupt run in %s combine: %w", c.cfg.Prefix, err))
-	}
-	c.rt.ChargeOps(c.rt.Model.CPUCombine, records)
-	return out
+// split empties the collect buffer into per-partition sorted segments.
+func (c *MapCollector) split() (out core.MapParts, emitted int64) {
+	c.sortBuffer(func(run []byte, n int64) { out, emitted = c.splitRun(run, n), n })
+	return out, emitted
 }
 
-// spill externally sorts: the buffer becomes an on-disk sorted run in
-// the map-side multi-pass merge tree (this is the C·Km > B_m case).
-func (c *MapCollector) spill() {
-	if c.tree == nil {
-		c.tree = merge.NewTree(c.rt.Store, storage.MapSpill, c.cfg.Prefix, c.cfg.MergeFactor, c.cfg.ReadSegment)
-	}
-	run := c.sortBuffer()
-	c.tree.AddRun(c.rt.P, run) // AddRun writes (copies) the run to disk
-	bytestore.Put(run)
-	for c.tree.NeedsMerge() {
-		c.tree.MergeOnce(c.rt.P, charger{c.rt})
-	}
-}
-
-// Finish sorts/merges everything and returns one sorted segment per
-// partition plus (collected, emitted) record counts. SpilledBytes
-// reports the map-internal spill (U2).
-func (c *MapCollector) Finish() (parts [][][]byte, mapped, emitted int64) {
-	var final []byte
-	if c.tree == nil {
-		final = c.sortBuffer()
-	} else {
-		if len(c.buf) > 0 {
-			run := c.sortBuffer()
-			c.tree.AddRun(c.rt.P, run)
-			bytestore.Put(run)
-		}
-		c.tree.Complete(c.rt.P, charger{c.rt})
-		runs := c.tree.FinalRuns(c.rt.P)
-		var total int
-		for _, r := range runs {
-			total += len(r)
-		}
-		var err error
-		final, err = kvenc.MergeStreamTo(bytestore.Get(total), runs)
-		if err != nil {
-			panic(fmt.Errorf("sortmerge: corrupt spill run in %s: %w", c.cfg.Prefix, err))
-		}
-		for _, r := range runs {
-			bytestore.Put(r)
-		}
-		c.rt.ChargeOps(c.rt.Model.CPUMergeRecord, int64(kvenc.Count(final)))
-	}
-	parts = make([][][]byte, c.cfg.Partitions)
-	segs := make([][]byte, c.cfg.Partitions)
-	it := kvenc.NewIterator(final)
+// splitRun cuts a run of n pairs sorted on (partition, key) into its
+// per-partition segments, keys stripped of the partition prefix. The
+// segments are written once, back to back, into a single buffer sized
+// up front (two prefix bytes less per pair), so the map output file can
+// adopt it whole.
+func (c *MapCollector) splitRun(run []byte, n int64) core.MapParts {
+	parts := c.cfg.Partitions
+	backing := make([]byte, 0, len(run)-2*int(n))
+	ends := make([]int, parts)
+	counts := make([]int64, parts)
+	it := kvenc.NewIterator(run)
 	for {
 		pk, v, ok := it.Next()
 		if !ok {
 			break
 		}
-		part, key := splitPrefixed(pk)
-		segs[part] = kvenc.AppendPair(segs[part], key, v)
-		c.emitted++
+		part := int(binary.BigEndian.Uint16(pk))
+		backing = kvenc.AppendPair(backing, pk[2:], v)
+		counts[part]++
+		ends[part] = len(backing)
 	}
 	if err := it.Err(); err != nil {
 		panic(fmt.Errorf("sortmerge: corrupt final run in %s: %w", c.cfg.Prefix, err))
 	}
-	bytestore.Put(final) // per-partition segments copied out above
-	for p, s := range segs {
-		if len(s) > 0 {
-			parts[p] = [][]byte{s}
+	out := core.MapParts{Segs: make([][][]byte, parts), Recs: make([][]int64, parts), Backing: backing}
+	segs := make([][]byte, parts)
+	start := 0
+	for p, end := range ends {
+		if counts[p] > 0 { // partitions appear in order: each starts where the last ended
+			segs[p] = backing[start:end:end]
+			out.Segs[p], out.Recs[p] = segs[p:p+1:p+1], counts[p:p+1:p+1]
+			start = end
 		}
 	}
-	return parts, c.mapped, c.emitted
+	return out
 }
 
-// SpilledBytes returns the map-internal spill bytes (0 if the chunk's
-// output fit the buffer).
-func (c *MapCollector) SpilledBytes() int64 {
-	if c.tree == nil {
-		return 0
+// spill empties a full buffer: pushed as a shuffle unit (HOP), or
+// externally sorted — the buffer becomes an on-disk sorted run in the
+// map-side multi-pass merge tree (this is the C·Km > B_m case). The run
+// is cloned out of the pool into an exact-size buffer its file adopts.
+func (c *MapCollector) spill() {
+	if c.cfg.Push != nil {
+		if len(c.buf) > 0 {
+			out, n := c.split()
+			c.emitted += n
+			c.cfg.Push(out)
+		}
+		return
 	}
-	return c.tree.SpilledBytes()
+	if c.tree == nil {
+		c.tree = merge.NewTree(c.rt.Store, storage.MapSpill, c.cfg.Prefix, c.cfg.MergeFactor, c.cfg.ReadSegment)
+	}
+	var run []byte
+	var recs int64
+	c.sortBuffer(func(pooled []byte, n int64) { run, recs = bytes.Clone(pooled), n })
+	c.tree.AddRun(c.rt.P, run, recs)
+	for c.tree.NeedsMerge() {
+		c.tree.MergeOnce(c.rt.P, mergeCharge(c.rt))
+	}
+}
+
+// mergeCharge bills rt one merge pass (read, compare, write) per call.
+func mergeCharge(rt *core.Runtime) func(records int64) {
+	return func(records int64) { rt.ChargeOps(rt.Model.CPUMergeRecord, records) }
+}
+
+// Finish sorts/merges everything and returns one sorted segment per
+// partition plus (collected, emitted) record counts.
+func (c *MapCollector) Finish() (out core.MapParts, mapped, emitted int64) {
+	switch {
+	case c.cfg.Push != nil:
+		c.spill()
+	case c.tree == nil:
+		out, c.emitted = c.split()
+	default:
+		if len(c.buf) > 0 {
+			c.spill()
+		}
+		c.tree.Complete(c.rt.P, mergeCharge(c.rt))
+		runs, recs := c.tree.FinalRuns(c.rt.P)
+		c.emitted = recs
+		c.rt.P.Offload(func() {
+			final, err := kvenc.MergeStreamChecked(runs)
+			if err != nil {
+				panic(fmt.Errorf("sortmerge: corrupt spill run in %s: %w", c.cfg.Prefix, err))
+			}
+			out = c.splitRun(final, recs)
+		}, func() { mergeCharge(c.rt)(recs) })
+	}
+	bytestore.Put(c.buf)
+	c.buf = nil
+	return out, c.mapped, c.emitted
 }
 
 // ReducerConfig sizes the reduce side.
@@ -233,13 +255,12 @@ type Reducer struct {
 	cfg  ReducerConfig
 
 	tree     *merge.Tree
-	bufRuns  [][]byte
-	bufRecs  []int64 // per buffered run, its record count (no combiner only)
+	bufRuns  [][]byte // shuffle segments: views of map output, never recycled
+	bufRecs  []int64  // pairs in each buffered run, as counted by its producer
 	bufBytes int64
 
 	prepared  bool
 	finalRuns [][]byte
-	treeRuns  int // leading finalRuns entries that are recycled buffers
 
 	dropRunBug bool // planted MutationSpillDropRun (test-only, env-gated)
 }
@@ -254,26 +275,22 @@ func NewReducer(rt *core.Runtime, q mr.Query, cfg ReducerConfig) *Reducer {
 		cfg:  cfg,
 		tree: merge.NewTree(rt.Store, storage.ReduceSpill, cfg.Prefix, cfg.MergeFactor, cfg.ReadSegment),
 	}
-	if comb, ok := q.(mr.Combiner); ok {
-		r.comb = comb
-	}
+	r.comb, _ = q.(mr.Combiner)
 	r.dropRunBug = mutationEnabled(MutationSpillDropRun)
 	return r
 }
 
-// Consume accepts one sorted segment fetched from a mapper. Hadoop
-// merges the shuffle buffer to disk when it reaches about two thirds
-// of its capacity (mapred.job.shuffle.merge.percent = 0.66), not when
-// completely full — that is what determines the number of initial
+// Consume accepts one sorted segment of n pairs fetched from a mapper.
+// Hadoop merges the shuffle buffer to disk when it reaches about two
+// thirds of its capacity (mapred.job.shuffle.merge.percent = 0.66), not
+// when completely full — that is what determines the number of initial
 // on-disk runs n in the paper's λ analysis.
-func (r *Reducer) Consume(run []byte) {
+func (r *Reducer) Consume(run []byte, n int64) {
 	if len(run) == 0 {
 		return
 	}
 	r.bufRuns = append(r.bufRuns, run)
-	if r.comb == nil { // the combiner path counts as it merges
-		r.bufRecs = append(r.bufRecs, int64(kvenc.Count(run)))
-	}
+	r.bufRecs = append(r.bufRecs, n)
 	r.bufBytes += int64(len(run))
 	if r.bufBytes*3 >= r.cfg.Buffer*2 {
 		r.spillBuffer()
@@ -281,7 +298,9 @@ func (r *Reducer) Consume(run []byte) {
 }
 
 // spillBuffer merges the buffered sorted pieces (combining if
-// possible) and writes the result as one on-disk run.
+// possible) and writes the result as one on-disk run. The merge is a
+// pure kernel priced by the buffered pair counts, so it runs offloaded
+// beside its own charges.
 func (r *Reducer) spillBuffer() {
 	if len(r.bufRuns) == 0 {
 		return
@@ -292,52 +311,52 @@ func (r *Reducer) spillBuffer() {
 		// run is excluded from the spill merge and its records are lost.
 		spillRuns = spillRuns[:len(spillRuns)-1]
 	}
-	run := bytestore.Get(int(r.bufBytes))
 	var records int64
-	if r.comb != nil {
-		// Merge + combine in one pass; combined records count as
-		// progress (Definition 1's "combine function completed").
-		if err := kvenc.MergeGroupsChecked(spillRuns, func(key []byte, vals kvenc.ValueIter) bool {
-			grp := &kvenc.CountingIter{Inner: vals}
-			r.comb.Combine(key, grp, func(v []byte) {
-				run = kvenc.AppendPair(run, key, v)
-			})
-			records += grp.N
-			return true
-		}); err != nil {
-			panic(fmt.Errorf("sortmerge: corrupt shuffled run in %s: %w", r.cfg.Prefix, err))
-		}
-		r.rt.FnRecords(records)
-		r.rt.ChargeOps(r.rt.Model.CPUCombine, records)
-	} else {
-		var err error
-		run, err = kvenc.MergeStreamTo(run, spillRuns)
-		if err != nil {
-			panic(fmt.Errorf("sortmerge: corrupt shuffled run in %s: %w", r.cfg.Prefix, err))
-		}
-		for _, n := range r.bufRecs[:len(spillRuns)] {
-			records += n
-		}
+	for i := range spillRuns {
+		records += r.bufRecs[i]
 	}
-	r.rt.ChargeOps(r.rt.Model.CPUMergeRecord, records)
-	r.tree.AddRun(r.rt.P, run) // AddRun writes (copies) the run to disk
-	bytestore.Put(run)
-	// The buffered runs are shuffle segments shared with the engine's
-	// map-output table — drop the references, never recycle them.
+	var run []byte
+	n := records
+	r.rt.P.Offload(func() {
+		if r.comb != nil {
+			// Merge + combine in one pass; the combined size is unknown
+			// until it is done, so the file gets an exact-size clone.
+			var pooled []byte
+			pooled, n = combineRuns(r.comb, spillRuns, 0, int(r.bufBytes), r.cfg.Prefix)
+			run = bytes.Clone(pooled)
+			bytestore.Put(pooled)
+			return
+		}
+		var err error
+		if run, err = kvenc.MergeStreamChecked(spillRuns); err != nil {
+			panic(fmt.Errorf("sortmerge: corrupt shuffled run in %s: %w", r.cfg.Prefix, err))
+		}
+	}, func() {
+		if r.comb != nil {
+			// The combine function is handed every merged pair; combined
+			// records count as progress (Definition 1's "combine function
+			// completed").
+			r.rt.FnRecords(records)
+			r.rt.ChargeOps(r.rt.Model.CPUCombine, records)
+		}
+		mergeCharge(r.rt)(records)
+	})
+	r.tree.AddRun(r.rt.P, run, n) // the spill file adopts the run
 	r.bufRuns = r.bufRuns[:0]
 	r.bufRecs = r.bufRecs[:0]
 	r.bufBytes = 0
 }
 
-// Tree exposes the on-disk merge tree so the engine's background
-// merger process can drive multi-pass merges while shuffling.
-func (r *Reducer) Tree() *merge.Tree { return r.tree }
+// MergeDue reports whether the background multi-pass merge trigger has
+// fired; Merge drives the merge until it clears.
+func (r *Reducer) MergeDue() bool { return r.tree.NeedsMerge() }
 
-// Charger returns the CPU charger for background merges.
-func (r *Reducer) Charger() merge.CPUCharger { return charger{r.rt} }
-
-// SpilledBytes returns the reduce-internal spill (U4) written so far.
-func (r *Reducer) SpilledBytes() int64 { return r.tree.SpilledBytes() }
+// Merge implements the other half of MergeDue.
+func (r *Reducer) Merge() {
+	for r.tree.NeedsMerge() {
+		r.tree.MergeOnce(r.rt.P, mergeCharge(r.rt))
+	}
+}
 
 // PrepareFinal completes the remaining multi-pass merge and reads the
 // final runs back — the blocking, I/O-heavy step the paper's timelines
@@ -348,9 +367,8 @@ func (r *Reducer) PrepareFinal() {
 		return
 	}
 	r.prepared = true
-	r.tree.Complete(r.rt.P, charger{r.rt})
-	r.finalRuns = r.tree.FinalRuns(r.rt.P)
-	r.treeRuns = len(r.finalRuns) // recyclable; the rest are shared shuffle segments
+	r.tree.Complete(r.rt.P, mergeCharge(r.rt))
+	r.finalRuns, _ = r.tree.FinalRuns(r.rt.P)
 	r.finalRuns = append(r.finalRuns, r.bufRuns...)
 	r.bufRuns = nil
 }
@@ -362,7 +380,13 @@ func (r *Reducer) Finish(out mr.OutputWriter) {
 	r.PrepareFinal()
 	runs := r.finalRuns
 	r.finalRuns = nil
-	var records int64
+	r.rt.FnRecords(r.reduceRuns(runs, out, "final run in "+r.cfg.Prefix))
+}
+
+// reduceRuns merges runs and applies the reduce function to each key
+// group, charging merge + reduce CPU in bounded bursts; it returns the
+// records reduced.
+func (r *Reducer) reduceRuns(runs [][]byte, out mr.OutputWriter, what string) (records int64) {
 	batch := r.rt.Batch(r.rt.Model.CPUMergeRecord + r.rt.Model.CPUReduceRec)
 	if err := kvenc.MergeGroupsChecked(runs, func(key []byte, vals kvenc.ValueIter) bool {
 		grp := &kvenc.CountingIter{Inner: vals}
@@ -371,16 +395,10 @@ func (r *Reducer) Finish(out mr.OutputWriter) {
 		batch.Add(grp.N)
 		return true
 	}); err != nil {
-		panic(fmt.Errorf("sortmerge: corrupt final run in %s: %w", r.cfg.Prefix, err))
+		panic(fmt.Errorf("sortmerge: corrupt %s: %w", what, err))
 	}
 	batch.Flush()
-	r.rt.FnRecords(records)
-	// Only the tree's own runs are recycled buffers; the trailing
-	// entries alias shuffle segments owned by the engine.
-	for _, run := range runs[:r.treeRuns] {
-		bytestore.Put(run)
-	}
-	r.treeRuns = 0
+	return records
 }
 
 // Snapshot merges everything received so far — re-reading the on-disk
@@ -390,18 +408,5 @@ func (r *Reducer) Finish(out mr.OutputWriter) {
 // snapshots inflate I/O and running time, which is the paper's
 // criticism of this approach to early answers.
 func (r *Reducer) Snapshot(out mr.OutputWriter) {
-	runs := r.tree.PeekRuns(r.rt.P)
-	runs = append(runs, r.bufRuns...)
-	var records int64
-	batch := r.rt.Batch(r.rt.Model.CPUMergeRecord + r.rt.Model.CPUReduceRec)
-	if err := kvenc.MergeGroupsChecked(runs, func(key []byte, vals kvenc.ValueIter) bool {
-		grp := &kvenc.CountingIter{Inner: vals}
-		r.q.Reduce(key, grp, out)
-		records += grp.N
-		batch.Add(grp.N)
-		return true
-	}); err != nil {
-		panic(fmt.Errorf("sortmerge: corrupt run in %s snapshot: %w", r.cfg.Prefix, err))
-	}
-	batch.Flush()
+	r.reduceRuns(append(r.tree.PeekRuns(r.rt.P), r.bufRuns...), out, "run in "+r.cfg.Prefix+" snapshot")
 }

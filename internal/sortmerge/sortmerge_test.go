@@ -1,6 +1,8 @@
 package sortmerge
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -66,11 +68,12 @@ func TestMapCollectorSingleSpill(t *testing.T) {
 		for i := 0; i < 5000; i++ {
 			c.Add([]byte(fmt.Sprintf("key%05d", i%700)), []byte("1"))
 		}
-		parts, mapped, emitted := c.Finish()
+		out, mapped, emitted := c.Finish()
+		parts := out.Segs
 		if mapped != 5000 || emitted != 5000 {
 			t.Fatalf("mapped=%d emitted=%d", mapped, emitted)
 		}
-		if c.SpilledBytes() != 0 {
+		if rt.Store.Counters().WrittenBytes[storage.MapSpill] != 0 {
 			t.Fatal("spilled despite fitting buffer")
 		}
 		// Each partition: exactly one sorted segment, disjoint keys.
@@ -113,11 +116,12 @@ func TestMapCollectorExternalSort(t *testing.T) {
 		for i := 0; i < 8000; i++ {
 			c.Add([]byte(fmt.Sprintf("key%06d", (i*7919)%5000)), []byte("1"))
 		}
-		parts, _, emitted := c.Finish()
+		out, _, emitted := c.Finish()
+		parts := out.Segs
 		if emitted != 8000 {
 			t.Fatalf("emitted=%d", emitted)
 		}
-		if c.SpilledBytes() == 0 {
+		if rt.Store.Counters().WrittenBytes[storage.MapSpill] == 0 {
 			t.Fatal("expected external sort spills (C·Km > Bm)")
 		}
 		total := 0
@@ -143,7 +147,8 @@ func TestMapCollectorCombine(t *testing.T) {
 		for i := 0; i < 6000; i++ {
 			c.Add([]byte(fmt.Sprintf("key%02d", i%20)), []byte("1"))
 		}
-		parts, _, emitted := c.Finish()
+		out, _, emitted := c.Finish()
+		parts := out.Segs
 		if emitted != 20 {
 			t.Fatalf("emitted=%d, want 20 combined records", emitted)
 		}
@@ -180,6 +185,9 @@ func sortedRun(keys []string) []byte {
 	return out
 }
 
+// consume feeds one run with the pair count its mapper would carry.
+func consume(r *Reducer, run []byte) { r.Consume(run, int64(kvenc.Count(run))) }
+
 type mapOut struct{ m map[string]int64 }
 
 func (o *mapOut) Emit(k, v []byte) {
@@ -201,12 +209,12 @@ func TestReducerCorrectnessWithSpills(t *testing.T) {
 				keys = append(keys, k)
 				want[k]++
 			}
-			r.Consume(sortedRun(keys))
-			for r.Tree().NeedsMerge() {
-				r.Tree().MergeOnce(rt.P, r.Charger())
+			consume(r, sortedRun(keys))
+			if r.MergeDue() {
+				r.Merge()
 			}
 		}
-		if r.SpilledBytes() == 0 {
+		if rt.Store.Counters().WrittenBytes[storage.ReduceSpill] == 0 {
 			t.Fatal("expected shuffle-buffer spills")
 		}
 		out := &mapOut{m: map[string]int64{}}
@@ -231,14 +239,14 @@ func TestReducerCombinerShrinksSpill(t *testing.T) {
 				for i := 0; i < 200; i++ {
 					keys = append(keys, fmt.Sprintf("key%01d", i%8)) // heavy duplication
 				}
-				r.Consume(sortedRun(keys))
-				for r.Tree().NeedsMerge() {
-					r.Tree().MergeOnce(rt.P, r.Charger())
+				consume(r, sortedRun(keys))
+				if r.MergeDue() {
+					r.Merge()
 				}
 			}
 			out := &mapOut{m: map[string]int64{}}
 			r.Finish(out)
-			spilled, result = r.SpilledBytes(), out.m
+			spilled, result = rt.Store.Counters().WrittenBytes[storage.ReduceSpill], out.m
 		})
 		return
 	}
@@ -262,7 +270,7 @@ func TestReducerNoReduceBeforeFinish(t *testing.T) {
 		rt.FnRecords = func(n int64) { calls += int(n) }
 		r := NewReducer(rt, rawOnly{}, ReducerConfig{Prefix: "r0", Buffer: 1 << 20, MergeFactor: 4})
 		for seg := 0; seg < 10; seg++ {
-			r.Consume(sortedRun([]string{"a", "b", "c"}))
+			consume(r, sortedRun([]string{"a", "b", "c"}))
 		}
 		if calls != 0 {
 			t.Fatal("reduce ran before finish without a combiner")
@@ -289,8 +297,9 @@ func TestMapCollectorPartitionStability(t *testing.T) {
 			sm.Add(k, []byte("1"))
 			hash.Add(k, []byte("1"))
 		}
-		smParts, _, _ := sm.Finish()
-		hashParts, _, _ := hash.Finish()
+		smOut, _, _ := sm.Finish()
+		hashOut, _, _ := hash.Finish()
+		smParts, hashParts := smOut.Segs, hashOut.Segs
 		partOf := func(parts [][][]byte) map[string]int {
 			m := map[string]int{}
 			for pi, segs := range parts {
@@ -332,9 +341,9 @@ func TestSnapshotApproximatesWithoutDisturbing(t *testing.T) {
 				keys = append(keys, k)
 				want[k]++
 			}
-			r.Consume(sortedRun(keys))
-			for r.Tree().NeedsMerge() {
-				r.Tree().MergeOnce(rt.P, r.Charger())
+			consume(r, sortedRun(keys))
+			if r.MergeDue() {
+				r.Merge()
 			}
 		}
 		feed(100)
@@ -353,6 +362,107 @@ func TestSnapshotApproximatesWithoutDisturbing(t *testing.T) {
 			if out.m[k] != w {
 				t.Fatalf("final %s=%d want %d (snapshot disturbed state)", k, out.m[k], w)
 			}
+		}
+	})
+}
+
+// TestFinishSplitsIntoOneBuffer pins the map output's shape and bytes.
+// The per-partition segments of one Finish are back-to-back ranges of a
+// single allocation (the buffer the map output file adopts), each with
+// its pair count, and — by SHA-256 over (partition, length, bytes) —
+// byte-equal to the 40 separately grown slices the collector produced
+// before the split wrote into one buffer (digests generated at commit
+// 4c7735d), for the in-memory, combiner and external-sort (C·Km > B_m)
+// cases.
+func TestFinishSplitsIntoOneBuffer(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		q               mr.Query
+		buffer, emitted int64
+		spills          bool
+		digest          string
+	}{
+		{"plain", rawOnly{}, 1 << 20, 6000, false, "f3c28170767e296705abb439792b2b592c6a261d858799d22c77d2b46dca2ca2"},
+		{"combiner", sumQuery{}, 1 << 20, 1476, false, "70e1e2b690df01b16746d0468e79ce9579153fd385b0d15d7fa1ff35a13d0b31"},
+		{"spilled", rawOnly{}, 8 << 10, 6000, true, "7d4a0d157026554f25a12c955618c7b06be5fafbed2f10a0ae42088106dc694b"},
+		{"spilled-combiner", sumQuery{}, 8 << 10, 4977, true, "d589c96e0a05815ebe858843bb36cfe02ff278395f20a64117dea81e89c67ed2"},
+	} {
+		runSim(t, func(rt *core.Runtime) {
+			c := NewMapCollector(rt, tc.q, MapCollectorConfig{
+				Prefix: "m0", Partitions: 40, Buffer: tc.buffer, MergeFactor: 3,
+			})
+			rng := rand.New(rand.NewSource(16))
+			for i := 0; i < 6000; i++ {
+				c.Add([]byte(fmt.Sprintf("user%05d", rng.Intn(1500))), []byte(fmt.Sprintf("%d", 1+rng.Intn(9))))
+			}
+			out, mapped, emitted := c.Finish()
+			if mapped != 6000 || emitted != tc.emitted {
+				t.Fatalf("%s: mapped %d emitted %d, want 6000 and %d", tc.name, mapped, emitted, tc.emitted)
+			}
+			if spilled := rt.Store.Counters().WrittenBytes[storage.MapSpill] > 0; spilled != tc.spills {
+				t.Fatalf("%s: spilled = %v", tc.name, spilled)
+			}
+			h := sha256.New()
+			var hdr [8]byte
+			off, pairs := 0, int64(0)
+			for pi, segs := range out.Segs {
+				if len(segs) != len(out.Recs[pi]) || len(segs) > 1 {
+					t.Fatalf("%s: partition %d has %d segments and %d counts", tc.name, pi, len(segs), len(out.Recs[pi]))
+				}
+				for si, s := range segs {
+					if len(s) == 0 || &s[0] != &out.Backing[off] || cap(s) != len(s) {
+						t.Fatalf("%s: partition %d is not the next range of the backing buffer (offset %d)", tc.name, pi, off)
+					}
+					off += len(s)
+					if n := int64(kvenc.Count(s)); n != out.Recs[pi][si] {
+						t.Fatalf("%s: partition %d carries count %d, holds %d pairs", tc.name, pi, out.Recs[pi][si], n)
+					}
+					pairs += out.Recs[pi][si]
+					binary.BigEndian.PutUint32(hdr[:4], uint32(pi))
+					binary.BigEndian.PutUint32(hdr[4:], uint32(len(s)))
+					h.Write(hdr[:])
+					h.Write(s)
+				}
+			}
+			if off != len(out.Backing) || pairs != emitted {
+				t.Fatalf("%s: segments cover %d of %d backing bytes and %d of %d pairs", tc.name, off, len(out.Backing), pairs, emitted)
+			}
+			if got := fmt.Sprintf("%x", h.Sum(nil)); got != tc.digest {
+				t.Errorf("%s: segment bytes changed: SHA-256 %s, want %s", tc.name, got, tc.digest)
+			}
+		})
+	}
+}
+
+// TestHOPPushesEachFullBuffer: with Push set the collector never sorts
+// externally — every full buffer leaves as one split shuffle unit, the
+// rest at Finish, which returns no output of its own.
+func TestHOPPushesEachFullBuffer(t *testing.T) {
+	runSim(t, func(rt *core.Runtime) {
+		var pushed, pairs int64
+		c := NewMapCollector(rt, sumQuery{}, MapCollectorConfig{
+			Prefix: "m0", Partitions: 4, Buffer: 4 << 10, MergeFactor: 3,
+			Push: func(out core.MapParts) {
+				pushed++
+				for pi, segs := range out.Segs {
+					for si, s := range segs {
+						if !kvenc.IsSorted(s) || int64(kvenc.Count(s)) != out.Recs[pi][si] {
+							t.Fatalf("push %d partition %d: unsorted or miscounted segment", pushed, pi)
+						}
+						pairs += out.Recs[pi][si]
+					}
+				}
+			},
+		})
+		for i := 0; i < 3000; i++ {
+			c.Add([]byte(fmt.Sprintf("key%04d", i%700)), []byte("1"))
+		}
+		out, mapped, emitted := c.Finish()
+		if out.Segs != nil || mapped != 3000 || emitted != pairs || pushed < 3 {
+			t.Fatalf("output %v, mapped %d, emitted %d (pushed pairs %d in %d pushes)", out.Segs, mapped, emitted, pairs, pushed)
+		}
+		if w := rt.Store.Counters().WrittenBytes[storage.MapSpill]; w != 0 {
+			t.Fatalf("HOP collector spilled %d bytes to a merge tree", w)
 		}
 	})
 }

@@ -16,6 +16,7 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -331,7 +332,8 @@ func (s *Store) Create(name string, class IOClass) *File {
 	return f
 }
 
-// Delete removes a file and frees its memory.
+// Delete removes a file and drops the store's reference to its bytes;
+// views handed out by reads stay valid (the GC keeps them alive).
 func (s *Store) Delete(f *File) {
 	s.liveBytes -= int64(len(f.data))
 	delete(s.files, f.name)
@@ -339,19 +341,30 @@ func (s *Store) Delete(f *File) {
 	f.frames = nil
 }
 
-// Append writes data to the end of f as a single request (one frame),
-// charging seek + transfer on the device arm.
+// Append writes a copy of data to the end of f as a single request
+// (one frame), charging seek + transfer on the device arm.
 func (s *Store) Append(p substrate.Proc, f *File, data []byte, class IOClass) {
-	s.AppendFrames(p, f, data, class, nil)
+	s.write(p, f, data, class, nil, false)
 }
 
-// AppendFrames writes data to the end of f as a single request but,
-// when checksums are on, records one frame per given segment length
-// (writev-style): partition regions of a map-output file stay
-// individually verifiable without extra write requests. lens must sum
-// to len(data); nil means one frame covering all of data. Zero-length
-// segments record no frame.
-func (s *Store) AppendFrames(p substrate.Proc, f *File, data []byte, class IOClass, lens []int64) {
+// AppendOwned is Append taking ownership of data: an empty file adopts
+// the buffer instead of copying it, so the caller must not write to it
+// again — it may keep reading it, as may anyone a read lent a view,
+// also after Delete (the store never recycles a buffer). Hand over
+// exact-size allocations, not pooled ones: the file pins the whole
+// backing array. When checksums are on, one frame is recorded per given
+// segment length (writev-style): partition regions of a map-output file
+// stay individually verifiable without extra write requests. lens must
+// sum to len(data); nil means one frame covering all of data.
+// Zero-length segments record no frame.
+func (s *Store) AppendOwned(p substrate.Proc, f *File, data []byte, class IOClass, lens []int64) {
+	s.write(p, f, data, class, lens, true)
+}
+
+// write is the one append path. Ownership is an argument, not store
+// state: the request parks, and whichever process appended next would
+// consume a flag left on the store.
+func (s *Store) write(p substrate.Proc, f *File, data []byte, class IOClass, lens []int64, owned bool) {
 	var ovh int64
 	if s.Checksums {
 		if lens == nil {
@@ -375,18 +388,26 @@ func (s *Store) AppendFrames(p substrate.Proc, f *File, data []byte, class IOCla
 	}
 	s.request(p, f, f.dev, int64(len(data))+ovh, class)
 	prev := int64(len(f.data))
-	f.data = append(f.data, data...)
+	adopted := owned && prev == 0
+	if adopted {
+		f.data = data[:len(data):len(data)]
+	} else {
+		f.data = append(f.data, data...)
+	}
 	s.liveBytes += int64(len(data))
 	s.counters.WrittenBytes[class] += int64(len(data))
 	s.counters.WriteReqs[class]++
 	// Bit-flip corruption: the frame CRCs above were computed over the
-	// clean bytes, so the flip (into f.data's own backing, never the
-	// caller's slice) is caught by the next read that verifies the
-	// damaged frame.
+	// clean bytes, so the flip (into the file's own bytes, never the
+	// writer's: an adopted buffer is cloned first) is caught by the next
+	// read that verifies the damaged frame.
 	if fl := s.faults; fl != nil && s.Checksums && len(data) > 0 &&
 		fl.Classes[class] && fl.window(p.Now()) {
 		s.faultSeq++
 		if hit(Hash64(fl.Seed, int64(s.node), s.faultSeq, 1), fl.CorruptRate) {
+			if adopted {
+				f.data = bytes.Clone(f.data)
+			}
 			bit := Hash64(fl.Seed, int64(s.node), s.faultSeq, 2) % uint64(len(data)*8)
 			f.data[prev+int64(bit/8)] ^= 1 << (bit % 8)
 		}

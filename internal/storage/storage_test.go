@@ -2,10 +2,12 @@ package storage
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/cost"
+	"repro/internal/frame"
 	"repro/internal/sim"
 )
 
@@ -200,4 +202,78 @@ func TestIOClassStrings(t *testing.T) {
 			t.Fatalf("class %d has no name", c)
 		}
 	}
+}
+
+// TestAppendOwnedHandsTheBufferOver pins the buffer-ownership rules:
+// an empty file adopts an owned buffer (reads are views of the very
+// array the writer handed over), a second append to the same file
+// copies without growing into the lender's array, Append still copies,
+// and views lent by reads stay valid after Delete.
+func TestAppendOwnedHandsTheBufferOver(t *testing.T) {
+	run(t, cost.Default(1), func(p *sim.Proc, s *Store) {
+		buf := append(make([]byte, 0, 64), "sorted run"...)
+		f := s.Create("owned", ReduceSpill)
+		s.AppendOwned(p, f, buf, ReduceSpill, nil)
+		view := s.ReadAt(p, f, 0, f.Size(), ReduceSpill)
+		if &view[0] != &buf[0] {
+			t.Fatal("an empty file copied the buffer it was handed")
+		}
+		s.AppendOwned(p, f, []byte(" + tail"), ReduceSpill, nil)
+		if got := s.ReadAll(p, f, 0, ReduceSpill); string(got) != "sorted run + tail" {
+			t.Fatalf("file holds %q", got)
+		}
+		if string(buf[:cap(buf)][len(buf):len(buf)+2]) != "\x00\x00" {
+			t.Fatal("the second append grew into the lender's backing array")
+		}
+		s.Delete(f)
+		if string(view) != "sorted run" || s.LiveBytes() != 0 {
+			t.Fatalf("after Delete the lent view reads %q, live bytes %d", view, s.LiveBytes())
+		}
+
+		mine := []byte("copied")
+		g := s.Create("copied", ReduceSpill)
+		s.Append(p, g, mine, ReduceSpill)
+		if got := s.ReadAt(p, g, 0, g.Size(), ReduceSpill); &got[0] == &mine[0] {
+			t.Fatal("Append adopted the caller's buffer")
+		}
+	})
+}
+
+// TestCorruptionClonesAnAdoptedBuffer: a write persisted with a flipped
+// bit must carry the flip in the file's own bytes — the lender still
+// reads its buffer (shuffle segments served from memory are views of
+// it) — and the verified read must still catch it. (At rate 1 the roll
+// hits about every other write, so several files are written.)
+func TestCorruptionClonesAnAdoptedBuffer(t *testing.T) {
+	run(t, cost.Default(1), func(p *sim.Proc, s *Store) {
+		s.Checksums = true
+		df := &DiskFaults{Seed: 9, CorruptRate: 1}
+		df.Classes[MapOutput] = true
+		s.SetFaults(df)
+		want := bytes.Repeat([]byte("partition bytes "), 8)
+		flipped := 0
+		for i := 0; i < 16; i++ {
+			buf := bytes.Clone(want)
+			f := s.Create(fmt.Sprintf("map%d.out", i), MapOutput)
+			s.AppendOwned(p, f, buf, MapOutput, []int64{64, 64})
+			if !bytes.Equal(buf, want) {
+				t.Fatal("the bit flip is visible through the lender's slice")
+			}
+			_, err0 := s.ReadAtChecked(p, f, 0, 64, MapOutput)
+			_, err1 := s.ReadAtChecked(p, f, 64, 64, MapOutput)
+			if bytes.Equal(f.Data(), want) {
+				if &f.Data()[0] != &buf[0] || err0 != nil || err1 != nil {
+					t.Fatalf("clean write %d: copied, or read back as %v / %v", i, err0, err1)
+				}
+				continue
+			}
+			flipped++
+			if (err0 == nil) == (err1 == nil) || (err0 != nil && err0 != frame.ErrCorrupt) || (err1 != nil && err1 != frame.ErrCorrupt) {
+				t.Fatalf("write %d: frame reads returned %v and %v, want ErrCorrupt from exactly the damaged frame", i, err0, err1)
+			}
+		}
+		if flipped == 0 {
+			t.Fatal("test setup: no write was corrupted")
+		}
+	})
 }

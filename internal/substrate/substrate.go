@@ -47,6 +47,12 @@ type Proc interface {
 	// ParallelFor runs fn(0) … fn(n-1), possibly concurrently; each
 	// fn(i) must be pure and write only its own result slot.
 	ParallelFor(n int, fn func(i int))
+
+	// Offload runs the pure compute fn and, in effect after it, charge:
+	// the task-time price of fn, computed from sizes known before fn
+	// runs. The DES overlaps the two, so fn must not touch the process
+	// or anything charge does. Both are done when it returns or panics.
+	Offload(fn, charge func())
 }
 
 // Timer is a metered device a task occupies for a charged duration —
@@ -86,6 +92,12 @@ func (p *WallProc) ParallelFor(n int, fn func(i int)) {
 	for i := 0; i < n; i++ {
 		fn(i)
 	}
+}
+
+// Offload implements Proc inline: compute, then account for it.
+func (p *WallProc) Offload(fn, charge func()) {
+	fn()
+	charge()
 }
 
 // WallTimer is the real-execution Timer: it accumulates charged
