@@ -79,6 +79,37 @@ func TestBudgetRefusesInsert(t *testing.T) {
 	}
 }
 
+// TestTableTinyBudgetAdmitsOne: a budget below the table's own fixed
+// footprint (the 64-bucket array is 256 B) must not refuse the first
+// entry — an owner that flushes and retries would loop or drop the
+// record — but does refuse everything after it.
+func TestTableTinyBudgetAdmitsOne(t *testing.T) {
+	tb := newTestTable(100)
+	st, found, ok := tb.UpsertState([]byte("first"), 8, 8)
+	if !ok || found || len(st) != 8 {
+		t.Fatalf("empty table refused its first state entry: len %d found %v ok %v", len(st), found, ok)
+	}
+	if _, _, ok := tb.UpsertState([]byte("second"), 8, 8); ok {
+		t.Fatal("over-budget table admitted a second entry")
+	}
+	if _, found, ok := tb.UpsertState([]byte("first"), 8, 8); !found || !ok {
+		t.Fatal("resident key no longer found")
+	}
+
+	tv := newTestTable(100)
+	if !tv.AppendValue([]byte("first"), []byte("v1")) {
+		t.Fatal("empty table refused its first value entry")
+	}
+	if tv.AppendValue([]byte("first"), []byte("v2")) || tv.AppendValue([]byte("second"), []byte("v")) {
+		t.Fatal("over-budget table admitted more values")
+	}
+	var got []string
+	tv.Values([]byte("first"), func(v []byte) { got = append(got, string(v)) })
+	if len(got) != 1 || got[0] != "v1" {
+		t.Fatalf("values %q", got)
+	}
+}
+
 func TestTableAgainstMapModel(t *testing.T) {
 	// Property test: Table behaves like map[string][]byte under a
 	// random workload of upserts and state updates.

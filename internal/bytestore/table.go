@@ -12,7 +12,9 @@ import (
 // array; keys, states and value nodes live in a single arena. The
 // table enforces a byte budget: inserts that would exceed it are
 // refused so the caller can take the spill path, exactly like the
-// reducer memory checks in §4.2.
+// reducer memory checks in §4.2. An empty table always admits one
+// entry, like KVBuffer, so an oversized singleton cannot wedge the
+// pipeline.
 //
 // Entry layout in the arena:
 //
@@ -94,6 +96,9 @@ func (t *Table) find(key []byte) (int32, int, bool) {
 // wouldFit reports whether inserting an entry of the given extra size
 // keeps the table within budget (including a possible rehash).
 func (t *Table) wouldFit(extra int64) bool {
+	if len(t.entries) == 0 {
+		return true
+	}
 	grow := int64(0)
 	if (len(t.entries)+1)*4 >= len(t.buckets)*3 {
 		grow = int64(len(t.buckets)) * 4 // doubling adds this many bytes

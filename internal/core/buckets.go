@@ -99,14 +99,16 @@ func (b *bucketSet) flushAll() {
 }
 
 // readBucket reads bucket i back (charging I/O), deletes the file, and
-// returns the encoded pairs. Returns nil for an empty bucket. flushAll
-// must have been called first.
+// returns the encoded pairs: the read's lent view, which stays valid
+// after the delete because the store never recycles file bytes.
+// Returns nil for an empty bucket. flushAll must have been called
+// first.
 func (b *bucketSet) readBucket(i int, segment int64) []byte {
 	f := b.files[i]
 	if f == nil {
 		return nil
 	}
-	data := append([]byte(nil), b.rt.Store.ReadAll(b.rt.P, f, segment, b.class)...)
+	data := b.rt.Store.ReadAll(b.rt.P, f, segment, b.class)
 	b.rt.Store.Delete(f)
 	b.files[i] = nil
 	return data

@@ -51,16 +51,14 @@ func (q *countQuery) Combine(key []byte, values kvenc.ValueIter, emit func(v []b
 	emit([]byte(strconv.FormatInt(sumValues(values), 10)))
 }
 
-func (q *countQuery) Init(key, value []byte) []byte {
+func (q *countQuery) Init(dst, key, value []byte) []byte {
 	n, _ := strconv.ParseInt(string(value), 10, 64)
-	var st [8]byte
-	binary.BigEndian.PutUint64(st[:], uint64(n))
-	return st[:]
+	return binary.BigEndian.AppendUint64(dst, uint64(n))
 }
 
-func (q *countQuery) MergeStates(key, a, b []byte) []byte {
+func (q *countQuery) MergeStates(dst, key, a, b []byte) []byte {
 	if len(a) < 8 { // identity state
-		return append([]byte(nil), b...)
+		return append(dst[:0], b...)
 	}
 	n := binary.BigEndian.Uint64(a) + binary.BigEndian.Uint64(b)
 	binary.BigEndian.PutUint64(a, n)
@@ -235,7 +233,7 @@ func TestINCHashAllInMemory(t *testing.T) {
 			Prefix: "t", MemBudget: 8 << 20, Page: 4 << 10, ExpectedStateBytes: 32 << 10,
 		}, out)
 		for _, k := range keys {
-			r.Consume(k, q.Init(k, []byte("1")))
+			r.Consume(k, q.Init(nil, k, []byte("1")))
 		}
 		if r.SpilledPairs() != 0 {
 			t.Fatalf("spilled %d with ample memory (paper: I/Os completely eliminated when memory ≥ Δ)", r.SpilledPairs())
@@ -259,7 +257,7 @@ func TestINCHashWithSpills(t *testing.T) {
 			ExpectedStateBytes: 5000 * 24,
 		}, out)
 		for _, k := range keys {
-			r.Consume(k, q.Init(k, []byte("1")))
+			r.Consume(k, q.Init(nil, k, []byte("1")))
 		}
 		if r.SpilledPairs() == 0 {
 			t.Fatal("expected spills with tight memory")
@@ -280,13 +278,13 @@ func TestINCHashHotKeysCollapseInMemory(t *testing.T) {
 			ExpectedStateBytes: 1 << 20,
 		}, out)
 		// "hot" arrives first and then repeats after memory fills.
-		r.Consume([]byte("hot"), q.Init(nil, []byte("1")))
+		r.Consume([]byte("hot"), q.Init(nil, nil, []byte("1")))
 		for i := 0; i < 2000; i++ {
-			r.Consume([]byte(fmt.Sprintf("cold%06d", i)), q.Init(nil, []byte("1")))
+			r.Consume([]byte(fmt.Sprintf("cold%06d", i)), q.Init(nil, nil, []byte("1")))
 		}
 		spilledBefore := r.SpilledPairs()
 		for i := 0; i < 1000; i++ {
-			r.Consume([]byte("hot"), q.Init(nil, []byte("1")))
+			r.Consume([]byte("hot"), q.Init(nil, nil, []byte("1")))
 		}
 		if r.SpilledPairs() != spilledBefore {
 			t.Fatal("hot-key tuples spilled despite resident state")
@@ -338,12 +336,12 @@ func TestINCHashEarlyOutput(t *testing.T) {
 			Prefix: "t", MemBudget: 1 << 20, Page: 4 << 10, ExpectedStateBytes: 1 << 10,
 		}, out)
 		for i := 0; i < 49; i++ {
-			r.Consume([]byte("frequent"), q.Init(nil, []byte("1")))
+			r.Consume([]byte("frequent"), q.Init(nil, nil, []byte("1")))
 		}
 		if len(out.m) != 0 {
 			t.Fatal("emitted before threshold")
 		}
-		r.Consume([]byte("frequent"), q.Init(nil, []byte("1")))
+		r.Consume([]byte("frequent"), q.Init(nil, nil, []byte("1")))
 		if out.m["frequent"] != 50 {
 			t.Fatalf("early output missing: %v", out.m)
 		}
@@ -365,7 +363,7 @@ func TestDINCHashCorrectness(t *testing.T) {
 			ExpectedDistinctKeys: 5000, KeyBytes: 9,
 		}, out)
 		for _, k := range keys {
-			r.Consume(k, q.Init(k, []byte("1")))
+			r.Consume(k, q.Init(nil, k, []byte("1")))
 		}
 		r.Finish()
 		checkCounts(t, out.m, want)
@@ -416,7 +414,7 @@ func TestDINCBeatsINCOnSkewedLateHotKeys(t *testing.T) {
 				consume, finish, spilled = r.Consume, r.Finish, r.SpilledPairs
 			}
 			for _, k := range keys {
-				consume(k, q.Init(k, []byte("1")))
+				consume(k, q.Init(nil, k, []byte("1")))
 			}
 			spills[which] = spilled()
 			finish()
@@ -447,7 +445,7 @@ func TestDINCCoverageEarlyAnswers(t *testing.T) {
 			} else {
 				k = []byte(fmt.Sprintf("cold%05d", rng.Intn(2000)))
 			}
-			r.Consume(k, q.Init(k, []byte("1")))
+			r.Consume(k, q.Init(nil, k, []byte("1")))
 		}
 		r.Finish()
 		if r.ApproxKeys() == 0 {

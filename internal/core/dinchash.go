@@ -35,6 +35,8 @@ type DINCHashReducer struct {
 	sum     *frequent.Summary
 	buckets *bucketSet
 
+	merged []byte // cb() result scratch
+
 	scanEvery int64
 	sinceScan int64
 
@@ -120,11 +122,13 @@ func (r *DINCHashReducer) Consume(key, state []byte) {
 	}
 	switch outcome {
 	case frequent.Hit:
-		merged := r.inc.MergeStates(key, e.State, state)
+		// A state merged in place is e.State itself; one built in the
+		// scratch is copied back over the entry's own capacity.
+		merged := mr.MergeInto(r.inc, &r.merged, key, e.State, state)
 		if r.early != nil {
 			merged = r.early.TryEmit(key, merged, r.out)
 		}
-		e.SetState(merged)
+		e.SetState(append(e.State[:0], merged...))
 		r.inMemRecs++
 		r.rt.FnRecords(1)
 	case frequent.Inserted:
@@ -200,13 +204,13 @@ func (r *DINCHashReducer) Finish() {
 				r.inc.Finalize(e.Key, e.State, r.out)
 				r.approxKeys++
 			} else {
-				r.flushEntry(e)
+				r.handleEviction(e)
 			}
 			batch.Add(1)
 		}
 	} else {
 		for _, e := range entries {
-			r.flushEntry(e)
+			r.handleEviction(e)
 			batch.Add(1)
 		}
 	}
@@ -229,12 +233,6 @@ func (r *DINCHashReducer) Finish() {
 			helper.processBucket(data, 4)
 		}
 	}
-}
-
-// flushEntry sends an in-memory state to its bucket at end of input
-// (or to the query's eviction path if it absorbs it).
-func (r *DINCHashReducer) flushEntry(e *frequent.Entry) {
-	r.handleEviction(e)
 }
 
 // bucketMem returns the memory available for the final bucket passes.

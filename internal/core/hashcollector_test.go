@@ -1,0 +1,209 @@
+package core
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"strconv"
+	"testing"
+	"time"
+
+	"repro/internal/cost"
+	"repro/internal/kvenc"
+	"repro/internal/mr"
+	"repro/internal/queries"
+	"repro/internal/workload"
+)
+
+// pinnedClicks is the fixed map input of the collector pins: one
+// 48 KiB chunk of the synthetic click stream over a small user pool,
+// so the table modes see repeated keys.
+func pinnedClicks() [][]byte {
+	spec := workload.DefaultClickSpec(48<<10, 48<<10, 11)
+	spec.Users, spec.URLs, spec.Duration = 300, 100, 2*time.Hour
+	return bytes.Split(bytes.TrimSuffix(workload.NewClickStream(spec).ChunkBytes(0), []byte{'\n'}), []byte{'\n'})
+}
+
+// collect maps every record through q into a fresh collector.
+func collect(q mr.Query, records [][]byte, r int, budget int64, incremental bool) (MapParts, int64, int64) {
+	c := NewHashMapCollector(NopRuntime(nil, nil, cost.Default(1)), q, r, budget, incremental)
+	for _, rec := range records {
+		q.Map(rec, c.Add)
+	}
+	return c.Finish()
+}
+
+// partsDigest hashes every partition's segments with their framing
+// (partition, segment count, segment lengths), so a byte moved between
+// segments or partitions changes the digest.
+func partsDigest(parts [][][]byte) string {
+	h := sha256.New()
+	for p, segs := range parts {
+		fmt.Fprintf(h, "p%d:%d;", p, len(segs))
+		for _, s := range segs {
+			fmt.Fprintf(h, "%d:", len(s))
+			h.Write(s)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestHashCollectorSegmentsPinned pins the collector's output bytes in
+// each of its four modes, for a chunk that fits the map buffer and for
+// one that overflows it several times. The digests were generated
+// before the per-partition buffers were replaced by one staged and
+// scattered buffer: flush boundaries and segment bytes did not move.
+func TestHashCollectorSegmentsPinned(t *testing.T) {
+	sess := func() mr.Query { return queries.NewSessionization(5*time.Minute, 512, 5*time.Second) }
+	cases := []struct {
+		name        string
+		q           func() mr.Query
+		incremental bool
+		budget      int64
+		multi       bool // the chunk's output overflows the budget several times
+		adopted     bool // one exact-size backing the file adopts
+		emitted     int64
+		want        string
+	}{
+		{"raw/single", sess, false, 1 << 20, false, true, 622, "5c873c54219628d9b93eea51b5890ca7fad5c88611136a47e1eb943009ed45a9"},
+		{"raw/multi", sess, false, 8 << 10, true, false, 622, "72381363466e4b5e4ae6e75c6c6a9fbc69ef0c482a22f330e6e2c432a2bbff9d"},
+		{"init-only/single", sess, true, 1 << 20, false, true, 622, "d3f98e8668cd681ed8c4089b0918e2fdcc9c52e8956d3b251b0a341a44c216c9"},
+		{"init-only/multi", sess, true, 8 << 10, true, false, 622, "2e072885b6a727d30e159b90613eb4e09724da05e4997a7ef9e6c0151baff006"},
+		{"inc-table/single", queries.NewClickCount, true, 1 << 20, false, false, 265, "59064f3fb3d8fe0ee33bcbbb4736c5fa4f71c2489473af90eab88a94cf9cf68c"},
+		{"inc-table/multi", queries.NewClickCount, true, 2 << 10, true, false, 583, "c35cc723da0b7ffac3866116df415402879337a0f0828fe195828b549f8fe8c7"},
+		{"comb-table/single", queries.NewClickCount, false, 1 << 20, false, false, 265, "f5ef51a22cf99a0470912f79a3c692554105fcd5fdff27852618baef0eeb7632"},
+		{"comb-table/multi", queries.NewClickCount, false, 2 << 10, true, false, 583, "4edef7476443a1d0d6a493380d81d9422ca435935c30db0f1d025842fe88629b"},
+	}
+	records := pinnedClicks()
+	const r = 5
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			out, mapped, emitted := collect(tc.q(), records, r, tc.budget, tc.incremental)
+			if mapped != int64(len(records)) || emitted != tc.emitted {
+				t.Fatalf("mapped %d of %d records, emitted %d, want %d", mapped, len(records), emitted, tc.emitted)
+			}
+			most := 0
+			for _, segs := range out.Segs {
+				most = max(most, len(segs))
+			}
+			if !tc.multi && most != 1 || tc.multi && most < 3 {
+				t.Fatalf("fullest partition has %d segments", most)
+			}
+			if got := partsDigest(out.Segs); got != tc.want {
+				t.Errorf("segments digest %s, want %s", got, tc.want)
+			}
+			if !tc.adopted {
+				return
+			}
+			// Single-flush pass-through output is one exact-size
+			// allocation, the segments its adjacent ranges in partition
+			// order, so the map output file adopts it whole.
+			if out.Backing == nil || cap(out.Backing) != len(out.Backing) {
+				t.Fatalf("backing len %d cap %d, want one exact-size buffer", len(out.Backing), cap(out.Backing))
+			}
+			off := 0
+			for p, segs := range out.Segs {
+				for _, s := range segs {
+					if cap(s) != len(s) {
+						t.Fatalf("partition %d: segment cap %d != len %d", p, cap(s), len(s))
+					}
+					if len(s) > 0 && &s[0] != &out.Backing[off] {
+						t.Fatalf("partition %d: segment is not at offset %d of the backing", p, off)
+					}
+					off += len(s)
+				}
+			}
+			if off != len(out.Backing) {
+				t.Fatalf("segments cover %d of %d backing bytes", off, len(out.Backing))
+			}
+		})
+	}
+}
+
+// TestHashCollectorTinyBudget: a map buffer smaller than one table
+// entry (the 64-bucket array alone is 256 B) used to refuse the entry
+// even from an empty table, and the retry after the flush discarded the
+// refusal — every record vanished without an error. An empty table now
+// admits one entry, so each record flushes out as its own segment.
+func TestHashCollectorTinyBudget(t *testing.T) {
+	users := []string{"u0000001", "u0000002", "u0000001", "u0000003", "u0000002"}
+	for _, incremental := range []bool{true, false} {
+		q := queries.NewClickCount()
+		c := NewHashMapCollector(NopRuntime(nil, nil, cost.Default(1)), q, 2, 200, incremental)
+		for _, u := range users {
+			c.Add([]byte(u), []byte("1"))
+		}
+		out, mapped, emitted := c.Finish()
+		if mapped != 5 || emitted != 5 || kvCount(out.Segs) != 5 {
+			t.Fatalf("incremental=%v: mapped %d, emitted %d, %d pairs in the segments; want 5 each",
+				incremental, mapped, emitted, kvCount(out.Segs))
+		}
+
+		// The node combiner retries the same way.
+		nc := NewNodeCombiner(NopRuntime(nil, nil, cost.Default(1)), q, 2, 200, incremental, false)
+		if in := nc.Absorb(out.Segs); in != 5 {
+			t.Fatalf("incremental=%v: node combiner absorbed %d of 5 pairs", incremental, in)
+		}
+		folded, _, outPairs := nc.Finish()
+		if outPairs != 5 || kvCount(folded.Segs) != 5 {
+			t.Fatalf("incremental=%v: node combiner emitted %d pairs, %d in the segments; want 5",
+				incremental, outPairs, kvCount(folded.Segs))
+		}
+	}
+}
+
+func kvCount(parts [][][]byte) (n int) {
+	for _, segs := range parts {
+		for _, s := range segs {
+			n += kvenc.Count(s)
+		}
+	}
+	return n
+}
+
+// TestHashCollectorAddAllocs pins the pass-through Add at zero heap
+// allocations per record between flushes: init() writes into the
+// collector's scratch and the pair is staged in the pooled buffer.
+func TestHashCollectorAddAllocs(t *testing.T) {
+	q := queries.NewSessionization(5*time.Minute, 512, 5*time.Second)
+	c := NewHashMapCollector(NopRuntime(nil, nil, cost.Default(1)), q, 40, 1<<20, true)
+	c.stagePart, c.stageEnd = make([]int32, 0, 1024), make([]int, 0, 1024) // grown once, as a long task would have
+	rec := pinnedClicks()[0]
+	key := rec[14:22]
+	if n := testing.AllocsPerRun(200, func() { c.Add(key, rec) }); n != 0 {
+		t.Errorf("Add allocates %.0f objects per record", n)
+	}
+	if _, mapped, emitted := c.Finish(); mapped != 201 || emitted != 201 {
+		t.Errorf("mapped %d, emitted %d, want 201 each", mapped, emitted)
+	}
+}
+
+// TestINCHashConsumeAllocs pins the reducer's in-memory hit path —
+// cb() into the reducer's scratch, early emission, the state copied
+// back into its slot — at zero heap allocations per tuple (the arena's
+// occasional regrowth amortises away).
+func TestINCHashConsumeAllocs(t *testing.T) {
+	q := queries.NewSessionization(5*time.Minute, 512, 5*time.Second)
+	r := NewINCHashReducer(NopRuntime(nil, nil, cost.Default(1)), q,
+		INCHashConfig{Prefix: "r0", MemBudget: 1 << 20, Page: 1 << 10}, mr.DiscardOutput)
+	key := []byte("u0000001")
+	ts := int64(1_300_000_000_000)
+	var rec, st []byte
+	consume := func() {
+		ts += 20_000 // the watermark runs ahead, so old clicks stream out and the state stays bounded
+		q.AdvanceWatermark(ts)
+		rec = append(strconv.AppendInt(rec[:0], ts, 10), "\tu0000001\t/p.html\t200\t1234\tpad"...)
+		st = q.Init(st[:0], key, rec)
+		r.Consume(key, st)
+	}
+	for i := 0; i < 64; i++ {
+		consume() // inserts the key, grows the scratch and the slot
+	}
+	if n := testing.AllocsPerRun(500, consume); n != 0 {
+		t.Errorf("Consume allocates %.0f objects per tuple on the hit path", n)
+	}
+	if r.InMemoryRecords() != 64+501 || r.SpilledPairs() != 0 {
+		t.Errorf("%d tuples combined in memory, %d spilled", r.InMemoryRecords(), r.SpilledPairs())
+	}
+}

@@ -36,6 +36,9 @@ type INCHashReducer struct {
 	buckets *bucketSet
 	out     mr.OutputWriter
 
+	merged []byte     // cb() result scratch
+	hold   heldOutput // early emissions of the bucket build in progress
+
 	received  int64
 	inMemRecs int64 // tuples combined on the in-memory path
 }
@@ -82,20 +85,13 @@ func NewINCHashReducer(rt *Runtime, q mr.Query, cfg INCHashConfig, out mr.Output
 	}
 	// Even when all states are expected to fit, one defensive bucket
 	// exists so a bad hint degrades to spilling rather than failing.
-	r.buckets = newBucketSet(rt, storage.ReduceSpill, cfg.Prefix, maxInt(nDisk, 1), cfg.Page, 2)
+	r.buckets = newBucketSet(rt, storage.ReduceSpill, cfg.Prefix, max(nDisk, 1), cfg.Page, 2)
 	budget := cfg.MemBudget - r.buckets.memoryBytes()
 	if budget < cfg.Page {
 		budget = cfg.Page
 	}
 	r.table = bytestore.NewTable(rt.Fam.Fn(3), budget)
 	return r
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Consume accepts one shuffled key-state tuple. The engine charges
@@ -107,7 +103,7 @@ func (r *INCHashReducer) Consume(key, state []byte) {
 	cur, found, ok := r.table.UpsertState(pk, len(state), r.inc.StateSize())
 	switch {
 	case found:
-		merged := r.inc.MergeStates(key, cur, state)
+		merged := mr.MergeInto(r.inc, &r.merged, key, cur, state)
 		merged = r.tryEmit(key, merged)
 		if !r.table.SetState(pk, merged) {
 			// State outgrew the remaining arena: spill the merged
@@ -173,23 +169,26 @@ func (r *INCHashReducer) Finish() {
 // may still be abandoned (table overflow → repartition and re-run):
 // the re-run replays the same tuples through TryEmit, so emissions
 // from an abandoned build would come out twice. They become durable
-// only when the build commits. Key and value are copied because
-// queries reuse their emit scratch buffers across calls.
+// only when the build commits. Key and value are copied, because
+// queries reuse their emit scratch buffers across calls, into one flat
+// buffer the reducer reuses from build to build.
 type heldOutput struct {
-	kvs [][2][]byte
+	buf  []byte // keys and values, back to back
+	lens []int  // key length, value length of each emission
 }
 
 // Emit implements mr.OutputWriter.
 func (h *heldOutput) Emit(key, value []byte) {
-	h.kvs = append(h.kvs, [2][]byte{
-		append([]byte(nil), key...),
-		append([]byte(nil), value...),
-	})
+	h.buf = append(append(h.buf, key...), value...)
+	h.lens = append(h.lens, len(key), len(value))
 }
 
 func (h *heldOutput) replay(out mr.OutputWriter) {
-	for _, kv := range h.kvs {
-		out.Emit(kv[0], kv[1])
+	off := 0
+	for i := 0; i < len(h.lens); i += 2 {
+		k, v := off+h.lens[i], off+h.lens[i]+h.lens[i+1]
+		out.Emit(h.buf[off:k], h.buf[k:v])
+		off = v
 	}
 }
 
@@ -213,7 +212,8 @@ func (r *INCHashReducer) processBucketBudget(data []byte, level int, budget int6
 	var recs int64
 	// Early emits during the build are held until the build commits —
 	// an abandoned build's tuples are replayed and would re-emit.
-	hold := &heldOutput{}
+	hold := &r.hold
+	hold.buf, hold.lens = hold.buf[:0], hold.lens[:0]
 	realOut := r.out
 	r.out = hold
 	bytestore.RangePairs(data, func(key, state []byte) bool {
@@ -232,7 +232,7 @@ func (r *INCHashReducer) processBucketBudget(data []byte, level int, budget int6
 			}
 			return true
 		}
-		merged := r.inc.MergeStates(key, cur, state)
+		merged := mr.MergeInto(r.inc, &r.merged, key, cur, state)
 		merged = r.tryEmit(key, merged)
 		if !t.SetState(key, merged) {
 			fits = false

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-
 	"repro/internal/bytestore"
 	"repro/internal/hashfam"
 	"repro/internal/kvenc"
@@ -21,24 +19,24 @@ import (
 // a finished segment and continues — hash map output never needs the
 // external sort-and-merge that the sort-merge collector pays for.
 type HashMapCollector struct {
-	rt       *Runtime
-	r        int // number of partitions (reducers)
-	h1       hashfam.Func
-	budget   int64
-	comb     mr.Combiner
-	inc      mr.Incremental
-	initOnly mr.Incremental // init() applied per record, no map-side table
-	mapped   int64          // records collected
-	outRecs  int64          // records emitted to partitions (post-combine)
+	r       int // number of partitions (reducers)
+	h1      hashfam.Func
+	budget  int64
+	init    mr.Incremental // init() applied per record (incremental platforms)
+	mapped  int64          // records collected
+	outRecs int64          // records emitted to partitions (post-combine)
 
-	// combining path
-	table *bytestore.Table
+	fold *foldTable // combining path; nil when pairs pass through
+	st   []byte     // init() result, reused across Add calls
 
-	// raw path
-	raw      []*bytestore.KVBuffer
-	rawBytes int64
-
-	pk []byte // partition-prefix scratch, reused across Add calls
+	// pass-through path: pairs are staged in arrival order and
+	// scattered by partition when the buffer flushes
+	stage     []byte  // pooled staging buffer, handed back by Finish
+	stagePart []int32 // partition of each staged pair
+	stageEnd  []int   // end offset of each staged pair in stage
+	cursor    []int   // per-partition sizes, then write offsets, of a flush
+	flushes   int
+	backing   []byte // the last flush's buffer: the output's backing if it was the only one
 
 	parts [][][]byte // finished segments per partition
 }
@@ -56,216 +54,123 @@ type HashMapCollector struct {
 // combine function gets the per-key value table; otherwise records
 // pass through grouped by partition.
 func NewHashMapCollector(rt *Runtime, q mr.Query, r int, budget int64, incremental bool) *HashMapCollector {
-	c := &HashMapCollector{
-		rt:     rt,
-		r:      r,
-		h1:     rt.Fam.Fn(1),
-		budget: budget,
-		parts:  make([][][]byte, r),
-	}
+	c := &HashMapCollector{r: r, h1: rt.Fam.Fn(1), budget: budget, parts: make([][][]byte, r)}
 	inc, isInc := q.(mr.Incremental)
 	comb, isComb := q.(mr.Combiner)
-	switch {
-	case incremental && isInc && isComb:
-		c.inc = inc
-	case incremental && isInc:
-		c.initOnly = inc
-	case isComb:
-		c.comb = comb
+	if incremental && isInc {
+		c.init = inc
 	}
-	c.reset()
+	if isComb {
+		c.fold = &foldTable{rt: rt, r: r, budget: budget, h: rt.Fam.Fn(2), inc: c.init, comb: comb,
+			emit: func(segs [][]byte, counts []int64) {
+				for _, n := range counts {
+					c.outRecs += n
+				}
+				c.appendSegments(segs)
+			}}
+		c.fold.reset()
+	} else {
+		// Starts at B_m, capped at 1 MiB; past that it grows by appending.
+		c.stage = bytestore.Get(int(min(budget, 1<<20)))
+		c.cursor = make([]int, r)
+	}
 	return c
 }
 
 // Combining reports whether the collector folds records map-side
 // through a hash table (the engine uses it to pick the CPU cost per
 // record); init-only pass-through does not count.
-func (c *HashMapCollector) Combining() bool { return c.inc != nil || c.comb != nil }
-
-func (c *HashMapCollector) reset() {
-	if c.inc != nil || c.comb != nil {
-		c.table = bytestore.NewTable(c.rt.Fam.Fn(2), c.budget)
-		return
-	}
-	if c.raw == nil {
-		c.raw = make([]*bytestore.KVBuffer, c.r)
-		for i := range c.raw {
-			c.raw[i] = bytestore.NewKVBuffer(c.budget)
-		}
-	}
-	c.rawBytes = 0
-}
-
-// prefixKey prepends the 2-byte partition id, building the compound
-// key in the collector's reused scratch buffer — safe because the
-// table copies keys into its arena on insert and only reads the
-// compound key transiently on lookup.
-func (c *HashMapCollector) prefixKey(part int, key []byte) []byte {
-	c.pk = append(c.pk[:0], byte(part>>8), byte(part))
-	c.pk = append(c.pk, key...)
-	return c.pk
-}
-
-// splitPrefixed strips the partition prefix.
-func splitPrefixed(pk []byte) (part int, key []byte) {
-	return int(binary.BigEndian.Uint16(pk)), pk[2:]
-}
+func (c *HashMapCollector) Combining() bool { return c.fold != nil }
 
 // Add collects one map-output pair.
 func (c *HashMapCollector) Add(key, val []byte) {
 	c.mapped++
 	part := c.h1.Bucket(key, c.r)
-	switch {
-	case c.initOnly != nil:
-		st := c.initOnly.Init(key, val)
-		need := bytestore.PairBytes(len(key), len(st))
-		if c.rawBytes+need > c.budget && c.rawBytes > 0 {
-			c.flushRaw()
-		}
-		c.raw[part].Append(key, st)
-		c.rawBytes += need
-	case c.inc != nil:
-		pk := c.prefixKey(part, key)
-		st := c.inc.Init(key, val)
-		cur, found, ok := c.table.UpsertState(pk, len(st), c.inc.StateSize())
-		if !ok {
-			c.flushTable()
-			cur, found, _ = c.table.UpsertState(pk, len(st), c.inc.StateSize())
-		}
-		if !found {
-			copy(cur, st)
-			return
-		}
-		merged := c.inc.MergeStates(key, cur, st)
-		if !c.table.SetState(pk, merged) {
-			// Arena exhausted by state growth. The flushed segment
-			// already carries the key's previous partial state, so the
-			// fresh slot must hold only the incoming increment —
-			// otherwise the old clicks would be emitted twice.
-			c.flushTable()
-			st2, _, _ := c.table.UpsertState(pk, len(st), c.inc.StateSize())
-			copy(st2, st)
-		}
-	case c.comb != nil:
-		pk := c.prefixKey(part, key)
-		if !c.table.AppendValue(pk, val) {
-			c.flushTable()
-			c.table.AppendValue(pk, val)
-		}
-	default:
-		need := bytestore.PairBytes(len(key), len(val))
-		if c.rawBytes+need > c.budget && c.rawBytes > 0 {
-			c.flushRaw()
-		}
-		c.raw[part].Append(key, val)
-		c.rawBytes += need
+	if c.init != nil {
+		c.st = c.init.Init(c.st[:0], key, val)
+		val = c.st
 	}
+	if c.fold != nil {
+		c.fold.add(part, key, val)
+		return
+	}
+	if int64(len(c.stage))+bytestore.PairBytes(len(key), len(val)) > c.budget && len(c.stage) > 0 {
+		c.flushRaw()
+	}
+	c.stage = kvenc.AppendPair(c.stage, key, val)
+	c.stagePart = append(c.stagePart, int32(part))
+	c.stageEnd = append(c.stageEnd, len(c.stage))
 }
 
-// flushTable emits the table contents as one finished segment per
-// partition and resets the table. The table walk is serial (it owns
-// the iteration cursor), but the per-partition combine + encode work
-// runs on the kernel's compute pool: partitions are disjoint, entries
-// keep table iteration order within each partition, and the table is
-// only read until reset — so the emitted segments are bytewise
-// identical to a serial flush for any worker count.
-func (c *HashMapCollector) flushTable() {
-	type entry struct {
-		key    []byte
-		state  []byte
-		values func(func([]byte))
-	}
-	perPart := make([][]entry, c.r)
-	c.table.Range(func(pk, state []byte, values func(func([]byte))) bool {
-		part, key := splitPrefixed(pk)
-		perPart[part] = append(perPart[part], entry{key: key, state: state, values: values})
-		return true
-	})
-	segs := make([][]byte, c.r)
-	counts := make([]int64, c.r)
-	encode := func(part int) {
-		var seg []byte
-		var n int64
-		for _, e := range perPart[part] {
-			if c.inc != nil {
-				seg = kvenc.AppendPair(seg, e.key, e.state)
-				n++
-				continue
-			}
-			// Combine the collected values into (usually) one.
-			var vals [][]byte
-			e.values(func(v []byte) { vals = append(vals, v) })
-			c.comb.Combine(e.key, &sliceIter{vals: vals}, func(v []byte) {
-				seg = kvenc.AppendPair(seg, e.key, v)
-				n++
-			})
-		}
-		segs[part], counts[part] = seg, n
-	}
-	if c.rt.P != nil {
-		c.rt.P.ParallelFor(c.r, encode)
-	} else {
-		for part := 0; part < c.r; part++ {
-			encode(part)
-		}
-	}
-	for _, n := range counts {
-		c.outRecs += n
-	}
-	c.appendSegments(segs)
-	c.reset()
-}
-
-// flushRaw emits the raw per-partition buffers as segments.
+// flushRaw emits the staged pairs as one segment per partition: the
+// partitions are sized from the staged offsets and the pairs scattered
+// once, in arrival order, into a single exact-size buffer, so the
+// segments are its adjacent ranges in partition order.
 func (c *HashMapCollector) flushRaw() {
-	segs := make([][]byte, c.r)
-	for i, buf := range c.raw {
-		if buf.Len() > 0 {
-			segs[i] = append([]byte(nil), buf.Bytes()...)
-			c.outRecs += int64(buf.Len())
-			buf.Reset()
-		}
+	if len(c.stageEnd) == 0 {
+		return
 	}
+	clear(c.cursor)
+	start := 0
+	for i, end := range c.stageEnd {
+		c.cursor[c.stagePart[i]] += end - start
+		start = end
+	}
+	backing := make([]byte, len(c.stage))
+	segs := make([][]byte, c.r)
+	off := 0
+	for part, n := range c.cursor {
+		segs[part] = backing[off : off+n : off+n]
+		c.cursor[part] = off
+		off += n
+	}
+	start = 0
+	for i, end := range c.stageEnd {
+		part := c.stagePart[i]
+		c.cursor[part] += copy(backing[c.cursor[part]:], c.stage[start:end])
+		start = end
+	}
+	c.outRecs += int64(len(c.stageEnd))
 	c.appendSegments(segs)
-	c.rawBytes = 0
+	c.flushes++
+	c.backing = backing
+	c.stage, c.stagePart, c.stageEnd = c.stage[:0], c.stagePart[:0], c.stageEnd[:0]
 }
 
-// appendSegments stores finished segments. When a chunk's output
-// exceeds the map buffer the collector simply emits multiple segments
-// per partition — no external sort, no merge, no extra spill: this is
-// exactly the U2 cost the hash framework eliminates (§4.1). All
-// segments are written once to the map output file by the engine.
+// appendSegments stores one flush's segments, one per partition. When
+// a chunk's output exceeds the map buffer the collector simply emits
+// multiple segments per partition — no external sort, no merge, no
+// extra spill: this is exactly the U2 cost the hash framework
+// eliminates (§4.1). All segments are written once to the map output
+// file by the engine. A partition's first segment is a window of the
+// flush's own slice, so the usual single flush allocates no lists.
 func (c *HashMapCollector) appendSegments(segs [][]byte) {
 	for part, s := range segs {
-		if len(s) > 0 {
+		switch {
+		case len(s) == 0:
+		case c.parts[part] == nil:
+			c.parts[part] = segs[part : part+1 : part+1]
+		default:
 			c.parts[part] = append(c.parts[part], s)
 		}
 	}
 }
 
 // Finish flushes remaining state and returns the per-partition
-// segments plus the record counts (collected, emitted).
+// segments plus the record counts (collected, emitted). A pass-through
+// task that flushed once hands its scatter buffer over as the output's
+// backing; one that flushed more keeps the file's gather.
 func (c *HashMapCollector) Finish() (out MapParts, mapped, emitted int64) {
-	if c.inc != nil || c.comb != nil {
-		c.flushTable()
+	if c.fold != nil {
+		c.fold.flush()
 	} else {
 		c.flushRaw()
+		bytestore.Put(c.stage)
+		c.stage = nil
 	}
-	return MapParts{Segs: c.parts}, c.mapped, c.outRecs
-}
-
-// sliceIter adapts [][]byte to kvenc.ValueIter.
-type sliceIter struct {
-	vals [][]byte
-	i    int
-}
-
-// Next implements kvenc.ValueIter.
-func (s *sliceIter) Next() ([]byte, bool) {
-	if s.i >= len(s.vals) {
-		return nil, false
+	out.Segs = c.parts
+	if c.flushes == 1 {
+		out.Backing = c.backing
 	}
-	v := s.vals[s.i]
-	s.i++
-	return v, true
+	return out, c.mapped, c.outRecs
 }

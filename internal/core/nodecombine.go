@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/bytestore"
 	"repro/internal/kvenc"
 	"repro/internal/mr"
 )
@@ -26,19 +25,10 @@ import (
 // emitted runs and all derived counters bit-identical across
 // substrates and worker counts.
 type NodeCombiner struct {
-	rt     *Runtime
-	r      int // partitions (reducers)
-	budget int64
-	comb   mr.Combiner
-	inc    mr.Incremental
-	sorted bool // sort emitted segments by key (sort-merge reducers need sorted runs)
-
-	table    *bytestore.Table
+	fold     foldTable
 	inPairs  int64
 	outPairs int64
 	out      MapParts // finished segments per partition, with their pair counts
-
-	pk []byte // partition-prefix scratch
 }
 
 // NewNodeCombiner creates the per-node fold for r partitions under the
@@ -52,24 +42,17 @@ type NodeCombiner struct {
 // The caller must only construct one for combinable queries
 // (mr.Combiner present); see engine.JobSpec.NodeCombineActive.
 func NewNodeCombiner(rt *Runtime, q mr.Query, r int, budget int64, incremental, sorted bool) *NodeCombiner {
-	nc := &NodeCombiner{
-		rt:     rt,
-		r:      r,
-		budget: budget,
-		sorted: sorted,
-		out:    MapParts{Segs: make([][][]byte, r), Recs: make([][]int64, r)},
-	}
+	nc := &NodeCombiner{out: MapParts{Segs: make([][][]byte, r), Recs: make([][]int64, r)}}
 	inc, isInc := q.(mr.Incremental)
 	comb, isComb := q.(mr.Combiner)
 	if !isComb {
 		panic("core: NodeCombiner requires an mr.Combiner query")
 	}
+	nc.fold = foldTable{rt: rt, r: r, budget: budget, h: rt.Fam.Fn(3), comb: comb, sorted: sorted, emit: nc.emit}
 	if incremental && isInc {
-		nc.inc = inc
-	} else {
-		nc.comb = comb
+		nc.fold.inc = inc
 	}
-	nc.table = bytestore.NewTable(rt.Fam.Fn(3), budget)
+	nc.fold.reset()
 	return nc
 }
 
@@ -89,7 +72,7 @@ func (nc *NodeCombiner) Absorb(parts [][][]byte) int64 {
 					break
 				}
 				pairs++
-				nc.add(part, key, val)
+				nc.fold.add(part, key, val)
 			}
 			if err := it.Err(); err != nil {
 				// The segments never left memory, so a kvenc-level
@@ -103,107 +86,24 @@ func (nc *NodeCombiner) Absorb(parts [][][]byte) int64 {
 	return pairs
 }
 
-// add folds one pair into the table, flushing on budget overflow
-// exactly like the map collector.
-func (nc *NodeCombiner) add(part int, key, val []byte) {
-	nc.pk = append(nc.pk[:0], byte(part>>8), byte(part))
-	nc.pk = append(nc.pk, key...)
-	pk := nc.pk
-	if nc.inc != nil {
-		cur, found, ok := nc.table.UpsertState(pk, len(val), nc.inc.StateSize())
-		if !ok {
-			nc.flushTable()
-			cur, found, _ = nc.table.UpsertState(pk, len(val), nc.inc.StateSize())
-		}
-		if !found {
-			copy(cur, val)
-			return
-		}
-		merged := nc.inc.MergeStates(key, cur, val)
-		if !nc.table.SetState(pk, merged) {
-			// Arena exhausted by state growth: the flushed segment keeps
-			// the key's previous partial state, the fresh slot holds only
-			// the incoming one (same rule as the map collector).
-			nc.flushTable()
-			st2, _, _ := nc.table.UpsertState(pk, len(val), nc.inc.StateSize())
-			copy(st2, val)
-		}
-		return
-	}
-	if !nc.table.AppendValue(pk, val) {
-		nc.flushTable()
-		nc.table.AppendValue(pk, val)
-	}
-}
-
-// flushTable emits the table contents as one finished segment per
-// partition and resets the table. Encoding runs on the compute pool
-// (partitions are disjoint, entries keep table iteration order within
-// each partition), so the segments are bytewise identical to a serial
-// flush for any worker count. In sorted mode each segment is key-
-// sorted before it is emitted (post-fold keys are unique per segment,
-// so any stable sort yields a valid sort-merge run) and the sort CPU
-// is charged here.
-func (nc *NodeCombiner) flushTable() {
-	type entry struct {
-		key    []byte
-		state  []byte
-		values func(func([]byte))
-	}
-	perPart := make([][]entry, nc.r)
-	nc.table.Range(func(pk, state []byte, values func(func(val []byte))) bool {
-		part, key := splitPrefixed(pk)
-		perPart[part] = append(perPart[part], entry{key: key, state: state, values: values})
-		return true
-	})
-	segs := make([][]byte, nc.r)
-	counts := make([]int64, nc.r)
-	encode := func(part int) {
-		var seg []byte
-		var n int64
-		for _, e := range perPart[part] {
-			if nc.inc != nil {
-				seg = kvenc.AppendPair(seg, e.key, e.state)
-				n++
-				continue
-			}
-			var vals [][]byte
-			e.values(func(v []byte) { vals = append(vals, v) })
-			nc.comb.Combine(e.key, &sliceIter{vals: vals}, func(v []byte) {
-				seg = kvenc.AppendPair(seg, e.key, v)
-				n++
-			})
-		}
-		if nc.sorted && len(seg) > 0 {
-			seg, _ = nc.rt.SortStream(seg)
-		}
-		segs[part], counts[part] = seg, n
-	}
-	// In sorted mode encode runs serially so SortStream can shard
-	// each partition's sort onto the pool itself (no nested fan-out).
-	if nc.rt.P != nil && !nc.sorted {
-		nc.rt.P.ParallelFor(nc.r, encode)
-	} else {
-		for part := 0; part < nc.r; part++ {
-			encode(part)
-		}
-	}
+// emit stores one flush of the table; in sorted mode the sort CPU of
+// each segment is charged here.
+func (nc *NodeCombiner) emit(segs [][]byte, counts []int64) {
 	for part, seg := range segs {
 		if len(seg) > 0 {
 			nc.out.Segs[part] = append(nc.out.Segs[part], seg)
 			nc.out.Recs[part] = append(nc.out.Recs[part], counts[part])
 		}
-		if nc.sorted {
-			nc.rt.ChargeCPU(nc.rt.Model.CPUSort(counts[part]))
+		if nc.fold.sorted {
+			nc.fold.rt.ChargeCPU(nc.fold.rt.Model.CPUSort(counts[part]))
 		}
 		nc.outPairs += counts[part]
 	}
-	nc.table = bytestore.NewTable(nc.rt.Fam.Fn(3), nc.budget)
 }
 
 // Finish flushes remaining table state and returns the merged run:
 // per-partition segments plus the absorbed and emitted pair counts.
 func (nc *NodeCombiner) Finish() (out MapParts, inPairs, outPairs int64) {
-	nc.flushTable()
+	nc.fold.flush()
 	return nc.out, nc.inPairs, nc.outPairs
 }

@@ -9,49 +9,67 @@ import (
 	"repro/internal/queries"
 )
 
-// Ceilings for TestJobAllocBudget: the measured values of this job
-// under the race detector (2,899 objects, 1.116 MB; 2,743 and 1.031
-// without it; 3,698 and 2.74 before the buffers were handed over) plus
-// 10 %.
-const (
-	jobAllocsCeiling  = 3189
-	jobAllocMBCeiling = 1.228
-)
-
 // TestJobAllocBudget is the job-level deterministic performance gate:
-// a fixed-seed sort-merge sessionization job at Parallelism 1 (compute
-// inline, so the count does not depend on scheduling) must stay under a
-// committed number of heap objects and bytes allocated per job. The
-// sort-merge data path once materialised map output six times between
-// Map and the shuffle; a regression of that kind moves these numbers
-// by integer factors, far past the 10 % headroom.
+// a fixed-seed sessionization job at Parallelism 1 (compute inline, so
+// the count does not depend on scheduling) must stay under a committed
+// number of heap objects and bytes allocated per job, on each half of
+// the platform matrix. Both data paths once materialised map output
+// several times between Map and the shuffle (sort-merge six, the hash
+// collector four, plus a fresh state per init() and cb() call); a
+// regression of that kind moves these numbers by integer factors, far
+// past the 10 % headroom. Ceilings are the values measured under the
+// race detector plus 10 %.
 func TestJobAllocBudget(t *testing.T) {
-	c := testCluster(testModel())
-	c.ReduceBuffer = 16 << 10 // force reduce-side spills and merges
-	c.Page = 1 << 10
-	c.Parallelism = 1
-	spec := JobSpec{
-		Query:    queries.NewSessionization(5*time.Minute, 512, 5*time.Second),
-		Input:    testClicks(t, 192<<10, 12<<10),
-		Platform: SortMerge,
-		Cluster:  c,
-		Hints:    mr.Hints{Km: 1, DistinctKeys: 400},
-		Seed:     7,
+	rows := []struct {
+		platform     Platform
+		reduceBuffer int64
+		allocs       uint64
+		mb           float64
+	}{
+		// 2,899 objects and 1.116 MB under the detector (2,743 and 1.031
+		// without it; 3,698 and 2.74 before the buffers were handed over).
+		{SortMerge, 16 << 10, 3189, 1.228},
+		// A reduce buffer small enough that overflow keys spill to buckets
+		// and one bucket is repartitioned. 3,915 objects and 3.282 MB
+		// under the detector (2,985 and 3.044 without it; 15,100 and
+		// 5.328, 14,160 and 5.070 before init() and cb() wrote into their
+		// callers' buffers and map output was staged and scattered once).
+		{INCHash, 12 << 10, 4306, 3.610},
 	}
-	if _, err := Run(spec); err != nil { // warm the buffer pool and lazy runtime state
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := Run(spec); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	allocs := after.Mallocs - before.Mallocs
-	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
-	t.Logf("%d objects, %.3f MB allocated per job", allocs, mb)
-	if allocs > jobAllocsCeiling || mb > jobAllocMBCeiling {
-		t.Fatalf("job allocated %d objects and %.2f MB, over the budget of %d objects and %.2f MB",
-			allocs, mb, jobAllocsCeiling, jobAllocMBCeiling)
+	for _, row := range rows {
+		t.Run(row.platform.String(), func(t *testing.T) {
+			c := testCluster(testModel())
+			c.ReduceBuffer = row.reduceBuffer // force reduce-side spills
+			c.Page = 1 << 10
+			c.Parallelism = 1
+			spec := JobSpec{
+				Query:    queries.NewSessionization(5*time.Minute, 512, 5*time.Second),
+				Input:    testClicks(t, 192<<10, 12<<10),
+				Platform: row.platform,
+				Cluster:  c,
+				Hints:    mr.Hints{Km: 1, DistinctKeys: 400},
+				Seed:     7,
+			}
+			if _, err := Run(spec); err != nil { // warm the buffer pool and lazy runtime state
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			rep, err := Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			allocs := after.Mallocs - before.Mallocs
+			mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+			t.Logf("%d objects, %.3f MB allocated per job", allocs, mb)
+			if rep.ReduceSpillBytes == 0 {
+				t.Fatal("test setup: the reduce buffer forced no spill")
+			}
+			if allocs > row.allocs || mb > row.mb {
+				t.Fatalf("job allocated %d objects and %.2f MB, over the budget of %d objects and %.2f MB",
+					allocs, mb, row.allocs, row.mb)
+			}
+		})
 	}
 }

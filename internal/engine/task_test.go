@@ -145,7 +145,7 @@ func TestTakeCheckpointPricesBucketDeltas(t *testing.T) {
 		var seg []byte
 		for i := from; i < to; i++ {
 			k := []byte(fmt.Sprintf("user%05d", i))
-			seg = kvenc.AppendPair(seg, k, inc.Init(k, []byte("1")))
+			seg = kvenc.AppendPair(seg, k, inc.Init(nil, k, []byte("1")))
 		}
 		red.Feed(core.MapParts{Segs: [][][]byte{{seg}}}, 0, int64(len(seg)), 0)
 	}
@@ -362,5 +362,67 @@ func TestMapBodyDriverShapesAgree(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestHashCollectorOutputIsAdoptedByTheFile: a hash map task that
+// flushed once hands WriteMapOutput the buffer its segments were
+// scattered into, and the file keeps that very array — no gather, no
+// copy. A write persisted with a flipped bit still lands in the file's
+// own clone, so the shuffle segments served from the collector's
+// buffer stay clean.
+func TestHashCollectorOutputIsAdoptedByTheFile(t *testing.T) {
+	q := queries.NewSessionization(5*time.Minute, 512, 5*time.Second)
+	spec := bodySpec(t, INCHash, q)
+	spec.Cluster.MapBuffer = 1 << 20
+	spec.Cluster.Checksums = true
+	mapChunk := func(rt *core.Runtime, chunk int) core.MapParts {
+		body := NewMapBody(spec, rt, q, chunk, 0, nil)
+		for _, s := range body.Segments(spec.Input.ChunkBytes(chunk)) {
+			var seg SegMapResult
+			body.MapSegment(s, &seg)
+			body.Replay(&seg, q.AdvanceWatermark)
+		}
+		out, _, emitted := body.Finish()
+		if emitted == 0 || out.Backing == nil {
+			t.Fatalf("chunk %d: %d pairs emitted, backing %v", chunk, emitted, out.Backing != nil)
+		}
+		return out
+	}
+	var ledger int64
+	rt := bodyRuntime(spec, &ledger)
+	out := mapChunk(rt, 0)
+	f, partBytes, partOff := WriteMapOutput(rt.P, rt.Store, "m0.out", out)
+	if &f.Data()[0] != &out.Backing[0] || len(f.Data()) != len(out.Backing) {
+		t.Fatal("the map output file copied the collector's buffer")
+	}
+	for p, segs := range out.Segs {
+		if len(segs) > 1 || PartsBytes([][][]byte{segs}) != partBytes[p] {
+			t.Fatalf("partition %d: %d segments, %d bytes recorded", p, len(segs), partBytes[p])
+		}
+		if len(segs) == 1 && &segs[0][0] != &f.Data()[partOff[p]] {
+			t.Fatalf("partition %d does not start at offset %d of the file", p, partOff[p])
+		}
+	}
+
+	df := &storage.DiskFaults{Seed: 9, CorruptRate: 1}
+	df.Classes[storage.MapOutput] = true
+	rt.Store.SetFaults(df)
+	flipped := 0
+	for chunk := 0; chunk < spec.Input.NumChunks(); chunk++ {
+		out := mapChunk(rt, chunk)
+		want := bytes.Clone(out.Backing)
+		f, _, _ := WriteMapOutput(rt.P, rt.Store, fmt.Sprintf("c%d.out", chunk), out)
+		if !bytes.Equal(out.Backing, want) {
+			t.Fatal("the bit flip is visible through the collector's segments")
+		}
+		if !bytes.Equal(f.Data(), want) {
+			flipped++
+		} else if &f.Data()[0] != &out.Backing[0] {
+			t.Fatalf("clean write %d was copied", chunk)
+		}
+	}
+	if flipped == 0 {
+		t.Fatal("test setup: no write was corrupted")
 	}
 }

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -39,6 +40,9 @@ type folder struct {
 
 	keys   []string
 	states map[string][]byte
+	// init() and cb() result scratch: a state the table keeps is copied
+	// out (into the key's previous state when it has the room).
+	st, merged []byte
 
 	outLog   []byte // early/scavenged outputs, bytestore pair encoding
 	outPairs int64
@@ -124,11 +128,13 @@ func (f *folder) fold(seq int64, records [][]byte) {
 
 // emit receives one map-output pair and folds it into the table.
 func (f *folder) emit(k, v []byte) {
-	st := f.inc.Init(k, v)
+	f.st = f.inc.Init(f.st[:0], k, v)
+	var st []byte
 	if prev, ok := f.states[string(k)]; ok {
-		st = f.inc.MergeStates(k, prev, st)
+		st = append(prev[:0], mr.MergeInto(f.inc, &f.merged, k, prev, f.st)...)
 	} else {
 		f.keys = append(f.keys, string(k))
+		st = bytes.Clone(f.st)
 	}
 	if f.early != nil {
 		st = f.early.TryEmit(k, st, f.out)

@@ -40,18 +40,26 @@ type Combiner interface {
 // processing (§4.2): init() reduces a value to a state, cb() merges
 // states, and fn() produces the final answer from a state. The
 // original reduce function is equivalent to cb followed by fn.
+//
+// Init and MergeStates are append-style, like kvenc.AppendPair: they
+// write into dst, a buffer the caller owns, and never allocate a
+// result of their own. The caller decides how long a result lives — a
+// platform reuses one scratch slice per instance and copies what it
+// keeps; a caller that wants to hold the result passes nil.
 type Incremental interface {
-	// Init converts a map-output value into an initial state (the
-	// paper applies it immediately after the map function, turning the
-	// dataflow from key-value into key-state pairs).
-	Init(key, value []byte) []byte
-	// MergeStates folds state b into state a for the key and returns
-	// the merged state (which may alias a). Implementations must
-	// either mutate a in place without changing its length, or build a
-	// fresh state leaving a intact: when a platform cannot retain the
-	// merged result (memory exhausted) it falls back to treating a as
-	// an unmerged partial state.
-	MergeStates(key, a, b []byte) []byte
+	// Init appends the initial state of a map-output value to dst and
+	// returns the extended slice (the paper applies init immediately
+	// after the map function, turning the dataflow from key-value into
+	// key-state pairs). dst must not overlap key or value.
+	Init(dst, key, value []byte) []byte
+	// MergeStates folds state b into state a for the key. It returns
+	// either a itself, updated in place at unchanged length, or
+	// dst[:0] extended with the merged state, leaving a intact: when a
+	// platform cannot retain the merged result (memory exhausted) it
+	// falls back to treating a as an unmerged partial state. b is only
+	// read. dst must not overlap a, b or key; its contents are
+	// overwritten.
+	MergeStates(dst, key, a, b []byte) []byte
 	// Finalize emits the key's final answer(s) from its state.
 	Finalize(key, state []byte, out OutputWriter)
 	// StateSize returns the fixed per-key state footprint in physical
@@ -124,6 +132,17 @@ type Hints struct {
 	// DistinctKeys is the expected number of distinct keys (the
 	// paper's K), cluster-wide.
 	DistinctKeys int64
+}
+
+// MergeInto calls inc.MergeStates with *scratch as dst and, when the
+// merged state was built there rather than in a, keeps the (possibly
+// regrown) buffer in *scratch for the next call.
+func MergeInto(inc Incremental, scratch *[]byte, key, a, b []byte) []byte {
+	out := inc.MergeStates((*scratch)[:0], key, a, b)
+	if cap(out) > 0 && (cap(a) == 0 || &out[:1][0] != &a[:1][0]) {
+		*scratch = out
+	}
+	return out
 }
 
 // FuncOutput adapts a function to OutputWriter (test convenience).

@@ -86,9 +86,9 @@ func incrementalAll(q mr.Incremental, groups map[string][][]byte) map[string]str
 	out := map[string]string{}
 	for k, vals := range groups {
 		key := []byte(k)
-		state := q.Init(key, vals[0])
+		state := q.Init(nil, key, vals[0])
 		for _, v := range vals[1:] {
-			state = q.MergeStates(key, state, q.Init(key, v))
+			state = q.MergeStates(nil, key, state, q.Init(nil, key, v))
 		}
 		q.Finalize(key, state, mr.FuncOutput(func(key, value []byte) {
 			out[string(key)] = string(value)
@@ -141,11 +141,11 @@ func TestMergeStatesAliasing(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			inc := q.(mr.Incremental)
 			key := []byte("user0000")
-			a := inc.Init(key, []byte("1"))
-			b := inc.Init(key, []byte("1"))
+			a := inc.Init(nil, key, []byte("1"))
+			b := inc.Init(nil, key, []byte("1"))
 			aCopy := append([]byte(nil), a...)
 			aLen := len(a)
-			merged := inc.MergeStates(key, a, b)
+			merged := inc.MergeStates(nil, key, a, b)
 			aliases := len(a) > 0 && len(merged) > 0 && &a[0] == &merged[0]
 			if aliases {
 				if len(merged) != aLen {
@@ -210,10 +210,10 @@ func TestEarlyEmitterEmitsOnce(t *testing.T) {
 		emits = append(emits, string(k)+"="+string(v))
 	})
 
-	state := inc.Init(key, []byte("1"))
+	state := inc.Init(nil, key, []byte("1"))
 	for i := 0; i < 4; i++ {
 		state = ee.TryEmit(key, state, out)
-		state = inc.MergeStates(key, state, inc.Init(key, []byte("1")))
+		state = inc.MergeStates(nil, key, state, inc.Init(nil, key, []byte("1")))
 	}
 	state = ee.TryEmit(key, state, out)
 	if len(emits) != 1 || emits[0] != "user0000=3" {

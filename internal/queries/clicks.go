@@ -110,17 +110,15 @@ func (q *counting) Combine(key []byte, values kvenc.ValueIter, emit func(v []byt
 }
 
 // Init implements mr.Incremental.
-func (q *counting) Init(key, value []byte) []byte {
+func (q *counting) Init(dst, key, value []byte) []byte {
 	n, _ := strconv.ParseInt(string(value), 10, 64)
-	st := make([]byte, 8)
-	putCount(st, uint64(n))
-	return st
+	return binary.BigEndian.AppendUint64(dst, uint64(n))
 }
 
 // MergeStates implements mr.Incremental.
-func (q *counting) MergeStates(key, a, b []byte) []byte {
+func (q *counting) MergeStates(dst, key, a, b []byte) []byte {
 	if len(a) < 8 {
-		return append(a[:0], b...)
+		return append(dst[:0], b...)
 	}
 	ca, cb := countOf(a), countOf(b)
 	mark := (ca | cb) & emittedBit

@@ -74,9 +74,9 @@ func TestClickCountReduceAndCombine(t *testing.T) {
 
 func TestCountingIncrementalMatchesReduce(t *testing.T) {
 	q := NewClickCount().(*counting)
-	st := q.Init([]byte("u"), []byte("1"))
+	st := q.Init(nil, []byte("u"), []byte("1"))
 	for i := 0; i < 9; i++ {
-		st = q.MergeStates([]byte("u"), st, q.Init([]byte("u"), []byte("1")))
+		st = q.MergeStates(nil, []byte("u"), st, q.Init(nil, []byte("u"), []byte("1")))
 	}
 	s := &sink{}
 	q.Finalize([]byte("u"), st, s)
@@ -87,10 +87,10 @@ func TestCountingIncrementalMatchesReduce(t *testing.T) {
 
 func TestFrequentUsersEarlyEmitOnce(t *testing.T) {
 	q := NewFrequentUsers(5).(*earlyCounting)
-	st := q.Init([]byte("u"), []byte("1"))
+	st := q.Init(nil, []byte("u"), []byte("1"))
 	s := &sink{}
 	for i := 0; i < 9; i++ {
-		st = q.MergeStates([]byte("u"), st, q.Init([]byte("u"), []byte("1")))
+		st = q.MergeStates(nil, []byte("u"), st, q.Init(nil, []byte("u"), []byte("1")))
 		st = q.TryEmit([]byte("u"), st, s)
 	}
 	if len(s.got) != 1 || s.got[0][1] != "5" {
@@ -105,7 +105,7 @@ func TestFrequentUsersEarlyEmitOnce(t *testing.T) {
 func TestFrequentUsersBelowThresholdSilent(t *testing.T) {
 	q := NewFrequentUsers(50).(*earlyCounting)
 	s := &sink{}
-	st := q.Init([]byte("u"), []byte("1"))
+	st := q.Init(nil, []byte("u"), []byte("1"))
 	st = q.TryEmit([]byte("u"), st, s)
 	q.Finalize([]byte("u"), st, s)
 	if len(s.got) != 0 {
@@ -201,11 +201,11 @@ func runIncremental(q *Sessionization, s *sink, clicks [][]byte) []byte {
 		var key []byte
 		q.AdvanceWatermark(q.RecordTime(rec))
 		q.Map(rec, func(k, v []byte) { key = append([]byte(nil), k...) })
-		init := q.Init(key, rec)
+		init := q.Init(nil, key, rec)
 		if st == nil {
 			st = init
 		} else {
-			st = q.MergeStates(key, st, init)
+			st = q.MergeStates(nil, key, st, init)
 		}
 		st = q.TryEmit(key, st, s)
 	}
@@ -288,9 +288,9 @@ func TestSessionizationBufferOverflowForcesEmission(t *testing.T) {
 
 func TestSessionizationMergeDisorderedStates(t *testing.T) {
 	q := newSess()
-	a := q.Init([]byte("u"), click(3*minute, "u0000001", "/c"))
-	b := q.Init([]byte("u"), click(1*minute, "u0000001", "/a"))
-	m := q.MergeStates([]byte("u"), a, b)
+	a := q.Init(nil, []byte("u"), click(3*minute, "u0000001", "/c"))
+	b := q.Init(nil, []byte("u"), click(1*minute, "u0000001", "/a"))
+	m := q.MergeStates(nil, []byte("u"), a, b)
 	var ts []int64
 	eachClick(m, func(_ int, t int64, _ []byte) bool { ts = append(ts, t); return true })
 	if !sort.SliceIsSorted(ts, func(i, j int) bool { return ts[i] < ts[j] }) {
@@ -302,7 +302,7 @@ func TestSessionizationEvictorAndScavenger(t *testing.T) {
 	q := newSess()
 	s := &sink{}
 	// Old click, then advance watermark far past it.
-	st := q.Init([]byte("u0000001"), click(1*minute, "u0000001", "/a"))
+	st := q.Init(nil, []byte("u0000001"), click(1*minute, "u0000001", "/a"))
 	q.AdvanceWatermark(q.RecordTime(click(60*minute, "u0000002", "/b")))
 	if !q.Scavenge([]byte("u0000001"), st) {
 		t.Fatal("expired state not scavengeable")
@@ -314,7 +314,7 @@ func TestSessionizationEvictorAndScavenger(t *testing.T) {
 		t.Fatalf("eviction output %v", s.got)
 	}
 	// A fresh state must be spilled, not absorbed.
-	fresh := q.Init([]byte("u0000003"), click(60*minute, "u0000003", "/c"))
+	fresh := q.Init(nil, []byte("u0000003"), click(60*minute, "u0000003", "/c"))
 	if q.OnEvict([]byte("u0000003"), fresh, s) {
 		t.Fatal("fresh state wrongly absorbed")
 	}
@@ -352,11 +352,11 @@ func TestSessionizationMergeOrderInvariance(t *testing.T) {
 	for pi, perm := range perms {
 		var st []byte
 		for _, i := range perm {
-			init := q.Init([]byte("u0000001"), base[i])
+			init := q.Init(nil, []byte("u0000001"), base[i])
 			if st == nil {
 				st = init
 			} else {
-				st = q.MergeStates([]byte("u0000001"), st, init)
+				st = q.MergeStates(nil, []byte("u0000001"), st, init)
 			}
 		}
 		var got []int64
@@ -378,13 +378,13 @@ func TestSessionizationMergeOrderInvariance(t *testing.T) {
 // data-dependent orders).
 func TestCountingMergeAssociativity(t *testing.T) {
 	q := NewClickCount().(*counting)
-	mk := func(n string) []byte { return q.Init([]byte("k"), []byte(n)) }
+	mk := func(n string) []byte { return q.Init(nil, []byte("k"), []byte(n)) }
 	// (a ⊕ b) ⊕ c
-	ab := q.MergeStates([]byte("k"), mk("3"), mk("4"))
-	abc := q.MergeStates([]byte("k"), ab, mk("5"))
+	ab := q.MergeStates(nil, []byte("k"), mk("3"), mk("4"))
+	abc := q.MergeStates(nil, []byte("k"), ab, mk("5"))
 	// a ⊕ (b ⊕ c)
-	bc := q.MergeStates([]byte("k"), mk("4"), mk("5"))
-	abc2 := q.MergeStates([]byte("k"), mk("3"), bc)
+	bc := q.MergeStates(nil, []byte("k"), mk("4"), mk("5"))
+	abc2 := q.MergeStates(nil, []byte("k"), mk("3"), bc)
 	s1, s2 := &sink{}, &sink{}
 	q.Finalize([]byte("k"), abc, s1)
 	q.Finalize([]byte("k"), abc2, s2)
@@ -398,7 +398,7 @@ func TestCountingMergeAssociativity(t *testing.T) {
 // other operand exactly.
 func TestCountingIdentityState(t *testing.T) {
 	q := NewClickCount().(*counting)
-	st := q.MergeStates([]byte("k"), []byte{}, q.Init([]byte("k"), []byte("7")))
+	st := q.MergeStates(nil, []byte("k"), []byte{}, q.Init(nil, []byte("k"), []byte("7")))
 	s := &sink{}
 	q.Finalize([]byte("k"), st, s)
 	if len(s.got) != 1 || s.got[0][1] != "7" {
@@ -409,8 +409,8 @@ func TestCountingIdentityState(t *testing.T) {
 // TestSessionizationIdentityState mirrors the same platform contract.
 func TestSessionizationIdentityState(t *testing.T) {
 	q := newSess()
-	st := q.MergeStates([]byte("u0000001"), []byte{},
-		q.Init([]byte("u0000001"), click(minute, "u0000001", "/a")))
+	st := q.MergeStates(nil, []byte("u0000001"), []byte{},
+		q.Init(nil, []byte("u0000001"), click(minute, "u0000001", "/a")))
 	s := &sink{}
 	q.Finalize([]byte("u0000001"), st, s)
 	if len(s.got) != 1 {

@@ -34,14 +34,14 @@ type Sessionization struct {
 
 	watermark int64 // max click timestamp seen by the map function
 
-	// Reduce/merge scratch. Reduce, MergeStates, and emitFront all run
-	// in simulated-process context, which the DES kernel serializes
-	// (only Map runs on the compute pool), so per-query scratch
-	// buffers are safe and keep the per-click paths allocation-free.
-	arena   []byte      // click records collected by Reduce
-	refs    []clickRef  // sort keys into arena
-	clicks  []sessClick // MergeStates splice scratch
-	emitBuf []byte      // "s%04d\t<record>" assembly for Emit
+	// Reduce/emit scratch. Reduce and emitFront run in simulated-process
+	// context, which the DES kernel serializes (only Map runs on the
+	// compute pool), so per-query scratch buffers are safe and keep the
+	// per-click paths allocation-free. Init and MergeStates have none:
+	// they write into the caller's buffer.
+	arena   []byte     // click records collected by Reduce
+	refs    []clickRef // sort keys into arena
+	emitBuf []byte     // "s%04d\t<record>" assembly for Emit
 }
 
 // clickRef is one click collected by Reduce: its timestamp and the
@@ -59,20 +59,6 @@ type clickRefs []clickRef
 func (s clickRefs) Len() int           { return len(s) }
 func (s clickRefs) Less(i, j int) bool { return s[i].ts < s[j].ts }
 func (s clickRefs) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-
-// sessClick is one packed click during a state splice; rec aliases
-// the source state (stable for the duration of the call).
-type sessClick struct {
-	ts  int64
-	rec []byte
-}
-
-// sessClicks sorts clicks by timestamp, stable on ties.
-type sessClicks []sessClick
-
-func (s sessClicks) Len() int           { return len(s) }
-func (s sessClicks) Less(i, j int) bool { return s[i].ts < s[j].ts }
-func (s sessClicks) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 
 // appendSession appends "s<session>\t<rec>" with the session number
 // zero-padded to 4 digits — bytewise identical to
@@ -199,43 +185,37 @@ func eachClick(st []byte, fn func(off int, ts int64, rec []byte) bool) {
 }
 
 // Init implements mr.Incremental: a state holding one click.
-func (q *Sessionization) Init(key, value []byte) []byte {
-	st := make([]byte, sessHeader, sessHeader+10+len(value))
-	return appendClick(st, clickTs(value), value)
+func (q *Sessionization) Init(dst, key, value []byte) []byte {
+	var hdr [sessHeader]byte
+	return appendClick(append(dst, hdr[:]...), clickTs(value), value)
 }
 
-// MergeStates implements mr.Incremental: splice b's clicks into a in
-// timestamp order (both are ordered, and b is usually newer).
-func (q *Sessionization) MergeStates(key, a, b []byte) []byte {
+// MergeStates implements mr.Incremental: a two-way merge of the two
+// timestamp-ordered click lists into dst (b is usually newer). Ties
+// take from a first, which is the stable order of a followed by b.
+func (q *Sessionization) MergeStates(dst, key, a, b []byte) []byte {
 	if len(a) < sessHeader {
-		return append(a[:0], b...)
+		return append(dst[:0], b...)
 	}
 	if len(b) < sessHeader {
 		return a
 	}
-	// The collected recs alias a and b, which stay untouched until the
-	// fresh output buffer below is assembled — no per-click copies.
-	merged := q.clicks[:0]
-	collect := func(st []byte) {
-		eachClick(st, func(_ int, ts int64, rec []byte) bool {
-			merged = append(merged, sessClick{ts, rec})
-			return true
-		})
-	}
-	collect(a)
-	collect(b)
-	sort.Stable(sessClicks(merged))
 	// Keep a's bookkeeping; take the later lastEmit.
-	out := make([]byte, sessHeader, len(a)+len(b))
-	copy(out, a[:sessHeader])
-	if lb := sessLastEmit(b); lb > sessLastEmit(out) {
-		sessSetLastEmit(out, lb)
+	dst = append(dst[:0], a[:sessHeader]...)
+	if lb := sessLastEmit(b); lb > sessLastEmit(dst) {
+		sessSetLastEmit(dst, lb)
 	}
-	for _, c := range merged {
-		out = appendClick(out, c.ts, c.rec)
+	i, j := sessHeader, sessHeader
+	for i < len(a) && j < len(b) {
+		src, off := a, &i
+		if int64(binary.BigEndian.Uint64(b[j:])) < int64(binary.BigEndian.Uint64(a[i:])) {
+			src, off = b, &j
+		}
+		end := *off + 10 + int(binary.BigEndian.Uint16(src[*off+8:]))
+		dst = append(dst, src[*off:end]...)
+		*off = end
 	}
-	q.clicks = merged[:0]
-	return out
+	return append(append(dst, a[i:]...), b[j:]...)
 }
 
 // emitFront pops and emits clicks from the front of the state while

@@ -92,17 +92,15 @@ func (q *WindowCount) Combine(key []byte, values kvenc.ValueIter, emit func(v []
 }
 
 // Init implements mr.Incremental.
-func (q *WindowCount) Init(key, value []byte) []byte {
+func (q *WindowCount) Init(dst, key, value []byte) []byte {
 	n, _ := strconv.ParseInt(string(value), 10, 64)
-	st := make([]byte, 8)
-	binary.BigEndian.PutUint64(st, uint64(n))
-	return st
+	return binary.BigEndian.AppendUint64(dst, uint64(n))
 }
 
 // MergeStates implements mr.Incremental.
-func (q *WindowCount) MergeStates(key, a, b []byte) []byte {
+func (q *WindowCount) MergeStates(dst, key, a, b []byte) []byte {
 	if len(a) < 8 {
-		return append(a[:0], b...)
+		return append(dst[:0], b...)
 	}
 	ca, cb := countOf(a), countOf(b)
 	mark := (ca | cb) & emittedBit

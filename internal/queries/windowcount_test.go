@@ -32,9 +32,9 @@ func TestWindowIncrementalCounts(t *testing.T) {
 	q := newWin()
 	s := &sink{}
 	key := []byte("w00000000|/a")
-	st := q.Init(key, []byte("1"))
+	st := q.Init(nil, key, []byte("1"))
 	for i := 0; i < 9; i++ {
-		st = q.MergeStates(key, st, q.Init(key, []byte("1")))
+		st = q.MergeStates(nil, key, st, q.Init(nil, key, []byte("1")))
 	}
 	q.Finalize(key, st, s)
 	if len(s.got) != 1 || s.got[0][1] != "10" {
@@ -46,7 +46,7 @@ func TestWindowEmitsWhenWatermarkPasses(t *testing.T) {
 	q := newWin()
 	s := &sink{}
 	key := q.windowKey(10*minute, []byte("/a")) // window [0, 1h)
-	st := q.Init(key, []byte("1"))
+	st := q.Init(nil, key, []byte("1"))
 
 	// Watermark still inside the window: nothing final yet.
 	q.AdvanceWatermark(q.RecordTime(click(50*minute, "u0000001", "/b")))
@@ -73,7 +73,7 @@ func TestWindowSlackHoldsBackBorderlineWindows(t *testing.T) {
 	q := newWin()
 	s := &sink{}
 	key := q.windowKey(10*minute, []byte("/a"))
-	st := q.Init(key, []byte("1"))
+	st := q.Init(nil, key, []byte("1"))
 	// Watermark just past the hour, within the 5s slack.
 	q.AdvanceWatermark(q.RecordTime(click(60*minute+2000, "u0000001", "/b")))
 	q.TryEmit(key, st, s)
@@ -86,7 +86,7 @@ func TestWindowEvictorAndScavenger(t *testing.T) {
 	q := newWin()
 	s := &sink{}
 	key := q.windowKey(10*minute, []byte("/a"))
-	st := q.Init(key, []byte("1"))
+	st := q.Init(nil, key, []byte("1"))
 	// Open window: must be spilled, not absorbed.
 	if q.OnEvict(key, st, s) || q.Scavenge(key, st) {
 		t.Fatal("open window wrongly retired")
@@ -100,7 +100,7 @@ func TestWindowEvictorAndScavenger(t *testing.T) {
 		t.Fatalf("closed window not absorbed into output: %v", s.got)
 	}
 	// An already-emitted state is droppable without output.
-	st2 := q.Init(key, []byte("1"))
+	st2 := q.Init(nil, key, []byte("1"))
 	st2 = q.TryEmit(key, st2, s)
 	n := len(s.got)
 	if !q.OnEvict(key, st2, s) || len(s.got) != n {
