@@ -34,13 +34,7 @@ func (b *KVBuffer) Append(key, val []byte) bool {
 	if int64(len(b.buf))+need > b.budget && b.n > 0 {
 		return false
 	}
-	var tmp [binary.MaxVarintLen64]byte
-	k := binary.PutUvarint(tmp[:], uint64(len(key)))
-	b.buf = append(b.buf, tmp[:k]...)
-	v := binary.PutUvarint(tmp[:], uint64(len(val)))
-	b.buf = append(b.buf, tmp[:v]...)
-	b.buf = append(b.buf, key...)
-	b.buf = append(b.buf, val...)
+	b.buf = AppendPair(b.buf, key, val)
 	b.n++
 	return true
 }
@@ -67,14 +61,10 @@ func (b *KVBuffer) Bytes() []byte { return b.buf }
 // budget), returning the extended slice. Used to serialize tables and
 // checkpoints in the same format RangePairs reads back.
 func AppendPair(dst, key, val []byte) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	k := binary.PutUvarint(tmp[:], uint64(len(key)))
-	dst = append(dst, tmp[:k]...)
-	v := binary.PutUvarint(tmp[:], uint64(len(val)))
-	dst = append(dst, tmp[:v]...)
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	dst = binary.AppendUvarint(dst, uint64(len(val)))
 	dst = append(dst, key...)
-	dst = append(dst, val...)
-	return dst
+	return append(dst, val...)
 }
 
 // Range iterates pairs in append order. The slices alias the buffer.

@@ -112,7 +112,7 @@ func (f *foldTable) flush() {
 			// Combine the collected values into (usually) one.
 			var vals [][]byte
 			e.values(func(v []byte) { vals = append(vals, v) })
-			f.comb.Combine(e.key, &sliceIter{vals: vals}, func(v []byte) {
+			f.comb.Combine(e.key, &kvenc.SliceIter{Vals: vals}, func(v []byte) {
 				seg = kvenc.AppendPair(seg, e.key, v)
 				n++
 			})
@@ -131,20 +131,4 @@ func (f *foldTable) flush() {
 	}
 	f.emit(segs, counts)
 	f.reset()
-}
-
-// sliceIter adapts [][]byte to kvenc.ValueIter.
-type sliceIter struct {
-	vals [][]byte
-	i    int
-}
-
-// Next implements kvenc.ValueIter.
-func (s *sliceIter) Next() ([]byte, bool) {
-	if s.i >= len(s.vals) {
-		return nil, false
-	}
-	v := s.vals[s.i]
-	s.i++
-	return v, true
 }

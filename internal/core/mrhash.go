@@ -165,7 +165,7 @@ func (r *MRHashReducer) reduceTable(t *bytestore.Table, out mr.OutputWriter) {
 			vals = append(vals, append([]byte(nil), v...))
 			records++
 		})
-		r.q.Reduce(key, &sliceIter{vals: vals}, out)
+		r.q.Reduce(key, &kvenc.SliceIter{Vals: vals}, out)
 		batch.Add(int64(len(vals)))
 		return true
 	})
@@ -240,13 +240,13 @@ func (r *MRHashReducer) sortAndStream(data []byte, out mr.OutputWriter) {
 	r.rt.ChargeCPU(r.rt.Model.CPUSort(int64(n)))
 	var records int64
 	batch := r.rt.Batch(r.rt.Model.CPUReduceRec)
-	if err := kvenc.MergeGroupsChecked([][]byte{sorted}, func(key []byte, vals kvenc.ValueIter) bool {
-		grp := &kvenc.CountingIter{Inner: vals}
-		r.q.Reduce(key, grp, out)
-		records += grp.N
-		batch.Add(grp.N)
-		return true
-	}); err != nil {
+	g := kvenc.NewGroups([][]byte{sorted})
+	for key, ok := g.NextGroup(); ok; key, ok = g.NextGroup() {
+		r.q.Reduce(key, g, out)
+		records += g.N
+		batch.Add(g.N)
+	}
+	if err := g.Err(); err != nil {
 		panic(fmt.Errorf("core: corrupt pairs in %s external sort: %w", r.prefix, err))
 	}
 	batch.Flush()

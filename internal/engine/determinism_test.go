@@ -73,14 +73,16 @@ func TestParallelismDoesNotChangeReports(t *testing.T) {
 // for the kernels that run offloaded beside their own charge: the
 // map-side sort → combine → split (also HOP's pushed spills, and the
 // external sort when C·Km > B_m), the reducer's shuffle-buffer merge
-// (with and without a combiner) and the multi-pass merge. Reports and
-// outputs must be DeepEqual for Parallelism 1 vs. 2, 4 and 8, also when
-// a node dies inside an offloaded charge (the merge and sort constants
-// are inflated so those charges dominate virtual time, and the kill
-// instants sweep the shuffle) and when reduce attempts are failed and
-// restarted; afterwards no goroutine is left behind. Run under -race,
-// this is also what shows the offloaded closures share nothing with
-// their charges.
+// (with and without a combiner), the multi-pass merge, and the final
+// merge + reduce handed over in batches. Reports and outputs must be
+// DeepEqual for Parallelism 1 vs. 2, 4 and 8, also when a node dies
+// inside an offloaded charge (the merge and sort constants are inflated
+// so those charges dominate virtual time, and the kill instants sweep
+// the shuffle; the reduce-heavy variants inflate CPUReduceRec instead,
+// so the instants land in the replay of a reduce batch while the next
+// is being produced) and when reduce attempts are failed and restarted;
+// afterwards no goroutine is left behind. Run under -race, this is also
+// what shows the offloaded closures share nothing with their charges.
 func TestOffloadedPathsAcrossWorkerCounts(t *testing.T) {
 	m := testModel()
 	m.CPUSortCmp *= 20
@@ -89,11 +91,12 @@ func TestOffloadedPathsAcrossWorkerCounts(t *testing.T) {
 	input := testClicks(t, 192<<10, 12<<10)
 	base := runtime.NumGoroutine()
 	type variant struct {
-		name   string
-		pl     Platform
-		combo  bool // clickcount (combiner) instead of sessionization
-		mapBuf int64
-		faults func(clean *Report) FaultPlan
+		name        string
+		pl          Platform
+		combo       bool // clickcount (combiner) instead of sessionization
+		mapBuf      int64
+		reduceHeavy bool // the final reduce dominates virtual time
+		faults      func(clean *Report) FaultPlan
 	}
 	kill := func(at float64) func(*Report) FaultPlan {
 		return func(clean *Report) FaultPlan {
@@ -119,9 +122,35 @@ func TestOffloadedPathsAcrossWorkerCounts(t *testing.T) {
 			variant{name: fmt.Sprintf("sm/sessionization/kill@%.1f", at), pl: SortMerge, faults: kill(at)},
 			variant{name: fmt.Sprintf("sm/clickcount/kill@%.1f", at), pl: SortMerge, combo: true, faults: kill(at)})
 	}
-	lost := 0
+	// Kills swept over what follows the map phase — the final reduce, in
+	// a reduce-heavy run — alone and on top of restarted reduce attempts.
+	for _, at := range []float64{0.2, 0.5, 0.8} {
+		at := at
+		inFinal := func(clean *Report) FaultPlan {
+			mf := clean.MapFinishTime
+			return FaultPlan{
+				KillNodes:         map[int]time.Duration{1: mf + time.Duration(at*float64(clean.RunningTime-mf))},
+				HeartbeatInterval: mf / 100,
+				HeartbeatTimeout:  mf / 25,
+			}
+		}
+		variants = append(variants,
+			variant{name: fmt.Sprintf("sm/sessionization/reduce-heavy/kill@%.1f", at), pl: SortMerge, reduceHeavy: true, faults: inFinal},
+			variant{name: fmt.Sprintf("sm/clickcount/reduce-heavy/kill@%.1f+reduce-failures", at), pl: SortMerge, combo: true, reduceHeavy: true,
+				faults: func(clean *Report) FaultPlan {
+					plan := inFinal(clean)
+					plan.ReduceFailures = map[int]int{0: 1, 3: 2}
+					return plan
+				}})
+	}
+	lost, lostInFinal := 0, 0
 	for _, v := range variants {
 		spec := func(workers int) JobSpec {
+			m := m
+			if v.reduceHeavy {
+				m = testModel()
+				m.CPUReduceRec *= 2000
+			}
 			c := testCluster(m)
 			c.ReduceBuffer = 16 << 10 // force reduce-side spills …
 			if v.combo {
@@ -143,8 +172,10 @@ func TestOffloadedPathsAcrossWorkerCounts(t *testing.T) {
 			return s
 		}
 		var plan FaultPlan
+		var cleanMapFinish time.Duration
 		if v.faults != nil {
-			plan = v.faults(runJob(t, spec(1)))
+			clean := runJob(t, spec(1))
+			plan, cleanMapFinish = v.faults(clean), clean.MapFinishTime
 		}
 		run := func(workers int) *Report {
 			s := spec(workers)
@@ -162,14 +193,19 @@ func TestOffloadedPathsAcrossWorkerCounts(t *testing.T) {
 		}
 		kinds := spanKinds(serial)
 		lost += kinds["map-lost"] + kinds["reduce-lost"]
+		for _, sp := range serial.Spans {
+			if v.reduceHeavy && sp.Kind == "reduce-lost" && sp.End > cleanMapFinish {
+				lostInFinal++
+			}
+		}
 		for _, w := range []int{2, 4, 8} {
 			if par := run(w); !reflect.DeepEqual(serial, par) {
 				t.Fatalf("%s: Parallelism=%d report differs from serial run: %s", v.name, w, ReportDiff(serial, par))
 			}
 		}
 	}
-	if lost == 0 {
-		t.Fatal("test setup: no kill instant aborted an attempt mid-flight")
+	if lost == 0 || lostInFinal == 0 {
+		t.Fatalf("test setup: %d attempts aborted mid-flight, %d of them reduce attempts in their final reduce", lost, lostInFinal)
 	}
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {

@@ -128,3 +128,42 @@ func TestMergeStreamToAllocs(t *testing.T) {
 		t.Fatalf("MergeStreamTo into preallocated dst allocated %.1f times, want merger setup only", allocs)
 	}
 }
+
+// TestMergerStepAllocs pins the per-pair and per-group steps of a
+// running merge at zero: Next, and NextGroup with the pulls of the
+// group's values (the step a final-reduce batch repeats).
+func TestMergerStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-detector instrumentation")
+	}
+	var runs [][]byte
+	for r := 0; r < 8; r++ {
+		run, _ := SortStream(allocTestStream(512))
+		runs = append(runs, run)
+	}
+	var sink int
+	m := NewMerger(runs)
+	if allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 100; i++ {
+			k, v, _ := m.Next()
+			sink += len(k) + len(v)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Merger.Next allocated %.1f times per 100 pairs, want 0", allocs)
+	}
+	g := NewGroups(runs)
+	if allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 4; i++ {
+			key, ok := g.NextGroup()
+			if !ok {
+				t.Fatal("ran out of groups")
+			}
+			for v, ok := g.Next(); ok; v, ok = g.Next() {
+				sink += len(key) + len(v)
+			}
+		}
+	}); allocs != 0 {
+		t.Fatalf("a Groups step allocated %.1f times per 4 groups, want 0", allocs)
+	}
+	_ = sink
+}

@@ -115,6 +115,53 @@ func drainMerger(m merger) ([]byte, error) {
 	}
 }
 
+// mergeEveryWay merges runs through each consumer of the loser tree —
+// Next, MergeStreamTo (which copies pairs as they stand encoded) and
+// Groups (flattened back into pairs) — and fails unless all three give
+// the same stream and agree on the damage.
+func mergeEveryWay(t *testing.T, runs [][]byte) ([]byte, error) {
+	t.Helper()
+	pairs, perr := drainMerger(NewMerger(runs))
+	stream, serr := MergeStreamTo(nil, runs)
+	var grouped []byte
+	g := NewGroups(runs)
+	for {
+		key, ok := g.NextGroup()
+		if !ok {
+			break
+		}
+		for {
+			v, ok := g.Next()
+			if !ok {
+				break
+			}
+			grouped = AppendPair(grouped, key, v)
+		}
+	}
+	if !bytes.Equal(stream, pairs) || !bytes.Equal(grouped, pairs) {
+		t.Fatalf("Next, MergeStreamTo and Groups merged to %d, %d and %d bytes", len(pairs), len(stream), len(grouped))
+	}
+	if serr != perr || g.Err() != perr {
+		t.Fatalf("errors differ: Next %v, MergeStreamTo %v, Groups %v", perr, serr, g.Err())
+	}
+	return pairs, perr
+}
+
+// prefixRuns deals keys round-robin into k runs (values tagged with
+// their position, so any reordering of equal keys shows) and sorts
+// each: the shapes the merger's cached eight-byte key prefix must not
+// get wrong.
+func prefixRuns(k int, keys ...string) [][]byte {
+	runs := make([][]byte, k)
+	for i, key := range keys {
+		runs[i%k] = AppendPair(runs[i%k], []byte(key), []byte(fmt.Sprintf("v%03d", i)))
+	}
+	for i := range runs {
+		runs[i], _ = SortStream(runs[i])
+	}
+	return runs
+}
+
 // mergeRunSets builds named sets of runs, including heavy cross-run
 // key ties (every run holds the same keys, values tagged with the run
 // index, so the tie-break-by-run-index order is fully visible).
@@ -145,13 +192,26 @@ func mergeRunSets(seed int64) map[string][][]byte {
 	sets["empty-and-nil"] = [][]byte{nil, valid, {}, ties[1]}
 	sets["single"] = [][]byte{valid}
 	sets["none"] = nil
+
+	// Keys equal in their first eight bytes and beyond, differing only
+	// after them, or only in length.
+	sets["shared-8-byte-prefix"] = prefixRuns(3, "prefix00", "prefix00a", "prefix00b", "prefix00", "prefix00aa",
+		"prefix01", "prefix0", "prefix00\x00", "prefix00b", "prefix00a")
+	sets["shorter-than-8"] = prefixRuns(4, "a", "", "abc", "ab", "abcdefg", "b", "", "abcdefgh", "a", "abcdefg")
+	// Equal once zero-padded to eight bytes, yet different keys.
+	sets["padded-prefix-twins"] = prefixRuns(3, "ab\x00", "ab", "ab\x00\x00", "", "\x00", "ab", "\x00\x00", "ab\x00", "")
+	var same []string
+	for i := 0; i < 60; i++ {
+		same = append(same, "samekey-samekey")
+	}
+	sets["equal-keys-many-runs"] = prefixRuns(20, same...)
 	return sets
 }
 
 func TestMergerMatchesHeapReference(t *testing.T) {
 	for name, runs := range mergeRunSets(3) {
 		t.Run(name, func(t *testing.T) {
-			got, gerr := drainMerger(NewMerger(runs))
+			got, gerr := mergeEveryWay(t, runs)
 			want, werr := drainMerger(newHeapMerger(runs))
 			if !bytes.Equal(got, want) {
 				t.Fatalf("loser-tree merge differs from heap reference (%d vs %d bytes)", len(got), len(want))

@@ -112,6 +112,86 @@ func FuzzRunIterator(f *testing.F) {
 	})
 }
 
+// FuzzMergeMatchesHeap deals the pairs of an arbitrary stream into up
+// to 32 sorted runs (its undecodable tail rides on the last) and holds
+// every consumer of the loser tree — the cached key prefixes, the
+// pair-copying MergeStreamTo, Groups — to the heap merger's stream,
+// tie order and error.
+func FuzzMergeMatchesHeap(f *testing.F) {
+	stream := func(keys ...string) []byte {
+		var out []byte
+		for i, k := range keys {
+			out = AppendPair(out, []byte(k), []byte{byte(i)})
+		}
+		return out
+	}
+	f.Add(stream("prefix00a", "prefix00", "prefix00b", "prefix00a", "prefix01"), uint8(3)) // equal first eight bytes
+	f.Add(stream("abc", "a", "", "abcdefg", "ab", ""), uint8(2))                           // shorter than eight, and empty
+	f.Add(stream("ab\x00", "ab", "ab", "ab\x00\x00", "\x00", ""), uint8(2))                // equal padded prefix, different keys
+	f.Add(stream("k", "k", "k", "k", "k", "k", "k", "k", "k", "k", "k", "k"), uint8(11))   // equal keys in many runs
+	f.Add(append(stream("b", "a"), 0x05, 0x05, 'x'), uint8(1))                             // truncated tail
+	f.Add([]byte{0x80, 0x00, 0x00}, uint8(0))                                              // padded length varint
+	f.Fuzz(func(t *testing.T, data []byte, k uint8) {
+		runs := make([][]byte, 1+int(k)%32)
+		rest, n := data, 0
+		for {
+			_, _, end, ok := scanPair(rest)
+			if !ok {
+				break
+			}
+			runs[n%len(runs)] = append(runs[n%len(runs)], rest[:end]...)
+			rest, n = rest[end:], n+1
+		}
+		for i := range runs {
+			runs[i], _ = SortStream(runs[i])
+		}
+		runs[len(runs)-1] = append(runs[len(runs)-1], rest...)
+		got, gerr := mergeEveryWay(t, runs)
+		want, werr := drainMerger(newHeapMerger(runs))
+		if !bytes.Equal(got, want) || gerr != werr {
+			t.Fatalf("loser tree merged to %d bytes (%v), heap reference to %d (%v)", len(got), gerr, len(want), werr)
+		}
+	})
+}
+
+// TestScanPairFastPathMatchesGeneral holds scanPair's branch for two
+// one-byte lengths to the varint decoder it bypasses, over every length
+// pair around the one-byte boundary — whole, truncated, with bytes
+// following — and over headers that promise more than there is.
+func TestScanPairFastPathMatchesGeneral(t *testing.T) {
+	check := func(data []byte) {
+		t.Helper()
+		ko, ke, e, ok := scanPair(data)
+		wko, wke, we, wok := scanPairVarint(data)
+		if ko != wko || ke != wke || e != we || ok != wok {
+			t.Fatalf("scanPair(% x…, %d bytes) = (%d, %d, %d, %v), varint path (%d, %d, %d, %v)",
+				data[:min(len(data), 4)], len(data), ko, ke, e, ok, wko, wke, we, wok)
+		}
+	}
+	body := bytes.Repeat([]byte{0xAB}, 700)
+	for klen := 0; klen <= 300; klen++ {
+		for vlen := 0; vlen <= 300; vlen++ {
+			pair := AppendPair(nil, body[:klen], body[:vlen])
+			if _, _, end, ok := scanPair(pair); !ok || end != len(pair) {
+				t.Fatalf("scanPair rejects or mismeasures a (%d, %d) pair", klen, vlen)
+			}
+			check(pair)
+			check(pair[:len(pair)-1])                   // one byte short
+			check(pair[:len(pair)-min(2, len(pair)-1)]) // header only, or less
+			check(append(pair, 0x7F, 0xFF))             // more stream behind it
+		}
+	}
+	for a := 0; a < 256; a++ {
+		for b := 0; b < 256; b++ {
+			for _, n := range []int{0, 1, 126, 127, 128, 254, 255} {
+				check(append([]byte{byte(a), byte(b)}, body[:n]...))
+			}
+		}
+		check([]byte{byte(a)})
+	}
+	check(nil)
+}
+
 // TestSplitStreamShardedSortMatchesSerial locks in the stable-sort
 // uniqueness property SplitStream's doc promises: shard + sort + merge
 // is bytewise identical to one serial stable sort, for any shard count.

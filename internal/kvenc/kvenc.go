@@ -20,7 +20,7 @@ import (
 )
 
 // ErrCorrupt is reported by Iterator.Err when a stream's framing is
-// invalid (truncated pair, malformed or oversized length varint).
+// invalid (truncated pair, malformed, padded or oversized length varint).
 var ErrCorrupt = errors.New("kvenc: corrupt stream")
 
 // scanPair validates and measures the first pair of data, returning
@@ -28,22 +28,33 @@ var ErrCorrupt = errors.New("kvenc: corrupt stream")
 // false when the framing is invalid; no slice access is performed
 // beyond len(data), so corrupt input can never panic.
 func scanPair(data []byte) (keyOff, keyEnd, end int, ok bool) {
-	klen, kn := binary.Uvarint(data)
-	if kn <= 0 {
-		return 0, 0, 0, false
+	// Two lengths below 128 take one byte each: the common case needs
+	// no varint decoding, and two bounded bytes cannot overflow.
+	if len(data) >= 2 && data[0]|data[1] < 0x80 {
+		keyOff, keyEnd = 2, 2+int(data[0])
+		end = keyEnd + int(data[1])
+	} else {
+		klen, kn := binary.Uvarint(data)
+		if kn <= 0 {
+			return 0, 0, 0, false
+		}
+		vlen, vn := binary.Uvarint(data[kn:])
+		// A length padded with a zero top group is not what AppendPair
+		// writes: rejecting it leaves every pair exactly one encoding,
+		// so a kernel may copy a pair's bytes instead of encoding it
+		// again.
+		if vn <= 0 || (kn > 1 && data[kn-1] == 0) || (vn > 1 && data[kn+vn-1] == 0) {
+			return 0, 0, 0, false
+		}
+		// Bounding each length by len(data) both rejects truncated pairs
+		// early and guarantees the int conversions below cannot overflow.
+		if klen > uint64(len(data)) || vlen > uint64(len(data)) {
+			return 0, 0, 0, false
+		}
+		keyOff = kn + vn
+		keyEnd = keyOff + int(klen)
+		end = keyEnd + int(vlen)
 	}
-	vlen, vn := binary.Uvarint(data[kn:])
-	if vn <= 0 {
-		return 0, 0, 0, false
-	}
-	// Bounding each length by len(data) both rejects truncated pairs
-	// early and guarantees the int conversions below cannot overflow.
-	if klen > uint64(len(data)) || vlen > uint64(len(data)) {
-		return 0, 0, 0, false
-	}
-	keyOff = kn + vn
-	keyEnd = keyOff + int(klen)
-	end = keyEnd + int(vlen)
 	if end > len(data) {
 		return 0, 0, 0, false
 	}
@@ -53,8 +64,6 @@ func scanPair(data []byte) (keyOff, keyEnd, end int, ok bool) {
 // Iterator decodes a stream pair by pair. The zero value is empty.
 type Iterator struct {
 	data []byte
-	key  []byte
-	val  []byte
 	err  error
 }
 
@@ -65,19 +74,16 @@ func NewIterator(data []byte) *Iterator { return &Iterator{data: data} }
 // on corrupt framing (check Err to distinguish). The returned slices
 // alias the underlying stream.
 func (it *Iterator) Next() (key, val []byte, ok bool) {
-	if len(it.data) == 0 || it.err != nil {
-		return nil, nil, false
-	}
 	keyOff, keyEnd, end, ok := scanPair(it.data)
 	if !ok {
-		it.err = ErrCorrupt
-		it.data = nil
+		if len(it.data) > 0 {
+			it.err, it.data = ErrCorrupt, nil
+		}
 		return nil, nil, false
 	}
-	it.key = it.data[keyOff:keyEnd:keyEnd]
-	it.val = it.data[keyEnd:end:end]
+	key, val = it.data[keyOff:keyEnd:keyEnd], it.data[keyEnd:end:end]
 	it.data = it.data[end:]
-	return it.key, it.val, true
+	return key, val, true
 }
 
 // Err returns ErrCorrupt if the iterator stopped on invalid framing
@@ -87,11 +93,8 @@ func (it *Iterator) Err() error { return it.err }
 // AppendPair appends one encoded pair to dst and returns the extended
 // slice.
 func AppendPair(dst, key, val []byte) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(key)))
-	dst = append(dst, tmp[:n]...)
-	n = binary.PutUvarint(tmp[:], uint64(len(val)))
-	dst = append(dst, tmp[:n]...)
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	dst = binary.AppendUvarint(dst, uint64(len(val)))
 	dst = append(dst, key...)
 	return append(dst, val...)
 }
@@ -144,28 +147,14 @@ func SplitStream(data []byte, k int) [][]byte {
 
 // IsSorted reports whether a stream's keys are non-decreasing.
 func IsSorted(data []byte) bool {
-	it := NewIterator(data)
-	var prev []byte
-	first := true
-	for {
+	var prev []byte // keys alias data; nothing sorts before the empty key
+	for it := NewIterator(data); ; {
 		k, _, ok := it.Next()
-		if !ok {
-			return true
+		if !ok || bytes.Compare(prev, k) > 0 {
+			return !ok
 		}
-		if !first && bytes.Compare(prev, k) > 0 {
-			return false
-		}
-		prev = append(prev[:0], k...)
-		first = false
+		prev = k
 	}
-}
-
-// MergeStream fully merges runs into a single encoded run, silently
-// tolerating corrupt tails — for consumers with no error channel
-// (fuzzing, diagnostics). Production paths use MergeStreamChecked.
-func MergeStream(runs [][]byte) []byte {
-	out, _ := MergeStreamChecked(runs)
-	return out
 }
 
 // MergeStreamChecked fully merges runs into a single encoded run and
@@ -186,11 +175,11 @@ func MergeStreamChecked(runs [][]byte) ([]byte, error) {
 func MergeStreamTo(dst []byte, runs [][]byte) ([]byte, error) {
 	m := NewMerger(runs)
 	for {
-		k, v, ok := m.Next()
+		pair, _, _, ok := m.next()
 		if !ok {
 			return dst, m.Err()
 		}
-		dst = AppendPair(dst, k, v)
+		dst = append(dst, pair...) // a pair has one encoding (scanPair)
 	}
 }
 
@@ -200,97 +189,68 @@ type ValueIter interface {
 	Next() ([]byte, bool)
 }
 
-// groupIter implements ValueIter over a Merger with one-pair lookahead.
-type groupIter struct {
-	m       *Merger
-	key     []byte
-	pending []byte // lookahead value for key, nil if consumed
-	done    bool   // group exhausted
-	nextKey []byte // first key of the next group (set when done)
-	nextVal []byte
-	eos     bool
-}
-
-func (g *groupIter) Next() ([]byte, bool) {
-	if g.pending != nil {
-		v := g.pending
-		g.pending = nil
-		return v, true
-	}
-	if g.done {
-		return nil, false
-	}
-	k, v, ok := g.m.Next()
-	if !ok {
-		g.done, g.eos = true, true
-		return nil, false
-	}
-	if !bytes.Equal(k, g.key) {
-		g.done = true
-		g.nextKey, g.nextVal = k, v
-		return nil, false
-	}
-	return v, true
-}
-
-// MergeGroups merges runs and calls fn once per distinct key with a
-// streaming iterator over that key's values (in stable run order).
-// This is the final merge + group-by that feeds the reduce function.
-// If fn returns false, iteration stops. Corrupt tails are silently
-// dropped; production paths use MergeGroupsChecked.
-func MergeGroups(runs [][]byte, fn func(key []byte, vals ValueIter) bool) {
-	_ = MergeGroupsChecked(runs, fn)
-}
-
-// MergeGroupsChecked is MergeGroups reporting ErrCorrupt if any run
-// was truncated by invalid framing (groups decoded before the damage
-// are still delivered).
-func MergeGroupsChecked(runs [][]byte, fn func(key []byte, vals ValueIter) bool) error {
-	m := NewMerger(runs)
-	k, v, ok := m.Next()
-	g := &groupIter{} // one iterator reset per group, not one allocation
-	for ok {
-		*g = groupIter{m: m, key: k, pending: v}
-		cont := fn(k, g)
-		// Drain any unconsumed values of this group.
-		for !g.done {
-			if _, more := g.Next(); !more {
-				break
-			}
-		}
-		if !cont || g.eos {
-			break
-		}
-		k, v, ok = g.nextKey, g.nextVal, !g.eos && g.nextKey != nil
-	}
-	return m.Err()
-}
-
-// SliceValues materializes an iterator (test helper and small-group
-// convenience).
-func SliceValues(vals ValueIter) [][]byte {
-	var out [][]byte
-	for {
-		v, ok := vals.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, append([]byte(nil), v...))
-	}
-}
-
-// CountingIter wraps a ValueIter and counts the values pulled through
-// it (used to meter records consumed by reduce functions).
-type CountingIter struct {
-	Inner ValueIter
-	N     int64
+// SliceIter is a ValueIter over values held in memory.
+type SliceIter struct {
+	Vals [][]byte
+	i    int
 }
 
 // Next implements ValueIter.
-func (c *CountingIter) Next() ([]byte, bool) {
-	v, ok := c.Inner.Next()
-	if ok {
-		c.N++
+func (s *SliceIter) Next() ([]byte, bool) {
+	if s.i >= len(s.Vals) {
+		return nil, false
 	}
-	return v, ok
+	s.i++
+	return s.Vals[s.i-1], true
 }
+
+// Groups is the final merge + group-by that feeds a reduce function,
+// stepped one key group at a time: NextGroup moves to the next distinct
+// key, and the Groups itself then streams that key's values (in stable
+// run order). A caller may stop after any group and resume later.
+type Groups struct {
+	N int64 // values pulled from the current group so far
+
+	m    *Merger
+	key  []byte // the current group's key
+	k, v []byte // the one pair read ahead of the consumer
+	ok   bool   // a pair is read ahead (false: the runs are drained)
+	same bool   // … and it belongs to the current group
+}
+
+// NewGroups starts a grouped merge of runs.
+func NewGroups(runs [][]byte) *Groups {
+	g := &Groups{m: NewMerger(runs)}
+	g.k, g.v, g.ok = g.m.Next()
+	return g
+}
+
+// NextGroup skips what the consumer left of the current group and
+// steps to the next, returning its key. ok is false once the runs are
+// drained; check Err then.
+func (g *Groups) NextGroup() (key []byte, ok bool) {
+	for g.same {
+		g.Next()
+	}
+	if !g.ok {
+		return nil, false
+	}
+	g.key, g.same, g.N = g.k, true, 0
+	return g.key, true
+}
+
+// Next implements ValueIter over the current group.
+func (g *Groups) Next() ([]byte, bool) {
+	if !g.same {
+		return nil, false
+	}
+	v := g.v
+	g.N++
+	g.k, g.v, g.ok = g.m.Next()
+	g.same = g.ok && bytes.Equal(g.k, g.key)
+	return v, true
+}
+
+// Err returns ErrCorrupt if any run was truncated by invalid framing
+// (the groups decoded before the damage were still delivered).
+func (g *Groups) Err() error { return g.m.Err() }

@@ -1,6 +1,9 @@
 package kvenc
 
-import "bytes"
+import (
+	"bytes"
+	"encoding/binary"
+)
 
 // Merger produces the merged (key-ordered) sequence of several runs.
 // A corrupt run stops contributing at its first invalid pair; the
@@ -13,70 +16,75 @@ import "bytes"
 // loser of the match below them and the overall winner sits at the
 // root, so replacing the winner after each Next replays exactly one
 // leaf-to-root path — ⌈log₂ k⌉ comparisons, no interface boxing, no
-// sift-down branching. Ties between runs resolve by run index, which
-// preserves the stable "run order wins" contract of the heap merger
-// it replaced (kept in heapmerge.go as the differential-test
-// reference).
+// sift-down branching. A match compares the first eight key bytes,
+// cached per leaf as one integer, before the keys themselves. Ties
+// between runs resolve by run index, which preserves the stable "run
+// order wins" contract of the heap merger it replaced (kept in
+// reference_test.go as the differential-test reference).
 type Merger struct {
-	its    []Iterator
-	keys   [][]byte
-	vals   [][]byte
-	done   []bool
-	tree   []int32 // internal nodes 1..k-1: loser leaf index (-1 = bye)
+	leaves []leaf
+	tree   []int32 // internal nodes 1..k-1: loser leaf index
 	winner int32
-	k      int
 	err    error
+}
+
+// leaf is one run's position in the merge: the run from its current
+// pair on, and where that pair's key and value lie in it. end is 0 once
+// the run is exhausted (a pair takes two bytes at least).
+type leaf struct {
+	rest                []byte
+	keyOff, keyEnd, end int
+	prefix              uint64 // first eight key bytes, big-endian, zero-padded
 }
 
 // NewMerger creates a k-way merger over the given runs. Leaf index ==
 // run index, so tie-breaks follow run order exactly.
 func NewMerger(runs [][]byte) *Merger {
-	k := len(runs)
-	m := &Merger{
-		its:  make([]Iterator, k),
-		keys: make([][]byte, k),
-		vals: make([][]byte, k),
-		done: make([]bool, k),
-		k:    k,
-	}
+	m := &Merger{leaves: make([]leaf, len(runs)), tree: make([]int32, len(runs)), winner: -1}
 	for i, r := range runs {
-		m.its[i].data = r
-		if key, val, ok := m.its[i].Next(); ok {
-			m.keys[i], m.vals[i] = key, val
-		} else {
-			m.done[i] = true
-			if err := m.its[i].Err(); err != nil && m.err == nil {
-				m.err = err
-			}
-		}
+		m.leaves[i].rest = r
+		m.load(&m.leaves[i])
 	}
-	switch k {
-	case 0:
-		m.winner = -1
-	case 1:
-		m.winner = 0
-	default:
-		m.tree = make([]int32, k)
+	if len(runs) > 0 {
 		m.winner = m.initNode(1)
 	}
 	return m
 }
 
-// beats reports whether leaf i wins the match against leaf j.
-// Exhausted leaves and byes (-1) lose to everything; among two losers
-// the lower index wins, keeping the replay paths deterministic.
-func (m *Merger) beats(i, j int32) bool {
-	switch {
-	case i < 0:
-		return false
-	case j < 0:
-		return true
-	case m.done[i]:
-		return false
-	case m.done[j]:
-		return true
+// load measures the pair l.rest starts with, or retires the leaf at
+// the end of its run or on invalid framing.
+func (m *Merger) load(l *leaf) {
+	var ok bool
+	if l.keyOff, l.keyEnd, l.end, ok = scanPair(l.rest); !ok {
+		if len(l.rest) > 0 && m.err == nil {
+			m.err = ErrCorrupt
+		}
+		return
 	}
-	if c := bytes.Compare(m.keys[i], m.keys[j]); c != 0 {
+	if key := l.rest[l.keyOff:l.keyEnd]; len(key) >= 8 {
+		l.prefix = binary.BigEndian.Uint64(key)
+	} else {
+		var pad [8]byte
+		copy(pad[:], key)
+		l.prefix = binary.BigEndian.Uint64(pad[:])
+	}
+}
+
+// beats reports whether leaf i wins the match against leaf j. An
+// exhausted leaf loses to everything. Two zero-padded prefixes that
+// differ order as their keys do; equal ones (also "ab" against
+// "ab\x00") decide nothing.
+func (m *Merger) beats(i, j int32) bool {
+	a, b := &m.leaves[i], &m.leaves[j]
+	switch {
+	case a.end == 0:
+		return false
+	case b.end == 0:
+		return true
+	case a.prefix != b.prefix:
+		return a.prefix < b.prefix
+	}
+	if c := bytes.Compare(a.rest[a.keyOff:a.keyEnd], b.rest[b.keyOff:b.keyEnd]); c != 0 {
 		return c < 0
 	}
 	return i < j
@@ -86,8 +94,8 @@ func (m *Merger) beats(i, j int32) bool {
 // at positions k..2k-1 of the implicit complete tree), storing losers
 // on the way up and returning the subtree's winner.
 func (m *Merger) initNode(n int) int32 {
-	if n >= m.k {
-		return int32(n - m.k)
+	if k := len(m.leaves); n >= k {
+		return int32(n - k)
 	}
 	w1 := m.initNode(2 * n)
 	w2 := m.initNode(2*n + 1)
@@ -102,7 +110,7 @@ func (m *Merger) initNode(n int) int32 {
 // value changed, updating the overall winner.
 func (m *Merger) replay(l int32) {
 	w := l
-	for n := (int(l) + m.k) / 2; n >= 1; n /= 2 {
+	for n := (int(l) + len(m.leaves)) / 2; n >= 1; n /= 2 {
 		if m.beats(m.tree[n], w) {
 			w, m.tree[n] = m.tree[n], w
 		}
@@ -116,22 +124,21 @@ func (m *Merger) Err() error { return m.err }
 
 // Next returns the next pair in merged key order.
 func (m *Merger) Next() (key, val []byte, ok bool) {
+	pair, keyOff, keyEnd, ok := m.next() // nil and zeros once drained
+	return pair[keyOff:keyEnd:keyEnd], pair[keyEnd:], ok
+}
+
+// next is Next returning the pair as it stands encoded in its run
+// (capacity clipped) and the key's range in it.
+func (m *Merger) next() (pair []byte, keyOff, keyEnd int, ok bool) {
 	w := m.winner
-	if w < 0 || m.done[w] {
-		return nil, nil, false
+	if w < 0 || m.leaves[w].end == 0 {
+		return nil, 0, 0, false
 	}
-	key, val = m.keys[w], m.vals[w]
-	if k2, v2, more := m.its[w].Next(); more {
-		m.keys[w], m.vals[w] = k2, v2
-	} else {
-		if err := m.its[w].Err(); err != nil && m.err == nil {
-			m.err = err
-		}
-		m.done[w] = true
-		m.keys[w], m.vals[w] = nil, nil
-	}
-	if m.k > 1 {
-		m.replay(w)
-	}
-	return key, val, true
+	l := &m.leaves[w]
+	pair, keyOff, keyEnd = l.rest[:l.end:l.end], l.keyOff, l.keyEnd
+	l.rest = l.rest[l.end:]
+	m.load(l)
+	m.replay(w)
+	return pair, keyOff, keyEnd, true
 }

@@ -3,8 +3,32 @@ package kvenc
 import (
 	"bytes"
 	"container/heap"
+	"encoding/binary"
 	"sort"
 )
+
+// scanPairVarint is scanPair without its branch for two one-byte
+// lengths: every length goes through the varint decoder.
+func scanPairVarint(data []byte) (keyOff, keyEnd, end int, ok bool) {
+	klen, kn := binary.Uvarint(data)
+	if kn <= 0 {
+		return 0, 0, 0, false
+	}
+	vlen, vn := binary.Uvarint(data[kn:])
+	if vn <= 0 || (kn > 1 && data[kn-1] == 0) || (vn > 1 && data[kn+vn-1] == 0) {
+		return 0, 0, 0, false
+	}
+	if klen > uint64(len(data)) || vlen > uint64(len(data)) {
+		return 0, 0, 0, false
+	}
+	keyOff = kn + vn
+	keyEnd = keyOff + int(klen)
+	end = keyEnd + int(vlen)
+	if end > len(data) {
+		return 0, 0, 0, false
+	}
+	return keyOff, keyEnd, end, true
+}
 
 // heapMerger is the original container/heap k-way merger, kept as the
 // reference implementation the loser-tree Merger is differentially
@@ -104,4 +128,33 @@ func sortStreamStable(data []byte) ([]byte, int) {
 		out = append(out, data[s.off:s.end]...)
 	}
 	return out, len(spans)
+}
+
+// MergeGroups merges runs and calls fn once per distinct key with a
+// streaming iterator over that key's values (in stable run order) —
+// the callback form of Groups the tests were written against. If fn
+// returns false, iteration stops.
+func MergeGroups(runs [][]byte, fn func(key []byte, vals ValueIter) bool) {
+	g := NewGroups(runs)
+	for key, ok := g.NextGroup(); ok && fn(key, g); key, ok = g.NextGroup() {
+	}
+}
+
+// SliceValues materializes an iterator.
+func SliceValues(vals ValueIter) [][]byte {
+	var out [][]byte
+	for {
+		v, ok := vals.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, append([]byte(nil), v...))
+	}
+}
+
+// MergeStream fully merges runs into a single encoded run, silently
+// tolerating corrupt tails.
+func MergeStream(runs [][]byte) []byte {
+	out, _ := MergeStreamChecked(runs)
+	return out
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cost"
-	"repro/internal/kvenc"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -41,7 +40,7 @@ func BenchmarkTreeMerge(b *testing.B) {
 				}
 			}
 			tree.Complete(p, nil)
-			kvenc.MergeStream(finalRuns(tree, p))
+			mergeStream(finalRuns(tree, p))
 		})
 		if err := k.Run(); err != nil {
 			b.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/cost"
-	"repro/internal/kvenc"
 	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -169,7 +168,7 @@ func TestMergePreservesBytesExactly(t *testing.T) {
 			addRun(tree, p, run)
 		}
 		tree.MergeOnce(p, nil)
-		out := kvenc.MergeStream(finalRuns(tree, p))
+		out := mergeStream(finalRuns(tree, p))
 		if int64(len(out)) != in {
 			t.Errorf("merged %d bytes from %d input bytes", len(out), in)
 		}

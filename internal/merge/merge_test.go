@@ -43,7 +43,7 @@ func runTree(t *testing.T, n, b, f int) (*Tree, []byte) {
 			}
 		}
 		tree.Complete(p, nil)
-		out = kvenc.MergeStream(finalRuns(tree, p))
+		out = mergeStream(finalRuns(tree, p))
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestRecordCountPreserved(t *testing.T) {
 			}
 		}
 		tree.Complete(p, nil)
-		got = kvenc.Count(kvenc.MergeStream(finalRuns(tree, p)))
+		got = kvenc.Count(mergeStream(finalRuns(tree, p)))
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -248,13 +248,13 @@ func TestPeekRunsNonDestructive(t *testing.T) {
 			addRun(tree, p, makeRun(rng, 2000))
 		}
 		before := tree.Files()
-		peek := kvenc.MergeStream(tree.PeekRuns(p))
+		peek := mergeStream(tree.PeekRuns(p))
 		if tree.Files() != before {
 			t.Errorf("peek consumed files: %d -> %d", before, tree.Files())
 		}
 		// A second peek and the final consumption see the same data.
-		peek2 := kvenc.MergeStream(tree.PeekRuns(p))
-		final := kvenc.MergeStream(finalRuns(tree, p))
+		peek2 := mergeStream(tree.PeekRuns(p))
+		final := mergeStream(finalRuns(tree, p))
 		if string(peek) != string(peek2) || string(peek) != string(final) {
 			t.Error("peek/final disagree")
 		}
@@ -287,6 +287,15 @@ func TestPeekChargesReads(t *testing.T) {
 
 // addRun hands run over with the pair count its producer would carry.
 func addRun(t *Tree, p *sim.Proc, run []byte) { t.AddRun(p, run, int64(kvenc.Count(run))) }
+
+// mergeStream is the final merge of runs the tests trust to be intact.
+func mergeStream(runs [][]byte) []byte {
+	out, err := kvenc.MergeStreamChecked(runs)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
 
 func finalRuns(t *Tree, p *sim.Proc) [][]byte {
 	runs, _ := t.FinalRuns(p)
@@ -328,7 +337,7 @@ func TestRunsCarryTheirCounts(t *testing.T) {
 				}
 			}
 			runs, recs := tree.FinalRuns(p)
-			if got := int64(kvenc.Count(kvenc.MergeStream(runs))); recs != added || got != added {
+			if got := int64(kvenc.Count(mergeStream(runs))); recs != added || got != added {
 				t.Fatalf("workers=%d: FinalRuns reports %d pairs, holds %d, %d were added", workers, recs, got, added)
 			}
 			if !bytes.Equal(lent, want) {

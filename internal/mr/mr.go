@@ -16,7 +16,9 @@ type OutputWriter interface {
 }
 
 // Query is a MapReduce program: Map extracts ⟨key, value⟩ pairs from a
-// record, Reduce processes each key's value list (§2.1).
+// record, Reduce processes each key's value list (§2.1). Map and Reduce
+// must not write the receiver: the DES runs both on compute-pool
+// goroutines, concurrently, on the one instance a job shares.
 type Query interface {
 	// Name identifies the query in reports.
 	Name() string
@@ -29,8 +31,8 @@ type Query interface {
 // Combiner is implemented by queries whose reduce function is
 // commutative and associative enough to admit partial aggregation: the
 // combine function is applied after the map function and inside
-// reducers when their buffers fill (§2.2). Like Map it must not touch
-// the receiver: the DES runs it on compute-pool goroutines.
+// reducers when their buffers fill (§2.2). Like Map and Reduce it must
+// not write the receiver.
 type Combiner interface {
 	// Combine folds a list of values for one key into fewer values.
 	Combine(key []byte, values kvenc.ValueIter, emit func(value []byte))

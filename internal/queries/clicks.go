@@ -82,6 +82,7 @@ func sumIter(values kvenc.ValueIter) int64 {
 
 // counting is the shared core of the three counting queries.
 type counting struct {
+	countState
 	name      string
 	key       func(record []byte) []byte
 	threshold int64 // emit keys with count ≥ threshold (0 = all)
@@ -104,19 +105,23 @@ func (q *counting) Reduce(key []byte, values kvenc.ValueIter, out mr.OutputWrite
 	}
 }
 
+// countState is the combine function and the 8-byte count state that
+// every counting query, WindowCount included, shares.
+type countState struct{}
+
 // Combine implements mr.Combiner.
-func (q *counting) Combine(key []byte, values kvenc.ValueIter, emit func(v []byte)) {
+func (countState) Combine(key []byte, values kvenc.ValueIter, emit func(v []byte)) {
 	emit([]byte(strconv.FormatInt(sumIter(values), 10)))
 }
 
 // Init implements mr.Incremental.
-func (q *counting) Init(dst, key, value []byte) []byte {
+func (countState) Init(dst, key, value []byte) []byte {
 	n, _ := strconv.ParseInt(string(value), 10, 64)
 	return binary.BigEndian.AppendUint64(dst, uint64(n))
 }
 
 // MergeStates implements mr.Incremental.
-func (q *counting) MergeStates(dst, key, a, b []byte) []byte {
+func (countState) MergeStates(dst, key, a, b []byte) []byte {
 	if len(a) < 8 {
 		return append(dst[:0], b...)
 	}
@@ -138,7 +143,7 @@ func (q *counting) Finalize(key, state []byte, out mr.OutputWriter) {
 }
 
 // StateSize implements mr.Incremental.
-func (q *counting) StateSize() int { return 8 }
+func (countState) StateSize() int { return 8 }
 
 // earlyCounting adds threshold-triggered early output (frequent-user
 // identification, trigram counting).

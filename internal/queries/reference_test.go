@@ -1,6 +1,23 @@
 package queries
 
-import "sort"
+import (
+	"encoding/binary"
+	"sort"
+)
+
+// eachClick iterates the packed clicks, returning the offset after the
+// last visited click if fn stops iteration.
+func eachClick(st []byte, fn func(off int, ts int64, rec []byte) bool) {
+	for off := sessHeader; off < len(st); {
+		ts := int64(binary.BigEndian.Uint64(st[off:]))
+		l := int(binary.BigEndian.Uint16(st[off+8:]))
+		rec := st[off+10 : off+10+l]
+		if !fn(off, ts, rec) {
+			return
+		}
+		off += 10 + l
+	}
+}
 
 // referenceSessionMerge is the original Sessionization.MergeStates —
 // collect every click of a and b, stable-sort by timestamp, re-pack

@@ -1,8 +1,10 @@
 package queries
 
 import (
+	"cmp"
 	"encoding/binary"
-	"sort"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/kvenc"
@@ -34,14 +36,46 @@ type Sessionization struct {
 
 	watermark int64 // max click timestamp seen by the map function
 
-	// Reduce/emit scratch. Reduce and emitFront run in simulated-process
-	// context, which the DES kernel serializes (only Map runs on the
-	// compute pool), so per-query scratch buffers are safe and keep the
-	// per-click paths allocation-free. Init and MergeStates have none:
-	// they write into the caller's buffer.
-	arena   []byte     // click records collected by Reduce
+	// emitFront runs in simulated-process context, which the DES kernel
+	// serializes, so a per-query scratch buffer is safe and keeps the
+	// per-click path allocation-free. Init and MergeStates have none:
+	// they write into the caller's buffer. Reduce runs on compute-pool
+	// goroutines and borrows its scratch from reduceScratches instead.
+	emitBuf []byte // "s%04d\t<record>" assembly for Emit
+}
+
+// reduceScratch is what one Reduce call needs to stay allocation-free.
+type reduceScratch struct {
+	arena   []byte     // click records of the group
 	refs    []clickRef // sort keys into arena
 	emitBuf []byte     // "s%04d\t<record>" assembly for Emit
+}
+
+// reduceScratches is the free list Reduce borrows from. A mutex and a
+// slice rather than a sync.Pool, which drops a random share of what is
+// put back under the race detector: the job's allocation budget
+// (engine.TestJobAllocBudget) counts the same with and without it.
+var reduceScratches struct {
+	sync.Mutex
+	free []*reduceScratch
+}
+
+func borrowScratch() *reduceScratch {
+	l := &reduceScratches
+	l.Lock()
+	defer l.Unlock()
+	if n := len(l.free); n > 0 {
+		sc := l.free[n-1]
+		l.free = l.free[:n-1]
+		return sc
+	}
+	return new(reduceScratch)
+}
+
+func returnScratch(sc *reduceScratch) {
+	reduceScratches.Lock()
+	reduceScratches.free = append(reduceScratches.free, sc)
+	reduceScratches.Unlock()
 }
 
 // clickRef is one click collected by Reduce: its timestamp and the
@@ -51,14 +85,6 @@ type clickRef struct {
 	ts       int64
 	off, end int
 }
-
-// clickRefs sorts refs by timestamp; sort.Stable keeps arrival order
-// on ties, exactly like the sort.SliceStable call it replaced.
-type clickRefs []clickRef
-
-func (s clickRefs) Len() int           { return len(s) }
-func (s clickRefs) Less(i, j int) bool { return s[i].ts < s[j].ts }
-func (s clickRefs) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 
 // appendSession appends "s<session>\t<rec>" with the session number
 // zero-padded to 4 digits — bytewise identical to
@@ -123,7 +149,9 @@ func (q *Sessionization) AdvanceWatermark(ts int64) {
 // Reduce implements mr.Query (the sort-merge / MR-hash path): sort the
 // user's clicks by timestamp and emit them split into sessions.
 func (q *Sessionization) Reduce(key []byte, values kvenc.ValueIter, out mr.OutputWriter) {
-	arena, refs := q.arena[:0], q.refs[:0]
+	sc := borrowScratch()
+	defer returnScratch(sc)
+	arena, refs := sc.arena[:0], sc.refs[:0]
 	for {
 		v, ok := values.Next()
 		if !ok {
@@ -133,17 +161,18 @@ func (q *Sessionization) Reduce(key []byte, values kvenc.ValueIter, out mr.Outpu
 		arena = append(arena, v...)
 		refs = append(refs, clickRef{ts: clickTs(v), off: off, end: len(arena)})
 	}
-	sort.Stable(clickRefs(refs))
+	sc.arena, sc.refs = arena, refs
+	// Stable: clicks of one timestamp keep their arrival order.
+	slices.SortStableFunc(refs, func(a, b clickRef) int { return cmp.Compare(a.ts, b.ts) })
 	session, last := 0, int64(-1)
 	for _, r := range refs {
 		if last >= 0 && r.ts-last > q.gap {
 			session++
 		}
 		last = r.ts
-		q.emitBuf = appendSession(q.emitBuf[:0], session, arena[r.off:r.end])
-		out.Emit(key, q.emitBuf)
+		sc.emitBuf = appendSession(sc.emitBuf[:0], session, arena[r.off:r.end])
+		out.Emit(key, sc.emitBuf)
 	}
-	q.arena, q.refs = arena, refs
 }
 
 // State layout:
@@ -168,20 +197,6 @@ func appendClick(st []byte, ts int64, rec []byte) []byte {
 	binary.BigEndian.PutUint16(hdr[8:], uint16(len(rec)))
 	st = append(st, hdr[:]...)
 	return append(st, rec...)
-}
-
-// eachClick iterates the packed clicks, returning the offset after the
-// last visited click if fn stops iteration.
-func eachClick(st []byte, fn func(off int, ts int64, rec []byte) bool) {
-	for off := sessHeader; off < len(st); {
-		ts := int64(binary.BigEndian.Uint64(st[off:]))
-		l := int(binary.BigEndian.Uint16(st[off+8:]))
-		rec := st[off+10 : off+10+l]
-		if !fn(off, ts, rec) {
-			return
-		}
-		off += 10 + l
-	}
 }
 
 // Init implements mr.Incremental: a state holding one click.
@@ -292,15 +307,12 @@ func (q *Sessionization) Scavenge(key, state []byte) bool {
 
 func (q *Sessionization) allExpired(state []byte) bool {
 	horizon := q.watermark - q.gap - q.slack
-	expired := true
-	eachClick(state, func(_ int, ts int64, _ []byte) bool {
-		if ts > horizon {
-			expired = false
+	for off := sessHeader; off < len(state); off += 10 + int(binary.BigEndian.Uint16(state[off+8:])) {
+		if int64(binary.BigEndian.Uint64(state[off:])) > horizon {
 			return false
 		}
-		return true
-	})
-	return expired
+	}
+	return true
 }
 
 // Watermark returns the max click timestamp observed (for tests).

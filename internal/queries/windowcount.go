@@ -1,7 +1,6 @@
 package queries
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strconv"
 	"time"
@@ -31,6 +30,7 @@ import (
 // processors. Consumers (and the tests) aggregate counts by key; the
 // per-key sums are exact on every platform.
 type WindowCount struct {
+	countState
 	window int64 // window length, ms
 	slack  int64 // tolerated timestamp disorder, ms
 
@@ -86,28 +86,6 @@ func (q *WindowCount) Reduce(key []byte, values kvenc.ValueIter, out mr.OutputWr
 	out.Emit(key, []byte(strconv.FormatInt(sumIter(values), 10)))
 }
 
-// Combine implements mr.Combiner.
-func (q *WindowCount) Combine(key []byte, values kvenc.ValueIter, emit func(v []byte)) {
-	emit([]byte(strconv.FormatInt(sumIter(values), 10)))
-}
-
-// Init implements mr.Incremental.
-func (q *WindowCount) Init(dst, key, value []byte) []byte {
-	n, _ := strconv.ParseInt(string(value), 10, 64)
-	return binary.BigEndian.AppendUint64(dst, uint64(n))
-}
-
-// MergeStates implements mr.Incremental.
-func (q *WindowCount) MergeStates(dst, key, a, b []byte) []byte {
-	if len(a) < 8 {
-		return append(dst[:0], b...)
-	}
-	ca, cb := countOf(a), countOf(b)
-	mark := (ca | cb) & emittedBit
-	putCount(a, (ca&^emittedBit)+(cb&^emittedBit)|mark)
-	return a
-}
-
 // closed reports whether the key's window can no longer receive data.
 func (q *WindowCount) closed(key []byte) bool {
 	return q.keyWindowEnd(key)+q.slack <= q.watermark
@@ -135,9 +113,6 @@ func (q *WindowCount) Finalize(key, state []byte, out mr.OutputWriter) {
 		out.Emit(key, []byte(strconv.FormatInt(int64(pending), 10)))
 	}
 }
-
-// StateSize implements mr.Incremental.
-func (q *WindowCount) StateSize() int { return 8 }
 
 // OnEvict implements mr.Evictor: a closed window's pending count is
 // output directly instead of spilled; a state with nothing pending is

@@ -12,24 +12,9 @@ import (
 	"sort"
 
 	"repro/internal/dfs"
+	"repro/internal/kvenc"
 	"repro/internal/mr"
 )
-
-// sliceIter adapts [][]byte to kvenc.ValueIter.
-type sliceIter struct {
-	vals [][]byte
-	i    int
-}
-
-// Next implements kvenc.ValueIter.
-func (s *sliceIter) Next() ([]byte, bool) {
-	if s.i >= len(s.vals) {
-		return nil, false
-	}
-	v := s.vals[s.i]
-	s.i++
-	return v, true
-}
 
 // Output is one emitted record.
 type Output struct {
@@ -75,7 +60,7 @@ func Run(q mr.Query, input dfs.Input) []Output {
 	var out []Output
 	sink := collect{&out}
 	for _, key := range order {
-		q.Reduce([]byte(key), &sliceIter{vals: groups[key]}, sink)
+		q.Reduce([]byte(key), &kvenc.SliceIter{Vals: groups[key]}, sink)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Key != out[j].Key {

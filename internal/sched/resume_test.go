@@ -201,7 +201,9 @@ func TestReducePanicFailsTheRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		const want = "engine: clickcount on 1-pass-sm: sim: proc reduce001 panicked: bad group"
+		// Sort-merge runs Reduce on the compute pool, so the panic reaches
+		// the process through its forked closure.
+		const want = "engine: clickcount on 1-pass-sm: sim: proc reduce001 panicked: sim: forked closure panicked: bad group"
 		if len(runs) != 1 || runs[0].State != StateFailed || runs[0].Error != want {
 			t.Fatalf("run record %+v, want failed with %q", runs[0], want)
 		}

@@ -39,13 +39,16 @@ import (
 // receiver-pure.
 func combineRuns(comb mr.Combiner, runs [][]byte, skip, size int, owner string) (out []byte, n int64) {
 	out = bytestore.Get(size)
-	if err := kvenc.MergeGroupsChecked(runs, func(key []byte, vals kvenc.ValueIter) bool {
-		comb.Combine(key[skip:], vals, func(v []byte) {
-			out = kvenc.AppendPair(out, key, v)
-			n++
-		})
-		return true
-	}); err != nil {
+	g := kvenc.NewGroups(runs)
+	key, ok := g.NextGroup()
+	emit := func(v []byte) {
+		out = kvenc.AppendPair(out, key, v)
+		n++
+	}
+	for ; ok; key, ok = g.NextGroup() {
+		comb.Combine(key[skip:], g, emit)
+	}
+	if err := g.Err(); err != nil {
 		panic(fmt.Errorf("sortmerge: corrupt run in %s combine: %w", owner, err))
 	}
 	return out, n
@@ -383,21 +386,87 @@ func (r *Reducer) Finish(out mr.OutputWriter) {
 	r.rt.FnRecords(r.reduceRuns(runs, out, "final run in "+r.cfg.Prefix))
 }
 
+// reduceBatchBytes closes a hand-off batch of the final reduce once it
+// holds this much. Its pooled buffer has room for as much again, so
+// only a single group emitting more than that regrows it.
+const reduceBatchBytes = 32 << 10
+
+// reduceBatch is one hand-off unit of the final reduce: a run of key
+// groups reduced on the compute pool, waiting to take effect on the
+// process. Each group is a header — the values its reduce call pulled
+// (8 bytes), then the size of its outputs (4) — and the outputs as
+// encoded pairs; the batch is the mr.OutputWriter the reduce function
+// emits to.
+type reduceBatch []byte
+
+const groupHeader = 8 + 4
+
+// Emit implements mr.OutputWriter.
+func (b *reduceBatch) Emit(key, value []byte) { *b = kvenc.AppendPair(*b, key, value) }
+
+// fill empties b and reduces the next groups of g into it until the
+// batch closes or g drains (more is false). It runs on the compute
+// pool: like Map and Combine, Reduce must be receiver-pure.
+func (b *reduceBatch) fill(g *kvenc.Groups, q mr.Query) (more bool) {
+	for *b = (*b)[:0]; len(*b) < reduceBatchBytes; {
+		key, ok := g.NextGroup()
+		if !ok {
+			return false
+		}
+		hdr := len(*b)
+		*b = append(*b, make([]byte, groupHeader)...)
+		q.Reduce(key, g, b)
+		binary.BigEndian.PutUint64((*b)[hdr:], uint64(g.N))
+		binary.BigEndian.PutUint32((*b)[hdr+8:], uint32(len(*b)-hdr-groupHeader))
+	}
+	return true
+}
+
+// replay gives b's groups their effect on the process, in the order
+// they were reduced: each group's outputs reach out, then its values
+// are charged — what reducing group by group on the process does.
+func (b reduceBatch) replay(out mr.OutputWriter, charge *core.Batcher) (records int64) {
+	for len(b) > 0 {
+		n, end := int64(binary.BigEndian.Uint64(b)), groupHeader+int(binary.BigEndian.Uint32(b[8:]))
+		it := kvenc.NewIterator(b[groupHeader:end])
+		for k, v, ok := it.Next(); ok; k, v, ok = it.Next() {
+			out.Emit(k, v)
+		}
+		if err := it.Err(); err != nil {
+			panic(fmt.Errorf("sortmerge: reduce batch holds a damaged output: %w", err))
+		}
+		records += n
+		charge.Add(n)
+		b = b[end:]
+	}
+	return records
+}
+
 // reduceRuns merges runs and applies the reduce function to each key
 // group, charging merge + reduce CPU in bounded bursts; it returns the
-// records reduced.
+// records reduced. The merge and the reduce function run on the compute
+// pool, one batch per Offload: batch n+1 is produced beside the replay
+// of batch n, whose charges and output writes park this process. A
+// closure ends with its batch, so it never waits on a process.
 func (r *Reducer) reduceRuns(runs [][]byte, out mr.OutputWriter, what string) (records int64) {
-	batch := r.rt.Batch(r.rt.Model.CPUMergeRecord + r.rt.Model.CPUReduceRec)
-	if err := kvenc.MergeGroupsChecked(runs, func(key []byte, vals kvenc.ValueIter) bool {
-		grp := &kvenc.CountingIter{Inner: vals}
-		r.q.Reduce(key, grp, out)
-		records += grp.N
-		batch.Add(grp.N)
-		return true
-	}); err != nil {
+	charge := r.rt.Batch(r.rt.Model.CPUMergeRecord + r.rt.Model.CPUReduceRec)
+	g := kvenc.NewGroups(runs)
+	cur, next := reduceBatch(bytestore.Get(2*reduceBatchBytes)), reduceBatch(bytestore.Get(2*reduceBatchBytes))
+	// Offload has waited for its closure on every path out of it, a node
+	// kill inside a replayed charge included: nothing writes the buffers.
+	defer func() { bytestore.Put(cur); bytestore.Put(next) }()
+	more := true
+	produce := func() { more = next.fill(g, r.q) }
+	replay := func() { records += cur.replay(out, charge) }
+	for more {
+		r.rt.P.Offload(produce, replay)
+		cur, next = next, cur
+	}
+	replay()
+	if err := g.Err(); err != nil {
 		panic(fmt.Errorf("sortmerge: corrupt %s: %w", what, err))
 	}
-	batch.Flush()
+	charge.Flush()
 	return records
 }
 
