@@ -4,11 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -23,10 +21,9 @@ import (
 
 // The -bench-json mode measures the data-plane kernels and one
 // end-to-end job, then writes the results as machine-readable JSON.
-// When the target file already exists, each entry records the previous
-// run's ns/op and the relative delta, so committing the file turns it
-// into a benchmark-regression baseline: CI re-runs the suite and a
-// reviewer (or a threshold script) can read the drift directly.
+// Absolute ns/op do not transfer across hosts (EXPERIMENTS.md, "BENCH
+// deltas retracted"), so a row carries no comparison to an earlier
+// file: compare commits by alternating pairs on one host (bench/).
 
 type benchEntry struct {
 	Name        string  `json:"name"`
@@ -34,8 +31,6 @@ type benchEntry struct {
 	MBPerSec    float64 `json:"mb_per_sec,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
-	PrevNsPerOp float64 `json:"prev_ns_per_op,omitempty"`
-	DeltaPct    float64 `json:"delta_pct,omitempty"`
 }
 
 type benchReport struct {
@@ -76,59 +71,6 @@ func benchIngestBatch() [][]byte {
 			ts, i%7, i%13, 100+i%17))
 	}
 	return recs
-}
-
-// loadBaseline assembles the previous ns/op per benchmark name from
-// the first source that knows each name: the explicit -bench-baseline
-// file, then the output path's current content, then the committed
-// BENCH.json. The chain closes the two baseline gaps the single-file
-// lookup had: a CI run writing to a scratch path still gets regression
-// deltas from the committed file, and a row added since the last
-// in-place regeneration picks up its baseline from whichever source
-// first measured it. Missing or unparseable files are skipped — a
-// corrupt baseline must not block a fresh measurement — but a run
-// that found no baseline at all says so on warn, naming every path it
-// tried: otherwise BENCH.json rows silently missing prev_ns_per_op
-// (a mistyped -bench-baseline, a CI checkout without the committed
-// file) are indistinguishable from genuinely new benchmarks.
-func loadBaseline(warn io.Writer, explicit, outPath string) map[string]float64 {
-	prev := map[string]float64{}
-	var tried []string
-	for _, path := range []string{explicit, outPath, "BENCH.json"} {
-		if path == "" {
-			continue
-		}
-		tried = append(tried, path)
-		old, err := os.ReadFile(path)
-		if err != nil {
-			continue
-		}
-		var r benchReport
-		if json.Unmarshal(old, &r) != nil {
-			fmt.Fprintf(warn, "benchtables: baseline %s is not a bench report, skipping\n", path)
-			continue
-		}
-		for _, e := range r.Benchmarks {
-			if _, ok := prev[e.Name]; !ok && e.NsPerOp > 0 {
-				prev[e.Name] = e.NsPerOp
-			}
-		}
-	}
-	if len(prev) == 0 {
-		fmt.Fprintf(warn, "benchtables: no baseline found (tried %s); deltas will be absent\n",
-			strings.Join(tried, ", "))
-	}
-	return prev
-}
-
-// withBaseline fills an entry's PrevNsPerOp/DeltaPct from the baseline
-// map, leaving both zero when the benchmark is new.
-func withBaseline(e benchEntry, prev map[string]float64) benchEntry {
-	if p, ok := prev[e.Name]; ok && p > 0 {
-		e.PrevNsPerOp = p
-		e.DeltaPct = 100 * (e.NsPerOp - p) / p
-	}
-	return e
 }
 
 // writeBenchReport marshals the report as indented JSON (with trailing
@@ -182,9 +124,7 @@ func benchClicksDup16G(m onepass.CostModel) onepass.Input {
 	})
 }
 
-func runBenchJSON(path, baseline string) error {
-	prev := loadBaseline(os.Stderr, baseline, path)
-
+func runBenchJSON(path string) error {
 	type spec struct {
 		name  string
 		bytes int64 // processed per op, for MB/s (0 = none)
@@ -454,13 +394,8 @@ func runBenchJSON(path, baseline string) error {
 		if s.bytes > 0 && r.T > 0 {
 			e.MBPerSec = float64(s.bytes) * float64(r.N) / r.T.Seconds() / 1e6
 		}
-		e = withBaseline(e, prev)
 		rep.Benchmarks = append(rep.Benchmarks, e)
-		fmt.Fprintf(os.Stderr, "%12.0f ns/op  %6d allocs/op", e.NsPerOp, e.AllocsPerOp)
-		if e.PrevNsPerOp > 0 {
-			fmt.Fprintf(os.Stderr, "  (%+.1f%% vs baseline)", e.DeltaPct)
-		}
-		fmt.Fprintln(os.Stderr)
+		fmt.Fprintf(os.Stderr, "%12.0f ns/op  %6d allocs/op\n", e.NsPerOp, e.AllocsPerOp)
 	}
 
 	if err := writeBenchReport(path, &rep); err != nil {

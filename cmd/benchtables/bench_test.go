@@ -2,146 +2,10 @@ package main
 
 import (
 	"encoding/json"
-	"io"
-	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
-
-func TestLoadBaseline(t *testing.T) {
-	dir := t.TempDir()
-	// Run from an empty directory so the committed-BENCH.json fallback
-	// (a cwd-relative lookup) cannot leak into the assertions.
-	t.Chdir(dir)
-
-	if got := loadBaseline(io.Discard, "", filepath.Join(dir, "missing.json")); len(got) != 0 {
-		t.Errorf("missing file: want empty baseline, got %v", got)
-	}
-
-	corrupt := filepath.Join(dir, "corrupt.json")
-	if err := os.WriteFile(corrupt, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got := loadBaseline(io.Discard, "", corrupt); len(got) != 0 {
-		t.Errorf("corrupt file: want empty baseline, got %v", got)
-	}
-
-	valid := filepath.Join(dir, "valid.json")
-	rep := &benchReport{Benchmarks: []benchEntry{
-		{Name: "a", NsPerOp: 100},
-		{Name: "b", NsPerOp: 2.5},
-	}}
-	if err := writeBenchReport(valid, rep); err != nil {
-		t.Fatal(err)
-	}
-	got := loadBaseline(io.Discard, "", valid)
-	if got["a"] != 100 || got["b"] != 2.5 || len(got) != 2 {
-		t.Errorf("round trip: got %v", got)
-	}
-}
-
-// TestLoadBaselineChain pins the fallback order: an explicit baseline
-// wins per name, the output path fills names the explicit file lacks,
-// and the committed BENCH.json in the working directory backstops
-// both — the path a CI run writing to a scratch file relies on.
-func TestLoadBaselineChain(t *testing.T) {
-	dir := t.TempDir()
-	t.Chdir(dir)
-
-	write := func(name string, entries []benchEntry) string {
-		path := filepath.Join(dir, name)
-		if err := writeBenchReport(path, &benchReport{Benchmarks: entries}); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	explicit := write("explicit.json", []benchEntry{{Name: "a", NsPerOp: 1}})
-	out := write("out.json", []benchEntry{{Name: "a", NsPerOp: 10}, {Name: "b", NsPerOp: 20}})
-	write("BENCH.json", []benchEntry{{Name: "a", NsPerOp: 100}, {Name: "b", NsPerOp: 200}, {Name: "c", NsPerOp: 300}})
-
-	got := loadBaseline(io.Discard, explicit, out)
-	if got["a"] != 1 || got["b"] != 20 || got["c"] != 300 || len(got) != 3 {
-		t.Errorf("chain merge: got %v, want a=1 b=20 c=300", got)
-	}
-
-	// No explicit file, missing output path: the committed file alone.
-	got = loadBaseline(io.Discard, "", filepath.Join(dir, "missing.json"))
-	if got["c"] != 300 || len(got) != 3 {
-		t.Errorf("committed fallback: got %v", got)
-	}
-}
-
-// TestLoadBaselineWarnsOnMiss pins the silent-miss fix: a run that
-// finds no baseline must say so, naming every path it tried, and a
-// run that found one must stay quiet.
-func TestLoadBaselineWarnsOnMiss(t *testing.T) {
-	dir := t.TempDir()
-	t.Chdir(dir)
-
-	var warn strings.Builder
-	missing := filepath.Join(dir, "missing.json")
-	if got := loadBaseline(&warn, "", missing); len(got) != 0 {
-		t.Fatalf("missing file: want empty baseline, got %v", got)
-	}
-	msg := warn.String()
-	if !strings.Contains(msg, "no baseline found") {
-		t.Errorf("miss produced no warning: %q", msg)
-	}
-	for _, path := range []string{missing, "BENCH.json"} {
-		if !strings.Contains(msg, path) {
-			t.Errorf("warning %q does not name tried path %s", msg, path)
-		}
-	}
-
-	// A corrupt file warns about that file specifically.
-	corrupt := filepath.Join(dir, "corrupt.json")
-	if err := os.WriteFile(corrupt, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	warn.Reset()
-	loadBaseline(&warn, corrupt, "")
-	if !strings.Contains(warn.String(), corrupt) || !strings.Contains(warn.String(), "not a bench report") {
-		t.Errorf("corrupt baseline not called out: %q", warn.String())
-	}
-
-	// A hit stays quiet.
-	valid := filepath.Join(dir, "valid.json")
-	if err := writeBenchReport(valid, &benchReport{Benchmarks: []benchEntry{{Name: "a", NsPerOp: 1}}}); err != nil {
-		t.Fatal(err)
-	}
-	warn.Reset()
-	if got := loadBaseline(&warn, valid, ""); got["a"] != 1 {
-		t.Fatalf("valid baseline not loaded: %v", got)
-	}
-	if warn.Len() != 0 {
-		t.Errorf("hit produced a warning: %q", warn.String())
-	}
-}
-
-func TestWithBaseline(t *testing.T) {
-	prev := map[string]float64{"kernel": 200, "zeroed": 0}
-
-	e := withBaseline(benchEntry{Name: "kernel", NsPerOp: 150}, prev)
-	if e.PrevNsPerOp != 200 {
-		t.Errorf("PrevNsPerOp = %v, want 200", e.PrevNsPerOp)
-	}
-	if math.Abs(e.DeltaPct-(-25)) > 1e-9 {
-		t.Errorf("DeltaPct = %v, want -25", e.DeltaPct)
-	}
-
-	e = withBaseline(benchEntry{Name: "new", NsPerOp: 150}, prev)
-	if e.PrevNsPerOp != 0 || e.DeltaPct != 0 {
-		t.Errorf("new benchmark must carry no delta: %+v", e)
-	}
-
-	// A zero previous value would divide by zero; it must be ignored.
-	e = withBaseline(benchEntry{Name: "zeroed", NsPerOp: 150}, prev)
-	if e.PrevNsPerOp != 0 || e.DeltaPct != 0 {
-		t.Errorf("zero baseline must be ignored: %+v", e)
-	}
-}
 
 func TestWriteBenchReport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.json")

@@ -57,11 +57,10 @@ func NewNodeCombiner(rt *Runtime, q mr.Query, r int, budget int64, incremental, 
 }
 
 // Absorb folds one map task's finished output (per-partition segment
-// lists, the collector's Finish shape) into the node table and returns
-// the number of pairs absorbed. The fold's CPU is charged by the
-// caller per absorbed pair, so the engine keeps one place that knows
-// the model's constants.
-func (nc *NodeCombiner) Absorb(parts [][][]byte) int64 {
+// lists, the collector's Finish shape) into the node table, charges
+// the fold's CPU — one hash insert plus one combine per absorbed pair,
+// the rate the map side pays for its hash-combining collector.
+func (nc *NodeCombiner) Absorb(parts [][][]byte) {
 	var pairs int64
 	for part, segs := range parts {
 		for _, seg := range segs {
@@ -83,7 +82,8 @@ func (nc *NodeCombiner) Absorb(parts [][][]byte) int64 {
 		}
 	}
 	nc.inPairs += pairs
-	return pairs
+	rt := nc.fold.rt
+	rt.ChargeOps(rt.Model.CPUHashInsert+rt.Model.CPUCombine, pairs)
 }
 
 // emit stores one flush of the table; in sorted mode the sort CPU of

@@ -459,8 +459,10 @@ func (s *JobSpec) validate() error {
 		return errSpec("the hop platform supports only transient disk errors, not corruption")
 	}
 	if s.Platform == HOP && d.IOErrorRate > 0.25 {
-		// HOP's legacy task paths have no attempt-restart ladder; keep
-		// the retry-exhaustion probability (rate^12) negligible.
+		// HOP's attempt chain has length one — pipelined pushes cannot be
+		// re-consumed, so an exhausted retry budget fails the job instead
+		// of restarting the attempt; keep that probability (rate^12)
+		// negligible.
 		return errSpec("hop disk io-error rate must be ≤ 0.25")
 	}
 	return nil
@@ -667,6 +669,15 @@ func (f *FaultPlan) any() bool {
 func (f *FaultPlan) risky() bool {
 	return len(f.KillNodes) > 0 || len(f.KillAtMapProgress) > 0 ||
 		len(f.ReduceFailures) > 0
+}
+
+// reduceRestarts reports whether a reduce attempt of this job can fail
+// after consuming input and be restarted: a risky plan, or disk faults
+// on any platform but HOP (whose chain has length one). Such runs
+// retain fetched map outputs for re-fetch and hold reduce output
+// provisional until an attempt commits.
+func (s *JobSpec) reduceRestarts() bool {
+	return s.Faults.risky() || (s.Faults.Disk.any() && s.Platform != HOP)
 }
 
 // failPoint is the plan's FailPoint with its default-to-1 guard.

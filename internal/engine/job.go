@@ -21,7 +21,7 @@ type job struct {
 
 	nodes       []*node
 	shuffle     *shuffleService
-	tracker     *tracker // nil on clean runs (no faults, no checkpointing)
+	tracker     *tracker // per-task attempt state, on every run; its detector daemon only under faults.needsTracker()
 	gauges      metrics.Gauges
 	numReducers int
 	totalMaps   int
@@ -121,8 +121,9 @@ func Run(spec JobSpec) (*Report, error) {
 	j.shuffle = newShuffleService(j.k, j.totalMaps, j.numReducers)
 
 	// Fault plan wiring: crash times, stragglers, disk faults, the
-	// failure-detector daemon. Clean runs skip all of it — no tracker
-	// state, no daemon ticks — so their event sequences are untouched.
+	// failure-detector daemon. Every task runs its attempt chain on the
+	// tracker's state tables; a clean run spawns no daemon, so no
+	// heartbeat tick interleaves with its events.
 	faults := &spec.Faults
 	for idx, at := range faults.KillNodes {
 		j.nodes[idx].deadAt = int64(at)
@@ -136,17 +137,10 @@ func Run(spec JobSpec) (*Report, error) {
 			n.store.SetFaults(df)
 		}
 	}
-	// Disk faults need the tracker too (except on HOP, where validation
-	// only admits transient errors the storage layer retries
-	// internally): corrupt map outputs re-execute through it, and
-	// attempt restarts after exhausted retry budgets run on its loops.
-	diskRecovery := faults.Disk.any() && spec.Platform != HOP
-	if faults.any() || diskRecovery || spec.CheckpointEvery > 0 {
-		j.tracker = newTracker(j)
-		j.shuffle.retain = faults.risky() || faults.Disk.any()
-		if faults.needsTracker() {
-			j.k.SpawnDaemon("tracker", func(p *sim.Proc) { j.tracker.run(p) })
-		}
+	j.tracker = newTracker(j)
+	j.shuffle.retain = spec.reduceRestarts()
+	if faults.needsTracker() {
+		j.k.SpawnDaemon("tracker", func(p *sim.Proc) { j.tracker.run(p) })
 	}
 
 	sampler := metrics.NewSampler(j, cfg.ProgressInterval)

@@ -32,15 +32,7 @@ const (
 func (j *job) runMapTask(p *sim.Proc, chunk int, n *node, backup bool) {
 	failures := j.spec.Faults.MapFailures[chunk]
 	t := j.tracker
-	if t == nil {
-		// Clean run (no faults configured): the legacy retry loop.
-		for attempt := 0; ; attempt++ {
-			if res, _ := j.runMapAttempt(p, chunk, n, attempt, attempt < failures, false); res == mapDone {
-				return
-			}
-		}
-	}
-	ms := t.mstates[chunk]
+	ms := &t.mstates[chunk]
 	for {
 		if ms.done {
 			return // won by a backup / re-execution before we started
@@ -104,8 +96,9 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 	}()
 	defer p.Join() // drain forked compute on every exit path
 	start := p.Now()
-	if t := j.tracker; t != nil && !backup {
-		t.mstates[chunk].since = start
+	ms := &j.tracker.mstates[chunk]
+	if !backup {
+		ms.since = start
 	}
 	kind := "map"
 	if fail {
@@ -192,7 +185,7 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 			j.wastedCPU += ledger
 			return mapFailedInjected, 0
 		}
-		if tr := j.tracker; tr != nil && tr.mstates[chunk].done {
+		if ms.done {
 			// Another attempt (speculative backup or primary) already
 			// published this task's output: stop, drop everything.
 			kind = "map-superseded"
@@ -203,7 +196,7 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 
 	parts, mapped, emitted := body.Finish()
 	quarantined := body.Quarantined
-	if tr := j.tracker; tr != nil && tr.mstates[chunk].done {
+	if ms.done {
 		kind = "map-superseded"
 		j.wastedCPU += ledger
 		return mapSuperseded, 0
@@ -218,9 +211,7 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 		// shuffle's completion count is released there, not here). Only
 		// fault-free plans combine, so there is no claim race and no
 		// declared-dead rollback to handle.
-		if tr := j.tracker; tr != nil {
-			tr.mstates[chunk].done = true
-		}
+		ms.done = true
 		j.mapCPU += ledger
 		j.mapsDone++
 		if j.mapsDone == j.totalMaps {
@@ -230,30 +221,25 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 		return mapDone, p.Now() - start
 	}
 	if !hop {
-		if tr := j.tracker; tr != nil {
-			// Claim the task before the publish I/O parks, so a racing
-			// backup cannot double-publish.
-			tr.mstates[chunk].done = true
-		}
+		// Claim the task before the publish I/O parks, so a racing
+		// backup cannot double-publish.
+		ms.done = true
 		o := j.publishMapOutput(p, n, fmt.Sprintf("map%06d.a%d.out", chunk, attempt), chunk, nil, parts)
-		if tr := j.tracker; tr != nil {
-			ms := tr.mstates[chunk]
-			if n.declaredDead {
-				// The node was declared dead while we were publishing:
-				// the output is on a dead machine and the detector has
-				// already swept it. Undo the claim and re-execute.
-				o.lost = true
-				ms.done = false
-				ms.output = nil
-				j.mapInputRecords -= mapped
-				j.mapOutputRecords -= emitted
-				j.quarantined -= quarantined
-				kind = "map-lost"
-				j.wastedCPU += ledger
-				return mapNodeDead, 0
-			}
-			ms.output = o
+		if n.declaredDead {
+			// The node was declared dead while we were publishing: the
+			// output is on a dead machine and the detector has already
+			// swept it. Undo the claim and re-execute.
+			o.lost = true
+			ms.done = false
+			ms.output = nil
+			j.mapInputRecords -= mapped
+			j.mapOutputRecords -= emitted
+			j.quarantined -= quarantined
+			kind = "map-lost"
+			j.wastedCPU += ledger
+			return mapNodeDead, 0
 		}
+		ms.output = o
 	}
 	j.mapCPU += ledger
 

@@ -2,7 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"time"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dfs"
@@ -104,9 +104,6 @@ func newCombinePlan(j *job, assign dfs.Assignment) *combinePlan {
 		g := pl.groupOf[assign.Node(c)]
 		g.tasks = append(g.tasks, c)
 	}
-	for _, g := range pl.groups {
-		sortInts(g.tasks)
-	}
 	return pl
 }
 
@@ -126,9 +123,8 @@ func (pl *combinePlan) deposit(chunk int, n *node, parts [][][]byte) {
 }
 
 // foldNode is tier 1: fold the node's deposits, in ascending chunk
-// order, into one merged partitioned run. Fold CPU is charged on the
-// node at the map-side hash-combine rate (one insert + one combine per
-// absorbed pair; sorted-mode sort CPU is charged inside the combiner).
+// order, into one merged partitioned run. The combiner charges the fold
+// CPU on the node through its runtime.
 func (pl *combinePlan) foldNode(p *sim.Proc, nn *ncNode) {
 	j := pl.j
 	start := p.Now()
@@ -136,12 +132,11 @@ func (pl *combinePlan) foldNode(p *sim.Proc, nn *ncNode) {
 	defer j.gauges.Leave(metrics.PhaseMap)
 	defer func() { j.addSpan(p.Name(), "combine", nn.node.idx, start, p.Now()) }()
 
-	sortDeposits(nn.deposits)
+	slices.SortFunc(nn.deposits, func(a, b *ncDeposit) int { return a.chunk - b.chunk })
 	var ledger int64
 	nc := j.newNodeCombiner(p, nn.node, &ledger)
 	for _, d := range nn.deposits {
-		pairs := nc.Absorb(d.parts)
-		nn.node.chargeCPU(p, foldCPU(j, pairs), &ledger)
+		nc.Absorb(d.parts)
 		d.parts = nil
 	}
 	nn.deposits = nil
@@ -183,8 +178,7 @@ func (pl *combinePlan) foldGroup(p *sim.Proc, g *ncGroup) {
 		if nn.node != agg && nn.run.bytes > 0 {
 			p.Use(agg.nic, 1, m.NetTime(nn.run.bytes))
 		}
-		pairs := nc.Absorb(nn.run.parts.Segs)
-		agg.chargeCPU(p, foldCPU(j, pairs), &ledger)
+		nc.Absorb(nn.run.parts.Segs)
 		nn.run = nil
 	}
 	parts, _, outPairs := nc.Finish()
@@ -218,31 +212,4 @@ func (j *job) newNodeCombiner(p *sim.Proc, n *node, ledger *int64) *core.NodeCom
 	rt := j.newRuntime(p, n, ledger)
 	return core.NewNodeCombiner(rt, j.spec.Query, j.numReducers, j.spec.Cluster.MapBuffer,
 		j.spec.Platform.Incremental(), j.spec.Platform == SortMerge)
-}
-
-// foldCPU is the virtual CPU for absorbing pairs into a combine table:
-// one hash insert plus one combine per pair, the same rate the map
-// side pays for its hash-combining collector.
-func foldCPU(j *job, pairs int64) time.Duration {
-	m := j.spec.Cluster.Model
-	return m.CPUOps(m.CPUHashInsert+m.CPUCombine, pairs)
-}
-
-// sortInts is a tiny insertion sort (task lists are short and nearly
-// sorted already; avoids pulling package sort into the hot path).
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for k := i; k > 0 && a[k] < a[k-1]; k-- {
-			a[k], a[k-1] = a[k-1], a[k]
-		}
-	}
-}
-
-// sortDeposits orders a node's deposits by chunk ascending.
-func sortDeposits(d []*ncDeposit) {
-	for i := 1; i < len(d); i++ {
-		for k := i; k > 0 && d[k].chunk < d[k-1].chunk; k-- {
-			d[k], d[k-1] = d[k-1], d[k]
-		}
-	}
 }

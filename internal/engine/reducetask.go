@@ -26,18 +26,13 @@ const (
 	reduceNodeDead                    // the node crashed mid-attempt
 )
 
-// runReduceTask executes one reduce task. Clean runs (and HOP, whose
-// pipelining is incompatible with re-execution) take the legacy
-// single-attempt path; fault-injected runs run an attempt loop that
-// survives injected failures and node crashes, restoring checkpointed
-// state where available.
+// runReduceTask executes one reduce task as an attempt chain: a
+// fault-free task is the chain that succeeds at attempt 0; injected
+// failures and node crashes start further attempts, restoring
+// checkpointed state where available.
 func (j *job) runReduceTask(p *sim.Proc, ridx int, n *node) {
-	if j.tracker == nil || j.spec.Platform == HOP {
-		j.runReduceLegacy(p, ridx, n)
-		return
-	}
 	t := j.tracker
-	rs := t.rstates[ridx]
+	rs := &t.rstates[ridx]
 	rs.node = n
 	failures := j.spec.Faults.ReduceFailures[ridx]
 	for {
@@ -65,11 +60,18 @@ func (j *job) runReduceTask(p *sim.Proc, ridx int, n *node) {
 	}
 }
 
-// runReduceAttempt is one attempt of a reduce task under fault
-// injection: restore checkpointed state, fetch every map task's
-// partition exactly once (retrying fetches from crashed nodes with
-// backoff, skipping lost outputs until their re-execution republishes),
-// and finish. inject fails the attempt after FailPoint of its inputs.
+// runReduceAttempt is one attempt of a reduce task: acquire a slot
+// (creating the §3.2 waves when R exceeds slots), restore checkpointed
+// state, fetch every map task's partition exactly once (retrying
+// fetches from crashed nodes with backoff, skipping lost outputs until
+// their re-execution republishes), and finish. inject fails the attempt
+// after FailPoint of its inputs.
+//
+// HOP rides the same loop as a chain of length one: its pushes carry no
+// task identity, so nothing is marked consumed and the stream ends when
+// every mapper has finished; and because a pipelined push cannot be
+// re-consumed, a failure that would restart any other platform's
+// attempt stays Run's error.
 func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject bool) (res reduceResult) {
 	n := rs.node
 	t := j.tracker
@@ -96,7 +98,12 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 	defer p.Release(n.reduceSlots, 1)
 	start := p.Now()
 	kind := "reduce"
-	defer func() { j.addSpan(fmt.Sprintf("%s.a%d", p.Name(), attempt), kind, n.idx, start, p.Now()) }()
+	// Attempt 0 is named by the task; retries carry their attempt number.
+	name := p.Name()
+	if attempt > 0 {
+		name = fmt.Sprintf("%s.a%d", name, attempt)
+	}
+	defer func() { j.addSpan(name, kind, n.idx, start, p.Now()) }()
 
 	setPhase := j.phaseSetter()
 	defer setPhase(-1)
@@ -111,6 +118,9 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 				j.wastedCPU += ledger
 				res = reduceNodeDead
 			case *storage.Corruption:
+				if j.spec.Platform == HOP {
+					panic(r)
+				}
 				// A spill/bucket/checkpoint-source frame failed its
 				// checksum, or a transient-I/O retry budget ran out: the
 				// attempt's scratch state is untrustworthy. Discard it
@@ -125,7 +135,7 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 		}
 	}()
 
-	out = NewOutputWriter(&j.spec, j.spec.Faults.risky() || j.spec.Faults.Disk.any(), &j.out, n.enqueueOutput)
+	out = NewOutputWriter(&j.spec, j.spec.reduceRestarts(), &j.out, n.enqueueOutput)
 	red := NewTaskReducer(&j.spec, j.newRuntime(p, n, &ledger), j.spec.Query, out,
 		fmt.Sprintf("r%03d.a%d", ridx, attempt), j.inputBytesEst)
 
@@ -164,9 +174,14 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 	// Shuffle loop: fetch each map task's partition exactly once, in
 	// publication order, skipping lost outputs (their re-execution will
 	// republish) and backing off on fetches from crashed-but-undeclared
-	// nodes.
+	// nodes. The task counts as a shuffle task for the whole phase (the
+	// Fig 2(a) timeline semantics), switching to the merge gauge while it
+	// drives multi-pass merges. next is the attempt's cursor into the
+	// published outputs: everything before it is consumed or lost for
+	// good, so a wake-up never rescans.
 	setPhase(metrics.PhaseShuffle)
 	var retry int64
+	next := 0
 	for rs.consumedN < j.totalMaps {
 		if n.dead(p.Now()) {
 			panic(nodeAborted{n.idx})
@@ -176,24 +191,24 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 			if n.dead(p.Now()) {
 				return true
 			}
-			o = nil
-			for _, cand := range j.shuffle.outputs {
-				if cand.lost || (cand.tasks == nil && cand.task < 0) {
-					continue
-				}
+			for outs := j.shuffle.outputs; next < len(outs); next++ {
 				// A node-combined run covers several tasks, marked
 				// atomically below — its first covered task stands in
 				// for the whole set.
-				if rs.consumed[outputTask(cand)] {
-					continue
+				if c := outs[next]; !c.lost && !rs.holds(c) {
+					o = c
+					return true
 				}
-				o = cand
-				return true
 			}
-			return false
+			// HOP's stream is not counted in tasks: it ends once every
+			// mapper has finished.
+			return j.spec.Platform == HOP && j.shuffle.allPublished()
 		})
-		if n.dead(p.Now()) || o == nil {
+		if n.dead(p.Now()) {
 			panic(nodeAborted{n.idx})
+		}
+		if o == nil {
+			break // HOP: every mapper finished and every push is consumed
 		}
 		if o.node.dead(p.Now()) {
 			// Fetch failure: the serving node crashed but the detector
@@ -234,13 +249,15 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 					}
 				}
 			}
-			if rs.everFetched == nil {
-				rs.everFetched = make([]bool, j.totalMaps)
-			}
-			if rs.everFetched[outputTask(o)] {
-				j.refetchBytes += size // recovery traffic: fetched before, by a lost attempt
-			} else {
-				rs.everFetched[outputTask(o)] = true
+			if task := outputTask(o); task >= 0 { // a HOP push is never fetched twice
+				if rs.everFetched == nil {
+					rs.everFetched = make([]bool, j.totalMaps)
+				}
+				if rs.everFetched[task] {
+					j.refetchBytes += size // recovery traffic: fetched before, by a lost attempt
+				} else {
+					rs.everFetched[task] = true
+				}
 			}
 			red.Feed(o.parts, ridx, size, o.task)
 		}
@@ -249,10 +266,11 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 				rs.consumed[task] = true
 			}
 			rs.consumedN += len(o.tasks)
-		} else {
+		} else if o.task >= 0 {
 			rs.consumed[o.task] = true
 			rs.consumedN++
 		}
+		next++
 		j.fetchesDone++
 		j.shuffle.release(o)
 
@@ -264,21 +282,30 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 			lastCkpt = p.Now()
 		}
 
+		// Snapshots: when the map progress crosses the next threshold,
+		// re-merge everything received so far and emit an approximate
+		// answer set (§3.3(4)). The task stays a shuffle task meanwhile.
 		for frac := j.mapProgress(); red.SnapshotDue(frac); {
-			setPhase(metrics.PhaseMerge)
-			red.Snapshot(j.snapshotWriter(n))
-			setPhase(metrics.PhaseShuffle)
+			j.snapshot(red, n)
 		}
+		// Sort-merge: drive the background multi-pass merge when the
+		// trigger fires (inline, in Fig 2(a)'s "merge" phase).
 		if red.MergeDue() {
 			setPhase(metrics.PhaseMerge)
 			red.Merge()
 			setPhase(metrics.PhaseShuffle)
 		}
 	}
-	setPhase(-1)
 
-	// All map output received: complete the task.
-	j.finishReducer(red, setPhase)
+	// All map output received: complete the task. Sort-merge's remaining
+	// multi-pass merge is blocking I/O (PhaseMerge); the final merge +
+	// reduce function, or the hash platforms' bucket passes, are
+	// PhaseReduce.
+	setPhase(metrics.PhaseMerge)
+	red.PrepareFinal()
+	setPhase(metrics.PhaseReduce)
+	j.approxKeys += red.Finish()
+	setPhase(-1)
 	out.Commit()
 	out.Flush()
 	n.syncOutput(p)
@@ -288,12 +315,27 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 
 // outputTask is the consumed-set index an output is tracked under: its
 // map task, or a node-combined run's first covered task (the whole set
-// is marked together, so one representative suffices).
+// is marked together, so one representative suffices); -1 for a HOP
+// push, which carries no task identity.
 func outputTask(o *mapOutput) int {
 	if o.tasks != nil {
 		return o.tasks[0]
 	}
 	return o.task
+}
+
+// holds reports whether the current attempt has already folded o in.
+func (rs *reduceState) holds(o *mapOutput) bool {
+	task := outputTask(o)
+	return task >= 0 && rs.consumed[task]
+}
+
+// snapshot emits one approximate snapshot under the merge gauge, also
+// left when a node crash aborts the attempt mid-merge.
+func (j *job) snapshot(red *TaskReducer, n *node) {
+	j.gauges.Enter(metrics.PhaseMerge)
+	defer j.gauges.Leave(metrics.PhaseMerge)
+	red.Snapshot(&SnapshotWriter{Sink: n.enqueueOutput, Records: &j.snapshotRecords})
 }
 
 // takeCheckpoint commits a checkpoint of the attempt's reducer state
@@ -344,75 +386,6 @@ func (j *job) resolveCheckpoint(rs *reduceState) (img *core.StateImage, badBytes
 	return nil, badBytes
 }
 
-// runReduceLegacy is the clean-run reduce path: acquire a slot
-// (creating the §3.2 waves when R exceeds slots), shuffle from
-// completed mappers, feed the platform reducer, and finish once all
-// map output arrived.
-func (j *job) runReduceLegacy(p *sim.Proc, ridx int, n *node) {
-	p.Acquire(n.reduceSlots, 1)
-	defer p.Release(n.reduceSlots, 1)
-	start := p.Now()
-	defer func() { j.addSpan(p.Name(), "reduce", n.idx, start, p.Now()) }()
-
-	model := j.spec.Cluster.Model
-	out := NewOutputWriter(&j.spec, false, &j.out, n.enqueueOutput)
-	defer func() {
-		out.Flush()
-		n.syncOutput(p)
-	}()
-	red := NewTaskReducer(&j.spec, j.newRuntime(p, n, &j.reduceCPU), j.spec.Query, out,
-		fmt.Sprintf("r%03d", ridx), j.inputBytesEst)
-
-	// Shuffle loop: fetch each published output's partition for ridx.
-	// The task counts as a shuffle task for the whole phase (the
-	// Fig 2(a) timeline semantics), switching to the merge gauge while
-	// it drives multi-pass merges.
-	setPhase := j.phaseSetter()
-	setPhase(metrics.PhaseShuffle)
-	for next := 0; ; next++ {
-		o, ok := j.shuffle.next(p, next)
-		if !ok {
-			break
-		}
-		if size := o.partBytes[ridx]; size > 0 {
-			// Network transfer into this reducer's node.
-			p.Use(n.nic, 1, model.NetTime(size))
-			if o.inMemory {
-				j.memFetches++
-			} else {
-				// The mapper's output left its memory: serve from disk.
-				j.diskFetches++
-				o.node.store.ReadAt(p, o.file, o.partOff[ridx], size, storage.ShuffleRead)
-			}
-			red.Feed(o.parts, ridx, size, o.task)
-		}
-		j.fetchesDone++
-		j.shuffle.release(o)
-
-		// HOP snapshots: when the map progress crosses the next
-		// threshold, re-merge everything received so far and emit an
-		// approximate answer set (§3.3(4)). The task stays a shuffle
-		// task meanwhile.
-		for frac := j.mapProgress(); red.SnapshotDue(frac); {
-			j.gauges.Enter(metrics.PhaseMerge)
-			red.Snapshot(j.snapshotWriter(n))
-			j.gauges.Leave(metrics.PhaseMerge)
-		}
-
-		// Sort-merge: drive the background multi-pass merge when the
-		// trigger fires (inline, in Fig 2(a)'s "merge" phase).
-		if red.MergeDue() {
-			setPhase(metrics.PhaseMerge)
-			red.Merge()
-			setPhase(metrics.PhaseShuffle)
-		}
-	}
-	setPhase(-1)
-
-	// All map output received: complete the job.
-	j.finishReducer(red, setPhase)
-}
-
 // phaseSetter returns a function that moves one reduce task between
 // the Fig 2(a) phase gauges: it leaves the phase set last and enters ph
 // (-1: none).
@@ -429,22 +402,5 @@ func (j *job) phaseSetter() func(ph metrics.Phase) {
 	}
 }
 
-// finishReducer completes a reduce task once all map output arrived:
-// sort-merge's remaining multi-pass merge is blocking I/O (PhaseMerge);
-// the final merge + reduce function, or the hash platforms' bucket
-// passes, are PhaseReduce.
-func (j *job) finishReducer(red *TaskReducer, setPhase func(metrics.Phase)) {
-	setPhase(metrics.PhaseMerge)
-	red.PrepareFinal()
-	setPhase(metrics.PhaseReduce)
-	j.approxKeys += red.Finish()
-	setPhase(-1)
-}
-
 // mapProgress is the completed fraction of the map phase.
 func (j *job) mapProgress() float64 { return float64(j.mapsDone) / float64(j.totalMaps) }
-
-// snapshotWriter sinks one approximate snapshot on node n.
-func (j *job) snapshotWriter(n *node) *SnapshotWriter {
-	return &SnapshotWriter{Sink: n.enqueueOutput, Records: &j.snapshotRecords}
-}

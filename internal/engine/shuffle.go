@@ -44,9 +44,10 @@ type shuffleService struct {
 	mappersAll  int
 	reducers    int
 
-	// retain disables end-of-fetch reclamation. Set for runs that can
-	// kill nodes or fail reduce attempts: a restarted reducer must be
-	// able to re-fetch outputs that every other reducer already drained.
+	// retain disables end-of-fetch reclamation. Set for runs whose reduce
+	// attempts can restart (JobSpec.reduceRestarts): a restarted reducer
+	// must be able to re-fetch outputs that every other reducer already
+	// drained.
 	retain bool
 }
 
@@ -74,18 +75,6 @@ func (s *shuffleService) mapperFinished() {
 // allPublished reports whether every mapper has finished, i.e. no more
 // outputs will appear.
 func (s *shuffleService) allPublished() bool { return s.mappersDone == s.mappersAll }
-
-// next blocks the reducer until output idx exists or the stream is
-// complete; ok=false means no more outputs.
-func (s *shuffleService) next(p *sim.Proc, idx int) (*mapOutput, bool) {
-	p.WaitFor(s.cond, func() bool {
-		return idx < len(s.outputs) || s.allPublished()
-	})
-	if idx < len(s.outputs) {
-		return s.outputs[idx], true
-	}
-	return nil, false
-}
 
 // release notes that one reducer has fetched its partition; when all
 // have, the output's memory and disk file are reclaimed (unless the

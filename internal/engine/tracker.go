@@ -45,30 +45,33 @@ type reduceState struct {
 	ckpt *Checkpoint // latest committed checkpoint (nil: restart from scratch)
 }
 
-// tracker is the JobTracker's failure-handling half: a heartbeat-driven
-// failure detector that declares crashed nodes dead, invalidates their
-// stored map outputs, re-executes lost-but-needed map tasks on
-// survivors, and launches speculative backups for map stragglers. It
-// only exists (and its daemon only ticks) when the fault plan calls for
-// it, so clean runs pay nothing.
+// tracker is the JobTracker: the per-task attempt state every map and
+// reduce task runs its attempt chain on, and the failure-handling half
+// — a heartbeat-driven failure detector that declares crashed nodes
+// dead, invalidates their stored map outputs, re-executes
+// lost-but-needed map tasks on survivors, and launches speculative
+// backups for map stragglers. The state tables exist on every run (a
+// fault-free task is the chain that succeeds at attempt 0); the
+// detector daemon only ticks when the fault plan calls for it, so clean
+// runs' event sequences carry no heartbeat.
 type tracker struct {
 	j       *job
 	cond    *sim.Cond
-	mstates []*mapTaskState
-	rstates []*reduceState
+	mstates []mapTaskState // value slices: one allocation each, never regrown
+	rstates []reduceState
 	mapDurs []int64 // completed map-attempt durations (speculation baseline)
 	cursor  int     // round-robin placement cursor for recovered tasks
 }
 
 func newTracker(j *job) *tracker {
 	t := &tracker{j: j, cond: sim.NewCond(j.k, "tracker")}
-	t.mstates = make([]*mapTaskState, j.totalMaps)
+	t.mstates = make([]mapTaskState, j.totalMaps)
 	for i := range t.mstates {
-		t.mstates[i] = &mapTaskState{task: i}
+		t.mstates[i].task = i
 	}
-	t.rstates = make([]*reduceState, j.numReducers)
+	t.rstates = make([]reduceState, j.numReducers)
 	for i := range t.rstates {
-		t.rstates[i] = &reduceState{ridx: i}
+		t.rstates[i].ridx = i
 	}
 	return t
 }
@@ -108,7 +111,7 @@ func (t *tracker) declare(n *node) {
 		if o.task < 0 {
 			continue
 		}
-		ms := t.mstates[o.task]
+		ms := &t.mstates[o.task]
 		if !ms.done || ms.output != o {
 			continue // superseded already, or still being recomputed
 		}
@@ -128,8 +131,8 @@ func (t *tracker) declare(n *node) {
 // restore detects it and falls back to the previous good image.
 func (t *tracker) tearCheckpoints(n *node) {
 	d := &t.j.spec.Faults.Disk
-	for _, rs := range t.rstates {
-
+	for i := range t.rstates {
+		rs := &t.rstates[i]
 		if rs.done || rs.node != n || rs.ckpt == nil || rs.ckpt.torn {
 			continue
 		}
@@ -158,7 +161,7 @@ func (t *tracker) corruptOutput(o *mapOutput) {
 	if o.task < 0 {
 		return
 	}
-	ms := t.mstates[o.task]
+	ms := &t.mstates[o.task]
 	if !ms.done || ms.output != o {
 		return // superseded already, or still being recomputed
 	}
@@ -170,7 +173,8 @@ func (t *tracker) corruptOutput(o *mapOutput) {
 // last-checkpoint consumed-set (that is where they will restart from).
 func (t *tracker) needed(task int) bool {
 	now := t.j.k.Now()
-	for _, rs := range t.rstates {
+	for i := range t.rstates {
+		rs := &t.rstates[i]
 		if rs.done {
 			continue
 		}
@@ -210,11 +214,11 @@ func (t *tracker) reexec(ms *mapTaskState) {
 // not-needed at declaration time (everyone had consumed it) but a later
 // attempt failure rolled a reducer's consumed-set back past it.
 func (t *tracker) ensureAvailable(rs *reduceState) {
-	for task, ms := range t.mstates {
+	for task := range t.mstates {
 		if rs.consumed[task] {
 			continue
 		}
-		if ms.done && ms.output != nil && ms.output.lost {
+		if ms := &t.mstates[task]; ms.done && ms.output != nil && ms.output.lost {
 			t.reexec(ms)
 		}
 	}
@@ -236,7 +240,8 @@ func (t *tracker) speculate(now int64) {
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 	median := durs[len(durs)/2]
 	threshold := int64(t.j.spec.Faults.SpeculativeFactor * float64(median))
-	for _, ms := range t.mstates {
+	for i := range t.mstates {
+		ms := &t.mstates[i]
 		if ms.done || ms.backups > 0 || ms.running == 0 {
 			continue
 		}

@@ -1,4 +1,8 @@
-// Fault injection and recovery on the wall-clock backend.
+// Attempt chains, fault injection and recovery on the wall-clock
+// backend. Every map and reduce task runs as a chain of attempts — this
+// file holds the one map chain and the one reduce attempt loop the
+// driver has; a fault-free task is the chain that succeeds at attempt 0
+// (an empty plan kills nobody, rolls no errors, sleeps for nothing).
 //
 // The DES anchors fault triggers to virtual time; a wall clock cannot
 // reproduce those schedules deterministically, so the real backend
@@ -26,8 +30,9 @@
 //     timing-dependent.
 //
 // Everything else — what a task computes, what it publishes, what a
-// reducer consumes and in what order — is the clean path, so answers
-// and logical counters stay bit-identical to the fault-free run.
+// reducer consumes and in what order — does not depend on the plan, so
+// answers and logical counters stay bit-identical to the fault-free
+// run.
 package realexec
 
 import (
@@ -162,9 +167,8 @@ func (f *faults) shuffleErr(ridx int, u *unit, attempt, try int) bool {
 	return storage.Roll(rate, f.seed, int64(ridx), int64(u.chunk), int64(u.seq), int64(attempt), int64(try))
 }
 
-// mapChain is one map task's full attempt history under fault
-// injection: the counted winner plus failed and superseded attempts
-// kept for I/O accounting.
+// mapChain is one map task's full attempt history: the counted winner
+// plus failed and superseded attempts kept for I/O accounting.
 type mapChain struct {
 	winner *mapResult
 	extras []*mapResult
@@ -349,11 +353,13 @@ func (r *run) runReduceChain(ridx, node int) *reduceChain {
 	}
 }
 
-// runReduceAttempt executes one reduce attempt under fault injection:
-// restore from the newest checkpoint, replay only the unconsumed
-// suffix of the shuffle units, checkpoint on the virtual CPU ledger,
-// and either finish (committing provisional output) or die at the
-// injected fail point.
+// runReduceAttempt executes one reduce attempt: restore from the
+// newest checkpoint, consume the unconsumed suffix of the cached shuffle
+// units in fixed order through the platform reducer, checkpoint on the
+// virtual CPU ledger, and either finish (committing provisional output)
+// or die at the injected fail point. The map barrier has already
+// advanced the watermark to the global maximum, exactly the horizon
+// reference.RunWithWatermarks reduces under.
 func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool) (res *reduceResult) {
 	res = &reduceResult{}
 	defer func() {
@@ -363,6 +369,15 @@ func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool
 	}()
 	p := substrate.NewWallProc(r.start)
 	taskStart := p.Now()
+	// Attempt 0 is named by the task; retries carry their attempt number.
+	span := func(kind string) engine.Span {
+		name := fmt.Sprintf("reduce%03d", ridx)
+		if attempt > 0 {
+			name = fmt.Sprintf("%s.a%d", name, attempt)
+		}
+		return engine.Span{Name: name, Kind: kind, Node: node,
+			Start: time.Duration(taskStart), End: time.Duration(p.Now())}
+	}
 	st := r.newStore(node)
 	res.store = st
 	rt := r.newRuntime(p, st, &res.ledger)
@@ -395,10 +410,7 @@ func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool
 	failOut := func() *reduceResult {
 		res.failed = true
 		out.Discard()
-		res.span = engine.Span{
-			Name: fmt.Sprintf("reduce%03d.a%d", ridx, attempt), Kind: "reduce-failed", Node: node,
-			Start: time.Duration(taskStart), End: time.Duration(p.Now()),
-		}
+		res.span = span("reduce-failed")
 		return res
 	}
 	if inject && consumedN >= failN {
@@ -409,10 +421,10 @@ func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool
 	ckptEvery := int64(r.spec.CheckpointEvery)
 	lastCkpt := res.ledger
 
-	// Shuffle loop over the unconsumed suffix, in the same fixed unit
-	// order as the clean path — reducers wait for lost units (never
-	// skip), so consumption order, and with it every answer, is
-	// preserved.
+	// Shuffle loop over the unconsumed suffix of the cached units, in
+	// fixed order. Every fetch is served from memory, and reducers wait
+	// for lost units (never skip), so consumption order, and with it
+	// every answer, is the same under any plan and any worker count.
 	for ui, u := range r.units {
 		if consumed[ui] {
 			continue
@@ -453,9 +465,6 @@ func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool
 	res.approxKeys = red.Finish()
 	out.Commit()
 	out.Flush()
-	res.span = engine.Span{
-		Name: fmt.Sprintf("reduce%03d.a%d", ridx, attempt), Kind: "reduce", Node: node,
-		Start: time.Duration(taskStart), End: time.Duration(p.Now()),
-	}
+	res.span = span("reduce")
 	return res
 }

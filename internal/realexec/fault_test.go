@@ -3,6 +3,9 @@ package realexec_test
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -317,5 +320,54 @@ func TestRealFaultedQuarantine(t *testing.T) {
 			t.Errorf("%d workers: QuarantinedRecords = %d, want %d",
 				workers, rep.QuarantinedRecords, base.QuarantinedRecords)
 		}
+	}
+}
+
+// TestAttemptChainCleanEquivalence: a fault-free job and the same job
+// under a checkpoint interval no ledger reaches are the same run at any
+// worker count. The second once selected the attempt chains and the
+// first the clean task loops beside them.
+func TestAttemptChainCleanEquivalence(t *testing.T) {
+	for _, pl := range []engine.Platform{engine.SortMerge, engine.HOP, engine.MRHash, engine.INCHash, engine.DINCHash} {
+		clean := stableReport(runReal(t, chaosJob(t, pl), queries.NewClickCount, 1))
+		job := chaosJob(t, pl)
+		job.CheckpointEvery = 1000 * time.Hour
+		for _, workers := range []int{1, 4} {
+			idle := stableReport(runReal(t, job, queries.NewClickCount, workers))
+			if !reflect.DeepEqual(clean, idle) {
+				t.Errorf("%s, %d workers: report differs under an idle checkpoint interval (field %s)",
+					pl, workers, engine.ReportDiff(clean, idle))
+			}
+		}
+	}
+}
+
+// TestAttemptChainSpanNames: attempt 0 of a reduce task is named by the
+// task, with or without a fault plan; only retries carry ".aN".
+func TestAttemptChainSpanNames(t *testing.T) {
+	reduceSpans := func(rep *engine.Report) []string {
+		var out []string
+		for _, s := range rep.Spans {
+			if strings.HasPrefix(s.Kind, "reduce") {
+				out = append(out, s.Name+" "+s.Kind)
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
+	var want []string
+	for r := 0; r < 6; r++ {
+		want = append(want, fmt.Sprintf("reduce%03d reduce", r))
+	}
+	job := chaosJob(t, engine.INCHash)
+	if got := reduceSpans(runReal(t, job, queries.NewClickCount, 4)); !reflect.DeepEqual(got, want) {
+		t.Errorf("clean run: reduce spans %q, want %q", got, want)
+	}
+	job.Faults.ReduceFailures = map[int]int{3: 1}
+	want[3] = "reduce003 reduce-failed"
+	want = append(want, "reduce003.a1 reduce")
+	sort.Strings(want)
+	if got := reduceSpans(runReal(t, job, queries.NewClickCount, 4)); !reflect.DeepEqual(got, want) {
+		t.Errorf("one reduce failure: reduce spans %q, want %q", got, want)
 	}
 }

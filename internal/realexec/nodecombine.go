@@ -109,9 +109,6 @@ func newRCombine(r *run, assign dfs.Assignment) *rcombine {
 // solo.
 func (rc *rcombine) eligible(chunk, node int) bool {
 	f := rc.r.flt
-	if f == nil {
-		return true
-	}
 	if f.dies(node) {
 		return false // output lost at the kill, or task displaced
 	}
@@ -136,8 +133,7 @@ func (rc *rcombine) fold(mapRes []*mapResult, workers int) []*rcResult {
 // foldGroup folds one group: tier 1 builds each member node's merged
 // run from its deposited map outputs, tier 2 (>1 member) folds the
 // member runs on the first member, and the single resulting run is
-// published as one shuffle unit. CPU is charged at the engine's fold
-// rate — one hash insert plus one combine per absorbed pair — into
+// published as one shuffle unit. The combiner charges the fold CPU into
 // the group's ledger, which the report adds to map CPU.
 func (rc *rcombine) foldGroup(g *rcGroup, mapRes []*mapResult) (res *rcResult) {
 	r := rc.r
@@ -151,7 +147,6 @@ func (rc *rcombine) foldGroup(g *rcGroup, mapRes []*mapResult) (res *rcResult) {
 	st := r.newStore(res.node)
 	res.store = st
 	rt := r.newRuntime(p, st, &res.ledger)
-	m := r.model
 
 	// Tier 1: per member node, ascending chunk order.
 	runs := make([]core.MapParts, len(g.members))
@@ -163,8 +158,7 @@ func (rc *rcombine) foldGroup(g *rcGroup, mapRes []*mapResult) (res *rcResult) {
 			parts := mapRes[chunk].parts
 			mapRes[chunk].parts = nil
 			res.deposited += engine.PartsBytes(parts)
-			pairs := nc.Absorb(parts)
-			rt.ChargeCPU(m.CPUOps(m.CPUHashInsert+m.CPUCombine, pairs))
+			nc.Absorb(parts)
 		}
 		var inPairs int64
 		runs[mi], inPairs, runPairs[mi] = nc.Finish()
@@ -183,8 +177,7 @@ func (rc *rcombine) foldGroup(g *rcGroup, mapRes []*mapResult) (res *rcResult) {
 		tstart := p.Now()
 		nc := r.newNodeCombiner(rt)
 		for mi := range g.members {
-			pairs := nc.Absorb(runs[mi].Segs)
-			rt.ChargeCPU(m.CPUOps(m.CPUHashInsert+m.CPUCombine, pairs))
+			nc.Absorb(runs[mi].Segs)
 			runs[mi] = core.MapParts{}
 		}
 		final, _, finalPairs = nc.Finish()

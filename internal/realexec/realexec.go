@@ -23,15 +23,17 @@
 //     MemShuffleFetches counts every fetch and DiskShuffleFetches is 0;
 //   - cross-task counters are integers summed in task order at the end.
 //
-// Fault plans and checkpointing run here too (see fault.go): node
-// kills anchored to map-progress points, stragglers, per-attempt
-// map/reduce failures, transient shuffle-read errors, speculative map
-// backups, and checkpointed INC/DINC reducer state all execute with
-// seeded, structural triggers, so answers and logical counters stay
-// bit-identical to the fault-free run. Only two trigger primitives
-// remain DES-only — virtual-time node kills (KillNodes) and
-// disk-damage injection (FaultPlan.Disk) — and Run rejects those by
-// name (engine.JobSpec.RealUnsupported).
+// Every task runs as an attempt chain (see fault.go): one map chain
+// and one reduce attempt loop, whatever the plan — a fault-free task is
+// the chain that succeeds at attempt 0. Fault plans and checkpointing
+// ride those loops: node kills anchored to map-progress points,
+// stragglers, per-attempt map/reduce failures, transient shuffle-read
+// errors, speculative map backups, and checkpointed INC/DINC reducer
+// state all execute with seeded, structural triggers, so answers and
+// logical counters stay bit-identical to the fault-free run. Only two
+// trigger primitives remain DES-only — virtual-time node kills
+// (KillNodes) and disk-damage injection (FaultPlan.Disk) — and Run
+// rejects those by name (engine.JobSpec.RealUnsupported).
 package realexec
 
 import (
@@ -113,8 +115,8 @@ type run struct {
 	fetchesDone     atomic.Int64
 	snapshotRecords atomic.Int64
 
-	// Fault-injected runs only; nil flt routes every task through the
-	// clean code paths untouched.
+	// flt interprets the fault plan; an empty plan kills nobody, rolls no
+	// errors and sleeps for nothing, so the counters below stay zero.
 	flt              *faults
 	nodesLost        int // set at the map barrier, before the reduce phase
 	reexecMaps       int
@@ -162,12 +164,7 @@ func Run(s Spec) (*engine.Report, error) {
 	}
 	r.inputBytesEst = int64(len(spec.Input.ChunkBytes(0))) * int64(r.totalMaps)
 
-	// HOP admits no fault plans (validation), and checkpointing is an
-	// INC/DINC mechanism on both substrates — everything else keeps the
-	// clean path, so fault-free reports cannot drift.
-	if spec.Faults.Active() || (spec.CheckpointEvery > 0 && spec.Platform.Incremental()) {
-		r.flt = newFaults(&spec, r.totalMaps)
-	}
+	r.flt = newFaults(&spec, r.totalMaps)
 
 	placement := dfs.NewPlacement(cfg.Nodes, cfg.Replication)
 	assign := dfs.NewAssignment(spec.Input, placement)
@@ -176,32 +173,21 @@ func Run(s Spec) (*engine.Report, error) {
 	}
 
 	// Map phase: fan the chunks over the worker pool; each task owns
-	// its store, proc, query, and ledger. Faulted runs execute attempt
-	// chains (injected failures, displaced tasks, speculative backups)
-	// instead of single attempts.
+	// its store, proc, query, and ledger, and runs as an attempt chain
+	// (injected failures, displaced tasks, speculative backups) — of
+	// length one on a fault-free plan.
+	mapChains := make([]*mapChain, r.totalMaps)
+	forEach(workers, r.totalMaps, func(chunk int) {
+		mapChains[chunk] = r.runMapChain(chunk, assign.Node(chunk))
+	})
 	mapRes := make([]*mapResult, r.totalMaps)
 	var mapExtra []*mapResult
-	if r.flt == nil {
-		forEach(workers, r.totalMaps, func(chunk int) {
-			mapRes[chunk] = r.runMapAttempt(chunk, assign.Node(chunk), 0, false, nil)
-		})
-		for _, mres := range mapRes {
-			if mres.err != nil {
-				return nil, mres.err
-			}
+	for chunk, ch := range mapChains {
+		if ch.err != nil {
+			return nil, ch.err
 		}
-	} else {
-		chains := make([]*mapChain, r.totalMaps)
-		forEach(workers, r.totalMaps, func(chunk int) {
-			chains[chunk] = r.runMapChain(chunk, assign.Node(chunk))
-		})
-		for chunk, ch := range chains {
-			if ch.err != nil {
-				return nil, ch.err
-			}
-			mapRes[chunk] = ch.winner
-			mapExtra = append(mapExtra, ch.extras...)
-		}
+		mapRes[chunk] = ch.winner
+		mapExtra = append(mapExtra, ch.extras...)
 	}
 	mapFinish := time.Since(r.start)
 
@@ -241,7 +227,7 @@ func Run(s Spec) (*engine.Report, error) {
 	// the race.
 	var reexecWG sync.WaitGroup
 	var reexecRes []*mapResult
-	if r.flt != nil && len(r.flt.killAt) > 0 {
+	if len(r.flt.killAt) > 0 {
 		r.nodesLost = len(r.flt.killAt)
 		var lost []*unit
 		for _, u := range r.units {
@@ -273,36 +259,25 @@ func Run(s Spec) (*engine.Report, error) {
 		}
 	}
 
-	// Reduce phase. Faulted runs execute restart ladders per task.
+	// Reduce phase: one restart ladder per task.
+	redChains := make([]*reduceChain, r.numReducers)
+	forEach(workers, r.numReducers, func(ridx int) {
+		redChains[ridx] = r.runReduceChain(ridx, ridx%cfg.Nodes)
+	})
+	reexecWG.Wait()
+	for _, res := range reexecRes {
+		if res != nil && res.err != nil {
+			return nil, res.err
+		}
+	}
 	redRes := make([]*reduceResult, r.numReducers)
 	var redExtra []*reduceResult
-	if r.flt == nil {
-		forEach(workers, r.numReducers, func(ridx int) {
-			redRes[ridx] = r.runReduceTask(ridx, ridx%cfg.Nodes)
-		})
-		for _, rres := range redRes {
-			if rres.err != nil {
-				return nil, rres.err
-			}
+	for ridx, ch := range redChains {
+		if ch.err != nil {
+			return nil, ch.err
 		}
-	} else {
-		chains := make([]*reduceChain, r.numReducers)
-		forEach(workers, r.numReducers, func(ridx int) {
-			chains[ridx] = r.runReduceChain(ridx, ridx%cfg.Nodes)
-		})
-		reexecWG.Wait()
-		for _, res := range reexecRes {
-			if res != nil && res.err != nil {
-				return nil, res.err
-			}
-		}
-		for ridx, ch := range chains {
-			if ch.err != nil {
-				return nil, ch.err
-			}
-			redRes[ridx] = ch.winner
-			redExtra = append(redExtra, ch.extras...)
-		}
+		redRes[ridx] = ch.winner
+		redExtra = append(redExtra, ch.extras...)
 	}
 
 	// Re-executed map attempts are completed work and count like the
@@ -389,12 +364,11 @@ type mapResult struct {
 // runMapAttempt executes one map task attempt: a fresh query instance
 // and an engine.MapBody over the chunk, each read segment mapped and
 // replayed inline, the map output written for U3 accounting parity and
-// cached as a shuffle unit. Clean runs call it once per chunk with
-// attempt 0 and no injection; faulted runs drive it from attempt
-// chains (fault.go). When inject is set the attempt dies at the
-// spec's FailPoint through the chunk; when claim is non-nil the
-// attempt races a speculative twin and only the first to claim
-// publishes.
+// cached as a shuffle unit. Attempt chains (fault.go) drive it; a
+// fault-free task is attempt 0 with no injection. When inject is set
+// the attempt dies at the spec's FailPoint through the chunk; when
+// claim is non-nil the attempt races a speculative twin and only the
+// first to claim publishes.
 func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic.Bool) (res *mapResult) {
 	res = &mapResult{node: node}
 	defer func() {
@@ -448,9 +422,7 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic
 
 	parts, mapped, emitted := body.Finish()
 	res.mapped, res.emitted, res.quarantined = mapped, emitted, body.Quarantined
-	if r.flt != nil {
-		r.flt.slowSleep(node)
-	}
+	r.flt.slowSleep(node)
 	if claim != nil && !claim.CompareAndSwap(false, true) {
 		// The speculative twin claimed first: suppress the duplicate —
 		// nothing is published, the completed compute is wasted.
@@ -499,57 +471,7 @@ type reduceResult struct {
 	err        error
 }
 
-// runReduceTask executes one clean reduce task: consume every cached
-// shuffle unit's partition in fixed order through the platform
-// reducer, then finish. The map barrier has already advanced the
-// watermark to the global maximum, exactly the horizon
-// reference.RunWithWatermarks reduces under. Faulted runs use
-// runReduceChain (fault.go) instead.
-func (r *run) runReduceTask(ridx, node int) (res *reduceResult) {
-	res = &reduceResult{}
-	defer func() {
-		if rec := recover(); rec != nil {
-			res.err = fmt.Errorf("realexec: reduce task %d: %v", ridx, rec)
-		}
-	}()
-	p := substrate.NewWallProc(r.start)
-	taskStart := p.Now()
-	st := r.newStore(node)
-	res.store = st
-	rt := r.newRuntime(p, st, &res.ledger)
-	q := r.newQ()
-	if wm, ok := q.(mr.Watermarker); ok && r.hasWM {
-		wm.AdvanceWatermark(r.globalWM)
-	}
-	sink := func(physBytes int64) { st.ChargeOutputWrite(p, physBytes) }
-	out := engine.NewOutputWriter(r.spec, false, &res.out, sink)
-	red := engine.NewTaskReducer(r.spec, rt, q, out, fmt.Sprintf("r%03d", ridx), r.inputBytesEst)
-
-	// Shuffle loop over the cached units. Every fetch is served from
-	// memory; the map barrier pins the progress fraction at 1, so HOP
-	// snapshots all fire after the first consumed unit — deterministic
-	// for any worker count.
-	for _, u := range r.units {
-		if size := u.partBytes[ridx]; size > 0 {
-			r.memFetches.Add(1)
-			red.Feed(u.parts, ridx, size, u.chunk)
-		}
-		r.fetchesDone.Add(1)
-		r.afterFeed(red, sink)
-	}
-
-	red.PrepareFinal()
-	res.approxKeys = red.Finish()
-	out.Flush()
-	res.span = engine.Span{
-		Name: fmt.Sprintf("reduce%03d", ridx), Kind: "reduce", Node: node,
-		Start: time.Duration(taskStart), End: time.Duration(p.Now()),
-	}
-	return res
-}
-
-// afterFeed runs what follows every consumed unit on both reduce
-// paths: due HOP snapshots (the barrier pins map progress at 1) and
+// afterFeed runs what follows every consumed unit: due HOP snapshots (the barrier pins map progress at 1) and
 // sort-merge's multi-pass merge trigger.
 func (r *run) afterFeed(red *engine.TaskReducer, sink func(physBytes int64)) {
 	for red.SnapshotDue(1) {
