@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -172,7 +173,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	printReport(rep)
+	printReport(os.Stdout, rep)
 	if *traceFlag != "" {
 		if err := writeChromeTrace(*traceFlag, rep); err != nil {
 			fatal(err)
@@ -215,59 +216,73 @@ func writeChromeTrace(path string, rep *onepass.Report) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-func printReport(rep *onepass.Report) {
-	fmt.Printf("query            %s on %s\n", rep.Query, rep.Platform)
-	fmt.Printf("running time     %s (maps finished at %s)\n",
-		rep.RunningTime.Round(time.Second), rep.MapFinishTime.Round(time.Second))
-	fmt.Printf("cpu per node     map %s, reduce %s\n",
+// printReport writes the report block. A Report without a progress
+// curve is the wall-clock backend's: its running and map-finish times
+// are measured host time, shown in milliseconds below 10 s, and it has
+// no Definition 1 plot or utilization strips to draw.
+func printReport(w io.Writer, rep *onepass.Report) {
+	measured := len(rep.Progress) == 0
+	dur := func(d time.Duration) time.Duration {
+		if measured && d < 10*time.Second {
+			return d.Round(time.Millisecond)
+		}
+		return d.Round(time.Second)
+	}
+	fmt.Fprintf(w, "query            %s on %s\n", rep.Query, rep.Platform)
+	fmt.Fprintf(w, "running time     %s (maps finished at %s)\n",
+		dur(rep.RunningTime), dur(rep.MapFinishTime))
+	fmt.Fprintf(w, "cpu per node     map %s, reduce %s\n",
 		rep.MapCPUPerNode.Round(time.Second), rep.ReduceCPUPerNode.Round(time.Second))
-	fmt.Printf("input            %7.1f GB\n", float64(rep.InputBytes)/1e9)
-	fmt.Printf("map spill  (U2)  %7.1f GB\n", float64(rep.MapSpillBytes)/1e9)
-	fmt.Printf("shuffle    (U3)  %7.1f GB\n", float64(rep.MapOutputBytes)/1e9)
-	fmt.Printf("reduce spill(U4) %7.1f GB\n", float64(rep.ReduceSpillBytes)/1e9)
-	fmt.Printf("output     (U5)  %7.1f GB (%d records)\n", float64(rep.OutputBytes)/1e9, rep.OutputRecords)
-	fmt.Printf("shuffle fetches  %d from memory, %d from disk\n", rep.MemShuffleFetches, rep.DiskShuffleFetches)
+	fmt.Fprintf(w, "input            %7.1f GB\n", float64(rep.InputBytes)/1e9)
+	fmt.Fprintf(w, "map spill  (U2)  %7.1f GB\n", float64(rep.MapSpillBytes)/1e9)
+	fmt.Fprintf(w, "shuffle    (U3)  %7.1f GB\n", float64(rep.MapOutputBytes)/1e9)
+	fmt.Fprintf(w, "reduce spill(U4) %7.1f GB\n", float64(rep.ReduceSpillBytes)/1e9)
+	fmt.Fprintf(w, "output     (U5)  %7.1f GB (%d records)\n", float64(rep.OutputBytes)/1e9, rep.OutputRecords)
+	fmt.Fprintf(w, "shuffle fetches  %d from memory, %d from disk\n", rep.MemShuffleFetches, rep.DiskShuffleFetches)
 
 	if rep.NodeCombineInputRecords > 0 {
-		fmt.Printf("node combine     %d map pairs folded to %d (%.1fx), %.2f GB shuffle saved\n",
+		fmt.Fprintf(w, "node combine     %d map pairs folded to %d (%.1fx), %.2f GB shuffle saved\n",
 			rep.NodeCombineInputRecords, rep.NodeCombineOutputRecords,
 			float64(rep.NodeCombineInputRecords)/float64(rep.NodeCombineOutputRecords),
 			float64(rep.ShuffleBytesSaved)/1e9)
 	}
 	if len(rep.ShuffleBytesByNode) > 0 {
-		fmt.Printf("shuffle by node ")
+		fmt.Fprintf(w, "shuffle by node ")
 		for i, b := range rep.ShuffleBytesByNode {
-			fmt.Printf(" n%d=%.2fGB", i, float64(b)/1e9)
+			fmt.Fprintf(w, " n%d=%.2fGB", i, float64(b)/1e9)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
 	if rep.NodesLost > 0 || rep.RestartedReduceTasks > 0 || rep.ReExecutedMapTasks > 0 ||
 		rep.Checkpoints > 0 || rep.SpeculativeBackups > 0 || rep.FetchRetries > 0 {
-		fmt.Printf("recovery         %d nodes lost, %d maps re-executed, %d reduces restarted, %d fetch retries\n",
+		fmt.Fprintf(w, "recovery         %d nodes lost, %d maps re-executed, %d reduces restarted, %d fetch retries\n",
 			rep.NodesLost, rep.ReExecutedMapTasks, rep.RestartedReduceTasks, rep.FetchRetries)
-		fmt.Printf("                 %d checkpoints (%.1f GB written), %.1f GB re-read on recovery\n",
+		fmt.Fprintf(w, "                 %d checkpoints (%.1f GB written), %.1f GB re-read on recovery\n",
 			rep.Checkpoints, float64(rep.CheckpointBytes)/1e9, float64(rep.RecoveryReadBytes)/1e9)
 		if rep.SpeculativeBackups > 0 {
-			fmt.Printf("speculation      %d backups launched, %d won their race\n",
+			fmt.Fprintf(w, "speculation      %d backups launched, %d won their race\n",
 				rep.SpeculativeBackups, rep.SpeculativeWins)
 		}
-		fmt.Printf("wasted cpu/node  %s (failed, aborted, and superseded attempts)\n",
+		fmt.Fprintf(w, "wasted cpu/node  %s (failed, aborted, and superseded attempts)\n",
 			rep.WastedCPUPerNode.Round(time.Second))
 	}
 
 	if rep.ChecksumOverheadBytes > 0 || rep.IORetries > 0 ||
 		rep.CorruptFramesDetected > 0 || rep.QuarantinedRecords > 0 {
-		fmt.Printf("integrity        %d I/O retries, %d corrupt frames detected, %d torn tails repaired, %d records quarantined\n",
+		fmt.Fprintf(w, "integrity        %d I/O retries, %d corrupt frames detected, %d torn tails repaired, %d records quarantined\n",
 			rep.IORetries, rep.CorruptFramesDetected, rep.TornWritesRepaired, rep.QuarantinedRecords)
 		if rep.ChecksumOverheadBytes > 0 {
-			fmt.Printf("checksum bytes   %.3f GB framing overhead (%.2f%% of total I/O)\n",
+			fmt.Fprintf(w, "checksum bytes   %.3f GB framing overhead (%.2f%% of total I/O)\n",
 				float64(rep.ChecksumOverheadBytes)/1e9,
 				100*float64(rep.ChecksumOverheadBytes)/float64(rep.TotalIOBytes))
 		}
 	}
 
-	fmt.Println("\nprogress (Definition 1):")
+	if measured {
+		return
+	}
+	fmt.Fprintln(w, "\nprogress (Definition 1):")
 	var b strings.Builder
 	mapC := asciiplot.Curve{Name: "map", Marker: '#'}
 	redC := asciiplot.Curve{Name: "reduce", Marker: 'o'}
@@ -288,7 +303,7 @@ func printReport(rep *onepass.Report) {
 	}
 	asciiplot.Series(&b, "cpu util", ts, util, 50)
 	asciiplot.Series(&b, "iowait", ts, iow, 50)
-	fmt.Print(b.String())
+	fmt.Fprint(w, b.String())
 }
 
 // parseFaults assembles the fault plan from the command-line flags.

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"repro"
 )
 
 func TestSplitList(t *testing.T) {
@@ -70,5 +74,61 @@ func TestParseFaults(t *testing.T) {
 		if _, err := parseFaults(tc.kill, tc.slow, tc.fail, false); err == nil {
 			t.Errorf("parseFaults(%q, %q, %q) accepted bad input", tc.kill, tc.slow, tc.fail)
 		}
+	}
+}
+
+// reportFixture is a Report with every optional block of printReport
+// switched on. With sim set it carries the curve and samples only the
+// DES produces and virtual times; without, the wall-clock backend's
+// measured sub-second times.
+func reportFixture(sim bool) *onepass.Report {
+	rep := &onepass.Report{
+		Query: "clickcount", Platform: "inc-hash",
+		RunningTime: 71*time.Millisecond + 400*time.Microsecond, MapFinishTime: 41 * time.Millisecond,
+		MapCPUPerNode: 37 * time.Second, ReduceCPUPerNode: 12 * time.Second,
+		InputBytes: 8e9, MapSpillBytes: 1e8, MapOutputBytes: 15e8, ReduceSpillBytes: 2e8, OutputBytes: 3e8,
+		OutputRecords: 15171, MemShuffleFetches: 400, DiskShuffleFetches: 3,
+		NodeCombineInputRecords: 46967, NodeCombineOutputRecords: 40861, ShuffleBytesSaved: 23e7,
+		ShuffleBytesByNode: []int64{16e7, 15e7},
+		NodesLost:          1, ReExecutedMapTasks: 7, RestartedReduceTasks: 4, FetchRetries: 6,
+		Checkpoints: 2, CheckpointBytes: 1e8, RecoveryReadBytes: 3e8,
+		SpeculativeBackups: 19, SpeculativeWins: 15, WastedCPUPerNode: 4 * time.Second,
+		IORetries: 5, CorruptFramesDetected: 2, TornWritesRepaired: 1, QuarantinedRecords: 3,
+		ChecksumOverheadBytes: 1e7, TotalIOBytes: 2e10,
+	}
+	if sim {
+		rep.RunningTime, rep.MapFinishTime = 8*time.Minute+3*time.Second, 7400*time.Millisecond
+		for i := 0; i <= 4; i++ {
+			t := time.Duration(i) * 2 * time.Minute
+			f := float64(i) / 4
+			rep.Progress = append(rep.Progress, onepass.ProgressPoint{T: t, Map: f, Reduce: f * f})
+			rep.Samples = append(rep.Samples, onepass.Sample{T: t, CPUUtil: 1 - f, IOWait: f / 2})
+		}
+	}
+	return rep
+}
+
+// TestPrintReportShapes pins both report shapes. The simulation's is
+// the text the parent of the -backend real fix printed for the same
+// Report, byte for byte (virtual times in whole seconds, the plot and
+// both strips). The wall-clock backend's shows its measured times in
+// milliseconds and ends after the counters: it used to print
+// "running time 0s (maps finished at 0s)" and a 20-row empty plot.
+func TestPrintReportShapes(t *testing.T) {
+	var sim, real strings.Builder
+	printReport(&sim, reportFixture(true))
+	printReport(&real, reportFixture(false))
+	want, err := os.ReadFile("testdata/report_sim.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sim.String() != string(want) {
+		t.Errorf("simulation report moved:\n%s\nwant:\n%s", sim.String(), want)
+	}
+	head, _, _ := strings.Cut(string(want), "\nprogress (Definition 1):")
+	head = strings.Replace(head, "running time     8m3s (maps finished at 7s)",
+		"running time     71ms (maps finished at 41ms)", 1)
+	if real.String() != head {
+		t.Errorf("real-backend report:\n%s\nwant the simulation's counters with measured times and no plot:\n%s", real.String(), head)
 	}
 }

@@ -111,9 +111,9 @@ var stdlibBans = []rule{
 var nonTestRules = []rule{
 	{
 		Name: "realexec-only-drives-task-bodies",
-		Why:  "the wall-clock backend schedules the shared task bodies (engine/task_*.go); it must not own a collector, a record loop or a checkpoint codec again",
+		Why:  "the wall-clock backend schedules the shared task bodies (engine/task_*.go); it must not own a collector, a record loop or a checkpoint codec again, nor derive a hash family or a chunk placement beside engine.JobFrame's",
 		From: []string{"realexec"},
-		Deny: []string{"sortmerge", "kvenc", "frame", "bytestore", "merge"},
+		Deny: []string{"sortmerge", "kvenc", "frame", "bytestore", "merge", "hashfam", "dfs"},
 	},
 }
 
@@ -364,6 +364,8 @@ func TestPlantedViolationsAreCaught(t *testing.T) {
 		{"jobstore imports path/filepath", "internal/jobstore/bad.go", "path/filepath"},
 		{"realexec imports kvenc", "internal/realexec/bad.go", internal("kvenc")},
 		{"realexec imports sortmerge", "internal/realexec/bad.go", internal("sortmerge")},
+		{"realexec imports hashfam", "internal/realexec/realexec.go", internal("hashfam")},
+		{"realexec imports dfs", "internal/realexec/nodecombine.go", internal("dfs")},
 		{"task body imports sim", "internal/engine/task_bad.go", internal("sim")},
 		{"task body imports metrics", "internal/engine/task_map.go", internal("metrics")},
 	}
@@ -389,7 +391,8 @@ func TestPlantedViolationsAreCaught(t *testing.T) {
 		"internal/jobstore/crash_test.go": {"os", "path/filepath"},
 		"internal/seglog/seglog.go":       {internal("frame"), "os", "path/filepath"},
 		"internal/realexec/realexec.go":   {internal("engine"), internal("core"), internal("storage")},
-		"internal/realexec/fault_test.go": {internal("kvenc"), internal("frame")},
+		"internal/realexec/fault_test.go": {internal("kvenc"), internal("frame"), internal("hashfam"), internal("dfs")},
+		"internal/engine/task_frame.go":   {internal("hashfam"), internal("dfs")},
 		"internal/engine/task_reduce.go":  {internal("core"), internal("sortmerge"), internal("frame")},
 		"internal/engine/maptask.go":      {internal("sim"), internal("metrics")},
 		"internal/engine/task_test.go":    {internal("sim")},

@@ -282,14 +282,10 @@ func ParseNodeCombineMode(s string) (NodeCombineMode, error) {
 	return NodeCombineOff, errSpec("node-combine mode must be off, on, or auto")
 }
 
-// Validate fills defaults in place and rejects invalid specs. It is
-// the exported form of the engine's own admission check, shared with
-// the wall-clock backend (internal/realexec) so both substrates
-// resolve the same effective configuration from the same spec.
-func (s *JobSpec) Validate() error { return s.validate() }
-
-// validate fills defaults and rejects nonsense.
-func (s *JobSpec) validate() error {
+// Validate fills defaults in place and rejects invalid specs.
+// NewJobFrame calls it for both backends, so both resolve the same
+// effective configuration from the same spec.
+func (s *JobSpec) Validate() error {
 	c := &s.Cluster
 	if s.Query == nil || s.Input == nil {
 		return errSpec("query and input are required")
@@ -671,12 +667,12 @@ func (f *FaultPlan) risky() bool {
 		len(f.ReduceFailures) > 0
 }
 
-// reduceRestarts reports whether a reduce attempt of this job can fail
+// ReduceRestarts reports whether a reduce attempt of this job can fail
 // after consuming input and be restarted: a risky plan, or disk faults
 // on any platform but HOP (whose chain has length one). Such runs
 // retain fetched map outputs for re-fetch and hold reduce output
 // provisional until an attempt commits.
-func (s *JobSpec) reduceRestarts() bool {
+func (s *JobSpec) ReduceRestarts() bool {
 	return s.Faults.risky() || (s.Faults.Disk.any() && s.Platform != HOP)
 }
 

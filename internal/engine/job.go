@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dfs"
-	"repro/internal/hashfam"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -15,23 +13,18 @@ import (
 // job is one running MapReduce job: the simulation state, gauges, and
 // counters, and the metrics.Probe the sampler reads.
 type job struct {
-	spec JobSpec
-	k    *sim.Kernel
-	fam  *hashfam.Family
+	*JobFrame // the validated spec, task counts, hash family, chunk assignment
+	k         *sim.Kernel
 
-	nodes       []*node
-	shuffle     *shuffleService
-	tracker     *tracker // per-task attempt state, on every run; its detector daemon only under faults.needsTracker()
-	gauges      metrics.Gauges
-	numReducers int
-	totalMaps   int
+	nodes   []*node
+	shuffle *shuffleService
+	tracker *tracker // per-task attempt state, on every run; its detector daemon only under faults.needsTracker()
+	gauges  metrics.Gauges
 
-	inputBytesEst int64
-
-	// combine is the in-node combine plan; nil unless the spec resolves
-	// node combining on (combinable query, non-HOP platform, fault-free
-	// plan). See nodecombine.go.
-	combine *combinePlan
+	// combine is the in-node combine plan (task_combine.go); no chunk
+	// deposits into it unless the spec resolves node combining on and
+	// the plan is fault-free. See nodecombine.go.
+	combine *CombinePlan
 
 	mapsDone         int
 	fetchesDone      int64
@@ -41,17 +34,13 @@ type job struct {
 	out              OutTotals // committed reduce output; the progress sampler reads it mid-run
 	mapInputRecords  int64
 	mapOutputRecords int64
-	mapCPU           int64 // virtual ns across all map tasks
-	reduceCPU        int64
 	mapFinish        int64
 	approxKeys       int64
 	snapshotRecords  int64
 
-	// In-node combine accounting (physical bytes; rescaled at report).
-	ncInRecords   int64
-	ncOutRecords  int64
-	ncSavedBytes  int64
-	shuffleByNode []int64 // physical shuffle bytes published, per serving node
+	// sums is what ReportTail reads: the CPU ledgers across all tasks,
+	// re-fetched and per-node published shuffle bytes.
+	sums ReportSums
 
 	// Recovery accounting (fault-injected runs).
 	nodesLost        int
@@ -59,9 +48,7 @@ type job struct {
 	restartedReduces int
 	specBackups      int
 	specWins         int
-	wastedCPU        int64 // virtual ns burnt by failed/aborted/superseded attempts
 	fetchRetries     int64
-	refetchBytes     int64 // shuffle bytes fetched again by restarted reduce attempts
 	checkpoints      int64
 
 	// Data-plane integrity accounting (disk-fault runs).
@@ -96,29 +83,20 @@ func (j *job) addSpan(name, kind string, node int, start, end int64) {
 // and returns the report. For the same job on real goroutines under
 // wall-clock time, see internal/realexec (onepass.RunReal).
 func Run(spec JobSpec) (*Report, error) {
-	if err := spec.validate(); err != nil {
+	frame, err := NewJobFrame(&spec)
+	if err != nil {
 		return nil, err
 	}
 	if msg := spec.SimUnsupported(); msg != "" {
 		return nil, fmt.Errorf("engine: %s", msg)
 	}
 	cfg := &spec.Cluster
-	j := &job{
-		spec:        spec,
-		k:           sim.NewKernel(),
-		fam:         hashfam.NewFamily(spec.Seed ^ 0x0fa57),
-		numReducers: cfg.R * cfg.Nodes,
-		totalMaps:   spec.Input.NumChunks(),
-	}
-	if j.totalMaps == 0 {
-		return nil, errSpec("input has no chunks")
-	}
+	j := &job{JobFrame: frame, k: sim.NewKernel()}
 	j.k.SetWorkers(cfg.Parallelism)
-	j.inputBytesEst = int64(len(spec.Input.ChunkBytes(0))) * int64(j.totalMaps)
 	for i := 0; i < cfg.Nodes; i++ {
 		j.nodes = append(j.nodes, newNode(j.k, i, *cfg))
 	}
-	j.shuffle = newShuffleService(j.k, j.totalMaps, j.numReducers)
+	j.shuffle = newShuffleService(j.k, j.TotalMaps, j.NumReducers)
 
 	// Fault plan wiring: crash times, stragglers, disk faults, the
 	// failure-detector daemon. Every task runs its attempt chain on the
@@ -138,7 +116,7 @@ func Run(spec JobSpec) (*Report, error) {
 		}
 	}
 	j.tracker = newTracker(j)
-	j.shuffle.retain = spec.reduceRestarts()
+	j.shuffle.retain = spec.ReduceRestarts()
 	if faults.needsTracker() {
 		j.k.SpawnDaemon("tracker", func(p *sim.Proc) { j.tracker.run(p) })
 	}
@@ -146,30 +124,24 @@ func Run(spec JobSpec) (*Report, error) {
 	sampler := metrics.NewSampler(j, cfg.ProgressInterval)
 	sampler.Start(j.k)
 
-	// Map tasks: one process per chunk on its primary-replica node
-	// (perfectly local with round-robin placement, as the model
-	// assumes).
-	placement := dfs.NewPlacement(cfg.Nodes, cfg.Replication)
-	assign := dfs.NewAssignment(spec.Input, placement)
-	j.shuffleByNode = make([]int64, cfg.Nodes)
-	// In-node combining runs only on fault-free plans (checkpointing
-	// included): under any fault plan the job falls back to per-task
-	// publication so loss recovery stays per-task, and NodeCombineOn is
-	// a counter-exact no-op.
-	if spec.NodeCombineActive() && !faults.Active() {
-		j.combine = newCombinePlan(j, assign)
-	}
-	for c := 0; c < j.totalMaps; c++ {
+	j.sums.ShuffleByNode = make([]int64, cfg.Nodes)
+	// In-node combining keeps every chunk on a fault-free plan
+	// (checkpointing included) and none under any fault plan: there the
+	// job publishes per task so loss recovery stays per-task, and
+	// NodeCombineOn is a counter-exact no-op.
+	j.combine = j.NewCombinePlan(func(int, int) bool { return !faults.Active() })
+	// Map tasks: one process per chunk on its assigned node.
+	for c := 0; c < j.TotalMaps; c++ {
 		chunk := c
-		n := j.nodes[assign.Node(chunk)]
+		n := j.nodes[j.Node(chunk)]
 		j.k.Spawn(fmt.Sprintf("map%06d", chunk), func(p *sim.Proc) {
 			j.runMapTask(p, chunk, n, false)
 		})
 	}
 	// Reduce tasks: reducer i handles partition i on node i%N; slots
 	// make the waves when R exceeds ReduceSlots.
-	reducersLeft := j.numReducers
-	for r := 0; r < j.numReducers; r++ {
+	reducersLeft := j.NumReducers
+	for r := 0; r < j.NumReducers; r++ {
 		ridx := r
 		n := j.nodes[ridx%cfg.Nodes]
 		j.k.Spawn(fmt.Sprintf("reduce%03d", ridx), func(p *sim.Proc) {
@@ -202,7 +174,7 @@ func (j *job) newRuntime(p *sim.Proc, n *node, ledger *int64) *core.Runtime {
 		P:     p,
 		Store: n.store,
 		Model: j.spec.Cluster.Model,
-		Fam:   j.fam,
+		Fam:   j.Fam,
 		ChargeCPU: func(d time.Duration) {
 			n.chargeCPU(p, d, ledger)
 		},

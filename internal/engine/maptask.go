@@ -118,11 +118,11 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 			switch r.(type) {
 			case nodeAborted:
 				kind = "map-lost"
-				j.wastedCPU += ledger
+				j.sums.WastedCPU += ledger
 				res, dur = mapNodeDead, 0
 			case *storage.Corruption:
 				kind = "map-corrupt"
-				j.wastedCPU += ledger
+				j.sums.WastedCPU += ledger
 				res, dur = mapFailedInjected, 0
 			default:
 				panic(r)
@@ -145,7 +145,7 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 	}
 
 	hop := j.spec.Platform == HOP
-	body := NewMapBody(&j.spec, j.newRuntime(p, n, &ledger), j.spec.Query, chunk, attempt,
+	body := NewMapBody(j.spec, j.newRuntime(p, n, &ledger), j.spec.Query, chunk, attempt,
 		func(name string, _ int, out core.MapParts) {
 			j.publishMapOutput(p, n, name, -1, nil, out)
 		})
@@ -182,14 +182,14 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 			// The attempt dies here: work and output are lost; the
 			// JobTracker reschedules the task. The deferred Join
 			// drains segments still in flight.
-			j.wastedCPU += ledger
+			j.sums.WastedCPU += ledger
 			return mapFailedInjected, 0
 		}
 		if ms.done {
 			// Another attempt (speculative backup or primary) already
 			// published this task's output: stop, drop everything.
 			kind = "map-superseded"
-			j.wastedCPU += ledger
+			j.sums.WastedCPU += ledger
 			return mapSuperseded, 0
 		}
 	}
@@ -198,13 +198,13 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 	quarantined := body.Quarantined
 	if ms.done {
 		kind = "map-superseded"
-		j.wastedCPU += ledger
+		j.sums.WastedCPU += ledger
 		return mapSuperseded, 0
 	}
 	j.mapInputRecords += mapped
 	j.mapOutputRecords += emitted
 	j.quarantined += quarantined
-	if j.combine != nil && !hop {
+	if j.combine.Deposits(chunk) {
 		// Node-combine: the output parks at the node's combiner instead
 		// of entering the shuffle; the node's last deposit triggers the
 		// fold, and the merged run publishes for every covered task (the
@@ -212,12 +212,12 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 		// fault-free plans combine, so there is no claim race and no
 		// declared-dead rollback to handle.
 		ms.done = true
-		j.mapCPU += ledger
+		j.sums.MapCPU += ledger
 		j.mapsDone++
-		if j.mapsDone == j.totalMaps {
+		if j.mapsDone == j.TotalMaps {
 			j.mapFinish = p.Now()
 		}
-		j.combine.deposit(chunk, n, parts.Segs)
+		j.deposit(chunk, n, parts.Segs)
 		return mapDone, p.Now() - start
 	}
 	if !hop {
@@ -236,15 +236,15 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 			j.mapOutputRecords -= emitted
 			j.quarantined -= quarantined
 			kind = "map-lost"
-			j.wastedCPU += ledger
+			j.sums.WastedCPU += ledger
 			return mapNodeDead, 0
 		}
 		ms.output = o
 	}
-	j.mapCPU += ledger
+	j.sums.MapCPU += ledger
 
 	j.mapsDone++
-	if j.mapsDone == j.totalMaps {
+	if j.mapsDone == j.TotalMaps {
 		j.mapFinish = p.Now()
 	}
 	j.shuffle.mapperFinished()
@@ -260,7 +260,7 @@ func (j *job) publishMapOutput(p substrate.Proc, n *node, name string, task int,
 	o := &mapOutput{node: n, task: task, tasks: tasks, parts: parts}
 	o.file, o.partBytes, o.partOff = WriteMapOutput(p, n.store, name, parts)
 	for _, b := range o.partBytes {
-		j.shuffleByNode[n.idx] += b
+		j.sums.ShuffleByNode[n.idx] += b
 	}
 	n.cacheAdd(o)
 	j.shuffle.publish(o)

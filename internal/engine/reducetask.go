@@ -86,7 +86,7 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 	// Reset the consumed-set from the last good checkpoint before
 	// anything parks: the tracker reads it to decide which lost outputs
 	// are still needed, and to re-request any this attempt must re-fetch.
-	rs.consumed = make([]bool, j.totalMaps)
+	rs.consumed = make([]bool, j.TotalMaps)
 	rs.consumedN = 0
 	if ck := rs.ckpt; ck != nil {
 		copy(rs.consumed, ck.Consumed)
@@ -115,7 +115,7 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 			switch r.(type) {
 			case nodeAborted:
 				kind = "reduce-lost"
-				j.wastedCPU += ledger
+				j.sums.WastedCPU += ledger
 				res = reduceNodeDead
 			case *storage.Corruption:
 				if j.spec.Platform == HOP {
@@ -126,7 +126,7 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 				// attempt's scratch state is untrustworthy. Discard it
 				// and restart from the last good checkpoint.
 				kind = "reduce-corrupt"
-				j.wastedCPU += ledger
+				j.sums.WastedCPU += ledger
 				out.Discard()
 				res = reduceFailedInjected
 			default:
@@ -135,9 +135,9 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 		}
 	}()
 
-	out = NewOutputWriter(&j.spec, j.spec.reduceRestarts(), &j.out, n.enqueueOutput)
-	red := NewTaskReducer(&j.spec, j.newRuntime(p, n, &ledger), j.spec.Query, out,
-		fmt.Sprintf("r%03d.a%d", ridx, attempt), j.inputBytesEst)
+	out = NewOutputWriter(j.spec, j.spec.ReduceRestarts(), &j.out, n.enqueueOutput)
+	red := NewTaskReducer(j.spec, j.newRuntime(p, n, &ledger), j.spec.Query, out,
+		fmt.Sprintf("r%03d.a%d", ridx, attempt), j.InputBytesEst)
 
 	// Resume from the last good checkpoint: read the replicated image
 	// back (table/sketch + consumed-set + all bucket bytes) and rebuild
@@ -159,11 +159,11 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 	ckptEvery := int64(j.spec.CheckpointEvery)
 	lastCkpt := p.Now()
 
-	failN := j.spec.Faults.ReduceFailAfter(j.totalMaps)
+	failN := j.spec.Faults.ReduceFailAfter(j.TotalMaps)
 	failNow := func() bool { return inject && rs.consumedN >= failN }
 	failOut := func() reduceResult {
 		kind = "reduce-failed"
-		j.wastedCPU += ledger
+		j.sums.WastedCPU += ledger
 		out.Discard()
 		return reduceFailedInjected
 	}
@@ -182,7 +182,7 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 	setPhase(metrics.PhaseShuffle)
 	var retry int64
 	next := 0
-	for rs.consumedN < j.totalMaps {
+	for rs.consumedN < j.TotalMaps {
 		if n.dead(p.Now()) {
 			panic(nodeAborted{n.idx})
 		}
@@ -241,7 +241,7 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 					// tracker re-executes the map task and the fresh
 					// publication serves this reducer.
 					j.fetchRetries++
-					j.refetchBytes += size
+					j.sums.RefetchBytes += size
 					p.Use(n.nic, 1, model.NetTime(size))
 					if _, err = o.node.store.ReadAtChecked(p, o.file, o.partOff[ridx], size, storage.ShuffleRead); err != nil {
 						t.corruptOutput(o)
@@ -251,10 +251,10 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 			}
 			if task := outputTask(o); task >= 0 { // a HOP push is never fetched twice
 				if rs.everFetched == nil {
-					rs.everFetched = make([]bool, j.totalMaps)
+					rs.everFetched = make([]bool, j.TotalMaps)
 				}
 				if rs.everFetched[task] {
-					j.refetchBytes += size // recovery traffic: fetched before, by a lost attempt
+					j.sums.RefetchBytes += size // recovery traffic: fetched before, by a lost attempt
 				} else {
 					rs.everFetched[task] = true
 				}
@@ -309,7 +309,7 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 	out.Commit()
 	out.Flush()
 	n.syncOutput(p)
-	j.reduceCPU += ledger
+	j.sums.ReduceCPU += ledger
 	return reduceDone
 }
 
@@ -403,4 +403,4 @@ func (j *job) phaseSetter() func(ph metrics.Phase) {
 }
 
 // mapProgress is the completed fraction of the map phase.
-func (j *job) mapProgress() float64 { return float64(j.mapsDone) / float64(j.totalMaps) }
+func (j *job) mapProgress() float64 { return float64(j.mapsDone) / float64(j.TotalMaps) }

@@ -118,37 +118,20 @@ type Report struct {
 	WallTime time.Duration
 }
 
-// report assembles the final Report from the job state.
+// report assembles the final Report: the shared tail over the node
+// stores' sums, then what only the simulation knows.
 func (j *job) report(s *metrics.Sampler) *Report {
-	m := j.spec.Cluster.Model
-	var c storage.Counters
+	j.sums.CorruptFrames = j.ckptCorrupt + j.tornRepaired
 	for _, n := range j.nodes {
-		c.Add(n.store.Counters())
+		j.sums.AddStore(n.store)
 	}
+	j.sums.Combine = j.combine.Totals()
 	r := &Report{
-		Query:         j.spec.Query.Name(),
-		Platform:      j.spec.Platform.String(),
 		RunningTime:   j.k.NowDur(),
 		MapFinishTime: time.Duration(j.mapFinish),
 
-		MapCPUPerNode:    time.Duration(j.mapCPU / int64(len(j.nodes))),
-		ReduceCPUPerNode: time.Duration(j.reduceCPU / int64(len(j.nodes))),
-
-		InputBytes:       m.LogicalBytes(c.ReadBytes[storage.MapInput]),
-		MapSpillBytes:    m.LogicalBytes(c.WrittenBytes[storage.MapSpill]),
-		MapOutputBytes:   m.LogicalBytes(c.WrittenBytes[storage.MapOutput]),
-		ReduceSpillBytes: m.LogicalBytes(c.WrittenBytes[storage.ReduceSpill]),
-		OutputBytes:      m.LogicalBytes(c.WrittenBytes[storage.ReduceOutput]),
-
-		TotalIOBytes:    m.LogicalBytes(c.TotalBytes()),
-		TotalIORequests: c.TotalReqs(),
-
 		MemShuffleFetches:  j.memFetches,
 		DiskShuffleFetches: j.diskFetches,
-
-		NodeCombineInputRecords:  j.ncInRecords,
-		NodeCombineOutputRecords: j.ncOutRecords,
-		ShuffleBytesSaved:        m.LogicalBytes(j.ncSavedBytes),
 
 		NodesLost:            j.nodesLost,
 		ReExecutedMapTasks:   j.reexecMaps,
@@ -156,14 +139,10 @@ func (j *job) report(s *metrics.Sampler) *Report {
 		SpeculativeBackups:   j.specBackups,
 		SpeculativeWins:      j.specWins,
 		FetchRetries:         j.fetchRetries,
-		WastedCPUPerNode:     time.Duration(j.wastedCPU / int64(len(j.nodes))),
 		Checkpoints:          j.checkpoints,
-		CheckpointBytes:      m.LogicalBytes(c.WrittenBytes[storage.Checkpoint]),
-		RecoveryReadBytes:    m.LogicalBytes(c.ReadBytes[storage.Checkpoint] + j.refetchBytes),
 
-		CorruptFramesDetected: j.ckptCorrupt + j.tornRepaired,
-		TornWritesRepaired:    j.tornRepaired,
-		QuarantinedRecords:    j.quarantined,
+		TornWritesRepaired: j.tornRepaired,
+		QuarantinedRecords: j.quarantined,
 
 		OutputRecords:    j.out.Records,
 		MapInputRecords:  j.mapInputRecords,
@@ -175,26 +154,9 @@ func (j *job) report(s *metrics.Sampler) *Report {
 		Outputs: j.out.Rows,
 		Spans:   j.spans,
 	}
-	var shuffleTotal int64
-	for _, b := range j.shuffleByNode {
-		shuffleTotal += b
-	}
-	if shuffleTotal > 0 {
-		r.ShuffleBytesByNode = make([]int64, len(j.shuffleByNode))
-		for i, b := range j.shuffleByNode {
-			r.ShuffleBytesByNode[i] = m.LogicalBytes(b)
-		}
-	}
-	for _, n := range j.nodes {
-		r.IORetries += n.store.IORetries()
-		r.CorruptFramesDetected += n.store.CorruptFramesDetected()
-	}
-	for i := 0; i < int(storage.NumIOClasses); i++ {
-		r.ChecksumOverheadByClass[i] = m.LogicalBytes(c.OverheadBytes[i])
-		r.ChecksumOverheadBytes += r.ChecksumOverheadByClass[i]
-	}
+	j.ReportTail(r, &j.sums)
 	r.Progress = metrics.Progress(r.Samples, metrics.Totals{
-		MapTasks:  j.totalMaps,
+		MapTasks:  j.TotalMaps,
 		Fetches:   j.fetchesDone,
 		FnRecords: j.fnRecords,
 		OutRecs:   j.out.Records,

@@ -45,7 +45,7 @@ type shuffleService struct {
 	reducers    int
 
 	// retain disables end-of-fetch reclamation. Set for runs whose reduce
-	// attempts can restart (JobSpec.reduceRestarts): a restarted reducer
+	// attempts can restart (JobSpec.ReduceRestarts): a restarted reducer
 	// must be able to re-fetch outputs that every other reducer already
 	// drained.
 	retain bool

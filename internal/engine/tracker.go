@@ -65,11 +65,11 @@ type tracker struct {
 
 func newTracker(j *job) *tracker {
 	t := &tracker{j: j, cond: sim.NewCond(j.k, "tracker")}
-	t.mstates = make([]mapTaskState, j.totalMaps)
+	t.mstates = make([]mapTaskState, j.TotalMaps)
 	for i := range t.mstates {
 		t.mstates[i].task = i
 	}
-	t.rstates = make([]reduceState, j.numReducers)
+	t.rstates = make([]reduceState, j.NumReducers)
 	for i := range t.rstates {
 		t.rstates[i].ridx = i
 	}
@@ -229,7 +229,7 @@ func (t *tracker) ensureAvailable(rs *reduceState) {
 // the median completed-attempt duration, once enough attempts have
 // completed to estimate that median.
 func (t *tracker) speculate(now int64) {
-	minSamples := t.j.totalMaps / 4
+	minSamples := t.j.TotalMaps / 4
 	if minSamples < 3 {
 		minSamples = 3
 	}

@@ -3,7 +3,6 @@ package ingest
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/mr"
 	"repro/internal/queries"
@@ -49,23 +48,16 @@ func ValidateLine(rec []byte) error {
 	return nil
 }
 
-// StandardQuery maps a query name to its factory and record validator,
-// using the same names and default parameters as cmd/onepass.
+// StandardQuery maps a query name to its factory and record validator:
+// the catalogue's constructor (queries.Factory, the names and default
+// parameters cmd/onepass uses) and the validator for the record layout
+// the query parses.
 func StandardQuery(name string) (factory func() mr.Query, validate func([]byte) error, err error) {
-	switch name {
-	case "sessionization":
-		return func() mr.Query {
-			return queries.NewSessionization(5*time.Minute, 512, 5*time.Second)
-		}, ValidateClick, nil
-	case "clickcount":
-		return queries.NewClickCount, ValidateClick, nil
-	case "frequsers":
-		return func() mr.Query { return queries.NewFrequentUsers(50) }, ValidateClick, nil
-	case "pagefreq":
-		return queries.NewPageFrequency, ValidateClick, nil
-	case "trigram":
-		return func() mr.Query { return queries.NewTrigramCount(1000) }, ValidateLine, nil
-	default:
-		return nil, nil, fmt.Errorf("ingest: unknown query %q (want sessionization|clickcount|frequsers|pagefreq|trigram)", name)
+	if factory, err = queries.Factory(name, 512); err != nil {
+		return nil, nil, fmt.Errorf("ingest: %w", err)
 	}
+	if name == "trigram" {
+		return factory, ValidateLine, nil
+	}
+	return factory, ValidateClick, nil
 }

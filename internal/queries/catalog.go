@@ -33,30 +33,46 @@ type Plan struct {
 	Input    dfs.Input
 }
 
+// Factory maps a query name to its constructor, with the catalogue's
+// default parameters; stateBytes is sessionization's per-user state
+// buffer. The one name → constructor table: Resolve and the ingestion
+// daemon (ingest.StandardQuery) both build through it.
+func Factory(name string, stateBytes int) (func() mr.Query, error) {
+	switch name {
+	case "sessionization":
+		return func() mr.Query {
+			return NewSessionization(5*time.Minute, stateBytes, 5*time.Second)
+		}, nil
+	case "clickcount":
+		return NewClickCount, nil
+	case "frequsers":
+		return func() mr.Query { return NewFrequentUsers(50) }, nil
+	case "pagefreq":
+		return NewPageFrequency, nil
+	case "trigram":
+		return func() mr.Query { return NewTrigramCount(1000) }, nil
+	}
+	return nil, fmt.Errorf("unknown query %q (want %s)", name, strings.Join(Names, "|"))
+}
+
 // Resolve maps a query name to its plan under cost model m. Every tool
 // that runs a named query builds it here, so the same name, sizing and
 // seed mean the same job everywhere.
 func Resolve(name string, z Sizing, m cost.Model) (Plan, error) {
-	p := Plan{Hints: mr.Hints{Km: 1, DistinctKeys: int64(z.Users)}}
+	// The hints default to a count per user (the combiner leaves ~1 % of
+	// the map input); the cases below say where a query differs.
+	p := Plan{Hints: mr.Hints{Km: 0.01, DistinctKeys: int64(z.Users)}}
+	var err error
+	if p.NewQuery, err = Factory(name, z.StateBytes); err != nil {
+		return p, err
+	}
 	phys, chunk := m.ScaleBytes(int64(z.DataBytes)), m.ScaleBytes(int64(z.ChunkBytes))
 	switch name {
 	case "sessionization":
-		p.NewQuery = func() mr.Query {
-			return NewSessionization(5*time.Minute, z.StateBytes, 5*time.Second)
-		}
 		p.Hints.Km = 1.15
-	case "clickcount":
-		p.NewQuery = NewClickCount
-		p.Hints.Km = 0.01
-	case "frequsers":
-		p.NewQuery = func() mr.Query { return NewFrequentUsers(50) }
-		p.Hints.Km = 0.01
 	case "pagefreq":
-		p.NewQuery = NewPageFrequency
-		p.Hints.Km = 0.01
 		p.Hints.DistinctKeys = 20_000
 	case "trigram":
-		p.NewQuery = func() mr.Query { return NewTrigramCount(1000) }
 		p.Hints.Km = 3
 		p.Hints.DistinctKeys = 12_000_000
 		// A small, sharply skewed vocabulary: enough repeated trigrams
@@ -64,8 +80,6 @@ func Resolve(name string, z Sizing, m cost.Model) (Plan, error) {
 		doc := workload.DefaultDocSpec(phys, chunk, z.Seed)
 		doc.Vocab, doc.WordSkew, doc.WordV = 5_000, 1.6, 4
 		p.Input = workload.NewDocCorpus(doc)
-	default:
-		return p, fmt.Errorf("unknown query %q (want %s)", name, strings.Join(Names, "|"))
 	}
 	// Kr (reduce output:input ratio) feeds the node-combine auto gate:
 	// the count-style outputs here are ~24-byte rows, one per distinct

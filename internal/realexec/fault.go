@@ -132,12 +132,19 @@ func (f *faults) survivor(n int) int {
 	return n
 }
 
-// backupNode returns a distinct node that never dies for a speculative
-// backup, or -1 when the cluster has none.
-func (f *faults) backupNode(n int) int {
+// backupFor returns the node a speculative backup of chunk races on
+// when its primary runs on node, or -1 when the task runs unraced:
+// every task on a live straggler races one backup on the next node that
+// never dies. Tasks with injected failures are excluded (their ladder
+// length must stay deterministic), and so are tasks on dying nodes (the
+// lost-output set must stay a pure function of the spec).
+func (f *faults) backupFor(chunk, node int) int {
+	sp := &f.spec.Faults
+	if !sp.Speculate || sp.MapFailures[chunk] > 0 || f.dies(node) || sp.SlowNodes[node] <= 1 {
+		return -1
+	}
 	for i := 1; i < f.nodes; i++ {
-		c := (n + i) % f.nodes
-		if !f.dies(c) {
+		if c := (node + i) % f.nodes; !f.dies(c) {
 			return c
 		}
 	}
@@ -185,22 +192,16 @@ func (r *run) runMapChain(chunk, node int) *mapChain {
 	}
 	failures := r.spec.Faults.MapFailures[chunk]
 
-	// Speculative backup race. Excluded for tasks with injected
-	// failures (their ladder length must stay deterministic) and for
-	// tasks on dying nodes (the lost-output set must stay a pure
-	// function of the spec).
+	// Speculative backup race, where the plan stages one.
 	var claim *atomic.Bool
 	var backupDone chan *mapResult
-	if r.spec.Faults.Speculate && failures == 0 && !f.dies(node) &&
-		r.spec.Faults.SlowNodes[node] > 1 {
-		if bn := f.backupNode(node); bn >= 0 {
-			claim = new(atomic.Bool)
-			backupDone = make(chan *mapResult, 1)
-			r.specBackups.Add(1)
-			go func() {
-				backupDone <- r.runMapAttempt(chunk, bn, 1, false, claim)
-			}()
-		}
+	if bn := f.backupFor(chunk, node); bn >= 0 {
+		claim = new(atomic.Bool)
+		backupDone = make(chan *mapResult, 1)
+		r.specBackups.Add(1)
+		go func() {
+			backupDone <- r.runMapAttempt(chunk, bn, 1, false, claim)
+		}()
 	}
 
 	for attempt := 0; ; attempt++ {
@@ -387,10 +388,9 @@ func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool
 	}
 	sink := func(physBytes int64) { st.ChargeOutputWrite(p, physBytes) }
 	// Output is provisional under any plan that can kill an attempt
-	// after it emitted (the DES's rule).
-	f := &r.spec.Faults
-	out := engine.NewOutputWriter(r.spec, len(f.ReduceFailures) > 0 || len(f.KillAtMapProgress) > 0, &res.out, sink)
-	red := engine.NewTaskReducer(r.spec, rt, q, out, fmt.Sprintf("r%03d.a%d", ridx, attempt), r.inputBytesEst)
+	// after it emitted.
+	out := engine.NewOutputWriter(r.spec, r.spec.ReduceRestarts(), &res.out, sink)
+	red := engine.NewTaskReducer(r.spec, rt, q, out, fmt.Sprintf("r%03d.a%d", ridx, attempt), r.InputBytesEst)
 
 	// Resume from the newest checkpoint and replay only the unconsumed
 	// suffix.
@@ -406,7 +406,7 @@ func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool
 		consumedN = ck.ConsumedN
 	}
 
-	failN := f.ReduceFailAfter(len(r.units))
+	failN := r.spec.Faults.ReduceFailAfter(len(r.units))
 	failOut := func() *reduceResult {
 		res.failed = true
 		out.Discard()

@@ -45,9 +45,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/dfs"
 	"repro/internal/engine"
-	"repro/internal/hashfam"
 	"repro/internal/mr"
 	"repro/internal/storage"
 	"repro/internal/substrate"
@@ -92,23 +90,20 @@ type unit struct {
 
 // run is the shared state of one real-backend job.
 type run struct {
-	spec        *engine.JobSpec
-	newQ        func() mr.Query
-	model       cost.Model
-	fam         *hashfam.Family
-	start       time.Time
-	numReducers int
-	totalMaps   int
-
-	inputBytesEst int64
+	*engine.JobFrame // task counts, hash family, chunk assignment
+	spec             *engine.JobSpec
+	newQ             func() mr.Query
+	model            cost.Model
+	start            time.Time
 
 	units    []*unit
 	globalWM int64
 	hasWM    bool
 
-	// comb is the barrier-time in-node combine plan; nil unless the
-	// spec resolves node combining on. See nodecombine.go.
-	comb *rcombine
+	// comb is the in-node combine plan (engine/task_combine.go), folded
+	// at the map barrier; no chunk deposits into it unless the spec
+	// resolves node combining on. See nodecombine.go.
+	comb *engine.CombinePlan
 
 	fnRecords       atomic.Int64
 	memFetches      atomic.Int64
@@ -136,7 +131,8 @@ func Run(s Spec) (*engine.Report, error) {
 	}
 	spec := s.Job
 	spec.Query = s.NewQuery()
-	if err := spec.Validate(); err != nil {
+	frame, err := engine.NewJobFrame(&spec)
+	if err != nil {
 		return nil, err
 	}
 	// Capability check, not a blanket rejection: fault plans and
@@ -150,37 +146,19 @@ func Run(s Spec) (*engine.Report, error) {
 		workers = 1
 	}
 	cfg := &spec.Cluster
-	r := &run{
-		spec:        &spec,
-		newQ:        s.NewQuery,
-		model:       cfg.Model,
-		fam:         hashfam.NewFamily(spec.Seed ^ 0x0fa57),
-		start:       time.Now(),
-		numReducers: cfg.R * cfg.Nodes,
-		totalMaps:   spec.Input.NumChunks(),
-	}
-	if r.totalMaps == 0 {
-		return nil, fmt.Errorf("realexec: input has no chunks")
-	}
-	r.inputBytesEst = int64(len(spec.Input.ChunkBytes(0))) * int64(r.totalMaps)
-
-	r.flt = newFaults(&spec, r.totalMaps)
-
-	placement := dfs.NewPlacement(cfg.Nodes, cfg.Replication)
-	assign := dfs.NewAssignment(spec.Input, placement)
-	if spec.NodeCombineActive() {
-		r.comb = newRCombine(r, assign)
-	}
+	r := &run{JobFrame: frame, spec: &spec, newQ: s.NewQuery, model: cfg.Model, start: time.Now()}
+	r.flt = newFaults(&spec, r.TotalMaps)
+	r.comb = r.NewCombinePlan(r.flt.combinable)
 
 	// Map phase: fan the chunks over the worker pool; each task owns
 	// its store, proc, query, and ledger, and runs as an attempt chain
 	// (injected failures, displaced tasks, speculative backups) — of
 	// length one on a fault-free plan.
-	mapChains := make([]*mapChain, r.totalMaps)
-	forEach(workers, r.totalMaps, func(chunk int) {
-		mapChains[chunk] = r.runMapChain(chunk, assign.Node(chunk))
+	mapChains := make([]*mapChain, r.TotalMaps)
+	forEach(workers, r.TotalMaps, func(chunk int) {
+		mapChains[chunk] = r.runMapChain(chunk, r.Node(chunk))
 	})
-	mapRes := make([]*mapResult, r.totalMaps)
+	mapRes := make([]*mapResult, r.TotalMaps)
 	var mapExtra []*mapResult
 	for chunk, ch := range mapChains {
 		if ch.err != nil {
@@ -202,15 +180,15 @@ func Run(s Spec) (*engine.Report, error) {
 	}
 	// In-node combine: fold the deposited map outputs into one published
 	// run per aggregation group before the shuffle order is fixed.
-	var combRes []*rcResult
-	if r.comb != nil && len(r.comb.groups) > 0 {
-		combRes = r.comb.fold(mapRes, workers)
-		for _, cr := range combRes {
-			if cr.err != nil {
-				return nil, cr.err
-			}
-			r.units = append(r.units, cr.unit)
+	combRes := make([]*rcResult, len(r.comb.Groups))
+	forEach(workers, len(combRes), func(gi int) {
+		combRes[gi] = r.foldGroup(r.comb.Groups[gi])
+	})
+	for _, cr := range combRes {
+		if cr.err != nil {
+			return nil, cr.err
 		}
+		r.units = append(r.units, cr.unit)
 	}
 	sort.Slice(r.units, func(i, j int) bool {
 		if r.units[i].chunk != r.units[j].chunk {
@@ -260,8 +238,8 @@ func Run(s Spec) (*engine.Report, error) {
 	}
 
 	// Reduce phase: one restart ladder per task.
-	redChains := make([]*reduceChain, r.numReducers)
-	forEach(workers, r.numReducers, func(ridx int) {
+	redChains := make([]*reduceChain, r.NumReducers)
+	forEach(workers, r.NumReducers, func(ridx int) {
 		redChains[ridx] = r.runReduceChain(ridx, ridx%cfg.Nodes)
 	})
 	reexecWG.Wait()
@@ -270,7 +248,7 @@ func Run(s Spec) (*engine.Report, error) {
 			return nil, res.err
 		}
 	}
-	redRes := make([]*reduceResult, r.numReducers)
+	redRes := make([]*reduceResult, r.NumReducers)
 	var redExtra []*reduceResult
 	for ridx, ch := range redChains {
 		if ch.err != nil {
@@ -330,7 +308,7 @@ func (r *run) newRuntime(p substrate.Proc, st *storage.Store, ledger *int64) *co
 		P:     p,
 		Store: st,
 		Model: r.model,
-		Fam:   r.fam,
+		Fam:   r.Fam,
 		ChargeCPU: func(d time.Duration) {
 			if d > 0 {
 				*ledger += int64(d)
@@ -346,11 +324,6 @@ type mapResult struct {
 	node   int
 	units  []*unit
 	ledger int64
-
-	// parts holds the finished output (its segments) of a
-	// combine-eligible task: it deposits here for the barrier fold
-	// instead of publishing a unit.
-	parts [][][]byte
 
 	mapped, emitted, quarantined int64
 	maxTS                        int64
@@ -434,11 +407,11 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic
 		return res
 	}
 	if !hop {
-		if r.comb != nil && r.comb.elig[chunk] {
+		if r.comb.Deposits(chunk) {
 			// Node-combine: the output parks for the barrier fold instead
 			// of publishing; no U3 write happens here — the merged run is
 			// the only MapOutput-class write, exactly as on the engine.
-			res.parts = parts.Segs
+			r.comb.Deposit(chunk, parts.Segs)
 		} else {
 			res.units = append(res.units,
 				r.publish(p, st, fmt.Sprintf("map%06d.a%d.out", chunk, attempt), chunk, 0, parts))
@@ -484,9 +457,10 @@ func (r *run) afterFeed(red *engine.TaskReducer, sink func(physBytes int64)) {
 	}
 }
 
-// report assembles the engine.Report. All answer-stable fields are sums
-// of per-task integers combined in task order, identical for any worker
-// count; RunningTime, MapFinishTime, WallTime, and Spans are measured
+// report assembles the engine.Report: the shared tail
+// (engine.JobFrame.ReportTail) over per-task integers summed in task
+// order, identical for any worker count, then what only this backend
+// knows; RunningTime, MapFinishTime, WallTime, and Spans are measured
 // wall time.
 //
 // mapDone and redDone hold completed (counted) attempts — including
@@ -494,88 +468,50 @@ func (r *run) afterFeed(red *engine.TaskReducer, sink func(physBytes int64)) {
 // and redExtra hold failed and superseded attempts, which contribute
 // only their I/O accounting (their CPU already went to wastedCPU).
 func (r *run) report(mapDone, mapExtra []*mapResult, redDone, redExtra []*reduceResult, combRes []*rcResult, mapFinish time.Duration, workers int) *engine.Report {
-	m := r.model
-	nodes := int64(r.spec.Cluster.Nodes)
-	var c storage.Counters
-	var mapCPU, reduceCPU int64
-	rep := &engine.Report{
-		Query:         r.spec.Query.Name(),
-		Platform:      r.spec.Platform.String(),
-		MapFinishTime: mapFinish,
+	rep := &engine.Report{MapFinishTime: mapFinish, Workers: workers}
+	sums := engine.ReportSums{ShuffleByNode: make([]int64, r.spec.Cluster.Nodes), Combine: r.comb.Totals()}
+	publishedBy := func(node int, u *unit) {
+		for _, b := range u.partBytes {
+			sums.ShuffleByNode[node] += b
+		}
 	}
-	shufByNode := make([]int64, r.spec.Cluster.Nodes)
 	for _, mres := range mapDone {
-		c.Add(mres.store.Counters())
-		mapCPU += mres.ledger
+		sums.AddStore(mres.store)
+		sums.MapCPU += mres.ledger
 		rep.MapInputRecords += mres.mapped
 		rep.MapOutputRecords += mres.emitted
 		rep.QuarantinedRecords += mres.quarantined
-		rep.IORetries += mres.store.IORetries()
-		rep.CorruptFramesDetected += mres.store.CorruptFramesDetected()
 		rep.Spans = append(rep.Spans, mres.span)
 		for _, u := range mres.units {
-			for _, b := range u.partBytes {
-				shufByNode[mres.node] += b
-			}
+			publishedBy(mres.node, u)
 		}
 	}
 	// Combine folds count in group order, like the engine's fold order.
-	var savedPhys int64
 	for _, cr := range combRes {
-		c.Add(cr.store.Counters())
-		mapCPU += cr.ledger
-		rep.NodeCombineInputRecords += cr.inPairs
-		rep.NodeCombineOutputRecords += cr.outPairs
-		savedPhys += cr.deposited - cr.published
-		rep.IORetries += cr.store.IORetries()
-		rep.CorruptFramesDetected += cr.store.CorruptFramesDetected()
+		sums.AddStore(cr.store)
+		sums.MapCPU += cr.ledger
 		rep.Spans = append(rep.Spans, cr.spans...)
-		for _, b := range cr.unit.partBytes {
-			shufByNode[cr.node] += b
-		}
-	}
-	rep.ShuffleBytesSaved = m.LogicalBytes(savedPhys)
-	var shufTotal int64
-	for _, b := range shufByNode {
-		shufTotal += b
-	}
-	if shufTotal > 0 {
-		rep.ShuffleBytesByNode = make([]int64, len(shufByNode))
-		for i, b := range shufByNode {
-			rep.ShuffleBytesByNode[i] = m.LogicalBytes(b)
-		}
+		publishedBy(cr.node, cr.unit)
 	}
 	for _, mres := range mapExtra {
-		c.Add(mres.store.Counters())
-		rep.IORetries += mres.store.IORetries()
-		rep.CorruptFramesDetected += mres.store.CorruptFramesDetected()
+		sums.AddStore(mres.store)
 		rep.Spans = append(rep.Spans, mres.span)
 	}
 	for _, rres := range redDone {
-		c.Add(rres.store.Counters())
-		reduceCPU += rres.ledger
+		sums.AddStore(rres.store)
+		sums.ReduceCPU += rres.ledger
 		rep.OutputRecords += rres.out.Records
 		rep.ApproxKeys += rres.approxKeys
-		rep.IORetries += rres.store.IORetries()
-		rep.CorruptFramesDetected += rres.store.CorruptFramesDetected()
 		rep.Outputs = append(rep.Outputs, rres.out.Rows...)
 		rep.Spans = append(rep.Spans, rres.span)
 	}
 	for _, rres := range redExtra {
-		c.Add(rres.store.Counters())
-		rep.IORetries += rres.store.IORetries()
-		rep.CorruptFramesDetected += rres.store.CorruptFramesDetected()
+		sums.AddStore(rres.store)
 		rep.Spans = append(rep.Spans, rres.span)
 	}
-	rep.MapCPUPerNode = time.Duration(mapCPU / nodes)
-	rep.ReduceCPUPerNode = time.Duration(reduceCPU / nodes)
-	rep.InputBytes = m.LogicalBytes(c.ReadBytes[storage.MapInput])
-	rep.MapSpillBytes = m.LogicalBytes(c.WrittenBytes[storage.MapSpill])
-	rep.MapOutputBytes = m.LogicalBytes(c.WrittenBytes[storage.MapOutput])
-	rep.ReduceSpillBytes = m.LogicalBytes(c.WrittenBytes[storage.ReduceSpill])
-	rep.OutputBytes = m.LogicalBytes(c.WrittenBytes[storage.ReduceOutput])
-	rep.TotalIOBytes = m.LogicalBytes(c.TotalBytes())
-	rep.TotalIORequests = c.TotalReqs()
+	sums.WastedCPU = r.wastedCPU.Load()
+	sums.RefetchBytes = r.refetchBytes.Load()
+	r.ReportTail(rep, &sums)
 	rep.MemShuffleFetches = r.memFetches.Load()
 	rep.SnapshotRecords = r.snapshotRecords.Load()
 	rep.NodesLost = r.nodesLost
@@ -584,16 +520,8 @@ func (r *run) report(mapDone, mapExtra []*mapResult, redDone, redExtra []*reduce
 	rep.SpeculativeBackups = int(r.specBackups.Load())
 	rep.SpeculativeWins = int(r.specWins.Load())
 	rep.FetchRetries = r.fetchRetries.Load()
-	rep.WastedCPUPerNode = time.Duration(r.wastedCPU.Load() / nodes)
 	rep.Checkpoints = r.checkpoints.Load()
-	rep.CheckpointBytes = m.LogicalBytes(c.WrittenBytes[storage.Checkpoint])
-	rep.RecoveryReadBytes = m.LogicalBytes(c.ReadBytes[storage.Checkpoint] + r.refetchBytes.Load())
-	for i := 0; i < int(storage.NumIOClasses); i++ {
-		rep.ChecksumOverheadByClass[i] = m.LogicalBytes(c.OverheadBytes[i])
-		rep.ChecksumOverheadBytes += rep.ChecksumOverheadByClass[i]
-	}
 	rep.RunningTime = time.Since(r.start)
 	rep.WallTime = rep.RunningTime
-	rep.Workers = workers
 	return rep
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -374,4 +375,54 @@ func BenchmarkRealBackendSessionization(b *testing.B) {
 		bytes = rep.InputBytes
 	}
 	b.SetBytes(bytes)
+}
+
+// TestFrameSeedsBothBackends pins that the hash-family seed and the
+// chunk assignment reach both drivers from engine.NewJobFrame rather
+// than from a derivation of their own. Partition: on a one-node cluster
+// with a single reduce slot the DES runs its reducers one after the
+// other, so both backends list their outputs partition by partition —
+// sort-merge emits each partition in key order — and the two ordered
+// lists are equal only if every key hashed to the same partition on
+// both sides. Assignment: on the three-node golden job every map span
+// names the same node on both backends.
+func TestFrameSeedsBothBackends(t *testing.T) {
+	job := goldenJob(t, engine.SortMerge)
+	job.Cluster.Nodes, job.Cluster.R, job.Cluster.ReduceSlots = 1, 4, 1
+	des, real := runEngine(t, job, queries.NewClickCount), runReal(t, job, queries.NewClickCount, 4)
+	if !reflect.DeepEqual(des.Outputs, real.Outputs) {
+		t.Fatalf("outputs are not partitioned alike:\nengine=%v\nreal=%v", des.Outputs, real.Outputs)
+	}
+	descents := 0
+	for i := 1; i < len(real.Outputs); i++ {
+		if real.Outputs[i][0] < real.Outputs[i-1][0] {
+			descents++
+		}
+	}
+	if descents != 3 {
+		t.Fatalf("%d key-order breaks in %d outputs, want the 3 boundaries of 4 partitions", descents, len(real.Outputs))
+	}
+
+	job = goldenJob(t, engine.SortMerge)
+	des, real = runEngine(t, job, queries.NewClickCount), runReal(t, job, queries.NewClickCount, 4)
+	nodeOf := func(rep *engine.Report) map[string]int {
+		m := map[string]int{}
+		for _, s := range rep.Spans {
+			if s.Kind == "map" {
+				m[s.Name] = s.Node
+			}
+		}
+		return m
+	}
+	nd, nr := nodeOf(des), nodeOf(real)
+	if len(nd) != job.Input.NumChunks() || !reflect.DeepEqual(nd, nr) {
+		t.Fatalf("map tasks are not assigned alike:\nengine=%v\nreal=%v", nd, nr)
+	}
+	used := map[int]bool{}
+	for _, n := range nr {
+		used[n] = true
+	}
+	if len(used) != job.Cluster.Nodes {
+		t.Fatalf("map tasks ran on %d of %d nodes", len(used), job.Cluster.Nodes)
+	}
 }

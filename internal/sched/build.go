@@ -88,7 +88,8 @@ type EngineExecutor struct{}
 // model the scheduler's own death as an engine node kill: a clean
 // probe run measures the makespan, then the re-execution checkpoints
 // reducer state and kills a node mid-job, so the reducers restore from
-// their newest checkpoint exactly as PR 2's recovery path does —
+// their newest checkpoint and replay only the unconsumed suffix, the
+// engine's own node-loss recovery —
 // Report.RecoveryReadBytes then reports the true replay suffix, which
 // stays below a from-scratch recomputation, while answers remain
 // bit-identical. Non-incremental platforms have no reducer state to

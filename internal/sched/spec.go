@@ -3,8 +3,8 @@
 // either backend (-backend=sim|real) under per-org concurrency
 // limits, with every job, run, and limit persisted through
 // internal/jobstore so an acknowledged submit survives kill -9 and an
-// interrupted run resumes — through the PR 2 checkpointed reducer
-// state — on the next boot.
+// interrupted run resumes — from checkpointed incremental reducer
+// state (JobSpec.CheckpointEvery) — on the next boot.
 package sched
 
 import (
@@ -206,7 +206,8 @@ type Job struct {
 }
 
 // Run is the persisted run record; Report is the engine's run report,
-// the profile row ROADMAP item 4's self-tuner will learn from.
+// persisted whole so GET /v1/jobs/{id}/runs returns every counter of
+// every run.
 type Run struct {
 	Org     string         `json:"org"`
 	JobID   string         `json:"job_id"`
