@@ -6,8 +6,9 @@
 // checks; this test walks every .go file with go/parser (ImportsOnly)
 // and fails, naming the violating file, when an import crosses a
 // boundary downward-only layering forbids — or when a package that
-// must reach the filesystem only through internal/seglog imports the
-// standard library's way around it.
+// must reach the filesystem only through internal/seglog, or code its
+// payloads only through internal/frame's cursor, imports the standard
+// library's way around it.
 package architecture_test
 
 import (
@@ -103,6 +104,12 @@ var stdlibBans = []rule{
 		Why:  "every file the services write goes through internal/seglog, the one place a fault-injecting filesystem has to wrap",
 		From: []string{"ingest", "jobstore"},
 		Deny: []string{"os", "path/filepath", "io/ioutil", "syscall"},
+	},
+	{
+		Name: "payload-coding-only-via-frame-cursor",
+		Why:  "what is inside a record or an image is read through frame.Cursor and written by its Append twins: one bounds-checked varint loop, not one per codec",
+		From: []string{"ingest", "jobstore"},
+		Deny: []string{"encoding/binary"},
 	},
 }
 
@@ -362,6 +369,8 @@ func TestPlantedViolationsAreCaught(t *testing.T) {
 		{"sched imports seglog", "internal/sched/bad.go", internal("seglog")},
 		{"ingest imports os", "internal/ingest/bad.go", "os"},
 		{"jobstore imports path/filepath", "internal/jobstore/bad.go", "path/filepath"},
+		{"ingest imports encoding/binary", "internal/ingest/batch.go", "encoding/binary"},
+		{"jobstore imports encoding/binary", "internal/jobstore/snapshot.go", "encoding/binary"},
 		{"realexec imports kvenc", "internal/realexec/bad.go", internal("kvenc")},
 		{"realexec imports sortmerge", "internal/realexec/bad.go", internal("sortmerge")},
 		{"realexec imports hashfam", "internal/realexec/realexec.go", internal("hashfam")},
@@ -388,7 +397,7 @@ func TestPlantedViolationsAreCaught(t *testing.T) {
 		"internal/serve/jobs.go":          {internal("sched"), internal("ingest"), "os"},
 		"internal/engine/job.go":          {internal("core"), internal("sim"), internal("frame")},
 		"internal/jobstore/log.go":        {internal("frame"), internal("seglog"), "fmt"},
-		"internal/jobstore/crash_test.go": {"os", "path/filepath"},
+		"internal/jobstore/crash_test.go": {"os", "path/filepath", "encoding/binary"},
 		"internal/seglog/seglog.go":       {internal("frame"), "os", "path/filepath"},
 		"internal/realexec/realexec.go":   {internal("engine"), internal("core"), internal("storage")},
 		"internal/realexec/fault_test.go": {internal("kvenc"), internal("frame"), internal("hashfam"), internal("dfs")},

@@ -300,47 +300,6 @@ func TestPairBytesMatchesEncoding(t *testing.T) {
 	}
 }
 
-func TestBitmap(t *testing.T) {
-	bm := NewBitmap(100)
-	bm.Set(0)
-	bm.Set(63)
-	bm.Set(64)
-	bm.Set(99)
-	if !bm.Get(0) || !bm.Get(63) || !bm.Get(64) || !bm.Get(99) || bm.Get(50) {
-		t.Fatal("get/set broken")
-	}
-	if bm.Count() != 4 {
-		t.Fatalf("count=%d", bm.Count())
-	}
-	bm.Clear(63)
-	if bm.Get(63) || bm.Count() != 3 {
-		t.Fatal("clear broken")
-	}
-}
-
-func TestBitmapBounds(t *testing.T) {
-	bm := NewBitmap(8)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	bm.Set(8)
-}
-
-func TestCounterTable(t *testing.T) {
-	ct := NewCounterTable(4)
-	ct.Add(0, 5)
-	ct.Add(0, -2)
-	ct.Set(3, 7)
-	if ct.Get(0) != 3 || ct.Get(3) != 7 || ct.Get(1) != 0 {
-		t.Fatal("counter ops broken")
-	}
-	if ct.Len() != 4 || ct.SizeBytes() != 32 {
-		t.Fatal("sizing broken")
-	}
-}
-
 func BenchmarkTableUpsertHit(b *testing.B) {
 	tb := newTestTable(64 << 20)
 	keys := make([][]byte, 1000)

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 
+	"repro/internal/frame"
 	"repro/internal/frequent"
 )
 
@@ -20,29 +20,29 @@ var ErrBadImage = errors.New("core: malformed state image")
 func MarshalImage(img *StateImage) []byte {
 	var out []byte
 	out = appendBlob(out, img.Table)
-	out = appendInt(out, int64(img.TableKeys))
-	out = appendInt(out, int64(len(img.Sketch)))
+	out = frame.AppendVarint(out, int64(img.TableKeys))
+	out = frame.AppendVarint(out, int64(len(img.Sketch)))
 	for _, sv := range img.Sketch {
 		out = appendBlob(out, sv.Key)
 		out = appendBlob(out, sv.State)
-		out = appendInt(out, sv.C)
-		out = appendInt(out, sv.T)
-		out = appendInt(out, sv.Seq)
+		out = frame.AppendVarint(out, sv.C)
+		out = frame.AppendVarint(out, sv.T)
+		out = frame.AppendVarint(out, sv.Seq)
 	}
-	out = appendInt(out, img.SketchDebt)
-	out = appendInt(out, img.SketchSeq)
-	out = appendInt(out, img.SketchM)
-	out = appendInt(out, int64(len(img.Buckets)))
+	out = frame.AppendVarint(out, img.SketchDebt)
+	out = frame.AppendVarint(out, img.SketchSeq)
+	out = frame.AppendVarint(out, img.SketchM)
+	out = frame.AppendVarint(out, int64(len(img.Buckets)))
 	for _, b := range img.Buckets {
 		out = appendBlob(out, b)
 	}
 	for _, n := range img.BucketPairs {
-		out = appendInt(out, n)
+		out = frame.AppendVarint(out, n)
 	}
-	out = appendInt(out, img.Received)
-	out = appendInt(out, img.InMemRecs)
-	out = appendInt(out, img.DirectOut)
-	out = appendInt(out, img.SinceScan)
+	out = frame.AppendVarint(out, img.Received)
+	out = frame.AppendVarint(out, img.InMemRecs)
+	out = frame.AppendVarint(out, img.DirectOut)
+	out = frame.AppendVarint(out, img.SinceScan)
 	return out
 }
 
@@ -50,97 +50,47 @@ func MarshalImage(img *StateImage) []byte {
 // image copies nothing from b beyond its own slices' backing (blobs
 // alias b; callers that outlive b must copy).
 func UnmarshalImage(b []byte) (*StateImage, error) {
-	d := &decoder{b: b}
+	c := frame.NewCursor(b)
 	img := &StateImage{}
-	img.Table = d.blob()
-	img.TableKeys = int(d.int64())
-	nSketch := d.int64()
-	if d.bad(nSketch) {
-		return nil, ErrBadImage
+	img.Table = blob(&c)
+	img.TableKeys = int(c.Varint())
+	// A negative or absurd count (more elements than bytes left) is
+	// damage; Count refuses it before it can size a loop.
+	for i := c.Count(c.Varint()); i > 0; i-- {
+		img.Sketch = append(img.Sketch, frequent.Saved{
+			Key: blob(&c), State: blob(&c), C: c.Varint(), T: c.Varint(), Seq: c.Varint(),
+		})
 	}
-	for i := int64(0); i < nSketch; i++ {
-		var sv frequent.Saved
-		sv.Key = d.blob()
-		sv.State = d.blob()
-		sv.C = d.int64()
-		sv.T = d.int64()
-		sv.Seq = d.int64()
-		img.Sketch = append(img.Sketch, sv)
+	img.SketchDebt = c.Varint()
+	img.SketchSeq = c.Varint()
+	img.SketchM = c.Varint()
+	nBuckets := c.Count(c.Varint())
+	for i := 0; i < nBuckets; i++ {
+		img.Buckets = append(img.Buckets, blob(&c))
 	}
-	img.SketchDebt = d.int64()
-	img.SketchSeq = d.int64()
-	img.SketchM = d.int64()
-	nBuckets := d.int64()
-	if d.bad(nBuckets) {
-		return nil, ErrBadImage
+	for i := 0; i < nBuckets; i++ {
+		img.BucketPairs = append(img.BucketPairs, c.Varint())
 	}
-	for i := int64(0); i < nBuckets; i++ {
-		img.Buckets = append(img.Buckets, d.blob())
-	}
-	for i := int64(0); i < nBuckets; i++ {
-		img.BucketPairs = append(img.BucketPairs, d.int64())
-	}
-	img.Received = d.int64()
-	img.InMemRecs = d.int64()
-	img.DirectOut = d.int64()
-	img.SinceScan = d.int64()
-	if d.err || len(d.b) != 0 {
+	img.Received = c.Varint()
+	img.InMemRecs = c.Varint()
+	img.DirectOut = c.Varint()
+	img.SinceScan = c.Varint()
+	if c.Done() != nil {
 		return nil, ErrBadImage
 	}
 	return img, nil
 }
 
-func appendInt(dst []byte, v int64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(tmp[:], v)
-	return append(dst, tmp[:n]...)
-}
-
+// appendBlob writes b behind its length as a signed varint (this
+// format predates the unsigned frame.AppendBytes and is pinned).
 func appendBlob(dst, b []byte) []byte {
-	dst = appendInt(dst, int64(len(b)))
-	return append(dst, b...)
+	return append(frame.AppendVarint(dst, int64(len(b))), b...)
 }
 
-// decoder consumes a MarshalImage blob with sticky error state.
-type decoder struct {
-	b   []byte
-	err bool
-}
-
-// bad folds a decoded element count into the error state: a negative
-// or absurd count (larger than the remaining bytes could encode) means
-// the blob is damaged and looping on it would be an attack surface.
-func (d *decoder) bad(n int64) bool {
-	if d.err || n < 0 || n > int64(len(d.b))+1 {
-		d.err = true
+// blob reads what appendBlob wrote; an empty blob decodes as nil.
+func blob(c *frame.Cursor) []byte {
+	if b := c.Take(c.Varint()); len(b) > 0 {
+		return b
 	}
-	return d.err
-}
-
-func (d *decoder) int64() int64 {
-	if d.err {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.err = true
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *decoder) blob() []byte {
-	ln := d.int64()
-	if d.err || ln < 0 || ln > int64(len(d.b)) {
-		d.err = true
-		return nil
-	}
-	if ln == 0 {
-		d.b = d.b[0:]
-		return nil
-	}
-	out := d.b[:ln:ln]
-	d.b = d.b[ln:]
-	return out
+	return nil
 }

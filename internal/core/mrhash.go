@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/bytestore"
 	"repro/internal/kvenc"
@@ -135,10 +134,6 @@ func (r *MRHashReducer) SpilledPairs() int64 { return r.buckets.spilledPairs }
 // in-memory D1, then each disk bucket (recursively partitioned if
 // needed), writing answers to out.
 func (r *MRHashReducer) Finish(out mr.OutputWriter) {
-	if os.Getenv("ONEPASS_DEBUG") != "" {
-		fmt.Fprintf(os.Stderr, "mrhash %s: received=%d buckets=%d demoted=%v spilledPairs=%d bufbytes=%d tablebudget=%d\n",
-			r.prefix, r.received, r.buckets.n(), r.demoted, r.buckets.spilledPairs, r.buckets.spilledBytes, r.tableBudget())
-	}
 	r.buckets.flushAll()
 	if !r.demoted {
 		r.reduceTable(r.table, out)

@@ -57,16 +57,6 @@ func (p Placement) Replicas(chunk int) []int {
 // Primary returns the primary replica node of chunk i.
 func (p Placement) Primary(chunk int) int { return chunk % p.Nodes }
 
-// Local reports whether node holds a replica of chunk i.
-func (p Placement) Local(chunk, node int) bool {
-	for _, r := range p.Replicas(chunk) {
-		if r == node {
-			return true
-		}
-	}
-	return false
-}
-
 // Assignment maps every chunk to the node that will run its map task.
 // Chunks go to their primary replica: with round-robin placement this
 // is both perfectly local and perfectly balanced, which matches the
@@ -87,14 +77,4 @@ func (a Assignment) Node(chunk int) int {
 		panic(fmt.Sprintf("dfs: chunk %d out of range [0,%d)", chunk, a.chunks))
 	}
 	return a.p.Primary(chunk)
-}
-
-// PerNode returns the chunk indices assigned to each node, in order.
-func (a Assignment) PerNode() [][]int {
-	out := make([][]int, a.p.Nodes)
-	for c := 0; c < a.chunks; c++ {
-		n := a.Node(c)
-		out[n] = append(out[n], c)
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -44,23 +45,21 @@ func TestReplicationClamped(t *testing.T) {
 func TestLocal(t *testing.T) {
 	p := NewPlacement(5, 2)
 	// chunk 3 → nodes 3, 4
-	if !p.Local(3, 3) || !p.Local(3, 4) || p.Local(3, 0) {
-		t.Fatal("locality wrong")
+	if got := p.Replicas(3); !slices.Equal(got, []int{3, 4}) {
+		t.Fatalf("chunk 3 is local to %v, want nodes 3 and 4", got)
 	}
 }
 
 func TestAssignmentBalanced(t *testing.T) {
 	in := fakeInput{chunks: 100}
 	a := NewAssignment(in, NewPlacement(10, 3))
-	per := a.PerNode()
+	per := make([]int, 10)
+	for c := 0; c < in.chunks; c++ {
+		per[a.Node(c)]++
+	}
 	for n, chunks := range per {
-		if len(chunks) != 10 {
-			t.Fatalf("node %d has %d chunks", n, len(chunks))
-		}
-		for _, c := range chunks {
-			if a.Node(c) != n {
-				t.Fatalf("chunk %d not assigned to %d", c, n)
-			}
+		if chunks != 10 {
+			t.Fatalf("node %d has %d chunks", n, chunks)
 		}
 	}
 }
@@ -70,7 +69,7 @@ func TestAssignmentLocality(t *testing.T) {
 	p := NewPlacement(8, 3)
 	a := NewAssignment(in, p)
 	for c := 0; c < 40; c++ {
-		if !p.Local(c, a.Node(c)) {
+		if !slices.Contains(p.Replicas(c), a.Node(c)) {
 			t.Fatalf("chunk %d assigned to non-local node %d", c, a.Node(c))
 		}
 	}

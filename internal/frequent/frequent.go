@@ -49,10 +49,6 @@ type Entry struct {
 // Count returns the effective (estimated) frequency count.
 func (e *Entry) Count(s *Summary) int64 { return e.c - s.debt }
 
-// Combined returns t: tuples combined into State since monitoring
-// began.
-func (e *Entry) Combined() int64 { return e.t }
-
 // SetState replaces the entry's state (for combine functions that
 // reallocate).
 func (e *Entry) SetState(st []byte) { e.State = st }

@@ -16,8 +16,8 @@ func TestHitIncrementsCounters(t *testing.T) {
 	if out != Hit || e2 != e1 {
 		t.Fatalf("second offer: %v", out)
 	}
-	if e1.Count(su) != 2 || e1.Combined() != 2 {
-		t.Fatalf("c=%d t=%d", e1.Count(su), e1.Combined())
+	if e1.Count(su) != 2 || e1.t != 2 {
+		t.Fatalf("c=%d t=%d", e1.Count(su), e1.t)
 	}
 }
 
@@ -189,7 +189,7 @@ func TestCoverageUnderestimate(t *testing.T) {
 	}
 	for _, e := range su.Entries() {
 		gamma := su.Coverage(e)
-		trueCov := float64(e.Combined()) / float64(truth[string(e.Key)])
+		trueCov := float64(e.t) / float64(truth[string(e.Key)])
 		if gamma > trueCov+1e-9 {
 			t.Fatalf("key %s: γ=%.4f > true coverage %.4f", e.Key, gamma, trueCov)
 		}
@@ -232,7 +232,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		}
 		out := ""
 		for _, e := range su.Entries() {
-			out += fmt.Sprintf("%s:%d:%d;", e.Key, e.Count(su), e.Combined())
+			out += fmt.Sprintf("%s:%d:%d;", e.Key, e.Count(su), e.t)
 		}
 		return out
 	}

@@ -1,9 +1,10 @@
 package ingest
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"repro/internal/frame"
 )
 
 // ErrBadBatch reports a WAL batch payload that does not decode. A
@@ -22,40 +23,24 @@ var ErrBadBatch = errors.New("ingest: malformed batch payload")
 
 // appendBatch encodes one batch onto dst.
 func appendBatch(dst []byte, seq int64, records [][]byte) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(seq))]...)
-	dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(len(records)))]...)
+	dst = frame.AppendUvarint(dst, uint64(seq))
+	dst = frame.AppendUvarint(dst, uint64(len(records)))
 	for _, rec := range records {
-		dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(len(rec)))]...)
-		dst = append(dst, rec...)
+		dst = frame.AppendBytes(dst, rec)
 	}
 	return dst
 }
 
 // decodeBatch decodes a batch payload. Records alias p.
 func decodeBatch(p []byte) (seq int64, records [][]byte, err error) {
-	u, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, nil, ErrBadBatch
+	c := frame.NewCursor(p)
+	seq = int64(c.Uvarint())
+	records = make([][]byte, c.Count(int64(c.Uvarint())))
+	for i := range records {
+		records[i] = c.Bytes()
 	}
-	seq = int64(u)
-	p = p[n:]
-	count, n := binary.Uvarint(p)
-	if n <= 0 || count > uint64(len(p)) {
-		return 0, nil, ErrBadBatch
-	}
-	p = p[n:]
-	records = make([][]byte, 0, count)
-	for i := uint64(0); i < count; i++ {
-		ln, n := binary.Uvarint(p)
-		if n <= 0 || ln > uint64(len(p)-n) {
-			return 0, nil, ErrBadBatch
-		}
-		records = append(records, p[n:n+int(ln):n+int(ln)])
-		p = p[n+int(ln):]
-	}
-	if len(p) != 0 {
-		return 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrBadBatch, len(p))
+	if err := c.Done(); err != nil {
+		return 0, nil, fmt.Errorf("%w: %v", ErrBadBatch, err)
 	}
 	return seq, records, nil
 }

@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -42,9 +41,8 @@ type checkpoint struct {
 // encodeCheckpoint renders ck into its file representation.
 func encodeCheckpoint(ck *checkpoint) []byte {
 	var hdr []byte
-	var tmp [binary.MaxVarintLen64]byte
 	for _, v := range []int64{checkpointVersion, ck.Seq, ck.Seg, ck.Off, ck.Watermark} {
-		hdr = append(hdr, tmp[:binary.PutVarint(tmp[:], v)]...)
+		hdr = frame.AppendVarint(hdr, v)
 	}
 	out := frame.Append(nil, hdr)
 	return append(out, core.FramedImage(ck.Img)...)
@@ -58,26 +56,17 @@ func decodeCheckpoint(b []byte) (*checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	ck := &checkpoint{}
-	var version int64
-	for _, dst := range []*int64{&version, &ck.Seq, &ck.Seg, &ck.Off, &ck.Watermark} {
-		v, vn := binary.Varint(hdr)
-		if vn <= 0 {
-			return nil, fmt.Errorf("%w: short header", ErrBadCheckpoint)
-		}
-		*dst = v
-		hdr = hdr[vn:]
+	c := frame.NewCursor(hdr)
+	version := c.Varint()
+	ck := &checkpoint{Seq: c.Varint(), Seg: c.Varint(), Off: c.Varint(), Watermark: c.Varint()}
+	if err := c.Done(); err != nil {
+		return nil, fmt.Errorf("%w: header: %v", ErrBadCheckpoint, err)
 	}
 	if version != checkpointVersion {
 		return nil, fmt.Errorf("%w: version %d (want %d)", ErrBadCheckpoint, version, checkpointVersion)
 	}
-	if len(hdr) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing header bytes", ErrBadCheckpoint, len(hdr))
-	}
-	img, err := core.DecodeFramedImage(b[n:])
-	if err != nil {
+	if ck.Img, err = core.DecodeFramedImage(b[n:]); err != nil {
 		return nil, err
 	}
-	ck.Img = img
 	return ck, nil
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/frame"
+	"repro/internal/seglog"
 )
 
 // sourceRun is an instrumented ingestion run used to manufacture
@@ -281,12 +282,12 @@ func TestTornAppendWedgesAndRecovers(t *testing.T) {
 	oracle := oracleStats(t, "clickcount", n, per)
 	dir := t.TempDir()
 	cfg := testCfg(t, dir, "clickcount")
-	cfg.Fail = &Failpoints{TornAppend: func(seq int64) int {
+	cfg.Fail = &Failpoints{Failpoints: seglog.Failpoints{TornAppend: func(seq int64) int {
 		if seq == tornAt {
 			return 11 // cut mid-frame
 		}
 		return -1
-	}}
+	}}}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -327,12 +328,12 @@ func TestFsyncFailpoint(t *testing.T) {
 	oracle := oracleStats(t, "clickcount", n, per)
 	dir := t.TempDir()
 	cfg := testCfg(t, dir, "clickcount")
-	cfg.Fail = &Failpoints{BeforeAppendSync: func(seq int64) error {
+	cfg.Fail = &Failpoints{Failpoints: seglog.Failpoints{BeforeSync: func(seq int64) error {
 		if seq == failAt {
 			return fmt.Errorf("fsync of batch %d: %w", seq, ErrCrash)
 		}
 		return nil
-	}}
+	}}}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -363,9 +364,9 @@ func TestSealFailpoint(t *testing.T) {
 	oracle := oracleStats(t, "clickcount", n, per)
 	dir := t.TempDir()
 	cfg := testCfg(t, dir, "clickcount")
-	cfg.Fail = &Failpoints{BeforeSeal: func(seg int64) error {
+	cfg.Fail = &Failpoints{Failpoints: seglog.Failpoints{BeforeSeal: func(seg int64) error {
 		return fmt.Errorf("seal of segment %d: %w", seg, ErrCrash)
-	}}
+	}}}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -409,12 +410,12 @@ func TestTornCheckpointFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testCfg(t, dir, "sessionization")
 	tornSeq := 2 * cfg.CheckpointEvery
-	cfg.Fail = &Failpoints{TornCheckpoint: func(seq int64) int {
+	cfg.Fail = &Failpoints{Failpoints: seglog.Failpoints{TornImage: func(seq int64) int {
 		if seq == tornSeq {
 			return 25
 		}
 		return -1
-	}}
+	}}}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -83,6 +83,9 @@ func (cfg *Config) withDefaults() error {
 	if cfg.ScanEvery == 0 {
 		cfg.ScanEvery = 4096
 	}
+	if cfg.Fail == nil {
+		cfg.Fail = &Failpoints{}
+	}
 	return nil
 }
 
@@ -118,13 +121,10 @@ type Ingester struct {
 	cfg    Config
 	folder *folder
 
-	mu       sync.Mutex // serializes WAL appends + seq assignment + lifecycle
+	mu       sync.Mutex // serializes WAL appends + lifecycle
 	w        *seglog.Log
-	buf      []byte // batch payload scratch
-	nextSeq  int64
 	draining bool
-	closed   bool  // queue closed
-	failErr  error // set when wedged; all ingestion refused
+	closed   bool // queue closed
 
 	aborted  atomic.Bool
 	inflight atomic.Int64
@@ -138,7 +138,6 @@ type Ingester struct {
 	// Written only by the fold goroutine (and Open before it starts);
 	// read by Drain after foldDone closes.
 	lastSeg, lastOff int64
-	lastCkptSeq      int64
 
 	m metrics
 
@@ -153,7 +152,6 @@ type metrics struct {
 	shedBatches, shedBytes                          atomic.Int64
 	rejectedRecords                                 atomic.Int64
 	foldedBatches, foldedRecords                    atomic.Int64
-	checkpoints, checkpointBytes                    atomic.Int64
 }
 
 // Open recovers the directory to a consistent state and starts the
@@ -177,7 +175,7 @@ func Open(cfg Config) (*Ingester, error) {
 	}
 	var replayedRecords int64
 	w, info, err := seglog.Recover(&layout, seglog.Options{
-		Dir: cfg.Dir, SealBytes: cfg.SealBytes, Retain: cfg.RetainCheckpoints, Fail: cfg.Fail.logFail(),
+		Dir: cfg.Dir, SealBytes: cfg.SealBytes, Retain: cfg.RetainCheckpoints, Fail: &cfg.Fail.Failpoints,
 	}, seglog.Replay{
 		Image: func(data []byte) (seglog.ImageRef, func() error, error) {
 			ck, err := decodeCheckpoint(data)
@@ -210,11 +208,9 @@ func Open(cfg Config) (*Ingester, error) {
 		CheckpointsDiscardedCorrupt: info.ImagesCorrupt,
 	}
 	s.w = w
-	s.nextSeq = info.NextID
 	at := w.Stats()
 	s.lastSeg, s.lastOff = at.Seg, at.Off
-	s.lastCkptSeq = info.Image.ID
-	s.ackedBatches.Store(info.NextID - 1)
+	s.ackedBatches.Store(at.NextID - 1)
 	s.ackedRecords.Store(f.foldedRecords)
 	s.m.foldedBatches.Store(info.Replayed)
 	s.m.foldedRecords.Store(replayedRecords)
@@ -253,9 +249,9 @@ func (s *Ingester) Ingest(records [][]byte) (int64, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.failErr != nil {
+	if err := s.w.Err(); err != nil {
 		s.inflight.Add(-size)
-		return 0, s.failErr
+		return 0, err
 	}
 	if s.draining {
 		s.inflight.Add(-size)
@@ -267,15 +263,13 @@ func (s *Ingester) Ingest(records [][]byte) (int64, error) {
 		s.m.shedBytes.Add(size)
 		return 0, ErrOverloaded
 	}
-	seq := s.nextSeq
-	s.buf = appendBatch(s.buf[:0], seq, records)
-	seg, off, err := s.w.Append(seq, s.buf)
+	seq, seg, off, err := s.w.Append(func(dst []byte, seq int64) []byte {
+		return appendBatch(dst, seq, records)
+	})
 	if err != nil {
 		s.inflight.Add(-size)
-		s.wedgeLocked(err)
 		return 0, err
 	}
-	s.nextSeq++
 	s.ackedBatches.Add(1)
 	s.ackedRecords.Add(int64(len(records)))
 	s.m.acceptedBatches.Add(1)
@@ -286,14 +280,14 @@ func (s *Ingester) Ingest(records [][]byte) (int64, error) {
 }
 
 // foldLoop drains acknowledged batches into the resident fold and
-// takes periodic checkpoints. A checkpoint failure wedges the service
-// and stops folding — mirroring a crash, which is exactly what the
-// failpoint tests simulate.
+// takes periodic checkpoints. A checkpoint failure wedges the log,
+// hence the service, and stops folding — mirroring a crash, which is
+// exactly what the failpoint tests simulate.
 func (s *Ingester) foldLoop() {
 	defer close(s.foldDone)
 	for p := range s.queue {
-		if fp := s.cfg.Fail; fp != nil && fp.FoldDelay != nil && !s.aborted.Load() {
-			fp.FoldDelay(p.seq)
+		if delay := s.cfg.Fail.FoldDelay; delay != nil && !s.aborted.Load() {
+			delay(p.seq)
 		}
 		if s.aborted.Load() {
 			s.inflight.Add(-p.bytes)
@@ -305,10 +299,7 @@ func (s *Ingester) foldLoop() {
 		s.m.foldedRecords.Add(int64(len(p.records)))
 		s.inflight.Add(-p.bytes)
 		if s.cfg.CheckpointEvery > 0 && p.seq%s.cfg.CheckpointEvery == 0 {
-			if err := s.writeCkpt(p.seg, p.off); err != nil {
-				s.mu.Lock()
-				s.wedgeLocked(err)
-				s.mu.Unlock()
+			if s.writeCkpt(p.seg, p.off) != nil {
 				return
 			}
 		}
@@ -320,22 +311,7 @@ func (s *Ingester) foldLoop() {
 func (s *Ingester) writeCkpt(seg, off int64) error {
 	ck := s.folder.snapshot()
 	ck.Seg, ck.Off = seg, off
-	data := encodeCheckpoint(ck)
-	if err := s.w.WriteImage(seglog.ImageRef{ID: ck.Seq, Seg: seg, Off: off}, data); err != nil {
-		return err
-	}
-	s.m.checkpoints.Add(1)
-	s.m.checkpointBytes.Add(int64(len(data)))
-	s.lastCkptSeq = ck.Seq
-	return nil
-}
-
-// wedgeLocked records a fatal error; every later Ingest returns it
-// and Healthy reports it. Callers hold s.mu.
-func (s *Ingester) wedgeLocked(err error) {
-	if s.failErr == nil {
-		s.failErr = err
-	}
+	return s.w.WriteImage(seglog.ImageRef{ID: ck.Seq, Seg: seg, Off: off}, encodeCheckpoint(ck))
 }
 
 // Drain stops admission, folds everything already acknowledged, takes
@@ -357,24 +333,18 @@ func (s *Ingester) Drain(ctx context.Context) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.failErr != nil {
-		return s.failErr
+	if err := s.w.Err(); err != nil {
+		return err
 	}
-	if s.cfg.CheckpointEvery > 0 && s.folder.foldedBatches > s.lastCkptSeq {
+	if s.cfg.CheckpointEvery > 0 && s.folder.foldedBatches > s.w.Stats().LastImage {
 		if err := s.writeCkpt(s.lastSeg, s.lastOff); err != nil {
-			s.wedgeLocked(err)
 			return err
 		}
 	}
 	if err := s.w.Seal(); err != nil {
-		s.wedgeLocked(err)
 		return err
 	}
-	if err := s.w.Close(); err != nil {
-		s.wedgeLocked(err)
-		return err
-	}
-	return nil
+	return s.w.Close()
 }
 
 // Abort simulates the process dying in place (tests): the WAL file is
@@ -384,7 +354,6 @@ func (s *Ingester) Drain(ctx context.Context) error {
 func (s *Ingester) Abort() {
 	s.aborted.Store(true)
 	s.mu.Lock()
-	s.wedgeLocked(errors.New("ingest: aborted"))
 	s.draining = true
 	if !s.closed {
 		s.closed = true
@@ -399,8 +368,8 @@ func (s *Ingester) Abort() {
 func (s *Ingester) Healthy() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.failErr != nil {
-		return s.failErr
+	if err := s.w.Err(); err != nil {
+		return err
 	}
 	if s.draining {
 		return ErrDraining
@@ -471,23 +440,21 @@ func (s *Ingester) Metrics() MetricsSnapshot {
 		FoldedRecords:   s.m.foldedRecords.Load(),
 		InflightBytes:   s.inflight.Load(),
 		QueueDepth:      len(s.queue),
-		Checkpoints:     s.m.checkpoints.Load(),
-		CheckpointBytes: s.m.checkpointBytes.Load(),
 		Recovery:        s.Recovery,
 	}
 	s.mu.Lock()
-	if s.w != nil {
-		st := s.w.Stats()
-		snap.WALSegment = st.Seg
-		snap.WALOffset = st.Off
-		snap.WALSeals = st.Seals
-		snap.WALSyncs = st.Syncs
-		snap.WALAppendedBytes = st.AppendedBytes
-	}
+	st := s.w.Stats()
 	snap.Draining = s.draining
-	if s.failErr != nil {
-		snap.Wedged = s.failErr.Error()
-	}
 	s.mu.Unlock()
+	snap.WALSegment = st.Seg
+	snap.WALOffset = st.Off
+	snap.WALSeals = st.Seals
+	snap.WALSyncs = st.Syncs
+	snap.WALAppendedBytes = st.AppendedBytes
+	snap.Checkpoints = st.Images
+	snap.CheckpointBytes = st.ImageBytes
+	if err := s.w.Err(); err != nil {
+		snap.Wedged = err.Error()
+	}
 	return snap
 }

@@ -10,7 +10,10 @@
 // Durability contract: a batch is acknowledged (2xx) only after its
 // frame is fsynced into the open WAL segment. Acknowledged batches
 // survive kill -9; unacknowledged ones may be lost (torn tails are
-// truncated on recovery) and clients retry them. Folding is
+// truncated on recovery) and clients retry them. The log
+// (internal/seglog) numbers the batches and decides what a failed
+// write means: after the first one it refuses everything, and the
+// service reports the log's error as its own health. Folding is
 // asynchronous behind a byte-bounded queue: when the budget is
 // exhausted the service sheds load with ErrOverloaded instead of
 // growing memory.
@@ -20,44 +23,19 @@ import "repro/internal/seglog"
 
 // ErrCrash is returned by injected failpoints to simulate the process
 // dying at that exact point (fsync that never happened, seal cut
-// short, checkpoint half-written). The service wedges itself when it
-// surfaces; the crash harness then reopens the directory like a fresh
-// process would.
+// short, checkpoint half-written). The log wedges on it — every later
+// append and checkpoint refuses with the same error — and the crash
+// harness then reopens the directory like a fresh process would.
 var ErrCrash = seglog.ErrCrash
 
-// Failpoints are test hooks for crash and overload injection. All are
-// optional; a nil Failpoints (or field) is a no-op.
+// Failpoints are test hooks for crash and overload injection: the
+// log's own (record ids are batch seqs, images are checkpoints) plus
+// the fold's. All are optional.
 type Failpoints struct {
-	// BeforeAppendSync fires before fsyncing batch seq's frame; a
-	// non-nil error aborts the append after the (unsynced) write.
-	BeforeAppendSync func(seq int64) error
-	// TornAppend, if non-nil and returning n >= 0 for batch seq,
-	// persists only the first n bytes of the frame and fails the
-	// append — a torn write at a controlled offset.
-	TornAppend func(seq int64) int
-	// BeforeSeal fires before sealing segment seg.
-	BeforeSeal func(seg int64) error
-	// TornCheckpoint, if non-nil and returning n >= 0 for the
-	// checkpoint at seq, persists only the first n bytes of the
-	// checkpoint file and fails — a torn checkpoint that recovery must
-	// fall back from.
-	TornCheckpoint func(seq int64) int
+	seglog.Failpoints
 	// FoldDelay is called before folding each batch; tests use it to
 	// stall the folder and force admission control to engage.
 	FoldDelay func(seq int64)
-}
-
-// logFail hands the WAL's share of the hooks to the log layer.
-func (fp *Failpoints) logFail() *seglog.Failpoints {
-	if fp == nil {
-		return nil
-	}
-	return &seglog.Failpoints{
-		TornAppend: fp.TornAppend,
-		BeforeSync: fp.BeforeAppendSync,
-		BeforeSeal: fp.BeforeSeal,
-		TornImage:  fp.TornCheckpoint,
-	}
 }
 
 // layout is the WAL directory's shape in internal/seglog's terms:

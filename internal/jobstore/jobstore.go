@@ -6,6 +6,13 @@
 // compacted snapshots of the full bucket state as the log's images,
 // and seglog.Recover's newest-good-image + suffix-replay recovery.
 //
+// The log numbers the transactions (Append hands the commit encoder
+// its txid), counts commits and snapshots (Stats), and decides what a
+// failed write means: after the first one it is wedged, and Update,
+// Compact, Close and Metrics report its error (Log.Err) — the store
+// keeps no failure state of its own. What this package adds is the
+// two payload codecs, written over frame.Cursor, and the buckets.
+//
 // Durability contract: when Update returns nil, the transaction's
 // frame is fsynced in the open log segment and survives kill -9.
 // Recovery restores the newest good snapshot and replays only the
@@ -44,8 +51,8 @@ type Config struct {
 	Dir string
 	// SealBytes seals the open log segment at this size. Default 1 MiB.
 	SealBytes int64
-	// CompactEvery writes a compacted snapshot after every Nth commit.
-	// Default 512; negative disables compaction.
+	// CompactEvery writes a compacted snapshot once N commits are not in
+	// one yet. Default 512; negative disables compaction.
 	CompactEvery int64
 	// RetainSnapshots keeps this many newest snapshots (and the log
 	// segments they need). Default 2, minimum 1.
@@ -121,15 +128,9 @@ type Store struct {
 
 	mu      sync.Mutex
 	log     *seglog.Log
-	buf     []byte // commit payload scratch
 	buckets map[string]*bucket
 	names   []string // bucket creation order
-	nextTx  int64
-	commits int64 // commits since the last snapshot
 	closed  bool
-	failErr error // wedged: every later Update refuses
-
-	snapshots, snapshotBytes int64
 
 	// Recovery reports what Open did; immutable afterwards.
 	Recovery RecoveryInfo
@@ -278,8 +279,8 @@ func (s *Store) Update(fn func(tx *Tx) error) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if s.failErr != nil {
-		return s.failErr
+	if err := s.log.Err(); err != nil {
+		return err
 	}
 	tx := &Tx{s: s, writable: true}
 	ferr := fn(tx)
@@ -287,21 +288,24 @@ func (s *Store) Update(fn func(tx *Tx) error) error {
 	if len(tx.ops) == 0 {
 		return ferr
 	}
-	txid := s.nextTx
-	s.buf = appendCommit(s.buf[:0], txid, tx.ops)
-	if _, _, err := s.log.Append(txid, s.buf); err != nil {
-		s.wedge(err)
+	if _, _, _, err := s.log.Append(func(dst []byte, txid int64) []byte {
+		return appendCommit(dst, txid, tx.ops)
+	}); err != nil {
 		return err
 	}
-	s.nextTx++
-	s.commits++
-	if ferr == nil && s.cfg.CompactEvery > 0 && s.commits >= s.cfg.CompactEvery {
+	if ferr == nil && s.cfg.CompactEvery > 0 && s.commitsSinceSnapshot() >= s.cfg.CompactEvery {
 		if err := s.compactLocked(); err != nil {
-			s.wedge(err)
 			return err
 		}
 	}
 	return ferr
+}
+
+// commitsSinceSnapshot counts the transactions the newest snapshot
+// does not hold — what a restart now would replay. Callers hold s.mu.
+func (s *Store) commitsSinceSnapshot() int64 {
+	at := s.log.Stats()
+	return at.NextID - 1 - at.LastImage
 }
 
 // View runs fn in a read-only transaction.
@@ -317,14 +321,6 @@ func (s *Store) View(fn func(tx *Tx) error) error {
 	return err
 }
 
-// wedge records a fatal persistence error; every later Update refuses
-// with it. Callers hold s.mu.
-func (s *Store) wedge(err error) {
-	if s.failErr == nil {
-		s.failErr = err
-	}
-}
-
 // Compact writes a snapshot of the full bucket state and prunes log
 // segments and older snapshots it subsumes.
 func (s *Store) Compact() error {
@@ -333,14 +329,7 @@ func (s *Store) Compact() error {
 	if s.closed {
 		return ErrClosed
 	}
-	if s.failErr != nil {
-		return s.failErr
-	}
-	if err := s.compactLocked(); err != nil {
-		s.wedge(err)
-		return err
-	}
-	return nil
+	return s.compactLocked()
 }
 
 // Close seals the log and closes the store. A final snapshot is
@@ -353,15 +342,8 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.failErr != nil {
-		s.log.Abort()
-		return s.failErr
-	}
-	if s.cfg.CompactEvery > 0 && s.commits > 0 {
-		if err := s.compactLocked(); err != nil {
-			s.log.Abort()
-			return err
-		}
+	if s.cfg.CompactEvery > 0 && s.commitsSinceSnapshot() > 0 {
+		s.compactLocked() // a failure wedges the log; Close reports it
 	}
 	return s.log.Close()
 }
@@ -426,23 +408,21 @@ type Metrics struct {
 func (s *Store) Metrics() Metrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	st := s.log.Stats()
 	m := Metrics{
-		Buckets:       len(s.buckets),
-		Commits:       s.commits,
-		NextTx:        s.nextTx,
-		Snapshots:     s.snapshots,
-		SnapshotBytes: s.snapshotBytes,
-		Recovery:      s.Recovery,
+		Buckets:          len(s.buckets),
+		Commits:          s.commitsSinceSnapshot(),
+		NextTx:           st.NextID,
+		LogSegment:       st.Seg,
+		LogOffset:        st.Off,
+		LogSyncs:         st.Syncs,
+		LogAppendedBytes: st.AppendedBytes,
+		Snapshots:        st.Images,
+		SnapshotBytes:    st.ImageBytes,
+		Recovery:         s.Recovery,
 	}
-	if s.log != nil {
-		st := s.log.Stats()
-		m.LogSegment = st.Seg
-		m.LogOffset = st.Off
-		m.LogSyncs = st.Syncs
-		m.LogAppendedBytes = st.AppendedBytes
-	}
-	if s.failErr != nil {
-		m.Wedged = s.failErr.Error()
+	if err := s.log.Err(); err != nil {
+		m.Wedged = err.Error()
 	}
 	return m
 }

@@ -263,7 +263,7 @@ func TestTornCommitIsNotAcknowledgedAndNotRecovered(t *testing.T) {
 	dir := t.TempDir()
 	const crashAt = 7
 	cfg := Config{Dir: dir, CompactEvery: -1, Fail: &Failpoints{
-		TornCommit: func(txid int64) int {
+		TornAppend: func(txid int64) int {
 			if txid == crashAt {
 				return 5 // tear mid-frame
 			}
@@ -314,7 +314,7 @@ func TestTornSnapshotFallsBackToPrevious(t *testing.T) {
 	dir := t.TempDir()
 	tearNext := false
 	cfg := Config{Dir: dir, CompactEvery: -1, Fail: &Failpoints{
-		TornSnapshot: func(txid int64) int {
+		TornImage: func(txid int64) int {
 			if tearNext {
 				return 10
 			}
@@ -394,7 +394,7 @@ func TestWedgeAfterCommitError(t *testing.T) {
 	boom := errors.New("disk on fire")
 	armed := false
 	s, err := Open(Config{Dir: t.TempDir(), CompactEvery: -1, Fail: &Failpoints{
-		BeforeCommitSync: func(int64) error {
+		BeforeSync: func(int64) error {
 			if armed {
 				return boom
 			}

@@ -1,7 +1,6 @@
 package jobstore
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -43,33 +42,23 @@ type snapBucket struct {
 	pairs [][2][]byte // insertion order
 }
 
-func appendUvarint(dst []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	return append(dst, tmp[:binary.PutUvarint(tmp[:], v)]...)
-}
-
-func appendBytes(dst, b []byte) []byte {
-	dst = appendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
 // encodeSnapshot renders the current bucket state (caller holds s.mu)
 // into its file representation.
 func (s *Store) encodeSnapshot(txid, seg, off int64) []byte {
 	var hdr []byte
 	for _, v := range []int64{snapshotVersion, txid, seg, off, int64(len(s.names))} {
-		hdr = appendUvarint(hdr, uint64(v))
+		hdr = frame.AppendUvarint(hdr, uint64(v))
 	}
 	out := frame.Append(nil, hdr)
 	var body []byte
 	for _, name := range s.names {
 		b := s.buckets[name]
-		body = appendBytes(body[:0], []byte(name))
-		body = appendUvarint(body, b.seq)
-		body = appendUvarint(body, uint64(len(b.keys)))
+		body = frame.AppendString(body[:0], name)
+		body = frame.AppendUvarint(body, b.seq)
+		body = frame.AppendUvarint(body, uint64(len(b.keys)))
 		for _, k := range b.keys {
-			body = appendBytes(body, []byte(k))
-			body = appendBytes(body, b.vals[k])
+			body = frame.AppendString(body, k)
+			body = frame.AppendBytes(body, b.vals[k])
 		}
 		out = frame.Append(out, body)
 	}
@@ -84,24 +73,17 @@ func decodeSnapshot(b []byte) (*snapshot, error) {
 		return nil, err
 	}
 	b = b[n:]
-	var fields [5]int64
-	for i := range fields {
-		v, vn := binary.Uvarint(hdr)
-		if vn <= 0 {
-			return nil, fmt.Errorf("%w: short header", ErrBadSnapshot)
-		}
-		fields[i] = int64(v)
-		hdr = hdr[vn:]
+	c := frame.NewCursor(hdr)
+	version := c.Uvarint()
+	sn := &snapshot{Txid: int64(c.Uvarint()), Seg: int64(c.Uvarint()), Off: int64(c.Uvarint())}
+	nb := int64(c.Uvarint())
+	if err := c.Done(); err != nil {
+		return nil, fmt.Errorf("%w: header: %v", ErrBadSnapshot, err)
 	}
-	if len(hdr) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing header bytes", ErrBadSnapshot, len(hdr))
+	if version != snapshotVersion {
+		return nil, fmt.Errorf("%w: version %d (want %d)", ErrBadSnapshot, version, snapshotVersion)
 	}
-	if fields[0] != snapshotVersion {
-		return nil, fmt.Errorf("%w: version %d (want %d)", ErrBadSnapshot, fields[0], snapshotVersion)
-	}
-	sn := &snapshot{Txid: fields[1], Seg: fields[2], Off: fields[3]}
-	nb := fields[4]
-	for i := int64(0); i < nb; i++ {
+	for ; nb > 0; nb-- {
 		body, bn, err := frame.Next(b)
 		if err != nil {
 			return nil, err
@@ -119,47 +101,18 @@ func decodeSnapshot(b []byte) (*snapshot, error) {
 	return sn, nil
 }
 
+// decodeSnapBucket parses one bucket frame. Values are copied out of
+// the file buffer (an empty one is nil, as after a live Put); keys
+// alias it until restoreSnapshot makes them strings.
 func decodeSnapBucket(p []byte) (snapBucket, error) {
-	var bk snapBucket
-	next := func() (uint64, bool) {
-		v, n := binary.Uvarint(p)
-		if n <= 0 {
-			return 0, false
-		}
-		p = p[n:]
-		return v, true
+	c := frame.NewCursor(p)
+	bk := snapBucket{name: c.String(), seq: c.Uvarint()}
+	bk.pairs = make([][2][]byte, c.Count(int64(c.Uvarint())))
+	for i := range bk.pairs {
+		bk.pairs[i] = [2][]byte{c.Bytes(), append([]byte(nil), c.Bytes()...)}
 	}
-	bs := func() ([]byte, bool) {
-		ln, ok := next()
-		if !ok || ln > uint64(len(p)) {
-			return nil, false
-		}
-		b := append([]byte(nil), p[:ln]...)
-		p = p[ln:]
-		return b, true
-	}
-	name, ok := bs()
-	if !ok {
-		return bk, fmt.Errorf("%w: bucket name", ErrBadSnapshot)
-	}
-	bk.name = string(name)
-	if bk.seq, ok = next(); !ok {
-		return bk, fmt.Errorf("%w: bucket seq", ErrBadSnapshot)
-	}
-	npairs, ok := next()
-	if !ok {
-		return bk, fmt.Errorf("%w: bucket pair count", ErrBadSnapshot)
-	}
-	for i := uint64(0); i < npairs; i++ {
-		k, ok1 := bs()
-		v, ok2 := bs()
-		if !ok1 || !ok2 {
-			return bk, fmt.Errorf("%w: bucket %s pair %d", ErrBadSnapshot, bk.name, i)
-		}
-		bk.pairs = append(bk.pairs, [2][]byte{k, v})
-	}
-	if len(p) != 0 {
-		return bk, fmt.Errorf("%w: %d trailing bucket bytes", ErrBadSnapshot, len(p))
+	if err := c.Done(); err != nil {
+		return bk, fmt.Errorf("%w: bucket %q: %v", ErrBadSnapshot, bk.name, err)
 	}
 	return bk, nil
 }
@@ -181,22 +134,19 @@ func (s *Store) restoreSnapshot(sn *snapshot) {
 // log layer prunes the snapshots and segments it subsumes. Callers
 // hold s.mu.
 func (s *Store) compactLocked() error {
-	txid, at := s.nextTx-1, s.log.Stats()
-	data := s.encodeSnapshot(txid, at.Seg, at.Off)
-	if err := s.log.WriteImage(seglog.ImageRef{ID: txid, Seg: at.Seg, Off: at.Off}, data); err != nil {
-		return err
+	if err := s.log.Err(); err != nil {
+		return err // before the state is encoded for nothing
 	}
-	s.snapshots++
-	s.snapshotBytes += int64(len(data))
-	s.commits = 0
-	return nil
+	at := s.log.Stats()
+	txid := at.NextID - 1
+	return s.log.WriteImage(seglog.ImageRef{ID: txid, Seg: at.Seg, Off: at.Off}, s.encodeSnapshot(txid, at.Seg, at.Off))
 }
 
 // recover restores the newest good snapshot and replays the log suffix
 // behind it, asserting transaction-id contiguity; see Open.
 func (s *Store) recover() error {
 	log, info, err := seglog.Recover(&layout, seglog.Options{
-		Dir: s.cfg.Dir, SealBytes: s.cfg.SealBytes, Retain: s.cfg.RetainSnapshots, Fail: s.cfg.Fail.logFail(),
+		Dir: s.cfg.Dir, SealBytes: s.cfg.SealBytes, Retain: s.cfg.RetainSnapshots, Fail: s.cfg.Fail,
 	}, seglog.Replay{
 		Image: func(data []byte) (seglog.ImageRef, func() error, error) {
 			sn, err := decodeSnapshot(data)
@@ -226,6 +176,5 @@ func (s *Store) recover() error {
 		SnapshotsDiscarded: info.ImagesTorn + info.ImagesCorrupt,
 	}
 	s.log = log
-	s.nextTx = info.NextID
 	return nil
 }

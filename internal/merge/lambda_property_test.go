@@ -115,26 +115,29 @@ func TestMergePolicyMatchesSizeModel(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		if tree.SpilledBytes() != ref.spill {
-			t.Errorf("n=%d b=%d F=%d: spilled %d, size-model %d", n, b, f, tree.SpilledBytes(), ref.spill)
+		// What the tree wrote, as the store counted it: every byte under
+		// its class, and the part beyond the initial runs.
+		spilled := st.Counters().WrittenBytes[storage.ReduceSpill]
+		if spilled != ref.spill {
+			t.Errorf("n=%d b=%d F=%d: spilled %d, size-model %d", n, b, f, spilled, ref.spill)
 		}
-		if tree.MergedBytes() != ref.merged {
-			t.Errorf("n=%d b=%d F=%d: merged %d, size-model %d", n, b, f, tree.MergedBytes(), ref.merged)
+		if merged := spilled - totalInitial; merged != ref.merged {
+			t.Errorf("n=%d b=%d F=%d: merged %d, size-model %d", n, b, f, merged, ref.merged)
 		}
 		if ch.passes != ref.passes {
 			t.Errorf("n=%d b=%d F=%d: %d merge passes, size-model %d", n, b, f, ch.passes, ref.passes)
 		}
-		if tree.Files() != len(ref.sizes) {
-			t.Errorf("n=%d b=%d F=%d: %d files left, size-model %d", n, b, f, tree.Files(), len(ref.sizes))
+		if len(tree.files) != len(ref.sizes) {
+			t.Errorf("n=%d b=%d F=%d: %d files left, size-model %d", n, b, f, len(tree.files), len(ref.sizes))
 		}
-		if tree.Files() >= 2*f-1 {
-			t.Errorf("n=%d b=%d F=%d: %d files ≥ 2F−1 after Complete", n, b, f, tree.Files())
+		if len(tree.files) >= 2*f-1 {
+			t.Errorf("n=%d b=%d F=%d: %d files ≥ 2F−1 after Complete", n, b, f, len(tree.files))
 		}
 		// Below the 2F−1 trigger nothing merges: writes are exactly the
 		// initial runs.
-		if n < 2*f-1 && tree.SpilledBytes() != totalInitial {
+		if n < 2*f-1 && spilled != totalInitial {
 			t.Errorf("n=%d b=%d F=%d: no merge expected, spilled %d vs initial %d",
-				n, b, f, tree.SpilledBytes(), totalInitial)
+				n, b, f, spilled, totalInitial)
 		}
 		// λ_F cross-check at the actual mean run size. Eq. 2 was derived
 		// for idealized full merge trees; arbitrary (n, F) points track
@@ -143,10 +146,10 @@ func TestMergePolicyMatchesSizeModel(t *testing.T) {
 		// below the merge threshold).
 		bAvg := float64(totalInitial) / float64(n)
 		want := model.Lambda(f, float64(n), bAvg)
-		ratio := float64(tree.SpilledBytes()) / want
+		ratio := float64(spilled) / want
 		if ratio < 0.65 || ratio > 1.35 {
 			t.Errorf("n=%d b=%d F=%d: spilled %d vs λ=%.0f (ratio %.3f outside [0.65,1.35])",
-				n, b, f, tree.SpilledBytes(), want, ratio)
+				n, b, f, spilled, want, ratio)
 		}
 	}
 }

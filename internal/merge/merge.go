@@ -45,9 +45,6 @@ type Tree struct {
 	seg    int64 // read segment size for merge reads (physical bytes)
 	files  []diskRun
 	seq    int
-
-	spilledBytes int64 // physical bytes ever written (initial + merged)
-	mergedBytes  int64 // physical bytes written by merge passes only
 }
 
 // NewTree creates a merge tree whose files live on store with the
@@ -59,16 +56,6 @@ func NewTree(store *storage.Store, class storage.IOClass, prefix string, f int, 
 	}
 	return &Tree{store: store, class: class, prefix: prefix, f: f, seg: readSegment}
 }
-
-// Files returns the current number of on-disk files.
-func (t *Tree) Files() int { return len(t.files) }
-
-// SpilledBytes returns all physical bytes written into the tree
-// (initial spills plus merge outputs): λ at physical scale.
-func (t *Tree) SpilledBytes() int64 { return t.spilledBytes }
-
-// MergedBytes returns physical bytes written by merge passes only.
-func (t *Tree) MergedBytes() int64 { return t.mergedBytes }
 
 // AddRun writes a sorted run of recs pairs to a new spill file, which
 // takes the buffer over (storage.AppendOwned: pass an exact-size
@@ -86,7 +73,6 @@ func (t *Tree) write(p substrate.Proc, kind string, run []byte, recs int64) disk
 	t.seq++
 	f := t.store.Create(fmt.Sprintf("%s.%s%d", t.prefix, kind, t.seq), t.class)
 	t.store.AppendOwned(p, f, run, t.class, nil)
-	t.spilledBytes += int64(len(run))
 	return diskRun{f, recs}
 }
 
@@ -135,7 +121,6 @@ func (t *Tree) MergeOnce(p substrate.Proc, charge func(records int64)) bool {
 	}
 
 	out := t.write(p, "merge", merged, records)
-	t.mergedBytes += int64(len(merged))
 	kept := t.files[:0]
 	for _, r := range t.files {
 		if isVictim[r.file] {

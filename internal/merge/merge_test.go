@@ -25,63 +25,74 @@ func makeRun(rng *rand.Rand, want int) []byte {
 	return sorted
 }
 
+// treeRun is what runTree leaves: the fully merged output and the
+// bytes the store counted under the tree's I/O class — spilled is
+// everything written (initial runs plus merge outputs: λ at physical
+// scale), merged the part merge passes wrote.
+type treeRun struct {
+	out             []byte
+	spilled, merged int64
+}
+
 // runTree feeds n runs of b bytes through a Tree with factor f,
-// driving merges the way a reduce task would, and returns the tree
-// plus the fully merged output.
-func runTree(t *testing.T, n, b, f int) (*Tree, []byte) {
+// driving merges the way a reduce task would.
+func runTree(t *testing.T, n, b, f int) treeRun {
 	t.Helper()
 	k := sim.NewKernel()
 	st := storage.NewStore(k, 0, cost.Default(1))
 	tree := NewTree(st, storage.ReduceSpill, "r0", f, 0)
-	var out []byte
+	var res treeRun
+	var initial int64
 	k.Spawn("reducer", func(p *sim.Proc) {
 		rng := rand.New(rand.NewSource(42))
 		for i := 0; i < n; i++ {
-			addRun(tree, p, makeRun(rng, b))
+			run := makeRun(rng, b)
+			initial += int64(len(run))
+			addRun(tree, p, run)
 			for tree.NeedsMerge() {
 				tree.MergeOnce(p, nil)
 			}
 		}
 		tree.Complete(p, nil)
-		out = mergeStream(finalRuns(tree, p))
+		res.out = mergeStream(finalRuns(tree, p))
+		if len(tree.files) != 0 {
+			t.Errorf("FinalRuns left %d files", len(tree.files))
+		}
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return tree, out
+	res.spilled = st.Counters().WrittenBytes[storage.ReduceSpill]
+	res.merged = res.spilled - initial
+	return res
 }
 
 func TestNoMergeBelowThreshold(t *testing.T) {
 	f := 8
-	tree, out := runTree(t, 2*f-2, 10_000, f) // one fewer than 2F−1
-	if tree.MergedBytes() != 0 {
-		t.Fatalf("merged %d bytes below threshold", tree.MergedBytes())
+	run := runTree(t, 2*f-2, 10_000, f) // one fewer than 2F−1
+	if run.merged != 0 {
+		t.Fatalf("merged %d bytes below threshold", run.merged)
 	}
-	if !kvenc.IsSorted(out) {
+	if !kvenc.IsSorted(run.out) {
 		t.Fatal("final output not sorted")
 	}
 }
 
 func TestMergeTriggersAtThreshold(t *testing.T) {
 	f := 4
-	tree, _ := runTree(t, 2*f-1, 10_000, f)
-	if tree.MergedBytes() == 0 {
+	if runTree(t, 2*f-1, 10_000, f).merged == 0 {
 		t.Fatal("no merge at 2F−1 files")
-	}
-	// After merging F of 2F−1 files, F files remain, below threshold.
-	if tree.Files() != 0 { // FinalRuns consumed them
-		t.Fatalf("files left: %d", tree.Files())
 	}
 }
 
 func TestFinalOutputSortedAndComplete(t *testing.T) {
-	tree, out := runTree(t, 40, 8_000, 4)
-	if !kvenc.IsSorted(out) {
+	run := runTree(t, 40, 8_000, 4)
+	if !kvenc.IsSorted(run.out) {
 		t.Fatal("not sorted")
 	}
 	// Every byte written was either an initial spill or a merge write.
-	if tree.SpilledBytes() <= tree.MergedBytes() {
-		t.Fatal("accounting broken")
+	if run.merged <= 0 || run.spilled <= run.merged {
+		t.Fatalf("accounting broken: %d spilled, %d of them merged", run.spilled, run.merged)
 	}
 }
 
@@ -117,7 +128,7 @@ func TestEmptyRunIgnored(t *testing.T) {
 	tree := NewTree(st, storage.ReduceSpill, "r0", 4, 0)
 	k.Spawn("r", func(p *sim.Proc) {
 		addRun(tree, p, nil)
-		if tree.Files() != 0 {
+		if len(tree.files) != 0 {
 			t.Error("empty run created a file")
 		}
 	})
@@ -136,8 +147,7 @@ func TestLambdaCrossValidation(t *testing.T) {
 		for h := 3; h <= 4; h++ {
 			n := (f + (f-1)*(h-2)) * f
 			b := 4_000
-			tree, _ := runTree(t, n, b, f)
-			got := float64(tree.SpilledBytes())
+			got := float64(runTree(t, n, b, f).spilled)
 			want := model.Lambda(f, float64(n), float64(b))
 			ratio := got / want
 			if ratio < 0.80 || ratio > 1.20 {
@@ -152,17 +162,16 @@ func TestLambdaCrossValidation(t *testing.T) {
 func TestMergedBytesDecreaseWithF(t *testing.T) {
 	var prev int64 = 1 << 62
 	for _, f := range []int{3, 5, 9, 17} {
-		tree, _ := runTree(t, 33, 4_000, f)
-		if tree.MergedBytes() > prev {
-			t.Fatalf("F=%d merged %d > previous %d", f, tree.MergedBytes(), prev)
+		merged := runTree(t, 33, 4_000, f).merged
+		if merged > prev {
+			t.Fatalf("F=%d merged %d > previous %d", f, merged, prev)
 		}
-		prev = tree.MergedBytes()
+		prev = merged
 	}
 	// F=17 ≥ 33/2: one background merge at most; F=33 would be fully
 	// one-pass.
-	tree, _ := runTree(t, 33, 4_000, 33)
-	if tree.MergedBytes() != 0 {
-		t.Fatalf("one-pass factor still merged %d bytes", tree.MergedBytes())
+	if merged := runTree(t, 33, 4_000, 33).merged; merged != 0 {
+		t.Fatalf("one-pass factor still merged %d bytes", merged)
 	}
 }
 
@@ -172,10 +181,13 @@ func TestIOChargedToReduceSpillClass(t *testing.T) {
 	k := sim.NewKernel()
 	st := storage.NewStore(k, 0, cost.Default(1))
 	tree := NewTree(st, storage.ReduceSpill, "r0", 3, 0)
+	var initial int64
 	k.Spawn("r", func(p *sim.Proc) {
 		rng := rand.New(rand.NewSource(3))
 		for i := 0; i < 10; i++ {
-			addRun(tree, p, makeRun(rng, 3000))
+			run := makeRun(rng, 3000)
+			initial += int64(len(run))
+			addRun(tree, p, run)
 			for tree.NeedsMerge() {
 				tree.MergeOnce(p, nil)
 			}
@@ -187,12 +199,12 @@ func TestIOChargedToReduceSpillClass(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := st.Counters()
-	if c.WrittenBytes[storage.ReduceSpill] != tree.SpilledBytes() {
-		t.Fatalf("written %d vs spilled %d", c.WrittenBytes[storage.ReduceSpill], tree.SpilledBytes())
+	if c.WrittenBytes[storage.ReduceSpill] < initial {
+		t.Fatalf("written %d, below the %d bytes of the runs added", c.WrittenBytes[storage.ReduceSpill], initial)
 	}
 	// Everything written must eventually be read back (merges + final).
-	if c.ReadBytes[storage.ReduceSpill] != tree.SpilledBytes() {
-		t.Fatalf("read %d vs spilled %d", c.ReadBytes[storage.ReduceSpill], tree.SpilledBytes())
+	if c.ReadBytes[storage.ReduceSpill] != c.WrittenBytes[storage.ReduceSpill] {
+		t.Fatalf("read %d vs written %d", c.ReadBytes[storage.ReduceSpill], c.WrittenBytes[storage.ReduceSpill])
 	}
 	if c.WrittenBytes[storage.MapSpill] != 0 {
 		t.Fatal("wrong class charged")
@@ -247,10 +259,10 @@ func TestPeekRunsNonDestructive(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			addRun(tree, p, makeRun(rng, 2000))
 		}
-		before := tree.Files()
+		before := len(tree.files)
 		peek := mergeStream(tree.PeekRuns(p))
-		if tree.Files() != before {
-			t.Errorf("peek consumed files: %d -> %d", before, tree.Files())
+		if len(tree.files) != before {
+			t.Errorf("peek consumed files: %d -> %d", before, len(tree.files))
 		}
 		// A second peek and the final consumption see the same data.
 		peek2 := mergeStream(tree.PeekRuns(p))
@@ -258,8 +270,8 @@ func TestPeekRunsNonDestructive(t *testing.T) {
 		if string(peek) != string(peek2) || string(peek) != string(final) {
 			t.Error("peek/final disagree")
 		}
-		if tree.Files() != 0 {
-			t.Errorf("final runs left %d files", tree.Files())
+		if len(tree.files) != 0 {
+			t.Errorf("final runs left %d files", len(tree.files))
 		}
 	})
 	if err := k.Run(); err != nil {

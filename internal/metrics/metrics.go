@@ -208,17 +208,6 @@ func Progress(samples []Sample, tot Totals) []ProgressPoint {
 	return out
 }
 
-// TimeOfReduceProgress returns the first sample time at which reduce
-// progress reached at least target, or -1 if never.
-func TimeOfReduceProgress(points []ProgressPoint, target float64) time.Duration {
-	for _, p := range points {
-		if p.Reduce >= target {
-			return p.T
-		}
-	}
-	return -1
-}
-
 // Gauges tracks live per-phase task counts for the timeline. The
 // engine moves tasks between phases; the zero value is ready to use.
 type Gauges struct {

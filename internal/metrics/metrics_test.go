@@ -148,20 +148,6 @@ func TestProgressClamped(t *testing.T) {
 	}
 }
 
-func TestTimeOfReduceProgress(t *testing.T) {
-	pts := []ProgressPoint{
-		{T: time.Second, Reduce: 0.2},
-		{T: 2 * time.Second, Reduce: 0.5},
-		{T: 3 * time.Second, Reduce: 1},
-	}
-	if got := TimeOfReduceProgress(pts, 0.5); got != 2*time.Second {
-		t.Fatalf("got %v", got)
-	}
-	if got := TimeOfReduceProgress(pts, 1.01); got != -1 {
-		t.Fatalf("got %v", got)
-	}
-}
-
 func TestGauges(t *testing.T) {
 	var g Gauges
 	g.Enter(PhaseMap)

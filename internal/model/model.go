@@ -103,33 +103,6 @@ func TimeCost(w Workload, h Hardware, p Params, c Constants) float64 {
 	return c.CByte*IOBytes(w, h, p) + c.CSeek*IORequests(w, h, p) + c.CStart*MapTasksPerNode(w, h, p)
 }
 
-// GridPoint is one (C, F) cell of a sweep.
-type GridPoint struct {
-	C float64
-	F int
-	T float64 // modeled time cost (seconds)
-	U float64 // modeled bytes per node
-	S float64 // modeled requests per node
-}
-
-// Sweep evaluates the model over the cross product of chunk sizes and
-// merge factors (the Fig 4(a)/(b) grids).
-func Sweep(w Workload, h Hardware, r int, cs []float64, fs []int, consts Constants) []GridPoint {
-	out := make([]GridPoint, 0, len(cs)*len(fs))
-	for _, f := range fs {
-		for _, c := range cs {
-			p := Params{R: r, C: c, F: f}
-			out = append(out, GridPoint{
-				C: c, F: f,
-				T: TimeCost(w, h, p, consts),
-				U: IOBytes(w, h, p),
-				S: IORequests(w, h, p),
-			})
-		}
-	}
-	return out
-}
-
 // Optimize returns the (C, F) minimizing T over the given candidate
 // sets, breaking ties toward larger C (fewer tasks) then smaller F.
 func Optimize(w Workload, h Hardware, r int, cs []float64, fs []int, consts Constants) Params {

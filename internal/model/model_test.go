@@ -147,20 +147,6 @@ func TestIORequestsPositiveAndGrowWithData(t *testing.T) {
 	}
 }
 
-func TestSweepGridSize(t *testing.T) {
-	cs := []float64{16e6, 64e6}
-	fs := []int{4, 16}
-	grid := Sweep(w32, h32, 4, cs, fs, PaperConstants())
-	if len(grid) != 4 {
-		t.Fatalf("grid size %d", len(grid))
-	}
-	for _, g := range grid {
-		if g.T <= 0 || g.U <= 0 || g.S <= 0 {
-			t.Fatalf("degenerate point %+v", g)
-		}
-	}
-}
-
 func TestOptimizeMatchesPaperStory(t *testing.T) {
 	// The paper reports default Hadoop (64MB chunks, F=10 but
 	// multi-pass merges at the reducer) improving ~14% with optimized

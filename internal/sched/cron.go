@@ -147,7 +147,3 @@ func (s *Schedule) dayMatches(t time.Time) bool {
 	}
 	return domOK && dowOK
 }
-
-// Interval reports the fixed @every interval, or 0 for cron-field
-// schedules.
-func (s *Schedule) Interval() time.Duration { return s.every }

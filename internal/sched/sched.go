@@ -163,7 +163,7 @@ func (s *Scheduler) recover() error {
 	type lostRun struct{ run Run }
 	var lost []lostRun
 	err := s.store.View(func(tx *jobstore.Tx) error {
-		if err := forEachJob(tx, "", func(j *Job) error {
+		if err := forEachJob(tx, func(j *Job) error {
 			s.jobs[j.ID] = j
 			return nil
 		}); err != nil {
@@ -443,20 +443,12 @@ func (s *Scheduler) Cancel(id string) (*Job, error) {
 
 // markRun rewrites one persisted run record through fn.
 func markRun(tx *jobstore.Tx, jobID string, runID uint64, fn func(*Run)) error {
-	var found *Run
-	if err := forEachRun(tx, jobID, func(r *Run) error {
-		if r.ID == runID {
-			found = r
-		}
-		return nil
-	}); err != nil {
+	r, err := getRun(tx, jobID, runID)
+	if err != nil {
 		return err
 	}
-	if found == nil {
-		return fmt.Errorf("sched: run %d of %s not persisted", runID, jobID)
-	}
-	fn(found)
-	return putRun(tx, found)
+	fn(r)
+	return putRun(tx, r)
 }
 
 // Limits returns org's effective admission policy.

@@ -9,25 +9,21 @@ import (
 )
 
 // Bucket schema inside the embedded job store. Compound keys join
-// components with '\x00' (never present in ids), so prefix scans walk
-// one org or one job without touching neighbors.
+// components with '\x00' (never present in ids), so a prefix scan walks
+// one job's runs without touching its neighbors.
 //
 //	jobs        job-id → Job JSON
-//	org_index   org \x00 job-id → job-id
-//	user_index  org \x00 user \x00 job-id → job-id
 //	limits      org → Limits JSON
 //	runs        job-id \x00 %016d(run-id) → Run JSON
 //	jobseq      (sequence only) global job numbers
 //	runseq/<org> (sequence only) per-org run ids — strictly monotonic
 //	             across restarts because the counter is replayed
 const (
-	bucketJobs      = "jobs"
-	bucketOrgIndex  = "org_index"
-	bucketUserIndex = "user_index"
-	bucketLimits    = "limits"
-	bucketRuns      = "runs"
-	bucketJobSeq    = "jobseq"
-	runSeqPrefix    = "runseq/"
+	bucketJobs   = "jobs"
+	bucketLimits = "limits"
+	bucketRuns   = "runs"
+	bucketJobSeq = "jobseq"
+	runSeqPrefix = "runseq/"
 )
 
 const keySep = "\x00"
@@ -36,35 +32,13 @@ func runKey(jobID string, runID uint64) []byte {
 	return []byte(fmt.Sprintf("%s%s%016d", jobID, keySep, runID))
 }
 
-// putJob writes the job record and its org/user index rows.
+// putJob writes the job record.
 func putJob(tx *jobstore.Tx, j *Job) error {
 	data, err := json.Marshal(j)
 	if err != nil {
 		return err
 	}
-	if err := tx.Bucket(bucketJobs).Put([]byte(j.ID), data); err != nil {
-		return err
-	}
-	if err := tx.Bucket(bucketOrgIndex).Put([]byte(j.Spec.Org+keySep+j.ID), []byte(j.ID)); err != nil {
-		return err
-	}
-	if j.Spec.User != "" {
-		return tx.Bucket(bucketUserIndex).Put(
-			[]byte(j.Spec.Org+keySep+j.Spec.User+keySep+j.ID), []byte(j.ID))
-	}
-	return nil
-}
-
-func getJob(tx *jobstore.Tx, id string) (*Job, error) {
-	data := tx.Bucket(bucketJobs).Get([]byte(id))
-	if data == nil {
-		return nil, ErrNotFound
-	}
-	var j Job
-	if err := json.Unmarshal(data, &j); err != nil {
-		return nil, fmt.Errorf("sched: corrupt job record %s: %w", id, err)
-	}
-	return &j, nil
+	return tx.Bucket(bucketJobs).Put([]byte(j.ID), data)
 }
 
 func putRun(tx *jobstore.Tx, r *Run) error {
@@ -73,6 +47,19 @@ func putRun(tx *jobstore.Tx, r *Run) error {
 		return err
 	}
 	return tx.Bucket(bucketRuns).Put(runKey(r.JobID, r.ID), data)
+}
+
+// getRun reads one run record by its key; its siblings are not touched.
+func getRun(tx *jobstore.Tx, jobID string, runID uint64) (*Run, error) {
+	data := tx.Bucket(bucketRuns).Get(runKey(jobID, runID))
+	if data == nil {
+		return nil, fmt.Errorf("sched: run %d of %s not persisted", runID, jobID)
+	}
+	var r Run
+	if err := json.Unmarshal(data, &r); err != nil {
+		return nil, fmt.Errorf("sched: corrupt run record %d of %s: %w", runID, jobID, err)
+	}
+	return &r, nil
 }
 
 // forEachRun visits every run of jobID in run-id order.
@@ -90,28 +77,14 @@ func forEachRun(tx *jobstore.Tx, jobID string, fn func(*Run) error) error {
 	})
 }
 
-// forEachJob visits every job, or only org's jobs when org is
-// non-empty.
-func forEachJob(tx *jobstore.Tx, org string, fn func(*Job) error) error {
-	if org == "" {
-		return tx.Bucket(bucketJobs).ForEach(func(_, v []byte) error {
-			var j Job
-			if err := json.Unmarshal(v, &j); err != nil {
-				return fmt.Errorf("sched: corrupt job record: %w", err)
-			}
-			return fn(&j)
-		})
-	}
-	prefix := org + keySep
-	return tx.Bucket(bucketOrgIndex).ForEach(func(k, id []byte) error {
-		if !strings.HasPrefix(string(k), prefix) {
-			return nil
+// forEachJob visits every job.
+func forEachJob(tx *jobstore.Tx, fn func(*Job) error) error {
+	return tx.Bucket(bucketJobs).ForEach(func(_, v []byte) error {
+		var j Job
+		if err := json.Unmarshal(v, &j); err != nil {
+			return fmt.Errorf("sched: corrupt job record: %w", err)
 		}
-		j, err := getJob(tx, string(id))
-		if err != nil {
-			return err
-		}
-		return fn(j)
+		return fn(&j)
 	})
 }
 

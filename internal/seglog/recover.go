@@ -35,7 +35,7 @@ type Replay struct {
 // suffix — never segments the restored image already subsumes.
 type Info struct {
 	Image         ImageRef // restored image; zero = none
-	NextID        int64    // id the next appended record must carry
+	NextID        int64    // id the next appended record carries
 	Replayed      int64    // records replayed behind the image
 	ReadBytes     int64
 	SkippedBytes  int64 // size of segments wholly before the image
@@ -155,6 +155,7 @@ func Recover(lay *Layout, o Options, rp Replay) (*Log, Info, error) {
 		return nil, info, err
 	}
 	l.f = f
+	l.st.NextID, l.img.last = info.NextID, img.ID
 	if len(segs) == 0 {
 		if err := syncDir(o.Dir); err != nil {
 			f.Close()

@@ -11,9 +11,18 @@
 // log suffix behind it, truncates a torn tail on the final segment and
 // refuses (SegmentError) damage anywhere else.
 //
-// The layer owns files, framing and positions; callers own what is
-// inside a record payload or an image and hand Recover the decoders.
-// The two callers differ only in a Layout constant.
+// The layer owns every durable-layer decision that is not an encoding:
+// files, framing and positions; record order — Append hands the next
+// record its id and advances only when the record is durable, so ids
+// are contiguous by construction and Recover's contiguity check is the
+// other half of one rule; and what a failed write means — the first
+// error out of Append, Seal, WriteImage or Close wedges the log (see
+// Log.Err), and the services above report that as their own health
+// instead of keeping a copy. Stats carries the position, the next id
+// and the append and image counters, so callers count nothing twice.
+// Callers own what is inside a record payload or an image (written
+// over frame.Cursor) and hand Recover the decoders; the two of them
+// differ only in a Layout constant.
 package seglog
 
 import (
@@ -22,14 +31,16 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 
 	"repro/internal/frame"
 )
 
 // ErrCrash is returned by injected failpoints to simulate the process
 // dying at that exact point (fsync that never happened, seal cut
-// short, image half-written). Callers wedge when it surfaces; crash
-// harnesses then reopen the directory like a fresh process would.
+// short, image half-written). The log wedges on it like on any other
+// failure; crash harnesses then reopen the directory like a fresh
+// process would.
 var ErrCrash = errors.New("seglog: injected crash")
 
 // Layout names one caller's files and errors. It is a constant of the
@@ -136,57 +147,100 @@ func (e *SegmentError) Error() string {
 // and the log position (segment, end offset) just past that record.
 type ImageRef struct{ ID, Seg, Off int64 }
 
-// Stats are the append side's position and monotonic counters.
+// Stats are the log's position and monotonic counters.
 type Stats struct {
 	Seg, Off                    int64 // open segment and its size
+	NextID                      int64 // id the next appended record carries
 	Seals, Syncs, AppendedBytes int64
+	Images, ImageBytes          int64 // written by this process
+	LastImage                   int64 // id of the newest image restored or written; 0 = none
 }
 
 // Log is the open log. Two sides with disjoint state: the append side
 // (Append, Seal, Close, Abort, Stats) belongs to a single writer the
 // caller serializes under its own mutex; the image side (WriteImage)
 // belongs to a single image writer, which may be another goroutine
-// running concurrently with appends.
+// running concurrently with appends. What the sides share — the sticky
+// failure and the image counters — sits under mu.
 type Log struct {
 	lay *Layout
 	o   Options
 
-	f    *os.File
-	st   Stats
-	fbuf []byte // framed scratch
+	f          *os.File
+	st         Stats  // append side; the image fields live in img
+	pbuf, fbuf []byte // payload and framed scratch
 
 	retained []ImageRef // images this process restored or wrote, oldest first
+
+	mu  sync.Mutex
+	err error // first failure; see fail
+	img struct{ n, bytes, last int64 }
 }
 
-// Stats returns the append side's position and counters.
-func (l *Log) Stats() Stats { return l.st }
+// Stats returns the position and counters.
+func (l *Log) Stats() Stats {
+	st := l.st
+	l.mu.Lock()
+	st.Images, st.ImageBytes, st.LastImage = l.img.n, l.img.bytes, l.img.last
+	l.mu.Unlock()
+	return st
+}
 
-// Append frames one record, writes and fsyncs it — the acknowledgment
-// point — and returns the log position just past it (its segment and
-// end offset): the position an image containing this record records.
-// The segment rolls after the append, so the returned position always
-// refers to the record's own segment. id only labels failpoints and
-// errors; payload is the caller's encoding, which carries it.
-func (l *Log) Append(id int64, payload []byte) (seg, off int64, err error) {
-	l.fbuf = frame.Append(l.fbuf[:0], payload)
-	if fp := l.o.Fail; fp != nil && fp.TornAppend != nil {
-		if n := fp.TornAppend(id); n >= 0 {
-			l.f.Write(l.fbuf[:min(n, len(l.fbuf))])
-			l.f.Sync()
-			return 0, 0, fmt.Errorf("%s: torn append of record %d: %w", l.lay.Name, id, ErrCrash)
-		}
+// Err returns the failure the log is wedged on, nil while it is
+// healthy. The first error out of Append, Seal, WriteImage or Close
+// sticks: after a write or an fsync has failed, what the file holds is
+// unknown (a failed fsync may have dropped the dirty pages and cleared
+// the error, so a retry that "succeeds" proves nothing), and the only
+// safe continuation is a fresh process running Recover. Every later
+// Append, Seal and WriteImage therefore returns that first error
+// without touching the directory, on whichever side it happened.
+func (l *Log) Err() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.err
+}
+
+// fail makes err sticky unless an earlier failure already is, and
+// returns the sticky one.
+func (l *Log) fail(err error) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err == nil {
+		l.err = err
 	}
-	if _, err := l.f.Write(l.fbuf); err != nil {
-		return 0, 0, err
+	return l.err
+}
+
+// guarded runs op unless the log is wedged, and wedges it on op's
+// error: the failure rule, stated once.
+func (l *Log) guarded(op func() error) error {
+	if err := l.Err(); err != nil {
+		return err
 	}
-	if fp := l.o.Fail; fp != nil && fp.BeforeSync != nil {
-		if err := fp.BeforeSync(id); err != nil {
-			return 0, 0, err
-		}
+	if err := op(); err != nil {
+		return l.fail(err)
 	}
-	if err := l.f.Sync(); err != nil {
-		return 0, 0, err
+	return nil
+}
+
+// Append gives the next record its id, has encode append the record's
+// payload (which carries the id) to dst, frames it, writes and fsyncs
+// it — the acknowledgment point — and returns the id with the log
+// position just past the record (its segment and end offset): the
+// position an image containing this record records. Ids are
+// contiguous: only a successful append advances Stats().NextID. The
+// segment rolls after the append, so the returned position always
+// refers to the record's own segment.
+func (l *Log) Append(encode func(dst []byte, id int64) []byte) (id, seg, off int64, err error) {
+	id = l.st.NextID
+	if err := l.guarded(func() error {
+		l.pbuf = encode(l.pbuf[:0], id)
+		l.fbuf = frame.Append(l.fbuf[:0], l.pbuf)
+		return l.write(id)
+	}); err != nil {
+		return 0, 0, 0, err
 	}
+	l.st.NextID++
 	l.st.Syncs++
 	l.st.AppendedBytes += int64(len(l.fbuf))
 	l.st.Off += int64(len(l.fbuf))
@@ -194,13 +248,37 @@ func (l *Log) Append(id int64, payload []byte) (seg, off int64, err error) {
 	if l.st.Off >= l.o.SealBytes {
 		err = l.Seal()
 	}
-	return seg, off, err
+	return id, seg, off, err
+}
+
+// write puts record id's frame (l.fbuf) into the open segment and
+// fsyncs it, or fails the way a failpoint says.
+func (l *Log) write(id int64) error {
+	fp := l.o.Fail
+	if fp != nil && fp.TornAppend != nil {
+		if n := fp.TornAppend(id); n >= 0 {
+			l.f.Write(l.fbuf[:min(n, len(l.fbuf))])
+			l.f.Sync()
+			return fmt.Errorf("%s: torn append of record %d: %w", l.lay.Name, id, ErrCrash)
+		}
+	}
+	if _, err := l.f.Write(l.fbuf); err != nil {
+		return err
+	}
+	if fp != nil && fp.BeforeSync != nil {
+		if err := fp.BeforeSync(id); err != nil {
+			return err
+		}
+	}
+	return l.f.Sync()
 }
 
 // Seal syncs and closes the open segment and opens the next one.
 // Sealed segments are immutable: recovery treats any damage in them
 // as corruption, never as a trimmable torn tail.
-func (l *Log) Seal() error {
+func (l *Log) Seal() error { return l.guarded(l.seal) }
+
+func (l *Log) seal() error {
 	if fp := l.o.Fail; fp != nil && fp.BeforeSeal != nil {
 		if err := fp.BeforeSeal(l.st.Seg); err != nil {
 			return err
@@ -224,23 +302,32 @@ func (l *Log) Seal() error {
 }
 
 // Close flushes and closes the open segment (the clean-shutdown path;
-// the segment stays appendable on the next boot).
+// the segment stays appendable on the next boot). A wedged log is
+// closed without the flush and returns what it is wedged on.
 func (l *Log) Close() error {
 	if l.f == nil {
-		return nil
+		return l.Err()
 	}
-	err := syncClose(l.f)
+	f := l.f
 	l.f = nil
-	return err
+	if err := l.Err(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := syncClose(f); err != nil {
+		return l.fail(err)
+	}
+	return nil
 }
 
 // Abort closes the segment file without syncing — the crash-test
-// stand-in for the process dying.
+// stand-in for the process dying — and wedges the log.
 func (l *Log) Abort() {
 	if l.f != nil {
 		l.f.Close()
 		l.f = nil
 	}
+	l.fail(fmt.Errorf("%s: aborted", l.lay.Name))
 }
 
 // WriteImage persists data as the image ref names, in place (no
@@ -248,6 +335,23 @@ func (l *Log) Abort() {
 // recovery falls back to the previous one, which is why callers retain
 // at least two), fsyncing the file and the directory, then prunes.
 func (l *Log) WriteImage(ref ImageRef, data []byte) error {
+	if err := l.guarded(func() error { return l.writeImage(ref, data) }); err != nil {
+		return err
+	}
+	l.mu.Lock()
+	l.img.n++
+	l.img.bytes += int64(len(data))
+	l.img.last = ref.ID
+	l.mu.Unlock()
+	l.retained = append(l.retained, ref)
+	if len(l.retained) > l.o.Retain {
+		l.retained = l.retained[len(l.retained)-l.o.Retain:]
+	}
+	l.prune()
+	return nil
+}
+
+func (l *Log) writeImage(ref ImageRef, data []byte) error {
 	path := filepath.Join(l.o.Dir, l.lay.ImgName(ref.ID))
 	if fp := l.o.Fail; fp != nil && fp.TornImage != nil {
 		if n := fp.TornImage(ref.ID); n >= 0 {
@@ -266,15 +370,7 @@ func (l *Log) WriteImage(ref ImageRef, data []byte) error {
 	if err := syncClose(f); err != nil {
 		return err
 	}
-	if err := syncDir(l.o.Dir); err != nil {
-		return err
-	}
-	l.retained = append(l.retained, ref)
-	if len(l.retained) > l.o.Retain {
-		l.retained = l.retained[len(l.retained)-l.o.Retain:]
-	}
-	l.prune()
-	return nil
+	return syncDir(l.o.Dir)
 }
 
 // prune keeps the newest Retain images and deletes older image files

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/frame"
@@ -77,14 +78,19 @@ func testOptions(dir string) Options {
 	return Options{Dir: dir, SealBytes: 40, Retain: 1 << 20}
 }
 
+// appendNext appends the next record under the id the log gives it.
+func appendNext(l *Log) (id, seg, off int64, err error) {
+	return l.Append(func(dst []byte, id int64) []byte { return append(dst, recordPayload(id)...) })
+}
+
 // appendRange appends records [from, to] and applies them to st,
 // writing an image after every imgEvery-th record.
 func appendRange(t testing.TB, l *Log, st *sumState, from, to, imgEvery int64) {
 	t.Helper()
-	for id := from; id <= to; id++ {
-		seg, off, err := l.Append(id, recordPayload(id))
-		if err != nil {
-			t.Fatalf("append %d: %v", id, err)
+	for want := from; want <= to; want++ {
+		id, seg, off, err := appendNext(l)
+		if err != nil || id != want {
+			t.Fatalf("append %d: got id %d, %v", want, id, err)
 		}
 		st.sum += id
 		st.n++
@@ -327,7 +333,9 @@ func mustWrite(t testing.TB, path string, data []byte) {
 }
 
 // TestFailpoints: each injected crash surfaces ErrCrash and leaves a
-// directory that recovers to the records acknowledged before it.
+// directory that recovers to the records acknowledged before it — and
+// wedges the log: every later Append, Seal and WriteImage returns that
+// first error, hands out no id, and leaves the directory's bytes alone.
 func TestFailpoints(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -358,9 +366,9 @@ func TestFailpoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for id := int64(1); id <= 10 && err == nil; id++ {
-			var seg, off int64
-			if seg, off, err = l.Append(id, recordPayload(id)); err == nil && id == 5 {
+		for err == nil && l.Stats().NextID <= 10 {
+			var id, seg, off int64
+			if id, seg, off, err = appendNext(l); err == nil && id == 5 {
 				ref := ImageRef{ID: id, Seg: seg, Off: off}
 				err = l.WriteImage(ref, imageData(ref, sumState{15, 5}))
 			}
@@ -368,16 +376,114 @@ func TestFailpoints(t *testing.T) {
 		if !errors.Is(err, ErrCrash) {
 			t.Fatalf("%s: %v, want ErrCrash", tc.name, err)
 		}
-		l.Abort()
+
+		// The failure sticks. Injection is off from here, so a log that
+		// forgot it would succeed below and move the directory.
+		first, before, at := err, dirBytes(t, dir), l.Stats()
+		if l.Err() != first {
+			t.Fatalf("%s: Err() = %v, want the first failure %v", tc.name, l.Err(), first)
+		}
+		tc.fail = Failpoints{}
+		ref := ImageRef{ID: at.NextID - 1, Seg: at.Seg, Off: at.Off}
+		for i := 0; i < 3; i++ {
+			if _, _, _, err := appendNext(l); err != first {
+				t.Fatalf("%s: append on the wedged log: %v, want %v", tc.name, err, first)
+			}
+			if err := l.WriteImage(ref, imageData(ref, st)); err != first {
+				t.Fatalf("%s: image on the wedged log: %v, want %v", tc.name, err, first)
+			}
+			if err := l.Seal(); err != first {
+				t.Fatalf("%s: seal on the wedged log: %v, want %v", tc.name, err, first)
+			}
+		}
+		if got := l.Stats(); got != at {
+			t.Fatalf("%s: wedged log moved from %+v to %+v", tc.name, at, got)
+		}
+		if err := l.Close(); err != first {
+			t.Fatalf("%s: close of the wedged log: %v, want %v", tc.name, err, first)
+		}
+		if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
+			t.Fatalf("%s: the wedged log changed the directory", tc.name)
+		}
+
 		var got sumState
 		l2, info, err := Recover(&testLayout, testOptions(dir), got.replay())
 		if err != nil {
 			t.Fatalf("%s: recovery: %v", tc.name, err)
 		}
 		l2.Abort()
-		if got.n != tc.want || info.NextID != tc.want+1 {
-			t.Fatalf("%s: recovered %d records (%+v), want %d", tc.name, got.n, info, tc.want)
+		if want := (sumState{sum: tc.want * (tc.want + 1) / 2, n: tc.want}); got != want || info.NextID != tc.want+1 {
+			t.Fatalf("%s: recovered %+v (%+v), want the never-failed prefix %+v", tc.name, got, info, want)
 		}
+	}
+}
+
+// dirBytes reads every file of dir.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range entries {
+		out[e.Name()] = string(mustRead(t, filepath.Join(dir, e.Name())))
+	}
+	return out
+}
+
+// TestImageFailureWedgesAppends: the failure is shared by the log's
+// two sides. An image write fails on the image goroutine while the
+// writer keeps appending; once WriteImage has returned, every append
+// refuses with that error, and what was acknowledged before recovers.
+func TestImageFailureWedgesAppends(t *testing.T) {
+	dir := t.TempDir()
+	opts := testOptions(dir)
+	opts.Fail = &Failpoints{TornImage: func(int64) int { return 1 }}
+	l, _, err := Recover(&testLayout, opts, new(sumState).replay())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, seg, off, err := appendNext(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imgErr := make(chan error)
+	go func() {
+		ref := ImageRef{ID: 1, Seg: seg, Off: off}
+		imgErr <- l.WriteImage(ref, imageData(ref, sumState{1, 1}))
+	}()
+	acked := int64(1)
+	var first, appendErr error
+	for appendErr == nil {
+		select {
+		case first = <-imgErr:
+			imgErr = nil // received once; from here the log must refuse
+		default:
+		}
+		var id int64
+		if id, _, _, appendErr = appendNext(l); appendErr == nil {
+			if acked = id; first != nil {
+				t.Fatalf("record %d acknowledged after WriteImage failed with %v", id, first)
+			}
+		}
+	}
+	if first == nil {
+		first = <-imgErr
+	}
+	if !errors.Is(first, ErrCrash) || appendErr != first || l.Err() != first {
+		t.Fatalf("image failed with %v, append with %v, Err() = %v: want one ErrCrash", first, appendErr, l.Err())
+	}
+	l.Abort()
+	var got sumState
+	l2, info, err := Recover(&testLayout, testOptions(dir), got.replay())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2.Abort()
+	// The refused append may be whole on disk: its seal is what refused.
+	if got.n < acked || got.n > acked+1 || info.ImagesTorn != 1 {
+		t.Fatalf("recovered %d records (%+v), want the %d acknowledged past one torn image", got.n, info, acked)
 	}
 }
 
@@ -399,7 +505,7 @@ func TestDirSyncOnCreate(t *testing.T) {
 	if info.DirSyncs != 2 {
 		t.Fatalf("fresh directory: %d directory fsyncs, want 2 (parent, then the first segment's entry)", info.DirSyncs)
 	}
-	if _, _, err := l.Append(1, recordPayload(1)); err != nil {
+	if _, _, _, err := appendNext(l); err != nil {
 		t.Fatal(err)
 	}
 	if st := l.Stats(); st.Syncs != 1 {
@@ -446,8 +552,8 @@ func TestImagesConcurrentWithAppends(t *testing.T) {
 		done <- err
 	}()
 	var st sumState
-	for id := int64(1); id <= n; id++ {
-		seg, off, err := l.Append(id, recordPayload(id))
+	for range n {
+		id, seg, off, err := appendNext(l)
 		if err != nil {
 			t.Fatal(err)
 		}
