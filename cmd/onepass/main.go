@@ -9,6 +9,11 @@
 // Queries: sessionization, clickcount, frequsers, pagefreq, trigram.
 // Platforms: sm, hop, mr-hash, inc-hash, dinc-hash.
 //
+// The flags fill in an onepass.JobParams and onepass.BuildJob builds
+// the job, as the scheduler's POST /v1/jobs and the figures do: equal
+// parameters mean the same job everywhere, and one that cannot be built
+// is "onepass: <reason>" and exit status 1.
+//
 // -node-combine=on folds every node's local map outputs into one
 // merged run before the shuffle (combinable queries only; auto defers
 // to the analytical model's predicted saving), and -agg-fanin=F folds
@@ -36,7 +41,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -46,139 +50,111 @@ import (
 	"repro/internal/prof"
 )
 
-func main() {
+// options is a parsed command line: the built job, where to run it,
+// and where its by-products go.
+type options struct {
+	backend  onepass.Backend
+	job      onepass.Job
+	newQuery func() onepass.Query
+
+	trace, cpuProfile, memProfile string
+}
+
+// parseArgs is flags → onepass.JobParams → onepass.BuildJob, then the
+// fields the builder leaves to its caller (the fault plan, checksums,
+// the bad-record budget) set on the spec it returned.
+func parseArgs(args []string) (*options, error) {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
-		queryFlag   = flag.String("query", "sessionization", "query: sessionization|clickcount|frequsers|pagefreq|trigram")
-		platFlag    = flag.String("platform", "inc-hash", "platform: sm|hop|mr-hash|inc-hash|dinc-hash")
-		backendFlag = flag.String("backend", "sim", "execution backend: sim (discrete-event simulation) | real (goroutines, wall-clock time, in-memory shuffle)")
-		dataFlag    = flag.Float64("data", 64e9, "logical input size in bytes")
-		scaleFlag   = flag.String("scale", "1/512", "physical:logical scale, e.g. 1/512")
-		chunkFlag   = flag.Float64("chunk", 64e6, "chunk size C in logical bytes")
-		stateFlag   = flag.Int("state", 512, "sessionization state size in bytes")
-		usersFlag   = flag.Int("users", 0, "distinct users (0 = sized to ~2.2x reduce memory)")
-		seedFlag    = flag.Int64("seed", 42, "workload seed")
-		fFlag       = flag.Int("f", 0, "merge factor F (0 = one-pass)")
-		rFlag       = flag.Int("r", 4, "reducers per node R")
-		traceFlag   = flag.String("trace", "", "write a Chrome trace (chrome://tracing) of task spans to this file")
-		workersFlag = flag.Int("workers", 0, "compute-pool goroutines (0=GOMAXPROCS, 1=serial; results identical)")
-		combFlag    = flag.String("node-combine", "off", "in-node combine stage: off | on | auto (cost-model gated; combinable queries only)")
-		fanInFlag   = flag.Int("agg-fanin", 0, "hierarchical aggregation fan-in: fold F consecutive nodes' combined runs through the first (0/1 = per-node only; needs -node-combine)")
+		queryFlag   = fs.String("query", "sessionization", "query: sessionization|clickcount|frequsers|pagefreq|trigram")
+		platFlag    = fs.String("platform", "inc-hash", "platform: sm|hop|mr-hash|inc-hash|dinc-hash")
+		backendFlag = fs.String("backend", "sim", "execution backend: sim (discrete-event simulation) | real (goroutines, wall-clock time, in-memory shuffle)")
+		dataFlag    = fs.Float64("data", 64e9, "logical input size in bytes")
+		scaleFlag   = fs.String("scale", "1/512", "physical:logical scale, e.g. 1/512")
+		chunkFlag   = fs.Float64("chunk", 64e6, "chunk size C in logical bytes")
+		stateFlag   = fs.Int("state", 512, "sessionization state size in bytes")
+		usersFlag   = fs.Int("users", 0, "distinct users (0 = sized to ~2.2x reduce memory)")
+		seedFlag    = fs.Int64("seed", 42, "workload seed")
+		fFlag       = fs.Int("f", 0, "merge factor F (0 = one-pass)")
+		rFlag       = fs.Int("r", 4, "reducers per node R")
+		traceFlag   = fs.String("trace", "", "write a Chrome trace (chrome://tracing) of task spans to this file")
+		workersFlag = fs.Int("workers", 0, "compute-pool goroutines (0=GOMAXPROCS, 1=serial; results identical)")
+		combFlag    = fs.String("node-combine", "off", "in-node combine stage: off | on | auto (cost-model gated; combinable queries only)")
+		fanInFlag   = fs.Int("agg-fanin", 0, "hierarchical aggregation fan-in: fold F consecutive nodes' combined runs through the first (0/1 = per-node only; needs -node-combine)")
 
-		killFlag = flag.String("kill-node", "", "crash nodes: idx@virtual-time on sim (9@2m30s), idx@map-progress%% on real (9@60%%)")
-		shufFlag = flag.Float64("shuffle-error-rate", 0, "per-fetch probability of a transient shuffle-read error (real backend only)")
-		slowFlag = flag.String("slow-node", "", "slow nodes by a factor, e.g. 3@4 (node 3 runs 4x slower)")
-		failFlag = flag.String("fail-maps", "", "inject map-task failures, e.g. 0:2,7:1 (chunk:attempts)")
-		ckptFlag = flag.Duration("checkpoint-every", 0, "checkpoint incremental reducer state every virtual interval (0 = off)")
-		specFlag = flag.Bool("speculate", false, "launch speculative backups for map stragglers")
+		killFlag = fs.String("kill-node", "", "crash nodes: idx@virtual-time on sim (9@2m30s), idx@map-progress%% on real (9@60%%)")
+		shufFlag = fs.Float64("shuffle-error-rate", 0, "per-fetch probability of a transient shuffle-read error (real backend only)")
+		slowFlag = fs.String("slow-node", "", "slow nodes by a factor, e.g. 3@4 (node 3 runs 4x slower)")
+		failFlag = fs.String("fail-maps", "", "inject map-task failures, e.g. 0:2,7:1 (chunk:attempts)")
+		ckptFlag = fs.Duration("checkpoint-every", 0, "checkpoint incremental reducer state every virtual interval (0 = off)")
+		specFlag = fs.Bool("speculate", false, "launch speculative backups for map stragglers")
 
-		cpuFlag = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memFlag = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
+		cpuFlag = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		memFlag = fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
 
-		sumFlag     = flag.Bool("checksums", false, "CRC32C-frame every persisted stream and verify on read")
-		ioErrFlag   = flag.Float64("io-error-rate", 0, "per-request probability of a transient disk I/O error")
-		corruptFlag = flag.Float64("corrupt-rate", 0, "per-write probability of a persisted bit flip (needs -checksums)")
-		tornFlag    = flag.Bool("torn-writes", false, "tear checkpoint tails when a node is killed (needs -checksums and -kill-node)")
-		skipFlag    = flag.Int64("skip-bad-records", 0, "bad-record quarantine budget per map task (0 = poison records fail the job)")
+		sumFlag     = fs.Bool("checksums", false, "CRC32C-frame every persisted stream and verify on read")
+		ioErrFlag   = fs.Float64("io-error-rate", 0, "per-request probability of a transient disk I/O error")
+		corruptFlag = fs.Float64("corrupt-rate", 0, "per-write probability of a persisted bit flip (needs -checksums)")
+		tornFlag    = fs.Bool("torn-writes", false, "tear checkpoint tails when a node is killed (needs -checksums and -kill-node)")
+		skipFlag    = fs.Int64("skip-bad-records", 0, "bad-record quarantine budget per map task (0 = poison records fail the job)")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError
 
-	stop, err := prof.Start(*cpuFlag, *memFlag)
+	o := &options{trace: *traceFlag, cpuProfile: *cpuFlag, memProfile: *memFlag}
+	var err error
+	if o.backend, err = onepass.ParseBackend(*backendFlag); err != nil {
+		return nil, err
+	}
+	mergeFactor := *fFlag
+	if mergeFactor <= 0 {
+		mergeFactor = onepass.ModelMergeFactor
+	}
+	o.job, o.newQuery, err = onepass.BuildJob(onepass.JobParams{
+		Query: *queryFlag, Platform: *platFlag, Scale: *scaleFlag,
+		DataBytes: *dataFlag, ChunkBytes: *chunkFlag,
+		StateBytes: *stateFlag, Users: *usersFlag, Seed: *seedFlag,
+		Reducers: *rFlag, MergeFactor: mergeFactor, Workers: *workersFlag,
+		NodeCombine: *combFlag, AggFanIn: *fanInFlag, CheckpointEvery: *ckptFlag,
+	})
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	stopProf = stop
 
-	scale, err := onepass.ParseScale(*scaleFlag)
+	o.job.Faults, err = parseFaults(*killFlag, *slowFlag, *failFlag, *specFlag)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	m := onepass.DefaultModel(scale)
-	cluster := onepass.PaperCluster(m)
-	cluster.R = *rFlag
-	cluster.Parallelism = *workersFlag
-	if *fFlag > 0 {
-		cluster.MergeFactor = *fFlag
-	} else {
-		cluster.MergeFactor = onepass.ModelOptimize(
-			onepass.ModelWorkload{D: *dataFlag, Km: 1, Kr: 1},
-			onepass.ModelHardware{N: cluster.Nodes, Bm: 140e6, Br: 500e6},
-			cluster.R,
-			[]float64{*chunkFlag},
-			[]int{4, 8, 16, 32, 64, 128},
-		).F
-	}
-
-	platform, err := onepass.ParsePlatform(*platFlag)
-	if err != nil {
-		fatal(err)
-	}
-
-	users := *usersFlag
-	if users == 0 {
-		users = int(2.2 * float64(int64(cluster.R*cluster.Nodes)*cluster.ReduceBuffer) / float64(*stateFlag+50))
-	}
-
-	plan, err := onepass.ResolveQuery(*queryFlag, onepass.QuerySizing{
-		StateBytes: *stateFlag, Users: users,
-		DataBytes: *dataFlag, ChunkBytes: *chunkFlag, Seed: *seedFlag,
-	}, m)
-	if err != nil {
-		fatal(err)
-	}
-
-	combMode, err := onepass.ParseNodeCombineMode(*combFlag)
-	if err != nil {
-		fatal(err)
-	}
-
-	faults, err := parseFaults(*killFlag, *slowFlag, *failFlag, *specFlag)
-	if err != nil {
-		fatal(err)
-	}
-	faults.ShuffleErrorRate = *shufFlag
-	cluster.Checksums = *sumFlag
-	faults.Disk = onepass.DiskFaultPlan{
+	o.job.Faults.ShuffleErrorRate = *shufFlag
+	o.job.Faults.Disk = onepass.DiskFaultPlan{
 		IOErrorRate: *ioErrFlag,
 		CorruptRate: *corruptFlag,
 		TornWrites:  *tornFlag,
 	}
+	o.job.Cluster.Checksums = *sumFlag
+	o.job.SkipBadRecords = *skipFlag
+	return o, nil
+}
 
-	job := onepass.Job{
-		Input:           plan.Input,
-		Platform:        platform,
-		Cluster:         cluster,
-		Hints:           plan.Hints,
-		ScanEvery:       4096,
-		Seed:            *seedFlag,
-		Faults:          faults,
-		CheckpointEvery: *ckptFlag,
-		SkipBadRecords:  *skipFlag,
-		NodeCombine:     combMode,
-		AggFanIn:        *fanInFlag,
+func main() {
+	o, err := parseArgs(os.Args[1:])
+	if err != nil {
+		fatal(err)
 	}
-	var rep *onepass.Report
-	switch *backendFlag {
-	case "sim":
-		job.Query = plan.NewQuery()
-		rep, err = onepass.Run(job)
-	case "real":
-		workers := *workersFlag
-		if workers == 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		rep, err = onepass.RunReal(job, plan.NewQuery, workers)
-	default:
-		err = fmt.Errorf("unknown backend %q (want sim or real)", *backendFlag)
+	stop, err := prof.Start(o.cpuProfile, o.memProfile)
+	if err != nil {
+		fatal(err)
 	}
+	stopProf = stop
+	rep, err := o.backend.Run(o.job, o.newQuery)
 	if err != nil {
 		fatal(err)
 	}
 	printReport(os.Stdout, rep)
-	if *traceFlag != "" {
-		if err := writeChromeTrace(*traceFlag, rep); err != nil {
+	if o.trace != "" {
+		if err := writeChromeTrace(o.trace, rep); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("\ntask trace written to %s (open in chrome://tracing)\n", *traceFlag)
+		fmt.Printf("\ntask trace written to %s (open in chrome://tracing)\n", o.trace)
 	}
 	if err := stopProf(); err != nil {
 		fatal(err)

@@ -8,7 +8,97 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/experiments"
+	"repro/internal/queries"
+	"repro/internal/sched"
 )
+
+// TestFlagPathMatchesSchedulerAndFigures is the parity check of the one
+// job description: for every catalogue query on every platform, this
+// command's flags, the scheduler's JSON spec and a figure's
+// experiments.Config.Job, given equal parameters, build
+// reflect.DeepEqual engine jobs (the query instance aside).
+func TestFlagPathMatchesSchedulerAndFigures(t *testing.T) {
+	for _, query := range queries.Names {
+		for _, platform := range []string{"sm", "hop", "mr-hash", "inc-hash", "dinc-hash"} {
+			t.Run(query+"/"+platform, func(t *testing.T) {
+				o, err := parseArgs([]string{"-query", query, "-platform", platform, "-scale", "1/4096",
+					"-data", "2e9", "-chunk", "64e6", "-users", "700", "-state", "256", "-seed", "7", "-f", "10"})
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				spec := sched.JobSpec{Org: "acme", Query: query, Platform: platform, Scale: "1/4096",
+					DataBytes: 2e9, ChunkBytes: 64e6, Users: 700, StateBytes: 256, Seed: 7}
+				spec.Normalize()
+				scheduled, newQuery, err := sched.BuildJob(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(o.job, scheduled) {
+					t.Errorf("flags built\n%+v\nsched.BuildJob built\n%+v", o.job, scheduled)
+				}
+				if got, want := newQuery().Name(), o.newQuery().Name(); got != want || got != query {
+					t.Errorf("query %q from the scheduler, %q from the flags, want %q", got, want, query)
+				}
+
+				figure, err := experiments.Config{Scale: 1.0 / 4096, Seed: 7}.Job(o.job.Cluster, o.job.Platform,
+					onepass.JobParams{Query: query, DataBytes: 2e9, StateBytes: 256, Users: 700})
+				if err != nil {
+					t.Fatal(err)
+				}
+				figure.Query = nil
+				if !reflect.DeepEqual(o.job, figure) {
+					t.Errorf("flags built\n%+v\nexperiments.Config.Job built\n%+v", o.job, figure)
+				}
+			})
+		}
+	}
+}
+
+// TestFlagDefaultsSized pins the two values the flags leave to the
+// builder: -f 0 is the analytical model's merge factor for (D, C) on
+// the paper's hardware, and -users 0 a pool whose session states total
+// 2.2x the cluster's reduce memory.
+func TestFlagDefaultsSized(t *testing.T) {
+	o, err := parseArgs([]string{"-scale", "1/4096", "-data", "236e9", "-r", "8"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := o.job.Cluster
+	wantF := onepass.ModelOptimize(
+		onepass.ModelWorkload{D: 236e9, Km: 1, Kr: 1},
+		onepass.ModelHardware{N: 10, Bm: 140e6, Br: 500e6},
+		8, []float64{64e6}, []int{4, 8, 16, 32, 64, 128}).F
+	if cl.R != 8 || cl.MergeFactor != wantF || wantF == 10 {
+		t.Errorf("-r 8 -f 0 built R=%d F=%d, want R=8 and the model's F=%d (not Hadoop's default 10)", cl.R, cl.MergeFactor, wantF)
+	}
+	wantUsers := int64(2.2 * float64(int64(8*10)*cl.ReduceBuffer) / float64(512+50))
+	if got := o.job.Hints.DistinctKeys; got != wantUsers || got != 38228 {
+		t.Errorf("-users 0 sized the pool to %d, want %d (= 38228)", got, wantUsers)
+	}
+}
+
+// TestBadFlagsAreErrors: what used to reach a panic in the workload
+// generator or the cost model is refused with a reason, and an unknown
+// backend is refused before anything else is resolved.
+func TestBadFlagsAreErrors(t *testing.T) {
+	for _, tc := range []struct{ args, want string }{
+		{"-data 1000 -scale 1/4096", "at least one physical byte"},
+		{"-chunk 1000 -scale 1/4096", "at least one physical byte"},
+		{"-scale 2", "(0, 1]"},
+		{"-scale 0", "(0, 1]"},
+		{"-users -1", "non-negative"},
+		{"-state 10", "cannot hold a click"},
+		{"-agg-fanin 4", "requires node-combine"},
+		{"-backend bogus -query nope -scale x", `unknown backend "bogus"`},
+	} {
+		_, err := parseArgs(strings.Fields(tc.args))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("onepass %s: error %v, want one containing %q", tc.args, err, tc.want)
+		}
+	}
+}
 
 func TestSplitList(t *testing.T) {
 	cases := []struct {

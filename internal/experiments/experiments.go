@@ -17,10 +17,10 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/cost"
+	"repro/internal/dfs"
 	"repro/internal/engine"
+	"repro/internal/jobspec"
 	"repro/internal/metrics"
-	"repro/internal/workload"
 )
 
 // Config controls an experiment run.
@@ -116,9 +116,7 @@ func Get(id string) (Experiment, bool) {
 
 // paperCluster returns the paper's cluster at the configured scale.
 func (c Config) paperCluster() engine.ClusterConfig {
-	m := cost.Default(c.Scale)
-	cl := engine.PaperCluster(m)
-	cl.ProgressInterval = 20 * time.Second
+	cl := jobspec.ClusterAt(c.Scale)
 	if c.Quick {
 		cl.ProgressInterval = 2 * time.Second
 	}
@@ -126,39 +124,50 @@ func (c Config) paperCluster() engine.ClusterConfig {
 	return cl
 }
 
-// sessionUsers sizes the user pool so the total distinct session
-// states are ~2.2× the cluster's reduce memory: the INC-hash table
-// fills roughly 60% of the way through the job, matching where the
-// Fig 7(a) reduce progress diverges from the map progress.
-func sessionUsers(cl engine.ClusterConfig, stateBytes int) int {
-	totalMem := int64(cl.R*cl.Nodes) * cl.ReduceBuffer
-	perKey := int64(stateBytes + 50)
-	u := int(2.2 * float64(totalMem) / float64(perKey))
-	if u < 1000 {
-		u = 1000
+const chunk64MB = 64e6
+
+// Job builds one figure's job through the builder every tool uses
+// (jobspec): the catalogue's query, hints and synthetic input for p,
+// on the figure's own cluster and platform. The harness fixes the seed
+// and shrinks the logical size in quick mode; chunks are 64MB and
+// session states 512 bytes (which also sizes an unstated user pool)
+// unless p says otherwise. A figure states what it varies and, where
+// it knows a hint better than the catalogue, overrides it on the
+// result.
+func (c Config) Job(cl engine.ClusterConfig, pl engine.Platform, p jobspec.Params) (engine.JobSpec, error) {
+	p.Platform = pl.String()
+	p.DataBytes = float64(c.sized(p.DataBytes))
+	if p.ChunkBytes == 0 {
+		p.ChunkBytes = chunk64MB
 	}
-	return u
+	if p.StateBytes == 0 {
+		p.StateBytes = 512
+	}
+	p.Seed = c.Seed
+	job, newQuery, err := p.On(cl)
+	if err == nil {
+		job.Query = newQuery()
+	}
+	return job, err
 }
 
-// clickInput builds the click stream for a logical size and chunk C.
-func (c Config) clickInput(logicalBytes, chunkLogical float64, users int) *workload.ClickStream {
-	m := cost.Default(c.Scale)
-	spec := workload.ClickSpec{
-		PhysBytes: m.ScaleBytes(c.sized(logicalBytes)),
-		ChunkPhys: m.ScaleBytes(int64(chunkLogical)),
-		Seed:      c.Seed,
-		Users:     users,
-		UserSkew:  1.2,
-		URLs:      20_000,
-		URLSkew:   1.3,
-		Duration:  24 * time.Hour,
-		Jitter:    2 * time.Second,
-	}
-	return workload.NewClickStream(spec)
+// sessionization is the standard sessionization run of a logical size.
+func sessionization(data float64) jobspec.Params {
+	return jobspec.Params{Query: "sessionization", DataBytes: data}
 }
 
-// run executes a job and logs one summary line.
-func (c Config) run(spec engine.JobSpec) (*engine.Report, error) {
+// records is the record count of a catalogue input.
+func records(in dfs.Input) int64 {
+	return in.(interface{ TotalRecords() int64 }).TotalRecords()
+}
+
+// run executes a built job and logs one summary line; a job that
+// failed to build hands its error on, so c.run(c.Job(...)) reads as
+// one step.
+func (c Config) run(spec engine.JobSpec, err error) (*engine.Report, error) {
+	if err != nil {
+		return nil, err
+	}
 	start := time.Now()
 	rep, err := engine.Run(spec)
 	if err != nil {

@@ -5,12 +5,26 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/mr"
-	"repro/internal/queries"
+	"repro/internal/jobspec"
 )
 
 func init() {
 	register("recovery", "Robustness: node failure, re-execution, and checkpointed incremental recovery", runRecovery)
+}
+
+// countingPool sizes the user pool of a click-counting job so each user
+// clicks ~64 times: reducer state (one counter per user) is then a
+// small fraction of the shuffled data, which is the regime where
+// checkpointing state instead of re-shuffling input pays off.
+// SessionUsers would give a pool nearly as large as the record count at
+// small scales, hiding the effect.
+func (c Config) countingPool(cl engine.ClusterConfig, data, chunk float64) (int, error) {
+	probe, err := c.Job(cl, engine.SortMerge,
+		jobspec.Params{Query: "clickcount", DataBytes: data, ChunkBytes: chunk, Users: 1000})
+	if err != nil {
+		return 0, err
+	}
+	return max(int(records(probe.Input)/64), 500), nil
 }
 
 // runRecovery measures what a mid-job node failure costs each platform:
@@ -26,17 +40,10 @@ func runRecovery(c Config) (*Result, error) {
 	c = c.withDefaults()
 	const data = 97e9
 	cl := onePassSM(c, data)
-	// Size the user pool so each user clicks ~64 times: reducer state
-	// (one counter per user) is then a small fraction of the shuffled
-	// data, which is the regime where checkpointing state instead of
-	// re-shuffling input pays off. sessionUsers would give a pool nearly
-	// as large as the record count at small scales, hiding the effect.
-	probe := c.clickInput(data, chunk64MB, 1000)
-	users := int(probe.TotalRecords() / 64)
-	if users < 500 {
-		users = 500
+	users, err := c.countingPool(cl, data, chunk64MB)
+	if err != nil {
+		return nil, err
 	}
-	hints := mr.Hints{Km: 0.3, DistinctKeys: int64(users)}
 
 	res := &Result{
 		ID:    "recovery",
@@ -51,15 +58,10 @@ func runRecovery(c Config) (*Result, error) {
 	}
 	var outs []outcome
 	for _, pl := range []engine.Platform{engine.SortMerge, engine.INCHash, engine.DINCHash} {
-		mk := func() engine.JobSpec {
-			return engine.JobSpec{
-				Query:    queries.NewClickCount(),
-				Input:    c.clickInput(data, chunk64MB, users),
-				Platform: pl,
-				Cluster:  cl,
-				Hints:    hints,
-				Seed:     c.Seed,
-			}
+		mk := func() (engine.JobSpec, error) {
+			spec, err := c.Job(cl, pl, jobspec.Params{Query: "clickcount", DataBytes: data, Users: users})
+			spec.Hints.Km = 0.3
+			return spec, err
 		}
 		clean, err := c.run(mk())
 		if err != nil {
@@ -67,7 +69,7 @@ func runRecovery(c Config) (*Result, error) {
 		}
 		mf := clean.MapFinishTime
 
-		spec := mk()
+		spec, err := mk()
 		spec.Faults = engine.FaultPlan{
 			KillNodes:         map[int]time.Duration{cl.Nodes - 1: mf * 3 / 4},
 			HeartbeatInterval: mf / 100,
@@ -79,7 +81,7 @@ func runRecovery(c Config) (*Result, error) {
 			// the kill interrupts, not just between waves.
 			spec.CheckpointEvery = mf / 64
 		}
-		failed, err := c.run(spec)
+		failed, err := c.run(spec, err)
 		if err != nil {
 			return nil, err
 		}

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cost"
 	"repro/internal/engine"
+	"repro/internal/jobspec"
 	"repro/internal/model"
-	"repro/internal/mr"
-	"repro/internal/queries"
 )
 
 // stockCluster is default-settings Hadoop: 64MB chunks, merge factor
@@ -19,11 +17,14 @@ func (c Config) stockCluster() engine.ClusterConfig {
 	return cl
 }
 
-// optimizedCluster applies the §3.2 model-driven tuning: chunk sized
-// to the map buffer and a one-pass merge factor.
-func optimizedCluster(c Config, w model.Workload) engine.ClusterConfig {
+// onePassSM applies the §3.2 model-driven tuning for a sessionization
+// of the given logical size — chunk sized to the map buffer and a
+// one-pass merge factor: the optimized ("1-pass SM") cluster of Fig 4
+// and the sort-merge baseline throughout §6.
+func onePassSM(c Config, dataLogical float64) engine.ClusterConfig {
 	cl := c.paperCluster()
-	m := cost.Default(c.Scale)
+	m := cl.Model
+	w := model.Workload{D: float64(c.sized(dataLogical)), Km: 1.15, Kr: 1}
 	// Runs spill at ~2/3 of the shuffle buffer (Hadoop's
 	// shuffle.merge.percent), so the one-pass factor must cover the
 	// runs that actually materialize.
@@ -38,8 +39,6 @@ func optimizedCluster(c Config, w model.Workload) engine.ClusterConfig {
 	}
 	return cl
 }
-
-const chunk64MB = 64e6
 
 func init() {
 	register("table1", "Table 1: click-analysis workloads on stock Hadoop", runTable1)
@@ -64,27 +63,12 @@ func runTable1(c Config) (*Result, error) {
 		Title:  "Workloads in click analysis and Hadoop running time (stock SM)",
 		Header: []string{"metric", "sessionization", "page-frequency", "clicks-per-user"},
 	}
-	users := sessionUsers(cl, 512)
-	type wl struct {
-		query mr.Query
-		data  float64
-		hints mr.Hints
-	}
-	wls := []wl{
-		{queries.NewSessionization(5*time.Minute, 512, 5*time.Second), 256e9, mr.Hints{Km: 1.15, DistinctKeys: int64(users)}},
-		{queries.NewPageFrequency(), 508e9, mr.Hints{Km: 0.01, DistinctKeys: 20_000}},
-		{queries.NewClickCount(), 256e9, mr.Hints{Km: 0.01, DistinctKeys: int64(users)}},
-	}
 	var reps []*engine.Report
-	for _, w := range wls {
-		rep, err := c.run(engine.JobSpec{
-			Query:    w.query,
-			Input:    c.clickInput(w.data, chunk64MB, users),
-			Platform: engine.SortMerge,
-			Cluster:  cl,
-			Hints:    w.hints,
-			Seed:     c.Seed,
-		})
+	for _, w := range []struct {
+		query string
+		data  float64
+	}{{"sessionization", 256e9}, {"pagefreq", 508e9}, {"clickcount", 256e9}} {
+		rep, err := c.run(c.Job(cl, engine.SortMerge, jobspec.Params{Query: w.query, DataBytes: w.data}))
 		if err != nil {
 			return nil, err
 		}
@@ -112,25 +96,12 @@ func runTable1(c Config) (*Result, error) {
 	return res, nil
 }
 
-// sessionizationJob builds the standard sessionization run.
-func sessionizationJob(c Config, cl engine.ClusterConfig, pl engine.Platform, data float64, state int) engine.JobSpec {
-	users := sessionUsers(cl, state)
-	return engine.JobSpec{
-		Query:    queries.NewSessionization(5*time.Minute, state, 5*time.Second),
-		Input:    c.clickInput(data, chunk64MB, users),
-		Platform: pl,
-		Cluster:  cl,
-		Hints:    mr.Hints{Km: 1.15, DistinctKeys: int64(users)},
-		Seed:     c.Seed,
-	}
-}
-
 // runFig2 reproduces the Fig 2(a-c) series: the stock-Hadoop
 // sessionization timeline with its post-map CPU dip and iowait spike.
 func runFig2(c Config) (*Result, error) {
 	c = c.withDefaults()
 	cl := c.stockCluster()
-	rep, err := c.run(sessionizationJob(c, cl, engine.SortMerge, 256e9, 512))
+	rep, err := c.run(c.Job(cl, engine.SortMerge, sessionization(256e9)))
 	if err != nil {
 		return nil, err
 	}
@@ -155,11 +126,11 @@ func runFig2d(c Config) (*Result, error) {
 	hdd := c.stockCluster()
 	ssd := c.stockCluster()
 	ssd.SSDIntermediate = true
-	repHDD, err := c.run(sessionizationJob(c, hdd, engine.SortMerge, 256e9, 512))
+	repHDD, err := c.run(c.Job(hdd, engine.SortMerge, sessionization(256e9)))
 	if err != nil {
 		return nil, err
 	}
-	repSSD, err := c.run(sessionizationJob(c, ssd, engine.SortMerge, 256e9, 512))
+	repSSD, err := c.run(c.Job(ssd, engine.SortMerge, sessionization(256e9)))
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +154,7 @@ func runFig2d(c Config) (*Result, error) {
 func runFig2ef(c Config) (*Result, error) {
 	c = c.withDefaults()
 	cl := c.stockCluster()
-	rep, err := c.run(sessionizationJob(c, cl, engine.HOP, 256e9, 512))
+	rep, err := c.run(c.Job(cl, engine.HOP, sessionization(256e9)))
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +173,7 @@ func runFig2ef(c Config) (*Result, error) {
 func runFig4ab(c Config) (*Result, error) {
 	c = c.withDefaults()
 	cl := c.paperCluster()
-	m := cost.Default(c.Scale)
+	m := cl.Model
 	// §3.2 uses B_r=260MB; we shrink slightly further so the initial
 	// run count per reducer (~21) sits clearly between the one-pass
 	// thresholds of F=8 and F=16 rather than on the knife edge, the
@@ -225,7 +196,6 @@ func runFig4ab(c Config) (*Result, error) {
 		Title:  "Model time T vs measured running time over chunk size C and merge factor F",
 		Header: []string{"C (MB)", "F", "model T (s)", "measured (s)"},
 	}
-	users := sessionUsers(cl, 512)
 	var modelT, measured []float64
 	consts := model.PaperConstants()
 	for _, f := range fs {
@@ -234,14 +204,8 @@ func runFig4ab(c Config) (*Result, error) {
 			t := model.TimeCost(w, h, p, consts)
 			run := cl
 			run.MergeFactor = f
-			rep, err := c.run(engine.JobSpec{
-				Query:    queries.NewSessionization(5*time.Minute, 512, 5*time.Second),
-				Input:    c.clickInput(97e9, cSize, users),
-				Platform: engine.SortMerge,
-				Cluster:  run,
-				Hints:    mr.Hints{Km: 1.15, DistinctKeys: int64(users)},
-				Seed:     c.Seed,
-			})
+			rep, err := c.run(c.Job(run, engine.SortMerge,
+				jobspec.Params{Query: "sessionization", DataBytes: 97e9, ChunkBytes: cSize}))
 			if err != nil {
 				return nil, err
 			}
@@ -265,14 +229,13 @@ func runFig4ab(c Config) (*Result, error) {
 // Hadoop against the optimal (reduce tracks map) line.
 func runFig4c(c Config) (*Result, error) {
 	c = c.withDefaults()
-	w := model.Workload{D: float64(c.sized(240e9)), Km: 1.15, Kr: 1}
 	def := c.stockCluster()
-	opt := optimizedCluster(c, w)
-	repDef, err := c.run(sessionizationJob(c, def, engine.SortMerge, 240e9, 512))
+	opt := onePassSM(c, 240e9)
+	repDef, err := c.run(c.Job(def, engine.SortMerge, sessionization(240e9)))
 	if err != nil {
 		return nil, err
 	}
-	repOpt, err := c.run(sessionizationJob(c, opt, engine.SortMerge, 240e9, 512))
+	repOpt, err := c.run(c.Job(opt, engine.SortMerge, sessionization(240e9)))
 	if err != nil {
 		return nil, err
 	}
@@ -299,9 +262,8 @@ func runFig4c(c Config) (*Result, error) {
 // runFig4de captures the optimized-Hadoop utilization series.
 func runFig4de(c Config) (*Result, error) {
 	c = c.withDefaults()
-	w := model.Workload{D: float64(c.sized(240e9)), Km: 1.15, Kr: 1}
-	opt := optimizedCluster(c, w)
-	rep, err := c.run(sessionizationJob(c, opt, engine.SortMerge, 240e9, 512))
+	opt := onePassSM(c, 240e9)
+	rep, err := c.run(c.Job(opt, engine.SortMerge, sessionization(240e9)))
 	if err != nil {
 		return nil, err
 	}
@@ -319,11 +281,11 @@ func runFig4de(c Config) (*Result, error) {
 func runFig4f(c Config) (*Result, error) {
 	c = c.withDefaults()
 	cl := c.stockCluster()
-	sm, err := c.run(sessionizationJob(c, cl, engine.SortMerge, 240e9, 512))
+	sm, err := c.run(c.Job(cl, engine.SortMerge, sessionization(240e9)))
 	if err != nil {
 		return nil, err
 	}
-	hop, err := c.run(sessionizationJob(c, cl, engine.HOP, 240e9, 512))
+	hop, err := c.run(c.Job(cl, engine.HOP, sessionization(240e9)))
 	if err != nil {
 		return nil, err
 	}
@@ -346,15 +308,14 @@ func runFig4f(c Config) (*Result, error) {
 // runSec32R compares R=4 (one reducer wave) with R=8 (two waves).
 func runSec32R(c Config) (*Result, error) {
 	c = c.withDefaults()
-	w := model.Workload{D: float64(c.sized(97e9)), Km: 1.15, Kr: 1}
-	r4 := optimizedCluster(c, w)
-	r8 := optimizedCluster(c, w)
+	r4 := onePassSM(c, 97e9)
+	r8 := onePassSM(c, 97e9)
 	r8.R = 8
-	rep4, err := c.run(sessionizationJob(c, r4, engine.SortMerge, 97e9, 512))
+	rep4, err := c.run(c.Job(r4, engine.SortMerge, sessionization(97e9)))
 	if err != nil {
 		return nil, err
 	}
-	rep8, err := c.run(sessionizationJob(c, r8, engine.SortMerge, 97e9, 512))
+	rep8, err := c.run(c.Job(r8, engine.SortMerge, sessionization(97e9)))
 	if err != nil {
 		return nil, err
 	}

@@ -2,14 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/cost"
 	"repro/internal/engine"
-	"repro/internal/model"
-	"repro/internal/mr"
-	"repro/internal/queries"
-	"repro/internal/workload"
+	"repro/internal/jobspec"
 )
 
 func init() {
@@ -19,38 +14,25 @@ func init() {
 	register("fig7f", "Fig 7(f): trigram counting, INC-hash vs DINC-hash vs SM", runFig7f)
 }
 
-// onePassSM returns the optimized ("1-pass SM") cluster used as the
-// sort-merge baseline throughout §6.
-func onePassSM(c Config, dataLogical float64) engine.ClusterConfig {
-	w := model.Workload{D: float64(c.sized(dataLogical)), Km: 1.15, Kr: 1}
-	return optimizedCluster(c, w)
-}
-
 // runTable3 reproduces Table 3: three workloads × three platforms,
 // with the Fig 7(a-c) progress curves as series.
 func runTable3(c Config) (*Result, error) {
 	c = c.withDefaults()
 	const data = 236e9
 	cl := onePassSM(c, data)
-	users := sessionUsers(cl, 512)
 	platforms := []engine.Platform{engine.SortMerge, engine.MRHash, engine.INCHash}
 
-	type wl struct {
-		name  string
-		mk    func() mr.Query
-		hints mr.Hints
-		fig   string
-	}
-	wls := []wl{
-		{"sessionization", func() mr.Query { return queries.NewSessionization(5*time.Minute, 512, 5*time.Second) },
-			mr.Hints{Km: 1.15, DistinctKeys: int64(users)}, "fig7a"},
-		// Map-side combining leaves roughly one state per (chunk, user):
-		// with this user pool that is ~12% of the input, and the hint
-		// must say so or MR-hash under-provisions its buckets.
-		{"clickcount", func() mr.Query { return queries.NewClickCount() },
-			mr.Hints{Km: 0.12, DistinctKeys: int64(users)}, "fig7b"},
-		{"frequsers", func() mr.Query { return queries.NewFrequentUsers(50) },
-			mr.Hints{Km: 0.12, DistinctKeys: int64(users)}, "fig7c"},
+	// Map-side combining leaves roughly one state per (chunk, user):
+	// with this user pool that is ~12% of the input, and the hint must
+	// say so or MR-hash under-provisions its buckets.
+	wls := []struct {
+		name string
+		km   float64 // 0 = the catalogue's
+		fig  string
+	}{
+		{"sessionization", 0, "fig7a"},
+		{"clickcount", 0.12, "fig7b"},
+		{"frequsers", 0.12, "fig7c"},
 	}
 
 	res := &Result{
@@ -61,14 +43,11 @@ func runTable3(c Config) (*Result, error) {
 	for _, w := range wls {
 		var reps []*engine.Report
 		for _, pl := range platforms {
-			rep, err := c.run(engine.JobSpec{
-				Query:    w.mk(),
-				Input:    c.clickInput(data, chunk64MB, users),
-				Platform: pl,
-				Cluster:  cl,
-				Hints:    w.hints,
-				Seed:     c.Seed,
-			})
+			spec, err := c.Job(cl, pl, jobspec.Params{Query: w.name, DataBytes: data})
+			if w.km > 0 {
+				spec.Hints.Km = w.km
+			}
+			rep, err := c.run(spec, err)
 			if err != nil {
 				return nil, err
 			}
@@ -123,17 +102,11 @@ func runFig7d(c Config) (*Result, error) {
 	// One fixed user pool (sized for the 0.5KB state): growing the
 	// state size then shrinks how many states fit in memory, which is
 	// exactly the paper's experiment.
-	users := sessionUsers(cl, 512)
+	users := jobspec.SessionUsers(cl, 512)
 	var spills []float64
 	for _, state := range []int{512, 1024, 2048} {
-		rep, err := c.run(engine.JobSpec{
-			Query:    queries.NewSessionization(5*time.Minute, state, 5*time.Second),
-			Input:    c.clickInput(data, chunk64MB, users),
-			Platform: engine.INCHash,
-			Cluster:  cl,
-			Hints:    mr.Hints{Km: 1.15, DistinctKeys: int64(users)},
-			Seed:     c.Seed,
-		})
+		rep, err := c.run(c.Job(cl, engine.INCHash,
+			jobspec.Params{Query: "sessionization", DataBytes: data, StateBytes: state, Users: users}))
 		if err != nil {
 			return nil, err
 		}
@@ -157,7 +130,7 @@ func runTable4(c Config) (*Result, error) {
 	c = c.withDefaults()
 	const data = 236e9
 	cl := onePassSM(c, data)
-	users := sessionUsers(cl, 512)
+	users := jobspec.SessionUsers(cl, 512)
 	res := &Result{
 		ID:     "table4",
 		Title:  "Sessionization: INC-hash (0.5KB, 2KB) vs DINC-hash (2KB)",
@@ -174,15 +147,8 @@ func runTable4(c Config) (*Result, error) {
 		{"INC (2KB)", engine.INCHash, 2048},
 		{"DINC (2KB)", engine.DINCHash, 2048},
 	} {
-		rep, err := c.run(engine.JobSpec{
-			Query:     queries.NewSessionization(5*time.Minute, cc.state, 5*time.Second),
-			Input:     c.clickInput(data, chunk64MB, users),
-			Platform:  cc.pl,
-			Cluster:   cl,
-			Hints:     mr.Hints{Km: 1.15, DistinctKeys: int64(users)},
-			ScanEvery: 4096,
-			Seed:      c.Seed,
-		})
+		rep, err := c.run(c.Job(cl, cc.pl,
+			jobspec.Params{Query: "sessionization", DataBytes: data, StateBytes: cc.state, Users: users}))
 		if err != nil {
 			return nil, err
 		}
@@ -209,42 +175,27 @@ func runTable4(c Config) (*Result, error) {
 func runFig7f(c Config) (*Result, error) {
 	c = c.withDefaults()
 	cl := onePassSM(c, 156e9)
-	m := cost.Default(c.Scale)
 	// The paper notes the reduce memory holds ~1/30 of the trigram
 	// states; trigram keys are near-unique in the tail, so the state
-	// space scales with the data. A modest vocabulary keeps hot
-	// trigrams genuinely hot while the tail overflows memory.
-	spec := workload.DocSpec{
-		PhysBytes: m.ScaleBytes(c.sized(156e9)),
-		ChunkPhys: m.ScaleBytes(chunk64MB),
-		Seed:      c.Seed,
-		Vocab:     5_000,
-		WordSkew:  1.6,
-		WordV:     4,
-		DocWords:  12,
-	}
-	input := workload.NewDocCorpus(spec)
-	// Distinct trigrams ≈ a quarter of the instances with this
-	// vocabulary (calibrated): far beyond reduce memory, with a hot
-	// head that mostly arrives before memory fills — the paper's
-	// "memory holds 1/30 of the states, hot keys resident" regime.
-	instances := spec.PhysBytes / int64(spec.DocWords*8+1) * int64(spec.DocWords-2)
+	// space scales with the data. The catalogue's modest vocabulary
+	// keeps hot trigrams genuinely hot while the tail overflows memory.
 	res := &Result{
 		ID:     "fig7f",
 		Title:  "Trigram counting (≥1000): SM vs INC-hash vs DINC-hash",
 		Header: []string{"platform", "running time (s)", "reduce spill (GB)", "map output (GB)", "reduce at map finish"},
 	}
-	hints := mr.Hints{Km: 3.0, DistinctKeys: int64(float64(instances) / 4)}
 	var reps []*engine.Report
 	for _, pl := range []engine.Platform{engine.SortMerge, engine.INCHash, engine.DINCHash} {
-		rep, err := c.run(engine.JobSpec{
-			Query:    queries.NewTrigramCount(1000),
-			Input:    input,
-			Platform: pl,
-			Cluster:  cl,
-			Hints:    hints,
-			Seed:     c.Seed,
-		})
+		spec, err := c.Job(cl, pl, jobspec.Params{Query: "trigram", DataBytes: 156e9})
+		if err == nil {
+			// Distinct trigrams ≈ a quarter of the instances (ten per
+			// 12-word line) with this vocabulary (calibrated): far
+			// beyond reduce memory, with a hot head that mostly arrives
+			// before memory fills — the paper's "memory holds 1/30 of
+			// the states, hot keys resident" regime.
+			spec.Hints.DistinctKeys = int64(float64(records(spec.Input)*10) / 4)
+		}
+		rep, err := c.run(spec, err)
 		if err != nil {
 			return nil, err
 		}

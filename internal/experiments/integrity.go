@@ -6,8 +6,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/mr"
-	"repro/internal/queries"
+	"repro/internal/jobspec"
 )
 
 func init() {
@@ -58,12 +57,10 @@ func runIntegrity(c Config) (*Result, error) {
 	cl.SlotCache = 2
 	const chunk = 16e6
 
-	probe := c.clickInput(data, chunk, 1000)
-	users := int(probe.TotalRecords() / 64)
-	if users < 500 {
-		users = 500
+	users, err := c.countingPool(cl, data, chunk)
+	if err != nil {
+		return nil, err
 	}
-	hints := mr.Hints{Km: 0.3, DistinctKeys: int64(users)}
 
 	res := &Result{
 		ID:    "integrity",
@@ -84,16 +81,12 @@ func runIntegrity(c Config) (*Result, error) {
 	platforms := []engine.Platform{engine.SortMerge, engine.HOP, engine.MRHash, engine.INCHash, engine.DINCHash}
 	var maxOverheadPct float64
 	for _, pl := range platforms {
-		mk := func() engine.JobSpec {
-			return engine.JobSpec{
-				Query:         queries.NewClickCount(),
-				Input:         c.clickInput(data, chunk, users),
-				Platform:      pl,
-				Cluster:       cl,
-				Hints:         hints,
-				Seed:          c.Seed,
-				CollectOutput: true,
-			}
+		mk := func() (engine.JobSpec, error) {
+			spec, err := c.Job(cl, pl,
+				jobspec.Params{Query: "clickcount", DataBytes: data, ChunkBytes: chunk, Users: users})
+			spec.Hints.Km = 0.3
+			spec.CollectOutput = true
+			return spec, err
 		}
 		clean, err := c.run(mk())
 		if err != nil {
@@ -105,9 +98,9 @@ func runIntegrity(c Config) (*Result, error) {
 		want := answers(clean)
 		mf := clean.MapFinishTime
 
-		sumSpec := mk()
+		sumSpec, err := mk()
 		sumSpec.Cluster.Checksums = true
-		summed, err := c.run(sumSpec)
+		summed, err := c.run(sumSpec, err)
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +115,7 @@ func runIntegrity(c Config) (*Result, error) {
 			maxOverheadPct = pct
 		}
 
-		faultSpec := mk()
+		faultSpec, err := mk()
 		faultSpec.Cluster.Checksums = true
 		faultSpec.Faults.Disk = engine.DiskFaultPlan{IOErrorRate: 0.05}
 		if pl != engine.HOP {
@@ -135,7 +128,7 @@ func runIntegrity(c Config) (*Result, error) {
 			faultSpec.Faults.HeartbeatTimeout = mf / 25
 			faultSpec.CheckpointEvery = mf / 64
 		}
-		faulted, err := c.run(faultSpec)
+		faulted, err := c.run(faultSpec, err)
 		if err != nil {
 			return nil, err
 		}

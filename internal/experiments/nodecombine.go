@@ -4,9 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/engine"
+	"repro/internal/jobspec"
 	"repro/internal/model"
-	"repro/internal/mr"
-	"repro/internal/queries"
 )
 
 func init() {
@@ -23,8 +22,8 @@ func init() {
 func runNodeCombine(c Config) (*Result, error) {
 	c = c.withDefaults()
 	const data = 32e9
-	const rowBytes = 24             // logical bytes per reduced (user, count) row
-	sized := float64(c.sized(data)) // hints must describe the data actually run
+	const rowBytes = 24             // logical bytes per reduced (user, count) row: the catalogue's Kr
+	sized := float64(c.sized(data)) // the model must describe the data actually run
 	cl := onePassSM(c, data)
 	// Tight reduce memory: the unreduced shuffle must exceed it, the
 	// paper's regime where the reducers spill (cf. Table 3's MR-hash
@@ -39,16 +38,10 @@ func runNodeCombine(c Config) (*Result, error) {
 	}
 
 	run := func(users int, mode engine.NodeCombineMode, fanIn int) (*engine.Report, error) {
-		return c.run(engine.JobSpec{
-			Query:       queries.NewClickCount(),
-			Input:       c.clickInput(data, chunk64MB, users),
-			Platform:    engine.MRHash,
-			Cluster:     cl,
-			Hints:       mr.Hints{Km: 0.12, Kr: rowBytes * float64(users) / sized, DistinctKeys: int64(users)},
-			NodeCombine: mode,
-			AggFanIn:    fanIn,
-			Seed:        c.Seed,
-		})
+		spec, err := c.Job(cl, engine.MRHash, jobspec.Params{Query: "clickcount", DataBytes: data,
+			Users: users, NodeCombine: mode.String(), AggFanIn: fanIn})
+		spec.Hints.Km = 0.12 // as in table3
+		return c.run(spec, err)
 	}
 	gb2 := func(b int64) string { return fmt.Sprintf("%.2f", float64(b)/1e9) }
 

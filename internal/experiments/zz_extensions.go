@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/jobspec"
 	"repro/internal/mr"
 	"repro/internal/queries"
 )
@@ -31,9 +32,9 @@ func runHOPSnap(c Config) (*Result, error) {
 	}
 	var reps []*engine.Report
 	for _, every := range []float64{0, 0.25} {
-		spec := sessionizationJob(c, cl, engine.HOP, 97e9, 512)
+		spec, err := c.Job(cl, engine.HOP, sessionization(97e9))
 		spec.SnapshotEvery = every
-		rep, err := c.run(spec)
+		rep, err := c.run(spec, err)
 		if err != nil {
 			return nil, err
 		}
@@ -63,22 +64,17 @@ func runCoverage(c Config) (*Result, error) {
 	// the keys; the pool is sized so hot users accumulate enough
 	// combines for their coverage under-estimate γ to clear φ.
 	cl.ReduceBuffer /= 8
-	users := sessionUsers(cl, 8) * 4
+	users := jobspec.SessionUsers(cl, 8) * 4
 	res := &Result{
 		ID:     "coverage",
 		Title:  "DINC-hash approximate early answers (click counting, 97GB)",
 		Header: []string{"φ", "running time (s)", "approx keys", "reduce spill (GB)"},
 	}
 	for _, phi := range []float64{0, 0.1, 0.5} {
-		rep, err := c.run(engine.JobSpec{
-			Query:             queries.NewClickCount(),
-			Input:             c.clickInput(97e9, chunk64MB, users),
-			Platform:          engine.DINCHash,
-			Cluster:           cl,
-			Hints:             mr.Hints{Km: 0.02, DistinctKeys: int64(users)},
-			CoverageThreshold: phi,
-			Seed:              c.Seed,
-		})
+		spec, err := c.Job(cl, engine.DINCHash, jobspec.Params{Query: "clickcount", DataBytes: 97e9, Users: users})
+		spec.Hints.Km = 0.02
+		spec.CoverageThreshold = phi
+		rep, err := c.run(spec, err)
 		if err != nil {
 			return nil, err
 		}
@@ -107,19 +103,14 @@ func runWindows(c Config) (*Result, error) {
 		Title:  "Tumbling-window visit counts (1h windows over 24h of clicks, 97GB)",
 		Header: []string{"platform", "running time (s)", "reduce spill (GB)", "windows out by map finish"},
 	}
-	mk := func() mr.Query { return queries.NewWindowCount(time.Hour, 5*time.Second) }
-	hints := mr.Hints{Km: 0.05, DistinctKeys: 24 * 20_000}
 	var incEarly float64
 	for _, pl := range []engine.Platform{engine.SortMerge, engine.INCHash, engine.DINCHash} {
-		rep, err := c.run(engine.JobSpec{
-			Query:     mk(),
-			Input:     c.clickInput(97e9, chunk64MB, 60_000),
-			Platform:  pl,
-			Cluster:   cl,
-			Hints:     hints,
-			ScanEvery: 4096,
-			Seed:      c.Seed,
-		})
+		// The window query is not a catalogue entry: it reads the click
+		// stream pagefreq does, keyed by (hour, URL).
+		spec, err := c.Job(cl, pl, jobspec.Params{Query: "pagefreq", DataBytes: 97e9, Users: 60_000})
+		spec.Query = queries.NewWindowCount(time.Hour, 5*time.Second)
+		spec.Hints = mr.Hints{Km: 0.05, DistinctKeys: 24 * 20_000}
+		rep, err := c.run(spec, err)
 		if err != nil {
 			return nil, err
 		}

@@ -40,6 +40,9 @@ type Plan struct {
 func Factory(name string, stateBytes int) (func() mr.Query, error) {
 	switch name {
 	case "sessionization":
+		if stateBytes < minSessionState {
+			return nil, fmt.Errorf("sessionization state of %d bytes cannot hold a click (want ≥ %d)", stateBytes, minSessionState)
+		}
 		return func() mr.Query {
 			return NewSessionization(5*time.Minute, stateBytes, 5*time.Second)
 		}, nil
@@ -66,7 +69,16 @@ func Resolve(name string, z Sizing, m cost.Model) (Plan, error) {
 	if p.NewQuery, err = Factory(name, z.StateBytes); err != nil {
 		return p, err
 	}
+	// The generators need a physical byte of data and of chunk and a
+	// user to draw; below 2^62 the conversions are defined.
 	phys, chunk := m.ScaleBytes(int64(z.DataBytes)), m.ScaleBytes(int64(z.ChunkBytes))
+	if !(z.DataBytes < 1<<62 && z.ChunkBytes < 1<<62) || phys < 1 || chunk < 1 {
+		return p, fmt.Errorf("data size %g and chunk size %g must each scale to at least one physical byte (scale %g) and stay below 2^62",
+			z.DataBytes, z.ChunkBytes, m.Scale)
+	}
+	if z.Users < 1 {
+		return p, fmt.Errorf("user pool of %d is empty", z.Users)
+	}
 	switch name {
 	case "sessionization":
 		p.Hints.Km = 1.15

@@ -111,12 +111,15 @@ func appendSession(dst []byte, session int, rec []byte) []byte {
 	return append(dst, rec...)
 }
 
+// minSessionState is the smallest state buffer that holds one click.
+const minSessionState = 64
+
 // NewSessionization creates the query. stateSize is the per-user
 // click-buffer state footprint in bytes (the paper evaluates 512, 1024
 // and 2048); slack must exceed the workload's timestamp disorder
 // bound.
 func NewSessionization(gap time.Duration, stateSize int, slack time.Duration) *Sessionization {
-	if stateSize < 64 {
+	if stateSize < minSessionState {
 		panic("queries: sessionization state too small to hold a click")
 	}
 	return &Sessionization{

@@ -2,15 +2,11 @@ package sched
 
 import (
 	"context"
-	"fmt"
-	"runtime"
 	"time"
 
-	"repro/internal/cost"
 	"repro/internal/engine"
+	"repro/internal/jobspec"
 	"repro/internal/mr"
-	"repro/internal/queries"
-	"repro/internal/realexec"
 )
 
 // Executor runs one job to completion. resume is non-nil when the run
@@ -29,55 +25,20 @@ type ResumeInfo struct {
 	Attempt   int
 }
 
-// BuildJob translates a normalized, validated JobSpec into the engine
-// job plus the query factory the real backend needs. The query, hints
-// and input come from the same catalogue cmd/onepass resolves through
-// (queries.Resolve), so a scheduled run and a direct CLI run of the
-// same spec produce bit-identical answer-stable Reports.
+// BuildJob maps a normalized JobSpec onto the builder's parameters and
+// builds it: the one chain cmd/onepass and the figures build through
+// (jobspec.Build), so a scheduled run and a direct CLI run of the same
+// spec produce bit-identical answer-stable Reports. Its error is the
+// whole of what Validate says about the job itself.
 func BuildJob(s JobSpec) (engine.JobSpec, func() mr.Query, error) {
-	scale, err := cost.ParseScale(s.Scale)
-	if err != nil {
-		return engine.JobSpec{}, nil, err
-	}
-	platform, err := engine.ParsePlatform(s.Platform)
-	if err != nil {
-		return engine.JobSpec{}, nil, err
-	}
-	combMode, err := engine.ParseNodeCombineMode(s.NodeCombine)
-	if err != nil {
-		return engine.JobSpec{}, nil, err
-	}
-
-	m := cost.Default(scale)
-	cluster := engine.PaperCluster(m)
-	if s.Nodes > 0 {
-		cluster.Nodes = s.Nodes
-	}
-	if s.Reducers > 0 {
-		cluster.R = s.Reducers
-	}
-	cluster.Parallelism = s.Workers
-
-	plan, err := queries.Resolve(s.Query, queries.Sizing{
-		StateBytes: s.StateBytes, Users: s.Users,
-		DataBytes: s.DataBytes, ChunkBytes: s.ChunkBytes, Seed: s.Seed,
-	}, m)
-	if err != nil {
-		return engine.JobSpec{}, nil, err
-	}
-
-	job := engine.JobSpec{
-		Input:           plan.Input,
-		Platform:        platform,
-		Cluster:         cluster,
-		Hints:           plan.Hints,
-		ScanEvery:       4096,
-		Seed:            s.Seed,
+	return jobspec.Build(jobspec.Params{
+		Query: s.Query, Platform: s.Platform, Scale: s.Scale,
+		DataBytes: s.DataBytes, ChunkBytes: s.ChunkBytes,
+		StateBytes: s.StateBytes, Users: s.Users, Seed: s.Seed,
+		Nodes: s.Nodes, Reducers: s.Reducers, Workers: s.Workers,
+		NodeCombine: s.NodeCombine, AggFanIn: s.AggFanIn,
 		CheckpointEvery: time.Duration(s.CheckpointEvery),
-		NodeCombine:     combMode,
-		AggFanIn:        s.AggFanIn,
-	}
-	return job, plan.NewQuery, nil
+	})
 }
 
 // EngineExecutor executes jobs on the platform engine, honoring
@@ -98,35 +59,22 @@ func (EngineExecutor) Run(ctx context.Context, spec JobSpec, resume *ResumeInfo)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	backend, err := jobspec.ParseBackend(spec.Backend)
+	if err != nil {
+		return nil, err
+	}
 	job, newQuery, err := BuildJob(spec)
 	if err != nil {
 		return nil, err
 	}
-	platform := job.Platform
 
-	runOnce := func(j engine.JobSpec) (*engine.Report, error) {
-		switch spec.Backend {
-		case "sim":
-			j.Query = newQuery()
-			return engine.Run(j)
-		case "real":
-			workers := spec.Workers
-			if workers == 0 {
-				workers = runtime.GOMAXPROCS(0)
-			}
-			return realexec.Run(realexec.Spec{Job: j, NewQuery: newQuery, Workers: workers})
-		default:
-			return nil, fmt.Errorf("unknown backend %q", spec.Backend)
-		}
-	}
-
-	if resume == nil || !platform.Incremental() {
-		return runOnce(job)
+	if resume == nil || !job.Platform.Incremental() {
+		return backend.Run(job, newQuery)
 	}
 
 	// Probe for the clean makespan so the injected kill lands mid-job
 	// on any spec, then re-execute through the checkpointed path.
-	probe, err := runOnce(job)
+	probe, err := backend.Run(job, newQuery)
 	if err != nil {
 		return nil, err
 	}
@@ -140,8 +88,9 @@ func (EngineExecutor) Run(ctx context.Context, spec JobSpec, resume *ResumeInfo)
 		// timer happened to capture before the interruption.
 		resumed.CheckpointEvery = time.Nanosecond
 	}
-	switch spec.Backend {
-	case "sim":
+	if backend.WallClock {
+		resumed.Faults.KillAtMapProgress = map[int]float64{1: 0.75}
+	} else {
 		// Kill late in the map phase with a responsive failure
 		// detector — the shape of the engine's own recovery suite —
 		// so the lost reducers hold real checkpointed progress and the
@@ -150,8 +99,6 @@ func (EngineExecutor) Run(ctx context.Context, spec JobSpec, resume *ResumeInfo)
 		resumed.Faults.KillNodes = map[int]time.Duration{1: mf * 3 / 4}
 		resumed.Faults.HeartbeatInterval = mf / 100
 		resumed.Faults.HeartbeatTimeout = mf / 25
-	case "real":
-		resumed.Faults.KillAtMapProgress = map[int]float64{1: 0.75}
 	}
-	return runOnce(resumed)
+	return backend.Run(resumed, newQuery)
 }

@@ -11,12 +11,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
-	"repro/internal/cost"
 	"repro/internal/engine"
-	"repro/internal/queries"
+	"repro/internal/jobspec"
 )
 
 // Duration marshals as a human-readable duration string ("2m30s") and
@@ -137,50 +135,26 @@ func (s *JobSpec) Normalize() {
 	}
 }
 
-// Validate reports the first problem with a normalized spec.
+// Validate reports the first problem with a normalized spec. Org,
+// backend name and cron expression are the scheduler's own; everything
+// else is valid exactly when the job builds, so an accepted spec cannot
+// fail — or take the daemon down — for a reason known at submit.
 func (s *JobSpec) Validate() error {
 	if s.Org == "" {
 		return errors.New("spec: org is required")
 	}
-	if !contains(queries.Names, s.Query) {
-		return fmt.Errorf("spec: unknown query %q (want one of %s)", s.Query, strings.Join(queries.Names, "|"))
-	}
-	if _, err := engine.ParsePlatform(s.Platform); err != nil {
+	if _, err := jobspec.ParseBackend(s.Backend); err != nil {
 		return fmt.Errorf("spec: %w", err)
-	}
-	if s.Backend != "sim" && s.Backend != "real" {
-		return fmt.Errorf("spec: unknown backend %q (want sim or real)", s.Backend)
-	}
-	if _, err := cost.ParseScale(s.Scale); err != nil {
-		return fmt.Errorf("spec: %w", err)
-	}
-	if s.DataBytes <= 0 || s.ChunkBytes <= 0 {
-		return fmt.Errorf("spec: data_bytes and chunk_bytes must be positive")
-	}
-	if s.Nodes < 0 || s.Reducers < 0 || s.AggFanIn < 0 {
-		return fmt.Errorf("spec: nodes, reducers, and agg_fanin must be non-negative")
-	}
-	if _, err := engine.ParseNodeCombineMode(s.NodeCombine); err != nil {
-		return fmt.Errorf("spec: %w", err)
-	}
-	if s.CheckpointEvery < 0 {
-		return fmt.Errorf("spec: checkpoint_every must be non-negative")
 	}
 	if s.Cron != "" {
 		if _, err := ParseSchedule(s.Cron); err != nil {
 			return fmt.Errorf("spec: %w", err)
 		}
 	}
-	return nil
-}
-
-func contains(set []string, v string) bool {
-	for _, s := range set {
-		if s == v {
-			return true
-		}
+	if _, _, err := BuildJob(*s); err != nil {
+		return fmt.Errorf("spec: %w", err)
 	}
-	return false
+	return nil
 }
 
 // Job and run lifecycle states.

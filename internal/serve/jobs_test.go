@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -171,6 +172,56 @@ func TestJobsValidationAndNotFound(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("%s %s: %d %s", probe.method, probe.path, resp.StatusCode, body)
 		}
+	}
+}
+
+// dirDigest is the names and contents of every file under dir.
+func dirDigest(t *testing.T, dir string) string {
+	t.Helper()
+	var sb strings.Builder
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		fmt.Fprintf(&sb, "%s %x\n", path, sha256.Sum256(data))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+// TestJobsRejectedSpecsPersistNothing posts the bodies the daemon used
+// to acknowledge with 201 and then die on in the run goroutine — again
+// at every restart, the run being persisted — or fail only at run time
+// (sched/testdata/rejected_specs.jsonl: sizes that scale to zero
+// physical bytes, a negative pool, scales outside (0, 1], a session
+// state too small for a click, an aggregation tree without node
+// combining or on hop). Each is a 400 at submit that leaves the job
+// list empty and the job store's files untouched.
+func TestJobsRejectedSpecsPersistNothing(t *testing.T) {
+	dir := t.TempDir()
+	srv, _ := jobsServer(t, sched.Config{Dir: dir})
+	before := dirDigest(t, dir)
+	bodies, err := os.ReadFile("../sched/testdata/rejected_specs.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range strings.Split(strings.TrimSpace(string(bodies)), "\n") {
+		resp, msg := doJSON(t, "POST", srv.URL+"/v1/jobs", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s: %d %s, want 400", body, resp.StatusCode, msg)
+		}
+	}
+	resp, list := doJSON(t, "GET", srv.URL+"/v1/jobs", "")
+	var jobs []sched.Job
+	if err := json.Unmarshal(list, &jobs); err != nil || resp.StatusCode != http.StatusOK || len(jobs) != 0 {
+		t.Errorf("GET /v1/jobs after the rejected submits: %d %s (%v), want an empty list", resp.StatusCode, list, err)
+	}
+	if after := dirDigest(t, dir); after != before {
+		t.Errorf("rejected submits wrote to the job store:\nbefore\n%safter\n%s", before, after)
 	}
 }
 

@@ -57,6 +57,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/dfs"
 	"repro/internal/engine"
+	"repro/internal/jobspec"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/mr"
@@ -128,19 +129,6 @@ const (
 	NodeCombineOn   = engine.NodeCombineOn
 	NodeCombineAuto = engine.NodeCombineAuto
 )
-
-// ParseNodeCombineMode parses the -node-combine flag spelling
-// (off|on|auto).
-func ParseNodeCombineMode(s string) (NodeCombineMode, error) {
-	return engine.ParseNodeCombineMode(s)
-}
-
-// ParsePlatform parses the -platform flag spelling
-// (sm|hop|mr-hash|inc-hash|dinc-hash, and aliases).
-func ParsePlatform(s string) (Platform, error) { return engine.ParsePlatform(s) }
-
-// ParseScale parses the -scale flag spelling ("1/4096" or a float).
-func ParseScale(s string) (float64, error) { return cost.ParseScale(s) }
 
 // ModelNodeCombineThreshold is the predicted shuffle-saving fraction
 // above which NodeCombineAuto enables the stage.
@@ -219,20 +207,31 @@ func DefaultModel(scale float64) CostModel { return cost.Default(scale) }
 // 140MB map buffers, 500MB reduce buffers.
 func PaperCluster(m CostModel) Cluster { return engine.PaperCluster(m) }
 
-// The named-query catalogue (see internal/queries): what the CLI, the
-// scheduler and the daemon all resolve a query name through.
+// Job description (see internal/jobspec): what cmd/onepass, the
+// scheduler and the figures all build a named job through.
 type (
-	// QuerySizing is the run a catalogue query is resolved for.
-	QuerySizing = queries.Sizing
-	// QueryPlan is a resolved entry: factory, hints and input.
-	QueryPlan = queries.Plan
+	// JobParams is the plain-data description of one catalogue job, in
+	// the spellings of the onepass flags.
+	JobParams = jobspec.Params
+	// Backend is an execution substrate resolved by name.
+	Backend = jobspec.Backend
 )
 
-// ResolveQuery looks a query up in the catalogue by name
-// (sessionization|clickcount|frequsers|pagefreq|trigram).
-func ResolveQuery(name string, z QuerySizing, m CostModel) (QueryPlan, error) {
-	return queries.Resolve(name, z, m)
-}
+// ModelMergeFactor as JobParams.MergeFactor asks the analytical model
+// for the merge factor.
+const ModelMergeFactor = jobspec.ModelF
+
+// BuildJob builds the job p describes — catalogue query
+// (sessionization|clickcount|frequsers|pagefreq|trigram), hints and
+// synthetic input on the paper's cluster — plus the query factory
+// RunReal and Backend.Run take. Anything it cannot build is an error.
+// The caller may still set Faults, Cluster.Checksums and
+// SkipBadRecords on the result.
+func BuildJob(p JobParams) (Job, func() Query, error) { return jobspec.Build(p) }
+
+// ParseBackend resolves the -backend flag spelling: sim (Run) or real
+// (RunReal, workers 0 = GOMAXPROCS).
+func ParseBackend(name string) (Backend, error) { return jobspec.ParseBackend(name) }
 
 // SyntheticClickStream builds the WorldCup-like click stream input.
 func SyntheticClickStream(spec ClickStreamSpec) *workload.ClickStream {
