@@ -18,7 +18,6 @@ import (
 // fold continues in a fresh table, so the output may carry several
 // segments per partition, each internally duplicate-free.
 type foldTable struct {
-	rt     *Runtime
 	r      int // partitions
 	budget int64
 	h      hashfam.Func
@@ -76,57 +75,35 @@ func (f *foldTable) add(part int, key, val []byte) {
 }
 
 // flush emits the table contents as one finished segment per partition
-// and resets the table. The table walk is serial (it owns the iteration
-// cursor), but the per-partition combine + encode work runs on the
-// kernel's compute pool: partitions are disjoint, entries keep table
-// iteration order within each partition, and the table is only read
-// until reset — so the emitted segments are bytewise identical to a
-// serial flush for any worker count. In sorted mode each segment is
-// key-sorted (post-fold keys are unique per segment, so any stable sort
-// yields a valid sort-merge run) and encoding runs serially so
-// SortStream can shard each partition's sort onto the pool itself (no
-// nested fan-out).
+// and resets the table. Entries keep table iteration order within each
+// partition; in sorted mode each segment is then key-sorted (post-fold
+// keys are unique per segment, so any stable sort yields a valid
+// sort-merge run).
 func (f *foldTable) flush() {
-	type entry struct {
-		key    []byte
-		state  []byte
-		values func(func([]byte))
-	}
-	perPart := make([][]entry, f.r)
-	f.table.Range(func(pk, state []byte, values func(func([]byte))) bool {
-		part, key := int(binary.BigEndian.Uint16(pk)), pk[2:]
-		perPart[part] = append(perPart[part], entry{key: key, state: state, values: values})
-		return true
-	})
 	segs := make([][]byte, f.r)
 	counts := make([]int64, f.r)
-	encode := func(part int) {
-		var seg []byte
-		var n int64
-		for _, e := range perPart[part] {
-			if f.inc != nil {
-				seg = kvenc.AppendPair(seg, e.key, e.state)
-				n++
-				continue
+	var vals [][]byte
+	f.table.Range(func(pk, state []byte, values func(func([]byte))) bool {
+		part, key := int(binary.BigEndian.Uint16(pk)), pk[2:]
+		if f.inc != nil {
+			segs[part] = kvenc.AppendPair(segs[part], key, state)
+			counts[part]++
+			return true
+		}
+		// Combine the collected values into (usually) one.
+		vals = vals[:0]
+		values(func(v []byte) { vals = append(vals, v) })
+		f.comb.Combine(key, &kvenc.SliceIter{Vals: vals}, func(v []byte) {
+			segs[part] = kvenc.AppendPair(segs[part], key, v)
+			counts[part]++
+		})
+		return true
+	})
+	if f.sorted {
+		for part, seg := range segs {
+			if len(seg) > 0 {
+				segs[part], _ = kvenc.SortStream(seg)
 			}
-			// Combine the collected values into (usually) one.
-			var vals [][]byte
-			e.values(func(v []byte) { vals = append(vals, v) })
-			f.comb.Combine(e.key, &kvenc.SliceIter{Vals: vals}, func(v []byte) {
-				seg = kvenc.AppendPair(seg, e.key, v)
-				n++
-			})
-		}
-		if f.sorted && len(seg) > 0 {
-			seg, _ = f.rt.SortStream(seg)
-		}
-		segs[part], counts[part] = seg, n
-	}
-	if f.rt.P != nil && !f.sorted {
-		f.rt.P.ParallelFor(f.r, encode)
-	} else {
-		for part := 0; part < f.r; part++ {
-			encode(part)
 		}
 	}
 	f.emit(segs, counts)

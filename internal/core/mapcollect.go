@@ -61,7 +61,7 @@ func NewHashMapCollector(rt *Runtime, q mr.Query, r int, budget int64, increment
 		c.init = inc
 	}
 	if isComb {
-		c.fold = &foldTable{rt: rt, r: r, budget: budget, h: rt.Fam.Fn(2), inc: c.init, comb: comb,
+		c.fold = &foldTable{r: r, budget: budget, h: rt.Fam.Fn(2), inc: c.init, comb: comb,
 			emit: func(segs [][]byte, counts []int64) {
 				for _, n := range counts {
 					c.outRecs += n

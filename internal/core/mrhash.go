@@ -231,7 +231,7 @@ func (r *MRHashReducer) sortAndStream(data []byte, out mr.OutputWriter) {
 		r.rt.Store.ReadAll(r.rt.P, scratch, r.seg, storage.ReduceSpill)
 		r.rt.Store.Delete(scratch)
 	}
-	sorted, n := r.rt.SortStream(data)
+	sorted, n := kvenc.SortStream(data)
 	r.rt.ChargeCPU(r.rt.Model.CPUSort(int64(n)))
 	var records int64
 	batch := r.rt.Batch(r.rt.Model.CPUReduceRec)

@@ -25,6 +25,7 @@ import (
 // emitted runs and all derived counters bit-identical across
 // substrates and worker counts.
 type NodeCombiner struct {
+	rt       *Runtime
 	fold     foldTable
 	inPairs  int64
 	outPairs int64
@@ -42,13 +43,13 @@ type NodeCombiner struct {
 // The caller must only construct one for combinable queries
 // (mr.Combiner present); see engine.JobSpec.NodeCombineActive.
 func NewNodeCombiner(rt *Runtime, q mr.Query, r int, budget int64, incremental, sorted bool) *NodeCombiner {
-	nc := &NodeCombiner{out: MapParts{Segs: make([][][]byte, r), Recs: make([][]int64, r)}}
+	nc := &NodeCombiner{rt: rt, out: MapParts{Segs: make([][][]byte, r), Recs: make([][]int64, r)}}
 	inc, isInc := q.(mr.Incremental)
 	comb, isComb := q.(mr.Combiner)
 	if !isComb {
 		panic("core: NodeCombiner requires an mr.Combiner query")
 	}
-	nc.fold = foldTable{rt: rt, r: r, budget: budget, h: rt.Fam.Fn(3), comb: comb, sorted: sorted, emit: nc.emit}
+	nc.fold = foldTable{r: r, budget: budget, h: rt.Fam.Fn(3), comb: comb, sorted: sorted, emit: nc.emit}
 	if incremental && isInc {
 		nc.fold.inc = inc
 	}
@@ -82,8 +83,7 @@ func (nc *NodeCombiner) Absorb(parts [][][]byte) {
 		}
 	}
 	nc.inPairs += pairs
-	rt := nc.fold.rt
-	rt.ChargeOps(rt.Model.CPUHashInsert+rt.Model.CPUCombine, pairs)
+	nc.rt.ChargeOps(nc.rt.Model.CPUHashInsert+nc.rt.Model.CPUCombine, pairs)
 }
 
 // emit stores one flush of the table; in sorted mode the sort CPU of
@@ -95,7 +95,7 @@ func (nc *NodeCombiner) emit(segs [][]byte, counts []int64) {
 			nc.out.Recs[part] = append(nc.out.Recs[part], counts[part])
 		}
 		if nc.fold.sorted {
-			nc.fold.rt.ChargeCPU(nc.fold.rt.Model.CPUSort(counts[part]))
+			nc.rt.ChargeCPU(nc.rt.Model.CPUSort(counts[part]))
 		}
 		nc.outPairs += counts[part]
 	}

@@ -18,13 +18,10 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
-	"repro/internal/bytestore"
 	"repro/internal/cost"
 	"repro/internal/hashfam"
-	"repro/internal/kvenc"
 	"repro/internal/storage"
 	"repro/internal/substrate"
 )
@@ -62,50 +59,6 @@ type MapParts struct {
 	// segments are adjacent ranges of, in partition order: the map
 	// output file adopts it instead of gathering a copy.
 	Backing []byte
-}
-
-// parallelSortMin is the stream size below which sharding a sort onto
-// the compute pool costs more than it saves.
-const parallelSortMin = 64 << 10
-
-// SortStream stably sorts an encoded stream by key. When the kernel
-// has a compute pool, the stream is split at pair boundaries, the
-// shards are sorted on real goroutines, and the sorted shards are
-// stably merged — bytewise identical to kvenc.SortStream for any
-// worker count, because a stable sort has a unique result. Virtual CPU
-// is charged by the caller exactly as for the serial sort: the charge
-// depends on the pair count, not on how the real work was scheduled.
-func (rt *Runtime) SortStream(data []byte) ([]byte, int) {
-	w := 1
-	if rt.P != nil {
-		w = rt.P.Workers()
-	}
-	if w <= 1 || len(data) < parallelSortMin {
-		return kvenc.SortStream(data)
-	}
-	pieces := kvenc.SplitStream(data, w)
-	if len(pieces) <= 1 {
-		return kvenc.SortStream(data)
-	}
-	sorted := make([][]byte, len(pieces))
-	counts := make([]int, len(pieces))
-	rt.P.ParallelFor(len(pieces), func(i int) {
-		sorted[i], counts[i] = kvenc.SortStreamTo(bytestore.Get(len(pieces[i])), pieces[i])
-	})
-	n := 0
-	for _, c := range counts {
-		n += c
-	}
-	merged, err := kvenc.MergeStreamChecked(sorted)
-	if err != nil {
-		// The shards were just produced in memory by SortStream; a
-		// corrupt shard is a bug, never a recoverable disk fault.
-		panic(fmt.Errorf("core: sharded sort produced a corrupt run: %w", err))
-	}
-	for _, s := range sorted {
-		bytestore.Put(s)
-	}
-	return merged, n
 }
 
 // ChargeOps bills n operations at per-logical-op cost per.

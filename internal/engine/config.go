@@ -122,9 +122,9 @@ type ClusterConfig struct {
 	Model            cost.Model
 	ProgressInterval time.Duration // metrics sampling period (virtual)
 
-	// Parallelism sizes the kernel's fork/join compute pool: the real
-	// goroutines that execute pure compute (chunk generation, map
-	// functions, sorting, collector flushes) while the simulation
+	// Parallelism sizes the kernel's compute pool: the real goroutines
+	// that execute pure compute (chunk generation, map functions, the
+	// sort-merge sorts, merges and final reduce) while the simulation
 	// schedules one process at a time. 0 means GOMAXPROCS; 1 runs all
 	// compute inline. Results are bit-for-bit identical for any value
 	// — this knob trades wall-clock time only, never virtual time.

@@ -12,7 +12,7 @@ import (
 )
 
 // TestParallelismDoesNotChangeReports is the determinism differential
-// test for the fork/join compute pool: the same job run twice serially
+// test for the compute pool: the same job run twice serially
 // (Parallelism=1) and once per parallel pool size must produce
 // bit-identical Reports — event order, virtual times, I/O volumes,
 // progress curves, spans, and every output record. Only Workers and
@@ -21,49 +21,74 @@ import (
 // Sessionization is the adversarial choice of query: it carries
 // watermark state (replayed serially at delivery points), its map
 // output is large (Km≈1, exercising collector flushes and spills), and
-// the small reduce buffer forces the sort/spill paths.
+// the small reduce buffer forces the sort/spill paths. The click-count
+// rows cover each fold-table flush, which runs on the process whatever
+// the pool size: states on INC-hash, combined value lists on MR-hash,
+// and the node combiner's key-sorted segments under sort-merge — with a
+// map buffer small enough that the table overflows mid-task.
 func TestParallelismDoesNotChangeReports(t *testing.T) {
 	m := testModel()
 	input := testClicks(t, 192<<10, 12<<10)
-	run := func(pl Platform, workers int) *Report {
-		c := testCluster(m)
-		c.ReduceBuffer = 16 << 10 // force reduce-side spills
-		c.Page = 1 << 10
-		c.Parallelism = workers
-		rep := runJob(t, JobSpec{
-			Query:    queries.NewSessionization(5*time.Minute, 512, 5*time.Second),
-			Input:    input,
-			Platform: pl,
-			Cluster:  c,
-			Hints:    mr.Hints{Km: 1, DistinctKeys: 400},
-			Seed:     7,
-		})
-		if rep.Workers != workers && !(workers <= 1 && rep.Workers == 1) {
-			// workers<=0 resolves to GOMAXPROCS, which the caller
-			// avoids by always passing explicit positive counts.
-			t.Fatalf("report ran with %d workers, want %d", rep.Workers, workers)
-		}
-		// Zero the only fields allowed to vary with pool size.
-		rep.Workers = 0
-		rep.WallTime = 0
-		return rep
+	rows := []struct {
+		name        string
+		pl          Platform
+		combo       bool // clickcount (combiner) instead of sessionization
+		nodeCombine NodeCombineMode
+	}{
+		{name: "sm/sessionization", pl: SortMerge},
+		{name: "inc-hash/sessionization", pl: INCHash},
+		{name: "inc-hash/clickcount", pl: INCHash, combo: true},
+		{name: "mr-hash/clickcount", pl: MRHash, combo: true},
+		{name: "sm/clickcount/node-combine", pl: SortMerge, combo: true, nodeCombine: NodeCombineOn},
 	}
-	for _, pl := range []Platform{SortMerge, INCHash} {
-		serial1 := run(pl, 1)
-		serial2 := run(pl, 1)
+	for _, row := range rows {
+		run := func(workers int) *Report {
+			c := testCluster(m)
+			c.ReduceBuffer = 16 << 10 // force reduce-side spills
+			c.Page = 1 << 10
+			c.Parallelism = workers
+			spec := JobSpec{
+				Query:       queries.NewSessionization(5*time.Minute, 512, 5*time.Second),
+				Input:       input,
+				Platform:    row.pl,
+				Cluster:     c,
+				Hints:       mr.Hints{Km: 1, DistinctKeys: 400},
+				NodeCombine: row.nodeCombine,
+				Seed:        7,
+			}
+			if row.combo {
+				spec.Query, spec.Hints = queries.NewClickCount(), mr.Hints{Km: 0.1, DistinctKeys: 400}
+				spec.Cluster.MapBuffer = 2 << 10 // several table flushes per task
+			}
+			rep := runJob(t, spec)
+			if rep.Workers != workers && !(workers <= 1 && rep.Workers == 1) {
+				// workers<=0 resolves to GOMAXPROCS, which the caller
+				// avoids by always passing explicit positive counts.
+				t.Fatalf("%s: report ran with %d workers, want %d", row.name, rep.Workers, workers)
+			}
+			// Zero the only fields allowed to vary with pool size.
+			rep.Workers = 0
+			rep.WallTime = 0
+			return rep
+		}
+		serial1 := run(1)
+		serial2 := run(1)
 		if !reflect.DeepEqual(serial1, serial2) {
-			t.Fatalf("%v: two serial runs differ — simulation itself nondeterministic", pl)
+			t.Fatalf("%s: two serial runs differ — simulation itself nondeterministic", row.name)
 		}
 		if len(serial1.Outputs) == 0 {
-			t.Fatalf("%v: no outputs collected", pl)
+			t.Fatalf("%s: no outputs collected", row.name)
 		}
-		// 3 shards oddly against 16 map chunks; 4 is a typical core
+		if row.nodeCombine == NodeCombineOn && serial1.NodeCombineInputRecords == 0 {
+			t.Fatalf("%s: test setup: the node combiner never ran", row.name)
+		}
+		// 3 workers sit oddly against 16 map chunks; 4 is a typical core
 		// count; 8 oversubscribes this container — determinism must
 		// hold regardless of how closures land on workers.
 		for _, w := range []int{3, 4, 8} {
-			par := run(pl, w)
+			par := run(w)
 			if !reflect.DeepEqual(serial1, par) {
-				t.Fatalf("%v: Workers=%d report differs from serial run: %s", pl, w, ReportDiff(serial1, par))
+				t.Fatalf("%s: Workers=%d report differs from serial run: %s", row.name, w, ReportDiff(serial1, par))
 			}
 		}
 	}

@@ -7,8 +7,7 @@
 // beyond) handle recursive partitioning. The paper uses standard
 // universal hashing so the functions are independent of each other;
 // this package provides exactly that: a seeded family where Fn(i)
-// yields the i-th function, plus a frequency-aware partitioner used
-// when key frequencies are known a priori (paper §5).
+// yields the i-th function.
 package hashfam
 
 import (
@@ -106,79 +105,4 @@ func (fam *Family) derive(i int) Func {
 		a1: uint64(rng.Int63())<<1 | 1, // odd
 		b:  uint64(rng.Int63()) ^ uint64(rng.Int63())<<32>>1,
 	}
-}
-
-// Partitioner assigns keys to n partitions. The default implementation
-// is hash-based; WeightedPartitioner balances known-frequency keys.
-type Partitioner interface {
-	Partition(key []byte, n int) int
-}
-
-// HashPartitioner partitions by a single hash function (the h1 of the
-// paper's framework).
-type HashPartitioner struct {
-	F Func
-}
-
-// Partition implements Partitioner.
-func (p HashPartitioner) Partition(key []byte, n int) int { return p.F.Bucket(key, n) }
-
-// WeightedKey is a key with an a-priori relative frequency, used to
-// customize the partitioner when frequencies are known (paper §5:
-// "if the frequency of hash keys is available a priori, our prototype
-// can customize the hash function to balance the amount of data
-// across buckets").
-type WeightedKey struct {
-	Key    []byte
-	Weight float64
-}
-
-// WeightedPartitioner pins a set of known-hot keys to explicit
-// partitions chosen greedily to balance total weight, and falls back
-// to hashing for all other keys.
-type WeightedPartitioner struct {
-	fallback Func
-	pinned   map[string]int
-}
-
-// NewWeightedPartitioner builds a partitioner over n partitions that
-// balances the given weighted keys. Keys not listed fall back to the
-// provided hash function.
-func NewWeightedPartitioner(hot []WeightedKey, n int, fallback Func) *WeightedPartitioner {
-	if n <= 0 {
-		panic("hashfam: NewWeightedPartitioner with non-positive n")
-	}
-	wp := &WeightedPartitioner{fallback: fallback, pinned: make(map[string]int, len(hot))}
-	// Greedy longest-processing-time assignment: heaviest key goes to
-	// the currently lightest partition.
-	order := make([]int, len(hot))
-	for i := range order {
-		order[i] = i
-	}
-	// Insertion sort by descending weight (len(hot) is small: the hot set).
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && hot[order[j]].Weight > hot[order[j-1]].Weight; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	load := make([]float64, n)
-	for _, idx := range order {
-		best := 0
-		for p := 1; p < n; p++ {
-			if load[p] < load[best] {
-				best = p
-			}
-		}
-		load[best] += hot[idx].Weight
-		wp.pinned[string(hot[idx].Key)] = best
-	}
-	return wp
-}
-
-// Partition implements Partitioner.
-func (wp *WeightedPartitioner) Partition(key []byte, n int) int {
-	if p, ok := wp.pinned[string(key)]; ok && p < n {
-		return p
-	}
-	return wp.fallback.Bucket(key, n)
 }

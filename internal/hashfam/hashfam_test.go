@@ -135,37 +135,6 @@ func popcount64(x uint64) int {
 	return n
 }
 
-func TestWeightedPartitionerBalances(t *testing.T) {
-	fam := NewFamily(2)
-	hot := []WeightedKey{
-		{Key: []byte("a"), Weight: 10},
-		{Key: []byte("b"), Weight: 9},
-		{Key: []byte("c"), Weight: 5},
-		{Key: []byte("d"), Weight: 4},
-		{Key: []byte("e"), Weight: 1},
-		{Key: []byte("f"), Weight: 1},
-	}
-	wp := NewWeightedPartitioner(hot, 2, fam.Fn(0))
-	load := map[int]float64{}
-	for _, h := range hot {
-		load[wp.Partition(h.Key, 2)] += h.Weight
-	}
-	if math.Abs(load[0]-load[1]) > 2 {
-		t.Fatalf("imbalanced pinned load: %v", load)
-	}
-}
-
-func TestWeightedPartitionerFallback(t *testing.T) {
-	fam := NewFamily(2)
-	wp := NewWeightedPartitioner(nil, 4, fam.Fn(0))
-	for i := 0; i < 100; i++ {
-		k := []byte(fmt.Sprintf("cold-%d", i))
-		if got, want := wp.Partition(k, 4), fam.Fn(0).Bucket(k, 4); got != want {
-			t.Fatalf("fallback mismatch for %q: %d vs %d", k, got, want)
-		}
-	}
-}
-
 func BenchmarkSum64_16B(b *testing.B) {
 	f := NewFamily(1).Fn(0)
 	key := []byte("0123456789abcdef")

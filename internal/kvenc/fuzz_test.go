@@ -94,17 +94,6 @@ func FuzzRunIterator(f *testing.F) {
 		if Count(sorted) != n {
 			t.Fatalf("SortStream reported %d pairs, stream has %d", n, Count(sorted))
 		}
-		// SplitStream pieces must tile the input exactly.
-		for _, k := range []int{1, 2, 3, 7} {
-			pieces := SplitStream(data, k)
-			var total int
-			for _, p := range pieces {
-				total += len(p)
-			}
-			if len(data) > 0 && total != len(data) {
-				t.Fatalf("SplitStream(k=%d) covers %d of %d bytes", k, total, len(data))
-			}
-		}
 		MergeGroups([][]byte{data}, func(key []byte, vals ValueIter) bool {
 			SliceValues(vals)
 			return true
@@ -190,30 +179,4 @@ func TestScanPairFastPathMatchesGeneral(t *testing.T) {
 		check([]byte{byte(a)})
 	}
 	check(nil)
-}
-
-// TestSplitStreamShardedSortMatchesSerial locks in the stable-sort
-// uniqueness property SplitStream's doc promises: shard + sort + merge
-// is bytewise identical to one serial stable sort, for any shard count.
-func TestSplitStreamShardedSortMatchesSerial(t *testing.T) {
-	var stream []byte
-	for i := 0; i < 400; i++ {
-		k := []byte{byte('a' + i%7)}
-		v := []byte{byte(i), byte(i >> 8)}
-		stream = AppendPair(stream, k, v)
-	}
-	serial, n := SortStream(stream)
-	if n != 400 {
-		t.Fatalf("n=%d", n)
-	}
-	for _, shards := range []int{1, 2, 3, 5, 16, 400, 1000} {
-		pieces := SplitStream(stream, shards)
-		sorted := make([][]byte, len(pieces))
-		for i, p := range pieces {
-			sorted[i], _ = SortStream(p)
-		}
-		if got := MergeStream(sorted); !bytes.Equal(got, serial) {
-			t.Fatalf("shards=%d: sharded sort differs from serial stable sort", shards)
-		}
-	}
 }

@@ -111,40 +111,6 @@ func Count(data []byte) int {
 	}
 }
 
-// SplitStream cuts a stream into at most k contiguous pieces at pair
-// boundaries, roughly equal in bytes, preserving pair order across
-// pieces (every pair of piece i precedes every pair of piece i+1 in
-// the original). Pieces alias data. It underpins sharded sorting:
-// stably sorting each piece and stably merging them (ties broken by
-// piece index) yields a stream bytewise identical to SortStream of
-// the whole, for any k — a stable sort has a unique result.
-func SplitStream(data []byte, k int) [][]byte {
-	if len(data) == 0 {
-		return nil
-	}
-	if k <= 1 {
-		return [][]byte{data}
-	}
-	target := (len(data) + k - 1) / k
-	var pieces [][]byte
-	start := 0
-	for p := 0; p < len(data); {
-		_, _, end, ok := scanPair(data[p:])
-		if !ok {
-			break // corrupt tail stays attached to the final piece
-		}
-		p += end
-		if p-start >= target && len(pieces) < k-1 {
-			pieces = append(pieces, data[start:p:p])
-			start = p
-		}
-	}
-	if start < len(data) {
-		pieces = append(pieces, data[start:])
-	}
-	return pieces
-}
-
 // IsSorted reports whether a stream's keys are non-decreasing.
 func IsSorted(data []byte) bool {
 	var prev []byte // keys alias data; nothing sorts before the empty key

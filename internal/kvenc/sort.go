@@ -85,8 +85,7 @@ func SortStreamTo(dst, data []byte) ([]byte, int) {
 // radixSortSpans stably sorts st.spans by key bytes using MSD
 // counting passes with an insertion-sort fallback for small
 // partitions. Both phases are stable, so equal keys keep stream
-// order — the property the sharded-sort invariant (SplitStream) and
-// the bytewise-identity contract rest on.
+// order — the property the bytewise-identity contract rests on.
 func radixSortSpans(data []byte, st *radixState) {
 	if len(st.spans) < 2 {
 		return

@@ -14,9 +14,9 @@
 //
 // Determinism comes from structure, not luck:
 //
-//   - each task runs serially on its own WallProc (Workers() == 1) with
-//     its own store and CPU ledger, so nothing a task computes depends
-//     on scheduling;
+//   - each task runs serially on its own WallProc (Offload is inline)
+//     with its own store and CPU ledger, so nothing a task computes
+//     depends on scheduling;
 //   - a barrier separates map and reduce phases, and every reducer
 //     consumes the cached map-output partitions in fixed (chunk, spill)
 //     order — the shuffle is entirely in memory, the M3R model, so

@@ -22,6 +22,9 @@ var (
 	ErrNotFound = errors.New("sched: no such job")
 	// ErrClosed reports use after Close.
 	ErrClosed = errors.New("sched: closed")
+	// ErrInvalidSpec marks every refusal of JobSpec.Validate: the one
+	// Submit failure that is the client's fault, not the scheduler's.
+	ErrInvalidSpec = errors.New("invalid spec")
 )
 
 // Config configures Open.
@@ -173,23 +176,20 @@ func (s *Scheduler) recover() error {
 			s.limits[string(k)] = getLimits(tx, string(k), s.cfg.DefaultLimits)
 			return nil
 		})
-		for id := range s.jobs {
-			if err := forEachRun(tx, id, func(r *Run) error {
-				switch r.State {
-				case StatePending:
-					s.queues[r.Org] = append(s.queues[r.Org], queueEntry{
-						jobID: r.JobID, runID: r.ID, resume: resumeOf(r),
-					})
-					s.Recovery.RequeuedRuns++
-				case StateRunning:
-					lost = append(lost, lostRun{*r})
-				}
-				return nil
-			}); err != nil {
-				return err
+		// One walk in admission order: each org's queue comes back in
+		// the FIFO order its submits were acknowledged in.
+		return forEachRun(tx, "", func(r *Run) error {
+			switch r.State {
+			case StatePending:
+				s.queues[r.Org] = append(s.queues[r.Org], queueEntry{
+					jobID: r.JobID, runID: r.ID, resume: resumeOf(r),
+				})
+				s.Recovery.RequeuedRuns++
+			case StateRunning:
+				lost = append(lost, lostRun{*r})
 			}
-		}
-		return nil
+			return nil
+		})
 	})
 	if err != nil {
 		return err
@@ -361,7 +361,7 @@ func (s *Scheduler) Runs(jobID string) ([]*Run, error) {
 	s.mu.Unlock()
 	var out []*Run
 	err := s.store.View(func(tx *jobstore.Tx) error {
-		return forEachRun(tx, jobID, func(r *Run) error {
+		return forEachRun(tx, jobID+keySep, func(r *Run) error {
 			out = append(out, r)
 			return nil
 		})

@@ -3,6 +3,8 @@ package sched
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +19,7 @@ type stubExec struct {
 	mu        sync.Mutex
 	cur, peak map[string]int
 	resumes   []ResumeInfo
+	order     []string      // spec.Name of every run, in start order
 	gate      chan struct{} // non-nil: runs block until the gate closes
 	started   chan string   // non-nil: receives org as each run starts
 	delay     time.Duration
@@ -36,6 +39,7 @@ func (e *stubExec) Run(ctx context.Context, spec JobSpec, resume *ResumeInfo) (*
 	if resume != nil {
 		e.resumes = append(e.resumes, *resume)
 	}
+	e.order = append(e.order, spec.Name)
 	gate, started, delay := e.gate, e.started, e.delay
 	failErr := e.failFor[spec.Query]
 	e.mu.Unlock()
@@ -452,6 +456,52 @@ func TestRestartRequeuesPendingAndResumesRunning(t *testing.T) {
 	}
 }
 
+// TestRestartKeepsAdmissionOrder pins the FIFO order acknowledged before
+// a crash as the order after it: recovery walks the runs in the order
+// they were persisted, not job by job in map order. With one run at a
+// time, the pending runs execute in submission order; the run the crash
+// caught mid-execution re-enters behind them as a resume attempt.
+func TestRestartKeepsAdmissionOrder(t *testing.T) {
+	dir := t.TempDir()
+	limits := Limits{MaxConcurrent: 1, MaxQueued: 16}
+	stub := newStub()
+	stub.gate = make(chan struct{})
+	defer close(stub.gate) // releases the run the dead scheduler left blocked
+	stub.started = make(chan string, 1)
+	s, err := Open(Config{Dir: dir, Exec: stub, DefaultLimits: limits})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names, ids []string
+	for i := 0; i < 10; i++ {
+		spec := testSpec("acme")
+		spec.Name = fmt.Sprintf("job-%02d", i)
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names, ids = append(names, spec.Name), append(ids, j.ID)
+	}
+	<-stub.started // job-00 is mid-execution, the other nine are pending
+	s.Abort()
+
+	stub2 := newStub()
+	s2, err := Open(Config{Dir: dir, Exec: stub2, DefaultLimits: limits})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	for _, id := range ids {
+		waitState(t, s2, id, StateDone)
+	}
+	stub2.mu.Lock()
+	got := append([]string(nil), stub2.order...)
+	stub2.mu.Unlock()
+	if want := append(names[1:], names[0]); !reflect.DeepEqual(got, want) {
+		t.Fatalf("execution order after restart\n got %v\nwant %v", got, want)
+	}
+}
+
 func TestCronJobRecurs(t *testing.T) {
 	stub := newStub()
 	s, err := Open(Config{Dir: t.TempDir(), Exec: stub})
@@ -550,8 +600,8 @@ func TestSubmitValidation(t *testing.T) {
 		{Org: "a", Query: "clickcount", Cron: "x"},     // bad cron
 	}
 	for i, spec := range cases {
-		if _, err := s.Submit(spec); err == nil {
-			t.Errorf("case %d: invalid spec %+v admitted", i, spec)
+		if _, err := s.Submit(spec); !errors.Is(err, ErrInvalidSpec) {
+			t.Errorf("case %d: invalid spec %+v: err = %v, want ErrInvalidSpec", i, spec, err)
 		}
 	}
 	if m := s.Metrics(); m.Submitted != 0 {

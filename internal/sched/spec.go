@@ -9,7 +9,6 @@ package sched
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"time"
 
@@ -141,18 +140,18 @@ func (s *JobSpec) Normalize() {
 // fail — or take the daemon down — for a reason known at submit.
 func (s *JobSpec) Validate() error {
 	if s.Org == "" {
-		return errors.New("spec: org is required")
+		return fmt.Errorf("%w: org is required", ErrInvalidSpec)
 	}
 	if _, err := jobspec.ParseBackend(s.Backend); err != nil {
-		return fmt.Errorf("spec: %w", err)
+		return fmt.Errorf("%w: %w", ErrInvalidSpec, err)
 	}
 	if s.Cron != "" {
 		if _, err := ParseSchedule(s.Cron); err != nil {
-			return fmt.Errorf("spec: %w", err)
+			return fmt.Errorf("%w: %w", ErrInvalidSpec, err)
 		}
 	}
 	if _, _, err := BuildJob(*s); err != nil {
-		return fmt.Errorf("spec: %w", err)
+		return fmt.Errorf("%w: %w", ErrInvalidSpec, err)
 	}
 	return nil
 }

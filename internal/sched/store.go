@@ -62,9 +62,9 @@ func getRun(tx *jobstore.Tx, jobID string, runID uint64) (*Run, error) {
 	return &r, nil
 }
 
-// forEachRun visits every run of jobID in run-id order.
-func forEachRun(tx *jobstore.Tx, jobID string, fn func(*Run) error) error {
-	prefix := jobID + keySep
+// forEachRun visits, in the order they were first persisted, the runs
+// whose key starts with prefix: jobID+keySep for one job's, "" for all.
+func forEachRun(tx *jobstore.Tx, prefix string, fn func(*Run) error) error {
 	return tx.Bucket(bucketRuns).ForEach(func(k, v []byte) error {
 		if !strings.HasPrefix(string(k), prefix) {
 			return nil

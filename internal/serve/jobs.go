@@ -25,8 +25,9 @@ const MaxJobBodyBytes = 1 << 20
 //	PUT    /v1/orgs/{org}/limits set admission policy
 //
 // Error mapping matches the ingestion endpoints: overload is 429 with
-// Retry-After, draining/closed is 503, unknown ids are 404, and
-// validation failures are 400.
+// Retry-After, draining/closed is 503, unknown ids are 404, a spec
+// that fails validation is 400, and a submit the job store could not
+// persist is 503, as a wedged WAL is on /v1/events.
 func registerJobs(mux *http.ServeMux, s *sched.Scheduler) {
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec sched.JobSpec
@@ -35,7 +36,8 @@ func registerJobs(mux *http.ServeMux, s *sched.Scheduler) {
 		}
 		job, err := s.Submit(spec)
 		if err != nil {
-			jobErr(w, err, http.StatusBadRequest)
+			// Not the spec's fault, so the job store's (wedged, closed).
+			jobErr(w, err, http.StatusServiceUnavailable)
 			return
 		}
 		writeJSON(w, http.StatusCreated, job)
@@ -101,9 +103,11 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // jobErr maps scheduler errors onto HTTP statuses; fallback covers
-// call-specific defaults (400 for submit validation, 500 otherwise).
+// call-specific defaults (503 for a submit, 500 otherwise).
 func jobErr(w http.ResponseWriter, err error, fallback int) {
 	switch {
+	case errors.Is(err, sched.ErrInvalidSpec):
+		http.Error(w, err.Error(), http.StatusBadRequest)
 	case errors.Is(err, sched.ErrOverloaded):
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, err.Error(), http.StatusTooManyRequests)

@@ -175,6 +175,32 @@ func TestJobsValidationAndNotFound(t *testing.T) {
 	}
 }
 
+// TestJobsWedgedStoreIs503 holds the two kinds of submit failure apart:
+// a good spec the job store cannot persist (here every commit tears, so
+// the log wedges) is the daemon's failure, 503 as /v1/events answers a
+// wedged WAL, while a bad spec stays a 400 on that same wedged store.
+func TestJobsWedgedStoreIs503(t *testing.T) {
+	// serve may import neither log package; ingest's failpoints embed
+	// the hooks the job store takes.
+	var fail ingest.Failpoints
+	fail.TornAppend = func(int64) int { return 0 }
+	var cfg sched.Config
+	cfg.Store.Fail = &fail.Failpoints
+	srv, s := jobsServer(t, cfg)
+
+	resp, body := doJSON(t, "POST", srv.URL+"/v1/jobs", specBody("acme"))
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("submit on a wedged job store: %d %s, want 503", resp.StatusCode, body)
+	}
+	if jobs := s.List(""); len(jobs) != 0 {
+		t.Fatalf("unpersisted submit is listed: %+v", jobs)
+	}
+	resp, body = doJSON(t, "POST", srv.URL+"/v1/jobs", `{"org":"acme","user":"u","query":"nope"}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad spec on a wedged job store: %d %s, want 400", resp.StatusCode, body)
+	}
+}
+
 // dirDigest is the names and contents of every file under dir.
 func dirDigest(t *testing.T, dir string) string {
 	t.Helper()

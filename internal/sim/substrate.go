@@ -8,10 +8,11 @@ import (
 )
 
 // The DES is one implementation of the execution substrate: a
-// simulated process is a substrate.Proc (virtual clock, fork/join
-// compute pool), and a capacity-1 resource is a substrate.Timer
-// (FIFO-queued device arm). Platform components written against the
-// substrate interfaces run unchanged on either backend.
+// simulated process is a substrate.Proc (virtual clock, Offload onto
+// the compute pool; Fork, Join and Workers are the DES drivers' own and
+// not part of the interface), and a capacity-1 resource is a
+// substrate.Timer (FIFO-queued device arm). Platform components written
+// against the substrate interfaces run unchanged on either backend.
 var (
 	_ substrate.Proc  = (*Proc)(nil)
 	_ substrate.Timer = (*Resource)(nil)

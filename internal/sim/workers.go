@@ -183,10 +183,9 @@ func (k *Kernel) Workers() int {
 	return k.workers.n
 }
 
-// Workers returns the kernel compute-pool size available to this
-// process (1 when compute runs inline). Components use it to decide
-// how finely to shard pure compute; because sharded results are always
-// combined in deterministic order, the choice never changes outputs.
+// Workers returns the kernel compute-pool size (1 when compute runs
+// inline): the map driver sizes its look-ahead window from it. It is
+// not part of substrate.Proc — platform components never see it.
 func (p *Proc) Workers() int { return p.k.Workers() }
 
 // Fork submits a pure compute closure to the kernel's worker pool and
@@ -217,11 +216,10 @@ func (p *Proc) Fork(fn func()) *Future {
 // processes meanwhile — runs here. It is legal wherever charge depends
 // only on sizes known before fn runs: the charges, their order and so
 // every virtual time are those of `fn(); charge()`, which is what runs
-// when there is no pool. fn obeys the Fork purity contract and must not
-// use the process (a ParallelFor from a pool goroutine would race on it
-// and can starve the pool). Offload waits for fn on every exit path:
-// when charge panics (node abort, kill) the unwinding attempt must not
-// hand back buffers fn still writes; nothing stays listed in p.forks.
+// when there is no pool. fn obeys the Fork purity contract: it never
+// touches the process. Offload waits for fn on every exit path: when
+// charge panics (node abort, kill) the unwinding attempt must not hand
+// back buffers fn still writes; nothing stays listed in p.forks.
 func (p *Proc) Offload(fn, charge func()) {
 	f := p.Fork(fn)
 	defer f.Wait() // drops f from p.forks; re-raises a panic of fn, over one of charge
@@ -235,41 +233,5 @@ func (p *Proc) Offload(fn, charge func()) {
 func (p *Proc) Join() {
 	for len(p.forks) > 0 {
 		p.forks[0].Wait() // drops it from the list, also when it re-panics
-	}
-}
-
-// ParallelFor runs fn(0) … fn(n-1) on the worker pool and returns when
-// all have finished (re-raising the first panic). Each fn(i) must obey
-// the Fork purity contract and write only to its own result slot; the
-// caller then combines slots in index order, so the result is
-// independent of worker count. The calling process does not park.
-func (p *Proc) ParallelFor(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if p.k.workers == nil || n == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	// Every future is waited below, on every path, so none is listed
-	// for Join.
-	futs := make([]*Future, n)
-	for i := 0; i < n; i++ {
-		i := i
-		futs[i] = &Future{fn: func() { fn(i) }, done: make(chan struct{})}
-		p.k.workers.submit(futs[i])
-	}
-	var firstPanic interface{}
-	for _, f := range futs {
-		<-f.done
-		if f.panicked != nil && firstPanic == nil {
-			firstPanic = f.panicked
-			f.panicked = nil
-		}
-	}
-	if firstPanic != nil {
-		panic(fmt.Sprintf("sim: forked closure panicked: %v", firstPanic))
 	}
 }

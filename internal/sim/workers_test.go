@@ -74,27 +74,6 @@ func TestForkDoesNotPerturbVirtualTime(t *testing.T) {
 	}
 }
 
-// TestParallelForCombinesInOrder verifies ParallelFor produces
-// slot-ordered results regardless of pool size.
-func TestParallelForCombinesInOrder(t *testing.T) {
-	for _, workers := range []int{1, 3, 7} {
-		k := NewKernel()
-		k.SetWorkers(workers)
-		var out string
-		k.Spawn("pf", func(p *Proc) {
-			parts := make([]string, 10)
-			p.ParallelFor(10, func(i int) { parts[i] = fmt.Sprintf("%d", i) })
-			out = strings.Join(parts, ",")
-		})
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if out != "0,1,2,3,4,5,6,7,8,9" {
-			t.Fatalf("workers=%d: %q", workers, out)
-		}
-	}
-}
-
 // TestForkPanicPropagates checks a panicking closure surfaces on the
 // forking proc at Wait, not on a pool goroutine.
 func TestForkPanicPropagates(t *testing.T) {

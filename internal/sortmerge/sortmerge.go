@@ -118,8 +118,7 @@ func (c *MapCollector) Add(key, val []byte) {
 // sorted and combined, n of them, in a pooled buffer — on the compute
 // pool, beside the sort and combine charges: functions of the buffered
 // pair count (the combine function is handed every pair), known before
-// the sort runs. The closure calls the serial kvenc sort — never
-// rt.SortStream, whose fan-out belongs to the process.
+// the sort runs.
 func (c *MapCollector) sortBuffer(fn func(run []byte, n int64)) {
 	c.rt.P.Offload(func() {
 		run, _ := kvenc.SortStreamTo(bytestore.Get(len(c.buf)), c.buf)

@@ -1,7 +1,8 @@
 // Package substrate defines the execution-substrate interface the
 // platform components (internal/core, internal/sortmerge,
 // internal/merge, internal/storage) are written against: who supplies
-// time, parallelism, and metered device occupancy for a running task.
+// time, a place for pure compute to overlap its own charge, and metered
+// device occupancy for a running task.
 //
 // Two substrates implement it:
 //
@@ -26,8 +27,9 @@ import (
 	"time"
 )
 
-// Proc is one running task's execution context: a clock, a way to
-// spend time, and a handle on the compute pool for pure fan-out work.
+// Proc is one running task's execution context: a clock (Now, Hold)
+// plus Offload, the one way platform code reaches the compute pool. The
+// whole contract of pooled work is that fn never touches the process.
 // *sim.Proc implements it for the DES; WallProc for real execution.
 type Proc interface {
 	// Now returns the task clock in nanoseconds — virtual time on the
@@ -38,15 +40,6 @@ type Proc interface {
 	// backend does nothing (real work already takes real time, and the
 	// fault-free paths the real backend runs never sleep).
 	Hold(d time.Duration)
-
-	// Workers returns the compute-pool size available for sharding pure
-	// compute. Components must combine sharded results in deterministic
-	// order, so the value never changes outputs.
-	Workers() int
-
-	// ParallelFor runs fn(0) … fn(n-1), possibly concurrently; each
-	// fn(i) must be pure and write only its own result slot.
-	ParallelFor(n int, fn func(i int))
 
 	// Offload runs the pure compute fn and, in effect after it, charge:
 	// the task-time price of fn, computed from sizes known before fn
@@ -66,10 +59,9 @@ type Timer interface {
 }
 
 // WallProc is the real-execution Proc: a goroutine with a wall clock.
-// Pure compute runs inline (Workers() == 1) — task-level parallelism
-// on the real backend comes from running many tasks on goroutines,
-// not from sharding inside one task, which keeps every per-task
-// result independent of the worker count.
+// Pure compute runs inline — parallelism on the real backend comes
+// from running many tasks on goroutines, not from inside one task,
+// which keeps every per-task result independent of the worker count.
 type WallProc struct {
 	start time.Time
 }
@@ -83,16 +75,6 @@ func (p *WallProc) Now() int64 { return int64(time.Since(p.start)) }
 // Hold implements Proc as a no-op: charged virtual durations are
 // accounting, not sleep, on the real backend.
 func (p *WallProc) Hold(time.Duration) {}
-
-// Workers implements Proc: per-task compute is serial.
-func (p *WallProc) Workers() int { return 1 }
-
-// ParallelFor implements Proc by running the body inline, in order.
-func (p *WallProc) ParallelFor(n int, fn func(i int)) {
-	for i := 0; i < n; i++ {
-		fn(i)
-	}
-}
 
 // Offload implements Proc inline: compute, then account for it.
 func (p *WallProc) Offload(fn, charge func()) {

@@ -1,6 +1,7 @@
 package substrate_test
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -37,25 +38,32 @@ func TestWallProcHoldIsNoOp(t *testing.T) {
 	}
 }
 
-// TestWallProcParallelFor pins serial per-task compute: Workers() is 1
-// and ParallelFor visits every index inline, in order — the property
-// that keeps per-task results independent of worker count.
-func TestWallProcParallelFor(t *testing.T) {
-	p := substrate.NewWallProc(time.Now())
-	if got := p.Workers(); got != 1 {
-		t.Fatalf("Workers() = %d, want 1", got)
+// TestProcMethodSet pins the execution-context contract platform code
+// is written against: a clock (Now, Hold) and one way onto the compute
+// pool (Offload). A fourth method is a second way in — every backend
+// must then implement it and every component may call it — so adding
+// one has to show up here.
+func TestProcMethodSet(t *testing.T) {
+	typ := reflect.TypeOf((*substrate.Proc)(nil)).Elem()
+	var got []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		got = append(got, typ.Method(i).Name)
 	}
-	var order []int
-	p.ParallelFor(5, func(i int) { order = append(order, i) })
-	if len(order) != 5 {
-		t.Fatalf("ParallelFor visited %d indices, want 5", len(order))
+	if want := []string{"Hold", "Now", "Offload"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("substrate.Proc methods = %v, want exactly %v", got, want)
 	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("ParallelFor order %v; want ascending 0..4", order)
-		}
+}
+
+// TestWallProcOffloadRunsInline pins per-task serial compute on the real
+// backend: fn finishes before charge starts, on the calling goroutine.
+func TestWallProcOffloadRunsInline(t *testing.T) {
+	var order []string
+	substrate.NewWallProc(time.Now()).Offload(
+		func() { order = append(order, "fn") },
+		func() { order = append(order, "charge") })
+	if !reflect.DeepEqual(order, []string{"fn", "charge"}) {
+		t.Fatalf("Offload ran %v, want fn then charge", order)
 	}
-	p.ParallelFor(0, func(i int) { t.Fatalf("ParallelFor(0) called fn(%d)", i) })
 }
 
 // TestWallTimerAccumulates pins the accumulator arithmetic: each Use

@@ -37,9 +37,9 @@
 // utilization / iowait series.
 //
 // The simulation is deterministic but not single-threaded: the
-// Cluster's Parallelism knob (0 = GOMAXPROCS) sizes a fork/join
-// compute pool that runs pure per-task computation — chunk synthesis,
-// parsing, map functions, sorting, collector flushes — on real
+// Cluster's Parallelism knob (0 = GOMAXPROCS) sizes a compute pool
+// that runs pure per-task computation — chunk synthesis, parsing, map
+// functions, the sort-merge sorts, merges and final reduce — on real
 // goroutines while the discrete-event kernel schedules one simulated
 // process at a time. Reports are bit-for-bit identical for every pool
 // size (including 1); only wall-clock time changes.
