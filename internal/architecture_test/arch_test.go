@@ -97,7 +97,8 @@ var exclusives = []onlyImporters{
 
 // stdlibBans reuse the rule shape with Deny holding standard-library
 // import paths, and bind only non-test files: crash harnesses copy and
-// truncate files.
+// truncate files, and the sampler's tests draw from math/rand's Zipf to
+// compare against.
 var stdlibBans = []rule{
 	{
 		Name: "durable-io-only-via-seglog",
@@ -110,6 +111,12 @@ var stdlibBans = []rule{
 		Why:  "what is inside a record or an image is read through frame.Cursor and written by its Append twins: one bounds-checked varint loop, not one per codec",
 		From: []string{"ingest", "jobstore"},
 		Deny: []string{"encoding/binary"},
+	},
+	{
+		Name: "generators-seed-in-constant-time",
+		Why:  "a chunk's draws come from a math/rand/v2 PCG stream seeded in O(1) and alias tables; math/rand's NewSource fills 607 words per chunk and its Zipf calls Exp and Log per draw, which made the input generator the largest item in a job's profile",
+		From: []string{"workload"},
+		Deny: []string{"math/rand"},
 	},
 }
 
@@ -385,6 +392,7 @@ func TestPlantedViolationsAreCaught(t *testing.T) {
 		{"jobstore imports path/filepath", "internal/jobstore/bad.go", "path/filepath"},
 		{"ingest imports encoding/binary", "internal/ingest/batch.go", "encoding/binary"},
 		{"jobstore imports encoding/binary", "internal/jobstore/snapshot.go", "encoding/binary"},
+		{"workload imports math/rand", "internal/workload/workload.go", "math/rand"},
 		{"realexec imports kvenc", "internal/realexec/bad.go", internal("kvenc")},
 		{"realexec imports sortmerge", "internal/realexec/bad.go", internal("sortmerge")},
 		{"realexec imports hashfam", "internal/realexec/realexec.go", internal("hashfam")},
@@ -424,6 +432,8 @@ func TestPlantedViolationsAreCaught(t *testing.T) {
 		"internal/jobspec/jobspec.go":     {internal("queries"), internal("engine"), internal("realexec")},
 		"internal/queries/catalog.go":     {internal("workload")},
 		"internal/sched/build_test.go":    {internal("workload")},
+		"internal/workload/sample.go":     {"math/rand/v2", "math/bits"},
+		"internal/workload/zipf_test.go":  {"math/rand"},
 		"cmd/benchtables/bench.go":        {internal("workload")},
 	}
 	if got := violations(legal); len(got) != 0 {

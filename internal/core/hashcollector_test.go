@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -13,16 +12,27 @@ import (
 	"repro/internal/kvenc"
 	"repro/internal/mr"
 	"repro/internal/queries"
-	"repro/internal/workload"
 )
 
-// pinnedClicks is the fixed map input of the collector pins: one
-// 48 KiB chunk of the synthetic click stream over a small user pool,
-// so the table modes see repeated keys.
+// pinnedClicks is the fixed map input of the collector pins: 622 click
+// records in the synthetic stream's layout over a pool of 300 users,
+// skewed so the table modes see repeated keys. The records are built
+// here, from a recurrence written out in full, so that the pins hold
+// the collector and nothing else: they once came from
+// workload.ClickStream and moved when its sampler did.
 func pinnedClicks() [][]byte {
-	spec := workload.DefaultClickSpec(48<<10, 48<<10, 11)
-	spec.Users, spec.URLs, spec.Duration = 300, 100, 2*time.Hour
-	return bytes.Split(bytes.TrimSuffix(workload.NewClickStream(spec).ChunkBytes(0), []byte{'\n'}), []byte{'\n'})
+	recs := make([][]byte, 622)
+	x := uint32(11)
+	next := func(n uint32) uint32 {
+		x = x*1664525 + 1013904223
+		return (x >> 8) % n
+	}
+	for i := range recs {
+		u := next(300)
+		recs[i] = fmt.Appendf(nil, "%013d\tu%07d\t/p%06d.html\t200\t%04d\tMozilla/4.0-compatible-padpadpad",
+			int64(i)*11_500+int64(next(4001)), u*u/300, next(100), 100+next(9900))
+	}
+	return recs
 }
 
 // collect maps every record through q into a fresh collector.
@@ -51,9 +61,11 @@ func partsDigest(parts [][][]byte) string {
 
 // TestHashCollectorSegmentsPinned pins the collector's output bytes in
 // each of its four modes, for a chunk that fits the map buffer and for
-// one that overflows it several times. The digests were generated
+// one that overflows it several times. The digests were first taken
 // before the per-partition buffers were replaced by one staged and
-// scattered buffer: flush boundaries and segment bytes did not move.
+// scattered buffer (flush boundaries and segment bytes did not move)
+// and retaken, on unchanged collector code, when the input became the
+// literal fixture above.
 func TestHashCollectorSegmentsPinned(t *testing.T) {
 	sess := func() mr.Query { return queries.NewSessionization(5*time.Minute, 512, 5*time.Second) }
 	cases := []struct {
@@ -66,14 +78,14 @@ func TestHashCollectorSegmentsPinned(t *testing.T) {
 		emitted     int64
 		want        string
 	}{
-		{"raw/single", sess, false, 1 << 20, false, true, 622, "5c873c54219628d9b93eea51b5890ca7fad5c88611136a47e1eb943009ed45a9"},
-		{"raw/multi", sess, false, 8 << 10, true, false, 622, "72381363466e4b5e4ae6e75c6c6a9fbc69ef0c482a22f330e6e2c432a2bbff9d"},
-		{"init-only/single", sess, true, 1 << 20, false, true, 622, "d3f98e8668cd681ed8c4089b0918e2fdcc9c52e8956d3b251b0a341a44c216c9"},
-		{"init-only/multi", sess, true, 8 << 10, true, false, 622, "2e072885b6a727d30e159b90613eb4e09724da05e4997a7ef9e6c0151baff006"},
-		{"inc-table/single", queries.NewClickCount, true, 1 << 20, false, false, 265, "59064f3fb3d8fe0ee33bcbbb4736c5fa4f71c2489473af90eab88a94cf9cf68c"},
-		{"inc-table/multi", queries.NewClickCount, true, 2 << 10, true, false, 583, "c35cc723da0b7ffac3866116df415402879337a0f0828fe195828b549f8fe8c7"},
-		{"comb-table/single", queries.NewClickCount, false, 1 << 20, false, false, 265, "f5ef51a22cf99a0470912f79a3c692554105fcd5fdff27852618baef0eeb7632"},
-		{"comb-table/multi", queries.NewClickCount, false, 2 << 10, true, false, 583, "4edef7476443a1d0d6a493380d81d9422ca435935c30db0f1d025842fe88629b"},
+		{"raw/single", sess, false, 1 << 20, false, true, 622, "f9939d46ff26079e8ebc019cef2a8ad75facff824c1dab1ef39579b4841ed647"},
+		{"raw/multi", sess, false, 8 << 10, true, false, 622, "7837d7e45c2ecf574b66678cccca093c7985883a7d641bd596714094d2f8bdb2"},
+		{"init-only/single", sess, true, 1 << 20, false, true, 622, "01d18ebe891ef4940f45acaa89a7b5a4aa8453e5aa34bc45b590b7e44897c412"},
+		{"init-only/multi", sess, true, 8 << 10, true, false, 622, "398edf045004f3a88fcda18588cc4f3fa838ead59cc54e540a4bb53d97c65dfd"},
+		{"inc-table/single", queries.NewClickCount, true, 1 << 20, false, false, 197, "4842edc5f48204445933808b78d05be9cfb6262a5508fb5afba5caa007ea6977"},
+		{"inc-table/multi", queries.NewClickCount, true, 2 << 10, true, false, 511, "fb97543720596cdbf63732689902b473eeaca963891b23577bb75add8ddc32d0"},
+		{"comb-table/single", queries.NewClickCount, false, 1 << 20, false, false, 197, "5c2ff97cf34fec190f0835a3f709b7baf90aa6d93f6edc04ec071429dffa277b"},
+		{"comb-table/multi", queries.NewClickCount, false, 2 << 10, true, false, 511, "eab6665b49dba2710dce862768f5fff5e6749e9ce3df6563978048dfe7f29f74"},
 	}
 	records := pinnedClicks()
 	const r = 5

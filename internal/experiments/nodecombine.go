@@ -21,7 +21,9 @@ func init() {
 // measured reduction and shows where the auto gate flips off.
 func runNodeCombine(c Config) (*Result, error) {
 	c = c.withDefaults()
-	const data = 32e9
+	// 24GB: the widest pool a click record's 7-digit user id holds is 10M,
+	// and the auto gate flips past 0.75·K_m·D/(24·N) users — 9M here.
+	const data = 24e9
 	const rowBytes = 24             // logical bytes per reduced (user, count) row: the catalogue's Kr
 	sized := float64(c.sized(data)) // the model must describe the data actually run
 	cl := onePassSM(c, data)
@@ -32,7 +34,7 @@ func runNodeCombine(c Config) (*Result, error) {
 
 	res := &Result{
 		ID:    "nodecombine",
-		Title: "In-node combining vs key duplication (click counting, 32GB, MR-hash)",
+		Title: "In-node combining vs key duplication (click counting, 24GB, MR-hash)",
 		Header: []string{"distinct users", "shuffle off (GB)", "shuffle on (GB)", "reduction",
 			"predicted saved", "measured saved", "auto"},
 	}
@@ -47,7 +49,7 @@ func runNodeCombine(c Config) (*Result, error) {
 
 	var bestReduction float64
 	autoFlipped := false
-	for _, users := range []int{400, 4_000, 40_000, 4_000_000, 20_000_000} {
+	for _, users := range []int{400, 4_000, 40_000, 4_000_000, 10_000_000} {
 		off, err := run(users, engine.NodeCombineOff, 0)
 		if err != nil {
 			return nil, err

@@ -69,15 +69,17 @@ func Resolve(name string, z Sizing, m cost.Model) (Plan, error) {
 	if p.NewQuery, err = Factory(name, z.StateBytes); err != nil {
 		return p, err
 	}
-	// The generators need a physical byte of data and of chunk and a
-	// user to draw; below 2^62 the conversions are defined.
+	// The generators need a physical byte of data and of chunk, and a
+	// user pool (the caller's: a request body, on the daemon) that is not
+	// empty and that the click record's id can hold; below 2^62 the
+	// conversions are defined.
 	phys, chunk := m.ScaleBytes(int64(z.DataBytes)), m.ScaleBytes(int64(z.ChunkBytes))
 	if !(z.DataBytes < 1<<62 && z.ChunkBytes < 1<<62) || phys < 1 || chunk < 1 {
 		return p, fmt.Errorf("data size %g and chunk size %g must each scale to at least one physical byte (scale %g) and stay below 2^62",
 			z.DataBytes, z.ChunkBytes, m.Scale)
 	}
-	if z.Users < 1 {
-		return p, fmt.Errorf("user pool of %d is empty", z.Users)
+	if z.Users < 1 || z.Users > workload.MaxUsers {
+		return p, fmt.Errorf("user pool of %d is outside [1, %d], what a click record's 7-digit user id holds", z.Users, workload.MaxUsers)
 	}
 	switch name {
 	case "sessionization":

@@ -48,3 +48,23 @@ func TestResolve(t *testing.T) {
 		t.Error("unknown query accepted")
 	}
 }
+
+// TestResolveBoundsTheUserPool: a click record's user id has seven
+// digits, so 10^7 users is the last pool whose records keep their fixed
+// width; one more used to widen the record silently. Resolving builds
+// no sampler (that waits for the first chunk), so the accepted boundary
+// costs nothing here.
+func TestResolveBoundsTheUserPool(t *testing.T) {
+	m := cost.Default(1.0 / 4096)
+	for _, tc := range []struct {
+		users int
+		ok    bool
+	}{{0, false}, {1, true}, {10_000_000, true}, {10_000_001, false}, {1 << 40, false}} {
+		for _, name := range []string{"clickcount", "trigram"} {
+			_, err := Resolve(name, Sizing{Users: tc.users, DataBytes: 64e9, ChunkBytes: 64e6, Seed: 42}, m)
+			if (err == nil) != tc.ok {
+				t.Errorf("%s over %d users: err = %v, want ok = %v", name, tc.users, err, tc.ok)
+			}
+		}
+	}
+}

@@ -235,7 +235,11 @@ func TestJobsRejectedSpecsPersistNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, body := range strings.Split(strings.TrimSpace(string(bodies)), "\n") {
+	// And a user pool the click record's 7-digit id cannot hold: it used
+	// to be accepted, and sized an allocation from the request body.
+	rejected := append(strings.Split(strings.TrimSpace(string(bodies)), "\n"),
+		`{"org":"a","query":"clickcount","users":10000001}`)
+	for _, body := range rejected {
 		resp, msg := doJSON(t, "POST", srv.URL+"/v1/jobs", body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST %s: %d %s, want 400", body, resp.StatusCode, msg)

@@ -13,14 +13,59 @@
 //
 // Generators implement dfs.Input: chunk i is synthesized on demand
 // from (seed, i), so a run never materializes the whole dataset and
-// two runs always see identical bytes.
+// two runs always see identical bytes. A chunk costs O(records): its
+// draws are one PCG stream seeded in constant time, Zipf ids come from
+// alias tables (sample.go), and a record is a copy of a template with
+// its fixed-width digit fields filled in place.
 package workload
 
 import (
+	"bytes"
 	"fmt"
-	"math/rand"
+	"strings"
+	"sync"
 	"time"
 )
+
+// layout is the chunk geometry the two generators share: fixed-size
+// records, recsChunk of them to a chunk, the last chunk short.
+type layout struct {
+	name                string
+	recBytes, recsChunk int
+	totalRecs           int64
+}
+
+// newLayout fits records of recBytes into physBytes of data, chunkPhys
+// to a chunk.
+func newLayout(name string, physBytes, chunkPhys int64, recBytes int) layout {
+	if physBytes <= 0 || chunkPhys <= 0 {
+		panic("workload: need positive sizes")
+	}
+	return layout{name, recBytes, max(int(chunkPhys)/recBytes, 1), max(physBytes/int64(recBytes), 1)}
+}
+
+// Name implements dfs.Input.
+func (l *layout) Name() string { return l.name }
+
+// NumChunks implements dfs.Input.
+func (l *layout) NumChunks() int {
+	return int((l.totalRecs + int64(l.recsChunk) - 1) / int64(l.recsChunk))
+}
+
+// RecordBytes returns the fixed physical record size.
+func (l *layout) RecordBytes() int { return l.recBytes }
+
+// TotalRecords returns the number of records (lines) in the input.
+func (l *layout) TotalRecords() int64 { return l.totalRecs }
+
+// span returns chunk i's first record and how many records it holds.
+func (l *layout) span(i int) (first, n int64) {
+	if i < 0 || i >= l.NumChunks() {
+		panic(fmt.Sprintf("workload: chunk %d out of range", i))
+	}
+	first = int64(i) * int64(l.recsChunk)
+	return first, min(int64(l.recsChunk), l.totalRecs-first)
+}
 
 // ClickSpec configures a synthetic click stream.
 type ClickSpec struct {
@@ -75,143 +120,81 @@ func DefaultClickSpec(physBytes, chunkPhys int64, seed int64) ClickSpec {
 // with ts in fixed-width epoch milliseconds so string order is time
 // order.
 type ClickStream struct {
-	spec      ClickSpec
-	pad       []byte
-	recBytes  int
-	recsChunk int
-	totalRecs int64
-	chunks    int
+	layout
+	spec ClickSpec
+	tmpl []byte // one record, status 200, every other digit field zero
+
+	// The samplers are built by the first chunk asked for, so a spec
+	// that is only validated never pays for them.
+	tables      sync.Once
+	users, urls []aliasSlot
 }
 
-const clickPad = "Mozilla/4.0-compatible-padpadpad"
+// The widest pools and time span a record's fixed-width fields hold;
+// past them records would outgrow RecordBytes. MaxUsers is exported for
+// the catalogue, whose user pool is its caller's.
+const (
+	MaxUsers  = 10_000_000         // u%07d
+	maxURLs   = 1_000_000          // /p%06d.html
+	maxVocab  = 1_000_000          // w%06d
+	maxMillis = 10_000_000_000_000 // %013d
+)
 
-// padding returns the agent-padding bytes for a pad length: the
-// default string, truncated or extended by repetition. Every parsed
-// field keeps its offset; only the record tail (and hence the physical
-// record size) changes.
-func padding(n int) []byte {
-	if n <= 0 {
-		n = len(clickPad)
-	}
-	p := make([]byte, 0, n)
-	for len(p) < n {
-		p = append(p, clickPad[:min(n-len(p), len(clickPad))]...)
-	}
-	return p
-}
+// Where a click record's digit fields sit (internal/queries parses the
+// first two at these offsets), its default agent padding, and each
+// generator's odd constant that spreads chunk numbers over a stream's
+// seed.
+const (
+	clickTsEnd                 = 13
+	clickUserOff, clickUserEnd = 15, 22
+	clickURLOff, clickURLEnd   = 25, 31
+	clickStatusOff             = 37
+	clickSizeOff, clickSizeEnd = 41, 45
 
-// NewClickStream builds the generator for a spec.
+	clickPad           = "Mozilla/4.0-compatible-padpadpad"
+	clickSalt, docSalt = 0x5851f42d4c957f2d, 0x2545f4914f6cdd1d
+)
+
+// NewClickStream builds the generator for a spec. It panics on sizes
+// that are not positive and on a pool or a time span whose ids or
+// timestamps would outgrow the record's fixed-width fields.
 func NewClickStream(spec ClickSpec) *ClickStream {
-	if spec.PhysBytes <= 0 || spec.ChunkPhys <= 0 {
-		panic("workload: need positive sizes")
+	if spec.Users < 1 || spec.Users > MaxUsers || spec.URLs < 1 || spec.URLs > maxURLs ||
+		spec.Duration.Milliseconds()+max(spec.Jitter, 0).Milliseconds() >= maxMillis {
+		panic(fmt.Sprintf("workload: %d users, %d URLs or %v ± %v do not fit the click record's fields", spec.Users, spec.URLs, spec.Duration, spec.Jitter))
 	}
-	if spec.Users < 1 || spec.URLs < 1 {
-		panic("workload: need positive pools")
+	// The agent padding is the default string, truncated or repeated to
+	// spec.Pad bytes: every parsed field keeps its offset.
+	pad := clickPad
+	if spec.Pad > 0 {
+		pad = strings.Repeat(clickPad, spec.Pad/len(clickPad)+1)[:spec.Pad]
 	}
-	c := &ClickStream{spec: spec, pad: padding(spec.Pad)}
-	c.recBytes = len(c.appendRecord(nil, 0, 0, 0, 200, 1234))
-	c.recsChunk = int(spec.ChunkPhys) / c.recBytes
-	if c.recsChunk < 1 {
-		c.recsChunk = 1
-	}
-	c.totalRecs = spec.PhysBytes / int64(c.recBytes)
-	if c.totalRecs < 1 {
-		c.totalRecs = 1
-	}
-	c.chunks = int((c.totalRecs + int64(c.recsChunk) - 1) / int64(c.recsChunk))
-	return c
+	tmpl := fmt.Appendf(nil, "%013d\tu%07d\t/p%06d.html\t200\t%04d\t%s\n", 0, 0, 0, 0, pad)
+	return &ClickStream{layout: newLayout("clickstream", spec.PhysBytes, spec.ChunkPhys, len(tmpl)), spec: spec, tmpl: tmpl}
 }
 
-// Name implements dfs.Input.
-func (c *ClickStream) Name() string { return "clickstream" }
-
-// NumChunks implements dfs.Input.
-func (c *ClickStream) NumChunks() int { return c.chunks }
-
-// RecordBytes returns the fixed physical record size.
-func (c *ClickStream) RecordBytes() int { return c.recBytes }
-
-// TotalRecords returns the number of records in the stream.
-func (c *ClickStream) TotalRecords() int64 { return c.totalRecs }
-
-// Users returns the user pool size.
-func (c *ClickStream) Users() int { return c.spec.Users }
-
-// appendPadInt appends v (non-negative) in decimal, zero-padded to at
-// least width digits — the append-path equivalent of Sprintf "%0*d",
-// which dominated chunk-generation CPU profiles.
-func appendPadInt(dst []byte, v int64, width int) []byte {
-	var tmp [20]byte
-	i := len(tmp)
-	if v == 0 {
-		i--
-		tmp[i] = '0'
-	}
-	for x := v; x > 0; x /= 10 {
-		i--
-		tmp[i] = byte('0' + x%10)
-	}
-	for len(tmp)-i < width {
-		i--
-		tmp[i] = '0'
-	}
-	return append(dst, tmp[i:]...)
-}
-
-// appendRecord appends one click record, bytewise identical to
-// Sprintf("%013d\tu%07d\t/p%06d.html\t%03d\t%04d\t%s\n", ...).
-func (c *ClickStream) appendRecord(dst []byte, tsMillis int64, user, url, status, size int) []byte {
-	dst = appendPadInt(dst, tsMillis, 13)
-	dst = append(dst, '\t', 'u')
-	dst = appendPadInt(dst, int64(user), 7)
-	dst = append(dst, "\t/p"...)
-	dst = appendPadInt(dst, int64(url), 6)
-	dst = append(dst, ".html\t"...)
-	dst = appendPadInt(dst, int64(status), 3)
-	dst = append(dst, '\t')
-	dst = appendPadInt(dst, int64(size), 4)
-	dst = append(dst, '\t')
-	dst = append(dst, c.pad...)
-	return append(dst, '\n')
-}
-
-// ChunkBytes implements dfs.Input.
+// ChunkBytes implements dfs.Input. Safe for concurrent use.
 func (c *ClickStream) ChunkBytes(i int) []byte {
-	if i < 0 || i >= c.chunks {
-		panic(fmt.Sprintf("workload: chunk %d out of range", i))
-	}
-	rng := rand.New(rand.NewSource(c.spec.Seed ^ int64(i+1)*0x5851f42d4c957f2d))
-	uv, pv := c.spec.UserV, c.spec.URLV
-	if uv <= 0 {
-		uv = 256
-	}
-	if pv <= 0 {
-		pv = 16
-	}
-	uz := rand.NewZipf(rng, c.spec.UserSkew, uv, uint64(c.spec.Users-1))
-	pz := rand.NewZipf(rng, c.spec.URLSkew, pv, uint64(c.spec.URLs-1))
-	first := int64(i) * int64(c.recsChunk)
-	n := int64(c.recsChunk)
-	if first+n > c.totalRecs {
-		n = c.totalRecs - first
-	}
-	out := make([]byte, 0, int(n)*c.recBytes)
+	first, n := c.span(i)
+	c.tables.Do(func() {
+		c.users = newZipfTable(c.spec.UserSkew, c.spec.UserV, 256, c.spec.Users)
+		c.urls = newZipfTable(c.spec.URLSkew, c.spec.URLV, 16, c.spec.URLs)
+	})
+	var r stream
+	r.Seed(uint64(c.spec.Seed), uint64(i+1)*clickSalt)
+	out := make([]byte, int(n)*len(c.tmpl))
 	perRec := float64(c.spec.Duration.Milliseconds()) / float64(c.totalRecs)
-	for g := first; g < first+n; g++ {
-		ts := int64(float64(g) * perRec)
-		if c.spec.Jitter > 0 {
-			ts += rng.Int63n(c.spec.Jitter.Milliseconds()*2+1) - c.spec.Jitter.Milliseconds()
-			if ts < 0 {
-				ts = 0
-			}
+	jitter := max(c.spec.Jitter, 0).Milliseconds()
+	for g, rec := first, out; len(rec) > 0; g, rec = g+1, rec[len(c.tmpl):] {
+		copy(rec, c.tmpl)
+		ts := int64(float64(g)*perRec) + int64(r.below(uint64(2*jitter+1))) - jitter
+		putDigits(rec[:clickTsEnd], uint64(max(ts, 0)))
+		putDigits(rec[clickUserOff:clickUserEnd], r.pick(c.users))
+		putDigits(rec[clickURLOff:clickURLEnd], r.pick(c.urls))
+		if r.below(50) == 0 {
+			copy(rec[clickStatusOff:], "404")
 		}
-		user := int(uz.Uint64())
-		url := int(pz.Uint64())
-		status := 200
-		if rng.Intn(50) == 0 {
-			status = 404
-		}
-		out = c.appendRecord(out, ts, user, url, status, 100+rng.Intn(9900))
+		putDigits(rec[clickSizeOff:clickSizeEnd], 100+r.below(9900))
 	}
 	return out
 }
@@ -242,73 +225,38 @@ func DefaultDocSpec(physBytes, chunkPhys int64, seed int64) DocSpec {
 
 // DocCorpus is a dfs.Input of document lines ("w000123 w004567 …").
 type DocCorpus struct {
-	spec      DocSpec
-	recBytes  int
-	recsChunk int
-	totalRecs int64
-	chunks    int
+	layout
+	spec DocSpec
+	tmpl []byte // one line, every word w000000
+
+	tables sync.Once
+	words  []aliasSlot
 }
 
 // NewDocCorpus builds the generator for a spec.
 func NewDocCorpus(spec DocSpec) *DocCorpus {
-	if spec.PhysBytes <= 0 || spec.ChunkPhys <= 0 {
-		panic("workload: need positive sizes")
+	if spec.Vocab < 3 || spec.Vocab > maxVocab || spec.DocWords < 3 {
+		panic(fmt.Sprintf("workload: need a vocabulary in [3, %d] and ≥3 words per doc", maxVocab))
 	}
-	if spec.Vocab < 3 || spec.DocWords < 3 {
-		panic("workload: need ≥3 vocabulary words and words per doc")
-	}
-	d := &DocCorpus{spec: spec}
-	d.recBytes = spec.DocWords*8 + 1 // "w%06d " per word + newline
-	d.recsChunk = int(spec.ChunkPhys) / d.recBytes
-	if d.recsChunk < 1 {
-		d.recsChunk = 1
-	}
-	d.totalRecs = spec.PhysBytes / int64(d.recBytes)
-	if d.totalRecs < 1 {
-		d.totalRecs = 1
-	}
-	d.chunks = int((d.totalRecs + int64(d.recsChunk) - 1) / int64(d.recsChunk))
-	return d
+	tmpl := bytes.Repeat([]byte("w000000 "), spec.DocWords)
+	tmpl[len(tmpl)-1] = '\n'
+	// The geometry counts a line one byte longer than it is ("w%06d "
+	// per word + newline, when the newline replaces the last space):
+	// kept, so record counts stay what they were.
+	return &DocCorpus{layout: newLayout("doccorpus", spec.PhysBytes, spec.ChunkPhys, len(tmpl)+1), spec: spec, tmpl: tmpl}
 }
 
-// Name implements dfs.Input.
-func (d *DocCorpus) Name() string { return "doccorpus" }
-
-// NumChunks implements dfs.Input.
-func (d *DocCorpus) NumChunks() int { return d.chunks }
-
-// RecordBytes returns the fixed physical record size.
-func (d *DocCorpus) RecordBytes() int { return d.recBytes }
-
-// TotalRecords returns the number of document lines.
-func (d *DocCorpus) TotalRecords() int64 { return d.totalRecs }
-
-// ChunkBytes implements dfs.Input.
+// ChunkBytes implements dfs.Input. Safe for concurrent use.
 func (d *DocCorpus) ChunkBytes(i int) []byte {
-	if i < 0 || i >= d.chunks {
-		panic(fmt.Sprintf("workload: chunk %d out of range", i))
-	}
-	rng := rand.New(rand.NewSource(d.spec.Seed ^ int64(i+1)*0x2545f4914f6cdd1d))
-	wv := d.spec.WordV
-	if wv <= 0 {
-		wv = 64
-	}
-	wz := rand.NewZipf(rng, d.spec.WordSkew, wv, uint64(d.spec.Vocab-1))
-	first := int64(i) * int64(d.recsChunk)
-	n := int64(d.recsChunk)
-	if first+n > d.totalRecs {
-		n = d.totalRecs - first
-	}
-	out := make([]byte, 0, int(n)*d.recBytes)
-	for g := int64(0); g < n; g++ {
-		for w := 0; w < d.spec.DocWords; w++ {
-			sep := byte(' ')
-			if w == d.spec.DocWords-1 {
-				sep = '\n'
-			}
-			out = append(out, 'w')
-			out = appendPadInt(out, int64(wz.Uint64()), 6)
-			out = append(out, sep)
+	_, n := d.span(i)
+	d.tables.Do(func() { d.words = newZipfTable(d.spec.WordSkew, d.spec.WordV, 64, d.spec.Vocab) })
+	var r stream
+	r.Seed(uint64(d.spec.Seed), uint64(i+1)*docSalt)
+	out := make([]byte, int(n)*len(d.tmpl))
+	for rec := out; len(rec) > 0; rec = rec[len(d.tmpl):] {
+		copy(rec, d.tmpl)
+		for w := 1; w < len(d.tmpl); w += 8 {
+			putDigits(rec[w:w+6], r.pick(d.words))
 		}
 	}
 	return out

@@ -24,6 +24,29 @@ func TestClickStreamDeterministic(t *testing.T) {
 			t.Fatalf("chunk %d differs between runs", i)
 		}
 	}
+	// A chunk's draws are its own stream: no two chunks share their
+	// users, and another seed moves every chunk.
+	seen := map[string]int{}
+	users := func(chunk []byte) string {
+		var u []byte
+		for ; len(chunk) > 0; chunk = chunk[a.RecordBytes():] {
+			u = append(u, chunk[14:22]...)
+		}
+		return string(u)
+	}
+	other := testClickSpec()
+	other.Seed++
+	c := NewClickStream(other)
+	for i := 0; i < a.NumChunks()-1; i++ { // the last chunk is short
+		drawn := users(a.ChunkBytes(i))
+		if j, dup := seen[drawn]; dup {
+			t.Fatalf("chunks %d and %d draw the same users", j, i)
+		}
+		seen[drawn] = i
+		if users(c.ChunkBytes(i)) == drawn {
+			t.Fatalf("chunk %d draws the same users under seeds %d and %d", i, other.Seed-1, other.Seed)
+		}
+	}
 }
 
 func TestClickStreamSizes(t *testing.T) {
@@ -44,26 +67,47 @@ func TestClickStreamSizes(t *testing.T) {
 	}
 }
 
+// TestClickRecordFormat: every record of every chunk is RecordBytes
+// long and carries its fields where internal/queries reads them — the
+// timestamp's 13 digits at [0, 13), the user id at [14, 22) — for the
+// default padding and for a wider one.
 func TestClickRecordFormat(t *testing.T) {
-	c := NewClickStream(testClickSpec())
-	data := c.ChunkBytes(0)
-	lines := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
-	for _, ln := range lines[:10] {
-		fields := strings.Split(string(ln), "\t")
-		if len(fields) != 6 {
-			t.Fatalf("record %q has %d fields", ln, len(fields))
+	for _, pad := range []struct{ spec, want int }{{0, 32}, {50, 50}} {
+		spec := testClickSpec()
+		spec.Pad = pad.spec
+		c := NewClickStream(spec)
+		var records int64
+		for i := 0; i < c.NumChunks(); i++ {
+			for data := c.ChunkBytes(i); len(data) > 0; data = data[c.RecordBytes():] {
+				ln := data[:c.RecordBytes()]
+				records++
+				fields := strings.Split(string(ln), "\t")
+				if len(fields) != 6 || ln[len(ln)-1] != '\n' || bytes.IndexByte(ln, '\n') != len(ln)-1 {
+					t.Fatalf("record %q has %d fields", ln, len(fields))
+				}
+				ts, err := strconv.ParseInt(string(ln[:13]), 10, 64)
+				if err != nil || ts < 0 || ts > spec.Duration.Milliseconds()+spec.Jitter.Milliseconds() {
+					t.Fatalf("bad ts %q", ln[:13])
+				}
+				user, err := strconv.Atoi(string(ln[15:22]))
+				if err != nil || ln[14] != 'u' || user >= spec.Users {
+					t.Fatalf("bad user %q", ln[14:22])
+				}
+				var page int
+				if n, err := fmt.Sscanf(fields[2], "/p%06d.html", &page); n != 1 || err != nil || page >= spec.URLs {
+					t.Fatalf("bad url %q", fields[2])
+				}
+				size, err := strconv.Atoi(fields[4])
+				if err != nil || len(fields[4]) != 4 || size < 100 || size >= 10_000 || fields[3] != "200" && fields[3] != "404" {
+					t.Fatalf("bad status %q or size %q", fields[3], fields[4])
+				}
+				if agent := strings.TrimSuffix(fields[5], "\n"); len(agent) != pad.want || !strings.HasPrefix(agent, "Mozilla/4.0-compatible-padpadpad"[:min(pad.want, 32)]) {
+					t.Fatalf("padding %q, want %d bytes of the agent string", agent, pad.want)
+				}
+			}
 		}
-		if _, err := strconv.ParseInt(fields[0], 10, 64); err != nil {
-			t.Fatalf("bad ts %q", fields[0])
-		}
-		if !strings.HasPrefix(fields[1], "u") {
-			t.Fatalf("bad user %q", fields[1])
-		}
-		if !strings.HasPrefix(fields[2], "/p") {
-			t.Fatalf("bad url %q", fields[2])
-		}
-		if len(ln)+1 != c.RecordBytes() {
-			t.Fatalf("record length %d, want %d", len(ln)+1, c.RecordBytes())
+		if records != c.TotalRecords() {
+			t.Fatalf("%d records, want %d", records, c.TotalRecords())
 		}
 	}
 }
@@ -199,9 +243,17 @@ func TestDocWordDistributionFlatterThanUsers(t *testing.T) {
 
 func TestSpecValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"zero bytes":  func() { NewClickStream(ClickSpec{ChunkPhys: 1, Users: 1, URLs: 1}) },
-		"zero users":  func() { NewClickStream(ClickSpec{PhysBytes: 1, ChunkPhys: 1, URLs: 1}) },
-		"small vocab": func() { NewDocCorpus(DocSpec{PhysBytes: 1, ChunkPhys: 1, Vocab: 2, DocWords: 5}) },
+		"zero bytes":   func() { NewClickStream(ClickSpec{ChunkPhys: 1, Users: 1, URLs: 1}) },
+		"zero users":   func() { NewClickStream(ClickSpec{PhysBytes: 1, ChunkPhys: 1, URLs: 1}) },
+		"small vocab":  func() { NewDocCorpus(DocSpec{PhysBytes: 1, ChunkPhys: 1, Vocab: 2, DocWords: 5}) },
+		"8-digit ids":  func() { NewClickStream(ClickSpec{PhysBytes: 1, ChunkPhys: 1, Users: 10_000_001, URLs: 1}) },
+		"7-digit urls": func() { NewClickStream(ClickSpec{PhysBytes: 1, ChunkPhys: 1, Users: 1, URLs: 1_000_001}) },
+		"14-digit ts": func() {
+			NewClickStream(ClickSpec{PhysBytes: 1, ChunkPhys: 1, Users: 1, URLs: 1, Duration: 200 * 365 * 24 * time.Hour, Jitter: 200 * 365 * 24 * time.Hour})
+		},
+		"7-digit words": func() {
+			NewDocCorpus(DocSpec{PhysBytes: 1, ChunkPhys: 1, Vocab: 1_000_001, DocWords: 5})
+		},
 	} {
 		func() {
 			defer func() {
@@ -212,6 +264,8 @@ func TestSpecValidation(t *testing.T) {
 			fn()
 		}()
 	}
+	// The widest spec the fixed-width fields hold builds.
+	NewClickStream(ClickSpec{PhysBytes: 1, ChunkPhys: 1, Users: 10_000_000, URLs: 1_000_000, Duration: 200 * 365 * 24 * time.Hour})
 }
 
 func BenchmarkClickChunkGen(b *testing.B) {
