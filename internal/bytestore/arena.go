@@ -15,24 +15,31 @@
 // implemented separately in internal/frequent.
 package bytestore
 
-// arena is an append-only byte allocator. Offset 0 is reserved as the
-// nil reference, so the first byte is wasted intentionally.
+// arena is an append-only byte allocator over a pooled buffer. Offset
+// 0 is reserved as the nil reference, so the first byte is wasted
+// intentionally.
 type arena struct {
 	buf []byte
 }
 
-func newArena(capHint int) *arena {
-	a := &arena{buf: make([]byte, 1, capHint+1)}
-	return a
+func newArena(capHint int) arena {
+	return arena{buf: append(Get(capHint+1), 0)}
 }
 
-// alloc reserves n bytes and returns their offset.
+// alloc reserves n zeroed bytes and returns their offset. Outgrowing
+// the buffer moves the arena to a pooled one at least twice as large;
+// the old one is left to the GC, because views the table handed out
+// (UpsertState's state, a key being looked up) may still alias it.
 func (a *arena) alloc(n int) int32 {
 	off := len(a.buf)
 	if off+n > 1<<31-1 {
 		panic("bytestore: arena exceeds 2GB")
 	}
-	a.buf = append(a.buf, make([]byte, n)...)
+	if off+n > cap(a.buf) {
+		a.buf = append(Get(max(2*cap(a.buf), off+n)), a.buf...)
+	}
+	a.buf = a.buf[:off+n]
+	clear(a.buf[off:])
 	return int32(off)
 }
 

@@ -281,9 +281,6 @@ func TestRangePairsFromEncodedBytes(t *testing.T) {
 	if len(got) != 2 || got[0] != "a=1" || got[1] != "bb=22" {
 		t.Fatalf("got %v", got)
 	}
-	if CountPairs(raw) != 2 {
-		t.Fatal("CountPairs")
-	}
 }
 
 func TestPairBytesMatchesEncoding(t *testing.T) {
@@ -325,3 +322,33 @@ func BenchmarkKVBufferAppend(b *testing.B) {
 		buf.Append(key, val)
 	}
 }
+
+// Lookups only the tests make: the platforms reach a table through
+// UpsertState, SetState, AppendValue and Range.
+
+func (t *Table) Len() int { return len(t.entries) }
+
+func (t *Table) Budget() int64 { return t.budget }
+
+// GetState returns the state for key, or nil if absent.
+func (t *Table) GetState(key []byte) []byte {
+	fixedOff, _, ok := t.find(key)
+	if !ok {
+		return nil
+	}
+	return t.stateOf(fixedOff)
+}
+
+// Values calls fn for each value of key in insertion order and reports
+// whether the key was present.
+func (t *Table) Values(key []byte, fn func(val []byte)) bool {
+	fixedOff, _, exists := t.find(key)
+	if exists {
+		t.valuesAt(fixedOff, fn)
+	}
+	return exists
+}
+
+func (b *KVBuffer) Budget() int64 { return b.budget }
+
+func (b *KVBuffer) Range(fn func(key, val []byte) bool) { RangePairs(b.buf, fn) }

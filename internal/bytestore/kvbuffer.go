@@ -45,9 +45,6 @@ func (b *KVBuffer) Len() int { return b.n }
 // SizeBytes returns the bytes currently buffered.
 func (b *KVBuffer) SizeBytes() int64 { return int64(len(b.buf)) }
 
-// Budget returns the byte budget.
-func (b *KVBuffer) Budget() int64 { return b.budget }
-
 // Reset empties the buffer, retaining capacity.
 func (b *KVBuffer) Reset() {
 	b.buf = b.buf[:0]
@@ -67,11 +64,6 @@ func AppendPair(dst, key, val []byte) []byte {
 	return append(dst, val...)
 }
 
-// Range iterates pairs in append order. The slices alias the buffer.
-func (b *KVBuffer) Range(fn func(key, val []byte) bool) {
-	RangePairs(b.buf, fn)
-}
-
 // RangePairs decodes a KVBuffer-encoded byte stream (e.g. one read
 // back from a spill file) and iterates its pairs.
 func RangePairs(data []byte, fn func(key, val []byte) bool) {
@@ -88,11 +80,4 @@ func RangePairs(data []byte, fn func(key, val []byte) bool) {
 		}
 		data = data[p:]
 	}
-}
-
-// CountPairs returns the number of pairs in an encoded stream.
-func CountPairs(data []byte) int {
-	n := 0
-	RangePairs(data, func(_, _ []byte) bool { n++; return true })
-	return n
 }

@@ -80,11 +80,18 @@ func Get(n int) []byte {
 // Put recycles a buffer for a future Get. The caller must not retain
 // any alias of b (including sub-slices stored elsewhere); Put of a
 // still-referenced buffer is the classic recycled-buffer corruption
-// bug, so call sites hand buffers back only after the data has been
-// copied out (storage.Append copies) or consumed. Putting nil or a
-// tiny buffer is a no-op; classes keep at most poolPerClassCap
-// buffers and drop the rest to the GC.
+// bug, so call sites hand buffers back only once the data has been
+// copied out or consumed — under -race every byte up to cap(b) is
+// poisoned here to make such a bug loud. Putting nil or a tiny buffer
+// is a no-op; classes keep at most poolPerClassCap buffers and drop
+// the rest to the GC.
 func Put(b []byte) {
+	if raceEnabled {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = Poison
+		}
+	}
 	c := classOf(cap(b))
 	if c < 0 {
 		return
@@ -97,4 +104,20 @@ func Put(b []byte) {
 		pool.classes[c] = append(l, b)
 	}
 	pool.mu.Unlock()
+}
+
+// Poison is the byte a recycled buffer holds under -race.
+const Poison = 0xA5
+
+// Grow returns b with room for n more bytes. When b lacks the room its
+// contents move to a pooled buffer at least twice its capacity and b
+// goes back to the pool, so only an owner that lent no view of b may
+// grow it this way.
+func Grow(b []byte, n int) []byte {
+	if len(b)+n <= cap(b) {
+		return b
+	}
+	nb := append(Get(max(2*cap(b), len(b)+n)), b...)
+	Put(b)
+	return nb
 }

@@ -1,8 +1,10 @@
 package bytestore
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/hashfam"
 	"repro/internal/kvenc"
 )
 
@@ -106,4 +108,42 @@ func TestPooledSpillEncodeSteadyState(t *testing.T) {
 	}
 	Put(b)
 	Put(r)
+}
+
+// TestTableReleaseReusesArena pins the life cycle every hash reducer
+// runs per bucket and per flush: NewTable, upserts, Release. The arena
+// is drawn from the pool and handed back, so the next table starts in
+// the same buffer and a steady cycle allocates only the table's bucket
+// array and entry list.
+func TestTableReleaseReusesArena(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-detector instrumentation")
+	}
+	h := hashfam.NewFamily(1).Fn(3)
+	keys := make([][]byte, 16)
+	for i := range keys {
+		keys[i] = fmt.Appendf(nil, "user%04d", i)
+	}
+	var arena *byte
+	cycle := func() {
+		tb := NewTable(h, 4<<10)
+		for _, k := range keys {
+			if _, _, ok := tb.UpsertState(k, 8, 16); !ok {
+				t.Fatal("a 4 KiB table refused 16 small states")
+			}
+		}
+		arena = &tb.a.buf[0]
+		tb.Release()
+	}
+	cycle()
+	first := arena
+	allocs := testing.AllocsPerRun(100, cycle)
+	if arena != first {
+		t.Error("a table after Release started in a fresh arena")
+	}
+	// The table, its 64 buckets, and four steps of the entry list; a
+	// fresh arena would be a seventh.
+	if allocs != 6 {
+		t.Errorf("NewTable + 16 upserts + Release allocated %.0f objects, want 6", allocs)
+	}
 }

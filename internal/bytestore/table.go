@@ -26,7 +26,7 @@ type Table struct {
 	h       hashfam.Func
 	buckets []int32 // entry offset + 1; 0 = empty
 	entries []int32 // insertion order, for deterministic iteration
-	a       *arena
+	a       arena
 	budget  int64
 	mask    int
 }
@@ -51,14 +51,16 @@ func NewTable(h hashfam.Func, budget int64) *Table {
 	}
 }
 
-// Len returns the number of distinct keys stored.
-func (t *Table) Len() int { return len(t.entries) }
+// Release hands the arena back to the pool at the end of the table's
+// life: the table and every key, state and value view it handed out
+// are dead from here on.
+func (t *Table) Release() {
+	Put(t.a.buf)
+	t.a.buf = nil
+}
 
 // SizeBytes returns the accounted memory use: arena plus bucket array.
 func (t *Table) SizeBytes() int64 { return t.a.size() + int64(len(t.buckets))*4 }
-
-// Budget returns the byte budget.
-func (t *Table) Budget() int64 { return t.budget }
 
 // entryKey returns the key bytes of the entry at off, and the offset
 // of its fixed fields.
@@ -164,16 +166,6 @@ func (t *Table) UpsertState(key []byte, stateLen, stateCap int) (state []byte, f
 	return t.a.bytes(slot, stateLen), false, true
 }
 
-// GetState returns the state for key, or nil if absent. The returned
-// slice aliases the arena and is writable in place.
-func (t *Table) GetState(key []byte) []byte {
-	fixedOff, _, ok := t.find(key)
-	if !ok {
-		return nil
-	}
-	return t.stateOf(fixedOff)
-}
-
 func (t *Table) stateOf(fixedOff int32) []byte {
 	slot := t.field(fixedOff, 0)
 	n := t.field(fixedOff, 1)
@@ -233,17 +225,6 @@ func (t *Table) AppendValue(key, val []byte) (ok bool) {
 	n := binary.PutUvarint(t.a.buf[node+4:], uint64(len(val)))
 	copy(t.a.buf[int(node)+4+n:], val)
 	t.setField(fixedOff, 3, node+1) // +1 so 0 stays nil
-	return true
-}
-
-// Values calls fn for each value of key in insertion order. It reports
-// whether the key was present.
-func (t *Table) Values(key []byte, fn func(val []byte)) bool {
-	fixedOff, _, exists := t.find(key)
-	if !exists {
-		return false
-	}
-	t.valuesAt(fixedOff, fn)
 	return true
 }
 

@@ -51,9 +51,6 @@ func newBucketSet(rt *Runtime, class storage.IOClass, prefix string, n int, page
 	return b
 }
 
-// n returns the bucket count.
-func (b *bucketSet) n() int { return len(b.bufs) }
-
 // memoryBytes returns the write-buffer memory footprint (h pages).
 func (b *bucketSet) memoryBytes() int64 { return int64(len(b.bufs)) * b.page }
 
@@ -98,20 +95,19 @@ func (b *bucketSet) flushAll() {
 	}
 }
 
-// readBucket reads bucket i back (charging I/O), deletes the file, and
-// returns the encoded pairs: the read's lent view, which stays valid
-// after the delete because the store never recycles file bytes.
-// Returns nil for an empty bucket. flushAll must have been called
-// first.
-func (b *bucketSet) readBucket(i int, segment int64) []byte {
-	f := b.files[i]
-	if f == nil {
-		return nil
+// drain reads each non-empty bucket back in order (charging I/O) and
+// hands its encoded pairs to fn, then deletes the file. The pairs are
+// the read's lent view of the file, which Delete recycles: they are
+// valid only until fn returns. flushAll must have been called first.
+func (b *bucketSet) drain(segment int64, fn func(data []byte)) {
+	for i, f := range b.files {
+		if f == nil {
+			continue
+		}
+		fn(b.rt.Store.ReadAll(b.rt.P, f, segment, b.class))
+		b.rt.Store.Delete(f)
+		b.files[i] = nil
 	}
-	data := b.rt.Store.ReadAll(b.rt.P, f, segment, b.class)
-	b.rt.Store.Delete(f)
-	b.files[i] = nil
-	return data
 }
 
 // snapshot returns a deep copy of every bucket's cumulative contents —

@@ -41,17 +41,6 @@ func (img *StateImage) StateBytes() int64 {
 	return int64(len(img.Table)) + frequent.SavedBytes(img.Sketch)
 }
 
-// BucketBytes returns the cumulative serialized size of every bucket;
-// checkpoints write only the delta since the previous image, restores
-// read it all back.
-func (img *StateImage) BucketBytes() int64 {
-	var b int64
-	for _, d := range img.Buckets {
-		b += int64(len(d))
-	}
-	return b
-}
-
 // BucketLens returns per-bucket cumulative lengths (delta accounting).
 func (img *StateImage) BucketLens() []int64 {
 	lens := make([]int64, len(img.Buckets))

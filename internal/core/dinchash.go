@@ -227,12 +227,7 @@ func (r *DINCHashReducer) Finish() {
 		maxDepth:  8,
 		out:       r.out,
 	}
-	for i := 0; i < r.buckets.n(); i++ {
-		data := r.buckets.readBucket(i, r.seg)
-		if len(data) > 0 {
-			helper.processBucket(data, 4)
-		}
-	}
+	helper.drainBuckets(r.buckets)
 }
 
 // bucketMem returns the memory available for the final bucket passes.

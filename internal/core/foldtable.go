@@ -32,7 +32,13 @@ type foldTable struct {
 	pk, merged []byte // prefixed-key and cb() result scratch
 }
 
-func (f *foldTable) reset() { f.table = bytestore.NewTable(f.h, f.budget) }
+// live returns the table, starting a fresh one after a flush.
+func (f *foldTable) live() *bytestore.Table {
+	if f.table == nil {
+		f.table = bytestore.NewTable(f.h, f.budget)
+	}
+	return f.table
+}
 
 // add folds one pair — a state when inc is set, a value otherwise —
 // flushing when the budget refuses it.
@@ -42,19 +48,19 @@ func (f *foldTable) add(part int, key, val []byte) {
 	f.pk = append(append(f.pk[:0], byte(part>>8), byte(part)), key...)
 	pk := f.pk
 	if f.inc == nil {
-		if !f.table.AppendValue(pk, val) {
+		if !f.live().AppendValue(pk, val) {
 			f.flush()
-			if !f.table.AppendValue(pk, val) {
+			if !f.live().AppendValue(pk, val) {
 				panic("core: an empty fold table refused one entry")
 			}
 		}
 		return
 	}
 	size := f.inc.StateSize()
-	cur, found, ok := f.table.UpsertState(pk, len(val), size)
+	cur, found, ok := f.live().UpsertState(pk, len(val), size)
 	if !ok {
 		f.flush()
-		if cur, found, ok = f.table.UpsertState(pk, len(val), size); !ok {
+		if cur, found, ok = f.live().UpsertState(pk, len(val), size); !ok {
 			panic("core: an empty fold table refused one entry")
 		}
 	}
@@ -69,21 +75,21 @@ func (f *foldTable) add(part int, key, val []byte) {
 		// must hold only the incoming increment — otherwise the old
 		// clicks would be emitted twice.
 		f.flush()
-		st, _, _ := f.table.UpsertState(pk, len(val), size)
+		st, _, _ := f.live().UpsertState(pk, len(val), size)
 		copy(st, val)
 	}
 }
 
 // flush emits the table contents as one finished segment per partition
-// and resets the table. Entries keep table iteration order within each
-// partition; in sorted mode each segment is then key-sorted (post-fold
-// keys are unique per segment, so any stable sort yields a valid
-// sort-merge run).
+// and hands the table back (the next add starts a fresh one). Entries
+// keep table iteration order within each partition; in sorted mode
+// each segment is then key-sorted (post-fold keys are unique per
+// segment, so any stable sort yields a valid sort-merge run).
 func (f *foldTable) flush() {
 	segs := make([][]byte, f.r)
 	counts := make([]int64, f.r)
 	var vals [][]byte
-	f.table.Range(func(pk, state []byte, values func(func([]byte))) bool {
+	f.live().Range(func(pk, state []byte, values func(func([]byte))) bool {
 		part, key := int(binary.BigEndian.Uint16(pk)), pk[2:]
 		if f.inc != nil {
 			segs[part] = kvenc.AppendPair(segs[part], key, state)
@@ -99,6 +105,8 @@ func (f *foldTable) flush() {
 		})
 		return true
 	})
+	f.table.Release()
+	f.table = nil
 	if f.sorted {
 		for part, seg := range segs {
 			if len(seg) > 0 {
@@ -107,5 +115,4 @@ func (f *foldTable) flush() {
 		}
 	}
 	f.emit(segs, counts)
-	f.reset()
 }

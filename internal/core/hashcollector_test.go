@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bytestore"
 	"repro/internal/cost"
 	"repro/internal/kvenc"
 	"repro/internal/mr"
@@ -178,7 +179,7 @@ func kvCount(parts [][][]byte) (n int) {
 func TestHashCollectorAddAllocs(t *testing.T) {
 	q := queries.NewSessionization(5*time.Minute, 512, 5*time.Second)
 	c := NewHashMapCollector(NopRuntime(nil, nil, cost.Default(1)), q, 40, 1<<20, true)
-	c.stagePart, c.stageEnd = make([]int32, 0, 1024), make([]int, 0, 1024) // grown once, as a long task would have
+	c.stageIdx = bytestore.Grow(c.stageIdx, 8*1024) // grown once, as a long task would have
 	rec := pinnedClicks()[0]
 	key := rec[14:22]
 	if n := testing.AllocsPerRun(200, func() { c.Add(key, rec) }); n != 0 {

@@ -86,11 +86,7 @@ func NewINCHashReducer(rt *Runtime, q mr.Query, cfg INCHashConfig, out mr.Output
 	// Even when all states are expected to fit, one defensive bucket
 	// exists so a bad hint degrades to spilling rather than failing.
 	r.buckets = newBucketSet(rt, storage.ReduceSpill, cfg.Prefix, max(nDisk, 1), cfg.Page, 2)
-	budget := cfg.MemBudget - r.buckets.memoryBytes()
-	if budget < cfg.Page {
-		budget = cfg.Page
-	}
-	r.table = bytestore.NewTable(rt.Fam.Fn(3), budget)
+	r.table = bytestore.NewTable(rt.Fam.Fn(3), max(cfg.MemBudget-r.buckets.memoryBytes(), cfg.Page))
 	return r
 }
 
@@ -99,36 +95,26 @@ func NewINCHashReducer(rt *Runtime, q mr.Query, cfg INCHashConfig, out mr.Output
 // path is incremental progress.
 func (r *INCHashReducer) Consume(key, state []byte) {
 	r.received++
-	pk := key
-	cur, found, ok := r.table.UpsertState(pk, len(state), r.inc.StateSize())
-	switch {
-	case found:
-		merged := mr.MergeInto(r.inc, &r.merged, key, cur, state)
-		merged = r.tryEmit(key, merged)
-		if !r.table.SetState(pk, merged) {
-			// State outgrew the remaining arena: spill the merged
-			// state and restart the key's slot small. Rare; keeps the
-			// budget honest.
-			r.buckets.add(key, merged)
-			r.table.SetState(pk, merged[:0])
-		}
-		r.inMemRecs++
-		r.rt.FnRecords(1)
-	case ok:
-		copy(cur, state)
-		st := r.tryEmit(key, cur)
-		if !r.table.SetState(pk, st) {
-			// Couldn't retain the grown state: stage it to disk and
-			// keep an empty (identity) state in the slot.
-			r.buckets.add(key, st)
-			r.table.SetState(pk, st[:0])
-		}
-		r.inMemRecs++
-		r.rt.FnRecords(1)
-	default:
+	cur, found, ok := r.table.UpsertState(key, len(state), r.inc.StateSize())
+	if !ok {
 		// Memory full and key not resident: stage to its bucket.
 		r.buckets.add(key, state)
+		return
 	}
+	if found {
+		cur = mr.MergeInto(r.inc, &r.merged, key, cur, state)
+	} else {
+		copy(cur, state)
+	}
+	if st := r.tryEmit(key, cur); !r.table.SetState(key, st) {
+		// The state outgrew the remaining arena: spill it and restart
+		// the key's slot empty (the identity state). Rare; keeps the
+		// budget honest.
+		r.buckets.add(key, st)
+		r.table.SetState(key, st[:0])
+	}
+	r.inMemRecs++
+	r.rt.FnRecords(1)
 }
 
 func (r *INCHashReducer) tryEmit(key, state []byte) []byte {
@@ -149,20 +135,30 @@ func (r *INCHashReducer) SpilledPairs() int64 { return r.buckets.spilledPairs }
 // memory).
 func (r *INCHashReducer) Finish() {
 	r.buckets.flushAll()
+	r.finalize(r.table)
+	r.table = nil
+	r.drainBuckets(r.buckets)
+}
+
+// finalize applies fn() to every state of t, charging one reduce
+// record each, and releases t.
+func (r *INCHashReducer) finalize(t *bytestore.Table) {
 	batch := r.rt.Batch(r.rt.Model.CPUReduceRec)
-	r.table.Range(func(key, state []byte, _ func(func([]byte))) bool {
+	t.Range(func(key, state []byte, _ func(func([]byte))) bool {
 		r.inc.Finalize(key, state, r.out)
 		batch.Add(1)
 		return true
 	})
 	batch.Flush()
-	r.table = nil
-	for i := 0; i < r.buckets.n(); i++ {
-		data := r.buckets.readBucket(i, r.seg)
-		if len(data) > 0 {
-			r.processBucket(data, 4)
-		}
-	}
+	t.Release()
+}
+
+// drainBuckets processes every on-disk bucket of b, then hands the
+// held-output buffer back: the reducer is done.
+func (r *INCHashReducer) drainBuckets(b *bucketSet) {
+	b.drain(r.seg, func(data []byte) { r.processBucket(data, 4) })
+	bytestore.Put(r.hold.buf)
+	r.hold.buf = nil
 }
 
 // heldOutput buffers early emissions during a bucket-table build that
@@ -170,26 +166,22 @@ func (r *INCHashReducer) Finish() {
 // the re-run replays the same tuples through TryEmit, so emissions
 // from an abandoned build would come out twice. They become durable
 // only when the build commits. Key and value are copied, because
-// queries reuse their emit scratch buffers across calls, into one flat
-// buffer the reducer reuses from build to build.
+// queries reuse their emit scratch buffers across calls, as pairs into
+// one pooled buffer the reducer reuses from build to build.
 type heldOutput struct {
-	buf  []byte // keys and values, back to back
-	lens []int  // key length, value length of each emission
+	buf []byte
 }
 
 // Emit implements mr.OutputWriter.
 func (h *heldOutput) Emit(key, value []byte) {
-	h.buf = append(append(h.buf, key...), value...)
-	h.lens = append(h.lens, len(key), len(value))
+	h.buf = bytestore.AppendPair(bytestore.Grow(h.buf, int(bytestore.PairBytes(len(key), len(value)))), key, value)
 }
 
 func (h *heldOutput) replay(out mr.OutputWriter) {
-	off := 0
-	for i := 0; i < len(h.lens); i += 2 {
-		k, v := off+h.lens[i], off+h.lens[i]+h.lens[i+1]
-		out.Emit(h.buf[off:k], h.buf[k:v])
-		off = v
-	}
+	bytestore.RangePairs(h.buf, func(key, value []byte) bool {
+		out.Emit(key, value)
+		return true
+	})
 }
 
 // processBucket builds an in-memory state table for one bucket's
@@ -213,47 +205,32 @@ func (r *INCHashReducer) processBucketBudget(data []byte, level int, budget int6
 	// Early emits during the build are held until the build commits —
 	// an abandoned build's tuples are replayed and would re-emit.
 	hold := &r.hold
-	hold.buf, hold.lens = hold.buf[:0], hold.lens[:0]
+	hold.buf = hold.buf[:0]
 	realOut := r.out
 	r.out = hold
 	bytestore.RangePairs(data, func(key, state []byte) bool {
 		cur, found, ok := t.UpsertState(key, len(state), r.inc.StateSize())
-		if !ok {
-			fits = false
-			return false
-		}
-		recs++
-		if !found {
-			copy(cur, state)
-			st := r.tryEmit(key, cur)
-			if !t.SetState(key, st) {
-				fits = false
-				return false
+		if ok {
+			recs++
+			if found {
+				cur = mr.MergeInto(r.inc, &r.merged, key, cur, state)
+			} else {
+				copy(cur, state)
 			}
-			return true
+			ok = t.SetState(key, r.tryEmit(key, cur))
 		}
-		merged := mr.MergeInto(r.inc, &r.merged, key, cur, state)
-		merged = r.tryEmit(key, merged)
-		if !t.SetState(key, merged) {
-			fits = false
-			return false
-		}
-		return true
+		fits = ok
+		return ok
 	})
 	r.out = realOut
 	if fits {
 		hold.replay(r.out)
 		r.rt.FnRecords(recs)
 		r.rt.ChargeOps(r.rt.Model.CPUCombine, recs)
-		batch := r.rt.Batch(r.rt.Model.CPUReduceRec)
-		t.Range(func(key, state []byte, _ func(func([]byte))) bool {
-			r.inc.Finalize(key, state, r.out)
-			batch.Add(1)
-			return true
-		})
-		batch.Flush()
+		r.finalize(t)
 		return
 	}
+	t.Release()
 	sub := newBucketSet(r.rt, storage.ReduceSpill,
 		fmt.Sprintf("%s.l%d", r.prefix, level), bucketCount(int64(len(data)), r.memBudget, 64), r.page, level)
 	bytestore.RangePairs(data, func(key, state []byte) bool {
@@ -261,15 +238,12 @@ func (r *INCHashReducer) processBucketBudget(data []byte, level int, budget int6
 		return true
 	})
 	sub.flushAll()
-	for i := 0; i < sub.n(); i++ {
-		d := sub.readBucket(i, r.seg)
-		switch {
-		case len(d) == 0:
-		case len(d) == len(data):
+	sub.drain(r.seg, func(d []byte) {
+		if len(d) == len(data) {
 			// No progress (single dominant key): process uncapped.
 			r.processBucketBudget(d, level+1, int64(len(d))*3+(1<<20))
-		default:
+		} else {
 			r.processBucket(d, level+1)
 		}
-	}
+	})
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+
 	"repro/internal/bytestore"
 	"repro/internal/hashfam"
 	"repro/internal/kvenc"
@@ -30,13 +32,13 @@ type HashMapCollector struct {
 	st   []byte     // init() result, reused across Add calls
 
 	// pass-through path: pairs are staged in arrival order and
-	// scattered by partition when the buffer flushes
-	stage     []byte  // pooled staging buffer, handed back by Finish
-	stagePart []int32 // partition of each staged pair
-	stageEnd  []int   // end offset of each staged pair in stage
-	cursor    []int   // per-partition sizes, then write offsets, of a flush
-	flushes   int
-	backing   []byte // the last flush's buffer: the output's backing if it was the only one
+	// scattered by partition when the buffer flushes; both staging
+	// buffers are pooled and handed back by Finish
+	stage    []byte
+	stageIdx []byte // per staged pair: its partition and end offset in stage, uint32 each
+	cursor   []int  // per-partition sizes, then write offsets, of a flush
+	flushes  int
+	backing  []byte // the last flush's buffer: the output's backing if it was the only one
 
 	parts [][][]byte // finished segments per partition
 }
@@ -68,9 +70,8 @@ func NewHashMapCollector(rt *Runtime, q mr.Query, r int, budget int64, increment
 				}
 				c.appendSegments(segs)
 			}}
-		c.fold.reset()
 	} else {
-		// Starts at B_m, capped at 1 MiB; past that it grows by appending.
+		// Starts at B_m, capped at 1 MiB; past that it grows in the pool.
 		c.stage = bytestore.Get(int(min(budget, 1<<20)))
 		c.cursor = make([]int, r)
 	}
@@ -97,9 +98,16 @@ func (c *HashMapCollector) Add(key, val []byte) {
 	if int64(len(c.stage))+bytestore.PairBytes(len(key), len(val)) > c.budget && len(c.stage) > 0 {
 		c.flushRaw()
 	}
-	c.stage = kvenc.AppendPair(c.stage, key, val)
-	c.stagePart = append(c.stagePart, int32(part))
-	c.stageEnd = append(c.stageEnd, len(c.stage))
+	c.stage = kvenc.AppendPair(bytestore.Grow(c.stage, int(bytestore.PairBytes(len(key), len(val)))), key, val)
+	c.stageIdx = binary.LittleEndian.AppendUint32(bytestore.Grow(c.stageIdx, 8), uint32(part))
+	c.stageIdx = binary.LittleEndian.AppendUint32(c.stageIdx, uint32(len(c.stage)))
+}
+
+// staged returns the partition and the end offset in stage of staged
+// pair i.
+func (c *HashMapCollector) staged(i int) (part, end int) {
+	e := c.stageIdx[8*i:]
+	return int(binary.LittleEndian.Uint32(e)), int(binary.LittleEndian.Uint32(e[4:]))
 }
 
 // flushRaw emits the staged pairs as one segment per partition: the
@@ -107,13 +115,15 @@ func (c *HashMapCollector) Add(key, val []byte) {
 // once, in arrival order, into a single exact-size buffer, so the
 // segments are its adjacent ranges in partition order.
 func (c *HashMapCollector) flushRaw() {
-	if len(c.stageEnd) == 0 {
+	pairs := len(c.stageIdx) / 8
+	if pairs == 0 {
 		return
 	}
 	clear(c.cursor)
 	start := 0
-	for i, end := range c.stageEnd {
-		c.cursor[c.stagePart[i]] += end - start
+	for i := range pairs {
+		part, end := c.staged(i)
+		c.cursor[part] += end - start
 		start = end
 	}
 	backing := make([]byte, len(c.stage))
@@ -125,16 +135,16 @@ func (c *HashMapCollector) flushRaw() {
 		off += n
 	}
 	start = 0
-	for i, end := range c.stageEnd {
-		part := c.stagePart[i]
+	for i := range pairs {
+		part, end := c.staged(i)
 		c.cursor[part] += copy(backing[c.cursor[part]:], c.stage[start:end])
 		start = end
 	}
-	c.outRecs += int64(len(c.stageEnd))
+	c.outRecs += int64(pairs)
 	c.appendSegments(segs)
 	c.flushes++
 	c.backing = backing
-	c.stage, c.stagePart, c.stageEnd = c.stage[:0], c.stagePart[:0], c.stageEnd[:0]
+	c.stage, c.stageIdx = c.stage[:0], c.stageIdx[:0]
 }
 
 // appendSegments stores one flush's segments, one per partition. When
@@ -166,7 +176,8 @@ func (c *HashMapCollector) Finish() (out MapParts, mapped, emitted int64) {
 	} else {
 		c.flushRaw()
 		bytestore.Put(c.stage)
-		c.stage = nil
+		bytestore.Put(c.stageIdx)
+		c.stage, c.stageIdx = nil, nil
 	}
 	out.Segs = c.parts
 	if c.flushes == 1 {

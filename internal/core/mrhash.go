@@ -84,16 +84,8 @@ func NewMRHashReducer(rt *Runtime, q mr.Query, cfg MRHashConfig) *MRHashReducer 
 	// Bucket 0 is D1 (in memory); buckets 1..nDisk go to disk. The
 	// bucket set covers all of them so a demoted D1 has a file slot.
 	r.buckets = newBucketSet(rt, storage.ReduceSpill, cfg.Prefix, nDisk+1, cfg.Page, 2)
-	r.table = bytestore.NewTable(rt.Fam.Fn(3), r.tableBudget())
+	r.table = bytestore.NewTable(rt.Fam.Fn(3), max(cfg.MemBudget-r.buckets.memoryBytes(), cfg.Page))
 	return r
-}
-
-func (r *MRHashReducer) tableBudget() int64 {
-	b := r.memBudget - r.buckets.memoryBytes()
-	if b < r.page {
-		b = r.page
-	}
-	return b
 }
 
 // Consume accepts one shuffled pair. CPU is charged by the engine per
@@ -124,7 +116,7 @@ func (r *MRHashReducer) demote() {
 		values(func(v []byte) { r.buckets.addTo(0, key, v) })
 		return true
 	})
-	r.table = bytestore.NewTable(r.rt.Fam.Fn(3), r.tableBudget())
+	r.table.Release()
 }
 
 // SpilledPairs returns pairs routed to disk buckets so far.
@@ -139,18 +131,12 @@ func (r *MRHashReducer) Finish(out mr.OutputWriter) {
 		r.reduceTable(r.table, out)
 	}
 	r.table = nil
-	for i := 0; i < r.buckets.n(); i++ {
-		if r.demoted || i != 0 {
-			data := r.buckets.readBucket(i, r.seg)
-			if len(data) > 0 {
-				r.reducePairs(data, 4, out)
-			}
-		}
-	}
+	// Bucket 0's file exists only once D1 was demoted to it.
+	r.buckets.drain(r.seg, func(data []byte) { r.reducePairs(data, 4, out) })
 }
 
 // reduceTable runs the reduce function over a fully-grouped in-memory
-// table.
+// table, then releases it.
 func (r *MRHashReducer) reduceTable(t *bytestore.Table, out mr.OutputWriter) {
 	var records int64
 	batch := r.rt.Batch(r.rt.Model.CPUReduceRec)
@@ -166,6 +152,7 @@ func (r *MRHashReducer) reduceTable(t *bytestore.Table, out mr.OutputWriter) {
 	})
 	batch.Flush()
 	r.rt.FnRecords(records)
+	t.Release()
 }
 
 // reducePairs groups an encoded pair stream in memory and reduces it;
@@ -177,19 +164,18 @@ func (r *MRHashReducer) reduceTable(t *bytestore.Table, out mr.OutputWriter) {
 // each group to the reduce function without materializing it.
 func (r *MRHashReducer) reducePairs(data []byte, level int, out mr.OutputWriter) {
 	t := bytestore.NewTable(r.rt.Fam.Fn(3), r.memBudget)
-	fits := true
+	fits, pairs := true, int64(0)
 	bytestore.RangePairs(data, func(key, val []byte) bool {
-		if !t.AppendValue(key, val) {
-			fits = false
-			return false
-		}
-		return true
+		fits = t.AppendValue(key, val)
+		pairs++
+		return fits
 	})
 	if fits {
-		r.rt.ChargeOps(r.rt.Model.CPUHashInsert, int64(bytestore.CountPairs(data)))
+		r.rt.ChargeOps(r.rt.Model.CPUHashInsert, pairs)
 		r.reduceTable(t, out)
 		return
 	}
+	t.Release()
 	if level-4 >= r.maxDepth {
 		r.sortAndStream(data, out)
 		return
@@ -203,20 +189,17 @@ func (r *MRHashReducer) reducePairs(data []byte, level int, out mr.OutputWriter)
 		return true
 	})
 	sub.flushAll()
-	for i := 0; i < sub.n(); i++ {
-		d := sub.readBucket(i, r.seg)
-		switch {
-		case len(d) == 0:
-		case int64(len(d))*4 > int64(len(data))*3:
+	sub.drain(r.seg, func(d []byte) {
+		if int64(len(d))*4 > int64(len(data))*3 {
 			// Partitioning barely helped: the bucket is dominated by
 			// one hot key whose value list no hash can split. Another
 			// level would rewrite the same gigabytes again, so stream
 			// it through an external sort instead.
 			r.sortAndStream(d, out)
-		default:
+		} else {
 			r.reducePairs(d, level+1, out)
 		}
-	}
+	})
 }
 
 // sortAndStream externally sorts one bucket and streams each group to

@@ -53,7 +53,6 @@ func NewNodeCombiner(rt *Runtime, q mr.Query, r int, budget int64, incremental, 
 	if incremental && isInc {
 		nc.fold.inc = inc
 	}
-	nc.fold.reset()
 	return nc
 }
 

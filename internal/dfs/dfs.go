@@ -18,7 +18,9 @@ type Input interface {
 	Name() string
 	// NumChunks returns the number of chunks (map tasks).
 	NumChunks() int
-	// ChunkBytes synthesizes chunk i as newline-delimited records.
+	// ChunkBytes synthesizes chunk i as newline-delimited records, in
+	// a fresh buffer: the caller owns it and may hand it to
+	// bytestore.Put once nothing reads it.
 	ChunkBytes(i int) []byte
 }
 

@@ -85,14 +85,20 @@ func (j *job) runMapTask(p *sim.Proc, chunk int, n *node, backup bool) {
 func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, backup bool) (res mapResult, dur int64) {
 	p.Acquire(n.mapSlots, 1)
 	defer p.Release(n.mapSlots, 1)
-	// Segments mapped ahead but never replayed (injected failure,
-	// superseded attempt, node abort) hand their pooled buffers back once
-	// the forked compute has drained.
+	var ledger int64
+	body := NewMapBody(j.spec, j.newRuntime(p, n, &ledger), j.spec.Query, chunk, attempt,
+		func(name string, _ int, out core.MapParts) {
+			j.publishMapOutput(p, n, name, -1, nil, out)
+		})
+	// Once the forked compute has drained, the chunk goes back to the
+	// pool, and so do segments mapped ahead but never replayed (injected
+	// failure, superseded attempt, node abort).
 	var outs []SegMapResult
 	defer func() {
 		for i := range outs {
 			outs[i].Release()
 		}
+		body.Release()
 	}()
 	defer p.Join() // drain forked compute on every exit path
 	start := p.Now()
@@ -112,7 +118,6 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 	// a checksum failure (or exhausted transient-I/O retry budget) on
 	// the attempt's own spill files aborts it for a clean re-run; the
 	// panics must not escape into the kernel.
-	var ledger int64
 	defer func() {
 		if r := recover(); r != nil {
 			switch r.(type) {
@@ -134,21 +139,17 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 
 	// Generate (or "read") the chunk on the pool while the startup
 	// overhead elapses in virtual time.
-	var data []byte
-	gen := p.Fork(func() { data = j.spec.Input.ChunkBytes(chunk) })
+	var segs [][]byte
+	gen := p.Fork(func() { segs = body.Segments(j.spec.Input.ChunkBytes(chunk)) })
 	p.Hold(model.MapStartup + model.TaskOverhead)
 	gen.Wait()
 
 	failAt := int64(-1)
 	if fail {
-		failAt = j.spec.Faults.MapFailAt(len(data))
+		failAt = j.spec.Faults.MapFailAt(len(body.input))
 	}
 
 	hop := j.spec.Platform == HOP
-	body := NewMapBody(j.spec, j.newRuntime(p, n, &ledger), j.spec.Query, chunk, attempt,
-		func(name string, _ int, out core.MapParts) {
-			j.publishMapOutput(p, n, name, -1, nil, out)
-		})
 	var observe func(ts int64)
 	if wm, ok := j.spec.Query.(mr.Watermarker); ok {
 		observe = wm.AdvanceWatermark
@@ -157,7 +158,6 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 	// Fork map compute with bounded look-ahead: enough in flight to
 	// keep the pool busy across this task's parks, without holding
 	// every segment's output in memory at once.
-	segs := body.Segments(data)
 	outs = make([]SegMapResult, len(segs))
 	futs := make([]*sim.Future, len(segs))
 	window := 2 * p.Workers()

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -44,6 +45,7 @@ type MapBody struct {
 	q       mr.Query
 	wm      mr.Watermarker
 	chunk   int
+	input   []byte // the chunk, from Segments until Release
 	coll    MapCollector
 	perPair time.Duration // collector CPU per emitted pair, beyond sort CPU charged at spill time
 }
@@ -93,10 +95,11 @@ func NewMapBody(spec *JobSpec, rt *core.Runtime, q mr.Query, chunk, attempt int,
 	return b
 }
 
-// Segments splits the chunk into read segments of the cluster's
-// ReadSegment size, each extended to the next record boundary — one
-// input I/O request plus one CPU burst apiece.
+// Segments takes the chunk over and splits it into read segments of
+// the cluster's ReadSegment size, each extended to the next record
+// boundary — one input I/O request plus one CPU burst apiece.
 func (b *MapBody) Segments(data []byte) [][]byte {
+	b.input = data
 	seg := b.spec.Cluster.ReadSegment
 	if seg <= 0 || seg > int64(len(data)) {
 		seg = int64(len(data))
@@ -117,36 +120,43 @@ func (b *MapBody) Segments(data []byte) [][]byte {
 	return segs
 }
 
+// Release hands the chunk back to bytestore once the attempt has ended
+// — failed and superseded ones too — and nothing reads its segments.
+func (b *MapBody) Release() {
+	bytestore.Put(b.input)
+	b.input = nil
+}
+
 // SegMapResult is one segment's map output: the emitted pairs in
 // emission order plus, for watermarked queries, per-record marks so
 // the replay can observe event times at exactly the points a serial
 // record loop would.
 type SegMapResult struct {
-	pairs       []byte    // kvenc stream of Map emissions, in order (pooled)
-	marks       []recMark // one per input record (watermarked queries only)
-	bytes       int64     // segment length
+	pairs       []byte // kvenc stream of Map emissions, in order (pooled)
+	marks       []byte // one record mark per input record (watermarked queries only; pooled)
+	bytes       int64  // segment length
 	records     int64
 	pairsN      int64 // emitted pairs in the segment
 	quarantined int64 // bad records skipped under the quarantine budget
 }
 
-// recMark locates one input record's contribution in a SegMapResult.
-type recMark struct {
-	ts    int64 // mr.Watermarker.RecordTime of the record
-	pairs int32 // emissions by this record
-}
+// A record mark locates one input record's contribution in a
+// SegMapResult: the record's mr.Watermarker.RecordTime, then how many
+// pairs it emitted, little-endian.
+const markBytes = 8 + 4
 
-// Release hands the result's pooled emission buffer back. Replay does
-// it for replayed segments; drivers call it for segments mapped ahead
-// and then abandoned. Safe to call twice.
+// Release hands the result's pooled buffers back. Replay does it for
+// replayed segments; drivers call it for segments mapped ahead and then
+// abandoned. Safe to call twice.
 func (out *SegMapResult) Release() {
 	bytestore.Put(out.pairs)
+	bytestore.Put(out.marks)
 	*out = SegMapResult{}
 }
 
 // emit appends one Map emission to the segment's output.
 func (out *SegMapResult) emit(k, v []byte) {
-	out.pairs = kvenc.AppendPair(out.pairs, k, v)
+	out.pairs = kvenc.AppendPair(bytestore.Grow(out.pairs, int(bytestore.PairBytes(len(k), len(v)))), k, v)
 	out.pairsN++
 }
 
@@ -163,7 +173,7 @@ func (b *MapBody) MapSegment(segment []byte, out *SegMapResult) {
 	out.pairs = bytestore.Get(len(segment))
 	out.bytes = int64(len(segment))
 	if b.wm != nil {
-		out.marks = make([]recMark, 0, bytes.Count(segment, []byte{'\n'})+1)
+		out.marks = bytestore.Get(markBytes * (bytes.Count(segment, []byte{'\n'}) + 1))
 	}
 	quarantine := b.spec.SkipBadRecords > 0
 	emit := out.emit // one emitter per segment, not one closure per record
@@ -194,7 +204,8 @@ func (b *MapBody) mapRecord(line []byte, out *SegMapResult, emit func(k, v []byt
 	before := out.pairsN
 	b.q.Map(line, emit)
 	if b.wm != nil {
-		out.marks = append(out.marks, recMark{ts: b.wm.RecordTime(line), pairs: int32(out.pairsN - before)})
+		out.marks = binary.LittleEndian.AppendUint64(out.marks, uint64(b.wm.RecordTime(line)))
+		out.marks = binary.LittleEndian.AppendUint32(out.marks, uint32(out.pairsN-before))
 	}
 }
 
@@ -238,9 +249,9 @@ func (b *MapBody) Replay(seg *SegMapResult, observe func(ts int64)) {
 			b.coll.Add(k, v)
 		}
 	} else {
-		for _, m := range seg.marks {
-			observe(m.ts)
-			for e := int32(0); e < m.pairs; e++ {
+		for m := seg.marks; len(m) > 0; m = m[markBytes:] {
+			observe(int64(binary.LittleEndian.Uint64(m)))
+			for e := binary.LittleEndian.Uint32(m[8:]); e > 0; e-- {
 				k, v, _ := it.Next()
 				b.coll.Add(k, v)
 			}

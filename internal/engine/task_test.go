@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"strings"
@@ -243,7 +244,11 @@ func TestMapBodyQuarantineRollback(t *testing.T) {
 	if seg.records != 3 || seg.quarantined != 1 || seg.pairsN != 4 {
 		t.Fatalf("records %d quarantined %d pairs %d, want 3/1/4", seg.records, seg.quarantined, seg.pairsN)
 	}
-	if want := []recMark{{ts: 5, pairs: 2}, {ts: 6, pairs: 2}}; !reflect.DeepEqual(seg.marks, want) {
+	var want []byte // (ts 5, 2 pairs), (ts 6, 2 pairs)
+	for _, m := range [][2]int{{5, 2}, {6, 2}} {
+		want = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(want, uint64(m[0])), uint32(m[1]))
+	}
+	if !bytes.Equal(seg.marks, want) {
 		t.Errorf("marks = %v, want none for the poisoned record: %v", seg.marks, want)
 	}
 	if bytes.Contains(seg.pairs, []byte("!bad")) {

@@ -446,7 +446,6 @@ func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool
 			}
 			red.Feed(u.parts, ridx, size, u.chunk)
 		}
-		r.fetchesDone.Add(1)
 		consumed[ui] = true
 		consumedN++
 

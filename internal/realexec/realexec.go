@@ -105,9 +105,7 @@ type run struct {
 	// resolves node combining on. See nodecombine.go.
 	comb *engine.CombinePlan
 
-	fnRecords       atomic.Int64
 	memFetches      atomic.Int64
-	fetchesDone     atomic.Int64
 	snapshotRecords atomic.Int64
 
 	// flt interprets the fault plan; an empty plan kills nobody, rolls no
@@ -314,7 +312,8 @@ func (r *run) newRuntime(p substrate.Proc, st *storage.Store, ledger *int64) *co
 				*ledger += int64(d)
 			}
 		},
-		FnRecords: func(k int64) { r.fnRecords.Add(k) },
+		// Only the DES plots reduce progress (Definition 1).
+		FnRecords: func(int64) {},
 	}
 }
 
@@ -370,12 +369,14 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic
 	}
 
 	data := r.spec.Input.ChunkBytes(chunk)
+	segs := body.Segments(data)
+	defer body.Release()
 	failAt := int64(-1)
 	if inject {
 		failAt = r.spec.Faults.MapFailAt(len(data))
 	}
 	var end int64
-	for _, seg := range body.Segments(data) {
+	for _, seg := range segs {
 		st.ChargeInputRead(p, int64(len(seg)))
 		var out engine.SegMapResult
 		body.MapSegment(seg, &out)

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"sort"
 
+	"repro/internal/bytestore"
 	"repro/internal/dfs"
 	"repro/internal/kvenc"
 	"repro/internal/mr"
@@ -26,8 +27,8 @@ type Output struct {
 // chunk by chunk in order.
 func eachRecord(input dfs.Input, fn func(line []byte)) {
 	for c := 0; c < input.NumChunks(); c++ {
-		data := input.ChunkBytes(c)
-		for len(data) > 0 {
+		chunk := input.ChunkBytes(c)
+		for data := chunk; len(data) > 0; {
 			var line []byte
 			if nl := bytes.IndexByte(data, '\n'); nl >= 0 {
 				line, data = data[:nl], data[nl+1:]
@@ -39,6 +40,7 @@ func eachRecord(input dfs.Input, fn func(line []byte)) {
 			}
 			fn(line)
 		}
+		bytestore.Put(chunk) // fn copies what it keeps
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/bytestore"
 	"repro/internal/cost"
 	"repro/internal/frame"
 	"repro/internal/sim"
@@ -124,6 +125,7 @@ type File struct {
 	dev    cost.Device
 	data   []byte
 	frames []frameSpan // populated per write when checksums are on
+	grown  bool        // data is a pooled buffer the file grew into: Delete recycles it
 }
 
 // Name returns the file name.
@@ -232,7 +234,6 @@ type Store struct {
 	// map output). Input/output (HDFS) always use the HDD, as in the
 	// paper's SSD experiment.
 	Intermediate cost.Device
-	liveBytes    int64
 
 	// SlowFactor > 1 stretches every seek and transfer on this node's
 	// devices by that multiple — the disk half of a straggler node
@@ -308,9 +309,6 @@ func (s *Store) NoteOverhead(class IOClass, n int64) {
 // Arm returns the device's timer (for metrics sampling).
 func (s *Store) Arm(dev cost.Device) substrate.Timer { return s.arms[dev] }
 
-// LiveBytes returns the physical bytes currently held in files.
-func (s *Store) LiveBytes() int64 { return s.liveBytes }
-
 // deviceFor maps an I/O class to a device under the placement policy.
 func (s *Store) deviceFor(class IOClass) cost.Device {
 	switch class {
@@ -332,17 +330,22 @@ func (s *Store) Create(name string, class IOClass) *File {
 	return f
 }
 
-// Delete removes a file and drops the store's reference to its bytes;
-// views handed out by reads stay valid (the GC keeps them alive).
+// Delete removes a file. A file grown by Append hands its bytes back
+// to bytestore, so views a read lent from it die here; an adopted
+// buffer is only dropped, and its views stay valid (the GC keeps them
+// alive).
 func (s *Store) Delete(f *File) {
-	s.liveBytes -= int64(len(f.data))
 	delete(s.files, f.name)
-	f.data = nil
-	f.frames = nil
+	if f.grown {
+		bytestore.Put(f.data)
+	}
+	f.data, f.frames, f.grown = nil, nil, false
 }
 
 // Append writes a copy of data to the end of f as a single request
-// (one frame), charging seek + transfer on the device arm.
+// (one frame), charging seek + transfer on the device arm. The file
+// grows through the bytestore pool; views read from it stay valid
+// until Delete.
 func (s *Store) Append(p substrate.Proc, f *File, data []byte, class IOClass) {
 	s.write(p, f, data, class, nil, false)
 }
@@ -350,13 +353,13 @@ func (s *Store) Append(p substrate.Proc, f *File, data []byte, class IOClass) {
 // AppendOwned is Append taking ownership of data: an empty file adopts
 // the buffer instead of copying it, so the caller must not write to it
 // again — it may keep reading it, as may anyone a read lent a view,
-// also after Delete (the store never recycles a buffer). Hand over
-// exact-size allocations, not pooled ones: the file pins the whole
-// backing array. When checksums are on, one frame is recorded per given
-// segment length (writev-style): partition regions of a map-output file
-// stay individually verifiable without extra write requests. lens must
-// sum to len(data); nil means one frame covering all of data.
-// Zero-length segments record no frame.
+// also after Delete (an adopted buffer stays the GC's, never the
+// pool's). Hand over exact-size allocations, not pooled ones: the file
+// pins the whole backing array. When checksums are on, one frame is
+// recorded per given segment length (writev-style): partition regions
+// of a map-output file stay individually verifiable without extra write
+// requests. lens must sum to len(data); nil means one frame covering
+// all of data. Zero-length segments record no frame.
 func (s *Store) AppendOwned(p substrate.Proc, f *File, data []byte, class IOClass, lens []int64) {
 	s.write(p, f, data, class, lens, true)
 }
@@ -390,11 +393,15 @@ func (s *Store) write(p substrate.Proc, f *File, data []byte, class IOClass, len
 	prev := int64(len(f.data))
 	adopted := owned && prev == 0
 	if adopted {
-		f.data = data[:len(data):len(data)]
+		f.data, f.grown = data[:len(data):len(data)], false
 	} else {
+		if len(f.data)+len(data) > cap(f.data) {
+			// The old bytes are left to the GC: views lent from them
+			// stay valid until Delete.
+			f.data, f.grown = append(bytestore.Get(max(2*cap(f.data), len(f.data)+len(data))), f.data...), true
+		}
 		f.data = append(f.data, data...)
 	}
-	s.liveBytes += int64(len(data))
 	s.counters.WrittenBytes[class] += int64(len(data))
 	s.counters.WriteReqs[class]++
 	// Bit-flip corruption: the frame CRCs above were computed over the

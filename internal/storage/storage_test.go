@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bytestore"
 	"repro/internal/cost"
 	"repro/internal/frame"
 	"repro/internal/sim"
@@ -138,13 +139,14 @@ func TestDeleteFreesMemory(t *testing.T) {
 	run(t, m, func(p *sim.Proc, s *Store) {
 		f := s.Create("f", MapOutput)
 		s.Append(p, f, make([]byte, 500), MapOutput)
-		if s.LiveBytes() != 500 {
-			t.Fatalf("live=%d", s.LiveBytes())
+		if f.Size() != 500 || len(s.files) != 1 {
+			t.Fatalf("size=%d, %d files", f.Size(), len(s.files))
 		}
 		s.Delete(f)
-		if s.LiveBytes() != 0 {
-			t.Fatalf("live after delete=%d", s.LiveBytes())
+		if f.Size() != 0 || len(s.files) != 0 {
+			t.Fatalf("after delete: size=%d, %d files", f.Size(), len(s.files))
 		}
+		s.Create("f", MapOutput) // the name is free again
 	})
 }
 
@@ -226,8 +228,8 @@ func TestAppendOwnedHandsTheBufferOver(t *testing.T) {
 			t.Fatal("the second append grew into the lender's backing array")
 		}
 		s.Delete(f)
-		if string(view) != "sorted run" || s.LiveBytes() != 0 {
-			t.Fatalf("after Delete the lent view reads %q, live bytes %d", view, s.LiveBytes())
+		if string(view) != "sorted run" || f.Size() != 0 {
+			t.Fatalf("after Delete the lent view reads %q, size %d", view, f.Size())
 		}
 
 		mine := []byte("copied")
@@ -235,6 +237,33 @@ func TestAppendOwnedHandsTheBufferOver(t *testing.T) {
 		s.Append(p, g, mine, ReduceSpill)
 		if got := s.ReadAt(p, g, 0, g.Size(), ReduceSpill); &got[0] == &mine[0] {
 			t.Fatal("Append adopted the caller's buffer")
+		}
+	})
+}
+
+// TestDeleteRecyclesAGrownFile: a file Append grew hands its bytes back
+// to bytestore at Delete, so views read from it die there. Under -race
+// the pool poisons what it takes back, which is what makes a read
+// through such a view fail loudly; an adopted buffer is never recycled
+// (TestAppendOwnedHandsTheBufferOver).
+func TestDeleteRecyclesAGrownFile(t *testing.T) {
+	probe := bytestore.Get(1)[:1]
+	probe[0] = 0
+	bytestore.Put(probe)
+	if probe[0] != bytestore.Poison {
+		t.Skip("recycled buffers are poisoned only under -race")
+	}
+	run(t, cost.Default(1), func(p *sim.Proc, s *Store) {
+		f := s.Create("bucket", ReduceSpill)
+		s.Append(p, f, []byte("page one, "), ReduceSpill)
+		s.Append(p, f, []byte("page two"), ReduceSpill)
+		view := s.ReadAll(p, f, 0, ReduceSpill)
+		if string(view) != "page one, page two" {
+			t.Fatalf("file holds %q", view)
+		}
+		s.Delete(f)
+		if !bytes.Equal(view, bytes.Repeat([]byte{bytestore.Poison}, len(view))) {
+			t.Fatalf("a view of a deleted grown file reads %q, want poison", view)
 		}
 	})
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+
+	"repro/internal/bytestore"
 )
 
 // FileInput is a dfs.Input over a real newline-delimited log file,
@@ -63,12 +65,13 @@ func (f *FileInput) Name() string { return f.name }
 // NumChunks implements dfs.Input.
 func (f *FileInput) NumChunks() int { return len(f.bounds) - 1 }
 
-// ChunkBytes implements dfs.Input.
+// ChunkBytes implements dfs.Input: a copy, since the caller owns (and
+// may recycle) what it gets.
 func (f *FileInput) ChunkBytes(i int) []byte {
 	if i < 0 || i >= f.NumChunks() {
 		panic(fmt.Sprintf("workload: chunk %d out of range", i))
 	}
-	return f.data[f.bounds[i]:f.bounds[i+1]]
+	return append(bytestore.Get(f.bounds[i+1]-f.bounds[i]), f.data[f.bounds[i]:f.bounds[i+1]]...)
 }
 
 // TotalBytes returns the file size.

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"repro/internal/bytestore"
 )
 
 // zipfShapes are the distributions the exact test walks: the click and
@@ -156,13 +158,17 @@ func TestFirstChunkFromManyGoroutines(t *testing.T) {
 }
 
 // TestChunkBytesAllocatesTheChunk: with the tables built, a chunk costs
-// one allocation — its own bytes — on both generators.
+// one allocation — its own bytes — on both generators, and none once
+// the caller hands each chunk back to bytestore, as the drivers do.
 func TestChunkBytesAllocatesTheChunk(t *testing.T) {
 	click, doc := NewClickStream(testClickSpec()), NewDocCorpus(DefaultDocSpec(1<<20, 64<<10, 7))
 	for name, chunk := range map[string]func(int) []byte{"click": click.ChunkBytes, "doc": doc.ChunkBytes} {
 		chunk(0)
 		if n := testing.AllocsPerRun(50, func() { chunk(1) }); n != 1 {
 			t.Errorf("%s: a warm ChunkBytes allocates %.0f objects, want 1", name, n)
+		}
+		if n := testing.AllocsPerRun(50, func() { bytestore.Put(chunk(1)) }); n != 0 {
+			t.Errorf("%s: a recycled ChunkBytes allocates %.0f objects, want 0", name, n)
 		}
 	}
 }

@@ -25,6 +25,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/bytestore"
 )
 
 // layout is the chunk geometry the two generators share: fixed-size
@@ -182,7 +184,7 @@ func (c *ClickStream) ChunkBytes(i int) []byte {
 	})
 	var r stream
 	r.Seed(uint64(c.spec.Seed), uint64(i+1)*clickSalt)
-	out := make([]byte, int(n)*len(c.tmpl))
+	out := bytestore.Get(int(n) * len(c.tmpl))[:int(n)*len(c.tmpl)] // every byte written below
 	perRec := float64(c.spec.Duration.Milliseconds()) / float64(c.totalRecs)
 	jitter := max(c.spec.Jitter, 0).Milliseconds()
 	for g, rec := first, out; len(rec) > 0; g, rec = g+1, rec[len(c.tmpl):] {
@@ -252,7 +254,7 @@ func (d *DocCorpus) ChunkBytes(i int) []byte {
 	d.tables.Do(func() { d.words = newZipfTable(d.spec.WordSkew, d.spec.WordV, 64, d.spec.Vocab) })
 	var r stream
 	r.Seed(uint64(d.spec.Seed), uint64(i+1)*docSalt)
-	out := make([]byte, int(n)*len(d.tmpl))
+	out := bytestore.Get(int(n) * len(d.tmpl))[:int(n)*len(d.tmpl)]
 	for rec := out; len(rec) > 0; rec = rec[len(d.tmpl):] {
 		copy(rec, d.tmpl)
 		for w := 1; w < len(d.tmpl); w += 8 {
