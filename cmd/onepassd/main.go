@@ -17,8 +17,8 @@
 //
 // With -jobs-dir set the daemon also runs the durable multi-tenant
 // job scheduler: specs POSTed to /v1/jobs execute on the sim or real
-// backend under per-org concurrency limits, run history (with full
-// engine Reports) persists in an embedded crash-safe job store, and
+// backend under per-org concurrency limits, run history (each run's
+// Report as a profile) persists in an embedded crash-safe job store, and
 // runs lost to a crash resume through checkpointed reducer state on
 // the next boot.
 package main

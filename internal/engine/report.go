@@ -164,6 +164,15 @@ func (j *job) report(s *metrics.Sampler) *Report {
 	return r
 }
 
+// Profile returns a copy of the report without its trace (Spans,
+// Samples, Progress, Outputs): the job profile — dataflow and cost
+// statistics — that the scheduler persists for each run.
+func (r *Report) Profile() *Report {
+	p := *r
+	p.Spans, p.Samples, p.Progress, p.Outputs = nil, nil, nil, nil
+	return &p
+}
+
 // String summarizes the report in one table-style block.
 func (r *Report) String() string {
 	return fmt.Sprintf(

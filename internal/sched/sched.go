@@ -50,12 +50,7 @@ func (cfg *Config) withDefaults() error {
 	if cfg.Exec == nil {
 		cfg.Exec = EngineExecutor{}
 	}
-	if cfg.DefaultLimits.MaxConcurrent <= 0 {
-		cfg.DefaultLimits.MaxConcurrent = 2
-	}
-	if cfg.DefaultLimits.MaxQueued <= 0 {
-		cfg.DefaultLimits.MaxQueued = 64
-	}
+	cfg.DefaultLimits = cfg.DefaultLimits.withDefaults(Limits{MaxConcurrent: 2, MaxQueued: 64})
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -163,8 +158,7 @@ func Open(cfg Config) (*Scheduler, error) {
 
 // recover loads persisted state and repairs interrupted work.
 func (s *Scheduler) recover() error {
-	type lostRun struct{ run Run }
-	var lost []lostRun
+	var lost []Run
 	err := s.store.View(func(tx *jobstore.Tx) error {
 		if err := forEachJob(tx, func(j *Job) error {
 			s.jobs[j.ID] = j
@@ -172,21 +166,24 @@ func (s *Scheduler) recover() error {
 		}); err != nil {
 			return err
 		}
-		tx.Bucket(bucketLimits).ForEach(func(k, v []byte) error {
-			s.limits[string(k)] = getLimits(tx, string(k), s.cfg.DefaultLimits)
-			return nil
-		})
+		if err := forEachLimits(tx, func(org string, l Limits) {
+			s.limits[org] = l.withDefaults(s.cfg.DefaultLimits)
+		}); err != nil {
+			return err
+		}
 		// One walk in admission order: each org's queue comes back in
 		// the FIFO order its submits were acknowledged in.
 		return forEachRun(tx, "", func(r *Run) error {
 			switch r.State {
 			case StatePending:
-				s.queues[r.Org] = append(s.queues[r.Org], queueEntry{
-					jobID: r.JobID, runID: r.ID, resume: resumeOf(r),
-				})
+				e := queueEntry{jobID: r.JobID, runID: r.ID}
+				if r.Resumed {
+					e.resume = &ResumeInfo{Attempt: r.Attempt}
+				}
+				s.queues[r.Org] = append(s.queues[r.Org], e)
 				s.Recovery.RequeuedRuns++
 			case StateRunning:
-				lost = append(lost, lostRun{*r})
+				lost = append(lost, *r)
 			}
 			return nil
 		})
@@ -196,39 +193,35 @@ func (s *Scheduler) recover() error {
 	}
 	s.Recovery.Jobs = len(s.jobs)
 
-	if len(lost) > 0 {
-		// One transaction repairs all interrupted runs: old attempts
-		// flip to interrupted, fresh resume attempts are minted.
-		err := s.store.Update(func(tx *jobstore.Tx) error {
-			for _, l := range lost {
-				old := l.run
-				old.State = StateInterrupted
-				if err := putRun(tx, &old); err != nil {
-					return err
-				}
-				id, err := nextRunID(tx, old.Org)
-				if err != nil {
-					return err
-				}
-				next := Run{
-					Org: old.Org, JobID: old.JobID, ID: id,
-					Attempt: old.Attempt + 1, Resumed: true,
-					State: StatePending,
-				}
-				if err := putRun(tx, &next); err != nil {
-					return err
-				}
-				s.queues[old.Org] = append(s.queues[old.Org], queueEntry{
-					jobID: old.JobID, runID: id,
-					resume: &ResumeInfo{PrevRunID: old.ID, Attempt: next.Attempt},
-				})
-				s.Recovery.ResumedRuns++
+	// One transaction repairs all interrupted runs: old attempts flip to
+	// interrupted, fresh resume attempts are minted.
+	if err := s.store.Update(func(tx *jobstore.Tx) error {
+		for _, old := range lost {
+			old.State = StateInterrupted
+			if err := putRun(tx, &old); err != nil {
+				return err
 			}
-			return nil
-		})
-		if err != nil {
-			return err
+			id, err := nextRunID(tx, old.Org)
+			if err != nil {
+				return err
+			}
+			next := Run{
+				Org: old.Org, JobID: old.JobID, ID: id,
+				Attempt: old.Attempt + 1, Resumed: true,
+				State: StatePending,
+			}
+			if err := putRun(tx, &next); err != nil {
+				return err
+			}
+			s.queues[old.Org] = append(s.queues[old.Org], queueEntry{
+				jobID: old.JobID, runID: id,
+				resume: &ResumeInfo{PrevRunID: old.ID, Attempt: next.Attempt},
+			})
+			s.Recovery.ResumedRuns++
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 
 	// Queued one-shot jobs with runs back in the queue stay queued;
@@ -239,14 +232,6 @@ func (s *Scheduler) recover() error {
 		}
 	}
 	return nil
-}
-
-// resumeOf rebuilds the ResumeInfo a pending run carried, if any.
-func resumeOf(r *Run) *ResumeInfo {
-	if !r.Resumed {
-		return nil
-	}
-	return &ResumeInfo{Attempt: r.Attempt}
 }
 
 func terminal(state string) bool {
@@ -461,12 +446,7 @@ func (s *Scheduler) Limits(org string) Limits {
 // SetLimits persists org's admission policy and re-dispatches under
 // the new concurrency cap.
 func (s *Scheduler) SetLimits(org string, l Limits) error {
-	if l.MaxConcurrent <= 0 {
-		l.MaxConcurrent = s.cfg.DefaultLimits.MaxConcurrent
-	}
-	if l.MaxQueued <= 0 {
-		l.MaxQueued = s.cfg.DefaultLimits.MaxQueued
-	}
+	l = l.withDefaults(s.cfg.DefaultLimits)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -543,6 +523,8 @@ func (s *Scheduler) execute(ctx context.Context, cancel context.CancelFunc, spec
 	case runErr != nil:
 		state = StateFailed
 		errMsg = runErr.Error()
+	default:
+		rep = rep.Profile() // a run record is the job's profile, not its trace
 	}
 
 	err := s.store.Update(func(tx *jobstore.Tx) error {

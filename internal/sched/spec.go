@@ -178,9 +178,9 @@ type Job struct {
 	LastRun uint64  `json:"last_run,omitempty"`
 }
 
-// Run is the persisted run record; Report is the engine's run report,
-// persisted whole so GET /v1/jobs/{id}/runs returns every counter of
-// every run.
+// Run is the persisted run record; Report is the run's profile
+// (engine.Report.Profile: every counter and time, no trace), so GET
+// /v1/jobs/{id}/runs returns every counter of every run.
 type Run struct {
 	Org     string         `json:"org"`
 	JobID   string         `json:"job_id"`
@@ -199,4 +199,15 @@ type Limits struct {
 	// MaxQueued caps admitted-but-unstarted runs; past it Submit sheds
 	// with ErrOverloaded (default 64).
 	MaxQueued int `json:"max_queued"`
+}
+
+// withDefaults fills l's unset (non-positive) fields from def.
+func (l Limits) withDefaults(def Limits) Limits {
+	if l.MaxConcurrent <= 0 {
+		l.MaxConcurrent = def.MaxConcurrent
+	}
+	if l.MaxQueued <= 0 {
+		l.MaxQueued = def.MaxQueued
+	}
+	return l
 }

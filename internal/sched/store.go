@@ -88,22 +88,17 @@ func forEachJob(tx *jobstore.Tx, fn func(*Job) error) error {
 	})
 }
 
-func getLimits(tx *jobstore.Tx, org string, def Limits) Limits {
-	data := tx.Bucket(bucketLimits).Get([]byte(org))
-	if data == nil {
-		return def
-	}
-	var l Limits
-	if err := json.Unmarshal(data, &l); err != nil {
-		return def
-	}
-	if l.MaxConcurrent <= 0 {
-		l.MaxConcurrent = def.MaxConcurrent
-	}
-	if l.MaxQueued <= 0 {
-		l.MaxQueued = def.MaxQueued
-	}
-	return l
+// forEachLimits visits every org's persisted limits. An undecodable
+// record refuses, as a job or run record does.
+func forEachLimits(tx *jobstore.Tx, fn func(org string, l Limits)) error {
+	return tx.Bucket(bucketLimits).ForEach(func(k, v []byte) error {
+		var l Limits
+		if err := json.Unmarshal(v, &l); err != nil {
+			return fmt.Errorf("sched: corrupt limits record %s: %w", k, err)
+		}
+		fn(string(k), l)
+		return nil
+	})
 }
 
 func putLimits(tx *jobstore.Tx, org string, l Limits) error {

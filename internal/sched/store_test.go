@@ -2,6 +2,7 @@ package sched
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/jobstore"
@@ -47,6 +48,46 @@ func TestMarkRunReadsOnlyItsOwnRecord(t *testing.T) {
 		return err
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLimitsRecordsOnReopen: persisted limits come back on reopen,
+// zero fields taking the defaults, and a limits record that does not
+// decode refuses Open — as a corrupt job or run record does — instead of
+// silently giving that org the default limits.
+func TestLimitsRecordsOnReopen(t *testing.T) {
+	cfg := Config{Dir: t.TempDir(), Exec: newStub(), DefaultLimits: Limits{MaxConcurrent: 3, MaxQueued: 9}}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetLimits("big", Limits{MaxConcurrent: 8, MaxQueued: 128}); err != nil {
+		t.Fatal(err)
+	}
+	put := func(org, record string) {
+		t.Helper()
+		if err := s.store.Update(func(tx *jobstore.Tx) error {
+			return tx.Bucket(bucketLimits).Put([]byte(org), []byte(record))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put("small", `{"max_concurrent":1,"max_queued":0}`)
+	if s, err = Open(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if big, small := s.Limits("big"), s.Limits("small"); big != (Limits{8, 128}) || small != (Limits{1, 9}) {
+		t.Fatalf("reopened to limits big %+v, small %+v; want {8 128} and {1 9}", big, small)
+	}
+	put("acme", "{garbage")
+	if s, err := Open(cfg); err == nil || !strings.Contains(err.Error(), "sched: corrupt limits record acme") {
+		if err == nil {
+			s.Close()
+		}
+		t.Fatalf("Open over a corrupt limits record: %v, want it refused", err)
 	}
 }
 

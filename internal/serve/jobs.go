@@ -20,7 +20,7 @@ const MaxJobBodyBytes = 1 << 20
 //	GET    /v1/jobs[?org=]       list jobs
 //	GET    /v1/jobs/{id}         one job record
 //	DELETE /v1/jobs/{id}         cancel (idempotent on terminal jobs)
-//	GET    /v1/jobs/{id}/runs    run history with persisted Reports
+//	GET    /v1/jobs/{id}/runs    run history, each run's Report a profile (no spans, samples or progress)
 //	GET    /v1/orgs/{org}/limits admission policy
 //	PUT    /v1/orgs/{org}/limits set admission policy
 //
