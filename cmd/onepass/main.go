@@ -24,15 +24,12 @@
 // -backend=real runs the job on real goroutines under wall-clock time
 // with an in-memory shuffle instead of the discrete-event simulation;
 // answers and counters match the simulated run, while the reported
-// times are measured. Fault-injection and checkpoint flags work on
-// both backends, with two syntax-level differences: -kill-node takes a
-// map-progress percentage on the real backend (1@60% kills node 1
-// once 60% of the map tasks finish) and a virtual time on the
-// simulation (1@2m30s), and transient errors are injected with
-// -shuffle-error-rate on the real backend versus -io-error-rate on
-// the simulation. A fault form the chosen backend cannot execute
-// (virtual-time kills or disk damage on real, progress kills or
-// shuffle errors on sim) fails up front with the reason.
+// times are measured. Fault-injection and checkpoint flags mean the
+// same on both backends: -kill-node takes a map-progress percentage
+// (1@60% kills node 1 as 60% of the map tasks finish) and
+// -shuffle-error-rate rolls transient fetch errors. Disk damage
+// (-io-error-rate, -corrupt-rate, -torn-writes) runs on the simulation
+// only; the real backend refuses it up front with the reason.
 package main
 
 import (
@@ -82,8 +79,8 @@ func parseArgs(args []string) (*options, error) {
 		combFlag    = fs.String("node-combine", "off", "in-node combine stage: off | on | auto (cost-model gated; combinable queries only)")
 		fanInFlag   = fs.Int("agg-fanin", 0, "hierarchical aggregation fan-in: fold F consecutive nodes' combined runs through the first (0/1 = per-node only; needs -node-combine)")
 
-		killFlag = fs.String("kill-node", "", "crash nodes: idx@virtual-time on sim (9@2m30s), idx@map-progress%% on real (9@60%%)")
-		shufFlag = fs.Float64("shuffle-error-rate", 0, "per-fetch probability of a transient shuffle-read error (real backend only)")
+		killFlag = fs.String("kill-node", "", "crash nodes at map progress: idx@percent%%, e.g. 9@60%% (node 9 dies as 60%% of the map tasks finish)")
+		shufFlag = fs.Float64("shuffle-error-rate", 0, "per-fetch probability of a transient shuffle-read error")
 		slowFlag = fs.String("slow-node", "", "slow nodes by a factor, e.g. 3@4 (node 3 runs 4x slower)")
 		failFlag = fs.String("fail-maps", "", "inject map-task failures, e.g. 0:2,7:1 (chunk:attempts)")
 		ckptFlag = fs.Duration("checkpoint-every", 0, "checkpoint incremental reducer state every virtual interval (0 = off)")
@@ -95,7 +92,7 @@ func parseArgs(args []string) (*options, error) {
 		sumFlag     = fs.Bool("checksums", false, "CRC32C-frame every persisted stream and verify on read")
 		ioErrFlag   = fs.Float64("io-error-rate", 0, "per-request probability of a transient disk I/O error")
 		corruptFlag = fs.Float64("corrupt-rate", 0, "per-write probability of a persisted bit flip (needs -checksums)")
-		tornFlag    = fs.Bool("torn-writes", false, "tear checkpoint tails when a node is killed (needs -checksums and -kill-node)")
+		tornFlag    = fs.Bool("torn-writes", false, "tear checkpoint tails when a killed node is declared dead (needs a -kill-node kill and -checksums)")
 		skipFlag    = fs.Int64("skip-bad-records", 0, "bad-record quarantine budget per map task (0 = poison records fail the job)")
 	)
 	fs.Parse(args) // ExitOnError
@@ -145,7 +142,7 @@ func main() {
 		fatal(err)
 	}
 	stopProf = stop
-	rep, err := o.backend.Run(o.job, o.newQuery)
+	rep, err := o.backend(o.job, o.newQuery)
 	if err != nil {
 		fatal(err)
 	}
@@ -287,34 +284,16 @@ func parseFaults(kill, slow, fail string, speculate bool) (onepass.FaultPlan, er
 	f := onepass.FaultPlan{Speculate: speculate}
 	for _, part := range splitList(kill) {
 		idxS, atS, ok := strings.Cut(part, "@")
-		if !ok {
-			return f, fmt.Errorf("bad -kill-node entry %q (want idx@duration or idx@percent%%)", part)
+		pctS, isPct := strings.CutSuffix(atS, "%")
+		idx, err1 := strconv.Atoi(idxS)
+		pct, err2 := strconv.ParseFloat(pctS, 64)
+		if !ok || !isPct || err1 != nil || err2 != nil {
+			return f, fmt.Errorf("bad -kill-node entry %q (want idx@percent%%)", part)
 		}
-		idx, err := strconv.Atoi(idxS)
-		if err != nil {
-			return f, fmt.Errorf("bad -kill-node entry %q (want idx@duration or idx@percent%%)", part)
+		if f.KillAtMapProgress == nil {
+			f.KillAtMapProgress = map[int]float64{}
 		}
-		// idx@60% anchors the kill on map progress (the real backend's
-		// trigger form); idx@2m30s on virtual time (the simulation's).
-		if pctS, ok := strings.CutSuffix(atS, "%"); ok {
-			pct, err := strconv.ParseFloat(pctS, 64)
-			if err != nil {
-				return f, fmt.Errorf("bad -kill-node entry %q (want idx@duration or idx@percent%%)", part)
-			}
-			if f.KillAtMapProgress == nil {
-				f.KillAtMapProgress = map[int]float64{}
-			}
-			f.KillAtMapProgress[idx] = pct / 100
-			continue
-		}
-		at, err := time.ParseDuration(atS)
-		if err != nil {
-			return f, fmt.Errorf("bad -kill-node entry %q (want idx@duration or idx@percent%%)", part)
-		}
-		if f.KillNodes == nil {
-			f.KillNodes = map[int]time.Duration{}
-		}
-		f.KillNodes[idx] = at
+		f.KillAtMapProgress[idx] = pct / 100
 	}
 	for _, part := range splitList(slow) {
 		idxS, facS, ok := strings.Cut(part, "@")

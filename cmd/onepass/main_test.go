@@ -119,17 +119,14 @@ func TestSplitList(t *testing.T) {
 }
 
 func TestParseFaults(t *testing.T) {
-	f, err := parseFaults("1@2m30s,3@60%", "2@4", "0:2,7:1", true)
+	f, err := parseFaults("1@25%,3@60%", "2@4", "0:2,7:1", true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !f.Speculate {
 		t.Error("Speculate not carried through")
 	}
-	if want := map[int]time.Duration{1: 2*time.Minute + 30*time.Second}; !reflect.DeepEqual(f.KillNodes, want) {
-		t.Errorf("KillNodes = %v, want %v", f.KillNodes, want)
-	}
-	if want := map[int]float64{3: 0.6}; !reflect.DeepEqual(f.KillAtMapProgress, want) {
+	if want := map[int]float64{1: 0.25, 3: 0.6}; !reflect.DeepEqual(f.KillAtMapProgress, want) {
 		t.Errorf("KillAtMapProgress = %v, want %v", f.KillAtMapProgress, want)
 	}
 	if want := map[int]float64{2: 4}; !reflect.DeepEqual(f.SlowNodes, want) {
@@ -146,19 +143,19 @@ func TestParseFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if empty.KillNodes != nil || empty.SlowNodes != nil || empty.MapFailures != nil || empty.FailPoint != 0 {
+	if empty.KillAtMapProgress != nil || empty.SlowNodes != nil || empty.MapFailures != nil || empty.FailPoint != 0 {
 		t.Errorf("empty flags produced a non-zero plan: %+v", empty)
 	}
 
 	bad := []struct{ kill, slow, fail string }{
-		{"1", "", ""},      // kill without @
-		{"x@2m", "", ""},   // kill index not a number
-		{"1@soon", "", ""}, // kill time unparsable
-		{"1@x%", "", ""},   // kill percent unparsable
-		{"", "2", ""},      // slow without @
-		{"", "a@b", ""},    // slow fields unparsable
-		{"", "", "3"},      // fail without :
-		{"", "", "a:b"},    // fail fields unparsable
+		{"1", "", ""},       // kill without @
+		{"x@20%", "", ""},   // kill index not a number
+		{"1@2m30s", "", ""}, // a virtual time is not a kill point
+		{"1@x%", "", ""},    // kill percent unparsable
+		{"", "2", ""},       // slow without @
+		{"", "a@b", ""},     // slow fields unparsable
+		{"", "", "3"},       // fail without :
+		{"", "", "a:b"},     // fail fields unparsable
 	}
 	for _, tc := range bad {
 		if _, err := parseFaults(tc.kill, tc.slow, tc.fail, false); err == nil {

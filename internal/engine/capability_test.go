@@ -43,7 +43,6 @@ func TestFaultPlanActiveEdgeCases(t *testing.T) {
 		plan  FaultPlan
 		risky bool
 	}{
-		{"kill-nodes", FaultPlan{KillNodes: map[int]time.Duration{0: time.Second}}, true},
 		{"kill-at-progress", FaultPlan{KillAtMapProgress: map[int]float64{0: 0.5}}, true},
 		{"kill-at-barrier", FaultPlan{KillAtMapProgress: map[int]float64{0: 1.0}}, true},
 		{"map-failures", FaultPlan{MapFailures: map[int]int{0: 1}}, false},
@@ -62,9 +61,9 @@ func TestFaultPlanActiveEdgeCases(t *testing.T) {
 		}
 	}
 
-	// A zero-window disk plan (From == To == 0) means "no window
-	// bound", not "never": the plan is active and injection applies at
-	// any virtual time.
+	// A zero-window disk plan (To == 0) means "no window bound", not
+	// "never": the plan is active and injection applies at any virtual
+	// time.
 	zw := FaultPlan{Disk: DiskFaultPlan{IOErrorRate: 0.01}}
 	if !zw.Active() {
 		t.Error("zero-window disk plan is not Active")
@@ -72,11 +71,11 @@ func TestFaultPlanActiveEdgeCases(t *testing.T) {
 	if !zw.Disk.windowNS(0) || !zw.Disk.windowNS(int64(time.Hour)) {
 		t.Error("zero-window disk plan does not apply at all times")
 	}
-	// A degenerate window (From == To > 0) is rejected by validate.
+	// A window ending before time zero is rejected by validate.
 	spec := capabilitySpec(t)
-	spec.Faults = FaultPlan{Disk: DiskFaultPlan{IOErrorRate: 0.01, From: time.Second, To: time.Second}}
+	spec.Faults = FaultPlan{Disk: DiskFaultPlan{IOErrorRate: 0.01, To: -time.Second}}
 	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "disk-fault window") {
-		t.Errorf("degenerate disk window validated: %v", err)
+		t.Errorf("negative disk window end validated: %v", err)
 	}
 }
 
@@ -131,57 +130,37 @@ func TestValidateKillAtMapProgress(t *testing.T) {
 	}
 }
 
-// TestBackendCapabilitySplit pins SimUnsupported/RealUnsupported: each
-// backend names exactly the trigger primitives only the other clock
-// supports, and a plan both can run reports supported on both.
+// TestBackendCapabilitySplit pins what is left of the split: the DES
+// runs every plan the real backend runs — progress kills and shuffle
+// errors included — and RealUnsupported names disk damage and nothing
+// else.
 func TestBackendCapabilitySplit(t *testing.T) {
-	both := capabilitySpec(t)
-	both.Faults = FaultPlan{
-		MapFailures:    map[int]int{0: 1},
-		ReduceFailures: map[int]int{0: 1},
-		SlowNodes:      map[int]float64{1: 2},
-		Speculate:      true,
+	shared := capabilitySpec(t)
+	shared.Faults = FaultPlan{
+		KillAtMapProgress: map[int]float64{1: 0.5},
+		MapFailures:       map[int]int{0: 1},
+		ReduceFailures:    map[int]int{0: 1},
+		SlowNodes:         map[int]float64{2: 2},
+		Speculate:         true,
+		ShuffleErrorRate:  0.2,
 	}
-	both.CheckpointEvery = time.Second
-	if msg := both.SimUnsupported(); msg != "" {
-		t.Errorf("shared plan SimUnsupported = %q, want \"\"", msg)
-	}
-	if msg := both.RealUnsupported(); msg != "" {
+	shared.CheckpointEvery = time.Second
+	if msg := shared.RealUnsupported(); msg != "" {
 		t.Errorf("shared plan RealUnsupported = %q, want \"\"", msg)
 	}
-
-	realOnly := capabilitySpec(t)
-	realOnly.Faults = FaultPlan{
-		KillAtMapProgress: map[int]float64{1: 0.5},
-		ShuffleErrorRate:  0.01,
+	rep, err := Run(shared)
+	if err != nil {
+		t.Fatalf("engine.Run refused a plan the real backend runs: %v", err)
 	}
-	if msg := realOnly.SimUnsupported(); !strings.Contains(msg, "KillAtMapProgress") {
-		t.Errorf("SimUnsupported = %q, want the progress-kill diagnosis", msg)
-	}
-	if msg := realOnly.RealUnsupported(); msg != "" {
-		t.Errorf("real-only plan RealUnsupported = %q, want \"\"", msg)
-	}
-	// The DES refuses it end to end.
-	if _, err := Run(realOnly); err == nil || !strings.Contains(err.Error(), "KillAtMapProgress") {
-		t.Errorf("engine.Run accepted a real-only plan: %v", err)
+	if rep.NodesLost != 1 || rep.FetchRetries == 0 {
+		t.Errorf("NodesLost = %d, FetchRetries = %d: kill or shuffle errors inert on the DES",
+			rep.NodesLost, rep.FetchRetries)
 	}
 
-	simOnly := capabilitySpec(t)
-	simOnly.Faults = FaultPlan{
-		KillNodes: map[int]time.Duration{1: time.Second},
-		Disk:      DiskFaultPlan{IOErrorRate: 0.01},
-	}
-	if msg := simOnly.RealUnsupported(); !strings.Contains(msg, "DES-only") {
-		t.Errorf("RealUnsupported = %q, want a DES-only diagnosis", msg)
-	}
-	if msg := simOnly.SimUnsupported(); msg != "" {
-		t.Errorf("sim-only plan SimUnsupported = %q, want \"\"", msg)
-	}
-
-	shufOnly := capabilitySpec(t)
-	shufOnly.Faults = FaultPlan{ShuffleErrorRate: 0.01}
-	if msg := shufOnly.SimUnsupported(); !strings.Contains(msg, "ShuffleErrorRate") {
-		t.Errorf("SimUnsupported = %q, want the shuffle-error diagnosis", msg)
+	disk := capabilitySpec(t)
+	disk.Faults = FaultPlan{Disk: DiskFaultPlan{IOErrorRate: 0.01}}
+	if msg := disk.RealUnsupported(); !strings.Contains(msg, "disk-fault injection") || !strings.Contains(msg, "DES-only") {
+		t.Errorf("RealUnsupported = %q, want the disk-damage diagnosis", msg)
 	}
 }
 

@@ -19,10 +19,12 @@
 // attempt computes and charges, free of internal/sim) are common to
 // both, and maptask.go / reducetask.go here are only the simulation's
 // driver over those bodies. Fault injection and checkpointed recovery
-// run on both substrates, each with the trigger primitives its clock
-// supports (see SimUnsupported and RealUnsupported for the split); only
-// the virtual-time schedule (progress curves, timelines) and
-// disk-damage injection remain simulation-only.
+// run on both substrates with the same structural triggers: a node dies
+// when the job's K-th map task completes (FaultPlan.KillAtMapProgress)
+// and shuffle fetches roll seeded transient errors (ShuffleErrorRate);
+// here the heartbeat detector then models detection delay in virtual
+// time. Only the virtual-time schedule (progress curves, timelines) and
+// disk-damage injection remain simulation-only (RealUnsupported).
 package engine
 
 import (
@@ -171,9 +173,8 @@ func PaperCluster(m cost.Model) ClusterConfig {
 // JobSpec is a complete job submission, accepted by both substrates
 // (engine.Run and internal/realexec). The wall-clock backend ignores
 // Query — it builds a fresh instance per task from a factory. Fault
-// plans and CheckpointEvery run on both substrates; each backend
-// rejects the few trigger primitives only the other clock supports
-// (SimUnsupported / RealUnsupported).
+// plans and CheckpointEvery run on both substrates; the wall-clock
+// backend rejects only disk damage (RealUnsupported).
 type JobSpec struct {
 	Query    mr.Query
 	Input    dfs.Input
@@ -342,17 +343,6 @@ func (s *JobSpec) Validate() error {
 			return errSpec("reduce-failure count must be ≥ 0")
 		}
 	}
-	for idx, at := range f.KillNodes {
-		if idx < 0 || idx >= c.Nodes {
-			return errSpec("kill-node index out of range")
-		}
-		if at <= 0 {
-			return errSpec("kill-node time must be positive")
-		}
-	}
-	if len(f.KillNodes) >= c.Nodes {
-		return errSpec("at least one node must survive")
-	}
 	for idx, frac := range f.KillAtMapProgress {
 		if idx < 0 || idx >= c.Nodes {
 			return errSpec("kill-at-progress node index out of range")
@@ -430,16 +420,16 @@ func (s *JobSpec) Validate() error {
 			return errSpec("disk-fault node index out of range")
 		}
 	}
-	if d.From < 0 || (d.To != 0 && d.To <= d.From) {
-		return errSpec("disk-fault window must have 0 ≤ from < to")
+	if d.To < 0 {
+		return errSpec("disk-fault window end must be ≥ 0")
 	}
 	if d.needsRecovery() && !c.Checksums {
 		// Without checksums a flipped bit or torn tail would silently
 		// change answers; reject rather than mis-simulate.
 		return errSpec("corruption and torn-write injection require Cluster.Checksums")
 	}
-	if d.TornWrites && len(f.KillNodes) == 0 {
-		return errSpec("torn writes surface at node kills: KillNodes is required")
+	if d.TornWrites && len(f.KillAtMapProgress) == 0 {
+		return errSpec("torn writes surface at node kills: KillAtMapProgress is required")
 	}
 	if d.any() && d.Seed == 0 {
 		d.Seed = s.Seed ^ 0x5eed1e57
@@ -465,8 +455,10 @@ func (s *JobSpec) Validate() error {
 }
 
 // FaultPlan describes injected failures: per-task attempt failures,
-// whole-node crashes at virtual times, slow (straggler) nodes, and
-// speculative re-execution of stragglers.
+// whole-node crashes at map-progress points, transient shuffle errors,
+// slow (straggler) nodes, and speculative re-execution of stragglers.
+// Every trigger is a function of the job spec, so both backends run
+// the same plan (Disk damage aside, which only the DES runs).
 type FaultPlan struct {
 	// MapFailures maps a chunk index to the number of attempts that
 	// fail before one succeeds.
@@ -481,36 +473,30 @@ type FaultPlan struct {
 	// case — all work wasted).
 	FailPoint float64
 
-	// KillNodes maps a node index to the virtual time at which the node
-	// crashes: everything running there aborts, its stored map outputs
-	// become unfetchable, and after HeartbeatTimeout without heartbeats
-	// the failure detector declares it dead, re-executes lost-but-needed
-	// map tasks on survivors, and restarts its reduce tasks elsewhere.
-	// Virtual-time triggers exist only on the DES; the wall-clock
-	// backend rejects KillNodes (use KillAtMapProgress there).
-	KillNodes map[int]time.Duration
-
 	// KillAtMapProgress maps a node index to a map-phase progress
-	// fraction in (0, 1] at which the node dies, the wall-clock
-	// backend's progress-anchored form of KillNodes: with K =
-	// ceil(fraction × map tasks), the node is deemed dead once the
-	// first K chunks (in canonical chunk order) are done — map outputs
-	// it published for chunks < K are lost and re-executed on
-	// survivors, its later map attempts and all its reduce tasks run on
-	// survivors, and reducers that reach a lost unit retry the fetch
-	// with backoff until the re-execution republishes it. 1 kills the
-	// node exactly at the map barrier (all its outputs lost, no map
-	// attempt displaced). Progress triggers keep a wall-clock run
-	// deterministic where a wall-time trigger could not; the DES
-	// rejects this field (use KillNodes there).
+	// fraction in (0, 1] at which the node crashes: with K =
+	// ceil(fraction × map tasks) (JobFrame.KillAfter), the node dies
+	// when the job's K-th map task completes. Its stored map outputs
+	// are lost and re-executed on survivors, and its map attempts and
+	// reduce tasks continue on survivors, where reducers that reach a
+	// lost output retry the fetch with backoff until the re-execution
+	// republishes it. On the DES everything running on the node aborts
+	// at that virtual instant and the failure detector declares it dead
+	// HeartbeatTimeout later; on the wall-clock backend the first K
+	// chunks (in canonical chunk order) count as done before the crash.
+	// 1 kills the node at the map barrier.
 	KillAtMapProgress map[int]float64
 
+	// crashAt moves a KillAtMapProgress node's crash to a fixed virtual
+	// instant on the DES. Only this package's tests set it, for kills
+	// no map-progress point reaches (inside the final reduce).
+	crashAt map[int]time.Duration
+
 	// ShuffleErrorRate is the per-fetch probability of a transient
-	// shuffle-read error on the wall-clock backend: the reducer retries
-	// the fetch with capped exponential backoff and the retry count is
-	// seeded per (reducer, unit, attempt, try), so it is deterministic.
-	// The DES rejects this field — its transient-error machinery is
-	// Disk.IOErrorRate, which the real backend in turn rejects.
+	// shuffle-read error: the reducer retries the fetch with capped
+	// exponential backoff, and the errors are seeded rolls per (reducer,
+	// output, attempt, try) (JobSpec.ShuffleFetchFails), so both
+	// backends roll the same ones.
 	ShuffleErrorRate float64
 
 	// SlowNodes maps a node index to a slowdown factor ≥ 1 applied to
@@ -567,8 +553,8 @@ type DiskFaultPlan struct {
 	// TornWrites truncates the tail of the latest checkpoint image of
 	// every reducer on a node at the moment that node is declared dead
 	// (the replication pipeline was cut mid-flight). Requires
-	// KillNodes and Cluster.Checksums; recovery falls back to the
-	// previous good image, then to full replay.
+	// KillAtMapProgress and Cluster.Checksums; recovery falls back to
+	// the previous good image, then to full replay.
 	TornWrites bool
 
 	// Classes restricts injection to these I/O classes (empty: all).
@@ -577,9 +563,9 @@ type DiskFaultPlan struct {
 	// Nodes restricts injection to these node indices (empty: all).
 	Nodes []int
 
-	// From/To bound the injection window in virtual time (To = 0
-	// means no upper bound).
-	From, To time.Duration
+	// To ends the injection window [0, To) in virtual time (0 means no
+	// bound).
+	To time.Duration
 }
 
 // any reports whether the plan injects anything at all.
@@ -597,7 +583,7 @@ func (d *DiskFaultPlan) needsRecovery() bool {
 // windowNS reports whether virtual time now (ns) falls inside the
 // injection window.
 func (d *DiskFaultPlan) windowNS(now int64) bool {
-	return now >= int64(d.From) && (d.To == 0 || now < int64(d.To))
+	return d.To == 0 || now < int64(d.To)
 }
 
 // targetsNode reports whether injection applies on node idx.
@@ -639,23 +625,19 @@ func (d *DiskFaultPlan) storeFaults(idx int) *storage.DiskFaults {
 		IOErrorRate: d.IOErrorRate,
 		CorruptRate: d.CorruptRate,
 		Classes:     d.classMask(),
-		From:        int64(d.From),
 		To:          int64(d.To),
 	}
 }
 
 // Active reports whether the plan injects anything at all — task
-// failures, node kills (virtual-time or progress-anchored),
-// stragglers, speculation, shuffle errors, or disk faults. Both
-// backends use it to decide whether a run needs any fault machinery;
-// each then rejects the trigger primitives only the other clock
-// supports (SimUnsupported / RealUnsupported).
+// failures, node kills, stragglers, speculation, shuffle errors, or
+// disk faults. Both backends use it to decide whether a run needs any
+// fault machinery.
 func (f *FaultPlan) Active() bool { return f.any() || f.Disk.any() }
 
 // any reports whether the plan injects anything at all.
 func (f *FaultPlan) any() bool {
-	return len(f.MapFailures) > 0 || len(f.ReduceFailures) > 0 ||
-		len(f.KillNodes) > 0 || len(f.KillAtMapProgress) > 0 ||
+	return len(f.MapFailures) > 0 || len(f.ReduceFailures) > 0 || len(f.KillAtMapProgress) > 0 ||
 		len(f.SlowNodes) > 0 || f.Speculate || f.ShuffleErrorRate > 0
 }
 
@@ -663,8 +645,7 @@ func (f *FaultPlan) any() bool {
 // (node kills or injected reduce failures), which makes reduce output
 // provisional until the attempt commits.
 func (f *FaultPlan) risky() bool {
-	return len(f.KillNodes) > 0 || len(f.KillAtMapProgress) > 0 ||
-		len(f.ReduceFailures) > 0
+	return len(f.KillAtMapProgress) > 0 || len(f.ReduceFailures) > 0
 }
 
 // ReduceRestarts reports whether a reduce attempt of this job can fail
@@ -696,34 +677,23 @@ func (f *FaultPlan) ReduceFailAfter(total int) int {
 	return max(1, int(math.Ceil(f.failPoint()*float64(total))))
 }
 
-// SimUnsupported names the first fault feature in the spec that only
-// the wall-clock backend (internal/realexec) can execute, or returns
-// "" if the DES can run the whole plan. engine.Run rejects specs with
-// a non-empty answer; the split exists because each backend's clock
-// supports different trigger primitives, not because either skips
-// recovery.
-func (s *JobSpec) SimUnsupported() string {
-	f := &s.Faults
-	if len(f.KillAtMapProgress) > 0 {
-		return "map-progress node kills (KillAtMapProgress) run only on the real backend; use KillNodes with a virtual time on the DES"
-	}
-	if f.ShuffleErrorRate > 0 {
-		return "transient shuffle-error injection (ShuffleErrorRate) runs only on the real backend; use Faults.Disk.IOErrorRate on the DES"
-	}
-	return ""
+// ShuffleFetchFails reports whether try number try of reducer ridx's
+// fetch of map output (chunk, seq), in reduce attempt attempt, rolls a
+// transient shuffle error. Both backends roll through here, so which
+// fetches fail is a pure function of the spec.
+func (s *JobSpec) ShuffleFetchFails(ridx, chunk, seq, attempt, try int) bool {
+	rate := s.Faults.ShuffleErrorRate
+	return rate > 0 && storage.Roll(rate, s.Seed^0x0f377a11,
+		int64(ridx), int64(chunk), int64(seq), int64(attempt), int64(try))
 }
 
-// RealUnsupported names the first fault feature in the spec that
-// remains DES-only, or returns "" if the wall-clock backend
+// RealUnsupported names the fault feature in the spec that remains
+// DES-only — disk damage — or returns "" if the wall-clock backend
 // (internal/realexec) can run the whole plan. The real backend rejects
 // specs with a non-empty answer.
 func (s *JobSpec) RealUnsupported() string {
-	f := &s.Faults
-	if f.Disk.any() {
+	if s.Faults.Disk.any() {
 		return "disk-fault injection (I/O errors, corruption, torn writes) remains DES-only"
-	}
-	if len(f.KillNodes) > 0 {
-		return "virtual-time node kills (KillNodes) remain DES-only; use KillAtMapProgress on the real backend"
 	}
 	return ""
 }
@@ -732,7 +702,7 @@ func (s *JobSpec) RealUnsupported() string {
 // speculation daemon. Clean runs must not pay for it: the daemon's
 // ticks would interleave with job events and perturb recorded metrics.
 func (f *FaultPlan) needsTracker() bool {
-	return len(f.KillNodes) > 0 || f.Speculate
+	return len(f.KillAtMapProgress) > 0 || f.Speculate
 }
 
 // nodeCombinable reports whether the in-node combine stage can apply

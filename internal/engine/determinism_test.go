@@ -123,14 +123,21 @@ func TestOffloadedPathsAcrossWorkerCounts(t *testing.T) {
 		reduceHeavy bool // the final reduce dominates virtual time
 		faults      func(clean *Report) FaultPlan
 	}
+	// Kills land at virtual instants (crashAt): the sweep reaches past
+	// the map phase, where no map-progress point falls.
+	crash := func(clean *Report, at time.Duration) FaultPlan {
+		mf := clean.MapFinishTime
+		return FaultPlan{
+			KillAtMapProgress: map[int]float64{1: 1},
+			crashAt:           map[int]time.Duration{1: at},
+			HeartbeatInterval: mf / 100,
+			HeartbeatTimeout:  mf / 25,
+		}
+	}
 	kill := func(at float64) func(*Report) FaultPlan {
 		return func(clean *Report) FaultPlan {
 			mf := clean.MapFinishTime
-			return FaultPlan{
-				KillNodes:         map[int]time.Duration{1: mf/2 + time.Duration(at*float64(clean.RunningTime-mf/2))},
-				HeartbeatInterval: mf / 100,
-				HeartbeatTimeout:  mf / 25,
-			}
+			return crash(clean, mf/2+time.Duration(at*float64(clean.RunningTime-mf/2)))
 		}
 	}
 	variants := []variant{
@@ -153,11 +160,7 @@ func TestOffloadedPathsAcrossWorkerCounts(t *testing.T) {
 		at := at
 		inFinal := func(clean *Report) FaultPlan {
 			mf := clean.MapFinishTime
-			return FaultPlan{
-				KillNodes:         map[int]time.Duration{1: mf + time.Duration(at*float64(clean.RunningTime-mf))},
-				HeartbeatInterval: mf / 100,
-				HeartbeatTimeout:  mf / 25,
-			}
+			return crash(clean, mf+time.Duration(at*float64(clean.RunningTime-mf)))
 		}
 		variants = append(variants,
 			variant{name: fmt.Sprintf("sm/sessionization/reduce-heavy/kill@%.1f", at), pl: SortMerge, reduceHeavy: true, faults: inFinal},

@@ -39,8 +39,8 @@ func spanKinds(rep *Report) map[string]int {
 // TestNodeFailureDifferential is the tentpole differential: every
 // platform, run with a node crash, a straggler, and an injected reduce
 // failure at once, must produce the same sorted output set as its
-// fault-free run. Kill and heartbeat times are derived from each
-// platform's clean makespan so the crash always lands mid-job.
+// fault-free run. The node dies halfway through the map tasks;
+// heartbeat times are derived from each platform's clean makespan.
 func TestNodeFailureDifferential(t *testing.T) {
 	m := testModel()
 	input := testClicks(t, 192<<10, 12<<10)
@@ -50,7 +50,7 @@ func TestNodeFailureDifferential(t *testing.T) {
 
 		spec := clickCountSpec(m, input, pl)
 		spec.Faults = FaultPlan{
-			KillNodes:         map[int]time.Duration{2: mf / 2},
+			KillAtMapProgress: map[int]float64{2: 0.5},
 			SlowNodes:         map[int]float64{1: 2},
 			ReduceFailures:    map[int]int{0: 1},
 			FailPoint:         0.5,
@@ -152,7 +152,7 @@ func TestFaultDeterminismAcrossWorkers(t *testing.T) {
 		spec.Cluster.Parallelism = workers
 		spec.CheckpointEvery = mf / 8
 		spec.Faults = FaultPlan{
-			KillNodes:         map[int]time.Duration{2: mf / 2},
+			KillAtMapProgress: map[int]float64{2: 0.5},
 			SlowNodes:         map[int]float64{1: 3},
 			ReduceFailures:    map[int]int{1: 1},
 			FailPoint:         0.5,
@@ -193,7 +193,7 @@ func TestKillMidShuffleDoesNotDeadlock(t *testing.T) {
 			spec := clickCountSpec(m, input, pl)
 			spec.CollectOutput = true
 			spec.Faults = FaultPlan{
-				KillNodes:         map[int]time.Duration{1: mf * time.Duration(frac) / 100},
+				KillAtMapProgress: map[int]float64{1: float64(frac) / 100},
 				HeartbeatInterval: mf / 100,
 				HeartbeatTimeout:  mf / 20,
 			}
@@ -251,7 +251,7 @@ func TestFetchRetryBackoff(t *testing.T) {
 
 	spec := mk()
 	spec.Faults = FaultPlan{
-		KillNodes:         map[int]time.Duration{2: mf * 4 / 10},
+		KillAtMapProgress: map[int]float64{2: 0.4},
 		HeartbeatInterval: mf / 100,
 		// Declaration comes late: a window several backoff periods wide
 		// in which fetches against the crashed node keep failing.
@@ -322,7 +322,7 @@ func TestCheckpointRecoveryReadsLess(t *testing.T) {
 		mf := clean.MapFinishTime
 		spec := clickCountSpec(m, input, pl)
 		spec.Faults = FaultPlan{
-			KillNodes:         map[int]time.Duration{2: mf * 3 / 4},
+			KillAtMapProgress: map[int]float64{2: 0.75},
 			HeartbeatInterval: mf / 100,
 			HeartbeatTimeout:  mf / 25,
 		}
@@ -395,15 +395,13 @@ func TestFaultPlanValidation(t *testing.T) {
 			s.Faults.ReduceFailures = map[int]int{99: 1}
 		}},
 		{"kill index out of range", func(s *JobSpec) {
-			s.Faults.KillNodes = map[int]time.Duration{7: time.Second}
+			s.Faults.KillAtMapProgress = map[int]float64{7: 0.5}
 		}},
-		{"kill time not positive", func(s *JobSpec) {
-			s.Faults.KillNodes = map[int]time.Duration{0: 0}
+		{"kill fraction not positive", func(s *JobSpec) {
+			s.Faults.KillAtMapProgress = map[int]float64{0: 0}
 		}},
 		{"no survivors", func(s *JobSpec) {
-			s.Faults.KillNodes = map[int]time.Duration{
-				0: time.Second, 1: time.Second, 2: time.Second,
-			}
+			s.Faults.KillAtMapProgress = map[int]float64{0: 0.5, 1: 0.5, 2: 0.5}
 		}},
 		{"slow factor below one", func(s *JobSpec) {
 			s.Faults.SlowNodes = map[int]float64{0: 0.5}
@@ -417,7 +415,7 @@ func TestFaultPlanValidation(t *testing.T) {
 		}},
 		{"faults on hop", func(s *JobSpec) {
 			s.Platform = HOP
-			s.Faults.KillNodes = map[int]time.Duration{0: time.Second}
+			s.Faults.KillAtMapProgress = map[int]float64{0: 0.5}
 		}},
 	}
 	for _, tc := range cases {
@@ -457,12 +455,12 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	spec := clickCountSpec(m, input, DINCHash)
 	spec.Cluster.Parallelism = 4
 	spec.Faults = FaultPlan{
-		KillNodes:         map[int]time.Duration{2: mf / 2},
+		KillAtMapProgress: map[int]float64{2: 0.5},
 		HeartbeatInterval: mf / 100,
 		HeartbeatTimeout:  mf / 25,
 	}
 	if rep := runJob(t, spec); rep.NodesLost != 1 {
 		t.Fatalf("NodesLost = %d, want 1", rep.NodesLost)
 	}
-	settle("dinc-hash under KillNodes")
+	settle("dinc-hash under a node kill")
 }

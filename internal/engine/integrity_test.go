@@ -15,7 +15,7 @@ import (
 // I/O errors everywhere, plus bit-flip corruption where the platform
 // has the recovery ladder for it (everything but HOP), plus torn
 // checkpoint tails where checkpoints exist (the incremental platforms,
-// which the caller arms with KillNodes + CheckpointEvery).
+// which the caller arms with KillAtMapProgress + CheckpointEvery).
 func diskPlan(pl Platform) DiskFaultPlan {
 	d := DiskFaultPlan{IOErrorRate: 0.05}
 	if pl != HOP {
@@ -54,7 +54,7 @@ func TestIntegrityDifferential(t *testing.T) {
 		}
 		if pl.Incremental() {
 			// Torn writes surface when a node dies holding checkpoints.
-			spec.Faults.KillNodes = map[int]time.Duration{2: mf / 2}
+			spec.Faults.KillAtMapProgress = map[int]float64{2: 0.5}
 			spec.Faults.HeartbeatInterval = mf / 100
 			spec.Faults.HeartbeatTimeout = mf / 25
 			spec.CheckpointEvery = mf / 8
@@ -94,7 +94,7 @@ func TestIntegrityDeterminismAcrossWorkers(t *testing.T) {
 			spec.Cluster.ReduceSlots = 1
 			spec.Faults.Disk = diskPlan(pl)
 			if pl.Incremental() {
-				spec.Faults.KillNodes = map[int]time.Duration{2: mf / 2}
+				spec.Faults.KillAtMapProgress = map[int]float64{2: 0.5}
 				spec.Faults.HeartbeatInterval = mf / 100
 				spec.Faults.HeartbeatTimeout = mf / 25
 				spec.CheckpointEvery = mf / 8
@@ -131,7 +131,7 @@ func TestCheckpointCorruptionFallback(t *testing.T) {
 			CorruptRate: 0.9,
 			Classes:     []storage.IOClass{storage.Checkpoint},
 		}
-		spec.Faults.KillNodes = map[int]time.Duration{2: mf * 3 / 4}
+		spec.Faults.KillAtMapProgress = map[int]float64{2: 0.75}
 		spec.Faults.HeartbeatInterval = mf / 100
 		spec.Faults.HeartbeatTimeout = mf / 25
 		faulty := runJob(t, spec)
@@ -160,7 +160,7 @@ func TestTornCheckpointFallback(t *testing.T) {
 	spec.Cluster.Checksums = true
 	spec.CheckpointEvery = mf / 10
 	spec.Faults.Disk = DiskFaultPlan{TornWrites: true}
-	spec.Faults.KillNodes = map[int]time.Duration{2: mf * 3 / 4}
+	spec.Faults.KillAtMapProgress = map[int]float64{2: 0.75}
 	spec.Faults.HeartbeatInterval = mf / 100
 	spec.Faults.HeartbeatTimeout = mf / 25
 	faulty := runJob(t, spec)
@@ -324,7 +324,7 @@ func TestDiskFaultPlanValidation(t *testing.T) {
 		}},
 		{"torn writes without checksums", func(s *JobSpec) {
 			s.Faults.Disk.TornWrites = true
-			s.Faults.KillNodes = map[int]time.Duration{0: time.Second}
+			s.Faults.KillAtMapProgress = map[int]float64{0: 0.5}
 		}},
 		{"torn writes without kills", func(s *JobSpec) {
 			s.Cluster.Checksums = true
@@ -338,10 +338,9 @@ func TestDiskFaultPlanValidation(t *testing.T) {
 			s.Faults.Disk.IOErrorRate = 0.1
 			s.Faults.Disk.Nodes = []int{7}
 		}},
-		{"window upside down", func(s *JobSpec) {
+		{"window end negative", func(s *JobSpec) {
 			s.Faults.Disk.IOErrorRate = 0.1
-			s.Faults.Disk.From = 2 * time.Second
-			s.Faults.Disk.To = time.Second
+			s.Faults.Disk.To = -time.Second
 		}},
 		{"negative skip budget", func(s *JobSpec) {
 			s.SkipBadRecords = -1
@@ -374,13 +373,9 @@ func TestTargetedInjectionWindow(t *testing.T) {
 	input := testClicks(t, 192<<10, 12<<10)
 	clean := runJob(t, clickCountSpec(m, input, MRHash))
 
-	// Window [1ns, 2ns): closed before any I/O happens → zero injections.
+	// Window [0, 1ns): closed before any I/O happens → zero injections.
 	spec := clickCountSpec(m, input, MRHash)
-	spec.Faults.Disk = DiskFaultPlan{
-		IOErrorRate: 0.9,
-		From:        1,
-		To:          2,
-	}
+	spec.Faults.Disk = DiskFaultPlan{IOErrorRate: 0.9, To: 1}
 	fenced := runJob(t, spec)
 	equalStrings(t, "fenced", sortedOutputs(clean, kvLine), sortedOutputs(fenced, kvLine))
 	if fenced.IORetries != 0 {

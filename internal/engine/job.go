@@ -87,9 +87,6 @@ func Run(spec JobSpec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if msg := spec.SimUnsupported(); msg != "" {
-		return nil, fmt.Errorf("engine: %s", msg)
-	}
 	cfg := &spec.Cluster
 	j := &job{JobFrame: frame, k: sim.NewKernel()}
 	j.k.SetWorkers(cfg.Parallelism)
@@ -98,12 +95,12 @@ func Run(spec JobSpec) (*Report, error) {
 	}
 	j.shuffle = newShuffleService(j.k, j.TotalMaps, j.NumReducers)
 
-	// Fault plan wiring: crash times, stragglers, disk faults, the
-	// failure-detector daemon. Every task runs its attempt chain on the
-	// tracker's state tables; a clean run spawns no daemon, so no
-	// heartbeat tick interleaves with its events.
+	// Fault plan wiring: stragglers, disk faults, the failure-detector
+	// daemon (kills fire at map completions, countMapDone). Every task
+	// runs its attempt chain on the tracker's state tables; a clean run
+	// spawns no daemon, so no heartbeat tick interleaves with its events.
 	faults := &spec.Faults
-	for idx, at := range faults.KillNodes {
+	for idx, at := range faults.crashAt {
 		j.nodes[idx].deadAt = int64(at)
 	}
 	for idx, factor := range faults.SlowNodes {

@@ -213,10 +213,7 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 		// declared-dead rollback to handle.
 		ms.done = true
 		j.sums.MapCPU += ledger
-		j.mapsDone++
-		if j.mapsDone == j.TotalMaps {
-			j.mapFinish = p.Now()
-		}
+		j.countMapDone(p.Now())
 		j.deposit(chunk, n, parts.Segs)
 		return mapDone, p.Now() - start
 	}
@@ -242,13 +239,24 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 		ms.output = o
 	}
 	j.sums.MapCPU += ledger
-
-	j.mapsDone++
-	if j.mapsDone == j.TotalMaps {
-		j.mapFinish = p.Now()
-	}
+	j.countMapDone(p.Now())
 	j.shuffle.mapperFinished()
 	return mapDone, p.Now() - start
+}
+
+// countMapDone records one completed map task at virtual time now: the
+// last completion finishes the map phase, and a node in
+// Faults.KillAtMapProgress crashes at the K-th (JobFrame.KillAfter).
+func (j *job) countMapDone(now int64) {
+	j.mapsDone++
+	if j.mapsDone == j.TotalMaps {
+		j.mapFinish = now
+	}
+	for idx, k := range j.KillAfter {
+		if n := j.nodes[idx]; n.deadAt < 0 && j.mapsDone >= k {
+			n.deadAt = now
+		}
+	}
 }
 
 // publishMapOutput writes the per-partition segments to the node's

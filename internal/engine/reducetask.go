@@ -10,8 +10,8 @@ import (
 	"repro/internal/storage"
 )
 
-// Shuffle-fetch retry backoff against a crashed-but-undeclared node:
-// capped exponential, in virtual time.
+// Shuffle-fetch retry backoff against a crashed-but-undeclared node or
+// a transient shuffle error: capped exponential, in virtual time.
 const (
 	fetchRetryBase = 500 * time.Millisecond
 	fetchRetryCap  = 8 * time.Second
@@ -174,13 +174,14 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 	// Shuffle loop: fetch each map task's partition exactly once, in
 	// publication order, skipping lost outputs (their re-execution will
 	// republish) and backing off on fetches from crashed-but-undeclared
-	// nodes. The task counts as a shuffle task for the whole phase (the
-	// Fig 2(a) timeline semantics), switching to the merge gauge while it
-	// drives multi-pass merges. next is the attempt's cursor into the
-	// published outputs: everything before it is consumed or lost for
-	// good, so a wake-up never rescans.
+	// nodes and on rolled transient errors. The task counts as a shuffle
+	// task for the whole phase (the Fig 2(a) timeline semantics),
+	// switching to the merge gauge while it drives multi-pass merges.
+	// next is the attempt's cursor into the published outputs: everything
+	// before it is consumed or lost for good, so a wake-up never rescans.
 	setPhase(metrics.PhaseShuffle)
 	var retry int64
+	tries := 0
 	next := 0
 	for rs.consumedN < j.TotalMaps {
 		if n.dead(p.Now()) {
@@ -210,12 +211,14 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 		if o == nil {
 			break // HOP: every mapper finished and every push is consumed
 		}
-		if o.node.dead(p.Now()) {
+		if o.node.dead(p.Now()) || j.spec.ShuffleFetchFails(ridx, outputTask(o), 0, attempt, tries) {
 			// Fetch failure: the serving node crashed but the detector
-			// has not declared it yet. Retry with capped exponential
-			// backoff; once declared, the output is marked lost and the
-			// task re-executes on a survivor.
+			// has not declared it yet, or a transient error was rolled.
+			// Retry with capped exponential backoff; once a crashed node
+			// is declared, its output is marked lost and the task
+			// re-executes on a survivor.
 			j.fetchRetries++
+			tries++
 			if retry == 0 {
 				retry = int64(fetchRetryBase)
 			} else if retry *= 2; retry > int64(fetchRetryCap) {
@@ -224,7 +227,7 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 			p.Hold(time.Duration(retry))
 			continue
 		}
-		retry = 0
+		retry, tries = 0, 0
 
 		size := o.partBytes[ridx]
 		if size > 0 {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/dfs"
@@ -11,16 +12,20 @@ import (
 // JobFrame is what both backends must say identically around a run:
 // before any task starts, the validated spec, the task counts, the hash
 // family every collector and reducer draws from and the node each
-// chunk's map task is assigned to; afterwards, the Report fields that
-// follow from the run's summed counters (ReportTail). engine.Run and
-// realexec.Run both start from NewJobFrame and add only their own
-// capability check, so neither can derive a seed or a counter its own
-// way.
+// chunk's map task is assigned to and the map count each kill fires at;
+// afterwards, the Report fields that follow from the run's summed
+// counters (ReportTail). engine.Run and realexec.Run both start from
+// NewJobFrame (realexec adds only its capability check), so neither can
+// derive a seed, a kill point or a counter its own way.
 type JobFrame struct {
 	NumReducers   int
 	TotalMaps     int
 	InputBytesEst int64 // chunk 0's size × chunks: what reducers size their tables from
 	Fam           *hashfam.Family
+	// KillAfter maps each node in Faults.KillAtMapProgress to K =
+	// ceil(fraction × TotalMaps), clamped to [1, TotalMaps]: the number
+	// of completed map tasks at which the node dies.
+	KillAfter map[int]int
 
 	spec   *JobSpec
 	assign dfs.Assignment
@@ -44,6 +49,12 @@ func NewJobFrame(spec *JobSpec) (*JobFrame, error) {
 		return nil, errSpec("input has no chunks")
 	}
 	f.InputBytesEst = int64(len(spec.Input.ChunkBytes(0))) * int64(f.TotalMaps)
+	if kills := spec.Faults.KillAtMapProgress; len(kills) > 0 {
+		f.KillAfter = make(map[int]int, len(kills))
+		for idx, frac := range kills {
+			f.KillAfter[idx] = min(max(int(math.Ceil(frac*float64(f.TotalMaps))), 1), f.TotalMaps)
+		}
+	}
 	return f, nil
 }
 

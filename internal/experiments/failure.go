@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/jobspec"
@@ -28,7 +27,7 @@ func (c Config) countingPool(cl engine.ClusterConfig, data, chunk float64) (int,
 }
 
 // runRecovery measures what a mid-job node failure costs each platform:
-// every run loses the same machine halfway through its map phase, the
+// every run loses the same machine as 75% of its map tasks complete, the
 // failure detector declares it dead, lost map outputs re-execute on the
 // survivors, and the dead node's reducers restart elsewhere. Sort-merge
 // restarts a reducer from scratch (its whole input is re-shuffled);
@@ -71,7 +70,7 @@ func runRecovery(c Config) (*Result, error) {
 
 		spec, err := mk()
 		spec.Faults = engine.FaultPlan{
-			KillNodes:         map[int]time.Duration{cl.Nodes - 1: mf * 3 / 4},
+			KillAtMapProgress: map[int]float64{cl.Nodes - 1: 0.75},
 			HeartbeatInterval: mf / 100,
 			HeartbeatTimeout:  mf / 25,
 		}

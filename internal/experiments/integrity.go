@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/jobspec"
@@ -123,7 +122,7 @@ func runIntegrity(c Config) (*Result, error) {
 		}
 		if pl.Incremental() {
 			faultSpec.Faults.Disk.TornWrites = true
-			faultSpec.Faults.KillNodes = map[int]time.Duration{cl.Nodes - 1: mf * 3 / 4}
+			faultSpec.Faults.KillAtMapProgress = map[int]float64{cl.Nodes - 1: 0.75}
 			faultSpec.Faults.HeartbeatInterval = mf / 100
 			faultSpec.Faults.HeartbeatTimeout = mf / 25
 			faultSpec.CheckpointEvery = mf / 64

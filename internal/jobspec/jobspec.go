@@ -151,35 +151,28 @@ func (p Params) On(cl engine.ClusterConfig) (job engine.JobSpec, newQuery func()
 }
 
 // Backend is an execution substrate, as named by onepass -backend and
-// the scheduler's "backend" key.
-type Backend struct {
-	// Run executes a built job. The wall-clock backend's task pool is
-	// job.Cluster.Parallelism goroutines (0 = GOMAXPROCS): the knob that
-	// sizes the simulation's compute pool.
-	Run func(job engine.JobSpec, newQuery func() mr.Query) (*engine.Report, error)
-	// WallClock says which clock a node kill is anchored on: map
-	// progress (FaultPlan.KillAtMapProgress) when set, virtual time
-	// (KillNodes) otherwise.
-	WallClock bool
-}
+// the scheduler's "backend" key: it runs a built job. The wall-clock
+// backend's task pool is job.Cluster.Parallelism goroutines (0 =
+// GOMAXPROCS): the knob that sizes the simulation's compute pool.
+type Backend func(job engine.JobSpec, newQuery func() mr.Query) (*engine.Report, error)
 
 // ParseBackend resolves a backend name: sim is the discrete-event
 // simulation, real the goroutine backend under wall-clock time.
 func ParseBackend(name string) (Backend, error) {
 	switch name {
 	case "sim":
-		return Backend{Run: func(job engine.JobSpec, newQuery func() mr.Query) (*engine.Report, error) {
+		return func(job engine.JobSpec, newQuery func() mr.Query) (*engine.Report, error) {
 			job.Query = newQuery()
 			return engine.Run(job)
-		}}, nil
+		}, nil
 	case "real":
-		return Backend{WallClock: true, Run: func(job engine.JobSpec, newQuery func() mr.Query) (*engine.Report, error) {
+		return func(job engine.JobSpec, newQuery func() mr.Query) (*engine.Report, error) {
 			workers := job.Cluster.Parallelism
 			if workers == 0 {
 				workers = runtime.GOMAXPROCS(0)
 			}
 			return realexec.Run(realexec.Spec{Job: job, NewQuery: newQuery, Workers: workers})
-		}}, nil
+		}, nil
 	}
-	return Backend{}, fmt.Errorf("unknown backend %q (want sim or real)", name)
+	return nil, fmt.Errorf("unknown backend %q (want sim or real)", name)
 }

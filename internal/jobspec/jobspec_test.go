@@ -26,10 +26,7 @@ func TestBackendsRunOneBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if backend.WallClock != (name == "real") {
-			t.Errorf("%s: WallClock = %v", name, backend.WallClock)
-		}
-		rep, err := backend.Run(job, newQuery)
+		rep, err := backend(job, newQuery)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

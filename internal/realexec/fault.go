@@ -4,20 +4,20 @@
 // driver has; a fault-free task is the chain that succeeds at attempt 0
 // (an empty plan kills nobody, rolls no errors, sleeps for nothing).
 //
-// The DES anchors fault triggers to virtual time; a wall clock cannot
-// reproduce those schedules deterministically, so the real backend
-// anchors every trigger to job structure instead:
+// A wall clock cannot reproduce a schedule of instants
+// deterministically, so every trigger is anchored to job structure —
+// the same triggers the DES runs, interpreted here without its clock:
 //
-//   - node kills fire at a map-progress point: with K = ceil(fraction
-//     × map tasks), a node is dead once the first K chunks (canonical
-//     chunk order) are done — the set of outputs lost to the crash is
-//     a pure function of the spec, not of scheduling;
+//   - node kills fire at a map-progress point: with K
+//     (engine.JobFrame.KillAfter), a node is dead once the first K
+//     chunks (canonical chunk order) are done — the set of outputs lost
+//     to the crash is a pure function of the spec, not of scheduling;
 //   - injected map failures die at a byte offset through the chunk,
 //     injected reduce failures after a fixed number of consumed
 //     shuffle units (the DES's own FailPoint semantics);
-//   - transient shuffle-read errors are seeded rolls per (reducer,
-//     unit, attempt, try), so retry counts for pure transient plans
-//     are deterministic;
+//   - transient shuffle-read errors are the seeded rolls of
+//     engine.JobSpec.ShuffleFetchFails, so retry counts for pure
+//     transient plans are deterministic;
 //   - checkpoints trigger on the attempt's virtual CPU ledger, the
 //     deterministic stand-in for the DES's virtual clock;
 //   - speculative backups are structural: every map task on a live
@@ -37,13 +37,11 @@ package realexec
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/mr"
-	"repro/internal/storage"
 	"repro/internal/substrate"
 )
 
@@ -73,32 +71,13 @@ var shuffleWatchdog = 30 * time.Second
 
 // faults interprets the job's fault plan for the wall-clock backend.
 type faults struct {
-	spec      *engine.JobSpec
-	seed      int64
-	nodes     int
-	totalMaps int
-	killAt    map[int]int // node → chunk count K after which it is dead
+	spec   *engine.JobSpec
+	nodes  int
+	killAt map[int]int // node → chunk count K after which it is dead (engine.JobFrame.KillAfter)
 }
 
-func newFaults(spec *engine.JobSpec, totalMaps int) *faults {
-	f := &faults{
-		spec:      spec,
-		seed:      spec.Seed ^ 0x0f377a11,
-		nodes:     spec.Cluster.Nodes,
-		totalMaps: totalMaps,
-		killAt:    make(map[int]int),
-	}
-	for idx, frac := range spec.Faults.KillAtMapProgress {
-		k := int(math.Ceil(frac * float64(totalMaps)))
-		if k < 1 {
-			k = 1
-		}
-		if k > totalMaps {
-			k = totalMaps
-		}
-		f.killAt[idx] = k
-	}
-	return f
+func newFaults(spec *engine.JobSpec, killAt map[int]int) *faults {
+	return &faults{spec: spec, nodes: spec.Cluster.Nodes, killAt: killAt}
 }
 
 // dies reports whether the node is killed at some point in the run.
@@ -162,16 +141,6 @@ func (f *faults) slowSleep(node int) {
 		d = slowTaskDelayCap
 	}
 	time.Sleep(d)
-}
-
-// shuffleErr rolls the seeded transient shuffle-read error for one
-// fetch try.
-func (f *faults) shuffleErr(ridx int, u *unit, attempt, try int) bool {
-	rate := f.spec.Faults.ShuffleErrorRate
-	if rate <= 0 {
-		return false
-	}
-	return storage.Roll(rate, f.seed, int64(ridx), int64(u.chunk), int64(u.seq), int64(attempt), int64(try))
 }
 
 // mapChain is one map task's full attempt history: the counted winner
@@ -281,11 +250,8 @@ func (r *run) waitUnit(u *unit) {
 // transientRetries burns the seeded transient-error rolls for one
 // fetch, sleeping a capped exponential backoff per error.
 func (r *run) transientRetries(ridx int, u *unit, attempt int) {
-	if r.flt.spec.Faults.ShuffleErrorRate <= 0 {
-		return
-	}
 	backoff := realFetchRetryBase
-	for try := 0; r.flt.shuffleErr(ridx, u, attempt, try); try++ {
+	for try := 0; r.spec.ShuffleFetchFails(ridx, u.chunk, u.seq, attempt, try); try++ {
 		if try >= maxShuffleTries {
 			panic(fmt.Errorf("shuffle fetch of map %d output exhausted %d transient-error retries", u.chunk, maxShuffleTries))
 		}

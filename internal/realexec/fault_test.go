@@ -180,6 +180,42 @@ func TestFaultedAnswerConformance(t *testing.T) {
 	}
 }
 
+// TestFaultedBackendParity runs one fault plan on both backends — a node
+// killed halfway through the map tasks, two map failures at fail-point
+// 0.5, a 3× straggler under speculation, 5% transient shuffle errors
+// and, on the incremental platforms, checkpointing. Each backend must
+// answer exactly as the clean run, lose the node and retry fetches.
+func TestFaultedBackendParity(t *testing.T) {
+	for _, pl := range []engine.Platform{engine.SortMerge, engine.MRHash, engine.INCHash, engine.DINCHash} {
+		t.Run(pl.String(), func(t *testing.T) {
+			clean := runReal(t, chaosJob(t, pl), queries.NewClickCount, 4)
+			job := chaosJob(t, pl)
+			job.Faults = engine.FaultPlan{
+				KillAtMapProgress: map[int]float64{1: 0.5},
+				MapFailures:       map[int]int{0: 1, 3: 1},
+				FailPoint:         0.5,
+				SlowNodes:         map[int]float64{2: 3},
+				Speculate:         true,
+				ShuffleErrorRate:  0.05,
+			}
+			if pl.Incremental() {
+				job.CheckpointEvery = time.Millisecond
+			}
+			reps := map[string]*engine.Report{
+				"engine": runEngine(t, job, queries.NewClickCount),
+				"real":   runReal(t, job, queries.NewClickCount, 4),
+			}
+			for backend, rep := range reps {
+				requireSameAnswers(t, clean, rep, backend)
+				if rep.NodesLost != 1 || rep.FetchRetries == 0 {
+					t.Errorf("%s: NodesLost = %d, FetchRetries = %d, want 1 and > 0",
+						backend, rep.NodesLost, rep.FetchRetries)
+				}
+			}
+		})
+	}
+}
+
 // TestRealKillRecoveryAccounting pins the lost-work arithmetic of a
 // progress-point kill: with the node killed at fraction p, the first
 // ceil(p × maps) chunks assigned to it re-execute, every reducer

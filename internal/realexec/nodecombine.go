@@ -11,8 +11,8 @@
 // Fault scope differs from the DES by design, as the keep predicate
 // each driver hands the plan: the engine keeps nothing under any fault
 // plan, while this backend keeps every chunk whose output provably
-// survives on its home node to the barrier. Kills here are anchored to
-// map progress (pre-barrier), so a chunk is dropped — published solo,
+// survives on its home node to the barrier. A kill here resolves at the
+// barrier (fault.go), so a chunk is dropped — published solo,
 // exactly like a combine-off run — only when its home node dies (its
 // output is lost or displaced) or when a speculative backup races it
 // (the winning node is timing-dependent). Everything else, injected

@@ -29,11 +29,11 @@
 // ride those loops: node kills anchored to map-progress points,
 // stragglers, per-attempt map/reduce failures, transient shuffle-read
 // errors, speculative map backups, and checkpointed INC/DINC reducer
-// state all execute with seeded, structural triggers, so answers and
-// logical counters stay bit-identical to the fault-free run. Only two
-// trigger primitives remain DES-only — virtual-time node kills
-// (KillNodes) and disk-damage injection (FaultPlan.Disk) — and Run
-// rejects those by name (engine.JobSpec.RealUnsupported).
+// state all execute with the seeded, structural triggers the DES runs
+// too, so answers and logical counters stay bit-identical to the
+// fault-free run. Only disk-damage injection (FaultPlan.Disk) remains
+// DES-only, and Run rejects it by name
+// (engine.JobSpec.RealUnsupported).
 package realexec
 
 import (
@@ -134,8 +134,7 @@ func Run(s Spec) (*engine.Report, error) {
 		return nil, err
 	}
 	// Capability check, not a blanket rejection: fault plans and
-	// checkpointing run here; only the trigger primitives tied to the
-	// DES clock are refused, by name.
+	// checkpointing run here; only disk damage is refused, by name.
 	if msg := spec.RealUnsupported(); msg != "" {
 		return nil, fmt.Errorf("realexec: %s", msg)
 	}
@@ -145,7 +144,7 @@ func Run(s Spec) (*engine.Report, error) {
 	}
 	cfg := &spec.Cluster
 	r := &run{JobFrame: frame, spec: &spec, newQ: s.NewQuery, model: cfg.Model, start: time.Now()}
-	r.flt = newFaults(&spec, r.TotalMaps)
+	r.flt = newFaults(&spec, r.KillAfter)
 	r.comb = r.NewCombinePlan(r.flt.combinable)
 
 	// Map phase: fan the chunks over the worker pool; each task owns

@@ -280,48 +280,26 @@ func TestWorkerCountConformance(t *testing.T) {
 
 // TestRealBackendCapabilityErrors pins the substrate boundary as a
 // capability split, not a blanket rejection: the real backend runs
-// fault plans and checkpointing, refuses by name the two trigger
-// primitives tied to the DES clock, and the DES refuses the two tied
-// to map progress.
+// fault plans and checkpointing and refuses by name only disk damage,
+// which stays DES-only.
 func TestRealBackendCapabilityErrors(t *testing.T) {
 	runWith := func(job engine.JobSpec) error {
 		_, err := realexec.Run(realexec.Spec{Job: job, NewQuery: queries.NewClickCount, Workers: 2})
 		return err
 	}
 
-	// DES-only primitives are refused with a message naming the feature
-	// and its real-backend counterpart.
 	job := goldenJob(t, engine.INCHash)
-	job.Faults = engine.FaultPlan{KillNodes: map[int]time.Duration{1: time.Minute}}
-	err := runWith(job)
-	if err == nil {
-		t.Error("virtual-time kill plan accepted by the real backend")
-	} else if want := "realexec: virtual-time node kills (KillNodes) remain DES-only; use KillAtMapProgress on the real backend"; err.Error() != want {
-		t.Errorf("KillNodes rejection = %q, want %q", err, want)
-	}
-	job = goldenJob(t, engine.INCHash)
 	job.Faults = engine.FaultPlan{Disk: engine.DiskFaultPlan{IOErrorRate: 0.01}}
-	err = runWith(job)
+	err := runWith(job)
 	if err == nil {
 		t.Error("disk-fault plan accepted by the real backend")
 	} else if want := "realexec: disk-fault injection (I/O errors, corruption, torn writes) remains DES-only"; err.Error() != want {
 		t.Errorf("disk-fault rejection = %q, want %q", err, want)
 	}
 
-	// Real-only primitives are refused by the DES with the mirror
-	// message.
-	job = goldenJob(t, engine.INCHash)
-	job.Faults = engine.FaultPlan{KillAtMapProgress: map[int]float64{1: 0.5}}
-	job.Query = queries.NewClickCount()
-	if _, err := engine.Run(job); err == nil {
-		t.Error("map-progress kill plan accepted by the DES")
-	} else if !strings.Contains(err.Error(), "KillAtMapProgress) run only on the real backend") {
-		t.Errorf("DES KillAtMapProgress rejection = %q", err)
-	}
-
 	// Everything else runs: progress-point kills, stragglers,
 	// speculation, task failures, transient shuffle errors, and
-	// checkpointing are real-backend capabilities now.
+	// checkpointing, the same plans the DES runs.
 	job = goldenJob(t, engine.INCHash)
 	job.Faults = engine.FaultPlan{
 		KillAtMapProgress: map[int]float64{1: 0.5},

@@ -46,15 +46,15 @@ func BuildJob(s JobSpec) (engine.JobSpec, func() mr.Query, error) {
 type EngineExecutor struct{}
 
 // Run implements Executor. Resumed runs on an incremental platform
-// model the scheduler's own death as an engine node kill: a clean
-// probe run measures the makespan, then the re-execution checkpoints
-// reducer state and kills a node mid-job, so the reducers restore from
-// their newest checkpoint and replay only the unconsumed suffix, the
-// engine's own node-loss recovery —
-// Report.RecoveryReadBytes then reports the true replay suffix, which
-// stays below a from-scratch recomputation, while answers remain
-// bit-identical. Non-incremental platforms have no reducer state to
-// restore and simply re-run.
+// model the scheduler's own death as a node kill: the re-execution
+// checkpoints reducer state and kills node 1 three quarters through
+// the map phase, so the reducers restore from their newest checkpoint
+// and replay only the unconsumed suffix, the engine's own node-loss
+// recovery — Report.RecoveryReadBytes then reports the true replay
+// suffix, which stays below a from-scratch recomputation, while
+// answers remain bit-identical. Non-incremental platforms have no
+// reducer state to restore, and a one-node cluster no survivor to
+// restore it on; both simply re-run.
 func (EngineExecutor) Run(ctx context.Context, spec JobSpec, resume *ResumeInfo) (*engine.Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -67,38 +67,14 @@ func (EngineExecutor) Run(ctx context.Context, spec JobSpec, resume *ResumeInfo)
 	if err != nil {
 		return nil, err
 	}
-
-	if resume == nil || !job.Platform.Incremental() {
-		return backend.Run(job, newQuery)
+	if resume != nil && job.Platform.Incremental() && job.Cluster.Nodes > 1 {
+		if job.CheckpointEvery <= 0 {
+			// Checkpoint after every consumed map output: the resume must
+			// replay from the newest possible state, not whatever a coarse
+			// timer happened to capture before the interruption.
+			job.CheckpointEvery = time.Nanosecond
+		}
+		job.Faults.KillAtMapProgress = map[int]float64{1: 0.75}
 	}
-
-	// Probe for the clean makespan so the injected kill lands mid-job
-	// on any spec, then re-execute through the checkpointed path.
-	probe, err := backend.Run(job, newQuery)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	resumed := job
-	if resumed.CheckpointEvery <= 0 {
-		// Checkpoint after every consumed map output: the resume must
-		// replay from the newest possible state, not whatever a coarse
-		// timer happened to capture before the interruption.
-		resumed.CheckpointEvery = time.Nanosecond
-	}
-	if backend.WallClock {
-		resumed.Faults.KillAtMapProgress = map[int]float64{1: 0.75}
-	} else {
-		// Kill late in the map phase with a responsive failure
-		// detector — the shape of the engine's own recovery suite —
-		// so the lost reducers hold real checkpointed progress and the
-		// restart happens while the job is still running.
-		mf := probe.MapFinishTime
-		resumed.Faults.KillNodes = map[int]time.Duration{1: mf * 3 / 4}
-		resumed.Faults.HeartbeatInterval = mf / 100
-		resumed.Faults.HeartbeatTimeout = mf / 25
-	}
-	return backend.Run(resumed, newQuery)
+	return backend(job, newQuery)
 }

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"regexp"
 	"testing"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/kvenc"
@@ -146,10 +145,7 @@ func TestInterruptedRunResumesFromCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	job.Query = newQuery()
-	mf := clean.MapFinishTime
-	job.Faults.KillNodes = map[int]time.Duration{1: mf * 3 / 4}
-	job.Faults.HeartbeatInterval = mf / 100
-	job.Faults.HeartbeatTimeout = mf / 25
+	job.Faults.KillAtMapProgress = map[int]float64{1: 0.75}
 	bare, err := engine.Run(job)
 	if err != nil {
 		t.Fatal(err)
@@ -160,6 +156,25 @@ func TestInterruptedRunResumesFromCheckpoints(t *testing.T) {
 	if resumed.RecoveryReadBytes >= bare.RecoveryReadBytes {
 		t.Fatalf("RecoveryReadBytes = %d with checkpoints, %d full replay: resume saved nothing",
 			resumed.RecoveryReadBytes, bare.RecoveryReadBytes)
+	}
+}
+
+// TestResumeOnOneNodeReruns: resuming an interrupted incremental run on
+// a one-node cluster has no survivor to move the lost node's work to,
+// so the executor re-runs the job clean on either backend instead of
+// injecting a kill the spec cannot survive.
+func TestResumeOnOneNodeReruns(t *testing.T) {
+	for _, backend := range []string{"sim", "real"} {
+		spec := engineSpec("acme")
+		spec.Backend, spec.Nodes = backend, 1
+		spec.Normalize()
+		rep, err := EngineExecutor{}.Run(context.Background(), spec, &ResumeInfo{PrevRunID: 1, Attempt: 2})
+		if err != nil {
+			t.Fatalf("%s: resume on one node: %v", backend, err)
+		}
+		if rep.NodesLost != 0 || rep.OutputRecords == 0 {
+			t.Errorf("%s: NodesLost = %d, OutputRecords = %d, want a clean run", backend, rep.NodesLost, rep.OutputRecords)
+		}
 	}
 }
 

@@ -114,19 +114,19 @@ type Case struct {
 	ScanEvery     int64   `json:"scan_every,omitempty"`     // DINC scavenger period
 	SnapshotEvery float64 `json:"snapshot_every,omitempty"` // HOP snapshots
 
-	// Fault schedule. Kill/heartbeat/checkpoint times are stored as
-	// fractions of the platform's clean-run MapFinishTime (measured by
-	// the runner), so the schedule stays meaningful as other knobs
-	// shrink.
+	// Fault schedule. The kill fires at a map-progress point; heartbeat,
+	// checkpoint and disk-window times are stored as fractions of the
+	// platform's clean-run MapFinishTime (measured by the runner), so
+	// the schedule stays meaningful as other knobs shrink.
 	MapFails      []Fail  `json:"map_fails,omitempty"`
 	ReduceFails   []Fail  `json:"reduce_fails,omitempty"`
 	FailPoint     float64 `json:"fail_point,omitempty"`
 	KillNode      int     `json:"kill_node,omitempty"`
-	KillFracPct   int     `json:"kill_frac_pct,omitempty"` // % of clean MapFinishTime; 0 = no kill
+	KillFracPct   int     `json:"kill_frac_pct,omitempty"` // % of map tasks done at the kill; 0 = no kill
 	SlowNode      int     `json:"slow_node,omitempty"`
 	SlowFactor    float64 `json:"slow_factor,omitempty"` // ≤1 = none
 	Speculate     bool    `json:"speculate,omitempty"`
-	ShufErrPct    int     `json:"shuf_err_pct,omitempty"` // transient shuffle-error %, real backend only
+	ShufErrPct    int     `json:"shuf_err_pct,omitempty"` // transient shuffle-error %
 	IOErrRate     float64 `json:"io_err_rate,omitempty"`
 	CorruptRate   float64 `json:"corrupt_rate,omitempty"`
 	TornWrites    bool    `json:"torn_writes,omitempty"`
@@ -189,28 +189,25 @@ func (c *Case) taskFaults() bool { return len(c.MapFails) > 0 || len(c.ReduceFai
 // runner performs a second, faulted run per platform (anchored on the
 // clean run's MapFinishTime).
 func (c *Case) faulted() bool {
-	return c.taskFaults() || c.KillFracPct > 0 || c.SlowFactor > 1 ||
+	return c.taskFaults() || c.KillFracPct > 0 || c.SlowFactor > 1 || c.ShufErrPct > 0 ||
 		c.IOErrRate > 0 || c.CorruptRate > 0 || c.TornWrites || c.CheckpointDiv > 0
 }
 
 // realFaultCompatible reports whether the wall-clock backend can run
 // this case's fault schedule — the seventh differential leg. Disk
 // damage (transient I/O errors, corruption, torn writes) stays
-// DES-only; everything else either carries over verbatim or has a
-// progress-anchored translation (kills), and transient shuffle errors
-// exist only on this leg.
+// DES-only; everything else runs on both backends as the same spec.
 func (c *Case) realFaultCompatible() bool {
-	return (c.faulted() || c.ShufErrPct > 0) &&
-		c.IOErrRate == 0 && c.CorruptRate == 0 && !c.TornWrites
+	return c.faulted() && c.IOErrRate == 0 && c.CorruptRate == 0 && !c.TornWrites
 }
 
 // hopCompatible reports whether the hop platform can run this case:
-// HOP rejects task/node fault injection and persistent disk damage
-// (engine config rules), and the poison wrapper hides the interfaces
-// its pipelining path needs.
+// HOP rejects task/node/shuffle fault injection and persistent disk
+// damage (engine config rules), and the poison wrapper hides the
+// interfaces its pipelining path needs.
 func (c *Case) hopCompatible() bool {
 	return !c.taskFaults() && c.KillFracPct == 0 && c.SlowFactor <= 1 && !c.Speculate &&
-		c.CorruptRate == 0 && !c.TornWrites && c.IOErrRate <= 0.25 &&
+		c.ShufErrPct == 0 && c.CorruptRate == 0 && !c.TornWrites && c.IOErrRate <= 0.25 &&
 		c.CheckpointDiv == 0 && !c.Poison
 }
 
@@ -293,10 +290,11 @@ func (c *Case) clusterConfig(workers int) engine.ClusterConfig {
 	}
 }
 
-// jobSpec assembles the complete submission for one platform.
-// withFaults includes the fault schedule, with kill/heartbeat/
-// checkpoint times anchored on mapFinish (the platform's clean-run
-// MapFinishTime, measured by the runner first).
+// jobSpec assembles the complete submission for one platform, the same
+// spec on both backends. withFaults includes the fault schedule, with
+// heartbeat, checkpoint and disk-window times anchored on mapFinish
+// (the platform's clean-run MapFinishTime, measured by the runner
+// first).
 func (c *Case) jobSpec(pl engine.Platform, input dfs.Input, workers int, withFaults bool, mapFinish time.Duration) engine.JobSpec {
 	spec := engine.JobSpec{
 		Query:         c.newQuery(false),
@@ -335,11 +333,7 @@ func (c *Case) jobSpec(pl engine.Platform, input dfs.Input, workers int, withFau
 		}
 	}
 	if c.KillFracPct > 0 {
-		at := mapFinish * time.Duration(c.KillFracPct) / 100
-		if at <= 0 {
-			at = time.Millisecond
-		}
-		f.KillNodes = map[int]time.Duration{c.KillNode: at}
+		f.KillAtMapProgress = map[int]float64{c.KillNode: float64(c.KillFracPct) / 100}
 		f.HeartbeatInterval = maxDur(mapFinish/100, time.Millisecond)
 		f.HeartbeatTimeout = maxDur(mapFinish/25, 4*time.Millisecond)
 	}
@@ -350,6 +344,7 @@ func (c *Case) jobSpec(pl engine.Platform, input dfs.Input, workers int, withFau
 			f.HeartbeatInterval = maxDur(mapFinish/100, time.Millisecond)
 		}
 	}
+	f.ShuffleErrorRate = float64(c.ShufErrPct) / 100
 	if c.IOErrRate > 0 || c.CorruptRate > 0 || c.TornWrites {
 		f.Disk = engine.DiskFaultPlan{
 			IOErrorRate: c.IOErrRate,
@@ -372,28 +367,6 @@ func (c *Case) jobSpec(pl engine.Platform, input dfs.Input, workers int, withFau
 	}
 	if c.CheckpointDiv > 0 {
 		spec.CheckpointEvery = maxDur(mapFinish/time.Duration(c.CheckpointDiv), time.Millisecond)
-	}
-	return spec
-}
-
-// realJobSpec assembles the faulted submission for the wall-clock
-// backend. The shared fault dimensions (task failures, stragglers,
-// speculation, checkpointing) carry over verbatim from jobSpec; the
-// virtual-time kill translates to its progress-anchored form — the
-// node dies at KillFracPct% of the map phase instead of KillFracPct%
-// of the clean MapFinishTime — and the real-only transient
-// shuffle-error rate is applied. Callers must gate on
-// realFaultCompatible: disk damage has no real-backend translation.
-func (c *Case) realJobSpec(pl engine.Platform, input dfs.Input, mapFinish time.Duration) engine.JobSpec {
-	spec := c.jobSpec(pl, input, 1, true, mapFinish)
-	f := &spec.Faults
-	if len(f.KillNodes) > 0 {
-		f.KillNodes = nil
-		f.KillAtMapProgress = map[int]float64{c.KillNode: float64(c.KillFracPct) / 100}
-	}
-	f.HeartbeatInterval, f.HeartbeatTimeout = 0, 0
-	if c.ShufErrPct > 0 {
-		f.ShuffleErrorRate = float64(c.ShufErrPct) / 100
 	}
 	return spec
 }

@@ -146,7 +146,7 @@ func genFaults(rng *rand.Rand, c *Case) {
 		c.Speculate = rng.Intn(2) == 0
 	}
 	if rng.Intn(10) < 3 {
-		c.ShufErrPct = 2 + rng.Intn(25) // real-backend leg only
+		c.ShufErrPct = 2 + rng.Intn(25)
 	}
 	if rng.Intn(10) < 4 {
 		c.IOErrRate = 0.01 + rng.Float64()*0.14

@@ -50,10 +50,11 @@ func (v *Verdict) addf(platform, check, format string, args ...any) {
 // RunCase executes one case on every platform it names and returns the
 // verdict. Per platform: a clean run checked against the oracle and
 // the accounting identities; if the case carries a fault schedule, a
-// faulted run (kill/checkpoint times anchored on the clean run's
-// MapFinishTime) checked the same way; a wall-clock backend run —
-// clean for fault-free cases (sixth leg), faulted for schedules both
-// clocks can express (seventh leg) — checked against the same oracle;
+// faulted run (heartbeat/checkpoint times anchored on the clean run's
+// MapFinishTime) checked the same way; a wall-clock backend run of the
+// same spec — clean for fault-free cases (sixth leg), faulted for
+// schedules without disk damage (seventh leg) — checked against the
+// same oracle;
 // and, on one seed-picked platform, a rerun with a different
 // worker-pool size whose Report must be DeepEqual to the base run's.
 func RunCase(c Case) Verdict {
@@ -97,16 +98,15 @@ func runPlatform(v *Verdict, c *Case, pl engine.Platform, input dfs.Input, oracl
 	// fault-free case must produce the same canonical answers on real
 	// goroutines with an in-memory shuffle as the DES run and the
 	// oracle.
-	if !c.faulted() && c.ShufErrPct == 0 {
+	if !c.faulted() {
 		checkRealBackend(v, c, name, pl, input, clean, oracle)
 	}
 
 	// Seventh differential leg: the wall-clock backend, faulted. Cases
-	// whose schedule both clocks can express (everything except disk
-	// damage) rerun on real goroutines with the kill translated to its
-	// map-progress anchor plus the real-only transient shuffle errors;
-	// recovery must leave the canonical answers bit-identical to the
-	// oracle. HOP rejects fault plans on both substrates.
+	// without disk damage rerun the DES's faulted spec on real
+	// goroutines; recovery must leave the canonical answers
+	// bit-identical to the oracle. HOP rejects fault plans on both
+	// substrates.
 	if c.realFaultCompatible() && pl != engine.HOP {
 		checkRealFaulted(v, c, name, pl, input, clean, oracle)
 	}
@@ -214,7 +214,7 @@ func checkRealFaulted(v *Verdict, c *Case, name string, pl engine.Platform, inpu
 		workers = 1
 	}
 	rep, err := safeRunReal(realexec.Spec{
-		Job:      c.realJobSpec(pl, input, clean.MapFinishTime),
+		Job:      c.jobSpec(pl, input, 1, true, clean.MapFinishTime),
 		NewQuery: func() mr.Query { return c.newQuery(false) },
 		Workers:  workers,
 	})

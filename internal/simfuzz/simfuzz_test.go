@@ -145,3 +145,46 @@ func TestCorpusReplay(t *testing.T) {
 		t.Error("corpus has no planted-mutation entry: the harness's bug-detection proof is missing")
 	}
 }
+
+// TestCorpusKillsRecover: the corpus entries that carry a node kill
+// still reach the recovery paths they were committed for on the DES
+// leg — the node is lost and reducers restart on every platform, and a
+// torn-write case repairs a torn checkpoint tail.
+func TestCorpusKillsRecover(t *testing.T) {
+	entries, err := LoadCorpus("testdata/corpus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var killed []string
+	for _, e := range entries {
+		c := e.Case.Clone()
+		c.Normalize()
+		if c.KillFracPct == 0 {
+			continue
+		}
+		killed = append(killed, e.Name)
+		input := c.Input()
+		for _, name := range c.Platforms {
+			pl := platformNames[name]
+			clean, err := safeRun(c.jobSpec(pl, input, 1, false, 0))
+			if err != nil {
+				t.Fatalf("%s/%s clean: %v", e.Name, name, err)
+			}
+			rep, err := safeRun(c.jobSpec(pl, input, 1, true, clean.MapFinishTime))
+			if err != nil {
+				t.Fatalf("%s/%s faulted: %v", e.Name, name, err)
+			}
+			if rep.NodesLost < 1 || rep.RestartedReduceTasks < 1 {
+				t.Errorf("%s/%s: NodesLost = %d, RestartedReduceTasks = %d, want ≥ 1 each",
+					e.Name, name, rep.NodesLost, rep.RestartedReduceTasks)
+			}
+			if c.TornWrites && rep.TornWritesRepaired < 1 {
+				t.Errorf("%s/%s: TornWritesRepaired = 0, want the torn tail repaired", e.Name, name)
+			}
+		}
+	}
+	want := []string{"checkpoint-output-epoch", "node-combine-shuffle-fold", "real-backend-chaos-recovery"}
+	if !reflect.DeepEqual(killed, want) {
+		t.Errorf("corpus entries with a kill = %q, want %q", killed, want)
+	}
+}

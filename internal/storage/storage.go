@@ -173,13 +173,13 @@ type DiskFaults struct {
 	CorruptRate float64
 	// Classes masks which I/O classes are targeted.
 	Classes [NumIOClasses]bool
-	// From/To bound the injection window in virtual nanoseconds;
-	// To == 0 means no upper bound.
-	From, To int64
+	// To ends the injection window [0, To) in virtual nanoseconds;
+	// 0 means no bound.
+	To int64
 }
 
 func (d *DiskFaults) window(now int64) bool {
-	return now >= d.From && (d.To == 0 || now < d.To)
+	return d.To == 0 || now < d.To
 }
 
 // Transient-I/O retry policy: exponential backoff from base to cap;

@@ -187,11 +187,11 @@ func Run(job Job) (*Report, error) { return engine.Run(job) }
 // are identical for any worker count and match the DES run; only
 // RunningTime, MapFinishTime, WallTime, Spans, and the two
 // timing-dependent recovery counters (FetchRetries, SpeculativeWins)
-// are measured. Fault plans and checkpointing run here too — kills are
-// anchored on map progress (FaultPlan.KillAtMapProgress) instead of
-// virtual time, and transient shuffle errors (ShuffleErrorRate)
-// replace the DES's disk I/O errors; plans using the DES-only
-// primitives (KillNodes, Disk) are rejected with a precise reason
+// are measured. Fault plans and checkpointing run here too, with the
+// same triggers as Run — kills at map progress
+// (FaultPlan.KillAtMapProgress), seeded transient shuffle errors
+// (ShuffleErrorRate); plans with disk damage (FaultPlan.Disk), which
+// stays simulation-only, are rejected with a precise reason
 // (Job.RealUnsupported). Job.Query is ignored.
 func RunReal(job Job, newQuery func() Query, workers int) (*Report, error) {
 	return realexec.Run(realexec.Spec{Job: job, NewQuery: newQuery, Workers: workers})
