@@ -26,10 +26,12 @@
 // answers and counters match the simulated run, while the reported
 // times are measured. Fault-injection and checkpoint flags mean the
 // same on both backends: -kill-node takes a map-progress percentage
-// (1@60% kills node 1 as 60% of the map tasks finish) and
-// -shuffle-error-rate rolls transient fetch errors. Disk damage
-// (-io-error-rate, -corrupt-rate, -torn-writes) runs on the simulation
-// only; the real backend refuses it up front with the reason.
+// (1@60% kills node 1 as 60% of the map tasks finish),
+// -shuffle-error-rate rolls transient fetch errors, and disk damage
+// (-io-error-rate, -corrupt-rate, -torn-writes) is injected during the
+// map phase and ends at the map barrier. The real backend's shuffle is
+// in memory, so there only sort-merge's map-side spills read damaged
+// bytes back, and torn writes repair nothing.
 package main
 
 import (
@@ -90,9 +92,9 @@ func parseArgs(args []string) (*options, error) {
 		memFlag = fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
 
 		sumFlag     = fs.Bool("checksums", false, "CRC32C-frame every persisted stream and verify on read")
-		ioErrFlag   = fs.Float64("io-error-rate", 0, "per-request probability of a transient disk I/O error")
-		corruptFlag = fs.Float64("corrupt-rate", 0, "per-write probability of a persisted bit flip (needs -checksums)")
-		tornFlag    = fs.Bool("torn-writes", false, "tear checkpoint tails when a killed node is declared dead (needs a -kill-node kill and -checksums)")
+		ioErrFlag   = fs.Float64("io-error-rate", 0, "per-request probability of a transient disk I/O error, until the map barrier")
+		corruptFlag = fs.Float64("corrupt-rate", 0, "per-write probability of a persisted bit flip, until the map barrier (needs -checksums)")
+		tornFlag    = fs.Bool("torn-writes", false, "tear checkpoint tails when a killed node is declared dead (needs a -kill-node kill and -checksums; repairs nothing on -backend real, whose killed reducers never checkpoint)")
 		skipFlag    = fs.Int64("skip-bad-records", 0, "bad-record quarantine budget per map task (0 = poison records fail the job)")
 	)
 	fs.Parse(args) // ExitOnError

@@ -76,10 +76,10 @@ func TestAttemptChainSpanNames(t *testing.T) {
 // twelve rolls on node 0 all hit, so the first reduce spill there
 // exhausts the budget.
 func TestAttemptChainHOPLengthOne(t *testing.T) {
-	const rate, seed = 0.25, 10382628
+	const rate, diskSeed = 0.25, 10382628
 	for seq := int64(1); seq <= 12; seq++ {
-		if !storage.Roll(rate, seed, 0, seq, 0) {
-			t.Fatalf("test setup: roll %d on node 0 misses under seed %d", seq, seed)
+		if !storage.Roll(rate, diskSeed, 0, seq, 0) {
+			t.Fatalf("test setup: roll %d on node 0 misses under disk seed %d", seq, diskSeed)
 		}
 	}
 	for _, pl := range []Platform{HOP, SortMerge} {
@@ -88,8 +88,8 @@ func TestAttemptChainHOPLengthOne(t *testing.T) {
 		spec.Hints.Km = 1
 		spec.Cluster.ReduceBuffer = 16 << 10 // force reduce spills
 		spec.Cluster.ReduceSlots = 1         // one reducer at a time draws node 0's rolls
-		spec.Faults.Disk = DiskFaultPlan{IOErrorRate: rate, Seed: seed,
-			Classes: []storage.IOClass{storage.ReduceSpill}, Nodes: []int{0}}
+		spec.Seed = diskSeed ^ 0x5eed1e57    // the disk seed is JobSpec.Seed ^ 0x5eed1e57
+		spec.Faults.Disk = DiskFaultPlan{IOErrorRate: rate, Classes: []storage.IOClass{storage.ReduceSpill}}
 		rep, err := Run(spec)
 		if pl == SortMerge {
 			// The control: same plan, restartable platform.

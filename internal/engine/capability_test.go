@@ -60,23 +60,6 @@ func TestFaultPlanActiveEdgeCases(t *testing.T) {
 			t.Errorf("%s: risky = %v, want %v", c.name, got, c.risky)
 		}
 	}
-
-	// A zero-window disk plan (To == 0) means "no window bound", not
-	// "never": the plan is active and injection applies at any virtual
-	// time.
-	zw := FaultPlan{Disk: DiskFaultPlan{IOErrorRate: 0.01}}
-	if !zw.Active() {
-		t.Error("zero-window disk plan is not Active")
-	}
-	if !zw.Disk.windowNS(0) || !zw.Disk.windowNS(int64(time.Hour)) {
-		t.Error("zero-window disk plan does not apply at all times")
-	}
-	// A window ending before time zero is rejected by validate.
-	spec := capabilitySpec(t)
-	spec.Faults = FaultPlan{Disk: DiskFaultPlan{IOErrorRate: 0.01, To: -time.Second}}
-	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "disk-fault window") {
-		t.Errorf("negative disk window end validated: %v", err)
-	}
 }
 
 // TestValidateKillAtMapProgress pins the validation envelope of the
@@ -130,12 +113,13 @@ func TestValidateKillAtMapProgress(t *testing.T) {
 	}
 }
 
-// TestBackendCapabilitySplit pins what is left of the split: the DES
-// runs every plan the real backend runs — progress kills and shuffle
-// errors included — and RealUnsupported names disk damage and nothing
-// else.
+// TestBackendCapabilitySplit pins that nothing is left of the split:
+// the DES runs one plan with every trigger the real backend runs —
+// progress kills, shuffle errors and disk damage included — and each
+// registers.
 func TestBackendCapabilitySplit(t *testing.T) {
 	shared := capabilitySpec(t)
+	shared.Cluster.Checksums = true
 	shared.Faults = FaultPlan{
 		KillAtMapProgress: map[int]float64{1: 0.5},
 		MapFailures:       map[int]int{0: 1},
@@ -143,24 +127,16 @@ func TestBackendCapabilitySplit(t *testing.T) {
 		SlowNodes:         map[int]float64{2: 2},
 		Speculate:         true,
 		ShuffleErrorRate:  0.2,
+		Disk:              DiskFaultPlan{IOErrorRate: 0.05, CorruptRate: 0.05, TornWrites: true},
 	}
 	shared.CheckpointEvery = time.Second
-	if msg := shared.RealUnsupported(); msg != "" {
-		t.Errorf("shared plan RealUnsupported = %q, want \"\"", msg)
-	}
 	rep, err := Run(shared)
 	if err != nil {
 		t.Fatalf("engine.Run refused a plan the real backend runs: %v", err)
 	}
-	if rep.NodesLost != 1 || rep.FetchRetries == 0 {
-		t.Errorf("NodesLost = %d, FetchRetries = %d: kill or shuffle errors inert on the DES",
-			rep.NodesLost, rep.FetchRetries)
-	}
-
-	disk := capabilitySpec(t)
-	disk.Faults = FaultPlan{Disk: DiskFaultPlan{IOErrorRate: 0.01}}
-	if msg := disk.RealUnsupported(); !strings.Contains(msg, "disk-fault injection") || !strings.Contains(msg, "DES-only") {
-		t.Errorf("RealUnsupported = %q, want the disk-damage diagnosis", msg)
+	if rep.NodesLost != 1 || rep.FetchRetries == 0 || rep.IORetries == 0 {
+		t.Errorf("NodesLost = %d, FetchRetries = %d, IORetries = %d: kill, shuffle errors or disk damage inert on the DES",
+			rep.NodesLost, rep.FetchRetries, rep.IORetries)
 	}
 }
 

@@ -20,11 +20,12 @@
 // both, and maptask.go / reducetask.go here are only the simulation's
 // driver over those bodies. Fault injection and checkpointed recovery
 // run on both substrates with the same structural triggers: a node dies
-// when the job's K-th map task completes (FaultPlan.KillAtMapProgress)
-// and shuffle fetches roll seeded transient errors (ShuffleErrorRate);
-// here the heartbeat detector then models detection delay in virtual
-// time. Only the virtual-time schedule (progress curves, timelines) and
-// disk-damage injection remain simulation-only (RealUnsupported).
+// when the job's K-th map task completes (FaultPlan.KillAtMapProgress),
+// shuffle fetches roll seeded transient errors (ShuffleErrorRate), and
+// disk damage (FaultPlan.Disk) is live during the map phase and ends at
+// the map barrier; here the heartbeat detector then models detection
+// delay in virtual time. Only the virtual-time schedule (progress
+// curves, timelines) remains simulation-only.
 package engine
 
 import (
@@ -173,8 +174,7 @@ func PaperCluster(m cost.Model) ClusterConfig {
 // JobSpec is a complete job submission, accepted by both substrates
 // (engine.Run and internal/realexec). The wall-clock backend ignores
 // Query — it builds a fresh instance per task from a factory. Fault
-// plans and CheckpointEvery run on both substrates; the wall-clock
-// backend rejects only disk damage (RealUnsupported).
+// plans and CheckpointEvery run on both substrates.
 type JobSpec struct {
 	Query    mr.Query
 	Input    dfs.Input
@@ -415,14 +415,6 @@ func (s *JobSpec) Validate() error {
 			return errSpec("disk-fault I/O class out of range")
 		}
 	}
-	for _, idx := range d.Nodes {
-		if idx < 0 || idx >= c.Nodes {
-			return errSpec("disk-fault node index out of range")
-		}
-	}
-	if d.To < 0 {
-		return errSpec("disk-fault window end must be ≥ 0")
-	}
 	if d.needsRecovery() && !c.Checksums {
 		// Without checksums a flipped bit or torn tail would silently
 		// change answers; reject rather than mis-simulate.
@@ -430,9 +422,6 @@ func (s *JobSpec) Validate() error {
 	}
 	if d.TornWrites && len(f.KillAtMapProgress) == 0 {
 		return errSpec("torn writes surface at node kills: KillAtMapProgress is required")
-	}
-	if d.any() && d.Seed == 0 {
-		d.Seed = s.Seed ^ 0x5eed1e57
 	}
 	if s.Platform == HOP && f.any() {
 		// HOP's eager pipelining publishes map output as it is produced;
@@ -456,9 +445,9 @@ func (s *JobSpec) Validate() error {
 
 // FaultPlan describes injected failures: per-task attempt failures,
 // whole-node crashes at map-progress points, transient shuffle errors,
-// slow (straggler) nodes, and speculative re-execution of stragglers.
-// Every trigger is a function of the job spec, so both backends run
-// the same plan (Disk damage aside, which only the DES runs).
+// slow (straggler) nodes, speculative re-execution of stragglers, and
+// disk damage. Every trigger is a function of the job spec, so both
+// backends run the same plan.
 type FaultPlan struct {
 	// MapFailures maps a chunk index to the number of attempts that
 	// fail before one succeeds.
@@ -530,12 +519,20 @@ type FaultPlan struct {
 // DiskFaultPlan describes deterministic, seeded disk-fault injection —
 // the quiet failure mode under the node crashes above: flaky devices,
 // bit rot, and writes cut mid-flight. Decisions are drawn per request
-// from the seed, so a faulted run is exactly reproducible for any
-// worker-pool size.
+// from JobSpec.Seed (StoreFaults), so a faulted run is exactly
+// reproducible for any worker-pool size.
+//
+// Injection is live during the map phase and ends at the map barrier:
+// on the DES at the virtual instant the last map task completes, on the
+// wall-clock backend for the map attempts that run before its barrier.
+// Every attempt that starts after the barrier runs clean, so every plan
+// is survivable. What each backend reads back differs: the DES reads
+// map outputs, reduce spills and checkpoints written before the
+// barrier; the wall-clock backend shuffles in memory, so only
+// sort-merge's map-side spills are read back and verified there, and
+// torn writes repair nothing (a killed node's reducers are displaced
+// before they checkpoint). Answers are identical on both.
 type DiskFaultPlan struct {
-	// Seed drives all injection decisions (0: derived from JobSpec.Seed).
-	Seed int64
-
 	// IOErrorRate is the per-request probability of a transient I/O
 	// error. The storage layer retries with exponential backoff
 	// (bounded); the job's answers are unchanged, only virtual time and
@@ -559,13 +556,6 @@ type DiskFaultPlan struct {
 
 	// Classes restricts injection to these I/O classes (empty: all).
 	Classes []storage.IOClass
-
-	// Nodes restricts injection to these node indices (empty: all).
-	Nodes []int
-
-	// To ends the injection window [0, To) in virtual time (0 means no
-	// bound).
-	To time.Duration
 }
 
 // any reports whether the plan injects anything at all.
@@ -580,53 +570,31 @@ func (d *DiskFaultPlan) needsRecovery() bool {
 	return d.CorruptRate > 0 || d.TornWrites
 }
 
-// windowNS reports whether virtual time now (ns) falls inside the
-// injection window.
-func (d *DiskFaultPlan) windowNS(now int64) bool {
-	return d.To == 0 || now < int64(d.To)
-}
+// diskSeed is the seed every disk-fault decision is drawn from.
+func (s *JobSpec) diskSeed() int64 { return s.Seed ^ 0x5eed1e57 }
 
-// targetsNode reports whether injection applies on node idx.
-func (d *DiskFaultPlan) targetsNode(idx int) bool {
-	if len(d.Nodes) == 0 {
-		return true
-	}
-	for _, n := range d.Nodes {
-		if n == idx {
-			return true
-		}
-	}
-	return false
-}
-
-// classMask expands the Classes list (empty: all) into a lookup array.
-func (d *DiskFaultPlan) classMask() [storage.NumIOClasses]bool {
-	var m [storage.NumIOClasses]bool
-	if len(d.Classes) == 0 {
-		for i := range m {
-			m[i] = true
-		}
-		return m
-	}
-	for _, c := range d.Classes {
-		m[c] = true
-	}
-	return m
-}
-
-// storeFaults builds the storage-layer injection config for one node,
-// or nil if the node is untargeted or nothing is injected.
-func (d *DiskFaultPlan) storeFaults(idx int) *storage.DiskFaults {
-	if !d.any() || !d.targetsNode(idx) {
+// StoreFaults builds the storage-layer injection config for one store
+// in the map phase, or nil when the plan injects no disk damage. Both
+// drivers call it: the DES once per node store, whose sequence runs
+// across every task on the node, and the wall-clock backend once per
+// map attempt's store, passing ids = (chunk, attempt) so that two
+// attempts on one node draw different sequences.
+func (s *JobSpec) StoreFaults(ids ...int64) *storage.DiskFaults {
+	d := &s.Faults.Disk
+	if !d.any() {
 		return nil
 	}
-	return &storage.DiskFaults{
-		Seed:        d.Seed,
-		IOErrorRate: d.IOErrorRate,
-		CorruptRate: d.CorruptRate,
-		Classes:     d.classMask(),
-		To:          int64(d.To),
+	df := &storage.DiskFaults{Seed: s.diskSeed(), IOErrorRate: d.IOErrorRate, CorruptRate: d.CorruptRate}
+	if len(ids) > 0 {
+		df.Seed = int64(storage.Hash64(append([]int64{df.Seed}, ids...)...))
 	}
+	for c := range df.Classes {
+		df.Classes[c] = len(d.Classes) == 0
+	}
+	for _, c := range d.Classes {
+		df.Classes[c] = true
+	}
+	return df
 }
 
 // Active reports whether the plan injects anything at all — task
@@ -685,17 +653,6 @@ func (s *JobSpec) ShuffleFetchFails(ridx, chunk, seq, attempt, try int) bool {
 	rate := s.Faults.ShuffleErrorRate
 	return rate > 0 && storage.Roll(rate, s.Seed^0x0f377a11,
 		int64(ridx), int64(chunk), int64(seq), int64(attempt), int64(try))
-}
-
-// RealUnsupported names the fault feature in the spec that remains
-// DES-only — disk damage — or returns "" if the wall-clock backend
-// (internal/realexec) can run the whole plan. The real backend rejects
-// specs with a non-empty answer.
-func (s *JobSpec) RealUnsupported() string {
-	if s.Faults.Disk.any() {
-		return "disk-fault injection (I/O errors, corruption, torn writes) remains DES-only"
-	}
-	return ""
 }
 
 // needsTracker reports whether the run needs the failure-detector /

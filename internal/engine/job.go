@@ -107,10 +107,8 @@ func Run(spec JobSpec) (*Report, error) {
 		j.nodes[idx].slow = factor
 		j.nodes[idx].store.SlowFactor = factor
 	}
-	for idx, n := range j.nodes {
-		if df := faults.Disk.storeFaults(idx); df != nil {
-			n.store.SetFaults(df)
-		}
+	for _, n := range j.nodes {
+		n.store.SetFaults(spec.StoreFaults()) // cleared at the map barrier (countMapDone)
 	}
 	j.tracker = newTracker(j)
 	j.shuffle.retain = spec.ReduceRestarts()

@@ -245,12 +245,16 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 }
 
 // countMapDone records one completed map task at virtual time now: the
-// last completion finishes the map phase, and a node in
-// Faults.KillAtMapProgress crashes at the K-th (JobFrame.KillAfter).
+// last completion finishes the map phase and ends disk-damage injection
+// (the map barrier), and a node in Faults.KillAtMapProgress crashes at
+// the K-th (JobFrame.KillAfter).
 func (j *job) countMapDone(now int64) {
 	j.mapsDone++
 	if j.mapsDone == j.TotalMaps {
 		j.mapFinish = now
+		for _, n := range j.nodes {
+			n.store.SetFaults(nil)
+		}
 	}
 	for idx, k := range j.KillAfter {
 		if n := j.nodes[idx]; n.deadAt < 0 && j.mapsDone >= k {

@@ -281,7 +281,7 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 			return failOut()
 		}
 		if red.Incremental() && ckptEvery > 0 && p.Now()-lastCkpt >= ckptEvery {
-			j.takeCheckpoint(p, rs, n, red)
+			j.takeCheckpoint(rs, n, red)
 			lastCkpt = p.Now()
 		}
 
@@ -343,16 +343,15 @@ func (j *job) snapshot(red *TaskReducer, n *node) {
 
 // takeCheckpoint commits a checkpoint of the attempt's reducer state
 // and consumed-set and chains it onto the task. The previous image is
-// kept as a fallback; under fault injection the freshly written frame
-// may be bit-flipped here — detected by restore, exactly like bit rot on
-// the replicated copy.
-func (j *job) takeCheckpoint(p *sim.Proc, rs *reduceState, n *node, red *TaskReducer) {
+// kept as a fallback; while the node's store injects disk damage (the
+// map phase) the freshly written frame may be bit-flipped here —
+// detected by restore, exactly like bit rot on the replicated copy.
+func (j *job) takeCheckpoint(rs *reduceState, n *node, red *TaskReducer) {
 	ck := red.TakeCheckpoint(rs.ckpt, rs.consumed, rs.consumedN)
-	if d := &j.spec.Faults.Disk; d.CorruptRate > 0 && d.targetsNode(n.idx) &&
-		d.classMask()[storage.Checkpoint] && d.windowNS(p.Now()) {
+	if fl := n.store.Faults(); fl != nil && fl.CorruptRate > 0 && fl.Classes[storage.Checkpoint] {
 		j.ckptSeq++
-		if storage.Roll(d.CorruptRate, d.Seed, int64(n.idx), j.ckptSeq, 4) {
-			bit := storage.Hash64(d.Seed, int64(n.idx), j.ckptSeq, 5) % uint64(len(ck.framed)*8)
+		if storage.Roll(fl.CorruptRate, fl.Seed, int64(n.idx), j.ckptSeq, 4) {
+			bit := storage.Hash64(fl.Seed, int64(n.idx), j.ckptSeq, 5) % uint64(len(ck.framed)*8)
 			ck.framed[bit/8] ^= 1 << (bit % 8)
 		}
 	}

@@ -130,7 +130,7 @@ func (t *tracker) declare(n *node) {
 // seed; any truncation fails the frame's exact-span CRC check, so
 // restore detects it and falls back to the previous good image.
 func (t *tracker) tearCheckpoints(n *node) {
-	d := &t.j.spec.Faults.Disk
+	seed := t.j.spec.diskSeed()
 	for i := range t.rstates {
 		rs := &t.rstates[i]
 		if rs.done || rs.node != n || rs.ckpt == nil || rs.ckpt.torn {
@@ -140,7 +140,7 @@ func (t *tracker) tearCheckpoints(n *node) {
 		if len(ck.framed) < 2 {
 			continue
 		}
-		cut := 1 + int64(storage.Hash64(d.Seed, int64(n.idx), int64(rs.ridx), 6)%uint64(len(ck.framed)-1))
+		cut := 1 + int64(storage.Hash64(seed, int64(n.idx), int64(rs.ridx), 6)%uint64(len(ck.framed)-1))
 		ck.framed = ck.framed[:cut]
 		ck.torn = true
 	}

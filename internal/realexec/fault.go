@@ -20,6 +20,9 @@
 //     transient plans are deterministic;
 //   - checkpoints trigger on the attempt's virtual CPU ledger, the
 //     deterministic stand-in for the DES's virtual clock;
+//   - disk damage is rolled per map attempt before the barrier, from a
+//     seed folding in (chunk, attempt) (engine.JobSpec.StoreFaults),
+//     so IORetries and CorruptFramesDetected are deterministic;
 //   - speculative backups are structural: every map task on a live
 //     straggler node races one backup on a healthy peer. Both
 //     attempts run to completion and the claim is taken only at
@@ -264,8 +267,9 @@ func (r *run) transientRetries(ridx int, u *unit, attempt int) {
 }
 
 // rtask is one reduce task's cross-attempt recovery state. The
-// checkpoint is logically replicated off-node; with no disk-damage
-// injection on this backend only the newest image is kept.
+// checkpoint is logically replicated off-node; reduce attempts run
+// after the map barrier, where no disk damage is injected, so only the
+// newest image is kept.
 type rtask struct {
 	ckpt        *engine.Checkpoint
 	everFetched []bool

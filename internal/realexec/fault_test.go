@@ -13,6 +13,7 @@ import (
 	"repro/internal/kvenc"
 	"repro/internal/mr"
 	"repro/internal/queries"
+	"repro/internal/storage"
 )
 
 // chaosJob is the canonical faulted-run job: the golden clickcount
@@ -184,7 +185,8 @@ func TestFaultedAnswerConformance(t *testing.T) {
 // killed halfway through the map tasks, two map failures at fail-point
 // 0.5, a 3× straggler under speculation, 5% transient shuffle errors
 // and, on the incremental platforms, checkpointing. Each backend must
-// answer exactly as the clean run, lose the node and retry fetches.
+// answer exactly as the clean run, lose the node and retry fetches. A
+// second row runs a disk-damage plan on both backends.
 func TestFaultedBackendParity(t *testing.T) {
 	for _, pl := range []engine.Platform{engine.SortMerge, engine.MRHash, engine.INCHash, engine.DINCHash} {
 		t.Run(pl.String(), func(t *testing.T) {
@@ -213,6 +215,77 @@ func TestFaultedBackendParity(t *testing.T) {
 				}
 			}
 		})
+	}
+
+	// Disk damage on both backends: transient I/O errors and write-time
+	// bit flips until the map barrier, with a map buffer small enough that
+	// sort-merge spills map-side. The DES reads damaged frames back on
+	// every platform (one reduce slot and a one-output slot cache send
+	// second-wave fetches to disk); the real backend shuffles in memory,
+	// so only sort-merge's map-side spills are read back and verified
+	// there.
+	for _, pl := range []engine.Platform{engine.SortMerge, engine.MRHash, engine.INCHash, engine.DINCHash} {
+		t.Run("disk/"+pl.String(), func(t *testing.T) {
+			job := chaosJob(t, pl)
+			job.Input = testClicks(t, 192<<10, 12<<10)
+			job.Cluster.Checksums = true
+			job.Cluster.MapBuffer = 1 << 10
+			job.Cluster.SlotCache, job.Cluster.ReduceSlots = 1, 1
+			clean := runReal(t, job, queries.NewClickCount, 4)
+			job.Faults.Disk = engine.DiskFaultPlan{IOErrorRate: 0.05, CorruptRate: 0.2}
+
+			des := runEngine(t, job, queries.NewClickCount)
+			requireSameAnswers(t, clean, des, "engine")
+			if des.IORetries == 0 || des.CorruptFramesDetected == 0 {
+				t.Errorf("engine: IORetries = %d, CorruptFramesDetected = %d, want > 0 each",
+					des.IORetries, des.CorruptFramesDetected)
+			}
+
+			var base *engine.Report
+			for _, workers := range []int{1, 4, 8} {
+				rep := runReal(t, job, queries.NewClickCount, workers)
+				requireSameAnswers(t, clean, rep, fmt.Sprintf("real, %d workers", workers))
+				if base == nil {
+					base = rep
+				} else if a, b := stableReport(base), stableReport(rep); !reflect.DeepEqual(a, b) {
+					t.Errorf("real, %d workers: report differs from 1 worker (field %s)", workers, engine.ReportDiff(a, b))
+				}
+			}
+			if wantCorrupt := pl == engine.SortMerge; base.IORetries == 0 || (base.CorruptFramesDetected > 0) != wantCorrupt {
+				t.Errorf("real: IORetries = %d, CorruptFramesDetected = %d, want > 0 and (> 0) == %v",
+					base.IORetries, base.CorruptFramesDetected, wantCorrupt)
+			}
+		})
+	}
+}
+
+// TestDiskDamageEndsAtMapBarrier: on both backends disk damage is live
+// in the map phase only. A 90% I/O error rate on the job output, which
+// is written only after every map task has finished, injects nothing;
+// the same rate on the map input is retried. Answers equal the clean
+// run's either way.
+func TestDiskDamageEndsAtMapBarrier(t *testing.T) {
+	clean := runReal(t, chaosJob(t, engine.MRHash), queries.NewClickCount, 4)
+	for _, backend := range []string{"engine", "real"} {
+		for _, c := range []struct {
+			class   storage.IOClass
+			retries bool
+		}{{storage.ReduceOutput, false}, {storage.MapInput, true}} {
+			t.Run(fmt.Sprintf("%s/%s", backend, c.class), func(t *testing.T) {
+				job := chaosJob(t, engine.MRHash)
+				job.Faults.Disk = engine.DiskFaultPlan{IOErrorRate: 0.9, Classes: []storage.IOClass{c.class}}
+				var rep *engine.Report
+				if backend == "engine" {
+					rep = runEngine(t, job, queries.NewClickCount)
+				} else {
+					rep = runReal(t, job, queries.NewClickCount, 4)
+				}
+				requireSameAnswers(t, clean, rep, backend)
+				if (rep.IORetries > 0) != c.retries {
+					t.Errorf("IORetries = %d, want > 0: %v", rep.IORetries, c.retries)
+				}
+			})
+		}
 	}
 }
 

@@ -28,12 +28,11 @@
 // the chain that succeeds at attempt 0. Fault plans and checkpointing
 // ride those loops: node kills anchored to map-progress points,
 // stragglers, per-attempt map/reduce failures, transient shuffle-read
-// errors, speculative map backups, and checkpointed INC/DINC reducer
-// state all execute with the seeded, structural triggers the DES runs
-// too, so answers and logical counters stay bit-identical to the
-// fault-free run. Only disk-damage injection (FaultPlan.Disk) remains
-// DES-only, and Run rejects it by name
-// (engine.JobSpec.RealUnsupported).
+// errors, speculative map backups, checkpointed INC/DINC reducer state
+// and disk damage all execute with the seeded, structural triggers the
+// DES runs too, so answers stay bit-identical to the fault-free run.
+// Disk damage (FaultPlan.Disk) is injected into the stores of the map
+// attempts that run before the barrier; every later store runs clean.
 package realexec
 
 import (
@@ -99,6 +98,10 @@ type run struct {
 	units    []*unit
 	globalWM int64
 	hasWM    bool
+	// pastBarrier is set once every map chain has returned: stores opened
+	// after it (re-executions, combine folds, reducers) inject no disk
+	// damage.
+	pastBarrier bool
 
 	// comb is the in-node combine plan (engine/task_combine.go), folded
 	// at the map barrier; no chunk deposits into it unless the spec
@@ -133,11 +136,6 @@ func Run(s Spec) (*engine.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Capability check, not a blanket rejection: fault plans and
-	// checkpointing run here; only disk damage is refused, by name.
-	if msg := spec.RealUnsupported(); msg != "" {
-		return nil, fmt.Errorf("realexec: %s", msg)
-	}
 	workers := s.Workers
 	if workers < 1 {
 		workers = 1
@@ -165,6 +163,7 @@ func Run(s Spec) (*engine.Report, error) {
 		mapExtra = append(mapExtra, ch.extras...)
 	}
 	mapFinish := time.Since(r.start)
+	r.pastBarrier = true
 
 	// Barrier: collect the cached shuffle units in (chunk, spill) order
 	// and resolve the global watermark — the same horizon the reference
@@ -339,17 +338,30 @@ type mapResult struct {
 // fault-free task is attempt 0 with no injection. When inject is set
 // the attempt dies at the spec's FailPoint through the chunk; when
 // claim is non-nil the attempt races a speculative twin and only the
-// first to claim publishes.
+// first to claim publishes. Before the barrier the attempt's store
+// injects the plan's disk damage, and a checksum failure or exhausted
+// I/O retry budget fails the attempt as engine/maptask.go does.
 func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic.Bool) (res *mapResult) {
 	res = &mapResult{node: node}
+	p := substrate.NewWallProc(r.start)
+	taskStart := p.Now()
+	span := func(kind string) engine.Span {
+		return engine.Span{Name: fmt.Sprintf("map%06d#%d", chunk, attempt), Kind: kind, Node: node,
+			Start: time.Duration(taskStart), End: time.Duration(p.Now())}
+	}
 	defer func() {
 		if rec := recover(); rec != nil {
+			if _, ok := rec.(*storage.Corruption); ok {
+				res.failed, res.span = true, span("map-corrupt")
+				return
+			}
 			res.err = fmt.Errorf("realexec: map task %d attempt %d: %v", chunk, attempt, rec)
 		}
 	}()
-	p := substrate.NewWallProc(r.start)
-	taskStart := p.Now()
 	st := r.newStore(node)
+	if !r.pastBarrier {
+		st.SetFaults(r.spec.StoreFaults(int64(chunk), int64(attempt)))
+	}
 	res.store = st
 	rt := r.newRuntime(p, st, &res.ledger)
 	q := r.newQ()
@@ -384,11 +396,7 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic
 		if failAt >= 0 && end >= failAt {
 			// Injected attempt death at the same byte offset the DES
 			// uses: all work done so far is discarded and wasted.
-			res.failed = true
-			res.span = engine.Span{
-				Name: fmt.Sprintf("map%06d#%d", chunk, attempt), Kind: "map-failed", Node: node,
-				Start: time.Duration(taskStart), End: time.Duration(p.Now()),
-			}
+			res.failed, res.span = true, span("map-failed")
 			return res
 		}
 	}
@@ -399,11 +407,7 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic
 	if claim != nil && !claim.CompareAndSwap(false, true) {
 		// The speculative twin claimed first: suppress the duplicate —
 		// nothing is published, the completed compute is wasted.
-		res.superseded = true
-		res.span = engine.Span{
-			Name: fmt.Sprintf("map%06d#%d", chunk, attempt), Kind: "map-superseded", Node: node,
-			Start: time.Duration(taskStart), End: time.Duration(p.Now()),
-		}
+		res.superseded, res.span = true, span("map-superseded")
 		return res
 	}
 	if !hop {
@@ -417,10 +421,7 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic
 				r.publish(p, st, fmt.Sprintf("map%06d.a%d.out", chunk, attempt), chunk, 0, parts))
 		}
 	}
-	res.span = engine.Span{
-		Name: fmt.Sprintf("map%06d#%d", chunk, attempt), Kind: "map", Node: node,
-		Start: time.Duration(taskStart), End: time.Duration(p.Now()),
-	}
+	res.span = span("map")
 	return res
 }
 

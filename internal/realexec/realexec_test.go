@@ -278,29 +278,15 @@ func TestWorkerCountConformance(t *testing.T) {
 	}
 }
 
-// TestRealBackendCapabilityErrors pins the substrate boundary as a
-// capability split, not a blanket rejection: the real backend runs
-// fault plans and checkpointing and refuses by name only disk damage,
-// which stays DES-only.
+// TestRealBackendCapabilityErrors pins that the real backend refuses no
+// spec the engine validates: one plan with every fault trigger —
+// progress-point kills, stragglers, speculation, task failures,
+// transient shuffle errors, checkpointing and disk damage — runs, the
+// same plan the DES runs. What is left to refuse is a missing query
+// factory.
 func TestRealBackendCapabilityErrors(t *testing.T) {
-	runWith := func(job engine.JobSpec) error {
-		_, err := realexec.Run(realexec.Spec{Job: job, NewQuery: queries.NewClickCount, Workers: 2})
-		return err
-	}
-
 	job := goldenJob(t, engine.INCHash)
-	job.Faults = engine.FaultPlan{Disk: engine.DiskFaultPlan{IOErrorRate: 0.01}}
-	err := runWith(job)
-	if err == nil {
-		t.Error("disk-fault plan accepted by the real backend")
-	} else if want := "realexec: disk-fault injection (I/O errors, corruption, torn writes) remains DES-only"; err.Error() != want {
-		t.Errorf("disk-fault rejection = %q, want %q", err, want)
-	}
-
-	// Everything else runs: progress-point kills, stragglers,
-	// speculation, task failures, transient shuffle errors, and
-	// checkpointing, the same plans the DES runs.
-	job = goldenJob(t, engine.INCHash)
+	job.Cluster.Checksums = true
 	job.Faults = engine.FaultPlan{
 		KillAtMapProgress: map[int]float64{1: 0.5},
 		SlowNodes:         map[int]float64{2: 3},
@@ -308,9 +294,10 @@ func TestRealBackendCapabilityErrors(t *testing.T) {
 		ReduceFailures:    map[int]int{1: 1},
 		ShuffleErrorRate:  0.02,
 		Speculate:         true,
+		Disk:              engine.DiskFaultPlan{IOErrorRate: 0.01, CorruptRate: 0.01, TornWrites: true},
 	}
 	job.CheckpointEvery = time.Millisecond
-	if err := runWith(job); err != nil {
+	if _, err := realexec.Run(realexec.Spec{Job: job, NewQuery: queries.NewClickCount, Workers: 2}); err != nil {
 		t.Errorf("faulted job rejected by the real backend: %v", err)
 	}
 

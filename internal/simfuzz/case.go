@@ -114,10 +114,11 @@ type Case struct {
 	ScanEvery     int64   `json:"scan_every,omitempty"`     // DINC scavenger period
 	SnapshotEvery float64 `json:"snapshot_every,omitempty"` // HOP snapshots
 
-	// Fault schedule. The kill fires at a map-progress point; heartbeat,
-	// checkpoint and disk-window times are stored as fractions of the
-	// platform's clean-run MapFinishTime (measured by the runner), so
-	// the schedule stays meaningful as other knobs shrink.
+	// Fault schedule. The kill fires at a map-progress point and disk
+	// damage ends at the map barrier; heartbeat and checkpoint times are
+	// stored as fractions of the platform's clean-run MapFinishTime
+	// (measured by the runner), so the schedule stays meaningful as other
+	// knobs shrink.
 	MapFails      []Fail  `json:"map_fails,omitempty"`
 	ReduceFails   []Fail  `json:"reduce_fails,omitempty"`
 	FailPoint     float64 `json:"fail_point,omitempty"`
@@ -131,8 +132,7 @@ type Case struct {
 	CorruptRate   float64 `json:"corrupt_rate,omitempty"`
 	TornWrites    bool    `json:"torn_writes,omitempty"`
 	DiskClasses   []int   `json:"disk_classes,omitempty"`
-	DiskWindowPct int     `json:"disk_window_pct,omitempty"` // disk-fault window [0, pct% of MapFinishTime)
-	CheckpointDiv int     `json:"checkpoint_div,omitempty"`  // CheckpointEvery = MapFinishTime/div; 0 = off
+	CheckpointDiv int     `json:"checkpoint_div,omitempty"` // CheckpointEvery = MapFinishTime/div; 0 = off
 
 	// Platforms this case runs differentially (platform name strings).
 	Platforms []string `json:"platforms"`
@@ -191,14 +191,6 @@ func (c *Case) taskFaults() bool { return len(c.MapFails) > 0 || len(c.ReduceFai
 func (c *Case) faulted() bool {
 	return c.taskFaults() || c.KillFracPct > 0 || c.SlowFactor > 1 || c.ShufErrPct > 0 ||
 		c.IOErrRate > 0 || c.CorruptRate > 0 || c.TornWrites || c.CheckpointDiv > 0
-}
-
-// realFaultCompatible reports whether the wall-clock backend can run
-// this case's fault schedule — the seventh differential leg. Disk
-// damage (transient I/O errors, corruption, torn writes) stays
-// DES-only; everything else runs on both backends as the same spec.
-func (c *Case) realFaultCompatible() bool {
-	return c.faulted() && c.IOErrRate == 0 && c.CorruptRate == 0 && !c.TornWrites
 }
 
 // hopCompatible reports whether the hop platform can run this case:
@@ -292,9 +284,8 @@ func (c *Case) clusterConfig(workers int) engine.ClusterConfig {
 
 // jobSpec assembles the complete submission for one platform, the same
 // spec on both backends. withFaults includes the fault schedule, with
-// heartbeat, checkpoint and disk-window times anchored on mapFinish
-// (the platform's clean-run MapFinishTime, measured by the runner
-// first).
+// heartbeat and checkpoint times anchored on mapFinish (the platform's
+// clean-run MapFinishTime, measured by the runner first).
 func (c *Case) jobSpec(pl engine.Platform, input dfs.Input, workers int, withFaults bool, mapFinish time.Duration) engine.JobSpec {
 	spec := engine.JobSpec{
 		Query:         c.newQuery(false),
@@ -353,16 +344,6 @@ func (c *Case) jobSpec(pl engine.Platform, input dfs.Input, workers int, withFau
 		}
 		for _, cl := range c.DiskClasses {
 			f.Disk.Classes = append(f.Disk.Classes, storage.IOClass(cl))
-		}
-		// Bound the injection window so recovery always converges.
-		// Sustained spill corruption is unwinnable: an attempt spilling W
-		// frames survives with probability (1-rate)^W, so a rate applied
-		// for the whole run can keep every reduce attempt failing on its
-		// own spill and the retry ladder never terminates. A window
-		// anchored on the clean map-finish time still exercises detection
-		// and recovery — re-writes after the window heal.
-		if c.DiskWindowPct > 0 {
-			f.Disk.To = maxDur(mapFinish*time.Duration(c.DiskWindowPct)/100, time.Millisecond)
 		}
 	}
 	if c.CheckpointDiv > 0 {
@@ -608,17 +589,6 @@ func (c *Case) Normalize() {
 	if c.IOErrRate == 0 && c.CorruptRate == 0 && !c.TornWrites {
 		c.DiskClasses = nil
 	}
-	if c.IOErrRate > 0 || c.CorruptRate > 0 {
-		// Corruption (and for uniformity any rate-based disk fault) must
-		// run in a bounded window or reduce attempts can fail on their
-		// own spill forever; see jobSpec.
-		if c.DiskWindowPct == 0 {
-			c.DiskWindowPct = 150
-		}
-		c.DiskWindowPct = clampInt(c.DiskWindowPct, 25, 400)
-	} else {
-		c.DiskWindowPct = 0
-	}
 
 	// Task-failure indices must land on real tasks.
 	chunks := c.Input().NumChunks()
@@ -672,7 +642,6 @@ func (c *Case) clearFaults() {
 	c.IOErrRate, c.CorruptRate = 0, 0
 	c.TornWrites = false
 	c.DiskClasses = nil
-	c.DiskWindowPct = 0
 	c.CheckpointDiv = 0
 }
 

@@ -52,9 +52,7 @@ func (v *Verdict) addf(platform, check, format string, args ...any) {
 // the accounting identities; if the case carries a fault schedule, a
 // faulted run (heartbeat/checkpoint times anchored on the clean run's
 // MapFinishTime) checked the same way; a wall-clock backend run of the
-// same spec — clean for fault-free cases (sixth leg), faulted for
-// schedules without disk damage (seventh leg) — checked against the
-// same oracle;
+// case's own spec, clean or faulted, checked against the same oracle;
 // and, on one seed-picked platform, a rerun with a different
 // worker-pool size whose Report must be DeepEqual to the base run's.
 func RunCase(c Case) Verdict {
@@ -93,23 +91,7 @@ func runPlatform(v *Verdict, c *Case, pl engine.Platform, input dfs.Input, oracl
 	}
 	checkAnswers(v, c, name+"/clean", clean, oracle)
 	checkReport(v, c, name+"/clean", clean, false)
-
-	// Sixth differential leg: the wall-clock backend, clean. Every
-	// fault-free case must produce the same canonical answers on real
-	// goroutines with an in-memory shuffle as the DES run and the
-	// oracle.
-	if !c.faulted() {
-		checkRealBackend(v, c, name, pl, input, clean, oracle)
-	}
-
-	// Seventh differential leg: the wall-clock backend, faulted. Cases
-	// without disk damage rerun the DES's faulted spec on real
-	// goroutines; recovery must leave the canonical answers
-	// bit-identical to the oracle. HOP rejects fault plans on both
-	// substrates.
-	if c.realFaultCompatible() && pl != engine.HOP {
-		checkRealFaulted(v, c, name, pl, input, clean, oracle)
-	}
+	checkReal(v, c, name, pl, input, clean, oracle)
 
 	base, kind := clean, "clean"
 	if c.faulted() {
@@ -153,68 +135,28 @@ func safeRunReal(spec realexec.Spec) (rep *engine.Report, err error) {
 	return realexec.Run(spec)
 }
 
-// checkRealBackend runs the case on the wall-clock backend and holds
-// its canonical answers to the oracle (and hence, transitively, to the
-// DES clean run, already checked against the same oracle). Raw record
-// counts are compared only where both substrates are bound to agree:
-// early-emission re-counts depend on spill timing, which legitimately
-// differs between interleaved DES execution and the real backend's
-// map barrier, but input-side accounting and quarantine decisions are
-// content-determined and must match exactly.
-func checkRealBackend(v *Verdict, c *Case, name string, pl engine.Platform, input dfs.Input, clean *engine.Report, oracle []string) {
+// checkReal runs the case's own spec — clean, or its fault schedule —
+// on the wall-clock backend and holds the canonical answers to the
+// oracle (and hence, transitively, to the DES runs, checked against the
+// same oracle). Raw record counts are compared only where both
+// substrates are bound to agree: early-emission re-counts depend on
+// spill timing, which legitimately differs between interleaved DES
+// execution and the real backend's map barrier, but input-side
+// accounting and quarantine decisions are content-determined and must
+// match the DES clean run exactly, input-side counts only without kills
+// (re-executed map attempts re-count their records, on both
+// substrates). The recovery counters must register exactly the
+// dimensions the case injects — structural triggers make every counter
+// except FetchRetries and SpeculativeWins deterministic, and those two
+// are only checked for forbidden non-zero values.
+func checkReal(v *Verdict, c *Case, name string, pl engine.Platform, input dfs.Input, clean *engine.Report, oracle []string) {
 	label := name + "/real"
 	workers := c.Workers2
 	if workers < 1 {
 		workers = 1
 	}
 	rep, err := safeRunReal(realexec.Spec{
-		Job:      c.jobSpec(pl, input, 1, false, 0),
-		NewQuery: func() mr.Query { return c.newQuery(false) },
-		Workers:  workers,
-	})
-	if err != nil {
-		v.addf(label, "run", "workers=%d: %v", workers, err)
-		return
-	}
-	checkAnswers(v, c, label, rep, oracle)
-	if rep.MapInputRecords != clean.MapInputRecords {
-		v.addf(label, "accounting", "MapInputRecords=%d, DES run mapped %d",
-			rep.MapInputRecords, clean.MapInputRecords)
-	}
-	if rep.QuarantinedRecords != clean.QuarantinedRecords {
-		v.addf(label, "accounting", "QuarantinedRecords=%d, DES run quarantined %d",
-			rep.QuarantinedRecords, clean.QuarantinedRecords)
-	}
-	if rep.DiskShuffleFetches != 0 {
-		v.addf(label, "accounting", "in-memory shuffle served %d fetches from disk",
-			rep.DiskShuffleFetches)
-	}
-	if rep.OutputRecords != int64(len(rep.Outputs)) {
-		v.addf(label, "accounting", "OutputRecords=%d but %d records collected",
-			rep.OutputRecords, len(rep.Outputs))
-	}
-	if rep.Workers != workers {
-		v.addf(label, "accounting", "requested %d workers, report says %d", workers, rep.Workers)
-	}
-}
-
-// checkRealFaulted runs the case's fault schedule on the wall-clock
-// backend and holds the recovered answers to the oracle. Canonical
-// answers must survive recovery bit-identically; raw input-side
-// accounting is compared to the DES clean run only without kills
-// (re-executed map attempts re-count their records, on both
-// substrates); and the recovery counters must register exactly the
-// dimensions the case injects — structural triggers make every
-// counter except FetchRetries and SpeculativeWins deterministic, and
-// those two are only checked for forbidden non-zero values.
-func checkRealFaulted(v *Verdict, c *Case, name string, pl engine.Platform, input dfs.Input, clean *engine.Report, oracle []string) {
-	label := name + "/real-faulted"
-	workers := c.Workers2
-	if workers < 1 {
-		workers = 1
-	}
-	rep, err := safeRunReal(realexec.Spec{
-		Job:      c.jobSpec(pl, input, 1, true, clean.MapFinishTime),
+		Job:      c.jobSpec(pl, input, 1, c.faulted(), clean.MapFinishTime),
 		NewQuery: func() mr.Query { return c.newQuery(false) },
 		Workers:  workers,
 	})
@@ -225,11 +167,11 @@ func checkRealFaulted(v *Verdict, c *Case, name string, pl engine.Platform, inpu
 	checkAnswers(v, c, label, rep, oracle)
 	acct := func(format string, args ...any) { v.addf(label, "accounting", format, args...) }
 	if c.KillFracPct == 0 && rep.MapInputRecords != clean.MapInputRecords {
-		acct("no kills scheduled but MapInputRecords=%d, DES clean run mapped %d",
-			rep.MapInputRecords, clean.MapInputRecords)
+		acct("MapInputRecords=%d, DES clean run mapped %d", rep.MapInputRecords, clean.MapInputRecords)
 	}
-	if rep.QuarantinedRecords != 0 {
-		acct("faulted cases carry no poison but QuarantinedRecords=%d", rep.QuarantinedRecords)
+	if rep.QuarantinedRecords != clean.QuarantinedRecords {
+		acct("QuarantinedRecords=%d, DES clean run quarantined %d",
+			rep.QuarantinedRecords, clean.QuarantinedRecords)
 	}
 	if rep.DiskShuffleFetches != 0 {
 		acct("in-memory shuffle served %d fetches from disk", rep.DiskShuffleFetches)
@@ -271,6 +213,17 @@ func checkRealFaulted(v *Verdict, c *Case, name string, pl engine.Platform, inpu
 	}
 	if c.ShufErrPct == 0 && c.KillFracPct == 0 && rep.FetchRetries != 0 {
 		acct("no shuffle faults scheduled but FetchRetries=%d", rep.FetchRetries)
+	}
+	// Disk damage: injected into map attempts before the barrier only,
+	// so nothing here reads a checkpoint back torn.
+	if c.IOErrRate == 0 && rep.IORetries != 0 {
+		acct("no transient errors injected but IORetries=%d", rep.IORetries)
+	}
+	if c.CorruptRate == 0 && rep.CorruptFramesDetected != 0 {
+		acct("no corruption injected but CorruptFramesDetected=%d", rep.CorruptFramesDetected)
+	}
+	if rep.TornWritesRepaired != 0 {
+		acct("TornWritesRepaired=%d on the real backend", rep.TornWritesRepaired)
 	}
 }
 

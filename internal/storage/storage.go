@@ -157,10 +157,12 @@ func (c *Corruption) Error() string {
 }
 
 // DiskFaults configures deterministic disk-fault injection on one
-// store. All decisions are drawn from Hash64 over (Seed, node,
-// per-store sequence); the sequence only advances inside proc-context
-// I/O calls, which the kernel serializes, so injected faults land at
-// identical points for any worker-pool size.
+// store, for as long as it stays installed (SetFaults). All decisions
+// are drawn from Hash64 over (Seed, node, sequence), the sequence being
+// the store's own: on the DES one store per node, serialized by the
+// kernel; on the real backend one store per attempt, on one goroutine.
+// Either way injected faults land at identical points for any
+// worker-pool size.
 type DiskFaults struct {
 	Seed int64
 	// IOErrorRate is the per-request probability of a transient I/O
@@ -173,13 +175,6 @@ type DiskFaults struct {
 	CorruptRate float64
 	// Classes masks which I/O classes are targeted.
 	Classes [NumIOClasses]bool
-	// To ends the injection window [0, To) in virtual nanoseconds;
-	// 0 means no bound.
-	To int64
-}
-
-func (d *DiskFaults) window(now int64) bool {
-	return d.To == 0 || now < d.To
 }
 
 // Transient-I/O retry policy: exponential backoff from base to cap;
@@ -289,8 +284,12 @@ func NewWallStore(node int, model cost.Model) *Store {
 // Counters returns a pointer to the store's counters (live view).
 func (s *Store) Counters() *Counters { return &s.counters }
 
-// SetFaults installs a disk-fault plan on this store (nil disables).
+// SetFaults installs a disk-fault plan on this store (nil disables,
+// also for a request already retrying).
 func (s *Store) SetFaults(f *DiskFaults) { s.faults = f }
+
+// Faults returns the installed disk-fault plan, nil when none.
+func (s *Store) Faults() *DiskFaults { return s.faults }
 
 // IORetries returns how many transient I/O errors were injected and
 // retried on this store.
@@ -408,8 +407,7 @@ func (s *Store) write(p substrate.Proc, f *File, data []byte, class IOClass, len
 	// clean bytes, so the flip (into the file's own bytes, never the
 	// writer's: an adopted buffer is cloned first) is caught by the next
 	// read that verifies the damaged frame.
-	if fl := s.faults; fl != nil && s.Checksums && len(data) > 0 &&
-		fl.Classes[class] && fl.window(p.Now()) {
+	if fl := s.faults; fl != nil && s.Checksums && len(data) > 0 && fl.Classes[class] {
 		s.faultSeq++
 		if hit(Hash64(fl.Seed, int64(s.node), s.faultSeq, 1), fl.CorruptRate) {
 			if adopted {
@@ -562,7 +560,7 @@ func (s *Store) ChargeCheckpointRead(p substrate.Proc, physBytes int64) {
 func (s *Store) request(p substrate.Proc, f *File, dev cost.Device, physBytes int64, class IOClass) {
 	if fl := s.faults; fl != nil && fl.IOErrorRate > 0 && fl.Classes[class] {
 		backoff := ioRetryBase
-		for try := 1; fl.window(p.Now()); try++ {
+		for try := 1; s.faults != nil; try++ {
 			s.faultSeq++
 			if !hit(Hash64(fl.Seed, int64(s.node), s.faultSeq, 0), fl.IOErrorRate) {
 				break

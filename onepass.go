@@ -98,8 +98,8 @@ type (
 	FaultPlan = engine.FaultPlan
 	// DiskFaultPlan injects data-plane faults (FaultPlan.Disk):
 	// transient I/O errors, write-time bit flips, and torn checkpoint
-	// tails. Corruption injection requires Cluster.Checksums; all
-	// detections and repairs are reported.
+	// tails, live until the map barrier. Corruption injection requires
+	// Cluster.Checksums; all detections and repairs are reported.
 	DiskFaultPlan = engine.DiskFaultPlan
 	// Report is the result of a run.
 	Report = engine.Report
@@ -190,9 +190,10 @@ func Run(job Job) (*Report, error) { return engine.Run(job) }
 // are measured. Fault plans and checkpointing run here too, with the
 // same triggers as Run — kills at map progress
 // (FaultPlan.KillAtMapProgress), seeded transient shuffle errors
-// (ShuffleErrorRate); plans with disk damage (FaultPlan.Disk), which
-// stays simulation-only, are rejected with a precise reason
-// (Job.RealUnsupported). Job.Query is ignored.
+// (ShuffleErrorRate), and disk damage (FaultPlan.Disk) injected into the
+// map attempts that run before the map barrier. The shuffle is in
+// memory, so only sort-merge's map-side spills read damaged bytes back
+// here. Job.Query is ignored.
 func RunReal(job Job, newQuery func() Query, workers int) (*Report, error) {
 	return realexec.Run(realexec.Spec{Job: job, NewQuery: newQuery, Workers: workers})
 }
