@@ -77,7 +77,7 @@ func parseArgs(args []string) (*options, error) {
 		fFlag       = fs.Int("f", 0, "merge factor F (0 = one-pass)")
 		rFlag       = fs.Int("r", 4, "reducers per node R")
 		traceFlag   = fs.String("trace", "", "write a Chrome trace (chrome://tracing) of task spans to this file")
-		workersFlag = fs.Int("workers", 0, "compute-pool goroutines (0=GOMAXPROCS, 1=serial; results identical)")
+		workersFlag = fs.Int("workers", 0, "threads a job computes on: sim = kernel thread + workers-1 pool goroutines, real = task goroutines (0=GOMAXPROCS; results identical)")
 		combFlag    = fs.String("node-combine", "off", "in-node combine stage: off | on | auto (cost-model gated; combinable queries only)")
 		fanInFlag   = fs.Int("agg-fanin", 0, "hierarchical aggregation fan-in: fold F consecutive nodes' combined runs through the first (0/1 = per-node only; needs -node-combine)")
 

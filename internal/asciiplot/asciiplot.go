@@ -1,8 +1,7 @@
 // Package asciiplot renders the reproduction's figures in a terminal:
 // the Definition 1 map/reduce progress curves (Fig 4(c), Fig 7), the
-// CPU-utilization and iowait series (Fig 2), and generic labeled bars
-// for table comparisons. Plots are plain text so they travel in logs,
-// CI output, and EXPERIMENTS.md.
+// CPU-utilization and iowait series (Fig 2). Plots are plain text so
+// they travel in logs, CI output, and EXPERIMENTS.md.
 package asciiplot
 
 import (
@@ -82,32 +81,6 @@ func Series(w *strings.Builder, name string, t []time.Duration, v []float64, wid
 		sb = append(sb, blocks[idx])
 	}
 	fmt.Fprintf(w, "  %-10s |%s| 0..%s\n", name, string(sb), end.Round(time.Second))
-}
-
-// Bars renders labeled horizontal bars scaled to the maximum value.
-func Bars(w *strings.Builder, labels []string, values []float64, unit string, width int) {
-	if len(labels) == 0 || len(labels) != len(values) {
-		return
-	}
-	max := values[0]
-	for _, v := range values {
-		if v > max {
-			max = v
-		}
-	}
-	if max <= 0 {
-		max = 1
-	}
-	lw := 0
-	for _, l := range labels {
-		if len(l) > lw {
-			lw = len(l)
-		}
-	}
-	for i, l := range labels {
-		n := int(values[i] / max * float64(width))
-		fmt.Fprintf(w, "  %-*s %s %.1f%s\n", lw, l, strings.Repeat("█", n)+strings.Repeat("·", width-n), values[i], unit)
-	}
 }
 
 func bytes(n int) []byte {

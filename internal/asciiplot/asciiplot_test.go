@@ -78,24 +78,3 @@ func TestSeriesStrip(t *testing.T) {
 		t.Fatalf("bad strip: %q", out)
 	}
 }
-
-func TestBars(t *testing.T) {
-	var b strings.Builder
-	Bars(&b, []string{"sm", "inc-hash"}, []float64{250, 51}, "GB", 20)
-	out := b.String()
-	if !strings.Contains(out, "250.0GB") || !strings.Contains(out, "51.0GB") {
-		t.Fatalf("bad bars:\n%s", out)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if strings.Count(lines[0], "█") <= strings.Count(lines[1], "█") {
-		t.Fatal("bar lengths not proportional")
-	}
-}
-
-func TestBarsMismatchedInputIgnored(t *testing.T) {
-	var b strings.Builder
-	Bars(&b, []string{"a"}, []float64{1, 2}, "", 10)
-	if b.Len() != 0 {
-		t.Fatal("mismatched input rendered")
-	}
-}

@@ -10,9 +10,10 @@ import (
 )
 
 // TestJobAllocBudget is the job-level deterministic performance gate:
-// a fixed-seed sessionization job at Parallelism 1 (compute inline, so
-// the count does not depend on scheduling) must stay under a committed
-// number of heap objects and bytes allocated per job, on each half of
+// a fixed-seed sessionization job at Parallelism 1 (compute on the
+// kernel's thread alone, so the count does not depend on scheduling)
+// must stay under a committed number of heap objects and bytes
+// allocated per job, on each half of
 // the platform matrix. Both data paths once materialised map output
 // several times between Map and the shuffle (sort-merge six, the hash
 // collector four, plus a fresh state per init() and cb() call); a

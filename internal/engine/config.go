@@ -125,11 +125,13 @@ type ClusterConfig struct {
 	Model            cost.Model
 	ProgressInterval time.Duration // metrics sampling period (virtual)
 
-	// Parallelism sizes the kernel's compute pool: the real goroutines
-	// that execute pure compute (chunk generation, map functions, the
+	// Parallelism is the number of threads a job computes on. On the
+	// DES they run pure compute (chunk generation, map functions, the
 	// sort-merge sorts, merges and final reduce) while the simulation
-	// schedules one process at a time. 0 means GOMAXPROCS; 1 runs all
-	// compute inline. Results are bit-for-bit identical for any value
+	// schedules one process at a time: the kernel's own thread, which
+	// computes whenever a process waits, plus Parallelism−1 pool
+	// goroutines. On the real backend it is the task goroutines. 0
+	// means GOMAXPROCS. Results are bit-for-bit identical for any value
 	// — this knob trades wall-clock time only, never virtual time.
 	Parallelism int
 

@@ -33,9 +33,10 @@ type Config struct {
 	Seed int64
 	// Log receives progress lines (nil = silent).
 	Log io.Writer
-	// Workers sizes the engine's compute pool (engine
-	// ClusterConfig.Parallelism): 0 = GOMAXPROCS, 1 = inline. Results
-	// are identical for any value; only wall-clock time changes.
+	// Workers is the threads a job computes on (engine
+	// ClusterConfig.Parallelism): 0 = GOMAXPROCS, 1 = the DES kernel's
+	// thread alone. Results are identical for any value; only
+	// wall-clock time changes.
 	Workers int
 }
 

@@ -153,7 +153,7 @@ func (p Params) On(cl engine.ClusterConfig) (job engine.JobSpec, newQuery func()
 // Backend is an execution substrate, as named by onepass -backend and
 // the scheduler's "backend" key: it runs a built job. The wall-clock
 // backend's task pool is job.Cluster.Parallelism goroutines (0 =
-// GOMAXPROCS): the knob that sizes the simulation's compute pool.
+// GOMAXPROCS); on the simulation that count includes the kernel's thread.
 type Backend func(job engine.JobSpec, newQuery func() mr.Query) (*engine.Report, error)
 
 // ParseBackend resolves a backend name: sim is the discrete-event

@@ -96,11 +96,12 @@ type Kernel struct {
 	allPr   []*Proc
 	started bool
 	err     error
-	workers *Workers // fork/join compute pool; nil = inline execution
+	workers *Workers // fork/join compute pool
 }
 
-// NewKernel returns an empty kernel at virtual time zero.
-func NewKernel() *Kernel { return &Kernel{} }
+// NewKernel returns an empty kernel at virtual time zero, whose forked
+// closures run on its own thread (see SetWorkers).
+func NewKernel() *Kernel { return &Kernel{workers: newWorkers(1)} }
 
 // Now returns the current virtual time in nanoseconds since the start
 // of the simulation.
@@ -194,10 +195,6 @@ func (p *Proc) Hold(d time.Duration) {
 	p.park("hold", "")
 }
 
-// Yield reschedules the process at the current time, letting other
-// processes scheduled for this instant run first.
-func (p *Proc) Yield() { p.Hold(0) }
-
 // Run executes the simulation until all non-daemon processes finish.
 // It returns an error if the simulation deadlocks (live processes
 // remain but no events are pending) or a process panics; either way
@@ -247,10 +244,8 @@ func (k *Kernel) deadlockError() error {
 func (k *Kernel) shutdown() {
 	// Drain the compute pool first: a killed proc may hold Futures for
 	// closures still queued or running, and its unwinding defers (Join)
-	// must find them completed rather than hang on a torn-down pool.
-	if k.workers != nil {
-		k.workers.quiesce()
-	}
+	// must find them completed.
+	k.workers.quiesce()
 	// By index: an unwinding defer may Spawn, and that process must be
 	// stopped too.
 	for i := 0; i < len(k.allPr); i++ {
@@ -261,7 +256,5 @@ func (k *Kernel) shutdown() {
 			p.stop()
 		}
 	}
-	if k.workers != nil {
-		k.workers.close()
-	}
+	k.workers.close()
 }

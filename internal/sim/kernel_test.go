@@ -95,8 +95,8 @@ func TestContendedQueueReusesStorage(t *testing.T) {
 			t.Fatalf("grant %d went to proc %d, want %d (FIFO round-robin)", n, got, n%procs)
 		}
 	}
-	if r.QueueLen() != 0 || r.InUse() != 0 {
-		t.Fatalf("queue %d, in use %d after the run", r.QueueLen(), r.InUse())
+	if r.QueueLen() != 0 || r.inUse != 0 {
+		t.Fatalf("queue %d, in use %d after the run", r.QueueLen(), r.inUse)
 	}
 	if c := cap(r.waiters); c > 4*procs {
 		t.Fatalf("wait queue capacity %d after %d grants of %d procs", c, procs*rounds, procs)

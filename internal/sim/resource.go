@@ -10,7 +10,7 @@ import (
 // (capacity = 1), or NIC bandwidth tokens. Processes Acquire units,
 // hold them across virtual time, and Release them.
 //
-// The resource keeps time integrals of units-in-use and of queue
+// The resource keeps the time integral of units in use and its queue
 // length, from which the metrics package derives utilization (for the
 // paper's CPU plots) and wait pressure (for the iowait plots).
 type Resource struct {
@@ -21,9 +21,8 @@ type Resource struct {
 	waiters  []waiter // FIFO queue: waiters[head:] are waiting
 	head     int
 
-	lastChange   int64 // virtual time of the last inUse/queue change
+	lastChange   int64 // virtual time busyIntegral is accumulated to
 	busyIntegral int64 // ∫ inUse dt, in unit·nanoseconds
-	qIntegral    int64 // ∫ queueLen dt
 }
 
 type waiter struct {
@@ -42,22 +41,12 @@ func NewResource(k *Kernel, name string, capacity int64) *Resource {
 // Name returns the resource name.
 func (r *Resource) Name() string { return r.name }
 
-// Capacity returns the total capacity.
-func (r *Resource) Capacity() int64 { return r.capacity }
-
-// InUse returns the units currently held.
-func (r *Resource) InUse() int64 { return r.inUse }
-
 // QueueLen returns the number of processes waiting to acquire.
 func (r *Resource) QueueLen() int { return len(r.waiters) - r.head }
 
-// advance accumulates the time integrals up to the current instant.
+// advance accumulates the busy integral up to the current instant.
 func (r *Resource) advance() {
-	dt := r.k.now - r.lastChange
-	if dt > 0 {
-		r.busyIntegral += r.inUse * dt
-		r.qIntegral += int64(r.QueueLen()) * dt
-	}
+	r.busyIntegral += r.inUse * (r.k.now - r.lastChange)
 	r.lastChange = r.k.now
 }
 
@@ -65,12 +54,6 @@ func (r *Resource) advance() {
 func (r *Resource) BusyIntegral() int64 {
 	r.advance()
 	return r.busyIntegral
-}
-
-// QueueIntegral returns ∫ queueLen dt up to now.
-func (r *Resource) QueueIntegral() int64 {
-	r.advance()
-	return r.qIntegral
 }
 
 // Acquire blocks the process until n units are available, then takes

@@ -242,17 +242,29 @@ func TestSpawnFromProcess(t *testing.T) {
 	}
 }
 
+// TestQueueIntegral: the queue length a sampler reads once a second
+// integrates to the time b waits behind a (10s), while the busy
+// integral covers both uses back to back.
 func TestQueueIntegral(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "disk", 1)
 	k.Spawn("a", func(p *Proc) { p.Use(r, 1, 10*time.Second) })
 	k.Spawn("b", func(p *Proc) { p.Use(r, 1, 10*time.Second) })
+	var queued int64
+	k.SpawnDaemon("sampler", func(p *Proc) {
+		for {
+			queued += int64(r.QueueLen()) * int64(time.Second)
+			p.Hold(time.Second)
+		}
+	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// b waits 10s in the queue.
-	if got, want := r.QueueIntegral(), int64(10*time.Second); got != want {
-		t.Fatalf("queue integral %d want %d", got, want)
+	if want := int64(10 * time.Second); queued != want {
+		t.Fatalf("queue integral %d want %d", queued, want)
+	}
+	if got, want := r.BusyIntegral(), int64(20*time.Second); got != want {
+		t.Fatalf("busy integral %d want %d", got, want)
 	}
 }
 
@@ -358,11 +370,13 @@ func TestZeroCapacityResourcePanics(t *testing.T) {
 	NewResource(k, "bad", 0)
 }
 
+// TestYieldOrdersBehindSameInstant: a zero Hold yields, letting the
+// processes scheduled for this instant run first.
 func TestYieldOrdersBehindSameInstant(t *testing.T) {
 	k := NewKernel()
 	var order []string
 	k.Spawn("a", func(p *Proc) {
-		p.Yield()
+		p.Hold(0)
 		order = append(order, "a-after-yield")
 	})
 	k.Spawn("b", func(p *Proc) {
@@ -379,7 +393,22 @@ func TestYieldOrdersBehindSameInstant(t *testing.T) {
 func TestResourceNamesAndCapacity(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "disk0", 3)
-	if r.Name() != "disk0" || r.Capacity() != 3 || r.InUse() != 0 || r.QueueLen() != 0 {
+	if r.Name() != "disk0" || r.QueueLen() != 0 || r.BusyIntegral() != 0 {
 		t.Fatal("accessors broken")
+	}
+	// Three units fit at once; a fourth request queues behind them.
+	k.Spawn("full", func(p *Proc) { p.Use(r, 3, time.Second) })
+	k.Spawn("late", func(p *Proc) {
+		p.Acquire(r, 1)
+		if p.Now() != int64(time.Second) {
+			t.Errorf("acquired at %v, want 1s", time.Duration(p.Now()))
+		}
+		p.Release(r, 1)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.BusyIntegral(), int64(3*time.Second); got != want {
+		t.Fatalf("busy integral %d want %d", got, want)
 	}
 }

@@ -18,6 +18,9 @@ import (
 // goroutines and Wait/Join for their results before it touches shared
 // simulation state or parks.
 //
+// The pool computes on n threads: the kernel's own, which runs queued
+// closures whenever a process waits for one, and n−1 pool goroutines.
+//
 // The contract that makes this race-free and deterministic by
 // construction:
 //
@@ -27,8 +30,9 @@ import (
 //     — never kernel, resource, or collector state);
 //   - the forking process waits for a closure's Future before consuming
 //     its result, and all results are consumed in a fixed program
-//     order, so the merged outcome is independent of worker count
-//     (including 1, where closures run inline on the proc goroutine).
+//     order, so the merged outcome is independent of which thread ran
+//     each closure and of how many there are (including 1, where the
+//     kernel's thread runs every closure when its process waits).
 //
 // Virtual time never depends on how many workers exist: charges are
 // computed from the data, not from wall-clock, so event order, virtual
@@ -38,7 +42,7 @@ type Workers struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queue   []*Future // pending futures are queue[head:]; popped slots are nil
+	queue   []*Future // queued futures are queue[head:]; taken slots are nil
 	head    int
 	started bool
 	closed  bool
@@ -46,8 +50,8 @@ type Workers struct {
 	inFlight sync.WaitGroup // submissions not yet finished (for shutdown)
 }
 
-// newWorkers creates a pool of n workers (n ≥ 1 after defaulting).
-// Worker goroutines start lazily on first submission.
+// newWorkers creates a pool of n threads (n ≤ 0 means GOMAXPROCS). Its
+// n−1 goroutines start lazily on first submission.
 func newWorkers(n int) *Workers {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -57,64 +61,115 @@ func newWorkers(n int) *Workers {
 	return w
 }
 
-// submit enqueues a future for execution on the pool.
+// submit enqueues a future for execution on the pool. One submitted
+// after the pool closed is still run by its Wait.
 func (w *Workers) submit(f *Future) {
 	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		// The kernel has shut down; run inline so the Future still
-		// completes and Wait never hangs.
-		f.run()
-		return
-	}
 	if !w.started {
 		w.started = true
-		for i := 0; i < w.n; i++ {
+		for i := 1; i < w.n; i++ {
 			go w.work()
 		}
 	}
 	w.inFlight.Add(1)
+	f.slot = len(w.queue)
 	w.queue = append(w.queue, f)
 	w.mu.Unlock()
 	w.cond.Signal()
 }
 
+// takeLocked removes a queued future from its slot. Clearing the slot
+// matters: a finished future pins its closure and what that captured.
+// The head skips taken slots, and the queue rewinds once drained to
+// reuse its storage.
+func (w *Workers) takeLocked(f *Future) *Future {
+	w.queue[f.slot], f.slot = nil, -1
+	for w.head < len(w.queue) && w.queue[w.head] == nil {
+		w.head++
+	}
+	if w.head == len(w.queue) {
+		w.queue, w.head = w.queue[:0], 0
+	}
+	return f
+}
+
+// popLocked takes the oldest queued future, or returns nil if none is.
+func (w *Workers) popLocked() *Future {
+	if w.head == len(w.queue) {
+		return nil
+	}
+	return w.takeLocked(w.queue[w.head])
+}
+
 // work is one pool goroutine: run queued futures until the pool closes.
 func (w *Workers) work() {
+	w.mu.Lock()
 	for {
-		w.mu.Lock()
 		for w.head == len(w.queue) && !w.closed {
 			w.cond.Wait()
 		}
-		if w.head == len(w.queue) {
-			w.mu.Unlock()
-			return
-		}
-		// Clear the popped slot (a finished future pins its closure and
-		// what that captured); rewind once drained to reuse the storage.
-		f := w.queue[w.head]
-		w.queue[w.head] = nil
-		if w.head++; w.head == len(w.queue) {
-			w.queue, w.head = w.queue[:0], 0
-		}
+		f := w.popLocked()
 		w.mu.Unlock()
+		if f == nil {
+			return // closed and drained
+		}
 		f.run()
-		w.inFlight.Done()
+		w.mu.Lock()
 	}
 }
 
-// quiesce blocks until every submitted closure has finished. The
-// kernel calls it during shutdown so no worker goroutine is still
-// computing (and no Future is still pending) when Run returns.
-func (w *Workers) quiesce() { w.inFlight.Wait() }
+// await returns once f has finished, computing on the calling thread —
+// the kernel's — rather than blocking: it takes f out of its slot and
+// runs it if no pool goroutine has started it, and otherwise runs other
+// queued closures in queue order until f is done. It blocks only when
+// the queue is empty; nothing is queued meanwhile, because only the
+// kernel's thread submits.
+func (w *Workers) await(f *Future) {
+	for {
+		select {
+		case <-f.done:
+			return
+		default:
+		}
+		w.mu.Lock()
+		g := f
+		if f.slot >= 0 {
+			w.takeLocked(f)
+		} else {
+			g = w.popLocked()
+		}
+		w.mu.Unlock()
+		if g == nil {
+			<-f.done
+			return
+		}
+		g.run()
+	}
+}
 
-// close marks the pool closed and wakes the workers so they exit.
-// Pending futures are drained first (quiesce runs before close).
+// quiesce returns once every submitted closure has finished: it runs
+// what is still queued (closures of killed processes, say) and then
+// waits for those pool goroutines are running. The kernel calls it
+// during shutdown so nothing is still computing when Run returns.
+func (w *Workers) quiesce() {
+	w.mu.Lock()
+	for f := w.popLocked(); f != nil; f = w.popLocked() {
+		w.mu.Unlock()
+		f.run()
+		w.mu.Lock()
+	}
+	w.mu.Unlock()
+	w.inFlight.Wait()
+}
+
+// close marks the pool closed, so its goroutines exit, and quiesces it
+// again for whatever an unwinding process forked.
 func (w *Workers) close() {
 	w.mu.Lock()
 	w.closed = true
 	w.mu.Unlock()
 	w.cond.Broadcast()
+	w.quiesce()
 }
 
 // Future is the handle of one forked closure.
@@ -122,13 +177,16 @@ type Future struct {
 	fn       func()
 	done     chan struct{}
 	panicked interface{}
-	p        *Proc // the process whose forks list holds it (nil: none)
+	w        *Workers
+	slot     int   // index in w.queue while queued; -1 once taken
+	p        *Proc // the process whose forks list holds it (nil once waited)
 }
 
-// run executes the closure, capturing a panic instead of letting it
-// kill the worker goroutine (it is re-raised on the forking process at
-// Wait/Join, where it is attributable to a task).
+// run executes a taken future's closure, capturing a panic instead of
+// letting it kill the thread running it (it is re-raised on the forking
+// process at Wait/Join, where it is attributable to a task).
 func (f *Future) run() {
+	defer f.w.inFlight.Done()
 	defer close(f.done)
 	defer func() {
 		if r := recover(); r != nil {
@@ -138,11 +196,13 @@ func (f *Future) run() {
 	f.fn()
 }
 
-// Wait blocks until the closure has finished. If the closure panicked,
-// the panic is re-raised here, on the forking process's goroutine.
-// Wait must be called from the process that forked the future.
+// Wait returns once the closure has finished, running it — or, while a
+// pool goroutine runs it, other queued closures — on the kernel's
+// thread instead of blocking. If the closure panicked, the panic is
+// re-raised here, on the forking process's goroutine. Wait must be
+// called from the process that forked the future.
 func (f *Future) Wait() {
-	<-f.done
+	f.w.await(f)
 	if p := f.p; p != nil {
 		// Nothing left for Join: drop it, so a process that forks and
 		// waits in a loop does not pin every closure until it ends.
@@ -157,57 +217,39 @@ func (f *Future) Wait() {
 	}
 }
 
-// SetWorkers sizes the kernel's compute pool: n real goroutines execute
-// forked closures (n ≤ 0 means GOMAXPROCS). With n = 1 closures run
-// inline on the forking process's goroutine. It must be called before
-// Run.
+// SetWorkers sizes the kernel's compute pool: forked closures run on n
+// threads (n ≤ 0 means GOMAXPROCS), the kernel's own and n−1 pool
+// goroutines. With n = 1 the kernel's thread runs every closure, each
+// when a process waits for it. It must be called before Run.
 func (k *Kernel) SetWorkers(n int) {
 	if k.started {
 		panic("sim: SetWorkers after Run")
 	}
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n == 1 {
-		k.workers = nil // inline execution, no pool goroutines
-		return
-	}
 	k.workers = newWorkers(n)
 }
 
-// Workers returns the compute-pool size (1 when no pool is configured).
-func (k *Kernel) Workers() int {
-	if k.workers == nil {
-		return 1
-	}
-	return k.workers.n
-}
+// Workers returns the number of threads forked closures run on.
+func (k *Kernel) Workers() int { return k.workers.n }
 
-// Workers returns the kernel compute-pool size (1 when compute runs
-// inline): the map driver sizes its look-ahead window from it. It is
-// not part of substrate.Proc — platform components never see it.
+// Workers returns the kernel compute-pool size: the map driver sizes
+// its look-ahead window from it. It is not part of substrate.Proc —
+// platform components never see it.
 func (p *Proc) Workers() int { return p.k.Workers() }
 
-// Fork submits a pure compute closure to the kernel's worker pool and
-// returns its Future. The closure must not touch simulation state (the
-// kernel, resources, conds, other procs' data); it computes into its
-// own captured result slot. The process may park (Hold, Acquire, …)
-// between Fork and Wait — real compute then overlaps the virtual time
-// of this and other processes — but it must Wait (or Join) before
-// consuming the result or finishing.
+// Fork queues a pure compute closure on the kernel's pool and returns
+// its Future. The closure must not touch simulation state (the kernel,
+// resources, conds, other procs' data); it computes into its own
+// captured result slot. The process may park (Hold, Acquire, …)
+// between Fork and Wait — a pool goroutine, or the kernel's thread when
+// another process waits, may run the closure meanwhile — but it must
+// Wait (or Join) before consuming the result or finishing.
 //
-// With no pool (Workers() == 1) the closure runs inline, making the
-// scheduling trivially deterministic; with a pool, determinism follows
-// from the purity contract above.
+// Determinism follows from the purity contract above, whichever thread
+// runs the closure and however many there are.
 func (p *Proc) Fork(fn func()) *Future {
-	f := &Future{fn: fn, done: make(chan struct{})}
-	if p.k.workers == nil {
-		f.run()
-	} else {
-		f.p = p
-		p.forks = append(p.forks, f)
-		p.k.workers.submit(f)
-	}
+	f := &Future{fn: fn, done: make(chan struct{}), w: p.k.workers, p: p}
+	p.forks = append(p.forks, f)
+	p.k.workers.submit(f)
 	return f
 }
 
@@ -215,11 +257,11 @@ func (p *Proc) Fork(fn func()) *Future {
 // which parks this process in virtual time, so the kernel serves other
 // processes meanwhile — runs here. It is legal wherever charge depends
 // only on sizes known before fn runs: the charges, their order and so
-// every virtual time are those of `fn(); charge()`, which is what runs
-// when there is no pool. fn obeys the Fork purity contract: it never
-// touches the process. Offload waits for fn on every exit path: when
-// charge panics (node abort, kill) the unwinding attempt must not hand
-// back buffers fn still writes; nothing stays listed in p.forks.
+// every virtual time are those of `fn(); charge()`, whichever thread
+// runs fn. fn obeys the Fork purity contract: it never touches the
+// process. Offload waits for fn on every exit path: when charge panics
+// (node abort, kill) the unwinding attempt must not hand back buffers
+// fn still writes; nothing stays listed in p.forks.
 func (p *Proc) Offload(fn, charge func()) {
 	f := p.Fork(fn)
 	defer f.Wait() // drops f from p.forks; re-raises a panic of fn, over one of charge

@@ -287,6 +287,105 @@ func TestOffloadWaitsOnPanic(t *testing.T) {
 	}
 }
 
+// TestWaitRunsClosuresQueuedBehindABusyPool: with SetWorkers(2) the
+// kernel's thread is one of the two, so a Wait (or an Offload) whose
+// closure is queued behind the one pool goroutine — held on a gate here
+// — runs that closure itself instead of waiting for the gate.
+func TestWaitRunsClosuresQueuedBehindABusyPool(t *testing.T) {
+	k := NewKernel()
+	k.SetWorkers(2)
+	gate, held := make(chan struct{}), make(chan struct{}, 2)
+	got := 0
+	k.Spawn("p", func(p *Proc) {
+		for range 2 { // a gated closure per pool goroutine, were there two
+			p.Fork(func() { held <- struct{}{}; <-gate })
+		}
+		<-held
+		p.Fork(func() { got++ }).Wait()
+		p.Offload(func() { got++ }, func() { p.Hold(time.Second) })
+		close(gate)
+		p.Join()
+	})
+	done := make(chan error, 1)
+	go func() { done <- k.Run() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Wait blocked on a closure queued behind the gated pool goroutine")
+	}
+	if got != 2 {
+		t.Fatalf("%d of 2 closures ran", got)
+	}
+}
+
+// TestSetWorkersCountsTheKernelThread: SetWorkers(n) starts exactly
+// n−1 pool goroutines. Gated closures, more than there are threads,
+// are entered by every pool goroutine and by nothing else while the
+// kernel's thread is busy in the process; Join then runs the rest.
+func TestSetWorkersCountsTheKernelThread(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4} {
+		k := NewKernel()
+		k.SetWorkers(n)
+		gate := make(chan struct{})
+		var entered atomic.Int32
+		k.Spawn("p", func(p *Proc) {
+			for range n + 2 {
+				p.Fork(func() { entered.Add(1); <-gate })
+			}
+			for deadline := time.Now().Add(5 * time.Second); entered.Load() < int32(n-1) && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(20 * time.Millisecond) // room for a goroutine too many
+			if got := entered.Load(); got != int32(n-1) {
+				t.Errorf("SetWorkers(%d): %d pool goroutines ran closures, want %d", n, got, n-1)
+			}
+			close(gate)
+			p.Join()
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := entered.Load(); got != int32(n+2) {
+			t.Fatalf("SetWorkers(%d): %d of %d closures ran", n, got, n+2)
+		}
+	}
+}
+
+// TestShutdownRunsKilledProcessClosures: closures queued by a process
+// that is then killed are run by shutdown on the kernel's thread — at
+// n = 2 the one pool goroutine is held until all of them have run.
+func TestShutdownRunsKilledProcessClosures(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		k := NewKernel()
+		k.SetWorkers(workers)
+		gate := make(chan struct{})
+		var ran atomic.Int32
+		k.SpawnDaemon("victim", func(p *Proc) {
+			if workers > 1 {
+				p.Fork(func() { <-gate })
+			}
+			for range 4 {
+				p.Fork(func() {
+					if ran.Add(1) == 4 {
+						close(gate)
+					}
+				})
+			}
+			p.Hold(time.Hour) // killed here, its forks never waited for
+		})
+		k.Spawn("work", func(p *Proc) { p.Hold(time.Second) })
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := ran.Load(); got != 4 {
+			t.Fatalf("workers=%d: shutdown ran %d of 4 queued closures", workers, got)
+		}
+	}
+}
+
 // TestFinishedFuturesAreNotRetained: a long-lived process that forks
 // and waits (or offloads) in a loop must not accumulate futures — each
 // pins its closure and whatever that captured — in its forks list or

@@ -119,7 +119,7 @@ func feedEcho(r *Reducer, rng *rand.Rand, from, segs int) {
 // over every output record, CPU charge and function-record count, in
 // order, and the totals, for the in-memory, combiner, spilled and
 // HOP-snapshot cases (constants generated at commit 2964532), with the
-// compute inline and on a pool. Each case's output (≈ 0.7 MB) spans
+// compute on the kernel's thread alone and on a pool. Each case's output (≈ 0.7 MB) spans
 // some twenty hand-off batches.
 func TestReduceBatchesPinned(t *testing.T) {
 	for _, tc := range []struct {

@@ -37,12 +37,13 @@
 // utilization / iowait series.
 //
 // The simulation is deterministic but not single-threaded: the
-// Cluster's Parallelism knob (0 = GOMAXPROCS) sizes a compute pool
-// that runs pure per-task computation — chunk synthesis, parsing, map
-// functions, the sort-merge sorts, merges and final reduce — on real
-// goroutines while the discrete-event kernel schedules one simulated
-// process at a time. Reports are bit-for-bit identical for every pool
-// size (including 1); only wall-clock time changes.
+// Cluster's Parallelism knob (0 = GOMAXPROCS) is the number of threads
+// that run pure per-task computation — chunk synthesis, parsing, map
+// functions, the sort-merge sorts, merges and final reduce — while the
+// discrete-event kernel schedules one simulated process at a time: the
+// kernel's own thread, which computes while a process waits, and
+// Parallelism−1 pool goroutines. Reports are bit-for-bit identical for
+// every count (including 1); only wall-clock time changes.
 //
 // A second execution substrate runs the same five data paths on real
 // goroutines under wall-clock time with an M3R-style in-memory shuffle
