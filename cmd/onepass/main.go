@@ -29,9 +29,9 @@
 // (1@60% kills node 1 as 60% of the map tasks finish),
 // -shuffle-error-rate rolls transient fetch errors, and disk damage
 // (-io-error-rate, -corrupt-rate, -torn-writes) is injected during the
-// map phase and ends at the map barrier. The real backend's shuffle is
-// in memory, so there only sort-merge's map-side spills read damaged
-// bytes back, and torn writes repair nothing.
+// map phase only (on the real backend, into primary map attempts). The
+// real backend's shuffle is in memory, so there only sort-merge's
+// map-side spills read damaged bytes back, and torn writes repair nothing.
 package main
 
 import (
@@ -77,7 +77,7 @@ func parseArgs(args []string) (*options, error) {
 		fFlag       = fs.Int("f", 0, "merge factor F (0 = one-pass)")
 		rFlag       = fs.Int("r", 4, "reducers per node R")
 		traceFlag   = fs.String("trace", "", "write a Chrome trace (chrome://tracing) of task spans to this file")
-		workersFlag = fs.Int("workers", 0, "threads a job computes on: sim = kernel thread + workers-1 pool goroutines, real = task goroutines (0=GOMAXPROCS; results identical)")
+		workersFlag = fs.Int("workers", 0, "threads a job computes on: sim = kernel thread + workers-1 pool goroutines, real = map goroutines and as many reduce slots (0=GOMAXPROCS; results identical)")
 		combFlag    = fs.String("node-combine", "off", "in-node combine stage: off | on | auto (cost-model gated; combinable queries only)")
 		fanInFlag   = fs.Int("agg-fanin", 0, "hierarchical aggregation fan-in: fold F consecutive nodes' combined runs through the first (0/1 = per-node only; needs -node-combine)")
 
@@ -92,8 +92,8 @@ func parseArgs(args []string) (*options, error) {
 		memFlag = fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
 
 		sumFlag     = fs.Bool("checksums", false, "CRC32C-frame every persisted stream and verify on read")
-		ioErrFlag   = fs.Float64("io-error-rate", 0, "per-request probability of a transient disk I/O error, until the map barrier")
-		corruptFlag = fs.Float64("corrupt-rate", 0, "per-write probability of a persisted bit flip, until the map barrier (needs -checksums)")
+		ioErrFlag   = fs.Float64("io-error-rate", 0, "per-request probability of a transient disk I/O error, in the map phase")
+		corruptFlag = fs.Float64("corrupt-rate", 0, "per-write probability of a persisted bit flip, in the map phase (needs -checksums)")
 		tornFlag    = fs.Bool("torn-writes", false, "tear checkpoint tails when a killed node is declared dead (needs a -kill-node kill and -checksums; repairs nothing on -backend real, whose killed reducers never checkpoint)")
 		skipFlag    = fs.Int64("skip-bad-records", 0, "bad-record quarantine budget per map task (0 = poison records fail the job)")
 	)

@@ -22,8 +22,8 @@
 // run on both substrates with the same structural triggers: a node dies
 // when the job's K-th map task completes (FaultPlan.KillAtMapProgress),
 // shuffle fetches roll seeded transient errors (ShuffleErrorRate), and
-// disk damage (FaultPlan.Disk) is live during the map phase and ends at
-// the map barrier; here the heartbeat detector then models detection
+// disk damage (FaultPlan.Disk) is live during the map phase only (on
+// the real backend, in primary map attempts); here the heartbeat detector models detection
 // delay in virtual time. Only the virtual-time schedule (progress
 // curves, timelines) remains simulation-only.
 package engine
@@ -130,9 +130,9 @@ type ClusterConfig struct {
 	// sort-merge sorts, merges and final reduce) while the simulation
 	// schedules one process at a time: the kernel's own thread, which
 	// computes whenever a process waits, plus Parallelism−1 pool
-	// goroutines. On the real backend it is the task goroutines. 0
-	// means GOMAXPROCS. Results are bit-for-bit identical for any value
-	// — this knob trades wall-clock time only, never virtual time.
+	// goroutines. On the real backend it counts map goroutines and, apart,
+	// reduce slots; 0 means GOMAXPROCS. Results are bit-for-bit identical
+	// for any value — this knob trades wall-clock time only, never virtual time.
 	Parallelism int
 
 	// Checksums enables end-to-end CRC32C framing of every persisted
@@ -473,9 +473,9 @@ type FaultPlan struct {
 	// lost output retry the fetch with backoff until the re-execution
 	// republishes it. On the DES everything running on the node aborts
 	// at that virtual instant and the failure detector declares it dead
-	// HeartbeatTimeout later; on the wall-clock backend the first K
-	// chunks (in canonical chunk order) count as done before the crash.
-	// 1 kills the node at the map barrier.
+	// HeartbeatTimeout later; on the wall-clock backend the first K chunks
+	// (canonical order) are its lost outputs, each re-executed as its map
+	// chain returns. 1 kills the node as the last map task completes.
 	KillAtMapProgress map[int]float64
 
 	// crashAt moves a KillAtMapProgress node's crash to a fixed virtual
@@ -524,13 +524,13 @@ type FaultPlan struct {
 // from JobSpec.Seed (StoreFaults), so a faulted run is exactly
 // reproducible for any worker-pool size.
 //
-// Injection is live during the map phase and ends at the map barrier:
-// on the DES at the virtual instant the last map task completes, on the
-// wall-clock backend for the map attempts that run before its barrier.
-// Every attempt that starts after the barrier runs clean, so every plan
-// is survivable. What each backend reads back differs: the DES reads
-// map outputs, reduce spills and checkpoints written before the
-// barrier; the wall-clock backend shuffles in memory, so only
+// Injection is live during the map phase: on the DES until the virtual
+// instant the last map task completes, on the wall-clock backend in its
+// primary map attempts (speculative backups included). No recovery
+// attempt is damaged (re-executions, folds and reducers run clean), so
+// every plan is survivable. What each backend reads back differs: the
+// DES reads map outputs, reduce spills and checkpoints written before
+// its last map completes; the wall-clock backend shuffles in memory, so only
 // sort-merge's map-side spills are read back and verified there, and
 // torn writes repair nothing (a killed node's reducers are displaced
 // before they checkpoint). Answers are identical on both.

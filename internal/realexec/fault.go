@@ -12,6 +12,7 @@
 //     (engine.JobFrame.KillAfter), a node is dead once the first K
 //     chunks (canonical chunk order) are done — the set of outputs lost
 //     to the crash is a pure function of the spec, not of scheduling;
+//     it is discarded as its chain returns and re-executed at once;
 //   - injected map failures die at a byte offset through the chunk,
 //     injected reduce failures after a fixed number of consumed
 //     shuffle units (the DES's own FailPoint semantics);
@@ -20,8 +21,8 @@
 //     transient plans are deterministic;
 //   - checkpoints trigger on the attempt's virtual CPU ledger, the
 //     deterministic stand-in for the DES's virtual clock;
-//   - disk damage is rolled per map attempt before the barrier, from a
-//     seed folding in (chunk, attempt) (engine.JobSpec.StoreFaults),
+//   - disk damage is rolled per primary map attempt, backups included,
+//     from a seed folding in (chunk, attempt) (engine.JobSpec.StoreFaults),
 //     so IORetries and CorruptFramesDetected are deterministic;
 //   - speculative backups are structural: every map task on a live
 //     straggler node races one backup on a healthy peer. Both
@@ -43,6 +44,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/mr"
 	"repro/internal/substrate"
@@ -67,9 +69,9 @@ const (
 )
 
 // shuffleWatchdog bounds how long a reducer waits for one lost unit's
-// re-execution before declaring the run wedged: the retry loop panics
-// (task failure, isolated as usual) instead of deadlocking the job.
-// A variable so tests can shorten the stall.
+// re-execution (it never times a primary map) before declaring the run
+// wedged: the retry loop panics (task failure, isolated as usual)
+// instead of deadlocking the job. A variable so tests can shorten it.
 var shuffleWatchdog = 30 * time.Second
 
 // faults interprets the job's fault plan for the wall-clock backend.
@@ -77,10 +79,6 @@ type faults struct {
 	spec   *engine.JobSpec
 	nodes  int
 	killAt map[int]int // node → chunk count K after which it is dead (engine.JobFrame.KillAfter)
-}
-
-func newFaults(spec *engine.JobSpec, killAt map[int]int) *faults {
-	return &faults{spec: spec, nodes: spec.Cluster.Nodes, killAt: killAt}
 }
 
 // dies reports whether the node is killed at some point in the run.
@@ -125,10 +123,8 @@ func (f *faults) backupFor(chunk, node int) int {
 	if !sp.Speculate || sp.MapFailures[chunk] > 0 || f.dies(node) || sp.SlowNodes[node] <= 1 {
 		return -1
 	}
-	for i := 1; i < f.nodes; i++ {
-		if c := (node + i) % f.nodes; !f.dies(c) {
-			return c
-		}
+	if c := f.survivor(node); c != node {
+		return c
 	}
 	return -1
 }
@@ -139,11 +135,7 @@ func (f *faults) slowSleep(node int) {
 	if factor <= 1 {
 		return
 	}
-	d := time.Duration(float64(slowTaskDelay) * (factor - 1))
-	if d > slowTaskDelayCap {
-		d = slowTaskDelayCap
-	}
-	time.Sleep(d)
+	time.Sleep(min(time.Duration(float64(slowTaskDelay)*(factor-1)), slowTaskDelayCap))
 }
 
 // mapChain is one map task's full attempt history: the counted winner
@@ -151,6 +143,7 @@ func (f *faults) slowSleep(node int) {
 type mapChain struct {
 	winner *mapResult
 	extras []*mapResult
+	reexec *mapResult // the re-execution of a winner whose output a kill lost
 	err    error
 }
 
@@ -172,13 +165,13 @@ func (r *run) runMapChain(chunk, node int) *mapChain {
 		backupDone = make(chan *mapResult, 1)
 		r.specBackups.Add(1)
 		go func() {
-			backupDone <- r.runMapAttempt(chunk, bn, 1, false, claim)
+			backupDone <- r.runMapAttempt(chunk, bn, 1, false, true, claim)
 		}()
 	}
 
 	for attempt := 0; ; attempt++ {
 		inject := attempt < failures
-		res := r.runMapAttempt(chunk, node, attempt, inject, claim)
+		res := r.runMapAttempt(chunk, node, attempt, inject, true, claim)
 		if res.err != nil {
 			ch.err = res.err
 			break
@@ -244,10 +237,16 @@ func (r *run) waitUnit(u *unit) {
 		if time.Now().After(deadline) {
 			panic(fmt.Errorf("shuffle fetch of map %d output stalled for %v awaiting re-execution", u.chunk, shuffleWatchdog))
 		}
-		if backoff *= 2; backoff > realFetchRetryCap {
-			backoff = realFetchRetryCap
-		}
+		backoff = min(2*backoff, realFetchRetryCap)
 	}
+}
+
+// drain records, once per task, that it needs no more map output.
+func (r *run) drain(task *rtask) {
+	if !task.drained && r.draining.Add(-1) == 0 {
+		close(r.drained)
+	}
+	task.drained = true
 }
 
 // transientRetries burns the seeded transient-error rolls for one
@@ -260,19 +259,17 @@ func (r *run) transientRetries(ridx int, u *unit, attempt int) {
 		}
 		r.fetchRetries.Add(1)
 		time.Sleep(backoff)
-		if backoff *= 2; backoff > realFetchRetryCap {
-			backoff = realFetchRetryCap
-		}
+		backoff = min(2*backoff, realFetchRetryCap)
 	}
 }
 
-// rtask is one reduce task's cross-attempt recovery state. The
-// checkpoint is logically replicated off-node; reduce attempts run
-// after the map barrier, where no disk damage is injected, so only the
-// newest image is kept.
+// rtask is one reduce task's cross-attempt recovery state. The checkpoint
+// is logically replicated off-node; attempts run clean, so only the newest
+// image is kept. Attempts consume prefixes: earlier ones fetched the first fetched.
 type rtask struct {
-	ckpt        *engine.Checkpoint
-	everFetched []bool
+	ckpt    *engine.Checkpoint
+	fetched int
+	drained bool // an attempt consumed the whole shuffle
 }
 
 // reduceChain is one reduce task's attempt history.
@@ -289,6 +286,7 @@ func (r *run) runReduceChain(ridx, node int) *reduceChain {
 	f := r.flt
 	ch := &reduceChain{}
 	task := &rtask{}
+	defer r.drain(task) // a failed task must not hold the others back
 	failures := r.spec.Faults.ReduceFailures[ridx]
 	live := 0
 	for attempt := 0; ; attempt++ {
@@ -325,11 +323,11 @@ func (r *run) runReduceChain(ridx, node int) *reduceChain {
 }
 
 // runReduceAttempt executes one reduce attempt: restore from the
-// newest checkpoint, consume the unconsumed suffix of the cached shuffle
-// units in fixed order through the platform reducer, checkpoint on the
+// newest checkpoint, consume the unconsumed suffix of the shuffle units
+// in canonical order as their slots are published, checkpoint on the
 // virtual CPU ledger, and either finish (committing provisional output)
-// or die at the injected fail point. The map barrier has already
-// advanced the watermark to the global maximum, exactly the horizon
+// or die at the injected fail point. The watermark is the max event
+// time of the consumed prefix: after the last slot, the global maximum
 // reference.RunWithWatermarks reduces under.
 func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool) (res *reduceResult) {
 	res = &reduceResult{}
@@ -353,9 +351,7 @@ func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool
 	res.store = st
 	rt := r.newRuntime(p, st, &res.ledger)
 	q := r.newQ()
-	if wm, ok := q.(mr.Watermarker); ok && r.hasWM {
-		wm.AdvanceWatermark(r.globalWM)
-	}
+	wm, _ := q.(mr.Watermarker)
 	sink := func(physBytes int64) { st.ChargeOutputWrite(p, physBytes) }
 	// Output is provisional under any plan that can kill an attempt
 	// after it emitted.
@@ -364,7 +360,6 @@ func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool
 
 	// Resume from the newest checkpoint and replay only the unconsumed
 	// suffix.
-	consumed := make([]bool, len(r.units))
 	consumedN := 0
 	if ck := task.ckpt; ck != nil {
 		img, err := ck.Decode()
@@ -372,11 +367,10 @@ func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool
 			panic(fmt.Errorf("checkpoint for reduce task %d failed verification: %w", ridx, err))
 		}
 		red.Restore(ck, img)
-		copy(consumed, ck.Consumed)
 		consumedN = ck.ConsumedN
 	}
 
-	failN := r.spec.Faults.ReduceFailAfter(len(r.units))
+	failN := r.spec.Faults.ReduceFailAfter(r.nUnits)
 	failOut := func() *reduceResult {
 		res.failed = true
 		out.Discard()
@@ -391,45 +385,54 @@ func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool
 	ckptEvery := int64(r.spec.CheckpointEvery)
 	lastCkpt := res.ledger
 
-	// Shuffle loop over the unconsumed suffix of the cached units, in
-	// fixed order. Every fetch is served from memory, and reducers wait
-	// for lost units (never skip), so consumption order, and with it
-	// every answer, is the same under any plan and any worker count.
-	for ui, u := range r.units {
-		if consumed[ui] {
-			continue
+	// Every fetch is served from memory, and reducers wait for unpublished
+	// and lost units (never skip), so consumption order, and with it every
+	// answer, is the same under any plan and any worker count.
+	ui := -1
+	for si := range r.slots {
+		s := &r.slots[si]
+		r.await(s.ready)
+		if wm != nil {
+			wm.AdvanceWatermark(s.maxTS)
 		}
-		r.waitUnit(u)
-		if u.err != nil {
-			panic(fmt.Errorf("map task %d re-execution failed: %v", u.chunk, u.err))
-		}
-		r.transientRetries(ridx, u, attempt)
-		if size := u.partBytes[ridx]; size > 0 {
-			r.memFetches.Add(1)
-			if task.everFetched == nil {
-				task.everFetched = make([]bool, len(r.units))
+		for _, u := range s.units {
+			if ui++; ui < consumedN {
+				continue
 			}
-			if task.everFetched[ui] {
-				r.refetchBytes.Add(size)
-			} else {
-				task.everFetched[ui] = true
+			r.waitUnit(u)
+			if u.err != nil {
+				panic(fmt.Errorf("map task %d re-execution failed: %v", u.chunk, u.err))
 			}
-			red.Feed(u.parts, ridx, size, u.chunk)
-		}
-		consumed[ui] = true
-		consumedN++
+			r.transientRetries(ridx, u, attempt)
+			if size := u.partBytes[ridx]; size > 0 {
+				r.memFetches.Add(1)
+				if ui < task.fetched {
+					r.refetchBytes.Add(size)
+				}
+				red.Feed(u.parts, ridx, size, u.chunk)
+			}
+			consumedN++
+			task.fetched = max(task.fetched, consumedN)
+			if r.release && int(u.taken.Add(1)) == r.NumReducers {
+				u.parts = core.MapParts{}
+			}
 
-		if inject && consumedN >= failN {
-			return failOut()
+			if inject && consumedN >= failN {
+				return failOut()
+			}
+			if red.Incremental() && ckptEvery > 0 && res.ledger-lastCkpt >= ckptEvery {
+				task.ckpt = red.TakeCheckpoint(task.ckpt, nil, consumedN)
+				r.checkpoints.Add(1)
+				lastCkpt = res.ledger
+			}
+			r.afterFeed(red, sink)
 		}
-		if red.Incremental() && ckptEvery > 0 && res.ledger-lastCkpt >= ckptEvery {
-			task.ckpt = red.TakeCheckpoint(task.ckpt, consumed, consumedN)
-			r.checkpoints.Add(1)
-			lastCkpt = res.ledger
-		}
-		r.afterFeed(red, sink)
 	}
 
+	// Final phases wait until every reducer drained the shuffle: none
+	// stacks on resident map output, and peak memory is not timing's.
+	r.drain(task)
+	r.await(r.drained)
 	red.PrepareFinal()
 	res.approxKeys = red.Finish()
 	out.Commit()

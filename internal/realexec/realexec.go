@@ -17,10 +17,10 @@
 //   - each task runs serially on its own WallProc (Offload is inline)
 //     with its own store and CPU ledger, so nothing a task computes
 //     depends on scheduling;
-//   - a barrier separates map and reduce phases, and every reducer
-//     consumes the cached map-output partitions in fixed (chunk, spill)
-//     order — the shuffle is entirely in memory, the M3R model, so
-//     MemShuffleFetches counts every fetch and DiskShuffleFetches is 0;
+//   - every reducer starts with the job and consumes the map outputs in
+//     canonical (chunk, spill) order, each once it is published — the
+//     shuffle is entirely in memory, the M3R model, so MemShuffleFetches
+//     counts every fetch and DiskShuffleFetches is 0;
 //   - cross-task counters are integers summed in task order at the end.
 //
 // Every task runs as an attempt chain (see fault.go): one map chain
@@ -31,13 +31,13 @@
 // errors, speculative map backups, checkpointed INC/DINC reducer state
 // and disk damage all execute with the seeded, structural triggers the
 // DES runs too, so answers stay bit-identical to the fault-free run.
-// Disk damage (FaultPlan.Disk) is injected into the stores of the map
-// attempts that run before the barrier; every later store runs clean.
+// Disk damage (FaultPlan.Disk) is injected into the stores of primary
+// map attempts; re-executions, folds and reducers run clean.
 package realexec
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,9 +62,9 @@ type Spec struct {
 	// the factory once. All instances must be behaviorally identical.
 	NewQuery func() mr.Query
 
-	// Workers is the number of concurrent task goroutines (< 1 means 1).
-	// Answers and all deterministic Report fields are identical for any
-	// value; only wall-clock time changes.
+	// Workers (< 1 means 1) counts map-task goroutines and reduce slots (a
+	// reducer waiting for map output holds none). Answers and deterministic
+	// Report fields are identical for any value; only wall time changes.
 	Workers int
 }
 
@@ -73,18 +73,27 @@ type Spec struct {
 // no fetch ever touches a disk. Non-HOP map tasks publish one unit
 // each (seq 0); HOP publishes one per eager spill push.
 //
-// When a node kill loses a unit's output, the unit turns into a
-// placeholder: parts is cleared and ready is installed before the
-// reduce phase starts, and the re-execution attempt republishes into
-// it and closes ready. ready == nil means the unit was never lost, so
-// the fault-free fetch path stays branch-free.
+// When a node kill loses a unit's output, it turns into a placeholder:
+// parts is cleared and ready installed before its slot is published,
+// and the re-execution republishes into it and closes ready. ready ==
+// nil means the unit was never lost (the fault-free path).
 type unit struct {
 	chunk, seq int
 	parts      core.MapParts
 	partBytes  []int64
+	taken      atomic.Int32 // reducers that consumed it; the last drops parts (run.release)
 
 	ready chan struct{} // non-nil only for lost units awaiting re-execution
 	err   error         // re-execution failure, set before ready closes
+}
+
+// slot is one chunk's place in the canonical shuffle order, final once
+// ready closes: the chunk's units (HOP: one per eager spill), its combine
+// group's run at the group's smallest chunk, or none for a deposit.
+type slot struct {
+	ready chan struct{}
+	units []*unit
+	maxTS int64 // max event time of the input behind units (math.MinInt64: none)
 }
 
 // run is the shared state of one real-backend job.
@@ -92,21 +101,23 @@ type run struct {
 	*engine.JobFrame // task counts, hash family, chunk assignment
 	spec             *engine.JobSpec
 	newQ             func() mr.Query
-	model            cost.Model
 	start            time.Time
+	workers          int
 
-	units    []*unit
-	globalWM int64
-	hasWM    bool
-	// pastBarrier is set once every map chain has returned: stores opened
-	// after it (re-executions, combine folds, reducers) inject no disk
-	// damage.
-	pastBarrier bool
+	slots    []slot
+	nUnits   int           // units in the shuffle, known before any map runs (not on HOP, which runs no reduce faults)
+	release  bool          // no reduce attempt can restart: the last consumer drops a unit's parts
+	tokens   chan struct{} // reduce slots
+	drained  chan struct{} // closed once no reduce task needs map output (drain)
+	draining atomic.Int32
 
-	// comb is the in-node combine plan (engine/task_combine.go), folded
-	// at the map barrier; no chunk deposits into it unless the spec
-	// resolves node combining on. See nodecombine.go.
-	comb *engine.CombinePlan
+	maps []*mapChain
+	// comb is the in-node combine plan (engine/task_combine.go); no chunk
+	// deposits unless the spec resolves node combining on. See
+	// nodecombine.go.
+	comb     *engine.CombinePlan
+	combLeft []atomic.Int32 // per group: deposits outstanding
+	combRes  []*rcResult
 
 	memFetches      atomic.Int64
 	snapshotRecords atomic.Int64
@@ -114,8 +125,6 @@ type run struct {
 	// flt interprets the fault plan; an empty plan kills nobody, rolls no
 	// errors and sleeps for nothing, so the counters below stay zero.
 	flt              *faults
-	nodesLost        int // set at the map barrier, before the reduce phase
-	reexecMaps       int
 	restartedReduces atomic.Int64
 	specBackups      atomic.Int64
 	specWins         atomic.Int64
@@ -127,6 +136,14 @@ type run struct {
 
 // Run executes the job on real goroutines and returns its report.
 func Run(s Spec) (*engine.Report, error) {
+	r, err := newRun(s)
+	if err != nil {
+		return nil, err
+	}
+	return r.execute()
+}
+
+func newRun(s Spec) (*run, error) {
 	if s.NewQuery == nil {
 		return nil, fmt.Errorf("realexec: NewQuery factory is required")
 	}
@@ -136,142 +153,125 @@ func Run(s Spec) (*engine.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := s.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	cfg := &spec.Cluster
-	r := &run{JobFrame: frame, spec: &spec, newQ: s.NewQuery, model: cfg.Model, start: time.Now()}
-	r.flt = newFaults(&spec, r.KillAfter)
+	r := &run{JobFrame: frame, spec: &spec, newQ: s.NewQuery, start: time.Now(),
+		workers: max(1, s.Workers), release: !spec.ReduceRestarts()}
+	r.flt = &faults{spec: &spec, nodes: spec.Cluster.Nodes, killAt: r.KillAfter}
 	r.comb = r.NewCombinePlan(r.flt.combinable)
-
-	// Map phase: fan the chunks over the worker pool; each task owns
-	// its store, proc, query, and ledger, and runs as an attempt chain
-	// (injected failures, displaced tasks, speculative backups) — of
-	// length one on a fault-free plan.
-	mapChains := make([]*mapChain, r.TotalMaps)
-	forEach(workers, r.TotalMaps, func(chunk int) {
-		mapChains[chunk] = r.runMapChain(chunk, r.Node(chunk))
-	})
-	mapRes := make([]*mapResult, r.TotalMaps)
-	var mapExtra []*mapResult
-	for chunk, ch := range mapChains {
-		if ch.err != nil {
-			return nil, ch.err
-		}
-		mapRes[chunk] = ch.winner
-		mapExtra = append(mapExtra, ch.extras...)
+	r.combLeft = make([]atomic.Int32, len(r.comb.Groups))
+	r.combRes = make([]*rcResult, len(r.comb.Groups))
+	r.nUnits = r.TotalMaps + len(r.comb.Groups)
+	for gi, g := range r.comb.Groups {
+		r.combLeft[gi].Store(int32(len(g.Tasks)))
+		r.nUnits -= len(g.Tasks)
 	}
-	mapFinish := time.Since(r.start)
-	r.pastBarrier = true
-
-	// Barrier: collect the cached shuffle units in (chunk, spill) order
-	// and resolve the global watermark — the same horizon the reference
-	// oracle uses, since every record has been observed by now.
-	for _, mres := range mapRes {
-		r.units = append(r.units, mres.units...)
-		if mres.hasTS && (!r.hasWM || mres.maxTS > r.globalWM) {
-			r.globalWM, r.hasWM = mres.maxTS, true
-		}
+	r.slots = make([]slot, r.TotalMaps)
+	for c := range r.slots {
+		r.slots[c].ready = make(chan struct{})
 	}
-	// In-node combine: fold the deposited map outputs into one published
-	// run per aggregation group before the shuffle order is fixed.
-	combRes := make([]*rcResult, len(r.comb.Groups))
-	forEach(workers, len(combRes), func(gi int) {
-		combRes[gi] = r.foldGroup(r.comb.Groups[gi])
-	})
-	for _, cr := range combRes {
-		if cr.err != nil {
-			return nil, cr.err
-		}
-		r.units = append(r.units, cr.unit)
-	}
-	sort.Slice(r.units, func(i, j int) bool {
-		if r.units[i].chunk != r.units[j].chunk {
-			return r.units[i].chunk < r.units[j].chunk
-		}
-		return r.units[i].seq < r.units[j].seq
-	})
+	r.maps = make([]*mapChain, r.TotalMaps)
+	r.tokens, r.drained = make(chan struct{}, r.workers), make(chan struct{})
+	r.draining.Store(int32(r.NumReducers))
+	return r, nil
+}
 
-	// Node kills: outputs published on a node that died mid-map-phase
-	// are lost at the barrier. Their units become placeholders and the
-	// tasks re-execute on survivors concurrently with the reduce phase;
-	// reducers that reach a lost unit first wait with backoff — the
-	// lazy re-fetch protocol, off the critical path when recovery wins
-	// the race.
-	var reexecWG sync.WaitGroup
-	var reexecRes []*mapResult
-	if len(r.flt.killAt) > 0 {
-		r.nodesLost = len(r.flt.killAt)
-		var lost []*unit
-		for _, u := range r.units {
-			if r.flt.lostAfterMap(u.chunk, mapRes[u.chunk].node) {
-				lost = append(lost, u)
-			}
-		}
-		r.reexecMaps = len(lost)
-		reexecRes = make([]*mapResult, len(lost))
-		for i, u := range lost {
-			i, u := i, u
-			node := r.flt.survivor(mapRes[u.chunk].node)
-			attempt := 1 + r.spec.Faults.MapFailures[u.chunk]
-			u.parts, u.partBytes = core.MapParts{}, nil
-			u.ready = make(chan struct{})
-			reexecWG.Add(1)
-			go func() {
-				defer reexecWG.Done()
-				res := r.runMapAttempt(u.chunk, node, attempt, false, nil)
-				reexecRes[i] = res
-				if res.err != nil {
-					u.err = res.err
-				} else {
-					nu := res.units[0]
-					u.parts, u.partBytes = nu.parts, nu.partBytes
-				}
-				close(u.ready)
-			}()
-		}
-	}
-
-	// Reduce phase: one restart ladder per task.
+// execute runs map tasks as attempt chains on the worker pool, each
+// publishing its slot as it returns, and every reduce task beside them
+// from the start, consuming the slots in canonical order as they close.
+func (r *run) execute() (*engine.Report, error) {
 	redChains := make([]*reduceChain, r.NumReducers)
-	forEach(workers, r.NumReducers, func(ridx int) {
-		redChains[ridx] = r.runReduceChain(ridx, ridx%cfg.Nodes)
+	reducesDone := make(chan struct{})
+	go func() {
+		defer close(reducesDone)
+		forEach(r.NumReducers, r.NumReducers, func(ridx int) {
+			r.tokens <- struct{}{}
+			redChains[ridx] = r.runReduceChain(ridx, ridx%r.spec.Cluster.Nodes)
+			<-r.tokens
+		})
+	}()
+	forEach(r.workers, r.TotalMaps, func(chunk int) {
+		r.maps[chunk] = r.runMapChain(chunk, r.Node(chunk))
+		r.fill(chunk, r.maps[chunk])
 	})
-	reexecWG.Wait()
-	for _, res := range reexecRes {
-		if res != nil && res.err != nil {
-			return nil, res.err
-		}
-	}
-	redRes := make([]*reduceResult, r.NumReducers)
-	var redExtra []*reduceResult
-	for ridx, ch := range redChains {
-		if ch.err != nil {
-			return nil, ch.err
-		}
-		redRes[ridx] = ch.winner
-		redExtra = append(redExtra, ch.extras...)
-	}
+	mapFinish := time.Since(r.start)
+	<-reducesDone
 
 	// Re-executed map attempts are completed work and count like the
 	// originals — the same double-counting the DES exhibits when lost
 	// outputs recompute.
-	mapDone := mapRes
-	if len(reexecRes) > 0 {
-		mapDone = append(append(make([]*mapResult, 0, len(mapRes)+len(reexecRes)), mapRes...), reexecRes...)
+	var mapDone, mapExtra []*mapResult
+	for _, ch := range r.maps {
+		if ch.err != nil {
+			return nil, ch.err
+		}
+		mapDone = append(mapDone, ch.winner)
+		if ch.reexec != nil {
+			mapDone = append(mapDone, ch.reexec)
+		}
+		mapExtra = append(mapExtra, ch.extras...)
 	}
-	return r.report(mapDone, mapExtra, redRes, redExtra, combRes, mapFinish, workers), nil
+	var redRes, redExtra []*reduceResult
+	for _, ch := range redChains {
+		if ch.err != nil {
+			return nil, ch.err
+		}
+		redRes = append(redRes, ch.winner)
+		redExtra = append(redExtra, ch.extras...)
+	}
+	return r.report(mapDone, mapExtra, redRes, redExtra, mapFinish), nil
+}
+
+// fill publishes chunk's slot once its map chain has returned (empty if
+// it failed or deposited; the last depositor folds the group). An output
+// lost to a node kill is published as a placeholder and re-executed on a
+// survivor right here; reducers reach it by waitUnit.
+func (r *run) fill(chunk int, ch *mapChain) {
+	s, w := &r.slots[chunk], ch.winner
+	if ch.err == nil {
+		s.units, s.maxTS = w.units, w.maxTS
+	}
+	if r.comb.Deposits(chunk) {
+		g, _ := r.comb.GroupOf(r.Node(chunk))
+		if r.combLeft[g.Idx].Add(-1) == 0 {
+			r.foldGroup(g)
+		}
+		if chunk != g.Tasks[0] {
+			close(s.ready)
+		}
+		return
+	}
+	if ch.err != nil || !r.flt.lostAfterMap(chunk, w.node) {
+		close(s.ready)
+		return
+	}
+	u := s.units[0]
+	u.parts, u.partBytes, u.ready = core.MapParts{}, nil, make(chan struct{})
+	close(s.ready)
+	ch.reexec = r.runMapAttempt(chunk, r.flt.survivor(w.node), 1+r.spec.Faults.MapFailures[chunk], false, false, nil)
+	if u.err = ch.reexec.err; u.err != nil {
+		ch.err = u.err
+	} else {
+		u.parts, u.partBytes = ch.reexec.units[0].parts, ch.reexec.units[0].partBytes
+	}
+	close(u.ready)
+}
+
+// await blocks until ready closes, holding no reduce slot meanwhile.
+func (r *run) await(ready chan struct{}) {
+	select {
+	case <-ready:
+		return
+	default:
+	}
+	<-r.tokens
+	<-ready
+	r.tokens <- struct{}{}
 }
 
 // forEach runs fn(0) … fn(n-1) on up to workers goroutines.
 func forEach(workers, n int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -290,7 +290,7 @@ func forEach(workers, n int, fn func(i int)) {
 // newStore builds a per-task wall store configured like the engine's
 // node store.
 func (r *run) newStore(node int) *storage.Store {
-	st := storage.NewWallStore(node, r.model)
+	st := storage.NewWallStore(node, r.spec.Cluster.Model)
 	st.Checksums = r.spec.Cluster.Checksums
 	if r.spec.Cluster.SSDIntermediate {
 		st.Intermediate = cost.SSD
@@ -301,15 +301,11 @@ func (r *run) newStore(node int) *storage.Store {
 // newRuntime builds the task runtime charging virtual CPU into ledger.
 func (r *run) newRuntime(p substrate.Proc, st *storage.Store, ledger *int64) *core.Runtime {
 	return &core.Runtime{
-		P:     p,
-		Store: st,
-		Model: r.model,
-		Fam:   r.Fam,
-		ChargeCPU: func(d time.Duration) {
-			if d > 0 {
-				*ledger += int64(d)
-			}
-		},
+		P:         p,
+		Store:     st,
+		Model:     r.spec.Cluster.Model,
+		Fam:       r.Fam,
+		ChargeCPU: func(d time.Duration) { *ledger += int64(max(d, 0)) },
 		// Only the DES plots reduce progress (Definition 1).
 		FnRecords: func(int64) {},
 	}
@@ -323,10 +319,9 @@ type mapResult struct {
 	ledger int64
 
 	mapped, emitted, quarantined int64
-	maxTS                        int64
-	hasTS                        bool
-	failed                       bool // injected failure: output discarded, task retries
-	superseded                   bool // lost the claim race to a speculative twin
+	maxTS                        int64 // math.MinInt64: no record seen
+	failed                       bool  // injected failure: output discarded, task retries
+	superseded                   bool  // lost the claim race to a speculative twin
 	span                         engine.Span
 	err                          error
 }
@@ -338,11 +333,12 @@ type mapResult struct {
 // fault-free task is attempt 0 with no injection. When inject is set
 // the attempt dies at the spec's FailPoint through the chunk; when
 // claim is non-nil the attempt races a speculative twin and only the
-// first to claim publishes. Before the barrier the attempt's store
-// injects the plan's disk damage, and a checksum failure or exhausted
-// I/O retry budget fails the attempt as engine/maptask.go does.
-func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic.Bool) (res *mapResult) {
-	res = &mapResult{node: node}
+// first to claim publishes. When damage is set (primary chains, not
+// re-executions) the attempt's store injects the plan's disk damage, and
+// a checksum failure or exhausted I/O retry budget fails the attempt as
+// engine/maptask.go does.
+func (r *run) runMapAttempt(chunk, node, attempt int, inject, damage bool, claim *atomic.Bool) (res *mapResult) {
+	res = &mapResult{node: node, maxTS: math.MinInt64}
 	p := substrate.NewWallProc(r.start)
 	taskStart := p.Now()
 	span := func(kind string) engine.Span {
@@ -359,25 +355,17 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic
 		}
 	}()
 	st := r.newStore(node)
-	if !r.pastBarrier {
+	if damage {
 		st.SetFaults(r.spec.StoreFaults(int64(chunk), int64(attempt)))
 	}
 	res.store = st
 	rt := r.newRuntime(p, st, &res.ledger)
 	q := r.newQ()
-	hop := r.spec.Platform == engine.HOP
 	body := engine.NewMapBody(r.spec, rt, q, chunk, attempt,
 		func(name string, seq int, parts core.MapParts) {
 			// HOP: each eager spill is its own shuffle unit.
 			res.units = append(res.units, r.publish(p, st, name, chunk, seq, parts))
 		})
-	// The barrier resolves the global watermark from every task's
-	// maximum event time.
-	observe := func(ts int64) {
-		if !res.hasTS || ts > res.maxTS {
-			res.maxTS, res.hasTS = ts, true
-		}
-	}
 
 	data := r.spec.Input.ChunkBytes(chunk)
 	segs := body.Segments(data)
@@ -391,7 +379,7 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic
 		st.ChargeInputRead(p, int64(len(seg)))
 		var out engine.SegMapResult
 		body.MapSegment(seg, &out)
-		body.Replay(&out, observe)
+		body.Replay(&out, func(ts int64) { res.maxTS = max(res.maxTS, ts) })
 		end += int64(len(seg))
 		if failAt >= 0 && end >= failAt {
 			// Injected attempt death at the same byte offset the DES
@@ -410,9 +398,9 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic
 		res.superseded, res.span = true, span("map-superseded")
 		return res
 	}
-	if !hop {
+	if r.spec.Platform != engine.HOP {
 		if r.comb.Deposits(chunk) {
-			// Node-combine: the output parks for the barrier fold instead
+			// Node-combine: the output parks for the group's fold instead
 			// of publishing; no U3 write happens here — the merged run is
 			// the only MapOutput-class write, exactly as on the engine.
 			r.comb.Deposit(chunk, parts.Segs)
@@ -425,11 +413,13 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic
 	return res
 }
 
-// publish writes the per-partition segments to the task's store (U3,
-// kept for accounting parity with the DES even though the shuffle
-// never reads it back) and returns the in-memory shuffle unit.
+// publish charges the per-partition segments to the task's store (U3,
+// for accounting parity with the DES; the counters outlive the file,
+// which nothing reads back, so it goes at once) and returns the
+// in-memory shuffle unit.
 func (r *run) publish(p substrate.Proc, st *storage.Store, name string, chunk, seq int, parts core.MapParts) *unit {
-	_, partBytes, _ := engine.WriteMapOutput(p, st, name, parts)
+	f, partBytes, _ := engine.WriteMapOutput(p, st, name, parts)
+	st.Delete(f)
 	return &unit{chunk: chunk, seq: seq, parts: parts, partBytes: partBytes}
 }
 
@@ -445,8 +435,8 @@ type reduceResult struct {
 	err        error
 }
 
-// afterFeed runs what follows every consumed unit: due HOP snapshots (the barrier pins map progress at 1) and
-// sort-merge's multi-pass merge trigger.
+// afterFeed runs what follows every consumed unit: due HOP snapshots (at
+// map progress 1, so never timing's) and sort-merge's multi-pass merge trigger.
 func (r *run) afterFeed(red *engine.TaskReducer, sink func(physBytes int64)) {
 	for red.SnapshotDue(1) {
 		var records int64
@@ -468,8 +458,8 @@ func (r *run) afterFeed(red *engine.TaskReducer, sink func(physBytes int64)) {
 // re-executed maps, which count again exactly as on the DES; mapExtra
 // and redExtra hold failed and superseded attempts, which contribute
 // only their I/O accounting (their CPU already went to wastedCPU).
-func (r *run) report(mapDone, mapExtra []*mapResult, redDone, redExtra []*reduceResult, combRes []*rcResult, mapFinish time.Duration, workers int) *engine.Report {
-	rep := &engine.Report{MapFinishTime: mapFinish, Workers: workers}
+func (r *run) report(mapDone, mapExtra []*mapResult, redDone, redExtra []*reduceResult, mapFinish time.Duration) *engine.Report {
+	rep := &engine.Report{MapFinishTime: mapFinish, Workers: r.workers}
 	sums := engine.ReportSums{ShuffleByNode: make([]int64, r.spec.Cluster.Nodes), Combine: r.comb.Totals()}
 	publishedBy := func(node int, u *unit) {
 		for _, b := range u.partBytes {
@@ -488,7 +478,7 @@ func (r *run) report(mapDone, mapExtra []*mapResult, redDone, redExtra []*reduce
 		}
 	}
 	// Combine folds count in group order, like the engine's fold order.
-	for _, cr := range combRes {
+	for _, cr := range r.combRes {
 		sums.AddStore(cr.store)
 		sums.MapCPU += cr.ledger
 		rep.Spans = append(rep.Spans, cr.spans...)
@@ -515,8 +505,8 @@ func (r *run) report(mapDone, mapExtra []*mapResult, redDone, redExtra []*reduce
 	r.ReportTail(rep, &sums)
 	rep.MemShuffleFetches = r.memFetches.Load()
 	rep.SnapshotRecords = r.snapshotRecords.Load()
-	rep.NodesLost = r.nodesLost
-	rep.ReExecutedMapTasks = r.reexecMaps
+	rep.NodesLost = len(r.flt.killAt)
+	rep.ReExecutedMapTasks = len(mapDone) - r.TotalMaps
 	rep.RestartedReduceTasks = int(r.restartedReduces.Load())
 	rep.SpeculativeBackups = int(r.specBackups.Load())
 	rep.SpeculativeWins = int(r.specWins.Load())

@@ -115,7 +115,7 @@ type Case struct {
 	SnapshotEvery float64 `json:"snapshot_every,omitempty"` // HOP snapshots
 
 	// Fault schedule. The kill fires at a map-progress point and disk
-	// damage ends at the map barrier; heartbeat and checkpoint times are
+	// damage is live in the map phase; heartbeat and checkpoint times are
 	// stored as fractions of the platform's clean-run MapFinishTime
 	// (measured by the runner), so the schedule stays meaningful as other
 	// knobs shrink.

@@ -141,7 +141,7 @@ func safeRunReal(spec realexec.Spec) (rep *engine.Report, err error) {
 // same oracle). Raw record counts are compared only where both
 // substrates are bound to agree: early-emission re-counts depend on
 // spill timing, which legitimately differs between interleaved DES
-// execution and the real backend's map barrier, but input-side
+// execution and the real backend's prefix watermarks, but input-side
 // accounting and quarantine decisions are content-determined and must
 // match the DES clean run exactly, input-side counts only without kills
 // (re-executed map attempts re-count their records, on both
@@ -214,8 +214,8 @@ func checkReal(v *Verdict, c *Case, name string, pl engine.Platform, input dfs.I
 	if c.ShufErrPct == 0 && c.KillFracPct == 0 && rep.FetchRetries != 0 {
 		acct("no shuffle faults scheduled but FetchRetries=%d", rep.FetchRetries)
 	}
-	// Disk damage: injected into map attempts before the barrier only,
-	// so nothing here reads a checkpoint back torn.
+	// Disk damage: injected into primary map attempts only, so nothing
+	// here reads a checkpoint back torn.
 	if c.IOErrRate == 0 && rep.IORetries != 0 {
 		acct("no transient errors injected but IORetries=%d", rep.IORetries)
 	}

@@ -99,7 +99,7 @@ type (
 	FaultPlan = engine.FaultPlan
 	// DiskFaultPlan injects data-plane faults (FaultPlan.Disk):
 	// transient I/O errors, write-time bit flips, and torn checkpoint
-	// tails, live until the map barrier. Corruption injection requires
+	// tails, live in the map phase. Corruption injection requires
 	// Cluster.Checksums; all detections and repairs are reported.
 	DiskFaultPlan = engine.DiskFaultPlan
 	// Report is the result of a run.
@@ -183,8 +183,8 @@ func Run(job Job) (*Report, error) { return engine.Run(job) }
 // real time, and an M3R-style in-memory shuffle, with the same data
 // paths and the same virtual-time CPU/I/O accounting as the
 // simulation. newQuery must build a fresh Query instance on every call
-// (queries carry per-task scratch state); workers sizes the goroutine
-// pool (0 or 1 = serial). The answer and every counter in the Report
+// (queries carry per-task scratch state); workers (0 = 1) is both the
+// map goroutines and the reduce slots. The answer and every counter in the Report
 // are identical for any worker count and match the DES run; only
 // RunningTime, MapFinishTime, WallTime, Spans, and the two
 // timing-dependent recovery counters (FetchRetries, SpeculativeWins)
@@ -192,9 +192,9 @@ func Run(job Job) (*Report, error) { return engine.Run(job) }
 // same triggers as Run — kills at map progress
 // (FaultPlan.KillAtMapProgress), seeded transient shuffle errors
 // (ShuffleErrorRate), and disk damage (FaultPlan.Disk) injected into the
-// map attempts that run before the map barrier. The shuffle is in
-// memory, so only sort-merge's map-side spills read damaged bytes back
-// here. Job.Query is ignored.
+// primary map attempts. No map barrier: reducers consume each map output
+// from memory as it is published, so only sort-merge's map-side spills
+// read damaged bytes back here. Job.Query is ignored.
 func RunReal(job Job, newQuery func() Query, workers int) (*Report, error) {
 	return realexec.Run(realexec.Spec{Job: job, NewQuery: newQuery, Workers: workers})
 }
