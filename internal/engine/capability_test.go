@@ -25,16 +25,12 @@ func capabilitySpec(t *testing.T) JobSpec {
 	}
 }
 
-// TestFaultPlanActiveEdgeCases pins Active()/risky() on the plan
-// shapes the real backend keys its fault path off: an empty plan is
-// inactive, each single trigger activates it, and a map-barrier kill
-// (fraction 1.0) — a plan that only becomes active after the map
-// phase completes — still counts as active up front.
-func TestFaultPlanActiveEdgeCases(t *testing.T) {
+// TestFaultPlanRiskyEdgeCases pins risky() on single-trigger plans:
+// only node kills — a map-barrier kill (fraction 1.0) included — and
+// injected reduce failures can fail a reduce attempt after it consumed
+// input; an empty plan cannot.
+func TestFaultPlanRiskyEdgeCases(t *testing.T) {
 	var empty FaultPlan
-	if empty.Active() {
-		t.Error("empty plan is Active")
-	}
 	if empty.risky() {
 		t.Error("empty plan is risky")
 	}
@@ -53,9 +49,6 @@ func TestFaultPlanActiveEdgeCases(t *testing.T) {
 		{"disk-only", FaultPlan{Disk: DiskFaultPlan{IOErrorRate: 0.01}}, false},
 	}
 	for _, c := range cases {
-		if !c.plan.Active() {
-			t.Errorf("%s: not Active", c.name)
-		}
 		if got := c.plan.risky(); got != c.risky {
 			t.Errorf("%s: risky = %v, want %v", c.name, got, c.risky)
 		}

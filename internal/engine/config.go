@@ -19,13 +19,15 @@
 // attempt computes and charges, free of internal/sim) are common to
 // both, and maptask.go / reducetask.go here are only the simulation's
 // driver over those bodies. Fault injection and checkpointed recovery
-// run on both substrates with the same structural triggers: a node dies
-// when the job's K-th map task completes (FaultPlan.KillAtMapProgress),
-// shuffle fetches roll seeded transient errors (ShuffleErrorRate), and
-// disk damage (FaultPlan.Disk) is live during the map phase only (on
-// the real backend, in primary map attempts); here the heartbeat detector models detection
-// delay in virtual time. Only the virtual-time schedule (progress
-// curves, timelines) remains simulation-only.
+// run on both substrates under one interpretation (task_faults.go): a
+// node dies once chunks 0…K-1 have completed (FaultPlan.KillAtMapProgress)
+// and placement, lost outputs, backups and combine scope follow from
+// the spec alone; shuffle fetches roll seeded transient errors
+// (ShuffleErrorRate), and disk damage (FaultPlan.Disk) is live during
+// the map phase only (on the real backend, in primary map attempts).
+// Here the heartbeat detector models detection delay in virtual time.
+// Only the virtual-time schedule (progress curves, timelines) remains
+// simulation-only.
 package engine
 
 import (
@@ -241,7 +243,9 @@ type JobSpec struct {
 	// of node combining: nodes are grouped F-way by index, each group's
 	// first node folds the group's combined runs into one before the
 	// final reducers see anything. 0 or 1 disables the tree. Requires
-	// NodeCombine on (or auto) and a fault-free plan.
+	// NodeCombine on (or auto). Under a fault plan the tree folds only
+	// the chunks the plan keeps (JobFrame.Keep), none of them on a node
+	// that dies, so no mid-tree loss can occur.
 	AggFanIn int
 
 	Seed int64
@@ -367,12 +371,6 @@ func (s *JobSpec) Validate() error {
 			return errSpec("slow-node factor must be ≥ 1")
 		}
 	}
-	if f.SpeculativeFactor == 0 {
-		f.SpeculativeFactor = 2.0
-	}
-	if f.SpeculativeFactor < 1 {
-		return errSpec("speculative factor must be ≥ 1")
-	}
 	if f.HeartbeatInterval <= 0 {
 		f.HeartbeatInterval = 3 * time.Second
 	}
@@ -397,12 +395,6 @@ func (s *JobSpec) Validate() error {
 		}
 		if s.Platform == HOP {
 			return errSpec("hierarchical aggregation is not supported on the hop platform")
-		}
-		if f.Active() {
-			// The aggregation tree folds runs across nodes; a mid-tree
-			// node loss would need cross-node re-execution machinery the
-			// tree does not have. Reject rather than mis-simulate.
-			return errSpec("hierarchical aggregation requires a fault-free plan")
 		}
 	}
 	d := &f.Disk
@@ -467,15 +459,17 @@ type FaultPlan struct {
 	// KillAtMapProgress maps a node index to a map-phase progress
 	// fraction in (0, 1] at which the node crashes: with K =
 	// ceil(fraction × map tasks) (JobFrame.KillAfter), the node dies
-	// when the job's K-th map task completes. Its stored map outputs
-	// are lost and re-executed on survivors, and its map attempts and
-	// reduce tasks continue on survivors, where reducers that reach a
-	// lost output retry the fetch with backoff until the re-execution
-	// republishes it. On the DES everything running on the node aborts
-	// at that virtual instant and the failure detector declares it dead
-	// HeartbeatTimeout later; on the wall-clock backend the first K chunks
-	// (canonical order) are its lost outputs, each re-executed as its map
-	// chain returns. 1 kills the node as the last map task completes.
+	// once chunks 0…K-1 have all completed. Both backends interpret it
+	// the same way (task_faults.go): the node's chunks below K run there
+	// and lose their output (JobFrame.Lost), its chunks from K on start
+	// on a survivor (JobFrame.Home), and lost outputs re-execute and its
+	// reducers restart on survivors (JobFrame.Place), where reducers
+	// that reach a lost output retry the fetch with backoff until the
+	// re-execution republishes it. On the DES the node crashes at the
+	// virtual instant the prefix completes and the failure detector
+	// declares it dead HeartbeatTimeout later; on the wall-clock backend
+	// each lost output is re-executed as its map chain returns. 1 kills
+	// the node as the last map task completes.
 	KillAtMapProgress map[int]float64
 
 	// crashAt moves a KillAtMapProgress node's crash to a fixed virtual
@@ -495,14 +489,15 @@ type FaultPlan struct {
 	// beat these.
 	SlowNodes map[int]float64
 
-	// Speculate enables speculative backup attempts for map stragglers:
-	// when a task has run longer than SpeculativeFactor × the median
-	// completed-attempt duration, a backup attempt launches on another
-	// node; the first finisher wins and the loser's output is dropped.
+	// Speculate enables speculative backup attempts for map stragglers.
+	// Which tasks may race a backup, and on which node, is structural
+	// (JobFrame.Backup): tasks homed on a slow node that never dies and
+	// has no injected map failures, backed up away from that node. The
+	// wall-clock backend races every such task; the DES launches the
+	// backup once the task has run longer than twice the median
+	// completed-attempt duration. The first finisher wins and the
+	// loser's output is dropped.
 	Speculate bool
-
-	// SpeculativeFactor is the straggler threshold multiplier (default 2).
-	SpeculativeFactor float64
 
 	// HeartbeatInterval is how often the failure detector checks node
 	// liveness and straggler status (default 3s of virtual time).
@@ -598,12 +593,6 @@ func (s *JobSpec) StoreFaults(ids ...int64) *storage.DiskFaults {
 	}
 	return df
 }
-
-// Active reports whether the plan injects anything at all — task
-// failures, node kills, stragglers, speculation, shuffle errors, or
-// disk faults. Both backends use it to decide whether a run needs any
-// fault machinery.
-func (f *FaultPlan) Active() bool { return f.any() || f.Disk.any() }
 
 // any reports whether the plan injects anything at all.
 func (f *FaultPlan) any() bool {

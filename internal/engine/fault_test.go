@@ -228,8 +228,9 @@ func TestKillMidShuffleDoesNotDeadlock(t *testing.T) {
 // TestFetchRetryBackoff delays the failure detector so reducers hit the
 // crashed node with live fetch attempts first: those must retry with
 // backoff (counted), then recover normally once the node is declared.
-// Sessionization without map combining keeps a real shuffle backlog in
-// flight, so the crash strands published-but-unfetched outputs.
+// One reduce slot per node makes a second reduce wave, whose reducers
+// start fetching only after the first wave finishes, so the crash
+// strands published-but-unfetched outputs.
 func TestFetchRetryBackoff(t *testing.T) {
 	m := testModel()
 	input := testClicks(t, 192<<10, 12<<10)
@@ -237,6 +238,7 @@ func TestFetchRetryBackoff(t *testing.T) {
 		c := testCluster(m)
 		c.ReduceBuffer = 16 << 10
 		c.Page = 1 << 10
+		c.ReduceSlots = 1
 		return JobSpec{
 			Query:    queries.NewSessionization(5*time.Minute, 512, 5*time.Second),
 			Input:    input,
@@ -253,9 +255,10 @@ func TestFetchRetryBackoff(t *testing.T) {
 	spec.Faults = FaultPlan{
 		KillAtMapProgress: map[int]float64{2: 0.4},
 		HeartbeatInterval: mf / 100,
-		// Declaration comes late: a window several backoff periods wide
-		// in which fetches against the crashed node keep failing.
-		HeartbeatTimeout: mf / 3,
+		// Declaration comes late: a window several backoff periods wide,
+		// reaching past the first reduce wave, in which fetches against
+		// the crashed node keep failing.
+		HeartbeatTimeout: mf,
 	}
 	faulty := runJob(t, spec)
 	equalStrings(t, "fetch-retry", sortedOutputs(clean, clickLine), sortedOutputs(faulty, clickLine))
@@ -405,10 +408,6 @@ func TestFaultPlanValidation(t *testing.T) {
 		}},
 		{"slow factor below one", func(s *JobSpec) {
 			s.Faults.SlowNodes = map[int]float64{0: 0.5}
-		}},
-		{"speculative factor below one", func(s *JobSpec) {
-			s.Faults.Speculate = true
-			s.Faults.SpeculativeFactor = 0.5
 		}},
 		{"negative checkpoint interval", func(s *JobSpec) {
 			s.CheckpointEvery = -time.Second

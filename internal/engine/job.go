@@ -22,11 +22,12 @@ type job struct {
 	gauges  metrics.Gauges
 
 	// combine is the in-node combine plan (task_combine.go); no chunk
-	// deposits into it unless the spec resolves node combining on and
-	// the plan is fault-free. See nodecombine.go.
+	// deposits into it unless the spec resolves node combining on, and
+	// then only the chunks the fault plan keeps. See nodecombine.go.
 	combine *CombinePlan
 
 	mapsDone         int
+	mapPrefix        int // chunks 0…mapPrefix-1 have each completed once (the kill trigger)
 	fetchesDone      int64
 	memFetches       int64
 	diskFetches      int64
@@ -96,9 +97,10 @@ func Run(spec JobSpec) (*Report, error) {
 	j.shuffle = newShuffleService(j.k, j.TotalMaps, j.NumReducers)
 
 	// Fault plan wiring: stragglers, disk faults, the failure-detector
-	// daemon (kills fire at map completions, countMapDone). Every task
-	// runs its attempt chain on the tracker's state tables; a clean run
-	// spawns no daemon, so no heartbeat tick interleaves with its events.
+	// daemon (kills fire once a chunk prefix completes, countMapDone).
+	// Every task runs its attempt chain on the tracker's state tables; a
+	// clean run spawns no daemon, so no heartbeat tick interleaves with
+	// its events.
 	faults := &spec.Faults
 	for idx, at := range faults.crashAt {
 		j.nodes[idx].deadAt = int64(at)
@@ -120,15 +122,11 @@ func Run(spec JobSpec) (*Report, error) {
 	sampler.Start(j.k)
 
 	j.sums.ShuffleByNode = make([]int64, cfg.Nodes)
-	// In-node combining keeps every chunk on a fault-free plan
-	// (checkpointing included) and none under any fault plan: there the
-	// job publishes per task so loss recovery stays per-task, and
-	// NodeCombineOn is a counter-exact no-op.
-	j.combine = j.NewCombinePlan(func(int, int) bool { return !faults.Active() })
-	// Map tasks: one process per chunk on its assigned node.
+	j.combine = j.NewCombinePlan()
+	// Map tasks: one process per chunk on its home node.
 	for c := 0; c < j.TotalMaps; c++ {
 		chunk := c
-		n := j.nodes[j.Node(chunk)]
+		n := j.nodes[j.Home(chunk)]
 		j.k.Spawn(fmt.Sprintf("map%06d", chunk), func(p *sim.Proc) {
 			j.runMapTask(p, chunk, n, false)
 		})

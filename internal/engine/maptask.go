@@ -40,9 +40,6 @@ func (j *job) runMapTask(p *sim.Proc, chunk int, n *node, backup bool) {
 		attempt := ms.attempts
 		ms.attempts++
 		inject := attempt < failures
-		if !backup {
-			ms.node = n
-		}
 		ms.running++
 		res, dur := j.runMapAttempt(p, chunk, n, attempt, inject, backup)
 		ms.running--
@@ -66,7 +63,7 @@ func (j *job) runMapTask(p *sim.Proc, chunk int, n *node, backup bool) {
 			if ms.done {
 				return
 			}
-			n = t.pickNode(p.Now())
+			n = j.nodes[j.Place(chunk, -1)]
 		}
 	}
 }
@@ -208,12 +205,12 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 		// Node-combine: the output parks at the node's combiner instead
 		// of entering the shuffle; the node's last deposit triggers the
 		// fold, and the merged run publishes for every covered task (the
-		// shuffle's completion count is released there, not here). Only
-		// fault-free plans combine, so there is no claim race and no
-		// declared-dead rollback to handle.
+		// shuffle's completion count is released there, not here). A kept
+		// chunk races no backup on a node that never dies (JobFrame.Keep),
+		// so there is no claim race and no declared-dead rollback to handle.
 		ms.done = true
 		j.sums.MapCPU += ledger
-		j.countMapDone(p.Now())
+		j.countMapDone(chunk, p.Now())
 		j.deposit(chunk, n, parts.Segs)
 		return mapDone, p.Now() - start
 	}
@@ -239,16 +236,17 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 		ms.output = o
 	}
 	j.sums.MapCPU += ledger
-	j.countMapDone(p.Now())
+	j.countMapDone(chunk, p.Now())
 	j.shuffle.mapperFinished()
 	return mapDone, p.Now() - start
 }
 
-// countMapDone records one completed map task at virtual time now: the
-// last completion finishes the map phase and ends disk-damage injection
-// (the map barrier), and a node in Faults.KillAtMapProgress crashes at
-// the K-th (JobFrame.KillAfter).
-func (j *job) countMapDone(now int64) {
+// countMapDone records chunk's completed map task at virtual time now:
+// the last completion finishes the map phase and ends disk-damage
+// injection (the map barrier), and a node in Faults.KillAtMapProgress
+// crashes at the first instant chunks 0…K-1 (JobFrame.KillAfter) have
+// all completed once — by then it has published exactly its Lost chunks.
+func (j *job) countMapDone(chunk int, now int64) {
 	j.mapsDone++
 	if j.mapsDone == j.TotalMaps {
 		j.mapFinish = now
@@ -256,8 +254,13 @@ func (j *job) countMapDone(now int64) {
 			n.store.SetFaults(nil)
 		}
 	}
+	ms := j.tracker.mstates
+	ms[chunk].completed = true
+	for j.mapPrefix < j.TotalMaps && ms[j.mapPrefix].completed {
+		j.mapPrefix++
+	}
 	for idx, k := range j.KillAfter {
-		if n := j.nodes[idx]; n.deadAt < 0 && j.mapsDone >= k {
+		if n := j.nodes[idx]; n.deadAt < 0 && j.mapPrefix >= k {
 			n.deadAt = now
 		}
 	}

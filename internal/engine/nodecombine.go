@@ -12,12 +12,9 @@ import (
 // aggregator's NIC, and the covered tasks' completion count is
 // released once the merged run is in the shuffle. All of it happens on
 // job processes under the kernel, so every trigger point is
-// deterministic.
-//
-// The DES combines only on fault-free plans (checkpointing included):
-// under any fault plan its keep predicate drops every chunk, the job
-// publishes per task so loss recovery stays per-task, and NodeCombineOn
-// is a counter-exact no-op.
+// deterministic. Which chunks deposit is JobFrame.Keep, as on the real
+// backend: a kept chunk's home never dies and races no backup, so a
+// deposit is never lost, superseded or re-executed.
 
 // deposit parks one finished map task output; the node's last deposit
 // spawns the node fold.

@@ -179,27 +179,31 @@ func TestNodeCombineAuto(t *testing.T) {
 	}
 }
 
-// TestNodeCombineFaultPlansFallBack pins the fault-scope rule: any
-// active fault plan resolves combining off, so recovery semantics stay
-// per-task and the run equals the uncombined one field for field.
-func TestNodeCombineFaultPlansFallBack(t *testing.T) {
-	run := func(mode NodeCombineMode) *Report {
+// TestNodeCombineUnderMapFailures pins the fault scope (JobFrame.Keep):
+// injected map failures neither kill a node nor move a winning attempt,
+// so every chunk still combines — the combine counters equal the
+// fault-free run's — and the run answers exactly as the uncombined one.
+func TestNodeCombineUnderMapFailures(t *testing.T) {
+	run := func(mode NodeCombineMode, faulted bool) *Report {
 		spec := ncSpec(t, mode)
 		spec.Platform = MRHash
-		spec.Faults = FaultPlan{
-			MapFailures: map[int]int{1: 1},
-			FailPoint:   0.5,
+		if faulted {
+			spec.Faults = FaultPlan{
+				MapFailures: map[int]int{1: 1},
+				FailPoint:   0.5,
+			}
 		}
-		rep := runJob(t, spec)
-		rep.WallTime = 0
-		return rep
+		return runJob(t, spec)
 	}
-	off, on := run(NodeCombineOff), run(NodeCombineOn)
-	if d := ReportDiff(off, on); d != "" {
-		t.Fatalf("fault plans must disable combining exactly; %s differs", d)
-	}
-	if on.NodeCombineInputRecords != 0 {
-		t.Fatal("combine counters must stay zero under a fault plan")
+	off, on, clean := run(NodeCombineOff, true), run(NodeCombineOn, true), run(NodeCombineOn, false)
+	assertContentIdentical(t, "map-failures", off, on)
+	if on.NodeCombineInputRecords == 0 ||
+		on.NodeCombineInputRecords != clean.NodeCombineInputRecords ||
+		on.NodeCombineOutputRecords != clean.NodeCombineOutputRecords ||
+		on.ShuffleBytesSaved != clean.ShuffleBytesSaved {
+		t.Fatalf("combine counters under map failures (in=%d out=%d saved=%d) differ from the fault-free run's (in=%d out=%d saved=%d)",
+			on.NodeCombineInputRecords, on.NodeCombineOutputRecords, on.ShuffleBytesSaved,
+			clean.NodeCombineInputRecords, clean.NodeCombineOutputRecords, clean.ShuffleBytesSaved)
 	}
 }
 

@@ -55,7 +55,7 @@ func (j *job) runReduceTask(p *sim.Proc, ridx int, n *node) {
 		case reduceNodeDead:
 			dead := rs.node
 			p.WaitFor(t.cond, func() bool { return dead.declaredDead })
-			rs.node = t.pickNode(p.Now())
+			rs.node = j.nodes[j.Place(ridx, -1)]
 		}
 	}
 }

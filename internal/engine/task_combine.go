@@ -18,9 +18,9 @@ import (
 // one run the group publishes (tier 2). The plan, the combiner's
 // configuration, both folds, the names and the totals live here, so
 // the published runs and every derived counter are bit-identical
-// across substrates and worker counts by construction. A driver
-// decides only which chunks deposit (keep), when or where each fold
-// runs, and how the finished run enters its shuffle.
+// across substrates and worker counts by construction. Which chunks
+// deposit is JobFrame.Keep (task_faults.go); a driver decides only when
+// or where each fold runs, and how the finished run enters its shuffle.
 
 // CombineTotals is the stage's accounting.
 type CombineTotals struct {
@@ -58,11 +58,9 @@ type CombinePlan struct {
 }
 
 // NewCombinePlan derives the depositing chunks and the aggregation
-// groups from the frame's assignment and AggFanIn. keep is the driver's
-// fault scope: a chunk whose output may not survive on its home node
-// until the fold, or may publish from a timing-dependent node, is
-// dropped and publishes solo exactly as on a combine-off run.
-func (f *JobFrame) NewCombinePlan(keep func(chunk, node int) bool) *CombinePlan {
+// groups from the frame's assignment and AggFanIn. A chunk the fault
+// plan does not Keep publishes solo, exactly as on a combine-off run.
+func (f *JobFrame) NewCombinePlan() *CombinePlan {
 	pl := &CombinePlan{f: f}
 	if !f.spec.NodeCombineActive() {
 		return pl
@@ -74,7 +72,7 @@ func (f *JobFrame) NewCombinePlan(keep func(chunk, node int) bool) *CombinePlan 
 	pl.groupOf = make([]*CombineGroup, nodes)
 	perNode := make([][]int, nodes)
 	for c := range pl.deposits {
-		if n := f.Node(c); keep(c, n) {
+		if n := f.Node(c); f.Keep(c) {
 			pl.deposits[c] = true
 			perNode[n] = append(perNode[n], c)
 		}

@@ -12,19 +12,20 @@ import (
 // JobFrame is what both backends must say identically around a run:
 // before any task starts, the validated spec, the task counts, the hash
 // family every collector and reducer draws from and the node each
-// chunk's map task is assigned to and the map count each kill fires at;
+// chunk's map task is assigned to and the chunk prefix each kill fires
+// at; during it, the fault plan's interpretation (task_faults.go);
 // afterwards, the Report fields that follow from the run's summed
 // counters (ReportTail). engine.Run and realexec.Run both start from
 // NewJobFrame (realexec adds only its capability check), so neither can
-// derive a seed, a kill point or a counter its own way.
+// derive a seed, a kill point, a placement or a counter its own way.
 type JobFrame struct {
 	NumReducers   int
 	TotalMaps     int
 	InputBytesEst int64 // chunk 0's size × chunks: what reducers size their tables from
 	Fam           *hashfam.Family
 	// KillAfter maps each node in Faults.KillAtMapProgress to K =
-	// ceil(fraction × TotalMaps), clamped to [1, TotalMaps]: the number
-	// of completed map tasks at which the node dies.
+	// ceil(fraction × TotalMaps), clamped to [1, TotalMaps]: the node
+	// dies once chunks 0…K-1 have completed (task_faults.go).
 	KillAfter map[int]int
 
 	spec   *JobSpec

@@ -25,12 +25,12 @@ func (n chunksInput) NumChunks() int      { return int(n) }
 func (chunksInput) ChunkBytes(int) []byte { return []byte("x\n") }
 
 // planFrame is a combining clickcount job over chunks chunks on the
-// paper's ten nodes.
-func planFrame(t *testing.T, chunks, fanIn int, mode NodeCombineMode) *JobFrame {
+// paper's ten nodes, under the given fault plan.
+func planFrame(t *testing.T, chunks, fanIn int, mode NodeCombineMode, faults FaultPlan) *JobFrame {
 	t.Helper()
 	spec := &JobSpec{Query: queries.NewClickCount(), Input: chunksInput(chunks),
 		Cluster: PaperCluster(testModel()), Hints: mr.Hints{Km: 0.1, DistinctKeys: 400},
-		NodeCombine: mode, AggFanIn: fanIn, Seed: 1}
+		NodeCombine: mode, AggFanIn: fanIn, Faults: faults, Seed: 1}
 	f, err := NewJobFrame(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -50,22 +50,42 @@ func ascending(s []int) bool {
 
 // TestCombinePlan checks the plan's shape over fan-ins below, at and
 // above the node count, inputs that leave nodes without chunks, and
-// keep predicates that drop a whole node or single chunks: every kept
-// chunk is covered exactly once and no dropped one is, members, chunks
-// and tasks ascend, empty groups are absent, groups are consecutive
-// fan-in-wide node ranges whose first present member aggregates.
+// fault plans whose scope (JobFrame.Keep) drops a whole node or single
+// chunks: every kept chunk is covered exactly once and no dropped one
+// is, members, chunks and tasks ascend, empty groups are absent, groups
+// are consecutive fan-in-wide node ranges whose first present member
+// aggregates.
 func TestCombinePlan(t *testing.T) {
-	keeps := map[string]func(chunk, node int) bool{
-		"all":         func(int, int) bool { return true },
-		"drop-node-3": func(_, node int) bool { return node != 3 },
-		"drop-chunks": func(chunk, _ int) bool { return chunk%4 != 1 },
-		"drop-all":    func(int, int) bool { return false },
+	type scope struct {
+		faults FaultPlan
+		keep   func(chunk, node int) bool
+	}
+	scopes := func(chunks int) map[string]scope {
+		// drop-chunks: every node straggles under speculation, so every
+		// chunk would race a backup — except those with injected map
+		// failures.
+		slow, fails := map[int]float64{}, map[int]int{}
+		for n := 0; n < 10; n++ {
+			slow[n] = 2
+		}
+		for c := 0; c < chunks; c++ {
+			if c%4 != 1 {
+				fails[c] = 1
+			}
+		}
+		return map[string]scope{
+			"all":         {FaultPlan{}, func(int, int) bool { return true }},
+			"drop-node-3": {FaultPlan{KillAtMapProgress: map[int]float64{3: 1}}, func(_, node int) bool { return node != 3 }},
+			"drop-chunks": {FaultPlan{Speculate: true, SlowNodes: slow, MapFailures: fails}, func(chunk, _ int) bool { return chunk%4 != 1 }},
+			"drop-all":    {FaultPlan{Disk: DiskFaultPlan{IOErrorRate: 0.01}}, func(int, int) bool { return false }},
+		}
 	}
 	for _, chunks := range []int{25, 7} { // 7 chunks leave nodes 7–9 empty
 		for _, fanIn := range []int{0, 1, 3, 5, 10, 12} {
-			for name, keep := range keeps {
-				f := planFrame(t, chunks, fanIn, NodeCombineOn)
-				pl := f.NewCombinePlan(keep)
+			for name, sc := range scopes(chunks) {
+				keep := sc.keep
+				f := planFrame(t, chunks, fanIn, NodeCombineOn, sc.faults)
+				pl := f.NewCombinePlan()
 				covered := make([]int, chunks)
 				lastNode := -1
 				for gi, g := range pl.Groups {
@@ -115,8 +135,8 @@ func TestCombinePlan(t *testing.T) {
 
 	// Tasks deposit concurrently on the wall-clock backend: exactly one
 	// deposit per node reports that node complete.
-	f := planFrame(t, 25, 3, NodeCombineOn)
-	pl := f.NewCombinePlan(keeps["all"])
+	f := planFrame(t, 25, 3, NodeCombineOn, FaultPlan{})
+	pl := f.NewCombinePlan()
 	var lasts [10]atomic.Int32
 	var wg sync.WaitGroup
 	for c := 0; c < 25; c++ {
@@ -135,8 +155,8 @@ func TestCombinePlan(t *testing.T) {
 		}
 	}
 
-	// A spec that resolves combining off deposits nothing, whatever keep says.
-	off := planFrame(t, 25, 0, NodeCombineOff).NewCombinePlan(keeps["all"])
+	// A spec that resolves combining off deposits nothing, whatever the plan keeps.
+	off := planFrame(t, 25, 0, NodeCombineOff, FaultPlan{}).NewCombinePlan()
 	if len(off.Groups) != 0 || off.Deposits(0) || off.Totals() != (CombineTotals{}) {
 		t.Fatalf("combine-off plan is not empty: %+v", off)
 	}
@@ -170,7 +190,7 @@ var reportOwners = map[string]string{
 // backend only, unnoticed), the tail must set every field listed as
 // its own from all-nonzero sums, and must leave the drivers' alone.
 func TestReportTailOwnsItsFields(t *testing.T) {
-	f := planFrame(t, 25, 0, NodeCombineOn)
+	f := planFrame(t, 25, 0, NodeCombineOn, FaultPlan{})
 	sums := ReportSums{IORetries: 3, CorruptFrames: 4, MapCPU: int64(50 * time.Second), ReduceCPU: int64(30 * time.Second),
 		WastedCPU: int64(20 * time.Second), RefetchBytes: 700, ShuffleByNode: []int64{0, 5, 0, 0, 0, 0, 0, 0, 0, 9},
 		Combine: CombineTotals{InPairs: 100, OutPairs: 60, SavedBytes: 800}}

@@ -12,14 +12,14 @@ import (
 // attempts (original, injected-failure retries, speculative backups,
 // and post-loss re-executions).
 type mapTaskState struct {
-	task   int
-	done   bool       // a surviving attempt has published output
-	output *mapOutput // the winning output (nil while re-executing)
+	task      int
+	done      bool       // a surviving attempt has published output
+	completed bool       // an attempt has completed once (JobFrame.Lost's prefix)
+	output    *mapOutput // the winning output (nil while re-executing)
 
 	attempts int   // attempt ids handed out (shared by all procs of this task)
 	running  int   // attempts currently executing
 	since    int64 // start time of the current primary attempt
-	node     *node // node of the current primary attempt
 	backups  int   // speculative backups launched
 	reexecs  int   // re-executions after output loss
 }
@@ -50,7 +50,9 @@ type reduceState struct {
 // — a heartbeat-driven failure detector that declares crashed nodes
 // dead, invalidates their stored map outputs, re-executes
 // lost-but-needed map tasks on survivors, and launches speculative
-// backups for map stragglers. The state tables exist on every run (a
+// backups for map stragglers. Where each of those runs, and which tasks
+// may be backed up at all, is the frame's (task_faults.go); the tracker
+// decides only when. The state tables exist on every run (a
 // fault-free task is the chain that succeeds at attempt 0); the
 // detector daemon only ticks when the fault plan calls for it, so clean
 // runs' event sequences carry no heartbeat.
@@ -60,7 +62,6 @@ type tracker struct {
 	mstates []mapTaskState // value slices: one allocation each, never regrown
 	rstates []reduceState
 	mapDurs []int64 // completed map-attempt durations (speculation baseline)
-	cursor  int     // round-robin placement cursor for recovered tasks
 }
 
 func newTracker(j *job) *tracker {
@@ -201,7 +202,7 @@ func (t *tracker) reexec(ms *mapTaskState) {
 	t.j.reexecMaps++
 	t.j.mapsDone--
 	t.j.shuffle.mappersDone--
-	n := t.pickNode(t.j.k.Now())
+	n := t.j.nodes[t.j.Place(ms.task, -1)]
 	idx := ms.reexecs
 	ms.reexecs++
 	t.j.k.Spawn(fmt.Sprintf("map%06d.r%d", ms.task, idx), func(p *sim.Proc) {
@@ -224,10 +225,14 @@ func (t *tracker) ensureAvailable(rs *reduceState) {
 	}
 }
 
-// speculate launches backup attempts for map stragglers: tasks whose
-// current attempt has been running longer than SpeculativeFactor times
-// the median completed-attempt duration, once enough attempts have
-// completed to estimate that median.
+// speculativeFactor is the straggler threshold: a multiple of the
+// median completed map-attempt duration.
+const speculativeFactor = 2
+
+// speculate launches backup attempts for map stragglers: tasks with a
+// backup node (JobFrame.Backup) whose current attempt has been running
+// longer than speculativeFactor times the median completed-attempt
+// duration, once enough attempts have completed to estimate that median.
 func (t *tracker) speculate(now int64) {
 	minSamples := t.j.TotalMaps / 4
 	if minSamples < 3 {
@@ -239,7 +244,7 @@ func (t *tracker) speculate(now int64) {
 	durs := append([]int64(nil), t.mapDurs...)
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 	median := durs[len(durs)/2]
-	threshold := int64(t.j.spec.Faults.SpeculativeFactor * float64(median))
+	threshold := speculativeFactor * median
 	for i := range t.mstates {
 		ms := &t.mstates[i]
 		if ms.done || ms.backups > 0 || ms.running == 0 {
@@ -248,10 +253,11 @@ func (t *tracker) speculate(now int64) {
 		if now-ms.since <= threshold {
 			continue
 		}
-		n := t.pickNodeExcluding(now, ms.node)
-		if n == nil {
+		b := t.j.Backup(ms.task)
+		if b < 0 {
 			continue
 		}
+		n := t.j.nodes[b]
 		ms.backups++
 		t.j.specBackups++
 		task := ms.task
@@ -259,26 +265,4 @@ func (t *tracker) speculate(now int64) {
 			t.j.runMapTask(p, task, n, true)
 		})
 	}
-}
-
-// pickNode returns the next live node round-robin. The validated fault
-// plan guarantees at least one node survives the run.
-func (t *tracker) pickNode(now int64) *node {
-	return t.pickNodeExcluding(now, nil)
-}
-
-// pickNodeExcluding is pickNode skipping one node (backup placement
-// must avoid the straggler's own machine). Returns nil if no other
-// live node exists.
-func (t *tracker) pickNodeExcluding(now int64, skip *node) *node {
-	nodes := t.j.nodes
-	for i := 0; i < len(nodes); i++ {
-		n := nodes[t.cursor%len(nodes)]
-		t.cursor++
-		if n == skip || n.declaredDead || n.dead(now) {
-			continue
-		}
-		return n
-	}
-	return nil
 }

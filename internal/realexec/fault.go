@@ -4,34 +4,34 @@
 // driver has; a fault-free task is the chain that succeeds at attempt 0
 // (an empty plan kills nobody, rolls no errors, sleeps for nothing).
 //
-// A wall clock cannot reproduce a schedule of instants
-// deterministically, so every trigger is anchored to job structure —
-// the same triggers the DES runs, interpreted here without its clock:
+// What the plan means is engine.JobFrame's (engine/task_faults.go), the
+// interpretation the DES asks too: Home places each map chain, Lost
+// names the outputs a node kill takes (the node dies once chunks
+// 0…K-1 have completed, so its chunks below K had published), Place
+// puts re-executions and restarted reducers on survivors, and Backup
+// names the tasks that race a speculative twin and where. This file
+// keeps only the wall clock's own mechanics: waiting and sleeping.
 //
-//   - node kills fire at a map-progress point: with K
-//     (engine.JobFrame.KillAfter), a node is dead once the first K
-//     chunks (canonical chunk order) are done — the set of outputs lost
-//     to the crash is a pure function of the spec, not of scheduling;
-//     it is discarded as its chain returns and re-executed at once;
+//   - a lost output is discarded as its chain returns and re-executed at
+//     once; a reducer that reaches it waits (waitUnit), counting backoff
+//     rounds as fetch retries, under a watchdog;
 //   - injected map failures die at a byte offset through the chunk,
 //     injected reduce failures after a fixed number of consumed
 //     shuffle units (the DES's own FailPoint semantics);
 //   - transient shuffle-read errors are the seeded rolls of
-//     engine.JobSpec.ShuffleFetchFails, so retry counts for pure
-//     transient plans are deterministic;
+//     engine.JobSpec.ShuffleFetchFails, slept off with capped backoff;
 //   - checkpoints trigger on the attempt's virtual CPU ledger, the
 //     deterministic stand-in for the DES's virtual clock;
 //   - disk damage is rolled per primary map attempt, backups included,
 //     from a seed folding in (chunk, attempt) (engine.JobSpec.StoreFaults),
 //     so IORetries and CorruptFramesDetected are deterministic;
-//   - speculative backups are structural: every map task on a live
-//     straggler node races one backup on a healthy peer. Both
-//     attempts run to completion and the claim is taken only at
-//     publish, so each attempt's ledger — and therefore wastedCPU —
-//     is identical whichever side wins; only SpeculativeWins, the
-//     per-node shuffle attribution (ShuffleBytesByNode follows the
-//     winning node), and FetchRetries under kills remain
-//     timing-dependent.
+//   - stragglers sleep a bounded real delay; every backup candidate
+//     races its twin. Both attempts run to completion and the claim is
+//     taken only at publish, so each attempt's ledger — and therefore
+//     wastedCPU — is identical whichever side wins; only
+//     SpeculativeWins, the per-node shuffle attribution
+//     (ShuffleBytesByNode follows the winning node), and FetchRetries
+//     remain timing-dependent.
 //
 // Everything else — what a task computes, what it publishes, what a
 // reducer consumes and in what order — does not depend on the plan, so
@@ -74,64 +74,9 @@ const (
 // instead of deadlocking the job. A variable so tests can shorten it.
 var shuffleWatchdog = 30 * time.Second
 
-// faults interprets the job's fault plan for the wall-clock backend.
-type faults struct {
-	spec   *engine.JobSpec
-	nodes  int
-	killAt map[int]int // node → chunk count K after which it is dead (engine.JobFrame.KillAfter)
-}
-
-// dies reports whether the node is killed at some point in the run.
-func (f *faults) dies(node int) bool { _, ok := f.killAt[node]; return ok }
-
-// lostAfterMap reports whether chunk's output, published on node, is
-// lost when the node dies: the first K chunks in canonical order
-// completed before the crash, so their outputs existed and vanish.
-func (f *faults) lostAfterMap(chunk, node int) bool {
-	k, ok := f.killAt[node]
-	return ok && chunk < k
-}
-
-// displaced reports whether the attempt for chunk would start on node
-// only after the node died — no work is lost, the task just runs on a
-// survivor instead.
-func (f *faults) displaced(chunk, node int) bool {
-	k, ok := f.killAt[node]
-	return ok && chunk >= k
-}
-
-// survivor returns the first node after n in ring order that never
-// dies. Validation guarantees at least one survivor exists.
-func (f *faults) survivor(n int) int {
-	for i := 1; i <= f.nodes; i++ {
-		c := (n + i) % f.nodes
-		if !f.dies(c) {
-			return c
-		}
-	}
-	return n
-}
-
-// backupFor returns the node a speculative backup of chunk races on
-// when its primary runs on node, or -1 when the task runs unraced:
-// every task on a live straggler races one backup on the next node that
-// never dies. Tasks with injected failures are excluded (their ladder
-// length must stay deterministic), and so are tasks on dying nodes (the
-// lost-output set must stay a pure function of the spec).
-func (f *faults) backupFor(chunk, node int) int {
-	sp := &f.spec.Faults
-	if !sp.Speculate || sp.MapFailures[chunk] > 0 || f.dies(node) || sp.SlowNodes[node] <= 1 {
-		return -1
-	}
-	if c := f.survivor(node); c != node {
-		return c
-	}
-	return -1
-}
-
 // slowSleep injects the straggler delay for tasks on a slow node.
-func (f *faults) slowSleep(node int) {
-	factor := f.spec.Faults.SlowNodes[node]
+func (r *run) slowSleep(node int) {
+	factor := r.spec.Faults.SlowNodes[node]
 	if factor <= 1 {
 		return
 	}
@@ -147,20 +92,17 @@ type mapChain struct {
 	err    error
 }
 
-// runMapChain drives one map task through displacement, its injected
-// failure ladder, and an optional speculative backup race.
-func (r *run) runMapChain(chunk, node int) *mapChain {
-	f := r.flt
+// runMapChain drives one map task on its home node through its injected
+// failure ladder and an optional speculative backup race.
+func (r *run) runMapChain(chunk int) *mapChain {
 	ch := &mapChain{}
-	if f.displaced(chunk, node) {
-		node = f.survivor(node)
-	}
+	node := r.Home(chunk)
 	failures := r.spec.Faults.MapFailures[chunk]
 
 	// Speculative backup race, where the plan stages one.
 	var claim *atomic.Bool
 	var backupDone chan *mapResult
-	if bn := f.backupFor(chunk, node); bn >= 0 {
+	if bn := r.Backup(chunk); bn >= 0 {
 		claim = new(atomic.Bool)
 		backupDone = make(chan *mapResult, 1)
 		r.specBackups.Add(1)
@@ -283,7 +225,6 @@ type reduceChain struct {
 // dead-node displacement, injected failures, and checkpointed
 // restarts.
 func (r *run) runReduceChain(ridx, node int) *reduceChain {
-	f := r.flt
 	ch := &reduceChain{}
 	task := &rtask{}
 	defer r.drain(task) // a failed task must not hold the others back
@@ -297,10 +238,10 @@ func (r *run) runReduceChain(ridx, node int) *reduceChain {
 		if attempt > 0 {
 			r.restartedReduces.Add(1)
 		}
-		if f.dies(node) {
-			// The assigned node died during the map phase: the attempt
+		if r.Dies(node) {
+			// The assigned node dies during the map phase: the attempt
 			// does no work and the task restarts on a survivor.
-			node = f.survivor(node)
+			node = r.Place(ridx, -1)
 			continue
 		}
 		// Injection counts live attempts: a zero-work displacement off a
@@ -381,7 +322,7 @@ func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool
 		return failOut()
 	}
 
-	r.flt.slowSleep(node)
+	r.slowSleep(node)
 	ckptEvery := int64(r.spec.CheckpointEvery)
 	lastCkpt := res.ledger
 

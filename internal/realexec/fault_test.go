@@ -181,12 +181,31 @@ func TestFaultedAnswerConformance(t *testing.T) {
 	}
 }
 
+// requireFaultParity asserts that both backends interpreted one fault
+// plan identically (engine.JobFrame's task_faults.go): the same answers,
+// the same map work, the same chunks combined, and the same node
+// losses, re-executions and reducer restarts.
+func requireFaultParity(t *testing.T, des, real *engine.Report, label string) {
+	t.Helper()
+	requireSameAnswers(t, des, real, label)
+	fields := func(r *engine.Report) [8]int64 {
+		return [8]int64{r.MapInputRecords, r.MapOutputRecords,
+			r.NodeCombineInputRecords, r.NodeCombineOutputRecords, r.ShuffleBytesSaved,
+			int64(r.NodesLost), int64(r.ReExecutedMapTasks), int64(r.RestartedReduceTasks)}
+	}
+	if d, r := fields(des), fields(real); d != r {
+		t.Errorf("%s: [MapIn MapOut CombIn CombOut Saved NodesLost ReExec Restarted] engine %v, real %v",
+			label, d, r)
+	}
+}
+
 // TestFaultedBackendParity runs one fault plan on both backends — a node
 // killed halfway through the map tasks, two map failures at fail-point
 // 0.5, a 3× straggler under speculation, 5% transient shuffle errors
 // and, on the incremental platforms, checkpointing. Each backend must
-// answer exactly as the clean run, lose the node and retry fetches. A
-// second row runs a disk-damage plan on both backends.
+// answer exactly as the clean run, lose the node and retry fetches.
+// Further rows run a disk-damage plan on both backends, and hold the
+// backends' fault counters equal with node combining under a kill.
 func TestFaultedBackendParity(t *testing.T) {
 	for _, pl := range []engine.Platform{engine.SortMerge, engine.MRHash, engine.INCHash, engine.DINCHash} {
 		t.Run(pl.String(), func(t *testing.T) {
@@ -256,6 +275,51 @@ func TestFaultedBackendParity(t *testing.T) {
 					base.IORetries, base.CorruptFramesDetected, wantCorrupt)
 			}
 		})
+	}
+
+	// One interpretation (engine.JobFrame, task_faults.go): under a node
+	// kill both backends lose, re-execute and combine the same chunks and
+	// restart the same reducers.
+	// A kill with map failures and transient shuffle errors, node
+	// combining on, flat and through a fan-in-3 tree.
+	for _, pl := range []engine.Platform{engine.MRHash, engine.INCHash} {
+		for _, fanIn := range []int{0, 3} {
+			t.Run(fmt.Sprintf("kill-combine/%s/fanin%d", pl, fanIn), func(t *testing.T) {
+				job := chaosJob(t, pl)
+				job.NodeCombine, job.AggFanIn = engine.NodeCombineOn, fanIn
+				clean := runReal(t, job, queries.NewClickCount, 4)
+				job.Faults = engine.FaultPlan{
+					KillAtMapProgress: map[int]float64{1: 0.5},
+					MapFailures:       map[int]int{0: 1},
+					FailPoint:         0.5,
+					ShuffleErrorRate:  0.05,
+				}
+				des := runEngine(t, job, queries.NewClickCount)
+				requireSameAnswers(t, clean, des, "engine")
+				requireFaultParity(t, des, runReal(t, job, queries.NewClickCount, 4), "real")
+				if des.NodeCombineInputRecords == 0 {
+					t.Error("engine: no chunk combined under a one-node kill")
+				}
+			})
+		}
+	}
+	// A kill only, on 64 chunks, at three points of the map phase, with
+	// combining off and on.
+	for _, pl := range []engine.Platform{engine.MRHash, engine.INCHash} {
+		for _, frac := range []float64{0.3, 0.5, 0.8} {
+			for _, mode := range []engine.NodeCombineMode{engine.NodeCombineOff, engine.NodeCombineOn} {
+				t.Run(fmt.Sprintf("kill-only/%s/%.1f/combine-%s", pl, frac, mode), func(t *testing.T) {
+					job := chaosJob(t, pl)
+					job.Input = testClicks(t, 384<<10, 6<<10)
+					job.NodeCombine = mode
+					clean := runReal(t, job, queries.NewClickCount, 4)
+					job.Faults = engine.FaultPlan{KillAtMapProgress: map[int]float64{1: frac}}
+					des := runEngine(t, job, queries.NewClickCount)
+					requireSameAnswers(t, clean, des, "engine")
+					requireFaultParity(t, des, runReal(t, job, queries.NewClickCount, 4), "real")
+				})
+			}
+		}
 	}
 }
 

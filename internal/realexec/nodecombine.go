@@ -1,23 +1,14 @@
 // In-node combining on the wall-clock backend.
 //
 // The stage itself — plan, combiner configuration, both fold tiers,
-// names, totals — is engine/task_combine.go, shared with the DES; this
-// file decides only where it runs and which chunks take part. Eligible
-// map tasks deposit their finished output instead of publishing a
-// shuffle unit, and the map worker that deposits an aggregation group's
-// last chunk folds the group: tier 1 per member node, tier 2 across
-// members, one published unit in the slot of the group's smallest
-// chunk, where reducers wait for it.
-//
-// Fault scope differs from the DES by design, as the keep predicate
-// each driver hands the plan: the engine keeps nothing under any fault
-// plan, while this backend keeps every chunk whose output provably
-// survives on its home node to its fold. A chunk is dropped — published
-// solo, exactly like a combine-off run — only when its home node dies
-// (its output is lost or displaced) or when a speculative backup races
-// it (the winning node is timing-dependent). Everything else, injected
-// map failures included, combines: the winning attempt's node and
-// output are a pure function of the spec.
+// names, totals — is engine/task_combine.go, shared with the DES, and so
+// is its fault scope (engine.JobFrame.Keep): both drivers combine the
+// same chunks under every plan. This file decides only where the folds
+// run. Eligible map tasks deposit their finished output instead of
+// publishing a shuffle unit, and the map worker that deposits an
+// aggregation group's last chunk folds the group: tier 1 per member
+// node, tier 2 across members, one published unit in the slot of the
+// group's smallest chunk, where reducers wait for it.
 package realexec
 
 import (
@@ -28,12 +19,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/substrate"
 )
-
-// combinable is the plan's keep predicate: chunk's output
-// deterministically survives on its home node to its fold.
-func (f *faults) combinable(chunk, node int) bool {
-	return !f.dies(node) && f.backupFor(chunk, node) < 0
-}
 
 // rcResult is one group's fold outcome: the published unit plus what
 // the report sums in group order.

@@ -128,10 +128,9 @@ func TestNodeCombineRealHierarchical(t *testing.T) {
 	}
 }
 
-// TestNodeCombineRealFaulted is the fault-scope claim specific to this
-// backend: unlike the DES (which falls back to per-task publication
-// under any fault plan), the real backend keeps folding the chunks
-// whose outputs provably survive to the map barrier. Every chaos plan
+// TestNodeCombineRealFaulted pins the fault scope (engine.JobFrame.Keep,
+// shared with the DES) on this backend: it keeps folding the chunks
+// whose outputs provably survive on their home node. Every chaos plan
 // must still answer bit-identically to the combine-off run, stay
 // deterministic across worker counts, and — except under whole-node
 // kills and speculation, where chunks are excluded — still combine.

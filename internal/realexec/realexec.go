@@ -31,8 +31,11 @@
 // errors, speculative map backups, checkpointed INC/DINC reducer state
 // and disk damage all execute with the seeded, structural triggers the
 // DES runs too, so answers stay bit-identical to the fault-free run.
-// Disk damage (FaultPlan.Disk) is injected into the stores of primary
-// map attempts; re-executions, folds and reducers run clean.
+// Where a task runs, what a kill loses, what races a backup and what
+// combines is not decided here: both drivers ask engine.JobFrame
+// (engine/task_faults.go), so they lose, redo, back up and combine the
+// same tasks. Disk damage (FaultPlan.Disk) is injected into the stores
+// of primary map attempts; re-executions, folds and reducers run clean.
 package realexec
 
 import (
@@ -122,9 +125,8 @@ type run struct {
 	memFetches      atomic.Int64
 	snapshotRecords atomic.Int64
 
-	// flt interprets the fault plan; an empty plan kills nobody, rolls no
-	// errors and sleeps for nothing, so the counters below stay zero.
-	flt              *faults
+	// Recovery counters: an empty fault plan kills nobody, rolls no
+	// errors and sleeps for nothing, so they stay zero.
 	restartedReduces atomic.Int64
 	specBackups      atomic.Int64
 	specWins         atomic.Int64
@@ -155,8 +157,7 @@ func newRun(s Spec) (*run, error) {
 	}
 	r := &run{JobFrame: frame, spec: &spec, newQ: s.NewQuery, start: time.Now(),
 		workers: max(1, s.Workers), release: !spec.ReduceRestarts()}
-	r.flt = &faults{spec: &spec, nodes: spec.Cluster.Nodes, killAt: r.KillAfter}
-	r.comb = r.NewCombinePlan(r.flt.combinable)
+	r.comb = r.NewCombinePlan()
 	r.combLeft = make([]atomic.Int32, len(r.comb.Groups))
 	r.combRes = make([]*rcResult, len(r.comb.Groups))
 	r.nUnits = r.TotalMaps + len(r.comb.Groups)
@@ -189,7 +190,7 @@ func (r *run) execute() (*engine.Report, error) {
 		})
 	}()
 	forEach(r.workers, r.TotalMaps, func(chunk int) {
-		r.maps[chunk] = r.runMapChain(chunk, r.Node(chunk))
+		r.maps[chunk] = r.runMapChain(chunk)
 		r.fill(chunk, r.maps[chunk])
 	})
 	mapFinish := time.Since(r.start)
@@ -239,14 +240,14 @@ func (r *run) fill(chunk int, ch *mapChain) {
 		}
 		return
 	}
-	if ch.err != nil || !r.flt.lostAfterMap(chunk, w.node) {
+	if ch.err != nil || !r.Lost(chunk) {
 		close(s.ready)
 		return
 	}
 	u := s.units[0]
 	u.parts, u.partBytes, u.ready = core.MapParts{}, nil, make(chan struct{})
 	close(s.ready)
-	ch.reexec = r.runMapAttempt(chunk, r.flt.survivor(w.node), 1+r.spec.Faults.MapFailures[chunk], false, false, nil)
+	ch.reexec = r.runMapAttempt(chunk, r.Place(chunk, -1), 1+r.spec.Faults.MapFailures[chunk], false, false, nil)
 	if u.err = ch.reexec.err; u.err != nil {
 		ch.err = u.err
 	} else {
@@ -391,7 +392,7 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject, damage bool, claim
 
 	parts, mapped, emitted := body.Finish()
 	res.mapped, res.emitted, res.quarantined = mapped, emitted, body.Quarantined
-	r.flt.slowSleep(node)
+	r.slowSleep(node)
 	if claim != nil && !claim.CompareAndSwap(false, true) {
 		// The speculative twin claimed first: suppress the duplicate —
 		// nothing is published, the completed compute is wasted.
@@ -505,7 +506,7 @@ func (r *run) report(mapDone, mapExtra []*mapResult, redDone, redExtra []*reduce
 	r.ReportTail(rep, &sums)
 	rep.MemShuffleFetches = r.memFetches.Load()
 	rep.SnapshotRecords = r.snapshotRecords.Load()
-	rep.NodesLost = len(r.flt.killAt)
+	rep.NodesLost = len(r.KillAfter)
 	rep.ReExecutedMapTasks = len(mapDone) - r.TotalMaps
 	rep.RestartedReduceTasks = int(r.restartedReduces.Load())
 	rep.SpeculativeBackups = int(r.specBackups.Load())

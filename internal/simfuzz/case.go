@@ -144,9 +144,9 @@ type Case struct {
 	// NodeCombine switches the in-node combine stage on
 	// (engine.NodeCombineOn): combinable queries fold each node's map
 	// outputs into one merged run before the shuffle. Answers must stay
-	// oracle-identical on every platform and both backends — including
-	// the real backend's combine-under-faults path, which the DES
-	// deliberately does not mirror.
+	// oracle-identical on every platform and both backends, and under a
+	// fault plan both backends combine exactly the chunks it keeps
+	// (engine.JobFrame.Keep), so their combine counters are equal.
 	NodeCombine bool `json:"node_combine,omitempty"`
 }
 
@@ -185,12 +185,15 @@ func (c Case) Clone() Case {
 // taskFaults reports whether per-task attempt failures are scheduled.
 func (c *Case) taskFaults() bool { return len(c.MapFails) > 0 || len(c.ReduceFails) > 0 }
 
+// diskFaults reports whether disk damage is scheduled.
+func (c *Case) diskFaults() bool { return c.IOErrRate > 0 || c.CorruptRate > 0 || c.TornWrites }
+
 // faulted reports whether the case injects anything at all — if so the
 // runner performs a second, faulted run per platform (anchored on the
 // clean run's MapFinishTime).
 func (c *Case) faulted() bool {
 	return c.taskFaults() || c.KillFracPct > 0 || c.SlowFactor > 1 || c.ShufErrPct > 0 ||
-		c.IOErrRate > 0 || c.CorruptRate > 0 || c.TornWrites || c.CheckpointDiv > 0
+		c.diskFaults() || c.CheckpointDiv > 0
 }
 
 // hopCompatible reports whether the hop platform can run this case:
@@ -336,7 +339,7 @@ func (c *Case) jobSpec(pl engine.Platform, input dfs.Input, workers int, withFau
 		}
 	}
 	f.ShuffleErrorRate = float64(c.ShufErrPct) / 100
-	if c.IOErrRate > 0 || c.CorruptRate > 0 || c.TornWrites {
+	if c.diskFaults() {
 		f.Disk = engine.DiskFaultPlan{
 			IOErrorRate: c.IOErrRate,
 			CorruptRate: c.CorruptRate,

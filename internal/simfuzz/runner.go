@@ -91,7 +91,6 @@ func runPlatform(v *Verdict, c *Case, pl engine.Platform, input dfs.Input, oracl
 	}
 	checkAnswers(v, c, name+"/clean", clean, oracle)
 	checkReport(v, c, name+"/clean", clean, false)
-	checkReal(v, c, name, pl, input, clean, oracle)
 
 	base, kind := clean, "clean"
 	if c.faulted() {
@@ -104,6 +103,7 @@ func runPlatform(v *Verdict, c *Case, pl engine.Platform, input dfs.Input, oracl
 		checkReport(v, c, name+"/faulted", faulted, true)
 		base, kind = faulted, "faulted"
 	}
+	checkReal(v, c, name, pl, input, clean, base, oracle)
 
 	// The cross-worker determinism check is the costliest (a full
 	// rerun), so it runs on one seed-picked platform per case.
@@ -145,11 +145,16 @@ func safeRunReal(spec realexec.Spec) (rep *engine.Report, err error) {
 // accounting and quarantine decisions are content-determined and must
 // match the DES clean run exactly, input-side counts only without kills
 // (re-executed map attempts re-count their records, on both
-// substrates). The recovery counters must register exactly the
+// substrates). Both backends interpret the fault plan once
+// (engine.JobFrame, task_faults.go), so the combine counters must equal
+// des's — the DES run of the same spec — and so must ReExecutedMapTasks
+// when nothing can make the DES skip or add a re-execution (a
+// checkpoint that already covers a lost output, a damaged output read
+// back from disk). The recovery counters must register exactly the
 // dimensions the case injects — structural triggers make every counter
 // except FetchRetries and SpeculativeWins deterministic, and those two
 // are only checked for forbidden non-zero values.
-func checkReal(v *Verdict, c *Case, name string, pl engine.Platform, input dfs.Input, clean *engine.Report, oracle []string) {
+func checkReal(v *Verdict, c *Case, name string, pl engine.Platform, input dfs.Input, clean, des *engine.Report, oracle []string) {
 	label := name + "/real"
 	workers := c.Workers2
 	if workers < 1 {
@@ -181,6 +186,15 @@ func checkReal(v *Verdict, c *Case, name string, pl engine.Platform, input dfs.I
 	}
 	if rep.Workers != workers {
 		acct("requested %d workers, report says %d", workers, rep.Workers)
+	}
+	if c.NodeCombine && (rep.NodeCombineInputRecords != des.NodeCombineInputRecords ||
+		rep.NodeCombineOutputRecords != des.NodeCombineOutputRecords || rep.ShuffleBytesSaved != des.ShuffleBytesSaved) {
+		acct("combine in/out/saved = %d/%d/%d, DES %d/%d/%d",
+			rep.NodeCombineInputRecords, rep.NodeCombineOutputRecords, rep.ShuffleBytesSaved,
+			des.NodeCombineInputRecords, des.NodeCombineOutputRecords, des.ShuffleBytesSaved)
+	}
+	if c.CheckpointDiv == 0 && !c.diskFaults() && rep.ReExecutedMapTasks != des.ReExecutedMapTasks {
+		acct("ReExecutedMapTasks=%d, DES re-executed %d", rep.ReExecutedMapTasks, des.ReExecutedMapTasks)
 	}
 
 	// Recovery accounting: injected dimensions register, uninjected
