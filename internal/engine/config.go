@@ -32,7 +32,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
@@ -215,10 +214,12 @@ type JobSpec struct {
 
 	// CheckpointEvery makes incremental reducers (INC-hash, DINC-hash)
 	// checkpoint their key→state table / FREQUENT summary plus bucket
-	// deltas every that much virtual time, so a reducer restarted after
-	// a node loss resumes from the last checkpoint and replays only the
-	// suffix of its input — versus sort-merge's restart-from-scratch.
-	// 0 disables checkpointing.
+	// deltas every that much time on the driver's clock — virtual time
+	// on the DES, the attempt's virtual CPU ledger on the wall-clock
+	// backend — so a reducer restarted after a node loss resumes from
+	// the last checkpoint and replays only the suffix of its input —
+	// versus sort-merge's restart-from-scratch. 0 disables
+	// checkpointing.
 	CheckpointEvery time.Duration
 
 	// SkipBadRecords is the bad-record quarantine budget per map task
@@ -447,13 +448,16 @@ type FaultPlan struct {
 	// fail before one succeeds.
 	MapFailures map[int]int
 	// ReduceFailures maps a reduce task index to the number of attempts
-	// that fail before one succeeds. A failed reduce attempt discards
-	// its partial state and provisional output and re-shuffles from
-	// scratch (or from its last checkpoint, if checkpointing is on).
+	// that fail before one succeeds, counting only attempts on nodes
+	// that never die (ReduceTask.Next; one on a killed node dies with it).
+	// A failed reduce attempt discards its partial state and provisional
+	// output and re-shuffles from scratch (or from its last checkpoint,
+	// if checkpointing is on).
 	ReduceFailures map[int]int
 	// FailPoint is the fraction of the task's work completed before
 	// the failure hits (default 1.0: fails at the very end, the worst
-	// case — all work wasted).
+	// case — all work wasted): of the chunk's bytes for a map attempt, of
+	// the map tasks folded in (a combined run counts each) for a reduce.
 	FailPoint float64
 
 	// KillAtMapProgress maps a node index to a map-phase progress
@@ -628,12 +632,6 @@ func (f *FaultPlan) failPoint() float64 {
 // which an injected map failure kills the attempt.
 func (f *FaultPlan) MapFailAt(chunkLen int) int64 {
 	return int64(f.failPoint() * float64(chunkLen))
-}
-
-// ReduceFailAfter is the number of consumed shuffle inputs, out of
-// total, after which an injected reduce failure kills the attempt.
-func (f *FaultPlan) ReduceFailAfter(total int) int {
-	return max(1, int(math.Ceil(f.failPoint()*float64(total))))
 }
 
 // ShuffleFetchFails reports whether try number try of reducer ridx's

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -34,18 +33,14 @@ func (j *job) runReduceTask(p *sim.Proc, ridx int, n *node) {
 	t := j.tracker
 	rs := &t.rstates[ridx]
 	rs.node = n
-	failures := j.spec.Faults.ReduceFailures[ridx]
 	for {
-		attempt := rs.attempts
-		rs.attempts++
-		if attempt >= MaxReduceAttempts {
-			panic(fmt.Sprintf("engine: reduce task %d failed %d attempts (unrecoverable fault plan?)",
-				ridx, attempt))
+		attempt, inject, err := rs.Next(j.spec.Faults.ReduceFailures[ridx], j.Dies(rs.node.idx))
+		if err != nil {
+			panic(fmt.Sprintf("engine: reduce task %d %v", ridx, err))
 		}
 		if attempt > 0 {
 			j.restartedReduces++
 		}
-		inject := attempt < failures
 		switch j.runReduceAttempt(p, rs, attempt, inject) {
 		case reduceDone:
 			rs.done = true
@@ -61,11 +56,11 @@ func (j *job) runReduceTask(p *sim.Proc, ridx int, n *node) {
 }
 
 // runReduceAttempt is one attempt of a reduce task: acquire a slot
-// (creating the §3.2 waves when R exceeds slots), restore checkpointed
-// state, fetch every map task's partition exactly once (retrying
-// fetches from crashed nodes with backoff, skipping lost outputs until
-// their re-execution republishes), and finish. inject fails the attempt
-// after FailPoint of its inputs.
+// (creating the §3.2 waves when R exceeds slots), resume from the newest
+// good checkpoint, fetch every map task's partition exactly once
+// (retrying fetches from crashed nodes with backoff, skipping lost
+// outputs until their re-execution republishes), and finish. inject
+// fails the attempt at its fail point (TaskReducer.Failed).
 //
 // HOP rides the same loop as a chain of length one: its pushes carry no
 // task identity, so nothing is marked consumed and the stream ends when
@@ -78,20 +73,11 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 	model := j.spec.Cluster.Model
 	ridx := rs.ridx
 
-	// Resolve the checkpoint chain first: a torn or bit-flipped latest
-	// image must not contribute its consumed-set — the attempt restarts
-	// from the newest image that still verifies (or from scratch).
-	img, badCkptBytes := j.resolveCheckpoint(rs)
-
-	// Reset the consumed-set from the last good checkpoint before
-	// anything parks: the tracker reads it to decide which lost outputs
-	// are still needed, and to re-request any this attempt must re-fetch.
-	rs.consumed = make([]bool, j.TotalMaps)
-	rs.consumedN = 0
-	if ck := rs.ckpt; ck != nil {
-		copy(rs.consumed, ck.Consumed)
-		rs.consumedN = ck.ConsumedN
-	}
+	// Resume first: the tracker reads the reset consumed set to decide
+	// which lost outputs are still needed, and re-requests them.
+	img, badCkptBytes, torn, corrupt := rs.Resume(j.TotalMaps)
+	j.tornRepaired += int64(torn)
+	j.ckptCorrupt += int64(corrupt)
 	t.ensureAvailable(rs)
 
 	p.Acquire(n.reduceSlots, 1)
@@ -109,7 +95,6 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 	defer setPhase(-1)
 
 	var ledger int64
-	var out *OutputWriter
 	defer func() {
 		if r := recover(); r != nil {
 			switch r.(type) {
@@ -127,7 +112,6 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 				// and restart from the last good checkpoint.
 				kind = "reduce-corrupt"
 				j.sums.WastedCPU += ledger
-				out.Discard()
 				res = reduceFailedInjected
 			default:
 				panic(r)
@@ -135,39 +119,20 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 		}
 	}()
 
-	out = NewOutputWriter(j.spec, j.spec.ReduceRestarts(), &j.out, n.enqueueOutput)
-	red := NewTaskReducer(j.spec, j.newRuntime(p, n, &ledger), j.spec.Query, out,
-		fmt.Sprintf("r%03d.a%d", ridx, attempt), j.InputBytesEst)
-
-	// Resume from the last good checkpoint: read the replicated image
-	// back (table/sketch + consumed-set + all bucket bytes) and rebuild
-	// the reducer, then replay only the unconsumed suffix. Damaged
-	// images the resolver discarded were still read before their frame
-	// failed verification — charge those bytes too.
+	// Reading checkpoint images back is recovery.
 	if badCkptBytes > 0 || img != nil {
 		setPhase(metrics.PhaseRecover)
-		if badCkptBytes > 0 {
-			n.store.ChargeCheckpointRead(p, badCkptBytes)
-		}
-		if img != nil {
-			// The restored state pairs with the output staged up to the
-			// same image; anything staged later replays.
-			red.Restore(rs.ckpt, img)
-		}
-		setPhase(-1)
 	}
-	ckptEvery := int64(j.spec.CheckpointEvery)
-	lastCkpt := p.Now()
+	red := rs.Attempt(j.spec, j.newRuntime(p, n, &ledger), j.spec.Query, ridx, attempt, inject,
+		&j.out, n.enqueueOutput, j.InputBytesEst, img, badCkptBytes, p.Now)
+	setPhase(-1)
 
-	failN := j.spec.Faults.ReduceFailAfter(j.TotalMaps)
-	failNow := func() bool { return inject && rs.consumedN >= failN }
 	failOut := func() reduceResult {
 		kind = "reduce-failed"
 		j.sums.WastedCPU += ledger
-		out.Discard()
 		return reduceFailedInjected
 	}
-	if failNow() {
+	if red.Failed() {
 		return failOut()
 	}
 
@@ -196,7 +161,7 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 				// A node-combined run covers several tasks, marked
 				// atomically below — its first covered task stands in
 				// for the whole set.
-				if c := outs[next]; !c.lost && !rs.holds(c) {
+				if c := outs[next]; !c.lost && !rs.Holds(outputTask(c)) {
 					o = c
 					return true
 				}
@@ -252,37 +217,17 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 					}
 				}
 			}
-			if task := outputTask(o); task >= 0 { // a HOP push is never fetched twice
-				if rs.everFetched == nil {
-					rs.everFetched = make([]bool, j.TotalMaps)
-				}
-				if rs.everFetched[task] {
-					j.sums.RefetchBytes += size // recovery traffic: fetched before, by a lost attempt
-				} else {
-					rs.everFetched[task] = true
-				}
-			}
-			red.Feed(o.parts, ridx, size, o.task)
 		}
-		if o.tasks != nil {
-			for _, task := range o.tasks {
-				rs.consumed[task] = true
-			}
-			rs.consumedN += len(o.tasks)
-		} else if o.task >= 0 {
-			rs.consumed[o.task] = true
-			rs.consumedN++
-		}
+		j.sums.RefetchBytes += red.Consume(o.parts, ridx, size, outputTask(o), o.tasks)
 		next++
 		j.fetchesDone++
 		j.shuffle.release(o)
 
-		if failNow() {
+		if red.Failed() {
 			return failOut()
 		}
-		if red.Incremental() && ckptEvery > 0 && p.Now()-lastCkpt >= ckptEvery {
-			j.takeCheckpoint(rs, n, red)
-			lastCkpt = p.Now()
+		if red.CheckpointDue() {
+			j.takeCheckpoint(n, red)
 		}
 
 		// Snapshots: when the map progress crosses the next threshold,
@@ -309,28 +254,18 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 	setPhase(metrics.PhaseReduce)
 	j.approxKeys += red.Finish()
 	setPhase(-1)
-	out.Commit()
-	out.Flush()
 	n.syncOutput(p)
 	j.sums.ReduceCPU += ledger
 	return reduceDone
 }
 
-// outputTask is the consumed-set index an output is tracked under: its
-// map task, or a node-combined run's first covered task (the whole set
-// is marked together, so one representative suffices); -1 for a HOP
-// push, which carries no task identity.
+// outputTask is the map task an output is tracked under: its own, a
+// node-combined run's first covered one, or -1 for a HOP push.
 func outputTask(o *mapOutput) int {
 	if o.tasks != nil {
 		return o.tasks[0]
 	}
 	return o.task
-}
-
-// holds reports whether the current attempt has already folded o in.
-func (rs *reduceState) holds(o *mapOutput) bool {
-	task := outputTask(o)
-	return task >= 0 && rs.consumed[task]
 }
 
 // snapshot emits one approximate snapshot under the merge gauge, also
@@ -341,13 +276,12 @@ func (j *job) snapshot(red *TaskReducer, n *node) {
 	red.Snapshot(&SnapshotWriter{Sink: n.enqueueOutput, Records: &j.snapshotRecords})
 }
 
-// takeCheckpoint commits a checkpoint of the attempt's reducer state
-// and consumed-set and chains it onto the task. The previous image is
-// kept as a fallback; while the node's store injects disk damage (the
-// map phase) the freshly written frame may be bit-flipped here —
-// detected by restore, exactly like bit rot on the replicated copy.
-func (j *job) takeCheckpoint(rs *reduceState, n *node, red *TaskReducer) {
-	ck := red.TakeCheckpoint(rs.ckpt, rs.consumed, rs.consumedN)
+// takeCheckpoint commits a checkpoint of the attempt's reducer state.
+// While the node's store injects disk damage (the map phase) the
+// freshly written frame may be bit-flipped here — detected by restore,
+// exactly like bit rot on the replicated copy.
+func (j *job) takeCheckpoint(n *node, red *TaskReducer) {
+	ck := red.Checkpoint()
 	if fl := n.store.Faults(); fl != nil && fl.CorruptRate > 0 && fl.Classes[storage.Checkpoint] {
 		j.ckptSeq++
 		if storage.Roll(fl.CorruptRate, fl.Seed, int64(n.idx), j.ckptSeq, 4) {
@@ -355,37 +289,7 @@ func (j *job) takeCheckpoint(rs *reduceState, n *node, red *TaskReducer) {
 			ck.framed[bit/8] ^= 1 << (bit % 8)
 		}
 	}
-	// Keep one fallback level: the latest image plus its predecessor.
-	ck.prev = rs.ckpt
-	if ck.prev != nil {
-		ck.prev.prev = nil
-	}
-	rs.ckpt = ck
 	j.checkpoints++
-}
-
-// resolveCheckpoint walks a reduce task's checkpoint chain newest
-// first, discards images whose frame no longer verifies (bit-flipped
-// at write time, or torn when their node died mid-replication), and
-// leaves rs.ckpt at the newest good image — nil means full replay.
-// It returns the decoded state image and the stored bytes of the
-// damaged images that were tried (the restore charges reading them:
-// the damage is only discovered after the bytes come back).
-func (j *job) resolveCheckpoint(rs *reduceState) (img *core.StateImage, badBytes int64) {
-	for rs.ckpt != nil {
-		ck := rs.ckpt
-		if img, err := ck.Decode(); err == nil {
-			return img, badBytes
-		}
-		badBytes += ck.StoredBytes()
-		if ck.torn {
-			j.tornRepaired++
-		} else {
-			j.ckptCorrupt++
-		}
-		rs.ckpt = ck.prev
-	}
-	return nil, badBytes
 }
 
 // phaseSetter returns a function that moves one reduce task between

@@ -16,11 +16,13 @@ import (
 )
 
 // This file and task_reduce.go hold what one task attempt computes,
-// written once against *core.Runtime. The DES (maptask.go,
-// reducetask.go) and the wall-clock backend (internal/realexec) are
-// drivers: they decide which attempt runs where, what it fetches next
-// and how charged time passes, and call into the bodies here — so both
-// substrates issue the same charges in the same order by construction.
+// written once against *core.Runtime, and a reduce task's rules across
+// its attempts (ReduceTask). The DES (maptask.go, reducetask.go) and
+// the wall-clock backend (internal/realexec) are drivers: they decide
+// where an attempt runs and how waiting, fetching and charged time
+// pass, and call into the code here — so both substrates issue the same
+// charges in the same order, and restart the same reducers, by
+// construction.
 
 // MapCollector abstracts the map-output components: sort-merge's Map
 // Output Buffer (which on HOP pushes its spills) and the Hash-based Map

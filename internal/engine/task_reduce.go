@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/frame"
@@ -60,9 +61,9 @@ type OutputWriter struct {
 	urows       [][2]string
 }
 
-// NewOutputWriter returns a writer folding into totals and charging
+// newOutputWriter returns a writer folding into totals and charging
 // output bytes through sink.
-func NewOutputWriter(spec *JobSpec, provisional bool, totals *OutTotals, sink func(physBytes int64)) *OutputWriter {
+func newOutputWriter(spec *JobSpec, provisional bool, totals *OutTotals, sink func(physBytes int64)) *OutputWriter {
 	return &OutputWriter{totals: totals, sink: sink, flushAt: spec.Cluster.Page,
 		collect: spec.CollectOutput, provisional: provisional}
 }
@@ -162,20 +163,18 @@ func (w *SnapshotWriter) Emit(key, value []byte) {
 }
 
 // Checkpoint is one committed reducer checkpoint: the serialized,
-// CRC32C-framed platform state image, the consumed-set at the instant
+// CRC32C-framed platform state image, the consumed set at the instant
 // it was taken, the byte accounting needed for delta writes and
 // restore reads, and the output staged so far. The image travels as a
 // framed blob — exactly what fault injection damages (bit flips at
 // write time, torn tails at node death) and what restore verifies.
 type Checkpoint struct {
-	// Consumed marks the shuffle inputs folded into the image, in the
-	// driver's own indexing (a copy of what TakeCheckpoint was given).
-	Consumed  []bool
-	ConsumedN int
+	consumed  []bool // map tasks folded into the image (a copy of the task's set)
+	consumedN int
 
 	framed     []byte      // frame.Append(nil, core.MarshalImage(img))
 	torn       bool        // tail truncated by a torn-write injection
-	prev       *Checkpoint // previous image, kept as a fallback by drivers that damage images
+	prev       *Checkpoint // the previous image, kept as the one fallback
 	stateBytes int64       // table/sketch + consumed-set bytes (rewritten each time)
 	bucketLens []int64     // cumulative per-bucket bytes (delta vs. previous image)
 	bucketSum  int64       // Σ bucketLens (all read back on restore)
@@ -194,23 +193,93 @@ type Checkpoint struct {
 // StoredBytes is the image's size at rest — what a restore reads back.
 func (ck *Checkpoint) StoredBytes() int64 { return ck.stateBytes + ck.bucketSum }
 
-// Decode verifies the image's frame and decodes the platform state: a
-// torn tail, a flipped bit, or a truncated payload all fail — an image
-// restores whole or not at all.
-func (ck *Checkpoint) Decode() (*core.StateImage, error) {
-	return core.DecodeFramedImage(ck.framed)
+// ReduceTask is one reduce task's state across its attempts, embedded
+// by both drivers: the attempt ladder, the consumed set and the
+// checkpoint chain. Which attempts an injected failure hits, where an
+// attempt resumes, when it fails and what counts as a re-fetch are
+// decided here, so both backends restart the same reducers; a driver
+// keeps only where an attempt runs and how waiting and fetching pass.
+// The zero value is a task before its first attempt.
+type ReduceTask struct {
+	attempts, injected int // attempts numbered so far; of them, injected
+
+	consumed  []bool // map tasks the current attempt holds (reset by Resume)
+	consumedN int
+	fetched   []bool      // map tasks any attempt fetched input from
+	ckpt      *Checkpoint // newest committed image (nil: restart from scratch)
+}
+
+// Next numbers the task's next attempt and says whether an injected
+// failure hits it: the first failures attempts that run on a node that
+// never dies are injected. An attempt on a dying node (dies,
+// JobFrame.Dies) is not — it dies with its node, or is displaced
+// without running. Next fails once MaxReduceAttempts are spent.
+func (task *ReduceTask) Next(failures int, dies bool) (attempt int, inject bool, err error) {
+	if task.attempts >= MaxReduceAttempts {
+		return task.attempts, false, fmt.Errorf("failed %d attempts (unrecoverable fault plan?)", task.attempts)
+	}
+	attempt = task.attempts
+	task.attempts++
+	if inject = !dies && task.injected < failures; inject {
+		task.injected++
+	}
+	return attempt, inject, nil
+}
+
+// Resume prepares the next attempt's starting point. Newest first, it
+// drops the images whose frame no longer verifies (a flipped bit at
+// write time, a tail torn when their node died: an image restores whole
+// or not at all), and resets the consumed set from the newest good image
+// (none: full replay). It returns that image's decoded state (nil: none),
+// the stored bytes of the dropped images — read back before their frame
+// failed, so the attempt pays for them — and how many were torn and
+// corrupt.
+func (task *ReduceTask) Resume(totalMaps int) (img *core.StateImage, badBytes int64, torn, corrupt int) {
+	for ; task.ckpt != nil; task.ckpt = task.ckpt.prev {
+		var err error
+		if img, err = core.DecodeFramedImage(task.ckpt.framed); err == nil {
+			break
+		}
+		badBytes += task.ckpt.StoredBytes()
+		if task.ckpt.torn {
+			torn++
+		} else {
+			corrupt++
+		}
+	}
+	if task.consumed == nil {
+		task.consumed, task.fetched = make([]bool, totalMaps), make([]bool, totalMaps)
+	}
+	clear(task.consumed)
+	task.consumedN = 0
+	if ck := task.ckpt; ck != nil {
+		copy(task.consumed, ck.consumed)
+		task.consumedN = ck.consumedN
+	}
+	return img, badBytes, torn, corrupt
+}
+
+// Holds reports whether the current attempt has folded in map task
+// mapTask (never -1, a HOP push).
+func (task *ReduceTask) Holds(mapTask int) bool {
+	return mapTask >= 0 && mapTask < len(task.consumed) && task.consumed[mapTask]
 }
 
 // TaskReducer is the work of one reduce attempt: the platform's
-// reduce-side component behind one shape. The driver decides which
-// shuffle input is fed next and when; every CPU and I/O charge goes
-// through the runtime the reducer was built on.
+// reduce-side component behind one shape, its fail point and checkpoint
+// clock. The driver decides which shuffle input is fed next and when;
+// every charge goes through the runtime the reducer was built on.
 type TaskReducer struct {
-	spec      *JobSpec
-	rt        *core.Runtime
-	out       *OutputWriter
-	totalMaps int
-	nextSnap  float64
+	spec     *JobSpec
+	rt       *core.Runtime
+	out      *OutputWriter
+	task     *ReduceTask
+	nextSnap float64
+
+	inject   bool // fail once failN = max(1, ceil(FailPoint × maps)) tasks are consumed
+	failN    int
+	clock    func() int64 // the driver's checkpoint clock
+	lastCkpt int64
 
 	// Exactly one is non-nil.
 	smr   *sortmerge.Reducer
@@ -219,15 +288,21 @@ type TaskReducer struct {
 	dinch *core.DINCHashReducer
 }
 
-// NewTaskReducer constructs the spec's platform reducer, emitting into
-// out. The configuration is the same on every attempt of a task (only
-// the store prefix varies), so replayed attempts recompute
-// identically. inputBytesEst is the job's estimated physical input
-// size, from which the hash platforms size their partitioning.
-func NewTaskReducer(spec *JobSpec, rt *core.Runtime, q mr.Query, out *OutputWriter, prefix string, inputBytesEst int64) *TaskReducer {
+// Attempt builds the task's next attempt, after Resume: the spec's
+// platform reducer on rt, emitting through an OutputWriter into totals
+// and sink, charged the badBytes Resume dropped and resumed from its
+// img (nil: from scratch), with the fail point armed when inject is
+// set. Only the store prefix varies by attempt, so replays recompute
+// identically. est is the job's estimated physical input size (the hash
+// platforms size their partitioning from it); clock is CheckpointDue's.
+func (task *ReduceTask) Attempt(spec *JobSpec, rt *core.Runtime, q mr.Query, ridx, attempt int, inject bool,
+	totals *OutTotals, sink func(physBytes int64), est int64, img *core.StateImage, badBytes int64, clock func() int64) *TaskReducer {
 	cfg := &spec.Cluster
 	numReducers := int64(cfg.R * cfg.Nodes)
-	t := &TaskReducer{spec: spec, rt: rt, out: out, totalMaps: spec.Input.NumChunks(), nextSnap: spec.SnapshotEvery}
+	prefix := fmt.Sprintf("r%03d.a%d", ridx, attempt)
+	out := newOutputWriter(spec, spec.ReduceRestarts(), totals, sink)
+	t := &TaskReducer{spec: spec, rt: rt, out: out, task: task, nextSnap: spec.SnapshotEvery, inject: inject,
+		failN: max(1, int(math.Ceil(spec.Faults.failPoint()*float64(len(task.consumed))))), clock: clock}
 	switch spec.Platform {
 	case SortMerge, HOP:
 		t.smr = sortmerge.NewReducer(rt, q, sortmerge.ReducerConfig{
@@ -243,7 +318,7 @@ func NewTaskReducer(spec *JobSpec, rt *core.Runtime, q mr.Query, out *OutputWrit
 			Page:        cfg.Page,
 			ReadSegment: cfg.ReadSegment,
 			// |D_r| estimated from the input size and Km.
-			ExpectedBytes: int64(float64(inputBytesEst) * spec.Hints.Km / float64(numReducers)),
+			ExpectedBytes: int64(float64(est) * spec.Hints.Km / float64(numReducers)),
 		})
 	case INCHash:
 		// Δ at one reducer.
@@ -270,6 +345,22 @@ func NewTaskReducer(spec *JobSpec, rt *core.Runtime, q mr.Query, out *OutputWrit
 			ScanEvery:            spec.ScanEvery,
 		}, out)
 	}
+	if badBytes > 0 {
+		rt.Store.ChargeCheckpointRead(rt.P, badBytes)
+	}
+	if img != nil {
+		// Read the newest good image back (table/sketch + consumed set +
+		// all bucket bytes), rebuild the reducer, and reload the output
+		// staged up to the same image; the driver replays the suffix.
+		rt.Store.ChargeCheckpointRead(rt.P, task.ckpt.StoredBytes())
+		if t.inch != nil {
+			t.inch.Restore(img)
+		} else {
+			t.dinch.Restore(img)
+		}
+		out.restoreFrom(task.ckpt)
+	}
+	t.lastCkpt = clock()
 	return t
 }
 
@@ -277,11 +368,39 @@ func NewTaskReducer(spec *JobSpec, rt *core.Runtime, q mr.Query, out *OutputWrit
 // key→state tables (INC-/DINC-hash).
 func (t *TaskReducer) Incremental() bool { return t.inch != nil || t.dinch != nil }
 
-// Feed drives one fetched partition (part of out, size bytes in all,
-// from map task `task`) into the reducer and charges the consume CPU.
-// Sort-merge prices its merges from the pair counts the producer
-// carried with the segments; the hash reducers count as they insert.
-func (t *TaskReducer) Feed(out core.MapParts, part int, size int64, task int) {
+// Consume feeds partition part of parts (size bytes) to the attempt and
+// marks the map tasks it covers consumed, each counting toward the fail
+// point: mapTask (-1: a HOP push, which carries no task identity), or a
+// node-combined run's covers, mapTask being their first. It returns
+// size when an earlier attempt already fetched the input (recovery
+// traffic, Report.ShuffleRefetchBytes), else 0.
+func (t *TaskReducer) Consume(parts core.MapParts, part int, size int64, mapTask int, covers []int) (refetched int64) {
+	task := t.task
+	if size > 0 {
+		if mapTask >= 0 {
+			if task.fetched[mapTask] {
+				refetched = size
+			}
+			task.fetched[mapTask] = true
+		}
+		t.feed(parts, part, size, mapTask)
+	}
+	for _, c := range covers {
+		task.consumed[c] = true
+	}
+	task.consumedN += len(covers)
+	if covers == nil && mapTask >= 0 {
+		task.consumed[mapTask] = true
+		task.consumedN++
+	}
+	return refetched
+}
+
+// feed drives one fetched partition into the reducer and charges the
+// consume CPU. Sort-merge prices its merges from the pair counts the
+// producer carried with the segments; the hash reducers count as they
+// insert.
+func (t *TaskReducer) feed(out core.MapParts, part int, size int64, task int) {
 	model := t.rt.Model
 	segs := out.Segs[part]
 	if t.smr != nil {
@@ -358,9 +477,14 @@ func (t *TaskReducer) PrepareFinal() {
 	}
 }
 
+// Failed reports whether the attempt has reached its injected fail
+// point.
+func (t *TaskReducer) Failed() bool { return t.inject && t.task.consumedN >= t.failN }
+
 // Finish runs the platform's finalization — the final merge and the
-// reduce function, or the bucket passes — into the output writer, and
-// returns DINC-hash's approximate-key count (0 elsewhere).
+// reduce function, or the bucket passes — into the output writer,
+// commits the attempt's output and flushes it, and returns DINC-hash's
+// approximate-key count (0 elsewhere).
 func (t *TaskReducer) Finish() (approxKeys int64) {
 	switch {
 	case t.smr != nil:
@@ -373,47 +497,57 @@ func (t *TaskReducer) Finish() (approxKeys int64) {
 		t.dinch.Finish()
 		approxKeys = t.dinch.ApproxKeys()
 	}
+	t.out.Commit()
+	t.out.Flush()
 	return approxKeys
 }
 
-// TakeCheckpoint snapshots the incremental reducer's state (key→state
-// table or FREQUENT summary, plus bucket contents) together with the
-// driver's consumed-set, serializes it into a CRC32C-framed image,
-// charges the checkpoint write — full state + consumed-set plus only
-// the bucket bytes appended since prev, the task's previous checkpoint
-// (nil: none) — and stages the attempt's output so far with the image.
-func (t *TaskReducer) TakeCheckpoint(prev *Checkpoint, consumed []bool, consumedN int) *Checkpoint {
+// CheckpointDue reports whether an incremental reducer's checkpoint
+// interval (JobSpec.CheckpointEvery) has passed on the driver's clock
+// since the attempt started or last checkpointed.
+func (t *TaskReducer) CheckpointDue() bool {
+	every := int64(t.spec.CheckpointEvery)
+	return t.Incremental() && every > 0 && t.clock()-t.lastCkpt >= every
+}
+
+// Checkpoint snapshots the incremental reducer's state (key→state
+// table or FREQUENT summary, plus bucket contents) together with a copy
+// of the consumed set, serializes it into a CRC32C-framed image,
+// charges the checkpoint write — full state + consumed set plus only
+// the bucket bytes appended since the task's previous image — and
+// stages the attempt's output so far with the image. The image becomes
+// the task's newest, its predecessor the one fallback.
+func (t *TaskReducer) Checkpoint() *Checkpoint {
 	var img *core.StateImage
 	if t.inch != nil {
 		img = t.inch.Snapshot()
 	} else {
 		img = t.dinch.Snapshot()
 	}
+	task := t.task
 	payload := core.MarshalImage(img)
 	ck := &Checkpoint{
-		Consumed:  append([]bool(nil), consumed...),
-		ConsumedN: consumedN,
+		consumed:  append([]bool(nil), task.consumed...),
+		consumedN: task.consumedN,
 		framed:    frame.Append(nil, payload),
-		// One consumed-set entry per map task, whatever the driver's
-		// shuffle granularity: the image records which tasks' output is
-		// folded into the state.
-		stateBytes: img.StateBytes() + int64(t.totalMaps)*consumedBitBytes,
+		// One consumed-set entry per map task: the image records which
+		// tasks' output is folded into the state.
+		stateBytes: img.StateBytes() + int64(len(task.consumed))*consumedBitBytes,
 		bucketLens: img.BucketLens(),
+		prev:       task.ckpt,
 	}
 	write := ck.stateBytes
 	var prevLens []int64
-	if prev != nil {
-		prevLens = prev.bucketLens
+	if ck.prev != nil {
+		prevLens = ck.prev.bucketLens
+		ck.prev.prev = nil
 	}
 	for i, l := range ck.bucketLens {
 		ck.bucketSum += l
-		var pl int64
 		if i < len(prevLens) {
-			pl = prevLens[i]
+			l -= prevLens[i]
 		}
-		if l > pl {
-			write += l - pl
-		}
+		write += max(l, 0)
 	}
 	st := t.rt.Store
 	st.ChargeCheckpointWrite(t.rt.P, write)
@@ -421,20 +555,7 @@ func (t *TaskReducer) TakeCheckpoint(prev *Checkpoint, consumed []bool, consumed
 		st.NoteOverhead(storage.Checkpoint, frame.Overhead(len(payload)))
 	}
 	t.out.stageInto(ck)
+	task.ckpt = ck
+	t.lastCkpt = t.clock()
 	return ck
-}
-
-// Restore resumes a freshly constructed reducer from checkpoint ck,
-// whose verified image is img: it reads the replicated image back
-// (table/sketch + consumed-set + all bucket bytes), rebuilds the
-// reducer, and reloads the output staged up to the same image — the
-// driver then replays only the unconsumed suffix.
-func (t *TaskReducer) Restore(ck *Checkpoint, img *core.StateImage) {
-	t.rt.Store.ChargeCheckpointRead(t.rt.P, ck.StoredBytes())
-	if t.inch != nil {
-		t.inch.Restore(img)
-	} else {
-		t.dinch.Restore(img)
-	}
-	t.out.restoreFrom(ck)
 }

@@ -59,7 +59,7 @@ func TestOutputWriterProvisionalStaging(t *testing.T) {
 	spec.Cluster.Page = 1 << 20
 	var totals OutTotals
 	var sunk []int64
-	w := NewOutputWriter(spec, true, &totals, func(b int64) { sunk = append(sunk, b) })
+	w := newOutputWriter(spec, true, &totals, func(b int64) { sunk = append(sunk, b) })
 	const rowBytes = 2 + 1 + 2 // "kN" + "v" + framing
 
 	// Stage at A (2 rows), emit, stage at B (3 rows).
@@ -113,7 +113,7 @@ func TestOutputWriterDirectModeUpdatesTotalsPerEmit(t *testing.T) {
 	spec.Cluster.Page = 12
 	var totals OutTotals
 	var sunk []int64
-	w := NewOutputWriter(spec, false, &totals, func(b int64) { sunk = append(sunk, b) })
+	w := newOutputWriter(spec, false, &totals, func(b int64) { sunk = append(sunk, b) })
 	for i := 0; i < 3; i++ {
 		emitRow(w, i)
 		// The DES progress sampler reads the totals mid-run.
@@ -128,6 +128,34 @@ func TestOutputWriterDirectModeUpdatesTotalsPerEmit(t *testing.T) {
 	}
 }
 
+// reduceAttempt resumes task and builds its next attempt on a fresh
+// wall runtime, discarding output.
+func reduceAttempt(t *testing.T, task *ReduceTask, spec *JobSpec, q mr.Query, inject bool) (*TaskReducer, *core.Runtime) {
+	t.Helper()
+	attempt, _, err := task.Next(0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ledger int64
+	rt := bodyRuntime(spec, &ledger)
+	img, bad, _, _ := task.Resume(spec.Input.NumChunks())
+	var totals OutTotals
+	return task.Attempt(spec, rt, q, 0, attempt, inject, &totals, func(int64) {}, 64<<10, img, bad,
+		func() int64 { return 0 }), rt
+}
+
+// clickSeg is one shuffle segment of INC-hash click-count states for
+// users from … to-1.
+func clickSeg(q mr.Query, from, to int) core.MapParts {
+	inc := q.(mr.Incremental)
+	var seg []byte
+	for i := from; i < to; i++ {
+		k := []byte(fmt.Sprintf("user%05d", i))
+		seg = kvenc.AppendPair(seg, k, inc.Init(nil, k, []byte("1")))
+	}
+	return core.MapParts{Segs: [][][]byte{{seg}}}
+}
+
 func TestTakeCheckpointPricesBucketDeltas(t *testing.T) {
 	q := queries.NewClickCount()
 	spec := bodySpec(t, INCHash, q)
@@ -136,46 +164,40 @@ func TestTakeCheckpointPricesBucketDeltas(t *testing.T) {
 	spec.Cluster.Checksums = true
 	totalMaps := int64(spec.Input.NumChunks())
 
-	var ledger int64
-	rt := bodyRuntime(spec, &ledger)
-	var totals OutTotals
-	out := NewOutputWriter(spec, true, &totals, func(int64) {})
-	red := NewTaskReducer(spec, rt, q, out, "r000.a0", 64<<10)
-	inc := q.(mr.Incremental)
-	feed := func(from, to int) {
-		var seg []byte
-		for i := from; i < to; i++ {
-			k := []byte(fmt.Sprintf("user%05d", i))
-			seg = kvenc.AppendPair(seg, k, inc.Init(nil, k, []byte("1")))
-		}
-		red.Feed(core.MapParts{Segs: [][][]byte{{seg}}}, 0, int64(len(seg)), 0)
+	var task ReduceTask
+	red, rt := reduceAttempt(t, &task, spec, q, false)
+	feed := func(from, to, mapTask int) {
+		parts := clickSeg(q, from, to)
+		red.Consume(parts, 0, int64(len(parts.Segs[0][0])), mapTask, nil)
 	}
-	ckptCounters := func() (written, read, overhead int64) {
+	ckptCounters := func(rt *core.Runtime) (written, read, overhead int64) {
 		c := rt.Store.Counters()
 		return c.WrittenBytes[storage.Checkpoint], c.ReadBytes[storage.Checkpoint], c.OverheadBytes[storage.Checkpoint]
 	}
 
-	feed(0, 300)
-	consumed := make([]bool, totalMaps)
-	consumed[0] = true
-	ck1 := red.TakeCheckpoint(nil, consumed, 1)
+	feed(0, 300, 0)
+	ck1 := red.Checkpoint()
 	if ck1.bucketSum == 0 {
 		t.Fatal("test setup: no key overflowed into a bucket, the delta pricing is unexercised")
 	}
-	w1, _, ov1 := ckptCounters()
+	w1, _, ov1 := ckptCounters(rt)
 	if want := ck1.stateBytes + ck1.bucketSum; w1 != want {
 		t.Errorf("first checkpoint wrote %d, want state+consumed-set+all buckets = %d", w1, want)
 	}
 	if ov1 == 0 {
 		t.Error("checksummed store recorded no checkpoint framing overhead")
 	}
-	if consumed[0] = false; !ck1.Consumed[0] || ck1.ConsumedN != 1 {
-		t.Error("checkpoint aliases the driver's consumed-set instead of copying it")
+	if task.consumed[0] = false; !ck1.consumed[0] || ck1.consumedN != 1 {
+		t.Error("checkpoint aliases the task's consumed set instead of copying it")
 	}
+	task.consumed[0] = true
 
-	feed(300, 500)
-	ck2 := red.TakeCheckpoint(ck1, consumed, 2)
-	w2, _, _ := ckptCounters()
+	feed(300, 500, 1)
+	ck2 := red.Checkpoint()
+	if ck2.prev != ck1 || task.ckpt != ck2 {
+		t.Error("the new image is not chained onto the task with its predecessor as fallback")
+	}
+	w2, _, _ := ckptCounters(rt)
 	var grown int64
 	for i, l := range ck2.bucketLens {
 		if i < len(ck1.bucketLens) {
@@ -192,27 +214,106 @@ func TestTakeCheckpointPricesBucketDeltas(t *testing.T) {
 		t.Errorf("second checkpoint wrote %d, want state+consumed-set+grown bucket bytes = %d", got, want)
 	}
 
-	// Restore on a fresh attempt reads the whole stored image back.
-	img, err := ck2.Decode()
+	// Restore on a fresh attempt reads the whole stored image back and
+	// holds the image's consumed set.
+	img, err := core.DecodeFramedImage(ck2.framed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := img.StateBytes() + totalMaps*consumedBitBytes; ck2.stateBytes != want {
 		t.Errorf("stateBytes = %d, want the table plus one consumed-set entry per map task = %d", ck2.stateBytes, want)
 	}
-	var ledger2 int64
-	rt2 := bodyRuntime(spec, &ledger2)
-	red2 := NewTaskReducer(spec, rt2, q, NewOutputWriter(spec, true, &totals, func(int64) {}), "r000.a1", 64<<10)
-	red2.Restore(ck2, img)
-	if got := rt2.Store.Counters().ReadBytes[storage.Checkpoint]; got != ck2.StoredBytes() {
-		t.Errorf("Restore read %d checkpoint bytes, want StoredBytes = %d", got, ck2.StoredBytes())
+	_, rt2 := reduceAttempt(t, &task, spec, q, false)
+	if _, got, _ := ckptCounters(rt2); got != ck2.StoredBytes() {
+		t.Errorf("resume read %d checkpoint bytes, want StoredBytes = %d", got, ck2.StoredBytes())
+	}
+	if !task.Holds(0) || !task.Holds(1) || task.Holds(2) || task.Holds(-1) {
+		t.Errorf("resumed consumed set %v, want map tasks 0 and 1", task.consumed)
 	}
 
 	// A flipped bit fails verification: the image restores whole or not
-	// at all.
+	// at all, and Resume falls back to its predecessor, charging the
+	// dropped image's bytes.
 	ck2.framed[len(ck2.framed)/2] ^= 0x10
-	if _, err := ck2.Decode(); err == nil {
+	if _, err := core.DecodeFramedImage(ck2.framed); err == nil {
 		t.Error("bit-flipped checkpoint image decoded")
+	}
+	img, bad, torn, corrupt := task.Resume(int(totalMaps))
+	if img == nil || task.ckpt != ck1 || bad != ck2.StoredBytes() || torn != 0 || corrupt != 1 {
+		t.Errorf("Resume: image %v, fell back to ck1 %v, badBytes %d (want %d), torn %d, corrupt %d (want 0, 1)",
+			img != nil, task.ckpt == ck1, bad, ck2.StoredBytes(), torn, corrupt)
+	}
+	if !task.Holds(0) || task.Holds(1) || task.consumedN != 1 {
+		t.Errorf("consumed set after the fallback %v, want map task 0 alone", task.consumed)
+	}
+	var ledger3 int64
+	rt3 := bodyRuntime(spec, &ledger3)
+	var totals OutTotals
+	task.Attempt(spec, rt3, q, 0, 3, false, &totals, func(int64) {}, 64<<10, img, bad, func() int64 { return 0 })
+	if _, got, _ := ckptCounters(rt3); got != ck2.StoredBytes()+ck1.StoredBytes() {
+		t.Errorf("fallback attempt read %d checkpoint bytes, want the dropped and the restored image = %d",
+			got, ck2.StoredBytes()+ck1.StoredBytes())
+	}
+}
+
+// TestReduceTaskLadder: an injected failure hits the first attempts
+// that run on a node that never dies, and the ladder ends in an error
+// at MaxReduceAttempts.
+func TestReduceTaskLadder(t *testing.T) {
+	var task ReduceTask
+	for i, step := range []struct {
+		dies, inject bool
+	}{{true, false}, {false, true}, {true, false}, {false, true}, {false, false}} {
+		attempt, inject, err := task.Next(2, step.dies)
+		if err != nil || attempt != i || inject != step.inject {
+			t.Errorf("attempt %d (dies %v): got attempt %d inject %v err %v, want inject %v",
+				i, step.dies, attempt, inject, err, step.inject)
+		}
+	}
+	for i := 5; i < MaxReduceAttempts; i++ {
+		if _, _, err := task.Next(2, false); err != nil {
+			t.Fatalf("attempt %d: %v", i, err)
+		}
+	}
+	if _, _, err := task.Next(2, false); err == nil {
+		t.Errorf("attempt %d was handed out, want an error at MaxReduceAttempts", MaxReduceAttempts)
+	}
+}
+
+// TestReduceTaskConsumeCovered: a node-combined run marks every map
+// task it covers, each counting toward the fail point, and a later
+// attempt's fetch of the same input is a re-fetch.
+func TestReduceTaskConsumeCovered(t *testing.T) {
+	q := queries.NewClickCount()
+	spec := bodySpec(t, INCHash, q)
+	spec.Faults.FailPoint = 0.4 // 2 of the 5 map tasks
+	parts := clickSeg(q, 0, 50)
+	size := int64(len(parts.Segs[0][0]))
+
+	var task ReduceTask
+	red, _ := reduceAttempt(t, &task, spec, q, true)
+	if red.failN != 2 || red.Failed() {
+		t.Fatalf("test setup: fail point %d (want 2 map tasks), failed before consuming: %v", red.failN, red.Failed())
+	}
+	if got := red.Consume(parts, 0, size, 1, []int{1, 2}); got != 0 {
+		t.Errorf("first fetch counted %d re-fetched bytes", got)
+	}
+	if !task.Holds(1) || !task.Holds(2) || task.Holds(0) || task.consumedN != 2 {
+		t.Errorf("consumed set %v (%d), want map tasks 1 and 2", task.consumed, task.consumedN)
+	}
+	if !red.Failed() {
+		t.Error("two covered map tasks did not reach the fail point")
+	}
+
+	red, _ = reduceAttempt(t, &task, spec, q, false)
+	if task.Holds(1) || task.consumedN != 0 {
+		t.Error("a restart without checkpoints kept the failed attempt's consumed set")
+	}
+	if got := red.Consume(parts, 0, size, 1, []int{1, 2}); got != size {
+		t.Errorf("second attempt's fetch counted %d re-fetched bytes, want %d", got, size)
+	}
+	if red.Failed() {
+		t.Error("an attempt without injection failed")
 	}
 }
 

@@ -24,25 +24,13 @@ type mapTaskState struct {
 	reexecs  int   // re-executions after output loss
 }
 
-// reduceState is the tracker's view of one reduce task.
+// reduceState is the tracker's view of one reduce task: the shared
+// cross-attempt state and the node its current attempt runs on.
 type reduceState struct {
-	ridx     int
-	node     *node // node of the current attempt
-	attempts int
-	done     bool
-
-	// consumed marks map tasks whose output this reducer has folded in;
-	// it is reset from the last checkpoint at each attempt start. The
-	// tracker reads it to decide which lost outputs are still needed.
-	consumed  []bool
-	consumedN int
-
-	// everFetched marks map tasks fetched in any attempt, never reset:
-	// a second fetch of the same task is recovery traffic
-	// (Report.ShuffleRefetchBytes).
-	everFetched []bool
-
-	ckpt *Checkpoint // latest committed checkpoint (nil: restart from scratch)
+	ReduceTask
+	ridx int
+	node *node // node of the current attempt
+	done bool
 }
 
 // tracker is the JobTracker: the per-task attempt state every map and
@@ -180,12 +168,12 @@ func (t *tracker) needed(task int) bool {
 			continue
 		}
 		if rs.node != nil && rs.node.dead(now) {
-			if rs.ckpt == nil || !rs.ckpt.Consumed[task] {
+			if rs.ckpt == nil || !rs.ckpt.consumed[task] {
 				return true
 			}
 			continue
 		}
-		if rs.consumed == nil || !rs.consumed[task] {
+		if !rs.Holds(task) {
 			return true
 		}
 	}
@@ -216,7 +204,7 @@ func (t *tracker) reexec(ms *mapTaskState) {
 // attempt failure rolled a reducer's consumed-set back past it.
 func (t *tracker) ensureAvailable(rs *reduceState) {
 	for task := range t.mstates {
-		if rs.consumed[task] {
+		if rs.Holds(task) {
 			continue
 		}
 		if ms := &t.mstates[task]; ms.done && ms.output != nil && ms.output.lost {

@@ -9,15 +9,19 @@
 // names the outputs a node kill takes (the node dies once chunks
 // 0…K-1 have completed, so its chunks below K had published), Place
 // puts re-executions and restarted reducers on survivors, and Backup
-// names the tasks that race a speculative twin and where. This file
-// keeps only the wall clock's own mechanics: waiting and sleeping.
+// names the tasks that race a speculative twin and where. One reduce
+// task's rules are engine.ReduceTask's (engine/task_reduce.go), which the
+// DES embeds too: which attempts an injected failure hits, the consumed
+// set an attempt resumes from, its fail point and the checkpoint chain.
+// This file keeps only the wall clock's own mechanics: waiting and
+// sleeping.
 //
 //   - a lost output is discarded as its chain returns and re-executed at
 //     once; a reducer that reaches it waits (waitUnit), counting backoff
 //     rounds as fetch retries, under a watchdog;
 //   - injected map failures die at a byte offset through the chunk,
-//     injected reduce failures after a fixed number of consumed
-//     shuffle units (the DES's own FailPoint semantics);
+//     injected reduce failures once FailPoint of the map tasks are
+//     folded in (a node-combined run counts every task it covers);
 //   - transient shuffle-read errors are the seeded rolls of
 //     engine.JobSpec.ShuffleFetchFails, slept off with capped backoff;
 //   - checkpoints trigger on the attempt's virtual CPU ledger, the
@@ -205,12 +209,10 @@ func (r *run) transientRetries(ridx int, u *unit, attempt int) {
 	}
 }
 
-// rtask is one reduce task's cross-attempt recovery state. The checkpoint
-// is logically replicated off-node; attempts run clean, so only the newest
-// image is kept. Attempts consume prefixes: earlier ones fetched the first fetched.
+// rtask is one reduce task across its attempts: the shared ladder,
+// consumed set and (logically off-node) checkpoint chain, and drained.
 type rtask struct {
-	ckpt    *engine.Checkpoint
-	fetched int
+	engine.ReduceTask
 	drained bool // an attempt consumed the whole shuffle
 }
 
@@ -228,11 +230,10 @@ func (r *run) runReduceChain(ridx, node int) *reduceChain {
 	ch := &reduceChain{}
 	task := &rtask{}
 	defer r.drain(task) // a failed task must not hold the others back
-	failures := r.spec.Faults.ReduceFailures[ridx]
-	live := 0
-	for attempt := 0; ; attempt++ {
-		if attempt >= engine.MaxReduceAttempts {
-			ch.err = fmt.Errorf("realexec: reduce task %d exceeded %d attempts", ridx, engine.MaxReduceAttempts)
+	for {
+		attempt, inject, err := task.Next(r.spec.Faults.ReduceFailures[ridx], r.Dies(node))
+		if err != nil {
+			ch.err = fmt.Errorf("realexec: reduce task %d %w", ridx, err)
 			return ch
 		}
 		if attempt > 0 {
@@ -244,10 +245,6 @@ func (r *run) runReduceChain(ridx, node int) *reduceChain {
 			node = r.Place(ridx, -1)
 			continue
 		}
-		// Injection counts live attempts: a zero-work displacement off a
-		// dead node does not consume one of the planned failures.
-		inject := live < failures
-		live++
 		res := r.runReduceAttempt(task, ridx, node, attempt, inject)
 		if res.err != nil {
 			ch.err = res.err
@@ -263,9 +260,9 @@ func (r *run) runReduceChain(ridx, node int) *reduceChain {
 	}
 }
 
-// runReduceAttempt executes one reduce attempt: restore from the
-// newest checkpoint, consume the unconsumed suffix of the shuffle units
-// in canonical order as their slots are published, checkpoint on the
+// runReduceAttempt executes one reduce attempt: resume from the newest
+// good checkpoint, consume the shuffle units it does not hold in
+// canonical order as their slots are published, checkpoint on the
 // virtual CPU ledger, and either finish (committing provisional output)
 // or die at the injected fail point. The watermark is the max event
 // time of the consumed prefix: after the last slot, the global maximum
@@ -294,42 +291,25 @@ func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool
 	q := r.newQ()
 	wm, _ := q.(mr.Watermarker)
 	sink := func(physBytes int64) { st.ChargeOutputWrite(p, physBytes) }
-	// Output is provisional under any plan that can kill an attempt
-	// after it emitted.
-	out := engine.NewOutputWriter(r.spec, r.spec.ReduceRestarts(), &res.out, sink)
-	red := engine.NewTaskReducer(r.spec, rt, q, out, fmt.Sprintf("r%03d.a%d", ridx, attempt), r.InputBytesEst)
-
-	// Resume from the newest checkpoint and replay only the unconsumed
-	// suffix.
-	consumedN := 0
-	if ck := task.ckpt; ck != nil {
-		img, err := ck.Decode()
-		if err != nil {
-			panic(fmt.Errorf("checkpoint for reduce task %d failed verification: %w", ridx, err))
-		}
-		red.Restore(ck, img)
-		consumedN = ck.ConsumedN
-	}
-
-	failN := r.spec.Faults.ReduceFailAfter(r.nUnits)
+	// Resume from the newest checkpoint (no image is damaged here, so
+	// none is torn or corrupt) and replay only the unconsumed suffix;
+	// checkpoints are due on the attempt's CPU ledger.
+	img, badBytes, _, _ := task.Resume(r.TotalMaps)
+	red := task.Attempt(r.spec, rt, q, ridx, attempt, inject, &res.out, sink, r.InputBytesEst,
+		img, badBytes, func() int64 { return res.ledger })
 	failOut := func() *reduceResult {
-		res.failed = true
-		out.Discard()
-		res.span = span("reduce-failed")
+		res.failed, res.span = true, span("reduce-failed")
 		return res
 	}
-	if inject && consumedN >= failN {
+	if red.Failed() {
 		return failOut()
 	}
-
 	r.slowSleep(node)
-	ckptEvery := int64(r.spec.CheckpointEvery)
-	lastCkpt := res.ledger
 
 	// Every fetch is served from memory, and reducers wait for unpublished
 	// and lost units (never skip), so consumption order, and with it every
 	// answer, is the same under any plan and any worker count.
-	ui := -1
+	hop := r.spec.Platform == engine.HOP
 	for si := range r.slots {
 		s := &r.slots[si]
 		r.await(s.ready)
@@ -337,34 +317,35 @@ func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool
 			wm.AdvanceWatermark(s.maxTS)
 		}
 		for _, u := range s.units {
-			if ui++; ui < consumedN {
-				continue
+			if task.Holds(u.chunk) {
+				continue // folded into the resumed image
 			}
 			r.waitUnit(u)
 			if u.err != nil {
 				panic(fmt.Errorf("map task %d re-execution failed: %v", u.chunk, u.err))
 			}
 			r.transientRetries(ridx, u, attempt)
-			if size := u.partBytes[ridx]; size > 0 {
-				r.memFetches.Add(1)
-				if ui < task.fetched {
-					r.refetchBytes.Add(size)
-				}
-				red.Feed(u.parts, ridx, size, u.chunk)
+			mapTask := u.chunk
+			if hop {
+				mapTask = -1 // a HOP push carries no task identity
 			}
-			consumedN++
-			task.fetched = max(task.fetched, consumedN)
+			size := u.partBytes[ridx]
+			if size > 0 {
+				r.memFetches.Add(1)
+			}
+			if n := red.Consume(u.parts, ridx, size, mapTask, u.tasks); n > 0 {
+				r.refetchBytes.Add(n)
+			}
 			if r.release && int(u.taken.Add(1)) == r.NumReducers {
 				u.parts = core.MapParts{}
 			}
 
-			if inject && consumedN >= failN {
+			if red.Failed() {
 				return failOut()
 			}
-			if red.Incremental() && ckptEvery > 0 && res.ledger-lastCkpt >= ckptEvery {
-				task.ckpt = red.TakeCheckpoint(task.ckpt, nil, consumedN)
+			if red.CheckpointDue() {
+				red.Checkpoint()
 				r.checkpoints.Add(1)
-				lastCkpt = res.ledger
 			}
 			r.afterFeed(red, sink)
 		}
@@ -376,8 +357,6 @@ func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool
 	r.await(r.drained)
 	red.PrepareFinal()
 	res.approxKeys = red.Finish()
-	out.Commit()
-	out.Flush()
 	res.span = span("reduce")
 	return res
 }

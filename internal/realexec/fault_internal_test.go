@@ -113,7 +113,7 @@ func TestReleaseDropsConsumedOutputs(t *testing.T) {
 
 	clean, cleanRep := runJob(engine.FaultPlan{})
 	if n := resident(clean); n != 0 {
-		t.Errorf("clean run: %d of %d map outputs still resident", n, clean.nUnits)
+		t.Errorf("clean run: %d of %d map outputs still resident", n, clean.TotalMaps)
 	}
 	for chunk, ch := range clean.maps {
 		name := fmt.Sprintf("map%06d.a0.out", chunk)
@@ -128,8 +128,8 @@ func TestReleaseDropsConsumedOutputs(t *testing.T) {
 	}
 
 	failed, failedRep := runJob(engine.FaultPlan{ReduceFailures: map[int]int{1: 1, 4: 2}, FailPoint: 0.5})
-	if n := resident(failed); n != failed.nUnits {
-		t.Errorf("reduce-failure run: %d of %d map outputs resident, want all", n, failed.nUnits)
+	if n := resident(failed); n != failed.TotalMaps {
+		t.Errorf("reduce-failure run: %d of %d map outputs resident, want all", n, failed.TotalMaps)
 	}
 	if failedRep.RestartedReduceTasks != 3 {
 		t.Errorf("RestartedReduceTasks = %d, want 3", failedRep.RestartedReduceTasks)

@@ -303,21 +303,32 @@ func TestFaultedBackendParity(t *testing.T) {
 			})
 		}
 	}
-	// A kill only, on 64 chunks, at three points of the map phase, with
-	// combining off and on.
-	for _, pl := range []engine.Platform{engine.MRHash, engine.INCHash} {
-		for _, frac := range []float64{0.3, 0.5, 0.8} {
-			for _, mode := range []engine.NodeCombineMode{engine.NodeCombineOff, engine.NodeCombineOn} {
-				t.Run(fmt.Sprintf("kill-only/%s/%.1f/combine-%s", pl, frac, mode), func(t *testing.T) {
-					job := chaosJob(t, pl)
-					job.Input = testClicks(t, 384<<10, 6<<10)
-					job.NodeCombine = mode
-					clean := runReal(t, job, queries.NewClickCount, 4)
-					job.Faults = engine.FaultPlan{KillAtMapProgress: map[int]float64{1: frac}}
-					des := runEngine(t, job, queries.NewClickCount)
-					requireSameAnswers(t, clean, des, "engine")
-					requireFaultParity(t, des, runReal(t, job, queries.NewClickCount, 4), "real")
-				})
+	// A kill, on 64 chunks, at three points of the map phase, with
+	// combining off and on: alone, and with injected failures in
+	// reducers 1 and 4, which start on the dying node, and in reducer 2,
+	// which does not (engine.ReduceTask.Next injects only attempts on
+	// never-dying nodes).
+	for _, row := range []struct {
+		name    string
+		failing map[int]int
+	}{{"kill-only", nil}, {"kill-reduce-fail", map[int]int{1: 1, 2: 1, 4: 2}}} {
+		for _, pl := range []engine.Platform{engine.MRHash, engine.INCHash} {
+			for _, frac := range []float64{0.3, 0.5, 0.8} {
+				for _, mode := range []engine.NodeCombineMode{engine.NodeCombineOff, engine.NodeCombineOn} {
+					t.Run(fmt.Sprintf("%s/%s/%.1f/combine-%s", row.name, pl, frac, mode), func(t *testing.T) {
+						job := chaosJob(t, pl)
+						job.Input = testClicks(t, 384<<10, 6<<10)
+						job.NodeCombine = mode
+						clean := runReal(t, job, queries.NewClickCount, 4)
+						job.Faults = engine.FaultPlan{KillAtMapProgress: map[int]float64{1: frac}}
+						if row.failing != nil {
+							job.Faults.ReduceFailures, job.Faults.FailPoint = row.failing, 0.5
+						}
+						des := runEngine(t, job, queries.NewClickCount)
+						requireSameAnswers(t, clean, des, "engine")
+						requireFaultParity(t, des, runReal(t, job, queries.NewClickCount, 4), "real")
+					})
+				}
 			}
 		}
 	}

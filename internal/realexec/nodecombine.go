@@ -63,6 +63,7 @@ func (r *run) foldGroup(g *engine.CombineGroup) {
 		span(g.AggName(), "combine-agg", res.node, start)
 	}
 	res.unit = r.publish(p, st, g.FileName(), g.Tasks[0], 0, g.Run())
+	res.unit.tasks = g.Tasks
 	g.Published(res.unit.partBytes)
 	for _, c := range g.Tasks[1:] {
 		s.maxTS = max(s.maxTS, r.slots[c].maxTS)

@@ -2,13 +2,15 @@
 // real goroutines, real time, and an M3R-style in-memory shuffle.
 //
 // It is a driver over the task bodies it shares with the DES engine
-// (engine.MapBody and engine.TaskReducer, internal/engine/task_*.go):
-// this package decides which attempt runs where, what it consumes next
-// and how failures chain; what an attempt computes and charges is the
-// shared body's. The engine.Report it produces therefore has answer
-// fields — output records and collected rows, map/reduce record counts,
-// byte counters, virtual CPU ledgers — bit-for-bit identical to the
-// engine's clean-run path and deterministic for any worker count.
+// (engine.MapBody, engine.ReduceTask and engine.TaskReducer,
+// internal/engine/task_*.go): this package decides where an attempt
+// runs and how its waiting and fetching pass; what an attempt computes
+// and charges, and which reduce attempts an injected failure hits, what
+// they resume from and when they fail, are the shared code's. The
+// engine.Report it produces therefore has answer fields — output records
+// and collected rows, map/reduce record counts, byte counters, virtual
+// CPU ledgers — bit-for-bit identical to the engine's clean-run path and
+// deterministic for any worker count.
 // Wall-clock fields (RunningTime, MapFinishTime, WallTime, Spans) are
 // measured, not simulated, and vary run to run.
 //
@@ -82,6 +84,7 @@ type Spec struct {
 // nil means the unit was never lost (the fault-free path).
 type unit struct {
 	chunk, seq int
+	tasks      []int // the map tasks a node-combined run covers (nil: chunk alone); chunk is the first
 	parts      core.MapParts
 	partBytes  []int64
 	taken      atomic.Int32 // reducers that consumed it; the last drops parts (run.release)
@@ -108,7 +111,6 @@ type run struct {
 	workers          int
 
 	slots    []slot
-	nUnits   int           // units in the shuffle, known before any map runs (not on HOP, which runs no reduce faults)
 	release  bool          // no reduce attempt can restart: the last consumer drops a unit's parts
 	tokens   chan struct{} // reduce slots
 	drained  chan struct{} // closed once no reduce task needs map output (drain)
@@ -160,10 +162,8 @@ func newRun(s Spec) (*run, error) {
 	r.comb = r.NewCombinePlan()
 	r.combLeft = make([]atomic.Int32, len(r.comb.Groups))
 	r.combRes = make([]*rcResult, len(r.comb.Groups))
-	r.nUnits = r.TotalMaps + len(r.comb.Groups)
 	for gi, g := range r.comb.Groups {
 		r.combLeft[gi].Store(int32(len(g.Tasks)))
-		r.nUnits -= len(g.Tasks)
 	}
 	r.slots = make([]slot, r.TotalMaps)
 	for c := range r.slots {

@@ -196,6 +196,11 @@ func checkReal(v *Verdict, c *Case, name string, pl engine.Platform, input dfs.I
 	if c.CheckpointDiv == 0 && !c.diskFaults() && rep.ReExecutedMapTasks != des.ReExecutedMapTasks {
 		acct("ReExecutedMapTasks=%d, DES re-executed %d", rep.ReExecutedMapTasks, des.ReExecutedMapTasks)
 	}
+	// One attempt ladder (engine.ReduceTask): both backends restart the
+	// same reducers. Disk damage restarts only DES reducers.
+	if !c.diskFaults() && rep.RestartedReduceTasks != des.RestartedReduceTasks {
+		acct("RestartedReduceTasks=%d, DES restarted %d", rep.RestartedReduceTasks, des.RestartedReduceTasks)
+	}
 
 	// Recovery accounting: injected dimensions register, uninjected
 	// ones stay exactly zero.

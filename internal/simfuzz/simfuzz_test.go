@@ -183,7 +183,8 @@ func TestCorpusKillsRecover(t *testing.T) {
 			}
 		}
 	}
-	want := []string{"checkpoint-output-epoch", "node-combine-shuffle-fold", "real-backend-chaos-recovery"}
+	want := []string{"checkpoint-output-epoch", "node-combine-shuffle-fold", "real-backend-chaos-recovery",
+		"reduce-restart-parity"}
 	if !reflect.DeepEqual(killed, want) {
 		t.Errorf("corpus entries with a kill = %q, want %q", killed, want)
 	}
