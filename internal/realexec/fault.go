@@ -45,6 +45,7 @@ package realexec
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -187,14 +188,6 @@ func (r *run) waitUnit(u *unit) {
 	}
 }
 
-// drain records, once per task, that it needs no more map output.
-func (r *run) drain(task *rtask) {
-	if !task.drained && r.draining.Add(-1) == 0 {
-		close(r.drained)
-	}
-	task.drained = true
-}
-
 // transientRetries burns the seeded transient-error rolls for one
 // fetch, sleeping a capped exponential backoff per error.
 func (r *run) transientRetries(ridx int, u *unit, attempt int) {
@@ -209,13 +202,6 @@ func (r *run) transientRetries(ridx int, u *unit, attempt int) {
 	}
 }
 
-// rtask is one reduce task across its attempts: the shared ladder,
-// consumed set and (logically off-node) checkpoint chain, and drained.
-type rtask struct {
-	engine.ReduceTask
-	drained bool // an attempt consumed the whole shuffle
-}
-
 // reduceChain is one reduce task's attempt history.
 type reduceChain struct {
 	winner *reduceResult
@@ -228,8 +214,9 @@ type reduceChain struct {
 // restarts.
 func (r *run) runReduceChain(ridx, node int) *reduceChain {
 	ch := &reduceChain{}
-	task := &rtask{}
-	defer r.drain(task) // a failed task must not hold the others back
+	task := &engine.ReduceTask{}
+	consumed := sync.OnceFunc(r.consuming.Done)
+	defer consumed() // a failed task must not hold the others back
 	for {
 		attempt, inject, err := task.Next(r.spec.Faults.ReduceFailures[ridx], r.Dies(node))
 		if err != nil {
@@ -245,7 +232,7 @@ func (r *run) runReduceChain(ridx, node int) *reduceChain {
 			node = r.Place(ridx, -1)
 			continue
 		}
-		res := r.runReduceAttempt(task, ridx, node, attempt, inject)
+		res := r.runReduceAttempt(task, ridx, node, attempt, inject, consumed)
 		if res.err != nil {
 			ch.err = res.err
 			return ch
@@ -267,7 +254,7 @@ func (r *run) runReduceChain(ridx, node int) *reduceChain {
 // or die at the injected fail point. The watermark is the max event
 // time of the consumed prefix: after the last slot, the global maximum
 // reference.RunWithWatermarks reduces under.
-func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool) (res *reduceResult) {
+func (r *run) runReduceAttempt(task *engine.ReduceTask, ridx, node, attempt int, inject bool, consumed func()) (res *reduceResult) {
 	res = &reduceResult{}
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -338,6 +325,9 @@ func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool
 			}
 			if r.release && int(u.taken.Add(1)) == r.NumReducers {
 				u.parts = core.MapParts{}
+				if u == s.units[len(s.units)-1] {
+					r.give() // units are consumed in order: the slot is dropped
+				}
 			}
 
 			if red.Failed() {
@@ -351,10 +341,12 @@ func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool
 		}
 	}
 
-	// Final phases wait until every reducer drained the shuffle: none
-	// stacks on resident map output, and peak memory is not timing's.
-	r.drain(task)
-	r.await(r.drained)
+	// Final phases wait until every reduce task consumed the shuffle or
+	// failed, holding no reduce slot: the pool's peak is not timing's.
+	consumed()
+	<-r.tokens
+	r.consuming.Wait()
+	r.tokens <- struct{}{}
 	red.PrepareFinal()
 	res.approxKeys = red.Finish()
 	res.span = span("reduce")

@@ -13,6 +13,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mr"
 	"repro/internal/queries"
+	"repro/internal/reference"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -136,6 +137,59 @@ func TestReleaseDropsConsumedOutputs(t *testing.T) {
 	}
 	if !slices.Equal(sortedRows(cleanRep), sortedRows(failedRep)) || cleanRep.OutputRecords != failedRep.OutputRecords {
 		t.Error("reduce-failure run answers differently from the clean run")
+	}
+}
+
+// TestSmallestResidencyCap runs every plan that keeps release on, on
+// every platform, at the smallest residency cap a spec allows: one node
+// that keeps one map output in memory (SlotCache 1), so the map workers
+// hold one output between them until every reducer has dropped it.
+// Speculation has no second node to back up on, so its row runs the
+// straggler alone; HOP takes transient disk errors and no other fault,
+// and every other platform restarts reducers under disk damage. No
+// plan wedges the job, and every answer is the reference's.
+func TestSmallestResidencyCap(t *testing.T) {
+	plans := []struct {
+		name   string
+		faults engine.FaultPlan
+	}{
+		{"clean", engine.FaultPlan{}},
+		{"stragglers", engine.FaultPlan{SlowNodes: map[int]float64{0: 3}, Speculate: true}},
+		{"map-failures", engine.FaultPlan{MapFailures: map[int]int{0: 1, 3: 2}, FailPoint: 0.5}},
+		{"shuffle-errors", engine.FaultPlan{ShuffleErrorRate: 0.05}},
+		{"disk-damage", engine.FaultPlan{Disk: engine.DiskFaultPlan{IOErrorRate: 0.05}}},
+	}
+	var want []string
+	for _, o := range reference.Run(queries.NewClickCount(), internalJob(engine.HOP).Input) {
+		want = append(want, o.Key+"\t"+o.Value)
+	}
+	sort.Strings(want)
+	for _, pl := range []engine.Platform{engine.SortMerge, engine.HOP, engine.MRHash, engine.INCHash, engine.DINCHash} {
+		for _, plan := range plans {
+			disk := plan.faults.Disk.IOErrorRate > 0
+			if plan.name != "clean" && disk != (pl == engine.HOP) {
+				continue
+			}
+			t.Run(pl.String()+"/"+plan.name, func(t *testing.T) {
+				job := internalJob(pl)
+				job.Cluster.Nodes, job.Cluster.SlotCache = 1, 1
+				job.Faults = plan.faults
+				r, err := newRun(Spec{Job: job, NewQuery: queries.NewClickCount, Workers: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cap(r.resident) != 1 {
+					t.Fatalf("residency cap = %d, want 1", cap(r.resident))
+				}
+				rep, err := r.execute()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := sortedRows(rep); !slices.Equal(got, want) {
+					t.Errorf("%d output rows differ from the reference's %d", len(got), len(want))
+				}
+			})
+		}
 	}
 }
 

@@ -22,7 +22,9 @@
 //   - every reducer starts with the job and consumes the map outputs in
 //     canonical (chunk, spill) order, each once it is published — the
 //     shuffle is entirely in memory, the M3R model, so MemShuffleFetches
-//     counts every fetch and DiskShuffleFetches is 0;
+//     counts every fetch and DiskShuffleFetches is 0 — and with no disk
+//     to serve older outputs from, maps wait while SlotCache × Nodes
+//     are resident (claim), which moves no consumption;
 //   - cross-task counters are integers summed in task order at the end.
 //
 // Every task runs as an attempt chain (see fault.go): one map chain
@@ -110,11 +112,13 @@ type run struct {
 	start            time.Time
 	workers          int
 
-	slots    []slot
-	release  bool          // no reduce attempt can restart: the last consumer drops a unit's parts
-	tokens   chan struct{} // reduce slots
-	drained  chan struct{} // closed once no reduce task needs map output (drain)
-	draining atomic.Int32
+	slots     []slot
+	release   bool          // no reduce attempt can restart: the last consumer drops a unit's parts
+	tokens    chan struct{} // reduce slots
+	resident  chan struct{} // a token per claimed chunk not yet dropped (claim; nil: no cap)
+	halted    chan struct{} // closed by halt once a reduce task fails: maps stop waiting
+	halt      func()
+	consuming sync.WaitGroup // reduce tasks that may still need map output
 
 	maps []*mapChain
 	// comb is the in-node combine plan (engine/task_combine.go); no chunk
@@ -170,8 +174,12 @@ func newRun(s Spec) (*run, error) {
 		r.slots[c].ready = make(chan struct{})
 	}
 	r.maps = make([]*mapChain, r.TotalMaps)
-	r.tokens, r.drained = make(chan struct{}, r.workers), make(chan struct{})
-	r.draining.Store(int32(r.NumReducers))
+	r.tokens, r.halted = make(chan struct{}, r.workers), make(chan struct{})
+	r.halt = sync.OnceFunc(func() { close(r.halted) })
+	r.consuming.Add(r.NumReducers)
+	if r.release && len(r.comb.Groups) == 0 { // else outputs stay for restarts or parked deposits
+		r.resident = make(chan struct{}, spec.Cluster.SlotCache*spec.Cluster.Nodes)
+	}
 	return r, nil
 }
 
@@ -183,15 +191,21 @@ func (r *run) execute() (*engine.Report, error) {
 	reducesDone := make(chan struct{})
 	go func() {
 		defer close(reducesDone)
-		forEach(r.NumReducers, r.NumReducers, func(ridx int) {
+		each(r.NumReducers, func(ridx int) {
 			r.tokens <- struct{}{}
 			redChains[ridx] = r.runReduceChain(ridx, ridx%r.spec.Cluster.Nodes)
 			<-r.tokens
+			if redChains[ridx].err != nil {
+				r.halt()
+			}
 		})
 	}()
-	forEach(r.workers, r.TotalMaps, func(chunk int) {
-		r.maps[chunk] = r.runMapChain(chunk)
-		r.fill(chunk, r.maps[chunk])
+	var next atomic.Int64
+	each(min(r.workers, r.TotalMaps), func(int) {
+		for chunk := r.claim(&next); chunk >= 0; chunk = r.claim(&next) {
+			r.maps[chunk] = r.runMapChain(chunk)
+			r.fill(chunk, r.maps[chunk])
+		}
 	})
 	mapFinish := time.Since(r.start)
 	<-reducesDone
@@ -221,6 +235,35 @@ func (r *run) execute() (*engine.Report, error) {
 	return r.report(mapDone, mapExtra, redRes, redExtra, mapFinish), nil
 }
 
+// claim hands a map worker the next chunk, -1 once none is left. Under
+// the residency cap it takes a token before the chunk, so claims follow
+// chunk order and each claimed chunk holds a token: the slowest reducer
+// waits on a claimed chunk, which publishes without waiting on any
+// reducer, or on one whose predecessors were all dropped, which leaves
+// a token free.
+func (r *run) claim(next *atomic.Int64) int {
+	if r.resident != nil {
+		select {
+		case r.resident <- struct{}{}:
+		case <-r.halted:
+		}
+	}
+	if chunk := int(next.Add(1)) - 1; chunk < r.TotalMaps {
+		return chunk
+	}
+	r.give()
+	return -1
+}
+
+// give returns a chunk's residency token. Until a reduce task fails
+// every claimed chunk holds one, so it never has to wait.
+func (r *run) give() {
+	select {
+	case <-r.resident:
+	default:
+	}
+}
+
 // fill publishes chunk's slot once its map chain has returned (empty if
 // it failed or deposited; the last depositor folds the group). An output
 // lost to a node kill is published as a placeholder and re-executed on a
@@ -229,6 +272,9 @@ func (r *run) fill(chunk int, ch *mapChain) {
 	s, w := &r.slots[chunk], ch.winner
 	if ch.err == nil {
 		s.units, s.maxTS = w.units, w.maxTS
+	}
+	if len(s.units) == 0 {
+		r.give() // no reducer drops anything here
 	}
 	if r.comb.Deposits(chunk) {
 		g, _ := r.comb.GroupOf(r.Node(chunk))
@@ -268,21 +314,14 @@ func (r *run) await(ready chan struct{}) {
 	r.tokens <- struct{}{}
 }
 
-// forEach runs fn(0) … fn(n-1) on up to workers goroutines.
-func forEach(workers, n int, fn func(i int)) {
-	var next atomic.Int64
+// each runs fn(0) … fn(n-1) on a goroutine apiece and waits for them.
+func each(n int, fn func(i int)) {
 	var wg sync.WaitGroup
-	for w := 0; w < min(workers, n); w++ {
+	for i := range n {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
+			fn(i)
 		}()
 	}
 	wg.Wait()

@@ -160,8 +160,10 @@ func checkReal(v *Verdict, c *Case, name string, pl engine.Platform, input dfs.I
 	if workers < 1 {
 		workers = 1
 	}
+	job := c.jobSpec(pl, input, 1, c.faulted(), clean.MapFinishTime)
+	job.Cluster.SlotCache = 1 // the smallest residency cap; realexec reads SlotCache for nothing else
 	rep, err := safeRunReal(realexec.Spec{
-		Job:      c.jobSpec(pl, input, 1, c.faulted(), clean.MapFinishTime),
+		Job:      job,
 		NewQuery: func() mr.Query { return c.newQuery(false) },
 		Workers:  workers,
 	})
