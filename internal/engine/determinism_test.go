@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -66,15 +65,12 @@ func TestParallelismDoesNotChangeReports(t *testing.T) {
 				// avoids by always passing explicit positive counts.
 				t.Fatalf("%s: report ran with %d workers, want %d", row.name, rep.Workers, workers)
 			}
-			// Zero the only fields allowed to vary with pool size.
-			rep.Workers = 0
-			rep.WallTime = 0
 			return rep
 		}
 		serial1 := run(1)
 		serial2 := run(1)
-		if !reflect.DeepEqual(serial1, serial2) {
-			t.Fatalf("%s: two serial runs differ — simulation itself nondeterministic", row.name)
+		if d := SimRuns.Diff(serial1, serial2); d != "" {
+			t.Fatalf("%s: two serial runs differ in %s — simulation itself nondeterministic", row.name, d)
 		}
 		if len(serial1.Outputs) == 0 {
 			t.Fatalf("%s: no outputs collected", row.name)
@@ -87,9 +83,8 @@ func TestParallelismDoesNotChangeReports(t *testing.T) {
 		// typical core count; 8 oversubscribes a small host — determinism
 		// must hold regardless of which thread runs each closure.
 		for _, w := range []int{2, 3, 4, 8} {
-			par := run(w)
-			if !reflect.DeepEqual(serial1, par) {
-				t.Fatalf("%s: Workers=%d report differs from serial run: %s", row.name, w, ReportDiff(serial1, par))
+			if d := SimRuns.Diff(serial1, run(w)); d != "" {
+				t.Fatalf("%s: Workers=%d report differs from serial run: %s", row.name, w, d)
 			}
 		}
 	}
@@ -209,9 +204,7 @@ func TestOffloadedPathsAcrossWorkerCounts(t *testing.T) {
 		run := func(workers int) *Report {
 			s := spec(workers)
 			s.Faults = plan
-			rep := runJob(t, s)
-			rep.Workers, rep.WallTime = 0, 0
-			return rep
+			return runJob(t, s)
 		}
 		serial := run(1)
 		if len(serial.Outputs) == 0 {
@@ -228,8 +221,8 @@ func TestOffloadedPathsAcrossWorkerCounts(t *testing.T) {
 			}
 		}
 		for _, w := range []int{2, 4, 8} {
-			if par := run(w); !reflect.DeepEqual(serial, par) {
-				t.Fatalf("%s: Parallelism=%d report differs from serial run: %s", v.name, w, ReportDiff(serial, par))
+			if d := SimRuns.Diff(serial, run(w)); d != "" {
+				t.Fatalf("%s: Parallelism=%d report differs from serial run: %s", v.name, w, d)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -160,19 +159,15 @@ func TestFaultDeterminismAcrossWorkers(t *testing.T) {
 			HeartbeatInterval: mf / 100,
 			HeartbeatTimeout:  mf / 25,
 		}
-		rep := runJob(t, spec)
-		rep.Workers = 0
-		rep.WallTime = 0
-		return rep
+		return runJob(t, spec)
 	}
 	serial := run(1)
 	if serial.NodesLost != 1 {
 		t.Fatalf("fault plan inert: %d nodes lost", serial.NodesLost)
 	}
 	for _, w := range []int{3, 8} {
-		if par := run(w); !reflect.DeepEqual(serial, par) {
-			t.Fatalf("Workers=%d fault-injected report differs from serial run: %s",
-				w, ReportDiff(serial, par))
+		if d := SimRuns.Diff(serial, run(w)); d != "" {
+			t.Fatalf("Workers=%d fault-injected report differs from serial run: %s", w, d)
 		}
 	}
 }

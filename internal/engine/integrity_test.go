@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/kvenc"
@@ -99,13 +98,10 @@ func TestIntegrityDeterminismAcrossWorkers(t *testing.T) {
 				spec.CheckpointEvery = mf / 8
 			}
 			rep := runJob(t, spec)
-			rep.Workers = 0
-			rep.WallTime = 0
 			if base == nil {
 				base = rep
-			} else if !reflect.DeepEqual(base, rep) {
-				t.Errorf("%v: faulted report differs with %d workers (field %s)",
-					pl, workers, ReportDiff(base, rep))
+			} else if d := SimRuns.Diff(base, rep); d != "" {
+				t.Errorf("%v: faulted report differs with %d workers (field %s)", pl, workers, d)
 			}
 		}
 	}
@@ -288,13 +284,10 @@ func TestQuarantineCountDeterministic(t *testing.T) {
 		spec.SkipBadRecords = 1 << 20
 		spec.Cluster.Parallelism = workers
 		rep := runJob(t, spec)
-		rep.Workers = 0
-		rep.WallTime = 0
 		if base == nil {
 			base = rep
-		} else if !reflect.DeepEqual(base, rep) {
-			t.Errorf("quarantined report differs with %d workers (field %s)",
-				workers, ReportDiff(base, rep))
+		} else if d := SimRuns.Diff(base, rep); d != "" {
+			t.Errorf("quarantined report differs with %d workers (field %s)", workers, d)
 		}
 	}
 }

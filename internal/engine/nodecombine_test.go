@@ -79,7 +79,7 @@ func TestNodeCombineAnswerIdentity(t *testing.T) {
 // bit-identical — not just the answers.
 func TestNodeCombineNoop(t *testing.T) {
 	run := func(q mr.Query, pl Platform, mode NodeCombineMode) *Report {
-		rep := runJob(t, JobSpec{
+		return runJob(t, JobSpec{
 			Query:       q,
 			Input:       testClicks(t, 96<<10, 8<<10),
 			Platform:    pl,
@@ -88,22 +88,20 @@ func TestNodeCombineNoop(t *testing.T) {
 			NodeCombine: mode,
 			Seed:        1,
 		})
-		rep.WallTime = 0
-		return rep
 	}
 	t.Run("sessionization", func(t *testing.T) {
 		mk := func() mr.Query { return queries.NewSessionization(5*time.Minute, 512, 5*time.Second) }
 		off := run(mk(), INCHash, NodeCombineOff)
 		on := run(mk(), INCHash, NodeCombineOn)
-		if d := ReportDiff(off, on); d != "" {
-			t.Fatalf("NodeCombineOn must be an exact no-op on an uncombinable query; %s differs", d)
+		if d := SimRuns.Diff(off, on); d != "" || off.Workers != on.Workers {
+			t.Fatalf("NodeCombineOn must be an exact no-op on an uncombinable query; %s differs (workers %d vs %d)", d, off.Workers, on.Workers)
 		}
 	})
 	t.Run("hop", func(t *testing.T) {
 		off := run(queries.NewClickCount(), HOP, NodeCombineOff)
 		on := run(queries.NewClickCount(), HOP, NodeCombineOn)
-		if d := ReportDiff(off, on); d != "" {
-			t.Fatalf("NodeCombineOn must be an exact no-op on HOP; %s differs", d)
+		if d := SimRuns.Diff(off, on); d != "" || off.Workers != on.Workers {
+			t.Fatalf("NodeCombineOn must be an exact no-op on HOP; %s differs (workers %d vs %d)", d, off.Workers, on.Workers)
 		}
 	})
 }

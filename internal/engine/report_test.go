@@ -2,31 +2,10 @@ package engine
 
 import (
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
-
-// reportParts places every Report field once: "profile" = the job
-// profile a run record keeps (dataflow and cost statistics), "trace" =
-// what Profile drops (the task timeline, sampled series and outputs).
-var reportParts = map[string]string{
-	"Query": "profile", "Platform": "profile",
-	"RunningTime": "profile", "MapFinishTime": "profile",
-	"MapCPUPerNode": "profile", "ReduceCPUPerNode": "profile",
-	"InputBytes": "profile", "MapSpillBytes": "profile", "MapOutputBytes": "profile", "ReduceSpillBytes": "profile", "OutputBytes": "profile",
-	"TotalIOBytes": "profile", "TotalIORequests": "profile",
-	"MemShuffleFetches": "profile", "DiskShuffleFetches": "profile",
-	"NodeCombineInputRecords": "profile", "NodeCombineOutputRecords": "profile", "ShuffleBytesSaved": "profile",
-	"ShuffleBytesByNode": "profile",
-	"NodesLost":          "profile", "ReExecutedMapTasks": "profile", "RestartedReduceTasks": "profile",
-	"SpeculativeBackups": "profile", "SpeculativeWins": "profile", "FetchRetries": "profile",
-	"WastedCPUPerNode": "profile", "Checkpoints": "profile", "CheckpointBytes": "profile", "RecoveryReadBytes": "profile",
-	"CorruptFramesDetected": "profile", "IORetries": "profile", "TornWritesRepaired": "profile", "QuarantinedRecords": "profile",
-	"ChecksumOverheadBytes": "profile", "ChecksumOverheadByClass": "profile",
-	"OutputRecords": "profile", "MapInputRecords": "profile", "MapOutputRecords": "profile",
-	"ApproxKeys": "profile", "SnapshotRecords": "profile",
-	"Workers": "profile", "WallTime": "profile",
-	"Progress": "trace", "Samples": "trace", "Outputs": "trace", "Spans": "trace",
-}
 
 // fillNonzero sets v to a nonzero value of its kind.
 func fillNonzero(t *testing.T, name string, v reflect.Value) {
@@ -44,35 +23,54 @@ func fillNonzero(t *testing.T, name string, v reflect.Value) {
 	}
 }
 
-// TestProfileDropsExactlyTheTrace walks Report by reflection: with
-// every field nonzero, Profile must zero exactly the fields listed
-// "trace", keep every "profile" field as it was, and leave the
-// receiver whole. A field in neither list fails, so a new Report field
-// is placed in or out of the persisted run record deliberately.
+// TestProfileDropsExactlyTheTrace walks Report by reflection. Every
+// field must carry a moves tag, so a new field is placed deliberately:
+// held equal everywhere (moves:""), or moved by named kinds and causes.
+// Every name in a moves, races or nonzero tag entry must be one the
+// comparisons use: a kind (moves only), Disk (nonzero only), or a cause
+// Causes can report. With every field nonzero, Profile must zero
+// exactly the fields tagged trace, keep every other field as it was,
+// and leave the receiver whole.
 func TestProfileDropsExactlyTheTrace(t *testing.T) {
+	var names []string
+	for _, c := range causes {
+		names = append(names, c.name)
+	}
+	kinds := append([]string{Host, Clock, Order, Medium, Trace}, names...)
+	tp := reflect.TypeFor[Report]()
+	for i := 0; i < tp.NumField(); i++ {
+		f := tp.Field(i)
+		if _, ok := f.Tag.Lookup("moves"); !ok {
+			t.Errorf("Report.%s has no moves tag: name what may move it, or moves:\"\" if nothing may", f.Name)
+		}
+		check := func(key string, tag, vocab []string) {
+			for _, entry := range tag {
+				for _, n := range strings.Split(entry, "+") {
+					if !slices.Contains(vocab, n) {
+						t.Errorf("Report.%s: %s names %q, which no comparison uses", f.Name, key, n)
+					}
+				}
+			}
+		}
+		check("moves", tag(i, "moves"), kinds)
+		check("races", tag(i, "races"), names)
+		check("nonzero", tag(i, "nonzero"), append(names, Disk))
+	}
+
 	var rep Report
 	v := reflect.ValueOf(&rep).Elem()
 	for i := 0; i < v.NumField(); i++ {
-		fillNonzero(t, v.Type().Field(i).Name, v.Field(i))
+		fillNonzero(t, tp.Field(i).Name, v.Field(i))
 	}
 	whole := rep
 	p := reflect.ValueOf(*rep.Profile())
-	seen := map[string]bool{}
 	for i := 0; i < v.NumField(); i++ {
-		name := v.Type().Field(i).Name
-		seen[name] = true
-		switch part := reportParts[name]; {
-		case part == "":
-			t.Errorf("Report.%s is in no list: keep it in the profile (\"profile\") or drop it with the trace (\"trace\")", name)
-		case part == "trace" && !p.Field(i).IsZero():
-			t.Errorf("Report.%s is listed as trace but Profile kept it", name)
-		case part == "profile" && !reflect.DeepEqual(p.Field(i).Interface(), v.Field(i).Interface()):
-			t.Errorf("Report.%s is listed as profile but Profile changed it", name)
-		}
-	}
-	for name := range reportParts {
-		if !seen[name] {
-			t.Errorf("reportParts lists %s, which Report no longer has", name)
+		name := tp.Field(i).Name
+		switch trace := slices.Contains(tag(i, "moves"), Trace); {
+		case trace && !p.Field(i).IsZero():
+			t.Errorf("Report.%s is tagged trace but Profile kept it", name)
+		case !trace && !reflect.DeepEqual(p.Field(i).Interface(), v.Field(i).Interface()):
+			t.Errorf("Report.%s is not tagged trace but Profile changed it", name)
 		}
 	}
 	if diff := ReportDiff(&whole, &rep); diff != "" {

@@ -27,15 +27,15 @@
 //   - checkpoints trigger on the attempt's virtual CPU ledger, the
 //     deterministic stand-in for the DES's virtual clock;
 //   - disk damage is rolled per primary map attempt, backups included,
-//     from a seed folding in (chunk, attempt) (engine.JobSpec.StoreFaults),
-//     so IORetries and CorruptFramesDetected are deterministic;
+//     from a seed folding in (chunk, attempt) (engine.JobSpec.StoreFaults);
 //   - stragglers sleep a bounded real delay; every backup candidate
 //     races its twin. Both attempts run to completion and the claim is
 //     taken only at publish, so each attempt's ledger — and therefore
-//     wastedCPU — is identical whichever side wins; only
-//     SpeculativeWins, the per-node shuffle attribution
-//     (ShuffleBytesByNode follows the winning node), and FetchRetries
-//     remain timing-dependent.
+//     wastedCPU — is identical whichever side wins. What timing decides
+//     is tagged races in engine.Report: under speculation
+//     SpeculativeWins, ShuffleBytesByNode (it follows the winning node)
+//     and IORetries (only the winner writes the map output, and the
+//     twins roll different damage), under a kill FetchRetries.
 //
 // Everything else — what a task computes, what it publishes, what a
 // reducer consumes and in what order — does not depend on the plan, so

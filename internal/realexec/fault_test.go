@@ -1,7 +1,6 @@
 package realexec_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"sort"
@@ -23,22 +22,6 @@ func chaosJob(t testing.TB, pl engine.Platform) engine.JobSpec {
 	job := goldenJob(t, pl)
 	job.Hints = mr.Hints{Km: 0.1, DistinctKeys: 400}
 	return job
-}
-
-// faultedStable strips, on top of stableReport, the counters that are
-// genuinely timing-dependent under fault injection: FetchRetries
-// (backoff rounds while a lost unit re-executes), SpeculativeWins
-// (which twin claims first), and ShuffleBytesByNode (the published
-// bytes follow the winning attempt's node, so speculation moves them
-// between the straggler and its backup). Everything else — including
-// wasted CPU, checkpoint counts, and re-execution accounting — must
-// be identical for any worker count.
-func faultedStable(rep *engine.Report) *engine.Report {
-	s := stableReport(rep)
-	s.FetchRetries = 0
-	s.SpeculativeWins = 0
-	s.ShuffleBytesByNode = nil
-	return s
 }
 
 // answersOf extracts the answer triple every faulted run must
@@ -120,11 +103,10 @@ func chaosPlans(pl engine.Platform) []struct {
 // clean-path conformance is TestWorkerCountConformance.)
 func TestFaultedAnswerConformance(t *testing.T) {
 	for _, pl := range []engine.Platform{engine.SortMerge, engine.MRHash, engine.INCHash, engine.DINCHash} {
-		clean := runReal(t, chaosJob(t, pl), queries.NewClickCount, 4)
-		if clean.NodesLost != 0 || clean.ReExecutedMapTasks != 0 || clean.RestartedReduceTasks != 0 ||
-			clean.SpeculativeBackups != 0 || clean.FetchRetries != 0 || clean.Checkpoints != 0 ||
-			clean.WastedCPUPerNode != 0 || clean.RecoveryReadBytes != 0 || clean.CheckpointBytes != 0 {
-			t.Fatalf("%s: clean run has nonzero recovery counters", pl)
+		cleanJob := chaosJob(t, pl)
+		clean := runReal(t, cleanJob, queries.NewClickCount, 4)
+		if f := clean.Unexplained(cleanJob.Causes()...); f != "" {
+			t.Fatalf("%s: clean run has nonzero %s", pl, f)
 		}
 		for _, plan := range chaosPlans(pl) {
 			t.Run(fmt.Sprintf("%s/%s", pl, plan.name), func(t *testing.T) {
@@ -132,21 +114,15 @@ func TestFaultedAnswerConformance(t *testing.T) {
 				job.Faults = plan.faults
 				job.CheckpointEvery = plan.ckpt
 				var base *engine.Report
-				var baseJSON []byte
 				for _, workers := range []int{1, 4, 8} {
 					rep := runReal(t, job, queries.NewClickCount, workers)
 					requireSameAnswers(t, clean, rep, fmt.Sprintf("%d workers", workers))
-					got, err := json.Marshal(faultedStable(rep))
-					if err != nil {
-						t.Fatal(err)
-					}
 					if base == nil {
-						base, baseJSON = rep, got
+						base = rep
 						continue
 					}
-					if string(got) != string(baseJSON) {
-						t.Errorf("%d workers diverged from 1 worker:\n%s",
-							workers, diffLines(string(baseJSON), string(got)))
+					if d := job.RealRuns().Diff(base, rep); d != "" {
+						t.Errorf("%d workers diverged from 1 worker in %s", workers, d)
 					}
 				}
 
@@ -183,19 +159,14 @@ func TestFaultedAnswerConformance(t *testing.T) {
 
 // requireFaultParity asserts that both backends interpreted one fault
 // plan identically (engine.JobFrame's task_faults.go): the same answers,
-// the same map work, the same chunks combined, and the same node
-// losses, re-executions and reducer restarts.
-func requireFaultParity(t *testing.T, des, real *engine.Report, label string) {
+// and every Report field equal but those the Backends comparison lets
+// move — so the same map work, the same chunks combined, and the same
+// node losses, re-executions and reducer restarts.
+func requireFaultParity(t *testing.T, job engine.JobSpec, des, real *engine.Report, label string) {
 	t.Helper()
 	requireSameAnswers(t, des, real, label)
-	fields := func(r *engine.Report) [8]int64 {
-		return [8]int64{r.MapInputRecords, r.MapOutputRecords,
-			r.NodeCombineInputRecords, r.NodeCombineOutputRecords, r.ShuffleBytesSaved,
-			int64(r.NodesLost), int64(r.ReExecutedMapTasks), int64(r.RestartedReduceTasks)}
-	}
-	if d, r := fields(des), fields(real); d != r {
-		t.Errorf("%s: [MapIn MapOut CombIn CombOut Saved NodesLost ReExec Restarted] engine %v, real %v",
-			label, d, r)
+	if d := job.Backends().Diff(des, real); d != "" {
+		t.Errorf("%s: engine and real differ in %s", label, d)
 	}
 }
 
@@ -260,19 +231,31 @@ func TestFaultedBackendParity(t *testing.T) {
 					des.IORetries, des.CorruptFramesDetected)
 			}
 
-			var base *engine.Report
-			for _, workers := range []int{1, 4, 8} {
-				rep := runReal(t, job, queries.NewClickCount, workers)
-				requireSameAnswers(t, clean, rep, fmt.Sprintf("real, %d workers", workers))
-				if base == nil {
-					base = rep
-				} else if a, b := stableReport(base), stableReport(rep); !reflect.DeepEqual(a, b) {
-					t.Errorf("real, %d workers: report differs from 1 worker (field %s)", workers, engine.ReportDiff(a, b))
-				}
+			// On MR-hash the plan runs a second time with a straggler racing
+			// a speculative twin, which rolls its own disk damage; only the
+			// winner writes the map output.
+			plans := []engine.FaultPlan{job.Faults}
+			if pl == engine.MRHash {
+				spec := job.Faults
+				spec.SlowNodes, spec.Speculate = map[int]float64{2: 3}, true
+				plans = append(plans, spec)
 			}
-			if wantCorrupt := pl == engine.SortMerge; base.IORetries == 0 || (base.CorruptFramesDetected > 0) != wantCorrupt {
-				t.Errorf("real: IORetries = %d, CorruptFramesDetected = %d, want > 0 and (> 0) == %v",
-					base.IORetries, base.CorruptFramesDetected, wantCorrupt)
+			for _, plan := range plans {
+				job.Faults = plan
+				var base *engine.Report
+				for _, workers := range []int{1, 4, 8} {
+					rep := runReal(t, job, queries.NewClickCount, workers)
+					requireSameAnswers(t, clean, rep, fmt.Sprintf("real, speculate %v, %d workers", plan.Speculate, workers))
+					if base == nil {
+						base = rep
+					} else if d := job.RealRuns().Diff(base, rep); d != "" {
+						t.Errorf("real, speculate %v, %d workers: report differs from 1 worker (field %s)", plan.Speculate, workers, d)
+					}
+				}
+				if wantCorrupt := pl == engine.SortMerge; base.IORetries == 0 || (base.CorruptFramesDetected > 0) != wantCorrupt {
+					t.Errorf("real, speculate %v: IORetries = %d, CorruptFramesDetected = %d, want > 0 and (> 0) == %v",
+						plan.Speculate, base.IORetries, base.CorruptFramesDetected, wantCorrupt)
+				}
 			}
 		})
 	}
@@ -296,7 +279,7 @@ func TestFaultedBackendParity(t *testing.T) {
 				}
 				des := runEngine(t, job, queries.NewClickCount)
 				requireSameAnswers(t, clean, des, "engine")
-				requireFaultParity(t, des, runReal(t, job, queries.NewClickCount, 4), "real")
+				requireFaultParity(t, job, des, runReal(t, job, queries.NewClickCount, 4), "real")
 				if des.NodeCombineInputRecords == 0 {
 					t.Error("engine: no chunk combined under a one-node kill")
 				}
@@ -326,7 +309,7 @@ func TestFaultedBackendParity(t *testing.T) {
 						}
 						des := runEngine(t, job, queries.NewClickCount)
 						requireSameAnswers(t, clean, des, "engine")
-						requireFaultParity(t, des, runReal(t, job, queries.NewClickCount, 4), "real")
+						requireFaultParity(t, job, des, runReal(t, job, queries.NewClickCount, 4), "real")
 					})
 				}
 			}
@@ -513,14 +496,13 @@ func TestRealFaultedQuarantine(t *testing.T) {
 // first the clean task loops beside them.
 func TestAttemptChainCleanEquivalence(t *testing.T) {
 	for _, pl := range []engine.Platform{engine.SortMerge, engine.HOP, engine.MRHash, engine.INCHash, engine.DINCHash} {
-		clean := stableReport(runReal(t, chaosJob(t, pl), queries.NewClickCount, 1))
+		clean := runReal(t, chaosJob(t, pl), queries.NewClickCount, 1)
 		job := chaosJob(t, pl)
 		job.CheckpointEvery = 1000 * time.Hour
 		for _, workers := range []int{1, 4} {
-			idle := stableReport(runReal(t, job, queries.NewClickCount, workers))
-			if !reflect.DeepEqual(clean, idle) {
-				t.Errorf("%s, %d workers: report differs under an idle checkpoint interval (field %s)",
-					pl, workers, engine.ReportDiff(clean, idle))
+			idle := runReal(t, job, queries.NewClickCount, workers)
+			if d := job.RealRuns().Diff(clean, idle); d != "" {
+				t.Errorf("%s, %d workers: report differs under an idle checkpoint interval (field %s)", pl, workers, d)
 			}
 		}
 	}

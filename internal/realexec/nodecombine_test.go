@@ -52,11 +52,12 @@ func TestNodeCombineBackendParity(t *testing.T) {
 					t.Fatal("combine stage did not run on the engine")
 				}
 				requireSameAnswers(t, des, real, "real vs engine")
-				sd, sr := stableReport(des), stableReport(real)
-				sd.Outputs, sr.Outputs = nil, nil
-				if d := engine.ReportDiff(sd, sr); d != "" {
+				// Stricter than job.Backends(): on this job neither the
+				// consumption order nor the shuffle medium moves a field.
+				same := engine.Comparison{Moves: []string{engine.Clock, engine.Host, engine.Trace}}
+				if d := same.Diff(des, real); d != "" {
 					t.Fatalf("backends diverged on a combine-on run: %s differs\nengine=%+v\nreal=%+v",
-						d, sd, sr)
+						d, des.Profile(), real.Profile())
 				}
 			})
 		}
@@ -70,10 +71,11 @@ func TestNodeCombineBackendParity(t *testing.T) {
 func TestNodeCombineRealAnswerIdentity(t *testing.T) {
 	for _, pl := range []engine.Platform{engine.SortMerge, engine.MRHash, engine.INCHash, engine.DINCHash} {
 		t.Run(pl.String(), func(t *testing.T) {
-			off := runReal(t, ncJob(t, pl, engine.NodeCombineOff), queries.NewClickCount, 4)
+			offJob, onJob := ncJob(t, pl, engine.NodeCombineOff), ncJob(t, pl, engine.NodeCombineOn)
+			off := runReal(t, offJob, queries.NewClickCount, 4)
 			var base *engine.Report
 			for _, workers := range []int{1, 4, 8} {
-				on := runReal(t, ncJob(t, pl, engine.NodeCombineOn), queries.NewClickCount, workers)
+				on := runReal(t, onJob, queries.NewClickCount, workers)
 				requireSameAnswers(t, off, on, fmt.Sprintf("combine-on, %d workers", workers))
 				if base == nil {
 					base = on
@@ -94,13 +96,12 @@ func TestNodeCombineRealAnswerIdentity(t *testing.T) {
 					}
 					continue
 				}
-				if d := engine.ReportDiff(stableReport(base), stableReport(on)); d != "" {
+				if d := onJob.RealRuns().Diff(base, on); d != "" {
 					t.Fatalf("%d workers diverged from 1 worker: %s differs", workers, d)
 				}
 			}
-			if off.NodeCombineInputRecords != 0 || off.ShuffleBytesSaved != 0 {
-				t.Fatalf("combine counters nonzero with combining off: in=%d saved=%d",
-					off.NodeCombineInputRecords, off.ShuffleBytesSaved)
+			if f := off.Unexplained(offJob.Causes()...); f != "" {
+				t.Fatalf("%s nonzero with combining off", f)
 			}
 		})
 	}
@@ -143,18 +144,15 @@ func TestNodeCombineRealFaulted(t *testing.T) {
 				job.Faults = plan.faults
 				job.CheckpointEvery = plan.ckpt
 				var base *engine.Report
-				var baseJSON string
 				for _, workers := range []int{1, 4, 8} {
 					rep := runReal(t, job, queries.NewClickCount, workers)
 					requireSameAnswers(t, clean, rep, fmt.Sprintf("%s, %d workers", plan.name, workers))
-					got := fmt.Sprintf("%+v", faultedStable(rep))
 					if base == nil {
-						base, baseJSON = rep, got
+						base = rep
 						continue
 					}
-					if got != baseJSON {
-						t.Errorf("%d workers diverged from 1 worker:\n%s",
-							workers, diffLines(baseJSON, got))
+					if d := job.RealRuns().Diff(base, rep); d != "" {
+						t.Errorf("%d workers diverged from 1 worker in %s", workers, d)
 					}
 				}
 				// Plans that neither kill a node nor speculate leave every
@@ -200,7 +198,7 @@ func TestNodeCombineRealNoop(t *testing.T) {
 	off := runReal(t, job, newQ, 4)
 	job.NodeCombine = engine.NodeCombineOn
 	on := runReal(t, job, newQ, 4)
-	if d := engine.ReportDiff(stableReport(off), stableReport(on)); d != "" {
+	if d := job.RealRuns().Diff(off, on); d != "" {
 		t.Fatalf("NodeCombineOn must be an exact no-op on an uncombinable query; %s differs", d)
 	}
 }

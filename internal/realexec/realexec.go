@@ -7,12 +7,12 @@
 // runs and how its waiting and fetching pass; what an attempt computes
 // and charges, and which reduce attempts an injected failure hits, what
 // they resume from and when they fail, are the shared code's. The
-// engine.Report it produces therefore has answer fields — output records
-// and collected rows, map/reduce record counts, byte counters, virtual
-// CPU ledgers — bit-for-bit identical to the engine's clean-run path and
-// deterministic for any worker count.
-// Wall-clock fields (RunningTime, MapFinishTime, WallTime, Spans) are
-// measured, not simulated, and vary run to run.
+// engine.Report it produces therefore equals the DES run's of the same
+// spec in every field its tags (engine/report.go) do not let the
+// consumption order, the shuffle medium, the clock or a fault cause
+// move, and is identical for any worker count but the fields tagged
+// clock, host or races. Wall-clock fields (RunningTime, MapFinishTime,
+// WallTime, Spans) are measured, not simulated, and vary run to run.
 //
 // Determinism comes from structure, not luck:
 //

@@ -48,23 +48,6 @@ func testClicks(t testing.TB, bytes, chunk int64) *workload.ClickStream {
 	return workload.NewClickStream(spec)
 }
 
-// stableReport strips the wall-clock fields from a real-backend Report,
-// leaving the answer-stable subset: all record counts, logical I/O
-// volumes, CPU ledgers, and collected outputs are identical for any
-// worker count and any host; only the measured times and the pool-size
-// echo vary.
-func stableReport(rep *engine.Report) *engine.Report {
-	s := *rep
-	s.RunningTime = 0
-	s.MapFinishTime = 0
-	s.WallTime = 0
-	s.Workers = 0
-	s.Spans = nil
-	s.Samples = nil
-	s.Progress = nil
-	return &s
-}
-
 // runReal runs a job on the wall-clock backend, failing the test on
 // error.
 func runReal(t testing.TB, job engine.JobSpec, newQ func() mr.Query, workers int) *engine.Report {
@@ -94,16 +77,16 @@ func goldenJob(t testing.TB, pl engine.Platform) engine.JobSpec {
 	}
 }
 
-// TestGoldenRealReports snapshots the answer-stable Report subset of
-// the canonical clickcount job on every platform, run on the
-// wall-clock backend. Any change to a platform's data path, the CPU
+// TestGoldenRealReports snapshots the Report of the canonical
+// clickcount job on every platform, run on the wall-clock backend,
+// without the fields tagged clock or host (engine/report.go). Any change to a platform's data path, the CPU
 // charging, or the shuffle accounting shows up here as a field-level
 // diff; run with -update to accept an intentional change.
 func TestGoldenRealReports(t *testing.T) {
 	for _, pl := range []engine.Platform{engine.SortMerge, engine.HOP, engine.MRHash, engine.INCHash, engine.DINCHash} {
 		t.Run(pl.String(), func(t *testing.T) {
 			rep := runReal(t, goldenJob(t, pl), queries.NewClickCount, 4)
-			got, err := json.MarshalIndent(stableReport(rep), "", "  ")
+			got, err := json.MarshalIndent(rep.Without(engine.Clock, engine.Host), "", "  ")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,7 +135,7 @@ func TestGoldenRealNodeCombineReports(t *testing.T) {
 			if rep.NodeCombineInputRecords == 0 {
 				t.Fatal("combine stage did not run")
 			}
-			got, err := json.MarshalIndent(stableReport(rep), "", "  ")
+			got, err := json.MarshalIndent(rep.Without(engine.Clock, engine.Host), "", "  ")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,8 +197,9 @@ func sortedOutputs(rep *engine.Report) []string {
 
 // TestWorkerCountConformance runs watermarked sessionization and
 // early-emitting frequent-users on every platform with 1, 4, and 8
-// workers and requires the stable Report — every counter, every byte
-// volume, and the raw output sequence — to be bit-for-bit identical.
+// workers and requires the Report — every counter, every byte volume,
+// and the raw output sequence; all but the fields the RealRuns
+// comparison lets move — to be bit-for-bit identical.
 // This is the determinism contract of the real backend: the goroutine
 // pool size changes only wall-clock time. The CI backend-real job runs
 // this test under the race detector.
@@ -242,23 +226,17 @@ func TestWorkerCountConformance(t *testing.T) {
 					CollectOutput: true,
 				}
 				var base *engine.Report
-				var baseJSON []byte
 				for _, workers := range []int{1, 4, 8} {
 					rep := runReal(t, job, jb.newQ, workers)
 					if rep.Workers != workers {
 						t.Fatalf("Workers = %d, want %d", rep.Workers, workers)
 					}
-					got, err := json.Marshal(stableReport(rep))
-					if err != nil {
-						t.Fatal(err)
-					}
 					if base == nil {
-						base, baseJSON = rep, got
+						base = rep
 						continue
 					}
-					if string(got) != string(baseJSON) {
-						t.Errorf("%d workers diverged from 1 worker:\n%s",
-							workers, diffLines(string(baseJSON), string(got)))
+					if d := job.RealRuns().Diff(base, rep); d != "" {
+						t.Errorf("%d workers diverged from 1 worker in %s", workers, d)
 					}
 					a, b := sortedOutputs(base), sortedOutputs(rep)
 					if len(a) != len(b) {

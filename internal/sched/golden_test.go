@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files from current output")
@@ -37,8 +39,7 @@ func TestRunRecordGolden(t *testing.T) {
 		t.Fatalf("run history %+v", runs)
 	}
 	rec := runs[0]
-	rec.Report.WallTime = 0
-	rec.Report.Workers = 0
+	rec.Report = rec.Report.Without(engine.Host)
 
 	got, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"context"
-	"reflect"
 	"regexp"
 	"testing"
 
@@ -46,7 +45,8 @@ func directRun(t *testing.T, spec JobSpec) *engine.Report {
 // between the service and the CLI: the Report a completed scheduled
 // job persists in its run history must be the profile of a direct run
 // of the same spec bit for bit, WallTime aside (the one field
-// documented to vary with host conditions).
+// documented to vary with host conditions). Both ran with the spec's
+// pool, so Workers must agree as well.
 func TestScheduledReportBitIdenticalToDirectRun(t *testing.T) {
 	spec := engineSpec("acme")
 	direct := directRun(t, spec).Profile()
@@ -70,9 +70,11 @@ func TestScheduledReportBitIdenticalToDirectRun(t *testing.T) {
 	}
 	scheduled := runs[0].Report
 
-	direct.WallTime, scheduled.WallTime = 0, 0
-	if !reflect.DeepEqual(direct, scheduled) {
-		t.Fatalf("scheduled report differs from direct run: %s", engine.ReportDiff(direct, scheduled))
+	if d := engine.SimRuns.Diff(direct, scheduled); d != "" {
+		t.Fatalf("scheduled report differs from direct run: %s", d)
+	}
+	if direct.Workers != scheduled.Workers {
+		t.Fatalf("scheduled run used %d workers, direct run %d", scheduled.Workers, direct.Workers)
 	}
 }
 

@@ -9,10 +9,10 @@
 //
 //  1. answers match the sequential oracle (internal/reference) exactly,
 //     up to each query's documented streaming semantics;
-//  2. answers and Reports are DeepEqual-identical across worker-pool
-//     sizes (the fork/join pool trades wall-clock time only);
+//  2. Reports agree across worker-pool sizes and with the wall-clock
+//     run in every field engine.Report's tag table does not let move;
 //  3. the Report's accounting identities hold (checksum overhead sums,
-//     recovery counters zero on clean runs, well-formed spans).
+//     counters zero without their causes, well-formed spans).
 //
 // A failing case is shrunk to a minimal reproduction (drop fault
 // events, halve the input, shrink the cluster, relax knobs toward

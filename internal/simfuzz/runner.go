@@ -2,6 +2,7 @@ package simfuzz
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -52,9 +53,11 @@ func (v *Verdict) addf(platform, check, format string, args ...any) {
 // the accounting identities; if the case carries a fault schedule, a
 // faulted run (heartbeat/checkpoint times anchored on the clean run's
 // MapFinishTime) checked the same way; a wall-clock backend run of the
-// case's own spec, clean or faulted, checked against the same oracle;
-// and, on one seed-picked platform, a rerun with a different
-// worker-pool size whose Report must be DeepEqual to the base run's.
+// case's own spec, clean or faulted, checked against the same oracle
+// and held to the DES run of that spec; and, on one seed-picked
+// platform, a rerun with a different worker-pool size held to the base
+// run. Which Report fields two runs may disagree on, and which counters
+// a run may raise, is the Report's tag table (engine/report.go).
 func RunCase(c Case) Verdict {
 	c = c.Clone()
 	c.Normalize()
@@ -84,23 +87,25 @@ func safeRun(spec engine.JobSpec) (rep *engine.Report, err error) {
 
 func runPlatform(v *Verdict, c *Case, pl engine.Platform, input dfs.Input, oracle []string) {
 	name := pl.String()
-	clean, err := safeRun(c.jobSpec(pl, input, 1, false, 0))
+	spec := c.jobSpec(pl, input, 1, false, 0)
+	clean, err := safeRun(spec)
 	if err != nil {
 		v.addf(name+"/clean", "run", "%v", err)
 		return
 	}
 	checkAnswers(v, c, name+"/clean", clean, oracle)
-	checkReport(v, c, name+"/clean", clean, false)
+	checkReport(v, c, name+"/clean", clean, 1, append(spec.Causes(), engine.Disk))
 
 	base, kind := clean, "clean"
 	if c.faulted() {
-		faulted, err := safeRun(c.jobSpec(pl, input, 1, true, clean.MapFinishTime))
+		spec = c.jobSpec(pl, input, 1, true, clean.MapFinishTime)
+		faulted, err := safeRun(spec)
 		if err != nil {
 			v.addf(name+"/faulted", "run", "%v", err)
 			return
 		}
 		checkAnswers(v, c, name+"/faulted", faulted, oracle)
-		checkReport(v, c, name+"/faulted", faulted, true)
+		checkReport(v, c, name+"/faulted", faulted, 1, append(spec.Causes(), engine.Disk))
 		base, kind = faulted, "faulted"
 	}
 	checkReal(v, c, name, pl, input, clean, base, oracle)
@@ -108,16 +113,12 @@ func runPlatform(v *Verdict, c *Case, pl engine.Platform, input dfs.Input, oracl
 	// The cross-worker determinism check is the costliest (a full
 	// rerun), so it runs on one seed-picked platform per case.
 	if c.Workers2 > 1 && name == c.workerCheckPlatform() {
-		spec := c.jobSpec(pl, input, c.Workers2, c.faulted(), clean.MapFinishTime)
-		rep, err := safeRun(spec)
+		rep, err := safeRun(c.jobSpec(pl, input, c.Workers2, c.faulted(), clean.MapFinishTime))
 		if err != nil {
 			v.addf(name+"/workers", "run", "workers=%d: %v", c.Workers2, err)
 			return
 		}
-		a, b := *base, *rep
-		a.Workers, a.WallTime = 0, 0
-		b.Workers, b.WallTime = 0, 0
-		if diff := engine.ReportDiff(&a, &b); diff != "" {
+		if diff := engine.SimRuns.Diff(base, rep); diff != "" {
 			v.addf(name+"/workers", "workers",
 				"%s report with Workers=%d differs from serial run in field %s", kind, c.Workers2, diff)
 		}
@@ -135,31 +136,21 @@ func safeRunReal(spec realexec.Spec) (rep *engine.Report, err error) {
 	return realexec.Run(spec)
 }
 
+// field reads a Report field by name, for failure messages.
+func field(r *engine.Report, name string) any {
+	return reflect.ValueOf(r).Elem().FieldByName(name).Interface()
+}
+
 // checkReal runs the case's own spec — clean, or its fault schedule —
-// on the wall-clock backend and holds the canonical answers to the
-// oracle (and hence, transitively, to the DES runs, checked against the
-// same oracle). Raw record counts are compared only where both
-// substrates are bound to agree: early-emission re-counts depend on
-// spill timing, which legitimately differs between interleaved DES
-// execution and the real backend's prefix watermarks, but input-side
-// accounting and quarantine decisions are content-determined and must
-// match the DES clean run exactly, input-side counts only without kills
-// (re-executed map attempts re-count their records, on both
-// substrates). Both backends interpret the fault plan once
-// (engine.JobFrame, task_faults.go), so the combine counters must equal
-// des's — the DES run of the same spec — and so must ReExecutedMapTasks
-// when nothing can make the DES skip or add a re-execution (a
-// checkpoint that already covers a lost output, a damaged output read
-// back from disk). The recovery counters must register exactly the
-// dimensions the case injects — structural triggers make every counter
-// except FetchRetries and SpeculativeWins deterministic, and those two
-// are only checked for forbidden non-zero values.
+// on the wall-clock backend, checks it like checkReport, and holds it
+// to des, the DES run of the same spec, in every field the Backends
+// comparison does not let move, and to the DES clean run in what the
+// maps read (but for a kill's re-executions) and quarantined. A kill
+// must lose its node and restart reducers, and injected reduce
+// failures must restart them.
 func checkReal(v *Verdict, c *Case, name string, pl engine.Platform, input dfs.Input, clean, des *engine.Report, oracle []string) {
 	label := name + "/real"
-	workers := c.Workers2
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(c.Workers2, 1)
 	job := c.jobSpec(pl, input, 1, c.faulted(), clean.MapFinishTime)
 	job.Cluster.SlotCache = 1 // the smallest residency cap; realexec reads SlotCache for nothing else
 	rep, err := safeRunReal(realexec.Spec{
@@ -172,79 +163,27 @@ func checkReal(v *Verdict, c *Case, name string, pl engine.Platform, input dfs.I
 		return
 	}
 	checkAnswers(v, c, label, rep, oracle)
+	checkReport(v, c, label, rep, workers, job.Causes())
 	acct := func(format string, args ...any) { v.addf(label, "accounting", format, args...) }
-	if c.KillFracPct == 0 && rep.MapInputRecords != clean.MapInputRecords {
-		acct("MapInputRecords=%d, DES clean run mapped %d", rep.MapInputRecords, clean.MapInputRecords)
+	if f := job.Backends().Diff(rep, des); f != "" {
+		acct("%s = %v, DES run of the same spec %v", f, field(rep, f), field(des, f))
 	}
-	if rep.QuarantinedRecords != clean.QuarantinedRecords {
-		acct("QuarantinedRecords=%d, DES clean run quarantined %d",
-			rep.QuarantinedRecords, clean.QuarantinedRecords)
-	}
-	if rep.DiskShuffleFetches != 0 {
-		acct("in-memory shuffle served %d fetches from disk", rep.DiskShuffleFetches)
-	}
-	if rep.OutputRecords != int64(len(rep.Outputs)) {
-		acct("OutputRecords=%d but %d records collected", rep.OutputRecords, len(rep.Outputs))
-	}
-	if rep.Workers != workers {
-		acct("requested %d workers, report says %d", workers, rep.Workers)
-	}
-	if c.NodeCombine && (rep.NodeCombineInputRecords != des.NodeCombineInputRecords ||
-		rep.NodeCombineOutputRecords != des.NodeCombineOutputRecords || rep.ShuffleBytesSaved != des.ShuffleBytesSaved) {
-		acct("combine in/out/saved = %d/%d/%d, DES %d/%d/%d",
-			rep.NodeCombineInputRecords, rep.NodeCombineOutputRecords, rep.ShuffleBytesSaved,
-			des.NodeCombineInputRecords, des.NodeCombineOutputRecords, des.ShuffleBytesSaved)
-	}
-	if c.CheckpointDiv == 0 && !c.diskFaults() && rep.ReExecutedMapTasks != des.ReExecutedMapTasks {
-		acct("ReExecutedMapTasks=%d, DES re-executed %d", rep.ReExecutedMapTasks, des.ReExecutedMapTasks)
-	}
-	// One attempt ladder (engine.ReduceTask): both backends restart the
-	// same reducers. Disk damage restarts only DES reducers.
-	if !c.diskFaults() && rep.RestartedReduceTasks != des.RestartedReduceTasks {
-		acct("RestartedReduceTasks=%d, DES restarted %d", rep.RestartedReduceTasks, des.RestartedReduceTasks)
-	}
-
-	// Recovery accounting: injected dimensions register, uninjected
-	// ones stay exactly zero.
-	if c.KillFracPct > 0 {
-		if rep.NodesLost != 1 {
-			acct("one node killed but NodesLost=%d", rep.NodesLost)
+	read := func(r *engine.Report) *engine.Report {
+		in := &engine.Report{QuarantinedRecords: r.QuarantinedRecords}
+		if c.KillFracPct == 0 {
+			in.MapInputRecords = r.MapInputRecords
 		}
-	} else if rep.NodesLost != 0 || rep.ReExecutedMapTasks != 0 {
-		acct("no kills scheduled but NodesLost=%d ReExecutedMapTasks=%d",
-			rep.NodesLost, rep.ReExecutedMapTasks)
+		return in
 	}
-	if len(c.ReduceFails) > 0 || c.KillFracPct > 0 {
-		if rep.RestartedReduceTasks == 0 {
-			acct("reduce restarts scheduled (fails=%d, killfrac=%d%%) but RestartedReduceTasks=0",
-				len(c.ReduceFails), c.KillFracPct)
-		}
-	} else if rep.RestartedReduceTasks != 0 {
-		acct("no reduce restarts scheduled but RestartedReduceTasks=%d", rep.RestartedReduceTasks)
+	if f := engine.ReportDiff(read(rep), read(clean)); f != "" {
+		acct("%s = %v, DES clean run %v", f, field(rep, f), field(clean, f))
 	}
-	if !c.Speculate && (rep.SpeculativeBackups != 0 || rep.SpeculativeWins != 0) {
-		acct("speculation off but backups=%d wins=%d", rep.SpeculativeBackups, rep.SpeculativeWins)
+	if c.KillFracPct > 0 && rep.NodesLost != 1 {
+		acct("one node killed but NodesLost=%d", rep.NodesLost)
 	}
-	if rep.SpeculativeWins > rep.SpeculativeBackups {
-		acct("SpeculativeWins=%d > SpeculativeBackups=%d", rep.SpeculativeWins, rep.SpeculativeBackups)
-	}
-	if c.CheckpointDiv == 0 && (rep.Checkpoints != 0 || rep.CheckpointBytes != 0) {
-		acct("checkpointing off but Checkpoints=%d CheckpointBytes=%d",
-			rep.Checkpoints, rep.CheckpointBytes)
-	}
-	if c.ShufErrPct == 0 && c.KillFracPct == 0 && rep.FetchRetries != 0 {
-		acct("no shuffle faults scheduled but FetchRetries=%d", rep.FetchRetries)
-	}
-	// Disk damage: injected into primary map attempts only, so nothing
-	// here reads a checkpoint back torn.
-	if c.IOErrRate == 0 && rep.IORetries != 0 {
-		acct("no transient errors injected but IORetries=%d", rep.IORetries)
-	}
-	if c.CorruptRate == 0 && rep.CorruptFramesDetected != 0 {
-		acct("no corruption injected but CorruptFramesDetected=%d", rep.CorruptFramesDetected)
-	}
-	if rep.TornWritesRepaired != 0 {
-		acct("TornWritesRepaired=%d on the real backend", rep.TornWritesRepaired)
+	if (len(c.ReduceFails) > 0 || c.KillFracPct > 0) && rep.RestartedReduceTasks == 0 {
+		acct("reduce restarts scheduled (fails=%d, killfrac=%d%%) but RestartedReduceTasks=0",
+			len(c.ReduceFails), c.KillFracPct)
 	}
 }
 
@@ -372,12 +311,14 @@ func firstDiff(got, want []string) string {
 	return ""
 }
 
-// checkReport verifies the Report's accounting identities. faulted
-// distinguishes the run kind: a clean run must show zeroed recovery
-// and integrity counters; a faulted run must show zeros exactly for
-// the fault dimensions the case does not inject.
-func checkReport(v *Verdict, c *Case, label string, rep *engine.Report, faulted bool) {
+// checkReport verifies the Report's accounting identities, and that
+// every counter is zero unless a cause its nonzero tag names is among
+// causes — the run's spec causes, plus engine.Disk on the DES.
+func checkReport(v *Verdict, c *Case, label string, rep *engine.Report, workers int, causes []string) {
 	acct := func(format string, args ...any) { v.addf(label, "accounting", format, args...) }
+	if f := rep.Unexplained(causes...); f != "" {
+		acct("%s=%v, but the run has none of the causes its nonzero tag names (causes %v)", f, field(rep, f), causes)
+	}
 
 	var byClass int64
 	for _, b := range rep.ChecksumOverheadByClass {
@@ -389,77 +330,16 @@ func checkReport(v *Verdict, c *Case, label string, rep *engine.Report, faulted 
 	if rep.ChecksumOverheadBytes != byClass {
 		acct("ChecksumOverheadBytes=%d != sum(ByClass)=%d", rep.ChecksumOverheadBytes, byClass)
 	}
-	if !c.Checksums {
-		if rep.ChecksumOverheadBytes != 0 {
-			acct("checksums off but ChecksumOverheadBytes=%d", rep.ChecksumOverheadBytes)
-		}
-		if rep.CorruptFramesDetected != 0 || rep.TornWritesRepaired != 0 {
-			acct("checksums off but corrupt=%d torn=%d",
-				rep.CorruptFramesDetected, rep.TornWritesRepaired)
-		}
-	}
 	if rep.CorruptFramesDetected < rep.TornWritesRepaired {
 		acct("CorruptFramesDetected=%d < TornWritesRepaired=%d",
 			rep.CorruptFramesDetected, rep.TornWritesRepaired)
 	}
-
-	if !faulted {
-		zero := func(what string, n int64) {
-			if n != 0 {
-				acct("clean run but %s=%d", what, n)
-			}
-		}
-		zero("NodesLost", int64(rep.NodesLost))
-		zero("ReExecutedMapTasks", int64(rep.ReExecutedMapTasks))
-		zero("RestartedReduceTasks", int64(rep.RestartedReduceTasks))
-		zero("SpeculativeBackups", int64(rep.SpeculativeBackups))
-		zero("SpeculativeWins", int64(rep.SpeculativeWins))
-		zero("FetchRetries", rep.FetchRetries)
-		zero("WastedCPUPerNode", int64(rep.WastedCPUPerNode))
-		zero("Checkpoints", rep.Checkpoints)
-		zero("CheckpointBytes", rep.CheckpointBytes)
-		zero("RecoveryReadBytes", rep.RecoveryReadBytes)
-		zero("IORetries", rep.IORetries)
-		zero("CorruptFramesDetected", rep.CorruptFramesDetected)
-		zero("TornWritesRepaired", rep.TornWritesRepaired)
-	} else {
-		// Dimensions the case does not inject must stay exactly zero.
-		if c.IOErrRate == 0 && rep.IORetries != 0 {
-			acct("no transient errors injected but IORetries=%d", rep.IORetries)
-		}
-		if c.CorruptRate == 0 && !c.TornWrites && rep.CorruptFramesDetected != 0 {
-			acct("no corruption injected but CorruptFramesDetected=%d", rep.CorruptFramesDetected)
-		}
-		if !c.TornWrites && rep.TornWritesRepaired != 0 {
-			acct("no torn writes injected but TornWritesRepaired=%d", rep.TornWritesRepaired)
-		}
-		if c.KillFracPct == 0 && rep.NodesLost != 0 {
-			acct("no kills scheduled but NodesLost=%d", rep.NodesLost)
-		}
-		if !c.Speculate && (rep.SpeculativeBackups != 0 || rep.SpeculativeWins != 0) {
-			acct("speculation off but backups=%d wins=%d",
-				rep.SpeculativeBackups, rep.SpeculativeWins)
-		}
-		if c.CheckpointDiv == 0 && (rep.Checkpoints != 0 || rep.CheckpointBytes != 0) {
-			acct("checkpointing off but Checkpoints=%d CheckpointBytes=%d",
-				rep.Checkpoints, rep.CheckpointBytes)
-		}
-		if rep.SpeculativeWins > rep.SpeculativeBackups {
-			acct("SpeculativeWins=%d > SpeculativeBackups=%d",
-				rep.SpeculativeWins, rep.SpeculativeBackups)
-		}
+	if rep.SpeculativeWins > rep.SpeculativeBackups {
+		acct("SpeculativeWins=%d > SpeculativeBackups=%d", rep.SpeculativeWins, rep.SpeculativeBackups)
 	}
 
-	// Node-combine accounting: the counters exist only when the case
-	// switches the stage on (combine savings are legitimate on clean
-	// runs — they are not recovery counters), the fold never inflates
-	// the pair count, and the per-node shuffle attribution is shaped by
-	// the cluster.
-	if !c.NodeCombine &&
-		(rep.NodeCombineInputRecords != 0 || rep.NodeCombineOutputRecords != 0 || rep.ShuffleBytesSaved != 0) {
-		acct("node combining off but in=%d out=%d saved=%d",
-			rep.NodeCombineInputRecords, rep.NodeCombineOutputRecords, rep.ShuffleBytesSaved)
-	}
+	// Node-combine accounting: the fold never inflates the pair count,
+	// and the per-node shuffle attribution is shaped by the cluster.
 	if rep.NodeCombineOutputRecords > rep.NodeCombineInputRecords {
 		acct("combine fold emitted more pairs than it absorbed: in=%d out=%d",
 			rep.NodeCombineInputRecords, rep.NodeCombineOutputRecords)
@@ -477,9 +357,6 @@ func checkReport(v *Verdict, c *Case, label string, rep *engine.Report, faulted 
 		}
 	}
 
-	if !c.Poison && rep.QuarantinedRecords != 0 {
-		acct("no poison records but QuarantinedRecords=%d", rep.QuarantinedRecords)
-	}
 	if rep.OutputRecords != int64(len(rep.Outputs)) {
 		acct("OutputRecords=%d but %d records collected", rep.OutputRecords, len(rep.Outputs))
 	}
@@ -493,8 +370,8 @@ func checkReport(v *Verdict, c *Case, label string, rep *engine.Report, faulted 
 		acct("no input accounted: InputBytes=%d MapInputRecords=%d",
 			rep.InputBytes, rep.MapInputRecords)
 	}
-	if rep.Workers != 1 {
-		acct("serial run reports Workers=%d", rep.Workers)
+	if rep.Workers != workers {
+		acct("ran with %d workers, report says %d", workers, rep.Workers)
 	}
 	for i, s := range rep.Spans {
 		if s.End < s.Start || s.Node < 0 || s.Node >= c.Nodes {
