@@ -124,7 +124,7 @@ func (n *node) chargeCPU(p *sim.Proc, d time.Duration, ledger *int64) {
 	if n.slow > 1 {
 		d = time.Duration(float64(d) * n.slow)
 	}
-	p.Use(n.cpu, 1, d)
+	n.cpu.Use(p, 1, d)
 	*ledger += int64(d)
 	if n.dead(p.Now()) {
 		panic(nodeAborted{n.idx})

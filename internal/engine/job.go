@@ -123,19 +123,18 @@ func Run(spec JobSpec) (*Report, error) {
 
 	j.sums.ShuffleByNode = make([]int64, cfg.Nodes)
 	j.combine = j.NewCombinePlan()
-	// Map tasks: one process per chunk on its home node.
-	for c := 0; c < j.TotalMaps; c++ {
-		chunk := c
+	// Map tasks: one process per chunk on its home node, started when a
+	// slot there grants it.
+	for chunk := range j.TotalMaps {
 		n := j.nodes[j.Home(chunk)]
-		j.k.Spawn(fmt.Sprintf("map%06d", chunk), func(p *sim.Proc) {
-			j.runMapTask(p, chunk, n, false)
+		j.k.SpawnAcquire(fmt.Sprintf("map%06d", chunk), n.mapSlots, 1, func(p *sim.Proc) {
+			j.runMapTask(p, chunk, n, false, true)
 		})
 	}
 	// Reduce tasks: reducer i handles partition i on node i%N; slots
 	// make the waves when R exceeds ReduceSlots.
 	reducersLeft := j.NumReducers
-	for r := 0; r < j.NumReducers; r++ {
-		ridx := r
+	for ridx := range j.NumReducers {
 		n := j.nodes[ridx%cfg.Nodes]
 		j.k.Spawn(fmt.Sprintf("reduce%03d", ridx), func(p *sim.Proc) {
 			j.runReduceTask(p, ridx, n)

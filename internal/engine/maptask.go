@@ -21,27 +21,31 @@ const (
 	mapSuperseded                      // another attempt won while this one ran
 )
 
-// runMapTask executes one map task: acquire a slot, pay startup, read
+// runMapTask executes one map task: hold a slot, pay startup, read
 // the chunk in segments (charging input I/O and CPU), feed records
 // through the map function into the platform's collector, write the
 // map output for fault tolerance, and publish it for shuffling.
 // Injected failures re-execute the whole attempt, as the JobTracker
 // would after a lost task; a node crash re-executes it on a survivor
 // once the failure detector declares the node dead. backup marks a
-// speculative attempt racing a straggling primary.
-func (j *job) runMapTask(p *sim.Proc, chunk int, n *node, backup bool) {
+// speculative attempt racing a straggling primary; held marks a primary
+// started by its slot's grant, whose attempt 0 the tracker opened.
+func (j *job) runMapTask(p *sim.Proc, chunk int, n *node, backup, held bool) {
 	failures := j.spec.Faults.MapFailures[chunk]
 	t := j.tracker
 	ms := &t.mstates[chunk]
-	for {
-		if ms.done {
-			return // won by a backup / re-execution before we started
+	attempt := 0
+	for ; ; held = false {
+		if !held {
+			if ms.done {
+				return // won by a backup / re-execution before we started
+			}
+			attempt = ms.attempts
+			ms.attempts++
+			ms.running++
+			p.Acquire(n.mapSlots, 1)
 		}
-		attempt := ms.attempts
-		ms.attempts++
-		inject := attempt < failures
-		ms.running++
-		res, dur := j.runMapAttempt(p, chunk, n, attempt, inject, backup)
+		res, dur := j.runMapAttempt(p, chunk, n, attempt, attempt < failures, backup)
 		ms.running--
 		switch res {
 		case mapDone:
@@ -50,8 +54,6 @@ func (j *job) runMapTask(p *sim.Proc, chunk int, n *node, backup bool) {
 				j.specWins++
 			}
 			return
-		case mapFailedInjected:
-			continue
 		case mapSuperseded:
 			return
 		case mapNodeDead:
@@ -80,8 +82,7 @@ func (j *job) runMapTask(p *sim.Proc, chunk int, n *node, backup bool) {
 // goroutine, so event order and all outputs are identical for any
 // worker count.
 func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, backup bool) (res mapResult, dur int64) {
-	p.Acquire(n.mapSlots, 1)
-	defer p.Release(n.mapSlots, 1)
+	defer p.Release(n.mapSlots, 1) // acquired by runMapTask
 	var ledger int64
 	body := NewMapBody(j.spec, j.newRuntime(p, n, &ledger), j.spec.Query, chunk, attempt,
 		func(name string, _ int, out core.MapParts) {
@@ -107,6 +108,12 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 	if fail {
 		kind = "map-failed"
 	}
+	// lose ends the attempt as r, its work wasted; why names its span.
+	lose := func(why string, r mapResult) (mapResult, int64) {
+		kind = why
+		j.sums.WastedCPU += ledger
+		return r, 0
+	}
 	defer func() { j.addSpan(fmt.Sprintf("%s#%d", p.Name(), attempt), kind, n.idx, start, p.Now()) }()
 	j.gauges.Enter(metrics.PhaseMap)
 	defer j.gauges.Leave(metrics.PhaseMap)
@@ -119,13 +126,9 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 		if r := recover(); r != nil {
 			switch r.(type) {
 			case nodeAborted:
-				kind = "map-lost"
-				j.sums.WastedCPU += ledger
-				res, dur = mapNodeDead, 0
+				res, dur = lose("map-lost", mapNodeDead)
 			case *storage.Corruption:
-				kind = "map-corrupt"
-				j.sums.WastedCPU += ledger
-				res, dur = mapFailedInjected, 0
+				res, dur = lose("map-corrupt", mapFailedInjected)
 			default:
 				panic(r)
 			}
@@ -157,7 +160,7 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 	// every segment's output in memory at once.
 	outs = make([]SegMapResult, len(segs))
 	futs := make([]*sim.Future, len(segs))
-	window := 2 * p.Workers()
+	window := 2 * j.k.Workers()
 	nextFork := 0
 	forkUpTo := func(limit int) {
 		for ; nextFork < len(segs) && nextFork < limit; nextFork++ {
@@ -179,24 +182,19 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 			// The attempt dies here: work and output are lost; the
 			// JobTracker reschedules the task. The deferred Join
 			// drains segments still in flight.
-			j.sums.WastedCPU += ledger
-			return mapFailedInjected, 0
+			return lose(kind, mapFailedInjected)
 		}
 		if ms.done {
 			// Another attempt (speculative backup or primary) already
 			// published this task's output: stop, drop everything.
-			kind = "map-superseded"
-			j.sums.WastedCPU += ledger
-			return mapSuperseded, 0
+			return lose("map-superseded", mapSuperseded)
 		}
 	}
 
 	parts, mapped, emitted := body.Finish()
 	quarantined := body.Quarantined
 	if ms.done {
-		kind = "map-superseded"
-		j.sums.WastedCPU += ledger
-		return mapSuperseded, 0
+		return lose("map-superseded", mapSuperseded)
 	}
 	j.mapInputRecords += mapped
 	j.mapOutputRecords += emitted
@@ -229,9 +227,7 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 			j.mapInputRecords -= mapped
 			j.mapOutputRecords -= emitted
 			j.quarantined -= quarantined
-			kind = "map-lost"
-			j.sums.WastedCPU += ledger
-			return mapNodeDead, 0
+			return lose("map-lost", mapNodeDead)
 		}
 		ms.output = o
 	}

@@ -45,7 +45,7 @@ func (j *job) foldGroup(p *sim.Proc, g *CombineGroup) {
 	defer j.combineSpan(p, "combine-agg", agg)()
 	var ledger int64
 	g.FoldGroup(j.newRuntime(p, agg, &ledger), j.spec.Query, func(_ int, bytes int64) {
-		p.Use(agg.nic, 1, j.spec.Cluster.Model.NetTime(bytes))
+		agg.nic.Use(p, 1, j.spec.Cluster.Model.NetTime(bytes))
 	})
 	j.sums.MapCPU += ledger
 	j.publishRun(p, g, agg)

@@ -196,7 +196,7 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 
 		size := o.partBytes[ridx]
 		if size > 0 {
-			p.Use(n.nic, 1, model.NetTime(size))
+			n.nic.Use(p, 1, model.NetTime(size))
 			if o.inMemory {
 				j.memFetches++
 			} else {
@@ -210,7 +210,7 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 					// publication serves this reducer.
 					j.fetchRetries++
 					j.sums.RefetchBytes += size
-					p.Use(n.nic, 1, model.NetTime(size))
+					n.nic.Use(p, 1, model.NetTime(size))
 					if _, err = o.node.store.ReadAtChecked(p, o.file, o.partOff[ridx], size, storage.ShuffleRead); err != nil {
 						t.corruptOutput(o)
 						continue

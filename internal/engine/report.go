@@ -139,7 +139,7 @@ func (j *job) report(s *metrics.Sampler) *Report {
 	}
 	j.sums.Combine = j.combine.Totals()
 	r := &Report{
-		RunningTime:   j.k.NowDur(),
+		RunningTime:   time.Duration(j.k.Now()),
 		MapFinishTime: time.Duration(j.mapFinish),
 
 		MemShuffleFetches:  j.memFetches,

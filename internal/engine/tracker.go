@@ -18,7 +18,7 @@ type mapTaskState struct {
 	output    *mapOutput // the winning output (nil while re-executing)
 
 	attempts int   // attempt ids handed out (shared by all procs of this task)
-	running  int   // attempts currently executing
+	running  int   // attempts currently executing, or queued for a slot
 	since    int64 // start time of the current primary attempt
 	backups  int   // speculative backups launched
 	reexecs  int   // re-executions after output loss
@@ -56,7 +56,8 @@ func newTracker(j *job) *tracker {
 	t := &tracker{j: j, cond: sim.NewCond(j.k, "tracker")}
 	t.mstates = make([]mapTaskState, j.TotalMaps)
 	for i := range t.mstates {
-		t.mstates[i].task = i
+		// Every primary opens attempt 0 at t = 0 (engine.Run), queued or not.
+		t.mstates[i] = mapTaskState{task: i, attempts: 1, running: 1}
 	}
 	t.rstates = make([]reduceState, j.NumReducers)
 	for i := range t.rstates {
@@ -194,7 +195,7 @@ func (t *tracker) reexec(ms *mapTaskState) {
 	idx := ms.reexecs
 	ms.reexecs++
 	t.j.k.Spawn(fmt.Sprintf("map%06d.r%d", ms.task, idx), func(p *sim.Proc) {
-		t.j.runMapTask(p, ms.task, n, false)
+		t.j.runMapTask(p, ms.task, n, false, false)
 	})
 }
 
@@ -250,7 +251,7 @@ func (t *tracker) speculate(now int64) {
 		t.j.specBackups++
 		task := ms.task
 		t.j.k.Spawn(fmt.Sprintf("map%06d.b%d", task, ms.backups), func(p *sim.Proc) {
-			t.j.runMapTask(p, task, n, true)
+			t.j.runMapTask(p, task, n, true, false)
 		})
 	}
 }

@@ -107,9 +107,6 @@ func NewKernel() *Kernel { return &Kernel{workers: newWorkers(1)} }
 // of the simulation.
 func (k *Kernel) Now() int64 { return k.now }
 
-// NowDur returns the current virtual time as a duration.
-func (k *Kernel) NowDur() time.Duration { return time.Duration(k.now) }
-
 // Proc is a simulated process. All its methods must be called from the
 // process's own coroutine (the function passed to Spawn).
 type Proc struct {
@@ -118,8 +115,9 @@ type Proc struct {
 	daemon bool
 	done   bool
 	// why and on say what the process is parked in, for the deadlock
-	// report: "hold", or "acquire "/"wait " and the resource/cond name.
+	// report: "hold", or "acquire "/"wait "/"spawn on " and the name.
 	why, on string
+	fn      func(p *Proc)           // the body, started at the first resumption
 	next    func() (struct{}, bool) // kernel → process switch
 	yield   func(struct{}) bool     // process → kernel switch; false = killed
 	stop    func()                  // kill: a parked process's yield returns false
@@ -132,41 +130,52 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current virtual time in nanoseconds.
 func (p *Proc) Now() int64 { return p.k.now }
 
-// Kernel returns the kernel this process runs on.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Spawn creates a process that starts at the current virtual time.
 // It may be called before Run or from inside a running process.
-func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	return k.spawn(name, false, fn)
-}
+func (k *Kernel) Spawn(name string, fn func(p *Proc)) { k.schedule(k.now, k.register(name, false, fn)) }
 
 // SpawnDaemon creates a background process (e.g. a metrics sampler)
 // that does not keep the simulation alive: Run returns when all
 // non-daemon processes have finished, killing daemons.
-func (k *Kernel) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
-	return k.spawn(name, true, fn)
+func (k *Kernel) SpawnDaemon(name string, fn func(p *Proc)) {
+	k.schedule(k.now, k.register(name, true, fn))
 }
 
-func (k *Kernel) spawn(name string, daemon bool, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, daemon: daemon}
+// SpawnAcquire creates a process that starts holding n units of r, as
+// if fn's first statement were Acquire(r, n). A queued process counts
+// as live and has no coroutine until Release grants it the units, so
+// pending tasks cost no goroutine; a deadlock report names them.
+func (k *Kernel) SpawnAcquire(name string, r *Resource, n int64, fn func(p *Proc)) {
+	p := k.register(name, false, fn)
+	p.why, p.on = "spawn on ", r.name
+	if r.request(p, n) {
+		k.schedule(k.now, p)
+	}
+}
+
+func (k *Kernel) register(name string, daemon bool, fn func(p *Proc)) *Proc {
+	p := &Proc{k: k, name: name, daemon: daemon, fn: fn}
 	if !daemon {
 		k.live++
 	}
 	k.allPr = append(k.allPr, p)
-	k.schedule(k.now, p)
+	return p
+}
+
+// start creates p's coroutine, at its first resumption: a process
+// costs no goroutine before it runs.
+func (k *Kernel) start(p *Proc) {
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		defer func() {
-			p.done = true
+			p.done, p.fn = true, nil
 			r := recover()
 			if _, kill := r.(killSentinel); r != nil && !kill && k.err == nil {
 				k.err = fmt.Errorf("sim: proc %s panicked: %v", p.name, r)
 			}
 		}()
-		fn(p)
+		p.fn(p)
 	})
-	return p
 }
 
 // schedule enqueues a resumption of p at time at.
@@ -218,6 +227,9 @@ func (k *Kernel) Run() error {
 		if p.done {
 			continue // stale event for a finished process
 		}
+		if p.next == nil {
+			k.start(p)
+		}
 		p.next()
 		if p.done && !p.daemon {
 			k.live--
@@ -237,7 +249,7 @@ func (k *Kernel) deadlockError() error {
 		}
 	}
 	sort.Strings(names)
-	return fmt.Errorf("sim: deadlock at t=%v with %d blocked procs: %v", k.NowDur(), len(names), names)
+	return fmt.Errorf("sim: deadlock at t=%v with %d blocked procs: %v", time.Duration(k.now), len(names), names)
 }
 
 // shutdown kills every remaining process so its coroutine exits.
@@ -250,10 +262,12 @@ func (k *Kernel) shutdown() {
 	// stopped too.
 	for i := 0; i < len(k.allPr); i++ {
 		if p := k.allPr[i]; !p.done {
-			// A process that never ran is done without running; a parked
-			// one sees its yield return false and unwinds (see park).
+			// A process never resumed has no coroutine; a parked one
+			// sees its yield return false and unwinds (see park).
 			p.done = true
-			p.stop()
+			if p.stop != nil {
+				p.stop()
+			}
 		}
 	}
 	k.workers.close()

@@ -20,17 +20,17 @@ func TestEventLoopAllocs(t *testing.T) {
 		op      func(p *Proc, r *Resource, c *Cond)
 	}{
 		{name: "Hold", op: func(p *Proc, _ *Resource, _ *Cond) { p.Hold(time.Nanosecond) }},
-		{name: "UseUncontended", op: func(p *Proc, r *Resource, _ *Cond) { p.Use(r, 1, time.Nanosecond) }},
+		{name: "UseUncontended", op: func(p *Proc, r *Resource, _ *Cond) { r.Use(p, 1, time.Nanosecond) }},
 		{
 			// The partner's hold is longer than the measured process's
 			// turnaround, so every Acquire queues behind it.
 			name: "AcquireReleaseContended",
 			partner: func(p *Proc, r *Resource, _ *Cond) {
 				for {
-					p.Use(r, 1, 3*time.Nanosecond)
+					r.Use(p, 1, 3*time.Nanosecond)
 				}
 			},
-			op: func(p *Proc, r *Resource, _ *Cond) { p.Use(r, 1, time.Nanosecond) },
+			op: func(p *Proc, r *Resource, _ *Cond) { r.Use(p, 1, time.Nanosecond) },
 		},
 		{
 			name: "WaitBroadcast",
@@ -95,8 +95,8 @@ func TestContendedQueueReusesStorage(t *testing.T) {
 			t.Fatalf("grant %d went to proc %d, want %d (FIFO round-robin)", n, got, n%procs)
 		}
 	}
-	if r.QueueLen() != 0 || r.inUse != 0 {
-		t.Fatalf("queue %d, in use %d after the run", r.QueueLen(), r.inUse)
+	if r.queueLen() != 0 || r.inUse != 0 {
+		t.Fatalf("queue %d, in use %d after the run", r.queueLen(), r.inUse)
 	}
 	if c := cap(r.waiters); c > 4*procs {
 		t.Fatalf("wait queue capacity %d after %d grants of %d procs", c, procs*rounds, procs)
@@ -169,11 +169,11 @@ func TestKillDuringUnwindParks(t *testing.T) {
 	k.SpawnDaemon("acquires", victim(func(p *Proc) { p.Acquire(r, 1); p.Acquire(r, 1) }))
 	k.SpawnDaemon("waits", victim(func(p *Proc) { p.Wait(c) }))
 	k.SpawnDaemon("spawns", victim(func(p *Proc) {
-		p.Kernel().Spawn("orphan", func(*Proc) { t.Error("orphan ran") })
+		p.k.Spawn("orphan", func(*Proc) { t.Error("orphan ran") })
 	}))
 	k.Spawn("main", func(p *Proc) {
 		p.Hold(time.Second)
-		p.Kernel().SpawnDaemon("never-started", func(*Proc) { t.Error("never-started ran") })
+		p.k.SpawnDaemon("never-started", func(*Proc) { t.Error("never-started ran") })
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestProcPanicIsAnError(t *testing.T) {
 		t.Fatal("bystander was not unwound")
 	}
 	if k.Now() != int64(time.Second) {
-		t.Fatalf("kernel ran on to t=%v after the panic", k.NowDur())
+		t.Fatalf("kernel ran on to t=%v after the panic", time.Duration(k.Now()))
 	}
 	waitGoroutines(t, base)
 }
@@ -227,7 +227,7 @@ func BenchmarkKernelPingPong(b *testing.B) {
 	for _, name := range []string{"ping", "pong"} {
 		k.Spawn(name, func(p *Proc) {
 			for i := 0; i < b.N; i++ {
-				p.Use(r, 1, time.Nanosecond)
+				r.Use(p, 1, time.Nanosecond)
 			}
 		})
 	}
@@ -237,3 +237,6 @@ func BenchmarkKernelPingPong(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// queueLen is the number of requests waiting on r.
+func (r *Resource) queueLen() int { return len(r.waiters) - r.head }

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Resource models a countable resource with FIFO queueing: task slots
 // (capacity = slots per node), CPU cores (capacity = cores), a disk arm
@@ -38,12 +35,6 @@ func NewResource(k *Kernel, name string, capacity int64) *Resource {
 	return &Resource{k: k, name: name, capacity: capacity}
 }
 
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
-
-// QueueLen returns the number of processes waiting to acquire.
-func (r *Resource) QueueLen() int { return len(r.waiters) - r.head }
-
 // advance accumulates the busy integral up to the current instant.
 func (r *Resource) advance() {
 	r.busyIntegral += r.inUse * (r.k.now - r.lastChange)
@@ -60,13 +51,22 @@ func (r *Resource) BusyIntegral() int64 {
 // them. Grants are strictly FIFO: a request never overtakes an earlier
 // one even if it could be satisfied sooner, matching slot scheduling.
 func (p *Proc) Acquire(r *Resource, n int64) {
+	if !r.request(p, n) {
+		p.park("acquire ", r.name)
+	}
+}
+
+// request takes n units for p at once if no request waits and they
+// fit, and reports true; otherwise it queues p, for Release to
+// schedule once they are granted.
+func (r *Resource) request(p *Proc, n int64) bool {
 	if n <= 0 || n > r.capacity {
 		panic(fmt.Sprintf("sim: %s acquires %d of %s (capacity %d)", p.name, n, r.name, r.capacity))
 	}
 	r.advance()
-	if r.QueueLen() == 0 && r.inUse+n <= r.capacity {
+	if r.head == len(r.waiters) && r.inUse+n <= r.capacity {
 		r.inUse += n
-		return
+		return true
 	}
 	// Slide the queue down when append would otherwise grow the slice
 	// and at least half of it is already-granted prefix, so a queue that
@@ -76,7 +76,7 @@ func (p *Proc) Acquire(r *Resource, n int64) {
 		r.head = 0
 	}
 	r.waiters = append(r.waiters, waiter{p: p, n: n})
-	p.park("acquire ", r.name)
+	return false
 }
 
 // Release returns n units and wakes any waiters that now fit, in FIFO
@@ -97,14 +97,6 @@ func (p *Proc) Release(r *Resource, n int64) {
 		r.k.schedule(r.k.now, w.p)
 	}
 	r.waiters, r.head = r.waiters[:0], 0
-}
-
-// Use acquires n units, holds them for d, and releases them. It is the
-// common pattern for a CPU burst or an I/O service time.
-func (p *Proc) Use(r *Resource, n int64, d time.Duration) {
-	p.Acquire(r, n)
-	p.Hold(d)
-	p.Release(r, n)
 }
 
 // Cond is a broadcast condition variable for simulated processes.

@@ -79,7 +79,7 @@ func TestResourceCapacityLimitsParallelism(t *testing.T) {
 	var finishTimes []int64
 	for i := 0; i < 3; i++ {
 		k.Spawn(fmt.Sprintf("io%d", i), func(p *Proc) {
-			p.Use(disk, 1, 10*time.Second)
+			disk.Use(p, 1, 10*time.Second)
 			finishTimes = append(finishTimes, p.Now())
 		})
 	}
@@ -100,7 +100,7 @@ func TestResourceConcurrentWithinCapacity(t *testing.T) {
 	var last int64
 	for i := 0; i < 4; i++ {
 		k.Spawn(fmt.Sprintf("t%d", i), func(p *Proc) {
-			p.Use(cpu, 1, 7*time.Second)
+			cpu.Use(p, 1, 7*time.Second)
 			last = p.Now()
 		})
 	}
@@ -148,7 +148,7 @@ func TestBusyIntegral(t *testing.T) {
 	r := NewResource(k, "disk", 1)
 	k.Spawn("a", func(p *Proc) {
 		p.Hold(5 * time.Second)
-		p.Use(r, 1, 10*time.Second)
+		r.Use(p, 1, 10*time.Second)
 		p.Hold(5 * time.Second)
 		if got, want := r.BusyIntegral(), int64(10*time.Second); got != want {
 			t.Errorf("busy integral %d want %d", got, want)
@@ -229,7 +229,7 @@ func TestSpawnFromProcess(t *testing.T) {
 	var childTime int64
 	k.Spawn("parent", func(p *Proc) {
 		p.Hold(3 * time.Second)
-		p.Kernel().Spawn("child", func(q *Proc) {
+		p.k.Spawn("child", func(q *Proc) {
 			q.Hold(2 * time.Second)
 			childTime = q.Now()
 		})
@@ -248,12 +248,12 @@ func TestSpawnFromProcess(t *testing.T) {
 func TestQueueIntegral(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "disk", 1)
-	k.Spawn("a", func(p *Proc) { p.Use(r, 1, 10*time.Second) })
-	k.Spawn("b", func(p *Proc) { p.Use(r, 1, 10*time.Second) })
+	k.Spawn("a", func(p *Proc) { r.Use(p, 1, 10*time.Second) })
+	k.Spawn("b", func(p *Proc) { r.Use(p, 1, 10*time.Second) })
 	var queued int64
 	k.SpawnDaemon("sampler", func(p *Proc) {
 		for {
-			queued += int64(r.QueueLen()) * int64(time.Second)
+			queued += int64(r.queueLen()) * int64(time.Second)
 			p.Hold(time.Second)
 		}
 	})
@@ -287,7 +287,7 @@ func TestManyProcessesStress(t *testing.T) {
 		d := time.Duration(i%17+1) * time.Millisecond
 		k.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
 			for j := 0; j < 5; j++ {
-				p.Use(cpu, 1, d)
+				cpu.Use(p, 1, d)
 			}
 			done++
 		})
@@ -393,11 +393,11 @@ func TestYieldOrdersBehindSameInstant(t *testing.T) {
 func TestResourceNamesAndCapacity(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "disk0", 3)
-	if r.Name() != "disk0" || r.QueueLen() != 0 || r.BusyIntegral() != 0 {
+	if r.name != "disk0" || r.queueLen() != 0 || r.BusyIntegral() != 0 {
 		t.Fatal("accessors broken")
 	}
 	// Three units fit at once; a fourth request queues behind them.
-	k.Spawn("full", func(p *Proc) { p.Use(r, 3, time.Second) })
+	k.Spawn("full", func(p *Proc) { r.Use(p, 3, time.Second) })
 	k.Spawn("late", func(p *Proc) {
 		p.Acquire(r, 1)
 		if p.Now() != int64(time.Second) {

@@ -231,11 +231,6 @@ func (k *Kernel) SetWorkers(n int) {
 // Workers returns the number of threads forked closures run on.
 func (k *Kernel) Workers() int { return k.workers.n }
 
-// Workers returns the kernel compute-pool size: the map driver sizes
-// its look-ahead window from it. It is not part of substrate.Proc —
-// platform components never see it.
-func (p *Proc) Workers() int { return p.k.Workers() }
-
 // Fork queues a pure compute closure on the kernel's pool and returns
 // its Future. The closure must not touch simulation state (the kernel,
 // resources, conds, other procs' data); it computes into its own

@@ -150,7 +150,7 @@ func TestShutdownKillsNeverStartedProc(t *testing.T) {
 		k.Spawn("parent", func(p *Proc) {
 			// Daemon scheduled at the same instant the simulation ends:
 			// it is never resumed, only killed.
-			p.Kernel().SpawnDaemon("orphan", func(q *Proc) {
+			p.k.SpawnDaemon("orphan", func(q *Proc) {
 				ran = true
 			})
 		})

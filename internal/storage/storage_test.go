@@ -22,7 +22,7 @@ func run(t *testing.T, model cost.Model, fn func(p *sim.Proc, s *Store)) time.Du
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return k.NowDur()
+	return time.Duration(k.Now())
 }
 
 func TestAppendReadRoundTrip(t *testing.T) {
@@ -123,7 +123,7 @@ func TestDiskContentionSerializes(t *testing.T) {
 		k.Spawn(name, func(p *sim.Proc) {
 			f := s.Create(name, MapSpill)
 			s.Append(p, f, make([]byte, 80*1e6), MapSpill)
-			finish = append(finish, k.NowDur())
+			finish = append(finish, time.Duration(k.Now()))
 		})
 	}
 	if err := k.Run(); err != nil {
