@@ -88,14 +88,19 @@ func writeBenchReport(path string, rep *benchReport) error {
 // every job/* row runs over.
 const benchUsers = 20_000
 
-// benchClicks16G builds that stream: the paper's sessionization
-// workload at 1/4096 scale.
-func benchClicks16G(m onepass.CostModel) onepass.Input {
+// benchDupUsers shrinks the key space for the node-combine pair: with
+// ~100 map output pairs per distinct user per node, the in-node fold
+// has real duplication to collapse (K_r/K_m ≈ 0.01).
+const benchDupUsers = 400
+
+// benchClicks16G builds the 16GB stream over users distinct users: the
+// paper's sessionization workload at 1/4096 scale.
+func benchClicks16G(m onepass.CostModel, users int) onepass.Input {
 	return onepass.SyntheticClickStream(onepass.ClickStreamSpec{
 		PhysBytes: m.ScaleBytes(16e9),
 		ChunkPhys: m.ScaleBytes(64e6),
 		Seed:      42,
-		Users:     benchUsers,
+		Users:     users,
 		UserSkew:  1.2,
 		URLs:      10_000,
 		URLSkew:   1.3,
@@ -104,24 +109,21 @@ func benchClicks16G(m onepass.CostModel) onepass.Input {
 	})
 }
 
-// benchDupUsers shrinks the key space for the node-combine pair: with
-// ~100 map output pairs per distinct user per node, the in-node fold
-// has real duplication to collapse (K_r/K_m ≈ 0.01).
-const benchDupUsers = 400
-
-// benchClicksDup16G is the same 16GB stream over that small key space.
-func benchClicksDup16G(m onepass.CostModel) onepass.Input {
-	return onepass.SyntheticClickStream(onepass.ClickStreamSpec{
-		PhysBytes: m.ScaleBytes(16e9),
-		ChunkPhys: m.ScaleBytes(64e6),
-		Seed:      42,
-		Users:     benchDupUsers,
-		UserSkew:  1.2,
-		URLs:      10_000,
-		URLSkew:   1.3,
-		Duration:  24 * time.Hour,
-		Jitter:    2 * time.Second,
-	})
+// runJob runs job b.N times: on the DES, or on the wall clock with
+// workers goroutines when workers > 0. newQ builds its query.
+func runJob(b *testing.B, job onepass.Job, newQ func() onepass.Query, workers int) {
+	for i := 0; i < b.N; i++ {
+		var err error
+		if workers > 0 {
+			_, err = onepass.RunReal(job, newQ, workers)
+		} else {
+			job.Query = newQ()
+			_, err = onepass.Run(job)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func runBenchJSON(path string) error {
@@ -147,6 +149,8 @@ func runBenchJSON(path string) error {
 	}
 	hashFn := hashfam.NewFamily(1).Fn(0)
 	hashKey := []byte("u0012345")
+	m := onepass.DefaultModel(1.0 / 4096)
+	sessions := func() onepass.Query { return onepass.Sessionization(5*time.Minute, 512, 5*time.Second) }
 
 	suite := []spec{
 		{"kvenc/SortStream10k", int64(len(sortInput)), func(b *testing.B) {
@@ -239,48 +243,20 @@ func runBenchJSON(path string) error {
 			}
 		}},
 		{"job/SessionizationSM16G", 0, func(b *testing.B) {
-			m := onepass.DefaultModel(1.0 / 4096)
 			cluster := onepass.PaperCluster(m)
 			cluster.MergeFactor = 16
-			input := benchClicks16G(m)
-			for i := 0; i < b.N; i++ {
-				_, err := onepass.Run(onepass.Job{
-					Query:     onepass.Sessionization(5*time.Minute, 512, 5*time.Second),
-					Input:     input,
-					Platform:  onepass.SortMerge,
-					Cluster:   cluster,
-					Hints:     onepass.Hints{Km: 1.15, DistinctKeys: benchUsers},
-					ScanEvery: 4096,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
+			runJob(b, onepass.Job{Input: benchClicks16G(m, benchUsers), Platform: onepass.SortMerge, Cluster: cluster,
+				Hints: onepass.Hints{Km: 1.15, DistinctKeys: benchUsers}, ScanEvery: 4096}, sessions, 0)
 		}},
 		{"job/SessionizationRealW8", 0, func(b *testing.B) {
 			// The same 16GB sessionization job on the wall-clock
 			// backend: real goroutines (8 workers), in-memory shuffle.
 			// The ns/op here is genuine execution time, so the ratio to
 			// SessionizationSM16G is the DES's simulation overhead.
-			m := onepass.DefaultModel(1.0 / 4096)
 			cluster := onepass.PaperCluster(m)
 			cluster.MergeFactor = 16
-			input := benchClicks16G(m)
-			newQ := func() onepass.Query {
-				return onepass.Sessionization(5*time.Minute, 512, 5*time.Second)
-			}
-			for i := 0; i < b.N; i++ {
-				_, err := onepass.RunReal(onepass.Job{
-					Input:     input,
-					Platform:  onepass.SortMerge,
-					Cluster:   cluster,
-					Hints:     onepass.Hints{Km: 1.15, DistinctKeys: benchUsers},
-					ScanEvery: 4096,
-				}, newQ, 8)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
+			runJob(b, onepass.Job{Input: benchClicks16G(m, benchUsers), Platform: onepass.SortMerge, Cluster: cluster,
+				Hints: onepass.Hints{Km: 1.15, DistinctKeys: benchUsers}, ScanEvery: 4096}, sessions, 8)
 		}},
 		{"job/SessionizationNodeCombineOff", 0, func(b *testing.B) {
 			// The combine-off half of the node-combine pair: the 16GB
@@ -290,22 +266,10 @@ func runBenchJSON(path string) error {
 			// combine function). The reduce buffer is tightened to 1/8
 			// so the unreduced shuffle exceeds reducer memory — the
 			// paper's regime where hybrid hash must spill buckets.
-			m := onepass.DefaultModel(1.0 / 4096)
 			cluster := onepass.PaperCluster(m)
 			cluster.ReduceBuffer /= 8
-			input := benchClicksDup16G(m)
-			for i := 0; i < b.N; i++ {
-				_, err := onepass.Run(onepass.Job{
-					Query:    onepass.ClickCount(),
-					Input:    input,
-					Platform: onepass.MRHash,
-					Cluster:  cluster,
-					Hints:    onepass.Hints{Km: 0.12, DistinctKeys: benchDupUsers},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
+			runJob(b, onepass.Job{Input: benchClicks16G(m, benchDupUsers), Platform: onepass.MRHash, Cluster: cluster,
+				Hints: onepass.Hints{Km: 0.12, DistinctKeys: benchDupUsers}}, onepass.ClickCount, 0)
 		}},
 		{"job/SessionizationNodeCombine", 0, func(b *testing.B) {
 			// The combine-on half: identical job with the in-node fold
@@ -314,23 +278,11 @@ func runBenchJSON(path string) error {
 			// to the Off row is the measured wall-clock win of moving
 			// 5.7x fewer bytes through the shuffle, spill, and fetch
 			// machinery, net of the fold's own CPU.
-			m := onepass.DefaultModel(1.0 / 4096)
 			cluster := onepass.PaperCluster(m)
 			cluster.ReduceBuffer /= 8
-			input := benchClicksDup16G(m)
-			for i := 0; i < b.N; i++ {
-				_, err := onepass.Run(onepass.Job{
-					Query:       onepass.ClickCount(),
-					Input:       input,
-					Platform:    onepass.MRHash,
-					Cluster:     cluster,
-					Hints:       onepass.Hints{Km: 0.12, DistinctKeys: benchDupUsers},
-					NodeCombine: onepass.NodeCombineOn,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
+			runJob(b, onepass.Job{Input: benchClicks16G(m, benchDupUsers), Platform: onepass.MRHash, Cluster: cluster,
+				Hints:       onepass.Hints{Km: 0.12, DistinctKeys: benchDupUsers},
+				NodeCombine: onepass.NodeCombineOn}, onepass.ClickCount, 0)
 		}},
 		{"job/SessionizationRealRecovery", 0, func(b *testing.B) {
 			// The same 16GB sessionization job on the wall-clock backend
@@ -342,34 +294,24 @@ func runBenchJSON(path string) error {
 			// measured price of recovery itself — re-executed maps,
 			// restarted reducers replaying their post-checkpoint suffix,
 			// and fetch-retry backoff.
-			m := onepass.DefaultModel(1.0 / 4096)
 			cluster := onepass.PaperCluster(m)
 			cluster.MergeFactor = 16
-			input := benchClicks16G(m)
-			newQ := func() onepass.Query {
-				return onepass.Sessionization(5*time.Minute, 512, 5*time.Second)
-			}
-			for i := 0; i < b.N; i++ {
-				_, err := onepass.RunReal(onepass.Job{
-					Input:    input,
-					Platform: onepass.INCHash,
-					Cluster:  cluster,
-					Hints:    onepass.Hints{Km: 1.15, DistinctKeys: benchUsers},
-					Faults: onepass.FaultPlan{
-						KillAtMapProgress: map[int]float64{1: 0.5},
-						SlowNodes:         map[int]float64{2: 3},
-						Speculate:         true,
-						MapFailures:       map[int]int{0: 1, 3: 1},
-						FailPoint:         0.5,
-						ShuffleErrorRate:  0.02,
-					},
-					CheckpointEvery: time.Millisecond,
-					ScanEvery:       4096,
-				}, newQ, 8)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
+			runJob(b, onepass.Job{
+				Input:    benchClicks16G(m, benchUsers),
+				Platform: onepass.INCHash,
+				Cluster:  cluster,
+				Hints:    onepass.Hints{Km: 1.15, DistinctKeys: benchUsers},
+				Faults: onepass.FaultPlan{
+					KillAtMapProgress: map[int]float64{1: 0.5},
+					SlowNodes:         map[int]float64{2: 3},
+					Speculate:         true,
+					MapFailures:       map[int]int{0: 1, 3: 1},
+					FailPoint:         0.5,
+					ShuffleErrorRate:  0.02,
+				},
+				CheckpointEvery: time.Millisecond,
+				ScanEvery:       4096,
+			}, sessions, 8)
 		}},
 	}
 

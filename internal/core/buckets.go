@@ -113,19 +113,18 @@ func (b *bucketSet) drain(segment int64, fn func(data []byte)) {
 // snapshot returns a deep copy of every bucket's cumulative contents —
 // flushed file bytes followed by the still-buffered page — plus the
 // pair count per bucket. No I/O is charged: the caller accounts the
-// checkpoint transfer itself. Each bucket file's frames are
-// re-verified first (panicking storage.Corruption on damage, which
-// aborts the attempt): otherwise a flipped bit on disk would be
-// folded into the checkpoint image and re-framed with a fresh, valid
-// checksum — corruption laundering.
+// checkpoint transfer itself. Each bucket file is read through the
+// store, which re-verifies its frames first (panicking
+// storage.Corruption on damage, which aborts the attempt): otherwise a
+// flipped bit on disk would be folded into the checkpoint image and
+// re-framed with a fresh, valid checksum — corruption laundering.
 func (b *bucketSet) snapshot() (data [][]byte, pairs []int64) {
 	data = make([][]byte, len(b.bufs))
 	pairs = make([]int64, len(b.bufs))
 	for i := range b.bufs {
 		var d []byte
-		if b.files[i] != nil {
-			b.rt.Store.VerifyFile(b.files[i], b.class)
-			d = append(d, b.files[i].Data()...)
+		if f := b.files[i]; f != nil {
+			d = b.rt.Store.Contents(f, b.class)
 		}
 		d = append(d, b.bufs[i].Bytes()...)
 		data[i] = d

@@ -81,7 +81,7 @@ func (n *node) writeBehind(p *sim.Proc) {
 		}
 		take := n.wbPending
 		n.wbPending = 0
-		n.store.ChargeOutputWrite(p, take)
+		n.store.Charge(p, storage.ReduceOutput, take, true)
 		if n.wbPending == 0 {
 			n.wbDrained.Broadcast()
 		}

@@ -172,7 +172,7 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 	var end int64
 	for i, seg := range segs {
 		forkUpTo(i + window)
-		n.store.ChargeInputRead(p, int64(len(seg)))
+		n.store.Charge(p, storage.MapInput, int64(len(seg)), false)
 		futs[i].Wait()
 		// Replay in record order, advancing the watermark exactly where
 		// the serial engine would (just before each record's emissions).

@@ -346,13 +346,13 @@ func (task *ReduceTask) Attempt(spec *JobSpec, rt *core.Runtime, q mr.Query, rid
 		}, out)
 	}
 	if badBytes > 0 {
-		rt.Store.ChargeCheckpointRead(rt.P, badBytes)
+		rt.Store.Charge(rt.P, storage.Checkpoint, badBytes, false)
 	}
 	if img != nil {
 		// Read the newest good image back (table/sketch + consumed set +
 		// all bucket bytes), rebuild the reducer, and reload the output
 		// staged up to the same image; the driver replays the suffix.
-		rt.Store.ChargeCheckpointRead(rt.P, task.ckpt.StoredBytes())
+		rt.Store.Charge(rt.P, storage.Checkpoint, task.ckpt.StoredBytes(), false)
 		if t.inch != nil {
 			t.inch.Restore(img)
 		} else {
@@ -550,7 +550,7 @@ func (t *TaskReducer) Checkpoint() *Checkpoint {
 		write += max(l, 0)
 	}
 	st := t.rt.Store
-	st.ChargeCheckpointWrite(t.rt.P, write)
+	st.Charge(t.rt.P, storage.Checkpoint, write, true)
 	if st.Checksums {
 		st.NoteOverhead(storage.Checkpoint, frame.Overhead(len(payload)))
 	}

@@ -37,7 +37,7 @@ func bodySpec(t *testing.T, pl Platform, q mr.Query) *JobSpec {
 
 // bodyRuntime is a wall-substrate runtime charging into ledger.
 func bodyRuntime(spec *JobSpec, ledger *int64) *core.Runtime {
-	st := storage.NewWallStore(0, spec.Cluster.Model)
+	st := storage.NewWallStore(0, spec.Cluster.Model, nil)
 	st.Checksums = spec.Cluster.Checksums
 	rt := core.NopRuntime(substrate.NewWallProc(time.Now()), st, spec.Cluster.Model)
 	rt.ChargeCPU = func(d time.Duration) { *ledger += int64(d) }
@@ -499,14 +499,18 @@ func TestHashCollectorOutputIsAdoptedByTheFile(t *testing.T) {
 	rt := bodyRuntime(spec, &ledger)
 	out := mapChunk(rt, 0)
 	f, partBytes, partOff := WriteMapOutput(rt.P, rt.Store, "m0.out", out)
-	if &f.Data()[0] != &out.Backing[0] || len(f.Data()) != len(out.Backing) {
+	data, err := rt.Store.ReadAtChecked(rt.P, f, 0, f.Size(), storage.MapOutput)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &data[0] != &out.Backing[0] || len(data) != len(out.Backing) {
 		t.Fatal("the map output file copied the collector's buffer")
 	}
 	for p, segs := range out.Segs {
 		if len(segs) > 1 || PartsBytes([][][]byte{segs}) != partBytes[p] {
 			t.Fatalf("partition %d: %d segments, %d bytes recorded", p, len(segs), partBytes[p])
 		}
-		if len(segs) == 1 && &segs[0][0] != &f.Data()[partOff[p]] {
+		if len(segs) == 1 && &segs[0][0] != &data[partOff[p]] {
 			t.Fatalf("partition %d does not start at offset %d of the file", p, partOff[p])
 		}
 	}
@@ -522,9 +526,10 @@ func TestHashCollectorOutputIsAdoptedByTheFile(t *testing.T) {
 		if !bytes.Equal(out.Backing, want) {
 			t.Fatal("the bit flip is visible through the collector's segments")
 		}
-		if !bytes.Equal(f.Data(), want) {
+		data, err := rt.Store.ReadAtChecked(rt.P, f, 0, f.Size(), storage.MapOutput)
+		if err != nil {
 			flipped++
-		} else if &f.Data()[0] != &out.Backing[0] {
+		} else if !bytes.Equal(data, want) || &data[0] != &out.Backing[0] {
 			t.Fatalf("clean write %d was copied", chunk)
 		}
 	}

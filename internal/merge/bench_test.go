@@ -40,7 +40,7 @@ func BenchmarkTreeMerge(b *testing.B) {
 				}
 			}
 			tree.Complete(p, nil)
-			mergeStream(finalRuns(tree, p))
+			mergeStream(readRuns(tree, p))
 		})
 		if err := k.Run(); err != nil {
 			b.Fatal(err)

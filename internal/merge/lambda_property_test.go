@@ -171,7 +171,7 @@ func TestMergePreservesBytesExactly(t *testing.T) {
 			addRun(tree, p, run)
 		}
 		tree.MergeOnce(p, nil)
-		out := mergeStream(finalRuns(tree, p))
+		out := mergeStream(readRuns(tree, p))
 		if int64(len(out)) != in {
 			t.Errorf("merged %d bytes from %d input bytes", len(out), in)
 		}

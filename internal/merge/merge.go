@@ -17,8 +17,9 @@
 package merge
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/kvenc"
 	"repro/internal/storage"
@@ -35,8 +36,8 @@ type diskRun struct {
 
 // Tree is the set of on-disk sorted runs of one task, with the
 // multi-pass merge policy. Files own their bytes: a run handed to
-// AddRun becomes its file's buffer, and reads lend views of it that
-// stay valid after the file is deleted.
+// AddRun is its file's to keep, and reads lend views of it that stay
+// valid until the file is deleted.
 type Tree struct {
 	store  *storage.Store
 	class  storage.IOClass
@@ -91,16 +92,14 @@ func (t *Tree) MergeOnce(p substrate.Proc, charge func(records int64)) bool {
 	}
 	// Pick the F smallest files; ties resolved by age (stable sort on
 	// a copy keeps t.files in creation order).
-	bySize := append([]diskRun(nil), t.files...)
-	sort.SliceStable(bySize, func(i, j int) bool { return bySize[i].file.Size() < bySize[j].file.Size() })
-	victims := bySize[:t.f]
-	isVictim := make(map[*storage.File]bool, t.f)
+	victims := slices.Clone(t.files)
+	slices.SortStableFunc(victims, func(a, b diskRun) int { return cmp.Compare(a.file.Size(), b.file.Size()) })
+	victims = victims[:t.f]
 
 	runs := make([][]byte, 0, t.f)
 	var records int64
 	for _, v := range victims {
-		isVictim[v.file] = true
-		// A borrowed view: it outlives the Delete below.
+		// A borrowed view: the merge is done with it before the Delete below.
 		runs = append(runs, t.store.ReadAll(p, v.file, t.seg, t.class))
 		records += v.recs
 	}
@@ -121,15 +120,11 @@ func (t *Tree) MergeOnce(p substrate.Proc, charge func(records int64)) bool {
 	}
 
 	out := t.write(p, "merge", merged, records)
-	kept := t.files[:0]
-	for _, r := range t.files {
-		if isVictim[r.file] {
-			t.store.Delete(r.file)
-		} else {
-			kept = append(kept, r)
-		}
+	t.files = slices.DeleteFunc(t.files, func(r diskRun) bool { return slices.Contains(victims, r) })
+	for _, v := range victims {
+		t.store.Delete(v.file)
 	}
-	t.files = append(kept, out)
+	t.files = append(t.files, out)
 	return true
 }
 
@@ -144,29 +139,25 @@ func (t *Tree) Complete(p substrate.Proc, charge func(records int64)) {
 	}
 }
 
-// FinalRuns reads every remaining file (charging I/O) and lends their
-// contents — recs pairs in all — for the final streaming merge. The
-// files are then deleted: their bytes have been consumed, and the lent
-// views are all that keeps them alive.
-func (t *Tree) FinalRuns(p substrate.Proc) (runs [][]byte, recs int64) {
+// Runs reads every current file (charging I/O) and lends their contents
+// — recs pairs in all — until Drop. The final streaming merge reads them
+// once; the snapshot path of MapReduce Online re-merges the same on-disk
+// runs repeatedly, which is exactly the overhead the paper calls out in
+// §3.3(4).
+func (t *Tree) Runs(p substrate.Proc) (runs [][]byte, recs int64) {
 	runs = make([][]byte, 0, len(t.files))
 	for _, r := range t.files {
 		runs = append(runs, t.store.ReadAll(p, r.file, t.seg, t.class))
 		recs += r.recs
-		t.store.Delete(r.file)
 	}
-	t.files = nil
 	return runs, recs
 }
 
-// PeekRuns reads every current file (charging I/O) without consuming
-// it: the snapshot path of MapReduce Online re-merges the same on-disk
-// runs repeatedly, which is exactly the overhead the paper calls out
-// in §3.3(4). The runs are read-only views.
-func (t *Tree) PeekRuns(p substrate.Proc) [][]byte {
-	runs := make([][]byte, 0, len(t.files))
+// Drop deletes every file once the final merge is done with them; the
+// runs Runs lent die with them.
+func (t *Tree) Drop() {
 	for _, r := range t.files {
-		runs = append(runs, t.store.ReadAll(p, r.file, t.seg, t.class))
+		t.store.Delete(r.file)
 	}
-	return runs
+	t.files = nil
 }

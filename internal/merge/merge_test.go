@@ -54,9 +54,14 @@ func runTree(t *testing.T, n, b, f int) treeRun {
 			}
 		}
 		tree.Complete(p, nil)
-		res.out = mergeStream(finalRuns(tree, p))
+		files := len(tree.files)
+		res.out = mergeStream(readRuns(tree, p))
+		if len(tree.files) != files {
+			t.Errorf("Runs deleted %d of %d files", files-len(tree.files), files)
+		}
+		tree.Drop()
 		if len(tree.files) != 0 {
-			t.Errorf("FinalRuns left %d files", len(tree.files))
+			t.Errorf("Drop left %d files", len(tree.files))
 		}
 	})
 	if err := k.Run(); err != nil {
@@ -112,7 +117,7 @@ func TestRecordCountPreserved(t *testing.T) {
 			}
 		}
 		tree.Complete(p, nil)
-		got = kvenc.Count(mergeStream(finalRuns(tree, p)))
+		got = kvenc.Count(mergeStream(readRuns(tree, p)))
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -193,7 +198,7 @@ func TestIOChargedToReduceSpillClass(t *testing.T) {
 			}
 		}
 		tree.Complete(p, nil)
-		finalRuns(tree, p)
+		readRuns(tree, p)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -229,7 +234,7 @@ func TestCPUChargerInvoked(t *testing.T) {
 			}
 		}
 		tree.Complete(p, ch.ChargeMerge)
-		finalRuns(tree, p)
+		readRuns(tree, p)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -250,7 +255,7 @@ func TestBadFactorPanics(t *testing.T) {
 	NewTree(st, storage.ReduceSpill, "x", 1, 0)
 }
 
-func TestPeekRunsNonDestructive(t *testing.T) {
+func TestRunsNonDestructive(t *testing.T) {
 	k := sim.NewKernel()
 	st := storage.NewStore(k, 0, cost.Default(1))
 	tree := NewTree(st, storage.ReduceSpill, "r0", 4, 0)
@@ -260,18 +265,19 @@ func TestPeekRunsNonDestructive(t *testing.T) {
 			addRun(tree, p, makeRun(rng, 2000))
 		}
 		before := len(tree.files)
-		peek := mergeStream(tree.PeekRuns(p))
+		peek := mergeStream(readRuns(tree, p))
 		if len(tree.files) != before {
 			t.Errorf("peek consumed files: %d -> %d", before, len(tree.files))
 		}
 		// A second peek and the final consumption see the same data.
-		peek2 := mergeStream(tree.PeekRuns(p))
-		final := mergeStream(finalRuns(tree, p))
+		peek2 := mergeStream(readRuns(tree, p))
+		final := mergeStream(readRuns(tree, p))
 		if string(peek) != string(peek2) || string(peek) != string(final) {
 			t.Error("peek/final disagree")
 		}
+		tree.Drop()
 		if len(tree.files) != 0 {
-			t.Errorf("final runs left %d files", len(tree.files))
+			t.Errorf("Drop left %d files", len(tree.files))
 		}
 	})
 	if err := k.Run(); err != nil {
@@ -287,7 +293,7 @@ func TestPeekChargesReads(t *testing.T) {
 		rng := rand.New(rand.NewSource(9))
 		addRun(tree, p, makeRun(rng, 2000))
 		before := st.Counters().ReadBytes[storage.ReduceSpill]
-		tree.PeekRuns(p)
+		tree.Runs(p)
 		if st.Counters().ReadBytes[storage.ReduceSpill] <= before {
 			t.Error("peek did not charge reads — snapshots would be free")
 		}
@@ -309,8 +315,8 @@ func mergeStream(runs [][]byte) []byte {
 	return out
 }
 
-func finalRuns(t *Tree, p *sim.Proc) [][]byte {
-	runs, _ := t.FinalRuns(p)
+func readRuns(t *Tree, p *sim.Proc) [][]byte {
+	runs, _ := t.Runs(p)
 	return runs
 }
 
@@ -331,7 +337,7 @@ func TestRunsCarryTheirCounts(t *testing.T) {
 			want := bytes.Clone(first)
 			added := int64(kvenc.Count(first))
 			addRun(tree, p, first)
-			lent := tree.PeekRuns(p)[0]
+			lent := readRuns(tree, p)[0]
 			if &lent[0] != &first[0] {
 				t.Fatal("AddRun copied the run it was handed")
 			}
@@ -342,15 +348,16 @@ func TestRunsCarryTheirCounts(t *testing.T) {
 				for tree.NeedsMerge() {
 					var charged int64
 					tree.MergeOnce(p, func(n int64) { charged = n })
-					runs := tree.PeekRuns(p)
+					runs := readRuns(tree, p)
 					if got := int64(kvenc.Count(runs[len(runs)-1])); got != charged {
 						t.Fatalf("workers=%d: pass charged for %d records, merged file holds %d", workers, charged, got)
 					}
 				}
 			}
-			runs, recs := tree.FinalRuns(p)
+			runs, recs := tree.Runs(p)
+			tree.Drop()
 			if got := int64(kvenc.Count(mergeStream(runs))); recs != added || got != added {
-				t.Fatalf("workers=%d: FinalRuns reports %d pairs, holds %d, %d were added", workers, recs, got, added)
+				t.Fatalf("workers=%d: Runs reports %d pairs, holds %d, %d were added", workers, recs, got, added)
 			}
 			if !bytes.Equal(lent, want) {
 				t.Fatal("a lent view changed after its file was merged and deleted")

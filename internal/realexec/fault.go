@@ -52,6 +52,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/mr"
+	"repro/internal/storage"
 	"repro/internal/substrate"
 )
 
@@ -277,7 +278,7 @@ func (r *run) runReduceAttempt(task *engine.ReduceTask, ridx, node, attempt int,
 	rt := r.newRuntime(p, st, &res.ledger)
 	q := r.newQ()
 	wm, _ := q.(mr.Watermarker)
-	sink := func(physBytes int64) { st.ChargeOutputWrite(p, physBytes) }
+	sink := func(physBytes int64) { st.Charge(p, storage.ReduceOutput, physBytes, true) }
 	// Resume from the newest checkpoint (no image is damaged here, so
 	// none is torn or corrupt) and replay only the unconsumed suffix;
 	// checkpoints are due on the attempt's CPU ledger.

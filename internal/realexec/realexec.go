@@ -111,6 +111,7 @@ type run struct {
 	newQ             func() mr.Query
 	start            time.Time
 	workers          int
+	scratch          *storage.Scratch // every task store's spill files (execute)
 
 	slots     []slot
 	release   bool          // no reduce attempt can restart: the last consumer drops a unit's parts
@@ -186,7 +187,15 @@ func newRun(s Spec) (*run, error) {
 // execute runs map tasks as attempt chains on the worker pool, each
 // publishing its slot as it returns, and every reduce task beside them
 // from the start, consuming the slots in canonical order as they close.
+// The spill files of all of them share one scratch file in
+// os.TempDir(), closed when the run returns.
 func (r *run) execute() (*engine.Report, error) {
+	scratch, err := storage.OpenScratch()
+	if err != nil {
+		return nil, fmt.Errorf("realexec: %w", err)
+	}
+	defer scratch.Close()
+	r.scratch = scratch
 	redChains := make([]*reduceChain, r.NumReducers)
 	reducesDone := make(chan struct{})
 	go func() {
@@ -330,7 +339,7 @@ func each(n int, fn func(i int)) {
 // newStore builds a per-task wall store configured like the engine's
 // node store.
 func (r *run) newStore(node int) *storage.Store {
-	st := storage.NewWallStore(node, r.spec.Cluster.Model)
+	st := storage.NewWallStore(node, r.spec.Cluster.Model, r.scratch)
 	st.Checksums = r.spec.Cluster.Checksums
 	if r.spec.Cluster.SSDIntermediate {
 		st.Intermediate = cost.SSD
@@ -416,7 +425,7 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject, damage bool, claim
 	}
 	var end int64
 	for _, seg := range segs {
-		st.ChargeInputRead(p, int64(len(seg)))
+		st.Charge(p, storage.MapInput, int64(len(seg)), false)
 		var out engine.SegMapResult
 		body.MapSegment(seg, &out)
 		body.Replay(&out, func(ts int64) { res.maxTS = max(res.maxTS, ts) })

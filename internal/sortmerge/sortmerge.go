@@ -225,7 +225,7 @@ func (c *MapCollector) Finish() (out core.MapParts, mapped, emitted int64) {
 			c.spill()
 		}
 		c.tree.Complete(c.rt.P, mergeCharge(c.rt))
-		runs, recs := c.tree.FinalRuns(c.rt.P)
+		runs, recs := c.tree.Runs(c.rt.P)
 		c.emitted = recs
 		c.rt.P.Offload(func() {
 			final, err := kvenc.MergeStreamChecked(runs)
@@ -234,6 +234,7 @@ func (c *MapCollector) Finish() (out core.MapParts, mapped, emitted int64) {
 			}
 			out = c.splitRun(final, recs)
 		}, func() { mergeCharge(c.rt)(recs) })
+		c.tree.Drop()
 	}
 	bytestore.Put(c.buf)
 	c.buf = nil
@@ -370,7 +371,7 @@ func (r *Reducer) PrepareFinal() {
 	}
 	r.prepared = true
 	r.tree.Complete(r.rt.P, mergeCharge(r.rt))
-	r.finalRuns, _ = r.tree.FinalRuns(r.rt.P)
+	r.finalRuns, _ = r.tree.Runs(r.rt.P)
 	r.finalRuns = append(r.finalRuns, r.bufRuns...)
 	r.bufRuns = nil
 }
@@ -383,6 +384,7 @@ func (r *Reducer) Finish(out mr.OutputWriter) {
 	runs := r.finalRuns
 	r.finalRuns = nil
 	r.rt.FnRecords(r.reduceRuns(runs, out, "final run in "+r.cfg.Prefix))
+	r.tree.Drop()
 }
 
 // reduceBatchBytes closes a hand-off batch of the final reduce once it
@@ -476,5 +478,6 @@ func (r *Reducer) reduceRuns(runs [][]byte, out mr.OutputWriter, what string) (r
 // snapshots inflate I/O and running time, which is the paper's
 // criticism of this approach to early answers.
 func (r *Reducer) Snapshot(out mr.OutputWriter) {
-	r.reduceRuns(append(r.tree.PeekRuns(r.rt.P), r.bufRuns...), out, "run in "+r.cfg.Prefix+" snapshot")
+	runs, _ := r.tree.Runs(r.rt.P)
+	r.reduceRuns(append(runs, r.bufRuns...), out, "run in "+r.cfg.Prefix+" snapshot")
 }

@@ -1,7 +1,8 @@
 // Package storage simulates per-node storage devices.
 //
 // Every file (map spill, map output, reduce bucket/spill, job output)
-// is held in memory with real bytes, while reads and writes charge
+// holds real bytes — in memory, or for spills on the wall clock in a
+// scratch file (Scratch) — while reads and writes charge
 // virtual time on the node's disk-arm resource using the cost model
 // (seek + bytes/bandwidth) and increment per-I/O-class byte counters.
 // The five classes mirror Table 2 of the paper (U = U1+…+U5): map
@@ -19,7 +20,10 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"os"
+	"slices"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bytestore"
@@ -44,25 +48,15 @@ const (
 	NumIOClasses
 )
 
+var classNames = [NumIOClasses]string{"map-input", "map-spill", "map-output", "reduce-spill",
+	"reduce-output", "shuffle-read", "checkpoint"}
+
 // String returns the class name.
 func (c IOClass) String() string {
-	switch c {
-	case MapInput:
-		return "map-input"
-	case MapSpill:
-		return "map-spill"
-	case MapOutput:
-		return "map-output"
-	case ReduceSpill:
-		return "reduce-spill"
-	case ReduceOutput:
-		return "reduce-output"
-	case ShuffleRead:
-		return "shuffle-read"
-	case Checkpoint:
-		return "checkpoint"
+	if c < 0 || c >= NumIOClasses {
+		return "io?"
 	}
-	return "io?"
+	return classNames[c]
 }
 
 // Counters accumulates physical bytes and request counts per class.
@@ -119,25 +113,124 @@ type frameSpan struct {
 	crc      uint32
 }
 
-// File is a named byte file on one device of one node.
+// File is a named byte file on one device of one node. Its bytes live
+// on one of two media: memory (data), or extents of the store's scratch
+// file behind a write-behind page (disk: spills on a wall-clock store).
 type File struct {
 	name   string
 	dev    cost.Device
-	data   []byte
+	size   int64
 	frames []frameSpan // populated per write when checksums are on
-	grown  bool        // data is a pooled buffer the file grew into: Delete recycles it
+	data   []byte      // memory: the bytes
+	grown  bool        // memory: data is a pooled buffer the file grew into, recycled at Delete
+	disk   *Scratch    // disk: the scratch file, nil for memory
+	exts   []extent    // disk: the flushed bytes, in file order
+	page   []byte      // disk: the tail not yet flushed (pooled, at most scratchPage)
+	lent   [][]byte    // disk: pooled copies reads lent, recycled at Delete
 }
+
+// extent is n bytes of a disk file at offset at of its scratch file.
+type extent struct{ at, n int64 }
 
 // Name returns the file name.
 func (f *File) Name() string { return f.name }
 
 // Size returns the current physical size in bytes.
-func (f *File) Size() int64 { return int64(len(f.data)) }
+func (f *File) Size() int64 { return f.size }
 
-// Data returns the raw contents without charging I/O. Use only for
-// assertions and for memory-resident access paths that are explicitly
-// free (e.g. shuffle served from the mapper's memory).
-func (f *File) Data() []byte { return f.data }
+// put appends data to the file's medium. An empty in-memory file adopts
+// an owned buffer; otherwise memory grows through the bytestore pool,
+// and disk gathers appends in the page and writes it out, with the
+// append that overflows it, as one extent.
+func (f *File) put(data []byte, owned bool) {
+	prev, n := f.size, int64(len(f.page)+len(data))
+	f.size += int64(len(data))
+	switch {
+	case f.disk == nil && owned && prev == 0:
+		f.data = data[:len(data):len(data)]
+	case f.disk == nil:
+		if len(f.data)+len(data) > cap(f.data) {
+			// The old bytes are left to the GC: views lent from them
+			// stay valid until Delete.
+			f.data, f.grown = append(bytestore.Get(max(2*cap(f.data), len(f.data)+len(data))), f.data...), true
+		}
+		f.data = append(f.data, data...)
+	case n <= scratchPage:
+		f.page = append(bytestore.Grow(f.page, len(data)), data...)
+	default:
+		at := f.disk.end.Add(n) - n
+		scratchIO(f.disk.f.WriteAt(f.page, at))
+		scratchIO(f.disk.f.WriteAt(data, at+int64(len(f.page))))
+		f.exts, f.page = append(f.exts, extent{at, n}), f.page[:0]
+	}
+}
+
+// get lends the file's bytes until Delete: in memory the file's own
+// buffer, on disk a pooled copy that later reads share until the file
+// grows.
+func (f *File) get() []byte {
+	if f.disk == nil {
+		return f.data[:f.size:f.size]
+	}
+	if n := len(f.lent); n > 0 && int64(len(f.lent[n-1])) == f.size {
+		return f.lent[n-1][:f.size:f.size]
+	}
+	b := f.fill(bytestore.Get(int(f.size)))
+	f.lent = append(f.lent, b)
+	return b[:f.size:f.size]
+}
+
+// fill appends the file's bytes to dst.
+func (f *File) fill(dst []byte) []byte {
+	if f.disk == nil {
+		return append(dst, f.data...)
+	}
+	for _, e := range f.exts {
+		dst = slices.Grow(dst, int(e.n))
+		scratchIO(f.disk.f.ReadAt(dst[len(dst):len(dst)+int(e.n)], e.at))
+		dst = dst[:len(dst)+int(e.n)]
+	}
+	return append(dst, f.page...)
+}
+
+// scratchPage bounds a disk file's write-behind page: the most of a
+// spill file the heap holds, beside the copies reads lent.
+const scratchPage = 16 << 10
+
+// Scratch is the disk medium of one wall-clock run: a temporary file,
+// unlinked as soon as it is open, whose extents every spill file of the
+// run's stores is written to. Extents are carved from its end and never
+// reused — it grows to the run's spill volume — and go with the file
+// when Close drops the last descriptor, as they do if the process dies.
+// Safe for concurrent use by the run's stores.
+type Scratch struct {
+	f   *os.File
+	end atomic.Int64
+}
+
+// OpenScratch creates a scratch file in os.TempDir().
+func OpenScratch() (*Scratch, error) {
+	f, err := os.CreateTemp("", "onepass-spill-*")
+	if err != nil {
+		return nil, fmt.Errorf("storage: spill scratch: %w", err)
+	}
+	if err := os.Remove(f.Name()); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("storage: spill scratch: %w", err)
+	}
+	return &Scratch{f: f}, nil
+}
+
+// Close releases the scratch file and every extent in it.
+func (s *Scratch) Close() error { return s.f.Close() }
+
+// scratchIO panics a failed scratch read or write, which attempt
+// runners turn into the job's error.
+func scratchIO(_ int, err error) {
+	if err != nil {
+		panic(fmt.Errorf("storage: spill scratch: %w", err))
+	}
+}
 
 // Corruption is panicked by verified reads whose checksum fails and
 // by exhausted transient-I/O retry budgets. Like the engine's
@@ -242,6 +335,7 @@ type Store struct {
 	// the store behaves identically to the pre-integrity code.
 	Checksums bool
 
+	scratch       *Scratch // disk medium for spills; nil keeps them in memory
 	faults        *DiskFaults
 	faultSeq      int64
 	ioRetries     int64
@@ -252,33 +346,23 @@ type Store struct {
 // device arms are FIFO sim resources and every request parks the
 // calling process for its charged service time.
 func NewStore(k *sim.Kernel, node int, model cost.Model) *Store {
-	return &Store{
-		node:  node,
-		model: model,
-		arms: [2]substrate.Timer{
-			sim.NewResource(k, fmt.Sprintf("n%d.hdd", node), 1),
-			sim.NewResource(k, fmt.Sprintf("n%d.ssd", node), 1),
-		},
-		files:        make(map[string]*File),
-		Intermediate: cost.HDD,
-	}
+	return newStore(node, model, nil, sim.NewResource(k, fmt.Sprintf("n%d.hdd", node), 1),
+		sim.NewResource(k, fmt.Sprintf("n%d.ssd", node), 1))
 }
 
 // NewWallStore creates a node-local store on the wall-clock substrate:
 // the device arms accumulate the charged virtual time without delaying
 // the caller. A store is single-goroutine (the real backend gives each
-// task its own), so the counters need no locking.
-func NewWallStore(node int, model cost.Model) *Store {
-	return &Store{
-		node:  node,
-		model: model,
-		arms: [2]substrate.Timer{
-			substrate.NewWallTimer(),
-			substrate.NewWallTimer(),
-		},
-		files:        make(map[string]*File),
-		Intermediate: cost.HDD,
-	}
+// task its own), so the counters need no locking. Its spill files
+// (MapSpill, ReduceSpill) live in scratch; a nil scratch keeps them in
+// memory, as every other file is.
+func NewWallStore(node int, model cost.Model, scratch *Scratch) *Store {
+	return newStore(node, model, scratch, substrate.NewWallTimer(), substrate.NewWallTimer())
+}
+
+func newStore(node int, model cost.Model, scratch *Scratch, hdd, ssd substrate.Timer) *Store {
+	return &Store{node: node, model: model, arms: [2]substrate.Timer{hdd, ssd},
+		files: make(map[string]*File), Intermediate: cost.HDD, scratch: scratch}
 }
 
 // Counters returns a pointer to the store's counters (live view).
@@ -325,36 +409,43 @@ func (s *Store) Create(name string, class IOClass) *File {
 		panic("storage: duplicate file " + name)
 	}
 	f := &File{name: name, dev: s.deviceFor(class)}
+	if class == MapSpill || class == ReduceSpill {
+		f.disk = s.scratch
+	}
 	s.files[name] = f
 	return f
 }
 
-// Delete removes a file. A file grown by Append hands its bytes back
-// to bytestore, so views a read lent from it die here; an adopted
-// buffer is only dropped, and its views stay valid (the GC keeps them
-// alive).
+// Delete removes a file. A file grown by Append, and every buffer a
+// read of a disk file lent, goes back to bytestore, so views a read lent
+// die here; an adopted buffer is only dropped, and its views stay valid
+// (the GC keeps them alive).
 func (s *Store) Delete(f *File) {
 	delete(s.files, f.name)
 	if f.grown {
 		bytestore.Put(f.data)
 	}
-	f.data, f.frames, f.grown = nil, nil, false
+	bytestore.Put(f.page)
+	for _, b := range f.lent {
+		bytestore.Put(b)
+	}
+	*f = File{name: f.name, dev: f.dev, disk: f.disk}
 }
 
 // Append writes a copy of data to the end of f as a single request
-// (one frame), charging seek + transfer on the device arm. The file
-// grows through the bytestore pool; views read from it stay valid
-// until Delete.
+// (one frame), charging seek + transfer on the device arm. Views read
+// from the file stay valid until Delete.
 func (s *Store) Append(p substrate.Proc, f *File, data []byte, class IOClass) {
 	s.write(p, f, data, class, nil, false)
 }
 
 // AppendOwned is Append taking ownership of data: an empty file adopts
 // the buffer instead of copying it, so the caller must not write to it
-// again — it may keep reading it, as may anyone a read lent a view,
-// also after Delete (an adopted buffer stays the GC's, never the
-// pool's). Hand over exact-size allocations, not pooled ones: the file
-// pins the whole backing array. When checksums are on, one frame is
+// again — it may keep reading it, as may anyone a read lent a view of
+// an in-memory file, also after Delete (an adopted buffer stays the
+// GC's, never the pool's). Hand over exact-size allocations, not pooled
+// ones: the file pins the whole backing array. A disk file copies data
+// out and keeps nothing of it. When checksums are on, one frame is
 // recorded per given segment length (writev-style): partition regions
 // of a map-output file stay individually verifiable without extra write
 // requests. lens must sum to len(data); nil means one frame covering
@@ -372,64 +463,46 @@ func (s *Store) write(p substrate.Proc, f *File, data []byte, class IOClass, len
 		if lens == nil {
 			lens = []int64{int64(len(data))}
 		}
-		off := int64(len(f.data))
 		pos := int64(0)
 		for _, ln := range lens {
 			if ln <= 0 {
 				continue
 			}
 			seg := data[pos : pos+ln]
-			f.frames = append(f.frames, frameSpan{off: off + pos, end: off + pos + ln, crc: frame.Checksum(seg)})
+			f.frames = append(f.frames, frameSpan{off: f.size + pos, end: f.size + pos + ln, crc: frame.Checksum(seg)})
 			ovh += frame.Overhead(len(seg))
 			pos += ln
 		}
 		if pos != int64(len(data)) {
 			panic(fmt.Sprintf("storage: frame lengths cover %d of %d bytes in %s", pos, len(data), f.name))
 		}
-		s.counters.OverheadBytes[class] += ovh
 	}
-	s.request(p, f, f.dev, int64(len(data))+ovh, class)
-	prev := int64(len(f.data))
-	adopted := owned && prev == 0
-	if adopted {
-		f.data, f.grown = data[:len(data):len(data)], false
-	} else {
-		if len(f.data)+len(data) > cap(f.data) {
-			// The old bytes are left to the GC: views lent from them
-			// stay valid until Delete.
-			f.data, f.grown = append(bytestore.Get(max(2*cap(f.data), len(f.data)+len(data))), f.data...), true
-		}
-		f.data = append(f.data, data...)
-	}
-	s.counters.WrittenBytes[class] += int64(len(data))
-	s.counters.WriteReqs[class]++
+	s.io(p, f.name, f.dev, class, int64(len(data)), ovh, true)
 	// Bit-flip corruption: the frame CRCs above were computed over the
-	// clean bytes, so the flip (into the file's own bytes, never the
-	// writer's: an adopted buffer is cloned first) is caught by the next
-	// read that verifies the damaged frame.
+	// clean bytes, so the flip (into a clone the file keeps, never the
+	// writer's bytes) is caught by the next read that verifies the
+	// damaged frame.
 	if fl := s.faults; fl != nil && s.Checksums && len(data) > 0 && fl.Classes[class] {
 		s.faultSeq++
 		if hit(Hash64(fl.Seed, int64(s.node), s.faultSeq, 1), fl.CorruptRate) {
-			if adopted {
-				f.data = bytes.Clone(f.data)
-			}
 			bit := Hash64(fl.Seed, int64(s.node), s.faultSeq, 2) % uint64(len(data)*8)
-			f.data[prev+int64(bit/8)] ^= 1 << (bit % 8)
+			data, owned = bytes.Clone(data), true
+			data[bit/8] ^= 1 << (bit % 8)
 		}
 	}
+	f.put(data, owned)
 }
 
-// verifySpans re-verifies every frame overlapping [off, end) and
-// returns the framing bytes those frames carry. Edge frames are
-// verified whole (their payload is memory-resident); only the
-// header/trailer bytes are charged, the interior re-read being
-// absorbed by the read buffer.
-func (s *Store) verifySpans(f *File, off, end int64) (ovh int64, err error) {
+// verify re-verifies every frame of f overlapping [off, end) against
+// b, f's bytes, and returns the framing bytes those frames carry. Edge
+// frames are verified whole; only the header/trailer bytes are charged,
+// the interior re-read being absorbed by the read buffer.
+func (s *Store) verify(f *File, b []byte, off, end int64) (ovh int64, err error) {
 	i := sort.Search(len(f.frames), func(i int) bool { return f.frames[i].end > off })
 	for ; i < len(f.frames) && f.frames[i].off < end; i++ {
 		sp := f.frames[i]
 		ovh += frame.Overhead(int(sp.end - sp.off))
-		if frame.Checksum(f.data[sp.off:sp.end]) != sp.crc {
+		if frame.Checksum(b[sp.off:sp.end]) != sp.crc {
 			s.corruptFrames++
 			err = frame.ErrCorrupt
 		}
@@ -437,127 +510,102 @@ func (s *Store) verifySpans(f *File, off, end int64) (ovh int64, err error) {
 	return ovh, err
 }
 
-// ReadAt reads n bytes at off from f as a single request, verifying
-// the frames it touches when checksums are on. Checksum failure
-// panics Corruption: internal read paths (spills, buckets, merges)
-// recover it at attempt boundaries and restart.
-func (s *Store) ReadAt(p substrate.Proc, f *File, off, n int64, class IOClass) []byte {
-	b, err := s.ReadAtChecked(p, f, off, n, class)
-	if err != nil {
+// ReadAtChecked reads n bytes at off from f as a single request,
+// verifying the frames it touches when checksums are on, and returns
+// frame.ErrCorrupt on a mismatch — for callers with a gentler recovery
+// than an attempt restart (the shuffle re-fetches, then re-executes the
+// map task). The full request is charged either way: the bytes moved
+// before the mismatch was noticed. The bytes are lent until Delete.
+func (s *Store) ReadAtChecked(p substrate.Proc, f *File, off, n int64, class IOClass) ([]byte, error) {
+	if off+n > f.size {
+		panic(fmt.Sprintf("storage: read past EOF of %s (%d+%d > %d)", f.name, off, n, f.size))
+	}
+	b := f.get()
+	if err := s.read(p, f, b, off, n, class); err != nil {
+		return nil, err
+	}
+	return b[off : off+n : off+n], nil
+}
+
+// read charges one read request of [off, off+n) of f, verifying the
+// frames it touches against b, f's bytes, when checksums are on.
+func (s *Store) read(p substrate.Proc, f *File, b []byte, off, n int64, class IOClass) (err error) {
+	var ovh int64
+	if s.Checksums {
+		ovh, err = s.verify(f, b, off, off+n)
+	}
+	s.io(p, f.name, f.dev, class, n, ovh, false)
+	return err
+}
+
+// Contents returns a copy of f's bytes without charging I/O, verifying
+// every frame first and panicking Corruption on a mismatch.
+// Checkpointing folds a bucket file into a state image this way, so
+// disk corruption cannot be laundered into a freshly-checksummed
+// checkpoint.
+func (s *Store) Contents(f *File, class IOClass) []byte {
+	b := f.fill(make([]byte, 0, f.size))
+	if _, err := s.verify(f, b, 0, f.size); err != nil {
 		panic(&Corruption{Node: s.node, File: f.name, Class: class, Kind: "checksum"})
 	}
 	return b
 }
 
-// ReadAtChecked is ReadAt returning frame.ErrCorrupt instead of
-// panicking — for callers with a gentler recovery than an attempt
-// restart (the shuffle re-fetches, then re-executes the map task).
-// The full request is charged either way: the bytes moved before the
-// mismatch was noticed.
-func (s *Store) ReadAtChecked(p substrate.Proc, f *File, off, n int64, class IOClass) ([]byte, error) {
-	if off+n > int64(len(f.data)) {
-		panic(fmt.Sprintf("storage: read past EOF of %s (%d+%d > %d)", f.name, off, n, len(f.data)))
-	}
-	var ovh int64
-	var verr error
-	if s.Checksums {
-		ovh, verr = s.verifySpans(f, off, off+n)
-		s.counters.OverheadBytes[class] += ovh
-	}
-	s.request(p, f, f.dev, n+ovh, class)
-	s.counters.ReadBytes[class] += n
-	s.counters.ReadReqs[class]++
-	if verr != nil {
-		return nil, verr
-	}
-	return f.data[off : off+n : off+n], nil
-}
-
-// VerifyFile re-verifies every frame of f without charging I/O, and
-// panics Corruption on a mismatch. Checkpointing calls it before
-// folding a file's memory-resident bytes into a state image, so disk
-// corruption cannot be laundered into a freshly-checksummed
-// checkpoint.
-func (s *Store) VerifyFile(f *File, class IOClass) {
-	if !s.Checksums {
-		return
-	}
-	if _, err := s.verifySpans(f, 0, int64(len(f.data))); err != nil {
-		panic(&Corruption{Node: s.node, File: f.name, Class: class, Kind: "checksum"})
-	}
-}
-
 // ReadAll reads the whole file in requests of at most segment physical
 // bytes, modelling a bounded read buffer. segment ≤ 0 means one
-// request.
+// request. The bytes are lent until Delete. Checksum failure panics
+// Corruption: internal read paths (spills, buckets, merges) recover it
+// at attempt boundaries and restart.
 func (s *Store) ReadAll(p substrate.Proc, f *File, segment int64, class IOClass) []byte {
-	size := int64(len(f.data))
-	if segment <= 0 || segment >= size {
-		if size == 0 {
-			return nil
-		}
-		return s.ReadAt(p, f, 0, size, class)
+	size := f.size
+	if size == 0 {
+		return nil
 	}
+	if segment <= 0 {
+		segment = size
+	}
+	b := f.get()
 	for off := int64(0); off < size; off += segment {
-		n := segment
-		if off+n > size {
-			n = size - off
+		if s.read(p, f, b, off, min(segment, size-off), class) != nil {
+			panic(&Corruption{Node: s.node, File: f.name, Class: class, Kind: "checksum"})
 		}
-		s.ReadAt(p, f, off, n, class)
 	}
-	return f.data
+	return b
 }
 
-// ChargeInputRead accounts for reading job input that is generated on
-// the fly rather than stored (the DFS synthesizes chunk bytes): it
-// charges the HDD arm and the MapInput counters without touching any
-// file.
-func (s *Store) ChargeInputRead(p substrate.Proc, physBytes int64) {
-	s.request(p, nil, cost.HDD, physBytes, MapInput)
-	s.counters.ReadBytes[MapInput] += physBytes
-	s.counters.ReadReqs[MapInput]++
-}
-
-// ChargeOutputWrite accounts for job output written back to the DFS
-// without retaining the bytes.
-func (s *Store) ChargeOutputWrite(p substrate.Proc, physBytes int64) {
-	s.request(p, nil, cost.HDD, physBytes, ReduceOutput)
-	s.counters.WrittenBytes[ReduceOutput] += physBytes
-	s.counters.WriteReqs[ReduceOutput]++
-}
-
-// ChargeCheckpointWrite accounts for writing physBytes of reducer
-// checkpoint state. Like ChargeOutputWrite the bytes are not retained:
-// the checkpoint is modelled as replicated off-node (it must survive
-// the node), so the engine keeps the recoverable image itself and the
-// store only charges the local write leg.
-func (s *Store) ChargeCheckpointWrite(p substrate.Proc, physBytes int64) {
-	if physBytes <= 0 {
-		return
+// Charge accounts one request moving physBytes of class that no file
+// retains (none if physBytes ≤ 0): job input the DFS synthesizes on the
+// fly (a read), job output written back to the DFS, and reducer
+// checkpoints — modelled as replicated off-node, so the engine keeps the
+// recoverable image and the store charges only the local write leg, or
+// the restarted reducer's read back.
+func (s *Store) Charge(p substrate.Proc, class IOClass, physBytes int64, write bool) {
+	if physBytes > 0 {
+		s.io(p, "", s.deviceFor(class), class, physBytes, 0, write)
 	}
-	s.request(p, nil, cost.HDD, physBytes, Checkpoint)
-	s.counters.WrittenBytes[Checkpoint] += physBytes
-	s.counters.WriteReqs[Checkpoint]++
 }
 
-// ChargeCheckpointRead accounts for a restarted reducer reading back
-// physBytes of checkpoint state onto this node.
-func (s *Store) ChargeCheckpointRead(p substrate.Proc, physBytes int64) {
-	if physBytes <= 0 {
-		return
+// io occupies dev for one request moving n payload bytes of class plus
+// ovh framing bytes of the named file ("" for charge-only requests), and
+// counts it.
+func (s *Store) io(p substrate.Proc, name string, dev cost.Device, class IOClass, n, ovh int64, write bool) {
+	s.counters.OverheadBytes[class] += ovh
+	s.request(p, name, dev, n+ovh, class)
+	if write {
+		s.counters.WrittenBytes[class] += n
+		s.counters.WriteReqs[class]++
+	} else {
+		s.counters.ReadBytes[class] += n
+		s.counters.ReadReqs[class]++
 	}
-	s.request(p, nil, cost.HDD, physBytes, Checkpoint)
-	s.counters.ReadBytes[Checkpoint] += physBytes
-	s.counters.ReadReqs[Checkpoint]++
 }
 
 // request occupies the device arm for one I/O request of physBytes,
 // first rolling for injected transient I/O errors: a failed attempt
 // costs a seek, backs off with exponential delay, and retries;
 // exhausting the budget escalates to Corruption("io"), recovered at
-// attempt boundaries like a checksum failure. f may be nil
-// (charge-only requests with no retained file).
-func (s *Store) request(p substrate.Proc, f *File, dev cost.Device, physBytes int64, class IOClass) {
+// attempt boundaries like a checksum failure.
+func (s *Store) request(p substrate.Proc, name string, dev cost.Device, physBytes int64, class IOClass) {
 	if fl := s.faults; fl != nil && fl.IOErrorRate > 0 && fl.Classes[class] {
 		backoff := ioRetryBase
 		for try := 1; s.faults != nil; try++ {
@@ -568,10 +616,6 @@ func (s *Store) request(p substrate.Proc, f *File, dev cost.Device, physBytes in
 			s.ioRetries++
 			s.armUse(p, dev, s.model.SeekTime(dev)) // the failed attempt still seeks
 			if try >= maxIOTries {
-				name := ""
-				if f != nil {
-					name = f.name
-				}
 				panic(&Corruption{Node: s.node, File: name, Class: class, Kind: "io"})
 			}
 			p.Hold(backoff)

@@ -3,6 +3,9 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,14 +13,17 @@ import (
 	"repro/internal/cost"
 	"repro/internal/frame"
 	"repro/internal/sim"
+	"repro/internal/substrate"
 )
 
-// run executes fn inside a one-process simulation and returns the
-// total virtual time.
-func run(t *testing.T, model cost.Model, fn func(p *sim.Proc, s *Store)) time.Duration {
+// run executes fn inside a one-process simulation on a store whose
+// spill files live in sc (in memory when nil) and returns the total
+// virtual time.
+func run(t *testing.T, model cost.Model, sc *Scratch, fn func(p *sim.Proc, s *Store)) time.Duration {
 	t.Helper()
 	k := sim.NewKernel()
 	s := NewStore(k, 0, model)
+	s.scratch = sc
 	k.Spawn("t", func(p *sim.Proc) { fn(p, s) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -25,62 +31,93 @@ func run(t *testing.T, model cost.Model, fn func(p *sim.Proc, s *Store)) time.Du
 	return time.Duration(k.Now())
 }
 
+// media runs fn once per medium a spill file can live on: memory (a nil
+// scratch) and disk (a scratch file in a test directory).
+func media(t *testing.T, fn func(t *testing.T, sc *Scratch)) {
+	t.Run("memory", func(t *testing.T) { fn(t, nil) })
+	t.Run("disk", func(t *testing.T) { fn(t, testScratch(t)) })
+}
+
+// readAt is ReadAtChecked failing the test on a checksum mismatch.
+func readAt(t *testing.T, p *sim.Proc, s *Store, f *File, off, n int64, class IOClass) []byte {
+	b, err := s.ReadAtChecked(p, f, off, n, class)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func testScratch(t *testing.T) *Scratch {
+	t.Helper()
+	t.Setenv("TMPDIR", t.TempDir())
+	sc, err := OpenScratch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sc.Close() })
+	return sc
+}
+
 func TestAppendReadRoundTrip(t *testing.T) {
-	m := cost.Default(1)
-	run(t, m, func(p *sim.Proc, s *Store) {
-		f := s.Create("spill-1", ReduceSpill)
-		s.Append(p, f, []byte("hello "), ReduceSpill)
-		s.Append(p, f, []byte("world"), ReduceSpill)
-		if f.Size() != 11 {
-			t.Fatalf("size=%d", f.Size())
-		}
-		got := s.ReadAt(p, f, 0, 11, ReduceSpill)
-		if !bytes.Equal(got, []byte("hello world")) {
-			t.Fatalf("got %q", got)
-		}
+	media(t, func(t *testing.T, sc *Scratch) {
+		run(t, cost.Default(1), sc, func(p *sim.Proc, s *Store) {
+			f := s.Create("spill-1", ReduceSpill)
+			s.Append(p, f, []byte("hello "), ReduceSpill)
+			s.Append(p, f, []byte("world"), ReduceSpill)
+			if f.Size() != 11 {
+				t.Fatalf("size=%d", f.Size())
+			}
+			got := readAt(t, p, s, f, 0, 11, ReduceSpill)
+			if !bytes.Equal(got, []byte("hello world")) {
+				t.Fatalf("got %q", got)
+			}
+		})
 	})
 }
 
 func TestIOTimeCharged(t *testing.T) {
-	m := cost.Default(1)
-	d := run(t, m, func(p *sim.Proc, s *Store) {
-		f := s.Create("f", MapSpill)
-		s.Append(p, f, make([]byte, 80*1e6), MapSpill) // 80MB at 80MB/s = 1s + 4ms seek
+	media(t, func(t *testing.T, sc *Scratch) {
+		d := run(t, cost.Default(1), sc, func(p *sim.Proc, s *Store) {
+			f := s.Create("f", MapSpill)
+			s.Append(p, f, make([]byte, 80*1e6), MapSpill) // 80MB at 80MB/s = 1s + 4ms seek
+		})
+		want := time.Second + 4*time.Millisecond
+		if d != want {
+			t.Fatalf("charged %v want %v", d, want)
+		}
 	})
-	want := time.Second + 4*time.Millisecond
-	if d != want {
-		t.Fatalf("charged %v want %v", d, want)
-	}
 }
 
 func TestCountersPerClass(t *testing.T) {
-	m := cost.Default(1)
-	run(t, m, func(p *sim.Proc, s *Store) {
-		f := s.Create("f", MapSpill)
-		s.Append(p, f, make([]byte, 100), MapSpill)
-		s.ReadAt(p, f, 0, 40, MapSpill)
-		c := s.Counters()
-		if c.WrittenBytes[MapSpill] != 100 || c.ReadBytes[MapSpill] != 40 {
-			t.Fatalf("bytes: %+v", c)
-		}
-		if c.WriteReqs[MapSpill] != 1 || c.ReadReqs[MapSpill] != 1 {
-			t.Fatalf("reqs: %+v", c)
-		}
-		if c.TotalBytes() != 140 || c.TotalReqs() != 2 {
-			t.Fatalf("totals: %d/%d", c.TotalBytes(), c.TotalReqs())
-		}
+	media(t, func(t *testing.T, sc *Scratch) {
+		run(t, cost.Default(1), sc, func(p *sim.Proc, s *Store) {
+			f := s.Create("f", MapSpill)
+			s.Append(p, f, make([]byte, 100), MapSpill)
+			readAt(t, p, s, f, 0, 40, MapSpill)
+			c := s.Counters()
+			if c.WrittenBytes[MapSpill] != 100 || c.ReadBytes[MapSpill] != 40 {
+				t.Fatalf("bytes: %+v", c)
+			}
+			if c.WriteReqs[MapSpill] != 1 || c.ReadReqs[MapSpill] != 1 {
+				t.Fatalf("reqs: %+v", c)
+			}
+			if c.TotalBytes() != 140 || c.TotalReqs() != 2 {
+				t.Fatalf("totals: %d/%d", c.TotalBytes(), c.TotalReqs())
+			}
+		})
 	})
 }
 
 func TestReadAllSegments(t *testing.T) {
-	m := cost.Default(1)
-	run(t, m, func(p *sim.Proc, s *Store) {
-		f := s.Create("f", ReduceSpill)
-		s.Append(p, f, make([]byte, 1000), ReduceSpill)
-		s.ReadAll(p, f, 300, ReduceSpill)
-		if got := s.Counters().ReadReqs[ReduceSpill]; got != 4 {
-			t.Fatalf("segmented read made %d requests, want 4", got)
-		}
+	media(t, func(t *testing.T, sc *Scratch) {
+		run(t, cost.Default(1), sc, func(p *sim.Proc, s *Store) {
+			f := s.Create("f", ReduceSpill)
+			s.Append(p, f, make([]byte, 1000), ReduceSpill)
+			s.ReadAll(p, f, 300, ReduceSpill)
+			if got := s.Counters().ReadReqs[ReduceSpill]; got != 4 {
+				t.Fatalf("segmented read made %d requests, want 4", got)
+			}
+		})
 	})
 }
 
@@ -100,7 +137,7 @@ func TestIntermediateOnSSD(t *testing.T) {
 		if s.Arm(cost.HDD).BusyIntegral() != 0 {
 			t.Error("HDD arm used for intermediate data")
 		}
-		s.ChargeInputRead(p, 1e6)
+		s.Charge(p, MapInput, 1e6, false)
 		if s.Arm(cost.HDD).BusyIntegral() == 0 {
 			t.Error("input read must stay on HDD")
 		}
@@ -135,18 +172,20 @@ func TestDiskContentionSerializes(t *testing.T) {
 }
 
 func TestDeleteFreesMemory(t *testing.T) {
-	m := cost.Default(1)
-	run(t, m, func(p *sim.Proc, s *Store) {
-		f := s.Create("f", MapOutput)
-		s.Append(p, f, make([]byte, 500), MapOutput)
-		if f.Size() != 500 || len(s.files) != 1 {
-			t.Fatalf("size=%d, %d files", f.Size(), len(s.files))
-		}
-		s.Delete(f)
-		if f.Size() != 0 || len(s.files) != 0 {
-			t.Fatalf("after delete: size=%d, %d files", f.Size(), len(s.files))
-		}
-		s.Create("f", MapOutput) // the name is free again
+	media(t, func(t *testing.T, sc *Scratch) {
+		run(t, cost.Default(1), sc, func(p *sim.Proc, s *Store) {
+			f := s.Create("f", MapSpill)
+			s.Append(p, f, make([]byte, 500), MapSpill)
+			s.ReadAll(p, f, 0, MapSpill)
+			if f.Size() != 500 || len(s.files) != 1 {
+				t.Fatalf("size=%d, %d files", f.Size(), len(s.files))
+			}
+			s.Delete(f)
+			if f.Size() != 0 || len(s.files) != 0 || f.data != nil || f.page != nil || f.lent != nil {
+				t.Fatalf("after delete: size=%d, %d files, buffers kept", f.Size(), len(s.files))
+			}
+			s.Create("f", MapSpill) // the name is free again
+		})
 	})
 }
 
@@ -169,22 +208,18 @@ func TestDuplicateCreatePanics(t *testing.T) {
 }
 
 func TestReadPastEOFPanics(t *testing.T) {
-	m := cost.Default(1)
-	k := sim.NewKernel()
-	s := NewStore(k, 0, m)
-	k.Spawn("t", func(p *sim.Proc) {
-		f := s.Create("f", MapSpill)
-		s.Append(p, f, []byte("abc"), MapSpill)
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic reading past EOF")
-			}
-		}()
-		s.ReadAt(p, f, 0, 4, MapSpill)
+	media(t, func(t *testing.T, sc *Scratch) {
+		run(t, cost.Default(1), sc, func(p *sim.Proc, s *Store) {
+			f := s.Create("f", MapSpill)
+			s.Append(p, f, []byte("abc"), MapSpill)
+			defer func() {
+				if recover() == nil {
+					t.Error("expected panic reading past EOF")
+				}
+			}()
+			readAt(t, p, s, f, 0, 4, MapSpill)
+		})
 	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestCountersAdd(t *testing.T) {
@@ -206,17 +241,17 @@ func TestIOClassStrings(t *testing.T) {
 	}
 }
 
-// TestAppendOwnedHandsTheBufferOver pins the buffer-ownership rules:
-// an empty file adopts an owned buffer (reads are views of the very
-// array the writer handed over), a second append to the same file
-// copies without growing into the lender's array, Append still copies,
-// and views lent by reads stay valid after Delete.
+// TestAppendOwnedHandsTheBufferOver pins the buffer-ownership rules of
+// an in-memory file: an empty file adopts an owned buffer (reads are
+// views of the very array the writer handed over), a second append to
+// the same file copies without growing into the lender's array, Append
+// still copies, and views lent by reads stay valid after Delete.
 func TestAppendOwnedHandsTheBufferOver(t *testing.T) {
-	run(t, cost.Default(1), func(p *sim.Proc, s *Store) {
+	run(t, cost.Default(1), nil, func(p *sim.Proc, s *Store) {
 		buf := append(make([]byte, 0, 64), "sorted run"...)
 		f := s.Create("owned", ReduceSpill)
 		s.AppendOwned(p, f, buf, ReduceSpill, nil)
-		view := s.ReadAt(p, f, 0, f.Size(), ReduceSpill)
+		view := readAt(t, p, s, f, 0, f.Size(), ReduceSpill)
 		if &view[0] != &buf[0] {
 			t.Fatal("an empty file copied the buffer it was handed")
 		}
@@ -235,16 +270,17 @@ func TestAppendOwnedHandsTheBufferOver(t *testing.T) {
 		mine := []byte("copied")
 		g := s.Create("copied", ReduceSpill)
 		s.Append(p, g, mine, ReduceSpill)
-		if got := s.ReadAt(p, g, 0, g.Size(), ReduceSpill); &got[0] == &mine[0] {
+		if got := readAt(t, p, s, g, 0, g.Size(), ReduceSpill); &got[0] == &mine[0] {
 			t.Fatal("Append adopted the caller's buffer")
 		}
 	})
 }
 
-// TestDeleteRecyclesAGrownFile: a file Append grew hands its bytes back
-// to bytestore at Delete, so views read from it die there. Under -race
-// the pool poisons what it takes back, which is what makes a read
-// through such a view fail loudly; an adopted buffer is never recycled
+// TestDeleteRecyclesAGrownFile: a file Append grew in memory, and every
+// buffer a read of a disk file lent, goes back to bytestore at Delete,
+// so views read from it die there. Under -race the pool poisons what it
+// takes back, which is what makes a read through such a view fail
+// loudly; an adopted buffer is never recycled
 // (TestAppendOwnedHandsTheBufferOver).
 func TestDeleteRecyclesAGrownFile(t *testing.T) {
 	probe := bytestore.Get(1)[:1]
@@ -253,18 +289,20 @@ func TestDeleteRecyclesAGrownFile(t *testing.T) {
 	if probe[0] != bytestore.Poison {
 		t.Skip("recycled buffers are poisoned only under -race")
 	}
-	run(t, cost.Default(1), func(p *sim.Proc, s *Store) {
-		f := s.Create("bucket", ReduceSpill)
-		s.Append(p, f, []byte("page one, "), ReduceSpill)
-		s.Append(p, f, []byte("page two"), ReduceSpill)
-		view := s.ReadAll(p, f, 0, ReduceSpill)
-		if string(view) != "page one, page two" {
-			t.Fatalf("file holds %q", view)
-		}
-		s.Delete(f)
-		if !bytes.Equal(view, bytes.Repeat([]byte{bytestore.Poison}, len(view))) {
-			t.Fatalf("a view of a deleted grown file reads %q, want poison", view)
-		}
+	media(t, func(t *testing.T, sc *Scratch) {
+		run(t, cost.Default(1), sc, func(p *sim.Proc, s *Store) {
+			f := s.Create("bucket", ReduceSpill)
+			s.Append(p, f, []byte("page one, "), ReduceSpill)
+			s.Append(p, f, []byte("page two"), ReduceSpill)
+			view := s.ReadAll(p, f, 0, ReduceSpill)
+			if string(view) != "page one, page two" {
+				t.Fatalf("file holds %q", view)
+			}
+			s.Delete(f)
+			if !bytes.Equal(view, bytes.Repeat([]byte{bytestore.Poison}, len(view))) {
+				t.Fatalf("a view of a deleted grown file reads %q, want poison", view)
+			}
+		})
 	})
 }
 
@@ -274,7 +312,7 @@ func TestDeleteRecyclesAGrownFile(t *testing.T) {
 // it) — and the verified read must still catch it. (At rate 1 the roll
 // hits about every other write, so several files are written.)
 func TestCorruptionClonesAnAdoptedBuffer(t *testing.T) {
-	run(t, cost.Default(1), func(p *sim.Proc, s *Store) {
+	run(t, cost.Default(1), nil, func(p *sim.Proc, s *Store) {
 		s.Checksums = true
 		df := &DiskFaults{Seed: 9, CorruptRate: 1}
 		df.Classes[MapOutput] = true
@@ -288,11 +326,11 @@ func TestCorruptionClonesAnAdoptedBuffer(t *testing.T) {
 			if !bytes.Equal(buf, want) {
 				t.Fatal("the bit flip is visible through the lender's slice")
 			}
-			_, err0 := s.ReadAtChecked(p, f, 0, 64, MapOutput)
+			b0, err0 := s.ReadAtChecked(p, f, 0, 64, MapOutput)
 			_, err1 := s.ReadAtChecked(p, f, 64, 64, MapOutput)
-			if bytes.Equal(f.Data(), want) {
-				if &f.Data()[0] != &buf[0] || err0 != nil || err1 != nil {
-					t.Fatalf("clean write %d: copied, or read back as %v / %v", i, err0, err1)
+			if err0 == nil && err1 == nil {
+				if &b0[0] != &buf[0] {
+					t.Fatalf("clean write %d was copied", i)
 				}
 				continue
 			}
@@ -305,4 +343,205 @@ func TestCorruptionClonesAnAdoptedBuffer(t *testing.T) {
 			t.Fatal("test setup: no write was corrupted")
 		}
 	})
+}
+
+// pattern returns n bytes that differ from their neighbours, offset by
+// seed, so a misplaced extent or page shows.
+func pattern(n, seed int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*7 + seed)
+	}
+	return b
+}
+
+// TestWriteBehindPageBoundary: appends that fill the write-behind page
+// exactly, overflow it by a byte, land after a flush, or are many pages
+// long read back the same on both media, through Append and
+// AppendOwned, whole and in ranges that straddle every boundary.
+func TestWriteBehindPageBoundary(t *testing.T) {
+	sizes := []int{100, scratchPage - 100, 1, scratchPage, 300, 3*scratchPage + 7, scratchPage - 300, 0, 5}
+	media(t, func(t *testing.T, sc *Scratch) {
+		for _, owned := range []bool{false, true} {
+			run(t, cost.Default(1), sc, func(p *sim.Proc, s *Store) {
+				f := s.Create(fmt.Sprintf("spill-%v", owned), MapSpill)
+				var want []byte
+				for i, n := range sizes {
+					data := pattern(n, i)
+					want = append(want, data...)
+					if owned {
+						s.AppendOwned(p, f, data, MapSpill, nil)
+					} else {
+						s.Append(p, f, data, MapSpill)
+					}
+					if got := readAt(t, p, s, f, 0, f.Size(), MapSpill); !bytes.Equal(got, want) {
+						t.Fatalf("owned=%v: after append %d the file reads back %d bytes unlike the %d written", owned, i, len(got), len(want))
+					}
+				}
+				for off := int64(0); off < f.Size(); off += scratchPage / 3 {
+					n := min(int64(scratchPage), f.Size()-off)
+					if got := readAt(t, p, s, f, off, n, MapSpill); !bytes.Equal(got, want[off:off+n]) {
+						t.Fatalf("owned=%v: range [%d,%d) reads back wrong", owned, off, off+n)
+					}
+				}
+				if got := s.ReadAll(p, f, 1000, MapSpill); !bytes.Equal(got, want) {
+					t.Fatalf("owned=%v: segmented ReadAll reads back wrong", owned)
+				}
+				s.Delete(f)
+			})
+		}
+	})
+}
+
+// faultScript writes and reads spill files with checksums on under
+// transient I/O errors and bit flips, and returns everything the store
+// counted and every read's verdict.
+func faultScript(t *testing.T, sc *Scratch) (res struct {
+	Counters          Counters
+	Retries, Detected int64
+	Verdicts          []bool
+	Elapsed           time.Duration
+}) {
+	res.Elapsed = run(t, cost.Default(1), sc, func(p *sim.Proc, s *Store) {
+		s.Checksums = true
+		df := &DiskFaults{Seed: 3, IOErrorRate: 0.2, CorruptRate: 0.3}
+		df.Classes[ReduceSpill] = true
+		s.SetFaults(df)
+		for i := range 12 {
+			f := s.Create(fmt.Sprintf("bucket%d", i), ReduceSpill)
+			for j := range 6 {
+				s.Append(p, f, pattern(700*(i+j+1), j), ReduceSpill)
+			}
+			s.AppendOwned(p, f, pattern(3*scratchPage, i), ReduceSpill, []int64{scratchPage, 2 * scratchPage})
+			_, err := s.ReadAtChecked(p, f, f.Size()/3, f.Size()/3, ReduceSpill)
+			res.Verdicts = append(res.Verdicts, err == nil)
+			func() {
+				defer func() { res.Verdicts = append(res.Verdicts, recover() == nil) }()
+				s.ReadAll(p, f, 4000, ReduceSpill)
+			}()
+			func() {
+				defer func() { res.Verdicts = append(res.Verdicts, recover() == nil) }()
+				s.Contents(f, ReduceSpill)
+			}()
+			s.Delete(f)
+		}
+		res.Counters, res.Retries, res.Detected = *s.Counters(), s.IORetries(), s.CorruptFramesDetected()
+	})
+	return res
+}
+
+// TestFaultsEqualOnBothMedia: checksum frames, injected bit flips and
+// transient I/O errors land and are caught identically whether a spill
+// lives in memory or on disk — the flip is written through to the disk
+// copy — so every counter, verdict and charged instant is equal.
+func TestFaultsEqualOnBothMedia(t *testing.T) {
+	mem, disk := faultScript(t, nil), faultScript(t, testScratch(t))
+	if mem.Detected == 0 || mem.Retries == 0 {
+		t.Fatalf("test setup: %d corrupt frames detected, %d I/O retries", mem.Detected, mem.Retries)
+	}
+	if !reflect.DeepEqual(mem, disk) {
+		t.Fatalf("media disagree:\nmemory %+v\ndisk   %+v", mem, disk)
+	}
+}
+
+// TestViewsValidUntilDelete: a view a read lent keeps its bytes while
+// the file grows past it and is read again, on both media.
+func TestViewsValidUntilDelete(t *testing.T) {
+	media(t, func(t *testing.T, sc *Scratch) {
+		run(t, cost.Default(1), sc, func(p *sim.Proc, s *Store) {
+			f := s.Create("spill", ReduceSpill)
+			first := pattern(scratchPage/2, 1)
+			s.Append(p, f, first, ReduceSpill)
+			view := s.ReadAll(p, f, 0, ReduceSpill)
+			for i := range 4 {
+				s.Append(p, f, pattern(scratchPage, i), ReduceSpill)
+				s.ReadAll(p, f, 0, ReduceSpill)
+				readAt(t, p, s, f, 10, scratchPage, ReduceSpill)
+			}
+			if !bytes.Equal(view, first) {
+				t.Fatal("a lent view changed before Delete")
+			}
+			s.Delete(f)
+		})
+	})
+}
+
+// TestSpillFileHoldsAtMostOnePage: a disk spill file of N bytes, written
+// in bucket-page-sized appends, keeps at most one write-behind page in
+// the heap and allocates a small fraction of N.
+func TestSpillFileHoldsAtMostOnePage(t *testing.T) {
+	const n, piece = 4 << 20, 244
+	sc := testScratch(t)
+	run(t, cost.Default(1), sc, func(p *sim.Proc, s *Store) {
+		f := s.Create("bucket", ReduceSpill)
+		data := pattern(piece, 0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range n / piece {
+			s.Append(p, f, data, ReduceSpill)
+		}
+		runtime.ReadMemStats(&after)
+		if f.data != nil || cap(f.page) > scratchPage {
+			t.Fatalf("the file holds %d bytes in memory and a %d-byte page", len(f.data), cap(f.page))
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > n/16 {
+			t.Fatalf("writing %d bytes allocated %d", n, grew)
+		}
+		s.Delete(f)
+	})
+}
+
+// TestRereadReusesTheLentBuffer: HOP's snapshots re-read the same
+// spill files before they are deleted; each re-read of a range an
+// earlier read covers is served from the buffer that read lent, so
+// buffers do not pile up until Delete.
+func TestRereadReusesTheLentBuffer(t *testing.T) {
+	media(t, func(t *testing.T, sc *Scratch) {
+		run(t, cost.Default(1), sc, func(p *sim.Proc, s *Store) {
+			f := s.Create("run", MapSpill)
+			s.AppendOwned(p, f, pattern(3*scratchPage, 0), MapSpill, nil)
+			whole := s.ReadAll(p, f, scratchPage, MapSpill)
+			for range 8 {
+				again := s.ReadAll(p, f, scratchPage, MapSpill)
+				part := readAt(t, p, s, f, 100, scratchPage, MapSpill)
+				if &again[0] != &whole[0] || &part[0] != &whole[100] {
+					t.Fatal("a re-read filled a new buffer")
+				}
+			}
+			if len(f.lent) > 1 {
+				t.Fatalf("%d buffers lent for one file", len(f.lent))
+			}
+			s.Delete(f)
+		})
+	})
+}
+
+// TestScratchSharedAcrossStores: the stores of one wall-clock run write
+// and read their spill files in one scratch file from many goroutines at
+// once; each file reads back exactly its own bytes.
+func TestScratchSharedAcrossStores(t *testing.T) {
+	sc := testScratch(t)
+	var wg sync.WaitGroup
+	for node := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := NewWallStore(node, cost.Default(1), sc)
+			p := substrate.NewWallProc(time.Now())
+			for i := range 4 {
+				f := s.Create(fmt.Sprintf("bucket%d", i), ReduceSpill)
+				var want []byte
+				for j := range 40 {
+					data := pattern(1000+node*97+j, node*31+i)
+					want = append(want, data...)
+					s.Append(p, f, data, ReduceSpill)
+				}
+				if got := s.ReadAll(p, f, 0, ReduceSpill); !bytes.Equal(got, want) {
+					t.Errorf("node %d file %d reads back other bytes", node, i)
+				}
+				s.Delete(f)
+			}
+		}()
+	}
+	wg.Wait()
 }
