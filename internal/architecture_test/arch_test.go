@@ -8,17 +8,21 @@
 // boundary downward-only layering forbids — or when a package that
 // must reach the filesystem only through internal/seglog, or code its
 // payloads only through internal/frame's cursor, imports the standard
-// library's way around it.
+// library's way around it. The same walk records every package-qualified
+// selector a file mentions, so that calls can be ruled on as imports are:
+// only commands read the process environment.
 package architecture_test
 
 import (
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
 	pathpkg "path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -148,9 +152,22 @@ var fileRules = []rule{
 	},
 }
 
+// envReads are the selectors that read the process environment. No
+// non-test file outside cmd/ may mention one: a library takes its
+// settings from its caller, so a package that reads the environment has
+// an input no flag, spec or fixture shows. A test that needs a different
+// build of a package compiles one with go test -overlay (simfuzz's
+// mutant) instead of switching on a variable.
+var envReads = []string{"os.Getenv", "os.LookupEnv", "os.Environ"}
+
 // fileImports maps a repo-relative .go file to the full paths of
 // everything it imports, standard library included.
 type fileImports map[string][]string
+
+// fileUses maps a repo-relative .go file to the package-qualified
+// selectors it mentions, written "<import path>.<name>" whatever name
+// the file imports the package under.
+type fileUses map[string][]string
 
 // internal is the import path of internal package pkg.
 func internal(pkg string) string { return modulePrefix + pkg }
@@ -230,6 +247,53 @@ func violations(files fileImports) []string {
 	return out
 }
 
+// envViolations returns one message per non-test file outside cmd/
+// that mentions a selector in envReads. Pure, like violations.
+func envViolations(uses fileUses) []string {
+	var out []string
+	for path, sels := range uses {
+		if strings.HasPrefix(path, "cmd/") || strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		for _, sel := range sels {
+			if slices.Contains(envReads, sel) {
+				out = append(out, fmt.Sprintf("%s: rule \"environment-read-only-in-cmd\": non-test files outside cmd/ must not call %s (a library takes its settings from its caller)",
+					path, sel))
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// selectors returns the package-qualified selectors f mentions, sorted
+// and without repeats (see fileUses).
+func selectors(f *ast.File) []string {
+	pkgs := map[string]string{} // the name a file uses → import path
+	for _, spec := range f.Imports {
+		path, err := strconv.Unquote(spec.Path.Value)
+		if err != nil {
+			continue
+		}
+		name := pathpkg.Base(path)
+		if spec.Name != nil {
+			name = spec.Name.Name
+		}
+		pkgs[name] = path
+	}
+	var out []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			if id, ok := sel.X.(*ast.Ident); ok && pkgs[id.Name] != "" {
+				out = append(out, pkgs[id.Name]+"."+sel.Sel.Name)
+			}
+		}
+		return true
+	})
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
 // matchesAny reports whether the slash-separated file path matches one
 // of the path.Match patterns.
 func matchesAny(patterns []string, file string) bool {
@@ -242,11 +306,11 @@ func matchesAny(patterns []string, file string) bool {
 }
 
 // parseTree walks the repository for .go files (skipping testdata and
-// vendor) and records each file's imports.
-func parseTree(t *testing.T, root string) fileImports {
+// vendor) and records each file's imports and selectors.
+func parseTree(t *testing.T, root string) (fileImports, fileUses) {
 	t.Helper()
 	fset := token.NewFileSet()
-	files := fileImports{}
+	files, uses := fileImports{}, fileUses{}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -261,7 +325,7 @@ func parseTree(t *testing.T, root string) fileImports {
 		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return fmt.Errorf("parse %s: %w", path, err)
 		}
@@ -278,12 +342,13 @@ func parseTree(t *testing.T, root string) fileImports {
 			imps = append(imps, val)
 		}
 		files[filepath.ToSlash(rel)] = imps
+		uses[filepath.ToSlash(rel)] = selectors(f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return files
+	return files, uses
 }
 
 // repoRoot finds the module root (the directory holding go.mod) from
@@ -308,11 +373,11 @@ func repoRoot(t *testing.T) string {
 
 // TestImportBoundaries applies the rule table to the real tree.
 func TestImportBoundaries(t *testing.T) {
-	files := parseTree(t, repoRoot(t))
+	files, uses := parseTree(t, repoRoot(t))
 	if len(files) < 50 {
 		t.Fatalf("walked only %d .go files — tree scan is broken", len(files))
 	}
-	for _, v := range violations(files) {
+	for _, v := range append(violations(files), envViolations(uses)...) {
 		t.Error(v)
 	}
 }
@@ -438,5 +503,32 @@ func TestPlantedViolationsAreCaught(t *testing.T) {
 	}
 	if got := violations(legal); len(got) != 0 {
 		t.Fatalf("legal tree flagged: %v", got)
+	}
+
+	// The environment rule, from source through the selector walk: an
+	// aliased import does not hide the read.
+	src := "package sortmerge\n\nimport env \"os\"\n\nfunc mutated() bool { return env.Getenv(\"X\") != \"\" }\n"
+	f, err := parser.ParseFile(token.NewFileSet(), "mutation.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := fileUses{"internal/sortmerge/mutation.go": selectors(f), "onepass.go": {"os.Environ"},
+		"internal/sched/bad.go": {"os.LookupEnv"}}
+	got := envViolations(planted)
+	if len(got) != len(planted) {
+		t.Fatalf("planted environment reads: %d reported, want %d: %v", len(got), len(planted), got)
+	}
+	for i, file := range []string{"internal/sched/bad.go", "internal/sortmerge/mutation.go", "onepass.go"} {
+		if !strings.HasPrefix(got[i], file+":") {
+			t.Errorf("report %q does not name the violating file %s", got[i], file)
+		}
+	}
+	legalUses := fileUses{
+		"cmd/onepassd/main.go":             {"os.Getenv", "os.LookupEnv"},
+		"internal/simfuzz/simfuzz_test.go": {"os.Getenv"},
+		"internal/realexec/scratch.go":     {"os.TempDir", "os.CreateTemp"},
+	}
+	if got := envViolations(legalUses); len(got) != 0 {
+		t.Fatalf("legal uses flagged: %v", got)
 	}
 }

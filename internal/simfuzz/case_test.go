@@ -19,6 +19,9 @@
 // defaults) and rendered as a ready-to-paste Go test plus a corpus
 // JSON blob; minimized repros live in testdata/corpus/ and are
 // replayed by TestCorpusReplay.
+//
+// Every file is a test file: the harness is driven by go test alone
+// (README, "Conformance fuzzing") and no package imports it.
 package simfuzz
 
 import (
@@ -31,7 +34,6 @@ import (
 	"repro/internal/kvenc"
 	"repro/internal/mr"
 	"repro/internal/queries"
-	"repro/internal/sortmerge"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -40,13 +42,6 @@ import (
 // same 1/4096 the engine's own tests use, so a 64KB physical input
 // simulates a 256MB logical job.
 const Scale = 1.0 / 4096
-
-// Planted-mutation plumbing, re-exported from the package that hosts
-// the mutation so harness users need only one import.
-const (
-	MutationEnv          = sortmerge.MutationEnv
-	MutationSpillDropRun = sortmerge.MutationSpillDropRun
-)
 
 // Fail is one injected task-failure entry: the task (map chunk index
 // or reduce task index) fails Times attempts before succeeding.

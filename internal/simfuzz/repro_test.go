@@ -16,8 +16,8 @@ type CorpusEntry struct {
 	Name string `json:"name"`
 	// Note says where the case came from and what it exercises.
 	Note string `json:"note,omitempty"`
-	// Mutation names the planted mutation (ONEPASS_MUTATION value) the
-	// replay must enable, "" for none.
+	// Mutation names the planted mutant (mutant_test.go) the replay
+	// must run in, "" for none.
 	Mutation string `json:"mutation,omitempty"`
 	// ExpectFailure is true when the replay must fail (mutation
 	// repros); false means the case regressed once and must now pass.
@@ -55,42 +55,37 @@ func LoadCorpus(dir string) ([]CorpusEntry, error) {
 // the verdict, the replay seed, the corpus JSON blob (paste into
 // internal/simfuzz/testdata/corpus/<name>.json), and a ready-to-paste
 // standalone Go test.
-func RenderRepro(c Case, v Verdict, mutation string) string {
-	entry := CorpusEntry{
-		Name:          fmt.Sprintf("seed-%d", c.Seed),
-		Mutation:      mutation,
-		ExpectFailure: mutation != "",
-		Case:          c,
-	}
+func RenderRepro(c Case, v Verdict) string {
+	entry := CorpusEntry{Name: fmt.Sprintf("seed-%d", c.Seed), Case: c}
 	blob, err := json.MarshalIndent(entry, "", "  ")
 	if err != nil {
 		return fmt.Sprintf("marshal repro: %v", err)
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "failing case (replay: go run ./cmd/simfuzz -replay-seed %d):\n%s\n\n", c.Seed, v.String())
+	fmt.Fprintf(&b, "failing case (replay: SIMFUZZ_SEED=%d SIMFUZZ_CASES=1 go test -run TestSweep ./internal/simfuzz/):\n%s\n\n",
+		c.Seed, v.String())
 	fmt.Fprintf(&b, "corpus entry (testdata/corpus/%s.json):\n%s\n\n", entry.Name, blob)
 	b.WriteString("standalone regression test:\n")
-	b.WriteString(GoTest(c, fmt.Sprintf("SimfuzzSeed%d", abs64(c.Seed)), mutation))
+	b.WriteString(GoTest(c, fmt.Sprintf("SimfuzzSeed%d", abs64(c.Seed))))
 	return b.String()
 }
 
-// GoTest renders a self-contained regression test for the case. The
+// GoTest renders a self-contained regression test file for the case,
+// in package simfuzz (save it as internal/simfuzz/<name>_test.go). The
 // generated test asserts the case passes — the form a repro takes
 // after the bug it caught is fixed.
-func GoTest(c Case, name, mutation string) string {
+func GoTest(c Case, name string) string {
 	blob, err := json.MarshalIndent(c, "", "\t")
 	if err != nil {
 		return fmt.Sprintf("// marshal case: %v", err)
 	}
 	var b strings.Builder
+	b.WriteString("package simfuzz\n\nimport (\n\t\"encoding/json\"\n\t\"testing\"\n)\n\n")
 	fmt.Fprintf(&b, "func Test%s(t *testing.T) {\n", name)
-	if mutation != "" {
-		fmt.Fprintf(&b, "\t// Fails while ONEPASS_MUTATION=%s is exported.\n", mutation)
-	}
 	fmt.Fprintf(&b, "\tconst caseJSON = `%s`\n", string(blob))
-	b.WriteString("\tvar c simfuzz.Case\n")
+	b.WriteString("\tvar c Case\n")
 	b.WriteString("\tif err := json.Unmarshal([]byte(caseJSON), &c); err != nil {\n\t\tt.Fatal(err)\n\t}\n")
-	b.WriteString("\tif v := simfuzz.RunCase(c); !v.OK() {\n\t\tt.Fatalf(\"case fails:\\n%s\", v.String())\n\t}\n")
+	b.WriteString("\tif v := RunCase(c); !v.OK() {\n\t\tt.Fatalf(\"case fails:\\n%s\", v.String())\n\t}\n")
 	b.WriteString("}\n")
 	return b.String()
 }

@@ -1,9 +1,13 @@
 package simfuzz
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -59,9 +63,6 @@ func sweepSize(t *testing.T) (first int64, n int) {
 // counts. On failure the case is shrunk and printed as a ready-to-run
 // repro.
 func TestSweep(t *testing.T) {
-	if os.Getenv(MutationEnv) != "" {
-		t.Skipf("%s is set; the sweep asserts the unmutated tree", MutationEnv)
-	}
 	first, n := sweepSize(t)
 	failed := 0
 	for i := 0; i < n; i++ {
@@ -74,7 +75,7 @@ func TestSweep(t *testing.T) {
 		failed++
 		shrunk, sv := Shrink(c, 80)
 		t.Errorf("seed %d failed:\n%s\n\nshrunk repro:\n%s",
-			seed, v.String(), RenderRepro(shrunk, sv, ""))
+			seed, v.String(), RenderRepro(shrunk, sv))
 		if failed >= 3 {
 			t.Fatalf("stopping the sweep after %d failing seeds", failed)
 		}
@@ -82,16 +83,19 @@ func TestSweep(t *testing.T) {
 	t.Logf("swept %d cases starting at seed %d", n, first)
 }
 
-// TestMutationCheck proves the harness catches real bugs: with the
-// planted spill off-by-one enabled (ONEPASS_MUTATION=spill-drop-run,
-// a dropped sort-merge spill run), a pinned seed window must produce
-// at least one failing case, and shrinking must keep it failing while
-// reducing it to a single platform.
+// TestMutationCheck proves the harness catches real bugs: in the
+// spill-drop-run mutant build (mutant_test.go, a dropped sort-merge
+// spill run), a pinned seed window must produce at least one failing
+// case, and shrinking must keep it failing while reducing it to a
+// single platform.
 func TestMutationCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mutation scan is the long job's concern")
 	}
-	t.Setenv(MutationEnv, MutationSpillDropRun)
+	if plantedMutant == "" {
+		runInMutant(t, spillDropRun, "^TestMutationCheck$")
+		return
+	}
 	for seed := int64(1); seed <= 30; seed++ {
 		c := Gen(seed)
 		v := RunCase(c)
@@ -113,9 +117,10 @@ func TestMutationCheck(t *testing.T) {
 
 // TestCorpusReplay replays every committed corpus entry. Entries are
 // shrunk repros of real bugs (must pass now) or planted-mutation cases
-// (must fail while their mutation is enabled). Each entry is run twice
-// and the verdicts must be identical: failure reporting itself has to
-// be deterministic for replays to be debuggable.
+// (must fail in their mutant build, so they replay in a child test
+// built as that mutant). Each entry is run twice and the verdicts must
+// be identical: failure reporting itself has to be deterministic for
+// replays to be debuggable.
 func TestCorpusReplay(t *testing.T) {
 	entries, err := LoadCorpus("testdata/corpus")
 	if err != nil {
@@ -127,7 +132,10 @@ func TestCorpusReplay(t *testing.T) {
 	mutations := 0
 	for _, e := range entries {
 		t.Run(e.Name, func(t *testing.T) {
-			t.Setenv(MutationEnv, e.Mutation)
+			if e.Mutation != plantedMutant {
+				runInMutant(t, e.Mutation, "^TestCorpusReplay$/^"+e.Name+"$")
+				return
+			}
 			v1 := RunCase(e.Case)
 			v2 := RunCase(e.Case)
 			if !reflect.DeepEqual(v1, v2) {
@@ -143,6 +151,38 @@ func TestCorpusReplay(t *testing.T) {
 	}
 	if mutations == 0 {
 		t.Error("corpus has no planted-mutation entry: the harness's bug-detection proof is missing")
+	}
+}
+
+// TestRenderRepro pins what a failing sweep case is chased with: the
+// replay line is the go test spelling of one seed, and the standalone
+// regression test is a file of this package that go/parser accepts.
+func TestRenderRepro(t *testing.T) {
+	v := Verdict{Failures: []Failure{{Platform: "1-pass-sm/clean", Check: "oracle", Detail: "missing output"}}}
+	out := RenderRepro(Gen(8), v)
+	replay := "failing case (replay: SIMFUZZ_SEED=8 SIMFUZZ_CASES=1 go test -run TestSweep ./internal/simfuzz/):\n"
+	if !strings.HasPrefix(out, replay) {
+		t.Errorf("repro does not start with the replay line %q:\n%s", replay, out)
+	}
+	_, src, ok := strings.Cut(out, "standalone regression test:\n")
+	if !ok {
+		t.Fatalf("repro has no standalone test:\n%s", out)
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "seed8_test.go", src, 0)
+	if err != nil {
+		t.Fatalf("standalone test does not parse: %v\n%s", err, src)
+	}
+	if f.Name.Name != "simfuzz" {
+		t.Errorf("standalone test is in package %s, want simfuzz", f.Name.Name)
+	}
+	var funcs []string
+	for _, d := range f.Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok {
+			funcs = append(funcs, fn.Name.Name)
+		}
+	}
+	if !reflect.DeepEqual(funcs, []string{"TestSimfuzzSeed8"}) {
+		t.Errorf("standalone test declares %q, want just TestSimfuzzSeed8", funcs)
 	}
 }
 

@@ -264,8 +264,6 @@ type Reducer struct {
 
 	prepared  bool
 	finalRuns [][]byte
-
-	dropRunBug bool // planted MutationSpillDropRun (test-only, env-gated)
 }
 
 // NewReducer creates the reduce-side machinery. If q implements
@@ -279,7 +277,6 @@ func NewReducer(rt *core.Runtime, q mr.Query, cfg ReducerConfig) *Reducer {
 		tree: merge.NewTree(rt.Store, storage.ReduceSpill, cfg.Prefix, cfg.MergeFactor, cfg.ReadSegment),
 	}
 	r.comb, _ = q.(mr.Combiner)
-	r.dropRunBug = mutationEnabled(MutationSpillDropRun)
 	return r
 }
 
@@ -309,11 +306,6 @@ func (r *Reducer) spillBuffer() {
 		return
 	}
 	spillRuns := r.bufRuns
-	if r.dropRunBug && len(spillRuns) > 1 {
-		// Planted off-by-one (MutationSpillDropRun): the newest buffered
-		// run is excluded from the spill merge and its records are lost.
-		spillRuns = spillRuns[:len(spillRuns)-1]
-	}
 	var records int64
 	for i := range spillRuns {
 		records += r.bufRecs[i]
