@@ -56,25 +56,25 @@ var rules = []rule{
 		Why:  "byte-level foundations must stay reusable outside the engine",
 		From: []string{"frame", "kvenc", "substrate", "bytestore", "hashfam",
 			"frequent", "sim", "metrics", "model", "cost", "seglog"},
-		Deny: []string{"engine", "realexec", "sched", "serve", "ingest", "jobstore"},
+		Deny: []string{"engine", "realexec", "sched", "serve", "ingest"},
 	},
 	{
 		Name: "core-independent-of-execution",
 		Why:  "platform reducers/mappers are substrate-generic: both backends build on core, never the reverse",
 		From: []string{"core", "sortmerge", "storage", "mr", "queries", "workload", "dfs"},
-		Deny: []string{"engine", "realexec", "sched", "serve", "ingest", "jobstore"},
+		Deny: []string{"engine", "realexec", "sched", "serve", "ingest"},
 	},
 	{
 		Name: "engine-below-services",
 		Why:  "the simulator engine is a library; services orchestrate it, not vice versa",
 		From: []string{"engine"},
-		Deny: []string{"realexec", "sched", "serve", "ingest", "jobstore"},
+		Deny: []string{"realexec", "sched", "serve", "ingest"},
 	},
 	{
 		Name: "realexec-below-services",
 		Why:  "the wall-clock backend must not reach into service state",
 		From: []string{"realexec"},
-		Deny: []string{"sched", "serve", "ingest", "jobstore"},
+		Deny: []string{"sched", "serve", "ingest"},
 	},
 	{
 		Name: "sched-below-serve",
@@ -86,16 +86,10 @@ var rules = []rule{
 
 var exclusives = []onlyImporters{
 	{
-		Name:    "jobstore-only-via-sched",
-		Why:     "the embedded job store's transactional surface is the scheduler's private substrate",
-		Guarded: "jobstore",
-		Allowed: []string{"sched"},
-	},
-	{
 		Name:    "seglog-only-under-durable-services",
-		Why:     "the segmented log is the durability layer of the WAL and the job store, not a general file API",
+		Why:     "the segmented log is the durability layer of the WAL and the job log, not a general file API",
 		Guarded: "seglog",
-		Allowed: []string{"ingest", "jobstore"},
+		Allowed: []string{"ingest", "sched"},
 	},
 }
 
@@ -107,13 +101,13 @@ var stdlibBans = []rule{
 	{
 		Name: "durable-io-only-via-seglog",
 		Why:  "every file the services write goes through internal/seglog, the one place a fault-injecting filesystem has to wrap",
-		From: []string{"ingest", "jobstore"},
+		From: []string{"ingest", "sched"},
 		Deny: []string{"os", "path/filepath", "io/ioutil", "syscall"},
 	},
 	{
 		Name: "payload-coding-only-via-frame-cursor",
 		Why:  "what is inside a record or an image is read through frame.Cursor and written by its Append twins: one bounds-checked varint loop, not one per codec",
-		From: []string{"ingest", "jobstore"},
+		From: []string{"ingest", "sched"},
 		Deny: []string{"encoding/binary"},
 	},
 	{
@@ -449,14 +443,14 @@ func TestPlantedViolationsAreCaught(t *testing.T) {
 		{"foundation imports engine", "internal/frame/bad.go", internal("engine")},
 		{"core imports realexec", "internal/core/bad.go", internal("realexec")},
 		{"engine imports sched", "internal/engine/bad.go", internal("sched")},
-		{"serve imports jobstore", "internal/serve/bad.go", internal("jobstore")},
+		{"cmd/onepassd imports seglog", "cmd/onepassd/main.go", internal("seglog")},
 		{"ingest imports serve", "internal/ingest/bad.go", internal("serve")},
 		{"seglog imports ingest", "internal/seglog/bad.go", internal("ingest")},
-		{"sched imports seglog", "internal/sched/bad.go", internal("seglog")},
+		{"serve imports seglog", "internal/serve/bad.go", internal("seglog")},
 		{"ingest imports os", "internal/ingest/bad.go", "os"},
-		{"jobstore imports path/filepath", "internal/jobstore/bad.go", "path/filepath"},
+		{"sched imports path/filepath", "internal/sched/bad.go", "path/filepath"},
 		{"ingest imports encoding/binary", "internal/ingest/batch.go", "encoding/binary"},
-		{"jobstore imports encoding/binary", "internal/jobstore/snapshot.go", "encoding/binary"},
+		{"sched imports encoding/binary", "internal/sched/log.go", "encoding/binary"},
 		{"workload imports math/rand", "internal/workload/workload.go", "math/rand"},
 		{"realexec imports kvenc", "internal/realexec/bad.go", internal("kvenc")},
 		{"realexec imports sortmerge", "internal/realexec/bad.go", internal("sortmerge")},
@@ -482,11 +476,11 @@ func TestPlantedViolationsAreCaught(t *testing.T) {
 
 	// And a legal tree yields no findings.
 	legal := fileImports{
-		"internal/sched/store.go":         {internal("jobstore"), internal("engine")},
+		"internal/sched/log.go":           {internal("seglog"), internal("frame"), "encoding/json"},
 		"internal/serve/jobs.go":          {internal("sched"), internal("ingest"), "os"},
 		"internal/engine/job.go":          {internal("core"), internal("sim"), internal("frame")},
-		"internal/jobstore/log.go":        {internal("frame"), internal("seglog"), "fmt"},
-		"internal/jobstore/crash_test.go": {"os", "path/filepath", "encoding/binary"},
+		"internal/sched/sched.go":         {internal("seglog"), internal("engine"), "fmt"},
+		"internal/sched/log_test.go":      {"os", "path/filepath", "encoding/binary"},
 		"internal/seglog/seglog.go":       {internal("frame"), "os", "path/filepath"},
 		"internal/realexec/realexec.go":   {internal("engine"), internal("core"), internal("storage")},
 		"internal/realexec/fault_test.go": {internal("kvenc"), internal("frame"), internal("hashfam"), internal("dfs")},

@@ -11,8 +11,8 @@ import (
 // bad for good: every later read returns the zero value and Done
 // reports where it happened. A codec therefore reads straight through
 // and checks once, and can never act on half a value. The durable
-// payload codecs (ingest batches and checkpoint headers, jobstore
-// commits and snapshots, core's state image) are all written over it;
+// payload codecs (ingest batches and checkpoint headers, the
+// scheduler's records and images, core's state image) are all written over it;
 // the Append functions below are its encoding twins.
 type Cursor struct {
 	b   []byte

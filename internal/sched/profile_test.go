@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/jobstore"
 	"repro/internal/metrics"
 )
 
@@ -51,27 +50,32 @@ func (tracedExec) Run(context.Context, JobSpec, *ResumeInfo) (*engine.Report, er
 	return tracedReport(), nil
 }
 
-// TestLogBytesPerJobPinned pins what one job adds to the store's commit
-// log — three commits (admit, start, finish) of its job and run records,
-// the last carrying the run's profile — as an exact count, against an
-// executor whose Report carries a benchmark-sized trace. It was 321,468
-// bytes a job while run records kept the whole Report.
+// TestLogBytesPerJobPinned pins what one job adds to the job log —
+// three records (admit, start, finish) of its job and run rows, the last
+// carrying the run's profile, each its own fsync — as exact counts,
+// against an executor whose Report carries a benchmark-sized trace. It
+// was 321,468 bytes a job while run records kept the whole Report, and
+// 2,602 in the bucket store's commits.
 func TestLogBytesPerJobPinned(t *testing.T) {
-	const want = 2602
+	const want, wantSyncs = 2500, 3
 	s, err := Open(Config{Dir: t.TempDir(), Exec: tracedExec{}, Now: func() time.Time { return time.Unix(1e9, 0) }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	for i := 1; i <= 8; i++ {
-		before := s.Metrics().Store.LogAppendedBytes
+		before := s.Metrics().Store
 		j, err := s.Submit(testSpec("acme"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		waitState(t, s, j.ID, StateDone)
-		if got := s.Metrics().Store.LogAppendedBytes - before; got != want {
+		after := s.Metrics().Store
+		if got := after.LogAppendedBytes - before.LogAppendedBytes; got != want {
 			t.Fatalf("job %d appended %d log bytes, want %d", i, got, want)
+		}
+		if got := after.LogSyncs - before.LogSyncs; got != wantSyncs {
+			t.Fatalf("job %d took %d log syncs, want %d", i, got, wantSyncs)
 		}
 	}
 }
@@ -96,7 +100,10 @@ func BenchmarkReopenRunHistory(b *testing.B) {
 		time.Sleep(time.Millisecond)
 	}
 	before := s.Metrics().Store.SnapshotBytes
-	if err := s.store.Compact(); err != nil {
+	s.mu.Lock()
+	err = s.compact()
+	s.mu.Unlock()
+	if err != nil {
 		b.Fatal(err)
 	}
 	snapshot := s.Metrics().Store.SnapshotBytes - before
@@ -117,56 +124,25 @@ func BenchmarkReopenRunHistory(b *testing.B) {
 }
 
 // TestOpensStoreWithTracedRunRecords: earlier versions persisted each
-// run's whole Report, trace included. A store holding such records must
-// open with no reader of its own, requeue its pending run, and serve the
-// old records from Runs exactly as stored.
+// run's whole Report, trace included. A job log holding such records
+// must open with no reader of its own, requeue its pending run, and
+// serve the old records from Runs exactly as stored.
 func TestOpensStoreWithTracedRunRecords(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, Exec: newStub()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var done, queued Job
-	if err := s.store.Update(func(tx *jobstore.Tx) error {
-		for _, j := range []*Job{&done, &queued} {
-			id, err := nextJobID(tx)
-			if err != nil {
-				return err
-			}
-			runID, err := nextRunID(tx, "acme")
-			if err != nil {
-				return err
-			}
-			*j = Job{ID: id, Spec: testSpec("acme"), State: StateQueued}
-			j.Spec.Normalize()
-			run := Run{Org: "acme", JobID: id, ID: runID, Attempt: 1, State: StatePending}
-			if j == &done {
-				j.State, j.Runs, j.LastRun = StateDone, 1, runID
-				run.State, run.Report = StateDone, tracedReport()
-			}
-			if err := putJob(tx, j); err != nil {
-				return err
-			}
-			if err := putRun(tx, &run); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var want []*Run
-	err = s.store.View(func(tx *jobstore.Tx) error {
-		return forEachRun(tx, done.ID+keySep, func(r *Run) error { want = append(want, r); return nil })
+	done := Job{ID: jobID(1), Spec: testSpec("acme"), State: StateDone, Runs: 1, LastRun: 1}
+	queued := Job{ID: jobID(2), Spec: testSpec("acme"), State: StateQueued}
+	done.Spec.Normalize()
+	queued.Spec.Normalize()
+	want := []*Run{{Org: "acme", JobID: done.ID, ID: 1, Attempt: 1, State: StateDone, Report: tracedReport()}}
+	appendRecord(t, dir, rows{
+		Jobs: []*Job{&done, &queued},
+		Runs: []*Run{want[0], {Org: "acme", JobID: queued.ID, ID: 2, Attempt: 1, State: StatePending}},
 	})
-	if err != nil || len(want) != 1 || len(want[0].Report.Spans) != 3743 {
-		t.Fatalf("traced record written as %+v (%v)", want, err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	if len(want) != 1 || len(want[0].Report.Spans) != 3743 {
+		t.Fatalf("traced record written as %+v", want)
 	}
 
-	s, err = Open(Config{Dir: dir, Exec: newStub()})
+	s, err := Open(Config{Dir: dir, Exec: newStub()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,17 @@
 package sched
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/jobstore"
+	"repro/internal/seglog"
 )
 
 // Sentinel errors; serve maps them onto HTTP statuses the same way it
@@ -29,18 +32,22 @@ var (
 
 // Config configures Open.
 type Config struct {
-	// Dir is the job store directory (required).
+	// Dir is the job log directory (required).
 	Dir string
 	// Exec runs jobs; defaults to EngineExecutor.
 	Exec Executor
 	// DefaultLimits applies to orgs with no explicit limits row
 	// (default: 2 concurrent, 64 queued).
 	DefaultLimits Limits
-	// Store tunes the embedded store (Dir is overridden by Dir above);
-	// the zero value takes jobstore's defaults.
-	Store jobstore.Config
 	// Now is the cron clock (tests); defaults to time.Now.
 	Now func() time.Time
+	// Fail injects crash faults into the job log (tests only).
+	Fail *seglog.Failpoints
+
+	// The job log's seal size, compaction interval and image retention
+	// are sealBytes, compactEvery and retainImages; tests shrink them.
+	sealBytes, compactEvery int64
+	retain                  int
 }
 
 func (cfg *Config) withDefaults() error {
@@ -54,7 +61,15 @@ func (cfg *Config) withDefaults() error {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	cfg.Store.Dir = cfg.Dir
+	if cfg.sealBytes == 0 {
+		cfg.sealBytes = sealBytes
+	}
+	if cfg.compactEvery == 0 {
+		cfg.compactEvery = compactEvery
+	}
+	if cfg.retain == 0 {
+		cfg.retain = retainImages
+	}
 	return nil
 }
 
@@ -76,40 +91,46 @@ type RecoveryInfo struct {
 	// marked interrupted and a fresh attempt with Resumed=true enters
 	// the queue, to be recovered through checkpointed reducer state.
 	ResumedRuns int `json:"resumed_runs"`
-	// Store is the embedded store's own recovery report.
-	Store jobstore.RecoveryInfo `json:"store"`
+	// Store is the job log's own recovery report.
+	Store StoreRecovery `json:"store"`
 }
 
 // Metrics snapshots the scheduler counters.
 type Metrics struct {
-	Jobs      int              `json:"jobs"`
-	Queued    int              `json:"queued"`
-	Running   int              `json:"running"`
-	Submitted int64            `json:"submitted"`
-	Completed int64            `json:"completed"`
-	Failed    int64            `json:"failed"`
-	Canceled  int64            `json:"canceled"`
-	Shed      int64            `json:"shed"`
-	CronTicks int64            `json:"cron_ticks"`
-	Recovery  RecoveryInfo     `json:"recovery"`
-	Store     jobstore.Metrics `json:"store"`
-	Draining  bool             `json:"draining"`
+	Jobs      int          `json:"jobs"`
+	Queued    int          `json:"queued"`
+	Running   int          `json:"running"`
+	Submitted int64        `json:"submitted"`
+	Completed int64        `json:"completed"`
+	Failed    int64        `json:"failed"`
+	Canceled  int64        `json:"canceled"`
+	Shed      int64        `json:"shed"`
+	CronTicks int64        `json:"cron_ticks"`
+	Recovery  RecoveryInfo `json:"recovery"`
+	Store     StoreMetrics `json:"store"`
+	Draining  bool         `json:"draining"`
 }
 
 // Scheduler admits, queues, executes, and records jobs. All public
 // methods are safe for concurrent use.
 type Scheduler struct {
-	cfg   Config
-	store *jobstore.Store
+	cfg Config
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
+	mu sync.Mutex
+	// The persisted state (see log.go): written only by apply, after
+	// the record that carries it is durable.
+	log    *seglog.Log
+	jobs   map[string]*Job
+	runs   map[string][]*Run // jobID → runs in id order
+	limits map[string]Limits
+	jobSeq uint64            // largest job number written
+	runSeq map[string]uint64 // org → largest run id written
+
 	queues   map[string][]queueEntry
 	running  map[string]int                // org → executing runs
 	cancels  map[string]context.CancelFunc // jobID → running run's cancel
 	active   map[string]uint64             // jobID → running run's id
 	timers   map[string]*time.Timer        // jobID → next cron fire
-	limits   map[string]Limits
 	draining bool
 	closed   bool
 
@@ -121,59 +142,29 @@ type Scheduler struct {
 	Recovery RecoveryInfo
 }
 
-// Open recovers the job store, requeues acknowledged-but-unstarted
-// runs, converts runs lost mid-execution into resume attempts, rearms
-// cron schedules, and starts dispatching.
+// Open recovers the job log, requeues acknowledged-but-unstarted runs,
+// converts runs lost mid-execution into resume attempts, rearms cron
+// schedules, and starts dispatching.
 func Open(cfg Config) (*Scheduler, error) {
-	if err := cfg.withDefaults(); err != nil {
-		return nil, err
-	}
-	st, err := jobstore.Open(cfg.Store)
+	s, err := load(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &Scheduler{
-		cfg:     cfg,
-		store:   st,
-		jobs:    make(map[string]*Job),
-		queues:  make(map[string][]queueEntry),
-		running: make(map[string]int),
-		cancels: make(map[string]context.CancelFunc),
-		active:  make(map[string]uint64),
-		timers:  make(map[string]*time.Timer),
-		limits:  make(map[string]Limits),
-	}
-	s.Recovery.Store = st.Recovery
-	if err := s.recover(); err != nil {
-		st.Close()
+	if err := s.start(); err != nil {
+		s.log.Close()
 		return nil, err
 	}
-	s.mu.Lock()
-	for org := range s.queues {
-		s.dispatchLocked(org)
-	}
-	s.mu.Unlock()
 	return s, nil
 }
 
-// recover loads persisted state and repairs interrupted work.
-func (s *Scheduler) recover() error {
-	var lost []Run
-	err := s.store.View(func(tx *jobstore.Tx) error {
-		if err := forEachJob(tx, func(j *Job) error {
-			s.jobs[j.ID] = j
-			return nil
-		}); err != nil {
-			return err
-		}
-		if err := forEachLimits(tx, func(org string, l Limits) {
-			s.limits[org] = l.withDefaults(s.cfg.DefaultLimits)
-		}); err != nil {
-			return err
-		}
-		// One walk in admission order: each org's queue comes back in
-		// the FIFO order its submits were acknowledged in.
-		return forEachRun(tx, "", func(r *Run) error {
+// start repairs the recovered state and begins work; see Open.
+func (s *Scheduler) start() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.Recovery.Jobs = len(s.jobs)
+	var lost []*Run
+	for _, rs := range s.runs {
+		for _, r := range rs {
 			switch r.State {
 			case StatePending:
 				e := queueEntry{jobID: r.JobID, runID: r.ID}
@@ -183,45 +174,42 @@ func (s *Scheduler) recover() error {
 				s.queues[r.Org] = append(s.queues[r.Org], e)
 				s.Recovery.RequeuedRuns++
 			case StateRunning:
-				lost = append(lost, *r)
+				lost = append(lost, r)
 			}
-			return nil
-		})
-	})
-	if err != nil {
-		return err
+		}
 	}
-	s.Recovery.Jobs = len(s.jobs)
+	// Each org's run ids were minted in the FIFO order its submits were
+	// acknowledged in, so that order is the ids'.
+	for _, q := range s.queues {
+		sort.Slice(q, func(i, k int) bool { return q[i].runID < q[k].runID })
+	}
 
-	// One transaction repairs all interrupted runs: old attempts flip to
-	// interrupted, fresh resume attempts are minted.
-	if err := s.store.Update(func(tx *jobstore.Tx) error {
+	// One record repairs all interrupted runs: old attempts flip to
+	// interrupted, fresh resume attempts are minted behind the queue.
+	if len(lost) > 0 {
+		slices.SortFunc(lost, func(a, b *Run) int {
+			return cmp.Or(cmp.Compare(a.Org, b.Org), cmp.Compare(a.ID, b.ID))
+		})
+		repair := &rows{}
+		minted := map[string]uint64{}
 		for _, old := range lost {
-			old.State = StateInterrupted
-			if err := putRun(tx, &old); err != nil {
-				return err
-			}
-			id, err := nextRunID(tx, old.Org)
-			if err != nil {
-				return err
-			}
-			next := Run{
-				Org: old.Org, JobID: old.JobID, ID: id,
-				Attempt: old.Attempt + 1, Resumed: true,
-				State: StatePending,
-			}
-			if err := putRun(tx, &next); err != nil {
-				return err
-			}
+			minted[old.Org]++
+			repair.Runs = append(repair.Runs, s.runIn(old.JobID, old.ID, StateInterrupted), &Run{
+				Org: old.Org, JobID: old.JobID, ID: s.runSeq[old.Org] + minted[old.Org],
+				Attempt: old.Attempt + 1, Resumed: true, State: StatePending,
+			})
+		}
+		if err := s.commit(repair); err != nil {
+			return err
+		}
+		for i := 0; i < len(repair.Runs); i += 2 {
+			old, next := repair.Runs[i], repair.Runs[i+1]
 			s.queues[old.Org] = append(s.queues[old.Org], queueEntry{
-				jobID: old.JobID, runID: id,
+				jobID: old.JobID, runID: next.ID,
 				resume: &ResumeInfo{PrevRunID: old.ID, Attempt: next.Attempt},
 			})
-			s.Recovery.ResumedRuns++
 		}
-		return nil
-	}); err != nil {
-		return err
+		s.Recovery.ResumedRuns = len(lost)
 	}
 
 	// Queued one-shot jobs with runs back in the queue stay queued;
@@ -230,6 +218,9 @@ func (s *Scheduler) recover() error {
 		if j.Spec.Cron != "" && !terminal(j.State) {
 			s.armCronLocked(j)
 		}
+	}
+	for _, org := range slices.Sorted(maps.Keys(s.queues)) {
+		s.dispatchLocked(org)
 	}
 	return nil
 }
@@ -246,7 +237,7 @@ func (s *Scheduler) limitsFor(org string) Limits {
 }
 
 // Submit validates, persists, and queues a job. When Submit returns
-// nil, the job and its first run are fsynced in the store: a crash at
+// nil, the job and its first run are fsynced in the job log: a crash at
 // any later instant cannot lose them. Recurring jobs (Spec.Cron) are
 // admitted in state active and mint runs at each schedule fire
 // instead of immediately.
@@ -269,39 +260,20 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 		return nil, fmt.Errorf("%w: %d runs queued for org %s", ErrOverloaded, len(s.queues[spec.Org]), spec.Org)
 	}
 
-	job := &Job{Spec: spec, Created: s.cfg.Now().UTC().Format(time.RFC3339)}
-	var firstRun *Run
-	err := s.store.Update(func(tx *jobstore.Tx) error {
-		id, err := nextJobID(tx)
-		if err != nil {
-			return err
-		}
-		job.ID = id
-		if spec.Cron != "" {
-			job.State = StateActive
-			return putJob(tx, job)
-		}
+	job := &Job{ID: jobID(s.jobSeq + 1), Spec: spec, State: StateActive, Created: s.cfg.Now().UTC().Format(time.RFC3339)}
+	admit := &rows{Jobs: []*Job{job}}
+	if spec.Cron == "" {
 		job.State = StateQueued
-		runID, err := nextRunID(tx, spec.Org)
-		if err != nil {
-			return err
-		}
-		firstRun = &Run{Org: spec.Org, JobID: id, ID: runID, Attempt: 1, State: StatePending}
-		if err := putJob(tx, job); err != nil {
-			return err
-		}
-		return putRun(tx, firstRun)
-	})
-	if err != nil {
+		admit.Runs = []*Run{{Org: spec.Org, JobID: job.ID, ID: s.runSeq[spec.Org] + 1, Attempt: 1, State: StatePending}}
+	}
+	if err := s.commit(admit); err != nil {
 		return nil, err
 	}
-
-	s.jobs[job.ID] = job
 	s.submitted++
 	if spec.Cron != "" {
 		s.armCronLocked(job)
 	} else {
-		s.queues[spec.Org] = append(s.queues[spec.Org], queueEntry{jobID: job.ID, runID: firstRun.ID})
+		s.queues[spec.Org] = append(s.queues[spec.Org], queueEntry{jobID: job.ID, runID: admit.Runs[0].ID})
 		s.dispatchLocked(spec.Org)
 	}
 	out := *job
@@ -336,25 +308,17 @@ func (s *Scheduler) List(org string) []*Job {
 	return out
 }
 
-// Runs returns the job's run history in run-id order.
+// Runs returns copies of the job's run history in run-id order.
 func (s *Scheduler) Runs(jobID string) ([]*Run, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if _, ok := s.jobs[jobID]; !ok {
-		s.mu.Unlock()
 		return nil, ErrNotFound
 	}
-	s.mu.Unlock()
 	var out []*Run
-	err := s.store.View(func(tx *jobstore.Tx) error {
-		return forEachRun(tx, jobID+keySep, func(r *Run) error {
-			out = append(out, r)
-			return nil
-		})
-	})
-	if err != nil {
-		return nil, err
+	for _, r := range s.runs[jobID] {
+		out = append(out, r.clone())
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
 	return out, nil
 }
 
@@ -374,45 +338,30 @@ func (s *Scheduler) Cancel(id string) (*Job, error) {
 		out := *j
 		return &out, nil
 	}
+	if s.closed {
+		return nil, ErrClosed
+	}
 
-	var canceledRuns []queueEntry
-	q := s.queues[j.Spec.Org][:0]
-	for _, e := range s.queues[j.Spec.Org] {
+	// A running run is recorded canceled in the same record that
+	// cancels the job, so "job terminal ⇒ runs terminal" holds the
+	// moment Cancel returns; the executing goroutine's later completion
+	// write leaves terminal records untouched.
+	canceled := *j
+	canceled.State = StateCanceled
+	rec := &rows{Jobs: []*Job{&canceled}}
+	org := j.Spec.Org
+	for _, e := range s.queues[org] {
 		if e.jobID == id {
-			canceledRuns = append(canceledRuns, e)
-		} else {
-			q = append(q, e)
+			rec.Runs = append(rec.Runs, s.runIn(id, e.runID, StateCanceled))
 		}
 	}
-	s.queues[j.Spec.Org] = q
-
-	prev := j.State
-	j.State = StateCanceled
-	err := s.store.Update(func(tx *jobstore.Tx) error {
-		for _, e := range canceledRuns {
-			if err := markRun(tx, id, e.runID, func(r *Run) {
-				r.State = StateCanceled
-			}); err != nil {
-				return err
-			}
-		}
-		// A running run is recorded canceled in the same transaction
-		// that cancels the job, so "job terminal ⇒ runs terminal"
-		// holds the moment Cancel returns; the executing goroutine's
-		// later completion write leaves terminal records untouched.
-		if runID, ok := s.active[id]; ok {
-			if err := markRun(tx, id, runID, func(r *Run) {
-				r.State = StateCanceled
-			}); err != nil {
-				return err
-			}
-		}
-		return putJob(tx, j)
-	})
-	if err != nil {
-		j.State = prev
+	if runID, ok := s.active[id]; ok {
+		rec.Runs = append(rec.Runs, s.runIn(id, runID, StateCanceled))
+	}
+	if err := s.commit(rec); err != nil {
 		return nil, err
 	}
+	s.queues[org] = slices.DeleteFunc(s.queues[org], func(e queueEntry) bool { return e.jobID == id })
 	s.canceled++
 
 	if t, ok := s.timers[id]; ok {
@@ -422,18 +371,8 @@ func (s *Scheduler) Cancel(id string) (*Job, error) {
 	if cancel, ok := s.cancels[id]; ok {
 		cancel() // unblocks the executing goroutine; the run record is already canceled
 	}
-	out := *j
+	out := canceled
 	return &out, nil
-}
-
-// markRun rewrites one persisted run record through fn.
-func markRun(tx *jobstore.Tx, jobID string, runID uint64, fn func(*Run)) error {
-	r, err := getRun(tx, jobID, runID)
-	if err != nil {
-		return err
-	}
-	fn(r)
-	return putRun(tx, r)
 }
 
 // Limits returns org's effective admission policy.
@@ -452,12 +391,9 @@ func (s *Scheduler) SetLimits(org string, l Limits) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if err := s.store.Update(func(tx *jobstore.Tx) error {
-		return putLimits(tx, org, l)
-	}); err != nil {
+	if err := s.commit(&rows{Limits: map[string]Limits{org: l}}); err != nil {
 		return err
 	}
-	s.limits[org] = l
 	s.dispatchLocked(org)
 	return nil
 }
@@ -471,27 +407,23 @@ func (s *Scheduler) dispatchLocked(org string) {
 	lim := s.limitsFor(org)
 	for s.running[org] < lim.MaxConcurrent && len(s.queues[org]) > 0 {
 		e := s.queues[org][0]
-		s.queues[org] = s.queues[org][1:]
-		j, ok := s.jobs[e.jobID]
-		if !ok || terminal(j.State) {
+		j := s.jobs[e.jobID]
+		if terminal(j.State) {
+			s.queues[org] = s.queues[org][1:]
 			continue
 		}
-		if err := s.store.Update(func(tx *jobstore.Tx) error {
-			if err := markRun(tx, e.jobID, e.runID, func(r *Run) {
-				r.State = StateRunning
-			}); err != nil {
-				return err
-			}
-			if j.State == StateQueued {
-				j.State = StateRunning
-				return putJob(tx, j)
-			}
-			return nil
-		}); err != nil {
-			// Store failure (wedged or closed): leave the run pending on
-			// disk; recovery requeues it on the next boot.
+		start := &rows{Runs: []*Run{s.runIn(e.jobID, e.runID, StateRunning)}}
+		if j.State == StateQueued {
+			running := *j
+			running.State = StateRunning
+			start.Jobs = []*Job{&running}
+		}
+		if err := s.commit(start); err != nil {
+			// Wedged log: the run stays pending on disk and queued in
+			// memory; the next boot requeues it.
 			return
 		}
+		s.queues[org] = s.queues[org][1:]
 		ctx, cancel := context.WithCancel(context.Background())
 		s.cancels[e.jobID] = cancel
 		s.active[e.jobID] = e.runID
@@ -513,11 +445,11 @@ func (s *Scheduler) execute(ctx context.Context, cancel context.CancelFunc, spec
 	delete(s.active, e.jobID)
 	s.running[spec.Org]--
 
-	j := s.jobs[e.jobID]
+	j := *s.jobs[e.jobID]
 	state := StateDone
 	errMsg := ""
 	switch {
-	case j != nil && j.State == StateCanceled, errors.Is(runErr, context.Canceled):
+	case j.State == StateCanceled, errors.Is(runErr, context.Canceled):
 		state = StateCanceled
 		rep = nil
 	case runErr != nil:
@@ -527,33 +459,23 @@ func (s *Scheduler) execute(ctx context.Context, cancel context.CancelFunc, spec
 		rep = rep.Profile() // a run record is the job's profile, not its trace
 	}
 
-	err := s.store.Update(func(tx *jobstore.Tx) error {
-		if err := markRun(tx, e.jobID, e.runID, func(r *Run) {
-			// Cancel may already have recorded this run as canceled in
-			// the transaction that canceled the job; a terminal record
-			// is never rewritten.
-			if terminal(r.State) {
-				return
-			}
-			r.State = state
-			r.Error = errMsg
-			r.Report = rep
-		}); err != nil {
-			return err
-		}
-		if j == nil {
-			return nil
-		}
-		j.Runs++
-		j.LastRun = e.runID
-		if !terminal(j.State) && j.Spec.Cron == "" {
-			j.State = state
-		}
-		return putJob(tx, j)
-	})
-	if err != nil {
-		// Wedged or closed store: the run stays "running" on disk and
-		// the next boot resumes it; nothing more to do here.
+	j.Runs++
+	j.LastRun = e.runID
+	if !terminal(j.State) && j.Spec.Cron == "" {
+		j.State = state
+	}
+	finish := &rows{Jobs: []*Job{&j}}
+	// Cancel may already have recorded this run as canceled in the
+	// record that canceled the job; a terminal record is never
+	// rewritten.
+	if r := s.run(e.jobID, e.runID); !terminal(r.State) {
+		done := *r
+		done.State, done.Error, done.Report = state, errMsg, rep
+		finish.Runs = []*Run{&done}
+	}
+	if err := s.commit(finish); err != nil {
+		// Wedged log: the run stays "running" on disk and the next
+		// boot resumes it; nothing more to do here.
 		return
 	}
 	switch state {
@@ -583,41 +505,36 @@ func (s *Scheduler) armCronLocked(j *Job) {
 }
 
 // cronFire mints and queues one run of a recurring job, then rearms.
+// A fire whose timer went off before Drain or Close took s.mu does
+// nothing: Drain has disarmed every schedule and waits for running
+// work only.
 func (s *Scheduler) cronFire(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
-	if !ok || s.closed || terminal(j.State) {
+	if !ok || s.closed || s.draining || terminal(j.State) {
 		return
 	}
 	delete(s.timers, id)
 	defer s.armCronLocked(j)
 	s.cronTicks++
 
-	lim := s.limitsFor(j.Spec.Org)
-	if len(s.queues[j.Spec.Org]) >= lim.MaxQueued {
+	org := j.Spec.Org
+	if len(s.queues[org]) >= s.limitsFor(org).MaxQueued {
 		s.shed++ // skip this fire rather than queue without bound
 		return
 	}
-	var run *Run
-	err := s.store.Update(func(tx *jobstore.Tx) error {
-		runID, err := nextRunID(tx, j.Spec.Org)
-		if err != nil {
-			return err
-		}
-		run = &Run{Org: j.Spec.Org, JobID: id, ID: runID, Attempt: 1, State: StatePending}
-		return putRun(tx, run)
-	})
-	if err != nil {
+	run := &Run{Org: org, JobID: id, ID: s.runSeq[org] + 1, Attempt: 1, State: StatePending}
+	if err := s.commit(&rows{Runs: []*Run{run}}); err != nil {
 		return
 	}
-	s.queues[j.Spec.Org] = append(s.queues[j.Spec.Org], queueEntry{jobID: id, runID: run.ID})
-	s.dispatchLocked(j.Spec.Org)
+	s.queues[org] = append(s.queues[org], queueEntry{jobID: id, runID: run.ID})
+	s.dispatchLocked(org)
 }
 
 // Drain stops admitting new submits (ErrDraining), disarms cron
 // schedules, and waits — up to ctx — for queued and running work to
-// finish. It does not close the store; call Close after.
+// finish. It does not close the job log; call Close after.
 func (s *Scheduler) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
@@ -640,8 +557,10 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 	}
 }
 
-// Close cancels running work, waits for it to unwind, and closes the
-// store cleanly. For a graceful shutdown call Drain first.
+// Close cancels running work, waits for it to unwind, writes an image
+// of the state when records happened since the last one (so a clean
+// restart replays nothing) and closes the job log. For a graceful
+// shutdown call Drain first.
 func (s *Scheduler) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -658,25 +577,31 @@ func (s *Scheduler) Close() error {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	return s.store.Close()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.sinceImage() > 0 {
+		s.compact() // a failure wedges the log; Close reports it
+	}
+	return s.log.Close()
 }
 
-// Abort simulates the scheduler process dying (tests): the store is
+// Abort simulates the scheduler process dying (tests): the job log is
 // cut down as by kill -9 and nothing is waited for.
 func (s *Scheduler) Abort() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.closed = true
 	for id, t := range s.timers {
 		t.Stop()
 		delete(s.timers, id)
 	}
-	s.mu.Unlock()
-	s.store.Abort()
+	s.log.Abort()
 }
 
 // Metrics snapshots the counters.
 func (s *Scheduler) Metrics() Metrics {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	queued := 0
 	for _, q := range s.queues {
 		queued += len(q)
@@ -685,6 +610,7 @@ func (s *Scheduler) Metrics() Metrics {
 	for _, n := range s.running {
 		running += n
 	}
+	st := s.log.Stats()
 	m := Metrics{
 		Jobs:      len(s.jobs),
 		Queued:    queued,
@@ -696,9 +622,18 @@ func (s *Scheduler) Metrics() Metrics {
 		Shed:      s.shed,
 		CronTicks: s.cronTicks,
 		Recovery:  s.Recovery,
-		Draining:  s.draining,
+		Store: StoreMetrics{
+			Commits:          st.NextID - 1 - st.LastImage,
+			NextTx:           st.NextID,
+			LogSyncs:         st.Syncs,
+			LogAppendedBytes: st.AppendedBytes,
+			Snapshots:        st.Images,
+			SnapshotBytes:    st.ImageBytes,
+		},
+		Draining: s.draining,
 	}
-	s.mu.Unlock()
-	m.Store = s.store.Metrics()
+	if err := s.log.Err(); err != nil {
+		m.Store.Wedged = err.Error()
+	}
 	return m
 }

@@ -1,10 +1,11 @@
 // Package sched is the durable multi-tenant job scheduler: org-scoped
 // submit/cancel/list/get plus cron-style recurring jobs, executed on
 // either backend (-backend=sim|real) under per-org concurrency
-// limits, with every job, run, and limit persisted through
-// internal/jobstore so an acknowledged submit survives kill -9 and an
-// interrupted run resumes — from checkpointed incremental reducer
-// state (JobSpec.CheckpointEvery) — on the next boot.
+// limits, with every job, run, and limit persisted as records of its
+// own internal/seglog log (log.go) so an acknowledged submit survives
+// kill -9 and an interrupted run resumes — from checkpointed
+// incremental reducer state (JobSpec.CheckpointEvery) — on the next
+// boot.
 package sched
 
 import (

@@ -1,53 +1,37 @@
 package sched
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/jobstore"
 )
 
-// TestMarkRunReadsOnlyItsOwnRecord: a state change of one run reads
-// that run by key. An undecodable sibling under the same job — an old
-// record of a cron job, say — must not block it (it used to: markRun
-// walked and decoded every run of the job).
-func TestMarkRunReadsOnlyItsOwnRecord(t *testing.T) {
-	stub := newStub()
-	stub.gate = make(chan struct{})
-	stub.started = make(chan string, 1)
-	s, err := Open(Config{Dir: t.TempDir(), Exec: stub})
+// TestUndecodableRunRecordRefusesOpen: a run row that does not decode
+// refuses Open, as a corrupt job or limits row does, instead of
+// starting without that run.
+func TestUndecodableRunRecordRefusesOpen(t *testing.T) {
+	cfg := Config{Dir: t.TempDir(), Exec: newStub()}
+	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	j, err := s.Submit(testSpec("acme"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-stub.started
-	s.mu.Lock()
-	runID := s.active[j.ID]
-	s.mu.Unlock()
-
-	if err := s.store.Update(func(tx *jobstore.Tx) error {
-		if err := tx.Bucket(bucketRuns).Put(runKey(j.ID, runID+1), []byte("{garbage")); err != nil {
-			return err
-		}
-		return markRun(tx, j.ID, runID, func(*Run) {})
-	}); err != nil {
+	waitState(t, s, j.ID, StateDone)
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	close(stub.gate)
-	waitState(t, s, j.ID, StateDone)
-	if err := s.store.View(func(tx *jobstore.Tx) error {
-		r, err := getRun(tx, j.ID, runID)
-		if err == nil && (r.State != StateDone || r.Report == nil) {
-			t.Errorf("run %d persisted as %+v, want done with its report", runID, r)
+	appendRecord(t, cfg.Dir, map[string]any{"runs": []any{"{garbage"}})
+	if s, err := Open(cfg); err == nil || !strings.Contains(err.Error(), "sched: corrupt run record") {
+		if err == nil {
+			s.Close()
 		}
-		return err
-	}); err != nil {
-		t.Fatal(err)
+		t.Fatalf("Open over a corrupt run record: %v, want it refused", err)
 	}
 }
 
@@ -64,18 +48,14 @@ func TestLimitsRecordsOnReopen(t *testing.T) {
 	if err := s.SetLimits("big", Limits{MaxConcurrent: 8, MaxQueued: 128}); err != nil {
 		t.Fatal(err)
 	}
-	put := func(org, record string) {
+	put := func(org string, record any) {
 		t.Helper()
-		if err := s.store.Update(func(tx *jobstore.Tx) error {
-			return tx.Bucket(bucketLimits).Put([]byte(org), []byte(record))
-		}); err != nil {
-			t.Fatal(err)
-		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
+		appendRecord(t, cfg.Dir, map[string]any{"limits": map[string]any{org: record}})
 	}
-	put("small", `{"max_concurrent":1,"max_queued":0}`)
+	put("small", json.RawMessage(`{"max_concurrent":1,"max_queued":0}`))
 	if s, err = Open(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -91,62 +71,63 @@ func TestLimitsRecordsOnReopen(t *testing.T) {
 	}
 }
 
-// TestOpensStoreWithOldIndexBuckets: earlier versions wrote an
-// org_index and a user_index row beside every job record and never
-// read them. A directory holding them must open to the same jobs and
-// runs, keep the rows as inert data, and accept new work.
-func TestOpensStoreWithOldIndexBuckets(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, Exec: newStub()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []*Job
-	for _, org := range []string{"a", "b", "a"} {
-		j, err := s.Submit(testSpec(org))
+// TestOldBucketStoreDirectoryRefused: earlier versions kept jobs in a
+// bucket store whose files this version does not read. Open on such a
+// directory fails naming the file, and leaves the directory as it was
+// rather than starting an empty job log beside the old jobs.
+func TestOldBucketStoreDirectoryRefused(t *testing.T) {
+	for _, name := range []string{"log-00000001.seg", "snap-0000000000000003.sn"} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("old jobs"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(Config{Dir: dir, Exec: newStub()})
+		if err == nil {
+			s.Close()
+			t.Fatalf("Open over %s succeeded, want it refused", name)
+		}
+		if !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "bucket-store") {
+			t.Fatalf("Open over %s: %v, want an error naming the file as a bucket-store directory", name, err)
+		}
+		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, waitState(t, s, j.ID, StateDone))
-		// The rows the old putJob added, in its key shapes.
-		if err := s.store.Update(func(tx *jobstore.Tx) error {
-			if err := tx.Bucket("org_index").Put([]byte(org+keySep+j.ID), []byte(j.ID)); err != nil {
-				return err
-			}
-			return tx.Bucket("user_index").Put([]byte(org+keySep+"u1"+keySep+j.ID), []byte(j.ID))
-		}); err != nil {
-			t.Fatal(err)
+		if len(entries) != 1 || entries[0].Name() != name {
+			t.Fatalf("refused Open left %v in the directory, want only %s", entries, name)
 		}
 	}
-	wantRuns, err := s.Runs(want[2].ID)
+	// The refusal is by name: an empty directory opens.
+	s, err := Open(Config{Dir: t.TempDir(), Exec: newStub()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	if got := s.List(""); !reflect.DeepEqual(got, []*Job(nil)) {
+		t.Fatalf("fresh directory lists %+v", got)
 	}
+	s.Close()
+}
 
-	s, err = Open(Config{Dir: dir, Exec: newStub()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if got := s.List(""); !reflect.DeepEqual(got, want) {
-		t.Fatalf("reopened to jobs %+v, want %+v", got, want)
-	}
-	if got, err := s.Runs(want[2].ID); err != nil || !reflect.DeepEqual(got, wantRuns) {
-		t.Fatalf("reopened to runs %+v (%v), want %+v", got, err, wantRuns)
-	}
-	dump := s.store.Dump()
-	if len(dump["org_index"]) != 3 || len(dump["user_index"]) != 3 {
-		t.Fatalf("old index rows not carried: %d org, %d user", len(dump["org_index"]), len(dump["user_index"]))
-	}
-	j, err := s.Submit(testSpec("a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, s, j.ID, StateDone)
-	if got := len(s.List("a")); got != 3 {
-		t.Fatalf("List(a) = %d jobs after a submit on the old store, want 3", got)
+// TestRowsWithoutIDsRefuseOpen: rows that decode but carry no id a
+// transition could have written — a null row, a job id not minted from
+// the counter, a run without its id or job — refuse Open too: replay
+// could not place them.
+func TestRowsWithoutIDsRefuseOpen(t *testing.T) {
+	for name, rec := range map[string]any{
+		"null job":      map[string]any{"jobs": []any{nil}},
+		"job id":        map[string]any{"jobs": []any{map[string]any{"id": "x1"}}},
+		"null run":      map[string]any{"runs": []any{nil}},
+		"run id":        map[string]any{"runs": []any{map[string]any{"job_id": "j000001"}}},
+		"run job":       map[string]any{"runs": []any{map[string]any{"id": 1}}},
+		"not an object": []any{},
+	} {
+		dir := t.TempDir()
+		appendRecord(t, dir, rec)
+		if s, err := Open(Config{Dir: dir, Exec: newStub()}); err == nil || !strings.Contains(err.Error(), "sched: corrupt") {
+			if err == nil {
+				s.Close()
+			}
+			t.Errorf("%s: Open = %v, want it refused as corrupt", name, err)
+		}
 	}
 }

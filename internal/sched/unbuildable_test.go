@@ -5,15 +5,13 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
-
-	"repro/internal/jobstore"
 )
 
-// TestOpenSurvivesUnbuildableSpec: a store written by an older binary
+// TestOpenSurvivesUnbuildableSpec: a job log written by an older binary
 // may hold an acknowledged job whose spec the builder refuses — the
 // workload generator used to panic on it in the run goroutine, and the
 // persisted run took the daemon down again at every restart. The
-// scheduler must open such a store, record the run as failed with the
+// scheduler must open such a log, record the run as failed with the
 // builder's reason, and open it again with nothing left to retry. The
 // scheduler runs in a child process (this test, re-executed on the
 // seeded directory), because the failure being pinned is a process
@@ -51,30 +49,10 @@ func TestOpenSurvivesUnbuildableSpec(t *testing.T) {
 	dir := t.TempDir()
 	spec := JobSpec{Org: "a", Query: "clickcount", DataBytes: 1000}
 	spec.Normalize()
-	st, err := jobstore.Open(jobstore.Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = st.Update(func(tx *jobstore.Tx) error {
-		id, err := nextJobID(tx)
-		if err != nil {
-			return err
-		}
-		runID, err := nextRunID(tx, spec.Org)
-		if err != nil {
-			return err
-		}
-		if err := putJob(tx, &Job{ID: id, Spec: spec, State: StateQueued}); err != nil {
-			return err
-		}
-		return putRun(tx, &Run{Org: spec.Org, JobID: id, ID: runID, Attempt: 1, State: StatePending})
+	appendRecord(t, dir, rows{
+		Jobs: []*Job{{ID: jobID(1), Spec: spec, State: StateQueued}},
+		Runs: []*Run{{Org: spec.Org, JobID: jobID(1), ID: 1, Attempt: 1, State: StatePending}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	cmd := exec.Command(os.Args[0], "-test.run=^TestOpenSurvivesUnbuildableSpec$")
 	cmd.Env = append(os.Environ(), dirEnv+"="+dir)

@@ -16,9 +16,8 @@ import (
 // Recover must not panic, must hand the caller only payloads that sit
 // in the files inside a frame whose CRC verifies, must never place a
 // SegmentError's offset past the end of the file, nor the log's end
-// (unless a whole image vouches for that position: the jobstore sweep
-// cuts the log below its newest snapshot and holds that the snapshot
-// still stands), and when it succeeds must leave a directory a second
+// (unless a whole image vouches for that position: a log cut below its
+// newest image leaves that image standing), and when it succeeds must leave a directory a second
 // Recover changes nothing in.
 func FuzzRecover(f *testing.F) {
 	var tail []byte // records 4..10, as the final segment would hold them

@@ -1,6 +1,6 @@
 // Package seglog is the one segmented, framed, fsync-before-ack log
 // under both durable services: the ingest WAL with its checkpoint
-// chain and the jobstore commit log with its snapshot chain.
+// chain and the scheduler's job log with its image chain.
 //
 // A directory holds append segments <SegPrefix><%08d><SegExt> — one
 // frame.Append frame per record, fsynced before Append returns, rolled

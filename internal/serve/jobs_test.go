@@ -180,12 +180,12 @@ func TestJobsValidationAndNotFound(t *testing.T) {
 // the log wedges) is the daemon's failure, 503 as /v1/events answers a
 // wedged WAL, while a bad spec stays a 400 on that same wedged store.
 func TestJobsWedgedStoreIs503(t *testing.T) {
-	// serve may import neither log package; ingest's failpoints embed
-	// the hooks the job store takes.
+	// serve may not import the log package; ingest's failpoints embed
+	// the hooks the job log takes.
 	var fail ingest.Failpoints
 	fail.TornAppend = func(int64) int { return 0 }
 	var cfg sched.Config
-	cfg.Store.Fail = &fail.Failpoints
+	cfg.Fail = &fail.Failpoints
 	srv, s := jobsServer(t, cfg)
 
 	resp, body := doJSON(t, "POST", srv.URL+"/v1/jobs", specBody("acme"))
