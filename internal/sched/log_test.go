@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -208,7 +209,8 @@ func TestWedgedLogRefusesAndReports(t *testing.T) {
 // crash left must equal the oracle after exactly the records whose
 // frames are whole on disk, a count read from the bytes and checked
 // against what the failpoint implies; the recovered scheduler must then
-// take new work durably.
+// take new work durably. Last, the final segment of a run killed before
+// its last fsync is cut at every frame boundary and inside every frame.
 
 // sweepExec blocks each run until the sweep releases it, its context
 // ends, or the process it belongs to dies.
@@ -542,6 +544,103 @@ func sweepPoints(records int64, sealedAfter map[int64]int64, images []int64) []s
 	return pts
 }
 
+// resumeAfterCrash recovers dir and holds the state to the oracle after
+// record survivors and the repairs to torn tails and discarded images;
+// the recovered scheduler must then take new work durably.
+func resumeAfterCrash(t *testing.T, dir string, states []sweepState, survivors, torn, discarded int64) {
+	t.Helper()
+	cfg := sweepConfig(dir, nil)
+	s, err := load(cfg)
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	got, rec := stateOf(s), s.Recovery.Store
+	s.log.Close()
+	if want := states[survivors]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered\n%+v\nwant the oracle after record %d\n%+v", got, survivors, want)
+	}
+	if rec.TornTailsTruncated != torn || rec.SnapshotsDiscarded != discarded {
+		t.Fatalf("recovery %+v, want %d torn tails and %d images discarded", rec, torn, discarded)
+	}
+
+	// The recovered scheduler repairs what the crash cut short,
+	// takes new work, and keeps it across a clean restart.
+	cfg.Exec = newStub()
+	s, err = Open(cfg)
+	if err != nil {
+		t.Fatalf("open after recovery: %v", err)
+	}
+	j, err := s.Submit(testSpec("acme"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, j.ID, StateDone)
+	for m := s.Metrics(); m.Running+m.Queued > 0; m = s.Metrics() {
+		time.Sleep(time.Millisecond)
+	}
+	s.mu.Lock()
+	want := stateOf(s)
+	s.mu.Unlock()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = load(cfg); err != nil {
+		t.Fatal(err)
+	}
+	defer s.log.Close()
+	if got := stateOf(s); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a clean restart after recovery lost work:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// finalCut is one cut of the oracle's final segment at off, at a frame
+// boundary or inside a frame, and the last record whose frame is whole
+// before it.
+type finalCut struct {
+	off      int64
+	midframe bool
+	whole    int64
+}
+
+// finalCuts returns every frame boundary of the segment b plus two
+// seeded random offsets inside each frame.
+func finalCuts(t *testing.T, b []byte) []finalCut {
+	t.Helper()
+	var bounds []int64
+	var first int64
+	for off := int64(0); ; {
+		bounds = append(bounds, off)
+		if off == int64(len(b)) {
+			break
+		}
+		p, n, err := frame.Next(b[off:])
+		if err != nil {
+			t.Fatalf("stepping frames at offset %d: %v", off, err)
+		}
+		if off == 0 {
+			if first, _, err = decodeRecord(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		off += int64(n)
+	}
+	if len(bounds) < 3 {
+		t.Fatalf("the final segment holds %d frames, want at least 2", len(bounds)-1)
+	}
+	rng := rand.New(rand.NewSource(42))
+	var cuts []finalCut
+	for i, b := range bounds {
+		whole := first - 1 + int64(i)
+		cuts = append(cuts, finalCut{off: b, whole: whole})
+		if i+1 < len(bounds) {
+			for range 2 {
+				cuts = append(cuts, finalCut{off: b + 1 + rng.Int63n(bounds[i+1]-b-1), midframe: true, whole: whole})
+			}
+		}
+	}
+	return cuts
+}
+
 func TestCrashPointSweep(t *testing.T) {
 	states, sealedAfter, images, _ := sweepOracle(t)
 	pts := sweepPoints(int64(len(states)-1), sealedAfter, images)
@@ -564,54 +663,78 @@ func TestCrashPointSweep(t *testing.T) {
 			if got := lastWholeRecord(t, dir); got != pt.survivors {
 				t.Fatalf("records 1..%d are whole on disk, want 1..%d", got, pt.survivors)
 			}
-
-			cfg := sweepConfig(dir, nil)
-			s, err := load(cfg)
-			if err != nil {
-				t.Fatalf("recovery: %v", err)
-			}
-			got, rec := stateOf(s), s.Recovery.Store
-			s.log.Close()
-			if want := states[pt.survivors]; !reflect.DeepEqual(got, want) {
-				t.Fatalf("recovered\n%+v\nwant the oracle after record %d\n%+v", got, pt.survivors, want)
-			}
-			if rec.TornTailsTruncated != pt.torn || rec.SnapshotsDiscarded != pt.discarded {
-				t.Fatalf("recovery %+v, want %d torn tails and %d images discarded", rec, pt.torn, pt.discarded)
-			}
-
-			// The recovered scheduler repairs what the crash cut short,
-			// takes new work, and keeps it across a clean restart.
-			cfg.Exec = newStub()
-			s, err = Open(cfg)
-			if err != nil {
-				t.Fatalf("open after recovery: %v", err)
-			}
-			j, err := s.Submit(testSpec("acme"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			waitState(t, s, j.ID, StateDone)
-			for m := s.Metrics(); m.Running+m.Queued > 0; m = s.Metrics() {
-				time.Sleep(time.Millisecond)
-			}
-			s.mu.Lock()
-			want := stateOf(s)
-			s.mu.Unlock()
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if s, err = load(cfg); err != nil {
-				t.Fatal(err)
-			}
-			defer s.log.Close()
-			if got := stateOf(s); !reflect.DeepEqual(got, want) {
-				t.Fatalf("a clean restart after recovery lost work:\n got %+v\nwant %+v", got, want)
-			}
+			resumeAfterCrash(t, dir, states, pt.survivors, pt.torn, pt.discarded)
 		})
 	}
 	for _, kind := range []string{"boundary", "midframe", "beforesync", "beforeseal", "tornimage"} {
 		if kinds[kind] == 0 {
 			t.Errorf("no %s crash point", kind)
+		}
+	}
+
+	// Cuts of the final segment of a run killed between the write and
+	// the fsync of its last record, as a disk that loses the tail of the
+	// file leaves it. The newest image stays whole past a cut of the
+	// records it contains: recovery restores it and replays none of the
+	// cut tail.
+	crashDir, fired := t.TempDir(), false
+	last := int64(len(states) - 1)
+	i := slices.IndexFunc(pts, func(pt sweepPoint) bool { return pt.name == fmt.Sprintf("beforesync@%02d", last) })
+	newSweep(t, crashDir, pts[i].fail(&fired)).run(nil).kill()
+	if !fired {
+		t.Fatal("the failpoint never fired")
+	}
+	segs, err := layout.Segments(crashDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imgs, err := layout.Images(crashDir)
+	if err != nil || len(imgs) == 0 {
+		t.Fatalf("the crashed run left images %v (%v)", imgs, err)
+	}
+	newest := imgs[len(imgs)-1]
+	final := layout.SegName(segs[len(segs)-1])
+	b, err := os.ReadFile(filepath.Join(crashDir, final))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cuts := finalCuts(t, b)
+	if cuts[0].whole >= newest {
+		t.Fatalf("the newest image %d sits before every cut", newest)
+	}
+	for _, c := range cuts {
+		name := fmt.Sprintf("trunc=%d", c.off)
+		if c.midframe {
+			name += "-midframe"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			copyDir(t, crashDir, dir)
+			if err := os.Truncate(filepath.Join(dir, final), c.off); err != nil {
+				t.Fatal(err)
+			}
+			var torn int64
+			if c.midframe && c.whole >= newest {
+				torn = 1
+			}
+			resumeAfterCrash(t, dir, states, max(c.whole, newest), torn, 0)
+		})
+	}
+}
+
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
