@@ -493,7 +493,7 @@ func TestPlantedViolationsAreCaught(t *testing.T) {
 		"internal/sched/build_test.go":    {internal("workload")},
 		"internal/workload/sample.go":     {"math/rand/v2", "math/bits"},
 		"internal/workload/zipf_test.go":  {"math/rand"},
-		"cmd/benchtables/bench.go":        {internal("workload")},
+		"cmd/benchtables/main.go":         {internal("workload")},
 	}
 	if got := violations(legal); len(got) != 0 {
 		t.Fatalf("legal tree flagged: %v", got)

@@ -135,23 +135,6 @@ func popcount64(x uint64) int {
 	return n
 }
 
-func BenchmarkSum64_16B(b *testing.B) {
-	f := NewFamily(1).Fn(0)
-	key := []byte("0123456789abcdef")
-	b.SetBytes(int64(len(key)))
-	for i := 0; i < b.N; i++ {
-		_ = f.Sum64(key)
-	}
-}
-
-func BenchmarkBucket_16B(b *testing.B) {
-	f := NewFamily(1).Fn(0)
-	key := []byte("0123456789abcdef")
-	for i := 0; i < b.N; i++ {
-		_ = f.Bucket(key, 40)
-	}
-}
-
 // TestFnPinned pins Fn(0..5) for two seeds to the constants the
 // per-call derivation produced before functions were memoized per
 // Family (generated at commit 4c7735d): partitioning, and so every

@@ -41,7 +41,7 @@ func newSourceRun(t *testing.T, query string, n, per int) *sourceRun {
 		segSize: map[int64]int64{},
 	}
 	src.cfg = testCfg(t, src.dir, query)
-	src.cfg.RetainCheckpoints = 1 << 20 // keep the whole history
+	src.cfg.retain = 1 << 20 // keep the whole history
 
 	// Simulate the WAL layout batch by batch; asserted against the
 	// real files below so the model can never drift from wal.append.

@@ -31,8 +31,8 @@ func testCfg(t testing.TB, dir, query string) Config {
 		SealBytes:        4 << 10,
 		CheckpointEvery:  7,
 		MaxInflightBytes: 1 << 20,
-		QueueDepth:       64,
-		ScanEvery:        64,
+		queueDepth:       64,
+		scanEvery:        64,
 	}
 }
 
@@ -45,24 +45,48 @@ func clickRec(i int) []byte {
 	return []byte(fmt.Sprintf("%013d\tuser%04d\t/page%03d\t200\t%d\tMoz", ts, i%7, i%13, 100+i%17))
 }
 
-// testBatch is 1-based batch b of the stream, `per` records each.
-func testBatch(b, per int) [][]byte {
+// docRec generates record i of the trigram stream: 20 words cycling
+// over four, so their four trigrams pass the query's 1,000-count
+// threshold within a few hundred records, then six rarer words whose
+// trigrams stay below it.
+func docRec(i int) []byte {
+	var line []byte
+	for j := 0; j < 20; j++ {
+		line = fmt.Appendf(line, "w%06d ", (i+j)%4)
+	}
+	for j := 0; j < 6; j++ {
+		line = fmt.Appendf(line, "w%06d ", 100+(i*7+j)%37)
+	}
+	return line[:len(line)-1]
+}
+
+// testBatch is 1-based batch b of the click stream, `per` records each.
+func testBatch(b, per int) [][]byte { return queryBatch("", b, per) }
+
+// queryBatch is batch b of the stream query parses: doc lines for
+// trigram, clicks otherwise.
+func queryBatch(query string, b, per int) [][]byte {
+	rec := clickRec
+	if query == "trigram" {
+		rec = docRec
+	}
 	recs := make([][]byte, per)
 	for j := 0; j < per; j++ {
-		recs[j] = clickRec((b-1)*per + j)
+		recs[j] = rec((b-1)*per + j)
 	}
 	return recs
 }
 
-// ingestRange sends batches [from, to] (1-based, inclusive), retrying
-// on backpressure the way a real client would on 429.
+// ingestRange sends batches [from, to] (1-based, inclusive) of the
+// stream s's query parses, retrying on backpressure the way a real
+// client would on 429.
 func ingestRange(t testing.TB, s *Ingester, from, to, per int) {
 	t.Helper()
 	for b := from; b <= to; b++ {
 		var seq int64
 		var err error
 		for {
-			seq, err = s.Ingest(testBatch(b, per))
+			seq, err = s.Ingest(queryBatch(s.cfg.QueryName, b, per))
 			if !errors.Is(err, ErrOverloaded) {
 				break
 			}
@@ -219,7 +243,7 @@ func TestCheckpointRetention(t *testing.T) {
 	const n, per = 120, 5
 	dir := t.TempDir()
 	cfg := testCfg(t, dir, "clickcount")
-	cfg.RetainCheckpoints = 2
+	cfg.retain = 2
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

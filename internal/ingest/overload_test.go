@@ -24,7 +24,7 @@ func TestOverloadShedsAndLosesNothing(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testCfg(t, dir, "clickcount")
 	cfg.MaxInflightBytes = 16 << 10
-	cfg.QueueDepth = 128 // byte budget binds first
+	cfg.queueDepth = 128 // byte budget binds first
 	gate := make(chan struct{})
 	cfg.Fail = &Failpoints{FoldDelay: func(seq int64) {
 		if seq > 1 { // first batch folds; the rest wait on the gate

@@ -52,7 +52,7 @@ func BenchmarkIngestAppendSeal(b *testing.B) {
 	cfg.SealBytes = 1 << 20
 	cfg.CheckpointEvery = -1 // isolate the WAL from checkpoint cost
 	cfg.MaxInflightBytes = 1 << 40
-	cfg.QueueDepth = 1 << 16
+	cfg.queueDepth = 1 << 16
 	s, err := Open(cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -46,17 +46,22 @@ type Config struct {
 	// MaxInflightBytes bounds accepted-but-unfolded record bytes;
 	// beyond it batches are shed with ErrOverloaded. Default 64 MiB.
 	MaxInflightBytes int64
-	// QueueDepth bounds the fold queue in batches. Default 256.
-	QueueDepth int
-	// RetainCheckpoints keeps this many newest checkpoints (and the
-	// WAL segments they need). Default 2, minimum 1.
-	RetainCheckpoints int
-	// ScanEvery runs the scavenger every N folded records. Default
-	// 4096; negative disables.
-	ScanEvery int64
 	// Fail injects crash/overload faults (tests only).
 	Fail *Failpoints
+
+	// The fold queue's depth in batches, the checkpoints kept (with the
+	// WAL segments they need) and the scavenger's interval in folded
+	// records are queueDepth, retainCheckpoints and scanEvery; tests
+	// change them.
+	queueDepth, retain int
+	scanEvery          int64
 }
+
+const (
+	queueDepth        = 256
+	retainCheckpoints = 2
+	scanEvery         = 4096
+)
 
 func (cfg *Config) withDefaults() error {
 	if cfg.Dir == "" {
@@ -74,14 +79,14 @@ func (cfg *Config) withDefaults() error {
 	if cfg.MaxInflightBytes <= 0 {
 		cfg.MaxInflightBytes = 64 << 20
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 256
+	if cfg.queueDepth == 0 {
+		cfg.queueDepth = queueDepth
 	}
-	if cfg.RetainCheckpoints < 1 {
-		cfg.RetainCheckpoints = 2
+	if cfg.retain == 0 {
+		cfg.retain = retainCheckpoints
 	}
-	if cfg.ScanEvery == 0 {
-		cfg.ScanEvery = 4096
+	if cfg.scanEvery == 0 {
+		cfg.scanEvery = scanEvery
 	}
 	if cfg.Fail == nil {
 		cfg.Fail = &Failpoints{}
@@ -163,19 +168,19 @@ func Open(cfg Config) (*Ingester, error) {
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err
 	}
-	f, err := newFolder(cfg.QueryName, cfg.NewQuery, cfg.ScanEvery)
+	f, err := newFolder(cfg.QueryName, cfg.NewQuery, cfg.scanEvery)
 	if err != nil {
 		return nil, err
 	}
 	s := &Ingester{
 		cfg:      cfg,
 		folder:   f,
-		queue:    make(chan pending, cfg.QueueDepth),
+		queue:    make(chan pending, cfg.queueDepth),
 		foldDone: make(chan struct{}),
 	}
 	var replayedRecords int64
 	w, info, err := seglog.Recover(&layout, seglog.Options{
-		Dir: cfg.Dir, SealBytes: cfg.SealBytes, Retain: cfg.RetainCheckpoints, Fail: &cfg.Fail.Failpoints,
+		Dir: cfg.Dir, SealBytes: cfg.SealBytes, Retain: cfg.retain, Fail: &cfg.Fail.Failpoints,
 	}, seglog.Replay{
 		Image: func(data []byte) (seglog.ImageRef, func() error, error) {
 			ck, err := decodeCheckpoint(data)
@@ -429,7 +434,7 @@ type MetricsSnapshot struct {
 func (s *Ingester) Metrics() MetricsSnapshot {
 	snap := MetricsSnapshot{
 		Query:           s.cfg.QueryName,
-		Gamma:           gamma(s.m.foldedRecords.Load(), s.ackedRecords.Load()),
+		Gamma:           s.Stats(-1).Gamma,
 		AcceptedBatches: s.m.acceptedBatches.Load(),
 		AcceptedRecords: s.m.acceptedRecords.Load(),
 		AcceptedBytes:   s.m.acceptedBytes.Load(),

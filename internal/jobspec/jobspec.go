@@ -11,7 +11,6 @@ package jobspec
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/cost"
@@ -166,13 +165,7 @@ func ParseBackend(name string) (Backend, error) {
 			return engine.Run(job)
 		}, nil
 	case "real":
-		return func(job engine.JobSpec, newQuery func() mr.Query) (*engine.Report, error) {
-			workers := job.Cluster.Parallelism
-			if workers == 0 {
-				workers = runtime.GOMAXPROCS(0)
-			}
-			return realexec.Run(realexec.Spec{Job: job, NewQuery: newQuery, Workers: workers})
-		}, nil
+		return realexec.Run, nil
 	}
 	return nil, fmt.Errorf("unknown backend %q (want sim or real)", name)
 }

@@ -265,39 +265,3 @@ func TestMergeGroupsMatchesReference(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkSortStream64K(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	var pairs [][2]string
-	for i := 0; i < 6400; i++ {
-		pairs = append(pairs, [2]string{fmt.Sprintf("user%07d", rng.Intn(1e6)), "payloadpayloadpayload"})
-	}
-	enc := encodePairs(pairs)
-	b.SetBytes(int64(len(enc)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SortStream(enc)
-	}
-}
-
-func BenchmarkMerge8Runs(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	var runs [][]byte
-	for r := 0; r < 8; r++ {
-		var pairs [][2]string
-		for i := 0; i < 800; i++ {
-			pairs = append(pairs, [2]string{fmt.Sprintf("user%07d", rng.Intn(1e6)), "payload"})
-		}
-		run, _ := SortStream(encodePairs(pairs))
-		runs = append(runs, run)
-	}
-	var total int64
-	for _, r := range runs {
-		total += int64(len(r))
-	}
-	b.SetBytes(total)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MergeStream(runs)
-	}
-}

@@ -91,7 +91,8 @@ func TestReleaseDropsConsumedOutputs(t *testing.T) {
 	runJob := func(faults engine.FaultPlan) (*run, *engine.Report) {
 		job := internalJob(engine.INCHash)
 		job.Faults = faults
-		r, err := newRun(Spec{Job: job, NewQuery: queries.NewClickCount, Workers: 2})
+		job.Cluster.Parallelism = 2
+		r, err := newRun(job, queries.NewClickCount)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +175,8 @@ func TestSmallestResidencyCap(t *testing.T) {
 				job := internalJob(pl)
 				job.Cluster.Nodes, job.Cluster.SlotCache = 1, 1
 				job.Faults = plan.faults
-				r, err := newRun(Spec{Job: job, NewQuery: queries.NewClickCount, Workers: 4})
+				job.Cluster.Parallelism = 4
+				r, err := newRun(job, queries.NewClickCount)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -221,7 +223,7 @@ func TestSlowPrimaryIsNotAStall(t *testing.T) {
 	var reps []*engine.Report
 	for _, stall := range []time.Duration{0, 10 * shuffleWatchdog} {
 		newQ := func() mr.Query { return slowMap{queries.NewClickCount(), first, stall} }
-		rep, err := Run(Spec{Job: job, NewQuery: newQ, Workers: 2})
+		rep, err := Run(job, newQ)
 		if err != nil {
 			t.Fatalf("stall %v: %v", stall, err)
 		}

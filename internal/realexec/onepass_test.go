@@ -158,7 +158,8 @@ func residencyJob(t *testing.T, pl engine.Platform) engine.JobSpec {
 func runAsync(job engine.JobSpec, g *emitGate) <-chan error {
 	done := make(chan error, 1)
 	go func() {
-		rep, err := realexec.Run(realexec.Spec{Job: job, NewQuery: g.query, Workers: 4})
+		job.Cluster.Parallelism = 4
+		rep, err := realexec.Run(job, g.query)
 		if err == nil {
 			want, _ := reference.RunWithWatermarks(newSess(), job.Input)
 			var got, rows []string

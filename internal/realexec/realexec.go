@@ -45,6 +45,7 @@ package realexec
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,24 +57,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/substrate"
 )
-
-// Spec is a job submission for the real backend.
-type Spec struct {
-	// Job is the same spec the DES engine takes. Job.Query may be left
-	// nil: it is filled from NewQuery for validation and naming.
-	Job engine.JobSpec
-
-	// NewQuery returns a fresh query instance. Queries keep per-run
-	// scratch state (watermarks, reusable buffers), so concurrent tasks
-	// must never share one instance: every map and reduce task calls
-	// the factory once. All instances must be behaviorally identical.
-	NewQuery func() mr.Query
-
-	// Workers (< 1 means 1) counts map-task goroutines and reduce slots (a
-	// reducer waiting for map output holds none). Answers and deterministic
-	// Report fields are identical for any value; only wall time changes.
-	Workers int
-}
 
 // unit is one published piece of map output, cached in memory — the
 // M3R-style shuffle. Reducers read their partition's segments directly;
@@ -143,27 +126,38 @@ type run struct {
 	checkpoints      atomic.Int64
 }
 
-// Run executes the job on real goroutines and returns its report.
-func Run(s Spec) (*engine.Report, error) {
-	r, err := newRun(s)
+// Run executes the job on real goroutines and returns its report: the
+// same spec the DES engine takes, run on Job.Cluster.Parallelism map
+// goroutines and as many reduce slots (a reducer waiting for map output
+// holds none; 0 = GOMAXPROCS). Answers and deterministic Report fields
+// are identical for any count; only wall time changes. Job.Query is
+// filled from newQuery, which returns a fresh instance: queries keep
+// per-run scratch state (watermarks, reusable buffers), so every map and
+// reduce task calls it once and concurrent tasks never share one. All
+// instances must behave identically.
+func Run(job engine.JobSpec, newQuery func() mr.Query) (*engine.Report, error) {
+	r, err := newRun(job, newQuery)
 	if err != nil {
 		return nil, err
 	}
 	return r.execute()
 }
 
-func newRun(s Spec) (*run, error) {
-	if s.NewQuery == nil {
-		return nil, fmt.Errorf("realexec: NewQuery factory is required")
+func newRun(spec engine.JobSpec, newQuery func() mr.Query) (*run, error) {
+	if newQuery == nil {
+		return nil, fmt.Errorf("realexec: a query factory is required")
 	}
-	spec := s.Job
-	spec.Query = s.NewQuery()
+	spec.Query = newQuery()
 	frame, err := engine.NewJobFrame(&spec)
 	if err != nil {
 		return nil, err
 	}
-	r := &run{JobFrame: frame, spec: &spec, newQ: s.NewQuery, start: time.Now(),
-		workers: max(1, s.Workers), release: !spec.ReduceRestarts()}
+	workers := spec.Cluster.Parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	r := &run{JobFrame: frame, spec: &spec, newQ: newQuery, start: time.Now(),
+		workers: workers, release: !spec.ReduceRestarts()}
 	r.comb = r.NewCombinePlan()
 	r.combLeft = make([]atomic.Int32, len(r.comb.Groups))
 	r.combRes = make([]*rcResult, len(r.comb.Groups))

@@ -52,7 +52,8 @@ func testClicks(t testing.TB, bytes, chunk int64) *workload.ClickStream {
 // error.
 func runReal(t testing.TB, job engine.JobSpec, newQ func() mr.Query, workers int) *engine.Report {
 	t.Helper()
-	rep, err := realexec.Run(realexec.Spec{Job: job, NewQuery: newQ, Workers: workers})
+	job.Cluster.Parallelism = workers
+	rep, err := realexec.Run(job, newQ)
 	if err != nil {
 		t.Fatalf("real backend (%d workers): %v", workers, err)
 	}
@@ -275,11 +276,12 @@ func TestRealBackendCapabilityErrors(t *testing.T) {
 		Disk:              engine.DiskFaultPlan{IOErrorRate: 0.01, CorruptRate: 0.01, TornWrites: true},
 	}
 	job.CheckpointEvery = time.Millisecond
-	if _, err := realexec.Run(realexec.Spec{Job: job, NewQuery: queries.NewClickCount, Workers: 2}); err != nil {
+	job.Cluster.Parallelism = 2
+	if _, err := realexec.Run(job, queries.NewClickCount); err != nil {
 		t.Errorf("faulted job rejected by the real backend: %v", err)
 	}
 
-	if _, err := realexec.Run(realexec.Spec{Job: goldenJob(t, engine.INCHash)}); err == nil {
+	if _, err := realexec.Run(goldenJob(t, engine.INCHash), nil); err == nil {
 		t.Error("missing NewQuery accepted by the real backend")
 	}
 }
@@ -298,8 +300,8 @@ func TestRealBackendMemoryShuffle(t *testing.T) {
 
 // BenchmarkRealBackendSessionization runs the paper's sessionization
 // workload end to end on the wall-clock backend with an 8-goroutine
-// pool — the real-execution counterpart of the DES job benchmarks in
-// cmd/benchtables.
+// pool, on the package's small test cluster; the root package's
+// BenchmarkJobSessionizationRealW8 runs the 16 GB job.
 func BenchmarkRealBackendSessionization(b *testing.B) {
 	m := testModel()
 	input := testClicks(b, 512<<10, 64<<10)

@@ -70,7 +70,9 @@ func TestScratchUnavailable(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing")
 	t.Setenv("TMPDIR", missing)
 	goroutines := runtime.NumGoroutine()
-	rep, err := realexec.Run(realexec.Spec{Job: spillJob(t, engine.SortMerge), NewQuery: newSessions, Workers: 2})
+	job := spillJob(t, engine.SortMerge)
+	job.Cluster.Parallelism = 2
+	rep, err := realexec.Run(job, newSessions)
 	if err == nil || rep != nil || !strings.Contains(err.Error(), missing) {
 		t.Fatalf("Run returned %v, %v; want an error naming %s", rep, err, missing)
 	}

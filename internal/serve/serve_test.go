@@ -45,7 +45,6 @@ func childConfig(dir string) ingest.Config {
 		Validate:        validate,
 		SealBytes:       4 << 10,
 		CheckpointEvery: 5,
-		QueueDepth:      64,
 	}
 }
 

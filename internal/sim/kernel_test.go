@@ -238,5 +238,25 @@ func BenchmarkKernelPingPong(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelEventLoop is the uncontended loop: 64 processes hold
+// for unequal times, so one op is one event — a heap pop, a coroutine
+// switch in and out, and a heap push.
+func BenchmarkKernelEventLoop(b *testing.B) {
+	k := NewKernel()
+	for i := 0; i < 64; i++ {
+		d := time.Duration(i%17+1) * time.Microsecond
+		k.Spawn("holder", func(p *Proc) {
+			for n := i; n < b.N; n += 64 {
+				p.Hold(d)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // queueLen is the number of requests waiting on r.
 func (r *Resource) queueLen() int { return len(r.waiters) - r.head }

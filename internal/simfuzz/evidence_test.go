@@ -109,7 +109,8 @@ func TestMovesEntriesNeeded(t *testing.T) {
 			for len(reals) <= n {
 				job := c.jobSpec(row.platform, input, 1, c.faulted(), clean.MapFinishTime)
 				job.Cluster.SlotCache = 1
-				rep, err := realexec.Run(realexec.Spec{Job: job, NewQuery: func() mr.Query { return c.newQuery(false) }, Workers: max(c.Workers2, 1)})
+				job.Cluster.Parallelism = max(c.Workers2, 1)
+				rep, err := realexec.Run(job, func() mr.Query { return c.newQuery(false) })
 				if err != nil {
 					t.Fatalf("seed %d %s: real: %v", row.seed, row.platform, err)
 				}

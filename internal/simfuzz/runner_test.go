@@ -127,13 +127,13 @@ func runPlatform(v *Verdict, c *Case, pl engine.Platform, input dfs.Input, oracl
 
 // safeRunReal runs the spec on the wall-clock backend, converting
 // panics into errors like safeRun.
-func safeRunReal(spec realexec.Spec) (rep *engine.Report, err error) {
+func safeRunReal(job engine.JobSpec, newQuery func() mr.Query) (rep *engine.Report, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	return realexec.Run(spec)
+	return realexec.Run(job, newQuery)
 }
 
 // field reads a Report field by name, for failure messages.
@@ -153,11 +153,8 @@ func checkReal(v *Verdict, c *Case, name string, pl engine.Platform, input dfs.I
 	workers := max(c.Workers2, 1)
 	job := c.jobSpec(pl, input, 1, c.faulted(), clean.MapFinishTime)
 	job.Cluster.SlotCache = 1 // the smallest residency cap; realexec reads SlotCache for nothing else
-	rep, err := safeRunReal(realexec.Spec{
-		Job:      job,
-		NewQuery: func() mr.Query { return c.newQuery(false) },
-		Workers:  workers,
-	})
+	job.Cluster.Parallelism = workers
+	rep, err := safeRunReal(job, func() mr.Query { return c.newQuery(false) })
 	if err != nil {
 		v.addf(label, "run", "workers=%d: %v", workers, err)
 		return

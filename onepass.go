@@ -196,7 +196,8 @@ func Run(job Job) (*Report, error) { return engine.Run(job) }
 // from memory as it is published, so only sort-merge's map-side spills
 // read damaged bytes back here. Job.Query is ignored.
 func RunReal(job Job, newQuery func() Query, workers int) (*Report, error) {
-	return realexec.Run(realexec.Spec{Job: job, NewQuery: newQuery, Workers: workers})
+	job.Cluster.Parallelism = max(1, workers)
+	return realexec.Run(job, newQuery)
 }
 
 // DefaultModel returns the calibrated cost model at the given scale
