@@ -10,7 +10,7 @@
 // payloads only through internal/frame's cursor, imports the standard
 // library's way around it. The same walk records every package-qualified
 // selector a file mentions, so that calls can be ruled on as imports are:
-// only commands read the process environment.
+// only commands read the process environment or set the collector's limits.
 package architecture_test
 
 import (
@@ -55,7 +55,7 @@ var rules = []rule{
 		Name: "foundation-below-execution",
 		Why:  "byte-level foundations must stay reusable outside the engine",
 		From: []string{"frame", "kvenc", "substrate", "bytestore", "hashfam",
-			"frequent", "sim", "metrics", "model", "cost", "seglog"},
+			"frequent", "sim", "metrics", "model", "cost", "seglog", "budget"},
 		Deny: []string{"engine", "realexec", "sched", "serve", "ingest"},
 	},
 	{
@@ -146,13 +146,26 @@ var fileRules = []rule{
 	},
 }
 
-// envReads are the selectors that read the process environment. No
-// non-test file outside cmd/ may mention one: a library takes its
-// settings from its caller, so a package that reads the environment has
-// an input no flag, spec or fixture shows. A test that needs a different
-// build of a package compiles one with go test -overlay (simfuzz's
-// mutant) instead of switching on a variable.
-var envReads = []string{"os.Getenv", "os.LookupEnv", "os.Environ"}
+// cmdOnly are selectors only a file under cmd/ may mention.
+var cmdOnly = []struct {
+	name, why string
+	sels      []string
+	tests     bool // the rule binds test files too
+}{
+	// No non-test file outside cmd/ may read the process environment: a
+	// library takes its settings from its caller, so a package that reads
+	// the environment has an input no flag, spec or fixture shows. A test
+	// that needs a different build of a package compiles one with go test
+	// -overlay (simfuzz's mutant) instead of switching on a variable.
+	{"environment-read-only-in-cmd", "a library takes its settings from its caller",
+		[]string{"os.Getenv", "os.LookupEnv", "os.Environ"}, false},
+	// The collector's settings are the process's: onepassd derives its
+	// soft memory limit from the byte budget (internal/budget reports it
+	// through a callback), so a library or a test that sets one would
+	// fight the daemon's, or leak into every later test in its binary.
+	{"gc-settings-only-in-cmd", "the process's GC settings are its command's",
+		[]string{"runtime/debug.SetMemoryLimit", "runtime/debug.SetGCPercent"}, true},
+}
 
 // fileImports maps a repo-relative .go file to the full paths of
 // everything it imports, standard library included.
@@ -241,18 +254,23 @@ func violations(files fileImports) []string {
 	return out
 }
 
-// envViolations returns one message per non-test file outside cmd/
-// that mentions a selector in envReads. Pure, like violations.
-func envViolations(uses fileUses) []string {
+// cmdOnlyViolations returns one message per file outside cmd/ that
+// mentions a selector a cmdOnly rule binding it names. Pure, like
+// violations.
+func cmdOnlyViolations(uses fileUses) []string {
 	var out []string
 	for path, sels := range uses {
-		if strings.HasPrefix(path, "cmd/") || strings.HasSuffix(path, "_test.go") {
+		if strings.HasPrefix(path, "cmd/") {
 			continue
 		}
-		for _, sel := range sels {
-			if slices.Contains(envReads, sel) {
-				out = append(out, fmt.Sprintf("%s: rule \"environment-read-only-in-cmd\": non-test files outside cmd/ must not call %s (a library takes its settings from its caller)",
-					path, sel))
+		for _, r := range cmdOnly {
+			if !r.tests && strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			for _, sel := range sels {
+				if slices.Contains(r.sels, sel) {
+					out = append(out, fmt.Sprintf("%s: rule %q: files outside cmd/ must not call %s (%s)", path, r.name, sel, r.why))
+				}
 			}
 		}
 	}
@@ -371,7 +389,7 @@ func TestImportBoundaries(t *testing.T) {
 	if len(files) < 50 {
 		t.Fatalf("walked only %d .go files — tree scan is broken", len(files))
 	}
-	for _, v := range append(violations(files), envViolations(uses)...) {
+	for _, v := range append(violations(files), cmdOnlyViolations(uses)...) {
 		t.Error(v)
 	}
 }
@@ -506,23 +524,30 @@ func TestPlantedViolationsAreCaught(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planted := fileUses{"internal/sortmerge/mutation.go": selectors(f), "onepass.go": {"os.Environ"},
-		"internal/sched/bad.go": {"os.LookupEnv"}}
-	got := envViolations(planted)
-	if len(got) != len(planted) {
-		t.Fatalf("planted environment reads: %d reported, want %d: %v", len(got), len(planted), got)
+	// The GC-settings rule binds test files too.
+	gc := "package realexec\n\nimport rd \"runtime/debug\"\n\nfunc TestX() { rd.SetMemoryLimit(1 << 30) }\n"
+	g, err := parser.ParseFile(token.NewFileSet(), "gc_test.go", gc, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, file := range []string{"internal/sched/bad.go", "internal/sortmerge/mutation.go", "onepass.go"} {
+	planted := fileUses{"internal/sortmerge/mutation.go": selectors(f), "onepass.go": {"os.Environ"},
+		"internal/sched/bad.go": {"os.LookupEnv"}, "internal/realexec/gc_test.go": selectors(g),
+		"internal/budget/budget.go": {"runtime/debug.SetGCPercent"}}
+	got := cmdOnlyViolations(planted)
+	if len(got) != len(planted) {
+		t.Fatalf("planted cmd-only calls: %d reported, want %d: %v", len(got), len(planted), got)
+	}
+	for i, file := range []string{"internal/budget/budget.go", "internal/realexec/gc_test.go", "internal/sched/bad.go", "internal/sortmerge/mutation.go", "onepass.go"} {
 		if !strings.HasPrefix(got[i], file+":") {
 			t.Errorf("report %q does not name the violating file %s", got[i], file)
 		}
 	}
 	legalUses := fileUses{
-		"cmd/onepassd/main.go":             {"os.Getenv", "os.LookupEnv"},
+		"cmd/onepassd/main.go":             {"os.Getenv", "os.LookupEnv", "runtime/debug.SetMemoryLimit"},
 		"internal/simfuzz/simfuzz_test.go": {"os.Getenv"},
 		"internal/realexec/scratch.go":     {"os.TempDir", "os.CreateTemp"},
 	}
-	if got := envViolations(legalUses); len(got) != 0 {
+	if got := cmdOnlyViolations(legalUses); len(got) != 0 {
 		t.Fatalf("legal uses flagged: %v", got)
 	}
 }

@@ -16,12 +16,12 @@ func newTestTable(budget int64) *Table {
 
 func TestUpsertStateRoundTrip(t *testing.T) {
 	tb := newTestTable(1 << 20)
-	st, found, ok := tb.UpsertState([]byte("user1"), 8, 8)
+	st, _, found, ok := tb.UpsertState([]byte("user1"), 8, 8)
 	if !ok || found {
 		t.Fatalf("first upsert: found=%v ok=%v", found, ok)
 	}
 	copy(st, "AAAAAAAA")
-	st2, found, ok := tb.UpsertState([]byte("user1"), 8, 8)
+	st2, _, found, ok := tb.UpsertState([]byte("user1"), 8, 8)
 	if !ok || !found {
 		t.Fatalf("second upsert: found=%v ok=%v", found, ok)
 	}
@@ -35,9 +35,9 @@ func TestUpsertStateRoundTrip(t *testing.T) {
 
 func TestStateInPlaceUpdate(t *testing.T) {
 	tb := newTestTable(1 << 20)
-	st, _, _ := tb.UpsertState([]byte("k"), 4, 16)
+	st, slot, _, _ := tb.UpsertState([]byte("k"), 4, 16)
 	copy(st, "abcd")
-	if !tb.SetState([]byte("k"), []byte("abcdefgh")) {
+	if !tb.SetState(slot, []byte("abcdefgh")) {
 		t.Fatal("grow within capacity refused")
 	}
 	if got := tb.GetState([]byte("k")); string(got) != "abcdefgh" {
@@ -47,9 +47,9 @@ func TestStateInPlaceUpdate(t *testing.T) {
 
 func TestStateReallocOnGrowth(t *testing.T) {
 	tb := newTestTable(1 << 20)
-	tb.UpsertState([]byte("k"), 4, 4)
+	_, slot, _, _ := tb.UpsertState([]byte("k"), 4, 4)
 	big := bytes.Repeat([]byte("x"), 100)
-	if !tb.SetState([]byte("k"), big) {
+	if !tb.SetState(slot, big) {
 		t.Fatal("grow beyond capacity refused despite budget")
 	}
 	if got := tb.GetState([]byte("k")); !bytes.Equal(got, big) {
@@ -61,7 +61,7 @@ func TestBudgetRefusesInsert(t *testing.T) {
 	tb := newTestTable(2048)
 	inserted := 0
 	for i := 0; i < 1000; i++ {
-		_, _, ok := tb.UpsertState([]byte(fmt.Sprintf("key-%04d", i)), 32, 32)
+		_, _, _, ok := tb.UpsertState([]byte(fmt.Sprintf("key-%04d", i)), 32, 32)
 		if !ok {
 			break
 		}
@@ -85,14 +85,14 @@ func TestBudgetRefusesInsert(t *testing.T) {
 // record — but does refuse everything after it.
 func TestTableTinyBudgetAdmitsOne(t *testing.T) {
 	tb := newTestTable(100)
-	st, found, ok := tb.UpsertState([]byte("first"), 8, 8)
+	st, _, found, ok := tb.UpsertState([]byte("first"), 8, 8)
 	if !ok || found || len(st) != 8 {
 		t.Fatalf("empty table refused its first state entry: len %d found %v ok %v", len(st), found, ok)
 	}
-	if _, _, ok := tb.UpsertState([]byte("second"), 8, 8); ok {
+	if _, _, _, ok := tb.UpsertState([]byte("second"), 8, 8); ok {
 		t.Fatal("over-budget table admitted a second entry")
 	}
-	if _, found, ok := tb.UpsertState([]byte("first"), 8, 8); !found || !ok {
+	if _, _, found, ok := tb.UpsertState([]byte("first"), 8, 8); !found || !ok {
 		t.Fatal("resident key no longer found")
 	}
 
@@ -120,7 +120,7 @@ func TestTableAgainstMapModel(t *testing.T) {
 		key := []byte(fmt.Sprintf("k%03d", rng.Intn(500)))
 		switch rng.Intn(3) {
 		case 0: // upsert with fresh state
-			st, found, ok := tb.UpsertState(key, 8, 8)
+			st, _, found, ok := tb.UpsertState(key, 8, 8)
 			if !ok {
 				t.Fatalf("budget exhausted unexpectedly at step %d", step)
 			}
@@ -141,7 +141,8 @@ func TestTableAgainstMapModel(t *testing.T) {
 		case 2: // overwrite if present
 			if model[string(key)] != nil {
 				val := []byte(fmt.Sprintf("%08d", rng.Intn(1e8)))
-				if !tb.SetState(key, val) {
+				_, slot, _, _ := tb.UpsertState(key, 0, 0)
+				if !tb.SetState(slot, val) {
 					t.Fatalf("SetState refused at step %d", step)
 				}
 				model[string(key)] = val
@@ -182,7 +183,7 @@ func TestRangeInsertionOrder(t *testing.T) {
 	var want []string
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("key%02d", (i*37)%100)
-		st, found, ok := tb.UpsertState([]byte(k), 1, 1)
+		st, _, found, ok := tb.UpsertState([]byte(k), 1, 1)
 		if !ok {
 			t.Fatal("budget")
 		}
@@ -210,7 +211,7 @@ func TestRehashPreservesEntries(t *testing.T) {
 	tb := newTestTable(64 << 20) // big budget to force many rehashes
 	const n = 50000
 	for i := 0; i < n; i++ {
-		st, _, ok := tb.UpsertState([]byte(fmt.Sprintf("key-%06d", i)), 8, 8)
+		st, _, _, ok := tb.UpsertState([]byte(fmt.Sprintf("key-%06d", i)), 8, 8)
 		if !ok {
 			t.Fatalf("budget at %d", i)
 		}

@@ -128,7 +128,7 @@ func TestTableReleaseReusesArena(t *testing.T) {
 	cycle := func() {
 		tb := NewTable(h, 4<<10)
 		for _, k := range keys {
-			if _, _, ok := tb.UpsertState(k, 8, 16); !ok {
+			if _, _, _, ok := tb.UpsertState(k, 8, 16); !ok {
 				t.Fatal("a 4 KiB table refused 16 small states")
 			}
 		}

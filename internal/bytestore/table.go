@@ -141,29 +141,35 @@ func (t *Table) rehash() {
 	}
 }
 
-// UpsertState looks up key. If present it returns the current state
-// and found=true. If absent it inserts the key with a zeroed state
-// slot of capacity stateCap, initial length stateLen, and returns the
-// (writable) state and found=false. ok=false means the insert would
-// exceed the budget and nothing was changed: the caller must spill.
-func (t *Table) UpsertState(key []byte, stateLen, stateCap int) (state []byte, found, ok bool) {
+// Slot is a handle on one entry of a table: its fixed fields' offset
+// in the arena, valid until the table is released.
+type Slot int32
+
+// UpsertState looks up key. If present it returns the current state,
+// the entry's slot and found=true. If absent it inserts the key with a
+// zeroed state slot of capacity stateCap, initial length stateLen, and
+// returns the (writable) state, its slot and found=false. The slot lets
+// a SetState that follows skip hashing and probing the key again.
+// ok=false means the insert would exceed the budget and nothing was
+// changed: the caller must spill.
+func (t *Table) UpsertState(key []byte, stateLen, stateCap int) (state []byte, slot Slot, found, ok bool) {
 	fixedOff, bucket, exists := t.find(key)
 	if exists {
-		return t.stateOf(fixedOff), true, true
+		return t.stateOf(fixedOff), Slot(fixedOff), true, true
 	}
 	if stateLen > stateCap {
 		stateCap = stateLen
 	}
 	extra := int64(uvarintLen(uint64(len(key))) + len(key) + entryFixed + stateCap)
 	if !t.wouldFit(extra) {
-		return nil, false, false
+		return nil, 0, false, false
 	}
 	fixedOff = t.insert(key, bucket)
-	slot := t.a.alloc(stateCap)
-	t.setField(fixedOff, 0, slot)
+	at := t.a.alloc(stateCap)
+	t.setField(fixedOff, 0, at)
 	t.setField(fixedOff, 1, int32(stateLen))
 	t.setField(fixedOff, 2, int32(stateCap))
-	return t.a.bytes(slot, stateLen), false, true
+	return t.a.bytes(at, stateLen), Slot(fixedOff), false, true
 }
 
 func (t *Table) stateOf(fixedOff int32) []byte {
@@ -172,29 +178,27 @@ func (t *Table) stateOf(fixedOff int32) []byte {
 	return t.a.bytes(slot, int(n))
 }
 
-// SetState replaces key's state. If the new state fits the slot
+// SetState replaces the state of the entry UpsertState returned slot
+// for, without looking its key up again. If the new state fits the slot
 // capacity it is updated in place; otherwise a new slot is allocated
 // (the old space is wasted, and counted, exactly as a real arena
 // allocator would). ok=false means the reallocation would exceed the
 // budget and the state is unchanged.
-func (t *Table) SetState(key []byte, state []byte) (ok bool) {
-	fixedOff, _, exists := t.find(key)
-	if !exists {
-		panic("bytestore: SetState on absent key")
-	}
+func (t *Table) SetState(slot Slot, state []byte) (ok bool) {
+	fixedOff := int32(slot)
 	capa := int(t.field(fixedOff, 2))
 	if len(state) <= capa {
-		slot := t.field(fixedOff, 0)
-		copy(t.a.buf[slot:], state)
+		at := t.field(fixedOff, 0)
+		copy(t.a.buf[at:], state)
 		t.setField(fixedOff, 1, int32(len(state)))
 		return true
 	}
 	if !t.wouldFit(int64(len(state))) {
 		return false
 	}
-	slot := t.a.alloc(len(state))
-	copy(t.a.buf[slot:], state)
-	t.setField(fixedOff, 0, slot)
+	at := t.a.alloc(len(state))
+	copy(t.a.buf[at:], state)
+	t.setField(fixedOff, 0, at)
 	t.setField(fixedOff, 1, int32(len(state)))
 	t.setField(fixedOff, 2, int32(len(state)))
 	return true

@@ -70,7 +70,7 @@ func (r *INCHashReducer) Snapshot() *StateImage {
 // set). The engine charges the checkpoint read separately.
 func (r *INCHashReducer) Restore(img *StateImage) {
 	bytestore.RangePairs(img.Table, func(key, state []byte) bool {
-		cur, found, ok := r.table.UpsertState(key, len(state), r.inc.StateSize())
+		cur, _, found, ok := r.table.UpsertState(key, len(state), r.inc.StateSize())
 		if found || !ok {
 			// Duplicate keys cannot occur in an image; a budget refusal
 			// means the fresh table is sized differently than the one

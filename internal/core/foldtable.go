@@ -57,10 +57,10 @@ func (f *foldTable) add(part int, key, val []byte) {
 		return
 	}
 	size := f.inc.StateSize()
-	cur, found, ok := f.live().UpsertState(pk, len(val), size)
+	cur, slot, found, ok := f.live().UpsertState(pk, len(val), size)
 	if !ok {
 		f.flush()
-		if cur, found, ok = f.live().UpsertState(pk, len(val), size); !ok {
+		if cur, slot, found, ok = f.live().UpsertState(pk, len(val), size); !ok {
 			panic("core: an empty fold table refused one entry")
 		}
 	}
@@ -69,13 +69,13 @@ func (f *foldTable) add(part int, key, val []byte) {
 		return
 	}
 	merged := mr.MergeInto(f.inc, &f.merged, key, cur, val)
-	if !f.table.SetState(pk, merged) {
+	if !f.table.SetState(slot, merged) {
 		// Arena exhausted by state growth. The flushed segment already
 		// carries the key's previous partial state, so the fresh slot
 		// must hold only the incoming increment — otherwise the old
 		// clicks would be emitted twice.
 		f.flush()
-		st, _, _ := f.live().UpsertState(pk, len(val), size)
+		st, _, _, _ := f.live().UpsertState(pk, len(val), size)
 		copy(st, val)
 	}
 }

@@ -95,7 +95,7 @@ func NewINCHashReducer(rt *Runtime, q mr.Query, cfg INCHashConfig, out mr.Output
 // path is incremental progress.
 func (r *INCHashReducer) Consume(key, state []byte) {
 	r.received++
-	cur, found, ok := r.table.UpsertState(key, len(state), r.inc.StateSize())
+	cur, slot, found, ok := r.table.UpsertState(key, len(state), r.inc.StateSize())
 	if !ok {
 		// Memory full and key not resident: stage to its bucket.
 		r.buckets.add(key, state)
@@ -106,12 +106,12 @@ func (r *INCHashReducer) Consume(key, state []byte) {
 	} else {
 		copy(cur, state)
 	}
-	if st := r.tryEmit(key, cur); !r.table.SetState(key, st) {
+	if st := r.tryEmit(key, cur); !r.table.SetState(slot, st) {
 		// The state outgrew the remaining arena: spill it and restart
 		// the key's slot empty (the identity state). Rare; keeps the
 		// budget honest.
 		r.buckets.add(key, st)
-		r.table.SetState(key, st[:0])
+		r.table.SetState(slot, st[:0])
 	}
 	r.inMemRecs++
 	r.rt.FnRecords(1)
@@ -209,7 +209,7 @@ func (r *INCHashReducer) processBucketBudget(data []byte, level int, budget int6
 	realOut := r.out
 	r.out = hold
 	bytestore.RangePairs(data, func(key, state []byte) bool {
-		cur, found, ok := t.UpsertState(key, len(state), r.inc.StateSize())
+		cur, slot, found, ok := t.UpsertState(key, len(state), r.inc.StateSize())
 		if ok {
 			recs++
 			if found {
@@ -217,7 +217,7 @@ func (r *INCHashReducer) processBucketBudget(data []byte, level int, budget int6
 			} else {
 				copy(cur, state)
 			}
-			ok = t.SetState(key, r.tryEmit(key, cur))
+			ok = t.SetState(slot, r.tryEmit(key, cur))
 		}
 		fits = ok
 		return ok

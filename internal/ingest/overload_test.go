@@ -56,7 +56,7 @@ func TestOverloadShedsAndLosesNothing(t *testing.T) {
 		if _, err := s.Ingest(testBatch(accepted+1, per)); !errors.Is(err, ErrOverloaded) {
 			t.Fatalf("overloaded service accepted work: %v", err)
 		}
-		if got := s.inflight.Load(); got > cfg.MaxInflightBytes {
+		if got := s.cfg.Budget.Snapshot().Inflight; got > cfg.MaxInflightBytes {
 			t.Fatalf("inflight %d exceeds budget %d", got, cfg.MaxInflightBytes)
 		}
 	}

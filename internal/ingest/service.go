@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/budget"
 	"repro/internal/mr"
 	"repro/internal/seglog"
 )
@@ -45,7 +46,11 @@ type Config struct {
 	CheckpointEvery int64
 	// MaxInflightBytes bounds accepted-but-unfolded record bytes;
 	// beyond it batches are shed with ErrOverloaded. Default 64 MiB.
+	// Ignored when Budget is set.
 	MaxInflightBytes int64
+	// Budget, if set, is the byte budget accepted-but-unfolded bytes
+	// draw on, shared with the job scheduler.
+	Budget *budget.Budget
 	// Fail injects crash/overload faults (tests only).
 	Fail *Failpoints
 
@@ -78,6 +83,9 @@ func (cfg *Config) withDefaults() error {
 	}
 	if cfg.MaxInflightBytes <= 0 {
 		cfg.MaxInflightBytes = 64 << 20
+	}
+	if cfg.Budget == nil {
+		cfg.Budget = budget.New(cfg.MaxInflightBytes)
 	}
 	if cfg.queueDepth == 0 {
 		cfg.queueDepth = queueDepth
@@ -131,8 +139,7 @@ type Ingester struct {
 	draining bool
 	closed   bool // queue closed
 
-	aborted  atomic.Bool
-	inflight atomic.Int64
+	aborted atomic.Bool
 
 	ackedBatches atomic.Int64
 	ackedRecords atomic.Int64
@@ -242,11 +249,10 @@ func (s *Ingester) Ingest(records [][]byte) (int64, error) {
 		}
 		size += int64(len(rec))
 	}
-	// Byte-budget admission: reserve before touching the WAL, release
+	// Byte-budget admission: take before touching the WAL, give back
 	// on any failure. This is what keeps memory bounded under a stalled
 	// folder — accepted-but-unfolded bytes can never exceed the budget.
-	if s.inflight.Add(size) > s.cfg.MaxInflightBytes {
-		s.inflight.Add(-size)
+	if !s.cfg.Budget.Take(size) {
 		s.m.shedBatches.Add(1)
 		s.m.shedBytes.Add(size)
 		return 0, ErrOverloaded
@@ -255,15 +261,15 @@ func (s *Ingester) Ingest(records [][]byte) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.w.Err(); err != nil {
-		s.inflight.Add(-size)
+		s.cfg.Budget.Give(size)
 		return 0, err
 	}
 	if s.draining {
-		s.inflight.Add(-size)
+		s.cfg.Budget.Give(size)
 		return 0, ErrDraining
 	}
 	if len(s.queue) == cap(s.queue) {
-		s.inflight.Add(-size)
+		s.cfg.Budget.Give(size)
 		s.m.shedBatches.Add(1)
 		s.m.shedBytes.Add(size)
 		return 0, ErrOverloaded
@@ -272,7 +278,7 @@ func (s *Ingester) Ingest(records [][]byte) (int64, error) {
 		return appendBatch(dst, seq, records)
 	})
 	if err != nil {
-		s.inflight.Add(-size)
+		s.cfg.Budget.Give(size)
 		return 0, err
 	}
 	s.ackedBatches.Add(1)
@@ -295,14 +301,14 @@ func (s *Ingester) foldLoop() {
 			delay(p.seq)
 		}
 		if s.aborted.Load() {
-			s.inflight.Add(-p.bytes)
+			s.cfg.Budget.Give(p.bytes)
 			continue
 		}
 		s.folder.fold(p.seq, p.records)
 		s.lastSeg, s.lastOff = p.seg, p.off
 		s.m.foldedBatches.Add(1)
 		s.m.foldedRecords.Add(int64(len(p.records)))
-		s.inflight.Add(-p.bytes)
+		s.cfg.Budget.Give(p.bytes)
 		if s.cfg.CheckpointEvery > 0 && p.seq%s.cfg.CheckpointEvery == 0 {
 			if s.writeCkpt(p.seg, p.off) != nil {
 				return
@@ -382,6 +388,19 @@ func (s *Ingester) Healthy() error {
 	return nil
 }
 
+// FoldBytes is the resident fold state: every live key and its state,
+// plus the early-output log.
+func (s *Ingester) FoldBytes() int64 {
+	f := s.folder
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := int64(len(f.outLog))
+	for k, st := range f.states {
+		n += int64(len(k) + len(st))
+	}
+	return n
+}
+
 // Stats returns the served answers plus coverage counters; see
 // folder.stats for the limit semantics.
 func (s *Ingester) Stats(limit int) Stats {
@@ -443,7 +462,7 @@ func (s *Ingester) Metrics() MetricsSnapshot {
 		RejectedRecords: s.m.rejectedRecords.Load(),
 		FoldedBatches:   s.m.foldedBatches.Load(),
 		FoldedRecords:   s.m.foldedRecords.Load(),
-		InflightBytes:   s.inflight.Load(),
+		InflightBytes:   s.cfg.Budget.Snapshot().Inflight,
 		QueueDepth:      len(s.queue),
 		Recovery:        s.Recovery,
 	}

@@ -169,3 +169,24 @@ func ParseBackend(name string) (Backend, error) {
 	}
 	return nil, fmt.Errorf("unknown backend %q (want sim or real)", name)
 }
+
+// Resume turns a built job into the run that resumes an interrupted one,
+// modelling the interruption as a node kill. On an incremental platform
+// with a survivor, the re-execution checkpoints reducer state after
+// every consumed map output (unless the job already checkpoints) and
+// kills node 1 three quarters through the map phase, so the reducers
+// restore from their newest checkpoint and replay only the unconsumed
+// suffix — the engine's own node-loss recovery. Non-incremental
+// platforms have no reducer state to restore, and a one-node cluster no
+// survivor to restore it on; both simply re-run, unchanged.
+func Resume(job *engine.JobSpec) {
+	if !job.Platform.Incremental() || job.Cluster.Nodes <= 1 {
+		return
+	}
+	if job.CheckpointEvery <= 0 {
+		// The resume must replay from the newest possible state, not
+		// whatever a coarse timer happened to capture.
+		job.CheckpointEvery = time.Nanosecond
+	}
+	job.Faults.KillAtMapProgress = map[int]float64{1: 0.75}
+}

@@ -177,3 +177,12 @@ func NodeCombineSavedFrac(w Workload, n int) float64 {
 	}
 	return 1 - floor/out
 }
+
+// SpillFiles bounds the spill files one reduce task holds at once: its
+// share of the map output, D·Km/(N·R), spilled in runs of B_r, of which
+// merging with factor F keeps at most 2F on disk, plus the one being
+// written. Any consistent byte unit will do.
+func SpillFiles(w Workload, h Hardware, p Params) int {
+	runs := math.Ceil(w.D * w.Km / (float64(h.N) * float64(p.R) * h.Br))
+	return int(min(runs, float64(2*p.F))) + 1
+}

@@ -274,7 +274,7 @@ func (r *run) runReduceAttempt(task *engine.ReduceTask, ridx, node, attempt int,
 			Start: time.Duration(taskStart), End: time.Duration(p.Now())}
 	}
 	st := r.newStore(node)
-	res.store = st
+	defer r.addStore(st)
 	rt := r.newRuntime(p, st, &res.ledger)
 	q := r.newQ()
 	wm, _ := q.(mr.Watermarker)

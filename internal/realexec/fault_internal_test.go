@@ -2,7 +2,6 @@ package realexec
 
 import (
 	"bytes"
-	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/mr"
 	"repro/internal/queries"
 	"repro/internal/reference"
-	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -82,9 +80,9 @@ func sortedRows(rep *engine.Report) []string {
 }
 
 // TestReleaseDropsConsumedOutputs: on a plan no reduce attempt can
-// restart, the reducer that consumes a map output last drops it, and
-// publish deletes the MapOutput file it charged, so when the job ends no
-// output holds its partitions and no map store holds the file. Under a
+// restart, the reducer that consumes a map output last drops it, so
+// when the job ends no output holds its partitions (the run keeps no
+// attempt's store, only its counters: addStore). Under a
 // reduce-failure plan every output stays resident for the restarts, and
 // the answers equal the clean run's.
 func TestReleaseDropsConsumedOutputs(t *testing.T) {
@@ -117,18 +115,6 @@ func TestReleaseDropsConsumedOutputs(t *testing.T) {
 	if n := resident(clean); n != 0 {
 		t.Errorf("clean run: %d of %d map outputs still resident", n, clean.TotalMaps)
 	}
-	for chunk, ch := range clean.maps {
-		name := fmt.Sprintf("map%06d.a0.out", chunk)
-		func() {
-			defer func() {
-				if recover() != nil {
-					t.Errorf("chunk %d: the map store still holds %s", chunk, name)
-				}
-			}()
-			ch.winner.store.Create(name, storage.MapOutput)
-		}()
-	}
-
 	failed, failedRep := runJob(engine.FaultPlan{ReduceFailures: map[int]int{1: 1, 4: 2}, FailPoint: 0.5})
 	if n := resident(failed); n != failed.TotalMaps {
 		t.Errorf("reduce-failure run: %d of %d map outputs resident, want all", n, failed.TotalMaps)

@@ -16,14 +16,12 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/storage"
 	"repro/internal/substrate"
 )
 
 // rcResult is one group's fold outcome: the published unit plus what
 // the report sums in group order.
 type rcResult struct {
-	store  *storage.Store
 	node   int // serving (first member) node
 	ledger int64
 	unit   *unit
@@ -46,7 +44,7 @@ func (r *run) foldGroup(g *engine.CombineGroup) {
 	}()
 	p := substrate.NewWallProc(r.start)
 	st := r.newStore(res.node)
-	res.store = st
+	defer r.addStore(st)
 	rt := r.newRuntime(p, st, &res.ledger)
 	span := func(name, kind string, node int, start int64) {
 		res.spans = append(res.spans, engine.Span{Name: name, Kind: kind, Node: node,

@@ -115,6 +115,9 @@ type run struct {
 	memFetches      atomic.Int64
 	snapshotRecords atomic.Int64
 
+	sumsMu sync.Mutex
+	sums   engine.ReportSums // every finished attempt's store counters (addStore)
+
 	// Recovery counters: an empty fault plan kills nobody, rolls no
 	// errors and sleeps for nothing, so they stay zero.
 	restartedReduces atomic.Int64
@@ -172,10 +175,20 @@ func newRun(spec engine.JobSpec, newQuery func() mr.Query) (*run, error) {
 	r.tokens, r.halted = make(chan struct{}, r.workers), make(chan struct{})
 	r.halt = sync.OnceFunc(func() { close(r.halted) })
 	r.consuming.Add(r.NumReducers)
-	if r.release && len(r.comb.Groups) == 0 { // else outputs stay for restarts or parked deposits
-		r.resident = make(chan struct{}, spec.Cluster.SlotCache*spec.Cluster.Nodes)
+	if n := residencyCap(r.spec, r.comb); n < r.TotalMaps {
+		r.resident = make(chan struct{}, n)
 	}
 	return r, nil
+}
+
+// residencyCap is how many map outputs a run holds at once: SlotCache ×
+// Nodes where the last consumer drops an output and no chunk deposits,
+// else every output stays, for restarts or for its group's fold.
+func residencyCap(spec *engine.JobSpec, comb *engine.CombinePlan) int {
+	if spec.ReduceRestarts() || len(comb.Groups) > 0 {
+		return spec.Input.NumChunks()
+	}
+	return spec.Cluster.SlotCache * spec.Cluster.Nodes
 }
 
 // execute runs map tasks as attempt chains on the worker pool, each
@@ -341,6 +354,15 @@ func (r *run) newStore(node int) *storage.Store {
 	return st
 }
 
+// addStore folds a finished attempt's store counters into the run's
+// sums, so the run keeps integers, not the store. The sums are additive,
+// so the order attempts finish in does not reach the Report.
+func (r *run) addStore(st *storage.Store) {
+	r.sumsMu.Lock()
+	r.sums.AddStore(st)
+	r.sumsMu.Unlock()
+}
+
 // newRuntime builds the task runtime charging virtual CPU into ledger.
 func (r *run) newRuntime(p substrate.Proc, st *storage.Store, ledger *int64) *core.Runtime {
 	return &core.Runtime{
@@ -356,7 +378,6 @@ func (r *run) newRuntime(p substrate.Proc, st *storage.Store, ledger *int64) *co
 
 // mapResult is one map attempt's outcome.
 type mapResult struct {
-	store  *storage.Store
 	node   int
 	units  []*unit
 	ledger int64
@@ -398,10 +419,10 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject, damage bool, claim
 		}
 	}()
 	st := r.newStore(node)
+	defer r.addStore(st)
 	if damage {
 		st.SetFaults(r.spec.StoreFaults(int64(chunk), int64(attempt)))
 	}
-	res.store = st
 	rt := r.newRuntime(p, st, &res.ledger)
 	q := r.newQ()
 	body := engine.NewMapBody(r.spec, rt, q, chunk, attempt,
@@ -468,7 +489,6 @@ func (r *run) publish(p substrate.Proc, st *storage.Store, name string, chunk, s
 
 // reduceResult is one reduce attempt's outcome.
 type reduceResult struct {
-	store  *storage.Store
 	ledger int64
 
 	out        engine.OutTotals
@@ -503,14 +523,14 @@ func (r *run) afterFeed(red *engine.TaskReducer, sink func(physBytes int64)) {
 // only their I/O accounting (their CPU already went to wastedCPU).
 func (r *run) report(mapDone, mapExtra []*mapResult, redDone, redExtra []*reduceResult, mapFinish time.Duration) *engine.Report {
 	rep := &engine.Report{MapFinishTime: mapFinish, Workers: r.workers}
-	sums := engine.ReportSums{ShuffleByNode: make([]int64, r.spec.Cluster.Nodes), Combine: r.comb.Totals()}
+	sums := &r.sums
+	sums.ShuffleByNode, sums.Combine = make([]int64, r.spec.Cluster.Nodes), r.comb.Totals()
 	publishedBy := func(node int, u *unit) {
 		for _, b := range u.partBytes {
 			sums.ShuffleByNode[node] += b
 		}
 	}
 	for _, mres := range mapDone {
-		sums.AddStore(mres.store)
 		sums.MapCPU += mres.ledger
 		rep.MapInputRecords += mres.mapped
 		rep.MapOutputRecords += mres.emitted
@@ -522,17 +542,14 @@ func (r *run) report(mapDone, mapExtra []*mapResult, redDone, redExtra []*reduce
 	}
 	// Combine folds count in group order, like the engine's fold order.
 	for _, cr := range r.combRes {
-		sums.AddStore(cr.store)
 		sums.MapCPU += cr.ledger
 		rep.Spans = append(rep.Spans, cr.spans...)
 		publishedBy(cr.node, cr.unit)
 	}
 	for _, mres := range mapExtra {
-		sums.AddStore(mres.store)
 		rep.Spans = append(rep.Spans, mres.span)
 	}
 	for _, rres := range redDone {
-		sums.AddStore(rres.store)
 		sums.ReduceCPU += rres.ledger
 		rep.OutputRecords += rres.out.Records
 		rep.ApproxKeys += rres.approxKeys
@@ -540,12 +557,11 @@ func (r *run) report(mapDone, mapExtra []*mapResult, redDone, redExtra []*reduce
 		rep.Spans = append(rep.Spans, rres.span)
 	}
 	for _, rres := range redExtra {
-		sums.AddStore(rres.store)
 		rep.Spans = append(rep.Spans, rres.span)
 	}
 	sums.WastedCPU = r.wastedCPU.Load()
 	sums.RefetchBytes = r.refetchBytes.Load()
-	r.ReportTail(rep, &sums)
+	r.ReportTail(rep, sums)
 	rep.MemShuffleFetches = r.memFetches.Load()
 	rep.SnapshotRecords = r.snapshotRecords.Load()
 	rep.NodesLost = len(r.KillAfter)

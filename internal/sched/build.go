@@ -7,6 +7,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/jobspec"
 	"repro/internal/mr"
+	"repro/internal/realexec"
 )
 
 // Executor runs one job to completion. resume is non-nil when the run
@@ -15,6 +16,14 @@ import (
 // state rather than recompute from scratch where the platform allows.
 type Executor interface {
 	Run(ctx context.Context, spec JobSpec, resume *ResumeInfo) (*engine.Report, error)
+}
+
+// Predictor is an Executor that predicts the peak heap a run of a spec
+// holds, resumed or not; the scheduler starts a run only when that fits
+// its budget. An executor that is not one has its runs admitted by count
+// alone.
+type Predictor interface {
+	Predict(spec JobSpec, resume *ResumeInfo) int64
 }
 
 // ResumeInfo describes the interrupted run being resumed.
@@ -45,16 +54,20 @@ func BuildJob(s JobSpec) (engine.JobSpec, func() mr.Query, error) {
 // spec.Backend.
 type EngineExecutor struct{}
 
-// Run implements Executor. Resumed runs on an incremental platform
-// model the scheduler's own death as a node kill: the re-execution
-// checkpoints reducer state and kills node 1 three quarters through
-// the map phase, so the reducers restore from their newest checkpoint
-// and replay only the unconsumed suffix, the engine's own node-loss
-// recovery — Report.RecoveryReadBytes then reports the true replay
-// suffix, which stays below a from-scratch recomputation, while
-// answers remain bit-identical. Non-incremental platforms have no
-// reducer state to restore, and a one-node cluster no survivor to
-// restore it on; both simply re-run.
+// Predict implements Predictor: realexec.PeakHeap of the spec a
+// real-backend run executes (BuildRun). A DES run is not predicted (0):
+// its heap is the simulator's, which the wall-clock terms do not
+// describe.
+func (EngineExecutor) Predict(spec JobSpec, resume *ResumeInfo) int64 {
+	job, newQuery, err := BuildRun(spec, resume)
+	if err != nil || spec.Backend != "real" {
+		return 0
+	}
+	n, _ := realexec.PeakHeap(job, newQuery)
+	return n
+}
+
+// Run implements Executor: it runs BuildRun's job on spec.Backend.
 func (EngineExecutor) Run(ctx context.Context, spec JobSpec, resume *ResumeInfo) (*engine.Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -63,18 +76,22 @@ func (EngineExecutor) Run(ctx context.Context, spec JobSpec, resume *ResumeInfo)
 	if err != nil {
 		return nil, err
 	}
-	job, newQuery, err := BuildJob(spec)
+	job, newQuery, err := BuildRun(spec, resume)
 	if err != nil {
 		return nil, err
 	}
-	if resume != nil && job.Platform.Incremental() && job.Cluster.Nodes > 1 {
-		if job.CheckpointEvery <= 0 {
-			// Checkpoint after every consumed map output: the resume must
-			// replay from the newest possible state, not whatever a coarse
-			// timer happened to capture before the interruption.
-			job.CheckpointEvery = time.Nanosecond
-		}
-		job.Faults.KillAtMapProgress = map[int]float64{1: 0.75}
-	}
 	return backend(job, newQuery)
+}
+
+// BuildRun is BuildJob for one run: resume is non-nil when the run
+// resumes an interrupted one, whose death is modelled as a node kill
+// (jobspec.Resume) — Report.RecoveryReadBytes then reports the true
+// replay suffix, which stays below a from-scratch recomputation, while
+// answers remain bit-identical.
+func BuildRun(spec JobSpec, resume *ResumeInfo) (engine.JobSpec, func() mr.Query, error) {
+	job, newQuery, err := BuildJob(spec)
+	if err == nil && resume != nil {
+		jobspec.Resume(&job)
+	}
+	return job, newQuery, err
 }

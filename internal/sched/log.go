@@ -104,7 +104,6 @@ func load(cfg Config) (*Scheduler, error) {
 		runs:    make(map[string][]*Run),
 		limits:  make(map[string]Limits),
 		runSeq:  make(map[string]uint64),
-		queues:  make(map[string][]queueEntry),
 		running: make(map[string]int),
 		cancels: make(map[string]context.CancelFunc),
 		active:  make(map[string]uint64),

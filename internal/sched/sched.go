@@ -5,12 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/budget"
 	"repro/internal/seglog"
 )
 
@@ -34,8 +34,12 @@ var (
 type Config struct {
 	// Dir is the job log directory (required).
 	Dir string
-	// Exec runs jobs; defaults to EngineExecutor.
+	// Exec runs jobs; defaults to EngineExecutor. If it is a Predictor
+	// too, a run starts only when its predicted peak fits Budget.
 	Exec Executor
+	// Budget is the byte budget runs are admitted on, shared with the
+	// ingester (default: unlimited).
+	Budget *budget.Budget
 	// DefaultLimits applies to orgs with no explicit limits row
 	// (default: 2 concurrent, 64 queued).
 	DefaultLimits Limits
@@ -57,6 +61,9 @@ func (cfg *Config) withDefaults() error {
 	if cfg.Exec == nil {
 		cfg.Exec = EngineExecutor{}
 	}
+	if cfg.Budget == nil {
+		cfg.Budget = budget.New(budget.NoLimit)
+	}
 	cfg.DefaultLimits = cfg.DefaultLimits.withDefaults(Limits{MaxConcurrent: 2, MaxQueued: 64})
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -75,9 +82,11 @@ func (cfg *Config) withDefaults() error {
 
 // queueEntry is one admitted, unstarted run.
 type queueEntry struct {
+	org    string
 	jobID  string
 	runID  uint64
 	resume *ResumeInfo
+	bytes  int64 // predicted peak heap (Predictor)
 }
 
 // RecoveryInfo reports what Open found and repaired.
@@ -109,6 +118,14 @@ type Metrics struct {
 	Recovery  RecoveryInfo `json:"recovery"`
 	Store     StoreMetrics `json:"store"`
 	Draining  bool         `json:"draining"`
+
+	// The byte budget: its size, the running runs' predicted peaks, the
+	// soft memory limit derived from them (0: none), and the queued runs
+	// their orgs' limits would start but the budget holds back.
+	BudgetBytes    int64 `json:"budget_bytes"`
+	ReservedBytes  int64 `json:"reserved_bytes"`
+	SoftLimitBytes int64 `json:"soft_limit_bytes"`
+	WaitingRuns    int   `json:"waiting_runs"`
 }
 
 // Scheduler admits, queues, executes, and records jobs. All public
@@ -126,7 +143,8 @@ type Scheduler struct {
 	jobSeq uint64            // largest job number written
 	runSeq map[string]uint64 // org → largest run id written
 
-	queues   map[string][]queueEntry
+	queue    []queueEntry                  // every org's unstarted runs, in submission order
+	waiting  int                           // queued runs the budget holds back (dispatchLocked)
 	running  map[string]int                // org → executing runs
 	cancels  map[string]context.CancelFunc // jobID → running run's cancel
 	active   map[string]uint64             // jobID → running run's id
@@ -167,11 +185,11 @@ func (s *Scheduler) start() error {
 		for _, r := range rs {
 			switch r.State {
 			case StatePending:
-				e := queueEntry{jobID: r.JobID, runID: r.ID}
+				e := queueEntry{org: r.Org, jobID: r.JobID, runID: r.ID}
 				if r.Resumed {
 					e.resume = &ResumeInfo{Attempt: r.Attempt}
 				}
-				s.queues[r.Org] = append(s.queues[r.Org], e)
+				s.queue = append(s.queue, e)
 				s.Recovery.RequeuedRuns++
 			case StateRunning:
 				lost = append(lost, r)
@@ -179,10 +197,11 @@ func (s *Scheduler) start() error {
 		}
 	}
 	// Each org's run ids were minted in the FIFO order its submits were
-	// acknowledged in, so that order is the ids'.
-	for _, q := range s.queues {
-		sort.Slice(q, func(i, k int) bool { return q[i].runID < q[k].runID })
-	}
+	// acknowledged in, so that order is the ids'; across orgs the order
+	// the submits came in is not kept, and orgs requeue by name.
+	slices.SortFunc(s.queue, func(a, b queueEntry) int {
+		return cmp.Or(cmp.Compare(a.org, b.org), cmp.Compare(a.runID, b.runID))
+	})
 
 	// One record repairs all interrupted runs: old attempts flip to
 	// interrupted, fresh resume attempts are minted behind the queue.
@@ -204,8 +223,8 @@ func (s *Scheduler) start() error {
 		}
 		for i := 0; i < len(repair.Runs); i += 2 {
 			old, next := repair.Runs[i], repair.Runs[i+1]
-			s.queues[old.Org] = append(s.queues[old.Org], queueEntry{
-				jobID: old.JobID, runID: next.ID,
+			s.queue = append(s.queue, queueEntry{
+				org: old.Org, jobID: old.JobID, runID: next.ID,
 				resume: &ResumeInfo{PrevRunID: old.ID, Attempt: next.Attempt},
 			})
 		}
@@ -219,14 +238,42 @@ func (s *Scheduler) start() error {
 			s.armCronLocked(j)
 		}
 	}
-	for _, org := range slices.Sorted(maps.Keys(s.queues)) {
-		s.dispatchLocked(org)
+	for i := range s.queue {
+		s.queue[i].bytes = s.predict(s.queue[i])
 	}
+	s.dispatchLocked()
 	return nil
 }
 
 func terminal(state string) bool {
 	return state == StateDone || state == StateFailed || state == StateCanceled
+}
+
+// queued counts org's unstarted runs.
+func (s *Scheduler) queued(org string) int {
+	n := 0
+	for _, e := range s.queue {
+		if e.org == org {
+			n++
+		}
+	}
+	return n
+}
+
+// predict is the executor's prediction of the run's peak heap.
+func (s *Scheduler) predict(e queueEntry) int64 {
+	if p, ok := s.cfg.Exec.(Predictor); ok {
+		return p.Predict(s.jobs[e.jobID].Spec, e.resume)
+	}
+	return 0
+}
+
+// enqueue queues a run behind every queued run and dispatches.
+func (s *Scheduler) enqueue(org, jobID string, runID uint64) {
+	e := queueEntry{org: org, jobID: jobID, runID: runID}
+	e.bytes = s.predict(e)
+	s.queue = append(s.queue, e)
+	s.dispatchLocked()
 }
 
 func (s *Scheduler) limitsFor(org string) Limits {
@@ -254,10 +301,9 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	if s.draining {
 		return nil, ErrDraining
 	}
-	lim := s.limitsFor(spec.Org)
-	if len(s.queues[spec.Org]) >= lim.MaxQueued {
+	if n := s.queued(spec.Org); n >= s.limitsFor(spec.Org).MaxQueued {
 		s.shed++
-		return nil, fmt.Errorf("%w: %d runs queued for org %s", ErrOverloaded, len(s.queues[spec.Org]), spec.Org)
+		return nil, fmt.Errorf("%w: %d runs queued for org %s", ErrOverloaded, n, spec.Org)
 	}
 
 	job := &Job{ID: jobID(s.jobSeq + 1), Spec: spec, State: StateActive, Created: s.cfg.Now().UTC().Format(time.RFC3339)}
@@ -273,8 +319,7 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	if spec.Cron != "" {
 		s.armCronLocked(job)
 	} else {
-		s.queues[spec.Org] = append(s.queues[spec.Org], queueEntry{jobID: job.ID, runID: admit.Runs[0].ID})
-		s.dispatchLocked(spec.Org)
+		s.enqueue(spec.Org, job.ID, admit.Runs[0].ID)
 	}
 	out := *job
 	return &out, nil
@@ -349,8 +394,7 @@ func (s *Scheduler) Cancel(id string) (*Job, error) {
 	canceled := *j
 	canceled.State = StateCanceled
 	rec := &rows{Jobs: []*Job{&canceled}}
-	org := j.Spec.Org
-	for _, e := range s.queues[org] {
+	for _, e := range s.queue {
 		if e.jobID == id {
 			rec.Runs = append(rec.Runs, s.runIn(id, e.runID, StateCanceled))
 		}
@@ -361,8 +405,9 @@ func (s *Scheduler) Cancel(id string) (*Job, error) {
 	if err := s.commit(rec); err != nil {
 		return nil, err
 	}
-	s.queues[org] = slices.DeleteFunc(s.queues[org], func(e queueEntry) bool { return e.jobID == id })
+	s.queue = slices.DeleteFunc(s.queue, func(e queueEntry) bool { return e.jobID == id })
 	s.canceled++
+	s.dispatchLocked() // a run the budget held back may have been the canceled one
 
 	if t, ok := s.timers[id]; ok {
 		t.Stop()
@@ -394,22 +439,33 @@ func (s *Scheduler) SetLimits(org string, l Limits) error {
 	if err := s.commit(&rows{Limits: map[string]Limits{org: l}}); err != nil {
 		return err
 	}
-	s.dispatchLocked(org)
+	s.dispatchLocked()
 	return nil
 }
 
-// dispatchLocked starts queued runs for org while its concurrency
-// limit allows. Callers hold s.mu.
-func (s *Scheduler) dispatchLocked(org string) {
+// dispatchLocked starts queued runs in submission order across orgs,
+// each while its org's concurrency limit allows and its predicted peak
+// fits the budget. The first run the budget holds back holds back every
+// later one too, so no later run takes the bytes it waits for; a run of
+// an org at its limit holds back nothing. Callers hold s.mu.
+func (s *Scheduler) dispatchLocked() {
 	if s.closed {
 		return
 	}
-	lim := s.limitsFor(org)
-	for s.running[org] < lim.MaxConcurrent && len(s.queues[org]) > 0 {
-		e := s.queues[org][0]
+	kept, held, wedged := s.queue[:0], false, false
+	s.waiting = 0
+	for _, e := range s.queue {
 		j := s.jobs[e.jobID]
 		if terminal(j.State) {
-			s.queues[org] = s.queues[org][1:]
+			continue
+		}
+		if wedged || s.running[e.org] >= s.limitsFor(e.org).MaxConcurrent {
+			kept = append(kept, e)
+			continue
+		}
+		if held = held || !s.cfg.Budget.Reserve(e.bytes); held {
+			s.waiting++
+			kept = append(kept, e)
 			continue
 		}
 		start := &rows{Runs: []*Run{s.runIn(e.jobID, e.runID, StateRunning)}}
@@ -421,16 +477,20 @@ func (s *Scheduler) dispatchLocked(org string) {
 		if err := s.commit(start); err != nil {
 			// Wedged log: the run stays pending on disk and queued in
 			// memory; the next boot requeues it.
-			return
+			s.cfg.Budget.Release(e.bytes)
+			wedged = true
+			kept = append(kept, e)
+			continue
 		}
-		s.queues[org] = s.queues[org][1:]
 		ctx, cancel := context.WithCancel(context.Background())
 		s.cancels[e.jobID] = cancel
 		s.active[e.jobID] = e.runID
-		s.running[org]++
+		s.running[e.org]++
 		s.wg.Add(1)
 		go s.execute(ctx, cancel, j.Spec, e)
 	}
+	clear(s.queue[len(kept):])
+	s.queue = kept
 }
 
 // execute runs one admitted run to completion and records the result.
@@ -444,6 +504,7 @@ func (s *Scheduler) execute(ctx context.Context, cancel context.CancelFunc, spec
 	delete(s.cancels, e.jobID)
 	delete(s.active, e.jobID)
 	s.running[spec.Org]--
+	s.cfg.Budget.Release(e.bytes)
 
 	j := *s.jobs[e.jobID]
 	state := StateDone
@@ -486,7 +547,7 @@ func (s *Scheduler) execute(ctx context.Context, cancel context.CancelFunc, spec
 	case StateCanceled:
 		s.canceled++
 	}
-	s.dispatchLocked(spec.Org)
+	s.dispatchLocked()
 }
 
 // armCronLocked schedules the job's next fire. Callers hold s.mu.
@@ -520,7 +581,7 @@ func (s *Scheduler) cronFire(id string) {
 	s.cronTicks++
 
 	org := j.Spec.Org
-	if len(s.queues[org]) >= s.limitsFor(org).MaxQueued {
+	if s.queued(org) >= s.limitsFor(org).MaxQueued {
 		s.shed++ // skip this fire rather than queue without bound
 		return
 	}
@@ -528,8 +589,7 @@ func (s *Scheduler) cronFire(id string) {
 	if err := s.commit(&rows{Runs: []*Run{run}}); err != nil {
 		return
 	}
-	s.queues[org] = append(s.queues[org], queueEntry{jobID: id, runID: run.ID})
-	s.dispatchLocked(org)
+	s.enqueue(org, id, run.ID)
 }
 
 // Drain stops admitting new submits (ErrDraining), disarms cron
@@ -602,10 +662,6 @@ func (s *Scheduler) Abort() {
 func (s *Scheduler) Metrics() Metrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	queued := 0
-	for _, q := range s.queues {
-		queued += len(q)
-	}
 	running := 0
 	for _, n := range s.running {
 		running += n
@@ -613,7 +669,7 @@ func (s *Scheduler) Metrics() Metrics {
 	st := s.log.Stats()
 	m := Metrics{
 		Jobs:      len(s.jobs),
-		Queued:    queued,
+		Queued:    len(s.queue),
 		Running:   running,
 		Submitted: s.submitted,
 		Completed: s.completed,
@@ -630,8 +686,11 @@ func (s *Scheduler) Metrics() Metrics {
 			Snapshots:        st.Images,
 			SnapshotBytes:    st.ImageBytes,
 		},
-		Draining: s.draining,
+		Draining:    s.draining,
+		WaitingRuns: s.waiting,
 	}
+	b := s.cfg.Budget.Snapshot()
+	m.BudgetBytes, m.ReservedBytes, m.SoftLimitBytes = b.Budget, b.Reserved, b.SoftLimit
 	if err := s.log.Err(); err != nil {
 		m.Store.Wedged = err.Error()
 	}

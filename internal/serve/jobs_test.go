@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -413,5 +415,47 @@ func TestJobsDrainOnShutdown(t *testing.T) {
 	}
 	if s2.Recovery.ResumedRuns != 0 || s2.Recovery.RequeuedRuns != 0 {
 		t.Fatalf("drained shutdown left recovery work: %+v", s2.Recovery)
+	}
+}
+
+// TestMetricszReportsTheScheduler pins /metricsz's shape: the
+// ingester's counters stay at the top level, where the benchmark
+// harness decodes them, and an attached scheduler's counters and the
+// byte budget's gauges sit under "jobs".
+func TestMetricszReportsTheScheduler(t *testing.T) {
+	srv, s := jobsServer(t, sched.Config{Exec: &slowExec{release: make(chan struct{})}})
+	if resp, body := doJSON(t, http.MethodPost, srv.URL+"/v1/jobs", specBody("acme")); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit: %s %s", resp.Status, body)
+	}
+	_, body := doJSON(t, http.MethodGet, srv.URL+"/metricsz", "")
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"query", "accepted_batches", "inflight_bytes", "wal_syncs", "recovery"} {
+		if _, ok := m[k]; !ok {
+			t.Errorf("ingest key %q missing from the top level", k)
+		}
+	}
+	var jobs map[string]json.RawMessage
+	if err := json.Unmarshal(m["jobs"], &jobs); err != nil {
+		t.Fatalf("jobs: %v in %s", err, body)
+	}
+	want := []string{"budget_bytes", "canceled", "completed", "cron_ticks", "draining", "failed", "jobs",
+		"queued", "recovery", "reserved_bytes", "running", "shed", "soft_limit_bytes", "store", "submitted", "waiting_runs"}
+	if got := slices.Sorted(maps.Keys(jobs)); !slices.Equal(got, want) {
+		t.Errorf("jobs keys %q, want %q", got, want)
+	}
+	if string(jobs["running"]) != "1" || string(jobs["submitted"]) != "1" || string(jobs["waiting_runs"]) != "0" {
+		t.Errorf("jobs %s", m["jobs"])
+	}
+	if m := s.Metrics(); m.BudgetBytes <= 0 {
+		t.Errorf("scheduler without a budget reports %d budget bytes", m.BudgetBytes)
+	}
+
+	plain := httptest.NewServer(NewHandler(testIngester(t, t.TempDir(), nil, 0), nil))
+	defer plain.Close()
+	if _, body := doJSON(t, http.MethodGet, plain.URL+"/metricsz", ""); strings.Contains(string(body), `"jobs"`) {
+		t.Errorf("no scheduler, but /metricsz has jobs: %s", body)
 	}
 }

@@ -70,9 +70,22 @@ func NewHandler(ing *ingest.Ingester, jobs *sched.Scheduler) http.Handler {
 		w.Write([]byte("ok\n"))
 	})
 	mux.HandleFunc("/metricsz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, ing.Metrics())
+		m := metricsz{MetricsSnapshot: ing.Metrics()}
+		if jobs != nil {
+			jm := jobs.Metrics()
+			m.Jobs = &jm
+		}
+		writeJSON(w, http.StatusOK, m)
 	})
 	return mux
+}
+
+// metricsz is the /metricsz body: the ingester's counters at the top
+// level and, with a scheduler attached, its counters and the byte
+// budget's under "jobs".
+type metricsz struct {
+	ingest.MetricsSnapshot
+	Jobs *sched.Metrics `json:"jobs,omitempty"`
 }
 
 // ackResponse is the POST /v1/events success body: the durable batch

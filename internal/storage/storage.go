@@ -125,7 +125,7 @@ type File struct {
 	grown  bool        // memory: data is a pooled buffer the file grew into, recycled at Delete
 	disk   *Scratch    // disk: the scratch file, nil for memory
 	exts   []extent    // disk: the flushed bytes, in file order
-	page   []byte      // disk: the tail not yet flushed (pooled, at most scratchPage)
+	page   []byte      // disk: the tail not yet flushed (pooled, at most ScratchPage)
 	lent   [][]byte    // disk: pooled copies reads lent, recycled at Delete
 }
 
@@ -155,7 +155,7 @@ func (f *File) put(data []byte, owned bool) {
 			f.data, f.grown = append(bytestore.Get(max(2*cap(f.data), len(f.data)+len(data))), f.data...), true
 		}
 		f.data = append(f.data, data...)
-	case n <= scratchPage:
+	case n <= ScratchPage:
 		f.page = append(bytestore.Grow(f.page, len(data)), data...)
 	default:
 		at := f.disk.end.Add(n) - n
@@ -193,9 +193,9 @@ func (f *File) fill(dst []byte) []byte {
 	return append(dst, f.page...)
 }
 
-// scratchPage bounds a disk file's write-behind page: the most of a
+// ScratchPage bounds a disk file's write-behind page: the most of a
 // spill file the heap holds, beside the copies reads lent.
-const scratchPage = 16 << 10
+const ScratchPage = 16 << 10
 
 // Scratch is the disk medium of one wall-clock run: a temporary file,
 // unlinked as soon as it is open, whose extents every spill file of the

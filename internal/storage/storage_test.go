@@ -360,7 +360,7 @@ func pattern(n, seed int) []byte {
 // long read back the same on both media, through Append and
 // AppendOwned, whole and in ranges that straddle every boundary.
 func TestWriteBehindPageBoundary(t *testing.T) {
-	sizes := []int{100, scratchPage - 100, 1, scratchPage, 300, 3*scratchPage + 7, scratchPage - 300, 0, 5}
+	sizes := []int{100, ScratchPage - 100, 1, ScratchPage, 300, 3*ScratchPage + 7, ScratchPage - 300, 0, 5}
 	media(t, func(t *testing.T, sc *Scratch) {
 		for _, owned := range []bool{false, true} {
 			run(t, cost.Default(1), sc, func(p *sim.Proc, s *Store) {
@@ -378,8 +378,8 @@ func TestWriteBehindPageBoundary(t *testing.T) {
 						t.Fatalf("owned=%v: after append %d the file reads back %d bytes unlike the %d written", owned, i, len(got), len(want))
 					}
 				}
-				for off := int64(0); off < f.Size(); off += scratchPage / 3 {
-					n := min(int64(scratchPage), f.Size()-off)
+				for off := int64(0); off < f.Size(); off += ScratchPage / 3 {
+					n := min(int64(ScratchPage), f.Size()-off)
 					if got := readAt(t, p, s, f, off, n, MapSpill); !bytes.Equal(got, want[off:off+n]) {
 						t.Fatalf("owned=%v: range [%d,%d) reads back wrong", owned, off, off+n)
 					}
@@ -412,7 +412,7 @@ func faultScript(t *testing.T, sc *Scratch) (res struct {
 			for j := range 6 {
 				s.Append(p, f, pattern(700*(i+j+1), j), ReduceSpill)
 			}
-			s.AppendOwned(p, f, pattern(3*scratchPage, i), ReduceSpill, []int64{scratchPage, 2 * scratchPage})
+			s.AppendOwned(p, f, pattern(3*ScratchPage, i), ReduceSpill, []int64{ScratchPage, 2 * ScratchPage})
 			_, err := s.ReadAtChecked(p, f, f.Size()/3, f.Size()/3, ReduceSpill)
 			res.Verdicts = append(res.Verdicts, err == nil)
 			func() {
@@ -450,13 +450,13 @@ func TestViewsValidUntilDelete(t *testing.T) {
 	media(t, func(t *testing.T, sc *Scratch) {
 		run(t, cost.Default(1), sc, func(p *sim.Proc, s *Store) {
 			f := s.Create("spill", ReduceSpill)
-			first := pattern(scratchPage/2, 1)
+			first := pattern(ScratchPage/2, 1)
 			s.Append(p, f, first, ReduceSpill)
 			view := s.ReadAll(p, f, 0, ReduceSpill)
 			for i := range 4 {
-				s.Append(p, f, pattern(scratchPage, i), ReduceSpill)
+				s.Append(p, f, pattern(ScratchPage, i), ReduceSpill)
 				s.ReadAll(p, f, 0, ReduceSpill)
-				readAt(t, p, s, f, 10, scratchPage, ReduceSpill)
+				readAt(t, p, s, f, 10, ScratchPage, ReduceSpill)
 			}
 			if !bytes.Equal(view, first) {
 				t.Fatal("a lent view changed before Delete")
@@ -481,7 +481,7 @@ func TestSpillFileHoldsAtMostOnePage(t *testing.T) {
 			s.Append(p, f, data, ReduceSpill)
 		}
 		runtime.ReadMemStats(&after)
-		if f.data != nil || cap(f.page) > scratchPage {
+		if f.data != nil || cap(f.page) > ScratchPage {
 			t.Fatalf("the file holds %d bytes in memory and a %d-byte page", len(f.data), cap(f.page))
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > n/16 {
@@ -499,11 +499,11 @@ func TestRereadReusesTheLentBuffer(t *testing.T) {
 	media(t, func(t *testing.T, sc *Scratch) {
 		run(t, cost.Default(1), sc, func(p *sim.Proc, s *Store) {
 			f := s.Create("run", MapSpill)
-			s.AppendOwned(p, f, pattern(3*scratchPage, 0), MapSpill, nil)
-			whole := s.ReadAll(p, f, scratchPage, MapSpill)
+			s.AppendOwned(p, f, pattern(3*ScratchPage, 0), MapSpill, nil)
+			whole := s.ReadAll(p, f, ScratchPage, MapSpill)
 			for range 8 {
-				again := s.ReadAll(p, f, scratchPage, MapSpill)
-				part := readAt(t, p, s, f, 100, scratchPage, MapSpill)
+				again := s.ReadAll(p, f, ScratchPage, MapSpill)
+				part := readAt(t, p, s, f, 100, ScratchPage, MapSpill)
 				if &again[0] != &whole[0] || &part[0] != &whole[100] {
 					t.Fatal("a re-read filled a new buffer")
 				}
