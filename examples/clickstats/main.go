@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 	"time"
 
 	"repro"
@@ -58,21 +59,10 @@ func main() {
 			}
 			bar := int(p.Out * 40)
 			fmt.Printf("  %6.0fs   %s %.0f%%\n", p.T.Seconds(),
-				stringsRepeat("█", bar)+stringsRepeat("·", 40-bar), p.Out*100)
+				strings.Repeat("█", max(0, bar))+strings.Repeat("·", max(0, 40-bar)), p.Out*100)
 		}
 		fmt.Println()
 	}
 	fmt.Println("INC-hash emits a user the instant its in-memory count crosses the")
 	fmt.Println("threshold; sort-merge reveals everything only after the final merge.")
-}
-
-func stringsRepeat(s string, n int) string {
-	if n < 0 {
-		n = 0
-	}
-	out := ""
-	for i := 0; i < n; i++ {
-		out += s
-	}
-	return out
 }

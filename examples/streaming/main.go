@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 	"time"
 
 	"repro"
@@ -58,17 +59,9 @@ func main() {
 			bar = 40
 		}
 		fmt.Printf("  %7.0fs   %s %.0f%%\n", p.T.Seconds(),
-			repeat("█", bar)+repeat("·", 40-bar), p.Out*100)
+			strings.Repeat("█", max(0, bar))+strings.Repeat("·", max(0, 40-bar)), p.Out*100)
 	}
 	fmt.Println("\nResults for each hour of traffic appear while later hours are still")
 	fmt.Println("being read: one-pass, incremental, near-real-time — no second job,")
 	fmt.Println("no re-merge, no waiting for the end of the data.")
-}
-
-func repeat(s string, n int) string {
-	out := ""
-	for i := 0; i < n; i++ {
-		out += s
-	}
-	return out
 }

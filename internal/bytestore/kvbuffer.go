@@ -1,6 +1,10 @@
 package bytestore
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"repro/internal/kvenc"
+)
 
 // KVBuffer is a flat append-only buffer of key/value (or key/state)
 // pairs with a byte budget. It backs the map-side output buffer and
@@ -34,7 +38,7 @@ func (b *KVBuffer) Append(key, val []byte) bool {
 	if int64(len(b.buf))+need > b.budget && b.n > 0 {
 		return false
 	}
-	b.buf = AppendPair(b.buf, key, val)
+	b.buf = kvenc.AppendPair(b.buf, key, val)
 	b.n++
 	return true
 }
@@ -54,30 +58,17 @@ func (b *KVBuffer) Reset() {
 // Bytes returns the raw encoded contents (valid until Reset/Append).
 func (b *KVBuffer) Bytes() []byte { return b.buf }
 
-// AppendPair appends one pair to a raw KVBuffer-encoded stream (no
-// budget), returning the extended slice. Used to serialize tables and
-// checkpoints in the same format RangePairs reads back.
-func AppendPair(dst, key, val []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(key)))
-	dst = binary.AppendUvarint(dst, uint64(len(val)))
-	dst = append(dst, key...)
-	return append(dst, val...)
-}
-
 // RangePairs decodes a KVBuffer-encoded byte stream (e.g. one read
 // back from a spill file) and iterates its pairs.
 func RangePairs(data []byte, fn func(key, val []byte) bool) {
 	for len(data) > 0 {
 		klen, kn := binary.Uvarint(data)
 		vlen, vn := binary.Uvarint(data[kn:])
-		p := kn + vn
-		key := data[p : p+int(klen) : p+int(klen)]
-		p += int(klen)
-		val := data[p : p+int(vlen) : p+int(vlen)]
-		p += int(vlen)
-		if !fn(key, val) {
+		k := kn + vn + int(klen) // the key's end
+		v := k + int(vlen)       // the value's
+		if !fn(data[kn+vn:k:k], data[k:v:v]) {
 			return
 		}
-		data = data[p:]
+		data = data[v:]
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/bytestore"
 	"repro/internal/frequent"
+	"repro/internal/kvenc"
 )
 
 // StateImage is a consistent snapshot of an incremental reducer's
@@ -55,7 +56,7 @@ func (img *StateImage) BucketLens() []int64 {
 func (r *INCHashReducer) Snapshot() *StateImage {
 	img := &StateImage{}
 	r.table.Range(func(key, state []byte, _ func(func([]byte))) bool {
-		img.Table = bytestore.AppendPair(img.Table, key, state)
+		img.Table = kvenc.AppendPair(img.Table, key, state)
 		img.TableKeys++
 		return true
 	})

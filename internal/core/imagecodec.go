@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 
 	"repro/internal/frame"
@@ -13,12 +14,34 @@ import (
 // be half-applied.
 var ErrBadImage = errors.New("core: malformed state image")
 
-// MarshalImage serializes a StateImage into one flat blob with an
-// exact inverse: checkpoint images travel (and are damaged, under
-// fault injection) as byte blobs, framed by the engine with a CRC32C
-// so torn tails and bit flips are detected on restore.
-func MarshalImage(img *StateImage) []byte {
-	var out []byte
+// FramedImage serializes a state image straight into one CRC32C frame:
+// the checkpoint representation the engine and the ingestion service
+// share, so they cannot disagree about what a valid image blob is.
+func FramedImage(img *StateImage) []byte {
+	const v = binary.MaxVarintLen64 // at most, per varint
+	n := frame.MaxHeader + int(img.StateBytes()) + (5*v-24)*len(img.Sketch) + 11*v + v*len(img.BucketPairs)
+	for _, b := range img.Buckets {
+		n += len(b) + v
+	}
+	b := appendImage(make([]byte, frame.MaxHeader, n+frame.TrailerSize), img)
+	return frame.Append(b[:0], b[frame.MaxHeader:])
+}
+
+// DecodeFramedImage decodes a blob produced by FramedImage: exactly
+// one verified frame spanning b, whose payload unmarshals as a state
+// image. A torn tail, a flipped bit, or a truncated payload all fail —
+// an image restores whole or not at all.
+func DecodeFramedImage(b []byte) (*StateImage, error) {
+	payload, err := frame.Decode(b)
+	if err != nil {
+		return nil, err
+	}
+	return UnmarshalImage(payload)
+}
+
+// appendImage appends a StateImage to out as one flat blob, the
+// inverse of UnmarshalImage.
+func appendImage(out []byte, img *StateImage) []byte {
 	out = appendBlob(out, img.Table)
 	out = frame.AppendVarint(out, int64(img.TableKeys))
 	out = frame.AppendVarint(out, int64(len(img.Sketch)))
@@ -46,7 +69,7 @@ func MarshalImage(img *StateImage) []byte {
 	return out
 }
 
-// UnmarshalImage decodes a blob produced by MarshalImage. The decoded
+// UnmarshalImage decodes a blob produced by appendImage. The decoded
 // image copies nothing from b beyond its own slices' backing (blobs
 // alias b; callers that outlive b must copy).
 func UnmarshalImage(b []byte) (*StateImage, error) {

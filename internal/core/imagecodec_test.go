@@ -33,7 +33,7 @@ func TestImageCodecRoundTrip(t *testing.T) {
 		},
 	}
 	for i, img := range imgs {
-		got, err := UnmarshalImage(MarshalImage(img))
+		got, err := UnmarshalImage(appendImage(nil, img))
 		if err != nil {
 			t.Fatalf("image %d: %v", i, err)
 		}
@@ -71,7 +71,7 @@ func TestImageCodecRejectsDamage(t *testing.T) {
 		BucketPairs: []int64{1},
 		Received:    10,
 	}
-	blob := MarshalImage(img)
+	blob := appendImage(nil, img)
 	if _, err := UnmarshalImage(blob); err != nil {
 		t.Fatalf("clean blob: %v", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/bytestore"
+	"repro/internal/kvenc"
 	"repro/internal/mr"
 	"repro/internal/storage"
 )
@@ -174,7 +175,7 @@ type heldOutput struct {
 
 // Emit implements mr.OutputWriter.
 func (h *heldOutput) Emit(key, value []byte) {
-	h.buf = bytestore.AppendPair(bytestore.Grow(h.buf, int(bytestore.PairBytes(len(key), len(value)))), key, value)
+	h.buf = kvenc.AppendPair(bytestore.Grow(h.buf, int(bytestore.PairBytes(len(key), len(value)))), key, value)
 }
 
 func (h *heldOutput) replay(out mr.OutputWriter) {

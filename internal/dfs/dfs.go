@@ -47,15 +47,6 @@ func NewPlacement(nodes, replication int) Placement {
 	return Placement{Nodes: nodes, Replication: replication}
 }
 
-// Replicas returns the nodes holding chunk i, primary first.
-func (p Placement) Replicas(chunk int) []int {
-	out := make([]int, p.Replication)
-	for r := 0; r < p.Replication; r++ {
-		out[r] = (chunk + r) % p.Nodes
-	}
-	return out
-}
-
 // Primary returns the primary replica node of chunk i.
 func (p Placement) Primary(chunk int) int { return chunk % p.Nodes }
 

@@ -6,6 +6,15 @@ import (
 	"testing"
 )
 
+// Replicas returns the nodes holding chunk i, primary first.
+func (p Placement) Replicas(chunk int) []int {
+	out := make([]int, p.Replication)
+	for r := 0; r < p.Replication; r++ {
+		out[r] = (chunk + r) % p.Nodes
+	}
+	return out
+}
+
 type fakeInput struct{ chunks int }
 
 func (f fakeInput) Name() string            { return "fake" }

@@ -531,8 +531,8 @@ type FaultPlan struct {
 // attempt is damaged (re-executions, folds and reducers run clean), so
 // every plan is survivable. What each backend reads back differs: the
 // DES reads map outputs, reduce spills and checkpoints written before
-// its last map completes; the wall-clock backend shuffles in memory, so only
-// sort-merge's map-side spills are read back and verified there, and
+// its last map completes; the wall-clock backend reads back and verifies
+// no map-output file, only sort-merge's map-side spills, and
 // torn writes repair nothing (a killed node's reducers are displaced
 // before they checkpoint). Answers are identical on both.
 type DiskFaultPlan struct {

@@ -19,7 +19,7 @@ import (
 // deposit parks one finished map task output; the node's last deposit
 // spawns the node fold.
 func (j *job) deposit(chunk int, n *node, segs [][][]byte) {
-	if !j.combine.Deposit(chunk, segs) {
+	if !j.combine.Deposit(chunk, func() [][][]byte { return segs }) {
 		return
 	}
 	g, mi := j.combine.GroupOf(n.idx)

@@ -207,7 +207,7 @@ const (
 	Host   = "host"   // differs between any two runs: the pool size and host time
 	Clock  = "clock"  // measured on the driver's clock: virtual on the DES, host time on the wall clock
 	Order  = "order"  // follows the order reducers consume map outputs in: publication order on the DES, (chunk, seq) on the wall clock
-	Medium = "medium" // follows where the shuffle is served from: the DES's slot cache and disk, the wall clock's memory
+	Medium = "medium" // follows where the shuffle is served from: the DES's slot cache or its charged disk reads; the wall clock counts every fetch from memory and charges none, parked outputs' included
 	Trace  = "trace"  // the run's trace, which Profile drops
 )
 

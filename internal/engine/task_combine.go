@@ -51,10 +51,10 @@ type CombinePlan struct {
 	Groups []*CombineGroup // groups with at least one member, ascending by first node
 
 	f        *JobFrame
-	deposits []bool          // per chunk: parks for the fold instead of publishing
-	segs     [][][][]byte    // per chunk: the parked output's segments, until its node folds
-	left     []atomic.Int32  // per node: deposits still outstanding
-	groupOf  []*CombineGroup // per node
+	deposits []bool              // per chunk: parks for the fold instead of publishing
+	deps     []func() [][][]byte // per chunk: yields the deposited output's segments, until its node folds
+	left     []atomic.Int32      // per node: deposits still outstanding
+	groupOf  []*CombineGroup     // per node
 }
 
 // NewCombinePlan derives the depositing chunks and the aggregation
@@ -67,7 +67,7 @@ func (f *JobFrame) NewCombinePlan() *CombinePlan {
 	}
 	nodes := f.spec.Cluster.Nodes
 	pl.deposits = make([]bool, f.TotalMaps)
-	pl.segs = make([][][][]byte, f.TotalMaps)
+	pl.deps = make([]func() [][][]byte, f.TotalMaps)
 	pl.left = make([]atomic.Int32, nodes)
 	pl.groupOf = make([]*CombineGroup, nodes)
 	perNode := make([][]int, nodes)
@@ -105,10 +105,11 @@ func (f *JobFrame) NewCombinePlan() *CombinePlan {
 // instead of publishing.
 func (pl *CombinePlan) Deposits(chunk int) bool { return pl.deposits != nil && pl.deposits[chunk] }
 
-// Deposit parks chunk's finished output and reports whether it was the
-// last one its node was waiting for. Tasks may deposit concurrently.
-func (pl *CombinePlan) Deposit(chunk int, segs [][][]byte) (last bool) {
-	pl.segs[chunk] = segs
+// Deposit records chunk's finished output, which FoldNode takes from
+// load, and reports whether it was the last one its node was waiting
+// for. Tasks may deposit concurrently.
+func (pl *CombinePlan) Deposit(chunk int, load func() [][][]byte) (last bool) {
+	pl.deps[chunk] = load
 	return pl.left[pl.f.Node(chunk)].Add(-1) == 0
 }
 
@@ -141,13 +142,16 @@ func (pl *CombinePlan) newCombiner(rt *core.Runtime, q mr.Query) *core.NodeCombi
 // FoldNode is tier 1 for member mi: fold the node's deposits, in
 // ascending chunk order, into one merged partitioned run, charging the
 // fold CPU through rt. It reports whether every member's run is now in.
+// A chunk that failed to deposit folds as empty.
 func (g *CombineGroup) FoldNode(rt *core.Runtime, q mr.Query, mi int) (last bool) {
 	nc := g.pl.newCombiner(rt, q)
 	for _, c := range g.Chunks[mi] {
-		segs := g.pl.segs[c]
-		g.pl.segs[c] = nil
-		g.totals.SavedBytes += PartsBytes(segs)
-		nc.Absorb(segs)
+		if load := g.pl.deps[c]; load != nil {
+			segs := load()
+			g.totals.SavedBytes += PartsBytes(segs)
+			nc.Absorb(segs)
+		}
+		g.pl.deps[c] = nil
 	}
 	var in int64
 	g.runs[mi], in, g.pairs[mi] = nc.Finish()

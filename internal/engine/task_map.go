@@ -283,9 +283,8 @@ func (b *MapBody) Finish() (out core.MapParts, mapped, emitted int64) {
 // store as one file (U3, for fault tolerance): one write request, one
 // checksum frame per partition region, so a shuffle read verifies
 // exactly the partition it fetches. The file adopts the output's
-// backing buffer — the segments stay readable views of it — or, for a
-// producer without one, a buffer the segments are gathered into here.
-// It returns the file and each partition's size and offset in it.
+// gathered bytes (Gather). It returns the file and each partition's
+// size and offset in it.
 func WriteMapOutput(p substrate.Proc, st *storage.Store, name string, out core.MapParts) (f *storage.File, partBytes, partOff []int64) {
 	partBytes = make([]int64, len(out.Segs))
 	partOff = make([]int64, len(out.Segs))
@@ -297,20 +296,26 @@ func WriteMapOutput(p substrate.Proc, st *storage.Store, name string, out core.M
 		}
 		total += partBytes[pi]
 	}
-	all := out.Backing
-	if all == nil {
-		all = make([]byte, 0, total)
-		for _, segs := range out.Segs {
-			for _, s := range segs {
-				all = append(all, s...)
-			}
-		}
-	}
 	f = st.Create(name, storage.MapOutput)
-	if len(all) > 0 {
-		st.AppendOwned(p, f, all, storage.MapOutput, partBytes)
+	if total > 0 {
+		st.AppendOwned(p, f, Gather(out), storage.MapOutput, partBytes)
 	}
 	return f, partBytes, partOff
+}
+
+// Gather returns a map output's segments back to back in partition
+// order: its backing, else one exact-size copy.
+func Gather(out core.MapParts) []byte {
+	if out.Backing != nil {
+		return out.Backing
+	}
+	all := make([]byte, 0, PartsBytes(out.Segs))
+	for _, segs := range out.Segs {
+		for _, s := range segs {
+			all = append(all, s...)
+		}
+	}
+	return all
 }
 
 // PartsBytes sizes a partitioned run's encoded segments.

@@ -172,7 +172,7 @@ type Checkpoint struct {
 	consumed  []bool // map tasks folded into the image (a copy of the task's set)
 	consumedN int
 
-	framed     []byte      // frame.Append(nil, core.MarshalImage(img))
+	framed     []byte      // core.FramedImage(img)
 	torn       bool        // tail truncated by a torn-write injection
 	prev       *Checkpoint // the previous image, kept as the one fallback
 	stateBytes int64       // table/sketch + consumed-set bytes (rewritten each time)
@@ -525,11 +525,10 @@ func (t *TaskReducer) Checkpoint() *Checkpoint {
 		img = t.dinch.Snapshot()
 	}
 	task := t.task
-	payload := core.MarshalImage(img)
 	ck := &Checkpoint{
 		consumed:  append([]bool(nil), task.consumed...),
 		consumedN: task.consumedN,
-		framed:    frame.Append(nil, payload),
+		framed:    core.FramedImage(img),
 		// One consumed-set entry per map task: the image records which
 		// tasks' output is folded into the state.
 		stateBytes: img.StateBytes() + int64(len(task.consumed))*consumedBitBytes,
@@ -552,7 +551,7 @@ func (t *TaskReducer) Checkpoint() *Checkpoint {
 	st := t.rt.Store
 	st.Charge(t.rt.P, storage.Checkpoint, write, true)
 	if st.Checksums {
-		st.NoteOverhead(storage.Checkpoint, frame.Overhead(len(payload)))
+		st.NoteOverhead(storage.Checkpoint, frame.FrameOverhead(len(ck.framed)))
 	}
 	t.out.stageInto(ck)
 	task.ckpt = ck

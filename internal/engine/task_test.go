@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -154,6 +155,40 @@ func clickSeg(q mr.Query, from, to int) core.MapParts {
 		seg = kvenc.AppendPair(seg, k, inc.Init(nil, k, []byte("1")))
 	}
 	return core.MapParts{Segs: [][][]byte{{seg}}}
+}
+
+// TestCheckpointAllocatesOneImage: a checkpoint holds the reducer's
+// snapshot and the frame the snapshot is marshalled straight into, not
+// an encoding copied into a frame besides: beyond what the snapshot
+// allocates, one Checkpoint allocates its frame plus a fixed allowance
+// for the consumed set and bookkeeping. Marshalling into a growing blob
+// and then framing a copy of it allocated ≈ 3.2× the frame beyond the
+// snapshot here.
+func TestCheckpointAllocatesOneImage(t *testing.T) {
+	q := queries.NewClickCount()
+	spec := bodySpec(t, INCHash, q)
+	spec.Cluster.ReduceBuffer = 64 << 10
+	spec.Cluster.Checksums = true
+	var task ReduceTask
+	red, _ := reduceAttempt(t, &task, spec, q, false)
+	parts := clickSeg(q, 0, 2000)
+	red.Consume(parts, 0, int64(len(parts.Segs[0][0])), 0, nil)
+	red.Checkpoint()
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var ck *Checkpoint
+	snap := allocated(func() { red.inch.Snapshot() })
+	extra := allocated(func() { ck = red.Checkpoint() }) - snap
+	framed := uint64(len(ck.framed))
+	t.Logf("one checkpoint allocated %d B beyond its %d B snapshot for a %d B frame", extra, snap, framed)
+	if extra > framed+4<<10 {
+		t.Errorf("one checkpoint allocated %d B beyond its snapshot, over its %d B frame plus 4 KiB", extra, framed)
+	}
 }
 
 func TestTakeCheckpointPricesBucketDeltas(t *testing.T) {

@@ -57,3 +57,33 @@ func TestOverheadMatchesAppend(t *testing.T) {
 		}
 	}
 }
+
+func TestFrameOverheadFromFrameLength(t *testing.T) {
+	check := func(n int) {
+		if got := FrameOverhead(n + int(Overhead(n))); got != Overhead(n) {
+			t.Fatalf("a frame around %d payload bytes: FrameOverhead = %d, want %d", n, got, Overhead(n))
+		}
+	}
+	for n := range 1 << 16 {
+		check(n)
+	}
+	for k := 1; k < 9; k++ { // every uvarint length boundary
+		for n := 1<<(7*k) - 40; n < 1<<(7*k)+40; n++ {
+			check(n)
+		}
+	}
+}
+
+func TestAppendFramesAPayloadInPlace(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 128, 16383, 16384, 1 << 20} {
+		b := make([]byte, MaxHeader, MaxHeader+n+TrailerSize)
+		for i := range n {
+			b = append(b, byte(i*7))
+		}
+		want := Append(nil, b[MaxHeader:])
+		got := Append(b[:0], b[MaxHeader:])
+		if !bytes.Equal(got, want) || &got[0] != &b[0] {
+			t.Fatalf("%d-byte payload framed in place differs from a copy's frame, or moved", n)
+		}
+	}
+}

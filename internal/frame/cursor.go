@@ -52,14 +52,6 @@ func (c *Cursor) skip(n int) bool {
 	return true
 }
 
-// Byte reads one raw byte.
-func (c *Cursor) Byte() byte {
-	if b := c.Take(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
 // Take reads the next n raw bytes, aliasing the payload with the
 // capacity clipped; n negative or past the end is an error.
 func (c *Cursor) Take(n int64) []byte {
@@ -111,9 +103,4 @@ func AppendVarint(dst []byte, v int64) []byte { return binary.AppendVarint(dst, 
 // AppendBytes appends b as Cursor.Bytes reads it.
 func AppendBytes(dst, b []byte) []byte {
 	return append(binary.AppendUvarint(dst, uint64(len(b))), b...)
-}
-
-// AppendString appends s as Cursor.String reads it.
-func AppendString(dst []byte, s string) []byte {
-	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
 }

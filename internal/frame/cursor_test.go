@@ -8,6 +8,19 @@ import (
 	"testing"
 )
 
+// Byte reads one raw byte.
+func (c *Cursor) Byte() byte {
+	if b := c.Take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+// AppendString appends s as Cursor.String reads it.
+func AppendString(dst []byte, s string) []byte {
+	return AppendBytes(dst, []byte(s))
+}
+
 // field is one value of a payload in the cursor tests: kind names the
 // Cursor method that reads it ('u' Uvarint, 'v' Varint, 'y' Byte, 'b'
 // Bytes, 's' String, 'c' a uvarint-coded Count, 't' Take of n raw

@@ -57,7 +57,7 @@ func Overhead(n int) int64 {
 // covers header and payload, so it doubles as the stored checksum for
 // unframed payloads whose framing exists only as metadata.
 func Checksum(payload []byte) uint32 {
-	var hdr [1 + binary.MaxVarintLen64]byte
+	var hdr [MaxHeader]byte
 	hdr[0] = Magic
 	m := 1 + binary.PutUvarint(hdr[1:], uint64(len(payload)))
 	// Byte-at-a-time table update for the ≤11-byte header: identical
@@ -72,15 +72,22 @@ func Checksum(payload []byte) uint32 {
 	return crc32.Update(^c, castagnoli, payload)
 }
 
-// Append appends one frame wrapping payload to dst.
+// MaxHeader is the most bytes a frame's header takes.
+const MaxHeader = 1 + binary.MaxVarintLen64
+
+// FrameOverhead returns the framing bytes of a size-byte frame.
+func FrameOverhead(size int) int64 { return Overhead(size - int(Overhead(size))) }
+
+// Append appends one frame wrapping payload to dst. The payload may lie
+// MaxHeader bytes past dst's end, in its spare capacity.
 func Append(dst, payload []byte) []byte {
-	var hdr [1 + binary.MaxVarintLen64]byte
+	var hdr [MaxHeader]byte
 	hdr[0] = Magic
 	m := 1 + binary.PutUvarint(hdr[1:], uint64(len(payload)))
-	dst = append(dst, hdr[:m]...)
-	dst = append(dst, payload...)
 	var tr [TrailerSize]byte
 	binary.LittleEndian.PutUint32(tr[:], Checksum(payload))
+	dst = append(dst, hdr[:m]...)
+	dst = append(dst, payload...)
 	return append(dst, tr[:]...)
 }
 

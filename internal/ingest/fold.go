@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bytestore"
 	"repro/internal/core"
+	"repro/internal/kvenc"
 	"repro/internal/mr"
 )
 
@@ -66,7 +67,7 @@ func newFolder(name string, newQuery func() mr.Query, scanEvery int64) (*folder,
 		scanEvery: scanEvery,
 	}
 	f.out = mr.FuncOutput(func(k, v []byte) {
-		f.outLog = bytestore.AppendPair(f.outLog, k, v)
+		f.outLog = kvenc.AppendPair(f.outLog, k, v)
 		f.outPairs++
 	})
 	if err := f.reset(); err != nil {
@@ -179,7 +180,7 @@ func (f *folder) snapshot() *checkpoint {
 		SinceScan: f.sinceScan,
 	}
 	for _, k := range f.keys {
-		img.Table = bytestore.AppendPair(img.Table, []byte(k), f.states[k])
+		img.Table = kvenc.AppendPair(img.Table, []byte(k), f.states[k])
 	}
 	img.Buckets = [][]byte{append([]byte(nil), f.outLog...)}
 	img.BucketPairs = []int64{f.outPairs}

@@ -1,49 +1,33 @@
 // Attempt chains, fault injection and recovery on the wall-clock
-// backend. Every map and reduce task runs as a chain of attempts — this
-// file holds the one map chain and the one reduce attempt loop the
-// driver has; a fault-free task is the chain that succeeds at attempt 0
-// (an empty plan kills nobody, rolls no errors, sleeps for nothing).
+// backend: the one map chain and the one reduce attempt loop the driver
+// has; a fault-free task is the chain that succeeds at attempt 0.
 //
-// What the plan means is engine.JobFrame's (engine/task_faults.go), the
-// interpretation the DES asks too: Home places each map chain, Lost
-// names the outputs a node kill takes (the node dies once chunks
-// 0…K-1 have completed, so its chunks below K had published), Place
+// What the plan means is engine.JobFrame's (engine/task_faults.go), as
+// on the DES: Home places each map chain, Lost names the outputs a node
+// kill takes (the node dies once chunks 0…K-1 have completed), Place
 // puts re-executions and restarted reducers on survivors, and Backup
-// names the tasks that race a speculative twin and where. One reduce
-// task's rules are engine.ReduceTask's (engine/task_reduce.go), which the
-// DES embeds too: which attempts an injected failure hits, the consumed
-// set an attempt resumes from, its fail point and the checkpoint chain.
-// This file keeps only the wall clock's own mechanics: waiting and
-// sleeping.
+// names the tasks that race a speculative twin. One reduce task's rules
+// — which attempts an injected failure hits, what an attempt resumes
+// from, its fail point, the checkpoint chain — are engine.ReduceTask's.
+// This file keeps only the wall clock's own mechanics:
 //
-//   - a lost output is discarded as its chain returns and re-executed at
-//     once; a reducer that reaches it waits (waitUnit), counting backoff
-//     rounds as fetch retries, under a watchdog;
-//   - injected map failures die at a byte offset through the chunk,
-//     injected reduce failures once FailPoint of the map tasks are
-//     folded in (a node-combined run counts every task it covers);
+//   - a lost output is re-executed as its chain returns; a reducer that
+//     reaches it waits (waitUnit), counting backoff rounds as fetch
+//     retries, under a watchdog;
 //   - transient shuffle-read errors are the seeded rolls of
 //     engine.JobSpec.ShuffleFetchFails, slept off with capped backoff;
-//   - checkpoints trigger on the attempt's virtual CPU ledger, the
-//     deterministic stand-in for the DES's virtual clock;
-//   - disk damage is rolled per primary map attempt, backups included,
-//     from a seed folding in (chunk, attempt) (engine.JobSpec.StoreFaults);
-//   - stragglers sleep a bounded real delay; every backup candidate
-//     races its twin. Both attempts run to completion and the claim is
-//     taken only at publish, so each attempt's ledger — and therefore
-//     wastedCPU — is identical whichever side wins. What timing decides
-//     is tagged races in engine.Report: under speculation
-//     SpeculativeWins, ShuffleBytesByNode (it follows the winning node)
-//     and IORetries (only the winner writes the map output, and the
-//     twins roll different damage), under a kill FetchRetries.
+//   - checkpoints trigger on the attempt's virtual CPU ledger;
+//   - stragglers sleep a bounded real delay, and both twins of a backup
+//     race run to completion, the claim taken only at publish, so
+//     wastedCPU is the same whichever wins. Timing decides only the
+//     fields tagged races in engine.Report.
 //
-// Everything else — what a task computes, what it publishes, what a
-// reducer consumes and in what order — does not depend on the plan, so
-// answers and logical counters stay bit-identical to the fault-free
-// run.
+// What a task computes, publishes and consumes, and in what order, does
+// not depend on the plan, so answers and logical counters do not either.
 package realexec
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -57,9 +41,8 @@ import (
 )
 
 const (
-	// Wall-clock backoff for shuffle fetches: lost units awaiting
-	// re-execution and injected transient errors. Far shorter than the
-	// DES's virtual 500ms/8s — these are real sleeps.
+	// Backoff for shuffle fetches of lost units and under transient
+	// errors: real sleeps, far shorter than the DES's virtual 500ms/8s.
 	realFetchRetryBase = 200 * time.Microsecond
 	realFetchRetryCap  = 10 * time.Millisecond
 
@@ -69,15 +52,13 @@ const (
 	slowTaskDelayCap = 5 * time.Millisecond
 
 	// maxShuffleTries bounds consecutive injected transient errors on
-	// one fetch; with ShuffleErrorRate < 1 this is unreachable in
-	// practice.
+	// one fetch, unreachable in practice at ShuffleErrorRate < 1.
 	maxShuffleTries = 1000
 )
 
 // shuffleWatchdog bounds how long a reducer waits for one lost unit's
-// re-execution (it never times a primary map) before declaring the run
-// wedged: the retry loop panics (task failure, isolated as usual)
-// instead of deadlocking the job. A variable so tests can shorten it.
+// re-execution before the retry loop panics (a task failure) instead of
+// deadlocking the job. A variable so tests can shorten it.
 var shuffleWatchdog = 30 * time.Second
 
 // slowSleep injects the straggler delay for tasks on a slow node.
@@ -89,8 +70,8 @@ func (r *run) slowSleep(node int) {
 	time.Sleep(min(time.Duration(float64(slowTaskDelay)*(factor-1)), slowTaskDelayCap))
 }
 
-// mapChain is one map task's full attempt history: the counted winner
-// plus failed and superseded attempts kept for I/O accounting.
+// mapChain is one map task's attempt history: the counted winner plus
+// failed and superseded attempts, kept for their spans.
 type mapChain struct {
 	winner *mapResult
 	extras []*mapResult
@@ -124,26 +105,21 @@ func (r *run) runMapChain(chunk int) *mapChain {
 			ch.err = res.err
 			break
 		}
-		if res.failed {
-			r.wastedCPU.Add(res.ledger)
-			ch.extras = append(ch.extras, res)
-			continue
-		}
-		if res.superseded {
-			r.wastedCPU.Add(res.ledger)
-			ch.extras = append(ch.extras, res)
+		if !res.failed && !res.superseded {
+			ch.winner = res
 			break
 		}
-		ch.winner = res
-		break
+		r.wastedCPU.Add(res.ledger)
+		ch.extras = append(ch.extras, res)
+		if res.superseded {
+			break
+		}
 	}
 	if backupDone != nil {
 		bres := <-backupDone
 		switch {
 		case bres.err != nil:
-			if ch.err == nil {
-				ch.err = bres.err
-			}
+			ch.err = cmp.Or(ch.err, bres.err)
 		case bres.superseded:
 			r.wastedCPU.Add(bres.ledger)
 			ch.extras = append(ch.extras, bres)
@@ -162,8 +138,7 @@ func (r *run) runMapChain(chunk int) *mapChain {
 }
 
 // waitUnit blocks until a lost unit's re-execution republishes it,
-// counting backoff rounds as fetch retries, with a watchdog so a stuck
-// recovery surfaces as a task error instead of a hung job.
+// counting backoff rounds as fetch retries, under the watchdog.
 func (r *run) waitUnit(u *unit) {
 	if u.ready == nil {
 		return
@@ -211,11 +186,11 @@ type reduceChain struct {
 }
 
 // runReduceChain drives one reduce task through its restart ladder:
-// dead-node displacement, injected failures, and checkpointed
-// restarts.
+// dead-node displacement, injected failures, checkpointed restarts.
 func (r *run) runReduceChain(ridx, node int) *reduceChain {
 	ch := &reduceChain{}
 	task := &engine.ReduceTask{}
+	firsts := 0 // units some attempt of the task consumed, in canonical order
 	consumed := sync.OnceFunc(r.consuming.Done)
 	defer consumed() // a failed task must not hold the others back
 	for {
@@ -233,7 +208,7 @@ func (r *run) runReduceChain(ridx, node int) *reduceChain {
 			node = r.Place(ridx, -1)
 			continue
 		}
-		res := r.runReduceAttempt(task, ridx, node, attempt, inject, consumed)
+		res := r.runReduceAttempt(task, ridx, node, attempt, inject, consumed, &firsts)
 		if res.err != nil {
 			ch.err = res.err
 			return ch
@@ -249,13 +224,12 @@ func (r *run) runReduceChain(ridx, node int) *reduceChain {
 }
 
 // runReduceAttempt executes one reduce attempt: resume from the newest
-// good checkpoint, consume the shuffle units it does not hold in
-// canonical order as their slots are published, checkpoint on the
-// virtual CPU ledger, and either finish (committing provisional output)
-// or die at the injected fail point. The watermark is the max event
-// time of the consumed prefix: after the last slot, the global maximum
-// reference.RunWithWatermarks reduces under.
-func (r *run) runReduceAttempt(task *engine.ReduceTask, ridx, node, attempt int, inject bool, consumed func()) (res *reduceResult) {
+// good checkpoint, consume the units it does not hold in canonical order
+// as their slots are published, checkpoint on the virtual CPU ledger,
+// and finish or die at the injected fail point. The watermark is the
+// max event time of the consumed prefix. A unit past the task's first
+// *firsts is consumed for the first time (run.taken).
+func (r *run) runReduceAttempt(task *engine.ReduceTask, ridx, node, attempt int, inject bool, consumed func(), firsts *int) (res *reduceResult) {
 	res = &reduceResult{}
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -279,9 +253,8 @@ func (r *run) runReduceAttempt(task *engine.ReduceTask, ridx, node, attempt int,
 	q := r.newQ()
 	wm, _ := q.(mr.Watermarker)
 	sink := func(physBytes int64) { st.Charge(p, storage.ReduceOutput, physBytes, true) }
-	// Resume from the newest checkpoint (no image is damaged here, so
-	// none is torn or corrupt) and replay only the unconsumed suffix;
-	// checkpoints are due on the attempt's CPU ledger.
+	// Resume from the newest checkpoint (none is damaged here) and
+	// replay only the unconsumed suffix.
 	img, badBytes, _, _ := task.Resume(r.TotalMaps)
 	red := task.Attempt(r.spec, rt, q, ridx, attempt, inject, &res.out, sink, r.InputBytesEst,
 		img, badBytes, func() int64 { return res.ledger })
@@ -294,18 +267,18 @@ func (r *run) runReduceAttempt(task *engine.ReduceTask, ridx, node, attempt int,
 	}
 	r.slowSleep(node)
 
-	// Every fetch is served from memory, and reducers wait for unpublished
-	// and lost units (never skip), so consumption order, and with it every
-	// answer, is the same under any plan and any worker count.
+	// Reducers wait for unpublished and lost units (never skip), so the
+	// consumption order, and every answer, is the same under any plan.
 	hop := r.spec.Platform == engine.HOP
+	seen := 0
 	for si := range r.slots {
 		s := &r.slots[si]
 		r.await(s.ready)
 		if wm != nil {
 			wm.AdvanceWatermark(s.maxTS)
 		}
-		for _, u := range s.units {
-			if task.Holds(u.chunk) {
+		for i, u := range s.units {
+			if seen++; task.Holds(u.chunk) {
 				continue // folded into the resumed image
 			}
 			r.waitUnit(u)
@@ -318,17 +291,17 @@ func (r *run) runReduceAttempt(task *engine.ReduceTask, ridx, node, attempt int,
 				mapTask = -1 // a HOP push carries no task identity
 			}
 			size := u.partBytes[ridx]
+			var parts core.MapParts
 			if size > 0 {
 				r.memFetches.Add(1)
+				parts = u.read(r.scratch, ridx, ridx+1)
 			}
-			if n := red.Consume(u.parts, ridx, size, mapTask, u.tasks); n > 0 {
+			if n := red.Consume(parts, ridx, size, mapTask, u.tasks); n > 0 {
 				r.refetchBytes.Add(n)
 			}
-			if r.release && int(u.taken.Add(1)) == r.NumReducers {
-				u.parts = core.MapParts{}
-				if u == s.units[len(s.units)-1] {
-					r.give() // units are consumed in order: the slot is dropped
-				}
+			if seen > *firsts { // the task's first consumption of u
+				*firsts = seen
+				r.taken(s, i)
 			}
 
 			if red.Failed() {

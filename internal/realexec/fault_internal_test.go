@@ -13,6 +13,7 @@ import (
 	"repro/internal/mr"
 	"repro/internal/queries"
 	"repro/internal/reference"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -79,12 +80,13 @@ func sortedRows(rep *engine.Report) []string {
 	return rows
 }
 
-// TestReleaseDropsConsumedOutputs: on a plan no reduce attempt can
-// restart, the reducer that consumes a map output last drops it, so
-// when the job ends no output holds its partitions (the run keeps no
-// attempt's store, only its counters: addStore). Under a
-// reduce-failure plan every output stays resident for the restarts, and
-// the answers equal the clean run's.
+// TestReleaseDropsConsumedOutputs: once every reduce task has consumed
+// a map output it leaves the heap. On a plan no reduce attempt can
+// restart it is dropped, so when the job ends no output is held
+// anywhere (the run keeps no attempt's store, only its counters:
+// addStore). Under a reduce-failure plan every output is parked in the
+// run's scratch file for the restarts instead, none stays in memory,
+// and the answers equal the clean run's.
 func TestReleaseDropsConsumedOutputs(t *testing.T) {
 	runJob := func(faults engine.FaultPlan) (*run, *engine.Report) {
 		job := internalJob(engine.INCHash)
@@ -100,24 +102,30 @@ func TestReleaseDropsConsumedOutputs(t *testing.T) {
 		}
 		return r, rep
 	}
-	resident := func(r *run) (n int) {
-		for _, s := range r.slots {
-			for _, u := range s.units {
+	held := func(r *run) (mem, disk int) {
+		for i := range r.slots {
+			for _, u := range r.slots[i].units {
+				if u == nil {
+					continue // dropped
+				}
 				if u.parts.Segs != nil {
-					n++
+					mem++
+				}
+				if u.ends != nil {
+					disk++
 				}
 			}
 		}
-		return n
+		return mem, disk
 	}
 
 	clean, cleanRep := runJob(engine.FaultPlan{})
-	if n := resident(clean); n != 0 {
-		t.Errorf("clean run: %d of %d map outputs still resident", n, clean.TotalMaps)
+	if mem, disk := held(clean); mem+disk != 0 {
+		t.Errorf("clean run: %d of %d map outputs still in memory, %d parked", mem, clean.TotalMaps, disk)
 	}
 	failed, failedRep := runJob(engine.FaultPlan{ReduceFailures: map[int]int{1: 1, 4: 2}, FailPoint: 0.5})
-	if n := resident(failed); n != failed.TotalMaps {
-		t.Errorf("reduce-failure run: %d of %d map outputs resident, want all", n, failed.TotalMaps)
+	if mem, disk := held(failed); mem != 0 || disk != failed.TotalMaps {
+		t.Errorf("reduce-failure run: %d of %d map outputs in memory and %d parked, want all parked", mem, failed.TotalMaps, disk)
 	}
 	if failedRep.RestartedReduceTasks != 3 {
 		t.Errorf("RestartedReduceTasks = %d, want 3", failedRep.RestartedReduceTasks)
@@ -127,24 +135,44 @@ func TestReleaseDropsConsumedOutputs(t *testing.T) {
 	}
 }
 
-// TestSmallestResidencyCap runs every plan that keeps release on, on
-// every platform, at the smallest residency cap a spec allows: one node
-// that keeps one map output in memory (SlotCache 1), so the map workers
-// hold one output between them until every reducer has dropped it.
-// Speculation has no second node to back up on, so its row runs the
-// straggler alone; HOP takes transient disk errors and no other fault,
-// and every other platform restarts reducers under disk damage. No
-// plan wedges the job, and every answer is the reference's.
+// TestSmallestResidencyCap runs every plan on every platform that takes
+// it at the smallest residency cap: one map output in memory, so the
+// map workers hold one output between them until every reducer has
+// consumed it. Every other output goes to the scratch file: for the
+// fold (node combining), and every output for restarted reducers (node
+// kills, reduce failures, and disk damage off HOP), which then find
+// none left in memory. A one-node cluster keeping one output
+// (SlotCache 1) has that cap; the node-kill rows need a survivor, so
+// they run two nodes and the cap is narrowed to one token. Against the
+// same plan at a cap of every output, only node combining writes more
+// to the scratch file. Speculation has no second node to back up on,
+// so its row runs the straggler alone; HOP takes transient disk errors
+// and no other fault, nor combines. No plan wedges the job, and every
+// answer is the reference's.
 func TestSmallestResidencyCap(t *testing.T) {
 	plans := []struct {
-		name   string
-		faults engine.FaultPlan
+		name string
+		set  func(job *engine.JobSpec)
 	}{
-		{"clean", engine.FaultPlan{}},
-		{"stragglers", engine.FaultPlan{SlowNodes: map[int]float64{0: 3}, Speculate: true}},
-		{"map-failures", engine.FaultPlan{MapFailures: map[int]int{0: 1, 3: 2}, FailPoint: 0.5}},
-		{"shuffle-errors", engine.FaultPlan{ShuffleErrorRate: 0.05}},
-		{"disk-damage", engine.FaultPlan{Disk: engine.DiskFaultPlan{IOErrorRate: 0.05}}},
+		{"clean", func(*engine.JobSpec) {}},
+		{"stragglers", func(job *engine.JobSpec) {
+			job.Faults = engine.FaultPlan{SlowNodes: map[int]float64{0: 3}, Speculate: true}
+		}},
+		{"map-failures", func(job *engine.JobSpec) {
+			job.Faults = engine.FaultPlan{MapFailures: map[int]int{0: 1, 3: 2}, FailPoint: 0.5}
+		}},
+		{"shuffle-errors", func(job *engine.JobSpec) { job.Faults = engine.FaultPlan{ShuffleErrorRate: 0.05} }},
+		{"disk-damage", func(job *engine.JobSpec) {
+			job.Faults = engine.FaultPlan{Disk: engine.DiskFaultPlan{IOErrorRate: 0.05}}
+		}},
+		{"node-kill", func(job *engine.JobSpec) {
+			job.Cluster.Nodes = 2
+			job.Faults = engine.FaultPlan{KillAtMapProgress: map[int]float64{1: 0.5}}
+		}},
+		{"reduce-failures", func(job *engine.JobSpec) {
+			job.Faults = engine.FaultPlan{ReduceFailures: map[int]int{0: 1, 1: 2}, FailPoint: 0.5}
+		}},
+		{"node-combine", func(job *engine.JobSpec) { job.NodeCombine = engine.NodeCombineOn }},
 	}
 	var want []string
 	for _, o := range reference.Run(queries.NewClickCount(), internalJob(engine.HOP).Input) {
@@ -153,31 +181,71 @@ func TestSmallestResidencyCap(t *testing.T) {
 	sort.Strings(want)
 	for _, pl := range []engine.Platform{engine.SortMerge, engine.HOP, engine.MRHash, engine.INCHash, engine.DINCHash} {
 		for _, plan := range plans {
-			disk := plan.faults.Disk.IOErrorRate > 0
-			if plan.name != "clean" && disk != (pl == engine.HOP) {
+			if pl == engine.HOP && plan.name != "clean" && plan.name != "disk-damage" {
 				continue
 			}
 			t.Run(pl.String()+"/"+plan.name, func(t *testing.T) {
 				job := internalJob(pl)
 				job.Cluster.Nodes, job.Cluster.SlotCache = 1, 1
-				job.Faults = plan.faults
+				plan.set(&job)
 				job.Cluster.Parallelism = 4
-				r, err := newRun(job, queries.NewClickCount)
-				if err != nil {
-					t.Fatal(err)
+				runAt := func(tokens int) *run {
+					r, err := newRun(job, queries.NewClickCount)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if cap(r.resident) != job.Cluster.Nodes {
+						t.Fatalf("residency cap = %d, want %d", cap(r.resident), job.Cluster.Nodes)
+					}
+					r.resident = make(chan struct{}, tokens)
+					rep, err := r.execute()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := sortedRows(rep); !slices.Equal(got, want) {
+						t.Errorf("%d output rows differ from the reference's %d", len(got), len(want))
+					}
+					return r
 				}
-				if cap(r.resident) != 1 {
-					t.Fatalf("residency cap = %d, want 1", cap(r.resident))
+				r, all := runAt(1), runAt(internalJob(pl).Input.NumChunks())
+				if job.ReduceRestarts() {
+					for i := range r.slots {
+						for _, u := range r.slots[i].units {
+							if u.ends == nil || u.parts.Segs != nil {
+								t.Fatalf("chunk %d: an output is not parked, or still in memory", u.chunk)
+							}
+						}
+					}
 				}
-				rep, err := r.execute()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := sortedRows(rep); !slices.Equal(got, want) {
-					t.Errorf("%d output rows differ from the reference's %d", len(got), len(want))
+				combine := job.NodeCombine == engine.NodeCombineOn
+				if got, base := r.scratch.Size(), all.scratch.Size(); (got > base) != combine || got < base {
+					t.Errorf("scratch file holds %d bytes at one token, %d at a token per output; want more: %v", got, base, combine)
 				}
 			})
 		}
+	}
+}
+
+// TestParkFailureFailsTheJob: a write to the scratch file that fails
+// (here, the file is closed under the run) fails the attempt that
+// parks, and the job returns the error: nothing panics past the
+// attempt. Node combining at one token parks the deposits of every map
+// worker but the one holding it.
+func TestParkFailureFailsTheJob(t *testing.T) {
+	defer func(open func() (*storage.Scratch, error)) { openScratch = open }(openScratch)
+	openScratch = func() (*storage.Scratch, error) {
+		sc, err := storage.OpenScratch()
+		if err == nil {
+			sc.Close()
+		}
+		return sc, err
+	}
+	job := internalJob(engine.INCHash)
+	job.Cluster.Nodes, job.Cluster.SlotCache, job.Cluster.Parallelism = 1, 1, 4
+	job.NodeCombine = engine.NodeCombineOn
+	_, err := Run(job, queries.NewClickCount)
+	if err == nil || !strings.Contains(err.Error(), "map task") || !strings.Contains(err.Error(), "spill scratch") {
+		t.Fatalf("err = %v, want a map task's failed scratch write", err)
 	}
 }
 

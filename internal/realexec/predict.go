@@ -12,35 +12,36 @@ import (
 
 // What a run holds per task beside its buffers, measured with
 // runtime.MemProfileRate = 1 on the benchmark spec: a map task's slot,
-// chain, result, span and published unit, plus its partition sizes; a
-// reduce task's chain and attempt state; and a map output's header per
-// partition (segment, record count, offsets) with its size-class slack.
+// chain, result and span; a reduce task's chain and attempt state; a
+// map output's header per partition; and per partition of a parked
+// output, its size and segment index.
 const (
 	mapTaskBytes    = 512
 	reduceTaskBytes = 4 << 10
 	partitionBytes  = 128
+	parkedBytes     = 32
 )
 
 // PeakHeap predicts the most live heap one run of job holds on the wall
-// clock, in bytes, from the spec alone. Since map outputs are capped and
-// spills live on disk it is the sum of
+// clock, in bytes, from the spec alone. Map outputs past the cap and
+// spills live on disk, so it is the sum of
 //
 //   - the resident map outputs: the residency cap × one chunk's output,
 //     C·Km by the query's hint, plus a header per partition;
+//   - where chunks deposit, per concurrent fold its group's share of
+//     the map output twice: the member runs and their aggregate;
 //   - one B_r buffer or table per reduce task, at its pool-class size;
 //   - one write-behind page (≤ 16 KB) per spill file, model.SpillFiles
 //     of them per reduce task;
 //   - one input chunk and one B_m collector per map worker;
-//   - per reduce slot, what a final phase holds: where runs are merged
-//     or buckets of pairs drained, the task's whole share of the map
-//     output read back and as much again merged; on the incremental
-//     platforms one bucket, sized to fit B_r;
-//   - the bookkeeping of every map and reduce task;
+//   - per reduce slot, what a final phase holds: where runs merge or
+//     buckets of pairs drain, the task's share of the map output twice
+//     (read back and merged); on the incremental platforms one bucket;
+//   - the bookkeeping of every map and reduce task and parked output;
 //   - where an incremental platform checkpoints, each reduce task's
 //     newest image and its fallback, and per reduce slot one image
-//     being built (the snapshot and its encoding). An image holds the
-//     table (B_r) and the spilled buckets (at most the task's share of
-//     the map output).
+//     being built (snapshot and encoding), each the table (B_r) and at
+//     most the task's share of the map output in buckets.
 func PeakHeap(job engine.JobSpec, newQuery func() mr.Query) (int64, error) {
 	job.Query = newQuery()
 	f, err := engine.NewJobFrame(&job)
@@ -66,11 +67,17 @@ func PeakHeap(job engine.JobSpec, newQuery func() mr.Query) (int64, error) {
 			images = 2 * (reducers + slots) * (poolClass(cl.ReduceBuffer) + share)
 		}
 	}
-	resident := min(int64(residencyCap(&job, f.NewCombinePlan())), maps)
+	folds, perMap := int64(0), int64(mapTaskBytes)
+	if groups := int64(len(f.NewCombinePlan().Groups)); groups > 0 {
+		folds = min(workers, groups) * 2 * int64(w.D*w.Km) / groups
+	}
+	if job.ReduceRestarts() {
+		perMap += parkedBytes * reducers
+	}
+	resident := min(int64(cl.SlotCache*cl.Nodes), maps)
 	return resident*(int64(float64(chunk)*w.Km)+partitionBytes*reducers) +
 		reducers*(poolClass(cl.ReduceBuffer)+int64(model.SpillFiles(w, h, p))*storage.ScratchPage+reduceTaskBytes) +
-		workers*(chunk+poolClass(cl.MapBuffer)) + slots*final + images +
-		maps*(mapTaskBytes+8*reducers), nil
+		workers*(chunk+poolClass(cl.MapBuffer)) + slots*final + folds + images + maps*perMap, nil
 }
 
 // poolClass is the bytestore size class a buffer of n bytes is drawn

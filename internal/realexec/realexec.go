@@ -1,45 +1,32 @@
 // Package realexec runs MapReduce jobs on the wall-clock substrate:
-// real goroutines, real time, and an M3R-style in-memory shuffle.
+// real goroutines, real time, and a shuffle held in memory up to the
+// residency cap and in a scratch file past it.
 //
 // It is a driver over the task bodies it shares with the DES engine
 // (engine.MapBody, engine.ReduceTask and engine.TaskReducer,
 // internal/engine/task_*.go): this package decides where an attempt
 // runs and how its waiting and fetching pass; what an attempt computes
-// and charges, and which reduce attempts an injected failure hits, what
-// they resume from and when they fail, are the shared code's. The
-// engine.Report it produces therefore equals the DES run's of the same
-// spec in every field its tags (engine/report.go) do not let the
-// consumption order, the shuffle medium, the clock or a fault cause
-// move, and is identical for any worker count but the fields tagged
-// clock, host or races. Wall-clock fields (RunningTime, MapFinishTime,
-// WallTime, Spans) are measured, not simulated, and vary run to run.
+// and charges, and which reduce attempts an injected failure hits, are
+// the shared code's. The engine.Report therefore equals the DES run's
+// in every field its tags (engine/report.go) do not let the
+// consumption order, the shuffle medium, the clock or a fault move, and
+// is identical for any worker count but the fields tagged clock, host
+// or races.
 //
 // Determinism comes from structure, not luck:
 //
-//   - each task runs serially on its own WallProc (Offload is inline)
-//     with its own store and CPU ledger, so nothing a task computes
-//     depends on scheduling;
+//   - each task runs serially on its own WallProc with its own store
+//     and CPU ledger, so nothing a task computes depends on scheduling;
 //   - every reducer starts with the job and consumes the map outputs in
-//     canonical (chunk, spill) order, each once it is published — the
-//     shuffle is entirely in memory, the M3R model, so MemShuffleFetches
-//     counts every fetch and DiskShuffleFetches is 0 — and with no disk
-//     to serve older outputs from, maps wait while SlotCache × Nodes
-//     are resident (claim), which moves no consumption;
+//     canonical (chunk, spill) order, each once it is published, from
+//     memory or the scratch file alike, so MemShuffleFetches counts
+//     every fetch and DiskShuffleFetches is 0;
 //   - cross-task counters are integers summed in task order at the end.
 //
-// Every task runs as an attempt chain (see fault.go): one map chain
-// and one reduce attempt loop, whatever the plan — a fault-free task is
-// the chain that succeeds at attempt 0. Fault plans and checkpointing
-// ride those loops: node kills anchored to map-progress points,
-// stragglers, per-attempt map/reduce failures, transient shuffle-read
-// errors, speculative map backups, checkpointed INC/DINC reducer state
-// and disk damage all execute with the seeded, structural triggers the
-// DES runs too, so answers stay bit-identical to the fault-free run.
-// Where a task runs, what a kill loses, what races a backup and what
-// combines is not decided here: both drivers ask engine.JobFrame
-// (engine/task_faults.go), so they lose, redo, back up and combine the
-// same tasks. Disk damage (FaultPlan.Disk) is injected into the stores
-// of primary map attempts; re-executions, folds and reducers run clean.
+// Every task runs as an attempt chain (fault.go), and where a task
+// runs, what a kill loses, what races a backup and what combines is
+// engine.JobFrame's (engine/task_faults.go), so both drivers lose, redo,
+// back up and combine the same tasks.
 package realexec
 
 import (
@@ -58,21 +45,20 @@ import (
 	"repro/internal/substrate"
 )
 
-// unit is one published piece of map output, cached in memory — the
-// M3R-style shuffle. Reducers read their partition's segments directly;
-// no fetch ever touches a disk. Non-HOP map tasks publish one unit
-// each (seq 0); HOP publishes one per eager spill push.
-//
-// When a node kill loses a unit's output, it turns into a placeholder:
-// parts is cleared and ready installed before its slot is published,
-// and the re-execution republishes into it and closes ready. ready ==
-// nil means the unit was never lost (the fault-free path).
+// unit is one piece of map output: published (one per map task, seq 0;
+// HOP one per eager spill push), or a deposit for a node-combine fold.
+// A unit a node kill loses turns into a placeholder: parts is cleared
+// and ready installed before its slot is published, and the
+// re-execution republishes into it and closes ready.
 type unit struct {
 	chunk, seq int
-	tasks      []int // the map tasks a node-combined run covers (nil: chunk alone); chunk is the first
+	tasks      []int      // the map tasks a node-combined run covers (nil: chunk alone); chunk is the first
+	mu         sync.Mutex // the last consumer evicts parts while a restarted reducer reads
 	parts      core.MapParts
+	ends       []int64 // parked: the scratch offset of the first segment, then each segment's end
+	first      []int   // parked: per partition, and one past the last, its first segment's index
 	partBytes  []int64
-	taken      atomic.Int32 // reducers that consumed it; the last drops parts (run.release)
+	taken      atomic.Int32 // reduce tasks that consumed it; the last evicts it (run.taken)
 
 	ready chan struct{} // non-nil only for lost units awaiting re-execution
 	err   error         // re-execution failure, set before ready closes
@@ -85,6 +71,48 @@ type slot struct {
 	ready chan struct{}
 	units []*unit
 	maxTS int64 // max event time of the input behind units (math.MinInt64: none)
+	held  bool  // the slot's output holds a residency token (claim)
+}
+
+// keep makes a unit of chunk's map output: resident if its slot holds
+// a token, and parked in the scratch file if not or if a reader may
+// come back to it after eviction (again). It runs inside the attempt,
+// so a failed write fails the attempt.
+func (r *run) keep(chunk int, parts core.MapParts, again bool) *unit {
+	u, held := &unit{chunk: chunk, parts: parts}, r.slots[chunk].held
+	if again || !held {
+		u.ends, u.first = []int64{r.scratch.Park(engine.Gather(parts))}, []int{0}
+		for _, segs := range parts.Segs {
+			for _, seg := range segs {
+				u.ends = append(u.ends, u.ends[len(u.ends)-1]+int64(len(seg)))
+			}
+			u.first = append(u.first, len(u.ends)-1)
+		}
+	}
+	if !held {
+		u.parts = core.MapParts{Recs: parts.Recs}
+	}
+	return u
+}
+
+// read returns the unit's output with partitions lo…hi-1 in place,
+// read back one read a partition if it is not resident.
+func (u *unit) read(sc *storage.Scratch, lo, hi int) core.MapParts {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if u.parts.Segs != nil {
+		return u.parts
+	}
+	parts := core.MapParts{Segs: make([][][]byte, len(u.first)-1), Recs: u.parts.Recs}
+	for p := lo; p < hi; p++ {
+		e := u.ends[u.first[p] : u.first[p+1]+1]
+		buf := make([]byte, e[len(e)-1]-e[0])
+		sc.ReadAt(buf, e[0])
+		for i := 1; i < len(e); i++ {
+			parts.Segs[p] = append(parts.Segs[p], buf[e[i-1]-e[0]:e[i]-e[0]:e[i]-e[0]])
+		}
+	}
+	return parts
 }
 
 // run is the shared state of one real-backend job.
@@ -97,19 +125,15 @@ type run struct {
 	scratch          *storage.Scratch // every task store's spill files (execute)
 
 	slots     []slot
-	release   bool          // no reduce attempt can restart: the last consumer drops a unit's parts
 	tokens    chan struct{} // reduce slots
-	resident  chan struct{} // a token per claimed chunk not yet dropped (claim; nil: no cap)
-	halted    chan struct{} // closed by halt once a reduce task fails: maps stop waiting
+	resident  chan struct{} // a token per resident output (claim)
+	halted    chan struct{} // closed by halt where maps may not wait for a token (take)
 	halt      func()
 	consuming sync.WaitGroup // reduce tasks that may still need map output
 
-	maps []*mapChain
-	// comb is the in-node combine plan (engine/task_combine.go); no chunk
-	// deposits unless the spec resolves node combining on. See
-	// nodecombine.go.
-	comb     *engine.CombinePlan
-	combLeft []atomic.Int32 // per group: deposits outstanding
+	maps     []*mapChain
+	comb     *engine.CombinePlan // no chunk deposits unless node combining is on (nodecombine.go)
+	combLeft []atomic.Int32      // per group: deposits outstanding
 	combRes  []*rcResult
 
 	memFetches      atomic.Int64
@@ -159,8 +183,7 @@ func newRun(spec engine.JobSpec, newQuery func() mr.Query) (*run, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	r := &run{JobFrame: frame, spec: &spec, newQ: newQuery, start: time.Now(),
-		workers: workers, release: !spec.ReduceRestarts()}
+	r := &run{JobFrame: frame, spec: &spec, newQ: newQuery, start: time.Now(), workers: workers}
 	r.comb = r.NewCombinePlan()
 	r.combLeft = make([]atomic.Int32, len(r.comb.Groups))
 	r.combRes = make([]*rcResult, len(r.comb.Groups))
@@ -175,20 +198,13 @@ func newRun(spec engine.JobSpec, newQuery func() mr.Query) (*run, error) {
 	r.tokens, r.halted = make(chan struct{}, r.workers), make(chan struct{})
 	r.halt = sync.OnceFunc(func() { close(r.halted) })
 	r.consuming.Add(r.NumReducers)
-	if n := residencyCap(r.spec, r.comb); n < r.TotalMaps {
-		r.resident = make(chan struct{}, n)
+	r.resident = make(chan struct{}, spec.Cluster.SlotCache*spec.Cluster.Nodes)
+	if len(r.comb.Groups) > 0 {
+		// Reducers wait for a group's run until its last chunk is
+		// mapped: a worker that waited for a token could wait forever.
+		r.halt()
 	}
 	return r, nil
-}
-
-// residencyCap is how many map outputs a run holds at once: SlotCache ×
-// Nodes where the last consumer drops an output and no chunk deposits,
-// else every output stays, for restarts or for its group's fold.
-func residencyCap(spec *engine.JobSpec, comb *engine.CombinePlan) int {
-	if spec.ReduceRestarts() || len(comb.Groups) > 0 {
-		return spec.Input.NumChunks()
-	}
-	return spec.Cluster.SlotCache * spec.Cluster.Nodes
 }
 
 // execute runs map tasks as attempt chains on the worker pool, each
@@ -197,7 +213,7 @@ func residencyCap(spec *engine.JobSpec, comb *engine.CombinePlan) int {
 // The spill files of all of them share one scratch file in
 // os.TempDir(), closed when the run returns.
 func (r *run) execute() (*engine.Report, error) {
-	scratch, err := storage.OpenScratch()
+	scratch, err := openScratch()
 	if err != nil {
 		return nil, fmt.Errorf("realexec: %w", err)
 	}
@@ -226,57 +242,57 @@ func (r *run) execute() (*engine.Report, error) {
 	mapFinish := time.Since(r.start)
 	<-reducesDone
 
-	// Re-executed map attempts are completed work and count like the
-	// originals — the same double-counting the DES exhibits when lost
-	// outputs recompute.
-	var mapDone, mapExtra []*mapResult
 	for _, ch := range r.maps {
 		if ch.err != nil {
 			return nil, ch.err
 		}
-		mapDone = append(mapDone, ch.winner)
-		if ch.reexec != nil {
-			mapDone = append(mapDone, ch.reexec)
-		}
-		mapExtra = append(mapExtra, ch.extras...)
 	}
-	var redRes, redExtra []*reduceResult
 	for _, ch := range redChains {
 		if ch.err != nil {
 			return nil, ch.err
 		}
-		redRes = append(redRes, ch.winner)
-		redExtra = append(redExtra, ch.extras...)
 	}
-	return r.report(mapDone, mapExtra, redRes, redExtra, mapFinish), nil
+	return r.report(redChains, mapFinish), nil
 }
 
-// claim hands a map worker the next chunk, -1 once none is left. Under
-// the residency cap it takes a token before the chunk, so claims follow
-// chunk order and each claimed chunk holds a token: the slowest reducer
-// waits on a claimed chunk, which publishes without waiting on any
-// reducer, or on one whose predecessors were all dropped, which leaves
-// a token free.
+// openScratch opens a run's scratch file; a test may hand over a broken one.
+var openScratch = storage.OpenScratch
+
+// claim hands a map worker the next chunk, -1 once none is left, and
+// records in its slot whether it took a residency token first. So each
+// claimed chunk holds one unless halted: the slowest reducer waits on a
+// claimed chunk, which publishes without waiting on any reducer, or on
+// one whose predecessors were all evicted, which left a token free.
 func (r *run) claim(next *atomic.Int64) int {
-	if r.resident != nil {
-		select {
-		case r.resident <- struct{}{}:
-		case <-r.halted:
-		}
-	}
+	held := r.take()
 	if chunk := int(next.Add(1)) - 1; chunk < r.TotalMaps {
+		r.slots[chunk].held = held
 		return chunk
 	}
-	r.give()
+	r.give(held)
 	return -1
 }
 
-// give returns a chunk's residency token. Until a reduce task fails
-// every claimed chunk holds one, so it never has to wait.
-func (r *run) give() {
+// take takes a residency token, waiting for one unless halted (once a
+// reduce task fails, or where chunks deposit), and reports whether it did.
+func (r *run) take() bool {
 	select {
-	case <-r.resident:
+	case r.resident <- struct{}{}:
+		return true
 	default:
+	}
+	select {
+	case r.resident <- struct{}{}:
+		return true
+	case <-r.halted:
+		return false
+	}
+}
+
+// give returns a residency token if held.
+func (r *run) give(held bool) {
+	if held {
+		<-r.resident
 	}
 }
 
@@ -287,10 +303,10 @@ func (r *run) give() {
 func (r *run) fill(chunk int, ch *mapChain) {
 	s, w := &r.slots[chunk], ch.winner
 	if ch.err == nil {
-		s.units, s.maxTS = w.units, w.maxTS
+		s.units, s.maxTS, w.units = w.units, w.maxTS, nil
 	}
-	if len(s.units) == 0 {
-		r.give() // no reducer drops anything here
+	if len(s.units) == 0 && (ch.err != nil || !r.comb.Deposits(chunk)) {
+		r.give(s.held) // nothing here to evict
 	}
 	if r.comb.Deposits(chunk) {
 		g, _ := r.comb.GroupOf(r.Node(chunk))
@@ -313,9 +329,32 @@ func (r *run) fill(chunk int, ch *mapChain) {
 	if u.err = ch.reexec.err; u.err != nil {
 		ch.err = u.err
 	} else {
-		u.parts, u.partBytes = ch.reexec.units[0].parts, ch.reexec.units[0].partBytes
+		re := ch.reexec.units[0]
+		u.parts, u.ends, u.first, u.partBytes = re.parts, re.ends, re.first, re.partBytes
+		ch.reexec.units = nil
 	}
 	close(u.ready)
+}
+
+// taken counts a reduce task's first consumption of unit i of slot s.
+// Once every reduce task has, the unit leaves memory: only its parked
+// copy stays where a reduce attempt can restart, else it is dropped.
+// The slot's last unit gives back its token.
+func (r *run) taken(s *slot, i int) {
+	u := s.units[i]
+	if int(u.taken.Add(1)) < r.NumReducers {
+		return
+	}
+	if r.spec.ReduceRestarts() {
+		u.mu.Lock()
+		u.parts = core.MapParts{Recs: u.parts.Recs}
+		u.mu.Unlock()
+	} else {
+		s.units[i] = nil
+	}
+	if i == len(s.units)-1 {
+		r.give(s.held)
+	}
 }
 
 // await blocks until ready closes, holding no reduce slot meanwhile.
@@ -343,8 +382,7 @@ func each(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// newStore builds a per-task wall store configured like the engine's
-// node store.
+// newStore builds a per-task wall store configured like a DES node's.
 func (r *run) newStore(node int) *storage.Store {
 	st := storage.NewWallStore(node, r.spec.Cluster.Model, r.scratch)
 	st.Checksums = r.spec.Cluster.Checksums
@@ -355,8 +393,7 @@ func (r *run) newStore(node int) *storage.Store {
 }
 
 // addStore folds a finished attempt's store counters into the run's
-// sums, so the run keeps integers, not the store. The sums are additive,
-// so the order attempts finish in does not reach the Report.
+// sums; they are additive, so finishing order does not reach the Report.
 func (r *run) addStore(st *storage.Store) {
 	r.sumsMu.Lock()
 	r.sums.AddStore(st)
@@ -378,9 +415,10 @@ func (r *run) newRuntime(p substrate.Proc, st *storage.Store, ledger *int64) *co
 
 // mapResult is one map attempt's outcome.
 type mapResult struct {
-	node   int
-	units  []*unit
-	ledger int64
+	node    int
+	units   []*unit
+	shuffle int64 // bytes published
+	ledger  int64
 
 	mapped, emitted, quarantined int64
 	maxTS                        int64 // math.MinInt64: no record seen
@@ -390,17 +428,12 @@ type mapResult struct {
 	err                          error
 }
 
-// runMapAttempt executes one map task attempt: a fresh query instance
-// and an engine.MapBody over the chunk, each read segment mapped and
-// replayed inline, the map output written for U3 accounting parity and
-// cached as a shuffle unit. Attempt chains (fault.go) drive it; a
-// fault-free task is attempt 0 with no injection. When inject is set
-// the attempt dies at the spec's FailPoint through the chunk; when
-// claim is non-nil the attempt races a speculative twin and only the
-// first to claim publishes. When damage is set (primary chains, not
-// re-executions) the attempt's store injects the plan's disk damage, and
-// a checksum failure or exhausted I/O retry budget fails the attempt as
-// engine/maptask.go does.
+// runMapAttempt executes one map task attempt: an engine.MapBody over
+// the chunk, its output written for U3 accounting and kept as a shuffle
+// unit. With inject the attempt dies at the spec's FailPoint; with a
+// claim it races a speculative twin and only the first to claim
+// publishes; with damage (primary chains) its store injects the plan's
+// disk damage, and a checksum failure fails the attempt.
 func (r *run) runMapAttempt(chunk, node, attempt int, inject, damage bool, claim *atomic.Bool) (res *mapResult) {
 	res = &mapResult{node: node, maxTS: math.MinInt64}
 	p := substrate.NewWallProc(r.start)
@@ -428,7 +461,7 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject, damage bool, claim
 	body := engine.NewMapBody(r.spec, rt, q, chunk, attempt,
 		func(name string, seq int, parts core.MapParts) {
 			// HOP: each eager spill is its own shuffle unit.
-			res.units = append(res.units, r.publish(p, st, name, chunk, seq, parts))
+			res.units = append(res.units, r.publish(p, st, name, chunk, seq, parts, &res.shuffle))
 		})
 
 	data := r.spec.Input.ChunkBytes(chunk)
@@ -464,27 +497,32 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject, damage bool, claim
 	}
 	if r.spec.Platform != engine.HOP {
 		if r.comb.Deposits(chunk) {
-			// Node-combine: the output parks for the group's fold instead
-			// of publishing; no U3 write happens here — the merged run is
-			// the only MapOutput-class write, exactly as on the engine.
-			r.comb.Deposit(chunk, parts.Segs)
+			// Node-combine: the output waits for the group's fold; the
+			// merged run is the only U3 write, as on the engine.
+			u := r.keep(chunk, parts, false)
+			r.comb.Deposit(chunk, func() [][][]byte {
+				defer r.give(r.slots[chunk].held)
+				return u.read(r.scratch, 0, r.NumReducers).Segs
+			})
 		} else {
 			res.units = append(res.units,
-				r.publish(p, st, fmt.Sprintf("map%06d.a%d.out", chunk, attempt), chunk, 0, parts))
+				r.publish(p, st, fmt.Sprintf("map%06d.a%d.out", chunk, attempt), chunk, 0, parts, &res.shuffle))
 		}
 	}
 	res.span = span("map")
 	return res
 }
 
-// publish charges the per-partition segments to the task's store (U3,
-// for accounting parity with the DES; the counters outlive the file,
-// which nothing reads back, so it goes at once) and returns the
-// in-memory shuffle unit.
-func (r *run) publish(p substrate.Proc, st *storage.Store, name string, chunk, seq int, parts core.MapParts) *unit {
+// publish charges the output to the task's store (U3, for parity with
+// the DES; nothing reads the file back, so it goes at once), adds its
+// bytes to shuffle and returns the shuffle unit.
+func (r *run) publish(p substrate.Proc, st *storage.Store, name string, chunk, seq int, parts core.MapParts, shuffle *int64) *unit {
 	f, partBytes, _ := engine.WriteMapOutput(p, st, name, parts)
+	*shuffle += f.Size()
 	st.Delete(f)
-	return &unit{chunk: chunk, seq: seq, parts: parts, partBytes: partBytes}
+	u := r.keep(chunk, parts, r.spec.ReduceRestarts())
+	u.seq, u.partBytes = seq, partBytes
+	return u
 }
 
 // reduceResult is one reduce attempt's outcome.
@@ -514,50 +552,50 @@ func (r *run) afterFeed(red *engine.TaskReducer, sink func(physBytes int64)) {
 // report assembles the engine.Report: the shared tail
 // (engine.JobFrame.ReportTail) over per-task integers summed in task
 // order, identical for any worker count, then what only this backend
-// knows; RunningTime, MapFinishTime, WallTime, and Spans are measured
-// wall time.
-//
-// mapDone and redDone hold completed (counted) attempts — including
-// re-executed maps, which count again exactly as on the DES; mapExtra
-// and redExtra hold failed and superseded attempts, which contribute
-// only their I/O accounting (their CPU already went to wastedCPU).
-func (r *run) report(mapDone, mapExtra []*mapResult, redDone, redExtra []*reduceResult, mapFinish time.Duration) *engine.Report {
+// knows. A chain's winner counts, and so does a re-executed map, as on
+// the DES; failed and superseded attempts add only their spans (their
+// CPU went to wastedCPU, their I/O to the sums).
+func (r *run) report(redChains []*reduceChain, mapFinish time.Duration) *engine.Report {
 	rep := &engine.Report{MapFinishTime: mapFinish, Workers: r.workers}
 	sums := &r.sums
 	sums.ShuffleByNode, sums.Combine = make([]int64, r.spec.Cluster.Nodes), r.comb.Totals()
-	publishedBy := func(node int, u *unit) {
-		for _, b := range u.partBytes {
-			sums.ShuffleByNode[node] += b
+	for _, ch := range r.maps {
+		done := []*mapResult{ch.winner}
+		if ch.reexec != nil {
+			done = append(done, ch.reexec)
+			rep.ReExecutedMapTasks++
 		}
-	}
-	for _, mres := range mapDone {
-		sums.MapCPU += mres.ledger
-		rep.MapInputRecords += mres.mapped
-		rep.MapOutputRecords += mres.emitted
-		rep.QuarantinedRecords += mres.quarantined
-		rep.Spans = append(rep.Spans, mres.span)
-		for _, u := range mres.units {
-			publishedBy(mres.node, u)
+		for _, mres := range done {
+			sums.MapCPU += mres.ledger
+			rep.MapInputRecords += mres.mapped
+			rep.MapOutputRecords += mres.emitted
+			rep.QuarantinedRecords += mres.quarantined
+			rep.Spans = append(rep.Spans, mres.span)
+			sums.ShuffleByNode[mres.node] += mres.shuffle
 		}
 	}
 	// Combine folds count in group order, like the engine's fold order.
 	for _, cr := range r.combRes {
 		sums.MapCPU += cr.ledger
 		rep.Spans = append(rep.Spans, cr.spans...)
-		publishedBy(cr.node, cr.unit)
+		sums.ShuffleByNode[cr.node] += cr.shuffle
 	}
-	for _, mres := range mapExtra {
-		rep.Spans = append(rep.Spans, mres.span)
+	for _, ch := range r.maps {
+		for _, mres := range ch.extras {
+			rep.Spans = append(rep.Spans, mres.span)
+		}
 	}
-	for _, rres := range redDone {
-		sums.ReduceCPU += rres.ledger
-		rep.OutputRecords += rres.out.Records
-		rep.ApproxKeys += rres.approxKeys
-		rep.Outputs = append(rep.Outputs, rres.out.Rows...)
-		rep.Spans = append(rep.Spans, rres.span)
+	for _, ch := range redChains {
+		sums.ReduceCPU += ch.winner.ledger
+		rep.OutputRecords += ch.winner.out.Records
+		rep.ApproxKeys += ch.winner.approxKeys
+		rep.Outputs = append(rep.Outputs, ch.winner.out.Rows...)
+		rep.Spans = append(rep.Spans, ch.winner.span)
 	}
-	for _, rres := range redExtra {
-		rep.Spans = append(rep.Spans, rres.span)
+	for _, ch := range redChains {
+		for _, rres := range ch.extras {
+			rep.Spans = append(rep.Spans, rres.span)
+		}
 	}
 	sums.WastedCPU = r.wastedCPU.Load()
 	sums.RefetchBytes = r.refetchBytes.Load()
@@ -565,7 +603,6 @@ func (r *run) report(mapDone, mapExtra []*mapResult, redDone, redExtra []*reduce
 	rep.MemShuffleFetches = r.memFetches.Load()
 	rep.SnapshotRecords = r.snapshotRecords.Load()
 	rep.NodesLost = len(r.KillAfter)
-	rep.ReExecutedMapTasks = len(mapDone) - r.TotalMaps
 	rep.RestartedReduceTasks = int(r.restartedReduces.Load())
 	rep.SpeculativeBackups = int(r.specBackups.Load())
 	rep.SpeculativeWins = int(r.specWins.Load())

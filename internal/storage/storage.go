@@ -198,11 +198,11 @@ func (f *File) fill(dst []byte) []byte {
 const ScratchPage = 16 << 10
 
 // Scratch is the disk medium of one wall-clock run: a temporary file,
-// unlinked as soon as it is open, whose extents every spill file of the
-// run's stores is written to. Extents are carved from its end and never
-// reused — it grows to the run's spill volume — and go with the file
-// when Close drops the last descriptor, as they do if the process dies.
-// Safe for concurrent use by the run's stores.
+// unlinked as soon as it is open, that holds every spill file of the
+// run's stores and the map outputs the run parks. Extents are carved
+// from its end and never reused — it grows to the run's spill and
+// parked volume — and go with the file when Close drops the last
+// descriptor, as they do if the process dies. Safe for concurrent use.
 type Scratch struct {
 	f   *os.File
 	end atomic.Int64
@@ -223,6 +223,20 @@ func OpenScratch() (*Scratch, error) {
 
 // Close releases the scratch file and every extent in it.
 func (s *Scratch) Close() error { return s.f.Close() }
+
+// Park writes data to a fresh extent and returns its offset, for
+// ReadAt. Neither charges: they are not I/O of the modelled job.
+func (s *Scratch) Park(data []byte) (at int64) {
+	at = s.end.Add(int64(len(data))) - int64(len(data))
+	scratchIO(s.f.WriteAt(data, at))
+	return at
+}
+
+// ReadAt fills dst with the scratch file's bytes at offset at.
+func (s *Scratch) ReadAt(dst []byte, at int64) { scratchIO(s.f.ReadAt(dst, at)) }
+
+// Size returns the bytes written to the scratch file so far.
+func (s *Scratch) Size() int64 { return s.end.Load() }
 
 // scratchIO panics a failed scratch read or write, which attempt
 // runners turn into the job's error.

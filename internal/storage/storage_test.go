@@ -545,3 +545,39 @@ func TestScratchSharedAcrossStores(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestParkedBytesReadBack: bytes parked in a scratch file from several
+// goroutines at once, beside a spill file writing its own extents, read
+// back whole and in part as they were written.
+func TestParkedBytesReadBack(t *testing.T) {
+	sc := testScratch(t)
+	const blobs = 8
+	ats := make([]int64, blobs)
+	var wg sync.WaitGroup
+	for i := range blobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ats[i] = sc.Park(pattern(3*ScratchPage+i, i))
+		}()
+	}
+	run(t, cost.Default(1), sc, func(p *sim.Proc, s *Store) {
+		f := s.Create("spill", MapSpill)
+		s.Append(p, f, pattern(2*ScratchPage, 99), MapSpill)
+		if !bytes.Equal(s.ReadAll(p, f, 0, MapSpill), pattern(2*ScratchPage, 99)) {
+			t.Error("the spill file beside the parked bytes reads back changed")
+		}
+		s.Delete(f)
+	})
+	wg.Wait()
+	for i, at := range ats {
+		want := pattern(3*ScratchPage+i, i)
+		got := make([]byte, len(want))
+		sc.ReadAt(got, at)
+		part := make([]byte, 100)
+		sc.ReadAt(part, at+int64(ScratchPage))
+		if !bytes.Equal(got, want) || !bytes.Equal(part, want[ScratchPage:ScratchPage+100]) {
+			t.Errorf("parked blob %d reads back changed", i)
+		}
+	}
+}

@@ -180,7 +180,8 @@ type (
 func Run(job Job) (*Report, error) { return engine.Run(job) }
 
 // RunReal executes a job on the wall-clock backend: real goroutines,
-// real time, and an M3R-style in-memory shuffle, with the same data
+// real time, and a shuffle held in memory up to SlotCache × Nodes
+// outputs and in a scratch file past it, with the same data
 // paths and the same virtual-time CPU/I/O accounting as the
 // simulation. newQuery must build a fresh Query instance on every call
 // (queries carry per-task scratch state); workers (0 = 1) is both the
@@ -193,8 +194,8 @@ func Run(job Job) (*Report, error) { return engine.Run(job) }
 // (FaultPlan.KillAtMapProgress), seeded transient shuffle errors
 // (ShuffleErrorRate), and disk damage (FaultPlan.Disk) injected into the
 // primary map attempts. No map barrier: reducers consume each map output
-// from memory as it is published, so only sort-merge's map-side spills
-// read damaged bytes back here. Job.Query is ignored.
+// as it is published, and only sort-merge's map-side spills read damaged
+// bytes back here. Job.Query is ignored.
 func RunReal(job Job, newQuery func() Query, workers int) (*Report, error) {
 	job.Cluster.Parallelism = max(1, workers)
 	return realexec.Run(job, newQuery)
