@@ -82,7 +82,7 @@ func (q *countQuery) StateSize() int { return 8 }
 func runSim(t *testing.T, fn func(rt *Runtime)) {
 	t.Helper()
 	k := sim.NewKernel()
-	st := storage.NewStore(k, 0, cost.Default(1))
+	st := storage.NewStore(k, 0, cost.Default(1), nil)
 	k.Spawn("task", func(p *sim.Proc) {
 		fn(NopRuntime(p, st, cost.Default(1)))
 	})

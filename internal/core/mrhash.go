@@ -218,7 +218,7 @@ func (r *MRHashReducer) sortAndStream(data []byte, out mr.OutputWriter) {
 	r.rt.ChargeCPU(r.rt.Model.CPUSort(int64(n)))
 	var records int64
 	batch := r.rt.Batch(r.rt.Model.CPUReduceRec)
-	g := kvenc.NewGroups([][]byte{sorted})
+	g := kvenc.NewGroups(kvenc.NewMerger([][]byte{sorted}))
 	for key, ok := g.NextGroup(); ok; key, ok = g.NextGroup() {
 		r.q.Reduce(key, g, out)
 		records += g.N

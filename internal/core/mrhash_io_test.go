@@ -21,7 +21,7 @@ func TestMRHashWriteAmplification(t *testing.T) {
 	// Mimic one full-scale reducer: 6.8GB logical at 1/512 → 13.3MB
 	// phys input, 977KB budget, zipf keys.
 	k := sim.NewKernel()
-	st := storage.NewStore(k, 0, cost.Default(1.0/512))
+	st := storage.NewStore(k, 0, cost.Default(1.0/512), nil)
 	k.Spawn("r", func(p *sim.Proc) {
 		rt := NopRuntime(p, st, cost.Default(1.0/512))
 		q := &countQuery{}

@@ -47,14 +47,14 @@ type node struct {
 // attempt as lost; it must never escape an attempt.
 type nodeAborted struct{ node int }
 
-func newNode(k *sim.Kernel, idx int, cfg ClusterConfig) *node {
+func newNode(k *sim.Kernel, idx int, cfg ClusterConfig, scratch *storage.Scratch) *node {
 	n := &node{
 		idx:         idx,
 		cpu:         sim.NewResource(k, fmt.Sprintf("n%d.cpu", idx), int64(cfg.Cores)),
 		mapSlots:    sim.NewResource(k, fmt.Sprintf("n%d.mslots", idx), int64(cfg.MapSlots)),
 		reduceSlots: sim.NewResource(k, fmt.Sprintf("n%d.rslots", idx), int64(cfg.ReduceSlots)),
 		nic:         sim.NewResource(k, fmt.Sprintf("n%d.nic", idx), 1),
-		store:       storage.NewStore(k, idx, cfg.Model),
+		store:       storage.NewStore(k, idx, cfg.Model, scratch),
 		cacheCap:    cfg.SlotCache,
 		deadAt:      -1,
 	}

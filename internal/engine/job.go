@@ -88,11 +88,16 @@ func Run(spec JobSpec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	scratch, err := storage.OpenScratch()
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
+	defer scratch.Close()
 	cfg := &spec.Cluster
 	j := &job{JobFrame: frame, k: sim.NewKernel()}
 	j.k.SetWorkers(cfg.Parallelism)
 	for i := 0; i < cfg.Nodes; i++ {
-		j.nodes = append(j.nodes, newNode(j.k, i, *cfg))
+		j.nodes = append(j.nodes, newNode(j.k, i, *cfg, scratch))
 	}
 	j.shuffle = newShuffleService(j.k, j.TotalMaps, j.NumReducers)
 

@@ -56,10 +56,14 @@ func Overhead(n int) int64 {
 // Checksum returns the CRC32C a frame holding payload carries. It
 // covers header and payload, so it doubles as the stored checksum for
 // unframed payloads whose framing exists only as metadata.
-func Checksum(payload []byte) uint32 {
+func Checksum(payload []byte) uint32 { return Extend(Start(len(payload)), payload) }
+
+// Start is the checksum of an n-byte payload's frame header, which Extend
+// carries over the payload in pieces: Extend(Start(len(p)), p) == Checksum(p).
+func Start(n int) uint32 {
 	var hdr [MaxHeader]byte
 	hdr[0] = Magic
-	m := 1 + binary.PutUvarint(hdr[1:], uint64(len(payload)))
+	m := 1 + binary.PutUvarint(hdr[1:], uint64(n))
 	// Byte-at-a-time table update for the ≤11-byte header: identical
 	// to crc32.Update, but escape analysis can prove the stack array
 	// never leaves the frame (crc32.Update's generic fallback branch
@@ -69,8 +73,11 @@ func Checksum(payload []byte) uint32 {
 	for _, v := range hdr[:m] {
 		c = castagnoli[byte(c)^v] ^ (c >> 8)
 	}
-	return crc32.Update(^c, castagnoli, payload)
+	return ^c
 }
+
+// Extend carries checksum c over the next piece of a frame's payload.
+func Extend(c uint32, piece []byte) uint32 { return crc32.Update(c, castagnoli, piece) }
 
 // MaxHeader is the most bytes a frame's header takes.
 const MaxHeader = 1 + binary.MaxVarintLen64

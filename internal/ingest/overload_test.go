@@ -26,11 +26,7 @@ func TestOverloadShedsAndLosesNothing(t *testing.T) {
 	cfg.MaxInflightBytes = 16 << 10
 	cfg.queueDepth = 128 // byte budget binds first
 	gate := make(chan struct{})
-	cfg.Fail = &Failpoints{FoldDelay: func(seq int64) {
-		if seq > 1 { // first batch folds; the rest wait on the gate
-			<-gate
-		}
-	}}
+	cfg.Fail = &Failpoints{FoldDelay: stalledFolds(gate, nil)}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -38,20 +34,7 @@ func TestOverloadShedsAndLosesNothing(t *testing.T) {
 
 	// Push until shed, then keep hammering: accepted count must freeze
 	// and inflight bytes must never cross the budget.
-	accepted := 0
-	for b := 1; ; b++ {
-		_, err := s.Ingest(testBatch(b, per))
-		if errors.Is(err, ErrOverloaded) {
-			break
-		}
-		if err != nil {
-			t.Fatalf("batch %d: %v", b, err)
-		}
-		accepted = b
-		if accepted > 1000 {
-			t.Fatal("admission control never engaged")
-		}
-	}
+	accepted := pushUntilShed(t, s, per)
 	for i := 0; i < 200; i++ {
 		if _, err := s.Ingest(testBatch(accepted+1, per)); !errors.Is(err, ErrOverloaded) {
 			t.Fatalf("overloaded service accepted work: %v", err)
@@ -89,6 +72,67 @@ func TestOverloadShedsAndLosesNothing(t *testing.T) {
 	}
 	if got.Gamma != 1 || got.FoldedBatches != int64(accepted) {
 		t.Fatalf("acknowledged batches missing from answer: %+v", got)
+	}
+}
+
+// stalledFolds holds every fold at gate — batch 1's too, so no fold
+// can give budget bytes back once a push has been shed. first, if set,
+// runs as batch 1 reaches the gate.
+func stalledFolds(gate <-chan struct{}, first func()) func(seq int64) {
+	return func(seq int64) {
+		if seq == 1 && first != nil {
+			first()
+		}
+		<-gate
+	}
+}
+
+// pushUntilShed pushes batches of per records until one is shed and
+// returns how many were accepted.
+func pushUntilShed(t *testing.T, s *Ingester, per int) (accepted int) {
+	t.Helper()
+	for b := 1; ; b++ {
+		_, err := s.Ingest(testBatch(b, per))
+		if errors.Is(err, ErrOverloaded) {
+			return accepted
+		}
+		if err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+		accepted = b
+		if accepted > 1000 {
+			t.Fatal("admission control never engaged")
+		}
+	}
+}
+
+// TestOverloadShedsDespiteALateFirstFold forces the interleaving that
+// made the test above flake when batch 1's fold was not held: batch 1
+// reaches the fold only after the first push is shed, and is given time
+// to finish. No budget bytes may come back, so pushes stay shed.
+func TestOverloadShedsDespiteALateFirstFold(t *testing.T) {
+	const per = 40
+	cfg := testCfg(t, t.TempDir(), "clickcount")
+	cfg.MaxInflightBytes = 16 << 10
+	cfg.queueDepth = 128
+	gate, shed, reached := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	cfg.Fail = &Failpoints{FoldDelay: stalledFolds(gate, func() { <-shed; close(reached) })}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { close(gate); s.Abort() }()
+	pushUntilShed(t, s, per)
+	inflight := s.cfg.Budget.Snapshot().Inflight
+	close(shed)
+	<-reached
+	for end := time.Now().Add(200 * time.Millisecond); time.Now().Before(end) && s.cfg.Budget.Snapshot().Inflight == inflight; {
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := s.Ingest(testBatch(1000+i, per)); !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("push %d after batch 1 reached its fold late: %v", i, err)
+		}
 	}
 }
 

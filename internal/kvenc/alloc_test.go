@@ -151,7 +151,7 @@ func TestMergerStepAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("Merger.Next allocated %.1f times per 100 pairs, want 0", allocs)
 	}
-	g := NewGroups(runs)
+	g := NewGroups(NewMerger(runs))
 	if allocs := testing.AllocsPerRun(20, func() {
 		for i := 0; i < 4; i++ {
 			key, ok := g.NextGroup()

@@ -124,7 +124,7 @@ func mergeEveryWay(t *testing.T, runs [][]byte) ([]byte, error) {
 	pairs, perr := drainMerger(NewMerger(runs))
 	stream, serr := MergeStreamTo(nil, runs)
 	var grouped []byte
-	g := NewGroups(runs)
+	g := NewGroups(NewMerger(runs))
 	for {
 		key, ok := g.NextGroup()
 		if !ok {
@@ -144,6 +144,7 @@ func mergeEveryWay(t *testing.T, runs [][]byte) ([]byte, error) {
 	if serr != perr || g.Err() != perr {
 		t.Fatalf("errors differ: Next %v, MergeStreamTo %v, Groups %v", perr, serr, g.Err())
 	}
+	mergeWindowed(t, runs, pairs, perr)
 	return pairs, perr
 }
 
@@ -200,6 +201,11 @@ func mergeRunSets(seed int64) map[string][][]byte {
 	sets["shorter-than-8"] = prefixRuns(4, "a", "", "abc", "ab", "abcdefg", "b", "", "abcdefgh", "a", "abcdefg")
 	// Equal once zero-padded to eight bytes, yet different keys.
 	sets["padded-prefix-twins"] = prefixRuns(3, "ab\x00", "ab", "ab\x00\x00", "", "\x00", "ab", "\x00\x00", "ab\x00", "")
+	// Keys of at most eight bytes whose padded prefixes tie are decided
+	// by length, then by run, without comparing the keys: eight-byte
+	// user ids, one short of them padded with zero bytes, the empty key.
+	sets["short-key-ties"] = prefixRuns(5, "u0000001", "u000000", "u000000\x00", "u0000001", "", "ab", "\x00",
+		"ab\x00", "u0000001\x00", "", "ab", "u000000\x00\x00", "u0000001", "ab\x00\x00\x00\x00\x00\x00", "\x00")
 	var same []string
 	for i := 0; i < 60; i++ {
 		same = append(same, "samekey-samekey")

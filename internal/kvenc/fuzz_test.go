@@ -114,12 +114,13 @@ func FuzzMergeMatchesHeap(f *testing.F) {
 		}
 		return out
 	}
-	f.Add(stream("prefix00a", "prefix00", "prefix00b", "prefix00a", "prefix01"), uint8(3)) // equal first eight bytes
-	f.Add(stream("abc", "a", "", "abcdefg", "ab", ""), uint8(2))                           // shorter than eight, and empty
-	f.Add(stream("ab\x00", "ab", "ab", "ab\x00\x00", "\x00", ""), uint8(2))                // equal padded prefix, different keys
-	f.Add(stream("k", "k", "k", "k", "k", "k", "k", "k", "k", "k", "k", "k"), uint8(11))   // equal keys in many runs
-	f.Add(append(stream("b", "a"), 0x05, 0x05, 'x'), uint8(1))                             // truncated tail
-	f.Add([]byte{0x80, 0x00, 0x00}, uint8(0))                                              // padded length varint
+	f.Add(stream("prefix00a", "prefix00", "prefix00b", "prefix00a", "prefix01"), uint8(3))    // equal first eight bytes
+	f.Add(stream("abc", "a", "", "abcdefg", "ab", ""), uint8(2))                              // shorter than eight, and empty
+	f.Add(stream("ab\x00", "ab", "ab", "ab\x00\x00", "\x00", ""), uint8(2))                   // equal padded prefix, different keys
+	f.Add(stream("u0000001", "u000000", "u000000\x00", "u0000001", "", "u0000001"), uint8(3)) // short-key ties
+	f.Add(stream("k", "k", "k", "k", "k", "k", "k", "k", "k", "k", "k", "k"), uint8(11))      // equal keys in many runs
+	f.Add(append(stream("b", "a"), 0x05, 0x05, 'x'), uint8(1))                                // truncated tail
+	f.Add([]byte{0x80, 0x00, 0x00}, uint8(0))                                                 // padded length varint
 	f.Fuzz(func(t *testing.T, data []byte, k uint8) {
 		runs := make([][]byte, 1+int(k)%32)
 		rest, n := data, 0

@@ -123,23 +123,14 @@ func IsSorted(data []byte) bool {
 	}
 }
 
-// MergeStreamChecked fully merges runs into a single encoded run and
-// reports ErrCorrupt if any run was truncated by invalid framing (the
-// merged prefix is still returned).
-func MergeStreamChecked(runs [][]byte) ([]byte, error) {
-	var total int
-	for _, r := range runs {
-		total += len(r)
-	}
-	return MergeStreamTo(make([]byte, 0, total), runs)
-}
+// MergeStreamTo fully merges runs, appending the merged run to dst
+// (which may be a recycled buffer from bytestore.Get), and reports
+// ErrCorrupt if any run was truncated by invalid framing (the merged
+// prefix is still returned).
+func MergeStreamTo(dst []byte, runs [][]byte) ([]byte, error) { return NewMerger(runs).AppendTo(dst) }
 
-// MergeStreamTo is MergeStreamChecked appending the merged run to dst
-// (which may be a recycled buffer from bytestore.Get); callers that
-// pass a buffer with enough capacity get an allocation-free merge
-// apart from the merger's own fixed state.
-func MergeStreamTo(dst []byte, runs [][]byte) ([]byte, error) {
-	m := NewMerger(runs)
+// AppendTo drains the merge into dst.
+func (m *Merger) AppendTo(dst []byte) ([]byte, error) {
 	for {
 		pair, _, _, ok := m.next()
 		if !ok {
@@ -151,7 +142,8 @@ func MergeStreamTo(dst []byte, runs [][]byte) ([]byte, error) {
 
 // ValueIter streams the values of one group to a reduce function.
 type ValueIter interface {
-	// Next returns the next value of the current group.
+	// Next returns the next value of the current group, valid until
+	// the next call.
 	Next() ([]byte, bool)
 }
 
@@ -178,22 +170,22 @@ type Groups struct {
 	N int64 // values pulled from the current group so far
 
 	m    *Merger
-	key  []byte // the current group's key
+	key  []byte // the current group's key, a copy (windows turn over within a group)
 	k, v []byte // the one pair read ahead of the consumer
 	ok   bool   // a pair is read ahead (false: the runs are drained)
 	same bool   // … and it belongs to the current group
 }
 
-// NewGroups starts a grouped merge of runs.
-func NewGroups(runs [][]byte) *Groups {
-	g := &Groups{m: NewMerger(runs)}
+// NewGroups starts a grouped merge.
+func NewGroups(m *Merger) *Groups {
+	g := &Groups{m: m}
 	g.k, g.v, g.ok = g.m.Next()
 	return g
 }
 
 // NextGroup skips what the consumer left of the current group and
-// steps to the next, returning its key. ok is false once the runs are
-// drained; check Err then.
+// steps to the next, returning its key, valid until the next call. ok
+// is false once the runs are drained; check Err then.
 func (g *Groups) NextGroup() (key []byte, ok bool) {
 	for g.same {
 		g.Next()
@@ -201,7 +193,7 @@ func (g *Groups) NextGroup() (key []byte, ok bool) {
 	if !g.ok {
 		return nil, false
 	}
-	g.key, g.same, g.N = g.k, true, 0
+	g.key, g.same, g.N = append(g.key[:0], g.k...), true, 0
 	return g.key, true
 }
 

@@ -3,6 +3,7 @@ package kvenc
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 )
 
 // Merger produces the merged (key-ordered) sequence of several runs.
@@ -20,12 +21,28 @@ import (
 // cached per leaf as one integer, before the keys themselves. Ties
 // between runs resolve by run index, which preserves the stable "run
 // order wins" contract of the heap merger it replaced (kept in
-// reference_test.go as the differential-test reference).
+// reference_test.go as the differential-test reference). A pair handed
+// out stays valid through the next call for a pair: only then is its
+// leaf read on.
 type Merger struct {
 	leaves []leaf
+	spills []Spill // leaves 0..len(spills)-1
 	tree   []int32 // internal nodes 1..k-1: loser leaf index
 	winner int32
+	taken  int32 // the leaf the last pair came from, -1 once read on
 	err    error
+}
+
+// Spill is a sorted run of Size bytes a merge reads through two
+// windows, the caller's (empty, each the size of one read; Win[0] may be
+// nil if Win[1] holds the run), that it keeps past the merge. A window
+// grows only for a pair longer than itself. ReadAt runs on the goroutine
+// driving the merge.
+type Spill struct {
+	Size     int64
+	ReadAt   func(dst []byte, off int64)
+	Win      [2][]byte
+	off, cur int64 // bytes read so far; the window the leaf is in
 }
 
 // leaf is one run's position in the merge: the run from its current
@@ -39,27 +56,40 @@ type leaf struct {
 
 // NewMerger creates a k-way merger over the given runs. Leaf index ==
 // run index, so tie-breaks follow run order exactly.
-func NewMerger(runs [][]byte) *Merger {
-	m := &Merger{leaves: make([]leaf, len(runs)), tree: make([]int32, len(runs)), winner: -1}
+func NewMerger(runs [][]byte) *Merger { return Merge(nil, runs) }
+
+// Merge creates a k-way merger over spills, then runs, in run order.
+func Merge(spills []Spill, runs [][]byte) *Merger {
+	k := len(spills) + len(runs)
+	m := &Merger{leaves: make([]leaf, k), spills: spills, tree: make([]int32, k), winner: -1, taken: -1}
 	for i, r := range runs {
-		m.leaves[i].rest = r
-		m.load(&m.leaves[i])
+		m.leaves[len(spills)+i].rest = r
 	}
-	if len(runs) > 0 {
+	for i := range k {
+		m.load(int32(i))
+	}
+	if k > 0 {
 		m.winner = m.initNode(1)
 	}
 	return m
 }
 
-// load measures the pair l.rest starts with, or retires the leaf at
-// the end of its run or on invalid framing.
-func (m *Merger) load(l *leaf) {
+// load measures the pair leaf i's run goes on with (reading a spill on
+// as its window runs out), or retires the leaf at the end of its run or
+// on invalid framing.
+func (m *Merger) load(i int32) {
+	l := &m.leaves[i]
 	var ok bool
-	if l.keyOff, l.keyEnd, l.end, ok = scanPair(l.rest); !ok {
-		if len(l.rest) > 0 && m.err == nil {
-			m.err = ErrCorrupt
+	for again := false; ; again = true {
+		if l.keyOff, l.keyEnd, l.end, ok = scanPair(l.rest); ok {
+			break
 		}
-		return
+		if int(i) >= len(m.spills) || !m.spills[i].refill(l, again) {
+			if len(l.rest) > 0 && m.err == nil {
+				m.err = ErrCorrupt
+			}
+			return
+		}
 	}
 	if key := l.rest[l.keyOff:l.keyEnd]; len(key) >= 8 {
 		l.prefix = binary.BigEndian.Uint64(key)
@@ -70,10 +100,34 @@ func (m *Merger) load(l *leaf) {
 	}
 }
 
+// refill moves what is left of l's window to the front of the other,
+// leaving the last pair's window as it is, and reads on behind it;
+// again, the pair still does not fit and its window grows. It reports
+// false once the run is read whole.
+func (s *Spill) refill(l *leaf, again bool) bool {
+	if s.off == s.Size {
+		return false
+	}
+	w := l.rest
+	if !again {
+		s.cur ^= 1
+		w = append(s.Win[s.cur][:0], l.rest...)
+	}
+	if len(w) == cap(w) { // a pair longer than the window
+		w = slices.Grow(w, len(w)+1)
+	}
+	n := int(min(int64(cap(w)-len(w)), s.Size-s.off))
+	s.ReadAt(w[len(w):len(w)+n], s.off)
+	s.off += int64(n)
+	s.Win[s.cur], l.rest = w, w[:len(w)+n]
+	return true
+}
+
 // beats reports whether leaf i wins the match against leaf j. An
 // exhausted leaf loses to everything. Two zero-padded prefixes that
 // differ order as their keys do; equal ones (also "ab" against
-// "ab\x00") decide nothing.
+// "ab\x00") hold keys of at most eight bytes whole: the shorter wins,
+// then the lower run. Only longer keys are compared.
 func (m *Merger) beats(i, j int32) bool {
 	a, b := &m.leaves[i], &m.leaves[j]
 	switch {
@@ -83,6 +137,9 @@ func (m *Merger) beats(i, j int32) bool {
 		return true
 	case a.prefix != b.prefix:
 		return a.prefix < b.prefix
+	}
+	if la, lb := a.keyEnd-a.keyOff, b.keyEnd-b.keyOff; la <= 8 && lb <= 8 {
+		return la < lb || la == lb && i < j
 	}
 	if c := bytes.Compare(a.rest[a.keyOff:a.keyEnd], b.rest[b.keyOff:b.keyEnd]); c != 0 {
 		return c < 0
@@ -131,6 +188,11 @@ func (m *Merger) Next() (key, val []byte, ok bool) {
 // next is Next returning the pair as it stands encoded in its run
 // (capacity clipped) and the key's range in it.
 func (m *Merger) next() (pair []byte, keyOff, keyEnd int, ok bool) {
+	if t := m.taken; t >= 0 {
+		m.load(t)
+		m.replay(t)
+		m.taken = -1
+	}
 	w := m.winner
 	if w < 0 || m.leaves[w].end == 0 {
 		return nil, 0, 0, false
@@ -138,7 +200,6 @@ func (m *Merger) next() (pair []byte, keyOff, keyEnd int, ok bool) {
 	l := &m.leaves[w]
 	pair, keyOff, keyEnd = l.rest[:l.end:l.end], l.keyOff, l.keyEnd
 	l.rest = l.rest[l.end:]
-	m.load(l)
-	m.replay(w)
+	m.taken = w
 	return pair, keyOff, keyEnd, true
 }

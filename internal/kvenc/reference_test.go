@@ -135,7 +135,7 @@ func sortStreamStable(data []byte) ([]byte, int) {
 // the callback form of Groups the tests were written against. If fn
 // returns false, iteration stops.
 func MergeGroups(runs [][]byte, fn func(key []byte, vals ValueIter) bool) {
-	g := NewGroups(runs)
+	g := NewGroups(NewMerger(runs))
 	for key, ok := g.NextGroup(); ok && fn(key, g); key, ok = g.NextGroup() {
 	}
 }
@@ -155,6 +155,6 @@ func SliceValues(vals ValueIter) [][]byte {
 // MergeStream fully merges runs into a single encoded run, silently
 // tolerating corrupt tails.
 func MergeStream(runs [][]byte) []byte {
-	out, _ := MergeStreamChecked(runs)
+	out, _ := MergeStreamTo(nil, runs)
 	return out
 }

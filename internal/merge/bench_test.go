@@ -30,7 +30,7 @@ func BenchmarkTreeMerge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := sim.NewKernel()
-		st := storage.NewStore(k, 0, cost.Default(1))
+		st := storage.NewStore(k, 0, cost.Default(1), nil)
 		tree := NewTree(st, storage.ReduceSpill, "r0", factor, 0)
 		k.Spawn("reducer", func(p *sim.Proc) {
 			for _, run := range runs {

@@ -89,7 +89,7 @@ func TestMergePolicyMatchesSizeModel(t *testing.T) {
 		f := 2 + grid.Intn(9)        // factor: 2..10
 
 		k := sim.NewKernel()
-		st := storage.NewStore(k, 0, cost.Default(1))
+		st := storage.NewStore(k, 0, cost.Default(1), nil)
 		tree := NewTree(st, storage.ReduceSpill, "r0", f, 0)
 		ref := &mergeRef{f: f}
 		ch := &passCharger{}
@@ -160,7 +160,7 @@ func TestMergePolicyMatchesSizeModel(t *testing.T) {
 // them).
 func TestMergePreservesBytesExactly(t *testing.T) {
 	k := sim.NewKernel()
-	st := storage.NewStore(k, 0, cost.Default(1))
+	st := storage.NewStore(k, 0, cost.Default(1), nil)
 	tree := NewTree(st, storage.ReduceSpill, "r0", 3, 0)
 	k.Spawn("r", func(p *sim.Proc) {
 		rng := rand.New(rand.NewSource(4))

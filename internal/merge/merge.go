@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/bytestore"
 	"repro/internal/kvenc"
 	"repro/internal/storage"
 	"repro/internal/substrate"
@@ -35,9 +36,8 @@ type diskRun struct {
 }
 
 // Tree is the set of on-disk sorted runs of one task, with the
-// multi-pass merge policy. Files own their bytes: a run handed to
-// AddRun is its file's to keep, and reads lend views of it that stay
-// valid until the file is deleted.
+// multi-pass merge policy. A run is written once, staged by the closure
+// that produced it, and read back through windows (Store.Stream).
 type Tree struct {
 	store  *storage.Store
 	class  storage.IOClass
@@ -58,22 +58,21 @@ func NewTree(store *storage.Store, class storage.IOClass, prefix string, f int, 
 	return &Tree{store: store, class: class, prefix: prefix, f: f, seg: readSegment}
 }
 
-// AddRun writes a sorted run of recs pairs to a new spill file, which
-// takes the buffer over (storage.AppendOwned: pass an exact-size
-// allocation and do not write to it again). The caller must drive
+// AddRun files a sorted run of recs pairs, staged on the tree's store,
+// as a new spill file. The caller must drive
 // NeedsMerge/MergeOnce (directly or via a background process).
-func (t *Tree) AddRun(p substrate.Proc, run []byte, recs int64) {
-	if len(run) > 0 {
+func (t *Tree) AddRun(p substrate.Proc, run storage.Staged, recs int64) {
+	if recs > 0 {
 		r := t.write(p, "spill", run, recs) // parks: read t.files only after it
 		t.files = append(t.files, r)
 	}
 }
 
-// write stores run as the next file in the tree's name sequence.
-func (t *Tree) write(p substrate.Proc, kind string, run []byte, recs int64) diskRun {
+// write files run as the next file in the tree's name sequence.
+func (t *Tree) write(p substrate.Proc, kind string, run storage.Staged, recs int64) diskRun {
 	t.seq++
 	f := t.store.Create(fmt.Sprintf("%s.%s%d", t.prefix, kind, t.seq), t.class)
-	t.store.AppendOwned(p, f, run, t.class, nil)
+	t.store.AppendStaged(p, f, run, t.class)
 	return diskRun{f, recs}
 }
 
@@ -96,18 +95,23 @@ func (t *Tree) MergeOnce(p substrate.Proc, charge func(records int64)) bool {
 	slices.SortStableFunc(victims, func(a, b diskRun) int { return cmp.Compare(a.file.Size(), b.file.Size()) })
 	victims = victims[:t.f]
 
-	runs := make([][]byte, 0, t.f)
-	var records int64
+	runs := make([]kvenc.Spill, 0, t.f)
+	var records, size int64
 	for _, v := range victims {
-		// A borrowed view: the merge is done with it before the Delete below.
-		runs = append(runs, t.store.ReadAll(p, v.file, t.seg, t.class))
+		runs = append(runs, t.store.Stream(p, v.file, t.seg, t.class))
 		records += v.recs
+		size += v.file.Size()
 	}
 	// The pass itself is pure and its price is known from the inputs'
-	// counts, so it runs beside its own charge.
-	var merged []byte
+	// counts, so it runs beside its own charge, and stages its output.
+	var merged storage.Staged
 	var err error
-	p.Offload(func() { merged, err = kvenc.MergeStreamChecked(runs) }, func() {
+	p.Offload(func() {
+		var out []byte
+		out, err = kvenc.Merge(runs, nil).AppendTo(bytestore.Get(int(size)))
+		merged = t.store.Stage(out)
+		bytestore.Put(out)
+	}, func() {
 		if charge != nil {
 			charge(records)
 		}
@@ -139,22 +143,21 @@ func (t *Tree) Complete(p substrate.Proc, charge func(records int64)) {
 	}
 }
 
-// Runs reads every current file (charging I/O) and lends their contents
-// — recs pairs in all — until Drop. The final streaming merge reads them
-// once; the snapshot path of MapReduce Online re-merges the same on-disk
-// runs repeatedly, which is exactly the overhead the paper calls out in
-// §3.3(4).
-func (t *Tree) Runs(p substrate.Proc) (runs [][]byte, recs int64) {
-	runs = make([][]byte, 0, len(t.files))
+// Runs charges reading every current file — recs pairs in all — and
+// returns them for a merge to read until Drop. The final streaming
+// merge reads them once; the snapshot path of MapReduce Online
+// re-merges the same on-disk runs repeatedly, which is exactly the
+// overhead the paper calls out in §3.3(4).
+func (t *Tree) Runs(p substrate.Proc) (runs []kvenc.Spill, recs int64) {
+	runs = make([]kvenc.Spill, 0, len(t.files))
 	for _, r := range t.files {
-		runs = append(runs, t.store.ReadAll(p, r.file, t.seg, t.class))
+		runs = append(runs, t.store.Stream(p, r.file, t.seg, t.class))
 		recs += r.recs
 	}
 	return runs, recs
 }
 
-// Drop deletes every file once the final merge is done with them; the
-// runs Runs lent die with them.
+// Drop deletes every file once the final merge is done with them.
 func (t *Tree) Drop() {
 	for _, r := range t.files {
 		t.store.Delete(r.file)

@@ -39,7 +39,7 @@ type treeRun struct {
 func runTree(t *testing.T, n, b, f int) treeRun {
 	t.Helper()
 	k := sim.NewKernel()
-	st := storage.NewStore(k, 0, cost.Default(1))
+	st := storage.NewStore(k, 0, cost.Default(1), nil)
 	tree := NewTree(st, storage.ReduceSpill, "r0", f, 0)
 	var res treeRun
 	var initial int64
@@ -103,7 +103,7 @@ func TestFinalOutputSortedAndComplete(t *testing.T) {
 
 func TestRecordCountPreserved(t *testing.T) {
 	k := sim.NewKernel()
-	st := storage.NewStore(k, 0, cost.Default(1))
+	st := storage.NewStore(k, 0, cost.Default(1), nil)
 	tree := NewTree(st, storage.ReduceSpill, "r0", 3, 0)
 	var got, want int
 	k.Spawn("r", func(p *sim.Proc) {
@@ -129,7 +129,7 @@ func TestRecordCountPreserved(t *testing.T) {
 
 func TestEmptyRunIgnored(t *testing.T) {
 	k := sim.NewKernel()
-	st := storage.NewStore(k, 0, cost.Default(1))
+	st := storage.NewStore(k, 0, cost.Default(1), nil)
 	tree := NewTree(st, storage.ReduceSpill, "r0", 4, 0)
 	k.Spawn("r", func(p *sim.Proc) {
 		addRun(tree, p, nil)
@@ -184,7 +184,7 @@ func TestMergedBytesDecreaseWithF(t *testing.T) {
 // right U class.
 func TestIOChargedToReduceSpillClass(t *testing.T) {
 	k := sim.NewKernel()
-	st := storage.NewStore(k, 0, cost.Default(1))
+	st := storage.NewStore(k, 0, cost.Default(1), nil)
 	tree := NewTree(st, storage.ReduceSpill, "r0", 3, 0)
 	var initial int64
 	k.Spawn("r", func(p *sim.Proc) {
@@ -222,7 +222,7 @@ func (c *countingCharger) ChargeMerge(n int64) { c.records += n }
 
 func TestCPUChargerInvoked(t *testing.T) {
 	k := sim.NewKernel()
-	st := storage.NewStore(k, 0, cost.Default(1))
+	st := storage.NewStore(k, 0, cost.Default(1), nil)
 	tree := NewTree(st, storage.ReduceSpill, "r0", 3, 0)
 	ch := &countingCharger{}
 	k.Spawn("r", func(p *sim.Proc) {
@@ -246,7 +246,7 @@ func TestCPUChargerInvoked(t *testing.T) {
 
 func TestBadFactorPanics(t *testing.T) {
 	k := sim.NewKernel()
-	st := storage.NewStore(k, 0, cost.Default(1))
+	st := storage.NewStore(k, 0, cost.Default(1), nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -257,7 +257,7 @@ func TestBadFactorPanics(t *testing.T) {
 
 func TestRunsNonDestructive(t *testing.T) {
 	k := sim.NewKernel()
-	st := storage.NewStore(k, 0, cost.Default(1))
+	st := storage.NewStore(k, 0, cost.Default(1), nil)
 	tree := NewTree(st, storage.ReduceSpill, "r0", 4, 0)
 	k.Spawn("r", func(p *sim.Proc) {
 		rng := rand.New(rand.NewSource(8))
@@ -287,7 +287,7 @@ func TestRunsNonDestructive(t *testing.T) {
 
 func TestPeekChargesReads(t *testing.T) {
 	k := sim.NewKernel()
-	st := storage.NewStore(k, 0, cost.Default(1))
+	st := storage.NewStore(k, 0, cost.Default(1), nil)
 	tree := NewTree(st, storage.ReduceSpill, "r0", 4, 0)
 	k.Spawn("r", func(p *sim.Proc) {
 		rng := rand.New(rand.NewSource(9))
@@ -303,33 +303,47 @@ func TestPeekChargesReads(t *testing.T) {
 	}
 }
 
-// addRun hands run over with the pair count its producer would carry.
-func addRun(t *Tree, p *sim.Proc, run []byte) { t.AddRun(p, run, int64(kvenc.Count(run))) }
+// addRun stages run and files it with the pair count its producer
+// would carry.
+func addRun(t *Tree, p *sim.Proc, run []byte) {
+	t.AddRun(p, t.store.Stage(run), int64(kvenc.Count(run)))
+}
 
 // mergeStream is the final merge of runs the tests trust to be intact.
 func mergeStream(runs [][]byte) []byte {
-	out, err := kvenc.MergeStreamChecked(runs)
+	out, err := kvenc.MergeStreamTo(nil, runs)
 	if err != nil {
 		panic(err)
 	}
 	return out
 }
 
+// readRuns reads every run of t back whole, through its windows.
 func readRuns(t *Tree, p *sim.Proc) [][]byte {
-	runs, _ := t.Runs(p)
+	spills, _ := t.Runs(p)
+	return wholeRuns(spills)
+}
+
+// wholeRuns copies each spill out in one piece.
+func wholeRuns(spills []kvenc.Spill) [][]byte {
+	runs := make([][]byte, len(spills))
+	for i, s := range spills {
+		runs[i] = make([]byte, s.Size)
+		s.ReadAt(runs[i], 0)
+	}
 	return runs
 }
 
 // TestRunsCarryTheirCounts: merge CPU is charged from the pair counts
 // handed over with the runs — each pass the sum of its inputs', which
 // is what a re-scan of the merged file would find — for any pool size;
-// the run itself is adopted by its file, not copied, and stays
-// readable through a lent view after the file is merged away.
+// the run staged from the caller's buffer is left to the caller, and
+// its file reads back what was staged.
 func TestRunsCarryTheirCounts(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		k := sim.NewKernel()
 		k.SetWorkers(workers)
-		st := storage.NewStore(k, 0, cost.Default(1))
+		st := storage.NewStore(k, 0, cost.Default(1), nil)
 		tree := NewTree(st, storage.ReduceSpill, "r0", 3, 0)
 		k.Spawn("r", func(p *sim.Proc) {
 			rng := rand.New(rand.NewSource(5))
@@ -337,10 +351,10 @@ func TestRunsCarryTheirCounts(t *testing.T) {
 			want := bytes.Clone(first)
 			added := int64(kvenc.Count(first))
 			addRun(tree, p, first)
-			lent := readRuns(tree, p)[0]
-			if &lent[0] != &first[0] {
-				t.Fatal("AddRun copied the run it was handed")
+			if back := readRuns(tree, p)[0]; !bytes.Equal(back, want) || &back[0] == &first[0] {
+				t.Fatal("the first file does not read back a copy of the staged run")
 			}
+			first[0] ^= 0xff // the caller's buffer is its own again
 			for i := 1; i < 12; i++ {
 				run := makeRun(rng, 3000)
 				added += int64(kvenc.Count(run))
@@ -354,13 +368,11 @@ func TestRunsCarryTheirCounts(t *testing.T) {
 					}
 				}
 			}
-			runs, recs := tree.Runs(p)
+			spills, recs := tree.Runs(p)
+			merged := mergeStream(wholeRuns(spills))
 			tree.Drop()
-			if got := int64(kvenc.Count(mergeStream(runs))); recs != added || got != added {
+			if got := int64(kvenc.Count(merged)); recs != added || got != added {
 				t.Fatalf("workers=%d: Runs reports %d pairs, holds %d, %d were added", workers, recs, got, added)
-			}
-			if !bytes.Equal(lent, want) {
-				t.Fatal("a lent view changed after its file was merged and deleted")
 			}
 		})
 		if err := k.Run(); err != nil {

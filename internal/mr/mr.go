@@ -24,7 +24,8 @@ type Query interface {
 	Name() string
 	// Map transforms one input record into zero or more pairs.
 	Map(record []byte, emit func(key, value []byte))
-	// Reduce is applied to each group of values sharing a key.
+	// Reduce is applied to each group of values sharing a key. key is
+	// valid until Reduce returns, each value until the next values.Next.
 	Reduce(key []byte, values kvenc.ValueIter, out OutputWriter)
 }
 

@@ -84,7 +84,7 @@ func runTraced(t *testing.T, workers int, fn func(rt *core.Runtime, tr *effectTr
 	m := cost.Default(1.0 / 64)
 	k := sim.NewKernel()
 	k.SetWorkers(workers)
-	st := storage.NewStore(k, 0, m)
+	st := storage.NewStore(k, 0, m, nil)
 	k.Spawn("task", func(p *sim.Proc) {
 		rt := core.NopRuntime(p, st, m)
 		rt.ChargeCPU = func(d time.Duration) { tr.event('C', int64(d)) }
@@ -168,7 +168,7 @@ func TestCorruptFinalRunFailsTheAttempt(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		k := sim.NewKernel()
 		k.SetWorkers(workers)
-		st := storage.NewStore(k, 0, cost.Default(1))
+		st := storage.NewStore(k, 0, cost.Default(1), nil)
 		out := &mapOut{m: map[string]int64{}}
 		k.Spawn("task", func(p *sim.Proc) {
 			r := NewReducer(core.NopRuntime(p, st, cost.Default(1)), rawOnly{}, ReducerConfig{Prefix: "r7", Buffer: 1 << 20, MergeFactor: 3})
@@ -204,7 +204,7 @@ func TestAbortedReduceReturnsItsBuffers(t *testing.T) {
 		k := sim.NewKernel()
 		k.SetWorkers(workers)
 		m := cost.Default(1.0 / 64)
-		st := storage.NewStore(k, 0, m)
+		st := storage.NewStore(k, 0, m, nil)
 		k.Spawn("task", func(p *sim.Proc) {
 			defer func() {
 				if r := recover(); r != (abort{}) {

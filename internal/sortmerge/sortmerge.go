@@ -19,7 +19,6 @@
 package sortmerge
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -39,7 +38,7 @@ import (
 // receiver-pure.
 func combineRuns(comb mr.Combiner, runs [][]byte, skip, size int, owner string) (out []byte, n int64) {
 	out = bytestore.Get(size)
-	g := kvenc.NewGroups(runs)
+	g := kvenc.NewGroups(kvenc.NewMerger(runs))
 	key, ok := g.NextGroup()
 	emit := func(v []byte) {
 		out = kvenc.AppendPair(out, key, v)
@@ -184,8 +183,7 @@ func (c *MapCollector) splitRun(run []byte, n int64) core.MapParts {
 
 // spill empties a full buffer: pushed as a shuffle unit (HOP), or
 // externally sorted — the buffer becomes an on-disk sorted run in the
-// map-side multi-pass merge tree (this is the C·Km > B_m case). The run
-// is cloned out of the pool into an exact-size buffer its file adopts.
+// map-side multi-pass merge tree (this is the C·Km > B_m case).
 func (c *MapCollector) spill() {
 	if c.cfg.Push != nil {
 		if len(c.buf) > 0 {
@@ -198,9 +196,9 @@ func (c *MapCollector) spill() {
 	if c.tree == nil {
 		c.tree = merge.NewTree(c.rt.Store, storage.MapSpill, c.cfg.Prefix, c.cfg.MergeFactor, c.cfg.ReadSegment)
 	}
-	var run []byte
+	var run storage.Staged
 	var recs int64
-	c.sortBuffer(func(pooled []byte, n int64) { run, recs = bytes.Clone(pooled), n })
+	c.sortBuffer(func(pooled []byte, n int64) { run, recs = c.rt.Store.Stage(pooled), n })
 	c.tree.AddRun(c.rt.P, run, recs)
 	for c.tree.NeedsMerge() {
 		c.tree.MergeOnce(c.rt.P, mergeCharge(c.rt))
@@ -228,11 +226,16 @@ func (c *MapCollector) Finish() (out core.MapParts, mapped, emitted int64) {
 		runs, recs := c.tree.Runs(c.rt.P)
 		c.emitted = recs
 		c.rt.P.Offload(func() {
-			final, err := kvenc.MergeStreamChecked(runs)
+			var size int64
+			for _, r := range runs {
+				size += r.Size
+			}
+			final, err := kvenc.Merge(runs, nil).AppendTo(bytestore.Get(int(size)))
 			if err != nil {
 				panic(fmt.Errorf("sortmerge: corrupt spill run in %s: %w", c.cfg.Prefix, err))
 			}
 			out = c.splitRun(final, recs)
+			bytestore.Put(final)
 		}, func() { mergeCharge(c.rt)(recs) })
 		c.tree.Drop()
 	}
@@ -263,7 +266,7 @@ type Reducer struct {
 	bufBytes int64
 
 	prepared  bool
-	finalRuns [][]byte
+	finalRuns []kvenc.Spill
 }
 
 // NewReducer creates the reduce-side machinery. If q implements
@@ -310,22 +313,20 @@ func (r *Reducer) spillBuffer() {
 	for i := range spillRuns {
 		records += r.bufRecs[i]
 	}
-	var run []byte
+	var run storage.Staged
 	n := records
 	r.rt.P.Offload(func() {
+		var pooled []byte
 		if r.comb != nil {
-			// Merge + combine in one pass; the combined size is unknown
-			// until it is done, so the file gets an exact-size clone.
-			var pooled []byte
-			pooled, n = combineRuns(r.comb, spillRuns, 0, int(r.bufBytes), r.cfg.Prefix)
-			run = bytes.Clone(pooled)
-			bytestore.Put(pooled)
-			return
+			pooled, n = combineRuns(r.comb, spillRuns, 0, int(r.bufBytes), r.cfg.Prefix) // merge + combine in one pass
+		} else {
+			var err error
+			if pooled, err = kvenc.MergeStreamTo(bytestore.Get(int(r.bufBytes)), spillRuns); err != nil {
+				panic(fmt.Errorf("sortmerge: corrupt shuffled run in %s: %w", r.cfg.Prefix, err))
+			}
 		}
-		var err error
-		if run, err = kvenc.MergeStreamChecked(spillRuns); err != nil {
-			panic(fmt.Errorf("sortmerge: corrupt shuffled run in %s: %w", r.cfg.Prefix, err))
-		}
+		run = r.rt.Store.Stage(pooled)
+		bytestore.Put(pooled)
 	}, func() {
 		if r.comb != nil {
 			// The combine function is handed every merged pair; combined
@@ -336,7 +337,7 @@ func (r *Reducer) spillBuffer() {
 		}
 		mergeCharge(r.rt)(records)
 	})
-	r.tree.AddRun(r.rt.P, run, n) // the spill file adopts the run
+	r.tree.AddRun(r.rt.P, run, n)
 	r.bufRuns = r.bufRuns[:0]
 	r.bufRecs = r.bufRecs[:0]
 	r.bufBytes = 0
@@ -364,8 +365,6 @@ func (r *Reducer) PrepareFinal() {
 	r.prepared = true
 	r.tree.Complete(r.rt.P, mergeCharge(r.rt))
 	r.finalRuns, _ = r.tree.Runs(r.rt.P)
-	r.finalRuns = append(r.finalRuns, r.bufRuns...)
-	r.bufRuns = nil
 }
 
 // Finish performs the final merge that streams each key group to the
@@ -373,9 +372,8 @@ func (r *Reducer) PrepareFinal() {
 // exactly the blocking behaviour the paper measures.
 func (r *Reducer) Finish(out mr.OutputWriter) {
 	r.PrepareFinal()
-	runs := r.finalRuns
-	r.finalRuns = nil
-	r.rt.FnRecords(r.reduceRuns(runs, out, "final run in "+r.cfg.Prefix))
+	r.rt.FnRecords(r.reduceRuns(r.finalRuns, r.bufRuns, out, "final run in "+r.cfg.Prefix))
+	r.finalRuns, r.bufRuns = nil, nil
 	r.tree.Drop()
 }
 
@@ -435,15 +433,15 @@ func (b reduceBatch) replay(out mr.OutputWriter, charge *core.Batcher) (records 
 	return records
 }
 
-// reduceRuns merges runs and applies the reduce function to each key
-// group, charging merge + reduce CPU in bounded bursts; it returns the
-// records reduced. The merge and the reduce function run on the compute
-// pool, one batch per Offload: batch n+1 is produced beside the replay
-// of batch n, whose charges and output writes park this process. A
-// closure ends with its batch, so it never waits on a process.
-func (r *Reducer) reduceRuns(runs [][]byte, out mr.OutputWriter, what string) (records int64) {
+// reduceRuns merges spills, then runs, and applies the reduce function
+// to each key group, charging merge + reduce CPU in bounded bursts; it
+// returns the records reduced. The merge and the reduce function run on
+// the compute pool, one batch per Offload: batch n+1 is produced beside
+// the replay of batch n, whose charges and output writes park this
+// process. A closure ends with its batch, so it never waits on a process.
+func (r *Reducer) reduceRuns(spills []kvenc.Spill, runs [][]byte, out mr.OutputWriter, what string) (records int64) {
 	charge := r.rt.Batch(r.rt.Model.CPUMergeRecord + r.rt.Model.CPUReduceRec)
-	g := kvenc.NewGroups(runs)
+	g := kvenc.NewGroups(kvenc.Merge(spills, runs))
 	cur, next := reduceBatch(bytestore.Get(2*reduceBatchBytes)), reduceBatch(bytestore.Get(2*reduceBatchBytes))
 	// Offload has waited for its closure on every path out of it, a node
 	// kill inside a replayed charge included: nothing writes the buffers.
@@ -470,6 +468,6 @@ func (r *Reducer) reduceRuns(runs [][]byte, out mr.OutputWriter, what string) (r
 // snapshots inflate I/O and running time, which is the paper's
 // criticism of this approach to early answers.
 func (r *Reducer) Snapshot(out mr.OutputWriter) {
-	runs, _ := r.tree.Runs(r.rt.P)
-	r.reduceRuns(append(runs, r.bufRuns...), out, "run in "+r.cfg.Prefix+" snapshot")
+	spills, _ := r.tree.Runs(r.rt.P)
+	r.reduceRuns(spills, r.bufRuns, out, "run in "+r.cfg.Prefix+" snapshot")
 }

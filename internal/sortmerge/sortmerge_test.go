@@ -53,7 +53,7 @@ func (rawOnly) Reduce(k []byte, v kvenc.ValueIter, out mr.OutputWriter) {
 func runSim(t *testing.T, fn func(rt *core.Runtime)) {
 	t.Helper()
 	k := sim.NewKernel()
-	st := storage.NewStore(k, 0, cost.Default(1))
+	st := storage.NewStore(k, 0, cost.Default(1), nil)
 	k.Spawn("task", func(p *sim.Proc) { fn(core.NopRuntime(p, st, cost.Default(1))) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

@@ -1,8 +1,8 @@
 // Package storage simulates per-node storage devices.
 //
 // Every file (map spill, map output, reduce bucket/spill, job output)
-// holds real bytes — in memory, or for spills on the wall clock in a
-// scratch file (Scratch) — while reads and writes charge
+// holds real bytes — in memory, or for spills in the run's scratch file
+// (Scratch) — while reads and writes charge
 // virtual time on the node's disk-arm resource using the cost model
 // (seek + bytes/bandwidth) and increment per-I/O-class byte counters.
 // The five classes mirror Table 2 of the paper (U = U1+…+U5): map
@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -29,6 +28,7 @@ import (
 	"repro/internal/bytestore"
 	"repro/internal/cost"
 	"repro/internal/frame"
+	"repro/internal/kvenc"
 	"repro/internal/sim"
 	"repro/internal/substrate"
 )
@@ -111,22 +111,22 @@ func (c *Counters) TotalReqs() int64 {
 type frameSpan struct {
 	off, end int64
 	crc      uint32
+	ok       bool // found intact: the bytes never change, so it is not summed again
 }
 
 // File is a named byte file on one device of one node. Its bytes live
 // on one of two media: memory (data), or extents of the store's scratch
-// file behind a write-behind page (disk: spills on a wall-clock store).
+// file behind a write-behind page (disk: spills on a store given one).
 type File struct {
 	name   string
 	dev    cost.Device
 	size   int64
 	frames []frameSpan // populated per write when checksums are on
 	data   []byte      // memory: the bytes
-	grown  bool        // memory: data is a pooled buffer the file grew into, recycled at Delete
 	disk   *Scratch    // disk: the scratch file, nil for memory
 	exts   []extent    // disk: the flushed bytes, in file order
 	page   []byte      // disk: the tail not yet flushed (pooled, at most ScratchPage)
-	lent   [][]byte    // disk: pooled copies reads lent, recycled at Delete
+	lent   [][]byte    // disk: pooled copies and windows reads lent, recycled at Delete
 }
 
 // extent is n bytes of a disk file at offset at of its scratch file.
@@ -139,9 +139,9 @@ func (f *File) Name() string { return f.name }
 func (f *File) Size() int64 { return f.size }
 
 // put appends data to the file's medium. An empty in-memory file adopts
-// an owned buffer; otherwise memory grows through the bytestore pool,
-// and disk gathers appends in the page and writes it out, with the
-// append that overflows it, as one extent.
+// an owned buffer, else memory grows by append (views lent from the old
+// bytes stay valid); disk gathers appends in the page and writes it
+// out, with the append that overflows it, as one extent.
 func (f *File) put(data []byte, owned bool) {
 	prev, n := f.size, int64(len(f.page)+len(data))
 	f.size += int64(len(data))
@@ -149,11 +149,6 @@ func (f *File) put(data []byte, owned bool) {
 	case f.disk == nil && owned && prev == 0:
 		f.data = data[:len(data):len(data)]
 	case f.disk == nil:
-		if len(f.data)+len(data) > cap(f.data) {
-			// The old bytes are left to the GC: views lent from them
-			// stay valid until Delete.
-			f.data, f.grown = append(bytestore.Get(max(2*cap(f.data), len(f.data)+len(data))), f.data...), true
-		}
 		f.data = append(f.data, data...)
 	case n <= ScratchPage:
 		f.page = append(bytestore.Grow(f.page, len(data)), data...)
@@ -175,31 +170,38 @@ func (f *File) get() []byte {
 	if n := len(f.lent); n > 0 && int64(len(f.lent[n-1])) == f.size {
 		return f.lent[n-1][:f.size:f.size]
 	}
-	b := f.fill(bytestore.Get(int(f.size)))
+	b := bytestore.Get(int(f.size))[:f.size]
+	f.readAt(b, 0)
 	f.lent = append(f.lent, b)
 	return b[:f.size:f.size]
 }
 
-// fill appends the file's bytes to dst.
-func (f *File) fill(dst []byte) []byte {
+// readAt fills dst with the file's bytes from offset off.
+func (f *File) readAt(dst []byte, off int64) {
 	if f.disk == nil {
-		return append(dst, f.data...)
+		copy(dst, f.data[off:])
+		return
 	}
+	pos := int64(0) // where extent e starts in the file
 	for _, e := range f.exts {
-		dst = slices.Grow(dst, int(e.n))
-		scratchIO(f.disk.f.ReadAt(dst[len(dst):len(dst)+int(e.n)], e.at))
-		dst = dst[:len(dst)+int(e.n)]
+		if n := min(int64(len(dst)), pos+e.n-off); n > 0 {
+			f.disk.ReadAt(dst[:n], e.at+off-pos)
+			dst, off = dst[n:], off+n
+		}
+		pos += e.n
 	}
-	return append(dst, f.page...)
+	if len(dst) > 0 {
+		copy(dst, f.page[off-pos:])
+	}
 }
 
 // ScratchPage bounds a disk file's write-behind page: the most of a
-// spill file the heap holds, beside the copies reads lent.
+// spill file the heap holds, beside the copies ReadAll lent.
 const ScratchPage = 16 << 10
 
-// Scratch is the disk medium of one wall-clock run: a temporary file,
-// unlinked as soon as it is open, that holds every spill file of the
-// run's stores and the map outputs the run parks. Extents are carved
+// Scratch is the disk medium of one run: a temporary file, unlinked as
+// soon as it is open, that holds every spill file of the run's stores
+// and the map outputs a wall-clock run parks. Extents are carved
 // from its end and never reused — it grows to the run's spill and
 // parked volume — and go with the file when Close drops the last
 // descriptor, as they do if the process dies. Safe for concurrent use.
@@ -358,9 +360,10 @@ type Store struct {
 
 // NewStore creates a node-local store on the DES substrate: the
 // device arms are FIFO sim resources and every request parks the
-// calling process for its charged service time.
-func NewStore(k *sim.Kernel, node int, model cost.Model) *Store {
-	return newStore(node, model, nil, sim.NewResource(k, fmt.Sprintf("n%d.hdd", node), 1),
+// calling process for its charged service time. Its spill files live in
+// scratch, as NewWallStore's do.
+func NewStore(k *sim.Kernel, node int, model cost.Model, scratch *Scratch) *Store {
+	return newStore(node, model, scratch, sim.NewResource(k, fmt.Sprintf("n%d.hdd", node), 1),
 		sim.NewResource(k, fmt.Sprintf("n%d.ssd", node), 1))
 }
 
@@ -430,15 +433,11 @@ func (s *Store) Create(name string, class IOClass) *File {
 	return f
 }
 
-// Delete removes a file. A file grown by Append, and every buffer a
-// read of a disk file lent, goes back to bytestore, so views a read lent
-// die here; an adopted buffer is only dropped, and its views stay valid
-// (the GC keeps them alive).
+// Delete removes a file. Every buffer a read of a disk file lent goes
+// back to bytestore, so views of it die here; memory is only dropped,
+// and views of it stay valid (the GC keeps them alive).
 func (s *Store) Delete(f *File) {
 	delete(s.files, f.name)
-	if f.grown {
-		bytestore.Put(f.data)
-	}
 	bytestore.Put(f.page)
 	for _, b := range f.lent {
 		bytestore.Put(b)
@@ -492,36 +491,100 @@ func (s *Store) write(p substrate.Proc, f *File, data []byte, class IOClass, len
 		}
 	}
 	s.io(p, f.name, f.dev, class, int64(len(data)), ovh, true)
-	// Bit-flip corruption: the frame CRCs above were computed over the
-	// clean bytes, so the flip (into a clone the file keeps, never the
-	// writer's bytes) is caught by the next read that verifies the
-	// damaged frame.
-	if fl := s.faults; fl != nil && s.Checksums && len(data) > 0 && fl.Classes[class] {
-		s.faultSeq++
-		if hit(Hash64(fl.Seed, int64(s.node), s.faultSeq, 1), fl.CorruptRate) {
-			bit := Hash64(fl.Seed, int64(s.node), s.faultSeq, 2) % uint64(len(data)*8)
-			data, owned = bytes.Clone(data), true
-			data[bit/8] ^= 1 << (bit % 8)
-		}
+	if bit, ok := s.rollCorrupt(class, len(data)); ok {
+		data, owned = bytes.Clone(data), true
+		data[bit/8] ^= 1 << (bit % 8)
 	}
 	f.put(data, owned)
 }
 
-// verify re-verifies every frame of f overlapping [off, end) against
-// b, f's bytes, and returns the framing bytes those frames carry. Edge
-// frames are verified whole; only the header/trailer bytes are charged,
-// the interior re-read being absorbed by the read buffer.
-func (s *Store) verify(f *File, b []byte, off, end int64) (ovh int64, err error) {
+// rollCorrupt draws whether the next write of n bytes of class persists
+// with one bit flipped (into a clone the file keeps, never the writer's
+// bytes), and which: the next read verifying its frame catches it.
+func (s *Store) rollCorrupt(class IOClass, n int) (bit uint64, ok bool) {
+	if fl := s.faults; fl != nil && s.Checksums && n > 0 && fl.Classes[class] {
+		s.faultSeq++
+		if hit(Hash64(fl.Seed, int64(s.node), s.faultSeq, 1), fl.CorruptRate) {
+			return Hash64(fl.Seed, int64(s.node), s.faultSeq, 2) % uint64(n*8), true
+		}
+	}
+	return 0, false
+}
+
+// Staged is a spill run written to its medium ahead of AppendStaged.
+type Staged struct {
+	n    int64
+	data []byte   // memory: a copy
+	exts []extent // disk: its one extent
+	crc  uint32   // its frame's checksum, when checksums are on
+}
+
+// Stage writes a copy of data to the medium of s's spill files, uncharged.
+// It touches no store state, so the closure that produced data runs it.
+func (s *Store) Stage(data []byte) Staged {
+	st := Staged{n: int64(len(data))}
+	if s.Checksums {
+		st.crc = frame.Checksum(data)
+	}
+	if s.scratch != nil {
+		st.exts = []extent{{s.scratch.Park(data), st.n}}
+	} else {
+		st.data = bytes.Clone(data)
+	}
+	return st
+}
+
+// AppendStaged files a staged run as the empty spill file f's bytes:
+// one request and frame, charged and rolled for corruption as Append's,
+// a flip landing in place.
+func (s *Store) AppendStaged(p substrate.Proc, f *File, st Staged, class IOClass) {
+	var ovh int64
+	if s.Checksums {
+		f.frames, ovh = append(f.frames, frameSpan{end: st.n, crc: st.crc}), frame.Overhead(int(st.n))
+	}
+	s.io(p, f.name, f.dev, class, st.n, ovh, true)
+	f.size, f.data, f.exts = st.n, st.data, st.exts
+	if bit, ok := s.rollCorrupt(class, int(st.n)); ok && f.disk == nil {
+		f.data[bit/8] ^= 1 << (bit % 8)
+	} else if ok {
+		b, at := []byte{0}, f.exts[0].at+int64(bit/8)
+		f.disk.ReadAt(b, at)
+		b[0] ^= 1 << (bit % 8)
+		scratchIO(f.disk.f.WriteAt(b, at))
+	}
+}
+
+// verify re-verifies every frame of f overlapping [off, end) and
+// returns the framing bytes those frames carry. Edge frames are verified
+// whole; only the header/trailer bytes are charged, the interior re-read
+// being absorbed by the read buffer.
+func (s *Store) verify(f *File, off, end int64) (ovh int64, err error) {
 	i := sort.Search(len(f.frames), func(i int) bool { return f.frames[i].end > off })
 	for ; i < len(f.frames) && f.frames[i].off < end; i++ {
-		sp := f.frames[i]
-		ovh += frame.Overhead(int(sp.end - sp.off))
-		if frame.Checksum(b[sp.off:sp.end]) != sp.crc {
+		ovh += frame.Overhead(int(f.frames[i].end - f.frames[i].off))
+		if !f.intact(i) {
 			s.corruptFrames++
 			err = frame.ErrCorrupt
 		}
 	}
 	return ovh, err
+}
+
+// intact reports whether frame i of f still carries its checksum,
+// summing it through one window.
+func (f *File) intact(i int) bool {
+	sp := &f.frames[i]
+	if !sp.ok {
+		win, c := bytestore.Get(ScratchPage)[:ScratchPage], frame.Start(int(sp.end-sp.off))
+		for off := sp.off; off < sp.end; off += ScratchPage {
+			b := win[:min(ScratchPage, sp.end-off)]
+			f.readAt(b, off)
+			c = frame.Extend(c, b)
+		}
+		bytestore.Put(win)
+		sp.ok = c == sp.crc
+	}
+	return sp.ok
 }
 
 // ReadAtChecked reads n bytes at off from f as a single request,
@@ -534,19 +597,18 @@ func (s *Store) ReadAtChecked(p substrate.Proc, f *File, off, n int64, class IOC
 	if off+n > f.size {
 		panic(fmt.Sprintf("storage: read past EOF of %s (%d+%d > %d)", f.name, off, n, f.size))
 	}
-	b := f.get()
-	if err := s.read(p, f, b, off, n, class); err != nil {
+	if err := s.read(p, f, off, n, class); err != nil {
 		return nil, err
 	}
-	return b[off : off+n : off+n], nil
+	return f.get()[off : off+n : off+n], nil
 }
 
 // read charges one read request of [off, off+n) of f, verifying the
-// frames it touches against b, f's bytes, when checksums are on.
-func (s *Store) read(p substrate.Proc, f *File, b []byte, off, n int64, class IOClass) (err error) {
+// frames it touches when checksums are on.
+func (s *Store) read(p substrate.Proc, f *File, off, n int64, class IOClass) (err error) {
 	var ovh int64
 	if s.Checksums {
-		ovh, err = s.verify(f, b, off, off+n)
+		ovh, err = s.verify(f, off, off+n)
 	}
 	s.io(p, f.name, f.dev, class, n, ovh, false)
 	return err
@@ -558,10 +620,11 @@ func (s *Store) read(p substrate.Proc, f *File, b []byte, off, n int64, class IO
 // disk corruption cannot be laundered into a freshly-checksummed
 // checkpoint.
 func (s *Store) Contents(f *File, class IOClass) []byte {
-	b := f.fill(make([]byte, 0, f.size))
-	if _, err := s.verify(f, b, 0, f.size); err != nil {
+	if _, err := s.verify(f, 0, f.size); err != nil {
 		panic(&Corruption{Node: s.node, File: f.name, Class: class, Kind: "checksum"})
 	}
+	b := make([]byte, f.size)
+	f.readAt(b, 0)
 	return b
 }
 
@@ -571,20 +634,40 @@ func (s *Store) Contents(f *File, class IOClass) []byte {
 // Corruption: internal read paths (spills, buckets, merges) recover it
 // at attempt boundaries and restart.
 func (s *Store) ReadAll(p substrate.Proc, f *File, segment int64, class IOClass) []byte {
-	size := f.size
-	if size == 0 {
+	if f.size == 0 {
 		return nil
 	}
+	s.readAll(p, f, segment, class)
+	return f.get()
+}
+
+// readAll charges reading f in requests of at most segment bytes,
+// panicking Corruption at the first whose frames are not all intact.
+func (s *Store) readAll(p substrate.Proc, f *File, segment int64, class IOClass) {
 	if segment <= 0 {
-		segment = size
+		segment = f.size
 	}
-	b := f.get()
-	for off := int64(0); off < size; off += segment {
-		if s.read(p, f, b, off, min(segment, size-off), class) != nil {
+	for off := int64(0); off < f.size; off += segment {
+		if s.read(p, f, off, min(segment, f.size-off), class) != nil {
 			panic(&Corruption{Node: s.node, File: f.name, Class: class, Kind: "checksum"})
 		}
 	}
-	return b
+}
+
+// Stream charges reading spill file f as ReadAll does and lends it, until
+// Delete, for a merge to read through two windows of segment bytes, or
+// one if that holds the file.
+func (s *Store) Stream(p substrate.Proc, f *File, segment int64, class IOClass) kvenc.Spill {
+	if segment <= 0 || segment > f.size {
+		segment = f.size
+	}
+	s.readAll(p, f, segment, class)
+	w := [2][]byte{1: bytestore.Get(int(segment))}
+	if segment < f.size {
+		w[0] = bytestore.Get(int(segment))
+	}
+	f.lent = append(f.lent, w[:]...)
+	return kvenc.Spill{Size: f.size, ReadAt: f.readAt, Win: w}
 }
 
 // Charge accounts one request moving physBytes of class that no file

@@ -12,6 +12,7 @@ import (
 	"repro/internal/bytestore"
 	"repro/internal/cost"
 	"repro/internal/frame"
+	"repro/internal/kvenc"
 	"repro/internal/sim"
 	"repro/internal/substrate"
 )
@@ -22,8 +23,7 @@ import (
 func run(t *testing.T, model cost.Model, sc *Scratch, fn func(p *sim.Proc, s *Store)) time.Duration {
 	t.Helper()
 	k := sim.NewKernel()
-	s := NewStore(k, 0, model)
-	s.scratch = sc
+	s := NewStore(k, 0, model, sc)
 	k.Spawn("t", func(p *sim.Proc) { fn(p, s) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestIntermediateOnSSD(t *testing.T) {
 	// on the SSD arm and be faster, while input stays on HDD.
 	m := cost.Default(1)
 	k := sim.NewKernel()
-	s := NewStore(k, 0, m)
+	s := NewStore(k, 0, m, nil)
 	s.Intermediate = cost.SSD
 	k.Spawn("t", func(p *sim.Proc) {
 		f := s.Create("spill", ReduceSpill)
@@ -153,7 +153,7 @@ func TestDiskContentionSerializes(t *testing.T) {
 	}
 	m := cost.Default(1)
 	k := sim.NewKernel()
-	s := NewStore(k, 0, m)
+	s := NewStore(k, 0, m, nil)
 	var finish []time.Duration
 	for i := 0; i < 2; i++ {
 		name := "w" + string(rune('0'+i))
@@ -192,7 +192,7 @@ func TestDeleteFreesMemory(t *testing.T) {
 func TestDuplicateCreatePanics(t *testing.T) {
 	m := cost.Default(1)
 	k := sim.NewKernel()
-	s := NewStore(k, 0, m)
+	s := NewStore(k, 0, m, nil)
 	k.Spawn("t", func(p *sim.Proc) {
 		s.Create("f", MapSpill)
 		defer func() {
@@ -276,12 +276,11 @@ func TestAppendOwnedHandsTheBufferOver(t *testing.T) {
 	})
 }
 
-// TestDeleteRecyclesAGrownFile: a file Append grew in memory, and every
-// buffer a read of a disk file lent, goes back to bytestore at Delete,
-// so views read from it die there. Under -race the pool poisons what it
-// takes back, which is what makes a read through such a view fail
-// loudly; an adopted buffer is never recycled
-// (TestAppendOwnedHandsTheBufferOver).
+// TestDeleteRecyclesAGrownFile: every buffer a read of a disk file
+// lent goes back to bytestore at Delete, so views read from it die
+// there. Under -race the pool poisons what it takes back, which is what
+// makes a read through such a view fail loudly; memory is never
+// recycled (TestAppendOwnedHandsTheBufferOver).
 func TestDeleteRecyclesAGrownFile(t *testing.T) {
 	probe := bytestore.Get(1)[:1]
 	probe[0] = 0
@@ -289,20 +288,18 @@ func TestDeleteRecyclesAGrownFile(t *testing.T) {
 	if probe[0] != bytestore.Poison {
 		t.Skip("recycled buffers are poisoned only under -race")
 	}
-	media(t, func(t *testing.T, sc *Scratch) {
-		run(t, cost.Default(1), sc, func(p *sim.Proc, s *Store) {
-			f := s.Create("bucket", ReduceSpill)
-			s.Append(p, f, []byte("page one, "), ReduceSpill)
-			s.Append(p, f, []byte("page two"), ReduceSpill)
-			view := s.ReadAll(p, f, 0, ReduceSpill)
-			if string(view) != "page one, page two" {
-				t.Fatalf("file holds %q", view)
-			}
-			s.Delete(f)
-			if !bytes.Equal(view, bytes.Repeat([]byte{bytestore.Poison}, len(view))) {
-				t.Fatalf("a view of a deleted grown file reads %q, want poison", view)
-			}
-		})
+	run(t, cost.Default(1), testScratch(t), func(p *sim.Proc, s *Store) {
+		f := s.Create("bucket", ReduceSpill)
+		s.Append(p, f, []byte("page one, "), ReduceSpill)
+		s.Append(p, f, []byte("page two"), ReduceSpill)
+		view := s.ReadAll(p, f, 0, ReduceSpill)
+		if string(view) != "page one, page two" {
+			t.Fatalf("file holds %q", view)
+		}
+		s.Delete(f)
+		if !bytes.Equal(view, bytes.Repeat([]byte{bytestore.Poison}, len(view))) {
+			t.Fatalf("a view of a deleted file reads %q, want poison", view)
+		}
 	})
 }
 
@@ -424,6 +421,13 @@ func faultScript(t *testing.T, sc *Scratch) (res struct {
 				s.Contents(f, ReduceSpill)
 			}()
 			s.Delete(f)
+			g := s.Create(fmt.Sprintf("run%d", i), ReduceSpill)
+			s.AppendStaged(p, g, s.Stage(pattern(2*ScratchPage+i, i)), ReduceSpill)
+			func() {
+				defer func() { res.Verdicts = append(res.Verdicts, recover() == nil) }()
+				s.Stream(p, g, 5000, ReduceSpill)
+			}()
+			s.Delete(g)
 		}
 		res.Counters, res.Retries, res.Detected = *s.Counters(), s.IORetries(), s.CorruptFramesDetected()
 	})
@@ -433,7 +437,8 @@ func faultScript(t *testing.T, sc *Scratch) (res struct {
 // TestFaultsEqualOnBothMedia: checksum frames, injected bit flips and
 // transient I/O errors land and are caught identically whether a spill
 // lives in memory or on disk — the flip is written through to the disk
-// copy — so every counter, verdict and charged instant is equal.
+// copy, a staged run's in place — so every counter, verdict and charged
+// instant is equal.
 func TestFaultsEqualOnBothMedia(t *testing.T) {
 	mem, disk := faultScript(t, nil), faultScript(t, testScratch(t))
 	if mem.Detected == 0 || mem.Retries == 0 {
@@ -580,4 +585,99 @@ func TestParkedBytesReadBack(t *testing.T) {
 			t.Errorf("parked blob %d reads back changed", i)
 		}
 	}
+}
+
+// TestStreamChargesAndVerifiesAsReadAll: streaming a spill file charges
+// the requests ReadAll makes, and with checksums on catches a flipped
+// bit at the same request, on both media, for files staged whole and
+// files appended piece by piece across the write-behind page.
+func TestStreamChargesAndVerifiesAsReadAll(t *testing.T) {
+	media(t, func(t *testing.T, sc *Scratch) {
+		for _, damaged := range []bool{false, true} {
+			run(t, cost.Default(1), sc, func(p *sim.Proc, s *Store) {
+				s.Checksums = true
+				df := &DiskFaults{Seed: 5, CorruptRate: 0.5}
+				df.Classes[MapSpill] = damaged
+				s.SetFaults(df)
+				staged := s.Create("staged", MapSpill)
+				s.AppendStaged(p, staged, s.Stage(pattern(5*ScratchPage/2, 1)), MapSpill)
+				pieces := s.Create("pieces", MapSpill)
+				for i := range 9 {
+					s.Append(p, pieces, pattern(ScratchPage/3+i, i), MapSpill)
+				}
+				if damaged && s.faultSeq < 10 {
+					t.Fatal("test setup: no corruption was rolled")
+				}
+				for _, f := range []*File{staged, pieces} {
+					type outcome struct {
+						Counters Counters
+						Detected int64
+						Panicked bool
+					}
+					try := func(read func()) (o outcome) {
+						c, d := s.counters, s.corruptFrames
+						defer func() {
+							o = outcome{s.counters, s.corruptFrames - d, recover() != nil}
+							for i := range o.Counters.ReadBytes {
+								o.Counters.ReadBytes[i] -= c.ReadBytes[i]
+								o.Counters.ReadReqs[i] -= c.ReadReqs[i]
+								o.Counters.OverheadBytes[i] -= c.OverheadBytes[i]
+							}
+						}()
+						read()
+						return
+					}
+					all := try(func() { s.ReadAll(p, f, 3000, MapSpill) })
+					var spill kvenc.Spill
+					streamed := try(func() { spill = s.Stream(p, f, 3000, MapSpill) })
+					if all != streamed {
+						t.Fatalf("%s (damaged %v): ReadAll %+v, Stream %+v", f.name, damaged, all, streamed)
+					}
+					if !streamed.Panicked {
+						want, got := s.ReadAll(p, f, 0, MapSpill), make([]byte, f.Size())
+						for off := int64(0); off < f.Size(); off += 777 {
+							spill.ReadAt(got[off:min(off+777, f.Size())], off)
+						}
+						if !bytes.Equal(got, want) {
+							t.Fatalf("%s: the stream reads back other bytes", f.name)
+						}
+					}
+				}
+				if s.corruptFrames == 0 && damaged {
+					t.Fatal("test setup: no damaged frame was read")
+				}
+				s.Delete(staged)
+				s.Delete(pieces)
+			})
+		}
+	})
+}
+
+// TestStagedSpillsHoldNoHeap: on a store with a scratch file, of either
+// substrate, a staged spill run keeps none of its bytes in the heap, and
+// streaming it lends only its windows: two of the read segment, or one
+// when that holds the run.
+func TestStagedSpillsHoldNoHeap(t *testing.T) {
+	sc := testScratch(t)
+	check := func(t *testing.T, p substrate.Proc, s *Store) {
+		f := s.Create("run", MapSpill)
+		s.AppendStaged(p, f, s.Stage(pattern(3*ScratchPage, 1)), MapSpill)
+		if f.data != nil || f.page != nil || f.lent != nil {
+			t.Fatalf("a staged run holds %d data, %d page and %d lent buffers in the heap", cap(f.data), cap(f.page), len(f.lent))
+		}
+		for i, seg := range []int64{ScratchPage, 4 * ScratchPage} {
+			s.Stream(p, f, seg, MapSpill)
+			w0, w1, want := f.lent[len(f.lent)-2], f.lent[len(f.lent)-1], int(min(seg, f.Size()))
+			if len(f.lent) != 2*(i+1) || cap(w1) < want || (w0 == nil) != (seg > f.Size()) || w0 != nil && cap(w0) < want {
+				t.Fatalf("segment %d of a %d-byte run: %d lent buffers, windows of %d and %d bytes", seg, f.Size(), len(f.lent), cap(w0), cap(w1))
+			}
+		}
+		s.Delete(f)
+	}
+	t.Run("des", func(t *testing.T) {
+		run(t, cost.Default(1), sc, func(p *sim.Proc, s *Store) { check(t, p, s) })
+	})
+	t.Run("wall", func(t *testing.T) {
+		check(t, substrate.NewWallProc(time.Now()), NewWallStore(0, cost.Default(1), sc))
+	})
 }
