@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/hashfam"
+	"repro/internal/kvenc"
 )
 
 func newTestTable(budget int64) *Table {
@@ -240,14 +241,14 @@ func TestKVBufferRoundTrip(t *testing.T) {
 		t.Fatalf("len=%d", b.Len())
 	}
 	i := 0
-	b.Range(func(k, v []byte) bool {
+	it := kvenc.NewIterator(b.Bytes())
+	for k, v, ok := it.Next(); ok; k, v, ok = it.Next() {
 		if string(k) != want[i].k || string(v) != want[i].v {
 			t.Fatalf("pair %d mismatch: %s=%s", i, k, v)
 		}
 		i++
-		return true
-	})
-	if i != 1000 {
+	}
+	if i != 1000 || it.Err() != nil {
 		t.Fatalf("iterated %d", i)
 	}
 }
@@ -266,21 +267,6 @@ func TestKVBufferBudget(t *testing.T) {
 	}
 	if !b.Append([]byte("k"), []byte("v")) {
 		t.Fatal("append after reset refused")
-	}
-}
-
-func TestRangePairsFromEncodedBytes(t *testing.T) {
-	b := NewKVBuffer(1 << 16)
-	b.Append([]byte("a"), []byte("1"))
-	b.Append([]byte("bb"), []byte("22"))
-	raw := append([]byte(nil), b.Bytes()...)
-	var got []string
-	RangePairs(raw, func(k, v []byte) bool {
-		got = append(got, string(k)+"="+string(v))
-		return true
-	})
-	if len(got) != 2 || got[0] != "a=1" || got[1] != "bb=22" {
-		t.Fatalf("got %v", got)
 	}
 }
 
@@ -327,8 +313,6 @@ func BenchmarkKVBufferAppend(b *testing.B) {
 // Lookups only the tests make: the platforms reach a table through
 // UpsertState, SetState, AppendValue and Range.
 
-func (t *Table) Len() int { return len(t.entries) }
-
 func (t *Table) Budget() int64 { return t.budget }
 
 // GetState returns the state for key, or nil if absent.
@@ -351,5 +335,3 @@ func (t *Table) Values(key []byte, fn func(val []byte)) bool {
 }
 
 func (b *KVBuffer) Budget() int64 { return b.budget }
-
-func (b *KVBuffer) Range(fn func(key, val []byte) bool) { RangePairs(b.buf, fn) }

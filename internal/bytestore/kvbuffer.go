@@ -1,10 +1,6 @@
 package bytestore
 
-import (
-	"encoding/binary"
-
-	"repro/internal/kvenc"
-)
+import "repro/internal/kvenc"
 
 // KVBuffer is a flat append-only buffer of key/value (or key/state)
 // pairs with a byte budget. It backs the map-side output buffer and
@@ -57,18 +53,3 @@ func (b *KVBuffer) Reset() {
 
 // Bytes returns the raw encoded contents (valid until Reset/Append).
 func (b *KVBuffer) Bytes() []byte { return b.buf }
-
-// RangePairs decodes a KVBuffer-encoded byte stream (e.g. one read
-// back from a spill file) and iterates its pairs.
-func RangePairs(data []byte, fn func(key, val []byte) bool) {
-	for len(data) > 0 {
-		klen, kn := binary.Uvarint(data)
-		vlen, vn := binary.Uvarint(data[kn:])
-		k := kn + vn + int(klen) // the key's end
-		v := k + int(vlen)       // the value's
-		if !fn(data[kn+vn:k:k], data[k:v:v]) {
-			return
-		}
-		data = data[v:]
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 
 	"repro/internal/hashfam"
+	"repro/internal/kvenc"
 )
 
 // Table is a byte-arena hash table from keys to either a mutable
@@ -246,6 +247,25 @@ func (t *Table) valuesAt(fixedOff int32, fn func(val []byte)) {
 		start := int(node) + 4 + n
 		fn(t.a.buf[start : start+int(vlen) : start+int(vlen)])
 	}
+}
+
+// Len returns the number of keys.
+func (t *Table) Len() int { return len(t.entries) }
+
+// AppendStates appends every key and its state to dst as kvenc pairs,
+// in insertion order, growing dst once, from the pool, to hold them.
+func (t *Table) AppendStates(dst []byte) []byte {
+	n := 0
+	for _, off := range t.entries {
+		key, fixedOff := t.entryKey(off)
+		n += int(PairBytes(len(key), int(t.field(fixedOff, 1))))
+	}
+	dst = Grow(dst, n)
+	for _, off := range t.entries {
+		key, fixedOff := t.entryKey(off)
+		dst = kvenc.AppendPair(dst, key, t.stateOf(fixedOff))
+	}
+	return dst
 }
 
 // Range iterates over all keys in insertion order. For state entries,

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bytestore"
 	"repro/internal/hashfam"
+	"repro/internal/kvenc"
 	"repro/internal/storage"
 )
 
@@ -32,9 +33,6 @@ type bucketSet struct {
 // newBucketSet creates n buckets hashed by the level-th family
 // function, with one write-buffer page each.
 func newBucketSet(rt *Runtime, class storage.IOClass, prefix string, n int, page int64, level int) *bucketSet {
-	if n < 1 {
-		n = 1
-	}
 	b := &bucketSet{
 		rt:        rt,
 		class:     class,
@@ -110,47 +108,51 @@ func (b *bucketSet) drain(segment int64, fn func(data []byte)) {
 	}
 }
 
-// snapshot returns a deep copy of every bucket's cumulative contents —
-// flushed file bytes followed by the still-buffered page — plus the
-// pair count per bucket. No I/O is charged: the caller accounts the
-// checkpoint transfer itself. Each bucket file is read through the
-// store, which re-verifies its frames first (panicking
-// storage.Corruption on damage, which aborts the attempt): otherwise a
-// flipped bit on disk would be folded into the checkpoint image and
-// re-framed with a fresh, valid checksum — corruption laundering.
-func (b *bucketSet) snapshot() (data [][]byte, pairs []int64) {
-	data = make([][]byte, len(b.bufs))
-	pairs = make([]int64, len(b.bufs))
-	for i := range b.bufs {
-		var d []byte
-		if f := b.files[i]; f != nil {
-			d = b.rt.Store.Contents(f, b.class)
-		}
-		d = append(d, b.bufs[i].Bytes()...)
-		data[i] = d
-		pairs[i] = b.filePairs[i] + int64(b.bufs[i].Len())
+// snapshot takes every bucket as it stands, with its pair count: the
+// flushed file by reference, verified (storage.Store.Take), and a copy
+// of the write-buffer tail behind it. No I/O is charged: the caller
+// accounts the checkpoint transfer itself.
+func (b *bucketSet) snapshot() []BucketRef {
+	refs := make([]BucketRef, len(b.bufs))
+	for i, buf := range b.bufs {
+		refs[i] = BucketRef{b.rt.Store.Take(b.files[i], buf.Bytes(), b.class), b.filePairs[i] + int64(buf.Len())}
 	}
-	return data, pairs
+	return refs
 }
 
 // restore rematerializes a snapshot into this (fresh) bucket set,
-// writing each non-empty bucket's bytes back to local disk as a spill
-// — the recovered reducer's re-created scratch state. Write buffers
-// start empty (the snapshot folded them into the file image).
-func (b *bucketSet) restore(data [][]byte, pairs []int64) {
-	if len(data) != len(b.bufs) {
+// giving each non-empty bucket's bytes to a fresh file as one spill
+// write — the recovered reducer's re-created scratch state. Write
+// buffers start empty (the snapshot folded them into the file image).
+func (b *bucketSet) restore(refs []BucketRef) {
+	if len(refs) != len(b.bufs) {
 		panic("core: bucket snapshot arity mismatch")
 	}
-	for i, d := range data {
-		if len(d) == 0 {
+	for i, ref := range refs {
+		if ref.Bytes.Len() == 0 {
 			continue
 		}
 		b.files[i] = b.rt.Store.Create(fmt.Sprintf("%s.bucket%d", b.prefix, i), b.class)
-		b.rt.Store.Append(b.rt.P, b.files[i], d, b.class)
-		b.filePairs[i] = pairs[i]
-		b.spilledPairs += pairs[i]
-		b.spilledBytes += int64(len(d))
+		b.rt.Store.Give(b.rt.P, b.files[i], ref.Bytes, b.class)
+		b.filePairs[i] = ref.Pairs
+		b.spilledPairs += ref.Pairs
+		b.spilledBytes += ref.Bytes.Len()
 	}
+}
+
+// split partitions an oversized bucket's pairs over sub-buckets of the
+// level-th hash function, sized to fit memBudget, and drains each
+// through fn.
+func split(rt *Runtime, prefix string, level int, data []byte, memBudget, page, seg int64, fn func(data []byte)) {
+	sub := newBucketSet(rt, storage.ReduceSpill, fmt.Sprintf("%s.l%d", prefix, level),
+		bucketCount(int64(len(data)), memBudget, 64), page, level)
+	it := kvenc.NewIterator(data)
+	for key, val, ok := it.Next(); ok; key, val, ok = it.Next() {
+		sub.add(key, val)
+	}
+	mustDecode(it.Err(), prefix, "bucket")
+	sub.flushAll()
+	sub.drain(seg, fn)
 }
 
 // bucketCount sizes a bucket set so each bucket's data is expected to
@@ -160,12 +162,5 @@ func bucketCount(expectedBytes, memBudget int64, maxBuckets int) int {
 	if memBudget <= 0 {
 		return maxBuckets
 	}
-	n := int((expectedBytes*5/4 + memBudget - 1) / memBudget)
-	if n < 1 {
-		n = 1
-	}
-	if n > maxBuckets {
-		n = maxBuckets
-	}
-	return n
+	return min(max(int((expectedBytes*5/4+memBudget-1)/memBudget), 1), maxBuckets)
 }

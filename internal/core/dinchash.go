@@ -101,11 +101,7 @@ func NewDINCHashReducer(rt *Runtime, q mr.Query, cfg DINCHashConfig, out mr.Outp
 	// h = K·n_p/B ⇒ each bucket's K/h keys fit in B when read back.
 	nDisk := bucketCount(cfg.ExpectedDistinctKeys*slot, cfg.MemBudget, cfg.MaxBuckets)
 	r.buckets = newBucketSet(rt, storage.ReduceSpill, cfg.Prefix, nDisk, cfg.Page, 2)
-	s := (cfg.MemBudget - r.buckets.memoryBytes()) / slot
-	if s < 1 {
-		s = 1
-	}
-	r.sum = frequent.New(int(s))
+	r.sum = frequent.New(int(max((cfg.MemBudget-r.buckets.memoryBytes())/slot, 1)))
 	r.cover = cfg.CoverageThreshold
 	return r
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 
 	"repro/internal/frame"
 	"repro/internal/frequent"
@@ -14,16 +15,14 @@ import (
 // be half-applied.
 var ErrBadImage = errors.New("core: malformed state image")
 
-// FramedImage serializes a state image straight into one CRC32C frame:
-// the checkpoint representation the engine and the ingestion service
-// share, so they cannot disagree about what a valid image blob is.
-func FramedImage(img *StateImage) []byte {
+// FramedImage serializes a state image straight into one CRC32C frame,
+// over dst's bytes when they hold it: the checkpoint representation the
+// engine and the ingestion service share, so they cannot disagree about
+// what a valid image blob is.
+func FramedImage(dst []byte, img *StateImage) []byte {
 	const v = binary.MaxVarintLen64 // at most, per varint
-	n := frame.MaxHeader + int(img.StateBytes()) + (5*v-24)*len(img.Sketch) + 11*v + v*len(img.BucketPairs)
-	for _, b := range img.Buckets {
-		n += len(b) + v
-	}
-	b := appendImage(make([]byte, frame.MaxHeader, n+frame.TrailerSize), img)
+	n := frame.MaxHeader + int(img.StateBytes()) + (5*v-24)*len(img.Sketch) + 13*v + len(img.Log)
+	b := appendImage(slices.Grow(dst[:0], n+frame.TrailerSize)[:frame.MaxHeader], img)
 	return frame.Append(b[:0], b[frame.MaxHeader:])
 }
 
@@ -55,13 +54,8 @@ func appendImage(out []byte, img *StateImage) []byte {
 	out = frame.AppendVarint(out, img.SketchDebt)
 	out = frame.AppendVarint(out, img.SketchSeq)
 	out = frame.AppendVarint(out, img.SketchM)
-	out = frame.AppendVarint(out, int64(len(img.Buckets)))
-	for _, b := range img.Buckets {
-		out = appendBlob(out, b)
-	}
-	for _, n := range img.BucketPairs {
-		out = frame.AppendVarint(out, n)
-	}
+	out = appendBlob(frame.AppendVarint(out, 1), img.Log) // one serialized bucket
+	out = frame.AppendVarint(out, img.LogPairs)
 	out = frame.AppendVarint(out, img.Received)
 	out = frame.AppendVarint(out, img.InMemRecs)
 	out = frame.AppendVarint(out, img.DirectOut)
@@ -87,18 +81,13 @@ func UnmarshalImage(b []byte) (*StateImage, error) {
 	img.SketchDebt = c.Varint()
 	img.SketchSeq = c.Varint()
 	img.SketchM = c.Varint()
-	nBuckets := c.Count(c.Varint())
-	for i := 0; i < nBuckets; i++ {
-		img.Buckets = append(img.Buckets, blob(&c))
-	}
-	for i := 0; i < nBuckets; i++ {
-		img.BucketPairs = append(img.BucketPairs, c.Varint())
-	}
+	buckets, log, logPairs := c.Varint(), blob(&c), c.Varint()
+	img.Log, img.LogPairs = log, logPairs
 	img.Received = c.Varint()
 	img.InMemRecs = c.Varint()
 	img.DirectOut = c.Varint()
 	img.SinceScan = c.Varint()
-	if c.Done() != nil {
+	if c.Done() != nil || buckets != 1 {
 		return nil, ErrBadImage
 	}
 	return img, nil

@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/frequent"
@@ -18,11 +17,9 @@ func TestImageCodecRoundTrip(t *testing.T) {
 		{
 			Table:     []byte("k1v1k2v2"),
 			TableKeys: 2,
-			Buckets:   [][]byte{[]byte("bucket0"), nil, []byte("bucket2")},
-			BucketPairs: []int64{
-				3, 0, 7,
-			},
-			Received: 1234, InMemRecs: 77, DirectOut: -1, SinceScan: 9,
+			Log:       []byte("log"),
+			LogPairs:  3,
+			Received:  1234, InMemRecs: 77, DirectOut: -1, SinceScan: 9,
 		},
 		{
 			Sketch: []frequent.Saved{
@@ -37,7 +34,7 @@ func TestImageCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("image %d: %v", i, err)
 		}
-		if got.StateBytes() != img.StateBytes() || !slices.Equal(got.BucketLens(), img.BucketLens()) {
+		if got.StateBytes() != img.StateBytes() {
 			t.Fatalf("image %d: sizes changed", i)
 		}
 		norm := func(x *StateImage) *StateImage {
@@ -46,11 +43,6 @@ func TestImageCodecRoundTrip(t *testing.T) {
 			y := *x
 			if len(y.Table) == 0 {
 				y.Table = nil
-			}
-			for j := range y.Buckets {
-				if len(y.Buckets[j]) == 0 {
-					y.Buckets[j] = nil
-				}
 			}
 			return &y
 		}
@@ -64,12 +56,12 @@ func TestImageCodecRoundTrip(t *testing.T) {
 // decoder: it must error, never mis-decode silently or loop.
 func TestImageCodecRejectsDamage(t *testing.T) {
 	img := &StateImage{
-		Table:       []byte("k1v1"),
-		TableKeys:   1,
-		Sketch:      []frequent.Saved{{Key: []byte("k"), State: []byte("s"), C: 5, T: 1, Seq: 2}},
-		Buckets:     [][]byte{[]byte("bb")},
-		BucketPairs: []int64{1},
-		Received:    10,
+		Table:     []byte("k1v1"),
+		TableKeys: 1,
+		Sketch:    []frequent.Saved{{Key: []byte("k"), State: []byte("s"), C: 5, T: 1, Seq: 2}},
+		Log:       []byte("bb"),
+		LogPairs:  1,
+		Received:  10,
 	}
 	blob := appendImage(nil, img)
 	if _, err := UnmarshalImage(blob); err != nil {

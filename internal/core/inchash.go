@@ -80,13 +80,10 @@ func NewINCHashReducer(rt *Runtime, q mr.Query, cfg INCHashConfig, out mr.Output
 	if e, ok := q.(mr.EarlyEmitter); ok {
 		r.early = e
 	}
-	nDisk := 0
-	if overflow := cfg.ExpectedStateBytes - cfg.MemBudget; overflow > 0 {
-		nDisk = bucketCount(overflow, cfg.MemBudget, cfg.MaxBuckets)
-	}
-	// Even when all states are expected to fit, one defensive bucket
-	// exists so a bad hint degrades to spilling rather than failing.
-	r.buckets = newBucketSet(rt, storage.ReduceSpill, cfg.Prefix, max(nDisk, 1), cfg.Page, 2)
+	// Even when all states are expected to fit, bucketCount keeps one
+	// bucket, so a bad hint degrades to spilling rather than failing.
+	nDisk := bucketCount(cfg.ExpectedStateBytes-cfg.MemBudget, cfg.MemBudget, cfg.MaxBuckets)
+	r.buckets = newBucketSet(rt, storage.ReduceSpill, cfg.Prefix, nDisk, cfg.Page, 2)
 	r.table = bytestore.NewTable(rt.Fam.Fn(3), max(cfg.MemBudget-r.buckets.memoryBytes(), cfg.Page))
 	return r
 }
@@ -157,7 +154,7 @@ func (r *INCHashReducer) finalize(t *bytestore.Table) {
 // drainBuckets processes every on-disk bucket of b, then hands the
 // held-output buffer back: the reducer is done.
 func (r *INCHashReducer) drainBuckets(b *bucketSet) {
-	b.drain(r.seg, func(data []byte) { r.processBucket(data, 4) })
+	b.drain(r.seg, func(data []byte) { r.processBucketBudget(data, 4, r.memBudget) })
 	bytestore.Put(r.hold.buf)
 	r.hold.buf = nil
 }
@@ -179,23 +176,29 @@ func (h *heldOutput) Emit(key, value []byte) {
 }
 
 func (h *heldOutput) replay(out mr.OutputWriter) {
-	bytestore.RangePairs(h.buf, func(key, value []byte) bool {
+	it := kvenc.NewIterator(h.buf)
+	for key, value, ok := it.Next(); ok; key, value, ok = it.Next() {
 		out.Emit(key, value)
-		return true
-	})
+	}
+	mustDecode(it.Err(), "held", "output")
 }
 
-// processBucket builds an in-memory state table for one bucket's
-// tuples and finalizes it; oversized buckets are recursively
+// mustDecode panics with an iterator's framing error. Every stream a
+// reducer decodes passed frame verification or never left memory, so a
+// break is a bug, not disk damage.
+func mustDecode(err error, prefix, what string) {
+	if err != nil {
+		panic(fmt.Errorf("core: corrupt pairs in %s %s: %w", prefix, what, err))
+	}
+}
+
+// processBucketBudget builds a state table of budget bytes for one
+// bucket's tuples and finalizes it; oversized buckets are recursively
 // repartitioned with the next hash function. A bucket dominated by a
 // single key cannot be split by hashing, and recursion can also hit
 // the depth cap with adversarial data; both cases fall back to
 // building the table without a memory cap — a correctness-over-
 // accounting escape hatch for states a fixed budget cannot hold.
-func (r *INCHashReducer) processBucket(data []byte, level int) {
-	r.processBucketBudget(data, level, r.memBudget)
-}
-
 func (r *INCHashReducer) processBucketBudget(data []byte, level int, budget int64) {
 	if level-4 >= r.maxDepth {
 		budget = int64(len(data))*3 + (1 << 20)
@@ -209,7 +212,8 @@ func (r *INCHashReducer) processBucketBudget(data []byte, level int, budget int6
 	hold.buf = hold.buf[:0]
 	realOut := r.out
 	r.out = hold
-	bytestore.RangePairs(data, func(key, state []byte) bool {
+	it := kvenc.NewIterator(data)
+	for key, state, ok := it.Next(); ok && fits; key, state, ok = it.Next() {
 		cur, slot, found, ok := t.UpsertState(key, len(state), r.inc.StateSize())
 		if ok {
 			recs++
@@ -221,8 +225,8 @@ func (r *INCHashReducer) processBucketBudget(data []byte, level int, budget int6
 			ok = t.SetState(slot, r.tryEmit(key, cur))
 		}
 		fits = ok
-		return ok
-	})
+	}
+	mustDecode(it.Err(), r.prefix, "bucket")
 	r.out = realOut
 	if fits {
 		hold.replay(r.out)
@@ -232,19 +236,12 @@ func (r *INCHashReducer) processBucketBudget(data []byte, level int, budget int6
 		return
 	}
 	t.Release()
-	sub := newBucketSet(r.rt, storage.ReduceSpill,
-		fmt.Sprintf("%s.l%d", r.prefix, level), bucketCount(int64(len(data)), r.memBudget, 64), r.page, level)
-	bytestore.RangePairs(data, func(key, state []byte) bool {
-		sub.add(key, state)
-		return true
-	})
-	sub.flushAll()
-	sub.drain(r.seg, func(d []byte) {
+	split(r.rt, r.prefix, level, data, r.memBudget, r.page, r.seg, func(d []byte) {
 		if len(d) == len(data) {
 			// No progress (single dominant key): process uncapped.
 			r.processBucketBudget(d, level+1, int64(len(d))*3+(1<<20))
 		} else {
-			r.processBucket(d, level+1)
+			r.processBucketBudget(d, level+1, r.memBudget)
 		}
 	})
 }

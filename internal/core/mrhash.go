@@ -67,10 +67,7 @@ func NewMRHashReducer(rt *Runtime, q mr.Query, cfg MRHashConfig) *MRHashReducer 
 	// round trip through the external-sort fallback.
 	nDisk := 0
 	if cfg.ExpectedBytes > cfg.MemBudget*3/5 {
-		nDisk = bucketCount(cfg.ExpectedBytes, cfg.MemBudget*7/10, cfg.MaxBuckets) - 1
-		if nDisk < 1 {
-			nDisk = 1
-		}
+		nDisk = max(bucketCount(cfg.ExpectedBytes, cfg.MemBudget*7/10, cfg.MaxBuckets)-1, 1)
 	}
 	r := &MRHashReducer{
 		rt:        rt,
@@ -165,11 +162,12 @@ func (r *MRHashReducer) reduceTable(t *bytestore.Table, out mr.OutputWriter) {
 func (r *MRHashReducer) reducePairs(data []byte, level int, out mr.OutputWriter) {
 	t := bytestore.NewTable(r.rt.Fam.Fn(3), r.memBudget)
 	fits, pairs := true, int64(0)
-	bytestore.RangePairs(data, func(key, val []byte) bool {
+	it := kvenc.NewIterator(data)
+	for key, val, ok := it.Next(); ok && fits; key, val, ok = it.Next() {
 		fits = t.AppendValue(key, val)
 		pairs++
-		return fits
-	})
+	}
+	mustDecode(it.Err(), r.prefix, "bucket")
 	if fits {
 		r.rt.ChargeOps(r.rt.Model.CPUHashInsert, pairs)
 		r.reduceTable(t, out)
@@ -180,16 +178,7 @@ func (r *MRHashReducer) reducePairs(data []byte, level int, out mr.OutputWriter)
 		r.sortAndStream(data, out)
 		return
 	}
-	// Recursive partitioning: split this bucket with the next hash
-	// function into sub-buckets sized to fit.
-	sub := newBucketSet(r.rt, storage.ReduceSpill,
-		fmt.Sprintf("%s.l%d", r.prefix, level), bucketCount(int64(len(data)), r.memBudget, 64), r.page, level)
-	bytestore.RangePairs(data, func(key, val []byte) bool {
-		sub.add(key, val)
-		return true
-	})
-	sub.flushAll()
-	sub.drain(r.seg, func(d []byte) {
+	split(r.rt, r.prefix, level, data, r.memBudget, r.page, r.seg, func(d []byte) {
 		if int64(len(d))*4 > int64(len(data))*3 {
 			// Partitioning barely helped: the bucket is dominated by
 			// one hot key whose value list no hash can split. Another
@@ -211,7 +200,7 @@ func (r *MRHashReducer) sortAndStream(data []byte, out mr.OutputWriter) {
 		r.extSeq++
 		scratch := r.rt.Store.Create(fmt.Sprintf("%s.extsort%d", r.prefix, r.extSeq), storage.ReduceSpill)
 		r.rt.Store.Append(r.rt.P, scratch, data, storage.ReduceSpill)
-		r.rt.Store.ReadAll(r.rt.P, scratch, r.seg, storage.ReduceSpill)
+		r.rt.Store.Scan(r.rt.P, scratch, r.seg, storage.ReduceSpill)
 		r.rt.Store.Delete(scratch)
 	}
 	sorted, n := kvenc.SortStream(data)

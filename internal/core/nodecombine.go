@@ -65,11 +65,7 @@ func (nc *NodeCombiner) Absorb(parts [][][]byte) {
 	for part, segs := range parts {
 		for _, seg := range segs {
 			it := kvenc.NewIterator(seg)
-			for {
-				key, val, ok := it.Next()
-				if !ok {
-					break
-				}
+			for key, val, ok := it.Next(); ok; key, val, ok = it.Next() {
 				pairs++
 				nc.fold.add(part, key, val)
 			}

@@ -77,8 +77,8 @@ func (s *shuffleService) mapperFinished() {
 func (s *shuffleService) allPublished() bool { return s.mappersDone == s.mappersAll }
 
 // release notes that one reducer has fetched its partition; when all
-// have, the output's memory and disk file are reclaimed (unless the
-// run retains outputs for possible re-fetch after failures).
+// have, the output's memory, file and partition index are reclaimed
+// (unless the run retains outputs for possible re-fetch after failures).
 func (s *shuffleService) release(o *mapOutput) {
 	o.refs--
 	if o.refs == 0 && !s.retain {
@@ -86,7 +86,7 @@ func (s *shuffleService) release(o *mapOutput) {
 			o.node.store.Delete(o.file)
 			o.file = nil
 		}
-		o.parts = core.MapParts{}
+		o.parts, o.partBytes, o.partOff = core.MapParts{}, nil, nil
 	}
 }
 

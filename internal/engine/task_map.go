@@ -243,11 +243,7 @@ func (b *MapBody) Replay(seg *SegMapResult, observe func(ts int64)) {
 	}
 	it := kvenc.NewIterator(seg.pairs)
 	if b.wm == nil {
-		for {
-			k, v, more := it.Next()
-			if !more {
-				break
-			}
+		for k, v, ok := it.Next(); ok; k, v, ok = it.Next() {
 			b.coll.Add(k, v)
 		}
 	} else {

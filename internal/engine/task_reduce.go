@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/bytestore"
 	"repro/internal/core"
 	"repro/internal/frame"
 	"repro/internal/kvenc"
@@ -163,21 +164,24 @@ func (w *SnapshotWriter) Emit(key, value []byte) {
 }
 
 // Checkpoint is one committed reducer checkpoint: the serialized,
-// CRC32C-framed platform state image, the consumed set at the instant
-// it was taken, the byte accounting needed for delta writes and
-// restore reads, and the output staged so far. The image travels as a
-// framed blob — exactly what fault injection damages (bit flips at
-// write time, torn tails at node death) and what restore verifies.
+// CRC32C-framed platform state image with the disk buckets it points
+// at, the consumed set at the instant it was taken, the byte accounting
+// needed for delta writes and restore reads, and the output staged so
+// far. The table or sketch travels as a framed blob — exactly what
+// fault injection damages (bit flips at write time, torn tails at node
+// death) and what restore verifies; the buckets stay the store's, by
+// reference.
 type Checkpoint struct {
 	consumed  []bool // map tasks folded into the image (a copy of the task's set)
 	consumedN int
 
-	framed     []byte      // core.FramedImage(img)
-	torn       bool        // tail truncated by a torn-write injection
-	prev       *Checkpoint // the previous image, kept as the one fallback
-	stateBytes int64       // table/sketch + consumed-set bytes (rewritten each time)
-	bucketLens []int64     // cumulative per-bucket bytes (delta vs. previous image)
-	bucketSum  int64       // Σ bucketLens (all read back on restore)
+	framed     []byte           // core.FramedImage(img): no bucket bytes
+	refs       []core.BucketRef // img.Refs: the buckets, beside the frame
+	torn       bool             // tail truncated by a torn-write injection
+	prev       *Checkpoint      // the previous image, kept as the one fallback
+	stateBytes int64            // table/sketch + consumed-set bytes (rewritten each time)
+	bucketLens []int64          // cumulative per-bucket bytes (delta vs. previous image)
+	bucketSum  int64            // Σ bucketLens (all read back on restore)
 
 	// Output staged by the attempt up to this checkpoint (cumulative
 	// since the task started). Staged output becomes externally visible
@@ -238,6 +242,7 @@ func (task *ReduceTask) Resume(totalMaps int) (img *core.StateImage, badBytes in
 	for ; task.ckpt != nil; task.ckpt = task.ckpt.prev {
 		var err error
 		if img, err = core.DecodeFramedImage(task.ckpt.framed); err == nil {
+			img.Refs = task.ckpt.refs
 			break
 		}
 		badBytes += task.ckpt.StoredBytes()
@@ -415,11 +420,7 @@ func (t *TaskReducer) feed(out core.MapParts, part int, size int64, task int) {
 	var records int64
 	for _, seg := range segs {
 		it := kvenc.NewIterator(seg)
-		for {
-			k, v, ok := it.Next()
-			if !ok {
-				break
-			}
+		for k, v, ok := it.Next(); ok; k, v, ok = it.Next() {
 			records++
 			switch {
 			case t.mrh != nil:
@@ -511,12 +512,13 @@ func (t *TaskReducer) CheckpointDue() bool {
 }
 
 // Checkpoint snapshots the incremental reducer's state (key→state
-// table or FREQUENT summary, plus bucket contents) together with a copy
-// of the consumed set, serializes it into a CRC32C-framed image,
-// charges the checkpoint write — full state + consumed set plus only
-// the bucket bytes appended since the task's previous image — and
-// stages the attempt's output so far with the image. The image becomes
-// the task's newest, its predecessor the one fallback.
+// table or FREQUENT summary, plus its buckets by reference) together
+// with a copy of the consumed set, serializes the table or summary into
+// a CRC32C-framed image, charges the checkpoint write — full state +
+// consumed set plus only the bucket bytes appended since the task's
+// previous image — and stages the attempt's output so far with the
+// image. The image becomes the task's newest, its predecessor the one
+// fallback; the one before is dropped, and its buffers are reused.
 func (t *TaskReducer) Checkpoint() *Checkpoint {
 	var img *core.StateImage
 	if t.inch != nil {
@@ -524,25 +526,33 @@ func (t *TaskReducer) Checkpoint() *Checkpoint {
 	} else {
 		img = t.dinch.Snapshot()
 	}
-	task := t.task
+	task, old := t.task, &Checkpoint{} // old: the image this one displaces, whose buffers it reuses
+	var prevLens []int64
+	if task.ckpt != nil {
+		if task.ckpt.prev != nil {
+			old = task.ckpt.prev
+			for i := range old.refs {
+				old.refs[i].Bytes.Release()
+			}
+		}
+		prevLens, task.ckpt.prev = task.ckpt.bucketLens, nil
+	}
 	ck := &Checkpoint{
-		consumed:  append([]bool(nil), task.consumed...),
+		consumed:  append(old.consumed[:0], task.consumed...),
 		consumedN: task.consumedN,
-		framed:    core.FramedImage(img),
+		framed:    core.FramedImage(old.framed, img),
+		refs:      img.Refs,
 		// One consumed-set entry per map task: the image records which
 		// tasks' output is folded into the state.
 		stateBytes: img.StateBytes() + int64(len(task.consumed))*consumedBitBytes,
-		bucketLens: img.BucketLens(),
+		bucketLens: make([]int64, len(img.Refs)),
 		prev:       task.ckpt,
 	}
+	bytestore.Put(img.Table)
 	write := ck.stateBytes
-	var prevLens []int64
-	if ck.prev != nil {
-		prevLens = ck.prev.bucketLens
-		ck.prev.prev = nil
-	}
-	for i, l := range ck.bucketLens {
-		ck.bucketSum += l
+	for i := range img.Refs {
+		l := img.Refs[i].Bytes.Len()
+		ck.bucketLens[i], ck.bucketSum = l, ck.bucketSum+l
 		if i < len(prevLens) {
 			l -= prevLens[i]
 		}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bytestore"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/kvenc"
@@ -157,17 +158,20 @@ func clickSeg(q mr.Query, from, to int) core.MapParts {
 	return core.MapParts{Segs: [][][]byte{{seg}}}
 }
 
-// TestCheckpointAllocatesOneImage: a checkpoint holds the reducer's
-// snapshot and the frame the snapshot is marshalled straight into, not
-// an encoding copied into a frame besides: beyond what the snapshot
-// allocates, one Checkpoint allocates its frame plus a fixed allowance
-// for the consumed set and bookkeeping. Marshalling into a growing blob
-// and then framing a copy of it allocated ≈ 3.2× the frame beyond the
-// snapshot here.
+// TestCheckpointAllocatesOneImage: a checkpoint copies the reducer's
+// table once, into its table part, marshals that straight into its
+// frame, and keeps its buckets by reference. With buckets holding ten
+// times the table, Snapshot allocates its table part plus a fixed
+// allowance (the image, the references, the write-buffer tails), and
+// Checkpoint its frame plus a fixed allowance (the consumed set,
+// bookkeeping) beyond that. Copying every bucket into the image and its
+// frame allocated 97,952 B for the snapshot of a 1,805 B table here,
+// and 41,136 B beyond it for a 38,028 B frame.
 func TestCheckpointAllocatesOneImage(t *testing.T) {
 	q := queries.NewClickCount()
 	spec := bodySpec(t, INCHash, q)
-	spec.Cluster.ReduceBuffer = 64 << 10
+	spec.Cluster.ReduceBuffer = 4 << 10
+	spec.Cluster.Page = 256
 	spec.Cluster.Checksums = true
 	var task ReduceTask
 	red, _ := reduceAttempt(t, &task, spec, q, false)
@@ -181,11 +185,24 @@ func TestCheckpointAllocatesOneImage(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
+	var img *core.StateImage
 	var ck *Checkpoint
-	snap := allocated(func() { red.inch.Snapshot() })
+	snap := allocated(func() { img = red.inch.Snapshot() })
+	table := uint64(len(img.Table))
+	bytestore.Put(img.Table) // give the pooled parts back, as Checkpoint does
+	for i := range img.Refs {
+		img.Refs[i].Bytes.Release()
+	}
 	extra := allocated(func() { ck = red.Checkpoint() }) - snap
 	framed := uint64(len(ck.framed))
-	t.Logf("one checkpoint allocated %d B beyond its %d B snapshot for a %d B frame", extra, snap, framed)
+	t.Logf("a snapshot of a %d B table and %d B of buckets allocated %d B; its checkpoint %d B beyond that for a %d B frame",
+		table, ck.bucketSum, snap, extra, framed)
+	if uint64(ck.bucketSum) < 10*table {
+		t.Fatalf("test setup: %d B of buckets, not ten times the %d B table", ck.bucketSum, table)
+	}
+	if snap > table+4<<10 {
+		t.Errorf("one snapshot allocated %d B, over its %d B table part plus 4 KiB", snap, table)
+	}
 	if extra > framed+4<<10 {
 		t.Errorf("one checkpoint allocated %d B beyond its snapshot, over its %d B frame plus 4 KiB", extra, framed)
 	}

@@ -45,7 +45,7 @@ func encodeCheckpoint(ck *checkpoint) []byte {
 		hdr = frame.AppendVarint(hdr, v)
 	}
 	out := frame.Append(nil, hdr)
-	return append(out, core.FramedImage(ck.Img)...)
+	return append(out, core.FramedImage(nil, ck.Img)...)
 }
 
 // decodeCheckpoint parses a checkpoint file body. seglog.Recover

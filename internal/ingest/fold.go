@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/bytestore"
 	"repro/internal/core"
 	"repro/internal/kvenc"
 	"repro/internal/mr"
@@ -182,8 +181,7 @@ func (f *folder) snapshot() *checkpoint {
 	for _, k := range f.keys {
 		img.Table = kvenc.AppendPair(img.Table, []byte(k), f.states[k])
 	}
-	img.Buckets = [][]byte{append([]byte(nil), f.outLog...)}
-	img.BucketPairs = []int64{f.outPairs}
+	img.Log, img.LogPairs = append([]byte(nil), f.outLog...), f.outPairs
 	return &checkpoint{
 		Seq:       f.foldedBatches,
 		Watermark: f.watermark,
@@ -199,19 +197,19 @@ func (f *folder) restore(ck *checkpoint) error {
 		return err
 	}
 	img := ck.Img
-	bytestore.RangePairs(img.Table, func(k, st []byte) bool {
+	it := kvenc.NewIterator(img.Table)
+	for k, st, ok := it.Next(); ok; k, st, ok = it.Next() {
 		ks := string(k)
 		f.keys = append(f.keys, ks)
 		f.states[ks] = append([]byte(nil), st...)
-		return true
-	})
+	}
+	if err := it.Err(); err != nil {
+		return fmt.Errorf("%w: table: %w", ErrBadCheckpoint, err)
+	}
 	if len(f.keys) != img.TableKeys {
 		return fmt.Errorf("%w: table has %d keys, image claims %d", ErrBadCheckpoint, len(f.keys), img.TableKeys)
 	}
-	if len(img.Buckets) > 0 {
-		f.outLog = append([]byte(nil), img.Buckets[0]...)
-		f.outPairs = img.BucketPairs[0]
-	}
+	f.outLog, f.outPairs = append([]byte(nil), img.Log...), img.LogPairs
 	f.foldedRecords = img.Received
 	f.scavenged = img.DirectOut
 	f.sinceScan = img.SinceScan
@@ -268,10 +266,13 @@ func (f *folder) stats(limit int) Stats {
 		return s
 	}
 	ans := make([]Answer, 0, int(f.outPairs)+len(f.keys))
-	bytestore.RangePairs(f.outLog, func(k, v []byte) bool {
+	it := kvenc.NewIterator(f.outLog)
+	for k, v, ok := it.Next(); ok; k, v, ok = it.Next() {
 		ans = append(ans, Answer{Key: string(k), Value: string(v)})
-		return true
-	})
+	}
+	if err := it.Err(); err != nil {
+		panic(fmt.Errorf("ingest: corrupt pairs in the early-output log: %w", err))
+	}
 	collect := mr.FuncOutput(func(k, v []byte) {
 		ans = append(ans, Answer{Key: string(k), Value: string(v)})
 	})

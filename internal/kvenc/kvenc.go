@@ -102,12 +102,10 @@ func AppendPair(dst, key, val []byte) []byte {
 // Count returns the number of pairs in a stream.
 func Count(data []byte) int {
 	n := 0
-	it := NewIterator(data)
-	for {
+	for it := NewIterator(data); ; n++ {
 		if _, _, ok := it.Next(); !ok {
 			return n
 		}
-		n++
 	}
 }
 

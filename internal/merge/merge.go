@@ -61,7 +61,7 @@ func NewTree(store *storage.Store, class storage.IOClass, prefix string, f int, 
 // AddRun files a sorted run of recs pairs, staged on the tree's store,
 // as a new spill file. The caller must drive
 // NeedsMerge/MergeOnce (directly or via a background process).
-func (t *Tree) AddRun(p substrate.Proc, run storage.Staged, recs int64) {
+func (t *Tree) AddRun(p substrate.Proc, run storage.Taken, recs int64) {
 	if recs > 0 {
 		r := t.write(p, "spill", run, recs) // parks: read t.files only after it
 		t.files = append(t.files, r)
@@ -69,10 +69,10 @@ func (t *Tree) AddRun(p substrate.Proc, run storage.Staged, recs int64) {
 }
 
 // write files run as the next file in the tree's name sequence.
-func (t *Tree) write(p substrate.Proc, kind string, run storage.Staged, recs int64) diskRun {
+func (t *Tree) write(p substrate.Proc, kind string, run storage.Taken, recs int64) diskRun {
 	t.seq++
 	f := t.store.Create(fmt.Sprintf("%s.%s%d", t.prefix, kind, t.seq), t.class)
-	t.store.AppendStaged(p, f, run, t.class)
+	t.store.Give(p, f, run, t.class)
 	return diskRun{f, recs}
 }
 
@@ -104,7 +104,7 @@ func (t *Tree) MergeOnce(p substrate.Proc, charge func(records int64)) bool {
 	}
 	// The pass itself is pure and its price is known from the inputs'
 	// counts, so it runs beside its own charge, and stages its output.
-	var merged storage.Staged
+	var merged storage.Taken
 	var err error
 	p.Offload(func() {
 		var out []byte

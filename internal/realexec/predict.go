@@ -40,8 +40,10 @@ const (
 //   - the bookkeeping of every map and reduce task and parked output;
 //   - where an incremental platform checkpoints, each reduce task's
 //     newest image and its fallback, and per reduce slot one image
-//     being built (snapshot and encoding), each the table (B_r) and at
-//     most the task's share of the map output in buckets.
+//     being built, each the table (B_r) and per disk bucket a copy of
+//     its write-behind page and write buffer (the files are held by
+//     reference): at most one bucket per 4/5 B_r of the reducer's
+//     expected states, at DINC-hash's 64 B a key beside the state.
 func PeakHeap(job engine.JobSpec, newQuery func() mr.Query) (int64, error) {
 	job.Query = newQuery()
 	f, err := engine.NewJobFrame(&job)
@@ -63,8 +65,10 @@ func PeakHeap(job engine.JobSpec, newQuery func() mr.Query) (int64, error) {
 	final, images := 2*share, int64(0)
 	if job.Platform.Incremental() {
 		final = poolClass(cl.ReduceBuffer)
-		if job.CheckpointEvery > 0 {
-			images = 2 * (reducers + slots) * (poolClass(cl.ReduceBuffer) + share)
+		if inc, ok := job.Query.(mr.Incremental); ok && job.CheckpointEvery > 0 {
+			states := job.Hints.DistinctKeys * int64(inc.StateSize()+64) / reducers
+			buckets := max(1, (states*5/4+cl.ReduceBuffer-1)/cl.ReduceBuffer)
+			images = 2 * (reducers + slots) * (poolClass(cl.ReduceBuffer) + buckets*(storage.ScratchPage+cl.Page))
 		}
 	}
 	folds, perMap := int64(0), int64(mapTaskBytes)

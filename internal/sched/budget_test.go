@@ -123,3 +123,22 @@ func TestResumedRunPredictedAsItExecutes(t *testing.T) {
 		t.Fatalf("DES run predicted %d B", p)
 	}
 }
+
+// TestResumedBenchRunFitsTheJobShare: a checkpoint image holds the
+// reducer's table part and its buckets' unflushed tails, the bucket
+// files by reference, so the benchmark spec resumed after a crash is
+// predicted within the jobs' share of onepassd's default 64 MiB budget:
+// it is admitted by reservation beside another run, not alone. While
+// images copied every bucket it was predicted at 183.5 MB.
+func TestResumedBenchRunFitsTheJobShare(t *testing.T) {
+	spec := JobSpec{Org: "acme", Query: "sessionization", Platform: "inc-hash", Backend: "real",
+		DataBytes: 236e9, Scale: "1/4096", Users: 20_000, Workers: 2}
+	spec.Normalize()
+	resumed := EngineExecutor{}.Predict(spec, &ResumeInfo{PrevRunID: 1, Attempt: 2})
+	const limit = 64 << 20
+	t.Logf("resumed benchmark spec predicted at %.1f MB, the jobs' share %.1f MB", float64(resumed)/1e6, float64(limit*3/4)/1e6)
+	b := budget.New(limit)
+	if !b.Reserve(1) || !b.Reserve(resumed) {
+		t.Fatalf("a run predicted at %d B is not admitted beside another run under a %d B budget", resumed, limit)
+	}
+}

@@ -155,11 +155,7 @@ func (c *MapCollector) splitRun(run []byte, n int64) core.MapParts {
 	ends := make([]int, parts)
 	counts := make([]int64, parts)
 	it := kvenc.NewIterator(run)
-	for {
-		pk, v, ok := it.Next()
-		if !ok {
-			break
-		}
+	for pk, v, ok := it.Next(); ok; pk, v, ok = it.Next() {
 		part := int(binary.BigEndian.Uint16(pk))
 		backing = kvenc.AppendPair(backing, pk[2:], v)
 		counts[part]++
@@ -196,7 +192,7 @@ func (c *MapCollector) spill() {
 	if c.tree == nil {
 		c.tree = merge.NewTree(c.rt.Store, storage.MapSpill, c.cfg.Prefix, c.cfg.MergeFactor, c.cfg.ReadSegment)
 	}
-	var run storage.Staged
+	var run storage.Taken
 	var recs int64
 	c.sortBuffer(func(pooled []byte, n int64) { run, recs = c.rt.Store.Stage(pooled), n })
 	c.tree.AddRun(c.rt.P, run, recs)
@@ -313,7 +309,7 @@ func (r *Reducer) spillBuffer() {
 	for i := range spillRuns {
 		records += r.bufRecs[i]
 	}
-	var run storage.Staged
+	var run storage.Taken
 	n := records
 	r.rt.P.Offload(func() {
 		var pooled []byte

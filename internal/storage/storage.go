@@ -511,46 +511,88 @@ func (s *Store) rollCorrupt(class IOClass, n int) (bit uint64, ok bool) {
 	return 0, false
 }
 
-// Staged is a spill run written to its medium ahead of AppendStaged.
-type Staged struct {
-	n    int64
-	data []byte   // memory: a copy
-	exts []extent // disk: its one extent
-	crc  uint32   // its frame's checksum, when checksums are on
+// Taken is bytes held for a fresh file (Give): a run Stage wrote, or a
+// file's bytes as Take found them — its buffer or extents (which the
+// scratch file never reuses) by reference, a copy of the rest. It
+// outlives the file's growth and Delete; nothing writes what it shares.
+type Taken struct {
+	n      int64
+	data   []byte   // memory: the bytes
+	exts   []extent // disk: the bytes written out
+	tail   []byte   // a copy of the bytes after them
+	crc    uint32   // their frame's checksum, if summed
+	summed bool
 }
 
-// Stage writes a copy of data to the medium of s's spill files, uncharged.
-// It touches no store state, so the closure that produced data runs it.
-func (s *Store) Stage(data []byte) Staged {
-	st := Staged{n: int64(len(data))}
+// Len returns the bytes t holds.
+func (t *Taken) Len() int64 { return t.n }
+
+// Stage writes a copy of data to the medium of s's spill files,
+// uncharged, summing its frame when checksums are on. It touches no
+// store state, so the closure that produced data runs it.
+func (s *Store) Stage(data []byte) Taken {
+	t := Taken{n: int64(len(data)), summed: s.Checksums}
 	if s.Checksums {
-		st.crc = frame.Checksum(data)
+		t.crc = frame.Checksum(data)
 	}
 	if s.scratch != nil {
-		st.exts = []extent{{s.scratch.Park(data), st.n}}
+		t.exts = []extent{{s.scratch.Park(data), t.n}}
 	} else {
-		st.data = bytes.Clone(data)
+		t.data = bytes.Clone(data)
 	}
-	return st
+	return t
 }
 
-// AppendStaged files a staged run as the empty spill file f's bytes:
-// one request and frame, charged and rolled for corruption as Append's,
-// a flip landing in place.
-func (s *Store) AppendStaged(p substrate.Proc, f *File, st Staged, class IOClass) {
-	var ovh int64
-	if s.Checksums {
-		f.frames, ovh = append(f.frames, frameSpan{end: st.n, crc: st.crc}), frame.Overhead(int(st.n))
+// Take returns f's bytes (none if f is nil) and then extra, uncharged:
+// the flushed bytes by reference, its page and extra in one pooled copy
+// (Release). It verifies f's frames first, panicking Corruption on a
+// mismatch, so damage on disk is not laundered into a restore's frame.
+func (s *Store) Take(f *File, extra []byte, class IOClass) Taken {
+	t, page := Taken{}, []byte(nil)
+	if f != nil {
+		if _, err := s.verify(f, 0, f.size); err != nil {
+			panic(&Corruption{Node: s.node, File: f.name, Class: class, Kind: "checksum"})
+		}
+		t = Taken{n: f.size, data: f.data[:len(f.data):len(f.data)], exts: f.exts[:len(f.exts):len(f.exts)]}
+		page = f.page
 	}
-	s.io(p, f.name, f.dev, class, st.n, ovh, true)
-	f.size, f.data, f.exts = st.n, st.data, st.exts
-	if bit, ok := s.rollCorrupt(class, int(st.n)); ok && f.disk == nil {
-		f.data[bit/8] ^= 1 << (bit % 8)
-	} else if ok {
-		b, at := []byte{0}, f.exts[0].at+int64(bit/8)
-		f.disk.ReadAt(b, at)
-		b[0] ^= 1 << (bit % 8)
-		scratchIO(f.disk.f.WriteAt(b, at))
+	t.n += int64(len(extra))
+	t.tail = append(append(bytestore.Get(len(page)+len(extra)), page...), extra...)
+	return t
+}
+
+// Release gives the bytes Take copied back to the pool: t is dead.
+func (t *Taken) Release() { bytestore.Put(t.tail) }
+
+// Give makes the empty file f hold t's bytes, taken or staged on a
+// store sharing f's medium: one request and one frame, charged and
+// rolled for faults as Append of those bytes is. A corruption hit
+// persists a private flipped copy — a fresh buffer in memory, a fresh
+// extent on disk — never bytes t or another file references.
+func (s *Store) Give(p substrate.Proc, f *File, t Taken, class IOClass) {
+	var ovh int64
+	if s.Checksums && t.n > 0 {
+		ovh = frame.Overhead(int(t.n))
+	}
+	s.io(p, f.name, f.dev, class, t.n, ovh, true)
+	f.data, f.exts, f.size = t.data, t.exts, t.n-int64(len(t.tail))
+	f.put(t.tail, false)
+	if !t.summed && ovh > 0 {
+		t.crc = f.crc(0, t.n)
+	}
+	if ovh > 0 {
+		f.frames = append(f.frames, frameSpan{end: t.n, crc: t.crc})
+	}
+	if bit, ok := s.rollCorrupt(class, int(t.n)); ok {
+		b := make([]byte, f.size)
+		f.readAt(b, 0)
+		b[bit/8] ^= 1 << (bit % 8)
+		if n := f.size - int64(len(f.page)); f.disk != nil {
+			f.exts = []extent{{f.disk.Park(b[:n]), n}}
+			copy(f.page, b[n:])
+		} else {
+			f.data = b
+		}
 	}
 }
 
@@ -570,21 +612,26 @@ func (s *Store) verify(f *File, off, end int64) (ovh int64, err error) {
 	return ovh, err
 }
 
-// intact reports whether frame i of f still carries its checksum,
-// summing it through one window.
+// intact reports whether frame i of f still carries its checksum.
 func (f *File) intact(i int) bool {
 	sp := &f.frames[i]
 	if !sp.ok {
-		win, c := bytestore.Get(ScratchPage)[:ScratchPage], frame.Start(int(sp.end-sp.off))
-		for off := sp.off; off < sp.end; off += ScratchPage {
-			b := win[:min(ScratchPage, sp.end-off)]
-			f.readAt(b, off)
-			c = frame.Extend(c, b)
-		}
-		bytestore.Put(win)
-		sp.ok = c == sp.crc
+		sp.ok = f.crc(sp.off, sp.end) == sp.crc
 	}
 	return sp.ok
+}
+
+// crc returns the checksum of the frame over f's bytes [off, end),
+// summed through one window.
+func (f *File) crc(off, end int64) uint32 {
+	win, c := bytestore.Get(ScratchPage)[:ScratchPage], frame.Start(int(end-off))
+	for ; off < end; off += ScratchPage {
+		b := win[:min(ScratchPage, end-off)]
+		f.readAt(b, off)
+		c = frame.Extend(c, b)
+	}
+	bytestore.Put(win)
+	return c
 }
 
 // ReadAtChecked reads n bytes at off from f as a single request,
@@ -614,20 +661,6 @@ func (s *Store) read(p substrate.Proc, f *File, off, n int64, class IOClass) (er
 	return err
 }
 
-// Contents returns a copy of f's bytes without charging I/O, verifying
-// every frame first and panicking Corruption on a mismatch.
-// Checkpointing folds a bucket file into a state image this way, so
-// disk corruption cannot be laundered into a freshly-checksummed
-// checkpoint.
-func (s *Store) Contents(f *File, class IOClass) []byte {
-	if _, err := s.verify(f, 0, f.size); err != nil {
-		panic(&Corruption{Node: s.node, File: f.name, Class: class, Kind: "checksum"})
-	}
-	b := make([]byte, f.size)
-	f.readAt(b, 0)
-	return b
-}
-
 // ReadAll reads the whole file in requests of at most segment physical
 // bytes, modelling a bounded read buffer. segment ≤ 0 means one
 // request. The bytes are lent until Delete. Checksum failure panics
@@ -637,13 +670,14 @@ func (s *Store) ReadAll(p substrate.Proc, f *File, segment int64, class IOClass)
 	if f.size == 0 {
 		return nil
 	}
-	s.readAll(p, f, segment, class)
+	s.Scan(p, f, segment, class)
 	return f.get()
 }
 
-// readAll charges reading f in requests of at most segment bytes,
-// panicking Corruption at the first whose frames are not all intact.
-func (s *Store) readAll(p substrate.Proc, f *File, segment int64, class IOClass) {
+// Scan charges reading f as ReadAll does, in requests of at most
+// segment bytes, panicking Corruption at the first whose frames are not
+// all intact, and lends nothing.
+func (s *Store) Scan(p substrate.Proc, f *File, segment int64, class IOClass) {
 	if segment <= 0 {
 		segment = f.size
 	}
@@ -661,7 +695,7 @@ func (s *Store) Stream(p substrate.Proc, f *File, segment int64, class IOClass) 
 	if segment <= 0 || segment > f.size {
 		segment = f.size
 	}
-	s.readAll(p, f, segment, class)
+	s.Scan(p, f, segment, class)
 	w := [2][]byte{1: bytestore.Get(int(segment))}
 	if segment < f.size {
 		w[0] = bytestore.Get(int(segment))

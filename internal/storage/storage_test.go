@@ -418,11 +418,11 @@ func faultScript(t *testing.T, sc *Scratch) (res struct {
 			}()
 			func() {
 				defer func() { res.Verdicts = append(res.Verdicts, recover() == nil) }()
-				s.Contents(f, ReduceSpill)
+				s.Take(f, nil, ReduceSpill)
 			}()
 			s.Delete(f)
 			g := s.Create(fmt.Sprintf("run%d", i), ReduceSpill)
-			s.AppendStaged(p, g, s.Stage(pattern(2*ScratchPage+i, i)), ReduceSpill)
+			s.Give(p, g, s.Stage(pattern(2*ScratchPage+i, i)), ReduceSpill)
 			func() {
 				defer func() { res.Verdicts = append(res.Verdicts, recover() == nil) }()
 				s.Stream(p, g, 5000, ReduceSpill)
@@ -600,7 +600,7 @@ func TestStreamChargesAndVerifiesAsReadAll(t *testing.T) {
 				df.Classes[MapSpill] = damaged
 				s.SetFaults(df)
 				staged := s.Create("staged", MapSpill)
-				s.AppendStaged(p, staged, s.Stage(pattern(5*ScratchPage/2, 1)), MapSpill)
+				s.Give(p, staged, s.Stage(pattern(5*ScratchPage/2, 1)), MapSpill)
 				pieces := s.Create("pieces", MapSpill)
 				for i := range 9 {
 					s.Append(p, pieces, pattern(ScratchPage/3+i, i), MapSpill)
@@ -661,7 +661,7 @@ func TestStagedSpillsHoldNoHeap(t *testing.T) {
 	sc := testScratch(t)
 	check := func(t *testing.T, p substrate.Proc, s *Store) {
 		f := s.Create("run", MapSpill)
-		s.AppendStaged(p, f, s.Stage(pattern(3*ScratchPage, 1)), MapSpill)
+		s.Give(p, f, s.Stage(pattern(3*ScratchPage, 1)), MapSpill)
 		if f.data != nil || f.page != nil || f.lent != nil {
 			t.Fatalf("a staged run holds %d data, %d page and %d lent buffers in the heap", cap(f.data), cap(f.page), len(f.lent))
 		}
@@ -679,5 +679,139 @@ func TestStagedSpillsHoldNoHeap(t *testing.T) {
 	})
 	t.Run("wall", func(t *testing.T) {
 		check(t, substrate.NewWallProc(time.Now()), NewWallStore(0, cost.Default(1), sc))
+	})
+}
+
+// bytesOf returns f's bytes as they sit on its medium, unverified.
+func bytesOf(f *File) []byte {
+	b := make([]byte, f.size)
+	f.readAt(b, 0)
+	return b
+}
+
+// takenFiles fills files of sizes across the write-behind page, without
+// faults, and takes each with a tail of extra bytes.
+func takenFiles(p *sim.Proc, s *Store) (files []*File, taken []Taken) {
+	for i, n := range []int{0, 300, ScratchPage - 5, ScratchPage + 7, 3*ScratchPage + 11} {
+		f := s.Create(fmt.Sprintf("bucket%d", i), ReduceSpill)
+		for off := 0; off < n; off += 1000 {
+			s.Append(p, f, pattern(min(1000, n-off), i+off), ReduceSpill)
+		}
+		files, taken = append(files, f), append(taken, s.Take(f, pattern(40*i, 9), ReduceSpill))
+	}
+	return files, taken
+}
+
+// giveScript takes files, deletes them and rebuilds each in a fresh file
+// under checksums, transient I/O errors and bit flips on ReduceSpill:
+// by Give when give is set, else by Append of a copy of the taken bytes.
+func giveScript(t *testing.T, sc *Scratch, give bool) (res struct {
+	Counters          Counters
+	Retries, Detected int64
+	Frames            [][]frameSpan
+	Bytes             [][]byte
+	Verdicts          []bool
+}) {
+	run(t, cost.Default(1), sc, func(p *sim.Proc, s *Store) {
+		s.Checksums = true
+		files, taken := takenFiles(p, s)
+		var copies [][]byte
+		for i, f := range files {
+			copies = append(copies, append(bytesOf(f), pattern(40*i, 9)...))
+			s.Delete(f)
+		}
+		df := &DiskFaults{Seed: 7, IOErrorRate: 0.2, CorruptRate: 0.4}
+		df.Classes[ReduceSpill] = true
+		s.SetFaults(df)
+		for round := range 3 {
+			for i, tk := range taken {
+				g := s.Create(fmt.Sprintf("restored%d.%d", i, round), ReduceSpill)
+				if give {
+					s.Give(p, g, tk, ReduceSpill)
+				} else {
+					s.Append(p, g, copies[i], ReduceSpill)
+				}
+				func() {
+					defer func() { res.Verdicts = append(res.Verdicts, recover() == nil) }()
+					s.ReadAll(p, g, 5000, ReduceSpill)
+				}()
+				res.Frames, res.Bytes = append(res.Frames, g.frames), append(res.Bytes, bytesOf(g))
+				s.Delete(g)
+			}
+		}
+		res.Counters, res.Retries, res.Detected = *s.Counters(), s.IORetries(), s.CorruptFramesDetected()
+	})
+	return res
+}
+
+// TestGiveEqualsAppend: giving a taken file to a fresh one charges,
+// rolls and frames exactly what Append of a copy of its bytes does, and
+// persists the same bytes, flips included, on both media.
+func TestGiveEqualsAppend(t *testing.T) {
+	var runs []any
+	media(t, func(t *testing.T, sc *Scratch) {
+		given, appended := giveScript(t, sc, true), giveScript(t, sc, false)
+		if given.Detected == 0 || given.Retries == 0 {
+			t.Fatalf("test setup: %d corrupt frames detected, %d I/O retries", given.Detected, given.Retries)
+		}
+		if !reflect.DeepEqual(given, appended) {
+			t.Fatalf("Give and Append disagree:\ngive   %+v\nappend %+v", given, appended)
+		}
+		runs = append(runs, given)
+	})
+	if len(runs) == 2 && !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Fatal("media disagree")
+	}
+}
+
+// TestTakenOutlivesItsFile: a taken file gives back the bytes it held
+// when taken after the live file grew across pages, and after its
+// Delete; a corruption hit on one give flips a private copy, so the
+// shared extent and every other image referencing it stay intact.
+func TestTakenOutlivesItsFile(t *testing.T) {
+	media(t, func(t *testing.T, sc *Scratch) {
+		run(t, cost.Default(1), sc, func(p *sim.Proc, s *Store) {
+			s.Checksums = true
+			files, taken := takenFiles(p, s)
+			var want [][]byte
+			for i, f := range files {
+				want = append(want, append(bytesOf(f), pattern(40*i, 9)...))
+				s.Append(p, f, pattern(2*ScratchPage, i), ReduceSpill)
+			}
+			again := files[3]
+			older, newer := taken[3], s.Take(again, nil, ReduceSpill)
+			check := func(when string, tk Taken, want []byte) {
+				g := s.Create("check", ReduceSpill)
+				s.Give(p, g, tk, ReduceSpill)
+				if got := s.ReadAll(p, g, 0, ReduceSpill); !bytes.Equal(got, want) {
+					t.Fatalf("%s: a %d-byte taken file reads back other bytes", when, len(want))
+				}
+				s.Delete(g)
+			}
+			for i := range files {
+				check("after the file grew", taken[i], want[i])
+			}
+			wantNewer := bytesOf(again)
+			for _, f := range files {
+				s.Delete(f)
+			}
+			for i := range files {
+				check("after its Delete", taken[i], want[i])
+			}
+
+			df := &DiskFaults{Seed: 1, CorruptRate: 1}
+			df.Classes[ReduceSpill] = true
+			s.SetFaults(df)
+			for i, tk := range []Taken{older, newer} {
+				g := s.Create(fmt.Sprintf("flipped%d", i), ReduceSpill)
+				s.Give(p, g, tk, ReduceSpill)
+				if _, err := s.ReadAtChecked(p, g, 0, g.Size(), ReduceSpill); err == nil {
+					t.Fatal("test setup: the give was not corrupted")
+				}
+			}
+			s.SetFaults(nil)
+			check("after a flipped give", older, want[3])
+			check("after a flipped give", newer, wantNewer)
+		})
 	})
 }
