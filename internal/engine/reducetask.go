@@ -201,7 +201,7 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 				j.memFetches++
 			} else {
 				j.diskFetches++
-				if _, err := o.node.store.ReadAtChecked(p, o.file, o.partOff[ridx], size, storage.ShuffleRead); err != nil {
+				if err := o.node.store.ReadAtChecked(p, o.file, o.partOff[ridx], size, storage.ShuffleRead); err != nil {
 					// The partition's frame failed its checksum. Re-fetch
 					// once (the real protocol's first response to a bad
 					// payload); the mapper's disk serves the same damaged
@@ -211,7 +211,7 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 					j.fetchRetries++
 					j.sums.RefetchBytes += size
 					n.nic.Use(p, 1, model.NetTime(size))
-					if _, err = o.node.store.ReadAtChecked(p, o.file, o.partOff[ridx], size, storage.ShuffleRead); err != nil {
+					if err = o.node.store.ReadAtChecked(p, o.file, o.partOff[ridx], size, storage.ShuffleRead); err != nil {
 						t.corruptOutput(o)
 						continue
 					}

@@ -9,6 +9,9 @@ import (
 // mapOutput is one published unit of map output: the whole output of a
 // completed map task (sort-merge, hash), or one pushed spill (HOP
 // pipelining, where mappers publish eagerly at spill granularity).
+// Every consumer copies what it fetches (sort-merge into its shuffle
+// buffer, the hash reducers into their tables), so nothing fetched
+// aliases parts.
 type mapOutput struct {
 	node *node
 
@@ -78,7 +81,8 @@ func (s *shuffleService) allPublished() bool { return s.mappersDone == s.mappers
 
 // release notes that one reducer has fetched its partition; when all
 // have, the output's memory, file and partition index are reclaimed
-// (unless the run retains outputs for possible re-fetch after failures).
+// (unless the run retains outputs for possible re-fetch after failures):
+// no reducer holds a view of them, so the backing dies here.
 func (s *shuffleService) release(o *mapOutput) {
 	o.refs--
 	if o.refs == 0 && !s.retain {

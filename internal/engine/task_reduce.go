@@ -413,7 +413,7 @@ func (t *TaskReducer) feed(out core.MapParts, part int, size int64, task int) {
 			t.smr.Consume(seg, out.Recs[part][i])
 		}
 		// Merge CPU is charged by the reducer at spill time; reception
-		// itself is a copy.
+		// itself is a copy, of each segment into the B_r buffer.
 		t.rt.ChargeCPU(model.CPUOps(model.CPUParseByte, size))
 		return
 	}

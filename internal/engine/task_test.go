@@ -551,10 +551,7 @@ func TestHashCollectorOutputIsAdoptedByTheFile(t *testing.T) {
 	rt := bodyRuntime(spec, &ledger)
 	out := mapChunk(rt, 0)
 	f, partBytes, partOff := WriteMapOutput(rt.P, rt.Store, "m0.out", out)
-	data, err := rt.Store.ReadAtChecked(rt.P, f, 0, f.Size(), storage.MapOutput)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := rt.Store.ReadAll(rt.P, f, 0, storage.MapOutput)
 	if &data[0] != &out.Backing[0] || len(data) != len(out.Backing) {
 		t.Fatal("the map output file copied the collector's buffer")
 	}
@@ -578,10 +575,9 @@ func TestHashCollectorOutputIsAdoptedByTheFile(t *testing.T) {
 		if !bytes.Equal(out.Backing, want) {
 			t.Fatal("the bit flip is visible through the collector's segments")
 		}
-		data, err := rt.Store.ReadAtChecked(rt.P, f, 0, f.Size(), storage.MapOutput)
-		if err != nil {
+		if err := rt.Store.ReadAtChecked(rt.P, f, 0, f.Size(), storage.MapOutput); err != nil {
 			flipped++
-		} else if !bytes.Equal(data, want) || &data[0] != &out.Backing[0] {
+		} else if data := rt.Store.ReadAll(rt.P, f, 0, storage.MapOutput); !bytes.Equal(data, want) || &data[0] != &out.Backing[0] {
 			t.Fatalf("clean write %d was copied", chunk)
 		}
 	}

@@ -23,26 +23,27 @@ import (
 // order wins" contract of the heap merger it replaced (kept in
 // reference_test.go as the differential-test reference). A pair handed
 // out stays valid through the next call for a pair: only then is its
-// leaf read on.
+// leaf read on, and a pair whose spill window turns over at that read
+// is handed out as a copy in one of two carry buffers, used in turn.
 type Merger struct {
 	leaves []leaf
 	spills []Spill // leaves 0..len(spills)-1
 	tree   []int32 // internal nodes 1..k-1: loser leaf index
 	winner int32
-	taken  int32 // the leaf the last pair came from, -1 once read on
+	taken  int32     // the leaf the last pair came from, -1 once read on
+	carry  [2][]byte // [0] holds the last pair copied
 	err    error
 }
 
-// Spill is a sorted run of Size bytes a merge reads through two
-// windows, the caller's (empty, each the size of one read; Win[0] may be
-// nil if Win[1] holds the run), that it keeps past the merge. A window
-// grows only for a pair longer than itself. ReadAt runs on the goroutine
-// driving the merge.
+// Spill is a sorted run of Size bytes a merge reads through one window,
+// the caller's (empty, the size of one read), that it keeps past the
+// merge. The window grows only for a pair longer than itself. ReadAt
+// runs on the goroutine driving the merge.
 type Spill struct {
-	Size     int64
-	ReadAt   func(dst []byte, off int64)
-	Win      [2][]byte
-	off, cur int64 // bytes read so far; the window the leaf is in
+	Size   int64
+	ReadAt func(dst []byte, off int64)
+	Win    []byte
+	off    int64 // bytes read so far
 }
 
 // leaf is one run's position in the merge: the run from its current
@@ -80,11 +81,11 @@ func Merge(spills []Spill, runs [][]byte) *Merger {
 func (m *Merger) load(i int32) {
 	l := &m.leaves[i]
 	var ok bool
-	for again := false; ; again = true {
+	for {
 		if l.keyOff, l.keyEnd, l.end, ok = scanPair(l.rest); ok {
 			break
 		}
-		if int(i) >= len(m.spills) || !m.spills[i].refill(l, again) {
+		if int(i) >= len(m.spills) || !m.spills[i].refill(l) {
 			if len(l.rest) > 0 && m.err == nil {
 				m.err = ErrCorrupt
 			}
@@ -100,26 +101,21 @@ func (m *Merger) load(i int32) {
 	}
 }
 
-// refill moves what is left of l's window to the front of the other,
-// leaving the last pair's window as it is, and reads on behind it;
-// again, the pair still does not fit and its window grows. It reports
-// false once the run is read whole.
-func (s *Spill) refill(l *leaf, again bool) bool {
+// refill moves what is left of l's window to its front and reads on
+// behind it; a window the pair still does not fill whole grows. It
+// reports false once the run is read whole.
+func (s *Spill) refill(l *leaf) bool {
 	if s.off == s.Size {
 		return false
 	}
-	w := l.rest
-	if !again {
-		s.cur ^= 1
-		w = append(s.Win[s.cur][:0], l.rest...)
-	}
+	w := append(s.Win[:0], l.rest...)
 	if len(w) == cap(w) { // a pair longer than the window
 		w = slices.Grow(w, len(w)+1)
 	}
 	n := int(min(int64(cap(w)-len(w)), s.Size-s.off))
 	s.ReadAt(w[len(w):len(w)+n], s.off)
 	s.off += int64(n)
-	s.Win[s.cur], l.rest = w, w[:len(w)+n]
+	s.Win, l.rest = w, w[:len(w)+n]
 	return true
 }
 
@@ -201,5 +197,11 @@ func (m *Merger) next() (pair []byte, keyOff, keyEnd int, ok bool) {
 	pair, keyOff, keyEnd = l.rest[:l.end:l.end], l.keyOff, l.keyEnd
 	l.rest = l.rest[l.end:]
 	m.taken = w
+	if int(w) < len(m.spills) && m.spills[w].off < m.spills[w].Size {
+		if _, _, _, whole := scanPair(l.rest); !whole { // the next load refills over pair
+			m.carry[0], m.carry[1] = append(m.carry[1][:0], pair...), m.carry[0]
+			pair = m.carry[0][:len(pair):len(pair)]
+		}
+	}
 	return pair, keyOff, keyEnd, true
 }

@@ -1,6 +1,7 @@
 package sortmerge
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -98,8 +99,9 @@ func runTraced(t *testing.T, workers int, fn func(rt *core.Runtime, tr *effectTr
 }
 
 // feedEcho drives segs sorted segments of 300 pairs over 2,000 keys
-// into r, merging in the background as the engine would.
-func feedEcho(r *Reducer, rng *rand.Rand, from, segs int) {
+// into r, merging in the background as the engine would; with clobber
+// set, each segment's bytes are zeroed as soon as Consume returns.
+func feedEcho(r *Reducer, rng *rand.Rand, from, segs int, clobber bool) {
 	for seg := from; seg < from+segs; seg++ {
 		var raw []byte
 		for i := 0; i < 300; i++ {
@@ -108,6 +110,9 @@ func feedEcho(r *Reducer, rng *rand.Rand, from, segs int) {
 		}
 		run, n := kvenc.SortStream(raw)
 		r.Consume(run, int64(n))
+		if clobber {
+			clear(run)
+		}
 		if r.MergeDue() {
 			r.Merge()
 		}
@@ -140,12 +145,12 @@ func TestReduceBatchesPinned(t *testing.T) {
 			tr := runTraced(t, workers, func(rt *core.Runtime, tr *effectTrace) {
 				r := NewReducer(rt, tc.q, ReducerConfig{Prefix: "r0", Buffer: tc.buffer, MergeFactor: 3})
 				rng := rand.New(rand.NewSource(18))
-				feedEcho(r, rng, 0, 30)
+				feedEcho(r, rng, 0, 30, false)
 				if tc.snapshot {
 					r.Snapshot(tr)
 					tr.event('S', tr.emitted)
 				}
-				feedEcho(r, rng, 30, 30)
+				feedEcho(r, rng, 30, 30, false)
 				r.Finish(tr)
 				spilled = rt.Store.Counters().WrittenBytes[storage.ReduceSpill] > 0
 			})
@@ -157,6 +162,37 @@ func TestReduceBatchesPinned(t *testing.T) {
 				t.Errorf("%s, %d workers: emitted %d, function records %d, SHA-256 %s; want %d, %d, %s",
 					tc.name, workers, tr.emitted, tr.fnRecords, got, tc.emitted, tc.fnRecords, tc.digest)
 			}
+		}
+	}
+}
+
+// TestConsumeCopiesTheSegment: the reducer copies each segment it
+// consumes into its shuffle buffer, so a caller that overwrites the
+// segment once Consume returns (the shuffle drops a map output at its
+// last fetch) changes no spill, snapshot or final reduce: every effect
+// matches a run whose segments were left alone.
+func TestConsumeCopiesTheSegment(t *testing.T) {
+	for _, q := range []mr.Query{echoQuery{}, echoCombine{}} {
+		var buffered int
+		var spilled int64
+		trace := func(clobber bool) *effectTrace {
+			return runTraced(t, 1, func(rt *core.Runtime, tr *effectTrace) {
+				r := NewReducer(rt, q, ReducerConfig{Prefix: "r0", Buffer: 64 << 10, MergeFactor: 3})
+				rng := rand.New(rand.NewSource(18))
+				feedEcho(r, rng, 0, 33, clobber)
+				buffered, spilled = len(r.bufEnds), rt.Store.Counters().WrittenBytes[storage.ReduceSpill]
+				r.Snapshot(tr)
+				feedEcho(r, rng, 33, 30, clobber)
+				r.Finish(tr)
+			})
+		}
+		want, got := trace(false), trace(true)
+		if buffered < 2 || spilled == 0 {
+			t.Fatalf("test setup: %d runs buffered and %d bytes spilled at the snapshot", buffered, spilled)
+		}
+		if got.emitted != want.emitted || got.fnRecords != want.fnRecords || !bytes.Equal(got.h.Sum(nil), want.h.Sum(nil)) {
+			t.Errorf("%T: overwriting consumed segments moved the reducer's effects: %d outputs, %d function records; want %d, %d",
+				q, got.emitted, got.fnRecords, want.emitted, want.fnRecords)
 		}
 	}
 }
@@ -219,7 +255,7 @@ func TestAbortedReduceReturnsItsBuffers(t *testing.T) {
 				}
 			}
 			r := NewReducer(rt, echoQuery{}, ReducerConfig{Prefix: "r0", Buffer: 8 << 20, MergeFactor: 3})
-			feedEcho(r, rand.New(rand.NewSource(18)), 0, 60)
+			feedEcho(r, rand.New(rand.NewSource(18)), 0, 60, false)
 			r.Finish(mr.FuncOutput(func(_, v []byte) {
 				if string(v[:4]) == "000:" { // first output of a group
 					batches++

@@ -256,10 +256,11 @@ type Reducer struct {
 	comb mr.Combiner
 	cfg  ReducerConfig
 
-	tree     *merge.Tree
-	bufRuns  [][]byte // shuffle segments: views of map output, never recycled
-	bufRecs  []int64  // pairs in each buffered run, as counted by its producer
-	bufBytes int64
+	tree    *merge.Tree
+	buf     []byte   // shuffle buffer: fetched segments copied back to back (pooled at B_r, handed back by Finish)
+	bufEnds []int    // where each buffered run ends in buf
+	bufRecs int64    // pairs in buf, as counted by the runs' producers
+	views   [][]byte // runs' scratch, rebuilt from bufEnds for each merge
 
 	prepared  bool
 	finalRuns []kvenc.Spill
@@ -283,17 +284,31 @@ func NewReducer(rt *core.Runtime, q mr.Query, cfg ReducerConfig) *Reducer {
 // Hadoop merges the shuffle buffer to disk when it reaches about two
 // thirds of its capacity (mapred.job.shuffle.merge.percent = 0.66), not
 // when completely full — that is what determines the number of initial
-// on-disk runs n in the paper's λ analysis.
+// on-disk runs n in the paper's λ analysis. The segment is copied into
+// the buffer, so the caller's bytes are free once Consume returns.
 func (r *Reducer) Consume(run []byte, n int64) {
 	if len(run) == 0 {
 		return
 	}
-	r.bufRuns = append(r.bufRuns, run)
-	r.bufRecs = append(r.bufRecs, n)
-	r.bufBytes += int64(len(run))
-	if r.bufBytes*3 >= r.cfg.Buffer*2 {
+	if r.buf == nil {
+		r.buf = bytestore.Get(int(r.cfg.Buffer))
+	}
+	r.buf = append(bytestore.Grow(r.buf, len(run)), run...) // no view of buf outlives a merge
+	r.bufEnds, r.bufRecs = append(r.bufEnds, len(r.buf)), r.bufRecs+n
+	if int64(len(r.buf))*3 >= r.cfg.Buffer*2 {
 		r.spillBuffer()
 	}
+}
+
+// runs returns views of the buffered runs, valid until the buffer
+// changes.
+func (r *Reducer) runs() [][]byte {
+	r.views = r.views[:0]
+	start := 0
+	for _, end := range r.bufEnds {
+		r.views, start = append(r.views, r.buf[start:end:end]), end
+	}
+	return r.views
 }
 
 // spillBuffer merges the buffered sorted pieces (combining if
@@ -301,23 +316,16 @@ func (r *Reducer) Consume(run []byte, n int64) {
 // pure kernel priced by the buffered pair counts, so it runs offloaded
 // beside its own charges.
 func (r *Reducer) spillBuffer() {
-	if len(r.bufRuns) == 0 {
-		return
-	}
-	spillRuns := r.bufRuns
-	var records int64
-	for i := range spillRuns {
-		records += r.bufRecs[i]
-	}
+	spillRuns := r.runs()
 	var run storage.Taken
-	n := records
+	records, n := r.bufRecs, r.bufRecs
 	r.rt.P.Offload(func() {
 		var pooled []byte
 		if r.comb != nil {
-			pooled, n = combineRuns(r.comb, spillRuns, 0, int(r.bufBytes), r.cfg.Prefix) // merge + combine in one pass
+			pooled, n = combineRuns(r.comb, spillRuns, 0, len(r.buf), r.cfg.Prefix) // merge + combine in one pass
 		} else {
 			var err error
-			if pooled, err = kvenc.MergeStreamTo(bytestore.Get(int(r.bufBytes)), spillRuns); err != nil {
+			if pooled, err = kvenc.MergeStreamTo(bytestore.Get(len(r.buf)), spillRuns); err != nil {
 				panic(fmt.Errorf("sortmerge: corrupt shuffled run in %s: %w", r.cfg.Prefix, err))
 			}
 		}
@@ -334,9 +342,7 @@ func (r *Reducer) spillBuffer() {
 		mergeCharge(r.rt)(records)
 	})
 	r.tree.AddRun(r.rt.P, run, n)
-	r.bufRuns = r.bufRuns[:0]
-	r.bufRecs = r.bufRecs[:0]
-	r.bufBytes = 0
+	r.buf, r.bufEnds, r.bufRecs = r.buf[:0], r.bufEnds[:0], 0
 }
 
 // MergeDue reports whether the background multi-pass merge trigger has
@@ -368,8 +374,9 @@ func (r *Reducer) PrepareFinal() {
 // exactly the blocking behaviour the paper measures.
 func (r *Reducer) Finish(out mr.OutputWriter) {
 	r.PrepareFinal()
-	r.rt.FnRecords(r.reduceRuns(r.finalRuns, r.bufRuns, out, "final run in "+r.cfg.Prefix))
-	r.finalRuns, r.bufRuns = nil, nil
+	r.rt.FnRecords(r.reduceRuns(r.finalRuns, r.runs(), out, "final run in "+r.cfg.Prefix))
+	bytestore.Put(r.buf)
+	r.finalRuns, r.buf, r.bufEnds, r.views = nil, nil, nil, nil
 	r.tree.Drop()
 }
 
@@ -465,5 +472,5 @@ func (r *Reducer) reduceRuns(spills []kvenc.Spill, runs [][]byte, out mr.OutputW
 // criticism of this approach to early answers.
 func (r *Reducer) Snapshot(out mr.OutputWriter) {
 	spills, _ := r.tree.Runs(r.rt.P)
-	r.reduceRuns(spills, r.bufRuns, out, "run in "+r.cfg.Prefix+" snapshot")
+	r.reduceRuns(spills, r.runs(), out, "run in "+r.cfg.Prefix+" snapshot")
 }

@@ -634,25 +634,16 @@ func (f *File) crc(off, end int64) uint32 {
 	return c
 }
 
-// ReadAtChecked reads n bytes at off from f as a single request,
+// ReadAtChecked charges reading n bytes at off of f as a single request,
 // verifying the frames it touches when checksums are on, and returns
 // frame.ErrCorrupt on a mismatch — for callers with a gentler recovery
 // than an attempt restart (the shuffle re-fetches, then re-executes the
 // map task). The full request is charged either way: the bytes moved
-// before the mismatch was noticed. The bytes are lent until Delete.
-func (s *Store) ReadAtChecked(p substrate.Proc, f *File, off, n int64, class IOClass) ([]byte, error) {
+// before the mismatch was noticed. It lends nothing.
+func (s *Store) ReadAtChecked(p substrate.Proc, f *File, off, n int64, class IOClass) (err error) {
 	if off+n > f.size {
 		panic(fmt.Sprintf("storage: read past EOF of %s (%d+%d > %d)", f.name, off, n, f.size))
 	}
-	if err := s.read(p, f, off, n, class); err != nil {
-		return nil, err
-	}
-	return f.get()[off : off+n : off+n], nil
-}
-
-// read charges one read request of [off, off+n) of f, verifying the
-// frames it touches when checksums are on.
-func (s *Store) read(p substrate.Proc, f *File, off, n int64, class IOClass) (err error) {
 	var ovh int64
 	if s.Checksums {
 		ovh, err = s.verify(f, off, off+n)
@@ -682,25 +673,21 @@ func (s *Store) Scan(p substrate.Proc, f *File, segment int64, class IOClass) {
 		segment = f.size
 	}
 	for off := int64(0); off < f.size; off += segment {
-		if s.read(p, f, off, min(segment, f.size-off), class) != nil {
+		if s.ReadAtChecked(p, f, off, min(segment, f.size-off), class) != nil {
 			panic(&Corruption{Node: s.node, File: f.name, Class: class, Kind: "checksum"})
 		}
 	}
 }
 
 // Stream charges reading spill file f as ReadAll does and lends it, until
-// Delete, for a merge to read through two windows of segment bytes, or
-// one if that holds the file.
+// Delete, for a merge to read through one window of segment bytes.
 func (s *Store) Stream(p substrate.Proc, f *File, segment int64, class IOClass) kvenc.Spill {
 	if segment <= 0 || segment > f.size {
 		segment = f.size
 	}
 	s.Scan(p, f, segment, class)
-	w := [2][]byte{1: bytestore.Get(int(segment))}
-	if segment < f.size {
-		w[0] = bytestore.Get(int(segment))
-	}
-	f.lent = append(f.lent, w[:]...)
+	w := bytestore.Get(int(segment))
+	f.lent = append(f.lent, w)
 	return kvenc.Spill{Size: f.size, ReadAt: f.readAt, Win: w}
 }
 

@@ -38,13 +38,13 @@ func media(t *testing.T, fn func(t *testing.T, sc *Scratch)) {
 	t.Run("disk", func(t *testing.T) { fn(t, testScratch(t)) })
 }
 
-// readAt is ReadAtChecked failing the test on a checksum mismatch.
+// readAt is ReadAtChecked failing the test on a checksum mismatch,
+// returning the file's bytes it read as ReadAll lends them.
 func readAt(t *testing.T, p *sim.Proc, s *Store, f *File, off, n int64, class IOClass) []byte {
-	b, err := s.ReadAtChecked(p, f, off, n, class)
-	if err != nil {
+	if err := s.ReadAtChecked(p, f, off, n, class); err != nil {
 		t.Fatal(err)
 	}
-	return b
+	return f.get()[off : off+n : off+n]
 }
 
 func testScratch(t *testing.T) *Scratch {
@@ -323,10 +323,10 @@ func TestCorruptionClonesAnAdoptedBuffer(t *testing.T) {
 			if !bytes.Equal(buf, want) {
 				t.Fatal("the bit flip is visible through the lender's slice")
 			}
-			b0, err0 := s.ReadAtChecked(p, f, 0, 64, MapOutput)
-			_, err1 := s.ReadAtChecked(p, f, 64, 64, MapOutput)
+			err0 := s.ReadAtChecked(p, f, 0, 64, MapOutput)
+			err1 := s.ReadAtChecked(p, f, 64, 64, MapOutput)
 			if err0 == nil && err1 == nil {
-				if &b0[0] != &buf[0] {
+				if &f.get()[0] != &buf[0] {
 					t.Fatalf("clean write %d was copied", i)
 				}
 				continue
@@ -410,7 +410,7 @@ func faultScript(t *testing.T, sc *Scratch) (res struct {
 				s.Append(p, f, pattern(700*(i+j+1), j), ReduceSpill)
 			}
 			s.AppendOwned(p, f, pattern(3*ScratchPage, i), ReduceSpill, []int64{ScratchPage, 2 * ScratchPage})
-			_, err := s.ReadAtChecked(p, f, f.Size()/3, f.Size()/3, ReduceSpill)
+			err := s.ReadAtChecked(p, f, f.Size()/3, f.Size()/3, ReduceSpill)
 			res.Verdicts = append(res.Verdicts, err == nil)
 			func() {
 				defer func() { res.Verdicts = append(res.Verdicts, recover() == nil) }()
@@ -655,8 +655,8 @@ func TestStreamChargesAndVerifiesAsReadAll(t *testing.T) {
 
 // TestStagedSpillsHoldNoHeap: on a store with a scratch file, of either
 // substrate, a staged spill run keeps none of its bytes in the heap, and
-// streaming it lends only its windows: two of the read segment, or one
-// when that holds the run.
+// streaming it lends only its one window, of the read segment or the
+// run if that is shorter.
 func TestStagedSpillsHoldNoHeap(t *testing.T) {
 	sc := testScratch(t)
 	check := func(t *testing.T, p substrate.Proc, s *Store) {
@@ -667,9 +667,9 @@ func TestStagedSpillsHoldNoHeap(t *testing.T) {
 		}
 		for i, seg := range []int64{ScratchPage, 4 * ScratchPage} {
 			s.Stream(p, f, seg, MapSpill)
-			w0, w1, want := f.lent[len(f.lent)-2], f.lent[len(f.lent)-1], int(min(seg, f.Size()))
-			if len(f.lent) != 2*(i+1) || cap(w1) < want || (w0 == nil) != (seg > f.Size()) || w0 != nil && cap(w0) < want {
-				t.Fatalf("segment %d of a %d-byte run: %d lent buffers, windows of %d and %d bytes", seg, f.Size(), len(f.lent), cap(w0), cap(w1))
+			w, want := f.lent[len(f.lent)-1], int(min(seg, f.Size()))
+			if len(f.lent) != i+1 || cap(w) < want {
+				t.Fatalf("segment %d of a %d-byte run: %d lent buffers, a window of %d bytes", seg, f.Size(), len(f.lent), cap(w))
 			}
 		}
 		s.Delete(f)
@@ -805,7 +805,7 @@ func TestTakenOutlivesItsFile(t *testing.T) {
 			for i, tk := range []Taken{older, newer} {
 				g := s.Create(fmt.Sprintf("flipped%d", i), ReduceSpill)
 				s.Give(p, g, tk, ReduceSpill)
-				if _, err := s.ReadAtChecked(p, g, 0, g.Size(), ReduceSpill); err == nil {
+				if err := s.ReadAtChecked(p, g, 0, g.Size(), ReduceSpill); err == nil {
 					t.Fatal("test setup: the give was not corrupted")
 				}
 			}
