@@ -133,8 +133,8 @@ func (t *Tree) MergeOnce(p substrate.Proc, charge func(records int64)) bool {
 }
 
 // Complete runs merges until the on-disk file count drops below the
-// 2F−1 threshold ("complete the multi-pass merge"). Called after all
-// runs have been added.
+// 2F−1 threshold: the background merge after a run is added, and after
+// the last one "complete the multi-pass merge".
 func (t *Tree) Complete(p substrate.Proc, charge func(records int64)) {
 	for t.NeedsMerge() {
 		if !t.MergeOnce(p, charge) {

@@ -30,7 +30,8 @@ const (
 //     C·Km by the query's hint, plus a header per partition;
 //   - where chunks deposit, per concurrent fold its group's share of
 //     the map output twice: the member runs and their aggregate;
-//   - one B_r buffer or table per reduce task, at its pool-class size;
+//   - one B_r buffer or table per reduce task, at its pool-class size
+//     (for sort-merge a bound on the pages holding what it buffered);
 //   - one write-behind page (≤ 16 KB) per spill file, model.SpillFiles
 //     of them per reduce task;
 //   - one input chunk and one B_m collector per map worker;

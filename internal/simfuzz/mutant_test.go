@@ -28,7 +28,7 @@ const spillDropRun = "spill-drop-run"
 
 const (
 	mutantFile   = "../sortmerge/sortmerge.go"
-	mutantAnchor = "\tspillRuns := r.runs()\n"
+	mutantAnchor = "\tspillRuns := r.views\n"
 	mutantCode   = mutantAnchor + "\tif len(spillRuns) > 1 {\n\t\tspillRuns = spillRuns[:len(spillRuns)-1]\n\t}\n"
 )
 

@@ -6,7 +6,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -180,7 +182,7 @@ func TestConsumeCopiesTheSegment(t *testing.T) {
 				r := NewReducer(rt, q, ReducerConfig{Prefix: "r0", Buffer: 64 << 10, MergeFactor: 3})
 				rng := rand.New(rand.NewSource(18))
 				feedEcho(r, rng, 0, 33, clobber)
-				buffered, spilled = len(r.bufEnds), rt.Store.Counters().WrittenBytes[storage.ReduceSpill]
+				buffered, spilled = len(r.views), rt.Store.Counters().WrittenBytes[storage.ReduceSpill]
 				r.Snapshot(tr)
 				feedEcho(r, rng, 33, 30, clobber)
 				r.Finish(tr)
@@ -196,6 +198,99 @@ func TestConsumeCopiesTheSegment(t *testing.T) {
 		}
 	}
 }
+
+// TestShuffleBufferHoldsWhatItBuffers: the shuffle buffer draws its
+// pages as segments arrive. While it buffers, the pages hold the
+// buffered bytes plus the room left in the last one (one page, or the
+// class of an oversized segment) and, in each earlier page, less room
+// than the segment that did not fit there. Each spill and Finish hand
+// every page back, and a HOP snapshot draws or frees none. Every spill,
+// the one holding an oversized segment included, writes what merging
+// its segments in fetch order writes, as the single B_r buffer did.
+func TestShuffleBufferHoldsWhatItBuffers(t *testing.T) {
+	const oversizedAt = 57
+	rng := rand.New(rand.NewSource(49))
+	runSim(t, func(rt *core.Runtime) {
+		r := NewReducer(rt, rawOnly{}, ReducerConfig{Prefix: "r0", Buffer: 64 << 10, MergeFactor: 64})
+		var fetched [][]byte // the segments since the last spill
+		spills, longest, oversized, spilledOversized := 0, 0, -1, false
+		pages := func() (capacity int, first []*byte) {
+			for _, p := range r.pages {
+				capacity, first = capacity+cap(p), append(first, &p[:1][0])
+			}
+			return capacity, first
+		}
+		snapshot := func(seg int) {
+			capacity, before := pages()
+			r.Snapshot(&mapOut{m: map[string]int64{}})
+			if c, after := pages(); c != capacity || !slices.Equal(after, before) {
+				t.Fatalf("segment %d: a snapshot changed the pages from %d bytes in %d to %d bytes in %d", seg, capacity, len(before), c, len(after))
+			}
+		}
+		for seg := range 600 {
+			n := 4 + rng.Intn(60) // 40 B to 630 B; job-sim-sm's are mostly 128 B to 1 KB
+			if seg == oversizedAt {
+				n = 2000
+			}
+			keys := make([]string, n)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("k%06d", rng.Intn(5000))
+			}
+			run := sortedRun(keys)
+			if seg == oversizedAt {
+				if len(run) <= shufflePage {
+					t.Fatalf("test setup: the oversized segment holds %d bytes", len(run))
+				}
+				oversized = len(fetched)
+			} else {
+				longest = max(longest, len(run))
+			}
+			consume(r, run)
+			fetched = append(fetched, run)
+			if len(r.views) == 0 { // the segment brought the buffer to its trigger
+				if len(r.pages) != 0 || r.buffered != 0 {
+					t.Fatalf("segment %d: %d pages (%d bytes) held after a spill", seg, len(r.pages), r.buffered)
+				}
+				runs, _ := r.tree.Runs(rt.P)
+				last := runs[len(runs)-1]
+				got := make([]byte, last.Size)
+				last.ReadAt(got, 0)
+				want, err := kvenc.MergeStreamTo(nil, fetched)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("spill %d (oversized segment at %d) wrote %d bytes, not the %d of its segments merged in fetch order (%v)", spills, oversized, len(got), len(want), err)
+				}
+				spilledOversized = spilledOversized || oversized >= 0
+				if spills++; spills == 1 {
+					snapshot(seg)
+				}
+				fetched, oversized = nil, -1
+				continue
+			}
+			capacity, _ := pages()
+			slack := shufflePage
+			if oversized >= 0 {
+				slack = poolClass(len(fetched[oversized]))
+			}
+			if limit := int(r.buffered) + slack + (len(r.pages)-1)*longest; capacity > limit {
+				t.Fatalf("segment %d: %d pages hold %d bytes for %d buffered, over %d", seg, len(r.pages), capacity, r.buffered, limit)
+			}
+			if seg%37 == 0 {
+				snapshot(seg)
+			}
+		}
+		if spills < 4 || !spilledOversized {
+			t.Fatalf("test setup: %d spills, the oversized segment spilled: %v", spills, spilledOversized)
+		}
+		r.Finish(&mapOut{m: map[string]int64{}})
+		if r.pages != nil || r.views != nil {
+			t.Fatalf("%d pages held after Finish", len(r.pages))
+		}
+	})
+}
+
+// poolClass is the capacity of the pooled buffer bytestore.Get(n)
+// returns for an n past 1 KiB: the next power of two.
+func poolClass(n int) int { return 1 << bits.Len(uint(n-1)) }
 
 // TestCorruptFinalRunFailsTheAttempt: damage in a run of the final
 // merge still panics on the process, naming the run — after the groups

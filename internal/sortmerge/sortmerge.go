@@ -196,9 +196,7 @@ func (c *MapCollector) spill() {
 	var recs int64
 	c.sortBuffer(func(pooled []byte, n int64) { run, recs = c.rt.Store.Stage(pooled), n })
 	c.tree.AddRun(c.rt.P, run, recs)
-	for c.tree.NeedsMerge() {
-		c.tree.MergeOnce(c.rt.P, mergeCharge(c.rt))
-	}
+	c.tree.Complete(c.rt.P, mergeCharge(c.rt))
 }
 
 // mergeCharge bills rt one merge pass (read, compare, write) per call.
@@ -256,11 +254,11 @@ type Reducer struct {
 	comb mr.Combiner
 	cfg  ReducerConfig
 
-	tree    *merge.Tree
-	buf     []byte   // shuffle buffer: fetched segments copied back to back (pooled at B_r, handed back by Finish)
-	bufEnds []int    // where each buffered run ends in buf
-	bufRecs int64    // pairs in buf, as counted by the runs' producers
-	views   [][]byte // runs' scratch, rebuilt from bufEnds for each merge
+	tree     *merge.Tree
+	pages    [][]byte // shuffle buffer: pooled pages the fetched segments are copied into, handed back at each spill and by Finish
+	views    [][]byte // the buffered runs in fetch order, each a view into one page
+	buffered int64    // bytes in views
+	bufRecs  int64    // pairs in views, as counted by the runs' producers
 
 	prepared  bool
 	finalRuns []kvenc.Spill
@@ -285,30 +283,37 @@ func NewReducer(rt *core.Runtime, q mr.Query, cfg ReducerConfig) *Reducer {
 // thirds of its capacity (mapred.job.shuffle.merge.percent = 0.66), not
 // when completely full — that is what determines the number of initial
 // on-disk runs n in the paper's λ analysis. The segment is copied into
-// the buffer, so the caller's bytes are free once Consume returns.
+// the buffer's pages, so the caller's bytes are free once Consume returns.
 func (r *Reducer) Consume(run []byte, n int64) {
 	if len(run) == 0 {
 		return
 	}
-	if r.buf == nil {
-		r.buf = bytestore.Get(int(r.cfg.Buffer))
+	last := len(r.pages) - 1
+	if last < 0 || len(r.pages[last])+len(run) > cap(r.pages[last]) {
+		r.pages, last = append(r.pages, bytestore.Get(max(shufflePage, len(run)))), last+1
 	}
-	r.buf = append(bytestore.Grow(r.buf, len(run)), run...) // no view of buf outlives a merge
-	r.bufEnds, r.bufRecs = append(r.bufEnds, len(r.buf)), r.bufRecs+n
-	if int64(len(r.buf))*3 >= r.cfg.Buffer*2 {
+	page := append(r.pages[last], run...) // within the page's capacity: earlier views stay put
+	r.pages[last] = page
+	r.views = append(r.views, page[len(page)-len(run):len(page):len(page)])
+	r.buffered, r.bufRecs = r.buffered+int64(len(run)), r.bufRecs+n
+	if r.buffered*3 >= r.cfg.Buffer*2 {
 		r.spillBuffer()
 	}
 }
 
-// runs returns views of the buffered runs, valid until the buffer
-// changes.
-func (r *Reducer) runs() [][]byte {
-	r.views = r.views[:0]
-	start := 0
-	for _, end := range r.bufEnds {
-		r.views, start = append(r.views, r.buf[start:end:end]), end
+// shufflePage sizes the pages a reducer draws as it buffers, not B_r at
+// once; a segment larger than one page gets a page of its own size.
+const shufflePage = storage.ScratchPage
+
+// emptyBuffer hands the shuffle buffer's pages back to the pool, once
+// no merge reads the views into them.
+func (r *Reducer) emptyBuffer() {
+	for _, p := range r.pages {
+		bytestore.Put(p)
 	}
-	return r.views
+	clear(r.pages)
+	clear(r.views)
+	r.pages, r.views, r.buffered, r.bufRecs = r.pages[:0], r.views[:0], 0, 0
 }
 
 // spillBuffer merges the buffered sorted pieces (combining if
@@ -316,16 +321,16 @@ func (r *Reducer) runs() [][]byte {
 // pure kernel priced by the buffered pair counts, so it runs offloaded
 // beside its own charges.
 func (r *Reducer) spillBuffer() {
-	spillRuns := r.runs()
+	spillRuns := r.views
 	var run storage.Taken
 	records, n := r.bufRecs, r.bufRecs
 	r.rt.P.Offload(func() {
 		var pooled []byte
 		if r.comb != nil {
-			pooled, n = combineRuns(r.comb, spillRuns, 0, len(r.buf), r.cfg.Prefix) // merge + combine in one pass
+			pooled, n = combineRuns(r.comb, spillRuns, 0, int(r.buffered), r.cfg.Prefix) // merge + combine in one pass
 		} else {
 			var err error
-			if pooled, err = kvenc.MergeStreamTo(bytestore.Get(len(r.buf)), spillRuns); err != nil {
+			if pooled, err = kvenc.MergeStreamTo(bytestore.Get(int(r.buffered)), spillRuns); err != nil {
 				panic(fmt.Errorf("sortmerge: corrupt shuffled run in %s: %w", r.cfg.Prefix, err))
 			}
 		}
@@ -341,8 +346,8 @@ func (r *Reducer) spillBuffer() {
 		}
 		mergeCharge(r.rt)(records)
 	})
+	r.emptyBuffer()
 	r.tree.AddRun(r.rt.P, run, n)
-	r.buf, r.bufEnds, r.bufRecs = r.buf[:0], r.bufEnds[:0], 0
 }
 
 // MergeDue reports whether the background multi-pass merge trigger has
@@ -350,11 +355,7 @@ func (r *Reducer) spillBuffer() {
 func (r *Reducer) MergeDue() bool { return r.tree.NeedsMerge() }
 
 // Merge implements the other half of MergeDue.
-func (r *Reducer) Merge() {
-	for r.tree.NeedsMerge() {
-		r.tree.MergeOnce(r.rt.P, mergeCharge(r.rt))
-	}
-}
+func (r *Reducer) Merge() { r.tree.Complete(r.rt.P, mergeCharge(r.rt)) }
 
 // PrepareFinal completes the remaining multi-pass merge and reads the
 // final runs back — the blocking, I/O-heavy step the paper's timelines
@@ -374,9 +375,9 @@ func (r *Reducer) PrepareFinal() {
 // exactly the blocking behaviour the paper measures.
 func (r *Reducer) Finish(out mr.OutputWriter) {
 	r.PrepareFinal()
-	r.rt.FnRecords(r.reduceRuns(r.finalRuns, r.runs(), out, "final run in "+r.cfg.Prefix))
-	bytestore.Put(r.buf)
-	r.finalRuns, r.buf, r.bufEnds, r.views = nil, nil, nil, nil
+	r.rt.FnRecords(r.reduceRuns(r.finalRuns, r.views, out, "final run in "+r.cfg.Prefix))
+	r.emptyBuffer()
+	r.finalRuns, r.pages, r.views = nil, nil, nil
 	r.tree.Drop()
 }
 
@@ -472,5 +473,5 @@ func (r *Reducer) reduceRuns(spills []kvenc.Spill, runs [][]byte, out mr.OutputW
 // criticism of this approach to early answers.
 func (r *Reducer) Snapshot(out mr.OutputWriter) {
 	spills, _ := r.tree.Runs(r.rt.P)
-	r.reduceRuns(spills, r.runs(), out, "run in "+r.cfg.Prefix+" snapshot")
+	r.reduceRuns(spills, r.views, out, "run in "+r.cfg.Prefix+" snapshot")
 }

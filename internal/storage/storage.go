@@ -161,14 +161,10 @@ func (f *File) put(data []byte, owned bool) {
 }
 
 // get lends the file's bytes until Delete: in memory the file's own
-// buffer, on disk a pooled copy that later reads share until the file
-// grows.
+// buffer, on disk a pooled copy.
 func (f *File) get() []byte {
 	if f.disk == nil {
 		return f.data[:f.size:f.size]
-	}
-	if n := len(f.lent); n > 0 && int64(len(f.lent[n-1])) == f.size {
-		return f.lent[n-1][:f.size:f.size]
 	}
 	b := bytestore.Get(int(f.size))[:f.size]
 	f.readAt(b, 0)

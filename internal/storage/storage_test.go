@@ -496,31 +496,6 @@ func TestSpillFileHoldsAtMostOnePage(t *testing.T) {
 	})
 }
 
-// TestRereadReusesTheLentBuffer: HOP's snapshots re-read the same
-// spill files before they are deleted; each re-read of a range an
-// earlier read covers is served from the buffer that read lent, so
-// buffers do not pile up until Delete.
-func TestRereadReusesTheLentBuffer(t *testing.T) {
-	media(t, func(t *testing.T, sc *Scratch) {
-		run(t, cost.Default(1), sc, func(p *sim.Proc, s *Store) {
-			f := s.Create("run", MapSpill)
-			s.AppendOwned(p, f, pattern(3*ScratchPage, 0), MapSpill, nil)
-			whole := s.ReadAll(p, f, ScratchPage, MapSpill)
-			for range 8 {
-				again := s.ReadAll(p, f, ScratchPage, MapSpill)
-				part := readAt(t, p, s, f, 100, ScratchPage, MapSpill)
-				if &again[0] != &whole[0] || &part[0] != &whole[100] {
-					t.Fatal("a re-read filled a new buffer")
-				}
-			}
-			if len(f.lent) > 1 {
-				t.Fatalf("%d buffers lent for one file", len(f.lent))
-			}
-			s.Delete(f)
-		})
-	})
-}
-
 // TestScratchSharedAcrossStores: the stores of one wall-clock run write
 // and read their spill files in one scratch file from many goroutines at
 // once; each file reads back exactly its own bytes.
