@@ -23,15 +23,14 @@
 // the next boot.
 //
 // One byte budget (-memory-budget) bounds both: ingest sheds batches
-// that do not fit beside what it holds, and a queued real-backend run
-// starts only when its predicted peak heap fits. While runs execute,
-// the Go soft memory limit is held to what was admitted, unless
-// GOMEMLIMIT is set.
+// that do not fit beside what it holds, its fold included, and a
+// queued real-backend run starts only when its predicted peak heap
+// fits. While runs execute, the Go soft memory limit is held to what was
+// admitted, unless GOMEMLIMIT is set.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -50,7 +49,7 @@ import (
 // flags are the daemon's command line.
 type flags struct {
 	addr, dir, query, addrFile, jobsDir *string
-	seal, ckpt, budget, inflight        *int64
+	seal, ckpt, budget                  *int64
 	drain                               *time.Duration
 	jobsConc, jobsQueued                *int
 }
@@ -63,8 +62,7 @@ func newFlags() (*flag.FlagSet, *flags) {
 		query:    fs.String("query", "clickcount", "query: sessionization|clickcount|frequsers|pagefreq|trigram"),
 		seal:     fs.Int64("seal-bytes", 64<<20, "seal the open WAL segment once it reaches this many bytes"),
 		ckpt:     fs.Int64("checkpoint-every", 256, "checkpoint after every Nth folded batch (negative disables)"),
-		budget:   fs.Int64("memory-budget", 64<<20, "bytes shared by accepted-but-unfolded batches (shed 429 beyond it) and running jobs' predicted peak heaps (queued until they fit)"),
-		inflight: fs.Int64("max-inflight-bytes", 64<<20, "alias of -memory-budget"),
+		budget:   fs.Int64("memory-budget", 64<<20, "bytes shared by accepted-but-unfolded batches plus the resident fold (shed 429 beyond it) and running jobs' predicted peak heaps (queued until they fit)"),
 		drain:    fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget on SIGTERM"),
 		addrFile: fs.String("addr-file", "", "write the bound listen address to this file (for :0 ports)"),
 
@@ -77,8 +75,7 @@ func newFlags() (*flag.FlagSet, *flags) {
 func main() {
 	fs, f := newFlags()
 	fs.Parse(os.Args[1:])
-	size, err := memoryBudget(fs, f)
-	if err != nil {
+	if err := memoryBudget(*f.budget); err != nil {
 		fatal(err)
 	}
 	cfg, opts, err := buildConfig(*f.addr, *f.dir, *f.query, *f.seal, *f.ckpt, *f.drain, *f.addrFile)
@@ -89,7 +86,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	bud := budget.New(size)
+	bud := budget.New(*f.budget)
 	cfg.Budget = bud
 	ing, err := ingest.Open(cfg)
 	if err != nil {
@@ -101,11 +98,12 @@ func main() {
 	if schedCfg != nil {
 		if set := softLimit(os.Getenv("GOMEMLIMIT"), os.Stderr); set != nil {
 			// The base is what the daemon holds before any job: its live
-			// heap now, less the fold state the budget reads as it grows.
+			// heap now, less the fold the budget holds and counts itself.
 			runtime.GC()
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
-			bud.SoftLimit(max(0, int64(ms.HeapAlloc)-ing.FoldBytes()), ing.FoldBytes, set)
+			held := bud.Snapshot()
+			bud.SoftLimit(max(0, int64(ms.HeapAlloc)-held.Fold-held.Log), set)
 		}
 		schedCfg.Budget = bud
 		s, err := sched.Open(*schedCfg)
@@ -122,22 +120,13 @@ func main() {
 	}
 }
 
-// memoryBudget resolves -memory-budget and its alias -max-inflight-bytes,
-// the flag's name before the budget covered jobs too.
-func memoryBudget(fs *flag.FlagSet, f *flags) (int64, error) {
-	set := map[string]bool{}
-	fs.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
-	name, size := "memory-budget", *f.budget
-	switch {
-	case set["memory-budget"] && set["max-inflight-bytes"]:
-		return 0, errors.New("-memory-budget and -max-inflight-bytes name the same budget: set one")
-	case set["max-inflight-bytes"]:
-		name, size = "max-inflight-bytes", *f.inflight
-	}
+// memoryBudget checks -memory-budget. Any positive size will do: the
+// budget caps ingest's share where the fold's table can hold it.
+func memoryBudget(size int64) error {
 	if size <= 0 {
-		return 0, fmt.Errorf("bad -%s %d (want > 0)", name, size)
+		return fmt.Errorf("bad -memory-budget %d (want > 0)", size)
 	}
-	return size, nil
+	return nil
 }
 
 // softLimit is where the budget reports the Go soft memory limit: the

@@ -119,24 +119,21 @@ func TestBuildSchedConfig(t *testing.T) {
 	}
 }
 
-// TestMemoryBudgetFlags: -memory-budget sizes the one budget and
-// -max-inflight-bytes, its name when it bounded ingest alone, is an
-// alias; naming both is an error that names both, and a budget must be
-// positive.
+// TestMemoryBudgetFlags: -memory-budget sizes the one budget, and it
+// must be positive; one past what the fold's table can address is fine,
+// since the budget caps ingest's share of it.
 func TestMemoryBudgetFlags(t *testing.T) {
 	cases := []struct {
 		name    string
 		args    []string
 		want    int64
-		wantErr []string
+		wantErr string
 	}{
-		{"default", nil, 64 << 20, nil},
-		{"memory-budget", []string{"-memory-budget", "1000"}, 1000, nil},
-		{"alias", []string{"-max-inflight-bytes", "2000"}, 2000, nil},
-		{"both", []string{"-memory-budget", "1000", "-max-inflight-bytes", "2000"}, 0, []string{"-memory-budget", "-max-inflight-bytes"}},
-		{"zero budget", []string{"-memory-budget", "0"}, 0, []string{"bad -memory-budget 0"}},
-		{"zero inflight", []string{"-max-inflight-bytes", "0"}, 0, []string{"bad -max-inflight-bytes 0"}},
-		{"negative inflight", []string{"-max-inflight-bytes", "-5"}, 0, []string{"bad -max-inflight-bytes -5"}},
+		{"default", nil, 64 << 20, ""},
+		{"memory-budget", []string{"-memory-budget", "1000"}, 1000, ""},
+		{"past the arena", []string{"-memory-budget", "4294967296"}, 4 << 30, ""},
+		{"zero budget", []string{"-memory-budget", "0"}, 0, "bad -memory-budget 0"},
+		{"negative budget", []string{"-memory-budget", "-5"}, 0, "bad -memory-budget -5"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -144,20 +141,15 @@ func TestMemoryBudgetFlags(t *testing.T) {
 			if err := fs.Parse(tc.args); err != nil {
 				t.Fatal(err)
 			}
-			got, err := memoryBudget(fs, f)
-			if tc.wantErr == nil {
-				if err != nil || got != tc.want {
-					t.Fatalf("budget %d, %v; want %d", got, err, tc.want)
+			err := memoryBudget(*f.budget)
+			if tc.wantErr == "" {
+				if err != nil || *f.budget != tc.want {
+					t.Fatalf("budget %d, %v; want %d", *f.budget, err, tc.want)
 				}
 				return
 			}
-			if err == nil {
-				t.Fatalf("budget %d, want an error", got)
-			}
-			for _, sub := range tc.wantErr {
-				if !strings.Contains(err.Error(), sub) {
-					t.Errorf("error %q does not name %s", err, sub)
-				}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("budget %d: error %v, want one containing %q", *f.budget, err, tc.wantErr)
 			}
 		})
 	}

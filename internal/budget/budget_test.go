@@ -56,13 +56,14 @@ func TestIngestKeepsAQuarter(t *testing.T) {
 	}
 }
 
-// TestSoftLimitFollowsReservations: base + held + reservations + half
+// TestSoftLimitFollowsReservations: base + fold + reservations + half
 // the reservations as headroom, cut at the budget; no limit while no job
 // runs; reported only when it changes.
 func TestSoftLimitFollowsReservations(t *testing.T) {
 	b := New(1000)
 	var got []int64
-	b.SoftLimit(50, func() int64 { return 7 }, func(n int64) { got = append(got, n) })
+	b.SoftLimit(50, func(n int64) { got = append(got, n) })
+	b.Hold(7, 0)
 	b.Reserve(200) // 50 + 7 + 300
 	b.Reserve(400) // 50 + 7 + min(900, 1000)
 	if s := b.Snapshot(); s.SoftLimit != 957 || s.Reserved != 600 {
@@ -87,7 +88,7 @@ func TestSoftLimitFollowsReservations(t *testing.T) {
 func TestNoSoftLimitBesideAnUnpredictedJob(t *testing.T) {
 	b := New(1000)
 	var got []int64
-	b.SoftLimit(50, func() int64 { return 0 }, func(n int64) { got = append(got, n) })
+	b.SoftLimit(50, func(n int64) { got = append(got, n) })
 	b.Reserve(200)
 	if !b.Reserve(0) {
 		t.Fatal("a job without a prediction was refused")
@@ -104,22 +105,81 @@ func TestNoSoftLimitBesideAnUnpredictedJob(t *testing.T) {
 
 // TestSoftLimitCoversIngest: ingest's in-flight bytes, rounded up to an
 // eighth of the budget, are inside the limit; it rises as soon as they
-// pass what it covers, and after a step of folded bytes it reads the
-// fold state again.
+// pass what it covers, and after a step of folded bytes it counts the
+// fold's bytes again.
 func TestSoftLimitCoversIngest(t *testing.T) {
 	b := New(800) // step 100
-	held := int64(0)
 	var got []int64
-	b.SoftLimit(50, func() int64 { return held }, func(n int64) { got = append(got, n) })
+	b.SoftLimit(50, func(n int64) { got = append(got, n) })
 	b.Take(10)     // no job: no limit to follow
 	b.Reserve(200) // 50 + 300 + 100
 	b.Take(80)     // 90 in flight: covered
 	b.Take(20)     // 110: 50 + 300 + 200
-	held = 40
+	b.Hold(40, 0)
 	b.Give(110)
 	b.Take(1) // a step folded: 40 + 50 + 300 + 100
 	b.Release(200)
 	if want := []int64{450, 550, 490, NoLimit}; !slices.Equal(got, want) {
 		t.Fatalf("reported %v, want %v", got, want)
+	}
+}
+
+// TestFoldSharesTheBudget: Hold never refuses, even past the budget; Take
+// and Reserve see the fold's table beside the in-flight bytes, but not
+// its early-output log; and the soft limit counts both exactly once a
+// step of them has moved.
+func TestFoldSharesTheBudget(t *testing.T) {
+	b := New(800) // step 100
+	var got []int64
+	b.SoftLimit(50, func(n int64) { got = append(got, n) })
+	b.Hold(700, 0)
+	if !b.Take(100) || b.Take(1) {
+		t.Fatal("in-flight bytes not bounded by the budget less the fold")
+	}
+	b.Give(100)
+	b.Hold(300, 0) // the fold passes the budget: held, not refused
+	if s := b.Snapshot(); s.Fold != 1000 || s.Inflight != 0 {
+		t.Fatalf("snapshot %+v", s)
+	}
+	if b.Take(1) {
+		t.Fatal("ingest admitted beside a fold past the budget")
+	}
+	// The first job starts whatever ingest holds; a second must fit
+	// beside the fold.
+	if !b.Reserve(100) || b.Reserve(1) {
+		t.Fatal("a second job was admitted beside a full fold")
+	}
+	b.Hold(-700, 0) // the scavenger freed room: 50 + 300 + 100 + 50
+	if !b.Reserve(400) || b.Reserve(1) {
+		t.Fatal("reservations do not see the fold's freed bytes")
+	}
+	b.Hold(0, 99) // under a step: not yet followed
+	b.Hold(0, 1)  // a step: 50 + 300 + 100 + 500 + min(250, 300)
+	b.Release(400)
+	b.Release(100)
+	if !b.Take(500) || b.Take(1) {
+		t.Fatal("the early-output log took ingest's room")
+	}
+	b.Give(500)
+	b.Hold(-300, -100)
+	if want := []int64{50 + 1000 + 100 + 50, 50 + 300 + 100 + 50, 50 + 300 + 500 + 250, 50 + 300 + 100 + 500 + 250, 50 + 300 + 100 + 100 + 50, NoLimit}; !slices.Equal(got, want) {
+		t.Fatalf("reported %v, want %v", got, want)
+	}
+	if s := b.Snapshot(); s != (Snapshot{Budget: 800}) {
+		t.Fatalf("idle budget %+v", s)
+	}
+}
+
+// TestIngestShareFitsTheFoldsArena: under a budget larger than the
+// fold's table can address, ingest takes no more than maxIngest, while
+// jobs keep the whole of their share.
+func TestIngestShareFitsTheFoldsArena(t *testing.T) {
+	b := New(4 << 30)
+	b.Hold(maxIngest-10, 0)
+	if !b.Take(10) || b.Take(1) {
+		t.Fatal("ingest passed maxIngest")
+	}
+	if !b.Reserve(1<<30) || !b.Reserve(1<<30) {
+		t.Fatal("jobs lost their share to ingest's cap")
 	}
 }

@@ -12,7 +12,10 @@
 // Tables in this package support insertion and in-place update but not
 // deletion: MR-hash and INC-hash only ever add keys (overflow goes to
 // disk buckets instead), and DINC-hash's bounded slot replacement is
-// implemented separately in internal/frequent.
+// implemented separately in internal/frequent. A table without a cap
+// (budget 0) never refuses: the ingestion daemon's fold is bounded by
+// the daemon's budget, and retires keys by copying the rest to a new
+// table.
 package bytestore
 
 // arena is an append-only byte allocator over a pooled buffer. Offset
@@ -32,7 +35,7 @@ func newArena(capHint int) arena {
 // (UpsertState's state, a key being looked up) may still alias it.
 func (a *arena) alloc(n int) int32 {
 	off := len(a.buf)
-	if off+n > 1<<31-1 {
+	if off+n > MaxArenaBytes {
 		panic("bytestore: arena exceeds 2GB")
 	}
 	if off+n > cap(a.buf) {
@@ -42,6 +45,9 @@ func (a *arena) alloc(n int) int32 {
 	clear(a.buf[off:])
 	return int32(off)
 }
+
+// MaxArenaBytes is the most one arena holds: offsets are int32s.
+const MaxArenaBytes = 1<<31 - 1
 
 // bytes returns the n bytes at off.
 func (a *arena) bytes(off int32, n int) []byte {

@@ -34,8 +34,18 @@ type Table struct {
 
 const entryFixed = 16 // stateOff + stateLen + stateCap + valHead
 
+// bucketShare is a key's share of the bucket array: at most
+// max(64, 8n/3) four-byte buckets hold n keys.
+const bucketShare = 11
+
+// EntryBytes is what a new key with a state slot adds to SizeBytes, with
+// its bucketShare, though a rehash adds a doubling of the array at once.
+func EntryBytes(keyLen, stateCap int) int64 {
+	return int64(uvarintLen(uint64(keyLen))+keyLen+entryFixed+stateCap) + bucketShare
+}
+
 // NewTable creates a table with the given hash function and byte
-// budget. The budget covers the arena and the bucket array.
+// budget. The budget covers the arena and the bucket array; 0 is none.
 func NewTable(h hashfam.Func, budget int64) *Table {
 	nb := 64
 	// Size buckets optimistically for ~64-byte entries at load 0.5;
@@ -99,7 +109,7 @@ func (t *Table) find(key []byte) (int32, int, bool) {
 // wouldFit reports whether inserting an entry of the given extra size
 // keeps the table within budget (including a possible rehash).
 func (t *Table) wouldFit(extra int64) bool {
-	if len(t.entries) == 0 {
+	if len(t.entries) == 0 || t.budget == 0 {
 		return true
 	}
 	grow := int64(0)
@@ -161,8 +171,7 @@ func (t *Table) UpsertState(key []byte, stateLen, stateCap int) (state []byte, s
 	if stateLen > stateCap {
 		stateCap = stateLen
 	}
-	extra := int64(uvarintLen(uint64(len(key))) + len(key) + entryFixed + stateCap)
-	if !t.wouldFit(extra) {
+	if !t.wouldFit(EntryBytes(len(key), stateCap) - bucketShare) {
 		return nil, 0, false, false
 	}
 	fixedOff = t.insert(key, bucket)

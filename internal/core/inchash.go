@@ -93,16 +93,11 @@ func NewINCHashReducer(rt *Runtime, q mr.Query, cfg INCHashConfig, out mr.Output
 // path is incremental progress.
 func (r *INCHashReducer) Consume(key, state []byte) {
 	r.received++
-	cur, slot, found, ok := r.table.UpsertState(key, len(state), r.inc.StateSize())
+	cur, slot, ok := FoldState(r.table, r.inc, &r.merged, key, state)
 	if !ok {
 		// Memory full and key not resident: stage to its bucket.
 		r.buckets.add(key, state)
 		return
-	}
-	if found {
-		cur = mr.MergeInto(r.inc, &r.merged, key, cur, state)
-	} else {
-		copy(cur, state)
 	}
 	if st := r.tryEmit(key, cur); !r.table.SetState(slot, st) {
 		// The state outgrew the remaining arena: spill it and restart
@@ -113,6 +108,20 @@ func (r *INCHashReducer) Consume(key, state []byte) {
 	}
 	r.inMemRecs++
 	r.rt.FnRecords(1)
+}
+
+// FoldState is §4.2's fold step: upsert key into t, then cb() state
+// into the resident one (scratch is cb()'s result buffer) or copy it
+// into the fresh slot. The caller stores the result with t.SetState. ok
+// is false, and t unchanged, when t has no room for a new key.
+func FoldState(t *bytestore.Table, inc mr.Incremental, scratch *[]byte, key, state []byte) (cur []byte, slot bytestore.Slot, ok bool) {
+	cur, slot, found, ok := t.UpsertState(key, len(state), inc.StateSize())
+	if found {
+		cur = mr.MergeInto(inc, scratch, key, cur, state)
+	} else if ok {
+		copy(cur, state)
+	}
+	return cur, slot, ok
 }
 
 func (r *INCHashReducer) tryEmit(key, state []byte) []byte {
@@ -214,14 +223,9 @@ func (r *INCHashReducer) processBucketBudget(data []byte, level int, budget int6
 	r.out = hold
 	it := kvenc.NewIterator(data)
 	for key, state, ok := it.Next(); ok && fits; key, state, ok = it.Next() {
-		cur, slot, found, ok := t.UpsertState(key, len(state), r.inc.StateSize())
+		cur, slot, ok := FoldState(t, r.inc, &r.merged, key, state)
 		if ok {
 			recs++
-			if found {
-				cur = mr.MergeInto(r.inc, &r.merged, key, cur, state)
-			} else {
-				copy(cur, state)
-			}
 			ok = t.SetState(slot, r.tryEmit(key, cur))
 		}
 		fits = ok

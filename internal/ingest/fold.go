@@ -1,13 +1,14 @@
 package ingest
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
+	"repro/internal/bytestore"
 	"repro/internal/core"
+	"repro/internal/hashfam"
 	"repro/internal/kvenc"
 	"repro/internal/mr"
 )
@@ -18,10 +19,11 @@ var ErrNotIncremental = errors.New("ingest: query does not implement mr.Incremen
 
 // folder is the resident incremental reducer: the INC-hash fold of
 // §4.2 kept alive between requests instead of inside one job. It owns
-// a key→state table in insertion order (determinism: a replayed run
-// touches keys in the identical order, so snapshots and answers are
-// bit-identical), an early-output log for EarlyEmitter queries, and
-// the query's event-time watermark.
+// INC-hash's key→state table, uncapped (ingest sheds once the fold fills
+// the daemon's budget) and in insertion order (a replayed run touches
+// keys in the identical order, so snapshots and answers are
+// bit-identical), an early-output log for EarlyEmitter queries, and the
+// query's event-time watermark.
 //
 // All methods take f.mu: queries keep per-instance scratch buffers
 // (sessionization arenas), so folding and answer extraction must
@@ -30,7 +32,6 @@ type folder struct {
 	mu sync.Mutex
 
 	queryName string
-	newQuery  func() mr.Query
 	q         mr.Query
 	inc       mr.Incremental
 	early     mr.EarlyEmitter // may be nil
@@ -38,10 +39,9 @@ type folder struct {
 	scav      mr.Scavenger    // may be nil
 	evict     mr.Evictor      // may be nil
 
-	keys   []string
-	states map[string][]byte
-	// init() and cb() result scratch: a state the table keeps is copied
-	// out (into the key's previous state when it has the room).
+	table *bytestore.Table
+	emit  func(k, v []byte) // foldPair, bound once: a method value per Map call allocates
+	// init() and cb() result scratch: the table copies what it keeps.
 	st, merged []byte
 
 	outLog   []byte // early/scavenged outputs, bytestore pair encoding
@@ -59,52 +59,64 @@ type folder struct {
 }
 
 func newFolder(name string, newQuery func() mr.Query, scanEvery int64) (*folder, error) {
-	f := &folder{
-		queryName: name,
-		newQuery:  newQuery,
-		states:    make(map[string][]byte),
-		scanEvery: scanEvery,
+	q := newQuery()
+	inc, ok := q.(mr.Incremental)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNotIncremental, q.Name())
 	}
+	f := &folder{queryName: name, q: q, inc: inc, table: newFoldTable(), scanEvery: scanEvery}
+	f.early, _ = q.(mr.EarlyEmitter)
+	f.wm, _ = q.(mr.Watermarker)
+	f.scav, _ = q.(mr.Scavenger)
+	f.evict, _ = q.(mr.Evictor)
+	f.emit = f.foldPair
 	f.out = mr.FuncOutput(func(k, v []byte) {
 		f.outLog = kvenc.AppendPair(f.outLog, k, v)
 		f.outPairs++
 	})
-	if err := f.reset(); err != nil {
-		return nil, err
-	}
 	return f, nil
 }
 
-// reset discards all state and instantiates a fresh query.
-func (f *folder) reset() error {
-	f.q = f.newQuery()
-	inc, ok := f.q.(mr.Incremental)
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotIncremental, f.q.Name())
+// foldHash places the fold's keys in its table. The table iterates in
+// insertion order, so the function moves no answer or checkpoint byte.
+var foldHash = hashfam.NewFamily(0).Fn(0)
+
+func newFoldTable() *bytestore.Table { return bytestore.NewTable(foldHash, 0) }
+
+// size is the fold's table and early-output log bytes; without f.mu.
+func (f *folder) size() (table, log int64) { return f.table.SizeBytes(), int64(len(f.outLog)) }
+
+// charge is what admitting records may cost: their bytes, and the most
+// their fold can grow the table, each key of their map output new, with
+// a slot of its first initial state or StateSize. Map and Init do not
+// write the query, so it runs beside the fold without f.mu.
+func (f *folder) charge(records [][]byte) (n int64) {
+	var st []byte
+	seen := map[string]bool{}
+	add := func(k, v []byte) {
+		if seen[string(k)] {
+			return
+		}
+		seen[string(k)] = true
+		st = f.inc.Init(st[:0], k, v)
+		n += bytestore.EntryBytes(len(k), max(len(st), f.inc.StateSize()))
 	}
-	f.inc = inc
-	f.early, _ = f.q.(mr.EarlyEmitter)
-	f.wm, _ = f.q.(mr.Watermarker)
-	f.scav, _ = f.q.(mr.Scavenger)
-	f.evict, _ = f.q.(mr.Evictor)
-	f.keys = f.keys[:0]
-	f.states = make(map[string][]byte)
-	f.outLog = nil
-	f.outPairs = 0
-	f.sinceScan = 0
-	f.watermark = 0
-	f.foldedBatches = 0
-	f.foldedRecords = 0
-	f.scavenged = 0
-	return nil
+	for _, rec := range records {
+		n += int64(len(rec))
+		f.q.Map(rec, add)
+	}
+	return n
 }
 
-// fold applies one batch. The caller guarantees batches arrive in seq
-// order; replay and live ingestion share this path, which is what
-// makes recovered answers bit-identical.
-func (f *folder) fold(seq int64, records [][]byte) {
+// fold applies one batch and returns how far it grew the fold's table
+// (negative when the scavenger freed more) and its early-output log.
+// The caller guarantees batches arrive in seq order; replay and live
+// ingestion share this path, which is what makes recovered answers
+// bit-identical.
+func (f *folder) fold(seq int64, records [][]byte) (table, log int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	table, log = f.size()
 	for _, rec := range records {
 		if f.wm != nil {
 			ts := f.wm.RecordTime(rec)
@@ -124,44 +136,50 @@ func (f *folder) fold(seq int64, records [][]byte) {
 		}
 	}
 	f.foldedBatches = seq
+	t, l := f.size()
+	return t - table, l - log
 }
 
-// emit receives one map-output pair and folds it into the table.
-func (f *folder) emit(k, v []byte) {
+// foldPair receives one map-output pair and folds it into the table.
+func (f *folder) foldPair(k, v []byte) {
 	f.st = f.inc.Init(f.st[:0], k, v)
-	var st []byte
-	if prev, ok := f.states[string(k)]; ok {
-		st = append(prev[:0], mr.MergeInto(f.inc, &f.merged, k, prev, f.st)...)
-	} else {
-		f.keys = append(f.keys, string(k))
-		st = bytes.Clone(f.st)
-	}
+	st, slot, _ := core.FoldState(f.table, f.inc, &f.merged, k, f.st)
 	if f.early != nil {
 		st = f.early.TryEmit(k, st, f.out)
 	}
-	f.states[string(k)] = st
+	f.table.SetState(slot, st)
 }
 
 // scavenge retires completed states in key insertion order (the
-// deterministic analogue of DINC-hash's periodic zero-count scan).
+// deterministic analogue of DINC-hash's periodic zero-count scan). The
+// table cannot delete a key, so when a state retires, the states it
+// keeps are copied, in order, into a fresh table; a first pass that
+// only asks spares the copy when none does.
 func (f *folder) scavenge() {
-	if f.scav == nil {
+	retires := false
+	if f.scav != nil {
+		f.table.Range(func(k, st []byte, _ func(func([]byte))) bool {
+			retires = f.scav.Scavenge(k, st)
+			return !retires
+		})
+	}
+	if !retires {
 		return
 	}
-	kept := f.keys[:0]
-	for _, k := range f.keys {
-		st := f.states[k]
-		if !f.scav.Scavenge([]byte(k), st) {
-			kept = append(kept, k)
-			continue
+	kept := newFoldTable()
+	f.table.Range(func(k, st []byte, _ func(func([]byte))) bool {
+		if !f.scav.Scavenge(k, st) {
+			core.FoldState(kept, f.inc, &f.merged, k, st)
+			return true
 		}
-		if f.evict == nil || !f.evict.OnEvict([]byte(k), st, f.out) {
-			f.inc.Finalize([]byte(k), st, f.out)
+		if f.evict == nil || !f.evict.OnEvict(k, st, f.out) {
+			f.inc.Finalize(k, st, f.out)
 		}
-		delete(f.states, k)
 		f.scavenged++
-	}
-	f.keys = kept
+		return true
+	})
+	f.table.Release()
+	f.table = kept
 }
 
 // snapshot captures the fold as a checkpoint (WAL position left for
@@ -173,13 +191,11 @@ func (f *folder) snapshot() *checkpoint {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	img := &core.StateImage{
-		TableKeys: len(f.keys),
+		Table:     f.table.AppendStates(nil),
+		TableKeys: f.table.Len(),
 		Received:  f.foldedRecords,
 		DirectOut: f.scavenged,
 		SinceScan: f.sinceScan,
-	}
-	for _, k := range f.keys {
-		img.Table = kvenc.AppendPair(img.Table, []byte(k), f.states[k])
 	}
 	img.Log, img.LogPairs = append([]byte(nil), f.outLog...), f.outPairs
 	return &checkpoint{
@@ -189,25 +205,20 @@ func (f *folder) snapshot() *checkpoint {
 	}
 }
 
-// restore replaces the fold with a checkpoint's contents.
+// restore loads a checkpoint's contents into a fresh fold.
 func (f *folder) restore(ck *checkpoint) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := f.reset(); err != nil {
-		return err
-	}
 	img := ck.Img
 	it := kvenc.NewIterator(img.Table)
 	for k, st, ok := it.Next(); ok; k, st, ok = it.Next() {
-		ks := string(k)
-		f.keys = append(f.keys, ks)
-		f.states[ks] = append([]byte(nil), st...)
+		core.FoldState(f.table, f.inc, &f.merged, k, st)
 	}
 	if err := it.Err(); err != nil {
 		return fmt.Errorf("%w: table: %w", ErrBadCheckpoint, err)
 	}
-	if len(f.keys) != img.TableKeys {
-		return fmt.Errorf("%w: table has %d keys, image claims %d", ErrBadCheckpoint, len(f.keys), img.TableKeys)
+	if f.table.Len() != img.TableKeys {
+		return fmt.Errorf("%w: table has %d keys, image claims %d", ErrBadCheckpoint, f.table.Len(), img.TableKeys)
 	}
 	f.outLog, f.outPairs = append([]byte(nil), img.Log...), img.LogPairs
 	f.foldedRecords = img.Received
@@ -258,14 +269,14 @@ func (f *folder) stats(limit int) Stats {
 		Watermark:     f.watermark,
 		FoldedBatches: f.foldedBatches,
 		FoldedRecords: f.foldedRecords,
-		Keys:          len(f.keys),
+		Keys:          f.table.Len(),
 		EarlyEmitted:  f.outPairs,
 		ScavengedKeys: f.scavenged,
 	}
 	if limit < 0 {
 		return s
 	}
-	ans := make([]Answer, 0, int(f.outPairs)+len(f.keys))
+	ans := make([]Answer, 0, int(f.outPairs)+f.table.Len())
 	it := kvenc.NewIterator(f.outLog)
 	for k, v, ok := it.Next(); ok; k, v, ok = it.Next() {
 		ans = append(ans, Answer{Key: string(k), Value: string(v)})
@@ -276,10 +287,10 @@ func (f *folder) stats(limit int) Stats {
 	collect := mr.FuncOutput(func(k, v []byte) {
 		ans = append(ans, Answer{Key: string(k), Value: string(v)})
 	})
-	for _, k := range f.keys {
-		st := append([]byte(nil), f.states[k]...)
-		f.inc.Finalize([]byte(k), st, collect)
-	}
+	f.table.Range(func(k, st []byte, _ func(func([]byte))) bool {
+		f.inc.Finalize(k, append([]byte(nil), st...), collect)
+		return true
+	})
 	sort.SliceStable(ans, func(i, j int) bool { return ans[i].Key < ans[j].Key })
 	s.TotalAnswers = len(ans)
 	if limit > 0 && len(ans) > limit {

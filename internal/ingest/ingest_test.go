@@ -45,6 +45,23 @@ func clickRec(i int) []byte {
 	return []byte(fmt.Sprintf("%013d\tuser%04d\t/page%03d\t200\t%d\tMoz", ts, i%7, i%13, 100+i%17))
 }
 
+// crowdRec is record i of a click stream like clickRec's in which user
+// i%users makes the click: a stream over as many users as a test needs
+// (fewer than ten million).
+func crowdRec(i, users int) []byte {
+	ts := int64(1_700_000_000_000) + int64(i)*977 + int64(i/100)*11*60*1000
+	return []byte(fmt.Sprintf("%013d\tu%07d\t/page%03d\t200\t%d\tMoz", ts, i%users, i%13, 100+i%17))
+}
+
+// crowdBatch is 1-based batch b of crowdRec's stream, per records each.
+func crowdBatch(b, per, users int) [][]byte {
+	recs := make([][]byte, per)
+	for j := range recs {
+		recs[j] = crowdRec((b-1)*per+j, users)
+	}
+	return recs
+}
+
 // docRec generates record i of the trigram stream: 20 words cycling
 // over four, so their four trigrams pass the query's 1,000-count
 // threshold within a few hundred records, then six rarer words whose

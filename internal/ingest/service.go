@@ -44,12 +44,14 @@ type Config struct {
 	// CheckpointEvery takes a checkpoint after folding every Nth
 	// batch. Default 256; negative disables checkpointing.
 	CheckpointEvery int64
-	// MaxInflightBytes bounds accepted-but-unfolded record bytes;
-	// beyond it batches are shed with ErrOverloaded. Default 64 MiB.
-	// Ignored when Budget is set.
+	// MaxInflightBytes is the byte budget when Budget is not set: it
+	// bounds accepted-but-unfolded batches, each charged its record
+	// bytes plus the most it may grow the fold's table, plus the table
+	// itself, and batches beyond it are shed with ErrOverloaded. Default
+	// 64 MiB. Ignored when Budget is set.
 	MaxInflightBytes int64
 	// Budget, if set, is the byte budget accepted-but-unfolded bytes
-	// draw on, shared with the job scheduler.
+	// and the fold draw on, shared with the job scheduler.
 	Budget *budget.Budget
 	// Fail injects crash/overload faults (tests only).
 	Fail *Failpoints
@@ -123,7 +125,7 @@ type RecoveryInfo struct {
 type pending struct {
 	seq      int64
 	seg, off int64 // WAL position just past the batch
-	bytes    int64
+	charge   int64 // what Ingest took from the budget for it
 	records  [][]byte
 }
 
@@ -226,6 +228,7 @@ func Open(cfg Config) (*Ingester, error) {
 	s.ackedRecords.Store(f.foldedRecords)
 	s.m.foldedBatches.Store(info.Replayed)
 	s.m.foldedRecords.Store(replayedRecords)
+	cfg.Budget.Hold(f.size())
 
 	go s.foldLoop()
 	return s, nil
@@ -250,9 +253,10 @@ func (s *Ingester) Ingest(records [][]byte) (int64, error) {
 		size += int64(len(rec))
 	}
 	// Byte-budget admission: take before touching the WAL, give back
-	// on any failure. This is what keeps memory bounded under a stalled
-	// folder — accepted-but-unfolded bytes can never exceed the budget.
-	if !s.cfg.Budget.Take(size) {
+	// on any failure. The charge counts what the batch may grow the
+	// fold by, so a stalled folder cannot carry memory past the budget.
+	charge := s.folder.charge(records)
+	if !s.cfg.Budget.Take(charge) {
 		s.m.shedBatches.Add(1)
 		s.m.shedBytes.Add(size)
 		return 0, ErrOverloaded
@@ -261,15 +265,15 @@ func (s *Ingester) Ingest(records [][]byte) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.w.Err(); err != nil {
-		s.cfg.Budget.Give(size)
+		s.cfg.Budget.Give(charge)
 		return 0, err
 	}
 	if s.draining {
-		s.cfg.Budget.Give(size)
+		s.cfg.Budget.Give(charge)
 		return 0, ErrDraining
 	}
 	if len(s.queue) == cap(s.queue) {
-		s.cfg.Budget.Give(size)
+		s.cfg.Budget.Give(charge)
 		s.m.shedBatches.Add(1)
 		s.m.shedBytes.Add(size)
 		return 0, ErrOverloaded
@@ -278,7 +282,7 @@ func (s *Ingester) Ingest(records [][]byte) (int64, error) {
 		return appendBatch(dst, seq, records)
 	})
 	if err != nil {
-		s.cfg.Budget.Give(size)
+		s.cfg.Budget.Give(charge)
 		return 0, err
 	}
 	s.ackedBatches.Add(1)
@@ -286,29 +290,32 @@ func (s *Ingester) Ingest(records [][]byte) (int64, error) {
 	s.m.acceptedBatches.Add(1)
 	s.m.acceptedRecords.Add(int64(len(records)))
 	s.m.acceptedBytes.Add(size)
-	s.queue <- pending{seq: seq, seg: seg, off: off, bytes: size, records: records}
+	s.queue <- pending{seq: seq, seg: seg, off: off, charge: charge, records: records}
 	return seq, nil
 }
 
-// foldLoop drains acknowledged batches into the resident fold and
+// foldLoop drains acknowledged batches into the resident fold, holding
+// its growth in the budget before giving the batch's charge back, and
 // takes periodic checkpoints. A checkpoint failure wedges the log,
 // hence the service, and stops folding — mirroring a crash, which is
-// exactly what the failpoint tests simulate.
+// exactly what the failpoint tests simulate. On its way out it gives
+// the fold's bytes back.
 func (s *Ingester) foldLoop() {
 	defer close(s.foldDone)
+	defer func() { table, log := s.folder.size(); s.cfg.Budget.Hold(-table, -log) }()
 	for p := range s.queue {
 		if delay := s.cfg.Fail.FoldDelay; delay != nil && !s.aborted.Load() {
 			delay(p.seq)
 		}
 		if s.aborted.Load() {
-			s.cfg.Budget.Give(p.bytes)
+			s.cfg.Budget.Give(p.charge)
 			continue
 		}
-		s.folder.fold(p.seq, p.records)
+		s.cfg.Budget.Hold(s.folder.fold(p.seq, p.records))
 		s.lastSeg, s.lastOff = p.seg, p.off
 		s.m.foldedBatches.Add(1)
 		s.m.foldedRecords.Add(int64(len(p.records)))
-		s.cfg.Budget.Give(p.bytes)
+		s.cfg.Budget.Give(p.charge)
 		if s.cfg.CheckpointEvery > 0 && p.seq%s.cfg.CheckpointEvery == 0 {
 			if s.writeCkpt(p.seg, p.off) != nil {
 				return
@@ -388,19 +395,6 @@ func (s *Ingester) Healthy() error {
 	return nil
 }
 
-// FoldBytes is the resident fold state: every live key and its state,
-// plus the early-output log.
-func (s *Ingester) FoldBytes() int64 {
-	f := s.folder
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := int64(len(f.outLog))
-	for k, st := range f.states {
-		n += int64(len(k) + len(st))
-	}
-	return n
-}
-
 // Stats returns the served answers plus coverage counters; see
 // folder.stats for the limit semantics.
 func (s *Ingester) Stats(limit int) Stats {
@@ -436,6 +430,7 @@ type MetricsSnapshot struct {
 	FoldedBatches    int64        `json:"folded_batches"`
 	FoldedRecords    int64        `json:"folded_records"`
 	InflightBytes    int64        `json:"inflight_bytes"`
+	FoldBytes        int64        `json:"fold_bytes"`
 	QueueDepth       int          `json:"queue_depth"`
 	WALSegment       int64        `json:"wal_segment"`
 	WALOffset        int64        `json:"wal_offset"`
@@ -451,6 +446,7 @@ type MetricsSnapshot struct {
 
 // Metrics snapshots the service counters.
 func (s *Ingester) Metrics() MetricsSnapshot {
+	b := s.cfg.Budget.Snapshot()
 	snap := MetricsSnapshot{
 		Query:           s.cfg.QueryName,
 		Gamma:           s.Stats(-1).Gamma,
@@ -462,7 +458,8 @@ func (s *Ingester) Metrics() MetricsSnapshot {
 		RejectedRecords: s.m.rejectedRecords.Load(),
 		FoldedBatches:   s.m.foldedBatches.Load(),
 		FoldedRecords:   s.m.foldedRecords.Load(),
-		InflightBytes:   s.cfg.Budget.Snapshot().Inflight,
+		InflightBytes:   b.Inflight,
+		FoldBytes:       b.Fold,
 		QueueDepth:      len(s.queue),
 		Recovery:        s.Recovery,
 	}

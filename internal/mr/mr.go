@@ -53,7 +53,8 @@ type Incremental interface {
 	// Init appends the initial state of a map-output value to dst and
 	// returns the extended slice (the paper applies init immediately
 	// after the map function, turning the dataflow from key-value into
-	// key-state pairs). dst must not overlap key or value.
+	// key-state pairs). dst must not overlap key or value. Like Map, it
+	// must not write the receiver.
 	Init(dst, key, value []byte) []byte
 	// MergeStates folds state b into state a for the key. It returns
 	// either a itself, updated in place at unchanged length, or

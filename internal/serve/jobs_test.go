@@ -432,7 +432,7 @@ func TestMetricszReportsTheScheduler(t *testing.T) {
 	if err := json.Unmarshal(body, &m); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"query", "accepted_batches", "inflight_bytes", "wal_syncs", "recovery"} {
+	for _, k := range []string{"query", "accepted_batches", "inflight_bytes", "fold_bytes", "wal_syncs", "recovery"} {
 		if _, ok := m[k]; !ok {
 			t.Errorf("ingest key %q missing from the top level", k)
 		}
