@@ -9,13 +9,13 @@
 // accountable condition — the condition every spill decision in the
 // hash framework (§4) hinges on.
 //
-// Tables in this package support insertion and in-place update but not
-// deletion: MR-hash and INC-hash only ever add keys (overflow goes to
-// disk buckets instead), and DINC-hash's bounded slot replacement is
-// implemented separately in internal/frequent. A table without a cap
-// (budget 0) never refuses: the ingestion daemon's fold is bounded by
-// the daemon's budget, and retires keys by copying the rest to a new
-// table.
+// Tables in this package support insertion, in-place update and
+// deletion. MR-hash and INC-hash only ever add keys (overflow goes to
+// disk buckets instead); DINC-hash's FREQUENT summary (internal/frequent)
+// evicts a key by deleting it and inserting the new one. A table
+// without a cap (budget 0) never refuses: the ingestion daemon's fold is
+// bounded by the daemon's budget, and its scavenger deletes the keys it
+// retires in place.
 package bytestore
 
 // arena is an append-only byte allocator over a pooled buffer. Offset

@@ -105,7 +105,7 @@ func TestTableTinyBudgetAdmitsOne(t *testing.T) {
 		t.Fatal("over-budget table admitted more values")
 	}
 	var got []string
-	tv.Values([]byte("first"), func(v []byte) { got = append(got, string(v)) })
+	tv.valuesOf([]byte("first"), func(v []byte) { got = append(got, string(v)) })
 	if len(got) != 1 || got[0] != "v1" {
 		t.Fatalf("values %q", got)
 	}
@@ -163,7 +163,7 @@ func TestAppendValueOrder(t *testing.T) {
 		}
 	}
 	var got []string
-	tb.Values([]byte("k"), func(v []byte) { got = append(got, string(v)) })
+	tb.valuesOf([]byte("k"), func(v []byte) { got = append(got, string(v)) })
 	want := []string{"v0", "v1", "v2", "v3", "v4"}
 	for i := range want {
 		if got[i] != want[i] {
@@ -174,7 +174,7 @@ func TestAppendValueOrder(t *testing.T) {
 
 func TestValuesAbsentKey(t *testing.T) {
 	tb := newTestTable(1 << 20)
-	if tb.Values([]byte("nope"), func([]byte) {}) {
+	if tb.valuesOf([]byte("nope"), func([]byte) {}) {
 		t.Fatal("absent key reported present")
 	}
 }
@@ -194,7 +194,7 @@ func TestRangeInsertionOrder(t *testing.T) {
 		}
 	}
 	var got []string
-	tb.Range(func(key, state []byte, _ func(func([]byte))) bool {
+	tb.Range(func(key, state []byte, _ Slot) bool {
 		got = append(got, string(key))
 		return true
 	})
@@ -324,12 +324,12 @@ func (t *Table) GetState(key []byte) []byte {
 	return t.stateOf(fixedOff)
 }
 
-// Values calls fn for each value of key in insertion order and reports
-// whether the key was present.
-func (t *Table) Values(key []byte, fn func(val []byte)) bool {
-	fixedOff, _, exists := t.find(key)
+// valuesOf calls fn for each value of key in insertion order and
+// reports whether the key was present.
+func (t *Table) valuesOf(key []byte, fn func(val []byte)) bool {
+	slot, exists := t.Find(key)
 	if exists {
-		t.valuesAt(fixedOff, fn)
+		t.Values(slot, fn)
 	}
 	return exists
 }

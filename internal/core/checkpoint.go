@@ -87,10 +87,13 @@ func (r *INCHashReducer) Restore(img *StateImage) {
 
 // Snapshot captures the reducer's state for checkpointing: the full
 // FREQUENT summary (keys, states, and the counters that make replay
-// bit-identical) plus the disk buckets.
+// bit-identical) plus the disk buckets. The sketch is the reducer's
+// scratch, and its keys and states are views of the summary: frame the
+// image before the next Consume or Snapshot.
 func (r *DINCHashReducer) Snapshot() *StateImage {
 	img := &StateImage{Refs: r.buckets.snapshot()}
-	img.Sketch, img.SketchDebt, img.SketchSeq, img.SketchM = r.sum.Save()
+	img.Sketch, img.SketchDebt, img.SketchSeq, img.SketchM = r.sum.Save(r.sketch)
+	r.sketch = img.Sketch
 	img.Received, img.InMemRecs = r.received, r.inMemRecs
 	img.DirectOut, img.SinceScan = r.directOut, r.sinceScan
 	return img
@@ -98,6 +101,7 @@ func (r *DINCHashReducer) Snapshot() *StateImage {
 
 // Restore loads a snapshot into a freshly constructed DINC reducer.
 func (r *DINCHashReducer) Restore(img *StateImage) {
+	r.sum.Release()
 	r.sum = frequent.Load(r.sum.Slots(), img.Sketch, img.SketchDebt, img.SketchSeq, img.SketchM)
 	r.buckets.restore(img.Refs)
 	r.received, r.inMemRecs = img.Received, img.InMemRecs

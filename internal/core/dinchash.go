@@ -35,7 +35,8 @@ type DINCHashReducer struct {
 	sum     *frequent.Summary
 	buckets *bucketSet
 
-	merged []byte // cb() result scratch
+	merged []byte           // cb() result scratch
+	sketch []frequent.Saved // Snapshot's scratch
 
 	scanEvery int64
 	sinceScan int64
@@ -101,38 +102,33 @@ func NewDINCHashReducer(rt *Runtime, q mr.Query, cfg DINCHashConfig, out mr.Outp
 	// h = K·n_p/B ⇒ each bucket's K/h keys fit in B when read back.
 	nDisk := bucketCount(cfg.ExpectedDistinctKeys*slot, cfg.MemBudget, cfg.MaxBuckets)
 	r.buckets = newBucketSet(rt, storage.ReduceSpill, cfg.Prefix, nDisk, cfg.Page, 2)
-	r.sum = frequent.New(int(max((cfg.MemBudget-r.buckets.memoryBytes())/slot, 1)))
+	r.sum = frequent.NewSummary(int(max((cfg.MemBudget-r.buckets.memoryBytes())/slot, 1)))
 	r.cover = cfg.CoverageThreshold
 	return r
 }
 
-// Slots returns s, the number of monitored key slots.
-func (r *DINCHashReducer) Slots() int { return r.sum.Slots() }
-
 // Consume accepts one shuffled key-state tuple.
 func (r *DINCHashReducer) Consume(key, state []byte) {
 	r.received++
-	e, evicted, outcome := r.sum.Offer(key)
-	if evicted != nil {
-		r.handleEviction(evicted)
+	slot, evKey, evState, outcome := r.sum.Offer(key)
+	if evKey != nil {
+		r.handleEviction(evKey, evState)
 	}
 	switch outcome {
-	case frequent.Hit:
-		// A state merged in place is e.State itself; one built in the
-		// scratch is copied back over the entry's own capacity.
-		merged := mr.MergeInto(r.inc, &r.merged, key, e.State, state)
-		if r.early != nil {
-			merged = r.early.TryEmit(key, merged, r.out)
+	case frequent.Hit, frequent.Inserted:
+		// A state merged in place is the slot's own; one built in the
+		// scratch is copied back over it.
+		st := r.sum.State(slot)
+		if outcome == frequent.Hit {
+			st = mr.MergeInto(r.inc, &r.merged, key, st, state)
+		} else {
+			r.sum.SetState(slot, state)
+			st = r.sum.State(slot)
 		}
-		e.SetState(append(e.State[:0], merged...))
-		r.inMemRecs++
-		r.rt.FnRecords(1)
-	case frequent.Inserted:
-		st := append([]byte(nil), state...)
 		if r.early != nil {
 			st = r.early.TryEmit(key, st, r.out)
 		}
-		e.SetState(st)
+		r.sum.SetState(slot, st)
 		r.inMemRecs++
 		r.rt.FnRecords(1)
 	case frequent.Overflow:
@@ -150,12 +146,12 @@ func (r *DINCHashReducer) Consume(key, state []byte) {
 // handleEviction routes an evicted (key, state) pair: the query may
 // absorb it (sessionization outputs expired clicks); otherwise it is
 // spilled to the key's bucket.
-func (r *DINCHashReducer) handleEviction(e *frequent.Entry) {
-	if r.evict != nil && r.evict.OnEvict(e.Key, e.State, r.out) {
+func (r *DINCHashReducer) handleEviction(key, state []byte) {
+	if r.evict != nil && r.evict.OnEvict(key, state, r.out) {
 		r.directOut++
 		return
 	}
-	r.buckets.add(e.Key, e.State)
+	r.buckets.add(key, state)
 }
 
 // scavenge retires zero-count monitored keys whose states the query
@@ -165,12 +161,12 @@ func (r *DINCHashReducer) scavenge() {
 	if r.scav == nil {
 		return
 	}
-	for _, e := range r.sum.Entries() {
-		if e.Count(r.sum) <= 0 && r.scav.Scavenge(e.Key, e.State) {
-			r.sum.Remove(e.Key)
-			r.handleEviction(e)
+	r.sum.Range(func(key, state []byte, slot frequent.Slot) bool {
+		if r.sum.Count(slot) <= 0 && r.scav.Scavenge(key, state) {
+			r.handleEviction(r.sum.Remove(slot))
 		}
-	}
+		return true
+	})
 }
 
 // InMemoryRecords returns tuples combined without touching disk.
@@ -188,29 +184,23 @@ func (r *DINCHashReducer) ApproxKeys() int64 { return r.approxKeys }
 // states are written to their buckets and each bucket is processed
 // exactly as in INC-hash.
 func (r *DINCHashReducer) Finish() {
-	entries := r.sum.Entries()
 	batch := r.rt.Batch(r.rt.Model.CPUReduceRec)
-	if r.cover > 0 {
-		// Approximate early termination: answer monitored keys with
-		// sufficient coverage from memory, spill the rest, and skip
-		// nothing else — the under-covered keys and all bucket data
-		// still get exact processing.
-		for _, e := range entries {
-			if r.sum.Coverage(e) >= r.cover {
-				r.inc.Finalize(e.Key, e.State, r.out)
-				r.approxKeys++
-			} else {
-				r.handleEviction(e)
-			}
-			batch.Add(1)
+	// Approximate early termination (φ > 0): answer monitored keys with
+	// sufficient coverage from memory, spill the rest, and skip nothing
+	// else — the under-covered keys and all bucket data still get exact
+	// processing.
+	r.sum.Range(func(key, state []byte, slot frequent.Slot) bool {
+		if r.cover > 0 && r.sum.Coverage(slot) >= r.cover {
+			r.inc.Finalize(key, state, r.out)
+			r.approxKeys++
+		} else {
+			r.handleEviction(key, state)
 		}
-	} else {
-		for _, e := range entries {
-			r.handleEviction(e)
-			batch.Add(1)
-		}
-	}
+		batch.Add(1)
+		return true
+	})
 	batch.Flush()
+	r.sum.Release()
 	r.buckets.flushAll()
 	helper := &INCHashReducer{
 		rt:        r.rt,

@@ -89,7 +89,7 @@ func (f *foldTable) flush() {
 	segs := make([][]byte, f.r)
 	counts := make([]int64, f.r)
 	var vals [][]byte
-	f.live().Range(func(pk, state []byte, values func(func([]byte))) bool {
+	f.live().Range(func(pk, state []byte, slot bytestore.Slot) bool {
 		part, key := int(binary.BigEndian.Uint16(pk)), pk[2:]
 		if f.inc != nil {
 			segs[part] = kvenc.AppendPair(segs[part], key, state)
@@ -98,7 +98,7 @@ func (f *foldTable) flush() {
 		}
 		// Combine the collected values into (usually) one.
 		vals = vals[:0]
-		values(func(v []byte) { vals = append(vals, v) })
+		f.table.Values(slot, func(v []byte) { vals = append(vals, v) })
 		f.comb.Combine(key, &kvenc.SliceIter{Vals: vals}, func(v []byte) {
 			segs[part] = kvenc.AppendPair(segs[part], key, v)
 			counts[part]++

@@ -151,7 +151,7 @@ func (r *INCHashReducer) Finish() {
 // record each, and releases t.
 func (r *INCHashReducer) finalize(t *bytestore.Table) {
 	batch := r.rt.Batch(r.rt.Model.CPUReduceRec)
-	t.Range(func(key, state []byte, _ func(func([]byte))) bool {
+	t.Range(func(key, state []byte, _ bytestore.Slot) bool {
 		r.inc.Finalize(key, state, r.out)
 		batch.Add(1)
 		return true

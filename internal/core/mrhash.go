@@ -109,8 +109,8 @@ func (r *MRHashReducer) Consume(key, val []byte) {
 // key's values together for the reduce function.
 func (r *MRHashReducer) demote() {
 	r.demoted = true
-	r.table.Range(func(key, _ []byte, values func(func([]byte))) bool {
-		values(func(v []byte) { r.buckets.addTo(0, key, v) })
+	r.table.Range(func(key, _ []byte, slot bytestore.Slot) bool {
+		r.table.Values(slot, func(v []byte) { r.buckets.addTo(0, key, v) })
 		return true
 	})
 	r.table.Release()
@@ -137,9 +137,9 @@ func (r *MRHashReducer) Finish(out mr.OutputWriter) {
 func (r *MRHashReducer) reduceTable(t *bytestore.Table, out mr.OutputWriter) {
 	var records int64
 	batch := r.rt.Batch(r.rt.Model.CPUReduceRec)
-	t.Range(func(key, _ []byte, values func(func([]byte))) bool {
+	t.Range(func(key, _ []byte, slot bytestore.Slot) bool {
 		var vals [][]byte
-		values(func(v []byte) {
+		t.Values(slot, func(v []byte) {
 			vals = append(vals, append([]byte(nil), v...))
 			records++
 		})

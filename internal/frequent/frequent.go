@@ -17,9 +17,10 @@
 //     overflows (the caller spills it).
 //
 // Decrement-all is O(1) via a global debt offset; finding a zero-count
-// victim is O(log s) via a min-heap ordered by (count, age), so the
-// whole structure is deterministic: ties always evict the oldest
-// monitored key.
+// victim is O(log s) via a min-heap of table slots ordered by (count,
+// age), so ties always evict the oldest monitored key. The keys live in
+// a bytestore.Table, where an eviction deletes the victim and inserts
+// the new key last, so insertion order is age order.
 //
 // The standard Misra–Gries guarantee transfers: a key with frequency
 // f_i has estimated count ĉ_i with f_i − M/(s+1) ≤ ĉ_i ≤ f_i after M
@@ -29,176 +30,188 @@
 package frequent
 
 import (
-	"container/heap"
-	"sort"
+	"encoding/binary"
+
+	"repro/internal/bytestore"
+	"repro/internal/hashfam"
 )
 
-// Entry is one monitored key. Key and State may be read freely; State
-// may be mutated in place (or replaced via SetState) by the combine
-// function. The counters are managed by the Summary.
-type Entry struct {
-	Key   []byte
-	State []byte
+// Slot is a monitored key's handle, valid until the summary next
+// inserts or removes a key.
+type Slot = bytestore.Slot
 
-	c   int64 // raw counter; effective count = c − summary.debt
-	t   int64 // tuples combined since this key became monitored
-	seq int64 // monotone age for deterministic tie-breaking
-	idx int   // heap index
-}
+// Each state is headed by eight-byte fields of the summary's own: the
+// raw counter c (effective count = c − debt), t, the age seq and the
+// key's heap index.
+const (
+	hdrC = 8 * iota
+	hdrT
+	hdrSeq
+	hdrIdx
+	hdr
+)
 
-// Count returns the effective (estimated) frequency count.
-func (e *Entry) Count(s *Summary) int64 { return e.c - s.debt }
-
-// SetState replaces the entry's state (for combine functions that
-// reallocate).
-func (e *Entry) SetState(st []byte) { e.State = st }
-
-// entryHeap is a min-heap on (c, seq).
-type entryHeap []*Entry
-
-func (h entryHeap) Len() int { return len(h) }
-func (h entryHeap) Less(i, j int) bool {
-	if h[i].c != h[j].c {
-		return h[i].c < h[j].c
-	}
-	return h[i].seq < h[j].seq
-}
-func (h entryHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx, h[j].idx = i, j
-}
-func (h *entryHeap) Push(x interface{}) {
-	e := x.(*Entry)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-func (h *entryHeap) Pop() interface{} {
-	old := *h
-	n := len(old) - 1
-	e := old[n]
-	old[n] = nil
-	*h = old[:n]
-	return e
-}
+// keyHash places monitored keys in the table; iteration is in
+// insertion order, so it moves no decision.
+var keyHash = hashfam.NewFamily(0).Fn(0)
 
 // Summary is the FREQUENT structure with s monitoring slots.
 type Summary struct {
-	s       int
-	debt    int64
-	entries map[string]*Entry
-	h       entryHeap
-	seq     int64
-	m       int64 // tuples offered
+	s            int
+	debt, seq, m int64 // m: tuples offered
+	t            *bytestore.Table
+	heap         []Slot // min-heap on (c, seq)
 }
 
-// New creates a summary with s ≥ 1 slots.
-func New(s int) *Summary {
+// NewSummary creates a summary with s ≥ 1 slots.
+func NewSummary(s int) *Summary {
 	if s < 1 {
 		panic("frequent: need at least one slot")
 	}
-	return &Summary{s: s, entries: make(map[string]*Entry, s)}
+	su := &Summary{s: s, t: bytestore.NewTable(keyHash, 0), heap: make([]Slot, 0, s)}
+	su.t.OnMove(func(_, to Slot) { su.heap[su.get(to, hdrIdx)] = to })
+	return su
 }
+
+func (su *Summary) get(slot Slot, field int) int64 {
+	return int64(binary.LittleEndian.Uint64(su.t.State(slot)[field:]))
+}
+
+func (su *Summary) set(slot Slot, field int, v int64) {
+	binary.LittleEndian.PutUint64(su.t.State(slot)[field:], uint64(v))
+}
+
+// Release hands the summary's bytes back to the pool at the end of its
+// life: the summary and every key and state it handed out are dead
+// from here on.
+func (su *Summary) Release() { su.t.Release() }
 
 // Slots returns s.
 func (su *Summary) Slots() int { return su.s }
-
-// Len returns the number of monitored keys.
-func (su *Summary) Len() int { return len(su.entries) }
-
-// M returns the number of tuples offered so far.
-func (su *Summary) M() int64 { return su.m }
-
-// Lookup returns the entry for key, or nil.
-func (su *Summary) Lookup(key []byte) *Entry { return su.entries[string(key)] }
 
 // Outcome describes what Offer did with a tuple's key.
 type Outcome int
 
 const (
 	// Hit: the key was already monitored; its counters were bumped and
-	// the caller should combine the tuple into Entry.State.
+	// the caller should combine the tuple into its state.
 	Hit Outcome = iota
-	// Inserted: the key took a slot (possibly evicting Evicted); the
-	// caller should initialize Entry.State from the tuple.
+	// Inserted: the key took a slot (possibly evicting another) with an
+	// empty state the caller should initialize from the tuple.
 	Inserted
 	// Overflow: no slot available; every counter was decremented and
 	// the caller must spill the tuple to its disk bucket.
 	Overflow
 )
 
-// Offer presents a tuple's key. For Hit and Inserted the returned
-// Entry is the key's slot; for Inserted, evicted is the displaced
-// (key, state) pair if a zero-count key was replaced (the caller
-// spills it — or applies a query-specific eviction policy first).
-func (su *Summary) Offer(key []byte) (e *Entry, evicted *Entry, out Outcome) {
+// Offer presents a tuple's key. For Hit and Inserted, slot is the
+// key's; for Inserted, evKey and evState are the displaced pair if a
+// zero-count key was replaced (the caller spills it — or applies a
+// query-specific eviction policy first), valid until the next Offer.
+func (su *Summary) Offer(key []byte) (slot Slot, evKey, evState []byte, out Outcome) {
 	su.m++
-	if e := su.entries[string(key)]; e != nil {
-		e.c++
-		e.t++
-		heap.Fix(&su.h, e.idx)
-		return e, nil, Hit
+	slot, found := su.t.Find(key)
+	switch {
+	case found:
+		su.set(slot, hdrC, su.get(slot, hdrC)+1)
+		su.set(slot, hdrT, su.get(slot, hdrT)+1)
+		su.down(int(su.get(slot, hdrIdx))) // a larger c can only sink
+		return slot, nil, nil, Hit
+	case su.t.Len() < su.s:
+	case su.Count(su.heap[0]) <= 0:
+		evKey, evState = su.Remove(su.heap[0])
+	default: // all effective counts positive: decrement all, spill the tuple
+		su.debt++
+		return 0, nil, nil, Overflow
 	}
-	if len(su.entries) < su.s {
-		e := su.insert(key)
-		return e, nil, Inserted
-	}
-	if min := su.h[0]; min.c-su.debt <= 0 {
-		evicted = su.removeEntry(min)
-		e := su.insert(key)
-		return e, evicted, Inserted
-	}
-	// All effective counts positive: decrement all, spill the tuple.
-	su.debt++
-	return nil, nil, Overflow
-}
-
-func (su *Summary) insert(key []byte) *Entry {
+	_, slot, _, _ = su.t.UpsertState(key, hdr, hdr)
 	su.seq++
-	e := &Entry{
-		Key: append([]byte(nil), key...),
-		c:   su.debt + 1,
-		t:   1,
-		seq: su.seq,
-	}
-	su.entries[string(key)] = e
-	heap.Push(&su.h, e)
-	return e
+	su.push(slot, su.debt+1, 1, su.seq)
+	return slot, evKey, evState, Inserted
 }
 
-func (su *Summary) removeEntry(e *Entry) *Entry {
-	heap.Remove(&su.h, e.idx)
-	delete(su.entries, string(e.Key))
-	return e
+func (su *Summary) push(slot Slot, c, t, seq int64) {
+	su.set(slot, hdrC, c)
+	su.set(slot, hdrT, t)
+	su.set(slot, hdrSeq, seq)
+	su.set(slot, hdrIdx, int64(len(su.heap)))
+	su.heap = append(su.heap, slot)
+	su.up(len(su.heap) - 1)
 }
 
-// Remove unmonitors key and returns its entry (nil if absent). Used by
-// query-specific eviction policies, e.g. sessionization dropping
-// expired sessions whose counter reached zero (§6.2).
-func (su *Summary) Remove(key []byte) *Entry {
-	e := su.entries[string(key)]
-	if e == nil {
-		return nil
+// Remove unmonitors the key at slot and returns views of its key and
+// state, valid until the next Offer. Used by query-specific eviction
+// policies, e.g. sessionization dropping expired sessions whose counter
+// reached zero (§6.2).
+func (su *Summary) Remove(slot Slot) (key, state []byte) {
+	i, last := int(su.get(slot, hdrIdx)), len(su.heap)-1
+	su.swap(i, last)
+	su.heap = su.heap[:last]
+	if i < last {
+		su.down(i)
+		su.up(i)
 	}
-	return su.removeEntry(e)
+	key, state = su.t.Delete(slot)
+	return key, state[hdr:]
 }
 
-// Entries returns the monitored entries ordered by age (monitoring
-// start), giving deterministic flush order.
-func (su *Summary) Entries() []*Entry {
-	out := make([]*Entry, 0, len(su.entries))
-	for _, e := range su.entries {
-		out = append(out, e)
+// less orders heap slots by (c, seq), a strict total order: every
+// decision repeats whatever the heap's layout.
+func (su *Summary) less(i, j int) bool {
+	a, b := su.heap[i], su.heap[j]
+	if ca, cb := su.get(a, hdrC), su.get(b, hdrC); ca != cb {
+		return ca < cb
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out
+	return su.get(a, hdrSeq) < su.get(b, hdrSeq)
 }
+
+func (su *Summary) swap(i, j int) {
+	su.heap[i], su.heap[j] = su.heap[j], su.heap[i]
+	su.set(su.heap[i], hdrIdx, int64(i))
+	su.set(su.heap[j], hdrIdx, int64(j))
+}
+
+func (su *Summary) up(i int) {
+	for p := (i - 1) / 2; i > 0 && su.less(i, p); i, p = p, (p-1)/2 {
+		su.swap(i, p)
+	}
+}
+
+func (su *Summary) down(i int) {
+	for m := 2*i + 1; m < len(su.heap); i, m = m, 2*m+1 {
+		if m+1 < len(su.heap) && su.less(m+1, m) {
+			m++
+		}
+		if !su.less(m, i) {
+			return
+		}
+		su.swap(i, m)
+	}
+}
+
+// State returns the state of the key at slot.
+func (su *Summary) State(slot Slot) []byte { return su.t.State(slot)[hdr:] }
+
+// SetState replaces the state of the key at slot; st may alias it.
+func (su *Summary) SetState(slot Slot, st []byte) { su.t.SetStateAt(slot, hdr, st) }
+
+// Count returns the effective (estimated) frequency count of the key
+// at slot.
+func (su *Summary) Count(slot Slot) int64 { return su.get(slot, hdrC) - su.debt }
 
 // Coverage returns the guaranteed coverage under-estimate
-// γ = t/(t + M/(s+1)) for an entry (§4.3): the state provably reflects
-// at least a γ fraction of all tuples with this key.
-func (su *Summary) Coverage(e *Entry) float64 {
-	t := float64(e.t)
+// γ = t/(t + M/(s+1)) for the key at slot (§4.3): the state provably
+// reflects at least a γ fraction of all tuples with this key.
+func (su *Summary) Coverage(slot Slot) float64 {
+	t := float64(su.get(slot, hdrT))
 	return t / (t + float64(su.m)/float64(su.s+1))
+}
+
+// Range calls fn with the monitored keys, their states and slots by
+// age (monitoring start), giving deterministic flush order, until fn
+// returns false. fn may Remove keys.
+func (su *Summary) Range(fn func(key, state []byte, slot Slot) bool) {
+	su.t.Range(func(key, h []byte, slot Slot) bool { return fn(key, h[hdr:], slot) })
 }
 
 // Saved is one monitored key in a serialized summary snapshot
@@ -212,19 +225,15 @@ type Saved struct {
 	Seq   int64
 }
 
-// Save snapshots the summary for checkpointing: deep copies of every
-// monitored entry in age order, plus the global counters. The summary
-// is not modified.
-func (su *Summary) Save() (entries []Saved, debt, seq, m int64) {
-	for _, e := range su.Entries() {
-		entries = append(entries, Saved{
-			Key:   append([]byte(nil), e.Key...),
-			State: append([]byte(nil), e.State...),
-			C:     e.c,
-			T:     e.t,
-			Seq:   e.seq,
-		})
-	}
+// Save snapshots the summary for checkpointing: it appends every
+// monitored key by age to dst[:0] and returns the global counters. Keys
+// and states are views of the summary's bytes, valid until it changes.
+func (su *Summary) Save(dst []Saved) (entries []Saved, debt, seq, m int64) {
+	entries = dst[:0]
+	su.t.Range(func(key, h []byte, slot Slot) bool {
+		entries = append(entries, Saved{key, h[hdr:], su.get(slot, hdrC), su.get(slot, hdrT), su.get(slot, hdrSeq)})
+		return true
+	})
 	return entries, su.debt, su.seq, su.m
 }
 
@@ -234,18 +243,12 @@ func (su *Summary) Save() (entries []Saved, debt, seq, m int64) {
 // restored reducer replaying the same tuple suffix reproduces the
 // original run bit for bit.
 func Load(s int, entries []Saved, debt, seq, m int64) *Summary {
-	su := New(s)
+	su := NewSummary(s)
 	su.debt, su.seq, su.m = debt, seq, m
 	for _, sv := range entries {
-		e := &Entry{
-			Key:   append([]byte(nil), sv.Key...),
-			State: append([]byte(nil), sv.State...),
-			c:     sv.C,
-			t:     sv.T,
-			seq:   sv.Seq,
-		}
-		su.entries[string(e.Key)] = e
-		heap.Push(&su.h, e)
+		_, slot, _, _ := su.t.UpsertState(sv.Key, hdr, hdr+len(sv.State))
+		su.SetState(slot, sv.State)
+		su.push(slot, sv.C, sv.T, sv.Seq)
 	}
 	return su
 }

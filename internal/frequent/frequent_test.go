@@ -254,7 +254,7 @@ func TestNewPanicsOnZeroSlots(t *testing.T) {
 }
 
 func BenchmarkOfferZipf(b *testing.B) {
-	su := New(1000)
+	su := NewSummary(1000)
 	rng := rand.New(rand.NewSource(1))
 	z := rand.NewZipf(rng, 1.2, 1, 1<<20)
 	keys := make([][]byte, 1<<16)

@@ -64,7 +64,7 @@ func newFolder(name string, newQuery func() mr.Query, scanEvery int64) (*folder,
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotIncremental, q.Name())
 	}
-	f := &folder{queryName: name, q: q, inc: inc, table: newFoldTable(), scanEvery: scanEvery}
+	f := &folder{queryName: name, q: q, inc: inc, table: bytestore.NewTable(foldHash, 0), scanEvery: scanEvery}
 	f.early, _ = q.(mr.EarlyEmitter)
 	f.wm, _ = q.(mr.Watermarker)
 	f.scav, _ = q.(mr.Scavenger)
@@ -80,8 +80,6 @@ func newFolder(name string, newQuery func() mr.Query, scanEvery int64) (*folder,
 // foldHash places the fold's keys in its table. The table iterates in
 // insertion order, so the function moves no answer or checkpoint byte.
 var foldHash = hashfam.NewFamily(0).Fn(0)
-
-func newFoldTable() *bytestore.Table { return bytestore.NewTable(foldHash, 0) }
 
 // size is the fold's table and early-output log bytes; without f.mu.
 func (f *folder) size() (table, log int64) { return f.table.SizeBytes(), int64(len(f.outLog)) }
@@ -151,35 +149,22 @@ func (f *folder) foldPair(k, v []byte) {
 }
 
 // scavenge retires completed states in key insertion order (the
-// deterministic analogue of DINC-hash's periodic zero-count scan). The
-// table cannot delete a key, so when a state retires, the states it
-// keeps are copied, in order, into a fresh table; a first pass that
-// only asks spares the copy when none does.
+// deterministic analogue of DINC-hash's periodic zero-count scan),
+// deleting each from the table where it is.
 func (f *folder) scavenge() {
-	retires := false
-	if f.scav != nil {
-		f.table.Range(func(k, st []byte, _ func(func([]byte))) bool {
-			retires = f.scav.Scavenge(k, st)
-			return !retires
-		})
-	}
-	if !retires {
+	if f.scav == nil {
 		return
 	}
-	kept := newFoldTable()
-	f.table.Range(func(k, st []byte, _ func(func([]byte))) bool {
-		if !f.scav.Scavenge(k, st) {
-			core.FoldState(kept, f.inc, &f.merged, k, st)
-			return true
+	f.table.Range(func(k, st []byte, slot bytestore.Slot) bool {
+		if f.scav.Scavenge(k, st) {
+			if f.evict == nil || !f.evict.OnEvict(k, st, f.out) {
+				f.inc.Finalize(k, st, f.out)
+			}
+			f.scavenged++
+			f.table.Delete(slot)
 		}
-		if f.evict == nil || !f.evict.OnEvict(k, st, f.out) {
-			f.inc.Finalize(k, st, f.out)
-		}
-		f.scavenged++
 		return true
 	})
-	f.table.Release()
-	f.table = kept
 }
 
 // snapshot captures the fold as a checkpoint (WAL position left for
@@ -287,7 +272,7 @@ func (f *folder) stats(limit int) Stats {
 	collect := mr.FuncOutput(func(k, v []byte) {
 		ans = append(ans, Answer{Key: string(k), Value: string(v)})
 	})
-	f.table.Range(func(k, st []byte, _ func(func([]byte))) bool {
+	f.table.Range(func(k, st []byte, _ bytestore.Slot) bool {
 		f.inc.Finalize(k, append([]byte(nil), st...), collect)
 		return true
 	})

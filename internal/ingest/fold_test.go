@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -64,14 +65,19 @@ func TestScavengerFreesTheFold(t *testing.T) {
 	f.fold(1, crowdBatch(1, 100, 100)) // 100 users, one click each
 	full := f.table.SizeBytes()
 	f.fold(2, crowdBatch(101, 1, 100)) // user 0, eleven minutes on: every other session expired
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	f.scavenge()
+	runtime.ReadMemStats(&after)
 	if f.table.Len() != 1 || f.scavenged != 99 || f.table.SizeBytes() >= full {
 		t.Fatalf("after a scan: %d keys, %d retired, %d table bytes (%d before)", f.table.Len(), f.scavenged, f.table.SizeBytes(), full)
 	}
-	kept := f.table
-	f.scavenge()
-	if f.table != kept || f.scavenged != 99 {
-		t.Fatal("a scan that retired nothing rebuilt the table")
+	if n := after.TotalAlloc - before.TotalAlloc; n >= uint64(full) {
+		t.Fatalf("retiring 99 of 100 keys allocated %d B, the table held %d", n, full)
+	}
+	size := f.table.SizeBytes()
+	if allocs := testing.AllocsPerRun(10, f.scavenge); allocs != 0 || f.table.SizeBytes() != size || f.scavenged != 99 {
+		t.Fatalf("a scan that retired nothing allocated %.0f times, its table %d B → %d B", allocs, size, f.table.SizeBytes())
 	}
 }
 
