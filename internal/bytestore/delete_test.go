@@ -275,3 +275,30 @@ func TestRangeAllocatesNothing(t *testing.T) {
 		t.Fatalf("Range over 1,000 states allocated %.0f times", allocs)
 	}
 }
+
+// TestValuesAllocatesNothing: replaying value lists reuses the table's
+// chain buffer, so a Range that replays 100 five-value lists allocates
+// nothing.
+func TestValuesAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	tb := newTestTable(0)
+	for i := 0; i < 100; i++ {
+		for v := 0; v < 5; v++ {
+			tb.AppendValue(fmt.Appendf(nil, "key-%03d", i), fmt.Appendf(nil, "v%d", v))
+		}
+	}
+	n := 0
+	val := func(v []byte) { n += len(v) }
+	fn := func(_, _ []byte, slot Slot) bool {
+		tb.Values(slot, val)
+		return true
+	}
+	if allocs := testing.AllocsPerRun(10, func() { tb.Range(fn) }); allocs != 0 {
+		t.Fatalf("Range + Values over 100 five-value lists allocated %.0f times", allocs)
+	}
+	if n != 11*100*5*2 {
+		t.Fatalf("replayed %d value bytes, want %d", n, 11*100*5*2)
+	}
+}

@@ -40,6 +40,7 @@ type Table struct {
 	mask    int
 	ranging bool                // inside Range: compaction waits for it to return
 	moved   func(from, to Slot) // see OnMove
+	chain   []int32             // Values' node offsets, reused
 }
 
 const entryFixed = 16 // stateOff + stateLen + stateCap + valHead
@@ -279,8 +280,10 @@ func (t *Table) AppendValue(key, val []byte) (ok bool) {
 // Values calls fn with each value of the value-list entry at slot, in
 // insertion order.
 func (t *Table) Values(slot Slot, fn func(val []byte)) {
-	// Collect node offsets (chain is in reverse insertion order).
-	var nodes []int32
+	// Collect node offsets (chain is in reverse insertion order) into
+	// the table's buffer, taken for the call so that fn may call Values.
+	nodes := t.chain[:0]
+	t.chain = nil
 	for ref := t.field(int32(slot), 3); ref != 0; {
 		node := ref - 1
 		nodes = append(nodes, node)
@@ -292,6 +295,7 @@ func (t *Table) Values(slot Slot, fn func(val []byte)) {
 		start := int(node) + 4 + n
 		fn(t.a.buf[start : start+int(vlen) : start+int(vlen)])
 	}
+	t.chain = nodes[:0]
 }
 
 // Len returns the number of keys.

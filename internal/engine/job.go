@@ -80,6 +80,10 @@ func (j *job) addSpan(name, kind string, node int, start, end int64) {
 	})
 }
 
+// OpenScratch opens a run's scratch file, on either driver; a test may
+// hand over a broken one, or keep hold of the one a run uses.
+var OpenScratch = storage.OpenScratch
+
 // Run executes the job to completion on the discrete-event simulation
 // and returns the report. For the same job on real goroutines under
 // wall-clock time, see internal/realexec (onepass.RunReal).
@@ -88,7 +92,7 @@ func Run(spec JobSpec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	scratch, err := storage.OpenScratch()
+	scratch, err := OpenScratch()
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}

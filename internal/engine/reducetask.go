@@ -44,6 +44,7 @@ func (j *job) runReduceTask(p *sim.Proc, ridx int, n *node) {
 		switch j.runReduceAttempt(p, rs, attempt, inject) {
 		case reduceDone:
 			rs.done = true
+			rs.Release()
 			return
 		case reduceFailedInjected:
 			// Retry on the same node, as the JobTracker would.
@@ -94,6 +95,11 @@ func (j *job) runReduceAttempt(p *sim.Proc, rs *reduceState, attempt int, inject
 	setPhase := j.phaseSetter()
 	defer setPhase(-1)
 
+	defer func() {
+		if res != reduceDone {
+			Abandon(n.store, ridx, attempt)
+		}
+	}()
 	var ledger int64
 	defer func() {
 		if r := recover(); r != nil {

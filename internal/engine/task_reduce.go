@@ -197,6 +197,13 @@ type Checkpoint struct {
 // StoredBytes is the image's size at rest — what a restore reads back.
 func (ck *Checkpoint) StoredBytes() int64 { return ck.stateBytes + ck.bucketSum }
 
+// release lets go of the image's buckets.
+func (ck *Checkpoint) release() {
+	for i := range ck.refs {
+		ck.refs[i].Bytes.Release()
+	}
+}
+
 // ReduceTask is one reduce task's state across its attempts, embedded
 // by both drivers: the attempt ladder, the consumed set and the
 // checkpoint chain. Which attempts an injected failure hits, where an
@@ -246,6 +253,7 @@ func (task *ReduceTask) Resume(totalMaps int) (img *core.StateImage, badBytes in
 			break
 		}
 		badBytes += task.ckpt.StoredBytes()
+		task.ckpt.release()
 		if task.ckpt.torn {
 			torn++
 		} else {
@@ -263,6 +271,22 @@ func (task *ReduceTask) Resume(totalMaps int) (img *core.StateImage, badBytes in
 	}
 	return img, badBytes, torn, corrupt
 }
+
+// Release lets go of the task's images once it is done with them: its
+// last attempt has finished.
+func (task *ReduceTask) Release() {
+	for ; task.ckpt != nil; task.ckpt = task.ckpt.prev {
+		task.ckpt.release()
+	}
+}
+
+// Abandon deletes the files that a failed or dead attempt of reduce
+// task ridx left on st: its buckets and spill runs, their pages and
+// their scratch extents.
+func Abandon(st *storage.Store, ridx, attempt int) { st.DeleteAll(attemptPrefix(ridx, attempt) + ".") }
+
+// attemptPrefix names an attempt of reduce task ridx in its files.
+func attemptPrefix(ridx, attempt int) string { return fmt.Sprintf("r%03d.a%d", ridx, attempt) }
 
 // Holds reports whether the current attempt has folded in map task
 // mapTask (never -1, a HOP push).
@@ -304,7 +328,7 @@ func (task *ReduceTask) Attempt(spec *JobSpec, rt *core.Runtime, q mr.Query, rid
 	totals *OutTotals, sink func(physBytes int64), est int64, img *core.StateImage, badBytes int64, clock func() int64) *TaskReducer {
 	cfg := &spec.Cluster
 	numReducers := int64(cfg.R * cfg.Nodes)
-	prefix := fmt.Sprintf("r%03d.a%d", ridx, attempt)
+	prefix := attemptPrefix(ridx, attempt)
 	out := newOutputWriter(spec, spec.ReduceRestarts(), totals, sink)
 	t := &TaskReducer{spec: spec, rt: rt, out: out, task: task, nextSnap: spec.SnapshotEvery, inject: inject,
 		failN: max(1, int(math.Ceil(spec.Faults.failPoint()*float64(len(task.consumed))))), clock: clock}
@@ -531,9 +555,7 @@ func (t *TaskReducer) Checkpoint() *Checkpoint {
 	if task.ckpt != nil {
 		if task.ckpt.prev != nil {
 			old = task.ckpt.prev
-			for i := range old.refs {
-				old.refs[i].Bytes.Release()
-			}
+			old.release()
 		}
 		prevLens, task.ckpt.prev = task.ckpt.bucketLens, nil
 	}

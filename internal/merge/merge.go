@@ -59,20 +59,23 @@ func NewTree(store *storage.Store, class storage.IOClass, prefix string, f int, 
 }
 
 // AddRun files a sorted run of recs pairs, staged on the tree's store,
-// as a new spill file. The caller must drive
-// NeedsMerge/MergeOnce (directly or via a background process).
-func (t *Tree) AddRun(p substrate.Proc, run storage.Taken, recs int64) {
+// as a new spill file, which takes run: the caller's Release of it then
+// does nothing. The caller must drive NeedsMerge/MergeOnce (directly or
+// via a background process).
+func (t *Tree) AddRun(p substrate.Proc, run *storage.Taken, recs int64) {
 	if recs > 0 {
 		r := t.write(p, "spill", run, recs) // parks: read t.files only after it
 		t.files = append(t.files, r)
 	}
 }
 
-// write files run as the next file in the tree's name sequence.
-func (t *Tree) write(p substrate.Proc, kind string, run storage.Taken, recs int64) diskRun {
+// write files run as the next file in the tree's name sequence, which
+// holds its bytes from then on, and releases run.
+func (t *Tree) write(p substrate.Proc, kind string, run *storage.Taken, recs int64) diskRun {
+	defer run.Release()
 	t.seq++
 	f := t.store.Create(fmt.Sprintf("%s.%s%d", t.prefix, kind, t.seq), t.class)
-	t.store.Give(p, f, run, t.class)
+	t.store.Give(p, f, *run, t.class)
 	return diskRun{f, recs}
 }
 
@@ -105,6 +108,7 @@ func (t *Tree) MergeOnce(p substrate.Proc, charge func(records int64)) bool {
 	// The pass itself is pure and its price is known from the inputs'
 	// counts, so it runs beside its own charge, and stages its output.
 	var merged storage.Taken
+	defer merged.Release() // if the charge panics before write takes it
 	var err error
 	p.Offload(func() {
 		var out []byte
@@ -123,7 +127,7 @@ func (t *Tree) MergeOnce(p substrate.Proc, charge func(records int64)) bool {
 		panic(fmt.Errorf("merge: %s file in %s.* is corrupt: %w", t.class, t.prefix, err))
 	}
 
-	out := t.write(p, "merge", merged, records)
+	out := t.write(p, "merge", &merged, records)
 	t.files = slices.DeleteFunc(t.files, func(r diskRun) bool { return slices.Contains(victims, r) })
 	for _, v := range victims {
 		t.store.Delete(v.file)

@@ -306,7 +306,8 @@ func TestPeekChargesReads(t *testing.T) {
 // addRun stages run and files it with the pair count its producer
 // would carry.
 func addRun(t *Tree, p *sim.Proc, run []byte) {
-	t.AddRun(p, t.store.Stage(run), int64(kvenc.Count(run)))
+	staged := t.store.Stage(run)
+	t.AddRun(p, &staged, int64(kvenc.Count(run)))
 }
 
 // mergeStream is the final merge of runs the tests trust to be intact.

@@ -190,6 +190,7 @@ type reduceChain struct {
 func (r *run) runReduceChain(ridx, node int) *reduceChain {
 	ch := &reduceChain{}
 	task := &engine.ReduceTask{}
+	defer task.Release()
 	firsts := 0 // units some attempt of the task consumed, in canonical order
 	consumed := sync.OnceFunc(r.consuming.Done)
 	defer consumed() // a failed task must not hold the others back
@@ -259,6 +260,7 @@ func (r *run) runReduceAttempt(task *engine.ReduceTask, ridx, node, attempt int,
 	red := task.Attempt(r.spec, rt, q, ridx, attempt, inject, &res.out, sink, r.InputBytesEst,
 		img, badBytes, func() int64 { return res.ledger })
 	failOut := func() *reduceResult {
+		engine.Abandon(st, ridx, attempt)
 		res.failed, res.span = true, span("reduce-failed")
 		return res
 	}
@@ -294,7 +296,7 @@ func (r *run) runReduceAttempt(task *engine.ReduceTask, ridx, node, attempt int,
 			var parts core.MapParts
 			if size > 0 {
 				r.memFetches.Add(1)
-				parts = u.read(r.scratch, ridx, ridx+1)
+				parts = u.read(ridx, ridx+1)
 			}
 			if n := red.Consume(parts, ridx, size, mapTask, u.tasks); n > 0 {
 				r.refetchBytes.Add(n)

@@ -232,8 +232,8 @@ func TestSmallestResidencyCap(t *testing.T) {
 // attempt. Node combining at one token parks the deposits of every map
 // worker but the one holding it.
 func TestParkFailureFailsTheJob(t *testing.T) {
-	defer func(open func() (*storage.Scratch, error)) { openScratch = open }(openScratch)
-	openScratch = func() (*storage.Scratch, error) {
+	defer func(open func() (*storage.Scratch, error)) { engine.OpenScratch = open }(engine.OpenScratch)
+	engine.OpenScratch = func() (*storage.Scratch, error) {
 		sc, err := storage.OpenScratch()
 		if err == nil {
 			sc.Close()

@@ -55,8 +55,9 @@ type unit struct {
 	tasks      []int      // the map tasks a node-combined run covers (nil: chunk alone); chunk is the first
 	mu         sync.Mutex // the last consumer evicts parts while a restarted reducer reads
 	parts      core.MapParts
-	ends       []int64 // parked: the scratch offset of the first segment, then each segment's end
-	first      []int   // parked: per partition, and one past the last, its first segment's index
+	parked     storage.Taken // the output in the scratch file, until nothing can read it back
+	ends       []int64       // parked: 0, then each segment's end in parked
+	first      []int         // parked: per partition, and one past the last, its first segment's index
 	partBytes  []int64
 	taken      atomic.Int32 // reduce tasks that consumed it; the last evicts it (run.taken)
 
@@ -81,7 +82,7 @@ type slot struct {
 func (r *run) keep(chunk int, parts core.MapParts, again bool) *unit {
 	u, held := &unit{chunk: chunk, parts: parts}, r.slots[chunk].held
 	if again || !held {
-		u.ends, u.first = []int64{r.scratch.Park(engine.Gather(parts))}, []int{0}
+		u.parked, u.ends, u.first = r.scratch.Stage(engine.Gather(parts)), []int64{0}, []int{0}
 		for _, segs := range parts.Segs {
 			for _, seg := range segs {
 				u.ends = append(u.ends, u.ends[len(u.ends)-1]+int64(len(seg)))
@@ -97,7 +98,7 @@ func (r *run) keep(chunk int, parts core.MapParts, again bool) *unit {
 
 // read returns the unit's output with partitions lo…hi-1 in place,
 // read back one read a partition if it is not resident.
-func (u *unit) read(sc *storage.Scratch, lo, hi int) core.MapParts {
+func (u *unit) read(lo, hi int) core.MapParts {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	if u.parts.Segs != nil {
@@ -107,7 +108,7 @@ func (u *unit) read(sc *storage.Scratch, lo, hi int) core.MapParts {
 	for p := lo; p < hi; p++ {
 		e := u.ends[u.first[p] : u.first[p+1]+1]
 		buf := make([]byte, e[len(e)-1]-e[0])
-		sc.ReadAt(buf, e[0])
+		u.parked.ReadAt(buf, e[0])
 		for i := 1; i < len(e); i++ {
 			parts.Segs[p] = append(parts.Segs[p], buf[e[i-1]-e[0]:e[i]-e[0]:e[i]-e[0]])
 		}
@@ -213,7 +214,7 @@ func newRun(spec engine.JobSpec, newQuery func() mr.Query) (*run, error) {
 // The spill files of all of them share one scratch file in
 // os.TempDir(), closed when the run returns.
 func (r *run) execute() (*engine.Report, error) {
-	scratch, err := openScratch()
+	scratch, err := engine.OpenScratch()
 	if err != nil {
 		return nil, fmt.Errorf("realexec: %w", err)
 	}
@@ -254,9 +255,6 @@ func (r *run) execute() (*engine.Report, error) {
 	}
 	return r.report(redChains, mapFinish), nil
 }
-
-// openScratch opens a run's scratch file; a test may hand over a broken one.
-var openScratch = storage.OpenScratch
 
 // claim hands a map worker the next chunk, -1 once none is left, and
 // records in its slot whether it took a residency token first. So each
@@ -330,7 +328,8 @@ func (r *run) fill(chunk int, ch *mapChain) {
 		ch.err = u.err
 	} else {
 		re := ch.reexec.units[0]
-		u.parts, u.ends, u.first, u.partBytes = re.parts, re.ends, re.first, re.partBytes
+		u.parked.Release() // the lost output's: no reader reached it
+		u.parts, u.parked, u.ends, u.first, u.partBytes = re.parts, re.parked, re.ends, re.first, re.partBytes
 		ch.reexec.units = nil
 	}
 	close(u.ready)
@@ -338,7 +337,8 @@ func (r *run) fill(chunk int, ch *mapChain) {
 
 // taken counts a reduce task's first consumption of unit i of slot s.
 // Once every reduce task has, the unit leaves memory: only its parked
-// copy stays where a reduce attempt can restart, else it is dropped.
+// copy stays where a reduce attempt can restart, else it is dropped,
+// parked copy and all.
 // The slot's last unit gives back its token.
 func (r *run) taken(s *slot, i int) {
 	u := s.units[i]
@@ -350,6 +350,7 @@ func (r *run) taken(s *slot, i int) {
 		u.parts = core.MapParts{Recs: u.parts.Recs}
 		u.mu.Unlock()
 	} else {
+		u.parked.Release()
 		s.units[i] = nil
 	}
 	if i == len(s.units)-1 {
@@ -502,7 +503,8 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject, damage bool, claim
 			u := r.keep(chunk, parts, false)
 			r.comb.Deposit(chunk, func() [][][]byte {
 				defer r.give(r.slots[chunk].held)
-				return u.read(r.scratch, 0, r.NumReducers).Segs
+				defer u.parked.Release()
+				return u.read(0, r.NumReducers).Segs
 			})
 		} else {
 			res.units = append(res.units,

@@ -193,9 +193,10 @@ func (c *MapCollector) spill() {
 		c.tree = merge.NewTree(c.rt.Store, storage.MapSpill, c.cfg.Prefix, c.cfg.MergeFactor, c.cfg.ReadSegment)
 	}
 	var run storage.Taken
+	defer run.Release() // if the charge panics before AddRun takes it
 	var recs int64
 	c.sortBuffer(func(pooled []byte, n int64) { run, recs = c.rt.Store.Stage(pooled), n })
-	c.tree.AddRun(c.rt.P, run, recs)
+	c.tree.AddRun(c.rt.P, &run, recs)
 	c.tree.Complete(c.rt.P, mergeCharge(c.rt))
 }
 
@@ -323,6 +324,7 @@ func (r *Reducer) emptyBuffer() {
 func (r *Reducer) spillBuffer() {
 	spillRuns := r.views
 	var run storage.Taken
+	defer run.Release() // if the charge panics before AddRun takes it
 	records, n := r.bufRecs, r.bufRecs
 	r.rt.P.Offload(func() {
 		var pooled []byte
@@ -347,7 +349,7 @@ func (r *Reducer) spillBuffer() {
 		mergeCharge(r.rt)(records)
 	})
 	r.emptyBuffer()
-	r.tree.AddRun(r.rt.P, run, n)
+	r.tree.AddRun(r.rt.P, &run, n)
 }
 
 // MergeDue reports whether the background multi-pass merge trigger has

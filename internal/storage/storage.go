@@ -2,7 +2,8 @@
 //
 // Every file (map spill, map output, reduce bucket/spill, job output)
 // holds real bytes — in memory, or for spills in the run's scratch file
-// (Scratch) — while reads and writes charge
+// (Scratch), where each extent lives exactly as long as a file or a
+// Taken can read it — while reads and writes charge
 // virtual time on the node's disk-arm resource using the cost model
 // (seek + bytes/bandwidth) and increment per-I/O-class byte counters.
 // The five classes mirror Table 2 of the paper (U = U1+…+U5): map
@@ -22,6 +23,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -114,23 +116,49 @@ type frameSpan struct {
 	ok       bool // found intact: the bytes never change, so it is not summed again
 }
 
+// medium is where the bytes of a file or a Taken are: extents of a
+// scratch file, in order, then data in the heap — all of a memory
+// file's bytes, the page a disk file has not flushed, a Taken's copy.
+type medium struct {
+	disk *Scratch // nil: memory
+	exts []*extent
+	data []byte
+}
+
+// last returns the extent m ends in, through which it holds them all.
+func (m *medium) last() *extent {
+	if len(m.exts) == 0 {
+		return nil
+	}
+	return m.exts[len(m.exts)-1]
+}
+
+// readAt fills dst with m's bytes from offset off.
+func (m *medium) readAt(dst []byte, off int64) {
+	pos := int64(0) // where extent e starts
+	for _, e := range m.exts {
+		if n := min(int64(len(dst)), pos+e.n-off); n > 0 {
+			m.disk.readAt(dst[:n], e.at+off-pos)
+			dst, off = dst[n:], off+n
+		}
+		pos += e.n
+	}
+	if len(dst) > 0 {
+		copy(dst, m.data[off-pos:])
+	}
+}
+
 // File is a named byte file on one device of one node. Its bytes live
-// on one of two media: memory (data), or extents of the store's scratch
-// file behind a write-behind page (disk: spills on a store given one).
+// on one of two media: memory, or extents of the store's scratch file
+// behind a write-behind page (disk: spills on a store given one).
 type File struct {
+	medium // disk: data is the page (pooled, at most ScratchPage)
 	name   string
 	dev    cost.Device
 	size   int64
 	frames []frameSpan // populated per write when checksums are on
-	data   []byte      // memory: the bytes
-	disk   *Scratch    // disk: the scratch file, nil for memory
-	exts   []extent    // disk: the flushed bytes, in file order
-	page   []byte      // disk: the tail not yet flushed (pooled, at most ScratchPage)
 	lent   [][]byte    // disk: pooled copies and windows reads lent, recycled at Delete
 }
-
-// extent is n bytes of a disk file at offset at of its scratch file.
-type extent struct{ at, n int64 }
 
 // Name returns the file name.
 func (f *File) Name() string { return f.name }
@@ -143,7 +171,7 @@ func (f *File) Size() int64 { return f.size }
 // bytes stay valid); disk gathers appends in the page and writes it
 // out, with the append that overflows it, as one extent.
 func (f *File) put(data []byte, owned bool) {
-	prev, n := f.size, int64(len(f.page)+len(data))
+	prev, n := f.size, int64(len(f.data)+len(data))
 	f.size += int64(len(data))
 	switch {
 	case f.disk == nil && owned && prev == 0:
@@ -151,12 +179,9 @@ func (f *File) put(data []byte, owned bool) {
 	case f.disk == nil:
 		f.data = append(f.data, data...)
 	case n <= ScratchPage:
-		f.page = append(bytestore.Grow(f.page, len(data)), data...)
+		f.data = append(bytestore.Grow(f.data, len(data)), data...)
 	default:
-		at := f.disk.end.Add(n) - n
-		scratchIO(f.disk.f.WriteAt(f.page, at))
-		scratchIO(f.disk.f.WriteAt(data, at+int64(len(f.page))))
-		f.exts, f.page = append(f.exts, extent{at, n}), f.page[:0]
+		f.exts, f.data = append(f.exts, f.disk.park(f.last(), f.data, data)), f.data[:0]
 	}
 }
 
@@ -172,38 +197,38 @@ func (f *File) get() []byte {
 	return b[:f.size:f.size]
 }
 
-// readAt fills dst with the file's bytes from offset off.
-func (f *File) readAt(dst []byte, off int64) {
-	if f.disk == nil {
-		copy(dst, f.data[off:])
-		return
-	}
-	pos := int64(0) // where extent e starts in the file
-	for _, e := range f.exts {
-		if n := min(int64(len(dst)), pos+e.n-off); n > 0 {
-			f.disk.ReadAt(dst[:n], e.at+off-pos)
-			dst, off = dst[n:], off+n
-		}
-		pos += e.n
-	}
-	if len(dst) > 0 {
-		copy(dst, f.page[off-pos:])
-	}
-}
-
 // ScratchPage bounds a disk file's write-behind page: the most of a
 // spill file the heap holds, beside the copies ReadAll lent.
 const ScratchPage = 16 << 10
 
+// scratchBlock is the boundary extents are carved at, so that punching
+// one out gives back every block it used.
+const scratchBlock = 4 << 10
+
+// blocks rounds n up to whole scratch blocks.
+func blocks(n int64) int64 { return (n + scratchBlock - 1) &^ (scratchBlock - 1) }
+
 // Scratch is the disk medium of one run: a temporary file, unlinked as
-// soon as it is open, that holds every spill file of the run's stores
-// and the map outputs a wall-clock run parks. Extents are carved
-// from its end and never reused — it grows to the run's spill and
-// parked volume — and go with the file when Close drops the last
-// descriptor, as they do if the process dies. Safe for concurrent use.
+// soon as it is open, that holds the spill files of the run's stores
+// and the map outputs a wall-clock run parks. Extents are carved at
+// block boundaries from its end, never reused, and each has holders: the
+// disk file that wrote it until Delete, every Taken of it until Release,
+// each file given such a Taken until its Delete, and the extent after it
+// in a file. The last to let go punches it out (where the filesystem
+// can; elsewhere it stays); Close drops what is left, as the process
+// dying does. Safe for concurrent use.
 type Scratch struct {
-	f   *os.File
-	end atomic.Int64
+	f    *os.File
+	end  atomic.Int64 // where the next extent is carved
+	size atomic.Int64 // bytes written
+	held atomic.Int64 // bytes in extents something holds
+}
+
+// extent is n bytes of a scratch file at offset at, and its holders.
+type extent struct {
+	at, n   int64
+	prev    *extent // the extent before it in its file, which it holds
+	holders atomic.Int32
 }
 
 // OpenScratch creates a scratch file in os.TempDir().
@@ -222,19 +247,47 @@ func OpenScratch() (*Scratch, error) {
 // Close releases the scratch file and every extent in it.
 func (s *Scratch) Close() error { return s.f.Close() }
 
-// Park writes data to a fresh extent and returns its offset, for
-// ReadAt. Neither charges: they are not I/O of the modelled job.
-func (s *Scratch) Park(data []byte) (at int64) {
-	at = s.end.Add(int64(len(data))) - int64(len(data))
-	scratchIO(s.f.WriteAt(data, at))
-	return at
+// Size returns the bytes written to the scratch file so far.
+func (s *Scratch) Size() int64 { return s.size.Load() }
+
+// Held returns the bytes in extents that still have a holder.
+func (s *Scratch) Held() int64 { return s.held.Load() }
+
+// Stage writes a copy of data to a fresh extent of s (the heap if s is
+// nil), uncharged and unsummed, to read back (Taken.ReadAt) or give to
+// a fresh file (Store.Give) until Release.
+func (s *Scratch) Stage(data []byte) Taken {
+	if s == nil {
+		return Taken{medium: medium{data: append(bytestore.Get(len(data)), data...)}, n: int64(len(data))}
+	}
+	return Taken{medium: medium{disk: s, exts: []*extent{s.park(nil, data, nil)}}, n: int64(len(data))}
 }
 
-// ReadAt fills dst with the scratch file's bytes at offset at.
-func (s *Scratch) ReadAt(dst []byte, at int64) { scratchIO(s.f.ReadAt(dst, at)) }
+// park writes a and then b to a fresh extent, held once, behind prev:
+// whoever held prev hands that hold on to it.
+func (s *Scratch) park(prev *extent, a, b []byte) *extent {
+	e := &extent{n: int64(len(a) + len(b)), prev: prev}
+	e.at = s.end.Add(blocks(e.n)) - blocks(e.n)
+	scratchIO(s.f.WriteAt(a, e.at))
+	scratchIO(s.f.WriteAt(b, e.at+int64(len(a))))
+	e.holders.Store(1)
+	s.size.Add(e.n)
+	s.held.Add(e.n)
+	return e
+}
 
-// Size returns the bytes written to the scratch file so far.
-func (s *Scratch) Size() int64 { return s.end.Load() }
+// hold adds d (±1) holders to e (none if e is nil): the last to let go
+// punches e out of the file, a failed punch leaving it to Close, and
+// lets go of the extent before it.
+func (s *Scratch) hold(e *extent, d int32) {
+	for ; e != nil && e.holders.Add(d) == 0; e = e.prev {
+		s.held.Add(-e.n)
+		punch(s.f.Fd(), e.at, blocks(e.n))
+	}
+}
+
+// readAt fills dst with the scratch file's bytes at offset at.
+func (s *Scratch) readAt(dst []byte, at int64) { scratchIO(s.f.ReadAt(dst, at)) }
 
 // scratchIO panics a failed scratch read or write, which attempt
 // runners turn into the job's error.
@@ -429,16 +482,30 @@ func (s *Store) Create(name string, class IOClass) *File {
 	return f
 }
 
-// Delete removes a file. Every buffer a read of a disk file lent goes
-// back to bytestore, so views of it die here; memory is only dropped,
-// and views of it stay valid (the GC keeps them alive).
+// Delete removes a file and lets go of its extents. Every buffer a read
+// of a disk file lent goes back to bytestore, so views of it die here;
+// memory is only dropped, and views of it stay valid (the GC keeps them
+// alive).
 func (s *Store) Delete(f *File) {
 	delete(s.files, f.name)
-	bytestore.Put(f.page)
+	if f.disk != nil {
+		f.disk.hold(f.last(), -1)
+		bytestore.Put(f.data)
+	}
 	for _, b := range f.lent {
 		bytestore.Put(b)
 	}
-	*f = File{name: f.name, dev: f.dev, disk: f.disk}
+	*f = File{name: f.name, dev: f.dev, medium: medium{disk: f.disk}}
+}
+
+// DeleteAll deletes every file whose name starts with prefix: what an
+// attempt that failed or died left behind.
+func (s *Store) DeleteAll(prefix string) {
+	for name, f := range s.files {
+		if strings.HasPrefix(name, prefix) {
+			s.Delete(f)
+		}
+	}
 }
 
 // Append writes a copy of data to the end of f as a single request
@@ -507,72 +574,76 @@ func (s *Store) rollCorrupt(class IOClass, n int) (bit uint64, ok bool) {
 	return 0, false
 }
 
-// Taken is bytes held for a fresh file (Give): a run Stage wrote, or a
-// file's bytes as Take found them — its buffer or extents (which the
-// scratch file never reuses) by reference, a copy of the rest. It
-// outlives the file's growth and Delete; nothing writes what it shares.
+// Taken is bytes held for a fresh file (Give) or to read (ReadAt): a
+// run Stage wrote, or a file's bytes as Take found them — its extents
+// by reference, a copy of the rest. Its extents stay until Release,
+// whatever becomes of the file; nothing writes what it shares.
 type Taken struct {
+	medium
 	n      int64
-	data   []byte   // memory: the bytes
-	exts   []extent // disk: the bytes written out
-	tail   []byte   // a copy of the bytes after them
-	crc    uint32   // their frame's checksum, if summed
+	crc    uint32 // their frame's checksum, if summed
 	summed bool
 }
 
 // Len returns the bytes t holds.
 func (t *Taken) Len() int64 { return t.n }
 
+// ReadAt fills dst with t's bytes from offset off.
+func (t *Taken) ReadAt(dst []byte, off int64) { t.readAt(dst, off) }
+
+// Release lets go of t's extents and gives its copy back to the pool:
+// t is dead, and zeroed, so a deferred Release of a released t does
+// nothing (a copy made before is dead too).
+func (t *Taken) Release() {
+	t.disk.hold(t.last(), -1)
+	bytestore.Put(t.data)
+	*t = Taken{}
+}
+
 // Stage writes a copy of data to the medium of s's spill files,
 // uncharged, summing its frame when checksums are on. It touches no
 // store state, so the closure that produced data runs it.
 func (s *Store) Stage(data []byte) Taken {
-	t := Taken{n: int64(len(data)), summed: s.Checksums}
-	if s.Checksums {
+	t := s.scratch.Stage(data)
+	if t.summed = s.Checksums; t.summed {
 		t.crc = frame.Checksum(data)
-	}
-	if s.scratch != nil {
-		t.exts = []extent{{s.scratch.Park(data), t.n}}
-	} else {
-		t.data = bytes.Clone(data)
 	}
 	return t
 }
 
 // Take returns f's bytes (none if f is nil) and then extra, uncharged:
-// the flushed bytes by reference, its page and extra in one pooled copy
-// (Release). It verifies f's frames first, panicking Corruption on a
-// mismatch, so damage on disk is not laundered into a restore's frame.
+// the flushed bytes by reference, the rest and extra in one pooled copy.
+// It verifies f's frames first, panicking Corruption on a mismatch, so
+// damage on disk is not laundered into a restore's frame.
 func (s *Store) Take(f *File, extra []byte, class IOClass) Taken {
-	t, page := Taken{}, []byte(nil)
+	t, heap := Taken{}, []byte(nil)
 	if f != nil {
 		if _, err := s.verify(f, 0, f.size); err != nil {
 			panic(&Corruption{Node: s.node, File: f.name, Class: class, Kind: "checksum"})
 		}
-		t = Taken{n: f.size, data: f.data[:len(f.data):len(f.data)], exts: f.exts[:len(f.exts):len(f.exts)]}
-		page = f.page
+		t = Taken{medium: medium{disk: f.disk, exts: f.exts[:len(f.exts):len(f.exts)]}, n: f.size - int64(len(f.data))}
+		t.disk.hold(t.last(), 1)
+		heap = f.data
 	}
-	t.n += int64(len(extra))
-	t.tail = append(append(bytestore.Get(len(page)+len(extra)), page...), extra...)
+	t.data = append(append(bytestore.Get(len(heap)+len(extra)), heap...), extra...)
+	t.n += int64(len(t.data))
 	return t
 }
 
-// Release gives the bytes Take copied back to the pool: t is dead.
-func (t *Taken) Release() { bytestore.Put(t.tail) }
-
 // Give makes the empty file f hold t's bytes, taken or staged on a
-// store sharing f's medium: one request and one frame, charged and
-// rolled for faults as Append of those bytes is. A corruption hit
-// persists a private flipped copy — a fresh buffer in memory, a fresh
-// extent on disk — never bytes t or another file references.
+// store sharing f's medium, until its Delete: one request and one frame,
+// charged and rolled for faults as Append of those bytes is. A
+// corruption hit persists a private flipped copy — a fresh extent on
+// disk — never bytes t or another file references.
 func (s *Store) Give(p substrate.Proc, f *File, t Taken, class IOClass) {
 	var ovh int64
 	if s.Checksums && t.n > 0 {
 		ovh = frame.Overhead(int(t.n))
 	}
 	s.io(p, f.name, f.dev, class, t.n, ovh, true)
-	f.data, f.exts, f.size = t.data, t.exts, t.n-int64(len(t.tail))
-	f.put(t.tail, false)
+	f.exts, f.size = t.exts, t.n-int64(len(t.data))
+	f.disk.hold(f.last(), 1)
+	f.put(t.data, false)
 	if !t.summed && ovh > 0 {
 		t.crc = f.crc(0, t.n)
 	}
@@ -583,12 +654,12 @@ func (s *Store) Give(p substrate.Proc, f *File, t Taken, class IOClass) {
 		b := make([]byte, f.size)
 		f.readAt(b, 0)
 		b[bit/8] ^= 1 << (bit % 8)
-		if n := f.size - int64(len(f.page)); f.disk != nil {
-			f.exts = []extent{{f.disk.Park(b[:n]), n}}
-			copy(f.page, b[n:])
-		} else {
-			f.data = b
+		n := f.size - int64(len(f.data))
+		if n > 0 {
+			f.disk.hold(f.last(), -1)
+			f.exts = []*extent{f.disk.park(nil, b[:n], nil)}
 		}
+		copy(f.data, b[n:])
 	}
 }
 

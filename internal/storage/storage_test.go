@@ -181,7 +181,7 @@ func TestDeleteFreesMemory(t *testing.T) {
 				t.Fatalf("size=%d, %d files", f.Size(), len(s.files))
 			}
 			s.Delete(f)
-			if f.Size() != 0 || len(s.files) != 0 || f.data != nil || f.page != nil || f.lent != nil {
+			if f.Size() != 0 || len(s.files) != 0 || f.data != nil || f.exts != nil || f.lent != nil {
 				t.Fatalf("after delete: size=%d, %d files, buffers kept", f.Size(), len(s.files))
 			}
 			s.Create("f", MapSpill) // the name is free again
@@ -486,8 +486,8 @@ func TestSpillFileHoldsAtMostOnePage(t *testing.T) {
 			s.Append(p, f, data, ReduceSpill)
 		}
 		runtime.ReadMemStats(&after)
-		if f.data != nil || cap(f.page) > ScratchPage {
-			t.Fatalf("the file holds %d bytes in memory and a %d-byte page", len(f.data), cap(f.page))
+		if cap(f.data) > ScratchPage {
+			t.Fatalf("the file holds a %d-byte page", cap(f.data))
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > n/16 {
 			t.Fatalf("writing %d bytes allocated %d", n, grew)
@@ -538,7 +538,7 @@ func TestParkedBytesReadBack(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ats[i] = sc.Park(pattern(3*ScratchPage+i, i))
+			ats[i] = sc.park(nil, pattern(3*ScratchPage+i, i), nil).at
 		}()
 	}
 	run(t, cost.Default(1), sc, func(p *sim.Proc, s *Store) {
@@ -553,9 +553,9 @@ func TestParkedBytesReadBack(t *testing.T) {
 	for i, at := range ats {
 		want := pattern(3*ScratchPage+i, i)
 		got := make([]byte, len(want))
-		sc.ReadAt(got, at)
+		sc.readAt(got, at)
 		part := make([]byte, 100)
-		sc.ReadAt(part, at+int64(ScratchPage))
+		sc.readAt(part, at+int64(ScratchPage))
 		if !bytes.Equal(got, want) || !bytes.Equal(part, want[ScratchPage:ScratchPage+100]) {
 			t.Errorf("parked blob %d reads back changed", i)
 		}
@@ -637,8 +637,8 @@ func TestStagedSpillsHoldNoHeap(t *testing.T) {
 	check := func(t *testing.T, p substrate.Proc, s *Store) {
 		f := s.Create("run", MapSpill)
 		s.Give(p, f, s.Stage(pattern(3*ScratchPage, 1)), MapSpill)
-		if f.data != nil || f.page != nil || f.lent != nil {
-			t.Fatalf("a staged run holds %d data, %d page and %d lent buffers in the heap", cap(f.data), cap(f.page), len(f.lent))
+		if f.data != nil || f.lent != nil {
+			t.Fatalf("a staged run holds a %d-byte page and %d lent buffers in the heap", cap(f.data), len(f.lent))
 		}
 		for i, seg := range []int64{ScratchPage, 4 * ScratchPage} {
 			s.Stream(p, f, seg, MapSpill)
