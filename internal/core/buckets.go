@@ -140,19 +140,29 @@ func (b *bucketSet) restore(refs []BucketRef) {
 	}
 }
 
+// bucketPass is what a hash reducer's bucket passes are sized by: its
+// file prefix, memory budget, write-buffer page and read segment.
+type bucketPass struct {
+	prefix               string
+	memBudget, page, seg int64
+}
+
+// maxSplitDepth caps recursive repartitioning, counted from level 4.
+const maxSplitDepth = 8
+
 // split partitions an oversized bucket's pairs over sub-buckets of the
 // level-th hash function, sized to fit memBudget, and drains each
 // through fn.
-func split(rt *Runtime, prefix string, level int, data []byte, memBudget, page, seg int64, fn func(data []byte)) {
-	sub := newBucketSet(rt, storage.ReduceSpill, fmt.Sprintf("%s.l%d", prefix, level),
-		bucketCount(int64(len(data)), memBudget, 64), page, level)
+func (b bucketPass) split(rt *Runtime, level int, data []byte, fn func(data []byte)) {
+	sub := newBucketSet(rt, storage.ReduceSpill, fmt.Sprintf("%s.l%d", b.prefix, level),
+		bucketCount(int64(len(data)), b.memBudget, 64), b.page, level)
 	it := kvenc.NewIterator(data)
 	for key, val, ok := it.Next(); ok; key, val, ok = it.Next() {
 		sub.add(key, val)
 	}
-	mustDecode(it.Err(), prefix, "bucket")
+	mustDecode(it.Err(), b.prefix, "bucket")
 	sub.flushAll()
-	sub.drain(seg, fn)
+	sub.drain(b.seg, fn)
 }
 
 // bucketCount sizes a bucket set so each bucket's data is expected to

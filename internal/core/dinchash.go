@@ -203,15 +203,11 @@ func (r *DINCHashReducer) Finish() {
 	r.sum.Release()
 	r.buckets.flushAll()
 	helper := &INCHashReducer{
-		rt:        r.rt,
-		inc:       r.inc,
-		early:     r.early,
-		prefix:    r.prefix + ".post",
-		memBudget: r.bucketMem(),
-		page:      r.page,
-		seg:       r.seg,
-		maxDepth:  8,
-		out:       r.out,
+		rt:         r.rt,
+		inc:        r.inc,
+		early:      r.early,
+		bucketPass: bucketPass{r.prefix + ".post", r.bucketMem(), r.page, r.seg},
+		out:        r.out,
 	}
 	helper.drainBuckets(r.buckets)
 }

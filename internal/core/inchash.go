@@ -24,14 +24,10 @@ import (
 // in-memory path, which is what lets the INC reduce progress track the
 // map progress (Fig 7(c)).
 type INCHashReducer struct {
-	rt        *Runtime
-	inc       mr.Incremental
-	early     mr.EarlyEmitter // may be nil
-	prefix    string
-	memBudget int64
-	page      int64
-	seg       int64
-	maxDepth  int
+	rt    *Runtime
+	inc   mr.Incremental
+	early mr.EarlyEmitter // may be nil
+	bucketPass
 
 	table   *bytestore.Table
 	buckets *bucketSet
@@ -68,14 +64,10 @@ func NewINCHashReducer(rt *Runtime, q mr.Query, cfg INCHashConfig, out mr.Output
 		cfg.MaxBuckets = 1024
 	}
 	r := &INCHashReducer{
-		rt:        rt,
-		inc:       inc,
-		prefix:    cfg.Prefix,
-		memBudget: cfg.MemBudget,
-		page:      cfg.Page,
-		seg:       cfg.ReadSegment,
-		maxDepth:  8,
-		out:       out,
+		rt:         rt,
+		inc:        inc,
+		bucketPass: bucketPass{cfg.Prefix, cfg.MemBudget, cfg.Page, cfg.ReadSegment},
+		out:        out,
 	}
 	if e, ok := q.(mr.EarlyEmitter); ok {
 		r.early = e
@@ -209,7 +201,7 @@ func mustDecode(err error, prefix, what string) {
 // building the table without a memory cap — a correctness-over-
 // accounting escape hatch for states a fixed budget cannot hold.
 func (r *INCHashReducer) processBucketBudget(data []byte, level int, budget int64) {
-	if level-4 >= r.maxDepth {
+	if level-4 >= maxSplitDepth {
 		budget = int64(len(data))*3 + (1 << 20)
 	}
 	t := bytestore.NewTable(r.rt.Fam.Fn(3), budget)
@@ -240,7 +232,7 @@ func (r *INCHashReducer) processBucketBudget(data []byte, level int, budget int6
 		return
 	}
 	t.Release()
-	split(r.rt, r.prefix, level, data, r.memBudget, r.page, r.seg, func(d []byte) {
+	r.split(r.rt, level, data, func(d []byte) {
 		if len(d) == len(data) {
 			// No progress (single dominant key): process uncapped.
 			r.processBucketBudget(d, level+1, int64(len(d))*3+(1<<20))

@@ -21,6 +21,7 @@ import (
 // a finished segment and continues — hash map output never needs the
 // external sort-and-merge that the sort-merge collector pays for.
 type HashMapCollector struct {
+	rt      *Runtime
 	r       int // number of partitions (reducers)
 	h1      hashfam.Func
 	budget  int64
@@ -36,7 +37,6 @@ type HashMapCollector struct {
 	// buffers are pooled and handed back by Finish
 	stage    []byte
 	stageIdx []byte // per staged pair: its partition and end offset in stage, uint32 each
-	cursor   []int  // per-partition sizes, then write offsets, of a flush
 	flushes  int
 	backing  []byte // the last flush's buffer: the output's backing if it was the only one
 
@@ -56,7 +56,7 @@ type HashMapCollector struct {
 // combine function gets the per-key value table; otherwise records
 // pass through grouped by partition.
 func NewHashMapCollector(rt *Runtime, q mr.Query, r int, budget int64, incremental bool) *HashMapCollector {
-	c := &HashMapCollector{r: r, h1: rt.Fam.Fn(1), budget: budget, parts: make([][][]byte, r)}
+	c := &HashMapCollector{rt: rt, r: r, h1: rt.Fam.Fn(1), budget: budget, parts: make([][][]byte, r)}
 	inc, isInc := q.(mr.Incremental)
 	comb, isComb := q.(mr.Combiner)
 	if incremental && isInc {
@@ -73,7 +73,6 @@ func NewHashMapCollector(rt *Runtime, q mr.Query, r int, budget int64, increment
 	} else {
 		// Starts at B_m, capped at 1 MiB; past that it grows in the pool.
 		c.stage = bytestore.Get(int(min(budget, 1<<20)))
-		c.cursor = make([]int, r)
 	}
 	return c
 }
@@ -112,32 +111,30 @@ func (c *HashMapCollector) staged(i int) (part, end int) {
 
 // flushRaw emits the staged pairs as one segment per partition: the
 // partitions are sized from the staged offsets and the pairs scattered
-// once, in arrival order, into a single exact-size buffer, so the
-// segments are its adjacent ranges in partition order.
+// once, in arrival order, into a single buffer (Runtime.NewBacking), so
+// the segments are its adjacent ranges in partition order.
 func (c *HashMapCollector) flushRaw() {
 	pairs := len(c.stageIdx) / 8
 	if pairs == 0 {
 		return
 	}
-	clear(c.cursor)
+	backing := c.rt.NewBacking(len(c.stage))
+	segs := make([][]byte, c.r)
 	start := 0
 	for i := range pairs {
 		part, end := c.staged(i)
-		c.cursor[part] += end - start
+		segs[part] = backing[:len(segs[part])+end-start]
 		start = end
 	}
-	backing := make([]byte, len(c.stage))
-	segs := make([][]byte, c.r)
 	off := 0
-	for part, n := range c.cursor {
-		segs[part] = backing[off : off+n : off+n]
-		c.cursor[part] = off
-		off += n
+	for part, seg := range segs {
+		segs[part] = backing[off : off : off+len(seg)]
+		off += len(seg)
 	}
 	start = 0
 	for i := range pairs {
 		part, end := c.staged(i)
-		c.cursor[part] += copy(backing[c.cursor[part]:], c.stage[start:end])
+		segs[part] = append(segs[part], c.stage[start:end]...)
 		start = end
 	}
 	c.outRecs += int64(pairs)

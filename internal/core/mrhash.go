@@ -23,13 +23,9 @@ import (
 // sort-merge is the eliminated sorting CPU and the early in-memory
 // handling of D1.
 type MRHashReducer struct {
-	rt        *Runtime
-	q         mr.Query
-	prefix    string
-	memBudget int64
-	page      int64
-	seg       int64
-	maxDepth  int
+	rt *Runtime
+	q  mr.Query
+	bucketPass
 
 	table   *bytestore.Table
 	buckets *bucketSet
@@ -70,13 +66,9 @@ func NewMRHashReducer(rt *Runtime, q mr.Query, cfg MRHashConfig) *MRHashReducer 
 		nDisk = max(bucketCount(cfg.ExpectedBytes, cfg.MemBudget*7/10, cfg.MaxBuckets)-1, 1)
 	}
 	r := &MRHashReducer{
-		rt:        rt,
-		q:         q,
-		prefix:    cfg.Prefix,
-		memBudget: cfg.MemBudget,
-		page:      cfg.Page,
-		seg:       cfg.ReadSegment,
-		maxDepth:  8,
+		rt:         rt,
+		q:          q,
+		bucketPass: bucketPass{cfg.Prefix, cfg.MemBudget, cfg.Page, cfg.ReadSegment},
 	}
 	// Bucket 0 is D1 (in memory); buckets 1..nDisk go to disk. The
 	// bucket set covers all of them so a demoted D1 has a file slot.
@@ -174,11 +166,11 @@ func (r *MRHashReducer) reducePairs(data []byte, level int, out mr.OutputWriter)
 		return
 	}
 	t.Release()
-	if level-4 >= r.maxDepth {
+	if level-4 >= maxSplitDepth {
 		r.sortAndStream(data, out)
 		return
 	}
-	split(r.rt, r.prefix, level, data, r.memBudget, r.page, r.seg, func(d []byte) {
+	r.split(r.rt, level, data, func(d []byte) {
 		if int64(len(d))*4 > int64(len(data))*3 {
 			// Partitioning barely helped: the bucket is dominated by
 			// one hot key whose value list no hash can split. Another

@@ -45,6 +45,10 @@ type Runtime struct {
 	// function for the Definition 1 reduce-progress metric. It must be
 	// cheap: it is called once per record on the in-memory path.
 	FnRecords func(n int64)
+
+	// Backing, when set, draws n bytes for a map output's Backing: the
+	// wall clock recycles them. Nil (the DES) allocates.
+	Backing func(n int) []byte
 }
 
 // MapParts is one unit of partitioned map output: what a map-side
@@ -55,10 +59,18 @@ type MapParts struct {
 	// reducers price their merges from it instead of re-scanning. Nil
 	// from the hash collectors, whose reducers count as they insert.
 	Recs [][]int64
-	// Backing, when non-nil, is the one exact-size allocation the
+	// Backing, when non-nil, is the one buffer (NewBacking) the
 	// segments are adjacent ranges of, in partition order: the map
 	// output file adopts it instead of gathering a copy.
 	Backing []byte
+}
+
+// NewBacking returns n bytes for a map output's Backing (Runtime.Backing).
+func (rt *Runtime) NewBacking(n int) []byte {
+	if rt.Backing != nil {
+		return rt.Backing(n)
+	}
+	return make([]byte, n)
 }
 
 // ChargeOps bills n operations at per-logical-op cost per.

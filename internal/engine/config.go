@@ -115,8 +115,9 @@ type ClusterConfig struct {
 	// SlotCache is how many completed map outputs stay in a node's
 	// memory for free shuffle fetches; older outputs are served from
 	// disk (the §3.2(3) second-wave effect). The wall-clock backend's
-	// shuffle has no disk: where it drops consumed outputs, it holds at
-	// most SlotCache × Nodes of them and maps wait for the rest.
+	// shuffle has no disk: it holds at most SlotCache × Nodes outputs,
+	// or four per reduce task if that is fewer (what its reducers
+	// consume in a turn), and maps wait for the rest.
 	SlotCache int
 
 	// SSDIntermediate routes intermediate data (spills, map output) to

@@ -108,13 +108,9 @@ func (b *MapBody) Segments(data []byte) [][]byte {
 	}
 	segs := make([][]byte, 0, int64(len(data))/max(seg, 1)+1)
 	for len(data) > 0 {
-		end := int(seg)
-		if end >= len(data) {
-			end = len(data)
-		} else if nl := bytes.IndexByte(data[end:], '\n'); nl >= 0 {
-			end += nl + 1
-		} else {
-			end = len(data)
+		end := len(data)
+		if nl := bytes.IndexByte(data[min(int(seg), end):], '\n'); nl >= 0 {
+			end = int(seg) + nl + 1
 		}
 		segs = append(segs, data[:end])
 		data = data[end:]

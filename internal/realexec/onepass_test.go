@@ -189,26 +189,33 @@ func clickOf(user, value string) string {
 }
 
 // TestMapsWaitForTheShuffle: map outputs stay resident only until every
-// reducer has consumed them, and at most SlotCache × Nodes of them at a
-// time, so while every reducer is held at its first consume no more
-// than that many chunks reach Map. Once the reducers go on, the job
-// answers as the reference does.
+// reducer has consumed them, and at most the residency cap of them at a
+// time — SlotCache × Nodes, or the window the reducers are given if
+// that is smaller — so while every reducer is held at its first consume
+// no more than that many chunks reach Map. Once the reducers go on, the
+// job answers as the reference does.
 func TestMapsWaitForTheShuffle(t *testing.T) {
-	const resident = 2
+	caps := []struct{ slotCache, r, resident int }{
+		{1, 2, 2},  // one output per node; the four reducers' window is 16
+		{16, 1, 8}, // 32 outputs of page cache; the two reducers' window is 8
+	}
 	for _, pl := range []engine.Platform{engine.SortMerge, engine.HOP, engine.MRHash, engine.INCHash, engine.DINCHash} {
 		t.Run(pl.String(), func(t *testing.T) {
-			job := residencyJob(t, pl)
-			open := make(chan struct{})
-			g := &emitGate{emitted: make(chan struct{}), consume: func() { <-open }}
-			done := runAsync(job, g)
-			time.Sleep(200 * time.Millisecond)
-			if n := g.maps.Load(); n > resident {
-				t.Errorf("%d of %d chunks reached Map while every reducer was held, want at most %d",
-					n, job.Input.NumChunks(), resident)
-			}
-			close(open)
-			if err := <-done; err != nil {
-				t.Fatal(err)
+			for _, c := range caps {
+				job := residencyJob(t, pl)
+				job.Cluster.SlotCache, job.Cluster.R = c.slotCache, c.r
+				open := make(chan struct{})
+				g := &emitGate{emitted: make(chan struct{}), consume: func() { <-open }}
+				done := runAsync(job, g)
+				time.Sleep(200 * time.Millisecond)
+				if n := g.maps.Load(); n > int32(c.resident) {
+					t.Errorf("SlotCache %d, %d reducers: %d of %d chunks reached Map while every reducer was held, want at most %d",
+						c.slotCache, c.r*job.Cluster.Nodes, n, job.Input.NumChunks(), c.resident)
+				}
+				close(open)
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
 	}

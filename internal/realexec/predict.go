@@ -26,8 +26,9 @@ const (
 // clock, in bytes, from the spec alone. Map outputs past the cap and
 // spills live on disk, so it is the sum of
 //
-//   - the resident map outputs: the residency cap × one chunk's output,
-//     C·Km by the query's hint, plus a header per partition;
+//   - the resident map outputs: the residency cap (window) × one
+//     chunk's output, C·Km by the query's hint, plus a header per
+//     partition; the free list's backings are within it (run.taken);
 //   - where chunks deposit, per concurrent fold its group's share of
 //     the map output twice: the member runs and their aggregate;
 //   - one B_r buffer or table per reduce task, at its pool-class size
@@ -79,7 +80,7 @@ func PeakHeap(job engine.JobSpec, newQuery func() mr.Query) (int64, error) {
 	if job.ReduceRestarts() {
 		perMap += parkedBytes * reducers
 	}
-	resident := min(int64(cl.SlotCache*cl.Nodes), maps)
+	resident := min(int64(window(cl, f.NumReducers)), maps)
 	return resident*(int64(float64(chunk)*w.Km)+partitionBytes*reducers) +
 		reducers*(poolClass(cl.ReduceBuffer)+int64(model.SpillFiles(w, h, p))*storage.ScratchPage+reduceTaskBytes) +
 		workers*(chunk+poolClass(cl.MapBuffer)) + slots*final + folds + images + maps*perMap, nil

@@ -1,6 +1,6 @@
 // Package realexec runs MapReduce jobs on the wall-clock substrate:
 // real goroutines, real time, and a shuffle held in memory up to the
-// residency cap and in a scratch file past it.
+// residency window, in buffers it reuses, and in a scratch file past it.
 //
 // It is a driver over the task bodies it shares with the DES engine
 // (engine.MapBody, engine.ReduceTask and engine.TaskReducer,
@@ -128,6 +128,8 @@ type run struct {
 	slots     []slot
 	tokens    chan struct{} // reduce slots
 	resident  chan struct{} // a token per resident output (claim)
+	free      chan []byte   // backings of dropped outputs (backing)
+	fresh     atomic.Int64  // backings allocated
 	halted    chan struct{} // closed by halt where maps may not wait for a token (take)
 	halt      func()
 	consuming sync.WaitGroup // reduce tasks that may still need map output
@@ -199,13 +201,23 @@ func newRun(spec engine.JobSpec, newQuery func() mr.Query) (*run, error) {
 	r.tokens, r.halted = make(chan struct{}, r.workers), make(chan struct{})
 	r.halt = sync.OnceFunc(func() { close(r.halted) })
 	r.consuming.Add(r.NumReducers)
-	r.resident = make(chan struct{}, spec.Cluster.SlotCache*spec.Cluster.Nodes)
+	r.resident = make(chan struct{}, window(&spec.Cluster, r.NumReducers))
+	r.free = make(chan []byte, cap(r.resident))
 	if len(r.comb.Groups) > 0 {
 		// Reducers wait for a group's run until its last chunk is
 		// mapped: a worker that waited for a token could wait forever.
 		r.halt()
 	}
 	return r, nil
+}
+
+// window is the residency cap: SlotCache × Nodes, or four outputs per
+// reduce task if fewer. A reducer consumes at most the window in a turn
+// on a reduce slot; four a task kept the benchmark spec's job time
+// (0.97× that at its 480-output page cache, against 1.04× at two a task
+// and 1.07× at one; EXPERIMENTS.md, "Checked in PR 53").
+func window(cl *engine.ClusterConfig, reducers int) int {
+	return min(cl.SlotCache*cl.Nodes, 4*reducers)
 }
 
 // execute runs map tasks as attempt chains on the worker pool, each
@@ -338,8 +350,8 @@ func (r *run) fill(chunk int, ch *mapChain) {
 // taken counts a reduce task's first consumption of unit i of slot s.
 // Once every reduce task has, the unit leaves memory: only its parked
 // copy stays where a reduce attempt can restart, else it is dropped,
-// parked copy and all.
-// The slot's last unit gives back its token.
+// parked copy and all. The slot's last unit gives back its token, and
+// its backing if it was dropped (backing).
 func (r *run) taken(s *slot, i int) {
 	u := s.units[i]
 	if int(u.taken.Add(1)) < r.NumReducers {
@@ -354,8 +366,28 @@ func (r *run) taken(s *slot, i int) {
 		s.units[i] = nil
 	}
 	if i == len(s.units)-1 {
+		if b := u.parts.Backing; b != nil {
+			select {
+			case r.free <- b:
+			default: // full: outputs that drew none (backing) left some
+			}
+		}
 		r.give(s.held)
 	}
+}
+
+// backing draws a map output's backing (core.Runtime.Backing): one a
+// dropped output left (taken), if large enough, else a fresh one.
+func (r *run) backing(n int) []byte {
+	select {
+	case b := <-r.free:
+		if cap(b) >= n {
+			return b[:n]
+		}
+	default:
+	}
+	r.fresh.Add(1)
+	return make([]byte, n)
 }
 
 // await blocks until ready closes, holding no reduce slot meanwhile.
@@ -411,6 +443,7 @@ func (r *run) newRuntime(p substrate.Proc, st *storage.Store, ledger *int64) *co
 		ChargeCPU: func(d time.Duration) { *ledger += int64(max(d, 0)) },
 		// Only the DES plots reduce progress (Definition 1).
 		FnRecords: func(int64) {},
+		Backing:   r.backing,
 	}
 }
 

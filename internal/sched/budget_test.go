@@ -142,3 +142,22 @@ func TestResumedBenchRunFitsTheJobShare(t *testing.T) {
 		t.Fatalf("a run predicted at %d B is not admitted beside another run under a %d B budget", resumed, limit)
 	}
 }
+
+// TestTwoFreshBenchRunsShareTheBudget: a wall-clock run holds in memory
+// only the map outputs its reducers' window takes, so two fresh runs of
+// the benchmark spec are both admitted by reservation under onepassd's
+// default 64 MiB budget. While the window was the cluster's page cache
+// (480 outputs), each was predicted at 28.6 MB, and two passed the jobs'
+// share of 50.3 MB: they ran one at a time.
+func TestTwoFreshBenchRunsShareTheBudget(t *testing.T) {
+	spec := JobSpec{Org: "acme", Query: "sessionization", Platform: "inc-hash", Backend: "real",
+		DataBytes: 236e9, Scale: "1/4096", Users: 20_000, Workers: 2}
+	spec.Normalize()
+	fresh := EngineExecutor{}.Predict(spec, nil)
+	const limit = 64 << 20
+	t.Logf("fresh benchmark spec predicted at %.1f MB, the jobs' share %.1f MB", float64(fresh)/1e6, float64(limit*3/4)/1e6)
+	b := budget.New(limit)
+	if !b.Reserve(fresh) || !b.Reserve(fresh) {
+		t.Fatalf("two runs predicted at %d B each are not admitted side by side under a %d B budget", fresh, limit)
+	}
+}

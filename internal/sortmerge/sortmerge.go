@@ -151,7 +151,7 @@ func (c *MapCollector) split() (out core.MapParts, emitted int64) {
 // adopt it whole.
 func (c *MapCollector) splitRun(run []byte, n int64) core.MapParts {
 	parts := c.cfg.Partitions
-	backing := make([]byte, 0, len(run)-2*int(n))
+	backing := c.rt.NewBacking(len(run) - 2*int(n))[:0]
 	ends := make([]int, parts)
 	counts := make([]int64, parts)
 	it := kvenc.NewIterator(run)

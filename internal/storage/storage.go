@@ -168,10 +168,10 @@ func (f *File) Size() int64 { return f.size }
 
 // put appends data to the file's medium. An empty in-memory file adopts
 // an owned buffer, else memory grows by append (views lent from the old
-// bytes stay valid); disk gathers appends in the page and writes it
-// out, with the append that overflows it, as one extent.
+// bytes stay valid); disk gathers appends in the page, and one that
+// overflows it goes out with it as an extent of whole blocks, the rest kept.
 func (f *File) put(data []byte, owned bool) {
-	prev, n := f.size, int64(len(f.data)+len(data))
+	prev, n := f.size, len(f.data)+len(data)
 	f.size += int64(len(data))
 	switch {
 	case f.disk == nil && owned && prev == 0:
@@ -181,7 +181,9 @@ func (f *File) put(data []byte, owned bool) {
 	case n <= ScratchPage:
 		f.data = append(bytestore.Grow(f.data, len(data)), data...)
 	default:
-		f.exts, f.data = append(f.exts, f.disk.park(f.last(), f.data, data)), f.data[:0]
+		cut := len(data) - n%scratchBlock // ≥ 0: the page fits in n's whole blocks
+		f.exts = append(f.exts, f.disk.park(f.last(), f.data, data[:cut]))
+		f.data = append(bytestore.Grow(f.data[:0], len(data)-cut), data[cut:]...)
 	}
 }
 

@@ -45,13 +45,9 @@ func NewBytesInput(name string, data []byte, chunkBytes int64) *FileInput {
 func newFileInputFromBytes(name string, data []byte, chunkBytes int64) *FileInput {
 	f := &FileInput{name: name, data: data, bounds: []int{0}}
 	for off := 0; off < len(data); {
-		end := off + int(chunkBytes)
-		if end >= len(data) {
-			end = len(data)
-		} else if nl := bytes.IndexByte(data[end:], '\n'); nl >= 0 {
-			end += nl + 1
-		} else {
-			end = len(data)
+		end := len(data)
+		if nl := bytes.IndexByte(data[min(off+int(chunkBytes), end):], '\n'); nl >= 0 {
+			end = off + int(chunkBytes) + nl + 1
 		}
 		f.bounds = append(f.bounds, end)
 		off = end

@@ -181,9 +181,9 @@ func Run(job Job) (*Report, error) { return engine.Run(job) }
 
 // RunReal executes a job on the wall-clock backend: real goroutines,
 // real time, and a shuffle held in memory up to SlotCache × Nodes
-// outputs and in a scratch file past it, with the same data
-// paths and the same virtual-time CPU/I/O accounting as the
-// simulation. newQuery must build a fresh Query instance on every call
+// outputs, or four per reduce task if fewer, and in a scratch file past
+// it, with the same data paths and the same virtual-time CPU/I/O
+// accounting as the simulation. newQuery must build a fresh Query instance on every call
 // (queries carry per-task scratch state); workers (0 = 1) is both the
 // map goroutines and the reduce slots. The answer and every counter in the Report
 // are identical for any worker count and match the DES run; only
