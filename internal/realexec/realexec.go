@@ -56,8 +56,7 @@ type unit struct {
 	mu         sync.Mutex // the last consumer evicts parts while a restarted reducer reads
 	parts      core.MapParts
 	parked     storage.Taken // the output in the scratch file, until nothing can read it back
-	ends       []int64       // parked: 0, then each segment's end in parked
-	first      []int         // parked: per partition, and one past the last, its first segment's index
+	ends       []int64       // parked: 0, then each cut between two segments of one partition
 	partBytes  []int64
 	taken      atomic.Int32 // reduce tasks that consumed it; the last evicts it (run.taken)
 
@@ -80,14 +79,18 @@ type slot struct {
 // come back to it after eviction (again). It runs inside the attempt,
 // so a failed write fails the attempt.
 func (r *run) keep(chunk int, parts core.MapParts, again bool) *unit {
-	u, held := &unit{chunk: chunk, parts: parts}, r.slots[chunk].held
-	if again || !held {
-		u.parked, u.ends, u.first = r.scratch.Stage(engine.Gather(parts)), []int64{0}, []int{0}
-		for _, segs := range parts.Segs {
-			for _, seg := range segs {
-				u.ends = append(u.ends, u.ends[len(u.ends)-1]+int64(len(seg)))
+	u, held := &unit{chunk: chunk, parts: parts, partBytes: make([]int64, len(parts.Segs))}, r.slots[chunk].held
+	park := again || !held
+	if park {
+		u.parked, u.ends = r.scratch.Stage(engine.Gather(parts)), []int64{0}
+	}
+	var end int64
+	for p, segs := range parts.Segs {
+		for i, seg := range segs {
+			u.partBytes[p] += int64(len(seg))
+			if end += int64(len(seg)); park && i < len(segs)-1 {
+				u.ends = append(u.ends, end)
 			}
-			u.first = append(u.first, len(u.ends)-1)
 		}
 	}
 	if !held {
@@ -97,21 +100,27 @@ func (r *run) keep(chunk int, parts core.MapParts, again bool) *unit {
 }
 
 // read returns the unit's output with partitions lo…hi-1 in place,
-// read back one read a partition if it is not resident.
+// read back one read a partition, and cut, if it is not resident.
 func (u *unit) read(lo, hi int) core.MapParts {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	if u.parts.Segs != nil {
 		return u.parts
 	}
-	parts := core.MapParts{Segs: make([][][]byte, len(u.first)-1), Recs: u.parts.Recs}
-	for p := lo; p < hi; p++ {
-		e := u.ends[u.first[p] : u.first[p+1]+1]
-		buf := make([]byte, e[len(e)-1]-e[0])
-		u.parked.ReadAt(buf, e[0])
-		for i := 1; i < len(e); i++ {
-			parts.Segs[p] = append(parts.Segs[p], buf[e[i-1]-e[0]:e[i]-e[0]:e[i]-e[0]])
+	parts := core.MapParts{Segs: make([][][]byte, len(u.partBytes)), Recs: u.parts.Recs}
+	var start int64
+	for p, n := range u.partBytes[:hi] {
+		if p >= lo && n > 0 {
+			buf, from := make([]byte, n), int64(0)
+			u.parked.ReadAt(buf, start)
+			for _, c := range u.ends[1:] {
+				if c -= start; c > 0 && c < n {
+					parts.Segs[p], from = append(parts.Segs[p], buf[from:c:c]), c
+				}
+			}
+			parts.Segs[p] = append(parts.Segs[p], buf[from:])
 		}
+		start += n
 	}
 	return parts
 }
@@ -341,7 +350,7 @@ func (r *run) fill(chunk int, ch *mapChain) {
 	} else {
 		re := ch.reexec.units[0]
 		u.parked.Release() // the lost output's: no reader reached it
-		u.parts, u.parked, u.ends, u.first, u.partBytes = re.parts, re.parked, re.ends, re.first, re.partBytes
+		u.parts, u.parked, u.ends, u.partBytes = re.parts, re.parked, re.ends, re.partBytes
 		ch.reexec.units = nil
 	}
 	close(u.ready)
@@ -376,8 +385,7 @@ func (r *run) taken(s *slot, i int) {
 	}
 }
 
-// backing draws a map output's backing (core.Runtime.Backing): one a
-// dropped output left (taken), if large enough, else a fresh one.
+// backing draws a map output's backing: a dropped one if large enough.
 func (r *run) backing(n int) []byte {
 	select {
 	case b := <-r.free:
@@ -552,11 +560,11 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject, damage bool, claim
 // the DES; nothing reads the file back, so it goes at once), adds its
 // bytes to shuffle and returns the shuffle unit.
 func (r *run) publish(p substrate.Proc, st *storage.Store, name string, chunk, seq int, parts core.MapParts, shuffle *int64) *unit {
-	f, partBytes, _ := engine.WriteMapOutput(p, st, name, parts)
+	f, _, _ := engine.WriteMapOutput(p, st, name, parts)
 	*shuffle += f.Size()
 	st.Delete(f)
 	u := r.keep(chunk, parts, r.spec.ReduceRestarts())
-	u.seq, u.partBytes = seq, partBytes
+	u.seq = seq
 	return u
 }
 
